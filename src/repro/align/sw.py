@@ -81,42 +81,63 @@ def banded_local_alignment(
     if read_len == 0 or win_len == 0:
         return None
 
+    match, mismatch, gap_open, gap_extend = MATCH, MISMATCH, GAP_OPEN, GAP_EXTEND
     neg_inf = -(10 ** 9)
+    width = win_len + 1
     # H: best score ending at (i, j); E: gap in read (deletion from ref
-    # consumed); F: gap in reference (insertion of read bases).
-    prev_h = [0] * (win_len + 1)
-    prev_e = [neg_inf] * (win_len + 1)
+    # consumed); F: gap in reference (insertion of read bases).  Cells
+    # outside the band keep H = 0 and E = -inf.
+    prev_h = [0] * width
+    prev_e = [neg_inf] * width
     best_score = 0
-    best_cell = (0, 0)
-    # Traceback matrix: dict keyed by (i, j) -> move, kept sparse within
-    # the band to bound memory.
-    moves = {}
+    best_i = best_j = 0
+    # Traceback: one bytearray of moves per read row; 1 = M, 2 = U,
+    # 3 = L, 0 where H is 0.
+    moves = [bytearray()] * (read_len + 1)
+    band_right = band + max(0, win_len - read_len)
 
     for i in range(1, read_len + 1):
-        cur_h = [0] * (win_len + 1)
-        cur_e = [neg_inf] * (win_len + 1)
-        f_score = neg_inf
-        j_lo = max(1, i - band)
-        j_hi = min(win_len, i + band + max(0, win_len - read_len))
+        j_lo = i - band if i - band > 1 else 1
+        j_hi = i + band_right if i + band_right < win_len else win_len
+        if j_lo > j_hi:
+            break  # the band has left the window: every later row is empty
+        cur_h = [0] * width
+        cur_e = [neg_inf] * width
+        row = moves[i] = bytearray(width)
         read_base = read[i - 1]
+        f_score = neg_inf
+        h_left = 0
+        h_diag = prev_h[j_lo - 1]
         for j in range(j_lo, j_hi + 1):
-            sub = MATCH if read_base == window[j - 1] else MISMATCH
-            diag = prev_h[j - 1] + sub
-            cur_e[j] = max(prev_e[j] + GAP_EXTEND, prev_h[j] + GAP_OPEN)
-            f_score = max(f_score + GAP_EXTEND, cur_h[j - 1] + GAP_OPEN)
-            score = max(0, diag, cur_e[j], f_score)
-            cur_h[j] = score
-            if score == 0:
+            h_up = prev_h[j]
+            score = h_diag + (match if read_base == window[j - 1] else mismatch)
+            h_diag = h_up
+            e_score = prev_e[j] + gap_extend
+            opened = h_up + gap_open
+            if opened > e_score:
+                e_score = opened
+            cur_e[j] = e_score
+            f_score += gap_extend
+            opened = h_left + gap_open
+            if opened > f_score:
+                f_score = opened
+            # Ties resolve M > U > L: a later move must be strictly better.
+            move = 1
+            if e_score > score:
+                score = e_score
+                move = 2
+            if f_score > score:
+                score = f_score
+                move = 3
+            if score <= 0:
+                h_left = 0
                 continue
-            if score == diag:
-                moves[(i, j)] = "M"  # diagonal: read base vs window base
-            elif score == cur_e[j]:
-                moves[(i, j)] = "U"  # up: read base vs gap (insertion)
-            else:
-                moves[(i, j)] = "L"  # left: gap vs window base (deletion)
+            h_left = cur_h[j] = score
+            row[j] = move
             if score > best_score:
                 best_score = score
-                best_cell = (i, j)
+                best_i = i
+                best_j = j
         prev_h, prev_e = cur_h, cur_e
 
     if best_score <= 0:
@@ -125,23 +146,23 @@ def banded_local_alignment(
     # Traceback from the best-scoring cell back to a zero cell.
     ops: List[Tuple[int, str]] = []
     mismatches = 0
-    i, j = best_cell
+    i, j = best_i, best_j
     end_clip = read_len - i
     while i > 0 and j > 0:
-        move = moves.get((i, j))
-        if move is None:
+        move = moves[i][j]
+        if move == 0:
             break
-        if move == "M":
+        if move == 1:  # diagonal: read base vs window base
             if read[i - 1] != window[j - 1]:
                 mismatches += 1
             _push(ops, "M")
             i -= 1
             j -= 1
-        elif move == "U":
-            _push(ops, "I")  # read base consumed, no window base
+        elif move == 2:  # up: read base vs gap (insertion)
+            _push(ops, "I")
             i -= 1
-        else:
-            _push(ops, "D")  # window base consumed, no read base
+        else:  # left: gap vs window base (deletion)
+            _push(ops, "D")
             j -= 1
     start_clip = i
     ref_offset = j

@@ -38,10 +38,6 @@ def _compress_frame(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload), len(compressed)) + compressed
 
 
-def _encode_records(records: List[SamRecord]) -> bytes:
-    return "\n".join(record.to_line() for record in records).encode()
-
-
 def _decode_records(payload: bytes) -> List[SamRecord]:
     text = payload.decode()
     if not text:
@@ -58,18 +54,18 @@ def bam_bytes(
     if chunk_bytes <= 0:
         raise BamError("chunk_bytes must be positive")
     parts = [MAGIC, _compress_frame(header.to_text().encode())]
-    batch: List[SamRecord] = []
+    lines: List[str] = []
     batch_size = 0
     for record in records:
-        line_len = len(record.to_line()) + 1
-        batch.append(record)
-        batch_size += line_len
+        line = record.to_line()
+        lines.append(line)
+        batch_size += len(line) + 1
         if batch_size >= chunk_bytes:
-            parts.append(_compress_frame(_encode_records(batch)))
-            batch = []
+            parts.append(_compress_frame("\n".join(lines).encode()))
+            lines = []
             batch_size = 0
-    if batch:
-        parts.append(_compress_frame(_encode_records(batch)))
+    if lines:
+        parts.append(_compress_frame("\n".join(lines).encode()))
     return b"".join(parts)
 
 

@@ -24,16 +24,40 @@ MAPQ_UNAVAILABLE = 255
 UNMAPPED_POS = 0
 
 
+# 256-entry ``bytes.translate`` tables: score -> QUAL byte (clamped at
+# 93, the last printable one) and QUAL byte -> score.
+_ENCODE_TABLE = bytes(min(q, 93) + QUAL_OFFSET for q in range(256))
+_DECODE_TABLE = bytes(max(b - QUAL_OFFSET, 0) for b in range(256))
+
+
 def encode_quals(quals: Iterable[int]) -> str:
-    """Encode integer Phred scores to the SAM QUAL string."""
-    return "".join(chr(min(q, 93) + QUAL_OFFSET) for q in quals)
+    """Encode integer Phred scores to the SAM QUAL string.
+
+    Scores above 93 clamp to it; a negative score is a FormatError.
+    """
+    scores = list(quals)
+    try:
+        raw = bytes(scores)
+    except ValueError:  # bytes() takes 0..255 only: negative, or huge?
+        if min(scores) < 0:
+            raise FormatError(
+                f"negative base quality {min(scores)} cannot be encoded"
+            ) from None
+        raw = bytes(min(q, 93) for q in scores)
+    return raw.translate(_ENCODE_TABLE).decode("ascii")
 
 
 def decode_quals(text: str) -> List[int]:
     """Decode a SAM QUAL string into integer Phred scores."""
     if text == "*":
         return []
-    return [ord(ch) - QUAL_OFFSET for ch in text]
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        raise FormatError(f"QUAL text is not ASCII: {text!r}") from None
+    if raw and min(raw) < QUAL_OFFSET:
+        raise FormatError(f"QUAL text has a character below '!': {text!r}")
+    return list(raw.translate(_DECODE_TABLE))
 
 
 class SamRecord:

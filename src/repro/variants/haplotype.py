@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.formats.sam import SamRecord
 from repro.formats.vcf import VariantRecord
@@ -34,6 +34,7 @@ from repro.variants.genotyper import GenotyperConfig, call_column
 from repro.variants.pileup import (
     PileupColumn,
     build_pileup,
+    pileup_activity,
     record_passes,
 )
 
@@ -109,16 +110,26 @@ class HaplotypeCallerLite:
         interval but emits only the core, so windows near partition
         edges are computed from complete evidence.
         """
-        records = list(records)
-        records = self._downsample(records, interval)
-        columns = list(
-            build_pileup(records, self.reference, interval,
-                         self.config.genotyper.pileup)
+        records = self._downsample(list(records), interval)
+        pileup_config = self.config.genotyper.pileup
+        # Activity needs only per-position counters; entries are built
+        # afterwards, and only for positions inside an active window.
+        windows = self._segment(
+            (contig, pos, disagreeing / depth)
+            for contig, pos, depth, disagreeing in pileup_activity(
+                records, self.reference, interval, pileup_config
+            )
         )
-        windows = self.active_windows(columns)
+        wanted: Dict[str, Set[int]] = {}
+        for window in windows:
+            wanted.setdefault(window.contig, set()).update(
+                range(window.start, window.end)
+            )
         calls: List[VariantRecord] = []
         columns_by_pos: Dict[Tuple[str, int], PileupColumn] = {
-            (column.contig, column.pos): column for column in columns
+            (column.contig, column.pos): column
+            for column in build_pileup(records, self.reference, interval,
+                                       pileup_config, wanted)
         }
         for window in windows:
             for pos in range(window.start, window.end):
@@ -137,6 +148,16 @@ class HaplotypeCallerLite:
     # -- greedy sequential segmentation ---------------------------------------
     def active_windows(self, columns: List[PileupColumn]) -> List[GenomicInterval]:
         """Walk all positions and greedily define active windows."""
+        return self._segment(
+            (column.contig, column.pos, activity_score(
+                column, self.reference.base_at(column.contig, column.pos)))
+            for column in columns
+        )
+
+    def _segment(
+        self, scored: Iterable[Tuple[str, int, float]]
+    ) -> List[GenomicInterval]:
+        """Segment ``(contig, pos, activity)`` triples in column order."""
         windows: List[GenomicInterval] = []
         config = self.config
         current_contig: Optional[str] = None
@@ -156,13 +177,11 @@ class HaplotypeCallerLite:
             )
             window_start = None
 
-        for column in columns:
-            ref_base = self.reference.base_at(column.contig, column.pos)
-            score = activity_score(column, ref_base)
-            if column.contig != current_contig:
+        for contig, pos, score in scored:
+            if contig != current_contig:
                 if window_start is not None and last_pos is not None:
                     close(last_pos)
-                current_contig = column.contig
+                current_contig = contig
                 recent = []
             recent.append(score)
             if len(recent) > config.trend_window:
@@ -171,20 +190,20 @@ class HaplotypeCallerLite:
 
             if window_start is None:
                 if score >= config.activity_threshold:
-                    window_start = column.pos
+                    window_start = pos
             else:
-                window_len = column.pos - window_start + 1
-                gap = last_pos is not None and column.pos - last_pos > config.trend_window
+                window_len = pos - window_start + 1
+                gap = last_pos is not None and pos - last_pos > config.trend_window
                 if window_len >= config.max_window or gap:
-                    close(last_pos if gap else column.pos)
+                    close(last_pos if gap else pos)
                     if score >= config.activity_threshold:
-                        window_start = column.pos
+                        window_start = pos
                 elif (
                     trend < config.extension_threshold
                     and window_len >= config.min_window
                 ):
-                    close(column.pos)
-            last_pos = column.pos
+                    close(pos)
+            last_pos = pos
         if window_start is not None and last_pos is not None:
             close(last_pos)
         return windows
@@ -210,7 +229,6 @@ class HaplotypeCallerLite:
         ]
         if not usable:
             return records
-        read_len = max(record.read_length for record in usable)
         approx_span = self._span(usable)
         if approx_span <= 0:
             return records
@@ -227,7 +245,6 @@ class HaplotypeCallerLite:
             if not record_passes(record, config.genotyper.pileup)
             or rng.random() < keep_fraction
         ]
-        del read_len
         return kept
 
     @staticmethod

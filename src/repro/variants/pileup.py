@@ -9,11 +9,10 @@ MarkDuplicates tie-breaking differences propagate into variant calls
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.formats.sam import SamRecord
 from repro.genome.regions import GenomicInterval
-from repro.recal.covariates import aligned_pairs
 
 
 class PileupEntry:
@@ -88,36 +87,60 @@ def record_passes(record: SamRecord, config: PileupConfig) -> bool:
     return True
 
 
-def _indel_after(record: SamRecord, read_offset: int, ref_pos: int,
+def _indel_after(record: SamRecord, end_read: int, end_ref: int,
+                 following: Optional[Tuple[int, str]],
                  reference) -> Optional[Tuple[str, str]]:
-    """Detect an I or D operation starting immediately after this base."""
-    read_cursor = 0
-    ref_cursor = record.pos
-    ops = list(record.cigar)
-    for index, (length, op) in enumerate(ops):
-        if op in ("M", "=", "X"):
-            end_read = read_cursor + length - 1
-            end_ref = ref_cursor + length - 1
-            if read_offset == end_read and ref_pos == end_ref and index + 1 < len(ops):
-                next_len, next_op = ops[index + 1]
-                if next_op == "I":
-                    inserted = record.seq[end_read + 1 : end_read + 1 + next_len]
-                    ref_base = reference.base_at(record.rname, ref_pos)
-                    return (ref_base, ref_base + inserted)
-                if next_op == "D":
-                    contig_len = reference.contig_length(record.rname)
-                    if ref_pos + next_len <= contig_len:
-                        ref_allele = reference.fetch(
-                            record.rname, ref_pos, ref_pos + next_len + 1
-                        )
-                        return (ref_allele, ref_allele[0])
-            read_cursor += length
-            ref_cursor += length
-        elif op in ("I", "S"):
-            read_cursor += length
-        elif op in ("D", "N"):
-            ref_cursor += length
+    """The I or D that starts right after a block's last base, if any."""
+    if following is None:
+        return None
+    next_len, next_op = following
+    if next_op == "I":
+        inserted = record.seq[end_read + 1 : end_read + 1 + next_len]
+        ref_base = reference.base_at(record.rname, end_ref)
+        return (ref_base, ref_base + inserted)
+    if next_op == "D" and end_ref + next_len <= reference.contig_length(record.rname):
+        ref_allele = reference.fetch(record.rname, end_ref, end_ref + next_len + 1)
+        return (ref_allele, ref_allele[0])
     return None
+
+
+def _passing_blocks(records: Iterable[SamRecord],
+                    interval: Optional[GenomicInterval],
+                    config: PileupConfig) -> Iterator[tuple]:
+    """Walk each passing read's CIGAR once, one item per M/=/X block.
+
+    Yields ``(record, quals, read_start, ref_start, lo, hi, length,
+    following)``: block bases ``lo <= k < hi`` survive clipping to
+    ``interval`` and to the qualities present; ``following`` is the
+    ``(length, op)`` after the block, if any — an indel can only anchor
+    at a block's last base (``k == length - 1``).
+    """
+    for record in records:
+        if not record_passes(record, config):
+            continue
+        if interval is not None and record.rname != interval.contig:
+            continue
+        quals = record.base_qualities()
+        ops = record.cigar.ops
+        read_cursor = 0
+        ref_cursor = record.pos
+        for index, (length, op) in enumerate(ops):
+            if op in "M=X":
+                lo = 0
+                hi = min(length, len(quals) - read_cursor)
+                if interval is not None:
+                    lo = max(lo, interval.start - ref_cursor)
+                    hi = min(hi, interval.end - ref_cursor)
+                if lo < hi:
+                    following = ops[index + 1] if index + 1 < len(ops) else None
+                    yield (record, quals, read_cursor, ref_cursor, lo, hi,
+                           length, following)
+                read_cursor += length
+                ref_cursor += length
+            elif op in "IS":
+                read_cursor += length
+            elif op in "DN":
+                ref_cursor += length
 
 
 def build_pileup(
@@ -125,46 +148,98 @@ def build_pileup(
     reference,
     interval: Optional[GenomicInterval] = None,
     config: Optional[PileupConfig] = None,
+    wanted: Optional[Dict[str, Set[int]]] = None,
 ) -> Iterator[PileupColumn]:
     """Yield pileup columns in coordinate order.
 
     ``interval`` restricts the output columns (reads overlapping the
-    interval still contribute from outside it).
+    interval still contribute from outside it); ``wanted`` further
+    restricts them to the given positions per contig.
     """
     config = config or PileupConfig()
-    columns: Dict[Tuple[str, int], List[PileupEntry]] = {}
-    for record in records:
-        if not record_passes(record, config):
-            continue
-        if interval is not None and record.rname != interval.contig:
-            continue
-        quals = record.base_qualities()
-        for read_offset, ref_pos in aligned_pairs(record):
-            if interval is not None and not (
-                interval.start <= ref_pos < interval.end
-            ):
-                continue
-            if read_offset >= len(quals):
-                continue
-            quality = quals[read_offset]
-            if quality < config.min_base_quality:
-                continue
-            indel = _indel_after(record, read_offset, ref_pos, reference)
-            entry = PileupEntry(
-                record=record,
-                read_offset=read_offset,
-                base=record.seq[read_offset],
-                quality=quality,
-                mapq=record.mapq,
-                reverse=record.flags.is_reverse,
-                indel=indel,
-            )
-            columns.setdefault((record.rname, ref_pos), []).append(entry)
-    contig_order: Dict[str, int] = {}
-    for contig, _ in columns:
-        if contig not in contig_order:
-            contig_order[contig] = len(contig_order)
-    for (contig, pos) in sorted(
-        columns, key=lambda key: (contig_order[key[0]], key[1])
+    min_quality = config.min_base_quality
+    # contig (first-seen order) -> position -> entries in read order
+    columns: Dict[str, Dict[int, List[PileupEntry]]] = {}
+    for record, quals, read_start, ref_start, lo, hi, length, following in (
+        _passing_blocks(records, interval, config)
     ):
-        yield PileupColumn(contig, pos, columns[(contig, pos)])
+        rname = record.rname
+        keep = None if wanted is None else wanted.get(rname, frozenset())
+        if keep is not None and keep.isdisjoint(
+            range(ref_start + lo, ref_start + hi)
+        ):
+            continue
+        seq = record.seq
+        mapq = record.mapq
+        reverse = record.flags.is_reverse
+        contig_columns = columns.get(rname)
+        for k in range(lo, hi):
+            read_offset = read_start + k
+            quality = quals[read_offset]
+            if quality < min_quality:
+                continue
+            ref_pos = ref_start + k
+            if keep is not None and ref_pos not in keep:
+                continue
+            indel = None
+            if k == length - 1:
+                indel = _indel_after(record, read_offset, ref_pos, following,
+                                     reference)
+            entry = PileupEntry(record, read_offset, seq[read_offset], quality,
+                                mapq, reverse, indel)
+            if contig_columns is None:
+                contig_columns = columns[rname] = {}
+            entries = contig_columns.get(ref_pos)
+            if entries is None:
+                contig_columns[ref_pos] = [entry]
+            else:
+                entries.append(entry)
+    for contig, contig_columns in columns.items():
+        for pos in sorted(contig_columns):
+            yield PileupColumn(contig, pos, contig_columns[pos])
+
+
+def pileup_activity(
+    records: Iterable[SamRecord],
+    reference,
+    interval: Optional[GenomicInterval] = None,
+    config: Optional[PileupConfig] = None,
+) -> Iterator[Tuple[str, int, int, int]]:
+    """Yield ``(contig, pos, depth, disagreeing)`` per pileup column.
+
+    Same columns in the same order as :func:`build_pileup`, without
+    building entries: ``disagreeing`` counts the entries whose base
+    differs from the reference or that anchor an indel.
+    """
+    config = config or PileupConfig()
+    min_quality = config.min_base_quality
+    # contig (first-seen order) -> position -> [depth, disagreeing]
+    counts: Dict[str, Dict[int, List[int]]] = {}
+    for record, quals, read_start, ref_start, lo, hi, length, following in (
+        _passing_blocks(records, interval, config)
+    ):
+        rname = record.rname
+        seq = record.seq
+        ref_seq = reference.fetch(rname, ref_start + lo, ref_start + hi)
+        contig_counts = counts.get(rname)
+        for k in range(lo, hi):
+            read_offset = read_start + k
+            if quals[read_offset] < min_quality:
+                continue
+            ref_pos = ref_start + k
+            if contig_counts is None:
+                contig_counts = counts[rname] = {}
+            count = contig_counts.get(ref_pos)
+            if count is None:
+                count = contig_counts[ref_pos] = [0, 0]
+            count[0] += 1
+            if seq[read_offset] != ref_seq[k - lo] or (
+                k == length - 1
+                and _indel_after(record, read_offset, ref_pos, following,
+                                 reference) is not None
+            ):
+                count[1] += 1
+    for contig, contig_counts in counts.items():
+        for pos in sorted(contig_counts):
+            depth, disagreeing = contig_counts[pos]
+            yield contig, pos, depth, disagreeing

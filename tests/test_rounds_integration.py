@@ -6,6 +6,8 @@ rounds, duplicate-count equivalence with the serial gold standard, and
 the characteristic small discordances of parallel execution.
 """
 
+import hashlib
+
 import pytest
 
 from repro.align.pairing import PairedEndAligner
@@ -40,6 +42,20 @@ def read_all(hdfs, paths):
     return records
 
 
+def lines_sha1(items):
+    """SHA-1 over the text lines of SAM records or VCF calls."""
+    text = "".join(item.to_line() + "\n" for item in items)
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+# Golden bytes of the shared dataset (conftest seeds 101/102/103, aligner
+# seed 7), captured on the commit before the kernel fast path (PR 13).
+# A kernel change that is meant to keep the output must keep these; one
+# that is meant to move it (ROADMAP 3a) re-pins them deliberately.
+ROUND1_SAM_SHA1 = "074051de770e9c49c4690df9b26ebffa9d49ede0"
+ROUND5_VCF_SHA1 = "7d23204536f1463317e0f87bc9a6d3ebda51f104"
+
+
 class TestRound1:
     def test_one_output_partition_per_input(self, rounds_env, pairs):
         rounds, hdfs, paths = rounds_env
@@ -61,6 +77,10 @@ class TestRound1:
         rounds, _, _ = rounds_env
         assert rounds.streaming_stats is not None
         assert rounds.streaming_stats.programs == ["bwa-mem", "samtobam"]
+
+    def test_golden_sam_bytes(self, rounds_env):
+        rounds, hdfs, paths = rounds_env
+        assert lines_sha1(read_all(hdfs, paths)) == ROUND1_SAM_SHA1
 
 
 class TestRound2:
@@ -195,6 +215,10 @@ class TestRounds45:
         rounds, hdfs, r4, variants = round5
         keys = [v.site_key() for v in variants]
         assert keys == sorted(keys)
+
+    def test_golden_vcf_bytes(self, round5):
+        rounds, hdfs, r4, variants = round5
+        assert lines_sha1(variants) == ROUND5_VCF_SHA1
 
 
 class TestRecalRounds:

@@ -54,6 +54,33 @@ class TestQualityEncoding:
     def test_cap_at_93(self):
         assert decode_quals(encode_quals([200])) == [93]
 
+    def test_every_score_from_93_up_clamps(self):
+        # > 255 too, which bytes() alone would reject.
+        assert encode_quals([92, 93, 94, 255, 256, 10 ** 6]) == "}~~~~~"
+
+    def test_every_byte_value_matches_the_scalar_formula(self):
+        scores = list(range(256))
+        assert encode_quals(scores) == "".join(
+            chr(min(q, 93) + 33) for q in scores
+        )
+        text = "".join(chr(c) for c in range(33, 127))
+        assert decode_quals(text) == [ord(ch) - 33 for ch in text]
+
+    def test_iterables_and_empty_input(self):
+        assert encode_quals(q for q in (0, 40)) == "!I"
+        assert encode_quals([]) == ""
+        assert decode_quals("") == []
+
+    @pytest.mark.parametrize("scores", [[-1], [30, -1, 30], [-34], [300, -2]])
+    def test_negative_score_is_a_format_error(self, scores):
+        with pytest.raises(FormatError, match="negative base quality"):
+            encode_quals(scores)
+
+    @pytest.mark.parametrize("text", ["II\u00e9I", "\u2603", "I I", "II\tI"])
+    def test_unprintable_qual_text_is_a_format_error(self, text):
+        with pytest.raises(FormatError, match="QUAL text"):
+            decode_quals(text)
+
 
 def make_record(**overrides):
     defaults = dict(
