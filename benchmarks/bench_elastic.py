@@ -1,6 +1,9 @@
-"""Elastic pool vs static pool: the cost-model wall.
+"""Scaling pool vs fixed pool: the cost-model wall.
 
-Two scenarios, together the elastic executor's regression gate:
+One executor, two sizings: ``pooled(8)`` (static — floor at the
+ceiling) against ``pooled(8, min_workers=2)`` (elastic — the pool
+rescales between waves).  Two scenarios, together the scaling
+controller's regression gate:
 
 * A *clean* round: 16 evenly-sized stall tasks feeding 4 reducers.
   The elastic pool forks to demand, runs the same waves, and scales
@@ -85,9 +88,9 @@ POLICIES = (
     ("serial", ExecutionPolicy.serial()),
     (f"pool@{MAX_WORKERS}",
      ExecutionPolicy.pooled(max_workers=MAX_WORKERS)),
-    (f"elastic@{MIN_WORKERS}..{MAX_WORKERS}",
-     ExecutionPolicy.elastic(max_workers=MAX_WORKERS,
-                             min_workers=MIN_WORKERS)),
+    (f"pool@{MIN_WORKERS}..{MAX_WORKERS}",
+     ExecutionPolicy.pooled(max_workers=MAX_WORKERS,
+                            min_workers=MIN_WORKERS)),
 )
 
 
@@ -104,7 +107,7 @@ def test_elastic_clean_bounded_overhead():
     """Clean round: elastic must not cost a wave vs the static pool."""
     walls, outputs, counters = _run_scenario(_clean_job)
     static = f"pool@{MAX_WORKERS}"
-    elastic = f"elastic@{MIN_WORKERS}..{MAX_WORKERS}"
+    elastic = f"pool@{MIN_WORKERS}..{MAX_WORKERS}"
     assert outputs[static] == outputs["serial"]
     assert outputs[elastic] == outputs["serial"]
     # Between-wave scaling only: the elastic pool must track the
@@ -134,7 +137,7 @@ def test_elastic_skewed_paid_seconds():
     """Skewed round: elastic pays no more worker-seconds than static."""
     walls, outputs, counters = _run_scenario(_skewed_job)
     static = f"pool@{MAX_WORKERS}"
-    elastic = f"elastic@{MIN_WORKERS}..{MAX_WORKERS}"
+    elastic = f"pool@{MIN_WORKERS}..{MAX_WORKERS}"
     assert outputs[static] == outputs["serial"]
     assert outputs[elastic] == outputs["serial"]
     static_paid = counters[static].get("pool.paid_worker_seconds", 0.0)

@@ -16,8 +16,7 @@ specs:
 Both are frozen dataclasses: a spec is a value, never mutated by the
 run, so the same spec can be replayed (``dataclasses.replace`` swaps a
 field) and compared across experiments.  The CLI and the round
-wrappers build *only* these specs — the positional
-``MapReduceEngine(...)`` / ``InputSplit(...)`` forms are deprecated.
+wrappers build *only* these specs.
 
 :func:`make_block_splits` is the preferred way to hand record lists to
 a job: each partition is sealed into one

@@ -81,12 +81,12 @@ def _execution_parent() -> argparse.ArgumentParser:
                        help="how MR tasks run (default: serial; pool "
                             "forks once per job and reuses workers)")
     group.add_argument("--max-workers", type=int, default=None,
-                       help="worker slots for thread/process/pool "
+                       help="worker slots for the thread/pool "
                             "executors")
     group.add_argument("--min-workers", type=int, default=None,
-                       help="worker floor for the elastic executor "
-                            "(default: 1; ignored by fixed-size "
-                            "executors)")
+                       help="pool floor: below --max-workers the pool "
+                            "scales between waves (default: fixed at "
+                            "--max-workers)")
     group.add_argument("--task-retries", type=int, default=0,
                        help="retries per failed task (default: 0)")
     group.add_argument("--shuffle-codec", choices=CODEC_NAMES,
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="JOB[:WAVE[:TASK]]",
                        help="spot-style preemption: SIGKILL the pool "
                             "worker running WAVE task TASK of JOB "
-                            "(pool/elastic executors only)")
+                            "(pool executor only)")
     chaos.add_argument("--cold-start", dest="cold_start",
                        action="append", default=[],
                        metavar="SECONDS[@JOB]",
@@ -780,6 +780,7 @@ def _cmd_chaos(args) -> int:
     chaos_policy = ExecutionPolicy(
         executor=args.executor,
         max_workers=args.max_workers,
+        min_workers=args.min_workers,
         task_retries=max(2, args.task_retries),
         task_timeout=args.task_timeout,
         fault_plan=plan,

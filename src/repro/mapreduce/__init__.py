@@ -6,9 +6,8 @@ from repro.mapreduce import counters
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
 from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.executors import (
+    JobContext,
     PooledProcessExecutor,
-    PoolJobContext,
-    ProcessExecutor,
     SerialExecutor,
     TaskExecutor,
     ThreadedExecutor,
@@ -55,9 +54,8 @@ __all__ = [
     "TaskExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "PooledProcessExecutor",
-    "PoolJobContext",
+    "JobContext",
     "WorkerCrash",
     "build_executor",
     "fork_available",

@@ -1,12 +1,14 @@
 """The in-process MapReduce runtime.
 
 Executes a :class:`~repro.mapreduce.job.JobConf` over input splits with
-full sort-spill-merge shuffle semantics.  Tasks run on a pluggable
+full sort-spill-merge shuffle semantics.  Every task attempt is a call
+descriptor (:class:`_MapCall` / :class:`_ReduceCall`) run against the
+job's context on a pluggable
 :class:`~repro.mapreduce.executors.TaskExecutor` chosen by the engine's
 :class:`~repro.mapreduce.policy.ExecutionPolicy` — serially, on a
-bounded thread pool, or on a fork-based process pool — with per-task
-retry, optional fault injection, and speculative re-execution of
-straggler stubs.
+bounded thread pool, or on a persistent fork-based worker pool — with
+per-task retry, optional fault injection, and speculative re-execution
+of straggler stubs.
 
 Determinism is the engine's core contract (the paper's §3.2 argument,
 enforced here): every task is a pure function of its split plus the
@@ -31,7 +33,7 @@ from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.executors import (
-    PoolJobContext,
+    JobContext,
     TaskExecutor,
     WorkerCrash,
     build_executor,
@@ -176,22 +178,6 @@ class _TaskOutcome:
 
 def _identity(key: Any) -> Any:
     return key
-
-
-def _apply_combiner(job: JobConf, context: TaskContext) -> List[KeyValue]:
-    """Apply the combiner to one map task's buffered output."""
-    sort_key = job.sort_key or _identity
-    buffered = sorted(context.emitted, key=lambda kv: sort_key(kv[0]))
-    combined = TaskContext(context.task_id + "-c", context.node)
-    cursor = 0
-    while cursor < len(buffered):
-        key = buffered[cursor][0]
-        values = []
-        while cursor < len(buffered) and buffered[cursor][0] == key:
-            values.append(buffered[cursor][1])
-            cursor += 1
-        job.combiner(key, values, combined)
-    return combined.emitted
 
 
 def _run_attempts(
@@ -391,7 +377,7 @@ def _execute_map_task(
         return outcome
 
     # Backup attempts re-resolve placement against the *current*
-    # blacklist (see MapReduceEngine._run_backup); the fork-time list
+    # blacklist (see MapReduceEngine._run_backup); the wave's list
     # serves every epoch-0 attempt.
     chosen = override_candidates or candidates
     return _run_attempts(body, policy, task_id, chosen, epoch)
@@ -479,12 +465,13 @@ def _execute_reduce_task(
 
 
 class _MapCall:
-    """Picklable pool descriptor for one map task attempt.
+    """Call descriptor for one map task attempt.
 
-    The unpicklable task body (a closure over the job, split, and
-    policy) rode into the pooled workers inside the fork image as
-    ``PoolJobContext.map_bodies``; this descriptor carries only the
-    index into that table plus the commit fencing epoch.
+    The task body (a closure over the job, split, and policy — not
+    picklable) lives in ``JobContext.map_bodies``, which pooled workers
+    inherit through their fork image; this descriptor carries only the
+    index into that table plus the commit fencing epoch, so it is the
+    same few bytes whether it is run in-process or sent down a pipe.
     """
 
     __slots__ = ("index", "epoch", "candidates")
@@ -494,41 +481,38 @@ class _MapCall:
         self.index = index
         self.epoch = epoch
         #: Fresh placement candidates for backup epochs (None keeps
-        #: the fork-time list); lets fenced re-executions honor a
-        #: blacklist that grew after the pool forked.
+        #: the wave's list); lets fenced re-executions honor a
+        #: blacklist that grew after the wave was built.
         self.candidates = candidates
 
     def with_epoch(self, epoch: int,
                    candidates: Optional[List[str]] = None) -> "_MapCall":
         return _MapCall(self.index, epoch, candidates)
 
-    def run(self, context: PoolJobContext) -> _TaskOutcome:
+    def run(self, context: JobContext) -> _TaskOutcome:
         return context.map_bodies[self.index](self.epoch, self.candidates)
 
 
 class _ReduceCall:
-    """Picklable pool descriptor for one reduce task attempt.
+    """Call descriptor for one reduce task attempt.
 
-    Reduce inputs are created *after* the pool forked (segments exist
-    only once the map wave settles), so nothing about them is in the
-    workers' fork image.  Instead the driver snapshots each segment's
-    replica chain and ships the sealed blobs inside this call; the
-    worker rebuilds a :class:`SegmentStore` over the shipped snapshot
-    and runs the ordinary reduce task against it — same CRC
-    verification, same replica failover, same counters, byte-identical
-    output.
+    ``store`` is where the attempt fetches its segments.  In-process
+    executors get the driver's live :class:`SegmentStore` — nothing is
+    copied.  Pooled workers forked before any segment existed, so for
+    them the driver snapshots each segment's replica chain into a
+    read-only store that pickles with the call; the worker runs the
+    ordinary reduce task against it — same CRC verification, same
+    replica failover, same counters, byte-identical output.
     """
 
-    __slots__ = ("paths", "replicas", "candidates", "task_id", "traced",
+    __slots__ = ("store", "paths", "candidates", "task_id", "traced",
                  "epoch", "override_candidates")
 
-    def __init__(self, paths, replicas, candidates, task_id, traced,
+    def __init__(self, store, paths, candidates, task_id, traced,
                  epoch: int = 0,
                  override_candidates: Optional[List[str]] = None):
+        self.store: SegmentStore = store
         self.paths: List[str] = paths
-        #: path -> replica chain snapshot (clean chains collapse to one
-        #: shared bytes object, so pickling ships each segment once).
-        self.replicas: Dict[str, List[bytes]] = replicas
         self.candidates: List[str] = candidates
         self.task_id = task_id
         self.traced = traced
@@ -539,15 +523,14 @@ class _ReduceCall:
     def with_epoch(self, epoch: int,
                    candidates: Optional[List[str]] = None) -> "_ReduceCall":
         return _ReduceCall(
-            self.paths, self.replicas, self.candidates, self.task_id,
+            self.store, self.paths, self.candidates, self.task_id,
             self.traced, epoch, candidates,
         )
 
-    def run(self, context: PoolJobContext) -> _TaskOutcome:
-        store = SegmentStore(ShippedReplicaBackend(self.replicas))
+    def run(self, context: JobContext) -> _TaskOutcome:
         return _execute_reduce_task(
-            context.job, store, self.paths, self.candidates, self.task_id,
-            context.policy, self.traced, self.epoch,
+            context.job, self.store, self.paths, self.candidates,
+            self.task_id, context.policy, self.traced, self.epoch,
             self.override_candidates,
         )
 
@@ -558,8 +541,7 @@ class MapReduceEngine:
     Parameters
     ----------
     nodes:
-        Worker node names (keyword-only going forward; the positional
-        form is deprecated).
+        Worker node names.
     policy:
         :class:`ExecutionPolicy` selecting the task executor, worker
         slots, retries, speculation, and fault injection.  Defaults to
@@ -581,7 +563,7 @@ class MapReduceEngine:
 
     def __init__(
         self,
-        *deprecated_args,
+        *,
         nodes: Optional[List[str]] = None,
         policy: Optional[ExecutionPolicy] = None,
         filesystem: Optional[Any] = None,
@@ -589,21 +571,6 @@ class MapReduceEngine:
         lease_monitor: Optional[LeaseMonitor] = None,
         io: Optional[Any] = None,
     ):
-        if deprecated_args:
-            if len(deprecated_args) > 1 or nodes is not None:
-                raise TypeError(
-                    "MapReduceEngine takes at most one positional argument "
-                    "(the deprecated nodes list)"
-                )
-            import warnings
-
-            warnings.warn(
-                "positional nodes is deprecated; "
-                "use MapReduceEngine(nodes=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            nodes = deprecated_args[0]
         self.nodes = list(nodes) if nodes else ["localhost"]
         self.policy = policy or ExecutionPolicy()
         self.filesystem = filesystem
@@ -636,7 +603,7 @@ class MapReduceEngine:
         executor = self._executor
         self._executor = None
         self._pool_stats_seen = {}
-        if executor is not None and hasattr(executor, "close"):
+        if executor is not None:
             executor.close()
 
     def __enter__(self) -> "MapReduceEngine":
@@ -755,10 +722,6 @@ class MapReduceEngine:
             # state (forked workers) worth reusing across rounds.
             self._executor = build_executor(self.policy)
         executor = self._executor
-        executor.trace = self.recorder.enabled
-        executor.sample_interval = (
-            self.recorder.sample_interval if self.recorder.enabled else 0.0
-        )
         result = JobResult(job.name)
         committer = OutputCommitter(
             result, self.filesystem, recorder=self.recorder, journal=journal,
@@ -805,8 +768,8 @@ class MapReduceEngine:
                     # between the waves — not just reduce-wave crashes.
                     store.delete_all(stored)
         finally:
+            executor.end_job()
             if executor.pooled:
-                executor.end_job()
                 self._publish_pool_stats(executor)
             self._publish_io_stats()
         return result
@@ -864,9 +827,9 @@ class MapReduceEngine:
             "pool.paid_worker_seconds": round(
                 executor.paid_worker_seconds(), 6
             ),
-            "pool.workers_retired": getattr(executor, "workers_retired", 0),
-            "pool.scale.ups": getattr(executor, "scale_ups", 0),
-            "pool.scale.downs": getattr(executor, "scale_downs", 0),
+            "pool.workers_retired": executor.workers_retired,
+            "pool.scale.ups": executor.scale_ups,
+            "pool.scale.downs": executor.scale_downs,
         }
         seen = self._pool_stats_seen
         self._pool_stats_seen = current
@@ -900,42 +863,30 @@ class MapReduceEngine:
             else None
         )
         placements: List[Tuple[str, str]] = []
-        factories = []
+        bodies = []
         for index, split in enumerate(splits):
             candidates = self._candidate_nodes(split.preferred_node, index)
             task_id = f"{job.name}-m-{index:05d}"
             placements.append((task_id, candidates[0]))
-            factories.append(
+            bodies.append(
                 functools.partial(
                     _execute_map_task, job, split, candidates, task_id,
                     self.policy, traced, io=task_io,
                 )
             )
-        calls: Optional[List[_MapCall]] = None
-        if executor.pooled:
-            # Cold-start chaos: every fork this job pays a charged
-            # spawn delay, slept through the policy's injectable hook.
-            plan = self.policy.fault_plan
-            cold = plan.cold_start_for(job.name) if plan is not None else 0.0
-            executor.cold_start_seconds = cold
-            executor.spawn_sleep = self.policy.sleep
-            if cold > 0:
-                result.history.add_event(
-                    "cold_start_armed", job=job.name,
-                    seconds_per_fork=cold,
-                )
-            # Fork the job's workers now, with every map body in the
-            # image; reduce inputs arrive later as shipped snapshots.
-            executor.begin_job(
-                PoolJobContext(
-                    job, self.policy, factories, executor.trace,
-                    executor.sample_interval,
-                )
+        # The pool forks the job's workers here, with every map body in
+        # the image; the in-process executors just keep the reference.
+        recorder = self.recorder
+        executor.begin_job(
+            JobContext(
+                job, self.policy, bodies, recorder.enabled,
+                recorder.sample_interval if recorder.enabled else 0.0,
             )
-            calls = [_MapCall(index) for index in range(len(factories))]
+        )
+        calls = [_MapCall(index) for index in range(len(bodies))]
         outcomes, submitted = self._execute_wave(
-            job, "map", factories, calls, placements, result, executor,
-            committer, recovered,
+            job, "map", calls, placements, result, executor, committer,
+            recovered,
         )
 
         metrics = self.recorder.metrics
@@ -1062,45 +1013,45 @@ class MapReduceEngine:
         recovered: Dict[str, Tuple[int, _TaskOutcome]],
     ) -> None:
         traced = self.recorder.enabled and self.recorder.trace_tasks
-        pooled = executor.pooled
-        snapshots: Dict[str, List[bytes]] = {}
-        if pooled:
-            # Pooled workers forked before any segment existed, so the
-            # driver snapshots every replica chain a worker-side fetch
-            # could read and ships the sealed blobs inside the calls.
+        snapshots: Optional[Dict[str, List[bytes]]] = None
+        if executor.pooled:
+            # The drain point between the waves: every pool worker is
+            # idle, so this is where the pool rescales.  Its workers
+            # forked before any segment existed, so the driver then
+            # snapshots every replica chain a worker-side fetch could
+            # read and ships the sealed blobs inside the calls.
+            # In-process executors fetch from the live store instead —
+            # nothing is copied.
+            self._rebalance_pool(job, result, executor)
             attempts = job.shuffle.fetch_retries + 1
-            for per_map in paths:
-                for path in per_map:
-                    snapshots[path] = store.snapshot(path, attempts)
+            snapshots = {
+                path: store.snapshot(path, attempts)
+                for per_map in paths for path in per_map
+            }
         placements = []
-        factories = []
-        calls: Optional[List[_ReduceCall]] = [] if pooled else None
+        calls: List[_ReduceCall] = []
         for reducer_index in range(job.num_reducers):
             candidates = self._candidate_nodes(None, reducer_index)
             task_id = f"{job.name}-r-{reducer_index:05d}"
             placements.append((task_id, candidates[0]))
             # Shuffle input: this reducer's segment from every mapper,
-            # in map-task order.  Thunks close over the store; they are
-            # never pickled (the fork executor publishes them via its
-            # task table), so reducers fetch through the real backend.
+            # in map-task order.
             reducer_paths = [per_map[reducer_index] for per_map in paths]
-            factories.append(
-                functools.partial(
-                    _execute_reduce_task, job, store, reducer_paths,
-                    candidates, task_id, self.policy, traced,
-                )
-            )
-            if pooled:
-                calls.append(
-                    _ReduceCall(
-                        reducer_paths,
-                        {p: snapshots[p] for p in reducer_paths},
-                        candidates, task_id, traced,
+            task_store = store
+            if snapshots is not None:
+                task_store = SegmentStore(
+                    ShippedReplicaBackend(
+                        {p: snapshots[p] for p in reducer_paths}
                     )
                 )
+            calls.append(
+                _ReduceCall(
+                    task_store, reducer_paths, candidates, task_id, traced,
+                )
+            )
         outcomes, submitted = self._execute_wave(
-            job, "reduce", factories, calls, placements, result, executor,
-            committer, recovered,
+            job, "reduce", calls, placements, result, executor, committer,
+            recovered,
         )
 
         for reducer_index, ((task_id, node), outcome) in enumerate(
@@ -1268,32 +1219,11 @@ class MapReduceEngine:
             result.counters.inc(C.INJECTED_FAULTS, outcome.injected_faults)
 
     # -- wave execution + commit settlement ---------------------------------------
-    def _submit_one(
-        self,
-        executor: TaskExecutor,
-        factory: Callable[..., _TaskOutcome],
-        call: Optional[Any],
-        epoch: int,
-        candidates: Optional[List[str]] = None,
-    ) -> Any:
-        """Run a single extra attempt (speculative/backup) at an epoch.
-
-        ``candidates`` overrides the attempt's placement list — backup
-        epochs pass a freshly resolved one so they honor any blacklist
-        growth since the wave (or the pool's fork image) was built.
-        """
-        if executor.pooled:
-            return executor.run_one_call(call.with_epoch(epoch, candidates))
-        return executor.run_one(
-            functools.partial(factory, epoch, candidates)
-        )
-
     def _execute_wave(
         self,
         job: JobConf,
         kind: str,
-        factories: List[Callable[..., _TaskOutcome]],
-        calls: Optional[List[Any]],
+        calls: List[Any],
         placements: List[Tuple[str, str]],
         result: JobResult,
         executor: TaskExecutor,
@@ -1302,17 +1232,13 @@ class MapReduceEngine:
     ) -> Tuple[List[_TaskOutcome], float]:
         """Run one wave of tasks and settle every task's commit.
 
-        ``factories[i]`` is the task function minus its trailing commit
-        epoch; binding an epoch yields the attempt's thunk.  For the
-        pool executor, ``calls[i]`` is the task's picklable call
-        descriptor (epoch 0; backups rebind via ``with_epoch``) and the
-        bodies live in the workers' fork image.  Epoch 0 is the primary
-        attempt, higher epochs are fenced backups.  Tasks whose commits
-        were recovered from the WAL are not re-executed — their
-        journaled outcomes are replayed through the committer and
-        merged back in at their task index, so the bookkeeping loops
-        (counters, history, outputs) see exactly what a clean run
-        would.
+        ``calls[i]`` is task *i*'s call descriptor at epoch 0, the
+        primary attempt; fenced backups rebind it to a higher epoch via
+        ``with_epoch``.  Tasks whose commits were recovered from the
+        WAL are not re-executed — their journaled outcomes are replayed
+        through the committer and merged back in at their task index,
+        so the bookkeeping loops (counters, history, outputs) see
+        exactly what a clean run would.
         """
         live = [
             i for i, (task_id, _) in enumerate(placements)
@@ -1324,6 +1250,14 @@ class MapReduceEngine:
         ):
             plan = self.policy.fault_plan
             if executor.pooled and plan is not None:
+                # Pool-worker chaos.  Cold start was read from the plan
+                # by the pool as it forked the job's workers; the map
+                # wave records that it is in force.
+                if kind == "map" and executor.cold_start_seconds > 0:
+                    result.history.add_event(
+                        "cold_start_armed", job=job.name,
+                        seconds_per_fork=executor.cold_start_seconds,
+                    )
                 # Arm spot preemptions: seq indexes the wave's dispatch
                 # order over live (non-recovered) tasks, so the same
                 # plan kills the same logical work under any resume
@@ -1341,63 +1275,41 @@ class MapReduceEngine:
                             "chaos.preempt_worker"
                         ).inc()
             submitted = time.perf_counter()
-            if executor.pooled:
-                ran = executor.run_calls([calls[i] for i in live])
-            else:
-                ran = executor.run_tasks(
-                    [functools.partial(factories[i], 0) for i in live]
-                )
+            ran = executor.run_calls([calls[i] for i in live])
             outcomes: List[Optional[_TaskOutcome]] = [None] * len(placements)
             for index, outcome in zip(live, ran):
                 outcomes[index] = outcome
             self._speculate(
-                live, factories, calls, outcomes, executor, result, kind,
-                placements,
+                live, calls, outcomes, executor, result, kind, placements,
             )
             outcomes = self._settle_wave(
-                kind, factories, calls, placements, outcomes, result,
-                executor, committer, recovered,
+                kind, calls, placements, outcomes, result, executor,
+                committer, recovered,
             )
         self._update_fault_accounting(result, outcomes)
-        if (
-            executor.kind == "elastic"
-            and kind == "map"
-            and not job.is_map_only
-        ):
-            self._elastic_rebalance(
-                job, result, executor, outcomes, submitted
-            )
         return outcomes, submitted
 
-    def _elastic_rebalance(
-        self,
-        job: JobConf,
-        result: JobResult,
-        executor: TaskExecutor,
-        outcomes: List[_TaskOutcome],
-        submitted: float,
+    def _rebalance_pool(
+        self, job: JobConf, result: JobResult, executor: TaskExecutor
     ) -> None:
-        """Between-wave scaling decision for the elastic pool.
+        """Between-wave scaling decision for the pool.
 
         Runs after the map wave settles and before the reduce wave is
         built — the drain point where every pool worker is idle.  With
-        tracing on, the settled wave's queue-wait share (the same
+        tracing on, the settled map wave's queue-wait share (the
         queue/run split ``repro.obs.analysis.queue_run_decomposition``
         reports) steers the controller; untraced runs fall back to the
-        executor's seeded clock-free policy.  Every decision lands in
-        JobHistory (``pool_scaled``) and the ``pool.scale.*`` metrics.
+        executor's seeded clock-free policy.  A fixed pool holds its
+        size whatever it is told.  Every decision lands in JobHistory
+        (``pool_scaled``) and the ``pool.scale.*`` metrics.
         """
         queue_fraction = None
         if self.recorder.enabled:
-            queued = running = 0.0
-            for outcome in outcomes:
-                started = getattr(outcome, "started_at", None)
-                if started is None:
-                    continue
-                queued += max(0.0, started - submitted)
-                running += outcome.finished_at - started
-            if queued + running > 0:
-                queue_fraction = queued / (queued + running)
+            from repro.obs.analysis import queue_run_decomposition
+
+            wave = queue_run_decomposition(result.history)["map"]
+            if wave["queued_seconds"] + wave["run_seconds"] > 0:
+                queue_fraction = wave["queue_fraction"]
         decision = executor.rebalance(job.num_reducers, queue_fraction)
         if decision is None:
             return
@@ -1409,8 +1321,7 @@ class MapReduceEngine:
     def _settle_wave(
         self,
         kind: str,
-        factories: List[Callable[..., _TaskOutcome]],
-        calls: Optional[List[Any]],
+        calls: List[Any],
         placements: List[Tuple[str, str]],
         outcomes: List[Optional[_TaskOutcome]],
         result: JobResult,
@@ -1441,11 +1352,10 @@ class MapReduceEngine:
                 final[index] = outcome
                 continue
             outcome = outcomes[index]
-            call = calls[index] if calls is not None else None
             if isinstance(outcome, WorkerCrash):
                 final[index] = self._settle_worker_crash(
-                    kind, factories[index], call, task_id, node, outcome,
-                    result, executor, committer, index,
+                    kind, calls[index], task_id, node, outcome, result,
+                    executor, committer, index,
                 )
             else:
                 committer.stage(task_id, 0, outcome)
@@ -1454,8 +1364,8 @@ class MapReduceEngine:
                     committer.promote(task_id, 0, outcome)
                 else:
                     final[index] = self._run_backup(
-                        kind, factories[index], call, task_id, outcome,
-                        result, executor, committer, verdict, index,
+                        kind, calls[index], task_id, outcome, result,
+                        executor, committer, verdict, index,
                     )
             if plan is not None and plan.duplicate_commit_for(task_id):
                 # A duplicated commit RPC: the winning attempt presents
@@ -1469,8 +1379,7 @@ class MapReduceEngine:
     def _settle_worker_crash(
         self,
         kind: str,
-        factory: Callable[..., _TaskOutcome],
-        call: Optional[Any],
+        call: Any,
         task_id: str,
         node: str,
         crash: WorkerCrash,
@@ -1501,15 +1410,14 @@ class MapReduceEngine:
         zombie.attempts = 1
         zombie.failures = [(node, "WorkerCrashed")]
         return self._run_backup(
-            kind, factory, call, task_id, zombie, result, executor,
-            committer, "worker_crashed", index, crashed=True,
+            kind, call, task_id, zombie, result, executor, committer,
+            "worker_crashed", index, crashed=True,
         )
 
     def _run_backup(
         self,
         kind: str,
-        factory: Callable[..., _TaskOutcome],
-        call: Optional[Any],
+        call: Any,
         task_id: str,
         zombie: _TaskOutcome,
         result: JobResult,
@@ -1526,7 +1434,7 @@ class MapReduceEngine:
         zombie's late commit is presented and refused (a crashed worker
         presents nothing — it is dead).  Each backup epoch re-resolves
         its placement candidates against the *current* blacklist (the
-        wave's fork-time lists predate any mid-job blacklisting), so a
+        wave's own lists predate any mid-job blacklisting), so a
         twice-preempted node is never chosen again once it crosses
         ``blacklist_after``.  The abandoned lineage's telemetry is
         folded into the winning outcome so wave bookkeeping (attempt
@@ -1562,9 +1470,9 @@ class MapReduceEngine:
                 f"{task_id}-backup", category="backup", track="driver",
                 kind=kind, epoch=epoch,
             ):
-                backup = self._submit_one(
-                    executor, factory, call, epoch, candidates
-                )
+                backup = executor.run_calls(
+                    [call.with_epoch(epoch, candidates)]
+                )[0]
             if isinstance(backup, WorkerCrash):
                 # The backup's worker died too; fence again and retry
                 # until the attempt budget runs out.
@@ -1622,8 +1530,7 @@ class MapReduceEngine:
     def _speculate(
         self,
         live: List[int],
-        factories: List[Callable[..., _TaskOutcome]],
-        calls: Optional[List[Any]],
+        calls: List[Any],
         outcomes: List[Optional[_TaskOutcome]],
         executor: TaskExecutor,
         result: JobResult,
@@ -1667,10 +1574,7 @@ class MapReduceEngine:
             f"{task_id}-speculative", category="speculation",
             track="driver", kind=kind,
         ):
-            duplicate = self._submit_one(
-                executor, factories[straggler],
-                calls[straggler] if calls is not None else None, 0,
-            )
+            duplicate = executor.run_calls([calls[straggler]])[0]
         if isinstance(duplicate, WorkerCrash):
             result.history.add_event(
                 "speculative_worker_crashed", task=task_id,
@@ -1733,9 +1637,3 @@ class MapReduceEngine:
             f"{len(live)}".encode()
         )
         return live[draw % len(live)]
-
-    # -- compatibility shims ------------------------------------------------------
-    @staticmethod
-    def _combine(job: JobConf, context: TaskContext) -> List[KeyValue]:
-        """Apply the combiner to one map task's buffered output."""
-        return _apply_combiner(job, context)

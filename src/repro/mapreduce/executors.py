@@ -1,46 +1,37 @@
 """Pluggable task executors for the in-process MR engine.
 
-A :class:`TaskExecutor` runs a wave of independent task thunks (all map
-tasks, then all reduce tasks) with bounded worker slots and returns
-their results *by task index*, whatever the completion order.  The
-engine's determinism guarantee rests on that contract: outputs are
-collected by index and shuffles merge in map-task order, so every
-executor produces byte-identical job results.
+Three executors, one call protocol.  A task attempt reaches a worker
+exactly one way: as a small *call descriptor* (``call.run(context)``)
+run against the job's :class:`JobContext`.  Every executor implements
 
-Three executors mirror the paper's deployment options:
+``begin_job(context)`` / ``run_calls(calls)`` / ``end_job()`` / ``close()``
+
+and returns a wave's results *by submission index*, whatever the
+completion order.  The engine's determinism guarantee rests on that
+contract: outputs are collected by index and shuffles merge in
+map-task order, so every executor produces byte-identical job results.
 
 ``SerialExecutor``
-    The reference implementation: one task at a time, in order.
+    The reference implementation: one call at a time, in order, in the
+    driver process.
 ``ThreadedExecutor``
     ``concurrent.futures.ThreadPoolExecutor``-backed.  Overlaps
     blocking work (pipes, simulated I/O stalls); CPU-bound mappers stay
     serialized by the GIL.
-``ProcessExecutor``
-    ``concurrent.futures.ProcessPoolExecutor``-backed with the *fork*
-    start method.  Task thunks close over unpicklable state (mappers
-    are closures over HDFS handles and aligners), so thunks are never
-    pickled: the wave's task table is published in a module global,
-    workers fork with it in memory, and only the task *index* crosses
-    the pipe going in and the picklable outcome coming back.
 ``PooledProcessExecutor``
-    The persistent variant: forks its workers **once per job** (the
-    job's task bodies are published pre-fork, exactly like the wave
-    table above) and then reuses them across every wave of the job —
-    map wave, reduce wave, speculative and backup attempts — and the
-    executor object itself is reused across the rounds of a pipeline.
-    Tasks cross the pipe as small picklable *call descriptors* (a task
-    index, or sealed segment snapshots for reducers), never as pickled
-    closures.  A worker that dies mid-task is detected by its broken
-    pipe, reported to the engine as a :class:`WorkerCrash` marker, and
-    replaced by a fresh fork; the engine routes the crash through the
-    same fenced-backup path a lost lease takes.
-``ElasticPoolExecutor``
-    The autoscaling variant: the same fork-image pool plus a
-    between-wave scaling controller.  It forks only as many workers as
-    the first wave can use, grows toward ``max_workers`` when observed
-    queue-wait dominates, and drain-then-retires idle workers when it
-    doesn't — falling back to a seeded, clock-free policy when tracing
-    is off so cross-executor determinism audits stay byte-identical.
+    Real CPU parallelism: forks its workers **once per job** with the
+    job context in memory — the unpicklable task bodies (closures over
+    HDFS handles and aligners) ride into the children inside the fork
+    image — and reuses them across every wave of the job (map wave,
+    reduce wave, speculative and backup attempts); the executor object
+    itself is reused across the rounds of a pipeline.  Only the
+    picklable descriptors cross the pipes going in, and picklable
+    outcomes coming back.  A worker that dies mid-task is detected by
+    its broken pipe, reported to the engine as a :class:`WorkerCrash`
+    marker, and replaced by a fresh fork; the engine routes the crash
+    through the same fenced-backup path a lost lease takes.  Sized by
+    a floor and a ceiling: equal (the default) the pool is fixed; with
+    a lower floor it rescales between waves (see the class docstring).
 """
 
 from __future__ import annotations
@@ -61,124 +52,130 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
 
-TaskThunk = Callable[[], Any]
+
+class JobContext:
+    """Everything a call descriptor needs to run one task of a job.
+
+    In-process executors hand it to ``call.run`` directly.  The pool
+    publishes it in :data:`_POOL_JOB_CONTEXT` immediately before it
+    forks the job's workers, so the unpicklable task bodies (closures
+    over HDFS handles, aligners, the job conf) ride into the children
+    inside the fork image and only picklable call descriptors cross
+    the pipes afterwards.
+    """
+
+    __slots__ = ("job", "policy", "map_bodies", "trace", "sample_interval")
+
+    def __init__(self, job, policy, map_bodies, trace: bool = False,
+                 sample_interval: float = 0.0):
+        self.job = job
+        self.policy = policy
+        #: Map task bodies by task index; ``f(epoch, candidates) -> outcome``.
+        self.map_bodies: Sequence[Callable[..., Any]] = map_bodies
+        #: When true, outcomes are stamped with run time and worker
+        #: identity (set by the engine when a recorder is enabled).
+        self.trace = trace
+        #: Resource-sampling interval in seconds (0 = off).  When > 0,
+        #: every task attempt runs a worker-side ResourceSampler whose
+        #: samples ride the outcome.
+        self.sample_interval = sample_interval
 
 
-def _stamped(thunk: TaskThunk, sample_interval: float = 0.0) -> TaskThunk:
-    """Wrap a task thunk to stamp run-time and worker identity.
+def _run_call(call: Any, context: JobContext) -> Any:
+    """Run one call descriptor, stamping its outcome when traced.
 
-    The wrapper executes wherever the executor runs the task — a forked
-    worker for the process executor — so the stamps travel back inside
-    the pickled outcome.  ``time.perf_counter`` is a system-wide
-    monotonic clock, so worker-side readings compare directly against
-    the driver's wave-submit timestamp (queue wait = started - submitted).
+    Executes wherever the executor put the task — a forked worker for
+    the pool — so the stamps travel back inside the pickled outcome.
+    ``time.perf_counter`` is a system-wide monotonic clock, so
+    worker-side readings compare directly against the driver's
+    wave-submit timestamp (queue wait = started - submitted).
 
-    With ``sample_interval`` > 0 the attempt additionally runs a
-    :class:`~repro.obs.sampler.ResourceSampler` for its duration; the
+    With ``context.sample_interval`` > 0 the attempt additionally runs
+    a :class:`~repro.obs.sampler.ResourceSampler` for its duration; the
     CPU/RSS/IO samples ride back in ``outcome.samples`` next to the
     stamps, and the driver tags them by (worker, task, phase) as it
     stitches them into the metrics registry's time-series store.
     """
+    if not context.trace and context.sample_interval <= 0:
+        return call.run(context)
+    sampler = None
+    if context.sample_interval > 0:
+        from repro.obs.sampler import ResourceSampler
 
-    def run() -> Any:
-        sampler = None
-        if sample_interval > 0:
-            from repro.obs.sampler import ResourceSampler
-
-            sampler = ResourceSampler(sample_interval).start()
-        started = time.perf_counter()
-        try:
-            outcome = thunk()
-        finally:
-            if sampler is not None:
-                sampler.stop()
-        finished = time.perf_counter()
-        if hasattr(outcome, "started_at"):
-            outcome.started_at = started
-            outcome.finished_at = finished
-            outcome.worker = (
-                f"pid{os.getpid()}/{threading.current_thread().name}"
-            )
-            if sampler is not None:
-                outcome.samples = sampler.samples
-        return outcome
-
-    return run
-
-#: Task table of the wave currently running on the process executor.
-#: Set in the parent immediately before workers are forked; workers
-#: inherit it through fork and index into it.
-_FORK_TASK_TABLE: Optional[Sequence[TaskThunk]] = None
-
-
-def _run_forked_task(index: int) -> Any:
-    """Entry point executed inside a forked worker."""
-    table = _FORK_TASK_TABLE
-    if table is None:
-        raise MapReduceError(
-            "process worker has no task table; the process executor "
-            "requires the fork start method"
+        sampler = ResourceSampler(context.sample_interval).start()
+    started = time.perf_counter()
+    try:
+        outcome = call.run(context)
+    finally:
+        if sampler is not None:
+            sampler.stop()
+    finished = time.perf_counter()
+    if hasattr(outcome, "started_at"):
+        outcome.started_at = started
+        outcome.finished_at = finished
+        outcome.worker = (
+            f"pid{os.getpid()}/{threading.current_thread().name}"
         )
-    return table[index]()
+        if sampler is not None:
+            outcome.samples = sampler.samples
+    return outcome
 
 
 def fork_available() -> bool:
-    """Whether this platform can fork (required by ProcessExecutor)."""
+    """Whether this platform can fork (required by the pool executor)."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
 class TaskExecutor(ABC):
-    """Runs one wave of independent tasks; results come back by index."""
+    """Runs waves of call descriptors; results come back by index."""
 
     #: Matches ``ExecutionPolicy.executor``.
     kind: str = "abstract"
-    #: True for the persistent-pool family (``pool`` and ``elastic``):
-    #: the engine drives these through begin_job()/run_calls()/end_job()
-    #: instead of the thunk-based run_tasks() protocol.
+    #: True when tasks run in other processes: reduce inputs must be
+    #: shipped, pool chaos applies and ``pool.*`` stats exist.
     pooled: bool = False
-    #: When true, thunks are wrapped to stamp run time and worker
-    #: identity onto their outcomes (set by the engine when tracing).
-    trace: bool = False
-    #: Resource-sampling interval in seconds (0 = off; set by the
-    #: engine from the recorder).  When > 0, every task attempt runs a
-    #: worker-side ResourceSampler whose samples ride the outcome.
-    sample_interval: float = 0.0
+    _context: Optional[JobContext] = None
+
+    def begin_job(self, context: JobContext) -> None:
+        """Bind the job every subsequent :meth:`run_calls` runs against."""
+        self._context = context
+
+    def end_job(self) -> None:
+        """Release the job (idempotent)."""
+        self._context = None
+
+    def close(self) -> None:
+        """Release executor resources (idempotent)."""
+        self.end_job()
+
+    def _job_context(self) -> JobContext:
+        if self._context is None:
+            raise MapReduceError(
+                f"{self.kind} executor has no job context; begin_job() first"
+            )
+        return self._context
 
     @abstractmethod
-    def run_tasks(self, thunks: Sequence[TaskThunk]) -> List[Any]:
-        """Execute every thunk; return results ordered by task index.
+    def run_calls(self, calls: Sequence[Any]) -> List[Any]:
+        """Run one wave of calls; return results by submission index.
 
-        The first task failure propagates to the caller (after the
-        engine-level retry wrapper inside each thunk is exhausted).
+        A call that raises propagates to the caller once nothing from
+        the wave is still running (after the engine-level retry loop
+        inside the call is exhausted).
         """
-
-    def run_one(self, thunk: TaskThunk) -> Any:
-        """Run a single extra task (a speculative or backup attempt).
-
-        Routed through :meth:`run_tasks` so per-executor mechanics
-        (tracing wrappers, the fork task table) apply uniformly.
-        """
-        return self.run_tasks([thunk])[0]
-
-    def _prepared(self, thunks: Sequence[TaskThunk]) -> List[TaskThunk]:
-        """The wave's thunks, time-stamped when tracing/sampling is on."""
-        if self.trace or self.sample_interval > 0:
-            return [
-                _stamped(thunk, self.sample_interval) for thunk in thunks
-            ]
-        return list(thunks)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class SerialExecutor(TaskExecutor):
-    """One task at a time, in submission order — the reference."""
+    """One call at a time, in submission order — the reference."""
 
     kind = "serial"
 
-    def run_tasks(self, thunks: Sequence[TaskThunk]) -> List[Any]:
-        return [thunk() for thunk in self._prepared(thunks)]
+    def run_calls(self, calls: Sequence[Any]) -> List[Any]:
+        context = self._job_context()
+        return [_run_call(call, context) for call in calls]
 
 
 class ThreadedExecutor(TaskExecutor):
@@ -191,81 +188,17 @@ class ThreadedExecutor(TaskExecutor):
             raise MapReduceError("ThreadedExecutor needs max_workers >= 1")
         self.max_workers = max_workers
 
-    def run_tasks(self, thunks: Sequence[TaskThunk]) -> List[Any]:
-        if not thunks:
+    def run_calls(self, calls: Sequence[Any]) -> List[Any]:
+        context = self._job_context()
+        if not calls:
             return []
-        workers = min(self.max_workers, len(thunks))
+        workers = min(self.max_workers, len(calls))
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(thunk) for thunk in self._prepared(thunks)]
+            futures = [pool.submit(_run_call, call, context) for call in calls]
             return [future.result() for future in futures]
 
     def __repr__(self) -> str:
         return f"ThreadedExecutor(max_workers={self.max_workers})"
-
-
-class ProcessExecutor(TaskExecutor):
-    """Bounded fork-based process pool; real CPU parallelism."""
-
-    kind = "process"
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise MapReduceError("ProcessExecutor needs max_workers >= 1")
-        if not fork_available():
-            raise MapReduceError(
-                "the process executor requires the fork start method, "
-                "unavailable on this platform; use executor='thread'"
-            )
-        self.max_workers = max_workers
-
-    def run_tasks(self, thunks: Sequence[TaskThunk]) -> List[Any]:
-        global _FORK_TASK_TABLE
-        if not thunks:
-            return []
-        workers = min(self.max_workers, len(thunks))
-        context = multiprocessing.get_context("fork")
-        # Publish the wave's task table before any worker forks; the
-        # pool spawns workers lazily on submit, so children inherit it.
-        # Stamping wrappers fork with the table, so run-time stamps are
-        # taken inside the worker and ride back in the pickled outcome.
-        _FORK_TASK_TABLE = self._prepared(thunks)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(_run_forked_task, index)
-                    for index in range(len(thunks))
-                ]
-                return [future.result() for future in futures]
-        finally:
-            _FORK_TASK_TABLE = None
-
-    def __repr__(self) -> str:
-        return f"ProcessExecutor(max_workers={self.max_workers})"
-
-
-class PoolJobContext:
-    """Everything a pooled worker needs, inherited through fork.
-
-    Published in :data:`_POOL_JOB_CONTEXT` immediately before the pool
-    forks its workers for a job, exactly like the wave task table of
-    :class:`ProcessExecutor` — the unpicklable task bodies (closures
-    over HDFS handles, aligners, the job conf) ride into the children
-    inside the fork image, and only picklable call descriptors cross
-    the pipes afterwards.
-    """
-
-    __slots__ = ("job", "policy", "map_bodies", "trace", "sample_interval")
-
-    def __init__(self, job, policy, map_bodies, trace: bool = False,
-                 sample_interval: float = 0.0):
-        self.job = job
-        self.policy = policy
-        #: Map task bodies by task index; ``f(epoch) -> outcome``.
-        self.map_bodies: Sequence[Callable[[int], Any]] = map_bodies
-        self.trace = trace
-        self.sample_interval = sample_interval
 
 
 class WorkerCrash:
@@ -305,7 +238,7 @@ class _PoolTaskError:
 #: Job context of the pool currently forking workers (parent side the
 #: value lives only for the duration of the forks; children keep their
 #: inherited copy for the whole job).
-_POOL_JOB_CONTEXT: Optional[PoolJobContext] = None
+_POOL_JOB_CONTEXT: Optional[JobContext] = None
 
 
 def _pool_worker_main(conn) -> None:
@@ -326,15 +259,7 @@ def _pool_worker_main(conn) -> None:
             break
         seq, call = message
         try:
-            if context is not None and (
-                context.trace or context.sample_interval > 0
-            ):
-                outcome = _stamped(
-                    lambda: call.run(context), context.sample_interval
-                )()
-            else:
-                outcome = call.run(context)
-            reply = (seq, True, outcome)
+            reply = (seq, True, _run_call(call, context))
         except BaseException as exc:  # must answer, whatever happened
             reply = (seq, False, exc)
         try:
@@ -400,28 +325,58 @@ atexit.register(_reap_orphaned_pools)
 class PooledProcessExecutor(TaskExecutor):
     """Persistent fork-based worker pool — forks once per job.
 
-    Where :class:`ProcessExecutor` pays a fresh pool (fork + teardown)
-    for *every wave* — map wave, reduce wave, each speculative audit,
-    each fenced backup — this executor forks ``max_workers`` children
-    once at :meth:`begin_job` and feeds them every subsequent task of
-    the job over per-worker pipes.  The executor object itself is
-    cached by the engine, so a multi-round pipeline reuses one pool
-    across rounds (one fork set per round, not per wave).
-
-    Tasks are submitted as picklable call descriptors via
-    :meth:`run_calls`; the inherited :class:`PoolJobContext` supplies
-    the unpicklable bodies.  A worker that dies mid-task surfaces as a
+    Workers fork at :meth:`begin_job` with the job context in memory
+    and are fed every subsequent task of the job — both waves, each
+    speculative audit, each fenced backup — over per-worker pipes.  The
+    executor object itself is cached by the engine, so a multi-round
+    pipeline reuses one pool across rounds (one fork set per round, not
+    per wave).  A worker that dies mid-task surfaces as a
     :class:`WorkerCrash` in its result slot and is replaced by a fresh
     fork; the engine fences and re-runs the lost task.
+
+    **Sizing.**  The pool lives between ``min_workers`` and
+    ``max_workers``.  With the floor at the ceiling (the default) every
+    formula below holds the pool at ``max_workers``.  With a lower
+    floor the pool forks only what the first wave can use, and the
+    engine calls :meth:`rebalance` between waves with the task count of
+    the coming wave and — when tracing is on — the settled wave's
+    observed queue-wait fraction (queue seconds over queue+run seconds,
+    per ``repro.obs.analysis.queue_run_decomposition``).  Queue-wait
+    dominating means tasks sat waiting for a slot: grow (doubling pace)
+    toward the ceiling.  Queue-wait vanishing means slots sat idle:
+    drain-then-retire (halving pace) toward the floor.  With tracing
+    off there is no clock to read, so a seeded, *clock-free* fallback
+    steps the pool toward the next wave's demand — every decision
+    depends only on ``(seed, decision index)``, so the determinism
+    audits that compare executors byte-for-byte are unaffected by
+    scaling.
+
+    Two structural rules keep the controller safe and honest:
+
+    * scale-down happens only between waves, when every worker is idle
+      by construction — a drain point — so no in-flight task is ever
+      lost to the controller itself;
+    * the pool never grows past the coming wave's demand, and every
+      fork pays the configured cold-start charge, so scale-up is
+      never free (the skew the cost model in the trace report makes
+      visible).
     """
 
     kind = "pool"
     pooled = True
 
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
+    #: Queue-wait fraction of a settled wave above which the pool grows.
+    QUEUE_HIGH = 0.5
+    #: Queue-wait fraction below which idle workers are retired.
+    QUEUE_LOW = 0.1
+
+    def __init__(self, max_workers: int, min_workers: Optional[int] = None,
+                 seed: int = 0):
+        if min_workers is None:
+            min_workers = max_workers
+        if not 1 <= min_workers <= max_workers:
             raise MapReduceError(
-                "PooledProcessExecutor needs max_workers >= 1"
+                "PooledProcessExecutor needs 1 <= min_workers <= max_workers"
             )
         if not fork_available():
             raise MapReduceError(
@@ -429,17 +384,17 @@ class PooledProcessExecutor(TaskExecutor):
                 "unavailable on this platform; use executor='thread'"
             )
         self.max_workers = max_workers
+        self.min_workers = min_workers
+        self.seed = seed
         #: Mutated in place (never rebound) so the GC finalizer sees
         #: the live worker set.
         self._workers: List[_PoolWorker] = []
-        self._context: Optional[PoolJobContext] = None
         self._fresh = False
         self._closed = False
-        #: Chaos knobs, armed by the engine per job: a charged spawn
-        #: delay applied to every fork, slept through this hook (the
-        #: policy's injectable ``sleep`` when a plan is active).
+        #: Cold-start chaos, read from the job's fault plan at
+        #: :meth:`begin_job`: a charged spawn delay applied to every
+        #: fork, slept through the policy's injectable ``sleep``.
         self.cold_start_seconds = 0.0
-        self.spawn_sleep: Callable[[float], None] = time.sleep
         #: Wave-task sequence numbers armed for spot-style preemption:
         #: the worker dispatched the seq-th call is SIGKILLed right
         #: after the send.  Cleared when the wave drains.
@@ -452,6 +407,10 @@ class PooledProcessExecutor(TaskExecutor):
         self.preemptions = 0
         self.cold_starts = 0
         self.cold_start_charged = 0.0
+        self.scale_ups = 0
+        self.scale_downs = 0
+        self.workers_retired = 0
+        self._decisions = 0
         self._paid_seconds = 0.0
         self._finalizer = weakref.finalize(
             self, _terminate_pool_processes, self._workers
@@ -459,17 +418,24 @@ class PooledProcessExecutor(TaskExecutor):
         _LIVE_POOLS.add(self)
 
     # -- lifecycle ----------------------------------------------------------
-    def _initial_workers(self, context: PoolJobContext) -> int:
-        """Worker count forked at job start (the elastic pool overrides)."""
-        return self.max_workers
+    def _clamped(self, workers: int) -> int:
+        return max(self.min_workers, min(self.max_workers, workers))
 
-    def begin_job(self, context: PoolJobContext) -> None:
-        """Fork the job's workers with its task bodies in memory."""
+    def begin_job(self, context: JobContext) -> None:
+        """Fork the job's workers with its task bodies in memory.
+
+        Forks only what the first (map) wave can use, never fewer than
+        the floor — which is ``max_workers`` for a fixed pool.
+        """
         self._stop_workers()
         self._closed = False
         _LIVE_POOLS.add(self)
         self._context = context
-        self._spawn(self._initial_workers(context))
+        plan = context.policy.fault_plan
+        self.cold_start_seconds = (
+            plan.cold_start_for(context.job.name) if plan is not None else 0.0
+        )
+        self._spawn(self._clamped(max(len(context.map_bodies), 1)))
         self._fresh = True
         self.jobs += 1
 
@@ -485,8 +451,7 @@ class PooledProcessExecutor(TaskExecutor):
         if self._closed:
             return
         self._closed = True
-        self._stop_workers()
-        self._context = None
+        self.end_job()
         _LIVE_POOLS.discard(self)
 
     @property
@@ -495,14 +460,10 @@ class PooledProcessExecutor(TaskExecutor):
 
     def _spawn(self, count: int) -> None:
         global _POOL_JOB_CONTEXT
-        if self._context is None:
-            raise MapReduceError(
-                "pool executor has no job context; begin_job() first"
-            )
         mp = multiprocessing.get_context("fork")
         # Publish for the duration of the forks only; children carry
         # their inherited copy, the parent keeps none.
-        _POOL_JOB_CONTEXT = self._context
+        _POOL_JOB_CONTEXT = context = self._job_context()
         try:
             for _ in range(count):
                 parent_conn, child_conn = mp.Pipe()
@@ -519,42 +480,114 @@ class PooledProcessExecutor(TaskExecutor):
                     # spawn delay, so scale-up is never free.
                     self.cold_starts += 1
                     self.cold_start_charged += self.cold_start_seconds
-                    self.spawn_sleep(self.cold_start_seconds)
+                    context.policy.sleep(self.cold_start_seconds)
         finally:
             _POOL_JOB_CONTEXT = None
 
-    def _stop_workers(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.conn.send(None)
-            except Exception:
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
-            self._paid_seconds += time.perf_counter() - worker.started
-        self._workers.clear()
+    def _reap(self, worker: _PoolWorker, kill: bool = False) -> None:
+        """Tear one worker down and bank its paid lifetime.
 
-    def _replace(self, worker: _PoolWorker) -> _PoolWorker:
-        """Swap a dead worker for a fresh fork of the same job image."""
+        The worker was already asked to stop (or, with ``kill``, is
+        known broken and gets no chance to linger).
+        """
+        if kill and worker.process.is_alive():
+            worker.process.terminate()
+        worker.process.join(timeout=5)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join(timeout=5)
         try:
             worker.conn.close()
         except Exception:
             pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5)
         self._paid_seconds += time.perf_counter() - worker.started
+
+    def _retire(self, count: int) -> None:
+        """Ask the newest ``count`` workers to stop, then reap them.
+
+        Only called with no call in flight (between waves, or at job
+        end), so every worker is idle and stopping them loses no work.
+        """
+        retiring = [self._workers.pop() for _ in range(count)]
+        for worker in retiring:
+            try:
+                worker.conn.send(None)
+            except Exception:
+                pass
+        for worker in retiring:
+            self._reap(worker)
+
+    def _stop_workers(self) -> None:
+        self._retire(len(self._workers))
+
+    def _replace(self, worker: _PoolWorker) -> _PoolWorker:
+        """Swap a dead worker for a fresh fork of the same job image."""
         self._workers.remove(worker)
+        self._reap(worker, kill=True)
         self._spawn(1)
         self.workers_respawned += 1
         return self._workers[-1]
+
+    # -- scaling controller -------------------------------------------------
+    def rebalance(self, next_tasks: int,
+                  queue_fraction: Optional[float] = None,
+                  ) -> Optional[Dict[str, Any]]:
+        """One between-wave scaling decision.
+
+        Returns a record of what changed (for JobHistory events and
+        ``pool.scale.*`` metrics) or ``None`` when the pool held its
+        size — always, for a fixed pool.  ``queue_fraction`` is the
+        settled wave's observed queue-wait share when tracing measured
+        one; ``None`` selects the seeded clock-free fallback.
+        """
+        if not self._workers:
+            return None
+        self._decisions += 1
+        live = len(self._workers)
+        demand = self._clamped(max(next_tasks, 1))
+        if queue_fraction is not None:
+            if queue_fraction >= self.QUEUE_HIGH:
+                target = live * 2
+            elif queue_fraction <= self.QUEUE_LOW:
+                target = (live + 1) // 2
+            else:
+                target = live
+        else:
+            # Clock-free fallback: step toward the coming demand at a
+            # seeded pace of 1-2 workers per decision.  (The draw's key
+            # text is pinned: changing it reshuffles every seeded run.)
+            draw = zlib.crc32(
+                f"elastic|{self.seed}|{self._decisions}".encode()
+            )
+            step = 1 + draw % 2
+            if demand > live:
+                target = live + step
+            elif demand < live:
+                target = live - step
+            else:
+                target = live
+        # Workers beyond the coming wave's demand are idle by
+        # construction; never hold (or grow) past it.
+        target = self._clamped(min(target, demand))
+        if target == live:
+            return None
+        if target > live:
+            self._spawn(target - live)
+            self.scale_ups += 1
+            action = "scale_up"
+        else:
+            self._retire(live - target)
+            self.workers_retired += live - target
+            self.scale_downs += 1
+            action = "scale_down"
+        return {
+            "action": action,
+            "from_workers": live,
+            "to_workers": len(self._workers),
+            "next_tasks": next_tasks,
+            "queue_fraction": queue_fraction,
+            "decision": self._decisions,
+        }
 
     # -- cost accounting ----------------------------------------------------
     def paid_worker_seconds(self) -> float:
@@ -589,16 +622,15 @@ class PooledProcessExecutor(TaskExecutor):
 
         Results come back by submission index.  A slot whose worker
         died holds a :class:`WorkerCrash`; a slot whose task raised
-        re-raises after the wave drains (matching the other executors'
-        first-failure-propagates contract without abandoning sibling
-        results).
+        re-raises after the wave drains (the first-failure-propagates
+        contract without abandoning sibling results).
         """
-        if not calls:
-            return []
         if not self._workers:
             raise MapReduceError(
                 "pool executor has no live workers; begin_job() first"
             )
+        if not calls:
+            return []
         if self._fresh:
             self._fresh = False
         else:
@@ -612,7 +644,8 @@ class PooledProcessExecutor(TaskExecutor):
             while idle and pending:
                 seq, call = pending.popleft()
                 worker = idle.pop()
-                if seq in self._pending_preemptions:
+                preempted = seq in self._pending_preemptions
+                if preempted:
                     # Spot preemption: the instance vanishes right as
                     # it picks up the task.  Kill *before* the send so
                     # the worker can never answer — crash attribution
@@ -620,25 +653,20 @@ class PooledProcessExecutor(TaskExecutor):
                     # would have run.  The recv below hits EOF and the
                     # slot settles as a WorkerCrash.
                     self._pending_preemptions.discard(seq)
+                    self.preemptions += 1
                     try:
                         worker.process.kill()
                     except Exception:
                         pass
-                    try:
-                        worker.conn.send((seq, call))
-                    except Exception:
-                        pass
-                    busy[worker] = seq
-                    self.preemptions += 1
-                    continue
                 try:
                     worker.conn.send((seq, call))
                 except Exception:
-                    # Died while idle: replace silently and re-queue —
-                    # no task was lost.
-                    idle.append(self._replace(worker))
-                    pending.appendleft((seq, call))
-                    continue
+                    if not preempted:
+                        # Died while idle: replace silently and
+                        # re-queue — no task was lost.
+                        idle.append(self._replace(worker))
+                        pending.appendleft((seq, call))
+                        continue
                 busy[worker] = seq
             by_conn = {worker.conn: worker for worker in busy}
             for conn in multiprocessing.connection.wait(list(by_conn)):
@@ -671,168 +699,9 @@ class PooledProcessExecutor(TaskExecutor):
                 raise value.error
         return results
 
-    def run_one_call(self, call: Any) -> Any:
-        """Run a single extra call (speculative or backup attempt)."""
-        return self.run_calls([call])[0]
-
-    def run_tasks(self, thunks: Sequence[TaskThunk]) -> List[Any]:
-        raise MapReduceError(
-            "the pool executor runs picklable call descriptors, not "
-            "thunks; use run_calls()"
-        )
-
     def __repr__(self) -> str:
         return (
             f"PooledProcessExecutor(max_workers={self.max_workers}, "
-            f"live={len(self._workers)})"
-        )
-
-
-class ElasticPoolExecutor(PooledProcessExecutor):
-    """Autoscaling fork pool: the persistent pool plus a between-wave
-    scaling controller.
-
-    The engine calls :meth:`rebalance` between waves with the task
-    count of the coming wave and — when tracing is on — the settled
-    wave's observed queue-wait fraction (queue seconds over queue+run
-    seconds, per ``repro.obs.analysis.queue_run_decomposition``).
-    Queue-wait dominating means tasks sat waiting for a slot: grow the
-    pool (doubling pace) toward ``max_workers``.  Queue-wait vanishing
-    means slots sat idle: drain-then-retire (halving pace) down toward
-    ``min_workers``.  With tracing off there is no clock to read, so a
-    seeded, *clock-free* fallback steps the pool toward the next
-    wave's demand — every decision depends only on ``(seed, decision
-    index)``, so the determinism audits that compare executors
-    byte-for-byte are unaffected by scaling.
-
-    Two structural rules keep the controller safe and honest:
-
-    * scale-down happens only between waves, when every worker is idle
-      by construction — a drain point — so no in-flight task is ever
-      lost to the controller itself;
-    * the pool never grows past the coming wave's demand, and every
-      fork pays the configured cold-start charge, so scale-up is
-      never free (the skew the cost model in the trace report makes
-      visible).
-    """
-
-    kind = "elastic"
-
-    #: Queue-wait fraction of a settled wave above which the pool grows.
-    QUEUE_HIGH = 0.5
-    #: Queue-wait fraction below which idle workers are retired.
-    QUEUE_LOW = 0.1
-
-    def __init__(self, max_workers: int, min_workers: int = 1,
-                 seed: int = 0):
-        super().__init__(max_workers)
-        if not 1 <= min_workers <= max_workers:
-            raise MapReduceError(
-                "ElasticPoolExecutor needs 1 <= min_workers <= max_workers"
-            )
-        self.min_workers = min_workers
-        self.seed = seed
-        self._decisions = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self.workers_retired = 0
-
-    def _initial_workers(self, context: PoolJobContext) -> int:
-        """Fork only what the first (map) wave can use, never fewer
-        than the floor — the static pool forks ``max_workers`` here."""
-        demand = max(len(context.map_bodies), 1)
-        return max(self.min_workers, min(self.max_workers, demand))
-
-    # -- scaling controller -------------------------------------------------
-    def rebalance(self, next_tasks: int,
-                  queue_fraction: Optional[float] = None,
-                  ) -> Optional[Dict[str, Any]]:
-        """One between-wave scaling decision.
-
-        Returns a record of what changed (for JobHistory events and
-        ``pool.scale.*`` metrics) or ``None`` when the pool held its
-        size.  ``queue_fraction`` is the settled wave's observed
-        queue-wait share when tracing measured one; ``None`` selects
-        the seeded clock-free fallback.
-        """
-        if not self._workers:
-            return None
-        self._decisions += 1
-        live = len(self._workers)
-        demand = max(self.min_workers,
-                     min(self.max_workers, max(next_tasks, 1)))
-        if queue_fraction is not None:
-            if queue_fraction >= self.QUEUE_HIGH:
-                target = live * 2
-            elif queue_fraction <= self.QUEUE_LOW:
-                target = (live + 1) // 2
-            else:
-                target = live
-        else:
-            # Clock-free fallback: step toward the coming demand at a
-            # seeded pace of 1-2 workers per decision.
-            draw = zlib.crc32(
-                f"elastic|{self.seed}|{self._decisions}".encode()
-            )
-            step = 1 + draw % 2
-            if demand > live:
-                target = live + step
-            elif demand < live:
-                target = live - step
-            else:
-                target = live
-        # Workers beyond the coming wave's demand are idle by
-        # construction; never hold (or grow) past it.
-        target = min(target, demand)
-        target = max(self.min_workers, min(target, self.max_workers))
-        if target == live:
-            return None
-        if target > live:
-            self._spawn(target - live)
-            self.scale_ups += 1
-            action = "scale_up"
-        else:
-            self._retire(live - target)
-            self.scale_downs += 1
-            action = "scale_down"
-        return {
-            "action": action,
-            "from_workers": live,
-            "to_workers": len(self._workers),
-            "next_tasks": next_tasks,
-            "queue_fraction": queue_fraction,
-            "decision": self._decisions,
-        }
-
-    def _retire(self, count: int) -> None:
-        """Drain-then-retire idle workers down toward the floor.
-
-        Only called between waves (from :meth:`rebalance`), when no
-        call is in flight — every worker is idle, so stopping the
-        newest ``count`` of them loses no work.
-        """
-        for _ in range(count):
-            if len(self._workers) <= self.min_workers:
-                break
-            worker = self._workers.pop()
-            try:
-                worker.conn.send(None)
-            except Exception:
-                pass
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
-            self._paid_seconds += time.perf_counter() - worker.started
-            self.workers_retired += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"ElasticPoolExecutor(max_workers={self.max_workers}, "
             f"min_workers={self.min_workers}, live={len(self._workers)})"
         )
 
@@ -843,12 +712,8 @@ def build_executor(policy: ExecutionPolicy) -> TaskExecutor:
         return SerialExecutor()
     if policy.executor == "thread":
         return ThreadedExecutor(policy.resolved_workers())
-    if policy.executor == "process":
-        return ProcessExecutor(policy.resolved_workers())
     if policy.executor == "pool":
-        return PooledProcessExecutor(policy.resolved_workers())
-    if policy.executor == "elastic":
-        return ElasticPoolExecutor(
+        return PooledProcessExecutor(
             policy.resolved_workers(),
             policy.resolved_min_workers(),
             seed=policy.fault_seed,

@@ -63,38 +63,14 @@ class _BufferedSpan:
 class InputSplit:
     """One unit of map-task input.
 
-    ``preferred_node`` and ``size_bytes`` should be passed as keywords
-    so call sites stay self-describing (matching
-    ``MapReduceEngine(nodes=...)``); the legacy positional form still
-    works but emits a :class:`DeprecationWarning` and is slated for
-    removal.
+    ``preferred_node`` and ``size_bytes`` are keyword-only so call
+    sites stay self-describing (matching ``MapReduceEngine(nodes=...)``).
     """
 
     __slots__ = ("split_id", "payload", "preferred_node", "size_bytes")
 
-    def __init__(self, split_id: str, payload: Any, *deprecated_args,
+    def __init__(self, split_id: str, payload: Any, *,
                  preferred_node: Optional[str] = None, size_bytes: int = 0):
-        if deprecated_args:
-            if len(deprecated_args) > 2:
-                raise TypeError(
-                    "InputSplit takes at most four positional arguments"
-                )
-            if preferred_node is not None or size_bytes != 0:
-                raise TypeError(
-                    "InputSplit got positional and keyword values for "
-                    "preferred_node/size_bytes"
-                )
-            import warnings
-
-            warnings.warn(
-                "positional preferred_node/size_bytes are deprecated; "
-                "use InputSplit(..., preferred_node=..., size_bytes=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            preferred_node = deprecated_args[0]
-            if len(deprecated_args) == 2:
-                size_bytes = deprecated_args[1]
         self.split_id = split_id
         #: Opaque payload handed to the record reader / mapper.
         self.payload = payload

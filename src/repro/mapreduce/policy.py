@@ -7,17 +7,17 @@ and slot counts per node (sections 4.2-4.4) — so callers stop
 constructing engines ad hoc:
 
 * ``executor`` — ``"serial"`` (reference), ``"thread"``
-  (ThreadPoolExecutor-backed; overlaps blocking work), ``"process"``
-  (fork-based ProcessPoolExecutor; real CPU parallelism; re-forks each
-  wave), ``"pool"`` (persistent fork-based worker pool: forks once
+  (ThreadPoolExecutor-backed; overlaps blocking work) or ``"pool"``
+  (persistent fork-based worker pool: real CPU parallelism, forks once
   per job, reuses workers across waves and rounds, survives worker
-  crashes via fenced backups) or ``"elastic"`` (the pool plus a
-  between-wave scaling controller that grows toward ``max_workers``
-  when queue-wait dominates and drains idle workers when it doesn't).
+  crashes via fenced backups).
 * ``max_workers`` — bounded worker slots, the in-process analogue of
   map/reduce slots per node.
-* ``min_workers`` — the elastic pool's floor: it never retires below
-  this many live workers (ignored by the fixed-size executors).
+* ``min_workers`` — the pool's floor (pool only; rejected elsewhere).
+  Unset, the pool is fixed at ``max_workers``; set below
+  ``max_workers``, the pool scales between waves — it grows toward the
+  ceiling when queue-wait dominates and drains idle workers down to
+  the floor when it doesn't.
 * ``task_retries`` / ``retry_backoff`` — per-task re-execution with
   capped exponential backoff, Hadoop's ``mapreduce.map.maxattempts``.
   The backoff is *charged* to the attempt (recorded, deterministic)
@@ -48,7 +48,9 @@ constructing engines ad hoc:
   fault-injection suites run without real-time waits.
 * ``fault_plan`` — a frozen :class:`~repro.chaos.plan.FaultPlan` of
   targeted chaos events (kill node N at round R, delay task T, raise
-  in task U) that composes with ``fault_rate``.
+  in task U) that composes with ``fault_rate``.  Events aimed at pool
+  workers (preemption, cold start) are rejected on executors that have
+  none rather than silently injecting nothing.
 * ``io`` — a frozen :class:`~repro.io.policy.IoPolicy` configuring the
   durable-I/O layer (transient-retry budget, per-op timeout, spill
   directories with ENOSPC fallback, replica shedding); ``None`` means
@@ -70,12 +72,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.chaos.plan import FaultPlan
+from repro.chaos.plan import POOL_EVENT_TYPES, FaultPlan
 from repro.errors import MapReduceError
 from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
 
 #: Executor kinds accepted by :class:`ExecutionPolicy`.
-EXECUTOR_KINDS = ("serial", "thread", "process", "pool", "elastic")
+EXECUTOR_KINDS = ("serial", "thread", "pool")
 
 _FAULT_RESOLUTION = 1_000_000
 
@@ -117,6 +119,11 @@ class ExecutionPolicy:
         if self.max_workers is not None and self.max_workers < 1:
             raise MapReduceError("max_workers must be >= 1")
         if self.min_workers is not None:
+            if self.executor != "pool":
+                raise MapReduceError(
+                    "min_workers is the pool executor's worker floor; "
+                    f"executor={self.executor!r} has no workers to scale"
+                )
             if self.min_workers < 1:
                 raise MapReduceError("min_workers must be >= 1")
             if (
@@ -127,18 +134,18 @@ class ExecutionPolicy:
                     "min_workers must be <= max_workers "
                     f"({self.min_workers} > {self.max_workers})"
                 )
-            if self.executor == "elastic" and self.max_workers is None:
-                # Without an explicit ceiling the elastic pool resolves
-                # max_workers to min(32, cpu_count); a floor above that
-                # used to be clamped silently at run time — reject it
-                # at construction instead.
+            if self.max_workers is None:
+                # Without an explicit ceiling the pool resolves
+                # max_workers to min(32, cpu_count); reject a floor
+                # above that at construction rather than clamping it
+                # silently at run time.
                 default_cap = min(32, os.cpu_count() or 1)
                 if self.min_workers > default_cap:
                     raise MapReduceError(
                         f"min_workers ({self.min_workers}) must be <= "
                         f"max_workers (default {default_cap} on this "
                         "host); pass max_workers explicitly to raise "
-                        "the elastic ceiling"
+                        "the pool's ceiling"
                     )
         if self.task_retries < 0:
             raise MapReduceError("task_retries must be >= 0")
@@ -156,6 +163,14 @@ class ExecutionPolicy:
             raise MapReduceError("lease_seconds must be > 0")
         if self.backup_attempts < 1:
             raise MapReduceError("backup_attempts must be >= 1")
+        if self.fault_plan is not None and self.executor != "pool":
+            for event in self.fault_plan.events:
+                if isinstance(event, POOL_EVENT_TYPES):
+                    raise MapReduceError(
+                        f"chaos event {type(event).__name__} targets pool "
+                        f"workers but executor={self.executor!r} has none; "
+                        "it would inject nothing (use executor='pool')"
+                    )
 
     # -- convenience constructors -----------------------------------------
     @classmethod
@@ -167,25 +182,19 @@ class ExecutionPolicy:
         return cls(executor="thread", max_workers=max_workers, **kwargs)
 
     @classmethod
-    def processes(cls, max_workers: Optional[int] = None, **kwargs) -> "ExecutionPolicy":
-        return cls(executor="process", max_workers=max_workers, **kwargs)
-
-    @classmethod
-    def pooled(cls, max_workers: Optional[int] = None, **kwargs) -> "ExecutionPolicy":
-        """Persistent fork pool: fork once per job, reuse across waves."""
-        return cls(executor="pool", max_workers=max_workers, **kwargs)
-
-    @classmethod
-    def elastic(
+    def pooled(
         cls,
         max_workers: Optional[int] = None,
         min_workers: Optional[int] = None,
         **kwargs,
     ) -> "ExecutionPolicy":
-        """Autoscaling fork pool: grows toward ``max_workers`` when
-        queue-wait dominates, drains idle workers when it doesn't."""
+        """Persistent fork pool: fork once per job, reuse across waves.
+
+        Fixed at ``max_workers`` unless ``min_workers`` sets a lower
+        floor, in which case the pool scales between waves.
+        """
         return cls(
-            executor="elastic", max_workers=max_workers,
+            executor="pool", max_workers=max_workers,
             min_workers=min_workers, **kwargs,
         )
 
@@ -203,10 +212,10 @@ class ExecutionPolicy:
         return self.io if self.io is not None else DEFAULT_IO_POLICY
 
     def resolved_min_workers(self) -> int:
-        """The elastic pool's worker floor after applying defaults."""
+        """The pool's worker floor: the ceiling itself unless set lower."""
         if self.min_workers is not None:
             return min(self.min_workers, self.resolved_workers())
-        return 1
+        return self.resolved_workers()
 
     def backoff_delay(self, attempt: int) -> float:
         """Capped exponential delay before re-running a failed attempt."""

@@ -271,7 +271,7 @@ class TestHungTasks:
         assert task.injected_faults == 1
 
     @pytest.mark.parametrize(
-        "kind", ["serial", "thread", pytest.param("process", marks=needs_fork)]
+        "kind", ["serial", "thread", pytest.param("pool", marks=needs_fork)]
     )
     def test_plan_faults_identical_across_executors(self, kind):
         plan = FaultPlan(events=(
@@ -369,7 +369,7 @@ class TestChaosAcceptance:
         [
             ("serial", 1),
             ("thread", 4),
-            pytest.param("process", 2, marks=needs_fork),
+            pytest.param("pool", 2, marks=needs_fork),
         ],
     )
     def test_kill_plus_hung_task_changes_nothing(

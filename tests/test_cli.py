@@ -162,6 +162,24 @@ class TestChaosCli:
         assert "SECONDS must be a number, got 'glacial'" in err
         assert "expected --cold-start SECONDS[@JOB]" in err
 
+    @pytest.mark.parametrize("flag,spec,event", [
+        ("--preempt", "round2-cleaning:map:0", "PreemptWorker"),
+        ("--cold-start", "0.2", "ColdStart"),
+    ])
+    def test_pool_chaos_on_serial_is_a_typed_error(
+        self, sample_dir, capsys, flag, spec, event
+    ):
+        """Regression: this used to "pass" having injected nothing."""
+        code = main([
+            "chaos", "--data", sample_dir, "--partitions", "4",
+            "--executor", "serial", flag, spec,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: chaos event {event}" in captured.err
+        assert "'serial'" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     @needs_fork
     def test_preempt_and_cold_start_gate_passes(
         self, sample_dir, tmp_path, capsys
@@ -201,7 +219,7 @@ class TestElasticTrace:
     def test_trace_prints_cost_model(self, sample_dir, capsys):
         code = main([
             "trace", "--data", sample_dir, "--partitions", "3",
-            "--executor", "elastic", "--max-workers", "2",
+            "--executor", "pool", "--max-workers", "2",
             "--min-workers", "1",
         ])
         assert code == 0
@@ -209,7 +227,9 @@ class TestElasticTrace:
         assert "cost model (worker-seconds vs wall clock):" in out
         assert "billed" in out
         assert "static envelope" in out
-        assert "scaling" in out
+        [scaling] = [line for line in out.splitlines()
+                     if line.lstrip().startswith("scaling")]
+        assert "scale-ups" in scaling and "retired" in scaling
 
 
 class TestParser:
@@ -221,9 +241,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate"])
 
+    @pytest.mark.parametrize("kind", ["elastic", "process"])
+    def test_removed_executor_kinds_rejected(self, sample_dir, capsys, kind):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--data", sample_dir, "--executor", kind])
+        assert exit_info.value.code == 2
+        assert "{serial,thread,pool}" in capsys.readouterr().err
+
     def test_min_workers_above_max_rejected(self, sample_dir, capsys):
         code = main([
-            "run", "--data", sample_dir, "--executor", "elastic",
+            "run", "--data", sample_dir, "--executor", "pool",
             "--max-workers", "2", "--min-workers", "4",
         ])
         assert code == 2

@@ -39,7 +39,6 @@ needs_fork = pytest.mark.skipif(
 ALL_EXECUTORS = [
     ("serial", 1),
     ("thread", 4),
-    pytest.param("process", 2, marks=needs_fork),
     pytest.param("pool", 2, marks=needs_fork),
 ]
 
@@ -583,7 +582,7 @@ class TestAuditedSpeculation:
     def test_audit_choice_is_identical_across_executors(self):
         assert (
             self.speculated_tasks("thread", 3)
-            == self.speculated_tasks("process", 3)
+            == self.speculated_tasks("pool", 3)
         )
 
 

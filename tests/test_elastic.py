@@ -1,20 +1,33 @@
-"""Elastic execution tests: the scaling controller, spot-style worker
-preemption, cold-start charging, and deterministic retry backoff.
+"""Pool sizing and pool chaos: the between-wave scaling controller
+(``pooled(max, min_workers=floor)``), spot-style worker preemption and
+cold-start charging.
 
-The elastic executor's contract extends the pool's: byte-identical
-outputs under every scaling decision and every preemption, with the
-controller's moves visible as history events and ``pool.scale.*``
-metrics rather than as output differences.
+A pool with a floor below its ceiling keeps the fixed pool's contract:
+byte-identical outputs under every scaling decision and every
+preemption, with the controller's moves visible as history events and
+``pool.scale.*`` metrics rather than as output differences.  The two
+fold-equivalence pins at the bottom were captured on the commit that
+still had a separate ``elastic`` executor kind.
 """
 
 import pytest
 
-from repro.chaos.plan import ColdStart, FaultPlan, PreemptWorker
+from repro.chaos.plan import (
+    ColdStart,
+    CorruptSegment,
+    DuplicateCommit,
+    FaultPlan,
+    PreemptWorker,
+    ZombieAttempt,
+)
+from repro.errors import MapReduceError
+from repro.hdfs.filesystem import Hdfs
+from repro.io.policy import IoPolicy
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import (
-    ElasticPoolExecutor,
-    PoolJobContext,
+    JobContext,
+    PooledProcessExecutor,
     fork_available,
 )
 from repro.mapreduce.job import InputSplit, JobConf, make_splits
@@ -37,7 +50,7 @@ LINES = [
 ]
 
 
-def wordcount_job(name="wc"):
+def wordcount_job(name="wc", reducers=2):
     def mapper(line, ctx):
         for word in line.split():
             ctx.emit(word, 1)
@@ -45,7 +58,7 @@ def wordcount_job(name="wc"):
     def reducer(word, counts, ctx):
         ctx.emit(word, sum(counts))
 
-    return JobConf(name, mapper, reducer, num_reducers=2)
+    return JobConf(name, mapper, reducer, num_reducers=reducers)
 
 
 def clean_outputs():
@@ -55,7 +68,7 @@ def clean_outputs():
 
 
 def _context(num_bodies):
-    return PoolJobContext(
+    return JobContext(
         job=None,
         policy=ExecutionPolicy.serial(),
         map_bodies=[lambda epoch, candidates=None: None] * num_bodies,
@@ -64,15 +77,15 @@ def _context(num_bodies):
 
 class TestScalingController:
     def test_rejects_bad_bounds(self):
-        from repro.errors import MapReduceError
-
         with pytest.raises(MapReduceError):
-            ElasticPoolExecutor(2, min_workers=3)
+            PooledProcessExecutor(2, min_workers=3)
         with pytest.raises(MapReduceError):
-            ElasticPoolExecutor(2, min_workers=0)
+            PooledProcessExecutor(2, min_workers=0)
+        with pytest.raises(MapReduceError):
+            PooledProcessExecutor(0)
 
     def test_initial_fork_tracks_first_wave_demand(self):
-        executor = ElasticPoolExecutor(8, min_workers=2)
+        executor = PooledProcessExecutor(8, min_workers=2)
         try:
             executor.begin_job(_context(3))
             assert len(executor._workers) == 3  # demand, not max
@@ -80,7 +93,7 @@ class TestScalingController:
             executor.close()
 
     def test_initial_fork_respects_floor_and_ceiling(self):
-        executor = ElasticPoolExecutor(4, min_workers=2)
+        executor = PooledProcessExecutor(4, min_workers=2)
         try:
             executor.begin_job(_context(1))
             assert len(executor._workers) == 2  # floor wins
@@ -91,7 +104,7 @@ class TestScalingController:
             executor.close()
 
     def test_queue_pressure_grows_toward_demand(self):
-        executor = ElasticPoolExecutor(8, min_workers=2)
+        executor = PooledProcessExecutor(8, min_workers=2)
         try:
             executor.begin_job(_context(3))
             decision = executor.rebalance(8, queue_fraction=0.9)
@@ -104,7 +117,7 @@ class TestScalingController:
             executor.close()
 
     def test_idle_slots_are_drained_then_retired(self):
-        executor = ElasticPoolExecutor(8, min_workers=2)
+        executor = PooledProcessExecutor(8, min_workers=2)
         try:
             executor.begin_job(_context(8))
             decision = executor.rebalance(8, queue_fraction=0.0)
@@ -116,7 +129,7 @@ class TestScalingController:
             executor.close()
 
     def test_never_grows_past_next_wave_demand(self):
-        executor = ElasticPoolExecutor(8, min_workers=1)
+        executor = PooledProcessExecutor(8, min_workers=1)
         try:
             executor.begin_job(_context(6))
             decision = executor.rebalance(2, queue_fraction=0.9)
@@ -127,7 +140,7 @@ class TestScalingController:
             executor.close()
 
     def test_never_retires_below_min_workers(self):
-        executor = ElasticPoolExecutor(8, min_workers=3)
+        executor = PooledProcessExecutor(8, min_workers=3)
         try:
             executor.begin_job(_context(8))
             for _ in range(5):
@@ -142,7 +155,7 @@ class TestScalingController:
         pools with the same seed make identical moves."""
 
         def run_decisions(seed):
-            executor = ElasticPoolExecutor(8, min_workers=1, seed=seed)
+            executor = PooledProcessExecutor(8, min_workers=1, seed=seed)
             sizes = []
             try:
                 executor.begin_job(_context(2))
@@ -163,7 +176,7 @@ class TestScalingController:
         recorder = TraceRecorder()
         with MapReduceEngine(
             nodes=NODES,
-            policy=ExecutionPolicy.elastic(max_workers=4, min_workers=1),
+            policy=ExecutionPolicy.pooled(max_workers=4, min_workers=1),
             recorder=recorder,
         ) as engine:
             result = engine.run(wordcount_job(), make_splits(LINES))
@@ -232,14 +245,28 @@ class TestPreemption:
         engine, result, recorder, respawned, preemptions = \
             self.run_preempted(
                 [PreemptWorker("wc", wave="map", task=1)],
-                policy_kwargs={
-                    "executor": "elastic", "max_workers": 3,
-                    "min_workers": 1,
-                },
+                policy_kwargs={"max_workers": 3, "min_workers": 1},
             )
         assert result.all_outputs() == clean_outputs()
         assert preemptions == 1
         assert respawned >= 1
+
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "event", [PreemptWorker("wc"), ColdStart(0.25)],
+        ids=["preempt", "cold-start"],
+    )
+    def test_pool_only_chaos_rejected_off_the_pool(self, kind, event):
+        """Regression: a plan aimed at pool workers used to be ignored
+        without a word under serial/thread — the chaos run "passed"
+        having injected nothing.  Now it is a typed error naming the
+        event and the executor."""
+        with pytest.raises(MapReduceError) as raised:
+            ExecutionPolicy(
+                executor=kind, fault_plan=FaultPlan(events=(event,))
+            )
+        assert type(event).__name__ in str(raised.value)
+        assert repr(kind) in str(raised.value)
 
     def test_out_of_range_preemption_is_ignored(self):
         engine, result, recorder, respawned, preemptions = \
@@ -370,3 +397,218 @@ class TestPipelinePreemptionProperty:
         ]
         assert len(preempted) == 1
         assert preempted[0]["wave"] == wave
+
+
+SIX_LINES = LINES + ["a b c d e", "f g h"]
+
+
+def run_jobs(policy, shapes, traced):
+    """Run wordcount jobs of the given (maps, reducers) shapes on one
+    engine; report, per job, what the pool decided and forked."""
+    recorder = TraceRecorder() if traced else None
+    jobs = []
+    with MapReduceEngine(
+        nodes=NODES, policy=policy, recorder=recorder
+    ) as engine:
+        for index, (maps, reducers) in enumerate(shapes):
+            job = wordcount_job(f"wc{index}", reducers)
+            splits = make_splits(SIX_LINES[:maps])
+            result = engine.run(job, splits)
+            serial = MapReduceEngine(nodes=NODES).run(job, splits)
+            assert result.all_outputs() == serial.all_outputs()
+            assert result.counters.as_dict() == serial.counters.as_dict()
+            executor = engine._executor
+            jobs.append({
+                "scaled": [
+                    (e["action"], e["decision"], e["from_workers"],
+                     e["to_workers"], e["next_tasks"])
+                    for e in result.history.events_of("pool_scaled")
+                ],
+                "events": [e["kind"] for e in result.history.events],
+                "forks": executor.forks,
+                "ups": executor.scale_ups,
+                "downs": executor.scale_downs,
+                "retired": executor.workers_retired,
+            })
+    pool_metrics = None
+    if recorder is not None:
+        pool_metrics = {
+            name: value
+            for name, value in recorder.metrics.as_dict()["counters"].items()
+            if name.startswith("pool.") and "seconds" not in name
+        }
+    return jobs, pool_metrics
+
+
+class TestFoldEquivalence:
+    """Pins captured on the parent commit, where ``pool`` and
+    ``elastic`` were two executor classes: folding them changed
+    neither what a floor-below-ceiling pool decides nor what a fixed
+    pool does."""
+
+    def test_pool_with_floor_decides_as_the_elastic_executor_did(self):
+        """``pooled(3, min_workers=1)`` == the old ``elastic(3, 1)``:
+        same ``pool_scaled`` sequence, same scale counters, same job
+        output — untraced (seeded clock-free policy) and traced (the
+        shapes below force the queue-driven decision whatever the
+        measured fraction, so the pin is clock-independent)."""
+        policy = ExecutionPolicy.pooled(3, min_workers=1)
+        jobs, _ = run_jobs(policy, [(6, 2), (4, 1), (2, 3)], traced=False)
+        assert [job["scaled"] for job in jobs] == [
+            [("scale_down", 1, 3, 1, 2)],
+            [("scale_down", 2, 3, 1, 1)],
+            [("scale_up", 3, 2, 3, 3)],
+        ]
+        assert [
+            (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
+        ] == [(3, 0, 1, 2), (6, 0, 2, 4), (9, 1, 2, 4)]
+
+        jobs, metrics = run_jobs(policy, [(6, 2), (4, 1)], traced=True)
+        assert [job["scaled"] for job in jobs] == [
+            [("scale_down", 1, 3, 2, 2)],
+            [("scale_down", 2, 3, 1, 1)],
+        ]
+        assert [
+            (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
+        ] == [(3, 0, 1, 1), (6, 0, 2, 3)]
+        assert metrics == {
+            "pool.forks": 6,
+            "pool.reuse_count": 2,
+            "pool.scale.decisions": 2,
+            "pool.scale.downs": 2,
+            "pool.workers_retired": 3,
+        }
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_fixed_pool_forks_n_per_job_and_never_scales(self, traced):
+        """``pooled(n)``: exactly ``n`` forks per job whatever the wave
+        sizes, no ``pool_scaled`` event, no ``pool.scale.*`` metric."""
+        jobs, metrics = run_jobs(
+            ExecutionPolicy.pooled(3), [(6, 2), (4, 1), (2, 3)], traced
+        )
+        assert [job["forks"] for job in jobs] == [3, 6, 9]
+        assert all(job["events"] == [] for job in jobs)
+        assert all(
+            (job["ups"], job["downs"], job["retired"]) == (0, 0, 0)
+            for job in jobs
+        )
+        if traced:
+            assert metrics == {"pool.forks": 9, "pool.reuse_count": 3}
+
+
+class TestComposedExecutionPlaneDrill:
+    """One seeded plan, every execution-plane fault at once, on a
+    scaling pool over a disk-spill job: worker preemption in both
+    waves, cold start, a zombie attempt, a duplicate commit and a
+    corrupt segment — byte-identical to the serial run, with every
+    recovery counted exactly."""
+
+    PLAN = FaultPlan(seed=14, events=(
+        PreemptWorker("drill", wave="map", task=1),
+        PreemptWorker("drill", wave="reduce", task=1),
+        ColdStart(0.25, job="drill"),
+        ZombieAttempt("drill-m-00003"),
+        DuplicateCommit("drill-r-00000"),
+        CorruptSegment("drill", map_index=2, reducer=1, replica_index=0),
+    ))
+
+    @staticmethod
+    def drill_job():
+        def mapper(line, ctx):
+            for word in line.split():
+                ctx.emit(word, 1)
+            ctx.write_file(f"/drill/{ctx.task_index}", line.encode())
+            ctx.attach("lines", line)
+
+        def reducer(word, counts, ctx):
+            ctx.emit(word, sum(counts))
+
+        # io_sort_records=3 forces several disk spills per map task.
+        return JobConf("drill", mapper, reducer, num_reducers=2,
+                       io_sort_records=3)
+
+    def run_drill(self, spill_dir, traced=False, **policy_kwargs):
+        hdfs = Hdfs(NODES, replication=2)
+        recorder = TraceRecorder() if traced else None
+        policy = ExecutionPolicy(
+            io=IoPolicy(spill_dirs=(str(spill_dir),)), **policy_kwargs
+        )
+        with MapReduceEngine(
+            nodes=NODES, policy=policy, filesystem=hdfs, recorder=recorder,
+        ) as engine:
+            result = engine.run(self.drill_job(), make_splits(SIX_LINES))
+        files = {f.path: hdfs.get(f.path) for f in hdfs.files()}
+        return result, files, recorder
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_composed_faults_are_byte_identical_to_serial(
+        self, tmp_path, traced
+    ):
+        serial, serial_files, _ = self.run_drill(tmp_path / "serial")
+        sleeps = []
+        result, files, recorder = self.run_drill(
+            tmp_path / "pool", traced=traced, executor="pool",
+            max_workers=3, min_workers=1, fault_plan=self.PLAN,
+            sleep=sleeps.append,
+        )
+        assert result.all_outputs() == serial.all_outputs()
+        assert result.reduce_outputs == serial.reduce_outputs
+        assert result.attachments == serial.attachments
+        assert files == serial_files
+
+        # Every counter the faults did not touch equals the serial run's;
+        # every recovery is counted exactly.
+        expected = serial.counters.as_dict()
+        expected.update({
+            C.WORKER_CRASHES: 2,
+            C.LEASE_EXPIRATIONS: 1,
+            C.BACKUP_ATTEMPTS: 3,
+            C.FENCED_COMMITS: 2,
+            C.SHUFFLE_CRC_FAILURES: 1,
+            C.SHUFFLE_FETCH_RETRIES: 1,
+            C.MAP_TASK_ATTEMPTS: 6 + 2,
+            C.REDUCE_TASK_ATTEMPTS: 2 + 1,
+        })
+        assert result.counters.as_dict() == expected
+
+        # 3 initial forks + 2 respawns, each charged the cold start.
+        assert sleeps == [0.25] * 5
+        # The seeded clock-free policy retires two workers, the
+        # queue-driven one (forced by next-wave demand) retires one.
+        [scaled] = result.history.events_of("pool_scaled")
+        assert (scaled["from_workers"], scaled["to_workers"]) == (
+            (3, 2) if traced else (3, 1)
+        )
+        assert [e["kind"] for e in result.history.events] == [
+            "cold_start_armed",
+            "worker_preempted", "worker_crashed", "backup_launched",
+            "lease_expired", "backup_launched", "commit_fenced",
+            "segment_corrupted", "pool_scaled",
+            "worker_preempted", "commit_fenced", "worker_crashed",
+            "backup_launched",
+        ]
+        if traced:
+            counters = recorder.metrics.as_dict()["counters"]
+            assert {
+                name: counters[name] for name in counters
+                if name.startswith(("pool.", "chaos.", "lease.", "commit."))
+                and "seconds" not in name
+            } == {
+                "chaos.corrupt_segment": 1,
+                "chaos.duplicate_commit": 1,
+                "chaos.preempt_worker": 2,
+                "commit.fenced": 2,
+                "commit.promoted": 8,
+                "commit.staged": 9,
+                "lease.backups_launched": 3,
+                "lease.expired": 1,
+                "pool.cold_starts": 5,
+                "pool.forks": 5,
+                "pool.preemptions": 2,
+                "pool.reuse_count": 4,
+                "pool.scale.decisions": 1,
+                "pool.scale.downs": 1,
+                "pool.worker_crashes": 2,
+                "pool.workers_respawned": 2,
+                "pool.workers_retired": 1,
+            }

@@ -1,11 +1,13 @@
 """Execution plane tests: policies, executors, retries, determinism.
 
-The engine's contract is that the serial, threaded, and fork-based
-process executors produce byte-identical results for every job — and
-that injected faults, absorbed by retries, change nothing but the
-attempt counters.  These tests pin that contract, first on small
-synthetic jobs and then on the full five-round Gesall pipeline.
+The engine's contract is that the serial, threaded, and fork-pool
+executors produce byte-identical results for every job — and that
+injected faults, absorbed by retries, change nothing but the attempt
+counters.  These tests pin that contract, first on small synthetic
+jobs and then on the full five-round Gesall pipeline.
 """
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,8 @@ from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.executors import (
-    ElasticPoolExecutor,
+    JobContext,
     PooledProcessExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     _reap_orphaned_pools,
@@ -39,14 +40,14 @@ needs_fork = pytest.mark.skipif(
 ALL_POLICIES = [
     ExecutionPolicy.serial(),
     ExecutionPolicy.threads(max_workers=4),
-    pytest.param(ExecutionPolicy.processes(max_workers=2), marks=needs_fork),
     pytest.param(ExecutionPolicy.pooled(max_workers=2), marks=needs_fork),
     pytest.param(
-        ExecutionPolicy.elastic(max_workers=3, min_workers=1),
+        ExecutionPolicy.pooled(max_workers=3, min_workers=1),
         marks=needs_fork,
     ),
 ]
-POLICY_IDS = ["serial", "thread", "process", "pool", "elastic"]
+#: "elastic" is the pool sized with a floor below its ceiling.
+POLICY_IDS = ["serial", "thread", "pool", "elastic"]
 
 
 def wordcount_job():
@@ -73,6 +74,21 @@ class TestExecutionPolicy:
         with pytest.raises(MapReduceError, match="unknown executor"):
             ExecutionPolicy(executor="gpu")
 
+    @pytest.mark.parametrize("kind", ["process", "elastic"])
+    def test_removed_kinds_rejected_listing_the_three(self, kind):
+        assert EXECUTOR_KINDS == ("serial", "thread", "pool")
+        with pytest.raises(MapReduceError, match="serial, thread, pool"):
+            ExecutionPolicy(executor=kind)
+        assert not hasattr(ExecutionPolicy, "processes")
+        assert not hasattr(ExecutionPolicy, "elastic")
+
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    def test_min_workers_rejected_off_the_pool(self, kind):
+        """A floor on an executor with nothing to scale used to be
+        documented as "ignored"; now it is a typed error."""
+        with pytest.raises(MapReduceError, match="min_workers"):
+            ExecutionPolicy(executor=kind, min_workers=1)
+
     def test_rejects_bad_workers_and_retries(self):
         with pytest.raises(MapReduceError):
             ExecutionPolicy(executor="thread", max_workers=0)
@@ -89,7 +105,13 @@ class TestExecutionPolicy:
     def test_resolved_workers(self):
         assert ExecutionPolicy.serial().resolved_workers() == 1
         assert ExecutionPolicy.threads(max_workers=7).resolved_workers() == 7
-        assert ExecutionPolicy.processes().resolved_workers() >= 1
+        assert ExecutionPolicy.pooled().resolved_workers() >= 1
+
+    def test_pool_floor_defaults_to_its_ceiling(self):
+        assert ExecutionPolicy.pooled(4).resolved_min_workers() == 4
+        assert ExecutionPolicy.pooled(
+            4, min_workers=2
+        ).resolved_min_workers() == 2
 
     def test_fault_draw_is_deterministic_and_policy_independent(self):
         """The draw depends only on (seed, task, attempt) — never on
@@ -105,8 +127,7 @@ class TestExecutionPolicy:
             ]
             for kind in EXECUTOR_KINDS
         }
-        assert (draws["serial"] == draws["thread"] == draws["process"]
-                == draws["pool"])
+        assert draws["serial"] == draws["thread"] == draws["pool"]
         assert any(draws["serial"])  # rate 0.3 over 40 draws must hit
 
     def test_backoff_is_capped(self):
@@ -126,42 +147,108 @@ class TestExecutors:
         )
 
     @needs_fork
-    def test_build_executor_process(self):
-        assert isinstance(
-            build_executor(ExecutionPolicy.processes(2)), ProcessExecutor
-        )
-
-    @needs_fork
     def test_build_executor_pool(self):
         executor = build_executor(ExecutionPolicy.pooled(2))
         assert isinstance(executor, PooledProcessExecutor)
+        assert (executor.min_workers, executor.max_workers) == (2, 2)
         executor.close()
 
     @needs_fork
     def test_build_executor_elastic(self):
         executor = build_executor(
-            ExecutionPolicy.elastic(max_workers=4, min_workers=2)
+            ExecutionPolicy.pooled(max_workers=4, min_workers=2)
         )
-        assert isinstance(executor, ElasticPoolExecutor)
+        assert isinstance(executor, PooledProcessExecutor)
         assert executor.max_workers == 4
         assert executor.min_workers == 2
         executor.close()
 
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            SerialExecutor(),
-            ThreadedExecutor(max_workers=3),
-            pytest.param(ProcessExecutor(max_workers=2), marks=needs_fork),
-        ],
-        ids=["serial", "thread", "process"],
-    )
-    def test_results_arrive_in_submission_order(self, executor):
-        thunks = [lambda i=i: i * i for i in range(10)]
-        assert executor.run_tasks(thunks) == [i * i for i in range(10)]
+    # -- call-protocol conformance: one contract, three executors -----------
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_results_arrive_in_submission_order(self, kind):
+        """Results come back by submission index, whatever finished
+        first (later calls are the quicker ones here)."""
+        executor = _conformance_executor(kind)
+        try:
+            executor.begin_job(_conformance_context())
+            calls = [_SquareCall(i, delay=0.02 * (5 - i)) for i in range(6)]
+            assert executor.run_calls(calls) == [i * i for i in range(6)]
+        finally:
+            executor.close()
 
     def test_empty_wave(self):
-        assert SerialExecutor().run_tasks([]) == []
+        executor = SerialExecutor()
+        executor.begin_job(_conformance_context())
+        assert executor.run_calls([]) == []
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_raising_call_propagates_after_wave_drains(self, kind, tmp_path):
+        """The failure surfaces only once nothing from the wave is
+        still running, and the executor stays usable afterwards."""
+        executor = _conformance_executor(kind)
+        try:
+            executor.begin_job(_conformance_context())
+            siblings = [
+                _SquareCall(i, delay=0.05, marker=str(tmp_path / f"done-{i}"))
+                for i in range(3)
+            ]
+            with pytest.raises(ValueError, match="call 3 failed"):
+                executor.run_calls(siblings + [_SquareCall(3, fail=True)])
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "done-0", "done-1", "done-2",
+            ]
+            assert executor.run_calls([_SquareCall(7)]) == [49]
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_lifecycle_is_idempotent(self, kind):
+        executor = _conformance_executor(kind)
+        with pytest.raises(MapReduceError, match="begin_job"):
+            executor.run_calls([_SquareCall(1)])
+        executor.end_job()  # nothing begun: a no-op
+        executor.begin_job(_conformance_context())
+        executor.begin_job(_conformance_context())  # re-begin replaces
+        assert executor.run_calls([_SquareCall(3)]) == [9]
+        executor.end_job()
+        executor.end_job()
+        with pytest.raises(MapReduceError, match="begin_job"):
+            executor.run_calls([_SquareCall(1)])
+        executor.close()
+        executor.close()
+        # A closed executor can begin a new job (the engine reuses it).
+        executor.begin_job(_conformance_context())
+        assert executor.run_calls([_SquareCall(4)]) == [16]
+        executor.close()
+
+
+class _SquareCall:
+    """Minimal picklable call descriptor for the conformance tests."""
+
+    def __init__(self, n, delay=0.0, marker=None, fail=False):
+        self.n = n
+        self.delay = delay
+        self.marker = marker
+        self.fail = fail
+
+    def run(self, context):
+        if self.fail:
+            raise ValueError(f"call {self.n} failed")
+        time.sleep(self.delay)
+        if self.marker:
+            with open(self.marker, "w") as handle:
+                handle.write("done")
+        return self.n * self.n
+
+
+def _conformance_executor(kind):
+    if kind == "pool" and not fork_available():
+        pytest.skip("fork start method unavailable")
+    return build_executor(ExecutionPolicy(executor=kind, max_workers=3))
+
+
+def _conformance_context():
+    return JobContext(job=None, policy=ExecutionPolicy.serial(), map_bodies=[])
 
 
 class TestEngineAcrossExecutors:
@@ -206,7 +293,7 @@ class TestRetriesAndFaults:
 
     @pytest.mark.parametrize(
         "executor_kind",
-        ["serial", "thread", pytest.param("process", marks=needs_fork)],
+        ["serial", "thread", pytest.param("pool", marks=needs_fork)],
     )
     def test_injected_faults_are_retried_to_identical_outputs(
         self, executor_kind
@@ -398,15 +485,6 @@ class TestCombinerAcrossExecutors:
 
 @needs_fork
 class TestPooledExecutorLifecycle:
-    def test_run_tasks_rejected(self):
-        """The pool never ships thunks — only picklable descriptors."""
-        executor = PooledProcessExecutor(max_workers=2)
-        try:
-            with pytest.raises(MapReduceError):
-                executor.run_tasks([lambda: 1])
-        finally:
-            executor.close()
-
     def test_pool_reuses_workers_across_jobs(self):
         with MapReduceEngine(
             nodes=["n1", "n2"], policy=ExecutionPolicy.pooled(max_workers=2)
@@ -458,20 +536,20 @@ class TestPooledExecutorLifecycle:
 
 
 class TestApiRedesign:
-    def test_positional_nodes_deprecated(self):
-        with pytest.deprecated_call():
-            engine = MapReduceEngine(["n1", "n2"])
-        assert engine.nodes == ["n1", "n2"]
+    def test_positional_nodes_rejected(self):
+        with pytest.raises(TypeError):
+            MapReduceEngine(["n1", "n2"])
 
     def test_positional_and_keyword_nodes_conflict(self):
         with pytest.raises(TypeError):
             MapReduceEngine(["n1"], nodes=["n2"])
 
-    def test_split_positional_locality_deprecated(self):
-        with pytest.deprecated_call():
-            split = InputSplit("s0", "payload", "n1", 64)
-        assert split.preferred_node == "n1"
-        assert split.size_bytes == 64
+    def test_split_positional_locality_rejected(self):
+        with pytest.raises(TypeError):
+            InputSplit("s0", "payload", "n1", 64)
+        split = InputSplit("s0", "payload", preferred_node="n1",
+                           size_bytes=64)
+        assert (split.preferred_node, split.size_bytes) == ("n1", 64)
 
     def test_split_positional_keyword_conflict(self):
         with pytest.raises(TypeError):
@@ -562,16 +640,6 @@ class TestCrossExecutorDeterminism:
         assert threaded == serial_run
 
     @needs_fork
-    def test_process_executor_matches_serial(
-        self, reference, ref_index, pairs, serial_run
-    ):
-        forked = pipeline_fingerprint(
-            reference, ref_index, pairs,
-            ExecutionPolicy.processes(max_workers=2),
-        )
-        assert forked == serial_run
-
-    @needs_fork
     def test_pool_executor_matches_serial(
         self, reference, ref_index, pairs, serial_run
     ):
@@ -585,9 +653,11 @@ class TestCrossExecutorDeterminism:
     def test_elastic_executor_matches_serial(
         self, reference, ref_index, pairs, serial_run
     ):
+        """The pool with a floor below its ceiling, rescaling between
+        the waves of every round."""
         elastic = pipeline_fingerprint(
             reference, ref_index, pairs,
-            ExecutionPolicy.elastic(max_workers=3, min_workers=1),
+            ExecutionPolicy.pooled(max_workers=3, min_workers=1),
         )
         assert elastic == serial_run
 
@@ -607,8 +677,8 @@ class TestCrossExecutorDeterminism:
 
 @needs_fork
 def test_process_pool_smoke():
-    """Minimal end-to-end check that fork-based execution works; run in
-    CI to catch platform-specific process-pool regressions."""
+    """Minimal end-to-end check that the fork pool works; run in CI to
+    catch platform-specific process-pool regressions."""
     hdfs = Hdfs(["n0", "n1"], replication=1)
 
     def mapper(payload, ctx):
@@ -616,14 +686,15 @@ def test_process_pool_smoke():
         ctx.attach("seen", payload)
         ctx.emit(payload, len(payload))
 
-    engine = MapReduceEngine(
+    with MapReduceEngine(
         nodes=hdfs.nodes,
-        policy=ExecutionPolicy.processes(max_workers=2),
+        policy=ExecutionPolicy.pooled(max_workers=2),
         filesystem=hdfs,
-    )
-    result = engine.run(
-        JobConf("smoke", mapper), make_splits(["alpha", "beta", "gamma"])
-    )
+    ) as engine:
+        result = engine.run(
+            JobConf("smoke", mapper),
+            make_splits(["alpha", "beta", "gamma"]),
+        )
     assert [k for k, _ in result.all_outputs()] == ["alpha", "beta", "gamma"]
     assert result.attachments["seen"] == ["alpha", "beta", "gamma"]
     for name in ("alpha", "beta", "gamma"):

@@ -44,7 +44,7 @@ needs_fork = pytest.mark.skipif(
 ALL_POLICIES = [
     ExecutionPolicy.serial(),
     ExecutionPolicy.threads(max_workers=2),
-    pytest.param(ExecutionPolicy.processes(max_workers=2), marks=needs_fork),
+    pytest.param(ExecutionPolicy.pooled(max_workers=2), marks=needs_fork),
 ]
 
 
@@ -474,14 +474,14 @@ class TestJobHistoryIndex:
 
 @needs_fork
 class TestTracedPipelineAcceptance:
-    """The ``repro trace`` scenario: five rounds, process executor."""
+    """The ``repro trace`` scenario: five rounds, pool executor."""
 
     @pytest.fixture(scope="class")
     def traced_run(self, reference, ref_index, pairs):
         pipeline = GesallPipeline(
             reference, index=ref_index, num_fastq_partitions=5,
             num_reducers=2,
-            policy=ExecutionPolicy.processes(max_workers=2),
+            policy=ExecutionPolicy.pooled(max_workers=2),
             obs=ObsConfig(enabled=True),
         )
         return pipeline.run(pairs)

@@ -605,7 +605,7 @@ class TestElasticPolicyValidation:
         from repro.mapreduce.policy import ExecutionPolicy
 
         with pytest.raises(MapReduceError) as excinfo:
-            ExecutionPolicy.elastic(max_workers=2, min_workers=4)
+            ExecutionPolicy.pooled(max_workers=2, min_workers=4)
         message = str(excinfo.value)
         assert "min_workers" in message and "max_workers" in message
 
@@ -615,7 +615,7 @@ class TestElasticPolicyValidation:
         # The default ceiling is min(32, cpu_count), so a floor of 64
         # can never be honoured on any host.
         with pytest.raises(MapReduceError) as excinfo:
-            ExecutionPolicy.elastic(min_workers=64)
+            ExecutionPolicy.pooled(min_workers=64)
         message = str(excinfo.value)
         assert "min_workers" in message and "max_workers" in message
         assert "explicitly" in message
@@ -623,5 +623,5 @@ class TestElasticPolicyValidation:
     def test_explicit_ceiling_raises_the_cap(self):
         from repro.mapreduce.policy import ExecutionPolicy
 
-        policy = ExecutionPolicy.elastic(max_workers=64, min_workers=64)
+        policy = ExecutionPolicy.pooled(max_workers=64, min_workers=64)
         assert policy.resolved_min_workers() == 64

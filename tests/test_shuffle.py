@@ -392,7 +392,7 @@ class TestEngineShuffleIntegration:
         policies = [
             ExecutionPolicy.serial(),
             ExecutionPolicy.threads(max_workers=2),
-            ExecutionPolicy.processes(max_workers=2),
+            ExecutionPolicy.pooled(max_workers=2),
         ]
         baseline = _run_wordcount(
             ExecutionPolicy.serial(), DEFAULT_SHUFFLE
