@@ -11,7 +11,7 @@ end* used by MarkDuplicates (paper section 3.2).
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import CigarError
 
@@ -25,6 +25,16 @@ VALID_OPS = frozenset("MIDNSHP=X")
 CLIP_OPS = frozenset("SH")
 
 _CIGAR_TOKEN = re.compile(r"(\d+)([MIDNSHP=X])")
+
+#: ``Cigar.parse`` interns by text: a ``Cigar`` is immutable, so equal
+#: texts may share one object.  The simulated samples this repo runs
+#: hold 16-31 distinct CIGARs (EXPERIMENTS.md, PR 15); nothing here has
+#: been measured on indel- or clip-rich real reads.  The cap only bounds
+#: memory (under 2 MB when full): past it, novel texts parse without
+#: being stored and pay the miss (threads racing on the last slots may
+#: overshoot by one each).
+_INTERN_CAP = 4096
+_interned: Dict[str, "Cigar"] = {}
 
 
 class Cigar:
@@ -41,21 +51,38 @@ class Cigar:
         If any operation code is invalid or any length is non-positive.
     """
 
-    __slots__ = ("_ops",)
+    __slots__ = ("_ops", "text")
 
     def __init__(self, ops: List[Tuple[int, str]]):
-        for length, op in ops:
+        self._ops: Tuple[Tuple[int, str], ...] = tuple(ops)
+        for length, op in self._ops:
             if op not in VALID_OPS:
                 raise CigarError(f"invalid CIGAR op {op!r}")
             if length <= 0:
                 raise CigarError(f"non-positive CIGAR length {length} for op {op!r}")
-        self._ops: Tuple[Tuple[int, str], ...] = tuple(ops)
+        #: The SAM text (``'*'`` when empty), fixed at construction.
+        self.text: str = (
+            "".join(f"{length}{op}" for length, op in self._ops) or "*"
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Cigar":
-        """Parse the SAM textual representation (``'*'`` means empty)."""
+        """Parse the SAM textual representation (``'*'`` means empty).
+
+        Equal texts return the same interned object while the cache has
+        room; a text that fails validation is never stored.
+        """
+        cigar = _interned.get(text)
+        if cigar is None:
+            cigar = cls(cls._parse_ops(text))
+            if len(_interned) < _INTERN_CAP:
+                _interned[text] = cigar
+        return cigar
+
+    @staticmethod
+    def _parse_ops(text: str) -> List[Tuple[int, str]]:
         if text == "*" or text == "":
-            return cls([])
+            return []
         ops = []
         consumed = 0
         for match in _CIGAR_TOKEN.finditer(text):
@@ -63,7 +90,10 @@ class Cigar:
             consumed += len(match.group(0))
         if consumed != len(text):
             raise CigarError(f"malformed CIGAR string {text!r}")
-        return cls(ops)
+        return ops
+
+    def __reduce__(self):
+        return Cigar.parse, (self.text,)
 
     @property
     def ops(self) -> Tuple[Tuple[int, str], ...]:
@@ -82,9 +112,7 @@ class Cigar:
         return hash(self._ops)
 
     def __str__(self) -> str:
-        if not self._ops:
-            return "*"
-        return "".join(f"{length}{op}" for length, op in self._ops)
+        return self.text
 
     def __repr__(self) -> str:
         return f"Cigar({str(self)!r})"

@@ -8,7 +8,7 @@ update fields in place, exactly as PicardTools does.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import FormatError
 from repro.formats import flags as F
@@ -58,6 +58,12 @@ def decode_quals(text: str) -> List[int]:
     if raw and min(raw) < QUAL_OFFSET:
         raise FormatError(f"QUAL text has a character below '!': {text!r}")
     return list(raw.translate(_DECODE_TABLE))
+
+
+#: The integer SAM fields ``from_line`` converts: (name, column).
+_INTEGER_FIELDS = (
+    ("FLAG", 1), ("POS", 3), ("MAPQ", 4), ("PNEXT", 7), ("TLEN", 8),
+)
 
 
 class SamRecord:
@@ -140,22 +146,26 @@ class SamRecord:
     # -- (de)serialization -------------------------------------------------
     def to_line(self) -> str:
         """Serialize to one SAM text line (no trailing newline)."""
-        fields = [
-            self.qname,
-            str(int(self.flags)),
-            self.rname,
-            str(self.pos),
-            str(self.mapq),
-            str(self.cigar),
-            self.rnext,
-            str(self.pnext),
-            str(self.tlen),
-            self.seq,
-            self.qual,
-        ]
-        for key in sorted(self.tags):
-            fields.append(f"{key}:Z:{self.tags[key]}")
-        return "\t".join(fields)
+        line = (
+            f"{self.qname}\t{self.flags.value}\t{self.rname}\t{self.pos}\t"
+            f"{self.mapq}\t{self.cigar.text}\t{self.rnext}\t{self.pnext}\t"
+            f"{self.tlen}\t{self.seq}\t{self.qual}"
+        )
+        tags = self.tags
+        if tags:
+            line += "".join(f"\t{key}:Z:{tags[key]}" for key in sorted(tags))
+        return line
+
+    def line_bytes(self) -> int:
+        """``len(self.to_line()) + 1`` — the line plus its newline —
+        summed from the fields without rendering the line."""
+        size = len(self.seq) + len(self.qual) + 11 + len(
+            f"{self.qname}{self.flags.value}{self.rname}{self.pos}{self.mapq}"
+            f"{self.cigar.text}{self.rnext}{self.pnext}{self.tlen}"
+        )
+        for key, value in self.tags.items():
+            size += len(key) + len(value) + 4
+        return size
 
     @classmethod
     def from_line(cls, line: str) -> "SamRecord":
@@ -169,25 +179,34 @@ class SamRecord:
             if len(parts) != 3:
                 raise FormatError(f"malformed SAM tag {raw!r}")
             tags[parts[0]] = parts[2]
-        return cls(
-            qname=fields[0],
-            flags=F.SamFlags(int(fields[1])),
-            rname=fields[2],
-            pos=int(fields[3]),
-            mapq=int(fields[4]),
-            cigar=Cigar.parse(fields[5]),
-            rnext=fields[6],
-            pnext=int(fields[7]),
-            tlen=int(fields[8]),
-            seq=fields[9],
-            qual=fields[10],
-            tags=tags,
+        ints: List[int] = []
+        try:
+            for name, index in _INTEGER_FIELDS:
+                ints.append(int(fields[index]))
+        except ValueError:
+            raise FormatError(
+                f"SAM {name} is not an integer: {fields[index]!r}"
+            ) from None
+        flag, pos, mapq, pnext, tlen = ints
+        return _record_from_fields(
+            fields[0], flag, fields[2], pos, mapq, fields[5],
+            fields[6], pnext, tlen, fields[9], fields[10], tags,
+        )
+
+    def __reduce__(self):
+        # The flat wire form: eleven SAM fields as primitives + the tag
+        # dict, rebuilt by the same constructor ``from_line`` uses.
+        return _record_from_fields, (
+            self.qname, self.flags.value, self.rname, self.pos, self.mapq,
+            self.cigar.text, self.rnext, self.pnext, self.tlen,
+            self.seq, self.qual, self.tags,
         )
 
     def copy(self) -> "SamRecord":
-        return SamRecord(
-            self.qname, F.SamFlags(int(self.flags)), self.rname, self.pos,
-            self.mapq, self.cigar, self.rnext, self.pnext, self.tlen,
+        # The immutable Cigar is shared; flags and tags are the copy's own.
+        return _record_from_fields(
+            self.qname, self.flags.value, self.rname, self.pos, self.mapq,
+            self.cigar, self.rnext, self.pnext, self.tlen,
             self.seq, self.qual, dict(self.tags),
         )
 
@@ -204,6 +223,33 @@ class SamRecord:
             f"SamRecord({self.qname!r}, flag=0x{int(self.flags):x}, "
             f"{self.rname}:{self.pos}, mapq={self.mapq}, cigar={self.cigar})"
         )
+
+
+def _record_from_fields(
+    qname: str, flag: int, rname: str, pos: int, mapq: int,
+    cigar: Union[str, Cigar], rnext: str, pnext: int, tlen: int,
+    seq: str, qual: str, tags: Dict[str, str],
+) -> SamRecord:
+    """Build a record from its eleven SAM fields (FLAG as ``int``, CIGAR
+    as text, or an already-built ``Cigar`` to share) and a tag dict the
+    record takes ownership of.
+
+    The one body behind ``from_line``, ``copy`` and unpickling.
+    """
+    record = SamRecord.__new__(SamRecord)
+    record.qname = qname
+    record.flags = F.SamFlags(flag)
+    record.rname = rname
+    record.pos = pos
+    record.mapq = mapq
+    record.cigar = Cigar.parse(cigar) if isinstance(cigar, str) else cigar
+    record.rnext = rnext
+    record.pnext = pnext
+    record.tlen = tlen
+    record.seq = seq
+    record.qual = qual
+    record.tags = tags
+    return record
 
 
 class SamHeader:

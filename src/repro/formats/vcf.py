@@ -88,6 +88,11 @@ class VariantRecord:
             ]
         )
 
+    def line_bytes(self) -> int:
+        """Length of the VCF line plus its newline (renders the line:
+        calls are few and float-formatted, unlike ``SamRecord``)."""
+        return len(self.to_line()) + 1
+
     @classmethod
     def from_line(cls, line: str) -> "VariantRecord":
         fields = line.rstrip("\n").split("\t")

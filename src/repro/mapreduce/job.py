@@ -296,9 +296,9 @@ class JobConf:
 
 def _default_value_size(value: Any) -> int:
     """Approximate serialized size of a value for byte accounting."""
-    to_line = getattr(value, "to_line", None)
-    if callable(to_line):
-        return len(to_line()) + 1
+    line_bytes = getattr(value, "line_bytes", None)
+    if callable(line_bytes):
+        return line_bytes()
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, str):

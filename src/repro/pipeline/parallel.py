@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.align.aligner import AlignerConfig
@@ -54,12 +55,10 @@ class GesallPipelineResult:
     """Outputs of the parallel pipeline, aligned with the serial result."""
 
     def __init__(self):
-        #: R-bar after parallel Bwa (Round 1).
-        self.alignment: List[SamRecord] = []
-        #: R-bar after Rounds 2 (cleaning + FixMateInfo).
-        self.cleaned: List[SamRecord] = []
-        #: R-bar after Round 3 (MarkDuplicates).
-        self.deduped: List[SamRecord] = []
+        #: HDFS paths of the BAMs rounds 1-3 wrote, keyed by the
+        #: attribute that decodes them (``alignment`` / ``cleaned`` /
+        #: ``deduped``).
+        self.round_paths: Dict[str, List[str]] = {}
         #: Recalibration table when the optional rounds ran.
         self.recal_table: Optional[RecalibrationTable] = None
         #: Final variants after Round 5.
@@ -76,6 +75,30 @@ class GesallPipelineResult:
         self.recovered_tasks: Dict[str, List[str]] = {}
         #: Chaos storage events applied during the run, in order.
         self.chaos_events: List[Dict[str, Any]] = []
+
+    def _decode_round(self, name: str) -> List[SamRecord]:
+        records: List[SamRecord] = []
+        for path in self.round_paths.get(name, []):
+            records.extend(read_bam(self.hdfs.get(path))[1])
+        return records
+
+    # The three R-bar lists decode from HDFS on first access and are
+    # kept: most runs never read them.  A run with storage chaos
+    # touches them before each event fires (_apply_storage_events).
+    @cached_property
+    def alignment(self) -> List[SamRecord]:
+        """R-bar after parallel Bwa (Round 1)."""
+        return self._decode_round("alignment")
+
+    @cached_property
+    def cleaned(self) -> List[SamRecord]:
+        """R-bar after Rounds 2 (cleaning + FixMateInfo)."""
+        return self._decode_round("cleaned")
+
+    @cached_property
+    def deduped(self) -> List[SamRecord]:
+        """R-bar after Round 3 (MarkDuplicates)."""
+        return self._decode_round("deduped")
 
 
 class GesallPipeline:
@@ -253,7 +276,7 @@ class GesallPipeline:
             else:
                 round1_paths = rounds.round1_alignment(partitions)
                 save("round1", "/round1", {"paths": round1_paths})
-            result.alignment = self._read_all(hdfs, round1_paths)
+            result.round_paths["alignment"] = round1_paths
 
             self._apply_storage_events("round2", hdfs, result, recorder)
             restored = restore("round2")
@@ -264,7 +287,7 @@ class GesallPipeline:
                     round1_paths, num_reducers=self.num_reducers
                 )
                 save("round2", "/round2", {"paths": round2_paths})
-            result.cleaned = self._read_all(hdfs, round2_paths)
+            result.round_paths["cleaned"] = round2_paths
 
             self._apply_storage_events("round3", hdfs, result, recorder)
             restored = restore("round3")
@@ -276,7 +299,7 @@ class GesallPipeline:
                     num_reducers=self.num_reducers,
                 )
                 save("round3", "/round3", {"paths": round3_paths})
-            result.deduped = self._read_all(hdfs, round3_paths)
+            result.round_paths["deduped"] = round3_paths
 
             calling_input = round3_paths
             if self.with_recalibration:
@@ -343,7 +366,14 @@ class GesallPipeline:
         plan = self.policy.fault_plan
         if plan is None:
             return
-        for event in plan.storage_events(key):
+        events = plan.storage_events(key)
+        if events:
+            # Decode the R-bar lists recorded so far while their blocks
+            # are still intact: a read after the run must not depend on
+            # replicas this round's events are about to damage.
+            for name in result.round_paths:
+                getattr(result, name)
+        for event in events:
             entry: Dict[str, Any] = {"round": key, "kind": event.kind}
             with recorder.span(
                 f"chaos:{event.kind}", category="chaos", track="driver",
@@ -387,11 +417,3 @@ class GesallPipeline:
             len(self.nodes),
         )
         return f"{zlib.crc32(repr(config).encode(), digest):08x}"
-
-    @staticmethod
-    def _read_all(hdfs: Hdfs, paths: List[str]) -> List[SamRecord]:
-        records: List[SamRecord] = []
-        for path in paths:
-            _, partition = read_bam(hdfs.get(path))
-            records.extend(partition)
-        return records

@@ -35,7 +35,9 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Bumped whenever the frame payload layout changes incompatibly.
-WAL_VERSION = 1
+#: 2: ``SamRecord`` / ``Cigar`` inside journaled outcomes pickle as flat
+#: primitives (a version-1 log would unpickle to half-built records).
+WAL_VERSION = 2
 
 _FRAME = struct.Struct(">II")
 

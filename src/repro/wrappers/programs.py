@@ -104,11 +104,11 @@ class DataTransformAccounting:
         self.invocations = 0
 
     def record_input(self, records: List[SamRecord]) -> None:
-        self.bytes_to_program += sum(len(r.to_line()) + 1 for r in records)
+        self.bytes_to_program += sum(r.line_bytes() for r in records)
         self.invocations += 1
 
     def record_output(self, records: List[SamRecord]) -> None:
-        self.bytes_from_program += sum(len(r.to_line()) + 1 for r in records)
+        self.bytes_from_program += sum(r.line_bytes() for r in records)
 
     def merge(self, other: "DataTransformAccounting") -> None:
         self.bytes_to_program += other.bytes_to_program

@@ -7,10 +7,16 @@ what ``repro.align.sw``, ``repro.variants.pileup`` and
 are slow on purpose and live in ``tests/`` only: the differential tests
 in ``test_kernel_oracles.py`` require the shipped kernels to return
 exactly what these return.
+
+``cigar_parse`` / ``cigar_str`` / ``sam_to_line`` / ``sam_from_line``
+are the bodies of ``Cigar.parse``, ``Cigar.__str__``,
+``SamRecord.to_line`` and ``SamRecord.from_line`` from before the
+data-transformation fast path, as free functions.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.align.sw import (
@@ -20,6 +26,8 @@ from repro.align.sw import (
     MISMATCH,
     LocalAlignment,
 )
+from repro.errors import CigarError, FormatError
+from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord
 from repro.genome.regions import GenomicInterval
@@ -242,3 +250,73 @@ def call_over_full_pileup(caller, records, interval=None, emit_interval=None):
                     continue
                 calls.append(call)
     return calls
+
+
+_CIGAR_TOKEN = re.compile(r"(\d+)([MIDNSHP=X])")
+
+
+def cigar_parse(text: str) -> Cigar:
+    """Parse the SAM textual representation (``'*'`` means empty)."""
+    if text == "*" or text == "":
+        return Cigar([])
+    ops = []
+    consumed = 0
+    for match in _CIGAR_TOKEN.finditer(text):
+        ops.append((int(match.group(1)), match.group(2)))
+        consumed += len(match.group(0))
+    if consumed != len(text):
+        raise CigarError(f"malformed CIGAR string {text!r}")
+    return Cigar(ops)
+
+
+def cigar_str(cigar: Cigar) -> str:
+    if not cigar._ops:
+        return "*"
+    return "".join(f"{length}{op}" for length, op in cigar._ops)
+
+
+def sam_to_line(record: SamRecord) -> str:
+    """Serialize to one SAM text line (no trailing newline)."""
+    fields = [
+        record.qname,
+        str(int(record.flags)),
+        record.rname,
+        str(record.pos),
+        str(record.mapq),
+        cigar_str(record.cigar),
+        record.rnext,
+        str(record.pnext),
+        str(record.tlen),
+        record.seq,
+        record.qual,
+    ]
+    for key in sorted(record.tags):
+        fields.append(f"{key}:Z:{record.tags[key]}")
+    return "\t".join(fields)
+
+
+def sam_from_line(line: str) -> SamRecord:
+    """Parse one SAM text line."""
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) < 11:
+        raise FormatError(f"SAM line has {len(fields)} fields, expected >= 11")
+    tags: Dict[str, str] = {}
+    for raw in fields[11:]:
+        parts = raw.split(":", 2)
+        if len(parts) != 3:
+            raise FormatError(f"malformed SAM tag {raw!r}")
+        tags[parts[0]] = parts[2]
+    return SamRecord(
+        qname=fields[0],
+        flags=F.SamFlags(int(fields[1])),
+        rname=fields[2],
+        pos=int(fields[3]),
+        mapq=int(fields[4]),
+        cigar=cigar_parse(fields[5]),
+        rnext=fields[6],
+        pnext=int(fields[7]),
+        tlen=int(fields[8]),
+        seq=fields[9],
+        qual=fields[10],
+        tags=tags,
+    )

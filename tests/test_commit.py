@@ -7,7 +7,10 @@ under zombie attempts, duplicated commit messages, and a driver that
 dies mid-round, with outputs byte-identical to a clean run throughout.
 """
 
+import base64
 import os
+import pickle
+import zlib
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
 from repro.pipeline.checkpoint import LocalDirectoryBackend
 from repro.pipeline.parallel import GesallPipeline
-from repro.pipeline.wal import JobWal
+from repro.pipeline.wal import FrameLog, JobWal, _read_frames
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -526,6 +529,91 @@ class TestPipelineCrashRecovery:
         assert fingerprint_of(fresh) == fingerprint_of(
             build_pipeline(reference, ref_index).run(some_pairs)
         )
+
+
+    def test_parent_layout_wal_is_ignored_and_the_round_reruns(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-1 ``wal-round2.log`` (pre-flat-pickle ``SamRecord`` /
+        ``Cigar`` layout) must read as "nothing journaled"."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        log = FrameLog(backend, "wal-round2.log", fingerprint)
+        assert len(log.replay()) == 1  # this version's own journal replays
+        # Swap in the journal the parent commit wrote for the same run.
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 1, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        backend.write("wal-round2.log", old)
+        assert log.replay() == []
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+#: ``wal-round2.log`` as commit 6310f63 (WAL_VERSION 1) left it after
+#: ``KillDriver("round2", after_commits=1)`` on ``pairs[:12]`` with
+#: ``build_pipeline``'s shape: header frame + one journaled map outcome
+#: whose records pickle as object + ``SamFlags`` + ``Cigar(_ops)``.
+#: zlib + base64 of the 3925 raw bytes.
+PARENT_WAL_ROUND2 = (
+    "eNqVl1tv3MYVx1eOVtpYtio7QY2mFxdF0cYFvLHkRLu8kzu87kJqYW8f8mAsKO6suNHe"
+    "THKtukABF0VdFOBbGBQu+gn60I8SIJ8iaF/60pe+xPmf4UrWJbE3pCgOz84Mh7/5nzNz"
+    "KpWKm8Rf/uNZ9TOlUh5/KN7P15/wJB1OJ0VnJd8YDCeHPJklw0lW5DXe2D74UIr6RV5N"
+    "pvMJ7mvivlPM65XK5sv/f3Hn3+jtf5uvelvNwvSoyG+V9e5GIx5O0Ofd8d17dKAnPptG"
+    "cdGp5OvTeRZNx7zIv5/wWTKtj8NZwvvziNf55HA4wQ/Xel109+tFvU+LO38s9sWY+XiY"
+    "ZbxfPMIoU3445pMsxcP7rf2NSsV76HjbNKBapbLRpOuTR8dfPFv97O5GOVBUzK89/Hh/"
+    "u37v3mJYN8ohDKbJOMzSehqOi/zth+H4AY+mSf/Mq6uPJyHGEq/k1cEoPEyL/J3zTRfW"
+    "Ghq7onjSNq8+CUdzXnR4+rw4AFLRUb4axcl2kb81m6bF3r8281VgeEx8qtHwMEwu9b+w"
+    "Vpm4n3a+2pvO0uLOSdf8d5jAFQ31ZqIses5GfEI9v5Xyx0Xe71pvPtlJyVum9uUTA3s8"
+    "D0d4W9sL2oETeIHX9l3H9QLm2IHjuK7r2S7DYVsty2q1TL1lMVM3GIqWaZi6qWuqqVm6"
+    "rmiqZiiqquCQcUqa3FRkVZbk+1IDh9woSH9ADh5XHniA+sDbLtI5mDwvLsx4vLqY0Xg9"
+    "/lVcizfKx3iz84IYxluLiYlvAl38TkeN341vLeq81+nnK3vF8+LPhaj7o/jH8U+o2u1O"
+    "Jf5p3mfedzi7rAu4XRTo8MC5tFrEHBPAmGdZnldWwR1T4qFYxD/L+w2p0dxtNCVJUSRF"
+    "bkoyEKmERNE0VVbBCyA1TdcMlHXDstDYJMZmi7GWaTPXdhyHiX/MdTzH933X93zf9j1M"
+    "VNBGuYh/Trq/sr8HQYHbL+Jfzr+B6PY5ovo5otFFop+vXyYa37/A80+1+PbeD1YIqEc4"
+    "mPh2QsFIj4yQkEA9xkqAVMZJVosqoRYri8QQ0PAjWgl+hBpWekItugug+OB2O2h7rscg"
+    "UddlrucTHN+2W47tkDJbLRtSNVo4bMMwNQPKNC3L0HRVMQ1NUXRV1RUdMyLjglibarOp"
+    "NCWccrPZlD46AzRWlsP5m3M4P72IE6TejBPMb7e//OrlS6FQ4dpEkL6eiFgEkRAT0xIO"
+    "oSUBdoUU6aeyGtB3hSIJrCVmQWizi/Z4IKxg3S0Vqsi7zQ/x5Y1mQ96VmqqkQKCySpQg"
+    "Tx061TXdVE3LsAwUaZ5NnbUYZAqVIiS0IE3Htl2b5sN1bMQLBA3PtYMAYwiCoL0U0J1z"
+    "QA9er88Xy+jTJX3eWClxWsJvSXNESOhNGBkxZcSDbN1uWVNo+dtEbX2zqAVOfK/n+oHt"
+    "gwBc1bXBInDgxbbtIIzCtV04uG0aUKhhUs+moVu6aeoEXDWINyKDTpOgqDQPsDY0GYFE"
+    "gTZ370vS7jmH3y6WAzp/vULdZRT6ghT634VCCQ20SWQWwEp4pDpLeDB5OKDi6pIMiSQg"
+    "k56tJeUtkMIvdyWFFCojhkpYUSRZlslxEUo1cQCloilQK1YkAG1RHG1ZhsMMhALmOJAo"
+    "poDZUKlY0GzSauC2schh1fPbyyn0/jmgf3m9Qu3qEkBvrkGhO0KhCx5MOC2FRRERBUGh"
+    "OyaURk/kuhb9K2uShpigJqaBdct1SNyFgXoDeWvh8H4Q+D4CaNvxPVvEUKd0XbHMMOa3"
+    "EEZtdNkCRwNhFEu8aTDTUA1Dpz+EBg3BVNaAXJNpsddoPpoIow3Ez+bubuOcQneK5YD+"
+    "/fUKBas3AwX12+3PFwoldkx4sSdQ0MIjYmVXxD+LIqYlyFIQoIpEX4QCIUEKEV0RL+lX"
+    "CgAicAq2pU6Zt1DoRxJCZxMKVbDga4reoO0PfFeTyIN1eLUuI4yqugWn17GBogUemymz"
+    "RXEV8YBWLwgV5B1I1KdJaQd+4FM88WnNO6vQv50ByusF++HphpqOKl2/lT74z7PVR0W9"
+    "4Pn14WQ2z3qJ2CmnRaeWb2Jnf8F0bWE6eJpx7HO3a/laOhuORimlHWuHSBewe8XWdCuN"
+    "54PBiPdfNa7km6fGsjlMNxamXhIen7HOwiQbZshmTptjr9+pdSo8v3rEn/YipCVlpnA5"
+    "B+hcubQGXzLtCBN/hM++FiVRbxAOR/OkfPn1Ac+iGC/OkmFpqYVIUsazTHzk94aTT3iE"
+    "pAWN5qNMVEC+hU84ToY0fuQyG2gQRvFJOpO/nSXhJKWdP6VUIg04TsLZDBlbHQ+HSThG"
+    "qnHLDrOwe1LTisRHIukqkwOa1i1BqJdNe4tWxd57W/nN0jpIpuNX9oOtfGM4eTKNQsKI"
+    "UV6ZQwZhvjaLwxSj3M+r6QyvouGtI02ajYTxapoBPT4uzPBEeeQwjU8e146nyRFH0lLB"
+    "Bn0y7SPrWaMbJV61bDjmEIfg8YpRn4/CpyXEU8Z449WY4zUHPCz5XEd6mfJeFIfJIbJB"
+    "z7D/OUbCV8nXfj8dHwx58df83YPRNDpCfxFe2Etxm0AV3oma86sR1Zzw3lCkRhsnjxiS"
+    "GNFBGB1NB4PLLck/5vWvAfg98QE="
+)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,32 @@ for the Haplotype Caller — because the pipeline's output bytes must not
 move.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import (
+    PipelineSpec,
+    ReadSimulationConfig,
+    ReferenceSimulationConfig,
+    run_pipeline,
+    simulate_donor,
+    simulate_reads,
+    simulate_reference,
+)
 from repro.align.sw import banded_local_alignment
+from repro.errors import CigarError, FormatError
+from repro.formats import cigar as cigar_module
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord, encode_quals
 from repro.genome.reference import ReferenceGenome
 from repro.genome.regions import GenomicInterval
+from repro.mapreduce import counters as C
 from repro.variants.haplotype import HaplotypeCallerConfig, HaplotypeCallerLite
 from repro.variants.pileup import PileupConfig, build_pileup, pileup_activity
 
@@ -314,3 +328,209 @@ class TestLazyHaplotypeCaller:
         expected = oracle.call_over_full_pileup(caller, records)
         assert len(expected) > 5
         assert call_lines(caller.call(records)) == call_lines(expected)
+
+
+# -- record forms: SAM text, line length, pickle wire form --------------------
+ALL_OPS = "MIDNSHP=X"
+RECORD_FIELDS = (
+    "qname", "rname", "pos", "mapq", "cigar", "rnext", "pnext", "tlen",
+    "seq", "qual", "tags",
+)
+
+cigar_texts = st.one_of(
+    st.just("*"),
+    st.lists(
+        st.tuples(st.integers(1, 300), st.sampled_from(ALL_OPS)),
+        min_size=1, max_size=6,
+    ).map(lambda ops: "".join(f"{length}{op}" for length, op in ops)),
+)
+# Tag values may hold ':' (only the first two split) but never a tab or
+# a newline, which the SAM line itself cannot carry.
+tag_values = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    max_size=12,
+)
+sam_records = st.builds(
+    lambda flag, cigar, tags, **fields: SamRecord(
+        flags=F.SamFlags(flag), cigar=Cigar.parse(cigar), tags=tags, **fields
+    ),
+    flag=st.integers(0, 0xFFF),  # includes unmapped / mate-unmapped
+    cigar=cigar_texts,
+    tags=st.dictionaries(
+        st.sampled_from(["RG", "MC", "MQ", "NM", "XA"]), tag_values,
+        max_size=4,
+    ),
+    qname=st.text("abcXYZ019_/.", min_size=1, max_size=12),
+    rname=st.sampled_from(["chr1", "chr2", "*"]),
+    pos=st.integers(0, 10 ** 9),
+    mapq=st.integers(0, 255),
+    rnext=st.sampled_from(["=", "*", "chr2"]),
+    pnext=st.integers(0, 10 ** 9),
+    tlen=st.integers(-10 ** 6, 10 ** 6),
+    seq=st.one_of(st.just("*"), st.text("ACGTN", min_size=1, max_size=40)),
+    qual=st.one_of(st.just("*"), st.text("!#5?I~", min_size=1, max_size=40)),
+)
+
+
+def seeded_record(rng):
+    ops = [
+        (rng.randint(1, 120), rng.choice(ALL_OPS))
+        for _ in range(rng.randint(0, 6))
+    ]
+    length = rng.randint(1, 60)
+    return SamRecord(
+        qname=f"read{rng.randrange(10 ** 6)}",
+        flags=F.SamFlags(rng.choice([0, 4, 77, 99, 141, 147, 1123, 2048])),
+        rname=rng.choice(["chr1", "chr2", "*"]),
+        pos=rng.choice([0, 1, rng.randrange(10 ** 7)]),
+        mapq=rng.choice([0, 60, 255]),
+        cigar=Cigar(ops),
+        rnext=rng.choice(["=", "*", "chr1"]),
+        pnext=rng.choice([0, rng.randrange(10 ** 7)]),
+        tlen=rng.randint(-900, 900),
+        seq=rng.choice(["*", "".join(rng.choice("ACGT") for _ in range(length))]),
+        qual=rng.choice(["*", "".join(rng.choice("!+5?I") for _ in range(length))]),
+        tags={
+            key: rng.choice(["sample1", "100M", "a:b:c", "", "chr1,+5,60M,0;"])
+            for key in rng.sample(["RG", "MC", "MQ", "XA"], rng.randint(0, 4))
+        },
+    )
+
+
+def field_tuple(record):
+    return (int(record.flags),) + tuple(
+        getattr(record, name) for name in RECORD_FIELDS
+    )
+
+
+def outcome_of(parse, line):
+    """What a parser does with a line: its fields, or its typed error."""
+    try:
+        return field_tuple(parse(line))
+    except Exception as error:  # compared, never swallowed
+        return type(error), str(error)
+
+
+def assert_record_forms_agree(record):
+    line = oracle.sam_to_line(record)
+    assert record.to_line() == line
+    assert record.line_bytes() == len(line) + 1
+    assert str(record.cigar) == oracle.cigar_str(record.cigar)
+    assert field_tuple(SamRecord.from_line(line)) == field_tuple(
+        oracle.sam_from_line(line)
+    )
+    assert SamRecord.from_line(line + "\n").to_line() == line
+    clones = [pickle.loads(pickle.dumps(record, p)) for p in range(2, 6)]
+    clones += [copy.deepcopy(record), record.copy()]
+    for clone in clones:
+        assert clone.to_line() == line
+        assert field_tuple(clone) == field_tuple(record)
+        assert clone.tags is not record.tags
+
+
+class TestRecordFormsAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sam_records)
+    def test_hypothesis_records(self, record):
+        assert_record_forms_agree(record)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_records(self, seed):
+        rng = random.Random(900 + seed)
+        for _ in range(400):
+            assert_record_forms_agree(seeded_record(rng))
+
+    def test_malformed_lines_fail_exactly_as_before(self):
+        # Every field of a good line replaced by hostile text in turn.
+        # The five integer fields used to escape as a bare ValueError
+        # and are now a FormatError; everything else is unchanged.
+        rng = random.Random(77)
+        hostile = ["", "*", "x", "-", "10M5", "0M", "3Q", "٣", "1 ", "a:b"]
+        integer_fields = {1, 3, 4, 7, 8}
+        for _ in range(60):
+            fields = seeded_record(rng).to_line().split("\t")
+            for index in range(len(fields)):
+                for text in hostile:
+                    line = "\t".join(
+                        fields[:index] + [text] + fields[index + 1:]
+                    )
+                    new = outcome_of(SamRecord.from_line, line)
+                    old = outcome_of(oracle.sam_from_line, line)
+                    if index in integer_fields and old[0] is ValueError:
+                        assert new[0] is FormatError, (line, new)
+                    else:
+                        assert new == old, (line, new, old)
+            short = "\t".join(fields[:rng.randint(0, 10)])
+            assert outcome_of(SamRecord.from_line, short) == outcome_of(
+                oracle.sam_from_line, short
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(cigar_texts, st.text("0123456789MIDNSHP=X*Q-", max_size=8)))
+    def test_cigar_parse(self, text):
+        try:
+            expected = oracle.cigar_parse(text)
+        except CigarError as error:
+            with pytest.raises(CigarError) as caught:
+                Cigar.parse(text)
+            assert str(caught.value) == str(error)
+            assert text not in cigar_module._interned
+            return
+        parsed = Cigar.parse(text)
+        assert parsed.ops == expected.ops
+        assert parsed == expected and hash(parsed) == hash(expected)
+        assert str(parsed) == oracle.cigar_str(expected)
+        for protocol in range(2, 6):
+            assert pickle.loads(pickle.dumps(parsed, protocol)) == expected
+        assert copy.deepcopy(parsed) == expected
+
+    def test_interning_is_by_text_and_bounded(self, monkeypatch):
+        cap = 64
+        monkeypatch.setattr(cigar_module, "_interned", {})
+        monkeypatch.setattr(cigar_module, "_INTERN_CAP", cap)
+        for length in range(1, cap + 1):
+            text = f"{length}M"
+            assert Cigar.parse(text) is Cigar.parse(text)
+        assert Cigar.parse("5M") is not Cigar([(5, "M")])
+        for length in range(1, 10 * cap + 1):  # 10x cap distinct texts
+            parsed = Cigar.parse(f"{length}S{length}M")
+            assert parsed.ops == ((length, "S"), (length, "M"))
+            assert len(cigar_module._interned) <= cap
+        # Past the cap a novel text still parses, equal but not stored.
+        assert Cigar.parse("7I") == Cigar.parse("7I")
+        assert "7I" not in cigar_module._interned
+        assert Cigar.parse("1M") is Cigar.parse("1M")
+
+
+class TestQuickstartAccountingPins:
+    """Byte accounting of the five-round quickstart run, captured on
+    6310f63 where both sites rendered ``to_line()`` to measure it."""
+
+    TRANSFORM = {  # round -> (bytes_to_program, bytes_from_program, calls)
+        "round2": (2590452, 2676142, 1678),
+        "round3": (929230, 929490, 4),
+    }
+    MAP_OUTPUT_BYTES = {
+        "round1": 24, "round2": 873456, "round_bloom": 220,
+        "round3": 945533, "round4": 910653, "round5": 1816,
+    }
+
+    def test_totals_are_unchanged_to_the_byte(self):
+        reference = simulate_reference(ReferenceSimulationConfig(
+            contig_lengths={"chr1": 12000, "chr2": 9000}
+        ))
+        pairs, _ = simulate_reads(
+            simulate_donor(reference), ReadSimulationConfig(coverage=15.0)
+        )
+        result = run_pipeline(PipelineSpec(
+            reference=reference, num_fastq_partitions=8, num_reducers=4,
+        ), pairs)
+        rounds = result.rounds
+        assert {
+            key: (acc.bytes_to_program, acc.bytes_from_program, acc.invocations)
+            for key, acc in rounds.transform.items()
+        } == self.TRANSFORM
+        assert {
+            key: job.counters.get(C.MAP_OUTPUT_BYTES)
+            for key, job in rounds.results.items()
+        } == self.MAP_OUTPUT_BYTES

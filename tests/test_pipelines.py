@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.chaos import CorruptReplica, FaultPlan
+from repro.errors import BlockLostError
+from repro.formats.bam import read_bam
+from repro.mapreduce.policy import ExecutionPolicy
 from repro.metrics.accuracy import (
     compare_alignments,
     compare_duplicates,
@@ -68,6 +72,58 @@ class TestParallelPipeline:
         assert set(rounds.results) >= {
             "round1", "round2", "round3", "round4", "round5", "round_bloom"
         }
+
+    def test_round_records_decode_on_first_read_and_are_kept(
+        self, reference, ref_index, pairs
+    ):
+        result = GesallPipeline(
+            reference, index=ref_index, num_fastq_partitions=3, num_reducers=2
+        ).run(pairs[:60])
+        decoded = {"alignment", "cleaned", "deduped"} & set(vars(result))
+        assert not decoded  # the run itself decoded no round
+        assert sorted(result.round_paths) == ["alignment", "cleaned", "deduped"]
+        alignment = result.alignment
+        assert len(alignment) == 120 and result.alignment is alignment
+        assert "alignment" in vars(result) and "deduped" not in vars(result)
+        assert [r.to_line() for r in result.deduped] == [
+            record.to_line()
+            for path in result.round_paths["deduped"]
+            for record in read_bam(result.hdfs.get(path))[1]
+        ]
+
+    def test_round_records_survive_storage_chaos_after_their_round(
+        self, reference, ref_index, pairs
+    ):
+        # Every replica of a round-1 block rots when round 3 starts —
+        # after round 2 consumed it.  The run completes, and reading
+        # ``alignment`` afterwards must still work: it was decoded
+        # before the damage, as when the lists were captured eagerly.
+        def run(plan):
+            policy = ExecutionPolicy(executor="serial", fault_plan=plan)
+            return GesallPipeline(
+                reference, index=ref_index, num_fastq_partitions=3,
+                num_reducers=2, policy=policy,
+            ).run(pairs[:60])
+
+        target = "/round1/part-00000.bam"
+        chaotic = run(FaultPlan(seed=0, events=tuple(
+            CorruptReplica(target, "round3", 0, replica)
+            for replica in range(3)
+        )))
+        assert len(chaotic.chaos_events) == 3
+        with pytest.raises(BlockLostError):
+            chaotic.hdfs.get(target)
+        # Decoded at the round-3 boundary; round 3 had not run yet.
+        assert {"alignment", "cleaned"} <= set(vars(chaotic))
+        assert "deduped" not in vars(chaotic)
+        clean = run(None)
+        for name in ("alignment", "cleaned", "deduped"):
+            assert [r.to_line() for r in getattr(chaotic, name)] == [
+                r.to_line() for r in getattr(clean, name)
+            ]
+        assert [v.to_line() for v in chaotic.variants] == [
+            v.to_line() for v in clean.variants
+        ]
 
     def test_variants_produced(self, parallel_result):
         assert parallel_result.variants

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import FormatError
+from repro.errors import CigarError, FormatError
+from repro.formats import cigar as cigar_module
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.sam import (
@@ -115,6 +116,25 @@ class TestSamRecord:
         with pytest.raises(FormatError):
             SamRecord.from_line(line)
 
+    @pytest.mark.parametrize("name,index,text", [
+        ("FLAG", 1, "0x63"), ("POS", 3, "1e3"), ("MAPQ", 4, ""),
+        ("PNEXT", 7, "12.5"), ("TLEN", 8, "--7"),
+    ])
+    def test_non_integer_field_is_a_format_error(self, name, index, text):
+        fields = make_record().to_line().split("\t")
+        fields[index] = text
+        with pytest.raises(FormatError) as caught:
+            SamRecord.from_line("\t".join(fields))
+        assert name in str(caught.value) and repr(text) in str(caught.value)
+
+    def test_malformed_cigar_is_never_interned(self):
+        fields = make_record().to_line().split("\t")
+        fields[5] = "10M5"
+        for _ in range(2):  # the second parse must fail like the first
+            with pytest.raises(CigarError):
+                SamRecord.from_line("\t".join(fields))
+        assert "10M5" not in cigar_module._interned
+
     def test_reference_end(self):
         assert make_record().reference_end == 109
 
@@ -145,6 +165,20 @@ class TestSamRecord:
         dup = record.copy()
         dup.tags["RG"] = "other"
         assert record.tags["RG"] == "RG1"
+
+    def test_copy_owns_tags_and_flags_and_may_share_the_cigar(self):
+        record = make_record()
+        dup = record.copy()
+        assert dup.tags == record.tags and dup.tags is not record.tags
+        assert dup.flags == record.flags and dup.flags is not record.flags
+        dup.set_duplicate(True)
+        dup.tags["MC"] = "10M"
+        assert not record.flags.is_duplicate and "MC" not in record.tags
+        assert dup.cigar is record.cigar  # immutable: shared, not re-parsed
+        built = make_record()
+        built.cigar = Cigar([(7, "M"), (3, "S")])  # never went through parse
+        assert built.copy().cigar is built.cigar
+        assert dup.to_line() != record.to_line()
 
     def test_tags_serialized_sorted(self):
         record = make_record(tags={"ZB": "2", "AA": "1"})
