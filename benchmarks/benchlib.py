@@ -25,13 +25,11 @@ def host_info() -> Dict[str, Any]:
 
 
 def report(name: str, text: str) -> None:
-    """Write one experiment's regenerated table to the results dir."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w") as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+    """Print one experiment's regenerated table (``pytest -s`` shows it).
+
+    The committed record is the ``BENCH_<name>.json`` that
+    :func:`report_json` writes; the table is for reading a run.
+    """
     print(f"\n--- {name} ---\n{text}")
 
 

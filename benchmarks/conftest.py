@@ -1,9 +1,10 @@
 """Shared fixtures and reporting for the benchmark harness.
 
 Each bench regenerates one table or figure of the paper.  Besides the
-pytest-benchmark timing, every bench writes its regenerated rows to
-``benchmarks/results/<experiment>.txt`` so the paper-vs-reproduction
-comparison in EXPERIMENTS.md can be re-checked at any time.
+pytest-benchmark timing, every bench prints its regenerated rows and
+writes them as ``benchmarks/results/BENCH_<experiment>.json`` so the
+paper-vs-reproduction comparison in EXPERIMENTS.md can be re-checked
+at any time.
 """
 
 from __future__ import annotations

@@ -1,38 +1,15 @@
 """Deterministic chaos engineering for the Gesall reproduction.
 
-Only the frozen plan vocabulary is exported here; the pipeline-level
-runner helpers live in :mod:`repro.chaos.runner` and are imported on
-demand (importing them here would create an import cycle, because
-``repro.mapreduce.policy`` embeds a :class:`FaultPlan` and the runner
-imports the pipelines, which import the policy).
+The frozen plan vocabulary: :class:`FaultPlan` plus every event class
+in :data:`repro.chaos.plan.EVENT_TYPES` — the exports are computed from
+that table, so a new event is exported by declaring it.  The layers
+that apply the events (driver, engine, pool, ``repro.io``, job server)
+import :mod:`repro.chaos.plan` themselves; the end-to-end drill is the
+``repro-genomics chaos`` subcommand.
 """
 
-from repro.chaos.plan import (
-    ColdStart,
-    CorruptReplica,
-    CorruptSegment,
-    DecommissionDatanode,
-    DelayTask,
-    DuplicateCommit,
-    FaultPlan,
-    KillDatanode,
-    KillDriver,
-    PreemptWorker,
-    RaiseInTask,
-    ZombieAttempt,
-)
+from repro.chaos.plan import EVENT_TYPES, FaultPlan
 
-__all__ = [
-    "ColdStart",
-    "CorruptReplica",
-    "CorruptSegment",
-    "DecommissionDatanode",
-    "DelayTask",
-    "DuplicateCommit",
-    "FaultPlan",
-    "KillDatanode",
-    "KillDriver",
-    "PreemptWorker",
-    "RaiseInTask",
-    "ZombieAttempt",
-]
+globals().update({cls.__name__: cls for cls in EVENT_TYPES})
+
+__all__ = ["FaultPlan", *sorted(cls.__name__ for cls in EVENT_TYPES)]

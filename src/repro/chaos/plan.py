@@ -1,24 +1,20 @@
 """Frozen, seeded fault plans — the chaos-harness vocabulary.
 
-A :class:`FaultPlan` is an immutable list of fault events addressed at
-the two layers that can fail on a real cluster:
+A :class:`FaultPlan` is an immutable list of fault events.  Each event
+class declares itself once — its CLI ``flag``, the spec ``grammar`` the
+flag takes, the ``plane`` that applies it, and its own validation — and
+:data:`EVENT_TYPES` is the table everything else is derived from.  The
+planes, in the order a run meets them: **storage** (the driver, when
+the stage named by ``at_round`` is about to start), **segment**
+(between a job's map and reduce waves), **task** (inside the engine's
+attempt loop, keyed purely on ``(task_id, attempt)``), **commit** (the
+driver at commit time: a duplicated commit must bounce off the
+committer's fencing check, a killed driver must resume from the job
+WAL), **pool** (the execution plane: a SIGKILLed worker, a charged
+spawn delay), **io** (inside :mod:`repro.io`, below its retry loop)
+and **server** (the job server at dispatch time).
 
-* **storage events** (:class:`KillDatanode`, :class:`DecommissionDatanode`,
-  :class:`CorruptReplica`) fire in the driver when a named pipeline
-  round is about to start, mutating the HDFS topology exactly once;
-* **task events** (:class:`DelayTask`, :class:`RaiseInTask`,
-  :class:`ZombieAttempt`) fire inside the engine's attempt loop, keyed
-  purely on ``(task_id, attempt)``;
-* **commit events** (:class:`DuplicateCommit`, :class:`KillDriver`)
-  fire in the driver at commit time, exercising the exactly-once
-  commit layer: a duplicated commit must bounce off the committer's
-  fencing check, and a killed driver must resume from the job WAL;
-* **pool events** (:class:`PreemptWorker`, :class:`ColdStart`) fire at
-  the execution plane: a spot-style SIGKILL of a live pool worker
-  (absorbed by the fence→backup→respawn path) and a charged spawn
-  delay on every worker fork, so scale-up is never free.
-
-Both keying schemes are independent of executor kind, scheduling
+Every keying scheme is independent of executor kind, scheduling
 order, and process identity, so a plan injects *identical* faults
 under the serial, threaded, and forked engines — the same determinism
 contract as ``ExecutionPolicy.injects_fault``.  Plans compose with the
@@ -33,16 +29,44 @@ and need no real-time waits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 import zlib
 
 from repro.errors import MapReduceError
 
+#: Every event class, in declaration order (filled by :func:`_event`).
+_DECLARED: List[type] = []
 
-@dataclass(frozen=True)
+
+def _event(flag: str, grammar: str, plane: str):
+    """Declare one fault event: a frozen dataclass that describes itself.
+
+    ``flag`` is its CLI spelling (``--<flag>``), ``grammar`` the spec
+    the flag takes — one token per dataclass field, in field order —
+    and ``plane`` the layer that applies it.  The class docstring's
+    first line is the flag's ``--help`` text; ``__post_init__`` holds
+    the event's own validation.
+    """
+    def declare(cls):
+        cls.flag, cls.grammar, cls.plane = flag, grammar, plane
+        # Report / counter name: the class name in snake case.
+        cls.kind = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+        cls = dataclass(frozen=True)(cls)
+        _DECLARED.append(cls)
+        return cls
+    return declare
+
+
+def _require(event: Any, ok: Any, what: str) -> None:
+    if not ok:
+        raise MapReduceError(f"{type(event).__name__} {what}")
+
+
+@_event("kill", "NODE@ROUND", "storage")
 class KillDatanode:
-    """Abruptly kill a datanode when ``at_round`` starts.
+    """Abruptly kill datanode NODE when stage ROUND (``at_round``) starts.
 
     Replicas on the node become unreadable immediately; re-replication
     restores the replication factor from surviving healthy replicas.
@@ -50,12 +74,11 @@ class KillDatanode:
 
     node: str
     at_round: str
-    kind = "kill_datanode"
 
 
-@dataclass(frozen=True)
+@_event("decommission", "NODE@ROUND", "storage")
 class DecommissionDatanode:
-    """Gracefully drain a datanode when ``at_round`` starts.
+    """Gracefully drain datanode NODE when stage ROUND (``at_round``) starts.
 
     Its replicas are copied onto surviving nodes *before* the node
     stops serving, so no redundancy is lost at any instant.
@@ -63,12 +86,11 @@ class DecommissionDatanode:
 
     node: str
     at_round: str
-    kind = "decommission_datanode"
 
 
-@dataclass(frozen=True)
+@_event("corrupt", "PATH@ROUND[:BLOCK[:REPLICA]]", "storage")
 class CorruptReplica:
-    """Flip bits in one replica of one block when ``at_round`` starts.
+    """Flip bits in one replica of one block of PATH when stage ROUND starts.
 
     Reads detect the damage by CRC32 checksum, fail over to a healthy
     replica, and surface the event as a ``repro.obs`` counter; only
@@ -79,12 +101,11 @@ class CorruptReplica:
     at_round: str
     block_index: int = 0
     replica_index: int = 0
-    kind = "corrupt_replica"
 
 
-@dataclass(frozen=True)
+@_event("corrupt-segment", "JOB[:MAP[:REDUCER[:REPLICA]]]", "segment")
 class CorruptSegment:
-    """Rot one replica of one shuffle segment between the waves.
+    """Rot one replica of one of JOB's shuffle segments between its waves.
 
     Fires in the driver after the named job's map wave has stored its
     segments and before any reducer fetches them.  The reducer's fetch
@@ -97,12 +118,11 @@ class CorruptSegment:
     map_index: int = 0
     reducer: int = 0
     replica_index: int = 0
-    kind = "corrupt_segment"
 
 
-@dataclass(frozen=True)
+@_event("delay", "TASK:SECONDS[@ATTEMPT]", "task")
 class DelayTask:
-    """Charge ``seconds`` of extra runtime to one task attempt.
+    """Charge SECONDS of extra runtime to one attempt of TASK.
 
     With a ``task_timeout`` below ``seconds`` the attempt is declared
     hung and retried; the delay is slept through the policy's ``sleep``
@@ -113,19 +133,20 @@ class DelayTask:
     task_id: str
     seconds: float
     attempt: int = 1
-    kind = "delay_task"
+
+    def __post_init__(self):
+        _require(self, self.seconds >= 0, "seconds must be >= 0")
 
 
-@dataclass(frozen=True)
+@_event("fail", "TASK[@ATTEMPT]", "task")
 class RaiseInTask:
-    """Raise an injected fault inside one task attempt."""
+    """Raise an injected fault inside one attempt of TASK."""
 
     task_id: str
     attempt: int = 1
-    kind = "raise_in_task"
 
 
-@dataclass(frozen=True)
+@_event("zombie", "TASK[@ATTEMPT]", "task")
 class ZombieAttempt:
     """Declare one attempt's lease lost *after* it completes its work.
 
@@ -140,10 +161,9 @@ class ZombieAttempt:
 
     task_id: str
     attempt: int = 1
-    kind = "zombie_attempt"
 
 
-@dataclass(frozen=True)
+@_event("duplicate-commit", "TASK", "commit")
 class DuplicateCommit:
     """Replay one task's commit after it has already been promoted.
 
@@ -153,43 +173,11 @@ class DuplicateCommit:
     """
 
     task_id: str
-    kind = "duplicate_commit"
 
 
-@dataclass(frozen=True)
-class KillDriver:
-    """Kill the driver after N journaled commits of one round.
-
-    Raises :class:`~repro.errors.DriverKilledError` immediately after
-    the ``after_commits``-th task commit of ``at_round`` has been
-    appended to the job WAL, so a resumed run must replay exactly that
-    many tasks and re-run only the rest of the round.
-    """
-
-    at_round: str
-    after_commits: int = 1
-    kind = "kill_driver"
-
-
-@dataclass(frozen=True)
-class KillServer:
-    """Kill the job server after N journaled job dispatches.
-
-    The server-level sibling of :class:`KillDriver`: raises
-    :class:`~repro.errors.ServerKilledError` immediately after the
-    ``after_starts``-th start record has been appended to the durable
-    submission queue — the dispatched job never runs, the process dies
-    with running work unfinished — so a restarted server must re-admit
-    exactly the non-terminal jobs and lose none.
-    """
-
-    after_starts: int = 1
-    kind = "kill_server"
-
-
-@dataclass(frozen=True)
+@_event("preempt", "JOB[:WAVE[:TASK]]", "pool")
 class PreemptWorker:
-    """Spot-style SIGKILL of a live pool worker mid-task.
+    """Spot-style SIGKILL of a live pool worker mid-task (pool executor only).
 
     Fires inside the pool executor's dispatch loop during the named
     job's ``wave`` (``"map"`` or ``"reduce"``): the worker that picks
@@ -205,12 +193,74 @@ class PreemptWorker:
     job: str
     wave: str = "map"
     task: int = 0
-    kind = "preempt_worker"
+
+    def __post_init__(self):
+        if not self.wave:  # "JOB::TASK" leaves WAVE empty: the default wave
+            object.__setattr__(self, "wave", "map")
+        _require(
+            self, self.wave in ("map", "reduce"),
+            f"WAVE must be 'map' or 'reduce', got {self.wave!r}",
+        )
+        _require(self, self.task >= 0, "task must be >= 0")
 
 
-@dataclass(frozen=True)
+@_event("cold-start", "SECONDS[@JOB]", "pool")
+class ColdStart:
+    """Charge SECONDS of spawn latency to every pool fork (of JOB, or all).
+
+    Models cold-start on elastic/preemptible capacity: each worker the
+    pool forks for the named job (or for every job when ``job`` is
+    empty) is charged ``seconds`` of deterministic spawn delay — slept
+    through the policy's injectable ``sleep`` hook and accounted in
+    ``pool.cold_start_seconds`` — so autoscaling decisions pay a real
+    price for growing the pool.
+    """
+
+    seconds: float
+    job: str = ""
+
+    def __post_init__(self):
+        _require(self, self.seconds >= 0, "seconds must be >= 0")
+
+
+@_event("kill-driver", "ROUND[:COMMITS]", "commit")
+class KillDriver:
+    """Kill the driver after COMMITS (default 1) journaled commits of ROUND.
+
+    Raises :class:`~repro.errors.DriverKilledError` immediately after
+    the ``after_commits``-th task commit of ``at_round`` has been
+    appended to the job WAL, so a resumed run must replay exactly that
+    many tasks and re-run only the rest of the round.
+    """
+
+    at_round: str
+    after_commits: int = 1
+
+    def __post_init__(self):
+        _require(self, self.after_commits >= 1, "after_commits must be >= 1")
+
+
+@_event("kill-server", "STARTS", "server")
+class KillServer:
+    """Kill the job server after STARTS journaled job dispatches.
+
+    The server-level sibling of :class:`KillDriver`: raises
+    :class:`~repro.errors.ServerKilledError` immediately after the
+    ``after_starts``-th start record has been appended to the durable
+    submission queue — the dispatched job never runs, the process dies
+    with running work unfinished — so a restarted server must re-admit
+    exactly the non-terminal jobs and lose none.
+    """
+
+    after_starts: int = 1
+
+    def __post_init__(self):
+        _require(self, self.after_starts >= 1, "after_starts must be >= 1")
+
+
+@_event("torn-write", "PATH_GLOB@BYTE", "io")
 class TornWrite:
-    """Tear the next matching durable write at byte ``at_byte``.
+    """Tear the next durable write matching PATH_GLOB at byte BYTE.
 
     Fires in the :class:`~repro.io.faults.FaultIO` layer: the first
     write (atomic or append) whose logical path matches ``path_glob``
@@ -223,12 +273,15 @@ class TornWrite:
 
     path_glob: str
     at_byte: int = 0
-    kind = "torn_write"
+
+    def __post_init__(self):
+        _require(self, self.path_glob, "PATH_GLOB must be non-empty")
+        _require(self, self.at_byte >= 0, "at_byte must be >= 0")
 
 
-@dataclass(frozen=True)
+@_event("enospc", "AFTER_BYTES[@PATH_GLOB]", "io")
 class Enospc:
-    """Fail matching writes with ENOSPC after a byte budget is spent.
+    """Fail matching writes with ENOSPC once AFTER_BYTES bytes have landed.
 
     Models a filling disk: writes whose logical path matches
     ``path_glob`` draw from a cumulative budget of ``after_bytes``;
@@ -239,12 +292,15 @@ class Enospc:
 
     after_bytes: int
     path_glob: str = "*"
-    kind = "enospc"
+
+    def __post_init__(self):
+        _require(self, self.after_bytes >= 0, "after_bytes must be >= 0")
+        _require(self, self.path_glob, "PATH_GLOB must be non-empty")
 
 
-@dataclass(frozen=True)
+@_event("eio", "READ|WRITE[:NTH]", "io")
 class Eio:
-    """Fail the Nth matching read or write with a transient EIO.
+    """Fail the NTH matching read or write with a transient EIO (default: 1st).
 
     ``mode`` is ``"read"`` or ``"write"``; ``nth`` counts matching
     operations through the I/O layer (1-based).  Fires once — the
@@ -255,12 +311,21 @@ class Eio:
     mode: str
     nth: int = 1
     path_glob: str = "*"
-    kind = "eio"
+
+    def __post_init__(self):
+        mode = self.mode.lower()  # the flag spells it READ|WRITE
+        _require(
+            self, mode in ("read", "write"),
+            f"mode must be READ or WRITE, got {self.mode!r}",
+        )
+        object.__setattr__(self, "mode", mode)
+        _require(self, self.nth >= 1, "nth must be >= 1")
+        _require(self, self.path_glob, "PATH_GLOB must be non-empty")
 
 
-@dataclass(frozen=True)
+@_event("slow-io", "SECONDS[@PATH_GLOB]", "io")
 class SlowIo:
-    """Charge ``seconds`` of latency to every matching I/O operation.
+    """Charge SECONDS of latency to every matching I/O operation.
 
     The charge is deterministic and *charged* (recorded in
     ``io.slow_seconds``), never slept — the same discipline as
@@ -271,48 +336,38 @@ class SlowIo:
 
     seconds: float
     path_glob: str = "*"
-    kind = "slow_io"
+
+    def __post_init__(self):
+        _require(self, self.seconds >= 0, "seconds must be >= 0")
+        _require(self, self.path_glob, "PATH_GLOB must be non-empty")
 
 
-@dataclass(frozen=True)
-class ColdStart:
-    """Charge ``seconds`` of spawn latency to every worker fork.
+#: The event table: every declared event class, in CLI order.
+EVENT_TYPES = tuple(_DECLARED)
 
-    Models cold-start on elastic/preemptible capacity: each worker the
-    pool forks for the named job (or for every job when ``job`` is
-    empty) is charged ``seconds`` of deterministic spawn delay — slept
-    through the policy's injectable ``sleep`` hook and accounted in
-    ``pool.cold_start_seconds`` — so autoscaling decisions pay a real
-    price for growing the pool.
-    """
 
-    seconds: float
-    job: str = ""
-    kind = "cold_start"
+def _plane(name: str) -> Tuple[type, ...]:
+    return tuple(cls for cls in EVENT_TYPES if cls.plane == name)
 
 
 #: Events applied by the driver against HDFS at a round boundary.
-STORAGE_EVENT_TYPES = (KillDatanode, DecommissionDatanode, CorruptReplica)
+STORAGE_EVENT_TYPES = _plane("storage")
 #: Events applied by the engine between a job's map and reduce waves.
-SEGMENT_EVENT_TYPES = (CorruptSegment,)
+SEGMENT_EVENT_TYPES = _plane("segment")
 #: Events applied inside the engine's task-attempt loop.
-TASK_EVENT_TYPES = (DelayTask, RaiseInTask, ZombieAttempt)
+TASK_EVENT_TYPES = _plane("task")
 #: Events applied by the driver at task-commit time.
-COMMIT_EVENT_TYPES = (DuplicateCommit, KillDriver)
+COMMIT_EVENT_TYPES = _plane("commit")
 #: Events applied by the job server at dispatch time.
-SERVER_EVENT_TYPES = (KillServer,)
+SERVER_EVENT_TYPES = _plane("server")
 #: Events applied at the execution plane (pool workers).
-POOL_EVENT_TYPES = (PreemptWorker, ColdStart)
+POOL_EVENT_TYPES = _plane("pool")
 #: Events applied inside the durable-I/O layer (repro.io).
-IO_EVENT_TYPES = (TornWrite, Enospc, Eio, SlowIo)
-
-
-def _event_dict(event: Any) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {"kind": event.kind}
-    entry.update(
-        {field.name: getattr(event, field.name) for field in fields(event)}
-    )
-    return entry
+IO_EVENT_TYPES = _plane("io")
+_BY_FLAG = {cls.flag: cls for cls in EVENT_TYPES}
+#: Accepted spec grammar per flag — quoted verbatim in parse errors so
+#: a malformed CLI flag names what was expected.
+EVENT_GRAMMARS = {flag: cls.grammar for flag, cls in _BY_FLAG.items()}
 
 
 @dataclass(frozen=True)
@@ -329,156 +384,83 @@ class FaultPlan:
     events: Tuple[Any, ...] = ()
 
     def __post_init__(self):
-        known = (
-            STORAGE_EVENT_TYPES + SEGMENT_EVENT_TYPES + TASK_EVENT_TYPES
-            + COMMIT_EVENT_TYPES + SERVER_EVENT_TYPES + POOL_EVENT_TYPES
-            + IO_EVENT_TYPES
-        )
         for event in self.events:
-            if not isinstance(event, known):
+            if not isinstance(event, EVENT_TYPES):
                 raise MapReduceError(
                     f"unknown fault event type {type(event).__name__!r}"
                 )
-            if isinstance(event, DelayTask) and event.seconds < 0:
-                raise MapReduceError("DelayTask seconds must be >= 0")
-            if isinstance(event, KillDriver) and event.after_commits < 1:
-                raise MapReduceError("KillDriver after_commits must be >= 1")
-            if isinstance(event, KillServer) and event.after_starts < 1:
-                raise MapReduceError("KillServer after_starts must be >= 1")
-            if isinstance(event, PreemptWorker):
-                if event.wave not in ("map", "reduce"):
-                    raise MapReduceError(
-                        "PreemptWorker wave must be 'map' or 'reduce', "
-                        f"got {event.wave!r}"
-                    )
-                if event.task < 0:
-                    raise MapReduceError("PreemptWorker task must be >= 0")
-            if isinstance(event, ColdStart) and event.seconds < 0:
-                raise MapReduceError("ColdStart seconds must be >= 0")
-            if isinstance(event, TornWrite):
-                if not event.path_glob:
-                    raise MapReduceError("TornWrite path_glob must be non-empty")
-                if event.at_byte < 0:
-                    raise MapReduceError("TornWrite at_byte must be >= 0")
-            if isinstance(event, Enospc) and event.after_bytes < 0:
-                raise MapReduceError("Enospc after_bytes must be >= 0")
-            if isinstance(event, Eio):
-                if event.mode not in ("read", "write"):
-                    raise MapReduceError(
-                        f"Eio mode must be 'read' or 'write', got "
-                        f"{event.mode!r}"
-                    )
-                if event.nth < 1:
-                    raise MapReduceError("Eio nth must be >= 1")
-            if isinstance(event, SlowIo) and event.seconds < 0:
-                raise MapReduceError("SlowIo seconds must be >= 0")
 
-    # -- storage side -------------------------------------------------------
+    # -- lookups, one per place an event is applied ----------------------------
+    def _of(self, types: Any, **where: Any) -> List[Any]:
+        """Events of ``types`` whose fields equal ``where``, in plan order."""
+        return [
+            event for event in self.events
+            if isinstance(event, types)
+            and all(getattr(event, k) == v for k, v in where.items())
+        ]
+
     def storage_events(self, round_key: str) -> List[Any]:
         """Storage events scheduled for the start of one round."""
-        return [
-            event
-            for event in self.events
-            if isinstance(event, STORAGE_EVENT_TYPES)
-            and event.at_round == round_key
-        ]
+        return self._of(STORAGE_EVENT_TYPES, at_round=round_key)
 
-    # -- shuffle side -------------------------------------------------------
     def segment_events(self, job_name: str) -> List["CorruptSegment"]:
         """Segment corruptions scheduled between one job's waves."""
-        return [
-            event
-            for event in self.events
-            if isinstance(event, CorruptSegment) and event.job == job_name
-        ]
+        return self._of(CorruptSegment, job=job_name)
 
-    # -- task side ----------------------------------------------------------
     def delay_for(self, task_id: str, attempt: int) -> float:
         """Total injected delay charged to one task attempt."""
         return sum(
             event.seconds
-            for event in self.events
-            if isinstance(event, DelayTask)
-            and event.task_id == task_id
-            and event.attempt == attempt
+            for event in self._of(DelayTask, task_id=task_id, attempt=attempt)
         )
 
     def raises_in(self, task_id: str, attempt: int) -> bool:
         """Whether the plan fails this task attempt outright."""
-        return any(
-            isinstance(event, RaiseInTask)
-            and event.task_id == task_id
-            and event.attempt == attempt
-            for event in self.events
-        )
+        return bool(self._of(RaiseInTask, task_id=task_id, attempt=attempt))
 
     def zombie_in(self, task_id: str, attempt: int) -> bool:
         """Whether this attempt completes with its lease already lost."""
-        return any(
-            isinstance(event, ZombieAttempt)
-            and event.task_id == task_id
-            and event.attempt == attempt
-            for event in self.events
-        )
+        return bool(self._of(ZombieAttempt, task_id=task_id, attempt=attempt))
 
     def touches_tasks(self) -> bool:
-        return any(isinstance(e, TASK_EVENT_TYPES) for e in self.events)
+        return bool(self._of(TASK_EVENT_TYPES))
 
-    # -- commit side ---------------------------------------------------------
     def duplicate_commit_for(self, task_id: str) -> bool:
         """Whether the plan replays this task's commit after promotion."""
-        return any(
-            isinstance(event, DuplicateCommit) and event.task_id == task_id
-            for event in self.events
-        )
+        return bool(self._of(DuplicateCommit, task_id=task_id))
 
     def driver_kill(self, round_key: str) -> Optional["KillDriver"]:
         """The driver-kill event scheduled inside one round, if any."""
-        for event in self.events:
-            if isinstance(event, KillDriver) and event.at_round == round_key:
-                return event
-        return None
+        return next(iter(self._of(KillDriver, at_round=round_key)), None)
 
-    # -- server side ---------------------------------------------------------
     def server_kill(self) -> Optional["KillServer"]:
         """The server-kill event, if the plan schedules one."""
-        for event in self.events:
-            if isinstance(event, KillServer):
-                return event
-        return None
+        return next(iter(self._of(KillServer)), None)
 
-    # -- pool side ----------------------------------------------------------
-    def preemptions_for(self, job_name: str, wave: str) -> List["PreemptWorker"]:
+    def preemptions_for(
+        self, job_name: str, wave: str
+    ) -> List["PreemptWorker"]:
         """Worker preemptions scheduled for one wave of one job."""
-        return [
-            event
-            for event in self.events
-            if isinstance(event, PreemptWorker)
-            and event.job == job_name
-            and event.wave == wave
-        ]
+        return self._of(PreemptWorker, job=job_name, wave=wave)
 
     def cold_start_for(self, job_name: str) -> float:
         """Spawn delay charged to each worker fork during one job."""
         return sum(
-            event.seconds
-            for event in self.events
-            if isinstance(event, ColdStart)
-            and event.job in ("", job_name)
+            event.seconds for event in self._of(ColdStart)
+            if event.job in ("", job_name)
         )
 
-    # -- io side ------------------------------------------------------------
     def io_events(self) -> List[Any]:
         """Durable-I/O fault events, in plan order."""
-        return [e for e in self.events if isinstance(e, IO_EVENT_TYPES)]
+        return self._of(IO_EVENT_TYPES)
 
     def touches_io(self) -> bool:
-        return any(isinstance(e, IO_EVENT_TYPES) for e in self.events)
+        return bool(self._of(IO_EVENT_TYPES))
 
     # -- reporting ----------------------------------------------------------
     def as_dicts(self) -> List[Dict[str, Any]]:
         """JSON-ready event list (for chaos reports and CI artifacts)."""
-        return [_event_dict(event) for event in self.events]
+        return [{"kind": e.kind, **asdict(e)} for e in self.events]
 
     def describe(self) -> str:
         lines = [f"FaultPlan(seed={self.seed}, {len(self.events)} events)"]
@@ -517,183 +499,63 @@ class FaultPlan:
         )
 
 
-#: Accepted spec grammar per event kind — quoted verbatim in parse
-#: errors so a malformed CLI flag names what was expected.
-EVENT_GRAMMARS = {
-    "kill": "NODE@ROUND",
-    "decommission": "NODE@ROUND",
-    "corrupt": "PATH@ROUND[:BLOCK[:REPLICA]]",
-    "corrupt-segment": "JOB[:MAP[:REDUCER[:REPLICA]]]",
-    "delay": "TASK:SECONDS[@ATTEMPT]",
-    "fail": "TASK[@ATTEMPT]",
-    "zombie": "TASK[@ATTEMPT]",
-    "duplicate-commit": "TASK",
-    "kill-driver": "ROUND[:COMMITS]",
-    "kill-server": "STARTS",
-    "preempt": "JOB[:WAVE[:TASK]]",
-    "cold-start": "SECONDS[@JOB]",
-    "torn-write": "PATH_GLOB@BYTE",
-    "enospc": "AFTER_BYTES[@PATH_GLOB]",
-    "eio": "READ|WRITE[:NTH]",
-    "slow-io": "SECONDS[@PATH_GLOB]",
-}
+#: One grammar token: ``[`` when optional, its separator, its NAME.
+_TOKEN = re.compile(r"(\[?)([@:]?)([A-Z_|]+)")
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
-def _int_field(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer, got {text!r}"
-        ) from None
+def _split_spec(tokens: List[Tuple[str, str, str]], spec: str) -> List[str]:
+    """Cut ``spec`` into one text per leading grammar token.
 
-
-def _float_field(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number, got {text!r}"
-        ) from None
+    The spec is cut once at its last ``@`` (when the grammar has one),
+    then each side on ``:``; the first field of a side keeps any
+    surplus separators, so task ids and paths may contain them.
+    Optional trailing tokens the spec leaves out get no text.
+    """
+    at = next((i for i, t in enumerate(tokens) if t[1] == "@"), len(tokens))
+    sides = [(tokens[:at], spec)]
+    if at < len(tokens):
+        if "@" in spec:
+            left, right = spec.rsplit("@", 1)
+            sides = [(tokens[:at], left), (tokens[at:], right)]
+        elif not tokens[at][0]:
+            raise ValueError(f"missing '@{tokens[at][2]}'")
+    texts: List[str] = []
+    for side, text in sides:
+        parts = text.rsplit(":", len(side) - 1)
+        if len(parts) < len(side) and not side[len(parts)][0]:
+            raise ValueError(f"missing ':{side[len(parts)][2]}'")
+        texts += parts
+    return texts
 
 
 def parse_event(spec: str, kind: str) -> Any:
-    """Parse one CLI event spec into a fault event.
+    """Parse one CLI event spec (``--<kind> <spec>``) into a fault event.
 
-    Formats (all ``@ROUND`` / ``@ATTEMPT`` suffixes use ``@``)::
-
-        --kill NODE@ROUND
-        --decommission NODE@ROUND
-        --corrupt PATH@ROUND[:BLOCK[:REPLICA]]
-        --corrupt-segment JOB[:MAP[:REDUCER[:REPLICA]]]
-        --delay TASK:SECONDS[@ATTEMPT]
-        --fail TASK[@ATTEMPT]
-        --zombie TASK[@ATTEMPT]
-        --duplicate-commit TASK
-        --kill-driver ROUND[:COMMITS]
-        --preempt JOB[:WAVE[:TASK]]
-        --cold-start SECONDS[@JOB]
-        --torn-write PATH_GLOB@BYTE
-        --enospc AFTER_BYTES[@PATH_GLOB]
-        --eio READ|WRITE[:NTH]
-        --slow-io SECONDS[@PATH_GLOB]
-
-    A malformed spec raises :class:`~repro.errors.MapReduceError`
-    naming the bad field and the accepted grammar — never a raw
-    traceback.
+    ``kind`` is an event's ``flag``; the spec follows that event's
+    ``grammar`` (``repro-genomics chaos --help`` lists them all).  A
+    malformed spec raises :class:`~repro.errors.MapReduceError` naming
+    the bad field and the accepted grammar — never a raw traceback.
     """
+    cls = _BY_FLAG.get(kind)
+    if cls is None:
+        raise MapReduceError(f"unknown event kind {kind!r}")
+    tokens = _TOKEN.findall(cls.grammar)
     try:
-        if kind in ("kill", "decommission"):
-            if "@" not in spec:
-                raise ValueError("missing '@ROUND' (the round it fires at)")
-            node, at_round = spec.rsplit("@", 1)
-            cls = KillDatanode if kind == "kill" else DecommissionDatanode
-            return cls(node, at_round=at_round)
-        if kind == "corrupt":
-            if "@" not in spec:
-                raise ValueError("missing '@ROUND' (the round it fires at)")
-            path, tail = spec.rsplit("@", 1)
-            parts = tail.split(":")
-            at_round = parts[0]
-            block = _int_field("BLOCK", parts[1]) if len(parts) > 1 else 0
-            replica = _int_field("REPLICA", parts[2]) if len(parts) > 2 else 0
-            return CorruptReplica(
-                path, at_round=at_round, block_index=block,
-                replica_index=replica,
-            )
-        if kind == "corrupt-segment":
-            parts = spec.split(":")
-            job = parts[0]
-            map_index = _int_field("MAP", parts[1]) if len(parts) > 1 else 0
-            reducer = _int_field("REDUCER", parts[2]) if len(parts) > 2 else 0
-            replica = _int_field("REPLICA", parts[3]) if len(parts) > 3 else 0
-            return CorruptSegment(
-                job, map_index=map_index, reducer=reducer,
-                replica_index=replica,
-            )
-        if kind == "delay":
-            head, attempt = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "1")
-            )
-            if ":" not in head:
-                raise ValueError("missing ':SECONDS' (the delay to charge)")
-            task_id, seconds = head.rsplit(":", 1)
-            return DelayTask(
-                task_id,
-                _float_field("SECONDS", seconds),
-                attempt=_int_field("ATTEMPT", attempt),
-            )
-        if kind == "fail":
-            head, attempt = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "1")
-            )
-            return RaiseInTask(head, attempt=_int_field("ATTEMPT", attempt))
-        if kind == "zombie":
-            head, attempt = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "1")
-            )
-            return ZombieAttempt(head, attempt=_int_field("ATTEMPT", attempt))
-        if kind == "duplicate-commit":
-            return DuplicateCommit(spec)
-        if kind == "kill-driver":
-            head, commits = (
-                spec.rsplit(":", 1) if ":" in spec else (spec, "1")
-            )
-            return KillDriver(head, after_commits=_int_field("COMMITS", commits))
-        if kind == "kill-server":
-            return KillServer(after_starts=_int_field("STARTS", spec))
-        if kind == "preempt":
-            parts = spec.split(":")
-            job = parts[0]
-            wave = parts[1] if len(parts) > 1 and parts[1] else "map"
-            if wave not in ("map", "reduce"):
+        values = {}
+        for (_, _, name), field, text in zip(
+            tokens, fields(cls), _split_spec(tokens, spec)
+        ):
+            convert, noun = _NUMBERS.get(field.type, (str, ""))
+            try:
+                values[field.name] = convert(text)
+            except ValueError:
                 raise ValueError(
-                    f"WAVE must be 'map' or 'reduce', got {wave!r}"
-                )
-            task = _int_field("TASK", parts[2]) if len(parts) > 2 else 0
-            return PreemptWorker(job, wave=wave, task=task)
-        if kind == "cold-start":
-            head, job = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "")
-            )
-            return ColdStart(_float_field("SECONDS", head), job=job)
-        if kind == "torn-write":
-            if "@" not in spec:
-                raise ValueError(
-                    "missing '@BYTE' (the offset the write tears at)"
-                )
-            glob, byte = spec.rsplit("@", 1)
-            if not glob:
-                raise ValueError("PATH_GLOB must be non-empty")
-            return TornWrite(glob, at_byte=_int_field("BYTE", byte))
-        if kind == "enospc":
-            head, glob = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "*")
-            )
-            if not glob:
-                raise ValueError("PATH_GLOB must be non-empty")
-            return Enospc(_int_field("AFTER_BYTES", head), path_glob=glob)
-        if kind == "eio":
-            head, nth = (
-                spec.rsplit(":", 1) if ":" in spec else (spec, "1")
-            )
-            mode = head.lower()
-            if mode not in ("read", "write"):
-                raise ValueError(
-                    f"mode must be READ or WRITE, got {head!r}"
-                )
-            return Eio(mode, nth=_int_field("NTH", nth))
-        if kind == "slow-io":
-            head, glob = (
-                spec.rsplit("@", 1) if "@" in spec else (spec, "*")
-            )
-            if not glob:
-                raise ValueError("PATH_GLOB must be non-empty")
-            return SlowIo(_float_field("SECONDS", head), path_glob=glob)
+                    f"{name} must be {noun}, got {text!r}"
+                ) from None
+        return cls(**values)
     except (ValueError, MapReduceError) as exc:
-        grammar = EVENT_GRAMMARS.get(kind)
-        hint = f"; expected --{kind} {grammar}" if grammar else ""
         raise MapReduceError(
-            f"bad --{kind} event spec {spec!r}: {exc}{hint}"
+            f"bad --{kind} event spec {spec!r}: {exc}; "
+            f"expected --{kind} {cls.grammar}"
         ) from exc
-    raise MapReduceError(f"unknown event kind {kind!r}")

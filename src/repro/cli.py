@@ -8,7 +8,7 @@ Subcommands::
     repro-genomics report     --data DIR [--out F] [--sample-interval S]
     repro-genomics compare    BASELINE.json CANDIDATE.json
     repro-genomics diagnose   --data DIR
-    repro-genomics chaos      --data DIR [--kill NODE@ROUND] [--delay T:S]
+    repro-genomics chaos      --data DIR [--<event> SPEC ...] (chaos --help)
     repro-genomics perf-study [--cluster A|B]
     repro-genomics serve      --state-dir DIR --socket PATH [--tenant N:W]
     repro-genomics submit     --socket PATH --tenant T (--text S|--data DIR)
@@ -47,6 +47,13 @@ from typing import List, Optional
 
 from repro.align.index import ReferenceIndex
 from repro.api import PipelineSpec, run_pipeline, run_serial_pipeline
+from repro.chaos.plan import (
+    EVENT_TYPES,
+    FaultPlan,
+    KillDriver,
+    KillServer,
+    parse_event,
+)
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
 from repro.formats.fastq import interleave, read_fastq, write_fastq
 from repro.formats.vcf import read_vcf, write_vcf
@@ -62,6 +69,16 @@ from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
 from repro.metrics.accuracy import precision_sensitivity
 from repro.shuffle.codec import CODEC_NAMES
 from repro.shuffle.config import ShuffleConfig
+
+
+#: The events ``chaos`` takes as flags: the whole table except the
+#: server plane (``serve --kill-server`` is that one's flag).
+_CHAOS_FLAG_EVENTS = tuple(e for e in EVENT_TYPES if e.plane != "server")
+
+
+def _first_doc_line(event) -> str:
+    """An event flag's ``--help`` text: its class docstring's first line."""
+    return event.__doc__.strip().splitlines()[0].rstrip(".")
 
 
 def _execution_parent() -> argparse.ArgumentParser:
@@ -217,73 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hung-task timeout in charged seconds (the "
                             "demo plan's 60s delay trips it; real tasks "
                             "on laptop-scale samples never do)")
-    chaos.add_argument("--kill", action="append", default=[],
-                       metavar="NODE@ROUND",
-                       help="kill a datanode when ROUND starts")
-    chaos.add_argument("--decommission", action="append", default=[],
-                       metavar="NODE@ROUND",
-                       help="gracefully drain a datanode when ROUND starts")
-    chaos.add_argument("--corrupt", action="append", default=[],
-                       metavar="PATH@ROUND[:BLOCK[:REPLICA]]",
-                       help="rot one replica of one block when ROUND starts")
-    chaos.add_argument("--corrupt-segment", action="append", default=[],
-                       metavar="JOB[:MAP[:REDUCER[:REPLICA]]]",
-                       help="rot one replica of one shuffle segment "
-                            "between the job's map and reduce waves")
-    chaos.add_argument("--delay", action="append", default=[],
-                       metavar="TASK:SECONDS[@ATTEMPT]",
-                       help="charge extra runtime to one task attempt")
-    chaos.add_argument("--fail", action="append", default=[],
-                       metavar="TASK[@ATTEMPT]",
-                       help="raise an injected fault in one task attempt")
-    chaos.add_argument("--zombie", action="append", default=[],
-                       metavar="TASK[@ATTEMPT]",
-                       help="declare one attempt's lease lost after it "
-                            "runs; a fenced backup commits in its place "
-                            "and the zombie's late commit is refused")
-    chaos.add_argument("--duplicate-commit", dest="duplicate_commit",
-                       action="append", default=[], metavar="TASK",
-                       help="re-present one task's winning commit; the "
-                            "duplicate must be fenced")
-    chaos.add_argument("--preempt", action="append", default=[],
-                       metavar="JOB[:WAVE[:TASK]]",
-                       help="spot-style preemption: SIGKILL the pool "
-                            "worker running WAVE task TASK of JOB "
-                            "(pool executor only)")
-    chaos.add_argument("--cold-start", dest="cold_start",
-                       action="append", default=[],
-                       metavar="SECONDS[@JOB]",
-                       help="charge SECONDS of spawn latency to every "
-                            "pool worker fork (of JOB, or all jobs)")
-    chaos.add_argument("--torn-write", dest="torn_write",
-                       action="append", default=[], metavar="GLOB@BYTE",
-                       help="tear the next durable write/append whose "
-                            "final path matches GLOB after BYTE bytes "
-                            "(e.g. '*wal*@13'); the I/O layer must heal "
-                            "the torn tail on retry")
-    chaos.add_argument("--enospc", action="append", default=[],
-                       metavar="BYTES[@GLOB]",
-                       help="matching writes fail with ENOSPC once "
-                            "BYTES cumulative bytes landed (storage "
-                            "full; spills fall back to the next "
-                            "--spill-dir)")
-    chaos.add_argument("--eio", action="append", default=[],
-                       metavar="READ|WRITE[:NTH]",
-                       help="the NTH matching read or write raises a "
-                            "transient EIO (default: 1st); absorbed by "
-                            "the I/O layer's charged retry")
-    chaos.add_argument("--slow-io", dest="slow_io",
-                       action="append", default=[],
-                       metavar="SECONDS[@GLOB]",
-                       help="charge SECONDS of latency to every "
-                            "matching I/O op (deterministic, never "
-                            "slept)")
-    chaos.add_argument("--kill-driver", dest="kill_driver",
-                       action="append", default=[],
-                       metavar="ROUND[:COMMITS]",
-                       help="kill the driver after N journaled commits "
-                            "of ROUND (default 1), then resume from the "
-                            "job WAL and re-run only uncommitted tasks")
+    for event in _CHAOS_FLAG_EVENTS:
+        chaos.add_argument(f"--{event.flag}", action="append", default=[],
+                           metavar=event.grammar,
+                           help=_first_doc_line(event))
     chaos.add_argument("--checkpoint-dir", default=None,
                        help="checkpoint + WAL directory for --kill-driver "
                             "(default DATA/chaos-checkpoint)")
@@ -326,11 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="queue submissions without dispatching until "
                             "a 'start' op arrives (deterministic batch "
                             "scheduling)")
-    serve.add_argument("--kill-server", type=int, default=None,
-                       metavar="STARTS",
-                       help="chaos: crash the server (exit 7) after N "
-                            "journaled job dispatches; restart without "
-                            "this flag to resume the queue")
+    serve.add_argument(f"--{KillServer.flag}", default=None,
+                       metavar=KillServer.grammar,
+                       help=_first_doc_line(KillServer)
+                            + " (chaos: exit 7); restart without this "
+                              "flag to resume the queue")
     serve.add_argument("--trace-out", default=None,
                        help="write a Chrome trace on clean shutdown")
 
@@ -745,7 +699,6 @@ def _cmd_chaos(args) -> int:
     """
     import json
 
-    from repro.chaos.plan import FaultPlan, KillDriver, parse_event
     from repro.errors import DriverKilledError
     from repro.obs.export import write_chrome_trace
     from repro.obs.recorder import ObsConfig
@@ -754,13 +707,11 @@ def _cmd_chaos(args) -> int:
     index = ReferenceIndex(reference)
     nodes = [f"node{i:02d}" for i in range(4)]
 
-    events = []
-    for kind in ("kill", "decommission", "corrupt", "corrupt_segment",
-                 "delay", "fail", "zombie", "duplicate_commit",
-                 "preempt", "cold_start", "kill_driver",
-                 "torn_write", "enospc", "eio", "slow_io"):
-        for spec in getattr(args, kind):
-            events.append(parse_event(spec, kind.replace("_", "-")))
+    events = [
+        parse_event(spec, event.flag)
+        for event in _CHAOS_FLAG_EVENTS
+        for spec in getattr(args, event.flag.replace("-", "_"))
+    ]
     if events:
         plan = FaultPlan(seed=args.seed, events=tuple(events))
     else:
@@ -777,14 +728,11 @@ def _cmd_chaos(args) -> int:
 
     clean = run_pipeline(build(ExecutionPolicy.serial()), pairs)
 
-    chaos_policy = ExecutionPolicy(
-        executor=args.executor,
-        max_workers=args.max_workers,
-        min_workers=args.min_workers,
+    chaos_policy = dataclasses.replace(
+        base_spec.policy,
         task_retries=max(2, args.task_retries),
         task_timeout=args.task_timeout,
         fault_plan=plan,
-        io=_io_policy_from_args(args),
         # Injected delays are *charged* to the attempt, so there is no
         # reason to really sleep through them.
         sleep=lambda _seconds: None,
@@ -1014,7 +962,6 @@ def _parse_tenant_flag(spec: str):
 
 
 def _cmd_serve(args) -> int:
-    from repro.chaos.plan import FaultPlan, KillServer
     from repro.obs.analysis import tenant_summary
     from repro.obs.export import write_chrome_trace
     from repro.server import JobServer, ServerConfig, TenantPolicy
@@ -1033,7 +980,7 @@ def _cmd_serve(args) -> int:
     plan = None
     if args.kill_server is not None:
         plan = FaultPlan(
-            events=(KillServer(after_starts=args.kill_server),)
+            events=(parse_event(args.kill_server, KillServer.flag),)
         )
     server = JobServer(ServerConfig(
         state_dir=args.state_dir,

@@ -15,15 +15,18 @@ restores the completed prefix instead of re-running it.
 
 from __future__ import annotations
 
+import inspect
 import pickle
 import zlib
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.align.aligner import AlignerConfig
 from repro.align.index import ReferenceIndex
 from repro.align.pairing import PairedEndAligner
-from repro.chaos.plan import DecommissionDatanode, KillDatanode
+from repro.chaos.plan import DecommissionDatanode, KillDatanode, KillDriver
 from repro.errors import PipelineError
 from repro.formats.bam import read_bam
 from repro.formats.fastq import ReadPair
@@ -43,12 +46,76 @@ from repro.shuffle.config import ShuffleConfig
 from repro.variants.haplotype import HaplotypeCallerConfig
 from repro.wrappers.rounds import GesallRounds
 
-#: Round keys that may journal task commits into the job WAL, in
-#: pipeline order (the optional recalibration rounds included).
-WAL_ROUND_KEYS = (
-    "round1", "round2", "round_bloom", "round3", "round_recal",
-    "round_print_reads", "round4", "round5",
+
+class _Stage(NamedTuple):
+    """One declared round of the pipeline.
+
+    ``key`` is the stage's one name: its checkpoint entry, its job-WAL
+    log, its ``/key`` HDFS output directory, its ``round:key`` recorder
+    span, its ``rounds.results`` entry and the ``at_round`` a chaos
+    event addresses it by.
+    """
+
+    key: str
+    #: The :class:`GesallRounds` method that runs it, called with the
+    #: previous stage's output paths plus ``args(pipeline, result)``.
+    method: Callable[..., Any]
+    #: How its value is checkpointed (a :data:`_CHECKPOINT_FORMS` key);
+    #: a ``"paths"`` stage writes BAMs that feed the next stage.
+    form: str
+    #: The ``GesallPipelineResult`` field it feeds — a ``round_paths``
+    #: name for a ``"paths"`` stage, an attribute otherwise.
+    feeds: Optional[str] = None
+    args: Callable[
+        ["GesallPipeline", "GesallPipelineResult"], Dict[str, Any]
+    ] = lambda pipeline, result: {}
+    #: Runs only ``with_recalibration``.
+    recalibration: bool = False
+
+
+#: The pipeline, declared once, in run order (Appendix A.2, Table 2).
+_STAGES = (
+    _Stage("round1", GesallRounds.round1_alignment, "paths", "alignment"),
+    _Stage("round2", GesallRounds.round2_cleaning, "paths", "cleaned",
+           lambda p, r: {"num_reducers": p.num_reducers}),
+    _Stage("round3", GesallRounds.round3_mark_duplicates, "paths", "deduped",
+           lambda p, r: {"mode": p.markdup_mode,
+                         "num_reducers": p.num_reducers}),
+    _Stage("round_recal", GesallRounds.round_recalibrate, "table",
+           "recal_table", lambda p, r: {"known_sites": p.known_sites},
+           recalibration=True),
+    _Stage("round_bqsr", GesallRounds.round_print_reads, "paths", None,
+           lambda p, r: {"table": r.recal_table}, recalibration=True),
+    _Stage("round4", GesallRounds.round4_sort_index, "paths"),
+    _Stage("round5", GesallRounds.round5_haplotype_caller, "vcf_lines",
+           "variants", lambda p, r: {"hc_config": p.hc_config}),
 )
+
+#: Checkpoint form -> (value -> (extras, blobs), (extras, blobs) -> value).
+_CHECKPOINT_FORMS = {
+    "paths": (
+        lambda paths: ({"paths": paths}, None),
+        lambda extras, blobs: list(extras["paths"]),
+    ),
+    "table": (
+        lambda table: (None, {"table": pickle.dumps(table)}),
+        lambda extras, blobs: pickle.loads(blobs["table"]),
+    ),
+    "vcf_lines": (
+        lambda variants: ({"vcf_lines": [v.to_line() for v in variants]},
+                          None),
+        lambda extras, blobs: [
+            VariantRecord.from_line(line) for line in extras["vcf_lines"]
+        ],
+    ),
+}
+
+#: Round 3's bloom-filter pre-pass (``markdup_mode="opt"``) is a job of
+#: its own inside the stage and journals commits under its own key.
+_BLOOM_KEY = "round_bloom"
+
+#: Round keys that may journal task commits into the job WAL.
+WAL_ROUND_KEYS = (_BLOOM_KEY,) + tuple(stage.key for stage in _STAGES)
 
 
 class GesallPipelineResult:
@@ -159,6 +226,11 @@ class GesallPipeline:
 
     def run(self, pairs: Sequence[ReadPair],
             resume: bool = False) -> GesallPipelineResult:
+        stages = [
+            stage for stage in _STAGES
+            if self.with_recalibration or not stage.recalibration
+        ]
+        self._check_plan_addresses([stage.key for stage in stages])
         result = GesallPipelineResult()
         recorder = self.obs.build_recorder()
         result.recorder = recorder
@@ -175,7 +247,7 @@ class GesallPipeline:
         )
         try:
             return self._run_rounds(
-                engine, hdfs, recorder, result, pairs, resume
+                engine, hdfs, recorder, result, pairs, resume, stages
             )
         finally:
             # A pooled policy keeps forked workers alive across all
@@ -183,8 +255,47 @@ class GesallPipeline:
             # stats) even when a round or a chaos plan raises.
             engine.close()
 
+    def _check_plan_addresses(self, keys: List[str]) -> None:
+        """Refuse a fault plan naming a round this configuration never runs.
+
+        Such an event would inject nothing and the drill would "pass".
+        Checked here, where the names are known; ``FaultPlan`` itself
+        accepts any key (the engine is addressed by job name).
+        """
+        plan = self.policy.fault_plan
+        for event in plan.events if plan is not None else ():
+            at_round = getattr(event, "at_round", None)
+            if at_round is None or at_round in keys:
+                continue
+            if (isinstance(event, KillDriver) and at_round == _BLOOM_KEY
+                    and self.markdup_mode == "opt"):
+                continue
+            raise PipelineError(
+                f"chaos event {type(event).__name__} is addressed at round "
+                f"{at_round!r}, which this pipeline does not run; it would "
+                f"inject nothing (stages: {', '.join(keys)})"
+            )
+
+    @staticmethod
+    def _save_stage(stage, value, store, hdfs, recorder) -> None:
+        key = stage.key
+        extras, blobs = _CHECKPOINT_FORMS[stage.form][0](value)
+        files = []
+        if stage.form == "paths":
+            for path in hdfs.list_dir(f"/{key}"):
+                files.append((
+                    path, hdfs.get(path),
+                    hdfs.get_file(path).logical_partition,
+                ))
+        with recorder.span(
+            f"checkpoint:save:{key}", category="checkpoint",
+            track="driver", files=len(files),
+        ):
+            store.save_round(key, files, extras=extras, blobs=blobs)
+        recorder.metrics.counter("checkpoint.rounds_saved").inc()
+
     def _run_rounds(self, engine, hdfs, recorder, result, pairs,
-                    resume) -> GesallPipelineResult:
+                    resume, stages) -> GesallPipelineResult:
         aligner = PairedEndAligner(self.index, self.aligner_config)
         rounds = GesallRounds(
             hdfs, engine, aligner, self.reference, self.chunk_bytes,
@@ -197,8 +308,8 @@ class GesallPipeline:
         if store is None and self.checkpoint_dir is not None:
             store = CheckpointStore.local(self.checkpoint_dir, io=engine.io)
         completed: List[str] = []
-        fingerprint = self._fingerprint(pairs)
         if store is not None:
+            fingerprint = self._fingerprint(pairs)
             completed = store.begin(fingerprint, resume=resume)
             # Task-granular crash recovery: rounds the checkpoint never
             # completed may still have journaled commits in the job WAL
@@ -227,39 +338,6 @@ class GesallPipeline:
         # path) can never be spliced into a re-executed middle.
         restoring = bool(completed)
 
-        def restore(key: str):
-            nonlocal restoring
-            if not restoring or store is None or not store.has_round(key):
-                restoring = False
-                return None
-            with recorder.span(
-                f"checkpoint:restore:{key}", category="checkpoint",
-                track="driver",
-            ):
-                extras, blobs = store.restore_round(key, hdfs)
-            recorder.metrics.counter("checkpoint.rounds_restored").inc()
-            result.resumed_rounds.append(key)
-            return extras, blobs
-
-        def save(key: str, out_dir: Optional[str],
-                 extras: Optional[Dict[str, Any]] = None,
-                 blobs: Optional[Dict[str, bytes]] = None) -> None:
-            if store is None:
-                return
-            files = []
-            if out_dir is not None:
-                for path in hdfs.list_dir(out_dir):
-                    files.append((
-                        path, hdfs.get(path),
-                        hdfs.get_file(path).logical_partition,
-                    ))
-            with recorder.span(
-                f"checkpoint:save:{key}", category="checkpoint",
-                track="driver", files=len(files),
-            ):
-                store.save_round(key, files, extras=extras, blobs=blobs)
-            recorder.metrics.counter("checkpoint.rounds_saved").inc()
-
         with recorder.span(
             "pipeline:gesall", category="pipeline", track="driver",
             executor=self.policy.executor, reads=len(pairs), resume=resume,
@@ -267,89 +345,33 @@ class GesallPipeline:
             partitions = split_pairs_contiguously(
                 list(pairs), self.num_fastq_partitions
             )
-            partitions = [p for p in partitions if p]
-
-            self._apply_storage_events("round1", hdfs, result, recorder)
-            restored = restore("round1")
-            if restored is not None:
-                round1_paths = list(restored[0]["paths"])
-            else:
-                round1_paths = rounds.round1_alignment(partitions)
-                save("round1", "/round1", {"paths": round1_paths})
-            result.round_paths["alignment"] = round1_paths
-
-            self._apply_storage_events("round2", hdfs, result, recorder)
-            restored = restore("round2")
-            if restored is not None:
-                round2_paths = list(restored[0]["paths"])
-            else:
-                round2_paths = rounds.round2_cleaning(
-                    round1_paths, num_reducers=self.num_reducers
-                )
-                save("round2", "/round2", {"paths": round2_paths})
-            result.round_paths["cleaned"] = round2_paths
-
-            self._apply_storage_events("round3", hdfs, result, recorder)
-            restored = restore("round3")
-            if restored is not None:
-                round3_paths = list(restored[0]["paths"])
-            else:
-                round3_paths = rounds.round3_mark_duplicates(
-                    round2_paths, mode=self.markdup_mode,
-                    num_reducers=self.num_reducers,
-                )
-                save("round3", "/round3", {"paths": round3_paths})
-            result.round_paths["deduped"] = round3_paths
-
-            calling_input = round3_paths
-            if self.with_recalibration:
-                self._apply_storage_events(
-                    "round_recal", hdfs, result, recorder
-                )
-                restored = restore("round_recal")
-                if restored is not None:
-                    result.recal_table = pickle.loads(restored[1]["table"])
+            stage_input: Any = [p for p in partitions if p]
+            for stage in stages:
+                key = stage.key
+                self._apply_storage_events(key, hdfs, result, recorder)
+                restoring = restoring and store.has_round(key)
+                if restoring:
+                    with recorder.span(
+                        f"checkpoint:restore:{key}", category="checkpoint",
+                        track="driver",
+                    ):
+                        value = _CHECKPOINT_FORMS[stage.form][1](
+                            *store.restore_round(key, hdfs)
+                        )
+                    recorder.metrics.counter("checkpoint.rounds_restored").inc()
+                    result.resumed_rounds.append(key)
                 else:
-                    result.recal_table = rounds.round_recalibrate(
-                        round3_paths, self.known_sites
+                    value = stage.method(
+                        rounds, stage_input, **stage.args(self, result)
                     )
-                    save("round_recal", None,
-                         blobs={"table": pickle.dumps(result.recal_table)})
-                self._apply_storage_events(
-                    "round_bqsr", hdfs, result, recorder
-                )
-                restored = restore("round_bqsr")
-                if restored is not None:
-                    calling_input = list(restored[0]["paths"])
+                    if store is not None:
+                        self._save_stage(stage, value, store, hdfs, recorder)
+                if stage.form == "paths":
+                    stage_input = value
+                    if stage.feeds is not None:
+                        result.round_paths[stage.feeds] = value
                 else:
-                    calling_input = rounds.round_print_reads(
-                        round3_paths, result.recal_table
-                    )
-                    save("round_bqsr", "/round_bqsr",
-                         {"paths": calling_input})
-
-            self._apply_storage_events("round4", hdfs, result, recorder)
-            restored = restore("round4")
-            if restored is not None:
-                round4_paths = list(restored[0]["paths"])
-            else:
-                round4_paths = rounds.round4_sort_index(calling_input)
-                save("round4", "/round4", {"paths": round4_paths})
-
-            self._apply_storage_events("round5", hdfs, result, recorder)
-            restored = restore("round5")
-            if restored is not None:
-                result.variants = [
-                    VariantRecord.from_line(line)
-                    for line in restored[0]["vcf_lines"]
-                ]
-            else:
-                result.variants = rounds.round5_haplotype_caller(
-                    round4_paths, self.hc_config
-                )
-                save("round5", None, {
-                    "vcf_lines": [v.to_line() for v in result.variants],
-                })
+                    setattr(result, stage.feeds, value)
         return result
 
     # -- chaos plan application ------------------------------------------------
@@ -405,7 +427,10 @@ class GesallPipeline:
         across executors, so resuming under a different one is safe.
         The shuffle codec is excluded for the same reason: compression
         changes only the intermediate segment bytes, never the round
-        outputs a checkpoint captures.
+        outputs a checkpoint captures.  The aligner / caller configs,
+        the known sites and the index parameters count only where they
+        differ from their defaults, so a default run's digest — and the
+        checkpoints already written under it — is unchanged.
         """
         digest = zlib.crc32(b"gesall-checkpoint-v1")
         for end1, end2 in pairs:
@@ -416,4 +441,36 @@ class GesallPipeline:
             self.with_recalibration, self.block_size, self.chunk_bytes,
             len(self.nodes),
         )
-        return f"{zlib.crc32(repr(config).encode(), digest):08x}"
+        digest = zlib.crc32(repr(config).encode(), digest)
+        index_defaults = inspect.signature(ReferenceIndex).parameters
+        for name, value, default in (
+            ("aligner_config", self.aligner_config, AlignerConfig()),
+            ("hc_config", self.hc_config, HaplotypeCallerConfig()),
+            ("known_sites", self.known_sites, set()),
+            ("index.k", self.index.k, index_defaults["k"].default),
+            ("index.max_hits_per_kmer", self.index.max_hits_per_kmer,
+             index_defaults["max_hits_per_kmer"].default),
+        ):
+            rendered = _render(value or default)
+            if rendered != _render(default):
+                digest = zlib.crc32(f"{name}={rendered}".encode(), digest)
+        return f"{digest:08x}"
+
+
+def _render(value: Any) -> str:
+    """Stable text for one output-shaping parameter.
+
+    A config object renders as its class name and fields, recursively —
+    never through the default ``repr``, which embeds an address — and a
+    set in sorted order, so equal configurations render equally in
+    every process.
+    """
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(_render(item) for item in value)) + "}"
+    if hasattr(value, "__dict__"):
+        inner = ", ".join(
+            f"{name}={_render(field)}"
+            for name, field in sorted(vars(value).items())
+        )
+        return f"{type(value).__name__}({inner})"
+    return repr(value)

@@ -14,10 +14,6 @@ from the journal alone, so payloads must be self-contained:
   sample directory, checkpointed under the server's state directory:
   a job re-admitted after a server kill resumes through the PR-5
   commit/resume path instead of recomputing finished rounds.
-* ``{"type": "pickled", "spec": B64, "splits": B64}`` — the
-  programmatic escape hatch: a base64-pickled frozen
-  :class:`~repro.api.JobSpec` plus its splits, run through
-  :func:`~repro.api.run_job` untouched.
 
 Wire framing is one JSON object per line in both directions; errors
 cross as ``{"error": {"type", "message", ...}}`` and are re-raised as
@@ -26,15 +22,13 @@ their typed exceptions client-side (:func:`raise_wire_error`).
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
 from typing import Any, Callable, Dict, List
 
 from repro.errors import AdmissionError, JobNotFoundError, ServerError
 
 #: Payload types the server accepts.
-PAYLOAD_TYPES = ("wordcount", "pipeline", "pickled")
+PAYLOAD_TYPES = ("wordcount", "pipeline")
 
 
 # -- builtin wordcount job ---------------------------------------------------
@@ -55,19 +49,6 @@ def wordcount_payload(lines: List[str], partitions: int = 2,
         "lines": list(lines),
         "partitions": int(partitions),
         "reducers": int(reducers),
-    }
-
-
-def pickled_payload(spec: Any, splits: List[Any]) -> Dict[str, Any]:
-    """Wrap a frozen JobSpec + splits for submission over the wire."""
-    return {
-        "type": "pickled",
-        "spec": base64.b64encode(
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
-        "splits": base64.b64encode(
-            pickle.dumps(list(splits), protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
     }
 
 
@@ -147,20 +128,6 @@ def build_runnable(job_id: str, payload: Dict[str, Any],
             return [v.to_line() for v in result.variants]
 
         return run_pipeline_job
-    if kind == "pickled":
-        try:
-            spec = pickle.loads(base64.b64decode(payload["spec"]))
-            splits = pickle.loads(base64.b64decode(payload["splits"]))
-        except Exception as exc:
-            raise ServerError(f"bad pickled payload: {exc}") from exc
-
-        def run_pickled() -> Any:
-            from repro.api import run_job
-
-            result = run_job(spec, splits)
-            return sorted(result.all_outputs())
-
-        return run_pickled
     raise ServerError(
         f"unknown job payload type {kind!r}; "
         f"expected one of {', '.join(PAYLOAD_TYPES)}"

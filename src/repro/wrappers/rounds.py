@@ -590,7 +590,7 @@ class GesallRounds:
 
         spec = JobSpec(name="round-printreads", mapper=mapper)
         splits = [InputSplit(path, path) for path in in_paths]
-        result = self._run_round("round_print_reads", spec, splits)
+        result = self._run_round("round_bqsr", spec, splits)
         return [key for key, _ in result.all_outputs()]
 
     # -- shared accounting merge ----------------------------------------------

@@ -15,9 +15,11 @@ from repro.chaos import (
     KillDatanode,
     RaiseInTask,
 )
+import repro.chaos
+from repro.chaos import plan as plan_module
 from repro.chaos.plan import ColdStart, PreemptWorker
 from repro.chaos.plan import parse_event
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.errors import MapReduceError
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
@@ -166,6 +168,109 @@ class TestParseEvent:
             match=r"BLOCK must be an integer.*--corrupt PATH@ROUND",
         ):
             parse_event("/f@round2:x", "corrupt")
+
+
+#: One worked ``--<flag> SPEC`` per declared event, with the event it
+#: must parse to.  ``test_every_declared_event_has_an_example`` keeps
+#: this in step with the table.
+EVENT_EXAMPLES = {
+    "kill": ("n1@round3", plan_module.KillDatanode("n1", "round3")),
+    "decommission": (
+        "n2@round2", plan_module.DecommissionDatanode("n2", "round2")),
+    "corrupt": (
+        "/round1/part-00000.bam@round2:1:2",
+        plan_module.CorruptReplica("/round1/part-00000.bam", "round2", 1, 2)),
+    "corrupt-segment": (
+        "round2-cleaning:1:2:0",
+        plan_module.CorruptSegment("round2-cleaning", 1, 2, 0)),
+    "delay": (
+        "round4-sort-m-00000:60@2",
+        plan_module.DelayTask("round4-sort-m-00000", 60.0, attempt=2)),
+    "fail": ("t-r-00001@3", plan_module.RaiseInTask("t-r-00001", 3)),
+    "zombie": ("t-m-00000@2", plan_module.ZombieAttempt("t-m-00000", 2)),
+    "duplicate-commit": (
+        "t-r-00001", plan_module.DuplicateCommit("t-r-00001")),
+    "preempt": (
+        "round2-cleaning:reduce:1",
+        plan_module.PreemptWorker("round2-cleaning", "reduce", 1)),
+    "cold-start": (
+        "0.25@round4-sort", plan_module.ColdStart(0.25, "round4-sort")),
+    "kill-driver": ("round2:3", plan_module.KillDriver("round2", 3)),
+    "kill-server": ("4", plan_module.KillServer(4)),
+    "torn-write": ("*wal*@13", plan_module.TornWrite("*wal*", 13)),
+    "enospc": ("4096@*spill*", plan_module.Enospc(4096, "*spill*")),
+    "eio": ("WRITE:3", plan_module.Eio("write", 3)),
+    "slow-io": ("0.25@*queue*", plan_module.SlowIo(0.25, "*queue*")),
+}
+
+
+def _subparser(name):
+    parser = _build_parser()
+    return parser._subparsers._group_actions[0].choices[name]
+
+
+class TestEventTableConformance:
+    """Everything said about an event is derived from its declaration."""
+
+    def test_every_declared_event_has_an_example(self):
+        flags = [event.flag for event in plan_module.EVENT_TYPES]
+        assert len(flags) == len(set(flags)) == 16
+        assert sorted(flags) == sorted(EVENT_EXAMPLES)
+        assert plan_module.EVENT_GRAMMARS == {
+            event.flag: event.grammar for event in plan_module.EVENT_TYPES
+        }
+
+    @pytest.mark.parametrize(
+        "event", plan_module.EVENT_TYPES, ids=lambda event: event.flag
+    )
+    def test_event_is_declared_once_and_derived_everywhere(self, event):
+        spec, expected = EVENT_EXAMPLES[event.flag]
+        assert type(expected) is event
+        # The CLI flag exists where it belongs, spelled by the grammar
+        # and documented by the class docstring.
+        command = "serve" if event.plane == "server" else "chaos"
+        action = _subparser(command)._option_string_actions[f"--{event.flag}"]
+        assert action.metavar == event.grammar
+        assert event.__doc__.strip().splitlines()[0].rstrip(".") in action.help
+        other = _subparser("chaos" if command == "serve" else "serve")
+        assert f"--{event.flag}" not in other._option_string_actions
+        # The worked example round-trips; a plan accepts the event; the
+        # package exports the class; its plane tuple holds it.
+        assert parse_event(spec, event.flag) == expected
+        assert FaultPlan(events=(expected,)).events == (expected,)
+        assert getattr(repro.chaos, event.__name__) is event
+        assert event.__name__ in repro.chaos.__all__
+        plane = getattr(plan_module, f"{event.plane.upper()}_EVENT_TYPES")
+        assert event in plane
+        # Pool-plane events inject nothing off the pool: still refused.
+        plan = FaultPlan(events=(expected,))
+        for executor in ("serial", "thread"):
+            if event.plane == "pool":
+                with pytest.raises(MapReduceError, match="targets pool"):
+                    ExecutionPolicy(executor=executor, fault_plan=plan)
+            else:
+                ExecutionPolicy(executor=executor, fault_plan=plan)
+
+    def test_chaos_takes_exactly_the_fifteen_event_flags(self):
+        chaos = _subparser("chaos")
+        execution = {
+            "--executor", "--max-workers", "--min-workers", "--task-retries",
+            "--shuffle-codec", "--partitions", "--spill-dir",
+        }
+        own = {"-h", "--help", "--data", "--seed", "--task-timeout",
+               "--checkpoint-dir", "--trace-out", "--report-out"}
+        flags = set(chaos._option_string_actions) - execution - own
+        assert flags == {f"--{flag}" for flag in EVENT_EXAMPLES} - {
+            "--kill-server"
+        }
+
+    def test_serve_kill_server_parses_through_the_table(self, capsys):
+        code = main(["serve", "--state-dir", "unused", "--socket", "unused",
+                     "--kill-server", "soon"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "STARTS must be an integer, got 'soon'" in err
+        assert "expected --kill-server STARTS" in err
 
 
 class TestPolicyKnobs:

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.align import AlignerConfig, ReferenceIndex
 from repro.chaos import FaultPlan, RaiseInTask
 from repro.errors import CheckpointError, MapReduceError, PipelineError
 from repro.hdfs.filesystem import Hdfs
@@ -22,6 +23,8 @@ from repro.pipeline.checkpoint import (
     LocalDirectoryBackend,
 )
 from repro.pipeline.parallel import GesallPipeline
+from repro.variants.genotyper import GenotyperConfig
+from repro.variants.haplotype import HaplotypeCallerConfig
 
 ALL_ROUNDS = ["round1", "round2", "round3", "round4", "round5"]
 
@@ -208,6 +211,54 @@ class TestPipelineResume:
             build(
                 reference, ref_index, num_reducers=3, checkpoint_dir=root
             ).run(some_pairs, resume=True)
+
+    @pytest.mark.parametrize("changed", [
+        lambda ref: {"hc_config": HaplotypeCallerConfig(
+            activity_threshold=0.2)},
+        lambda ref: {"hc_config": HaplotypeCallerConfig(
+            genotyper=GenotyperConfig(min_depth=9))},
+        lambda ref: {"aligner_config": AlignerConfig(seed=5)},
+        lambda ref: {"known_sites": {("chr1", 10)}},
+        lambda ref: {"index": ReferenceIndex(ref, max_hits_per_kmer=8)},
+    ], ids=["hc_config", "nested-genotyper", "aligner_config",
+            "known_sites", "index"])
+    def test_resume_after_an_output_shaping_parameter_changed_is_refused(
+        self, changed, reference, ref_index, some_pairs, clean_ckpt
+    ):
+        """The old digest ignored these: a run with a different
+        ``hc_config`` silently restored the old round-5 variants."""
+        root, _ = clean_ckpt
+        kwargs = {"index": ref_index, **changed(reference)}
+        pipeline = GesallPipeline(
+            reference, nodes=NODES, num_fastq_partitions=3, num_reducers=2,
+            checkpoint_dir=root, **kwargs,
+        )
+        with pytest.raises(CheckpointError, match="different run"):
+            pipeline.run(some_pairs, resume=True)
+
+    def test_default_and_equal_configs_keep_the_parent_fingerprint(
+        self, reference, ref_index, some_pairs, clean_ckpt
+    ):
+        """Spelling the defaults out is not a change, equal configs
+        render equally (never through an address-bearing ``repr``), and
+        a default run's digest is the one the parent commit wrote."""
+        root, first = clean_ckpt
+        resumed = build(
+            reference, ref_index, checkpoint_dir=root,
+            hc_config=HaplotypeCallerConfig(), aligner_config=AlignerConfig(),
+            known_sites=set(),
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ALL_ROUNDS
+        assert vcf_lines(resumed) == vcf_lines(first)
+
+        def digest(**kwargs):
+            return build(reference, ref_index, **kwargs)._fingerprint(
+                some_pairs[:4]
+            )
+        assert digest() == "6d32c0ed"  # captured on f88c515
+        assert digest(hc_config=HaplotypeCallerConfig(seed=3)) == digest(
+            hc_config=HaplotypeCallerConfig(seed=3)
+        ) != digest()
 
     def test_crash_in_round4_resumes_running_only_the_tail(
         self, reference, ref_index, some_pairs, clean_ckpt, tmp_path

@@ -8,6 +8,7 @@ dies mid-round, with outputs byte-identical to a clean run throughout.
 """
 
 import base64
+import inspect
 import os
 import pickle
 import zlib
@@ -15,14 +16,21 @@ import zlib
 import pytest
 
 from repro.chaos import (
+    CorruptReplica,
     DelayTask,
     DuplicateCommit,
     FaultPlan,
+    KillDatanode,
     KillDriver,
     ZombieAttempt,
 )
 from repro.chaos.plan import parse_event
-from repro.errors import CommitError, DriverKilledError, MapReduceError
+from repro.errors import (
+    CommitError,
+    DriverKilledError,
+    MapReduceError,
+    PipelineError,
+)
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
@@ -32,7 +40,7 @@ from repro.mapreduce.job import JobConf, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
 from repro.pipeline.checkpoint import LocalDirectoryBackend
-from repro.pipeline.parallel import GesallPipeline
+from repro.pipeline.parallel import _STAGES, WAL_ROUND_KEYS, GesallPipeline
 from repro.pipeline.wal import FrameLog, JobWal, _read_frames
 
 needs_fork = pytest.mark.skipif(
@@ -566,6 +574,100 @@ class TestPipelineCrashRecovery:
         assert resumed.resumed_rounds == ["round1"]
         assert resumed.recovered_tasks == {}
         assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+class TestStageTableConformance:
+    """A stage's key is its one name: checkpoint entry, WAL log, HDFS
+    directory, round span, ``rounds.results`` entry and chaos address.
+    Recalibration on, so all seven declared stages run."""
+
+    PAIRS = 40
+
+    @pytest.fixture(scope="class")
+    def clean(self, reference, ref_index, pairs):
+        return build_pipeline(
+            reference, ref_index, with_recalibration=True
+        ).run(pairs[:self.PAIRS])
+
+    def test_the_names_rounds_give_themselves_agree_with_the_table(self):
+        keys = [stage.key for stage in _STAGES]
+        assert keys == ["round1", "round2", "round3", "round_recal",
+                        "round_bqsr", "round4", "round5"]
+        assert WAL_ROUND_KEYS == ("round_bloom", *keys)
+        for stage in _STAGES:
+            out_dir = inspect.signature(stage.method).parameters.get("out_dir")
+            if stage.form == "paths":
+                assert out_dir.default == f"/{stage.key}"
+            else:
+                assert out_dir is None
+
+    @pytest.mark.parametrize("stage", _STAGES, ids=lambda stage: stage.key)
+    def test_kill_driver_at_the_key_kills_and_resumes_under_the_key(
+        self, stage, clean, reference, ref_index, pairs, tmp_path
+    ):
+        key = stage.key
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver(key, after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, with_recalibration=True,
+                checkpoint_dir=root, policy=ExecutionPolicy(fault_plan=plan),
+            ).run(pairs[:self.PAIRS])
+        resumed = build_pipeline(
+            reference, ref_index, with_recalibration=True,
+            checkpoint_dir=root, obs=ObsConfig(enabled=True),
+        ).run(pairs[:self.PAIRS], resume=True)
+        # (Round 3's bloom pre-pass had finished, so its journal
+        # replays whole beside the interrupted stage's.)
+        recovered = dict(resumed.recovered_tasks)
+        recovered.pop("round_bloom", None)
+        assert list(recovered) == [key]
+        assert len(recovered[key]) == 1
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+        keys = [s.key for s in _STAGES]
+        assert resumed.resumed_rounds == keys[:keys.index(key)]
+        assert key in resumed.rounds.results
+        spans = {span.name for span in resumed.recorder.spans()}
+        assert {f"round:{key}", f"checkpoint:save:{key}"} <= spans
+        assert bool(resumed.hdfs.list_dir(f"/{key}")) == (
+            stage.form == "paths"
+        )
+
+    @pytest.mark.parametrize("event", [
+        KillDriver("round9"),
+        KillDriver("round_print_reads"),
+        KillDatanode("node01", at_round="round_bloom"),
+        # The recalibration stages are not run by this configuration.
+        KillDriver("round_bqsr"),
+        CorruptReplica("/round3/part-00000.bam", at_round="round_recal"),
+    ], ids=lambda event: f"{event.flag}@{event.at_round}")
+    def test_event_addressed_at_no_stage_is_refused_before_round_1(
+        self, event, reference, ref_index, pairs, tmp_path
+    ):
+        root = tmp_path / "ckpt"
+        pipeline = build_pipeline(
+            reference, ref_index, checkpoint_dir=str(root),
+            policy=ExecutionPolicy(fault_plan=FaultPlan(events=(event,))),
+        )
+        with pytest.raises(PipelineError, match="does not run"):
+            pipeline.run(pairs[:12])
+        assert not root.exists()
+
+    def test_bloom_prepass_is_a_kill_driver_address_only_when_it_runs(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        policy = ExecutionPolicy(
+            fault_plan=FaultPlan(events=(KillDriver("round_bloom"),))
+        )
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, policy=policy,
+                checkpoint_dir=str(tmp_path / "ckpt"),
+            ).run(pairs[:12])
+        with pytest.raises(PipelineError, match="does not run"):
+            build_pipeline(
+                reference, ref_index, policy=policy, markdup_mode="reg",
+            ).run(pairs[:12])
 
 
 #: ``wal-round2.log`` as commit 6310f63 (WAL_VERSION 1) left it after

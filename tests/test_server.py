@@ -321,6 +321,9 @@ class TestAdmissionInServer:
         server = make_server(str(tmp_path))
         with pytest.raises(ServerError, match="non-empty 'lines'"):
             server.submit("a", {"type": "wordcount", "lines": []})
+        # No payload type carries code: a pickled spec is just unknown.
+        with pytest.raises(ServerError, match="unknown job payload type"):
+            server.submit("a", {"type": "pickled", "spec": "", "splits": ""})
         server.close()
 
     def test_demand_above_slots_rejected(self, tmp_path):
