@@ -32,7 +32,7 @@ import time
 from benchlib import report, report_json
 
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import TraceRecorder
 
@@ -56,7 +56,7 @@ def _clean_job():
     def reducer(key, values, ctx):
         ctx.emit(key, sorted(values))
 
-    conf = JobConf("elastic-clean", mapper, reducer, num_reducers=4)
+    conf = JobSpec("elastic-clean", mapper, reducer, num_reducers=4)
     splits = make_splits([f"partition-{i:02d}" for i in range(CLEAN_TASKS)])
     return conf, splits
 
@@ -67,7 +67,7 @@ def _skewed_job():
         time.sleep(stall)
         ctx.emit(payload, len(payload))
 
-    conf = JobConf("elastic-skew", mapper)
+    conf = JobSpec("elastic-skew", mapper)
     splits = make_splits([f"shard-{i:02d}" for i in range(SKEW_TASKS)])
     return conf, splits
 

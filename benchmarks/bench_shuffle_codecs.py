@@ -23,6 +23,7 @@ import time
 from benchlib import report, report_json
 
 from repro.align.index import ReferenceIndex
+from repro.api import PipelineSpec
 from repro.genome import (
     ReadSimulationConfig,
     ReferenceSimulationConfig,
@@ -53,14 +54,14 @@ def _dataset():
 
 
 def _run_with_codec(reference, index, pairs, codec):
-    pipeline = GesallPipeline(
+    pipeline = GesallPipeline(PipelineSpec(
         reference,
         index=index,
         num_fastq_partitions=PARTITIONS,
         policy=ExecutionPolicy.serial(),
         obs=ObsConfig(enabled=True),
         shuffle=ShuffleConfig(codec=codec),
-    )
+    ))
     start = time.perf_counter()
     result = pipeline.run(list(pairs))
     elapsed = time.perf_counter() - start

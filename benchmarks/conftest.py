@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.align import AlignerConfig, ReferenceIndex
+from repro.api import PipelineSpec
 from repro.cluster.costs import NA12878, CostModel
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
 from repro.genome import (
@@ -60,14 +61,12 @@ def accuracy_study():
     # paper's observation that even chromosome-level partitioning gives
     # slightly different results (algorithmic nondeterminism).
     hc_config = HaplotypeCallerConfig(downsample_depth=16)
-    serial = SerialPipeline(
-        reference, index=index, batch_size=1500,
-        aligner_config=AlignerConfig(seed=5), hc_config=hc_config,
-    ).run(pairs)
-    parallel = GesallPipeline(
+    spec = PipelineSpec(
         reference, index=index, num_fastq_partitions=12, num_reducers=4,
         aligner_config=AlignerConfig(seed=5), hc_config=hc_config,
-    ).run(pairs)
+    )
+    serial = SerialPipeline(spec, batch_size=1500).run(pairs)
+    parallel = GesallPipeline(spec).run(pairs)
     toolkit = ErrorDiagnosisToolkit(reference, hc_config)
     diagnosis = toolkit.diagnose(serial, parallel)
     return {

@@ -12,14 +12,16 @@ Quick start::
 
     from repro import (
         simulate_reference, simulate_donor, simulate_reads,
-        SerialPipeline, GesallPipeline, ErrorDiagnosisToolkit,
+        PipelineSpec, run_pipeline, run_serial_pipeline,
+        ErrorDiagnosisToolkit,
     )
 
     reference = simulate_reference()
     donor = simulate_donor(reference)
     pairs, _ = simulate_reads(donor)
-    serial = SerialPipeline(reference).run(pairs)
-    parallel = GesallPipeline(reference).run(pairs)
+    spec = PipelineSpec(reference)
+    serial = run_serial_pipeline(spec, pairs)
+    parallel = run_pipeline(spec, pairs)
     report = ErrorDiagnosisToolkit(reference).diagnose(serial, parallel)
 """
 

@@ -4,10 +4,10 @@ Everything that constructs and runs work — a single MapReduce job or
 the whole five-round Gesall pipeline — goes through two immutable
 specs:
 
-* :class:`JobSpec` describes one job (mapper, reducer, combiner,
-  partitioning, shuffle, execution policy) and materialises the
-  engine-facing :class:`~repro.mapreduce.job.JobConf` via
-  :meth:`JobSpec.to_conf`.  :func:`run_job` executes it.
+* :class:`JobSpec` (defined beside the engine in
+  :mod:`repro.mapreduce.job`, re-exported here) describes one job —
+  mapper, reducer, combiner, partitioning, shuffle, execution policy —
+  and is what the engine reads.  :func:`run_job` executes it.
 * :class:`PipelineSpec` describes a pipeline run (input partitioning,
   reducers, MarkDuplicates variant, policy/obs/shuffle/checkpointing).
   :func:`run_pipeline` executes the parallel pipeline;
@@ -28,12 +28,12 @@ object graphs per record.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError, PipelineError
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.engine import JobResult, MapReduceEngine
-from repro.mapreduce.job import InputSplit, JobConf
+from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
 from repro.shuffle.config import ShuffleConfig
@@ -46,56 +46,6 @@ __all__ = [
     "run_pipeline",
     "run_serial_pipeline",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class JobSpec:
-    """Immutable description of one MapReduce job.
-
-    Field semantics match :class:`~repro.mapreduce.job.JobConf`
-    one-to-one; the extra ``policy`` and ``nodes`` fields describe how
-    and where the job runs when :func:`run_job` has to build its own
-    engine.  ``to_conf()`` validates eagerly, so a bad spec fails at
-    construction-adjacent time instead of mid-run.
-    """
-
-    name: str
-    mapper: Callable[[Any, Any], None]
-    reducer: Optional[Callable[[Any, List[Any], Any], None]] = None
-    combiner: Optional[Callable[[Any, List[Any], Any], None]] = None
-    partitioner: Optional[Callable[[Any, int], int]] = None
-    num_reducers: int = 1
-    io_sort_records: int = 100_000
-    slowstart: float = 0.05
-    value_size: Optional[Callable[[Any], int]] = None
-    sort_key: Optional[Callable[[Any], Any]] = None
-    record_counter: Optional[Callable[[Any], int]] = None
-    shuffle: Optional[ShuffleConfig] = None
-    #: Used by :func:`run_job` when no engine is supplied.
-    policy: Optional[ExecutionPolicy] = None
-    nodes: Optional[Tuple[str, ...]] = None
-
-    def to_conf(self) -> JobConf:
-        """Materialise the engine-facing ``JobConf`` (validated)."""
-        kwargs = {}
-        if self.partitioner is not None:
-            kwargs["partitioner"] = self.partitioner
-        conf = JobConf(
-            self.name,
-            self.mapper,
-            self.reducer,
-            self.combiner,
-            num_reducers=self.num_reducers,
-            io_sort_records=self.io_sort_records,
-            slowstart=self.slowstart,
-            value_size=self.value_size,
-            sort_key=self.sort_key,
-            record_counter=self.record_counter,
-            shuffle=self.shuffle,
-            **kwargs,
-        )
-        conf.validate()
-        return conf
 
 
 def make_block_splits(
@@ -112,17 +62,10 @@ def make_block_splits(
     ``ctx.task_index``.  ``size_bytes`` is the sealed blob size, so
     locality-aware placement sees real input weight.
     """
-    splits = []
-    for index, records in enumerate(partitions):
-        block = RecordBlock(list(records))
-        node = nodes[index % len(nodes)] if nodes else None
-        splits.append(
-            InputSplit(
-                f"{prefix}-{index:05d}", block,
-                preferred_node=node, size_bytes=block.raw_bytes,
-            )
-        )
-    return splits
+    blocks = [RecordBlock(list(records)) for records in partitions]
+    return make_splits(
+        blocks, prefix, nodes, sizes=[block.raw_bytes for block in blocks]
+    )
 
 
 def run_job(
@@ -146,30 +89,32 @@ def run_job(
         raise MapReduceError(
             f"run_job takes a JobSpec, got {type(spec).__name__}"
         )
-    conf = spec.to_conf()
     if engine is not None:
-        return engine.run(conf, list(splits), journal=journal)
+        return engine.run(spec, list(splits), journal=journal)
     own = MapReduceEngine(
-        nodes=list(spec.nodes) if spec.nodes else None,
+        nodes=spec.nodes,
         policy=spec.policy,
         filesystem=filesystem,
         recorder=recorder,
     )
     try:
-        return own.run(conf, list(splits), journal=journal)
+        return own.run(spec, list(splits), journal=journal)
     finally:
         own.close()
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PipelineSpec:
-    """Immutable description of one pipeline run.
+    """The one description of a pipeline run: a frozen value.
 
-    Mirrors the knobs of
-    :class:`~repro.pipeline.parallel.GesallPipeline` (and carries
-    everything :func:`run_serial_pipeline` needs).  Use
-    ``dataclasses.replace`` to derive variants — the chaos gate runs
-    the same spec three times with different ``policy``/``obs``.
+    :class:`~repro.pipeline.parallel.GesallPipeline` and
+    :class:`~repro.pipeline.serial.SerialPipeline` hold the spec and
+    read its fields directly, so a field cannot reach one pipeline and
+    not the other.  Range checks and the ``nodes`` / ``policy`` /
+    ``obs`` defaults are resolved once, here; ``index`` stays ``None``
+    until a pipeline needs it (building one is the expensive part).
+    Use ``dataclasses.replace`` to derive variants — the chaos gate
+    runs the same spec three times with different ``policy``/``obs``.
     """
 
     reference: Any
@@ -189,31 +134,24 @@ class PipelineSpec:
     shuffle: Optional[ShuffleConfig] = None
     checkpoint_dir: Optional[str] = None
 
+    def __post_init__(self):
+        if self.num_fastq_partitions < 1:
+            raise PipelineError("need at least one FASTQ partition")
+        for field, value in (
+            ("nodes", tuple(self.nodes or
+                            (f"node{i:02d}" for i in range(4)))),
+            ("policy", self.policy or ExecutionPolicy.serial()),
+            ("obs", self.obs or ObsConfig()),
+        ):
+            object.__setattr__(self, field, value)
+
     def build(self):
         """Construct the parallel pipeline this spec describes."""
-        # Imported lazily: repro.api is the bottom of the dependency
-        # stack (the rounds import JobSpec), while GesallPipeline sits
-        # above the rounds — a top-level import would be a cycle.
+        # Imported lazily: GesallPipeline sits above the rounds, which
+        # import this module — a top-level import would be a cycle.
         from repro.pipeline.parallel import GesallPipeline
 
-        return GesallPipeline(
-            self.reference,
-            index=self.index,
-            nodes=list(self.nodes) if self.nodes else None,
-            aligner_config=self.aligner_config,
-            hc_config=self.hc_config,
-            num_fastq_partitions=self.num_fastq_partitions,
-            num_reducers=self.num_reducers,
-            markdup_mode=self.markdup_mode,
-            with_recalibration=self.with_recalibration,
-            known_sites=self.known_sites,
-            block_size=self.block_size,
-            chunk_bytes=self.chunk_bytes,
-            policy=self.policy,
-            obs=self.obs,
-            shuffle=self.shuffle,
-            checkpoint_dir=self.checkpoint_dir,
-        )
+        return GesallPipeline(self)
 
 
 def run_pipeline(spec: PipelineSpec, pairs: Sequence[Any],
@@ -235,9 +173,4 @@ def run_serial_pipeline(spec: PipelineSpec, pairs: Sequence[Any]):
             f"run_serial_pipeline takes a PipelineSpec, "
             f"got {type(spec).__name__}"
         )
-    return SerialPipeline(
-        spec.reference,
-        index=spec.index,
-        aligner_config=spec.aligner_config,
-        hc_config=spec.hc_config,
-    ).run(pairs)
+    return SerialPipeline(spec).run(pairs)

@@ -55,9 +55,9 @@ from repro.chaos.plan import (
     parse_event,
 )
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
-from repro.formats.fastq import interleave, read_fastq, write_fastq
+from repro.formats.fastq import read_sample, write_fastq
 from repro.formats.vcf import read_vcf, write_vcf
-from repro.genome.reference import read_fasta, write_fasta
+from repro.genome.reference import write_fasta
 from repro.genome.simulate import (
     ReadSimulationConfig,
     ReferenceSimulationConfig,
@@ -130,11 +130,11 @@ def _io_policy_from_args(args):
     return IoPolicy(spill_dirs=tuple(args.spill_dirs))
 
 
-def _spec_from_args(args, reference, index, **overrides) -> PipelineSpec:
+def _spec_from_args(args, reference, **overrides) -> PipelineSpec:
     """Materialise the frozen pipeline spec the execution flags describe."""
     fields = dict(
         reference=reference,
-        index=index,
+        index=ReferenceIndex(reference),
         num_fastq_partitions=args.partitions,
         policy=ExecutionPolicy(
             executor=args.executor,
@@ -358,14 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_sample(data_dir: str):
-    reference = read_fasta(os.path.join(data_dir, "reference.fa"))
-    forward = read_fastq(os.path.join(data_dir, "reads_1.fastq"))
-    reverse = read_fastq(os.path.join(data_dir, "reads_2.fastq"))
-    pairs = list(interleave(forward, reverse))
-    return reference, pairs
-
-
 def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     half = args.length // 2
@@ -391,9 +383,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    reference, pairs = _load_sample(args.data)
-    index = ReferenceIndex(reference)
-    spec = _spec_from_args(args, reference, index)
+    reference, pairs = read_sample(args.data)
+    spec = _spec_from_args(args, reference)
     if args.mode == "serial":
         result = run_serial_pipeline(spec, pairs)
     else:
@@ -428,10 +419,9 @@ def _cmd_trace(args) -> int:
     )
     from repro.obs.recorder import ObsConfig
 
-    reference, pairs = _load_sample(args.data)
-    index = ReferenceIndex(reference)
+    reference, pairs = read_sample(args.data)
     spec = _spec_from_args(
-        args, reference, index,
+        args, reference,
         obs=ObsConfig(enabled=True,
                       sample_interval=args.sample_interval),
     )
@@ -595,10 +585,9 @@ def _cmd_report(args) -> int:
     from repro.obs.recorder import ObsConfig
     from repro.obs.report import write_html_report
 
-    reference, pairs = _load_sample(args.data)
-    index = ReferenceIndex(reference)
+    reference, pairs = read_sample(args.data)
     spec = _spec_from_args(
-        args, reference, index,
+        args, reference,
         obs=ObsConfig(enabled=True,
                       sample_interval=args.sample_interval),
     )
@@ -672,9 +661,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    reference, pairs = _load_sample(args.data)
-    index = ReferenceIndex(reference)
-    spec = _spec_from_args(args, reference, index)
+    reference, pairs = read_sample(args.data)
+    spec = _spec_from_args(args, reference)
     serial = run_serial_pipeline(spec, pairs)
     parallel = run_pipeline(spec, pairs)
     report = ErrorDiagnosisToolkit(reference).diagnose(serial, parallel)
@@ -703,8 +691,7 @@ def _cmd_chaos(args) -> int:
     from repro.obs.export import write_chrome_trace
     from repro.obs.recorder import ObsConfig
 
-    reference, pairs = _load_sample(args.data)
-    index = ReferenceIndex(reference)
+    reference, pairs = read_sample(args.data)
     nodes = [f"node{i:02d}" for i in range(4)]
 
     events = [
@@ -719,7 +706,7 @@ def _cmd_chaos(args) -> int:
     print(plan.describe())
     print()
 
-    base_spec = _spec_from_args(args, reference, index, nodes=tuple(nodes))
+    base_spec = _spec_from_args(args, reference, nodes=tuple(nodes))
 
     def build(policy, obs=None, checkpoint_dir=None):
         return dataclasses.replace(

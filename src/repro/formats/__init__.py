@@ -16,6 +16,7 @@ from repro.formats.fastq import (
     FastqRecord,
     interleave,
     read_fastq,
+    read_sample,
     split_into_partitions,
     write_fastq,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "FastqRecord",
     "interleave",
     "read_fastq",
+    "read_sample",
     "split_into_partitions",
     "write_fastq",
     "SamFlags",

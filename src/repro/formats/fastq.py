@@ -8,6 +8,7 @@ partitions (paper section 3.2, "Alignment").
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator, List, Tuple
 
 from repro.errors import FormatError
@@ -93,6 +94,21 @@ def interleave(
                 f"read name mismatch: {fwd.name!r} vs {rev.name!r}"
             )
         yield fwd, rev
+
+
+def read_sample(data_dir: str):
+    """Load a simulated sample directory: ``(reference, read pairs)``.
+
+    The layout ``repro-genomics simulate`` writes — ``reference.fa``
+    plus the per-strand ``reads_1.fastq`` / ``reads_2.fastq``.
+    """
+    # Imported here: repro.genome.simulate imports this module.
+    from repro.genome.reference import read_fasta
+
+    reference = read_fasta(os.path.join(data_dir, "reference.fa"))
+    forward = read_fastq(os.path.join(data_dir, "reads_1.fastq"))
+    reverse = read_fastq(os.path.join(data_dir, "reads_2.fastq"))
+    return reference, list(interleave(forward, reverse))
 
 
 def _pair_key(name: str) -> str:

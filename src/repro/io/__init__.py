@@ -14,13 +14,12 @@ Public surface:
   component).
 """
 
-from repro.io.layer import DirectIO, IoStats, LocalIO, TRANSIENT_ERRNOS
+from repro.io.layer import IoStats, LocalIO, TRANSIENT_ERRNOS
 from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
 from repro.io.faults import FaultIO, ShortRead, build_io
 
 __all__ = [
     "DEFAULT_IO_POLICY",
-    "DirectIO",
     "FaultIO",
     "IoPolicy",
     "IoStats",

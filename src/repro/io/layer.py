@@ -285,26 +285,3 @@ class LocalIO:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(policy={self.policy!r})"
 
-
-class DirectIO(LocalIO):
-    """The pre-contract behaviour: plain writes, no fsync, no temp file.
-
-    Exists for one purpose — the ``bench_io_overhead`` baseline that
-    measures what the durability contract costs.  Never used by the
-    engine.
-    """
-
-    def write_atomic(self, path: str, data: bytes) -> None:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(data)
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-
-    def append_durable(self, path: str, data: bytes) -> None:
-        with open(path, "ab") as handle:
-            handle.write(data)
-        self.stats.appends += 1
-        self.stats.bytes_written += len(data)

@@ -26,7 +26,7 @@ the fork boundary with the rest of the job configuration.
   before a :class:`~repro.errors.StorageFullError` is raised.
 * ``fsync`` — the durability contract switch.  On (the default) every
   atomic write is fsynced before the rename and its directory after;
-  benchmarks flip it off to measure the contract's cost.
+  the crash fuzz turns it off (a simulated kill decides what survived).
 """
 
 from __future__ import annotations
@@ -38,6 +38,26 @@ from typing import Tuple
 from repro.errors import DurableIoError
 
 _JITTER_RESOLUTION = 1_000_000
+
+
+def charged_backoff(backoff: float, cap: float, attempt: int,
+                    jitter: float = 0.0, key: str = "") -> float:
+    """The one retry curve: capped exponential plus seeded jitter.
+
+    ``min(cap, backoff * 2 ** (attempt - 1))``, scaled up by a jitter
+    fraction drawn from ``crc32("<key>|<attempt>")`` — so the delay
+    depends only on the caller's key text (which carries its seed) and
+    the attempt number, and is identical in any process, under any
+    executor.  Task retries (``ExecutionPolicy``) and I/O retries
+    (:class:`IoPolicy`) both *charge* this delay — record it, never
+    sleep it — so backoff shapes the cost accounting without stalling
+    the wall clock.
+    """
+    base = min(cap, backoff * 2 ** (attempt - 1))
+    if base <= 0.0 or jitter <= 0.0:
+        return base
+    draw = zlib.crc32(f"{key}|{attempt}".encode()) % _JITTER_RESOLUTION
+    return base * (1.0 + jitter * draw / _JITTER_RESOLUTION)
 
 
 @dataclass(frozen=True)
@@ -78,23 +98,16 @@ class IoPolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Capped exponential delay before retrying a transient error."""
-        return min(
-            self.retry_backoff_cap, self.retry_backoff * 2 ** (attempt - 1)
+        return charged_backoff(
+            self.retry_backoff, self.retry_backoff_cap, attempt
         )
 
     def retry_delay(self, op_key: str, attempt: int) -> float:
-        """Charged backoff before one I/O retry.
-
-        Same keying contract as ``ExecutionPolicy.retry_delay``: the
-        jitter draw depends only on ``(seed, op_key, attempt)``, so the
-        charged delay is identical in any process, under any executor.
-        """
-        base = self.backoff_delay(attempt)
-        if base <= 0.0 or self.retry_jitter <= 0.0:
-            return base
-        text = f"io-backoff|{self.seed}|{op_key}|{attempt}"
-        draw = zlib.crc32(text.encode()) % _JITTER_RESOLUTION
-        return base * (1.0 + self.retry_jitter * draw / _JITTER_RESOLUTION)
+        """Charged backoff before one I/O retry (:func:`charged_backoff`)."""
+        return charged_backoff(
+            self.retry_backoff, self.retry_backoff_cap, attempt,
+            self.retry_jitter, f"io-backoff|{self.seed}|{op_key}",
+        )
 
 
 #: The default contract: durable, 2 transient retries, no spill dirs.

@@ -24,7 +24,7 @@ from repro.mapreduce.policy import (
 )
 from repro.mapreduce.job import (
     InputSplit,
-    JobConf,
+    JobSpec,
     TaskContext,
     default_partitioner,
     make_splits,
@@ -62,7 +62,7 @@ __all__ = [
     "JobHistory",
     "TaskAttempt",
     "InputSplit",
-    "JobConf",
+    "JobSpec",
     "TaskContext",
     "default_partitioner",
     "make_splits",

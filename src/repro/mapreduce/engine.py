@@ -1,6 +1,6 @@
 """The in-process MapReduce runtime.
 
-Executes a :class:`~repro.mapreduce.job.JobConf` over input splits with
+Executes a :class:`~repro.mapreduce.job.JobSpec` over input splits with
 full sort-spill-merge shuffle semantics.  Every task attempt is a call
 descriptor (:class:`_MapCall` / :class:`_ReduceCall`) run against the
 job's context on a pluggable
@@ -12,7 +12,7 @@ of straggler stubs.
 
 Determinism is the engine's core contract (the paper's §3.2 argument,
 enforced here): every task is a pure function of its split plus the
-job conf, task outputs are collected by task index, shuffles merge in
+job spec, task outputs are collected by task index, shuffles merge in
 map-task order regardless of completion order, and side effects (file
 writes, attachments) are buffered in the task context and applied by
 the parent in task-index order.  The three executors therefore produce
@@ -39,7 +39,7 @@ from repro.mapreduce.executors import (
     build_executor,
 )
 from repro.mapreduce.history import JobHistory, TaskAttempt
-from repro.mapreduce.job import InputSplit, JobConf, KeyValue, TaskContext
+from repro.mapreduce.job import InputSplit, JobSpec, KeyValue, TaskContext
 from repro.mapreduce.policy import ExecutionPolicy, InjectedTaskFault
 from repro.obs.recorder import NULL_RECORDER, Span
 from repro.shuffle.codec import get_codec
@@ -276,7 +276,7 @@ def _run_attempts(
 
 
 def _execute_map_task(
-    job: JobConf,
+    job: JobSpec,
     split: InputSplit,
     candidates: List[str],
     task_id: str,
@@ -384,7 +384,7 @@ def _execute_map_task(
 
 
 def _execute_reduce_task(
-    job: JobConf,
+    job: JobSpec,
     store: SegmentStore,
     paths: List[str],
     candidates: List[str],
@@ -701,7 +701,7 @@ class MapReduceEngine:
     # -- public API ---------------------------------------------------------
     def run(
         self,
-        job: JobConf,
+        job: JobSpec,
         splits: List[InputSplit],
         journal: Optional[RoundJournal] = None,
     ) -> JobResult:
@@ -714,7 +714,6 @@ class MapReduceEngine:
         records each promotion and carries the commits recovered from
         an interrupted run, which are replayed instead of re-executed.
         """
-        job.validate()
         if not splits:
             raise MapReduceError(f"job {job.name} has no input splits")
         if self._executor is None:
@@ -841,7 +840,7 @@ class MapReduceEngine:
     # -- map phase --------------------------------------------------------------
     def _run_maps(
         self,
-        job: JobConf,
+        job: JobSpec,
         splits: List[InputSplit],
         result: JobResult,
         executor: TaskExecutor,
@@ -935,7 +934,7 @@ class MapReduceEngine:
     # -- shuffle segment plane ----------------------------------------------
     def _store_segments(
         self,
-        job: JobConf,
+        job: JobSpec,
         outcomes: List[_TaskOutcome],
         store: SegmentStore,
         result: JobResult,
@@ -970,7 +969,7 @@ class MapReduceEngine:
 
     def _apply_segment_events(
         self,
-        job: JobConf,
+        job: JobSpec,
         store: SegmentStore,
         paths: List[List[str]],
         result: JobResult,
@@ -1004,7 +1003,7 @@ class MapReduceEngine:
     # -- shuffle + reduce phase ---------------------------------------------------
     def _run_reduces(
         self,
-        job: JobConf,
+        job: JobSpec,
         store: SegmentStore,
         paths: List[List[str]],
         result: JobResult,
@@ -1221,7 +1220,7 @@ class MapReduceEngine:
     # -- wave execution + commit settlement ---------------------------------------
     def _execute_wave(
         self,
-        job: JobConf,
+        job: JobSpec,
         kind: str,
         calls: List[Any],
         placements: List[Tuple[str, str]],
@@ -1290,7 +1289,7 @@ class MapReduceEngine:
         return outcomes, submitted
 
     def _rebalance_pool(
-        self, job: JobConf, result: JobResult, executor: TaskExecutor
+        self, job: JobSpec, result: JobResult, executor: TaskExecutor
     ) -> None:
         """Between-wave scaling decision for the pool.
 

@@ -59,7 +59,7 @@ class JobContext:
     In-process executors hand it to ``call.run`` directly.  The pool
     publishes it in :data:`_POOL_JOB_CONTEXT` immediately before it
     forks the job's workers, so the unpicklable task bodies (closures
-    over HDFS handles, aligners, the job conf) ride into the children
+    over HDFS handles, aligners, the job spec) ride into the children
     inside the fork image and only picklable call descriptors cross
     the pipes afterwards.
     """

@@ -7,10 +7,12 @@ logical block placement policy intends.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import MapReduceError
+from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import NULL_SPAN, Span
 from repro.shuffle.config import DEFAULT_SHUFFLE, ShuffleConfig
 from repro.shuffle.keys import stable_hash_partition
@@ -176,8 +178,15 @@ class TaskContext:
         self.input_records = count
 
 
-class JobConf:
-    """Configuration of one MapReduce round.
+@dataclasses.dataclass(frozen=True)
+class JobSpec:
+    """The one description of a MapReduce job: a frozen value.
+
+    Built by the caller, validated and default-resolved once here at
+    construction, and read as-is by :class:`~repro.mapreduce.engine.
+    MapReduceEngine`, the executors' ``JobContext`` and
+    :func:`repro.api.run_job` — there is no second, engine-facing copy
+    to drift from it.  ``dataclasses.replace`` derives variants.
 
     Parameters
     ----------
@@ -195,18 +204,16 @@ class JobConf:
         task's output before the shuffle (Hadoop's mini-reducer); must
         be associative/commutative with the reducer.
     partitioner:
-        ``f(key, num_reducers) -> int``.
+        ``f(key, num_reducers) -> int``; ``None`` resolves to
+        :func:`default_partitioner`.
     num_reducers:
-        Reducer count (ignored for map-only jobs).
+        Reducer count (map-only jobs take the default 1).
     io_sort_records:
         Map-side sort buffer capacity in records; exceeding it spills
         a sorted run (mapreduce.task.io.sort.mb analogue).
-    slowstart:
-        Fraction of maps that must finish before reducers start
-        shuffling (mapreduce.job.reduce.slowstart.completedmaps);
-        consumed by the cluster simulator.
     value_size:
-        ``f(value) -> bytes`` used for shuffle byte accounting.
+        ``f(value) -> bytes`` used for shuffle byte accounting; ``None``
+        resolves to the built-in estimator.
     sort_key:
         Optional key-transform used when ordering reduce input.
     record_counter:
@@ -216,55 +223,42 @@ class JobConf:
         call ``context.set_input_records``.
     shuffle:
         :class:`~repro.shuffle.config.ShuffleConfig` for the job's
-        shuffle byte plane (codec, fetch retries, skew thresholds).
-        Defaults to the shared uncompressed config.
+        shuffle byte plane (codec, fetch retries, skew thresholds);
+        ``None`` resolves to the shared uncompressed config.
+    policy, nodes:
+        How and where the job runs when :func:`repro.api.run_job` has
+        to build its own engine; an engine passed in uses its own.
     """
 
-    def __init__(
-        self,
-        name: str,
-        mapper: Callable[[Any, TaskContext], None],
-        reducer: Optional[Callable[[Any, List[Any], TaskContext], None]] = None,
-        combiner: Optional[Callable[[Any, List[Any], TaskContext], None]] = None,
-        partitioner: Callable[[Any, int], int] = default_partitioner,
-        num_reducers: int = 1,
-        io_sort_records: int = 100_000,
-        slowstart: float = 0.05,
-        value_size: Optional[Callable[[Any], int]] = None,
-        sort_key: Optional[Callable[[Any], Any]] = None,
-        record_counter: Optional[Callable[[Any], int]] = None,
-        shuffle: Optional[ShuffleConfig] = None,
-    ):
-        if num_reducers < 1:
+    name: str
+    mapper: Callable[[Any, TaskContext], None]
+    reducer: Optional[Callable[[Any, List[Any], TaskContext], None]] = None
+    combiner: Optional[Callable[[Any, List[Any], TaskContext], None]] = None
+    partitioner: Optional[Callable[[Any, int], int]] = None
+    num_reducers: int = 1
+    io_sort_records: int = 100_000
+    value_size: Optional[Callable[[Any], int]] = None
+    sort_key: Optional[Callable[[Any], Any]] = None
+    record_counter: Optional[Callable[[Any], int]] = None
+    shuffle: Optional[ShuffleConfig] = None
+    policy: Optional[ExecutionPolicy] = None
+    nodes: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self):
+        for field, default in (
+            ("partitioner", default_partitioner),
+            ("value_size", _default_value_size),
+            ("shuffle", DEFAULT_SHUFFLE),
+        ):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, default)
+        # A job that would fail mid-run (e.g. reducers requested but no
+        # reducer supplied) fails here, before any task runs — and being
+        # frozen, it cannot be mutated into such a job afterwards.
+        if self.num_reducers < 1:
             raise MapReduceError("num_reducers must be >= 1")
-        if io_sort_records < 1:
+        if self.io_sort_records < 1:
             raise MapReduceError("io_sort_records must be >= 1")
-        if not 0.0 <= slowstart <= 1.0:
-            raise MapReduceError("slowstart must be within [0, 1]")
-        self.name = name
-        self.mapper = mapper
-        self.reducer = reducer
-        self.combiner = combiner
-        self.partitioner = partitioner
-        self.num_reducers = num_reducers
-        self.io_sort_records = io_sort_records
-        self.slowstart = slowstart
-        self.value_size = value_size or _default_value_size
-        self.sort_key = sort_key
-        self.record_counter = record_counter
-        self.shuffle = shuffle or DEFAULT_SHUFFLE
-
-    @property
-    def is_map_only(self) -> bool:
-        return self.reducer is None
-
-    def validate(self) -> None:
-        """Reject inconsistent configurations before any task runs.
-
-        Called by ``MapReduceEngine.run`` so a job that would fail
-        mid-run (e.g. reducers requested but no reducer supplied) fails
-        up front with a clear :class:`MapReduceError` instead.
-        """
         if not callable(self.mapper):
             raise MapReduceError(f"job {self.name}: mapper is not callable")
         if self.reducer is None and self.num_reducers != 1:
@@ -289,9 +283,9 @@ class JobConf:
                 f"got {type(self.shuffle).__name__}"
             )
 
-    def __repr__(self) -> str:
-        kind = "map-only" if self.is_map_only else f"{self.num_reducers} reducers"
-        return f"JobConf({self.name}, {kind})"
+    @property
+    def is_map_only(self) -> bool:
+        return self.reducer is None
 
 
 def _default_value_size(value: Any) -> int:

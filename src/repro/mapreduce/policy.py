@@ -74,7 +74,7 @@ from typing import Callable, Optional
 
 from repro.chaos.plan import POOL_EVENT_TYPES, FaultPlan
 from repro.errors import MapReduceError
-from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
+from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy, charged_backoff
 
 #: Executor kinds accepted by :class:`ExecutionPolicy`.
 EXECUTOR_KINDS = ("serial", "thread", "pool")
@@ -219,25 +219,22 @@ class ExecutionPolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Capped exponential delay before re-running a failed attempt."""
-        return min(self.retry_backoff_cap, self.retry_backoff * 2 ** (attempt - 1))
+        return charged_backoff(
+            self.retry_backoff, self.retry_backoff_cap, attempt
+        )
 
     def retry_delay(self, task_id: str, attempt: int) -> float:
         """Charged backoff before re-running one failed attempt.
 
-        The capped exponential curve of :meth:`backoff_delay` plus a
-        deterministic jitter fraction drawn from ``(fault_seed,
+        :func:`~repro.io.policy.charged_backoff` keyed by ``(fault_seed,
         task_id, attempt)`` — the same keying contract as
         :meth:`injects_fault`, so the charged delay is identical under
-        every executor.  The engine *charges* this delay (records it in
-        the outcome and metrics) instead of sleeping it, so backoff
-        shapes the cost accounting without stalling the wall clock.
+        every executor.
         """
-        base = self.backoff_delay(attempt)
-        if base <= 0.0 or self.retry_jitter <= 0.0:
-            return base
-        text = f"backoff|{self.fault_seed}|{task_id}|{attempt}"
-        draw = zlib.crc32(text.encode()) % _FAULT_RESOLUTION
-        return base * (1.0 + self.retry_jitter * draw / _FAULT_RESOLUTION)
+        return charged_backoff(
+            self.retry_backoff, self.retry_backoff_cap, attempt,
+            self.retry_jitter, f"backoff|{self.fault_seed}|{task_id}",
+        )
 
     def injects_fault(self, task_id: str, attempt: int) -> bool:
         """Deterministic fault draw for one task attempt.

@@ -1,10 +1,6 @@
 """Serial, parallel (Gesall) and hybrid pipelines."""
 
-from repro.pipeline.checkpoint import (
-    CheckpointStore,
-    HdfsBackend,
-    LocalDirectoryBackend,
-)
+from repro.pipeline.checkpoint import CheckpointStore, LocalDirectoryBackend
 from repro.pipeline.hybrid import HybridPipeline
 from repro.pipeline.parallel import (
     WAL_ROUND_KEYS,
@@ -22,7 +18,6 @@ from repro.pipeline.stages import (
 
 __all__ = [
     "CheckpointStore",
-    "HdfsBackend",
     "LocalDirectoryBackend",
     "HybridPipeline",
     "JobWal",

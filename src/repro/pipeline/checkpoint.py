@@ -8,16 +8,12 @@ calls) and an updated manifest; ``resume=True`` restores the longest
 completed *prefix* of rounds into the fresh run's HDFS namespace and
 re-runs only what is missing.
 
-Two storage backends:
-
-* :class:`LocalDirectoryBackend` — files on the driver's disk, routed
-  through the :mod:`repro.io` durability contract: every blob write is
-  write-temp → fsync → atomic rename → directory fsync, so a crash
-  mid-save can truncate at most the round being saved, never an
-  already-completed one — and the completed ones survive a power cut,
-  not just a process kill.
-* :class:`HdfsBackend` — files under a prefix of a (long-lived) HDFS
-  instance, using ``put(..., overwrite=True)`` for rewrites.
+Storage is a :class:`LocalDirectoryBackend`: files on the driver's
+disk, routed through the :mod:`repro.io` durability contract — every
+blob write is write-temp → fsync → atomic rename → directory fsync, so
+a crash mid-save can truncate at most the round being saved, never an
+already-completed one — and the completed ones survive a power cut,
+not just a process kill.
 
 The manifest records the run *fingerprint* (a digest of the input
 reads and the pipeline configuration); resuming against a checkpoint
@@ -87,43 +83,6 @@ class LocalDirectoryBackend:
         return f"LocalDirectoryBackend({self.root!r})"
 
 
-class HdfsBackend:
-    """Checkpoint blobs under a path prefix of an HDFS instance.
-
-    Only useful with an HDFS that outlives the pipeline run (the
-    pipeline builds a fresh namespace per run); tests and long-lived
-    clusters pass one in explicitly.
-    """
-
-    def __init__(self, hdfs: Any, prefix: str = "/checkpoints"):
-        self.hdfs = hdfs
-        self.prefix = prefix.rstrip("/")
-
-    def _path(self, name: str) -> str:
-        return f"{self.prefix}/{name}"
-
-    def write(self, name: str, data: bytes) -> None:
-        self.hdfs.put(self._path(name), data, overwrite=True)
-
-    def read(self, name: str) -> Optional[bytes]:
-        if not self.hdfs.exists(self._path(name)):
-            return None
-        return self.hdfs.get(self._path(name))
-
-    def append(self, name: str, data: bytes) -> None:
-        """Append via read + rewrite (HDFS files are immutable here)."""
-        existing = self.read(name) or b""
-        self.hdfs.put(self._path(name), existing + data, overwrite=True)
-
-    def delete(self, name: str) -> None:
-        """Idempotent delete: a missing blob is already deleted."""
-        if self.hdfs.exists(self._path(name)):
-            self.hdfs.delete(self._path(name))
-
-    def __repr__(self) -> str:
-        return f"HdfsBackend({self.prefix!r})"
-
-
 class CheckpointStore:
     """Saves completed rounds and restores them on resume."""
 
@@ -135,10 +94,6 @@ class CheckpointStore:
     @classmethod
     def local(cls, root: str, io: Optional[Any] = None) -> "CheckpointStore":
         return cls(LocalDirectoryBackend(root, io=io))
-
-    @classmethod
-    def hdfs(cls, hdfs: Any, prefix: str = "/checkpoints") -> "CheckpointStore":
-        return cls(HdfsBackend(hdfs, prefix))
 
     # -- lifecycle ----------------------------------------------------------
     @staticmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.api import PipelineSpec
 from repro.formats.sam import SamRecord
 from repro.formats.vcf import VariantRecord
 from repro.genome.reference import ReferenceGenome
@@ -26,11 +27,13 @@ class HybridPipeline:
         hc_config: Optional[HaplotypeCallerConfig] = None,
         recorder=None,
     ):
-        # The serial machinery is reused for the tail; no aligner is
-        # needed because hybrids always start from aligned records.
+        # The serial machinery is reused for the tail; hybrids always
+        # start from aligned records, so its aligner is never built.
         # The recorder flows into the tail, so tail stages appear as
         # the same ``category="stage"`` spans the serial pipeline emits.
-        self._serial = SerialPipeline.for_tail(reference, hc_config, recorder)
+        self._serial = SerialPipeline(
+            PipelineSpec(reference, hc_config=hc_config), recorder=recorder
+        )
         self.reference = reference
         self.recorder = self._serial.recorder
 

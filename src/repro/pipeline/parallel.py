@@ -8,9 +8,9 @@ partitioned by chromosome, and called per partition.
 Fault tolerance: when the policy carries a chaos
 :class:`~repro.chaos.plan.FaultPlan`, its storage events (node kills,
 decommissions, replica corruption) are applied at the scheduled round
-boundaries; with a :class:`~repro.pipeline.checkpoint.CheckpointStore`
-attached, each completed round is checkpointed and ``resume=True``
-restores the completed prefix instead of re-running it.
+boundaries; with a ``checkpoint_dir``, each completed round is saved to
+a :class:`~repro.pipeline.checkpoint.CheckpointStore` there and
+``resume=True`` restores the completed prefix instead of re-running it.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import inspect
 import pickle
 import zlib
 from functools import cached_property
-from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.align.aligner import AlignerConfig
 from repro.align.index import ReferenceIndex
 from repro.align.pairing import PairedEndAligner
+from repro.api import PipelineSpec
 from repro.chaos.plan import DecommissionDatanode, KillDatanode, KillDriver
 from repro.errors import PipelineError
 from repro.formats.bam import read_bam
@@ -33,16 +32,13 @@ from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamRecord
 from repro.formats.vcf import VariantRecord
 from repro.gdpt.partitioner import split_pairs_contiguously
-from repro.genome.reference import ReferenceGenome
 from repro.hdfs.filesystem import Hdfs
 from repro.io.faults import build_io
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.policy import ExecutionPolicy
-from repro.obs.recorder import NULL_RECORDER, ObsConfig
+from repro.obs.recorder import NULL_RECORDER
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.wal import JobWal
 from repro.recal.recalibrator import RecalibrationTable
-from repro.shuffle.config import ShuffleConfig
 from repro.variants.haplotype import HaplotypeCallerConfig
 from repro.wrappers.rounds import GesallRounds
 
@@ -58,7 +54,7 @@ class _Stage(NamedTuple):
 
     key: str
     #: The :class:`GesallRounds` method that runs it, called with the
-    #: previous stage's output paths plus ``args(pipeline, result)``.
+    #: previous stage's output paths plus ``args(spec, result)``.
     method: Callable[..., Any]
     #: How its value is checkpointed (a :data:`_CHECKPOINT_FORMS` key);
     #: a ``"paths"`` stage writes BAMs that feed the next stage.
@@ -67,8 +63,8 @@ class _Stage(NamedTuple):
     #: name for a ``"paths"`` stage, an attribute otherwise.
     feeds: Optional[str] = None
     args: Callable[
-        ["GesallPipeline", "GesallPipelineResult"], Dict[str, Any]
-    ] = lambda pipeline, result: {}
+        [PipelineSpec, "GesallPipelineResult"], Dict[str, Any]
+    ] = lambda spec, result: {}
     #: Runs only ``with_recalibration``.
     recalibration: bool = False
 
@@ -77,18 +73,18 @@ class _Stage(NamedTuple):
 _STAGES = (
     _Stage("round1", GesallRounds.round1_alignment, "paths", "alignment"),
     _Stage("round2", GesallRounds.round2_cleaning, "paths", "cleaned",
-           lambda p, r: {"num_reducers": p.num_reducers}),
+           lambda s, r: {"num_reducers": s.num_reducers}),
     _Stage("round3", GesallRounds.round3_mark_duplicates, "paths", "deduped",
-           lambda p, r: {"mode": p.markdup_mode,
-                         "num_reducers": p.num_reducers}),
+           lambda s, r: {"mode": s.markdup_mode,
+                         "num_reducers": s.num_reducers}),
     _Stage("round_recal", GesallRounds.round_recalibrate, "table",
-           "recal_table", lambda p, r: {"known_sites": p.known_sites},
+           "recal_table", lambda s, r: {"known_sites": s.known_sites},
            recalibration=True),
     _Stage("round_bqsr", GesallRounds.round_print_reads, "paths", None,
-           lambda p, r: {"table": r.recal_table}, recalibration=True),
+           lambda s, r: {"table": r.recal_table}, recalibration=True),
     _Stage("round4", GesallRounds.round4_sort_index, "paths"),
     _Stage("round5", GesallRounds.round5_haplotype_caller, "vcf_lines",
-           "variants", lambda p, r: {"hc_config": p.hc_config}),
+           "variants", lambda s, r: {"hc_config": s.hc_config}),
 )
 
 #: Checkpoint form -> (value -> (extras, blobs), (extras, blobs) -> value).
@@ -169,80 +165,38 @@ class GesallPipelineResult:
 
 
 class GesallPipeline:
-    """Configure and run the parallel pipeline.
+    """Run the parallel pipeline one :class:`PipelineSpec` describes.
 
-    Parameters mirror the knobs the paper explores: number of logical
-    FASTQ partitions (granularity of scheduling), number of reducers
-    (degree of parallelism), and the MarkDuplicates variant.
+    The spec is held and read directly — the knobs the paper explores
+    (number of logical FASTQ partitions, number of reducers, the
+    MarkDuplicates variant, the executor policy) are stated once, on
+    the spec, and nowhere re-listed here.
     """
 
-    def __init__(
-        self,
-        reference: ReferenceGenome,
-        index: Optional[ReferenceIndex] = None,
-        nodes: Optional[List[str]] = None,
-        aligner_config: Optional[AlignerConfig] = None,
-        hc_config: Optional[HaplotypeCallerConfig] = None,
-        num_fastq_partitions: int = 8,
-        num_reducers: int = 4,
-        markdup_mode: str = "opt",
-        with_recalibration: bool = False,
-        known_sites: Optional[Set[Tuple[str, int]]] = None,
-        block_size: int = 64 * 1024,
-        chunk_bytes: int = 16 * 1024,
-        policy: Optional[ExecutionPolicy] = None,
-        obs: Optional[ObsConfig] = None,
-        checkpoint: Optional[CheckpointStore] = None,
-        checkpoint_dir: Optional[str] = None,
-        shuffle: Optional[ShuffleConfig] = None,
-    ):
-        if num_fastq_partitions < 1:
-            raise PipelineError("need at least one FASTQ partition")
-        if checkpoint is not None and checkpoint_dir is not None:
-            raise PipelineError(
-                "pass either a CheckpointStore or a checkpoint_dir, not both"
-            )
-        self.reference = reference
-        self.index = index or ReferenceIndex(reference)
-        self.nodes = nodes or [f"node{i:02d}" for i in range(4)]
-        self.aligner_config = aligner_config
-        self.hc_config = hc_config
-        self.num_fastq_partitions = num_fastq_partitions
-        self.num_reducers = num_reducers
-        self.markdup_mode = markdup_mode
-        self.with_recalibration = with_recalibration
-        self.known_sites = known_sites
-        self.block_size = block_size
-        self.chunk_bytes = chunk_bytes
-        #: How rounds execute their tasks (serial / thread / process).
-        self.policy = policy or ExecutionPolicy.serial()
-        #: Observability switches; off by default (null recorder).
-        self.obs = obs or ObsConfig()
-        #: Shuffle byte-plane config (codec etc.); None -> raw default.
-        self.shuffle = shuffle
-        #: Round checkpoint storage (or a local directory to hold one).
-        self.checkpoint = checkpoint
-        self.checkpoint_dir = checkpoint_dir
+    def __init__(self, spec: PipelineSpec):
+        self.spec = spec
+        self.index = spec.index or ReferenceIndex(spec.reference)
 
     def run(self, pairs: Sequence[ReadPair],
             resume: bool = False) -> GesallPipelineResult:
+        spec = self.spec
         stages = [
             stage for stage in _STAGES
-            if self.with_recalibration or not stage.recalibration
+            if spec.with_recalibration or not stage.recalibration
         ]
         self._check_plan_addresses([stage.key for stage in stages])
         result = GesallPipelineResult()
-        recorder = self.obs.build_recorder()
+        recorder = spec.obs.build_recorder()
         result.recorder = recorder
-        hdfs = Hdfs(self.nodes, replication=min(3, len(self.nodes)),
-                    block_size=self.block_size, recorder=recorder)
+        hdfs = Hdfs(spec.nodes, replication=min(3, len(spec.nodes)),
+                    block_size=spec.block_size, recorder=recorder)
         # One durable-I/O layer for the whole run: the engine's spills
         # and segments, the checkpoints and the job WAL all route
         # through it, so fault injection and ``io.*`` accounting cover
         # every on-disk artifact from a single seeded plan.
-        io = build_io(self.policy)
+        io = build_io(spec.policy)
         engine = MapReduceEngine(
-            nodes=self.nodes, policy=self.policy, filesystem=hdfs,
+            nodes=spec.nodes, policy=spec.policy, filesystem=hdfs,
             recorder=recorder, io=io,
         )
         try:
@@ -262,13 +216,13 @@ class GesallPipeline:
         Checked here, where the names are known; ``FaultPlan`` itself
         accepts any key (the engine is addressed by job name).
         """
-        plan = self.policy.fault_plan
+        plan = self.spec.policy.fault_plan
         for event in plan.events if plan is not None else ():
             at_round = getattr(event, "at_round", None)
             if at_round is None or at_round in keys:
                 continue
             if (isinstance(event, KillDriver) and at_round == _BLOOM_KEY
-                    and self.markdup_mode == "opt"):
+                    and self.spec.markdup_mode == "opt"):
                 continue
             raise PipelineError(
                 f"chaos event {type(event).__name__} is addressed at round "
@@ -296,19 +250,19 @@ class GesallPipeline:
 
     def _run_rounds(self, engine, hdfs, recorder, result, pairs,
                     resume, stages) -> GesallPipelineResult:
-        aligner = PairedEndAligner(self.index, self.aligner_config)
+        spec = self.spec
+        aligner = PairedEndAligner(self.index, spec.aligner_config)
         rounds = GesallRounds(
-            hdfs, engine, aligner, self.reference, self.chunk_bytes,
-            shuffle=self.shuffle,
+            hdfs, engine, aligner, spec.reference, spec.chunk_bytes,
+            shuffle=spec.shuffle,
         )
         result.rounds = rounds
         result.hdfs = hdfs
 
-        store = self.checkpoint
-        if store is None and self.checkpoint_dir is not None:
-            store = CheckpointStore.local(self.checkpoint_dir, io=engine.io)
+        store = None
         completed: List[str] = []
-        if store is not None:
+        if spec.checkpoint_dir is not None:
+            store = CheckpointStore.local(spec.checkpoint_dir, io=engine.io)
             fingerprint = self._fingerprint(pairs)
             completed = store.begin(fingerprint, resume=resume)
             # Task-granular crash recovery: rounds the checkpoint never
@@ -340,10 +294,10 @@ class GesallPipeline:
 
         with recorder.span(
             "pipeline:gesall", category="pipeline", track="driver",
-            executor=self.policy.executor, reads=len(pairs), resume=resume,
+            executor=spec.policy.executor, reads=len(pairs), resume=resume,
         ):
             partitions = split_pairs_contiguously(
-                list(pairs), self.num_fastq_partitions
+                list(pairs), spec.num_fastq_partitions
             )
             stage_input: Any = [p for p in partitions if p]
             for stage in stages:
@@ -362,7 +316,7 @@ class GesallPipeline:
                     result.resumed_rounds.append(key)
                 else:
                     value = stage.method(
-                        rounds, stage_input, **stage.args(self, result)
+                        rounds, stage_input, **stage.args(spec, result)
                     )
                     if store is not None:
                         self._save_stage(stage, value, store, hdfs, recorder)
@@ -385,7 +339,7 @@ class GesallPipeline:
         with matching ``chaos.*`` counters, and are appended to
         ``result.chaos_events`` for reports.
         """
-        plan = self.policy.fault_plan
+        plan = self.spec.policy.fault_plan
         if plan is None:
             return
         events = plan.storage_events(key)
@@ -422,12 +376,9 @@ class GesallPipeline:
         """Digest of the input reads + configuration that shapes outputs.
 
         Guards resume: a checkpoint written for different reads or a
-        different pipeline shape must not be restored.  The executor
-        choice is deliberately excluded — outputs are byte-identical
-        across executors, so resuming under a different one is safe.
-        The shuffle codec is excluded for the same reason: compression
-        changes only the intermediate segment bytes, never the round
-        outputs a checkpoint captures.  The aligner / caller configs,
+        different pipeline shape must not be restored.  Every spec
+        field is either folded in here or named, with its reason, in
+        :data:`_NOT_OUTPUT_SHAPING`.  The aligner / caller configs,
         the known sites and the index parameters count only where they
         differ from their defaults, so a default run's digest — and the
         checkpoints already written under it — is unchanged.
@@ -436,17 +387,18 @@ class GesallPipeline:
         for end1, end2 in pairs:
             for read in (end1, end2):
                 digest = zlib.crc32(read.to_text().encode(), digest)
+        spec = self.spec
         config = (
-            self.num_fastq_partitions, self.num_reducers, self.markdup_mode,
-            self.with_recalibration, self.block_size, self.chunk_bytes,
-            len(self.nodes),
+            spec.num_fastq_partitions, spec.num_reducers, spec.markdup_mode,
+            spec.with_recalibration, spec.block_size, spec.chunk_bytes,
+            len(spec.nodes),
         )
         digest = zlib.crc32(repr(config).encode(), digest)
         index_defaults = inspect.signature(ReferenceIndex).parameters
         for name, value, default in (
-            ("aligner_config", self.aligner_config, AlignerConfig()),
-            ("hc_config", self.hc_config, HaplotypeCallerConfig()),
-            ("known_sites", self.known_sites, set()),
+            ("aligner_config", spec.aligner_config, AlignerConfig()),
+            ("hc_config", spec.hc_config, HaplotypeCallerConfig()),
+            ("known_sites", spec.known_sites, set()),
             ("index.k", self.index.k, index_defaults["k"].default),
             ("index.max_hits_per_kmer", self.index.max_hits_per_kmer,
              index_defaults["max_hits_per_kmer"].default),
@@ -455,6 +407,20 @@ class GesallPipeline:
             if rendered != _render(default):
                 digest = zlib.crc32(f"{name}={rendered}".encode(), digest)
         return f"{digest:08x}"
+
+
+#: The ``PipelineSpec`` fields :meth:`GesallPipeline._fingerprint` leaves
+#: out; a test holds every other field to changing the digest, so a new
+#: field forces the decision.  ``policy`` and ``shuffle``: outputs are
+#: byte-identical across executors and codecs (compression changes only
+#: the intermediate segment bytes, never the round outputs a checkpoint
+#: captures), so resuming under different ones is safe.  ``obs`` only
+#: observes; ``checkpoint_dir`` is where the digest is kept.
+#: ``reference`` is input rather than configuration: it is guarded
+#: through the digest of the reads sampled from it.
+_NOT_OUTPUT_SHAPING = (
+    "reference", "policy", "obs", "shuffle", "checkpoint_dir",
+)
 
 
 def _render(value: Any) -> str:

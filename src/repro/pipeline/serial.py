@@ -8,11 +8,12 @@ toolkit can compare any prefix against the parallel pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
-from repro.align.aligner import AlignerConfig
 from repro.align.index import ReferenceIndex
 from repro.align.pairing import PairedEndAligner
+from repro.api import PipelineSpec
 from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.duplicates import MarkDuplicates
 from repro.cleaning.fix_mate import FixMateInformation
@@ -21,11 +22,10 @@ from repro.cleaning.sort import SortSam
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamHeader, SamRecord
 from repro.formats.vcf import VariantRecord, sort_variants
-from repro.genome.reference import ReferenceGenome
 from repro.obs.recorder import NULL_RECORDER
 from repro.recal.apply import PrintReads
 from repro.recal.recalibrator import BaseRecalibrator, RecalibrationTable
-from repro.variants.haplotype import HaplotypeCallerConfig, HaplotypeCallerLite
+from repro.variants.haplotype import HaplotypeCallerLite
 
 
 class SerialPipelineResult:
@@ -48,50 +48,27 @@ class SerialPipelineResult:
 
 
 class SerialPipeline:
-    """Bwa -> cleaning -> MarkDuplicates [-> BQSR] -> Haplotype Caller."""
+    """Bwa -> cleaning -> MarkDuplicates [-> BQSR] -> Haplotype Caller.
 
-    def __init__(
-        self,
-        reference: ReferenceGenome,
-        index: Optional[ReferenceIndex] = None,
-        aligner_config: Optional[AlignerConfig] = None,
-        hc_config: Optional[HaplotypeCallerConfig] = None,
-        batch_size: int = 4000,
-        with_recalibration: bool = False,
-        known_sites: Optional[Set[Tuple[str, int]]] = None,
-        recorder=None,
-    ):
-        self.reference = reference
-        self.index = index or ReferenceIndex(reference)
-        self.aligner = PairedEndAligner(self.index, aligner_config)
-        self.hc_config = hc_config
+    Holds the same :class:`~repro.api.PipelineSpec` the parallel
+    pipeline runs from and reads it directly; only ``batch_size`` (how
+    many pairs one aligner call takes) and the ``recorder`` are its own.
+    """
+
+    def __init__(self, spec: PipelineSpec, batch_size: int = 4000,
+                 recorder=None):
+        self.spec = spec
         self.batch_size = batch_size
-        self.with_recalibration = with_recalibration
-        self.known_sites = known_sites
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
-    @classmethod
-    def for_tail(
-        cls,
-        reference: ReferenceGenome,
-        hc_config: Optional[HaplotypeCallerConfig] = None,
-        recorder=None,
-    ) -> "SerialPipeline":
-        """A pipeline usable only from the cleaning stage onward.
-
-        Skips building the aligner index — hybrid pipelines start from
-        already-aligned records, and the index is the expensive part.
-        """
-        tail = cls.__new__(cls)
-        tail.reference = reference
-        tail.index = None
-        tail.aligner = None
-        tail.hc_config = hc_config
-        tail.batch_size = 0
-        tail.with_recalibration = False
-        tail.known_sites = None
-        tail.recorder = recorder if recorder is not None else NULL_RECORDER
-        return tail
+    @cached_property
+    def aligner(self) -> PairedEndAligner:
+        """Built on first use: the hybrid tails start from aligned
+        records and never pay for the index, the expensive part."""
+        spec = self.spec
+        return PairedEndAligner(
+            spec.index or ReferenceIndex(spec.reference), spec.aligner_config
+        )
 
     def run(self, pairs: Sequence[ReadPair]) -> SerialPipelineResult:
         result = SerialPipelineResult()
@@ -108,7 +85,7 @@ class SerialPipeline:
         result.deduped = records
         result.header = header
 
-        if self.with_recalibration:
+        if self.spec.with_recalibration:
             table, records = self.run_recalibration(header, records)
             result.recal_table = table
         result.analysis_ready = records
@@ -150,7 +127,9 @@ class SerialPipeline:
             "serial:recalibration", category="stage", track="driver",
             records=len(records),
         ):
-            recalibrator = BaseRecalibrator(self.reference, self.known_sites)
+            recalibrator = BaseRecalibrator(
+                self.spec.reference, self.spec.known_sites
+            )
             table = recalibrator.build_table(records)
             _, records = PrintReads(table).run(header, records)
         return table, records
@@ -163,7 +142,9 @@ class SerialPipeline:
             "serial:haplotype-caller", category="stage", track="driver",
             records=len(records),
         ) as span:
-            caller = HaplotypeCallerLite(self.reference, self.hc_config)
+            caller = HaplotypeCallerLite(
+                self.spec.reference, self.spec.hc_config
+            )
             variants = sort_variants(caller.call(records))
             span.set(variants=len(variants))
         return variants

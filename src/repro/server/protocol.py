@@ -102,23 +102,14 @@ def build_runnable(job_id: str, payload: Dict[str, Any],
         reducers = int(payload.get("reducers", 4))
 
         def run_pipeline_job() -> Any:
-            from repro.align.index import ReferenceIndex
             from repro.api import PipelineSpec, run_pipeline
-            from repro.formats.fastq import interleave, read_fastq
-            from repro.genome.reference import read_fasta
-            from repro.mapreduce.policy import ExecutionPolicy
+            from repro.formats.fastq import read_sample
 
-            reference = read_fasta(os.path.join(data_dir, "reference.fa"))
-            pairs = list(interleave(
-                read_fastq(os.path.join(data_dir, "reads_1.fastq")),
-                read_fastq(os.path.join(data_dir, "reads_2.fastq")),
-            ))
+            reference, pairs = read_sample(data_dir)
             spec = PipelineSpec(
                 reference=reference,
-                index=ReferenceIndex(reference),
                 num_fastq_partitions=partitions,
                 num_reducers=reducers,
-                policy=ExecutionPolicy.serial(),
                 checkpoint_dir=os.path.join(state_dir, f"ckpt-{job_id}"),
             )
             # resume=True is a no-op on a fresh checkpoint dir and

@@ -1,10 +1,10 @@
 """Frozen configuration of the shuffle service.
 
 Mirrors :class:`~repro.mapreduce.policy.ExecutionPolicy`: one immutable
-value object that rides inside a :class:`~repro.mapreduce.job.JobConf`
+value object that rides inside a :class:`~repro.mapreduce.job.JobSpec`
 (and across the fork boundary) and fully determines how map output
 becomes reduce input.  The map-side run size stays on the job
-(``JobConf.io_sort_records``, Hadoop's ``io.sort.mb`` analogue); this
+(``JobSpec.io_sort_records``, Hadoop's ``io.sort.mb`` analogue); this
 object owns the byte plane: codec, fetch retries, and skew thresholds.
 """
 
@@ -56,5 +56,5 @@ class ShuffleConfig:
             raise ShuffleError("track_keys must be >= 0")
 
 
-#: Shared default so ``JobConf`` need not allocate one per job.
+#: Shared default so ``JobSpec`` need not allocate one per job.
 DEFAULT_SHUFFLE = ShuffleConfig()

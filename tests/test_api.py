@@ -2,11 +2,12 @@
 
 ``JobSpec`` / ``PipelineSpec`` are the only sanctioned construction
 paths for jobs and pipeline runs; these tests pin their immutability,
-their parity with the legacy constructors, and the sealed-block codec
-they feed the engine.
+that the code which runs them reads the spec itself (no mirrored
+constructor), and the sealed-block codec they feed the engine.
 """
 
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -29,7 +30,6 @@ from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.blocks import RecordBlock, encode_block
 from repro.mapreduce.executors import fork_available
-from repro.mapreduce.job import JobConf
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.shuffle.config import ShuffleConfig
 
@@ -61,40 +61,36 @@ class TestJobSpec:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.num_reducers = 4
 
-    def test_to_conf_carries_every_field(self):
-        shuffle = ShuffleConfig(codec="zlib-1")
-        spec = _wordcount_spec(
-            combiner=lambda k, v, c: c.emit(k, sum(v)),
-            partitioner=lambda key, n: 0,
-            io_sort_records=7,
-            slowstart=0.5,
-            sort_key=str,
-            record_counter=len,
-            shuffle=shuffle,
-        )
-        conf = spec.to_conf()
-        assert isinstance(conf, JobConf)
-        assert conf.name == "wc"
-        assert conf.mapper is spec.mapper
-        assert conf.reducer is spec.reducer
-        assert conf.combiner is spec.combiner
-        assert conf.partitioner is spec.partitioner
-        assert conf.num_reducers == 2
-        assert conf.io_sort_records == 7
-        assert conf.slowstart == 0.5
-        assert conf.sort_key is str
-        assert conf.record_counter is len
-        assert conf.shuffle is shuffle
+    def test_defaults_resolve_at_construction(self):
+        from repro.mapreduce.job import _default_value_size
+        from repro.shuffle.config import DEFAULT_SHUFFLE
 
-    def test_to_conf_validates_eagerly(self):
-        spec = JobSpec(name="bad", mapper="not-callable")
+        spec = _wordcount_spec()
+        assert spec.value_size is _default_value_size
+        assert spec.shuffle is DEFAULT_SHUFFLE
+        shuffle = ShuffleConfig(codec="zlib-1")
+        explicit = _wordcount_spec(
+            partitioner=lambda key, n: 0, value_size=len, shuffle=shuffle,
+        )
+        assert explicit.partitioner("k", 2) == 0
+        assert explicit.value_size is len
+        assert explicit.shuffle is shuffle
+
+    def test_validates_at_construction(self):
         with pytest.raises(MapReduceError, match="mapper is not callable"):
-            spec.to_conf()
+            JobSpec(name="bad", mapper="not-callable")
 
     def test_default_partitioner_preserved(self):
         from repro.mapreduce.job import default_partitioner
 
-        assert _wordcount_spec().to_conf().partitioner is default_partitioner
+        assert _wordcount_spec().partitioner is default_partitioner
+
+    def test_one_class_under_every_export(self):
+        import repro
+        import repro.mapreduce
+        from repro.mapreduce.job import JobSpec as defined
+
+        assert JobSpec is defined is repro.JobSpec is repro.mapreduce.JobSpec
 
     def test_replace_derives_variants(self):
         spec = _wordcount_spec()
@@ -110,7 +106,7 @@ class TestRunJob:
 
     def test_rejects_non_spec(self):
         with pytest.raises(MapReduceError, match="takes a JobSpec"):
-            run_job(_wordcount_spec().to_conf(), [])
+            run_job(object(), [])
 
     def test_serial_block_wordcount(self):
         result = self.baseline()
@@ -158,25 +154,94 @@ class TestPipelineSpec:
     def test_matches_legacy_pipeline(self, reference, ref_index, pairs):
         from repro.pipeline.parallel import GesallPipeline
 
-        legacy = GesallPipeline(
-            reference, index=ref_index, num_fastq_partitions=4,
-            num_reducers=3,
-        ).run(pairs)
         spec = PipelineSpec(
             reference=reference, index=ref_index, num_fastq_partitions=4,
             num_reducers=3,
         )
+        direct = GesallPipeline(spec).run(pairs)
         via_api = run_pipeline(spec, pairs)
         assert [v.to_line() for v in via_api.variants] == \
-            [v.to_line() for v in legacy.variants]
+            [v.to_line() for v in direct.variants]
         assert [r.to_line() for r in via_api.deduped] == \
-            [r.to_line() for r in legacy.deduped]
+            [r.to_line() for r in direct.deduped]
 
     def test_serial_reference_program(self, reference, ref_index, pairs):
         spec = PipelineSpec(reference=reference, index=ref_index)
         serial = run_serial_pipeline(spec, pairs)
         assert serial.variants is not None
         assert serial.alignment
+
+    def test_range_checks_and_defaults_resolve_at_construction(self):
+        with pytest.raises(PipelineError, match="at least one FASTQ"):
+            PipelineSpec(reference=object(), num_fastq_partitions=0)
+        spec = PipelineSpec(reference=object(), nodes=["a", "b"])
+        assert spec.nodes == ("a", "b")
+        assert spec.policy == ExecutionPolicy.serial()
+        assert not spec.obs.enabled
+        assert len(PipelineSpec(reference=object()).nodes) == 4
+
+    def test_no_pipeline_constructor_relists_a_spec_field(self):
+        """Both pipelines hold the spec; neither mirrors its fields, so
+        a field cannot reach one pipeline and be dropped by the other."""
+        from repro.pipeline.parallel import GesallPipeline
+        from repro.pipeline.serial import SerialPipeline
+
+        fields = {field.name for field in dataclasses.fields(PipelineSpec)}
+        parallel = inspect.signature(GesallPipeline.__init__).parameters
+        serial = inspect.signature(SerialPipeline.__init__).parameters
+        assert list(parallel) == ["self", "spec"]
+        assert list(serial) == ["self", "spec", "batch_size", "recorder"]
+        assert not fields & (set(parallel) | set(serial))
+
+
+@pytest.fixture(scope="module")
+def recalibrating(reference, ref_index, pairs):
+    """One recalibrating spec, run through both pipelines."""
+    spec = PipelineSpec(
+        reference=reference, index=ref_index, num_fastq_partitions=4,
+        num_reducers=3, with_recalibration=True,
+    )
+    some = pairs[:160]
+    return spec, some, run_serial_pipeline(spec, some), \
+        run_pipeline(spec, some)
+
+
+class TestOneSpecBothPipelines:
+    """``run_serial_pipeline`` used to hand-copy 4 of the 16 spec
+    fields and silently dropped recalibration and the known sites."""
+
+    def test_serial_pipeline_recalibrates(self, recalibrating):
+        _, _, serial, _ = recalibrating
+        assert serial.recal_table is not None
+        assert serial.recal_table.total_observations() > 0
+        # analysis_ready is the PrintReads output, not the deduped list.
+        assert serial.analysis_ready is not serial.deduped
+        assert [r.qual for r in serial.analysis_ready] != \
+            [r.qual for r in serial.deduped]
+
+    def test_serial_pipeline_masks_known_sites(self, recalibrating):
+        spec, some, serial, _ = recalibrating
+        masked = run_serial_pipeline(
+            dataclasses.replace(
+                spec, known_sites={("chr1", p) for p in range(4000)}
+            ),
+            some,
+        )
+        assert 0 < masked.recal_table.total_observations() \
+            < serial.recal_table.total_observations()
+
+    def test_diagnosis_compares_two_recalibrated_runs(
+        self, reference, recalibrating
+    ):
+        from repro.diagnostics import ErrorDiagnosisToolkit
+
+        _, _, serial, parallel = recalibrating
+        assert serial.recal_table is not None
+        assert parallel.recal_table is not None
+        report = ErrorDiagnosisToolkit(reference).diagnose(serial, parallel)
+        assert report.variants is not None
+        assert [row.stage for row in report.rows][:2] == \
+            ["Bwa", "Mark Duplicates"]
 
 
 class TestRecordBlocks:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.chaos import (
     CorruptReplica,
     DecommissionDatanode,
@@ -24,7 +25,7 @@ from repro.errors import MapReduceError
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.pipeline.parallel import GesallPipeline
 
@@ -43,7 +44,7 @@ def wordcount_job(name="wc"):
     def reducer(word, counts, ctx):
         ctx.emit(word, sum(counts))
 
-    return JobConf(name, mapper, reducer, num_reducers=2)
+    return JobSpec(name, mapper, reducer, num_reducers=2)
 
 
 LINES = [
@@ -447,10 +448,10 @@ class TestBlacklist:
 
 def run_pipeline(reference, ref_index, pairs, policy):
     """Full five-round run; returns (result, comparable fingerprint)."""
-    result = GesallPipeline(
+    result = GesallPipeline(PipelineSpec(
         reference, index=ref_index, nodes=NODES,
         num_fastq_partitions=4, num_reducers=3, policy=policy,
-    ).run(pairs)
+    )).run(pairs)
     files = {f.path: result.hdfs.get(f.path) for f in result.hdfs.files()}
     variants = [v.to_line() for v in result.variants]
     return result, (files, variants)

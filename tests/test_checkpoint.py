@@ -6,23 +6,21 @@ what is missing — and refuses checkpoints written by a different input
 or pipeline configuration.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.align import AlignerConfig, ReferenceIndex
+from repro.api import PipelineSpec
 from repro.chaos import FaultPlan, RaiseInTask
-from repro.errors import CheckpointError, MapReduceError, PipelineError
+from repro.errors import CheckpointError, MapReduceError
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
-from repro.pipeline.checkpoint import (
-    CheckpointStore,
-    HdfsBackend,
-    LocalDirectoryBackend,
-)
-from repro.pipeline.parallel import GesallPipeline
+from repro.pipeline.checkpoint import CheckpointStore, LocalDirectoryBackend
+from repro.pipeline.parallel import _NOT_OUTPUT_SHAPING, GesallPipeline
 from repro.variants.genotyper import GenotyperConfig
 from repro.variants.haplotype import HaplotypeCallerConfig
 
@@ -45,18 +43,6 @@ class TestLocalDirectoryBackend:
         for i in range(5):
             backend.write(f"b{i}.bin", b"x" * i)
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
-
-
-class TestHdfsBackend:
-    def test_write_read_roundtrip(self):
-        hdfs = Hdfs(["a", "b"], replication=2)
-        backend = HdfsBackend(hdfs, prefix="/ckpt")
-        backend.write("blob.bin", b"payload")
-        assert backend.read("blob.bin") == b"payload"
-        assert hdfs.exists("/ckpt/blob.bin")
-        backend.write("blob.bin", b"rewritten")  # overwrite path
-        assert backend.read("blob.bin") == b"rewritten"
-        assert backend.read("missing.bin") is None
 
 
 class TestCheckpointStore:
@@ -140,10 +126,10 @@ NODES = [f"node{i:02d}" for i in range(4)]
 
 
 def build(reference, ref_index, num_reducers=2, **kwargs):
-    return GesallPipeline(
+    return GesallPipeline(PipelineSpec(
         reference, index=ref_index, nodes=NODES,
         num_fastq_partitions=3, num_reducers=num_reducers, **kwargs,
-    )
+    ))
 
 
 def vcf_lines(result):
@@ -164,16 +150,6 @@ def clean_ckpt(tmp_path_factory, reference, ref_index, some_pairs):
 
 
 class TestPipelineResume:
-    def test_checkpoint_and_dir_are_mutually_exclusive(
-        self, reference, ref_index
-    ):
-        with pytest.raises(PipelineError, match="not both"):
-            build(
-                reference, ref_index,
-                checkpoint=CheckpointStore.local("/tmp/x"),
-                checkpoint_dir="/tmp/y",
-            )
-
     def test_resume_restores_the_whole_completed_run(
         self, reference, ref_index, some_pairs, clean_ckpt
     ):
@@ -229,10 +205,10 @@ class TestPipelineResume:
         ``hc_config`` silently restored the old round-5 variants."""
         root, _ = clean_ckpt
         kwargs = {"index": ref_index, **changed(reference)}
-        pipeline = GesallPipeline(
+        pipeline = GesallPipeline(PipelineSpec(
             reference, nodes=NODES, num_fastq_partitions=3, num_reducers=2,
             checkpoint_dir=root, **kwargs,
-        )
+        ))
         with pytest.raises(CheckpointError, match="different run"):
             pipeline.run(some_pairs, resume=True)
 
@@ -259,6 +235,42 @@ class TestPipelineResume:
         assert digest(hc_config=HaplotypeCallerConfig(seed=3)) == digest(
             hc_config=HaplotypeCallerConfig(seed=3)
         ) != digest()
+
+    def test_every_spec_field_is_fingerprinted_or_declared_not_shaping(
+        self, reference, ref_index, some_pairs
+    ):
+        """A new ``PipelineSpec`` field must either change the digest
+        or be named in ``_NOT_OUTPUT_SHAPING`` — the decision PR 16 had
+        to retrofit for five fields a hand-listed digest had missed."""
+        changed = {
+            "index": ReferenceIndex(reference, max_hits_per_kmer=8),
+            "nodes": NODES[:2],
+            "aligner_config": AlignerConfig(seed=5),
+            "hc_config": HaplotypeCallerConfig(activity_threshold=0.2),
+            "num_fastq_partitions": 5,
+            "num_reducers": 3,
+            "markdup_mode": "reg",
+            "with_recalibration": True,
+            "known_sites": {("chr1", 10)},
+            "block_size": 32 * 1024,
+            "chunk_bytes": 8 * 1024,
+        }
+        names = [field.name for field in dataclasses.fields(PipelineSpec)]
+        assert set(_NOT_OUTPUT_SHAPING) <= set(names)
+        base = build(reference, ref_index)
+        digest = base._fingerprint(some_pairs[:4])
+        for name in names:
+            if name in _NOT_OUTPUT_SHAPING:
+                continue
+            assert name in changed, (
+                f"PipelineSpec.{name}: fold it into "
+                "GesallPipeline._fingerprint or name it in "
+                "_NOT_OUTPUT_SHAPING"
+            )
+            variant = GesallPipeline(
+                dataclasses.replace(base.spec, **{name: changed[name]})
+            )
+            assert variant._fingerprint(some_pairs[:4]) != digest, name
 
     def test_crash_in_round4_resumes_running_only_the_tail(
         self, reference, ref_index, some_pairs, clean_ckpt, tmp_path
@@ -295,20 +307,3 @@ class TestPipelineResume:
             (tmp_path / "ckpt" / "manifest.json").read_text()
         )
         assert manifest["order"] == ALL_ROUNDS
-
-    def test_hdfs_backend_survives_into_a_second_run(
-        self, reference, ref_index, some_pairs, clean_ckpt
-    ):
-        _, clean = clean_ckpt
-        backing = Hdfs(["s0", "s1"], replication=2)
-        first = build(
-            reference, ref_index,
-            checkpoint=CheckpointStore.hdfs(backing, prefix="/ckpt"),
-        ).run(some_pairs)
-        assert vcf_lines(first) == vcf_lines(clean)
-        second = build(
-            reference, ref_index,
-            checkpoint=CheckpointStore.hdfs(backing, prefix="/ckpt"),
-        ).run(some_pairs, resume=True)
-        assert second.resumed_rounds == ALL_ROUNDS
-        assert vcf_lines(second) == vcf_lines(clean)

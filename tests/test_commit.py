@@ -15,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.chaos import (
     CorruptReplica,
     DelayTask,
@@ -36,7 +37,7 @@ from repro.mapreduce import counters as C
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
 from repro.mapreduce.engine import JobResult, MapReduceEngine, _TaskOutcome
 from repro.mapreduce.executors import fork_available
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
 from repro.pipeline.checkpoint import LocalDirectoryBackend
@@ -64,7 +65,7 @@ def wordcount_job(name="wc"):
     def reducer(word, counts, ctx):
         ctx.emit(word, sum(counts))
 
-    return JobConf(name, mapper, reducer, num_reducers=2)
+    return JobSpec(name, mapper, reducer, num_reducers=2)
 
 
 LINES = [
@@ -372,7 +373,7 @@ class TestZombieFencing:
         def reducer(word, counts, ctx):
             ctx.emit(word, sum(counts))
 
-        job = JobConf("wc", mapper, reducer, num_reducers=2)
+        job = JobSpec("wc", mapper, reducer, num_reducers=2)
         with MapReduceEngine(
             nodes=NODES, policy=ExecutionPolicy.pooled(max_workers=2)
         ) as engine:
@@ -477,10 +478,10 @@ class TestDriverKillReplay:
 
 
 def build_pipeline(reference, ref_index, **kwargs):
-    return GesallPipeline(
+    return GesallPipeline(PipelineSpec(
         reference, index=ref_index, nodes=NODES,
         num_fastq_partitions=3, num_reducers=2, **kwargs,
-    )
+    ))
 
 
 def fingerprint_of(result):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.diagnostics.insert_size import (
     edge_enrichment,
     insert_size_histogram,
@@ -43,12 +44,12 @@ def pipeline_pair(reference, ref_index, pairs):
     # (and hence pipeline-unique variants) can be observed.
     from repro.variants.haplotype import HaplotypeCallerConfig
     hc_config = HaplotypeCallerConfig(downsample_depth=10)
-    serial = SerialPipeline(reference, index=ref_index, batch_size=500,
-                            hc_config=hc_config).run(pairs)
-    parallel = GesallPipeline(
+    spec = PipelineSpec(
         reference, index=ref_index, num_fastq_partitions=5, num_reducers=3,
         hc_config=hc_config,
-    ).run(pairs)
+    )
+    serial = SerialPipeline(spec, batch_size=500).run(pairs)
+    parallel = GesallPipeline(spec).run(pairs)
     return serial, parallel
 
 

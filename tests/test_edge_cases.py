@@ -17,7 +17,7 @@ from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
 from repro.formats.vcf import VariantRecord
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import JobConf, _default_value_size, make_splits
+from repro.mapreduce.job import JobSpec, _default_value_size, make_splits
 
 
 def rec(qname="r", pos=100, flag_bits=0, cigar="10M", rname="chr1"):
@@ -159,14 +159,14 @@ class TestEngineEdges:
             seen.append(key)
 
         engine = MapReduceEngine()
-        job = JobConf("sorted", mapper, reducer, num_reducers=1,
+        job = JobSpec("sorted", mapper, reducer, num_reducers=1,
                       sort_key=lambda k: -k)
         engine.run(job, make_splits([[3, 1, 2]]))
         assert seen == [3, 2, 1]
 
     def test_reducer_emitting_nothing(self):
         engine = MapReduceEngine()
-        job = JobConf(
+        job = JobSpec(
             "silent", lambda p, c: c.emit("k", 1),
             lambda k, v, c: None, num_reducers=1,
         )
@@ -175,7 +175,7 @@ class TestEngineEdges:
 
     def test_single_node_engine(self):
         engine = MapReduceEngine(nodes=["only"])
-        job = JobConf("s", lambda p, c: c.emit(p, 1),
+        job = JobSpec("s", lambda p, c: c.emit(p, 1),
                       lambda k, v, c: c.emit(k, sum(v)), num_reducers=3)
         result = engine.run(job, make_splits(list("abcabc")))
         assert dict(result.all_outputs()) == {"a": 2, "b": 2, "c": 2}

@@ -12,6 +12,7 @@ still had a separate ``elastic`` executor kind.
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.chaos.plan import (
     ColdStart,
     CorruptSegment,
@@ -30,7 +31,7 @@ from repro.mapreduce.executors import (
     PooledProcessExecutor,
     fork_available,
 )
-from repro.mapreduce.job import InputSplit, JobConf, make_splits
+from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import TraceRecorder
 from repro.pipeline.parallel import GesallPipeline
@@ -58,7 +59,7 @@ def wordcount_job(name="wc", reducers=2):
     def reducer(word, counts, ctx):
         ctx.emit(word, sum(counts))
 
-    return JobConf(name, mapper, reducer, num_reducers=reducers)
+    return JobSpec(name, mapper, reducer, num_reducers=reducers)
 
 
 def clean_outputs():
@@ -371,10 +372,10 @@ class TestPipelinePreemptionProperty:
 
     @pytest.fixture(scope="class")
     def clean_variants(self, reference, ref_index, pairs):
-        result = GesallPipeline(
+        result = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=4,
             num_reducers=3, policy=ExecutionPolicy.serial(),
-        ).run(pairs)
+        )).run(pairs)
         return [v.to_line() for v in result.variants]
 
     @pytest.mark.parametrize("job,wave", PIPELINE_WAVES)
@@ -382,13 +383,13 @@ class TestPipelinePreemptionProperty:
         self, reference, ref_index, pairs, clean_variants, job, wave
     ):
         plan = FaultPlan(events=(PreemptWorker(job, wave=wave, task=0),))
-        result = GesallPipeline(
+        result = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=4,
             num_reducers=3,
             policy=ExecutionPolicy(
                 executor="pool", max_workers=2, fault_plan=plan,
             ),
-        ).run(pairs)
+        )).run(pairs)
         assert [v.to_line() for v in result.variants] == clean_variants
         preempted = [
             event
@@ -524,7 +525,7 @@ class TestComposedExecutionPlaneDrill:
             ctx.emit(word, sum(counts))
 
         # io_sort_records=3 forces several disk spills per map task.
-        return JobConf("drill", mapper, reducer, num_reducers=2,
+        return JobSpec("drill", mapper, reducer, num_reducers=2,
                        io_sort_records=3)
 
     def run_drill(self, spill_dir, traced=False, **policy_kwargs):

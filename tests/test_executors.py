@@ -7,13 +7,14 @@ counters.  These tests pin that contract, first on small synthetic
 jobs and then on the full five-round Gesall pipeline.
 """
 
+import dataclasses
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobSpec, make_block_splits, run_job
+from repro.api import PipelineSpec, make_block_splits, run_job
 from repro.errors import MapReduceError
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
@@ -29,7 +30,7 @@ from repro.mapreduce.executors import (
     build_executor,
     fork_available,
 )
-from repro.mapreduce.job import InputSplit, JobConf, make_splits
+from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
 from repro.pipeline.parallel import GesallPipeline
 
@@ -58,7 +59,7 @@ def wordcount_job():
     def reducer(word, counts, ctx):
         ctx.emit(word, sum(counts))
 
-    return JobConf("wordcount", mapper, reducer, num_reducers=2)
+    return JobSpec("wordcount", mapper, reducer, num_reducers=2)
 
 
 LINES = [
@@ -332,7 +333,7 @@ class TestRetriesAndFaults:
         def bad_mapper(line, ctx):
             raise ValueError("boom")
 
-        job = JobConf("doomed", bad_mapper)
+        job = JobSpec("doomed", bad_mapper)
         engine = MapReduceEngine(
             nodes=["n1"],
             policy=ExecutionPolicy(task_retries=2, retry_backoff=0.0),
@@ -355,7 +356,7 @@ class TestRetriesAndFaults:
             calls.append(line)
             ctx.emit(f"call-{len(calls)}", 1)
 
-        job = JobConf("impure", impure_mapper)
+        job = JobSpec("impure", impure_mapper)
         engine = MapReduceEngine(
             nodes=["n1"],
             policy=ExecutionPolicy.threads(max_workers=1, speculative=True),
@@ -367,7 +368,7 @@ class TestRetriesAndFaults:
 class TestRecordCounting:
     def test_map_input_records_counts_records_not_splits(self):
         """Regression: MAP_INPUT_RECORDS used to count one per split."""
-        job = JobConf(
+        job = JobSpec(
             "counted",
             lambda payload, ctx: None,
             record_counter=len,
@@ -378,7 +379,7 @@ class TestRecordCounting:
         assert result.counters.get(C.MAP_INPUT_RECORDS) == 4
 
     def test_default_remains_one_per_split(self):
-        job = JobConf("plain", lambda payload, ctx: None)
+        job = JobSpec("plain", lambda payload, ctx: None)
         result = MapReduceEngine(nodes=["n1"]).run(
             job, make_splits([["r1", "r2"], ["r3"]])
         )
@@ -389,7 +390,7 @@ class TestRecordCounting:
             ctx.set_input_records(len(payload))
 
         result = MapReduceEngine(nodes=["n1"]).run(
-            JobConf("override", mapper), make_splits([["a", "b"], ["c"]])
+            JobSpec("override", mapper), make_splits([["a", "b"], ["c"]])
         )
         assert result.counters.get(C.MAP_INPUT_RECORDS) == 3
 
@@ -556,16 +557,20 @@ class TestApiRedesign:
             InputSplit("s0", "payload", "n1", preferred_node="n2")
 
     def test_validate_rejects_reducerless_num_reducers(self):
-        job = JobConf("bad", lambda p, c: None)
-        job.num_reducers = 4  # simulate a conf mutated after the fact
+        job = JobSpec("bad", lambda p, c: None)
+        # A frozen spec cannot be mutated into an invalid one; the
+        # invalid combination is refused where it is stated.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.num_reducers = 4
         with pytest.raises(MapReduceError, match="no reducer"):
-            MapReduceEngine(nodes=["n1"]).run(job, make_splits(["x"]))
+            dataclasses.replace(job, num_reducers=4)
 
     def test_validate_rejects_uncallable_mapper(self):
-        job = JobConf("bad2", lambda p, c: None)
-        job.mapper = "not-a-function"
+        job = JobSpec("bad2", lambda p, c: None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.mapper = "not-a-function"
         with pytest.raises(MapReduceError, match="mapper is not callable"):
-            job.validate()
+            JobSpec("bad2", "not-a-function")
 
     def test_counters_is_a_mapping(self):
         from collections.abc import Mapping
@@ -594,20 +599,20 @@ class TestApiRedesign:
 
         with pytest.raises(MapReduceError, match="no filesystem"):
             MapReduceEngine(nodes=["n1"]).run(
-                JobConf("writes", mapper), make_splits(["x"])
+                JobSpec("writes", mapper), make_splits(["x"])
             )
 
 
 def pipeline_fingerprint(reference, ref_index, pairs, policy):
     """Run the full five-round pipeline and serialize everything it
     produced: every HDFS file plus the final variant lines."""
-    result = GesallPipeline(
+    result = GesallPipeline(PipelineSpec(
         reference,
         index=ref_index,
         num_fastq_partitions=4,
         num_reducers=3,
         policy=policy,
-    ).run(pairs)
+    )).run(pairs)
     files = {
         f.path: result.hdfs.get(f.path) for f in result.hdfs.files()
     }
@@ -692,7 +697,7 @@ def test_process_pool_smoke():
         filesystem=hdfs,
     ) as engine:
         result = engine.run(
-            JobConf("smoke", mapper),
+            JobSpec("smoke", mapper),
             make_splits(["alpha", "beta", "gamma"]),
         )
     assert [k for k, _ in result.all_outputs()] == ["alpha", "beta", "gamma"]

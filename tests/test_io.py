@@ -41,7 +41,7 @@ from repro.io.crashfuzz import (
     run_fuzz_gate,
 )
 from repro.io.faults import FaultIO, ShortRead, build_io
-from repro.io.layer import TMP_SUFFIX, DirectIO, IoStats, LocalIO
+from repro.io.layer import TMP_SUFFIX, IoStats, LocalIO
 from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.pipeline.checkpoint import CheckpointStore, LocalDirectoryBackend
@@ -203,15 +203,6 @@ class TestLocalIO:
             io.write_atomic(str(tmp_path / "x"), b"data")
         assert io.stats.retries == 2
         assert io.stats.backoff_charged_seconds > 0
-
-    def test_direct_io_skips_the_contract(self, tmp_path):
-        io = DirectIO()
-        target = str(tmp_path / "raw.bin")
-        io.write_atomic(target, b"abc")
-        io.append_durable(target, b"def")
-        assert io.read_bytes(target) == b"abcdef"
-        assert io.stats.fsyncs == 0
-        assert io.stats.dir_fsyncs == 0
 
     def test_stats_as_dict_uses_io_prefix(self):
         stats = IoStats()

@@ -8,7 +8,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import (
     InputSplit,
-    JobConf,
+    JobSpec,
     default_partitioner,
     make_splits,
 )
@@ -46,18 +46,14 @@ class TestCounters:
         assert a.get("X") == 3 and a.get("Y") == 3
 
 
-class TestJobConf:
+class TestJobSpec:
     def test_invalid_reducers(self):
         with pytest.raises(MapReduceError):
-            JobConf("j", word_mapper, sum_reducer, num_reducers=0)
-
-    def test_invalid_slowstart(self):
-        with pytest.raises(MapReduceError):
-            JobConf("j", word_mapper, slowstart=1.5)
+            JobSpec("j", word_mapper, sum_reducer, num_reducers=0)
 
     def test_map_only_detection(self):
-        assert JobConf("j", word_mapper).is_map_only
-        assert not JobConf("j", word_mapper, sum_reducer).is_map_only
+        assert JobSpec("j", word_mapper).is_map_only
+        assert not JobSpec("j", word_mapper, sum_reducer).is_map_only
 
     def test_default_partitioner_stable_and_in_range(self):
         for key in ["a", ("x", 1), 42]:
@@ -75,7 +71,7 @@ class TestJobConf:
 class TestEngine:
     def test_wordcount(self):
         engine = MapReduceEngine(nodes=["n1", "n2"])
-        job = JobConf("wc", word_mapper, sum_reducer, num_reducers=3)
+        job = JobSpec("wc", word_mapper, sum_reducer, num_reducers=3)
         result = engine.run(job, make_splits(["a b a", "b c a"]))
         assert sorted(result.all_outputs()) == [("a", 3), ("b", 2), ("c", 1)]
 
@@ -84,7 +80,7 @@ class TestEngine:
         splits_text = ["the quick brown fox", "jumps over the lazy dog the"]
         baselines = None
         for reducers in (1, 2, 5, 13):
-            job = JobConf("wc", word_mapper, sum_reducer, num_reducers=reducers)
+            job = JobSpec("wc", word_mapper, sum_reducer, num_reducers=reducers)
             outputs = sorted(engine.run(job, make_splits(splits_text)).all_outputs())
             if baselines is None:
                 baselines = outputs
@@ -93,7 +89,7 @@ class TestEngine:
     def test_output_invariant_to_split_boundaries(self):
         engine = MapReduceEngine(nodes=["n1"])
         text = "a b c d e f a b c a b a"
-        job = JobConf("wc", word_mapper, sum_reducer, num_reducers=2)
+        job = JobSpec("wc", word_mapper, sum_reducer, num_reducers=2)
         one = sorted(engine.run(job, make_splits([text])).all_outputs())
         words = text.split()
         many = sorted(
@@ -106,14 +102,14 @@ class TestEngine:
 
     def test_map_only_job(self):
         engine = MapReduceEngine()
-        job = JobConf("ids", lambda payload, ctx: ctx.emit(payload, None))
+        job = JobSpec("ids", lambda payload, ctx: ctx.emit(payload, None))
         result = engine.run(job, make_splits(["x", "y"]))
         assert [k for k, _ in result.all_outputs()] == ["x", "y"]
         assert result.counters.get(C.SHUFFLED_RECORDS) == 0
 
     def test_counters_populated(self):
         engine = MapReduceEngine()
-        job = JobConf("wc", word_mapper, sum_reducer, num_reducers=2)
+        job = JobSpec("wc", word_mapper, sum_reducer, num_reducers=2)
         result = engine.run(job, make_splits(["a b", "c d e"]))
         assert result.counters.get(C.MAP_INPUT_RECORDS) == 2
         assert result.counters.get(C.MAP_OUTPUT_RECORDS) == 5
@@ -134,13 +130,13 @@ class TestEngine:
         def reducer(key, values, ctx):
             observed[key] = list(values)
 
-        job = JobConf("order", mapper, reducer, num_reducers=1)
+        job = JobSpec("order", mapper, reducer, num_reducers=1)
         engine.run(job, make_splits([["m0-a", "m0-b"], ["m1-a"]]))
         assert observed["key"] == ["m0-a", "m0-b", "m1-a"]
 
     def test_history_tracks_tasks(self):
         engine = MapReduceEngine(nodes=["n1", "n2"])
-        job = JobConf("wc", word_mapper, sum_reducer, num_reducers=2)
+        job = JobSpec("wc", word_mapper, sum_reducer, num_reducers=2)
         result = engine.run(job, make_splits(["a", "b", "c"]))
         assert len(result.history.maps()) == 3
         assert len(result.history.reduces()) == 2
@@ -150,11 +146,11 @@ class TestEngine:
     def test_no_splits_rejected(self):
         engine = MapReduceEngine()
         with pytest.raises(MapReduceError):
-            engine.run(JobConf("j", word_mapper), [])
+            engine.run(JobSpec("j", word_mapper), [])
 
     def test_custom_partitioner_respected(self):
         engine = MapReduceEngine()
-        job = JobConf(
+        job = JobSpec(
             "p", word_mapper, sum_reducer,
             partitioner=lambda key, n: 0, num_reducers=3,
         )
@@ -169,7 +165,7 @@ class TestEngine:
             for i in range(100):
                 ctx.emit(i % 7, payload)
 
-        job = JobConf("spill", big_mapper, sum_reducer, io_sort_records=30)
+        job = JobSpec("spill", big_mapper, sum_reducer, io_sort_records=30)
         result = engine.run(job, make_splits([1]))
         map_task = result.history.maps()[0]
         assert map_task.spills == 4  # ceil(100 / 30)

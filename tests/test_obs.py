@@ -12,10 +12,11 @@ import json
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.history import JobHistory, TaskAttempt
-from repro.mapreduce.job import JobConf, TaskContext, make_splits
+from repro.mapreduce.job import JobSpec, TaskContext, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.export import (
     render_timeline,
@@ -346,7 +347,7 @@ def _traced_job():
     def reducer(key, values, ctx):
         ctx.emit(key, sum(values))
 
-    return JobConf("trace-demo", mapper, reducer, num_reducers=2)
+    return JobSpec("trace-demo", mapper, reducer, num_reducers=2)
 
 
 def _run_traced(policy):
@@ -478,12 +479,12 @@ class TestTracedPipelineAcceptance:
 
     @pytest.fixture(scope="class")
     def traced_run(self, reference, ref_index, pairs):
-        pipeline = GesallPipeline(
+        pipeline = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=5,
             num_reducers=2,
             policy=ExecutionPolicy.pooled(max_workers=2),
             obs=ObsConfig(enabled=True),
-        )
+        ))
         return pipeline.run(pairs)
 
     def test_round_spans_cover_all_rounds(self, traced_run):
@@ -533,10 +534,10 @@ class TestTracedPipelineAcceptance:
 
     def test_disabled_pipeline_records_nothing(self, reference, ref_index,
                                                pairs):
-        pipeline = GesallPipeline(
+        pipeline = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=3,
             obs=ObsConfig(enabled=False),
-        )
+        ))
         result = pipeline.run(pairs[:40])
         assert result.recorder is NULL_RECORDER
         assert result.recorder.spans() == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.chaos import CorruptReplica, FaultPlan
 from repro.errors import BlockLostError
 from repro.formats.bam import read_bam
@@ -18,14 +19,16 @@ from repro.pipeline.serial import SerialPipeline
 
 @pytest.fixture(scope="module")
 def serial_result(reference, ref_index, pairs):
-    return SerialPipeline(reference, index=ref_index, batch_size=500).run(pairs)
+    return SerialPipeline(
+        PipelineSpec(reference, index=ref_index), batch_size=500
+    ).run(pairs)
 
 
 @pytest.fixture(scope="module")
 def parallel_result(reference, ref_index, pairs):
-    pipeline = GesallPipeline(
+    pipeline = GesallPipeline(PipelineSpec(
         reference, index=ref_index, num_fastq_partitions=6, num_reducers=3
-    )
+    ))
     return pipeline.run(pairs)
 
 
@@ -55,7 +58,8 @@ class TestSerialPipeline:
 
     def test_recalibration_branch(self, reference, ref_index, pairs):
         pipeline = SerialPipeline(
-            reference, index=ref_index, batch_size=500, with_recalibration=True
+            PipelineSpec(reference, index=ref_index, with_recalibration=True),
+            batch_size=500,
         )
         result = pipeline.run(pairs[:400])
         assert result.recal_table is not None
@@ -76,9 +80,9 @@ class TestParallelPipeline:
     def test_round_records_decode_on_first_read_and_are_kept(
         self, reference, ref_index, pairs
     ):
-        result = GesallPipeline(
+        result = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=3, num_reducers=2
-        ).run(pairs[:60])
+        )).run(pairs[:60])
         decoded = {"alignment", "cleaned", "deduped"} & set(vars(result))
         assert not decoded  # the run itself decoded no round
         assert sorted(result.round_paths) == ["alignment", "cleaned", "deduped"]
@@ -100,10 +104,10 @@ class TestParallelPipeline:
         # before the damage, as when the lists were captured eagerly.
         def run(plan):
             policy = ExecutionPolicy(executor="serial", fault_plan=plan)
-            return GesallPipeline(
+            return GesallPipeline(PipelineSpec(
                 reference, index=ref_index, num_fastq_partitions=3,
                 num_reducers=2, policy=policy,
-            ).run(pairs[:60])
+            )).run(pairs[:60])
 
         target = "/round1/part-00000.bam"
         chaotic = run(FaultPlan(seed=0, events=tuple(

@@ -21,7 +21,7 @@ from repro.genome.regions import tile_contig
 from repro.hdfs.bam_storage import read_distributed_bam, upload_bam
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 
 # -- strategies -------------------------------------------------------------
 
@@ -229,7 +229,7 @@ def test_mapreduce_equals_sequential_groupby(split_payloads, n_reducers):
         ctx.emit(key, sorted(values))
 
     engine = MapReduceEngine(nodes=["n1", "n2"])
-    job = JobConf("group", mapper, reducer, num_reducers=n_reducers)
+    job = JobSpec("group", mapper, reducer, num_reducers=n_reducers)
     outputs = dict(engine.run(job, make_splits(split_payloads)).all_outputs())
 
     expected = {}

@@ -20,7 +20,7 @@ from repro.errors import (
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.shuffle.codec import CODEC_NAMES, codec_for_id, get_codec
 from repro.shuffle.config import DEFAULT_SHUFFLE, ShuffleConfig
@@ -380,7 +380,7 @@ def _run_wordcount(policy, shuffle, filesystem=None):
     engine = MapReduceEngine(
         nodes=["n0", "n1"], policy=policy, filesystem=filesystem
     )
-    job = JobConf(
+    job = JobSpec(
         "wordcount", _kv_mapper, _count_reducer, num_reducers=3,
         io_sort_records=4, shuffle=shuffle,
     )

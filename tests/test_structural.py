@@ -209,7 +209,7 @@ class TestCombiner:
     def test_combiner_reduces_shuffle(self):
         from repro.mapreduce import counters as C
         from repro.mapreduce.engine import MapReduceEngine
-        from repro.mapreduce.job import JobConf, make_splits
+        from repro.mapreduce.job import JobSpec, make_splits
 
         def mapper(payload, ctx):
             for word in payload.split():
@@ -221,10 +221,10 @@ class TestCombiner:
         engine = MapReduceEngine()
         splits = make_splits(["a a a a b", "b a a"])
         plain = engine.run(
-            JobConf("plain", mapper, reducer, num_reducers=2), splits
+            JobSpec("plain", mapper, reducer, num_reducers=2), splits
         )
         combined = engine.run(
-            JobConf("combined", mapper, reducer, combiner=reducer,
+            JobSpec("combined", mapper, reducer, combiner=reducer,
                     num_reducers=2),
             splits,
         )
@@ -235,14 +235,14 @@ class TestCombiner:
 
     def test_combiner_ignored_for_map_only(self):
         from repro.mapreduce.engine import MapReduceEngine
-        from repro.mapreduce.job import JobConf, make_splits
+        from repro.mapreduce.job import JobSpec, make_splits
 
         def mapper(payload, ctx):
             ctx.emit(payload, 1)
 
         engine = MapReduceEngine()
         result = engine.run(
-            JobConf("mo", mapper, combiner=lambda k, v, c: None),
+            JobSpec("mo", mapper, combiner=lambda k, v, c: None),
             make_splits(["x"]),
         )
         assert result.all_outputs() == [("x", 1)]

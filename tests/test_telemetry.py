@@ -15,11 +15,12 @@ import time
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.cli import main
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.history import JobHistory, TaskAttempt
-from repro.mapreduce.job import JobConf, make_splits
+from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.analysis import (
     MAD_THRESHOLD,
@@ -308,7 +309,7 @@ def _sampled_job():
     def reducer(key, values, ctx):
         ctx.emit(key, sum(values))
 
-    return JobConf("sampled", mapper, reducer, num_reducers=2)
+    return JobSpec("sampled", mapper, reducer, num_reducers=2)
 
 
 SAMPLED_POLICIES = [
@@ -361,12 +362,12 @@ class TestReportAcceptance:
 
     @pytest.fixture(scope="class")
     def sampled_run(self, reference, ref_index, pairs):
-        pipeline = GesallPipeline(
+        pipeline = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=5,
             num_reducers=2,
             policy=ExecutionPolicy.pooled(max_workers=2),
             obs=ObsConfig(enabled=True, sample_interval=0.01),
-        )
+        ))
         return pipeline.run(pairs)
 
     @pytest.fixture(scope="class")
