@@ -16,10 +16,9 @@ and **server** (the job server at dispatch time).
 
 Every keying scheme is independent of executor kind, scheduling
 order, and process identity, so a plan injects *identical* faults
-under the serial, threaded, and forked engines — the same determinism
-contract as ``ExecutionPolicy.injects_fault``.  Plans compose with the
-existing ``fault_rate`` machinery: a policy may carry both, and both
-streams of failures are absorbed by the same retry loop.
+under the serial, threaded, and forked engines.  A plan is the one
+way to make an attempt fail on purpose; its failures are absorbed by
+the engine's ordinary retry loop.
 
 Injected delays are *charged* to the attempt (added to its measured
 runtime before the ``task_timeout`` check) and slept through the

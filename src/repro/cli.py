@@ -457,8 +457,8 @@ def _cmd_trace(args) -> int:
     for key, job_result in rounds.results.items():
         s = job_result.history.summary()
         print(f"  {key:<18s}{s['maps']:>3d} maps {s['reduces']:>3d} reduces"
-              f"  retried {s['retried_tasks']}  speculative "
-              f"{s['speculative']}  queue {s['queued_seconds']:.3f}s"
+              f"  retried {s['retried_tasks']}"
+              f"  queue {s['queued_seconds']:.3f}s"
               f"  run {s['run_seconds']:.3f}s")
 
     from repro.obs.analysis import analyze

@@ -232,8 +232,8 @@ class LocalIO:
                 attempt += 1
                 self.stats.retries += 1
                 self.stats.transient_errors += 1
-                self.stats.backoff_charged_seconds += self.policy.retry_delay(
-                    f"{mode}|{path}", attempt
+                self.stats.backoff_charged_seconds += (
+                    self.policy.backoff_delay(attempt)
                 )
 
     def _charge(self, mode: str, path: str) -> None:

@@ -5,13 +5,11 @@ one immutable value describing how the :mod:`repro.io` layer behaves
 under dirty disks, carried inside the execution policy so it crosses
 the fork boundary with the rest of the job configuration.
 
-* ``retries`` / ``retry_backoff`` / ``retry_backoff_cap`` /
-  ``retry_jitter`` — transient errors (EIO, EAGAIN, EINTR, short
-  reads) are retried with the same capped-exponential *charged*
-  backoff as task retries: the delay is recorded in
-  ``io.backoff_charged_seconds``, never slept, and the jitter draw
-  depends only on ``(seed, op key, attempt)`` so it is identical under
-  every executor.
+* ``retries`` / ``retry_backoff`` / ``retry_backoff_cap`` — transient
+  errors (EIO, EAGAIN, EINTR, short reads) are retried with the same
+  capped-exponential *charged* backoff as task retries: the delay is
+  recorded in ``io.backoff_charged_seconds``, never slept, and depends
+  only on the attempt number so it is identical under every executor.
 * ``op_timeout`` — ceiling on one operation's *charged* latency
   (injected slow-I/O seconds); an op charged past it raises
   :class:`~repro.errors.IoTimeoutError`.  Deterministic by
@@ -31,33 +29,22 @@ the fork boundary with the rest of the job configuration.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import DurableIoError
 
-_JITTER_RESOLUTION = 1_000_000
 
+def charged_backoff(backoff: float, cap: float, attempt: int) -> float:
+    """The one retry curve: ``min(cap, backoff * 2 ** (attempt - 1))``.
 
-def charged_backoff(backoff: float, cap: float, attempt: int,
-                    jitter: float = 0.0, key: str = "") -> float:
-    """The one retry curve: capped exponential plus seeded jitter.
-
-    ``min(cap, backoff * 2 ** (attempt - 1))``, scaled up by a jitter
-    fraction drawn from ``crc32("<key>|<attempt>")`` — so the delay
-    depends only on the caller's key text (which carries its seed) and
-    the attempt number, and is identical in any process, under any
-    executor.  Task retries (``ExecutionPolicy``) and I/O retries
-    (:class:`IoPolicy`) both *charge* this delay — record it, never
-    sleep it — so backoff shapes the cost accounting without stalling
-    the wall clock.
+    It depends only on the attempt number, so it is identical in any
+    process, under any executor.  Task retries (``ExecutionPolicy``)
+    and I/O retries (:class:`IoPolicy`) both *charge* this delay —
+    record it, never sleep it — so backoff shapes the cost accounting
+    without stalling the wall clock.
     """
-    base = min(cap, backoff * 2 ** (attempt - 1))
-    if base <= 0.0 or jitter <= 0.0:
-        return base
-    draw = zlib.crc32(f"{key}|{attempt}".encode()) % _JITTER_RESOLUTION
-    return base * (1.0 + jitter * draw / _JITTER_RESOLUTION)
+    return min(cap, backoff * 2 ** (attempt - 1))
 
 
 @dataclass(frozen=True)
@@ -67,8 +54,6 @@ class IoPolicy:
     retries: int = 2
     retry_backoff: float = 0.005
     retry_backoff_cap: float = 0.1
-    retry_jitter: float = 0.0
-    seed: int = 0
     op_timeout: float = 0.0
     spill_dirs: Tuple[str, ...] = ()
     segment_replicas: int = 2
@@ -80,8 +65,6 @@ class IoPolicy:
             raise DurableIoError("retries must be >= 0")
         if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
             raise DurableIoError("retry backoff values must be >= 0")
-        if self.retry_jitter < 0:
-            raise DurableIoError("retry_jitter must be >= 0")
         if self.op_timeout < 0:
             raise DurableIoError("op_timeout must be >= 0 (0 disables it)")
         if isinstance(self.spill_dirs, list):
@@ -97,16 +80,9 @@ class IoPolicy:
             )
 
     def backoff_delay(self, attempt: int) -> float:
-        """Capped exponential delay before retrying a transient error."""
-        return charged_backoff(
-            self.retry_backoff, self.retry_backoff_cap, attempt
-        )
-
-    def retry_delay(self, op_key: str, attempt: int) -> float:
         """Charged backoff before one I/O retry (:func:`charged_backoff`)."""
         return charged_backoff(
-            self.retry_backoff, self.retry_backoff_cap, attempt,
-            self.retry_jitter, f"io-backoff|{self.seed}|{op_key}",
+            self.retry_backoff, self.retry_backoff_cap, attempt
         )
 
 

@@ -12,7 +12,7 @@ guarantees it:
   checks an epoch **fencing token**: a zombie attempt — one whose
   lease the driver already declared lost — arrives with a stale epoch
   and is refused, as is a duplicated commit of an already-committed
-  task.  Refusals are counted (``commit.fenced``) and recorded as
+  task.  Refusals are counted (``FENCED_COMMITS``) and recorded as
   ``commit_fenced`` history events, never applied.
 * Promotion is atomic per attempt from the pipeline's point of view: a
   failure mid-apply leaves the task uncommitted and unjournaled, so a
@@ -132,7 +132,7 @@ class OutputCommitter:
     def promote(self, task_id: str, epoch: int, outcome: Any) -> bool:
         """Atomically apply one staged attempt's effects.
 
-        Returns ``False`` — counting the refusal in ``commit.fenced``
+        Returns ``False`` — counting the refusal in ``FENCED_COMMITS``
         and recording a ``commit_fenced`` history event — when the
         task is already committed or the attempt presents a stale
         fencing token.  A successful promotion journals the commit (if
@@ -144,7 +144,6 @@ class OutputCommitter:
                 "duplicate" if task_id in self.committed else "stale_epoch"
             )
             self.result.counters.inc(C.FENCED_COMMITS)
-            self.recorder.metrics.counter("commit.fenced").inc()
             self.result.history.add_event(
                 "commit_fenced", task=task_id, epoch=epoch,
                 expected=self.expected_epoch(task_id), reason=reason,
@@ -166,7 +165,6 @@ class OutputCommitter:
         self.committed[task_id] = epoch
         del self._staged[(task_id, epoch)]
         self.result.counters.inc(C.TASK_COMMITS)
-        self.recorder.metrics.counter("commit.promoted").inc()
         if self.journal is not None:
             self.journal.record_commit(task_id, epoch, outcome)
         return True
@@ -178,7 +176,7 @@ class OutputCommitter:
         interrupted run may have committed a backup), the effects are
         re-applied through the normal promotion path — re-journaling
         the commit into the freshly begun log — and the skipped
-        re-execution is counted in ``wal.tasks_skipped``.
+        re-execution is counted in ``WAL_TASKS_SKIPPED``.
         """
         self._epochs[task_id] = epoch
         self.stage(task_id, epoch, outcome)
@@ -188,7 +186,6 @@ class OutputCommitter:
                 "refused on replay"
             )
         self.result.counters.inc(C.WAL_TASKS_SKIPPED)
-        self.recorder.metrics.counter("wal.tasks_skipped").inc()
         self.result.history.add_event(
             "task_replayed", task=task_id, epoch=epoch,
         )

@@ -29,11 +29,10 @@ REDUCE_INPUT_GROUPS = "REDUCE_INPUT_GROUPS"
 REDUCE_INPUT_RECORDS = "REDUCE_INPUT_RECORDS"
 REDUCE_OUTPUT_RECORDS = "REDUCE_OUTPUT_RECORDS"
 
-# Execution-plane counters (retries, fault injection, speculation).
+# Execution-plane counters (retries, fault injection).
 MAP_TASK_ATTEMPTS = "MAP_TASK_ATTEMPTS"
 REDUCE_TASK_ATTEMPTS = "REDUCE_TASK_ATTEMPTS"
 INJECTED_FAULTS = "INJECTED_FAULTS"
-SPECULATIVE_ATTEMPTS = "SPECULATIVE_ATTEMPTS"
 TASK_TIMEOUTS = "TASK_TIMEOUTS"
 INJECTED_DELAYS = "INJECTED_DELAYS"
 

@@ -20,11 +20,12 @@ map-task order, so every executor produces byte-identical job results.
     serialized by the GIL.
 ``PooledProcessExecutor``
     Real CPU parallelism: forks its workers **once per job** with the
-    job context in memory — the unpicklable task bodies (closures over
-    HDFS handles and aligners) ride into the children inside the fork
-    image — and reuses them across every wave of the job (map wave,
-    reduce wave, speculative and backup attempts); the executor object
-    itself is reused across the rounds of a pipeline.  Only the
+    job context in memory — the unpicklable half of every task (the job
+    spec's closures over HDFS handles and aligners, the input splits)
+    rides into the children inside the fork image — and reuses them
+    across every wave of the job (map wave, reduce wave, fenced backup
+    attempts); the executor object itself is reused across the rounds
+    of a pipeline.  Only the
     picklable descriptors cross the pipes going in, and picklable
     outcomes coming back.  A worker that dies mid-task is detected by
     its broken pipe, reported to the engine as a :class:`WorkerCrash`
@@ -47,7 +48,7 @@ import weakref
 import zlib
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
@@ -58,27 +59,35 @@ class JobContext:
 
     In-process executors hand it to ``call.run`` directly.  The pool
     publishes it in :data:`_POOL_JOB_CONTEXT` immediately before it
-    forks the job's workers, so the unpicklable task bodies (closures
-    over HDFS handles, aligners, the job spec) ride into the children
-    inside the fork image and only picklable call descriptors cross
-    the pipes afterwards.
+    forks the job's workers, so what cannot pickle (the job spec's
+    closures over HDFS handles and aligners, the input splits, the
+    spill I/O layer) rides into the children inside the fork image and
+    only picklable call descriptors cross the pipes afterwards.
     """
 
-    __slots__ = ("job", "policy", "map_bodies", "trace", "sample_interval")
+    __slots__ = ("job", "policy", "splits", "trace", "trace_phases",
+                 "sample_interval", "io")
 
-    def __init__(self, job, policy, map_bodies, trace: bool = False,
-                 sample_interval: float = 0.0):
+    def __init__(self, job, policy, splits, trace: bool = False,
+                 trace_phases: bool = False, sample_interval: float = 0.0,
+                 io: Any = None):
         self.job = job
         self.policy = policy
-        #: Map task bodies by task index; ``f(epoch, candidates) -> outcome``.
-        self.map_bodies: Sequence[Callable[..., Any]] = map_bodies
+        #: The job's input splits; map task *i* reads ``splits[i]``.
+        self.splits: Sequence[Any] = splits
         #: When true, outcomes are stamped with run time and worker
         #: identity (set by the engine when a recorder is enabled).
         self.trace = trace
+        #: When true, tasks additionally measure their phase boundaries
+        #: and buffer context spans (the recorder's ``trace_tasks``).
+        self.trace_phases = trace_phases
         #: Resource-sampling interval in seconds (0 = off).  When > 0,
         #: every task attempt runs a worker-side ResourceSampler whose
         #: samples ride the outcome.
         self.sample_interval = sample_interval
+        #: Durable-I/O layer map tasks spill runs through; ``None``
+        #: (no spill directories configured) keeps runs in memory.
+        self.io = io
 
 
 def _run_call(call: Any, context: JobContext) -> Any:
@@ -147,6 +156,10 @@ class TaskExecutor(ABC):
     def close(self) -> None:
         """Release executor resources (idempotent)."""
         self.end_job()
+
+    def stats(self) -> Dict[str, float]:
+        """Lifetime accounting by metric name (the pool has some)."""
+        return {}
 
     def _job_context(self) -> JobContext:
         if self._context is None:
@@ -326,8 +339,8 @@ class PooledProcessExecutor(TaskExecutor):
     """Persistent fork-based worker pool — forks once per job.
 
     Workers fork at :meth:`begin_job` with the job context in memory
-    and are fed every subsequent task of the job — both waves, each
-    speculative audit, each fenced backup — over per-worker pipes.  The
+    and are fed every subsequent task of the job — both waves and each
+    fenced backup — over per-worker pipes.  The
     executor object itself is cached by the engine, so a multi-round
     pipeline reuses one pool across rounds (one fork set per round, not
     per wave).  A worker that dies mid-task surfaces as a
@@ -345,11 +358,10 @@ class PooledProcessExecutor(TaskExecutor):
     dominating means tasks sat waiting for a slot: grow (doubling pace)
     toward the ceiling.  Queue-wait vanishing means slots sat idle:
     drain-then-retire (halving pace) toward the floor.  With tracing
-    off there is no clock to read, so a seeded, *clock-free* fallback
-    steps the pool toward the next wave's demand — every decision
-    depends only on ``(seed, decision index)``, so the determinism
-    audits that compare executors byte-for-byte are unaffected by
-    scaling.
+    off there is no clock to read, so a *clock-free* fallback steps
+    the pool toward the next wave's demand — every decision depends
+    only on its decision index, so the determinism audits that compare
+    executors byte-for-byte are unaffected by scaling.
 
     Two structural rules keep the controller safe and honest:
 
@@ -370,8 +382,7 @@ class PooledProcessExecutor(TaskExecutor):
     #: Queue-wait fraction below which idle workers are retired.
     QUEUE_LOW = 0.1
 
-    def __init__(self, max_workers: int, min_workers: Optional[int] = None,
-                 seed: int = 0):
+    def __init__(self, max_workers: int, min_workers: Optional[int] = None):
         if min_workers is None:
             min_workers = max_workers
         if not 1 <= min_workers <= max_workers:
@@ -385,7 +396,6 @@ class PooledProcessExecutor(TaskExecutor):
             )
         self.max_workers = max_workers
         self.min_workers = min_workers
-        self.seed = seed
         #: Mutated in place (never rebound) so the GC finalizer sees
         #: the live worker set.
         self._workers: List[_PoolWorker] = []
@@ -399,7 +409,7 @@ class PooledProcessExecutor(TaskExecutor):
         #: the worker dispatched the seq-th call is SIGKILLed right
         #: after the send.  Cleared when the wave drains.
         self._pending_preemptions: Set[int] = set()
-        #: Lifetime accounting, read by the engine into pool.* metrics.
+        #: Lifetime accounting, published through :meth:`stats`.
         self.forks = 0
         self.jobs = 0
         self.waves_reused = 0
@@ -422,7 +432,7 @@ class PooledProcessExecutor(TaskExecutor):
         return max(self.min_workers, min(self.max_workers, workers))
 
     def begin_job(self, context: JobContext) -> None:
-        """Fork the job's workers with its task bodies in memory.
+        """Fork the job's workers with its context in memory.
 
         Forks only what the first (map) wave can use, never fewer than
         the floor — which is ``max_workers`` for a fixed pool.
@@ -435,7 +445,7 @@ class PooledProcessExecutor(TaskExecutor):
         self.cold_start_seconds = (
             plan.cold_start_for(context.job.name) if plan is not None else 0.0
         )
-        self._spawn(self._clamped(max(len(context.map_bodies), 1)))
+        self._spawn(self._clamped(max(len(context.splits), 1)))
         self._fresh = True
         self.jobs += 1
 
@@ -538,7 +548,7 @@ class PooledProcessExecutor(TaskExecutor):
         ``pool.scale.*`` metrics) or ``None`` when the pool held its
         size — always, for a fixed pool.  ``queue_fraction`` is the
         settled wave's observed queue-wait share when tracing measured
-        one; ``None`` selects the seeded clock-free fallback.
+        one; ``None`` selects the clock-free fallback.
         """
         if not self._workers:
             return None
@@ -554,11 +564,9 @@ class PooledProcessExecutor(TaskExecutor):
                 target = live
         else:
             # Clock-free fallback: step toward the coming demand at a
-            # seeded pace of 1-2 workers per decision.  (The draw's key
-            # text is pinned: changing it reshuffles every seeded run.)
-            draw = zlib.crc32(
-                f"elastic|{self.seed}|{self._decisions}".encode()
-            )
+            # drawn pace of 1-2 workers per decision.  (The draw's key
+            # text is pinned: changing it reshuffles every untraced run.)
+            draw = zlib.crc32(f"elastic|0|{self._decisions}".encode())
             step = 1 + draw % 2
             if demand > live:
                 target = live + step
@@ -590,6 +598,29 @@ class PooledProcessExecutor(TaskExecutor):
         }
 
     # -- cost accounting ----------------------------------------------------
+    def stats(self) -> Dict[str, float]:
+        """Lifetime accounting under the ``pool.*`` metric names.
+
+        The paid/busy split feeds the trace report's cost model:
+        ``pool.paid_worker_seconds`` is what a cluster bill charges for
+        the slots (cold-start charge included), against which the
+        analysis layer's busy worker-seconds measure utilization.
+        """
+        return {
+            "pool.forks": self.forks,
+            "pool.reuse_count": self.waves_reused,
+            "pool.workers_respawned": self.workers_respawned,
+            "pool.preemptions": self.preemptions,
+            "pool.cold_starts": self.cold_starts,
+            "pool.cold_start_seconds": round(self.cold_start_charged, 6),
+            "pool.paid_worker_seconds": round(
+                self.paid_worker_seconds(), 6
+            ),
+            "pool.workers_retired": self.workers_retired,
+            "pool.scale.ups": self.scale_ups,
+            "pool.scale.downs": self.scale_downs,
+        }
+
     def paid_worker_seconds(self) -> float:
         """Worker-lifetime seconds paid so far, live workers included,
         plus the charged cold-start spawn latency.
@@ -714,8 +745,6 @@ def build_executor(policy: ExecutionPolicy) -> TaskExecutor:
         return ThreadedExecutor(policy.resolved_workers())
     if policy.executor == "pool":
         return PooledProcessExecutor(
-            policy.resolved_workers(),
-            policy.resolved_min_workers(),
-            seed=policy.fault_seed,
+            policy.resolved_workers(), policy.resolved_min_workers()
         )
     raise MapReduceError(f"unknown executor kind {policy.executor!r}")

@@ -26,8 +26,6 @@ class TaskAttempt:
         self.injected_faults = 0
         #: Attempts discarded because they exceeded the task timeout.
         self.timeouts = 0
-        #: True for a speculative duplicate of a straggler task.
-        self.speculative = False
         #: True for a fenced backup attempt launched after a lost lease.
         self.backup = False
         #: Wall-clock phases: filled with *modelled* times by the
@@ -97,20 +95,13 @@ class JobHistory:
     def find(self, task_id: str) -> Optional[TaskAttempt]:
         return self._by_id.get(task_id)
 
-    def speculative_tasks(self) -> List[TaskAttempt]:
-        """Speculative duplicates launched by the determinism audit."""
-        return [task for task in self.tasks if task.speculative]
-
     def backup_tasks(self) -> List[TaskAttempt]:
         """Fenced backup attempts launched after lost leases."""
         return [task for task in self.tasks if task.backup]
 
     def summary(self) -> Dict[str, Any]:
         """Roll-up totals consumed by ``repro trace`` and reports."""
-        primaries = [
-            task for task in self.tasks
-            if not task.speculative and not task.backup
-        ]
+        primaries = [task for task in self.tasks if not task.backup]
         maps = [task for task in primaries if task.kind == "map"]
         reduces = [task for task in primaries if task.kind == "reduce"]
         return {
@@ -126,7 +117,6 @@ class JobHistory:
             "injected_faults": sum(t.injected_faults for t in primaries),
             "timeouts": sum(t.timeouts for t in primaries),
             "events": len(self.events),
-            "speculative": len(self.speculative_tasks()),
             "backups": len(self.backup_tasks()),
             "fenced_commits": len(self.events_of("commit_fenced")),
             "nodes": len(self.by_node()),

@@ -22,13 +22,7 @@ constructing engines ad hoc:
   capped exponential backoff, Hadoop's ``mapreduce.map.maxattempts``.
   The backoff is *charged* to the attempt (recorded, deterministic)
   rather than slept, so retry storms under preemption neither hot-loop
-  in the accounting nor stall the wall clock; ``retry_jitter`` adds a
-  seeded, deterministic jitter fraction on top of the exponential
-  curve (drawn from ``(fault_seed, task_id, attempt)``) so repeated
-  failures across tasks do not synchronise.
-* ``speculative`` — re-run straggler stubs and cross-check outputs.
-* ``fault_rate`` / ``fault_seed`` — deterministic fault injection used
-  to prove that retries preserve output equivalence.
+  in the accounting nor stall the wall clock.
 * ``task_timeout`` — hung-task detection: an attempt whose charged
   runtime (measured wall time plus any chaos-injected delay) exceeds
   the timeout is declared hung and retried, Hadoop's
@@ -48,9 +42,9 @@ constructing engines ad hoc:
   fault-injection suites run without real-time waits.
 * ``fault_plan`` — a frozen :class:`~repro.chaos.plan.FaultPlan` of
   targeted chaos events (kill node N at round R, delay task T, raise
-  in task U) that composes with ``fault_rate``.  Events aimed at pool
-  workers (preemption, cold start) are rejected on executors that have
-  none rather than silently injecting nothing.
+  in task U) — the one way to make an attempt fail on purpose.  Events
+  aimed at pool workers (preemption, cold start) are rejected on
+  executors that have none rather than silently injecting nothing.
 * ``io`` — a frozen :class:`~repro.io.policy.IoPolicy` configuring the
   durable-I/O layer (transient-retry budget, per-op timeout, spill
   directories with ENOSPC fallback, replica shedding); ``None`` means
@@ -58,17 +52,15 @@ constructing engines ad hoc:
   writes, ENOSPC, EIO, slow I/O) is injected below this layer's retry
   loop.
 
-Fault decisions depend only on ``(fault_seed, task_id, attempt)`` (and
-a plan's explicit ``(task_id, attempt)`` addressing), so they are
-identical no matter which executor runs the task, in which order, or
-in which process.
+Fault decisions depend only on a plan's explicit ``(task_id, attempt)``
+addressing, so they are identical no matter which executor runs the
+task, in which order, or in which process.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -79,7 +71,19 @@ from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy, charged_backoff
 #: Executor kinds accepted by :class:`ExecutionPolicy`.
 EXECUTOR_KINDS = ("serial", "thread", "pool")
 
-_FAULT_RESOLUTION = 1_000_000
+
+def default_workers() -> int:
+    """Default worker-slot count: the CPUs this process may run on.
+
+    ``os.cpu_count()`` ignores CPU affinity and cgroup pinning, so on a
+    pinned host a pool sized from it over-forks; the affinity mask is
+    what the scheduler will actually grant.  Capped at 32.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(32, cpus)
 
 
 class InjectedTaskFault(MapReduceError):
@@ -96,10 +100,6 @@ class ExecutionPolicy:
     task_retries: int = 0
     retry_backoff: float = 0.005
     retry_backoff_cap: float = 0.1
-    retry_jitter: float = 0.0
-    speculative: bool = False
-    fault_rate: float = 0.0
-    fault_seed: int = 0
     task_timeout: Optional[float] = None
     blacklist_after: Optional[int] = None
     lease_seconds: Optional[float] = None
@@ -136,10 +136,10 @@ class ExecutionPolicy:
                 )
             if self.max_workers is None:
                 # Without an explicit ceiling the pool resolves
-                # max_workers to min(32, cpu_count); reject a floor
+                # max_workers to default_workers(); reject a floor
                 # above that at construction rather than clamping it
                 # silently at run time.
-                default_cap = min(32, os.cpu_count() or 1)
+                default_cap = default_workers()
                 if self.min_workers > default_cap:
                     raise MapReduceError(
                         f"min_workers ({self.min_workers}) must be <= "
@@ -151,10 +151,6 @@ class ExecutionPolicy:
             raise MapReduceError("task_retries must be >= 0")
         if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
             raise MapReduceError("retry backoff values must be >= 0")
-        if self.retry_jitter < 0:
-            raise MapReduceError("retry_jitter must be >= 0")
-        if not 0.0 <= self.fault_rate < 1.0:
-            raise MapReduceError("fault_rate must be within [0, 1)")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise MapReduceError("task_timeout must be > 0")
         if self.blacklist_after is not None and self.blacklist_after < 1:
@@ -205,7 +201,7 @@ class ExecutionPolicy:
             return 1
         if self.max_workers is not None:
             return self.max_workers
-        return min(32, os.cpu_count() or 1)
+        return default_workers()
 
     def resolved_io(self) -> IoPolicy:
         """The durable-I/O policy after applying the default contract."""
@@ -218,34 +214,11 @@ class ExecutionPolicy:
         return self.resolved_workers()
 
     def backoff_delay(self, attempt: int) -> float:
-        """Capped exponential delay before re-running a failed attempt."""
+        """Charged backoff before re-running one failed attempt.
+
+        :func:`~repro.io.policy.charged_backoff` of the attempt number
+        alone, so the charged delay is identical under every executor.
+        """
         return charged_backoff(
             self.retry_backoff, self.retry_backoff_cap, attempt
         )
-
-    def retry_delay(self, task_id: str, attempt: int) -> float:
-        """Charged backoff before re-running one failed attempt.
-
-        :func:`~repro.io.policy.charged_backoff` keyed by ``(fault_seed,
-        task_id, attempt)`` — the same keying contract as
-        :meth:`injects_fault`, so the charged delay is identical under
-        every executor.
-        """
-        return charged_backoff(
-            self.retry_backoff, self.retry_backoff_cap, attempt,
-            self.retry_jitter, f"backoff|{self.fault_seed}|{task_id}",
-        )
-
-    def injects_fault(self, task_id: str, attempt: int) -> bool:
-        """Deterministic fault draw for one task attempt.
-
-        Depends only on (seed, task id, attempt number) — never on
-        executor kind, scheduling order, or process identity — so the
-        serial, threaded, and forked engines all observe the same
-        failures and the retried outputs stay byte-identical.
-        """
-        if self.fault_rate <= 0.0:
-            return False
-        text = f"{self.fault_seed}|{task_id}|{attempt}"
-        draw = zlib.crc32(text.encode()) % _FAULT_RESOLUTION
-        return draw < self.fault_rate * _FAULT_RESOLUTION

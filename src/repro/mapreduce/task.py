@@ -1,0 +1,439 @@
+"""What runs in a worker: one task attempt, from call to outcome.
+
+The driver (:mod:`repro.mapreduce.engine`) describes every task attempt
+as a :class:`TaskCall` and hands it to an executor; whichever thread or
+forked process the executor picks runs ``call.run(context)`` against the
+job's :class:`~repro.mapreduce.executors.JobContext` and ships back a
+picklable :class:`TaskOutcome`.  Map and reduce share the descriptor,
+the attempt loop (:func:`run_attempts`: placement rotation, chaos-plan
+faults, hung-task detection, charged backoff) and the outcome; they
+differ only in the task function the call's ``kind`` selects.
+
+Nothing here touches driver state: a task is a pure function of its
+split (or fetched segments) plus the job spec, and everything it wants
+applied — outputs, file writes, attachments, telemetry — travels back
+inside the outcome.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.errors import MapReduceError, TaskTimeoutError
+from repro.mapreduce.blocks import RecordBlock
+from repro.mapreduce.history import TaskAttempt
+from repro.mapreduce.job import KeyValue, TaskContext
+from repro.mapreduce.policy import ExecutionPolicy, InjectedTaskFault
+from repro.obs.recorder import Span
+from repro.shuffle.codec import get_codec
+from repro.shuffle.merge import merge_sorted_runs_list
+from repro.shuffle.spill import SpillBuffer
+
+
+class TaskOutcome:
+    """Picklable result of one task (crosses the fork boundary intact)."""
+
+    __slots__ = (
+        "emitted", "segments", "input_records", "output_records",
+        "output_bytes", "spills", "groups", "shuffled_records",
+        "shuffled_bytes", "shuffle_raw_bytes", "partition_records",
+        "key_counts", "crc_failures", "fetch_retries",
+        "attempts", "injected_faults", "file_writes",
+        "attachments", "phases", "spans", "samples", "started_at",
+        "finished_at",
+        "worker", "node", "timeouts", "injected_delays", "failures",
+        "heartbeats", "lease_charged", "zombie",
+        "block_decode_seconds", "combine_in", "combine_out",
+        "backoff_seconds",
+    )
+
+    def __init__(self):
+        self.emitted: List[KeyValue] = []
+        #: Map tasks: one framed segment blob per reduce partition.
+        self.segments: Optional[List[bytes]] = None
+        self.input_records = 0
+        self.output_records = 0
+        self.output_bytes = 0
+        self.spills = 0
+        self.groups = 0
+        self.shuffled_records = 0
+        self.shuffled_bytes = 0
+        #: Pre-compression bytes of the segments this task fetched.
+        self.shuffle_raw_bytes = 0
+        #: Map tasks: records routed to each reduce partition.
+        self.partition_records: Optional[List[int]] = None
+        #: Map tasks: per-partition heaviest keys for the skew detector.
+        self.key_counts: Optional[List[List[Tuple[Any, int]]]] = None
+        #: Reduce tasks: fetch attempts that failed the segment CRC.
+        self.crc_failures = 0
+        #: Reduce tasks: extra fetch attempts past the first.
+        self.fetch_retries = 0
+        self.attempts = 1
+        self.injected_faults = 0
+        self.file_writes: List[Tuple[str, bytes, bool]] = []
+        self.attachments: List[Tuple[str, Any]] = []
+        #: Node that ran the successful attempt (retries may move).
+        self.node = ""
+        #: Attempts discarded as hung by the policy's ``task_timeout``.
+        self.timeouts = 0
+        #: Chaos-plan delay injections charged to this task's attempts.
+        self.injected_delays = 0
+        #: Retry backoff charged (never slept) between failed attempts
+        #: — deterministic seconds from ``policy.backoff_delay``.
+        self.backoff_seconds = 0.0
+        #: ``(node, exception_name)`` per failed attempt, for the
+        #: engine's per-node blacklist accounting.
+        self.failures: List[Tuple[str, str]] = []
+        #: Measured phase boundaries {name: (start, end)} when traced,
+        #: as raw perf_counter readings (system-wide monotonic clock).
+        self.phases: Optional[Dict[str, Tuple[float, float]]] = None
+        #: Progress-heartbeat offsets relative to the attempt's start,
+        #: read by the driver's LeaseMonitor.
+        self.heartbeats: List[float] = []
+        #: Charged runtime the lease covers: measured wall time plus
+        #: injected delays, mirroring the ``task_timeout`` charge.
+        self.lease_charged = 0.0
+        #: Chaos-marked zombie: the driver already considers this
+        #: attempt's lease lost; its commit must be fenced.
+        self.zombie = False
+        #: Seconds spent decoding a sealed RecordBlock split (0.0 for
+        #: plain payloads) — the one-time cost block encoding pays.
+        self.block_decode_seconds = 0.0
+        #: Map-side combiner records in/out (cumulative over passes).
+        self.combine_in = 0
+        self.combine_out = 0
+        #: Spans buffered by the task context, stitched by the parent.
+        self.spans: List[Span] = []
+        #: Worker resource samples taken over the attempt (sampling
+        #: runs only when the recorder asks for it; None otherwise).
+        self.samples: Optional[List[Any]] = None
+        #: Run-time stamps set by the executor's tracing wrapper.
+        self.started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
+        self.worker = ""
+
+
+def attempt_from_outcome(
+    task_id: str, kind: str, outcome: TaskOutcome, node: str = "",
+    backup: bool = False,
+) -> TaskAttempt:
+    """The job-history record of one settled attempt, primary or backup.
+
+    ``node`` is the placement fallback for an outcome that never ran
+    (a crashed worker's synthesized zombie carries no node of its own).
+    """
+    task = TaskAttempt(task_id, kind, outcome.node or node)
+    task.backup = backup
+    task.input_records = outcome.input_records
+    task.output_records = outcome.output_records
+    task.attempts = outcome.attempts
+    task.injected_faults = outcome.injected_faults
+    task.timeouts = outcome.timeouts
+    task.spills = outcome.spills
+    return task
+
+
+class TaskCall:
+    """Call descriptor for one task attempt, map or reduce.
+
+    The unpicklable half of a task — the job spec's closures, the input
+    splits, the spill I/O layer — lives in the ``JobContext`` pooled
+    workers inherit through their fork image, so a map call is the same
+    few bytes (task id, placement candidates, fencing epoch) whether it
+    runs in-process or crosses a pipe.
+
+    A reduce call additionally names where the attempt fetches its
+    segments: ``paths`` is this reducer's segment from every mapper, in
+    map-task order, and ``store`` the :class:`SegmentStore` serving
+    them.  In-process executors get the driver's live store — nothing
+    is copied.  Pooled workers forked before any segment existed, so
+    for them the driver snapshots each segment's replica chain into a
+    read-only store that pickles with the call; the worker runs the
+    ordinary reduce task against it — same CRC verification, same
+    replica failover, same counters, byte-identical output.
+    """
+
+    __slots__ = ("kind", "task_id", "candidates", "epoch", "store", "paths")
+
+    def __init__(self, kind: str, task_id: str, candidates: List[str],
+                 epoch: int = 0, store: Any = None,
+                 paths: Optional[List[str]] = None):
+        self.kind = kind  # "map" | "reduce"
+        self.task_id = task_id
+        #: Placement candidates, primary first; retries rotate through.
+        self.candidates = candidates
+        #: Commit fencing token the attempt will present.
+        self.epoch = epoch
+        self.store = store
+        self.paths = paths
+
+    @property
+    def index(self) -> int:
+        """The task's index within its wave (split or reducer index)."""
+        return int(self.task_id.rsplit("-", 1)[-1])
+
+    def with_epoch(self, epoch: int, candidates: List[str]) -> "TaskCall":
+        """The same task as a fenced backup: a fresh token, and fresh
+        placement resolved against the *current* blacklist (the wave's
+        own lists predate any mid-job blacklisting)."""
+        return TaskCall(
+            self.kind, self.task_id, candidates, epoch, self.store,
+            self.paths,
+        )
+
+    def run(self, context: Any) -> TaskOutcome:
+        return _TASKS[self.kind](context, self)
+
+
+def _identity(key: Any) -> Any:
+    return key
+
+
+def run_attempts(
+    body: Callable[[str], TaskOutcome],
+    policy: ExecutionPolicy,
+    call: TaskCall,
+) -> TaskOutcome:
+    """Execute a task body with fault injection, retry, and backoff.
+
+    Runs wherever the executor put the task (possibly a forked worker);
+    the attempt/fault tallies travel back inside the outcome.
+
+    Attempt *k* runs on ``candidates[(k-1) % len(candidates)]``: the
+    preferred node first, then a rotation through the remaining
+    schedulable nodes, so a retry lands on a different node whenever
+    one exists.  The candidate list is fixed by the parent before
+    submission, keeping placement deterministic across executors.
+
+    Hung-task detection charges any chaos-plan delay to the attempt's
+    measured runtime (the delay itself is slept through the policy's
+    injectable ``sleep`` hook), so a ``task_timeout`` trips — or
+    doesn't — identically under the serial, threaded, and forked
+    engines and under a fake clock.
+
+    Retry backoff is *charged, never slept*: each failed attempt adds
+    ``policy.backoff_delay`` (the capped exponential curve) to the
+    outcome's ``backoff_seconds``, so a preemption storm of retries
+    shapes the cost accounting without hot-looping the wall clock.
+
+    Chaos-plan task events target only epoch 0: a fenced backup models
+    a fresh worker the plan never aimed at, so a zombified task cannot
+    re-zombie its own backup forever.
+    """
+    task_id, candidates = call.task_id, call.candidates
+    attempt = 0
+    faults = 0
+    timeouts = 0
+    delays = 0
+    backoff = 0.0
+    failures: List[Tuple[str, str]] = []
+    plan = policy.fault_plan if call.epoch == 0 else None
+    while True:
+        attempt += 1
+        node = candidates[(attempt - 1) % len(candidates)]
+        try:
+            if plan is not None and plan.raises_in(task_id, attempt):
+                faults += 1
+                raise InjectedTaskFault(
+                    f"chaos plan fault: {task_id} attempt {attempt}"
+                )
+            started = time.perf_counter()
+            outcome = body(node)
+            elapsed = time.perf_counter() - started
+            charged = plan.delay_for(task_id, attempt) if plan else 0.0
+            if charged > 0:
+                delays += 1
+                policy.sleep(charged)
+            if (
+                policy.task_timeout is not None
+                and elapsed + charged > policy.task_timeout
+            ):
+                timeouts += 1
+                raise TaskTimeoutError(
+                    f"task {task_id} attempt {attempt} hung on {node}: "
+                    f"{elapsed + charged:.3f}s charged > "
+                    f"{policy.task_timeout}s timeout"
+                )
+            outcome.attempts = attempt
+            outcome.injected_faults = faults
+            outcome.timeouts = timeouts
+            outcome.injected_delays = delays
+            outcome.backoff_seconds = backoff
+            outcome.node = node
+            outcome.failures = failures
+            outcome.lease_charged = elapsed + charged
+            if plan is not None and plan.zombie_in(task_id, attempt):
+                outcome.zombie = True
+            return outcome
+        except Exception as exc:
+            failures.append((node, type(exc).__name__))
+            if attempt > policy.task_retries:
+                raise MapReduceError(
+                    f"task {task_id} failed after {attempt} attempt(s): {exc}"
+                ) from exc
+            backoff += policy.backoff_delay(attempt)
+
+
+def _seal(outcome: TaskOutcome, context: TaskContext, t_start: float) -> None:
+    """Move the context's buffered effects and telemetry into the outcome."""
+    outcome.output_records = len(context.emitted)
+    outcome.file_writes = context.files
+    outcome.attachments = context.attachments
+    outcome.heartbeats = [
+        max(0.0, stamp - t_start) for stamp in context.heartbeats
+    ]
+    if context.traced:
+        outcome.spans = context.spans
+
+
+def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
+    """One complete map task: block decode, map, spill (sort + combine).
+
+    A split whose payload is a sealed :class:`RecordBlock` is decoded
+    exactly once, here, inside whatever worker the executor placed the
+    task on — the decode cost is measured into the outcome so the
+    driver can publish ``map.block_decode_seconds``.  The job's
+    combiner (if any) runs *inside* the :class:`SpillBuffer`, so
+    segments are sealed already pre-aggregated.
+
+    With ``context.trace_phases`` on, phase boundaries (map / spill)
+    are measured with ``perf_counter`` and returned in the outcome so
+    the parent can stitch real wall-clock phases into the job history —
+    the measured counterpart of the simulator's Fig 7 phases.
+    """
+    job, traced = context.job, context.trace_phases
+    split = context.splits[call.index]
+
+    def body(node: str) -> TaskOutcome:
+        clock = time.perf_counter
+        # Always measured (not only when traced): heartbeat stamps are
+        # converted to offsets from this origin for the lease monitor.
+        t_start = clock()
+        payload = split.payload
+        block_records = None
+        outcome = TaskOutcome()
+        if isinstance(payload, RecordBlock):
+            t_decode = clock()
+            block_records = payload.decode()
+            outcome.block_decode_seconds = clock() - t_decode
+        task = TaskContext(
+            call.task_id, node, traced=traced, task_index=call.index
+        )
+        job.mapper(
+            block_records if block_records is not None else payload, task
+        )
+        t_map_end = clock() if traced else 0.0
+        _seal(outcome, task, t_start)
+        if traced:
+            outcome.phases = {"map": (t_start, t_map_end)}
+        if task.input_records is not None:
+            outcome.input_records = int(task.input_records)
+        elif block_records is not None:
+            outcome.input_records = len(block_records)
+        elif job.record_counter is not None:
+            outcome.input_records = int(job.record_counter(payload))
+        else:
+            outcome.input_records = 1
+        outcome.output_bytes = sum(
+            job.value_size(v) for _, v in task.emitted
+        )
+        if job.is_map_only:
+            outcome.emitted = task.emitted
+            return outcome
+        # Sort-spill-merge: every io_sort_records-full buffer spills one
+        # sorted run (combined in place when the job has a combiner);
+        # finish() merges the runs into one framed, compressed,
+        # CRC-checksummed segment per reducer.  Runs really go to disk,
+        # through the durable-I/O layer with ENOSPC fallback routing,
+        # when the job context carries one (the policy configured spill
+        # directories); they stay in memory otherwise.
+        buffer = SpillBuffer(
+            job.num_reducers, job.partitioner, job.sort_key or _identity,
+            job.io_sort_records, track_keys=job.shuffle.track_keys,
+            combiner=job.combiner,
+            spill_io=context.io,
+            spill_dirs=context.policy.resolved_io().spill_dirs,
+            spill_prefix=f"{call.task_id}-e{call.epoch}",
+        )
+        for key, value in task.emitted:
+            buffer.add(key, value)
+        spilled = buffer.finish(get_codec(job.shuffle.codec))
+        outcome.spills = spilled.spills
+        outcome.segments = [seg.blob for seg in spilled.segments]
+        outcome.partition_records = spilled.partition_records
+        outcome.key_counts = spilled.key_counts
+        outcome.combine_in = spilled.combine_in
+        outcome.combine_out = spilled.combine_out
+        if traced:
+            outcome.phases["spill"] = (t_map_end, clock())
+        return outcome
+
+    return run_attempts(body, context.policy, call)
+
+
+def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
+    """One complete reduce task: shuffle fetch, merge, group, reduce.
+
+    Fetches this reducer's segment from every mapper in map-task order
+    (which is why reduce-side value order differs from the serial
+    program's input order).  Every fetch is CRC-verified end-to-end and
+    refetched from another replica on corruption, up to the job's
+    ``shuffle.fetch_retries``.  With ``context.trace_phases`` on, the
+    shuffle / merge / reduce phase boundaries are measured and shipped
+    back in the outcome.
+    """
+    job, traced = context.job, context.trace_phases
+
+    def body(node: str) -> TaskOutcome:
+        clock = time.perf_counter
+        # Always measured: the heartbeat origin for the lease monitor.
+        t_start = clock()
+        outcome = TaskOutcome()
+        runs: List[List[KeyValue]] = []
+        for path in call.paths:
+            fetch = call.store.fetch(path, retries=job.shuffle.fetch_retries)
+            segment = fetch.segment
+            runs.append(segment.records)
+            outcome.shuffled_records += segment.record_count
+            outcome.shuffled_bytes += segment.blob_bytes
+            outcome.shuffle_raw_bytes += segment.raw_bytes
+            outcome.crc_failures += fetch.crc_failures
+            outcome.fetch_retries += fetch.refetches
+        t_fetch_end = clock() if traced else 0.0
+        # Merge: a stable k-way merge of the pre-sorted segments keeps
+        # map-task arrival order within a key — byte-identical to a
+        # stable sort over their concatenation, like Hadoop's merge.
+        sort_key = job.sort_key or _identity
+        fetched = merge_sorted_runs_list(
+            runs, key=lambda kv: sort_key(kv[0])
+        )
+        t_merge_end = clock() if traced else 0.0
+
+        task = TaskContext(
+            call.task_id, node, traced=traced, task_index=call.index
+        )
+        cursor = 0
+        while cursor < len(fetched):
+            key = fetched[cursor][0]
+            values = []
+            while cursor < len(fetched) and fetched[cursor][0] == key:
+                values.append(fetched[cursor][1])
+                cursor += 1
+            job.reducer(key, values, task)
+            outcome.groups += 1
+        outcome.input_records = len(fetched)
+        outcome.emitted = task.emitted
+        _seal(outcome, task, t_start)
+        if traced:
+            outcome.phases = {
+                "shuffle": (t_start, t_fetch_end),
+                "merge": (t_fetch_end, t_merge_end),
+                "reduce": (t_merge_end, clock()),
+            }
+        return outcome
+
+    return run_attempts(body, context.policy, call)
+
+
+_TASKS = {"map": run_map_task, "reduce": run_reduce_task}

@@ -109,8 +109,7 @@ def detect_stragglers(
     for wave in (history.maps(), history.reduces()):
         primaries = [
             task for task in wave
-            if not task.speculative and not task.backup
-            and task.run_seconds > 0.0
+            if not task.backup and task.run_seconds > 0.0
         ]
         if len(primaries) < 3:
             continue
@@ -138,10 +137,7 @@ def queue_run_decomposition(history) -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {}
     for kind, wave in (("map", history.maps()),
                        ("reduce", history.reduces())):
-        primaries = [
-            task for task in wave
-            if not task.speculative and not task.backup
-        ]
+        primaries = [task for task in wave if not task.backup]
         queued = sum(task.queued_seconds for task in primaries)
         run = sum(task.run_seconds for task in primaries)
         out[kind] = {

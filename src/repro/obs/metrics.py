@@ -11,7 +11,7 @@ recorded from the threaded executor's workers and driver-side updates
 interleave safely.  Instruments are driver-side state — task code
 running in a forked worker mutates a copy-on-write clone that is thrown
 away; task-side telemetry must travel back through the task outcome
-(see :mod:`repro.mapreduce.engine`), exactly like Hadoop task counters.
+(see :mod:`repro.mapreduce.task`), exactly like Hadoop task counters.
 
 The null variants are shared singletons whose mutators are no-ops, so
 a disabled recorder adds one method call and zero allocations per

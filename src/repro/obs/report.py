@@ -38,7 +38,6 @@ _CATEGORY_COLORS = {
     "phase": "#59a14f",
     "map-task": "#f28e2b",
     "reduce-task": "#e15759",
-    "speculation": "#edc948",
     "backup": "#ff9da7",
 }
 

@@ -37,7 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Bumped whenever the frame payload layout changes incompatibly.
 #: 2: ``SamRecord`` / ``Cigar`` inside journaled outcomes pickle as flat
 #: primitives (a version-1 log would unpickle to half-built records).
-WAL_VERSION = 2
+#: 3: the journaled outcome class moved to ``repro.mapreduce.task``.
+WAL_VERSION = 3
 
 _FRAME = struct.Struct(">II")
 

@@ -6,8 +6,8 @@ compressed, CRC32-checksummed per-reducer segments
 (:mod:`~repro.shuffle.segment`, :mod:`~repro.shuffle.codec`), stored
 between waves (:class:`~repro.shuffle.store.SegmentStore`) and fetched
 back by reducers with end-to-end verification and replica failover.
-:mod:`~repro.shuffle.skew` adds sampling-based total-order partitioning
-and a reduce-skew detector.  All of it is configured by one frozen
+:mod:`~repro.shuffle.skew` adds a reduce-skew detector.  All of it is
+configured by one frozen
 :class:`~repro.shuffle.config.ShuffleConfig` on the job.
 """
 
@@ -25,14 +25,7 @@ from repro.shuffle.segment import (
     encode_segment,
     segment_path,
 )
-from repro.shuffle.skew import (
-    SkewReport,
-    TotalOrderPartitioner,
-    detect_skew,
-    reservoir_sample,
-    resplit_hot_ranges,
-    split_points_from_sample,
-)
+from repro.shuffle.skew import SkewReport, detect_skew
 from repro.shuffle.spill import SpillBuffer, SpillResult
 from repro.shuffle.store import (
     FetchResult,
@@ -55,7 +48,6 @@ __all__ = [
     "SkewReport",
     "SpillBuffer",
     "SpillResult",
-    "TotalOrderPartitioner",
     "canonical_key_bytes",
     "decode_segment",
     "detect_skew",
@@ -63,9 +55,6 @@ __all__ = [
     "get_codec",
     "merge_sorted_runs",
     "merge_sorted_runs_list",
-    "reservoir_sample",
-    "resplit_hot_ranges",
     "segment_path",
-    "split_points_from_sample",
     "stable_hash_partition",
 ]

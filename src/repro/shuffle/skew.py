@@ -1,128 +1,17 @@
-"""Total-order partitioning and reduce-skew detection.
+"""Reduce-skew detection.
 
 The paper's cleaning rounds are dominated by their shuffles, and a
 skewed key distribution turns one reducer into the straggler that sets
-round wall-clock (§5's load-balance discussion).  Two tools here:
-
-* :class:`TotalOrderPartitioner` — Hadoop's TotalOrderPartitioner in
-  miniature: reservoir-sample the keys, cut the sorted sample at
-  quantiles, and route by binary search, so reducer *i* receives a
-  contiguous, roughly equal-mass key range (and concatenating reducer
-  outputs yields globally sorted data).
-* :class:`SkewReport` / :func:`detect_skew` — built from the per-task
-  partition tallies every :class:`~repro.shuffle.spill.SpillBuffer`
-  ships back: which partitions are *hot* (records > ``skew_factor`` ×
-  the mean) and which keys make them hot.
-* :func:`resplit_hot_ranges` — recomputes count-weighted split points
-  from an observed key histogram, the mitigation step: feed one job's
-  skew report back in and the next run's hot range is split finer.
+round wall-clock (§5's load-balance discussion).
+:class:`SkewReport` / :func:`detect_skew` are built from the per-task
+partition tallies every :class:`~repro.shuffle.spill.SpillBuffer`
+ships back: which partitions are *hot* (records > ``skew_factor`` ×
+the mean) and which keys make them hot.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.errors import ShuffleError
-
-
-def _identity(key: Any) -> Any:
-    return key
-
-
-def reservoir_sample(items: Sequence[Any], size: int, seed: int = 0) -> List[Any]:
-    """Algorithm R: a uniform fixed-size sample in one pass.
-
-    Seeded, so the same input always yields the same sample — split
-    points must not drift between executors or runs.
-    """
-    if size < 1:
-        raise ShuffleError("sample size must be >= 1")
-    rng = random.Random(seed)
-    sample: List[Any] = []
-    for index, item in enumerate(items):
-        if index < size:
-            sample.append(item)
-        else:
-            slot = rng.randint(0, index)
-            if slot < size:
-                sample[slot] = item
-    return sample
-
-
-def split_points_from_sample(
-    sample: Sequence[Any],
-    num_partitions: int,
-    sort_key: Optional[Callable[[Any], Any]] = None,
-) -> List[Any]:
-    """Quantile cuts of a key sample: ``num_partitions - 1`` points.
-
-    Points are expressed in *sort-key space* and deduplicated; a sample
-    too uniform to yield distinct cuts produces fewer points (trailing
-    partitions then receive nothing, which the skew report will show).
-    """
-    if num_partitions < 1:
-        raise ShuffleError("num_partitions must be >= 1")
-    if not sample:
-        raise ShuffleError("cannot compute split points from an empty sample")
-    key_fn = sort_key or _identity
-    ordered = sorted(key_fn(item) for item in sample)
-    points: List[Any] = []
-    for cut in range(1, num_partitions):
-        point = ordered[(cut * len(ordered)) // num_partitions]
-        if not points or point > points[-1]:
-            points.append(point)
-    return points
-
-
-class TotalOrderPartitioner:
-    """Range-partition keys so reducer outputs concatenate in order.
-
-    Callable with the engine's ``partitioner(key, num_reducers)``
-    signature; the reducer count must match the split points it was
-    built for (``len(points) + 1`` ranges at most).
-    """
-
-    def __init__(
-        self,
-        split_points: Sequence[Any],
-        num_partitions: int,
-        sort_key: Optional[Callable[[Any], Any]] = None,
-    ):
-        ordered = list(split_points)
-        if sorted(ordered) != ordered:
-            raise ShuffleError("split points must be sorted")
-        if len(ordered) >= num_partitions:
-            raise ShuffleError(
-                f"{len(ordered)} split points cannot cut "
-                f"{num_partitions} partition(s)"
-            )
-        self.split_points = ordered
-        self.num_partitions = num_partitions
-        self.sort_key = sort_key or _identity
-
-    @classmethod
-    def from_sample(
-        cls,
-        sample: Sequence[Any],
-        num_partitions: int,
-        sort_key: Optional[Callable[[Any], Any]] = None,
-        sample_size: int = 1024,
-        seed: int = 0,
-    ) -> "TotalOrderPartitioner":
-        """Build from raw keys: reservoir-sample, then cut quantiles."""
-        picked = reservoir_sample(sample, sample_size, seed=seed)
-        points = split_points_from_sample(picked, num_partitions, sort_key)
-        return cls(points, num_partitions, sort_key)
-
-    def __call__(self, key: Any, num_reducers: int) -> int:
-        if num_reducers != self.num_partitions:
-            raise ShuffleError(
-                f"partitioner built for {self.num_partitions} partitions "
-                f"used with num_reducers={num_reducers}"
-            )
-        return bisect_right(self.split_points, self.sort_key(key))
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 class SkewReport:
@@ -216,41 +105,3 @@ def detect_skew(
             )
             heavy[partition] = ranked[:track_keys]
     return SkewReport(totals, skew_factor, heavy)
-
-
-def resplit_hot_ranges(
-    key_histogram: Sequence[Tuple[Any, int]],
-    num_partitions: int,
-    sort_key: Optional[Callable[[Any], Any]] = None,
-) -> TotalOrderPartitioner:
-    """Count-weighted split points from an observed key histogram.
-
-    Where :meth:`TotalOrderPartitioner.from_sample` assumes every
-    sampled key carries equal mass, this weights each key by its
-    observed record count, so a range dominated by a few heavy keys is
-    cut finer and the rebuilt partitioner spreads the hot range across
-    reducers.  Feed it a job's merged key histogram (e.g. a
-    :class:`SkewReport`'s heavy keys plus the sampled tail) to mitigate
-    the skew on the next run.
-    """
-    if not key_histogram:
-        raise ShuffleError("cannot re-split from an empty histogram")
-    key_fn = sort_key or _identity
-    weighted = sorted(
-        (key_fn(key), max(1, count)) for key, count in key_histogram
-    )
-    total = sum(count for _, count in weighted)
-    points: List[Any] = []
-    cumulative = 0
-    cut = 1
-    for point, count in weighted:
-        cumulative += count
-        while cut < num_partitions and cumulative >= (
-            cut * total
-        ) / num_partitions:
-            if not points or point > points[-1]:
-                points.append(point)
-            cut += 1
-    while points and len(points) >= num_partitions:
-        points.pop()
-    return TotalOrderPartitioner(points, num_partitions, sort_key)

@@ -304,21 +304,6 @@ class TestPolicyKnobs:
         assert counters["engine.backoff_charged_seconds"] == \
             pytest.approx(0.125)
 
-    def test_retry_delay_jitter_is_deterministic_and_bounded(self):
-        policy = ExecutionPolicy(
-            retry_backoff=0.1, retry_backoff_cap=0.4, retry_jitter=0.5,
-            fault_seed=9,
-        )
-        plain = ExecutionPolicy(retry_backoff=0.1, retry_backoff_cap=0.4)
-        for attempt in (1, 2, 3):
-            base = plain.backoff_delay(attempt)
-            delay = policy.retry_delay("wc-m-00000", attempt)
-            assert delay == policy.retry_delay("wc-m-00000", attempt)
-            assert base <= delay <= base * 1.5
-        # Different tasks de-synchronise.
-        assert policy.retry_delay("wc-m-00000", 1) != \
-            policy.retry_delay("wc-m-00001", 1)
-
 
 class TestHungTasks:
     def test_hung_task_times_out_and_retries_on_another_node(self):

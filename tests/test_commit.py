@@ -35,11 +35,12 @@ from repro.errors import (
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
-from repro.mapreduce.engine import JobResult, MapReduceEngine, _TaskOutcome
+from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.obs.recorder import ObsConfig
+from repro.mapreduce.task import TaskOutcome
+from repro.obs.recorder import ObsConfig, TraceRecorder
 from repro.pipeline.checkpoint import LocalDirectoryBackend
 from repro.pipeline.parallel import _STAGES, WAL_ROUND_KEYS, GesallPipeline
 from repro.pipeline.wal import FrameLog, JobWal, _read_frames
@@ -82,7 +83,7 @@ ALL_TASK_IDS = [f"wc-m-{i:05d}" for i in range(4)] + [
 
 
 def outcome(**attrs):
-    out = _TaskOutcome()
+    out = TaskOutcome()
     for key, value in attrs.items():
         setattr(out, key, value)
     return out
@@ -472,6 +473,54 @@ class TestDriverKillReplay:
             assert resumed.counters.get(name) == clean.counters.get(name)
 
 
+    def test_killed_then_resumed_run_publishes_the_parent_metrics(
+        self, tmp_path
+    ):
+        """The recorder's counters after a driver kill in the reduce
+        wave, and after the resume on the same recorder, as the parent
+        commit (56f2c2a) published them from its hand-written sinks: a
+        killed driver still publishes what it had recorded (the commits
+        and stored segments — not the unfinished wave's volumes)."""
+        wal = JobWal(LocalDirectoryBackend(str(tmp_path)), "fp")
+        plan = FaultPlan(events=(KillDriver("r1", after_commits=5),))
+        recorder = TraceRecorder()
+
+        def counters():
+            return {
+                name: value for name, value
+                in recorder.metrics.as_dict()["counters"].items()
+                if "seconds" not in name
+            }
+
+        wal.begin_round("r1")
+        with pytest.raises(DriverKilledError):
+            MapReduceEngine(nodes=["n1", "n2"], recorder=recorder).run(
+                wordcount_job(), make_splits(LINES),
+                journal=RoundJournal(wal, "r1", plan=plan),
+            )
+        assert counters() == {
+            "commit.promoted": 5,
+            "commit.staged": 5,
+            "shuffle.segment_bytes_stored": 466,
+            "shuffle.segments": 8,
+        }
+        recovered = wal.recover_round("r1")
+        wal.begin_round("r1")
+        MapReduceEngine(nodes=["n1", "n2"], recorder=recorder).run(
+            wordcount_job(), make_splits(LINES),
+            journal=RoundJournal(wal, "r1", recovered=recovered),
+        )
+        assert counters() == {
+            "commit.promoted": 11,
+            "commit.staged": 11,
+            "shuffle.bytes_shuffled": 466,
+            "shuffle.raw_bytes": 290,
+            "shuffle.segment_bytes_stored": 932,
+            "shuffle.segments": 16,
+            "wal.tasks_skipped": 5,
+        }
+
+
 # ---------------------------------------------------------------------------
 # Crash recovery through the pipeline (KillDriver + checkpoint + WAL)
 # ---------------------------------------------------------------------------
@@ -569,6 +618,48 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == 2
         backend.write("wal-round2.log", old)
         assert log.replay() == []
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+    def test_version_2_wal_is_refused_by_version_not_by_unpickling(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-2 ``wal-round2.log`` journals outcomes pickled as
+        ``repro.mapreduce.engine._TaskOutcome``, a class path that no
+        longer exists: the version guard must turn it away before any
+        record is unpickled, and the round re-runs."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V2))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 2, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        # What the guard protects against: the journaled record itself
+        # cannot be loaded by this version.
+        with pytest.raises((AttributeError, ModuleNotFoundError)):
+            pickle.loads(old_frames[1])
+        backend.write("wal-round2.log", old)
+        assert FrameLog(
+            backend, "wal-round2.log", fingerprint
+        ).replay() == []
         resumed = build_pipeline(
             reference, ref_index, checkpoint_dir=root
         ).run(some_pairs, resume=True)
@@ -718,9 +809,50 @@ PARENT_WAL_ROUND2 = (
     "GNFBGB1NB4PLLck/5vWvAfg98QE="
 )
 
+#: The same capture on commit 56f2c2a (WAL_VERSION 2): the journaled map
+#: outcome pickles as ``repro.mapreduce.engine._TaskOutcome``.  zlib +
+#: base64 of the 3297 raw bytes.
+PARENT_WAL_ROUND2_V2 = (
+    "eNqVlktvG9cVxylVohhbdmW1iNFm24VbwKwoJyLn/bjzJEEHcNhFFwYxHA7FqfjCzDCOAw"
+    "RQEMBA0ekqNwuvuy2677JA0aU/QL9AgW76DZr+zx1SEqLUdWdEzb1n7p2553f/58yp1Wpe"
+    "/w+v37vc/0apVccX/FF58GmS5elywXu75d1JujhPslWWLgpeNpJ2a/ShFI95uZ8t1wtc6+"
+    "J6ytfNWu3wd5ef/eX3eNrl4fXT9ooov+Dlw2rc43iWRAs88/H88QkdeFKyWsZT3quVB8t1"
+    "ES/nCS/fz5JVtmzOo1WWjNdx0kwW5+kCNw6HAzzu4824r/nPv+RPxZqTeVoUyZg/xyrz5H"
+    "yeLIocnUf23xu1mv+J67doQWg3/kq/h9Hfppd73/y5US0UA8vDT379tNU8Odks60G1hMky"
+    "m0dF3syjOS9/NMySeJmNh5NsOR9O0mQ2zrGIR9OdXlLuxdOsxft/ug9Pdn7Byx1t0xkPrP"
+    "99sm3Lf5fRt09ejrt+2A3d0A/9buC5nh8y1wld1/M83/EYDseyLcu2Td22mKkbDE3LNEzd"
+    "1DXV1CxdVzRVMxRVVXDIOCVN7iiyKkvyE6mNQ27zL3i5+8zn5Q+e+S2eF/wZf8W/g26692"
+    "h61Ht9A4ha7rVOTvp8erAhwvz/4xywAagM0KDDB6DKahEskGPMtyzfr4bgCpY+miDSltqd"
+    "s3ZHkhRFUuSOJMNBlRxSNE2VVXgLDJqmawbaumFZmGoSIdNmzDYd5jmu6zLxj3mu7wZB4A"
+    "V+EDiBD8xhF21O8tt92seGw/W708P190BpCSgf9OItlDcHPXV6DB5fNfo/2SnHPrnDxNrJ"
+    "FUZCYOQSKcNnrAJAbZxktWgQRrGqSQzgNG5ilvCfUMFKPYyiK0kk8LvdsOt7PoNAPI95fk"
+    "DOBY5ju45LurBtB0IxbByOYZiaAV2YlmVouqqYhqYouqrqig6iMn6QSkftdJSOhFPudDrS"
+    "R1dApg/fjuNnva+3OL5qbHC8Oej+49/ffguFiJggArR68sgiCISImFTOERoSwEBIgW5Vw4"
+    "BuIBRBYCxBUWhjgPnoEBawGpBCFPms8yFW3u605TOpo0oKBCKr5CXkoUMnuqabqmkZloEm"
+    "7ZKpM5tBJlAJAsqGNFzH8Rzi6bkOog0h53tOGGIFYRh23wHIqQDy+Fofr7f68Br9BzuEwx"
+    "K6pz0nD8V+CyMjJoz8IdtgUI0UWvpvorK+X1TAgfX6XhA6ATyA1D0HvoQuosBxXCQRhIaH"
+    "AHFMAwoxTHquaeiWbpo6AVMN4oXI0gmiohJHWNuajEBUoI2zJ5J0diNgWvztQNrXCvG2Cn"
+    "l90P2XUAi5Bm2QZxuHK+dp1y0RARQhgILfgGRAJACJ9GS9o7yABLo+kxRSiIwcIiEfSrIs"
+    "k/CRSjRxAIWiKVAL8imA2JRHbMtwmYFQYq4LiQAhc6ASkY4d0krodZGikbOD7rso5IkAYl"
+    "4rxNnfADmu90936CMj/GFC9JQWREYQBMS+M7HT1CPpW/SvGkm7yITXAiMbVHlUXIWBngZy"
+    "lgiYIAyDAAmk6wa+I3KIW0lfpEnGAhtpxMEDbXAwkEbwgTENZhqqYej0h9DSkExkDcg0mT"
+    "41GvHsII20kT86Z2ftGwo55W8H0r1WyHF9A8TZ774RCiHfmYgCX7hCiVPkioGIf4syhiXI"
+    "UBDRQKInQklIgEJsIPIF3aUAEolDsKl0wnyhkI8kpI4OFKLgg6Mpeps+ntC+JlEE6IgKXU"
+    "YaUXULQaPj80sfGHyKTZvyCuKJsi+EAnIuJBIQ1G4YhAHFY0A5+1oh3g0gSZOzD66KGzr2"
+    "6fcr6Zf/vNx7zps8Ke+li9W62NQtOe81yvuosr5jOtyYRi+LJOf9VqOs56t0NsPNnbJ+jt"
+    "JtlVOBdpRP15PJLBlfT66V96+M1XSYHmxMwyx6ccO6irIiLVBZXk1H3dVr9GpJeecieTmM"
+    "USJWVdvteqy3e+sbcst0KkzJc7h9GGfxcBKls3VWvfzeJCniKV5cZGllaUQoGOerQjj5w3"
+    "TxmyRGAYlJ61khBqD2hQsvspTWj7ryLiZE8XRbWpbvFVm0yKlApPJWVIsvsmi1QvXcROc8"
+    "i+Y57jhREQ22I61YOIkCuCpeaVuPBKFhsRxuZvH+T4/K48oqKs0r++iovJsuPl3GEWHEKn"
+    "fXo1c8KuuraZRjlU/L/XyFV9HyDlCyrmbCeCcvgB7ORQV6VNOn+XTbrb9YZhdJxssaL/cW"
+    "yzGq7DpdqAhuFOk8gTgEj2tG42QWvawgXjHGG+9ME7xmlEQVn3so9fNkGE+j7ByVuW9Y+3"
+    "88hj7L+ufL+ShN+G/LH49my/gCz4vxwmGOywKq8LdqLu/ENHKRDNOF2JFtF0sSKxpF8cVy"
+    "Mrk9c/2Kj9bN/wDh/QL/"
+)
+
 
 # ---------------------------------------------------------------------------
-# Satellite regressions: segment leak (S1) and audited speculation (S2)
+# Satellite regression: segment leak (S1)
 # ---------------------------------------------------------------------------
 
 
@@ -741,40 +873,6 @@ class TestSegmentLeakRegression:
         with pytest.raises(MapReduceError, match="no such segment"):
             engine.run(wordcount_job(), make_splits(LINES))
         assert hdfs.list_dir("/shuffle") == []
-
-
-class TestAuditedSpeculation:
-    def speculated_tasks(self, kind, fault_seed):
-        policy = ExecutionPolicy(
-            executor=kind, max_workers=4, speculative=True,
-            fault_seed=fault_seed,
-        )
-        result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
-            wordcount_job(), make_splits(LINES)
-        )
-        assert result.all_outputs() == clean_outputs()
-        return sorted(
-            t.task_id for t in result.history.tasks if t.speculative
-        )
-
-    def test_audited_index_is_seeded_not_hardcoded(self):
-        """S2: the audited straggler follows the policy seed instead of
-        always sparing every task but the last."""
-        per_seed = {
-            seed: self.speculated_tasks("thread", seed) for seed in range(6)
-        }
-        assert len({tuple(v) for v in per_seed.values()}) > 1
-        # No seed audits the old hard-coded choice exclusively, and the
-        # draw is over live tasks in both waves.
-        for tasks in per_seed.values():
-            assert len(tasks) == 2  # one map, one reduce audit
-
-    @needs_fork
-    def test_audit_choice_is_identical_across_executors(self):
-        assert (
-            self.speculated_tasks("thread", 3)
-            == self.speculated_tasks("pool", 3)
-        )
 
 
 # ---------------------------------------------------------------------------

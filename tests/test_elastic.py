@@ -68,11 +68,11 @@ def clean_outputs():
     ).all_outputs()
 
 
-def _context(num_bodies):
+def _context(num_splits):
     return JobContext(
         job=None,
         policy=ExecutionPolicy.serial(),
-        map_bodies=[lambda epoch, candidates=None: None] * num_bodies,
+        splits=[None] * num_splits,
     )
 
 
@@ -152,11 +152,11 @@ class TestScalingController:
 
     def test_clock_free_fallback_is_seeded_and_deterministic(self):
         """With tracing off there is no queue clock; the fallback
-        steps toward demand by a (seed, decision-index) draw, so two
-        pools with the same seed make identical moves."""
+        steps toward demand by a decision-index draw, so two pools
+        make identical moves."""
 
-        def run_decisions(seed):
-            executor = PooledProcessExecutor(8, min_workers=1, seed=seed)
+        def run_decisions():
+            executor = PooledProcessExecutor(8, min_workers=1)
             sizes = []
             try:
                 executor.begin_job(_context(2))
@@ -167,8 +167,8 @@ class TestScalingController:
                 executor.close()
             return sizes
 
-        first = run_decisions(7)
-        assert first == run_decisions(7)
+        first = run_decisions()
+        assert first == run_decisions()
         assert all(1 <= size <= 8 for size in first)
         # The fallback converges on demand, never overshoots it.
         assert first[-1] <= 6
@@ -589,11 +589,13 @@ class TestComposedExecutionPlaneDrill:
             "backup_launched",
         ]
         if traced:
+            # The full registry as the parent commit (56f2c2a) published
+            # it, measured seconds aside: every metric the publish table
+            # derives equals what the hand-written sinks wrote.
             counters = recorder.metrics.as_dict()["counters"]
             assert {
                 name: counters[name] for name in counters
-                if name.startswith(("pool.", "chaos.", "lease.", "commit."))
-                and "seconds" not in name
+                if "seconds" not in name
             } == {
                 "chaos.corrupt_segment": 1,
                 "chaos.duplicate_commit": 1,
@@ -601,6 +603,13 @@ class TestComposedExecutionPlaneDrill:
                 "commit.fenced": 2,
                 "commit.promoted": 8,
                 "commit.staged": 9,
+                "io.bytes_read": 2090,
+                "io.bytes_written": 1409,
+                "io.dir_fsyncs": 25,
+                "io.fsyncs": 25,
+                "io.reads": 37,
+                "io.unlinks": 24,
+                "io.writes": 25,
                 "lease.backups_launched": 3,
                 "lease.expired": 1,
                 "pool.cold_starts": 5,
@@ -612,4 +621,10 @@ class TestComposedExecutionPlaneDrill:
                 "pool.worker_crashes": 2,
                 "pool.workers_respawned": 2,
                 "pool.workers_retired": 1,
+                "shuffle.bytes_shuffled": 681,
+                "shuffle.crc_failures": 1,
+                "shuffle.fetch_retries": 1,
+                "shuffle.raw_bytes": 417,
+                "shuffle.segment_bytes_stored": 681,
+                "shuffle.segments": 12,
             }

@@ -8,6 +8,8 @@ jobs and then on the full five-round Gesall pipeline.
 """
 
 import dataclasses
+import inspect
+import os
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import PipelineSpec, make_block_splits, run_job
+from repro.chaos import FaultPlan, RaiseInTask
 from repro.errors import MapReduceError
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
@@ -32,6 +35,7 @@ from repro.mapreduce.executors import (
 )
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
+from repro.mapreduce.task import run_map_task, run_reduce_task
 from repro.pipeline.parallel import GesallPipeline
 
 needs_fork = pytest.mark.skipif(
@@ -95,8 +99,6 @@ class TestExecutionPolicy:
             ExecutionPolicy(executor="thread", max_workers=0)
         with pytest.raises(MapReduceError):
             ExecutionPolicy(task_retries=-1)
-        with pytest.raises(MapReduceError):
-            ExecutionPolicy(fault_rate=1.5)
 
     def test_frozen(self):
         policy = ExecutionPolicy.serial()
@@ -108,28 +110,29 @@ class TestExecutionPolicy:
         assert ExecutionPolicy.threads(max_workers=7).resolved_workers() == 7
         assert ExecutionPolicy.pooled().resolved_workers() >= 1
 
+    def test_default_size_follows_cpu_affinity_not_cpu_count(
+        self, monkeypatch
+    ):
+        """A host pinned to two CPUs gets a two-worker default pool,
+        whatever ``os.cpu_count()`` says, and a floor above it is
+        refused with the usual message."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        assert ExecutionPolicy.pooled().resolved_workers() == 2
+        assert ExecutionPolicy.threads().resolved_workers() == 2
+        with pytest.raises(
+            MapReduceError, match=r"min_workers \(3\) must be <= "
+                                  r"max_workers \(default 2 on this host\)"
+        ):
+            ExecutionPolicy.pooled(min_workers=3)
+
     def test_pool_floor_defaults_to_its_ceiling(self):
         assert ExecutionPolicy.pooled(4).resolved_min_workers() == 4
         assert ExecutionPolicy.pooled(
             4, min_workers=2
         ).resolved_min_workers() == 2
-
-    def test_fault_draw_is_deterministic_and_policy_independent(self):
-        """The draw depends only on (seed, task, attempt) — never on
-        the executor kind — so all executors see the same failures."""
-        draws = {
-            kind: [
-                ExecutionPolicy(
-                    executor=kind, fault_rate=0.3, fault_seed=42,
-                    task_retries=5,
-                ).injects_fault(f"job-m-{i:05d}", attempt)
-                for i in range(20)
-                for attempt in (1, 2)
-            ]
-            for kind in EXECUTOR_KINDS
-        }
-        assert draws["serial"] == draws["thread"] == draws["pool"]
-        assert any(draws["serial"])  # rate 0.3 over 40 draws must hit
 
     def test_backoff_is_capped(self):
         policy = ExecutionPolicy(retry_backoff=0.01, retry_backoff_cap=0.05)
@@ -249,7 +252,7 @@ def _conformance_executor(kind):
 
 
 def _conformance_context():
-    return JobContext(job=None, policy=ExecutionPolicy.serial(), map_bodies=[])
+    return JobContext(job=None, policy=ExecutionPolicy.serial(), splits=[])
 
 
 class TestEngineAcrossExecutors:
@@ -287,6 +290,10 @@ class TestEngineAcrossExecutors:
 
 
 class TestRetriesAndFaults:
+    #: The attempt the parent's seeded rate draw (rate 0.2, seed 7)
+    #: failed on this job, stated as the plan event it amounts to.
+    FAULTS = FaultPlan(events=(RaiseInTask("wordcount-m-00003"),))
+
     def run_with(self, policy):
         return MapReduceEngine(nodes=["n1"], policy=policy).run(
             wordcount_job(), make_splits(LINES)
@@ -302,12 +309,12 @@ class TestRetriesAndFaults:
         clean = self.run_with(ExecutionPolicy.serial())
         faulty = self.run_with(
             ExecutionPolicy(
-                executor=executor_kind, max_workers=2, fault_rate=0.2,
-                fault_seed=7, task_retries=8, retry_backoff=0.0,
+                executor=executor_kind, max_workers=2,
+                fault_plan=self.FAULTS, task_retries=8, retry_backoff=0.0,
             )
         )
         assert faulty.all_outputs() == clean.all_outputs()
-        assert faulty.counters.get(C.INJECTED_FAULTS) > 0
+        assert faulty.counters.get(C.INJECTED_FAULTS) == 1
         total_tasks = len(faulty.history.tasks)
         assert faulty.history.total_attempts() > total_tasks
         assert faulty.history.retried_tasks()
@@ -321,8 +328,7 @@ class TestRetriesAndFaults:
     def test_attempts_recorded_per_task_in_history(self):
         faulty = self.run_with(
             ExecutionPolicy(
-                fault_rate=0.2, fault_seed=7, task_retries=8,
-                retry_backoff=0.0,
+                fault_plan=self.FAULTS, task_retries=8, retry_backoff=0.0,
             )
         )
         by_counter = faulty.counters.get(C.MAP_TASK_ATTEMPTS) + \
@@ -341,28 +347,15 @@ class TestRetriesAndFaults:
         with pytest.raises(MapReduceError, match="after 3 attempt"):
             engine.run(job, make_splits(["x"]))
 
-    def test_speculative_stub_counts_and_audits(self):
-        result = MapReduceEngine(
-            nodes=["n1"],
-            policy=ExecutionPolicy.threads(max_workers=2, speculative=True),
-        ).run(wordcount_job(), make_splits(LINES))
-        # One duplicate per wave (map + reduce).
-        assert result.counters.get(C.SPECULATIVE_ATTEMPTS) == 2
 
-    def test_speculative_detects_nondeterminism(self):
-        calls = []
-
-        def impure_mapper(line, ctx):
-            calls.append(line)
-            ctx.emit(f"call-{len(calls)}", 1)
-
-        job = JobSpec("impure", impure_mapper)
-        engine = MapReduceEngine(
-            nodes=["n1"],
-            policy=ExecutionPolicy.threads(max_workers=1, speculative=True),
-        )
-        with pytest.raises(MapReduceError, match="not deterministic"):
-            engine.run(job, make_splits(["a", "b"]))
+class TestTaskProtocol:
+    def test_worker_side_task_functions_take_context_and_call(self):
+        """One task-call protocol: everything a task needs is on the
+        job context or the call descriptor, for both waves."""
+        for task in (run_map_task, run_reduce_task):
+            assert list(inspect.signature(task).parameters) == [
+                "context", "call",
+            ]
 
 
 class TestRecordCounting:
@@ -606,13 +599,16 @@ class TestApiRedesign:
 def pipeline_fingerprint(reference, ref_index, pairs, policy):
     """Run the full five-round pipeline and serialize everything it
     produced: every HDFS file plus the final variant lines."""
-    result = GesallPipeline(PipelineSpec(
+    return fingerprint(GesallPipeline(PipelineSpec(
         reference,
         index=ref_index,
         num_fastq_partitions=4,
         num_reducers=3,
         policy=policy,
-    )).run(pairs)
+    )).run(pairs))
+
+
+def fingerprint(result):
     files = {
         f.path: result.hdfs.get(f.path) for f in result.hdfs.files()
     }
@@ -669,15 +665,27 @@ class TestCrossExecutorDeterminism:
     def test_faulty_run_matches_serial(
         self, reference, ref_index, pairs, serial_run
     ):
-        """Injected failures, absorbed by retries, change nothing."""
-        faulty = pipeline_fingerprint(
-            reference, ref_index, pairs,
-            ExecutionPolicy.threads(
-                max_workers=2, fault_rate=0.2, fault_seed=11,
-                task_retries=10, retry_backoff=0.0,
+        """Injected failures, absorbed by retries, change nothing.
+        (The three attempts the parent's seeded rate draw — rate 0.2,
+        seed 11 — failed on this pipeline.)"""
+        plan = FaultPlan(events=(
+            RaiseInTask("round2-cleaning-m-00001"),
+            RaiseInTask("round-bloom-m-00000"),
+            RaiseInTask("round3-markdup-opt-m-00002"),
+        ))
+        faulty = GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=4,
+            num_reducers=3,
+            policy=ExecutionPolicy.threads(
+                max_workers=2, fault_plan=plan, task_retries=10,
+                retry_backoff=0.0,
             ),
-        )
-        assert faulty == serial_run
+        )).run(pairs)
+        assert fingerprint(faulty) == serial_run
+        assert sum(
+            job.counters.get(C.INJECTED_FAULTS)
+            for job in faulty.rounds.results.values()
+        ) == len(plan.events)
 
 
 @needs_fork

@@ -77,15 +77,6 @@ class TestIoPolicy:
         policy = IoPolicy(spill_dirs=["/a", "/b"])
         assert policy.spill_dirs == ("/a", "/b")
 
-    def test_retry_delay_deterministic_and_jittered(self):
-        policy = IoPolicy(retry_jitter=0.5, seed=3)
-        a = policy.retry_delay("write|/x", 1)
-        b = policy.retry_delay("write|/x", 1)
-        assert a == b
-        assert a >= policy.backoff_delay(1)
-        other = policy.retry_delay("write|/y", 1)
-        assert other != a  # different op keys draw different jitter
-
     def test_execution_policy_resolves_io(self):
         assert ExecutionPolicy().resolved_io() is DEFAULT_IO_POLICY
         custom = IoPolicy(retries=5)

@@ -1,9 +1,15 @@
 """Unit tests for the MapReduce engine and streaming emulation."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
+from repro.chaos import DelayTask, FaultPlan, RaiseInTask
 from repro.errors import MapReduceError
 from repro.mapreduce import counters as C
+from repro.mapreduce import engine as engine_module
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import (
@@ -12,6 +18,7 @@ from repro.mapreduce.job import (
     default_partitioner,
     make_splits,
 )
+from repro.mapreduce.policy import ExecutionPolicy
 from repro.mapreduce.streaming import (
     BytesOutputReader,
     ExternalProgram,
@@ -169,6 +176,81 @@ class TestEngine:
         result = engine.run(job, make_splits([1]))
         map_task = result.history.maps()[0]
         assert map_task.spills == 4  # ceil(100 / 30)
+
+
+class TestPublishTable:
+    """One definition per count: a fact is recorded once, as a counter
+    or a history event, and its run-wide metric is derived from that
+    through ``METRIC_OF_COUNTER`` / ``METRIC_OF_EVENT``."""
+
+    SRC = "\n".join(
+        path.read_text()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+    )
+    COUNTERS = {
+        value for name, value in vars(C).items()
+        if name.isupper() and isinstance(value, str)
+    }
+
+    def test_every_declared_counter_is_incremented_somewhere(self):
+        incremented = set(re.findall(r"counters\.inc\(\s*C\.(\w+)", self.SRC))
+        incremented |= {
+            counter
+            for rows in (*engine_module._WAVE_VOLUMES.values(),
+                         engine_module._SHUFFLE_MAP_VOLUMES,
+                         engine_module._WAVE_INCIDENTS)
+            for counter, _ in rows
+        }
+        assert incremented == self.COUNTERS
+
+    def test_every_publish_row_names_an_existing_fact(self):
+        assert set(engine_module.METRIC_OF_COUNTER) <= self.COUNTERS
+        event_kinds = set(re.findall(r'add_event\(\s*"(\w+)"', self.SRC))
+        assert set(engine_module.METRIC_OF_EVENT) <= event_kinds
+        metrics = [*engine_module.METRIC_OF_COUNTER.values(),
+                   *engine_module.METRIC_OF_EVENT.values()]
+        assert len(set(metrics)) == len(metrics)
+
+    def test_retry_plane_publishes_the_parent_metrics(self):
+        """Pinned on the parent commit (56f2c2a), where every one of
+        these was a hand-written ``metrics.counter(...)`` beside its
+        counter or event: retries, a hung task, blacklisting and a
+        combiner on the thread executor."""
+        from repro.obs.recorder import TraceRecorder
+
+        plan = FaultPlan(events=(
+            RaiseInTask("rp-m-00000"),
+            RaiseInTask("rp-m-00000", attempt=2),
+            DelayTask("rp-r-00001", seconds=30.0, attempt=1),
+        ))
+        policy = ExecutionPolicy.threads(
+            2, task_retries=3, task_timeout=5.0, retry_backoff=0.25,
+            retry_backoff_cap=1.0, blacklist_after=1, fault_plan=plan,
+            sleep=lambda seconds: None,
+        )
+        job = JobSpec("rp", word_mapper, sum_reducer, combiner=sum_reducer,
+                      num_reducers=2, io_sort_records=3)
+        recorder = TraceRecorder()
+        MapReduceEngine(
+            nodes=["n1", "n2", "n3"], policy=policy, recorder=recorder
+        ).run(job, make_splits([
+            "the quick brown fox", "jumps over the lazy dog",
+            "the dog barks", "quick quick slow",
+        ]))
+        assert recorder.metrics.as_dict()["counters"] == {
+            "chaos.delays_injected": 1,
+            "combine.records_in": 24,
+            "combine.records_out": 23,
+            "commit.promoted": 6,
+            "commit.staged": 6,
+            "engine.backoff_charged_seconds": 1.0,
+            "engine.nodes_blacklisted": 3,
+            "engine.task_timeouts": 1,
+            "shuffle.bytes_shuffled": 453,
+            "shuffle.raw_bytes": 277,
+            "shuffle.segment_bytes_stored": 453,
+            "shuffle.segments": 8,
+        }
 
 
 class Upper(ExternalProgram):

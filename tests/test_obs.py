@@ -447,25 +447,25 @@ class TestJobHistoryIndex:
         assert history.find("m-0") is first
         assert history.find("missing") is None
 
-    def test_summary_excludes_speculative_from_primaries(self):
+    def test_summary_excludes_backups_from_primaries(self):
         history = JobHistory("job")
         primary = TaskAttempt("m-0", "map", "n0")
         primary.input_records = 10
         primary.output_records = 8
         primary.attempts = 2
         primary.injected_faults = 1
-        spec = TaskAttempt("m-0-speculative", "map", "n1")
-        spec.speculative = True
-        spec.input_records = 10
+        backup = TaskAttempt("m-0-backup-e1", "map", "n1")
+        backup.backup = True
+        backup.input_records = 10
         reduce = TaskAttempt("r-0", "reduce", "n0")
         reduce.run_seconds = 1.5
-        for task in (primary, spec, reduce):
+        for task in (primary, backup, reduce):
             history.add(task)
         summary = history.summary()
         assert summary["tasks"] == 2
         assert summary["maps"] == 1 and summary["reduces"] == 1
-        assert summary["input_records"] == 10  # speculative not counted
-        assert summary["speculative"] == 1
+        assert summary["input_records"] == 10  # the backup is not counted
+        assert summary["backups"] == 1
         assert summary["retried_tasks"] == 1
         assert summary["total_attempts"] == 4
         assert summary["injected_faults"] == 1

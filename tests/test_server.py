@@ -8,11 +8,13 @@ duplicated — byte-identical results and identical dispatch order vs
 an uninterrupted run.
 """
 
+import base64
 import os
 import pickle
 import socket
 import tempfile
 import threading
+import zlib
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.errors import (
     ServerKilledError,
 )
 from repro.pipeline.checkpoint import LocalDirectoryBackend
-from repro.pipeline.wal import FrameLog
+from repro.pipeline.wal import FrameLog, _read_frames
 from repro.server import (
     AdmissionController,
     DurableJobQueue,
@@ -110,6 +112,21 @@ class TestFrameLog:
         assert FrameLog(backend, "absent.log", "fp").replay() == []
 
 
+#: ``queue.log`` as commit 56f2c2a (WAL_VERSION 2) left it after one
+#: wordcount job ran to completion: header, submit, start, done.
+#: zlib + base64 of the 612 raw bytes.
+PARENT_QUEUE_LOG_V2 = (
+    "eNplkKtOA0EUhpdeKReFADkS06ZYEAhCEAWFIyFkunNapt3ObOdCKQlJFWrk8BYkOJ4ADI"
+    "LwGggCAoXizO6Khq46c+acf/b7oig6fP59JbPq/W6Uf7d+29WvQGkuhe+U3GqPiz6oVHFh"
+    "vNtSkCrZHMiuBoVTzbEFC82rHW9buPwzXT95wbCPubDKkAvmXU3b7ohjRA2XLzh2SrSNJw"
+    "OChuQl6l09pdNEUuazPTNNwbvGRCoWSxtmqgkXoP053m6YSyBjy+Mh6So5EaQnr73bHNhR"
+    "qonEPyNhIKE3U8Jk3+fzWJEuVUNNzITH4MGtpFQZbpBVB9hlBczGCI8H6yqx1MYf7X/nMK"
+    "7GYESRpbPkVnKaCw1jPGbse28Pgy9kby+yV7XBZ/6jN7LufMT7bunsEyNeFiMqTApYkKdA"
+    "28T4gxku2WIp2KlmlBh7h49nfvK6HFx0SqEKvvL7zFleV4KwogwSi4nMc5GAHn2nHLq5w9"
+    "CFlndrKeUMYWIpmEZpp49Px7Mosq0/QhDcPw=="
+)
+
+
 class TestDurableJobQueue:
     def _queue(self, tmp_path):
         return DurableJobQueue(LocalDirectoryBackend(str(tmp_path)))
@@ -160,6 +177,26 @@ class TestDurableJobQueue:
         third = DurableJobQueue(backend)
         third.open()
         assert sorted(third.jobs) == ["j1", "j2"]
+
+    def test_version_2_queue_log_replays_empty(self, tmp_path):
+        """The queue journal rides the ``FrameLog`` header, so the WAL
+        version bump turns a parent-written ``queue.log`` away too:
+        nothing is re-admitted and the log is usable afterwards."""
+        backend = LocalDirectoryBackend(str(tmp_path))
+        old = zlib.decompress(base64.b64decode(PARENT_QUEUE_LOG_V2))
+        header, *records = map(pickle.loads, _read_frames(old))
+        assert header == {
+            "version": 2, "fingerprint": "repro-jobserver-queue-v1",
+        }
+        assert [r["kind"] for r in records] == ["submit", "start", "done"]
+        backend.write("queue.log", old)
+        queue = DurableJobQueue(backend)
+        assert queue.open() == []
+        assert queue.jobs == {}
+        queue.submit("j1", "a", {"type": "x"}, 1.0, 1)
+        reopened = DurableJobQueue(backend)
+        reopened.open()
+        assert list(reopened.jobs) == ["j1"]
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         queue = self._queue(tmp_path)

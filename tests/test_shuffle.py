@@ -32,13 +32,7 @@ from repro.shuffle.segment import (
     encode_segment,
     segment_path,
 )
-from repro.shuffle.skew import (
-    TotalOrderPartitioner,
-    detect_skew,
-    reservoir_sample,
-    resplit_hot_ranges,
-    split_points_from_sample,
-)
+from repro.shuffle.skew import detect_skew
 from repro.shuffle.spill import SpillBuffer
 from repro.shuffle.store import LocalSegmentBackend, SegmentStore
 
@@ -297,41 +291,6 @@ class TestShuffleConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_SHUFFLE.codec = "zlib-1"
-
-
-class TestTotalOrderPartitioner:
-    def test_reservoir_sample_is_deterministic(self):
-        items = list(range(1000))
-        assert reservoir_sample(items, 50) == reservoir_sample(items, 50)
-        assert len(reservoir_sample(items, 50)) == 50
-        assert reservoir_sample([1, 2], 50) == [1, 2]
-
-    def test_split_points_cut_quantiles(self):
-        points = split_points_from_sample(list(range(100)), 4)
-        assert len(points) == 3
-        assert points == sorted(points)
-
-    def test_routes_contiguous_sorted_ranges(self):
-        keys = [f"k{i:04d}" for i in range(400)]
-        partitioner = TotalOrderPartitioner.from_sample(keys, 4)
-        assignments = [partitioner(key, 4) for key in keys]
-        # Non-decreasing over sorted keys => ranges are contiguous, and
-        # concatenating reducer outputs yields globally sorted data.
-        assert assignments == sorted(assignments)
-        assert set(assignments) == {0, 1, 2, 3}
-
-    def test_reducer_count_mismatch_rejected(self):
-        partitioner = TotalOrderPartitioner(["m"], 2)
-        with pytest.raises(ShuffleError):
-            partitioner("a", 3)
-
-    def test_resplit_spreads_heavy_keys(self):
-        # One heavy key dominating a uniform tail: count-weighted cuts
-        # must isolate it rather than split the tail evenly.
-        histogram = [("hot", 1000)] + [(f"t{i:02d}", 1) for i in range(30)]
-        partitioner = resplit_hot_ranges(histogram, 4)
-        tail_partitions = {partitioner(f"t{i:02d}", 4) for i in range(30)}
-        assert len(tail_partitions) < 4  # the tail no longer owns every cut
 
 
 class TestSkewDetection:

@@ -150,12 +150,12 @@ class TestStragglerDetection:
             untraced.add(TaskAttempt(f"m-{index}", "map", "n0"))
         assert detect_stragglers(untraced) == []
 
-    def test_speculative_attempts_not_scored(self):
+    def test_backup_attempts_not_scored(self):
         history = _history_with_straggler()
-        spec = TaskAttempt("m-4-speculative", "map", "n1")
-        spec.speculative = True
-        spec.run_seconds = 50.0
-        history.add(spec)
+        backup = TaskAttempt("m-4-backup-e1", "map", "n1")
+        backup.backup = True
+        backup.run_seconds = 50.0
+        history.add(backup)
         stragglers = detect_stragglers(history)
         assert {s.task_id for s in stragglers} == {"m-4"}
 
