@@ -8,8 +8,9 @@ logical block placement policy intends.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
@@ -83,16 +84,9 @@ class InputSplit:
         return f"InputSplit({self.split_id}, node={self.preferred_node})"
 
 
-def default_partitioner(key: Any, num_reducers: int) -> int:
-    """Stable hash partitioning (crc32 of the key's canonical bytes).
-
-    Keys must be canonical (None/bool/int/float/str/bytes or tuples of
-    those); anything else raises
-    :class:`~repro.errors.PartitioningError` rather than hash a
-    ``repr`` that may embed process-dependent state and scatter a key
-    group across reducers.
-    """
-    return stable_hash_partition(key, num_reducers)
+#: The partitioner of a job that names none: stable hash partitioning; a
+#: non-canonical key raises ``PartitioningError`` (:mod:`repro.shuffle.keys`).
+default_partitioner = stable_hash_partition
 
 
 class TaskContext:
@@ -288,18 +282,28 @@ class JobSpec:
         return self.reducer is None
 
 
+#: Sizing rule per value type: a cache of a pure function of the type,
+#: filled in as types are first seen (so bounded by the types emitted).
+_SIZERS: Dict[type, Callable[[Any], int]] = {}
+
+
 def _default_value_size(value: Any) -> int:
     """Approximate serialized size of a value for byte accounting."""
-    line_bytes = getattr(value, "line_bytes", None)
-    if callable(line_bytes):
-        return line_bytes()
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, str):
-        return len(value) + 1
-    if isinstance(value, (list, tuple)):
-        return sum(_default_value_size(item) for item in value)
-    return len(repr(value))
+    kind = type(value)
+    sizer = _SIZERS.get(kind)
+    if sizer is None:
+        if callable(getattr(kind, "line_bytes", None)):
+            sizer = operator.methodcaller("line_bytes")
+        elif issubclass(kind, (bytes, bytearray)):
+            sizer = len
+        elif issubclass(kind, str):
+            sizer = lambda text: len(text) + 1
+        elif issubclass(kind, (list, tuple)):
+            sizer = lambda items: sum(map(_default_value_size, items))
+        else:
+            sizer = lambda other: len(repr(other))
+        _SIZERS[kind] = sizer
+    return sizer(value)
 
 
 def make_splits(

@@ -18,6 +18,7 @@ inside the outcome.
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MapReduceError, TaskTimeoutError
@@ -27,6 +28,7 @@ from repro.mapreduce.job import KeyValue, TaskContext
 from repro.mapreduce.policy import ExecutionPolicy, InjectedTaskFault
 from repro.obs.recorder import Span
 from repro.shuffle.codec import get_codec
+from repro.shuffle.keys import KEY_OF, VALUE_OF, record_key
 from repro.shuffle.merge import merge_sorted_runs_list
 from repro.shuffle.spill import SpillBuffer
 
@@ -186,10 +188,6 @@ class TaskCall:
         return _TASKS[self.kind](context, self)
 
 
-def _identity(key: Any) -> Any:
-    return key
-
-
 def run_attempts(
     body: Callable[[str], TaskOutcome],
     policy: ExecutionPolicy,
@@ -341,23 +339,18 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
         if job.is_map_only:
             outcome.emitted = task.emitted
             return outcome
-        # Sort-spill-merge: every io_sort_records-full buffer spills one
-        # sorted run (combined in place when the job has a combiner);
-        # finish() merges the runs into one framed, compressed,
-        # CRC-checksummed segment per reducer.  Runs really go to disk,
-        # through the durable-I/O layer with ENOSPC fallback routing,
-        # when the job context carries one (the policy configured spill
-        # directories); they stay in memory otherwise.
+        # Sort-spill-merge into one framed segment per reducer.  Runs go
+        # to disk, with ENOSPC fallback routing, when the job context
+        # carries an I/O layer (the policy configured spill directories).
         buffer = SpillBuffer(
-            job.num_reducers, job.partitioner, job.sort_key or _identity,
+            job.num_reducers, job.partitioner, job.sort_key,
             job.io_sort_records, track_keys=job.shuffle.track_keys,
             combiner=job.combiner,
             spill_io=context.io,
             spill_dirs=context.policy.resolved_io().spill_dirs,
             spill_prefix=f"{call.task_id}-e{call.epoch}",
         )
-        for key, value in task.emitted:
-            buffer.add(key, value)
+        buffer.add_all(task.emitted)
         spilled = buffer.finish(get_codec(job.shuffle.codec))
         outcome.spills = spilled.spills
         outcome.segments = [seg.blob for seg in spilled.segments]
@@ -401,26 +394,16 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.crc_failures += fetch.crc_failures
             outcome.fetch_retries += fetch.refetches
         t_fetch_end = clock() if traced else 0.0
-        # Merge: a stable k-way merge of the pre-sorted segments keeps
-        # map-task arrival order within a key — byte-identical to a
-        # stable sort over their concatenation, like Hadoop's merge.
-        sort_key = job.sort_key or _identity
-        fetched = merge_sorted_runs_list(
-            runs, key=lambda kv: sort_key(kv[0])
-        )
+        # Merge: a stable sort over the concatenated pre-sorted segments
+        # keeps map-task arrival order within a key, like Hadoop's merge.
+        fetched = merge_sorted_runs_list(runs, key=record_key(job.sort_key))
         t_merge_end = clock() if traced else 0.0
 
         task = TaskContext(
             call.task_id, node, traced=traced, task_index=call.index
         )
-        cursor = 0
-        while cursor < len(fetched):
-            key = fetched[cursor][0]
-            values = []
-            while cursor < len(fetched) and fetched[cursor][0] == key:
-                values.append(fetched[cursor][1])
-                cursor += 1
-            job.reducer(key, values, task)
+        for key, group in groupby(fetched, KEY_OF):
+            job.reducer(key, list(map(VALUE_OF, group)), task)
             outcome.groups += 1
         outcome.input_records = len(fetched)
         outcome.emitted = task.emitted

@@ -15,11 +15,15 @@ instability is caught at the first record, not as silent misplacement.
 
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
-from typing import Any
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import PartitioningError
+
+#: The halves of a ``(key, value)`` record, as C accessors.
+KEY_OF, VALUE_OF = operator.itemgetter(0), operator.itemgetter(1)
 
 #: Python types with a canonical byte encoding (tuples recurse).
 CANONICAL_KEY_TYPES = (type(None), bool, int, float, str, bytes, tuple)
@@ -59,5 +63,20 @@ def canonical_key_bytes(key: Any) -> bytes:
 
 
 def stable_hash_partition(key: Any, num_partitions: int) -> int:
-    """Process-independent hash partition of a canonical key."""
+    """Process-independent hash partition of a canonical key: always
+    ``crc32(canonical_key_bytes(key))``, never ``hash()``.  An exact
+    ``str`` (read names, contig names, words) is encoded inline."""
+    if type(key) is str:
+        return zlib.crc32(b"s:" + key.encode("utf-8")) % num_partitions
     return zlib.crc32(canonical_key_bytes(key)) % num_partitions
+
+
+def record_key(
+    sort_key: Optional[Callable[[Any], Any]],
+) -> Callable[[Tuple[Any, Any]], Any]:
+    """A job's ordering as a sort key over its ``(key, value)`` records —
+    the one every sort and merge of them uses: the key itself without a
+    ``sort_key`` (:data:`KEY_OF`), else ``sort_key`` of the key."""
+    if sort_key is None:
+        return KEY_OF
+    return lambda record: sort_key(record[0])

@@ -1,21 +1,24 @@
-"""Stable k-way merge of pre-sorted runs.
+"""Stable merge of pre-sorted runs: one ordering contract, two forms.
 
-This is the single merge primitive both halves of the external sort
-machinery share: the map-side spill merge and reduce-side segment merge
-in :mod:`repro.shuffle`, and the on-disk run merge in
-:class:`repro.cleaning.sort.ExternalMergeSorter`.  Keeping one
-implementation keeps one ordering contract — runs are merged by sort
-key with ties broken by ``(run_index, position_in_run)``, i.e. the
-merge is *stable* with respect to run order and within-run order.
+Given runs each already sorted by ``key``, both forms yield exactly
+``sorted(chain(*runs), key=key)`` — the same objects in the same order:
+ascending key, equal keys in run order, and within a run in input
+order.  :func:`merge_sorted_runs` is lazy (``heapq.merge``, stable in
+iterable order), for runs streamed from disk by
+:class:`repro.cleaning.sort.ExternalMergeSorter`;
+:func:`merge_sorted_runs_list` is eager, for the in-memory map-side
+spill merge and reduce-side segment merge, and *is* that stable sort:
+Timsort finds each presorted run and gallops through the merges in C.
 
-That tie-break is load-bearing: the MapReduce engine's determinism
+The tie-break is load-bearing: the MapReduce engine's determinism
 contract says a reducer sees equal-keyed values in map-task order, and
-the engine feeds runs to this function in exactly that order.
+the engine hands over runs in exactly that order.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -25,25 +28,19 @@ def merge_sorted_runs(
     runs: Sequence[Iterable[T]],
     key: Callable[[T], Any],
 ) -> Iterator[T]:
-    """Merge runs already sorted by ``key`` into one sorted stream.
-
-    Equal keys preserve run order, and within a run, input order —
-    identical to a stable sort over the concatenation of the runs,
-    without materializing it.
-    """
-
-    def decorated(run: Iterable[T], run_index: int):
-        for seq, item in enumerate(run):
-            yield (key(item), run_index, seq), item
-
-    streams = [decorated(run, index) for index, run in enumerate(runs)]
-    for _, item in heapq.merge(*streams, key=lambda pair: pair[0]):
-        yield item
+    """Lazily merge runs already sorted by ``key`` into one sorted stream."""
+    return heapq.merge(*runs, key=key)
 
 
 def merge_sorted_runs_list(
-    runs: Sequence[Sequence[T]],
+    runs: Sequence[List[T]],
     key: Callable[[T], Any],
 ) -> List[T]:
-    """Eager form of :func:`merge_sorted_runs`."""
-    return list(merge_sorted_runs(runs, key))
+    """Eagerly merge in-memory runs already sorted by ``key``; a single
+    non-empty run is returned as-is (the same list, not a copy)."""
+    runs = [run for run in runs if run]
+    if len(runs) == 1:
+        return runs[0]
+    merged = list(chain.from_iterable(runs))
+    merged.sort(key=key)  # stable
+    return merged

@@ -47,10 +47,6 @@ class EncodedSegment:
         #: Pre-compression payload size.
         self.raw_bytes = raw_bytes
 
-    @property
-    def compressed_bytes(self) -> int:
-        return len(self.blob)
-
     def __repr__(self) -> str:
         return (
             f"EncodedSegment({self.records} records, "

@@ -1,23 +1,23 @@
 """Map-side sort-spill-merge buffer.
 
-One :class:`SpillBuffer` lives inside each map task.  Emitted records
-are partitioned as they arrive; when the buffer holds
-``spill_records`` of them (``mapreduce.task.io.sort.mb`` in record
-units) the buffer *spills*: each partition's slice is stably sorted by
-the job's sort key and frozen as one run.  ``finish`` spills the
-remainder and k-way merges every run's slice of each partition into
-one sorted, framed, compressed segment per reducer.
+One :class:`SpillBuffer` lives inside each map task.  Each emitted
+``(key, value)`` record is routed once, straight into its partition's
+list; when the buffer holds ``spill_records`` of them
+(``mapreduce.task.io.sort.mb`` in record units) the buffer *spills*:
+each partition's list is stably sorted by the job's record key and
+frozen as one run.  ``finish`` spills the remainder and merges every
+run's slice of each partition into one sorted, framed, compressed
+segment per reducer.
 
-Ordering contract: runs are spilled in emit order and
-:func:`~repro.shuffle.merge.merge_sorted_runs` breaks key ties by
-``(run, position)``, so the merged segment is byte-for-byte what a
-single stable sort over the task's full output would produce — which
-is why the rewrite from in-memory sort to real spills changed no
-job output anywhere.
+Ordering contract (the one :mod:`repro.shuffle.merge` states): runs are
+spilled in emit order and merging them is a stable sort over their
+concatenation, so the merged segment is byte-for-byte what one stable
+sort over the task's full output would produce, however many runs it
+was spilled in and whether they sat in memory or on disk.
 
-The buffer also feeds the skew detector for free: it counts records
-per partition and (optionally) tracks each partition's heaviest keys,
-shipping both back in the task outcome.
+The buffer also feeds the skew detector for free: at each spill it
+counts records per partition and (optionally) tallies their keys,
+shipping the totals back in the task outcome.
 """
 
 from __future__ import annotations
@@ -25,36 +25,33 @@ from __future__ import annotations
 import os
 import pickle
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ShuffleError, StorageFullError
 from repro.shuffle.codec import Codec
+from repro.shuffle.keys import KEY_OF, VALUE_OF, record_key
 from repro.shuffle.merge import merge_sorted_runs_list
 from repro.shuffle.segment import EncodedSegment, KeyValue, encode_segment
 
 
-class SpillResult:
+class SpillResult(NamedTuple):
     """Everything a finished map-side shuffle hands the task outcome."""
 
-    __slots__ = ("segments", "spills", "partition_records", "key_counts",
-                 "combine_in", "combine_out")
-
-    def __init__(self, segments, spills, partition_records, key_counts,
-                 combine_in=0, combine_out=0):
-        #: One encoded segment per reduce partition, in partition order.
-        self.segments: List[EncodedSegment] = segments
-        #: Number of sorted runs written (>=1, even for empty output).
-        self.spills: int = spills
-        #: Records this task routed to each partition.
-        self.partition_records: List[int] = partition_records
-        #: Per partition: the task's heaviest keys as (key, count),
-        #: heaviest first; empty when key tracking is off.
-        self.key_counts: List[List[Tuple[Any, int]]] = key_counts
-        #: Records fed into / produced by the map-side combiner across
-        #: every combine pass (cumulative, like Hadoop's
-        #: COMBINE_INPUT/OUTPUT_RECORDS); zero when no combiner ran.
-        self.combine_in: int = combine_in
-        self.combine_out: int = combine_out
+    #: One encoded segment per reduce partition, in partition order.
+    segments: List[EncodedSegment]
+    #: Number of sorted runs written (>=1, even for empty output).
+    spills: int
+    #: Records this task routed to each partition.
+    partition_records: List[int]
+    #: Per partition: the task's heaviest keys as (key, count),
+    #: heaviest first; empty when key tracking is off.
+    key_counts: List[List[Tuple[Any, int]]]
+    #: Records fed into / produced by the map-side combiner across
+    #: every combine pass (cumulative, like Hadoop's
+    #: COMBINE_INPUT/OUTPUT_RECORDS); zero when no combiner ran.
+    combine_in: int = 0
+    combine_out: int = 0
 
 
 class _CombineContext:
@@ -82,7 +79,7 @@ class SpillBuffer:
         self,
         num_partitions: int,
         partitioner: Callable[[Any, int], int],
-        sort_key: Callable[[Any], Any],
+        sort_key: Optional[Callable[[Any], Any]],
         spill_records: int,
         track_keys: int = 0,
         combiner: Optional[Callable[[Any, List[Any], Any], None]] = None,
@@ -96,72 +93,91 @@ class SpillBuffer:
             raise ShuffleError("spill_io needs at least one spill dir")
         self._num_partitions = num_partitions
         self._partitioner = partitioner
-        self._sort_key = sort_key
+        #: The one ordering every sort and merge below uses (over whole
+        #: records; ``sort_key=None`` is natural key order).
+        self._record_key = record_key(sort_key)
         self._spill_records = spill_records
         self._track_keys = track_keys
         #: Optional map-side combiner applied to each sorted slice as it
         #: spills, and again across runs at merge time — so shuffle
         #: segments are sealed already pre-aggregated.
         self._combiner = combiner
-        self.combine_in = 0
-        self.combine_out = 0
+        self.combine_in = self.combine_out = 0
         #: Durable-I/O layer for real spill-to-disk; None keeps runs in
         #: memory (the original behaviour, still the default).
         self._spill_io = spill_io
         self._spill_dirs = tuple(spill_dirs)
         self._spill_prefix = spill_prefix
-        #: Disk path per run (index-aligned with _runs; None = in memory).
-        self._run_files: List[Optional[str]] = []
-        #: Current in-memory buffer: (partition, key, value) in emit order.
-        self._buffer: List[Tuple[int, Any, Any]] = []
-        #: Frozen runs: each is a per-partition list of sorted records.
-        #: A run spilled to disk is replaced by None until finish()
-        #: reads it back.
-        self._runs: List[Optional[List[List[KeyValue]]]] = []
+        #: The in-memory buffer: per partition, the emitted records in
+        #: emit order; ``_room`` more fit before the next spill.
+        self._pending: List[List[KeyValue]] = [
+            [] for _ in range(num_partitions)
+        ]
+        self._room = spill_records
+        #: Frozen runs in spill order: a per-partition list of sorted
+        #: records or, once on disk, the path finish() reads it back from.
+        self._runs: List[Any] = []
+        #: Totals over the runs frozen so far.
         self.partition_records = [0] * num_partitions
-        self._key_tallies: Optional[List[Counter]] = (
-            [Counter() for _ in range(num_partitions)] if track_keys else None
-        )
+        self._key_tallies = [Counter() for _ in range(num_partitions)]
 
     def add(self, key: Any, value: Any) -> None:
-        partition = self._partitioner(key, self._num_partitions)
-        if not 0 <= partition < self._num_partitions:
-            raise ShuffleError(
-                f"partitioner placed key {key!r} in partition {partition}, "
-                f"outside [0, {self._num_partitions})"
-            )
-        self._buffer.append((partition, key, value))
-        self.partition_records[partition] += 1
-        if self._key_tallies is not None:
-            try:
-                self._key_tallies[partition][key] += 1
-            except TypeError:
-                pass  # unhashable key: placement works, tracking doesn't
-        if len(self._buffer) >= self._spill_records:
-            self._spill()
+        """Route one record."""
+        self.add_all(((key, value),))
+
+    def add_all(self, records: Iterable[KeyValue]) -> None:
+        """Route records, in order, each into its partition's list.
+
+        The record tuple itself is stored, so each should be its own
+        tuple, as ``emit`` makes them: one routed twice would be pickled
+        once and back-referenced — other segment bytes, same contents.
+        """
+        partitioner, count = self._partitioner, self._num_partitions
+        pending, room = self._pending, self._room
+        try:
+            for record in records:
+                partition = partitioner(record[0], count)
+                # Checked before indexing: -1 must not land in the last list.
+                if not 0 <= partition < count:
+                    raise ShuffleError(
+                        f"partitioner placed key {record[0]!r} in partition "
+                        f"{partition}, outside [0, {count})"
+                    )
+                pending[partition].append(record)
+                room -= 1
+                if not room:
+                    self._spill()
+                    pending, room = self._pending, self._spill_records
+        finally:
+            self._room = room
 
     def _spill(self) -> None:
         """Freeze the buffer as one run of per-partition sorted slices."""
-        run: List[List[KeyValue]] = [[] for _ in range(self._num_partitions)]
-        for partition, key, value in self._buffer:
-            run[partition].append((key, value))
-        sort_key = self._sort_key
+        run = self._pending
+        self._pending = [[] for _ in range(self._num_partitions)]
         for index, slice_ in enumerate(run):
-            slice_.sort(key=lambda kv: sort_key(kv[0]))  # stable
+            self.partition_records[index] += len(slice_)
+            if self._track_keys:
+                self._tally(self._key_tallies[index], slice_)
+            slice_.sort(key=self._record_key)  # stable
             if self._combiner is not None and slice_:
                 run[index] = self._combine_sorted(slice_)
+        path = None
         if self._spill_io is not None:
             path = self._write_run_to_disk(len(self._runs), run)
-            if path is not None:
-                # Run is durable on disk; drop the in-memory copy (the
-                # point of spilling) and read it back at merge time.
-                self._runs.append(None)
-                self._run_files.append(path)
-                self._buffer = []
+        # A run durable on disk drops its in-memory copy.
+        self._runs.append(path or run)
+
+    @staticmethod
+    def _tally(tally: Counter, slice_: List[KeyValue]) -> None:
+        """Count one slice's keys in emit order (a C loop)."""
+        keys = map(KEY_OF, slice_)
+        while True:
+            try:
+                tally.update(keys)
                 return
-        self._runs.append(run)
-        self._run_files.append(None)
-        self._buffer = []
+            except TypeError:
+                pass  # unhashable key: placed, not tracked; ``keys`` is past it
 
     def _write_run_to_disk(
         self, run_index: int, run: List[List[KeyValue]]
@@ -193,15 +209,14 @@ class SpillBuffer:
     def _materialized_runs(self) -> List[List[List[KeyValue]]]:
         """All runs, disk-spilled ones read back (and their files freed)."""
         runs: List[List[List[KeyValue]]] = []
-        for run, path in zip(self._runs, self._run_files):
-            if run is not None:
-                runs.append(run)
-                continue
-            data = self._spill_io.read_bytes(path)
-            if data is None:
-                raise ShuffleError(f"spilled run missing: {path}")
-            runs.append(pickle.loads(data))
-            self._spill_io.unlink(path)
+        for run in self._runs:
+            if isinstance(run, str):  # the path of a run spilled to disk
+                data = self._spill_io.read_bytes(run)
+                if data is None:
+                    raise ShuffleError(f"spilled run missing: {run}")
+                self._spill_io.unlink(run)
+                run = pickle.loads(data)
+            runs.append(run)
         return runs
 
     def _combine_sorted(self, records: List[KeyValue]) -> List[KeyValue]:
@@ -214,38 +229,27 @@ class SpillBuffer:
         so downstream merging sees the run invariant intact.
         """
         context = _CombineContext()
-        cursor = 0
-        total = len(records)
-        while cursor < total:
-            key = records[cursor][0]
-            values = [records[cursor][1]]
-            cursor += 1
-            while cursor < total and records[cursor][0] == key:
-                values.append(records[cursor][1])
-                cursor += 1
-            self._combiner(key, values, context)
+        for key, group in groupby(records, KEY_OF):
+            self._combiner(key, list(map(VALUE_OF, group)), context)
         combined = context.emitted
-        sort_key = self._sort_key
-        combined.sort(key=lambda kv: sort_key(kv[0]))  # stable
-        self.combine_in += total
+        combined.sort(key=self._record_key)  # stable
+        self.combine_in += len(records)
         self.combine_out += len(combined)
         return combined
 
     def finish(self, codec: Codec) -> SpillResult:
         """Spill the tail, merge runs, and encode one segment/reducer."""
-        if self._buffer:
+        if self._room < self._spill_records:
             self._spill()
         # Even an empty map output counts as one (empty) spill file,
         # matching Hadoop's SPILLED file accounting.
         spills = max(1, len(self._runs))
         runs = self._materialized_runs()
-        sort_key = self._sort_key
         multi_run = len(runs) > 1
         segments = []
         for partition in range(self._num_partitions):
             merged = merge_sorted_runs_list(
-                [run[partition] for run in runs],
-                key=lambda kv: sort_key(kv[0]),
+                [run[partition] for run in runs], key=self._record_key
             )
             # Merge-time combine pass: runs were combined as they
             # spilled, but the same key may live in several runs; one
@@ -254,18 +258,13 @@ class SpillBuffer:
             if self._combiner is not None and multi_run and merged:
                 merged = self._combine_sorted(merged)
             segments.append(encode_segment(merged, codec))
-        key_counts: List[List[Tuple[Any, int]]] = []
-        for partition in range(self._num_partitions):
-            if self._key_tallies is None:
-                key_counts.append([])
-                continue
-            tally = self._key_tallies[partition]
-            # Deterministic heaviest-first order: count desc, then the
-            # key's repr (value-determined for canonical key types).
-            ranked = sorted(
-                tally.items(), key=lambda kc: (-kc[1], repr(kc[0]))
-            )
-            key_counts.append(ranked[: self._track_keys])
+        # Deterministic heaviest-first order: count desc, then the key's
+        # repr (value-determined for canonical key types).
+        key_counts = [
+            sorted(tally.items(), key=lambda kc: (-kc[1], repr(kc[0])))
+            [: self._track_keys]
+            for tally in self._key_tallies
+        ]
         return SpillResult(
             segments, spills, list(self.partition_records), key_counts,
             combine_in=self.combine_in, combine_out=self.combine_out,

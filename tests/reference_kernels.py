@@ -12,12 +12,34 @@ exactly what these return.
 are the bodies of ``Cigar.parse``, ``Cigar.__str__``,
 ``SamRecord.to_line`` and ``SamRecord.from_line`` from before the
 data-transformation fast path, as free functions.
+
+``merge_sorted_runs`` / ``merge_sorted_runs_list``, ``SpillBuffer`` and
+``_default_value_size`` are the bodies from before the per-record
+engine and shuffle fast path.
+
+All of these are *refactoring guards* — the code's own past, pinned so
+a rewrite cannot move a byte — not independent oracles.
 """
 
 from __future__ import annotations
 
+import heapq
+import os
+import pickle
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.align.sw import (
     GAP_EXTEND,
@@ -26,12 +48,15 @@ from repro.align.sw import (
     MISMATCH,
     LocalAlignment,
 )
-from repro.errors import CigarError, FormatError
+from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord
 from repro.genome.regions import GenomicInterval
 from repro.recal.covariates import aligned_pairs
+from repro.shuffle.codec import Codec
+from repro.shuffle.segment import KeyValue, encode_segment
+from repro.shuffle.spill import SpillResult, _CombineContext
 from repro.variants.genotyper import call_column
 from repro.variants.pileup import (
     PileupColumn,
@@ -320,3 +345,254 @@ def sam_from_line(line: str) -> SamRecord:
         qual=fields[10],
         tags=tags,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-record engine and shuffle: the bodies before the fast path
+# ---------------------------------------------------------------------------
+# Refactoring guards, not independent oracles: ``merge_sorted_runs`` /
+# ``merge_sorted_runs_list`` (``repro.shuffle.merge``), ``SpillBuffer``
+# (``repro.shuffle.spill``) and ``_default_value_size``
+# (``repro.mapreduce.job``) exactly as shipped before the per-record
+# fast path.  ``test_shuffle_oracles.py`` requires the shipped code to
+# produce the same bytes, counts and sizes.
+T = TypeVar("T")
+
+
+def merge_sorted_runs(
+    runs: Sequence[Iterable[T]],
+    key: Callable[[T], Any],
+) -> Iterator[T]:
+    """Merge runs already sorted by ``key`` into one sorted stream.
+
+    Equal keys preserve run order, and within a run, input order —
+    identical to a stable sort over the concatenation of the runs,
+    without materializing it.
+    """
+
+    def decorated(run: Iterable[T], run_index: int):
+        for seq, item in enumerate(run):
+            yield (key(item), run_index, seq), item
+
+    streams = [decorated(run, index) for index, run in enumerate(runs)]
+    for _, item in heapq.merge(*streams, key=lambda pair: pair[0]):
+        yield item
+
+
+def merge_sorted_runs_list(
+    runs: Sequence[Sequence[T]],
+    key: Callable[[T], Any],
+) -> List[T]:
+    """Eager form of :func:`merge_sorted_runs`."""
+    return list(merge_sorted_runs(runs, key))
+
+
+class SpillBuffer:
+    """Bounded sort buffer producing per-reducer merged segments."""
+
+    def __init__(
+        self,
+        num_partitions: int,
+        partitioner: Callable[[Any, int], int],
+        sort_key: Callable[[Any], Any],
+        spill_records: int,
+        track_keys: int = 0,
+        combiner: Optional[Callable[[Any, List[Any], Any], None]] = None,
+        spill_io: Optional[Any] = None,
+        spill_dirs: Tuple[str, ...] = (),
+        spill_prefix: str = "run",
+    ):
+        if spill_records < 1:
+            raise ShuffleError("spill_records must be >= 1")
+        if spill_io is not None and not spill_dirs:
+            raise ShuffleError("spill_io needs at least one spill dir")
+        self._num_partitions = num_partitions
+        self._partitioner = partitioner
+        self._sort_key = sort_key
+        self._spill_records = spill_records
+        self._track_keys = track_keys
+        #: Optional map-side combiner applied to each sorted slice as it
+        #: spills, and again across runs at merge time — so shuffle
+        #: segments are sealed already pre-aggregated.
+        self._combiner = combiner
+        self.combine_in = 0
+        self.combine_out = 0
+        #: Durable-I/O layer for real spill-to-disk; None keeps runs in
+        #: memory (the original behaviour, still the default).
+        self._spill_io = spill_io
+        self._spill_dirs = tuple(spill_dirs)
+        self._spill_prefix = spill_prefix
+        #: Disk path per run (index-aligned with _runs; None = in memory).
+        self._run_files: List[Optional[str]] = []
+        #: Current in-memory buffer: (partition, key, value) in emit order.
+        self._buffer: List[Tuple[int, Any, Any]] = []
+        #: Frozen runs: each is a per-partition list of sorted records.
+        #: A run spilled to disk is replaced by None until finish()
+        #: reads it back.
+        self._runs: List[Optional[List[List[KeyValue]]]] = []
+        self.partition_records = [0] * num_partitions
+        self._key_tallies: Optional[List[Counter]] = (
+            [Counter() for _ in range(num_partitions)] if track_keys else None
+        )
+
+    def add(self, key: Any, value: Any) -> None:
+        partition = self._partitioner(key, self._num_partitions)
+        if not 0 <= partition < self._num_partitions:
+            raise ShuffleError(
+                f"partitioner placed key {key!r} in partition {partition}, "
+                f"outside [0, {self._num_partitions})"
+            )
+        self._buffer.append((partition, key, value))
+        self.partition_records[partition] += 1
+        if self._key_tallies is not None:
+            try:
+                self._key_tallies[partition][key] += 1
+            except TypeError:
+                pass  # unhashable key: placement works, tracking doesn't
+        if len(self._buffer) >= self._spill_records:
+            self._spill()
+
+    def _spill(self) -> None:
+        """Freeze the buffer as one run of per-partition sorted slices."""
+        run: List[List[KeyValue]] = [[] for _ in range(self._num_partitions)]
+        for partition, key, value in self._buffer:
+            run[partition].append((key, value))
+        sort_key = self._sort_key
+        for index, slice_ in enumerate(run):
+            slice_.sort(key=lambda kv: sort_key(kv[0]))  # stable
+            if self._combiner is not None and slice_:
+                run[index] = self._combine_sorted(slice_)
+        if self._spill_io is not None:
+            path = self._write_run_to_disk(len(self._runs), run)
+            if path is not None:
+                # Run is durable on disk; drop the in-memory copy (the
+                # point of spilling) and read it back at merge time.
+                self._runs.append(None)
+                self._run_files.append(path)
+                self._buffer = []
+                return
+        self._runs.append(run)
+        self._run_files.append(None)
+        self._buffer = []
+
+    def _write_run_to_disk(
+        self, run_index: int, run: List[List[KeyValue]]
+    ) -> Optional[str]:
+        """Persist one sorted run; returns its path, or None.
+
+        Walks the spill directories in order: ENOSPC on the primary
+        degrades the run to the next directory (counted in
+        ``io.fallback_spills``).  When *every* directory is full the
+        run stays in memory — degraded further, but the task still
+        completes — rather than failing the map task over intermediate
+        data that has an in-memory home anyway.
+        """
+        payload = pickle.dumps(run, protocol=4)
+        name = os.path.join(
+            "mapspill", f"{self._spill_prefix}-run{run_index:03d}.spill"
+        )
+        for dir_index, root in enumerate(self._spill_dirs):
+            target = os.path.join(root, name)
+            try:
+                self._spill_io.write_atomic(target, payload)
+            except StorageFullError:
+                continue
+            if dir_index > 0:
+                self._spill_io.stats.fallback_spills += 1
+            return target
+        return None
+
+    def _materialized_runs(self) -> List[List[List[KeyValue]]]:
+        """All runs, disk-spilled ones read back (and their files freed)."""
+        runs: List[List[List[KeyValue]]] = []
+        for run, path in zip(self._runs, self._run_files):
+            if run is not None:
+                runs.append(run)
+                continue
+            data = self._spill_io.read_bytes(path)
+            if data is None:
+                raise ShuffleError(f"spilled run missing: {path}")
+            runs.append(pickle.loads(data))
+            self._spill_io.unlink(path)
+        return runs
+
+    def _combine_sorted(self, records: List[KeyValue]) -> List[KeyValue]:
+        """Pre-aggregate one sorted slice, keeping it sorted.
+
+        Equal keys are adjacent after the stable sort (the same
+        adjacency assumption the reduce-side grouper makes), so one
+        linear pass groups them.  The combiner's output is re-sorted
+        stably by the same key — a combiner may emit keys in any order —
+        so downstream merging sees the run invariant intact.
+        """
+        context = _CombineContext()
+        cursor = 0
+        total = len(records)
+        while cursor < total:
+            key = records[cursor][0]
+            values = [records[cursor][1]]
+            cursor += 1
+            while cursor < total and records[cursor][0] == key:
+                values.append(records[cursor][1])
+                cursor += 1
+            self._combiner(key, values, context)
+        combined = context.emitted
+        sort_key = self._sort_key
+        combined.sort(key=lambda kv: sort_key(kv[0]))  # stable
+        self.combine_in += total
+        self.combine_out += len(combined)
+        return combined
+
+    def finish(self, codec: Codec) -> SpillResult:
+        """Spill the tail, merge runs, and encode one segment/reducer."""
+        if self._buffer:
+            self._spill()
+        # Even an empty map output counts as one (empty) spill file,
+        # matching Hadoop's SPILLED file accounting.
+        spills = max(1, len(self._runs))
+        runs = self._materialized_runs()
+        sort_key = self._sort_key
+        multi_run = len(runs) > 1
+        segments = []
+        for partition in range(self._num_partitions):
+            merged = merge_sorted_runs_list(
+                [run[partition] for run in runs],
+                key=lambda kv: sort_key(kv[0]),
+            )
+            # Merge-time combine pass: runs were combined as they
+            # spilled, but the same key may live in several runs; one
+            # more pass over the merged slice collapses those (only
+            # needed when there was more than one run).
+            if self._combiner is not None and multi_run and merged:
+                merged = self._combine_sorted(merged)
+            segments.append(encode_segment(merged, codec))
+        key_counts: List[List[Tuple[Any, int]]] = []
+        for partition in range(self._num_partitions):
+            if self._key_tallies is None:
+                key_counts.append([])
+                continue
+            tally = self._key_tallies[partition]
+            # Deterministic heaviest-first order: count desc, then the
+            # key's repr (value-determined for canonical key types).
+            ranked = sorted(
+                tally.items(), key=lambda kc: (-kc[1], repr(kc[0]))
+            )
+            key_counts.append(ranked[: self._track_keys])
+        return SpillResult(
+            segments, spills, list(self.partition_records), key_counts,
+            combine_in=self.combine_in, combine_out=self.combine_out,
+        )
+
+
+def _default_value_size(value: Any) -> int:
+    """Approximate serialized size of a value for byte accounting."""
+    line_bytes = getattr(value, "line_bytes", None)
+    if callable(line_bytes):
+        return line_bytes()
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, str):
+        return len(value) + 1
+    if isinstance(value, (list, tuple)):
+        return sum(_default_value_size(item) for item in value)
+    return len(repr(value))
