@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BamError
@@ -167,14 +168,14 @@ class BamLinearIndex:
     @classmethod
     def build(cls, data: bytes) -> "BamLinearIndex":
         entries: List[Tuple[str, int, int]] = []
-        first = True
-        for offset, payload in iter_frames(data):
-            if first:
-                first = False  # header frame
-                continue
-            records = _decode_records(payload)
-            if records:
-                entries.append((records[0].rname, records[0].pos, offset))
+        # Past the header frame, only each chunk's leftmost record is
+        # indexed: parse one line per chunk, not every record.
+        for offset, payload in islice(iter_frames(data), 1, None):
+            if payload:
+                head = SamRecord.from_line(
+                    payload.partition(b"\n")[0].decode()
+                )
+                entries.append((head.rname, head.pos, offset))
         return cls(entries)
 
     def first_chunk_at_or_after(self, rname: str, pos: int) -> Optional[int]:

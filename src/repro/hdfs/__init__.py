@@ -6,7 +6,6 @@ from repro.hdfs.bam_storage import (
     read_bam_header,
     read_distributed_bam,
     upload_bam,
-    upload_logical_partitions,
 )
 from repro.hdfs.blocks import (
     DEFAULT_BLOCK_SIZE,
@@ -24,7 +23,6 @@ __all__ = [
     "read_bam_header",
     "read_distributed_bam",
     "upload_bam",
-    "upload_logical_partitions",
     "DEFAULT_BLOCK_SIZE",
     "Datanode",
     "HdfsBlock",

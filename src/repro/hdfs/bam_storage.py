@@ -46,27 +46,6 @@ def upload_bam(
     hdfs.put(path, data, logical_partition=logical_partition, block_size=block_size)
 
 
-def upload_logical_partitions(
-    hdfs: Hdfs,
-    directory: str,
-    header: SamHeader,
-    partitions: List[List[SamRecord]],
-    chunk_bytes: int = 64 * 1024,
-    block_size: Optional[int] = None,
-) -> List[str]:
-    """Write one logically-placed BAM file per partition."""
-    paths = []
-    for index, records in enumerate(partitions):
-        path = f"{directory.rstrip('/')}/part-{index:05d}.bam"
-        upload_bam(
-            hdfs, path, header, records,
-            logical_partition=True, chunk_bytes=chunk_bytes,
-            block_size=block_size,
-        )
-        paths.append(path)
-    return paths
-
-
 def read_bam_header(hdfs: Hdfs, path: str) -> SamHeader:
     """Fetch the header from the first chunk of the file."""
     head = hdfs.read_from(path, 0, len(MAGIC) + _FRAME_HEADER.size)

@@ -222,6 +222,15 @@ class JobSpec:
     policy, nodes:
         How and where the job runs when :func:`repro.api.run_job` has
         to build its own engine; an engine passed in uses its own.
+    reduce_output:
+        Optional ``reduce_output(pairs, context)`` — the reduce task's
+        output format, called once per attempt after the last group
+        (also when the task emitted nothing) with every pair the
+        reducer emitted and the same context; what *it* emits replaces
+        the pairs as the task's output.  It gives a reduce task what a
+        map-only mapper has — a place that sees the whole partition —
+        so the partition is sorted, encoded and ``write_file``-d in
+        the worker instead of shipped to the driver as records.
     """
 
     name: str
@@ -237,6 +246,7 @@ class JobSpec:
     shuffle: Optional[ShuffleConfig] = None
     policy: Optional[ExecutionPolicy] = None
     nodes: Optional[Tuple[str, ...]] = None
+    reduce_output: Optional[Callable[[List[KeyValue], TaskContext], None]] = None
 
     def __post_init__(self):
         for field, default in (
@@ -263,6 +273,16 @@ class JobSpec:
             )
         if self.reducer is not None and not callable(self.reducer):
             raise MapReduceError(f"job {self.name}: reducer is not callable")
+        if self.reduce_output is not None:
+            if not callable(self.reduce_output):
+                raise MapReduceError(
+                    f"job {self.name}: reduce_output is not callable"
+                )
+            if self.reducer is None:
+                raise MapReduceError(
+                    f"job {self.name}: reduce_output supplied but no "
+                    "reducer (a map-only mapper already sees its whole split)"
+                )
         if self.combiner is not None and not callable(self.combiner):
             raise MapReduceError(f"job {self.name}: combiner is not callable")
         if not callable(self.partitioner):

@@ -366,15 +366,17 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
 
 
 def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
-    """One complete reduce task: shuffle fetch, merge, group, reduce.
+    """One complete reduce task: shuffle fetch, merge, group, reduce, output.
 
     Fetches this reducer's segment from every mapper in map-task order
     (which is why reduce-side value order differs from the serial
     program's input order).  Every fetch is CRC-verified end-to-end and
     refetched from another replica on corruption, up to the job's
-    ``shuffle.fetch_retries``.  With ``context.trace_phases`` on, the
-    shuffle / merge / reduce phase boundaries are measured and shipped
-    back in the outcome.
+    ``shuffle.fetch_retries``.  A job's ``reduce_output`` runs once per
+    attempt after the last group and replaces the emitted pairs as the
+    task's output; ``output_records`` still counts the pairs.  With
+    ``context.trace_phases`` on, the shuffle / merge / reduce phase
+    boundaries are measured and shipped back in the outcome.
     """
     job, traced = context.job, context.trace_phases
 
@@ -406,8 +408,16 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
             job.reducer(key, list(map(VALUE_OF, group)), task)
             outcome.groups += 1
         outcome.input_records = len(fetched)
+        pairs = task.emitted
+        if job.reduce_output is not None:
+            # The job's output format sees the whole partition here, in
+            # the worker; what it emits (and writes) is the task's
+            # output, so the pairs themselves never cross to the driver.
+            task.emitted = []
+            job.reduce_output(pairs, task)
         outcome.emitted = task.emitted
         _seal(outcome, task, t_start)
+        outcome.output_records = len(pairs)
         if traced:
             outcome.phases = {
                 "shuffle": (t_start, t_fetch_end),

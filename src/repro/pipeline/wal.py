@@ -18,9 +18,9 @@ Two layers live here:
   checkpoints (:mod:`repro.pipeline.checkpoint`) make a completed
   round durable; the WAL covers the round *in flight*: every promoted
   task commit is appended — fencing epoch plus the full pickled task
-  outcome — so a driver that dies mid-round re-runs only the tasks
-  whose commits never reached the log, replaying the journaled ones
-  through the same commit path.
+  outcome, the bytes of the files it wrote included — so a driver that
+  dies mid-round re-runs only the tasks whose commits never reached
+  the log, replaying the journaled ones through the same commit path.
 
 Both lean on the backends' weakest useful guarantee: a durable
 *append* (``write`` is atomic, ``append`` is not — the framing is what
@@ -38,7 +38,10 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 2: ``SamRecord`` / ``Cigar`` inside journaled outcomes pickle as flat
 #: primitives (a version-1 log would unpickle to half-built records).
 #: 3: the journaled outcome class moved to ``repro.mapreduce.task``.
-WAL_VERSION = 3
+#: 4: a round-2/3/4 reduce outcome journals ``(path, count)`` pairs and
+#: its BAM bytes as ``file_writes``; a version-3 one journaled ``(qname,
+#: SamRecord)`` pairs, which replayed here would be read as paths.
+WAL_VERSION = 4
 
 _FRAME = struct.Struct(">II")
 

@@ -38,7 +38,6 @@ from repro.gdpt.partitioner import (
     RangePartitioner,
 )
 from repro.genome.regions import GenomicInterval
-from repro.hdfs.bam_storage import upload_logical_partitions
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import RoundJournal
@@ -257,11 +256,12 @@ class GesallRounds:
         spec = JobSpec(
             name="round2-cleaning", mapper=mapper, reducer=reducer,
             num_reducers=num_reducers, shuffle=self.shuffle,
+            reduce_output=self._bam_writer(out_dir, "queryname"),
         )
         splits = [InputSplit(path, path) for path in in_paths]
         result = self._run_round("round2", spec, splits)
         self.transform["round2"] = self._merge_transform(result)
-        return self._write_reduce_partitions(result, out_dir, "queryname")
+        return [path for path, _ in result.all_outputs()]
 
     # ------------------------------------------------------------------
     # Round 2.5 (opt only): bloom filter over partial-match 5' positions
@@ -327,14 +327,13 @@ class GesallRounds:
         spec = JobSpec(
             name=f"round3-markdup-{mode}", mapper=mapper, reducer=reducer,
             num_reducers=num_reducers, shuffle=self.shuffle,
+            reduce_output=self._bam_writer(out_dir, "coordinate"),
         )
         result = self._run_round(
             "round3", spec, [InputSplit(p, p) for p in in_paths]
         )
         self.transform["round3"] = self._merge_transform(result)
-        return self._write_reduce_partitions(
-            result, out_dir, "coordinate", sort_coordinate=True
-        )
+        return [path for path, _ in result.all_outputs()]
 
     # ------------------------------------------------------------------
     # Round 4: range partition by chromosome, sort, index
@@ -366,28 +365,14 @@ class GesallRounds:
             name="round4-sort", mapper=mapper, reducer=reducer,
             partitioner=partitioner, num_reducers=len(contigs),
             shuffle=self.shuffle,
+            reduce_output=self._bam_writer(
+                out_dir, "coordinate", per_contig=True
+            ),
         )
         result = self._run_round(
             "round4", spec, [InputSplit(p, p) for p in in_paths]
         )
-
-        out_paths = []
-        key = coordinate_key(header)
-        for reducer_index in sorted(result.reduce_outputs):
-            records = [v for _, v in result.reduce_outputs[reducer_index]]
-            if not records:
-                continue
-            records.sort(key=key)
-            sorted_header = header.copy()
-            sorted_header.sort_order = "coordinate"
-            contig = records[0].rname
-            path = f"{out_dir}/{contig}.bam"
-            data = bam_bytes(sorted_header, records, self.chunk_bytes)
-            hdfs.put(path, data, logical_partition=True)
-            index = BamLinearIndex.build(data)
-            hdfs.put(path + ".bai", index.to_bytes(), logical_partition=True)
-            out_paths.append(path)
-        return out_paths
+        return [path for path, _ in result.all_outputs()]
 
     # ------------------------------------------------------------------
     # Round 5: map-only Haplotype Caller over chromosome partitions
@@ -606,24 +591,48 @@ class GesallRounds:
             merged.merge(partial)
         return merged
 
-    # -- shared output writer -------------------------------------------------
-    def _write_reduce_partitions(
-        self, result: JobResult, out_dir: str, sort_order: str,
-        sort_coordinate: bool = False,
-    ) -> List[str]:
+    # -- shared reduce-side output format ------------------------------------
+    def _bam_writer(self, out_dir: str, sort_order: str,
+                    per_contig: bool = False):
+        """The ``reduce_output`` of rounds 2-4: the task writes its BAM.
+
+        Strips the shuffle keys, coordinate-sorts when that is the order
+        the header declares, renders and frames the partition with the
+        round's header and hands the bytes to ``ctx.write_file`` — so
+        the committer stages, promotes and fences them like round 1's —
+        then emits ``(path, record count)``; no record returns to the
+        driver.  Round 4 (``per_contig``) names the file after its
+        contig, adds the ``.bai`` and writes nothing for an empty one.
+        """
         header = SamHeader(
             sequences=self.reference.sam_sequences(), sort_order=sort_order
         )
-        partitions = []
         key = coordinate_key(header)
-        for reducer_index in sorted(result.reduce_outputs):
-            records = [v for _, v in result.reduce_outputs[reducer_index]]
-            if sort_coordinate:
-                records.sort(key=key)
-            partitions.append(records)
-        return upload_logical_partitions(
-            self.hdfs, out_dir, header, partitions, chunk_bytes=self.chunk_bytes
-        )
+        chunk_bytes = self.chunk_bytes
+
+        def write(pairs, ctx):
+            records = [record for _, record in pairs]
+            if per_contig and not records:
+                return
+            with ctx.span("encode", records=len(records)) as span:
+                if sort_order == "coordinate":
+                    records.sort(key=key)
+                data = bam_bytes(header, records, chunk_bytes)
+                span.set(bytes_out=len(data))
+            name = (
+                records[0].rname if per_contig
+                else f"part-{ctx.task_index:05d}"
+            )
+            path = f"{out_dir}/{name}.bam"
+            ctx.write_file(path, data, logical_partition=True)
+            if per_contig:
+                ctx.write_file(
+                    path + ".bai", BamLinearIndex.build(data).to_bytes(),
+                    logical_partition=True,
+                )
+            ctx.emit(path, len(records))
+
+        return write
 
 
 def _reduce_markdup_group(key, values) -> List[SamRecord]:

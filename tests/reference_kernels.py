@@ -17,6 +17,9 @@ data-transformation fast path, as free functions.
 ``_default_value_size`` are the bodies from before the per-record
 engine and shuffle fast path.
 
+``bam_index_entries`` is the body of ``BamLinearIndex.build`` from
+before it stopped decoding every record of every chunk.
+
 All of these are *refactoring guards* — the code's own past, pinned so
 a rewrite cannot move a byte — not independent oracles.
 """
@@ -50,6 +53,7 @@ from repro.align.sw import (
 )
 from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
+from repro.formats.bam import iter_frames
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord
 from repro.genome.regions import GenomicInterval
@@ -596,3 +600,22 @@ def _default_value_size(value: Any) -> int:
     if isinstance(value, (list, tuple)):
         return sum(_default_value_size(item) for item in value)
     return len(repr(value))
+
+
+def bam_index_entries(data: bytes) -> List[Tuple[str, int, int]]:
+    """``(rname, first_pos, frame_offset)`` per data chunk, decoding
+    every record of every chunk to look at the first."""
+    entries: List[Tuple[str, int, int]] = []
+    first = True
+    for offset, payload in iter_frames(data):
+        if first:
+            first = False  # header frame
+            continue
+        text = payload.decode()
+        records = (
+            [SamRecord.from_line(line) for line in text.split("\n")]
+            if text else []
+        )
+        if records:
+            entries.append((records[0].rname, records[0].pos, offset))
+    return entries

@@ -8,6 +8,7 @@ dies mid-round, with outputs byte-identical to a clean run throughout.
 """
 
 import base64
+import dataclasses
 import inspect
 import os
 import pickle
@@ -23,6 +24,7 @@ from repro.chaos import (
     FaultPlan,
     KillDatanode,
     KillDriver,
+    RaiseInTask,
     ZombieAttempt,
 )
 from repro.chaos.plan import parse_event
@@ -420,6 +422,142 @@ class TestZombieFencing:
 
 
 # ---------------------------------------------------------------------------
+# JobSpec.reduce_output: a reduce task writes its own partition
+# ---------------------------------------------------------------------------
+
+
+def render(pairs):
+    return "".join(f"{word}\t{count}\n" for word, count in pairs).encode()
+
+
+def writing_wordcount_job(calls=None, fail_first_call_of=None, **overrides):
+    """Wordcount whose reduce tasks write ``/out/part-N.txt`` themselves
+    and emit one ``(path, n)``; ``calls`` records every invocation (the
+    in-process executors share it with the test)."""
+    calls = [] if calls is None else calls
+
+    def write(pairs, ctx):
+        calls.append((ctx.task_id, len(pairs)))
+        path = f"/out/part-{ctx.task_index:05d}.txt"
+        ctx.write_file(path, render(pairs), logical_partition=True)
+        first_call = [task for task, _ in calls].count(ctx.task_id) == 1
+        if ctx.task_id == fail_first_call_of and first_call:
+            raise RuntimeError("writer died after buffering its file")
+        ctx.emit(path, len(pairs))
+
+    return dataclasses.replace(
+        wordcount_job("wcw"), reduce_output=write, **overrides
+    )
+
+
+class TestReduceOutputHook:
+    def run(self, job, kind="serial", max_workers=1, plan=None, **knobs):
+        hdfs = Hdfs(list(NODES), replication=2)
+        policy = ExecutionPolicy(
+            executor=kind, max_workers=max_workers, fault_plan=plan,
+            retry_backoff=0.0, sleep=lambda _s: None, **knobs,
+        )
+        with MapReduceEngine(
+            nodes=hdfs.nodes, policy=policy, filesystem=hdfs
+        ) as engine:
+            result = engine.run(job, make_splits(LINES))
+        # Shuffle segments are gone; what is left is what tasks wrote.
+        return result, {f.path: hdfs.get(f.path) for f in hdfs.files()}
+
+    def expected(self):
+        """The plain job's pairs per reducer — the path without the hook."""
+        result = MapReduceEngine(nodes=list(NODES)).run(
+            wordcount_job(), make_splits(LINES)
+        )
+        assert result.all_outputs() == clean_outputs()
+        return result.reduce_outputs
+
+    @pytest.mark.parametrize("kind,max_workers", ALL_EXECUTORS)
+    def test_same_outputs_and_bytes_on_every_executor(self, kind, max_workers):
+        pairs = self.expected()
+        result, files = self.run(writing_wordcount_job(), kind, max_workers)
+        assert result.reduce_outputs == {
+            index: [(f"/out/part-{index:05d}.txt", len(pairs[index]))]
+            for index in pairs
+        }
+        assert files == {
+            f"/out/part-{index:05d}.txt": render(pairs[index])
+            for index in pairs
+        }
+        # The counter still counts the reducer's pairs, not the paths.
+        assert result.counters.get(C.REDUCE_OUTPUT_RECORDS) == len(
+            clean_outputs()
+        )
+        assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
+
+    def test_called_once_per_task_even_when_nothing_was_emitted(self):
+        calls = []
+        job = writing_wordcount_job(
+            calls, partitioner=lambda key, num_reducers: 0
+        )
+        result, files = self.run(job)
+        total = len(clean_outputs())
+        assert calls == [("wcw-r-00000", total), ("wcw-r-00001", 0)]
+        assert files["/out/part-00001.txt"] == b""
+        assert result.reduce_outputs[1] == [("/out/part-00001.txt", 0)]
+
+    def test_retried_attempt_leaves_exactly_one_file(self):
+        """Reducer 0's writer dies after buffering its file, reducer 1's
+        first attempt takes a plan fault: each retry starts from a fresh
+        context, so one file per task lands and nothing collides."""
+        calls = []
+        plan = FaultPlan(events=(RaiseInTask("wcw-r-00001", attempt=1),))
+        result, files = self.run(
+            writing_wordcount_job(calls, fail_first_call_of="wcw-r-00000"),
+            plan=plan, task_retries=1,
+        )
+        pairs = self.expected()
+        assert files == {
+            f"/out/part-{index:05d}.txt": render(pairs[index])
+            for index in pairs
+        }
+        # Once per attempt that reached it: reducer 0 twice, reducer 1
+        # once (its first attempt failed before the task body ran).
+        assert [task for task, _ in calls] == [
+            "wcw-r-00000", "wcw-r-00000", "wcw-r-00001",
+        ]
+        assert result.counters.get(C.REDUCE_TASK_ATTEMPTS) == 4
+        assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
+
+    @pytest.mark.parametrize("kind,max_workers", ALL_EXECUTORS)
+    def test_zombie_attempts_file_never_lands(self, kind, max_workers):
+        """Both lineages buffer the same path; were the zombie's write
+        applied as well, the second ``put`` would raise ``file exists``."""
+        clean, clean_files = self.run(writing_wordcount_job())
+        plan = FaultPlan(events=(ZombieAttempt("wcw-r-00000", attempt=1),))
+        result, files = self.run(
+            writing_wordcount_job(), kind, max_workers, plan=plan
+        )
+        assert result.all_outputs() == clean.all_outputs()
+        assert files == clean_files
+        assert result.counters.get(C.FENCED_COMMITS) == 1
+        assert result.counters.get(C.BACKUP_ATTEMPTS) == 1
+        assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
+
+    def test_duplicate_commit_does_not_rewrite_the_file(self):
+        clean, clean_files = self.run(writing_wordcount_job())
+        plan = FaultPlan(events=(DuplicateCommit("wcw-r-00000"),))
+        result, files = self.run(writing_wordcount_job(), plan=plan)
+        assert result.all_outputs() == clean.all_outputs()
+        assert files == clean_files
+        assert result.counters.get(C.FENCED_COMMITS) == 1
+
+    def test_validated_at_construction(self):
+        def mapper(line, ctx):
+            ctx.emit(line, 1)
+
+        with pytest.raises(MapReduceError, match="no reducer"):
+            JobSpec("mo", mapper, reduce_output=lambda pairs, ctx: None)
+        with pytest.raises(MapReduceError, match="not callable"):
+            dataclasses.replace(wordcount_job(), reduce_output="/out")
+
+
+# ---------------------------------------------------------------------------
 # Driver kill + WAL replay (engine level)
 # ---------------------------------------------------------------------------
 
@@ -668,6 +806,56 @@ class TestPipelineCrashRecovery:
         assert fingerprint_of(resumed) == fingerprint_of(clean)
 
 
+    def test_version_3_wal_with_a_reduce_commit_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-3 ``wal-round2.log`` killed *after a reduce commit*
+        journals that outcome's ``emitted`` as ``(qname, SamRecord)``
+        pairs with no ``file_writes``; replayed into rounds whose reduce
+        tasks emit ``(path, count)`` and write their own BAM, the pairs
+        would be read as paths and the partition's file would never be
+        written.  The version guard must turn the log away whole."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        # 3 map commits + the first reduce commit.
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=4),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        frames = _read_frames(backend.read("wal-round2.log"))
+        fingerprint = pickle.loads(frames[0])["fingerprint"]
+        # This version's reduce commit journals the BAM, not records.
+        ours = pickle.loads(frames[-1])
+        assert ours["task"] == "round2-cleaning-r-00000"
+        assert ours["outcome"].emitted == [("/round2/part-00000.bam", 12)]
+        assert [
+            (path, logical) for path, _, logical in ours["outcome"].file_writes
+        ] == [("/round2/part-00000.bam", True)]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V3))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 3, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 5
+        theirs = pickle.loads(old_frames[-1])
+        assert theirs["task"] == "round2-cleaning-r-00000"
+        assert theirs["outcome"].file_writes == []
+        assert {type(value).__name__ for _, value in
+                theirs["outcome"].emitted} == {"SamRecord"}
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
 class TestStageTableConformance:
     """A stage's key is its one name: checkpoint entry, WAL log, HDFS
     directory, round span, ``rounds.results`` entry and chaos address.
@@ -848,6 +1036,95 @@ PARENT_WAL_ROUND2_V2 = (
     "yzGq7DpdqAhuFOk8gTgEj2tG42QWvawgXjHGG+9ME7xmlEQVn3so9fNkGE+j7ByVuW9Y+3"
     "88hj7L+ufL+ShN+G/LH49my/gCz4vxwmGOywKq8LdqLu/ENHKRDNOF2JFtF0sSKxpF8cVy"
     "Mrk9c/2Kj9bN/wDh/QL/"
+)
+
+#: ``wal-round2.log`` as commit 1549ecf (WAL_VERSION 3) left it after
+#: ``KillDriver("round2", after_commits=4)`` — three map commits and the
+#: first *reduce* commit — on the same run: the reduce outcome's
+#: ``emitted`` are 12 ``(qname, SamRecord)`` pairs and its
+#: ``file_writes`` are empty.  zlib + base64 of the 14092 raw bytes.
+PARENT_WAL_ROUND2_V3 = (
+    "eNrlWltsJOlVticej9nxXHfFbGaD2EgJmiCtsT121/3y11/XtjyITYXAw8pqt8vTzfim7v"
+    "YOC9poYZUVKxU8kEpglCDekEAIgcQDeUgkJDYIRdrAK+INCQSK4AGBkFBYvnP+al/a9kzP"
+    "JjvSmmp3d3W5qrv+r75zzvedvyYmJuJ/W/6z6K2LX7Um1PJmdae89HrR63d3d6qVT5SXN7"
+    "s794veXq+7M6jKmUJbWF8y2htVebG3u7+D92l+X6z25yYmZn/jj//857+Db3tz9vDbpgat"
+    "/oOqvKX2e6W9VbR28J2vbL8yTwu+qdjbbXeqlYny0u7+oL27XVTlC71ir7c7t93a6xUb++"
+    "1iTn3J5RxvP1vv9JXqc79W3eMTLra7g0GxUb2GU+wX97eLnUEfH+4Efz8zMZF8PkoW6Gyw"
+    "PvNX9LzV+k7nramvfnNGnSV2LGc//4v3Fubm5+tzuqF+f3O3t90a9Of6re2qfH6tV7R3ex"
+    "trm73d7bXNbrG10cdJ3OlMrhTlVLvTW6hW/+QqhjH501U56dQfNnLx5IccriXj7H3yUZUb"
+    "zSRrZlGWZEkzjaM4yWQUZlEUx3ESxhJLKAIhgsB3AyF915NYFb7nu77r2L4jXNdybMezbN"
+    "vCYuJhOKZumbZpmHcNDYupVW9W5YVXk6r8xKvJQtUfVK9W71Qj0HWm7nSurzw6AohdTi3M"
+    "z69WnUs1IjJ5ikcuc6CSY4WWBACprYLAAnJSJkIkidoF78AywSoQ0QxNb2i6YViWYZm6YW"
+    "KANg3IchzbtDFawOA4ruNh3fWEwKE+IeQHUgZ+KOMwiiLJLzKOkihN0zhN0jRME8CcNbFe"
+    "Ef0u3FvFBcfQL3dm908BZYFBeWmlPQTl/Usrducm8Hh7ZvWTk+VGQsORfO40FElEkDQkYk"
+    "YipQKA1vGgrYJ2wl5SrRIGGDT+iaN4/AQVttIn7EXvRJE0aTazZhInEgSJYxknKQ0uDcMg"
+    "CiPiRRCEIIoXYAk9z3c88MIXwnNc2/I9x7Jc23YtF4iaeIIquq3rlm7gYeq6biwfANK59X"
+    "g4PrPylSEcb8/UcLx/qfnP//vBB2AIxwQhQGdPIxIEAkFEmKjBETREgJypQP9SuwG6nBlB"
+    "wAhGkbmR43h8IFiAVU4MscyGvoQz13TNbBi6bVggiGnTKEEPFzxxHde3feEJD6t0lXxXBh"
+    "I0AUsQUAGoEYVhHBKecRQi2hBySRxmGc4gy7LmGIAsMiCvHPLj0ZAf8czqjUmCQzDv6ZrT"
+    "CPl680ZJmEgaD23Lc7Unc+ksUonTSQU4cL5JnGZhihGA6nGIsWQRoiAMIyQRhEaMAAl9Dw"
+    "zxfPpe33OF6/suAWZ7hBciyyUQLZtwxFbNMRGIFrjRuGsYjSMBs1A9HhDtkCHxkCGPLjX/"
+    "nRlCQwM3aGT1gNXg6aoLjgCKEICCZ040ICQAEvFJjEkvQAJeNwyLGGIihxjIh4ZpmkR8pB"
+    "KHF0BhORbYgnwKQALKI4HwIukhlGQUgSKAUIZgCafjkLiSxU2kaOTstDkOQ+4yIP4hQ8KL"
+    "NSA3p1cXJ6nI8Hgkk57SAmcERoCvu+QrTZ+I+oJe1J50FSWPmmGUucqj/M4b6NuAnOCASb"
+    "MsTZFAmlGahJxDIkV9TpNSpgHSSIgvDICDhzSCAuN70vdsz3PpD6HlIJmYDiBzTCo1DuGp"
+    "I41oyB96o6EdYchi9XhAmocMuTldAxJebL7PDKGxS46ChIdCiZNzRc7xLyhjCEaGgoh2JP"
+    "Q4lJgCFGI55wv6LwUQJw7GRvFEJsyQZQOpQwdDLBQcx3I1Kp7gvmNQBLiICtdEGrFdgaBx"
+    "UX6pwKAU+wHlFcQTZV8QBchFoEhKoDazNEspHlPK2YcMiY8AUsxV8qUDcUPLRXp+wfiZf3"
+    "1r6rVqrirKK92dvf1BrVv61cpMeRUSa2TTbL1p/Y1B0a9WF2bK6f5ed2sL/5wsp+9Dt+31"
+    "SZ1d73f2Nze3io3DgyfKqwcb1eHYdKPetNZrPTyyda/VG3QHkJUHh0N3rcysTBTlcw+KN9"
+    "ba0IdKtZ3UYysXTtSQE5sWeVPxGoY92+611zZb3a39nvrxK5vFoN3BDw96XbVlpgXBuL03"
+    "4EFe6+78UtGGgMRB+1sD3gHCF0N42OvS+UNXXsYBrXZnKC3LHxv0Wjt9EoikbVktPuy19v"
+    "Ygnefw4X6vtd3Hf8LWoJUP9xRtHiTUrxKvdFmvM0Jrg921+qhq9fb18qbaykrzYPv69fJy"
+    "d+f13XaLYMRZXthff6dqldN7nVYfZ3mvvNjfw0/R6V2CZN3b4o3P9QeAHoNrDfCJBH233x"
+    "l+nH6423tQ9KpyoiqndnY3oL2n6Y1E8Mygu12AHIzHIUYbxVbrDQXiAcb4xec6BX5mvWgp"
+    "fK5A5/eLtXan1bsPZZ548Q9++9vgZzn9K7vb692ierd8YX1rt/0A39fGD6718bYDViRDNp"
+    "fPtWnPnWKtu8NXZPgRp8RntN5qP9jd3Dx55P471Tr7kerO37z7X/Aj747tRxY+Uj/y+HgN"
+    "/mnUrfwtPX//pa//EdzKe2e4laWndisHVeRrkwfinA3L/QuryyQ3cq4XrJe4ULCmIG3N2Z"
+    "MypmRhkbDc4tRYC9GE5URC/1FShL8gV8dTtaXcSiWHignEaBSjnCDZQWkkkUyiLAoDpMIw"
+    "CUUY+XEQQYjiEKomPuVKD3YFJYWkmeO5VEJsqiQOzIoFHaprDmq0oUGPcjnRjunzI97ltJ"
+    "qyxDXl5mFNuX8BNWUaNeVrk83vqprCKpMkB9VIQkDBxJpD5sMnFxYhVVFmcaGkCIt2EqEE"
+    "Tc71mkUsl6KcxXtONWWZrIulaQY0NfSGbri6RdIbMsPGq+9ZLpVTgAFMfFro1Qt8GYTQpH"
+    "5IYj7EB5IdSUziLYWkg4PJsjhNYRGP1pTZzpXO1dMAWR71LcXVGpCNa6ttEGVcf5rID/8g"
+    "3wLRkTXhXrDA26a0RFkcilhGsGpRJFhrCWIKaa8AXIHIcCR4AoUKtFzHJG0KECFLgairoz"
+    "jDtlDt1h1tyTLGhuOIb9m4tjLBcBRXm7+n+EGCQpDQJDkhag8mWIMpXcWSi4QIhxbFTqI0"
+    "Fit7lvm1ZxMky1l70ArpFXa+xI9Gg7hNLzoZL1Mnd2vCoCAeaJyu5UGOw9tjgYPzPDL6jh"
+    "/Sayh8KNJICriViKKMVGmaSFgXYEuaFCYXxmUMQBqjvuW9mzU/vvT86k+Qr2WZRcmCEMhJ"
+    "dpPezBU+tW+jIEpYmhFgrFmFCjPOFcrK5IyLJB1KcFEmkryR+EHcyJoxvAqRJATFkUFi2B"
+    "iy7pEIQj+C1IK5lYQERQvlENcJgIzvI64omwA6zzYdKDe4W71B9gWoavCFmtUY9S2PBeSI"
+    "b/nS8zUg791s/qNytiwrJWcDVunqAue1ceeESklWpUzl4KXKNqzga1oknIRqkycYZVHvKY"
+    "ghS1oDFr1Btssgx0JEoYaObevED0ogjnBsUue+pBeCArYWxlYGZGoDJBBeiB8hMnOapLAs"
+    "ZFqyJIvSoxmknLx7JiQaQyIOOTJ3u4bke7dXL3Kx4bjgIiK5vOQqgNju8niYH+xuOUByJd"
+    "dF7WA5p9aUEMqpUBpQNGFXTIA0Y5w4pxAaBEaT+KB/wBwJob5lCD8vw4BihGuNT20PWBib"
+    "fItjuz43AwCga3KDjKhiIfIMm7xhw1heWh4jZLRR3/K9IRxzt5v/c8S3qMYGU0K1uYgTFD"
+    "tcUhNVdGqPl+fK9Au2s4L7ATk3QnIuQrkqU7lqERFy1PvgIqnppqZp1OODZ9Fs9iwumTLu"
+    "fLg2GbcAKQRQIL+yrfX9EKEUxsAYwAW0RiRJ4wy2FjBnSZRQDzI7xpDFowwpPqw3sZ6pN5"
+    "lYmTnFm5zUXyesyPLJTQ3lTj723mTuDG/y+rP0Jgs/am+yNN2aedbe5B8a37/61/Amfze2"
+    "N1n8aOdKfnfqiPvA+tSv0/Nbcz/4C7iPh1Onuw/9qd1HNkx9/3LtuPvAZzVdotqTlMO58H"
+    "MdrJsx3IhhiSBEvUud0ridx/1dVg4592vkQScs4VYXVxQukBkpBujKhJxH3EwiJK2U8hiS"
+    "mYQQgniW3C8MUAg8O6A+eOBSdfFdAW3JfSzLxApKgmdTL1xDqW2QbEdZQHbVtGOa4QnmQ6"
+    "/Nx5ePoMMzSSgNChjlyQQjw82np30b4zgCBnUyQ6mHX8igpWAduLENIeBHPIlElkxAcqMs"
+    "QDAINwggskleuoKElIdXSCfYFBuY4AUKhFQqPRtLKDo6t/ioGpw2gWSMeo5Ht+oCWb64+k"
+    "X2HHW3TrBISJgGqsKREkhUI5MKpWqEkpxi4ax2kKqesoxSzU4lrtmosiTFBoaBRHDKroP7"
+    "tkkKrQxvGlKfDmvkUAUMVwBMsFBzD9LBcxwoB5e7fmRLqRUOVCybuseWo6PcGiYgWULZNY"
+    "5PHp2hGBQgnz1UDOWLNSCPbjX/UPXCidTKSiq7qfwG6SnWQRRBHC/s2bltLuvx1xMBrM+l"
+    "AqmeE5A8W0Jxkww7nWC1tkxTgVAKED6mgUHBS+Fq22zDMWBX+A60ggMwpMe+lKcZKfQgv6"
+    "MkoD54GAdxCMeRxGkI0Z7A/jdJux9zpZ8+rheCR6PZ6W16vt79j79Edvrl07PTwvyH7418"
+    "4+Xj2ekzn175PgWhPFSbbMyG+lwpLtae3FDnS6Cmn/K6Nc8zFqrHzMkpHyp7wfOauZqgUo"
+    "4mbSYhzdRFMlaKNQqxDiJGAsY3omk66FWYfHBQ0Mwu8Y/8HbhnOTSZazqu4SgK2og9DdwD"
+    "8ygvWcvUaH+K7LQwP9oaARqKhN94ufnCB0xC5Uxynn3lUFMd9GQ4/caTMLzXUMPy/JyyQl"
+    "Ko6TturQhZ9+zZFDEnVedkaH1tCiHQjxfTtBQFLdujgbsOKOiT7fUD6olA17uCG+6hlDHn"
+    "MehW/CrNy8AqxvQECWNqttPzTNl6DBI1i/mpw3J2+XoNCVY4Xf+wVYr7RKKmRTJsySlLoB"
+    "oHnKfg1ylTcXsHyTpMoybPRCJZEUUkyXZUMSpkdD4gibB9Fx7Yp+aA47nATrOZJiZhamnk"
+    "Ek2twegu6w1tnDxV4/FThwWMYVAFrEYk+egK1/CNY4daXBlN1dOCuh7HAVINkAEgMVcyah"
+    "LRgszEE1MoYQ61Fn2aw6TJbix8kwASt2FyxtapDwCPdLfR0EYK2Ie2My8/UzsztTL1xKkW"
+    "/aRzMYbzKqOpdXTPhYVz4nH++9rpHsd/lh5n8UftcebXb/zpM/Y41//gi9d/5zY8ztevP9"
+    "nj9D6S+8F+uDu7Zv8f3dl154gGKC+sorjU6ufC6s/hpTF/qm9BQbh2p/OTx2/46nyyc/O8"
+    "3+v1451bZ9zcBDw+N3KvF+Fxnu/1+izB0XkR47x9JlMUMndHbvsiZM73bV/jYLPI2Dgjd4"
+    "ARNuf9DrBxsUlHbgYjbM73zWDj8OYuY/PqyH1hhM15vy9sXGxeG7lFjLA537eI/cIY2OiM"
+    "zf3jvVjG5vw2YTvyyS1YgNI73oLt3DgA5Xw1YO90tjs7T6CJwYj86kgzlmhyjpuxSLzjIv"
+    "Plka4sF6Vz3ZU9A5viyFTSvROtkNmTrZDZkVYI4uugEzJx2AmZPq0TMnuiE7L6m1dOa4Ws"
+    "rlw5rRdy71gT5N7HvVshZk/vVvzn7Ei3YvrjdLdo8Klv/9Yz7Vb8H0b3FAU="
 )
 
 

@@ -1,7 +1,10 @@
 """Unit tests for FASTQ, BAM container and VCF formats."""
 
+import random
+
 import pytest
 
+from repro.cleaning.sort import coordinate_key
 from repro.errors import BamError, FormatError
 from repro.formats import flags as F
 from repro.formats.bam import (
@@ -23,6 +26,8 @@ from repro.formats.fastq import (
 )
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
 from repro.formats.vcf import VariantRecord, read_vcf, sort_variants, write_vcf
+
+from tests import reference_kernels as oracle
 
 
 def fastq(name, n=10):
@@ -157,6 +162,30 @@ class TestBamLinearIndex:
         index = BamLinearIndex.build(data)
         parsed = BamLinearIndex.from_bytes(index.to_bytes())
         assert parsed.entries == index.entries
+
+    @pytest.mark.parametrize("chunk_bytes", [200, 8 * 1024, 64 * 1024])
+    def test_one_line_per_chunk_matches_full_decode(self, chunk_bytes):
+        """Refactoring guard: ``build`` parses only each chunk's first
+        line; the index bytes must equal the full-decode body's."""
+        header = SamHeader(
+            sequences=[("chr1", 100000), ("chr2", 50000)],
+            sort_order="coordinate",
+        )
+        rng = random.Random(chunk_bytes)
+        for count in (0, 1, 2, 37, 400):
+            records = make_records(count)
+            for record in records:
+                record.rname = rng.choice(["chr1", "chr2"])
+                record.pos = rng.randrange(1, 50000)
+            records.sort(key=coordinate_key(header))
+            data = bam_bytes(header, records, chunk_bytes)
+            index = BamLinearIndex.build(data)
+            assert index.to_bytes() == BamLinearIndex(
+                oracle.bam_index_entries(data)
+            ).to_bytes()
+            # count 0 is the header-only file, count 1 a one-record chunk
+            assert index.chunk_count() == len(list(iter_frames(data))) - 1
+            assert index.chunk_count() >= min(count, 1)
 
 
 class TestVcf:

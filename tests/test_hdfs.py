@@ -14,7 +14,6 @@ from repro.hdfs.bam_storage import (
     read_bam_header,
     read_distributed_bam,
     upload_bam,
-    upload_logical_partitions,
 )
 from repro.hdfs.blocks import split_into_blocks
 from repro.hdfs.filesystem import Hdfs
@@ -177,11 +176,10 @@ class TestBamStorage:
         hdfs = make_hdfs(block_size=800)
         header = SamHeader(sequences=[("chr1", 10000)])
         records = make_records(300)
-        paths = upload_logical_partitions(
-            hdfs, "/parts", header, [records[:150], records[150:]],
-            chunk_bytes=400,
-        )
-        assert len(paths) == 2
+        paths = ["/parts/part-00000.bam", "/parts/part-00001.bam"]
+        for path, part in zip(paths, [records[:150], records[150:]]):
+            upload_bam(hdfs, path, header, part, logical_partition=True,
+                       chunk_bytes=400)
         for path in paths:
             primaries = {b.replicas[0] for b in hdfs.blocks_of(path)}
             assert len(primaries) == 1
@@ -190,9 +188,9 @@ class TestBamStorage:
         hdfs = make_hdfs(block_size=800)
         header = SamHeader(sequences=[("chr1", 10000)])
         records = make_records(100)
-        paths = upload_logical_partitions(
-            hdfs, "/parts", header, [records[:40], records[40:]]
-        )
+        paths = ["/parts/part-00000.bam", "/parts/part-00001.bam"]
+        for path, part in zip(paths, [records[:40], records[40:]]):
+            upload_bam(hdfs, path, header, part, logical_partition=True)
         loaded = []
         for path in paths:
             _, part = read_bam(hdfs.get(path))

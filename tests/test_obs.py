@@ -505,6 +505,27 @@ class TestTracedPipelineAcceptance:
         assert "map" in totals and totals["map"] > 0.0
         assert {"shuffle", "merge", "reduce"} <= set(totals)
 
+    def test_round_bam_encoding_is_on_the_reduce_tasks_track(self, traced_run):
+        """Rounds 2-4 sort, render and frame their BAM in the reduce
+        task: one ``encode`` span per reducer, nested in that task's
+        span on its worker lane."""
+        spans = traced_run.recorder.spans()
+        tasks = [s for s in spans if s.category == "reduce-task"
+                 and s.name.startswith("round2-")]
+        assert sorted(s.name for s in tasks) == [
+            "round2-cleaning-r-00000", "round2-cleaning-r-00001",
+        ]
+        written = dict(traced_run.rounds.results["round2"].all_outputs())
+        for task in tasks:
+            (encode,) = [
+                s for s in spans
+                if s.name == "encode" and s.track == task.track
+                and task.start <= s.start and s.end <= task.end
+            ]
+            path = f"/round2/part-{int(task.name[-5:]):05d}.bam"
+            assert encode.attrs["records"] == written[path]
+            assert encode.attrs["bytes_out"] == len(traced_run.hdfs.get(path))
+
     def test_chrome_trace_loads(self, traced_run, tmp_path):
         path = write_chrome_trace(
             traced_run.recorder, str(tmp_path / "trace.json")

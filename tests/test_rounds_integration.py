@@ -14,9 +14,14 @@ from repro.align.pairing import PairedEndAligner
 from repro.cleaning.duplicates import MarkDuplicates, duplicate_count
 from repro.cleaning.sort import SortSam
 from repro.formats.bam import read_bam
+from repro.formats.sam import SamHeader
 from repro.gdpt.partitioner import split_pairs_contiguously
+from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.filesystem import Hdfs
+from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.executors import fork_available
+from repro.mapreduce.policy import ExecutionPolicy
 from repro.pipeline.hybrid import HybridPipeline
 from repro.pipeline.parallel import GesallPipeline
 from repro.pipeline.serial import SerialPipeline
@@ -254,3 +259,169 @@ class TestRecalRounds:
             parallel_table.total_observations()
             == serial_table.total_observations()
         )
+
+
+# ---------------------------------------------------------------------------
+# Rounds 2-4 write their BAM in the reduce task: bytes pinned on the parent
+# ---------------------------------------------------------------------------
+#: Refactoring guard.  SHA-1 of the raw HDFS bytes (``hdfs.get(path)``,
+#: not decoded lines) of every file rounds 2, 3 (opt) and 4 leave behind
+#: on the shared dataset — 6 round-1 partitions, 3 reducers, 8 KiB chunks
+#: — captured on commit 1549ecf, where the *driver* sorted, rendered,
+#: framed, indexed and uploaded them.  The key order is the directory
+#: listing.
+ROUND_FILE_SHA1 = {
+    "/round2/part-00000.bam": "f3b00b88999d829b1de863c58ca866a24c9596e5",
+    "/round2/part-00001.bam": "ee0ee0429f5a81991c880e9ce1b90af3b17fcc76",
+    "/round2/part-00002.bam": "8a14dc4b32dc60fc69986ae252a21843712b85e0",
+    "/round3/part-00000.bam": "4806e01c283d746ebf274cc794034c7b46c14e1f",
+    "/round3/part-00001.bam": "5bac95e86d4249beb6e0322c97c79f5ee120311e",
+    "/round3/part-00002.bam": "cdf71c3046cc6c4553aee98258b42a21a91f0ed0",
+    "/round4/chr1.bam": "1206f82b3b65cf6be8236e4207a06ae5d154f96f",
+    "/round4/chr1.bam.bai": "62692e73a33258a3290654fea23b3a219e909006",
+    "/round4/chr2.bam": "a20b5e3db373d0d5b599250d38a6693777b4ca9a",
+    "/round4/chr2.bam.bai": "896d3deeb5dc3ef8cbb0a8f0b10feedb9999cdfd",
+}
+#: Same capture: what each round method returned.
+ROUND_PATHS = {
+    "round2": [f"/round2/part-{i:05d}.bam" for i in range(3)],
+    "round3": [f"/round3/part-{i:05d}.bam" for i in range(3)],
+    "round4": ["/round4/chr1.bam", "/round4/chr2.bam"],
+}
+#: Same capture: (REDUCE_OUTPUT_RECORDS, SHUFFLED_RECORDS, TASK_COMMITS).
+ROUND_COUNTERS = {
+    "round2": (2020, 2020, 9),
+    "round3": (2020, 1023, 6),
+    "round4": (1968, 1968, 5),
+}
+#: Same capture: merged DataTransformAccounting (bytes to the wrapped
+#: programs, bytes back, invocations).
+ROUND_TRANSFORM = {
+    "round2": (1571997, 1623902, 1022),
+    "round3": (563784, 563914, 3),
+}
+
+ROUND_FILE_POLICIES = [
+    pytest.param(ExecutionPolicy.serial(), id="serial"),
+    pytest.param(ExecutionPolicy.threads(max_workers=2), id="thread2"),
+    pytest.param(
+        ExecutionPolicy.pooled(2), id="pool2",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="fork start method unavailable"
+        ),
+    ),
+]
+
+
+def run_cleaning_rounds(reference, round1_files, policy, num_reducers=3):
+    """Rounds 2 -> 3 (opt) -> 4 over ``round1_files`` on a fresh HDFS."""
+    hdfs = Hdfs(["n0", "n1", "n2", "n3"], replication=2, block_size=64 * 1024)
+    for path, data in round1_files:
+        hdfs.put(path, data, logical_partition=True)
+    rounds = GesallRounds(
+        hdfs, None, None, reference, chunk_bytes=8 * 1024, policy=policy
+    )
+    try:
+        paths = {}
+        paths["round2"] = rounds.round2_cleaning(
+            [path for path, _ in round1_files], num_reducers=num_reducers
+        )
+        paths["round3"] = rounds.round3_mark_duplicates(
+            paths["round2"], mode="opt", num_reducers=num_reducers
+        )
+        paths["round4"] = rounds.round4_sort_index(paths["round3"])
+    finally:
+        rounds.close()
+    return rounds, hdfs, paths
+
+
+class TestRoundFilesWrittenInTheReduceTask:
+    @pytest.fixture(scope="class")
+    def round1_files(self, rounds_env):
+        _, hdfs, round1_paths = rounds_env
+        return [(path, hdfs.get(path)) for path in round1_paths]
+
+    @pytest.mark.parametrize("policy", ROUND_FILE_POLICIES)
+    def test_bytes_paths_and_counts_match_the_parent(
+        self, reference, round1_files, policy
+    ):
+        rounds, hdfs, paths = run_cleaning_rounds(
+            reference, round1_files, policy
+        )
+        assert paths == ROUND_PATHS
+        listing = [
+            path for key in ROUND_PATHS for path in hdfs.list_dir(f"/{key}")
+        ]
+        assert listing == list(ROUND_FILE_SHA1)
+        assert {
+            path: hashlib.sha1(hdfs.get(path)).hexdigest() for path in listing
+        } == ROUND_FILE_SHA1
+        assert all(hdfs.get_file(path).logical_partition for path in listing)
+        for key, expected in ROUND_COUNTERS.items():
+            counters = rounds.results[key].counters
+            assert (
+                counters.get(C.REDUCE_OUTPUT_RECORDS),
+                counters.get(C.SHUFFLED_RECORDS),
+                counters.get(C.TASK_COMMITS),
+            ) == expected, key
+        assert {
+            key: (t.bytes_to_program, t.bytes_from_program, t.invocations)
+            for key, t in rounds.transform.items()
+        } == ROUND_TRANSFORM
+        # No SamRecord crosses back after the reduce wave: a reduce
+        # task's output is the path it wrote and how many records.
+        for key in ROUND_PATHS:
+            assert rounds.results[key].reduce_outputs
+            values = rounds.results[key].all_outputs()
+            assert [path for path, _ in values] == paths[key]
+            for path, count in values:
+                assert type(path) is str and type(count) is int
+            assert sum(count for _, count in values) == ROUND_COUNTERS[key][0]
+
+    def test_empty_reducers_leave_no_hole_and_round4_no_file(
+        self, reference, aligned, sam_header
+    ):
+        """More reducers than read names: rounds 2/3 still write a
+        header-only ``part-%05d.bam`` per reducer, round 4 writes
+        nothing for a contig no read maps to."""
+        by_name = {}
+        for record in aligned:
+            by_name.setdefault(record.qname, []).append(record)
+        on_chr1 = [
+            mates for mates in by_name.values()
+            if all(r.is_mapped and r.rname == "chr1" for r in mates)
+        ][:3]
+        hdfs = Hdfs(["n0", "n1"], replication=2)
+        upload_bam(
+            hdfs, "/in/part-00000.bam", sam_header,
+            [r.copy() for mates in on_chr1 for r in mates],
+            logical_partition=True,
+        )
+        rounds = GesallRounds(hdfs, None, None, reference)
+        reducers = 8
+        r2 = rounds.round2_cleaning(["/in/part-00000.bam"],
+                                    num_reducers=reducers)
+        r3 = rounds.round3_mark_duplicates(r2, mode="opt",
+                                           num_reducers=reducers)
+        r4 = rounds.round4_sort_index(r3)
+        for out_dir, paths, order in (("/round2", r2, "queryname"),
+                                      ("/round3", r3, "coordinate")):
+            assert paths == [
+                f"{out_dir}/part-{i:05d}.bam" for i in range(reducers)
+            ]
+            assert hdfs.list_dir(out_dir) == paths
+            sizes = [len(read_bam(hdfs.get(path))[1]) for path in paths]
+            assert sum(sizes) == 6 and sizes.count(0) >= reducers - 3
+            empty = SamHeader(
+                sequences=reference.sam_sequences(), sort_order=order
+            )
+            for path, size in zip(paths, sizes):
+                if size == 0:
+                    assert read_bam(hdfs.get(path)) == (empty, [])
+        assert r4 == ["/round4/chr1.bam"]
+        assert hdfs.list_dir("/round4") == [
+            "/round4/chr1.bam", "/round4/chr1.bam.bai"
+        ]
+        assert rounds.results["round4"].reduce_outputs == {
+            0: [("/round4/chr1.bam", 6)], 1: [],
+        }

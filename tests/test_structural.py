@@ -182,7 +182,7 @@ class TestEndToEndDetection:
 
     def test_sv_round_over_partitions(self, sv_sample, tmp_path):
         from repro.gdpt.partitioner import split_pairs_contiguously
-        from repro.hdfs.bam_storage import upload_logical_partitions
+        from repro.hdfs.bam_storage import upload_bam
         from repro.hdfs.filesystem import Hdfs
         from repro.mapreduce.engine import MapReduceEngine
         from repro.wrappers.rounds import GesallRounds
@@ -192,7 +192,8 @@ class TestEndToEndDetection:
         hdfs = Hdfs(["n0", "n1"], replication=1, block_size=64 * 1024)
         engine = MapReduceEngine(nodes=hdfs.nodes)
         header = SamHeader(sequences=reference.sam_sequences())
-        paths = upload_logical_partitions(hdfs, "/sv", header, [records])
+        paths = ["/sv/part-00000.bam"]
+        upload_bam(hdfs, paths[0], header, records, logical_partition=True)
         rounds = GesallRounds(hdfs, engine, aligner=None, reference=reference)
         calls = rounds.round5_structural_variants(paths)
         sv = donor.truth_structural[0]
