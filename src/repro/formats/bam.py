@@ -46,28 +46,43 @@ def _decode_records(payload: bytes) -> List[SamRecord]:
     return [SamRecord.from_line(line) for line in text.split("\n")]
 
 
-def bam_bytes(
+def encode_bam(
     header: SamHeader,
     records: Iterable[SamRecord],
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> bytes:
-    """Serialize a header and records into a complete BAM byte stream."""
+) -> Tuple[bytes, int]:
+    """Serialize a header and records into a complete BAM byte stream.
+
+    Also returns the SAM-text size of the records it rendered — each
+    line's characters plus its newline, ``SamRecord.line_bytes()``'s
+    unit — so a caller accounting those bytes need not re-sum them.
+    """
     if chunk_bytes <= 0:
         raise BamError("chunk_bytes must be positive")
     parts = [MAGIC, _compress_frame(header.to_text().encode())]
     lines: List[str] = []
-    batch_size = 0
+    batch_size = text_size = 0
     for record in records:
         line = record.to_line()
         lines.append(line)
         batch_size += len(line) + 1
         if batch_size >= chunk_bytes:
             parts.append(_compress_frame("\n".join(lines).encode()))
+            text_size += batch_size
             lines = []
             batch_size = 0
     if lines:
         parts.append(_compress_frame("\n".join(lines).encode()))
-    return b"".join(parts)
+    return b"".join(parts), text_size + batch_size
+
+
+def bam_bytes(
+    header: SamHeader,
+    records: Iterable[SamRecord],
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+) -> bytes:
+    """:func:`encode_bam` without the size."""
+    return encode_bam(header, records, chunk_bytes)[0]
 
 
 def iter_frames(data: bytes, offset: int = 0) -> Iterator[Tuple[int, bytes]]:
@@ -96,20 +111,35 @@ def iter_frames(data: bytes, offset: int = 0) -> Iterator[Tuple[int, bytes]]:
         position = start + comp_len
 
 
-def read_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord]]:
-    """Parse a complete BAM byte stream back into header + records."""
+def decode_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord], int]:
+    """Parse a complete BAM byte stream into header, records and the
+    records' SAM-text size.
+
+    The size is what the frames already state: a record frame's text is
+    its lines joined by newlines, so ``len(text) + 1`` is the sum of
+    ``len(line) + 1`` — in characters, not encoded bytes, which is the
+    unit of ``SamRecord.line_bytes()`` (they differ on a non-ASCII QNAME).
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise BamError("missing BAM magic")
     header: Optional[SamHeader] = None
     records: List[SamRecord] = []
+    text_size = 0
     for _, payload in iter_frames(data):
         if header is None:
             header = SamHeader.from_text(payload.decode())
-        else:
-            records.extend(_decode_records(payload))
+        elif payload:
+            text = payload.decode()
+            records.extend(map(SamRecord.from_line, text.split("\n")))
+            text_size += len(text) + 1
     if header is None:
         raise BamError("BAM stream has no header frame")
-    return header, records
+    return header, records, text_size
+
+
+def read_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord]]:
+    """:func:`decode_bam` without the size."""
+    return decode_bam(data)[:2]
 
 
 def read_header(data: bytes) -> SamHeader:

@@ -47,17 +47,32 @@ def encode_quals(quals: Iterable[int]) -> str:
     return raw.translate(_ENCODE_TABLE).decode("ascii")
 
 
-def decode_quals(text: str) -> List[int]:
-    """Decode a SAM QUAL string into integer Phred scores."""
+def _qual_bytes(text: str) -> bytes:
+    """The validated ASCII bytes of a QUAL string (``"*"`` holds none)."""
     if text == "*":
-        return []
+        return b""
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError(f"QUAL text is not ASCII: {text!r}") from None
     if raw and min(raw) < QUAL_OFFSET:
         raise FormatError(f"QUAL text has a character below '!': {text!r}")
-    return list(raw.translate(_DECODE_TABLE))
+    return raw
+
+
+def decode_quals(text: str) -> List[int]:
+    """Decode a SAM QUAL string into integer Phred scores."""
+    return list(_qual_bytes(text).translate(_DECODE_TABLE))
+
+
+def _score_table(minimum: int) -> bytes:
+    """QUAL byte -> its score, or 0 where the score is below ``minimum``."""
+    floor = QUAL_OFFSET + max(minimum, 0)
+    return bytes(b - QUAL_OFFSET if b >= floor else 0 for b in range(256))
+
+
+#: Picard's duplicate-score threshold, the only one the pipeline uses.
+_DEFAULT_SCORE_TABLE = _score_table(15)
 
 
 #: The integer SAM fields ``from_line`` converts: (name, column).
@@ -134,7 +149,8 @@ class SamRecord:
 
     def sum_of_base_qualities(self, minimum: int = 15) -> int:
         """Picard-style duplicate score: sum of qualities >= ``minimum``."""
-        return sum(q for q in self.base_qualities() if q >= minimum)
+        table = _DEFAULT_SCORE_TABLE if minimum == 15 else _score_table(minimum)
+        return sum(_qual_bytes(self.qual).translate(table))
 
     # -- flag mutation helpers --------------------------------------------
     def set_duplicate(self, on: bool = True) -> None:

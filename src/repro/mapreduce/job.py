@@ -116,6 +116,9 @@ class TaskContext:
         self.attachments: List[Tuple[str, Any]] = []
         #: Mapper-reported input record count (overrides the split count).
         self.input_records: Optional[int] = None
+        #: Mapper-reported size of what it emitted (overrides re-summing
+        #: ``JobSpec.value_size`` over the emitted values).
+        self.output_bytes: Optional[int] = None
         #: Whether ``span()`` records (set by the engine from ObsConfig).
         self.traced = traced
         #: Buffered spans, stitched into the driver recorder on success.
@@ -170,6 +173,11 @@ class TaskContext:
     def set_input_records(self, count: int) -> None:
         """Report how many records this task's split actually held."""
         self.input_records = count
+
+    def set_output_bytes(self, size: int) -> None:
+        """Report a map task's output bytes when the mapper already
+        knows them (it just sized the very values it emits)."""
+        self.output_bytes = size
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,6 +17,8 @@ inside the outcome.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -188,6 +190,38 @@ class TaskCall:
         return _TASKS[self.kind](context, self)
 
 
+class _CollectorPause:
+    """The cyclic collector is off while any attempt body runs.
+
+    A task body builds 10^4-10^5 acyclic records that every generation
+    sweep re-walks for nothing; reference counting frees them as before
+    and cycles wait for the collector to resume.  Attempts of the thread
+    executor overlap, so the first one in disables and the last one out
+    restores the state the first one found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 def run_attempts(
     body: Callable[[str], TaskOutcome],
     policy: ExecutionPolicy,
@@ -237,7 +271,8 @@ def run_attempts(
                     f"chaos plan fault: {task_id} attempt {attempt}"
                 )
             started = time.perf_counter()
-            outcome = body(node)
+            with _collector_paused:
+                outcome = body(node)
             elapsed = time.perf_counter() - started
             charged = plan.delay_for(task_id, attempt) if plan else 0.0
             if charged > 0:
@@ -333,9 +368,12 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.input_records = int(job.record_counter(payload))
         else:
             outcome.input_records = 1
-        outcome.output_bytes = sum(
-            job.value_size(v) for _, v in task.emitted
-        )
+        if task.output_bytes is not None:
+            outcome.output_bytes = int(task.output_bytes)
+        else:
+            outcome.output_bytes = sum(
+                job.value_size(v) for _, v in task.emitted
+            )
         if job.is_map_only:
             outcome.emitted = task.emitted
             return outcome

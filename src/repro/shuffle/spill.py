@@ -7,7 +7,8 @@ list; when the buffer holds ``spill_records`` of them
 each partition's list is stably sorted by the job's record key and
 frozen as one run.  ``finish`` spills the remainder and merges every
 run's slice of each partition into one sorted, framed, compressed
-segment per reducer.
+segment per reducer; an output that never filled the buffer is one run,
+sorted and encoded straight from memory.
 
 Ordering contract (the one :mod:`repro.shuffle.merge` states): runs are
 spilled in emit order and merging them is a stable sort over their
@@ -151,7 +152,7 @@ class SpillBuffer:
         finally:
             self._room = room
 
-    def _spill(self) -> None:
+    def _spill(self, to_disk: bool = True) -> None:
         """Freeze the buffer as one run of per-partition sorted slices."""
         run = self._pending
         self._pending = [[] for _ in range(self._num_partitions)]
@@ -163,7 +164,7 @@ class SpillBuffer:
             if self._combiner is not None and slice_:
                 run[index] = self._combine_sorted(slice_)
         path = None
-        if self._spill_io is not None:
+        if to_disk and self._spill_io is not None:
             path = self._write_run_to_disk(len(self._runs), run)
         # A run durable on disk drops its in-memory copy.
         self._runs.append(path or run)
@@ -240,7 +241,11 @@ class SpillBuffer:
     def finish(self, codec: Codec) -> SpillResult:
         """Spill the tail, merge runs, and encode one segment/reducer."""
         if self._room < self._spill_records:
-            self._spill()
+            # A tail that is the task's only run is encoded from memory,
+            # not written out and read straight back (Hadoop renames a
+            # lone spill to file.out); after an overflow it is a run
+            # like the others.
+            self._spill(to_disk=bool(self._runs))
         # Even an empty map output counts as one (empty) spill file,
         # matching Hadoop's SPILLED file accounting.
         spills = max(1, len(self._runs))

@@ -8,7 +8,7 @@ crossing a pipe accounted for.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.align.pairing import PairedEndAligner
 from repro.formats.bam import bam_bytes
@@ -89,6 +89,10 @@ class SamToBamExternal(ExternalProgram):
         return bam_bytes(header, records, self.chunk_bytes)
 
 
+def _text_size(records: List[SamRecord]) -> int:
+    return sum(record.line_bytes() for record in records)
+
+
 class DataTransformAccounting:
     """Bytes copied between Hadoop objects and in-memory BAM files.
 
@@ -103,12 +107,25 @@ class DataTransformAccounting:
         self.bytes_from_program = 0
         self.invocations = 0
 
-    def record_input(self, records: List[SamRecord]) -> None:
-        self.bytes_to_program += sum(r.line_bytes() for r in records)
-        self.invocations += 1
+    def record_input(self, records: List[SamRecord],
+                     size: Optional[int] = None) -> int:
+        """Count one program call fed ``records``; returns their size.
 
-    def record_output(self, records: List[SamRecord]) -> None:
-        self.bytes_from_program += sum(r.line_bytes() for r in records)
+        ``size`` is the records' SAM-text size when the caller already
+        holds it (the BAM reader decoded them, or the previous program's
+        output was just sized); otherwise it is summed here.
+        """
+        size = _text_size(records) if size is None else size
+        self.bytes_to_program += size
+        self.invocations += 1
+        return size
+
+    def record_output(self, records: List[SamRecord],
+                      size: Optional[int] = None) -> int:
+        """Count what a program handed back (``size`` as above)."""
+        size = _text_size(records) if size is None else size
+        self.bytes_from_program += size
+        return size
 
     def merge(self, other: "DataTransformAccounting") -> None:
         self.bytes_to_program += other.bytes_to_program
@@ -126,6 +143,27 @@ class DataTransformAccounting:
         )
 
 
+def run_wrapped_chain(
+    programs,
+    header: SamHeader,
+    records: List[SamRecord],
+    accounting: DataTransformAccounting,
+    input_size: Optional[int] = None,
+) -> Tuple[SamHeader, List[SamRecord], int]:
+    """Run wrapped programs back to back with transform accounting.
+
+    Each intermediate in-memory BAM is sized once — program *k*'s output
+    is program *k+1*'s input.  ``input_size`` is the first input's size
+    when the caller knows it; the last output's size is returned.
+    """
+    size = input_size
+    for program in programs:
+        accounting.record_input(records, size)
+        header, records = program.run(header, records)
+        size = accounting.record_output(records)
+    return header, records, size
+
+
 def run_wrapped(
     program,
     header: SamHeader,
@@ -133,9 +171,6 @@ def run_wrapped(
     accounting: Optional[DataTransformAccounting] = None,
 ):
     """Invoke a wrapped Java-style program with transform accounting."""
-    if accounting is not None:
-        accounting.record_input(records)
-    out_header, out_records = program.run(header, records)
-    if accounting is not None:
-        accounting.record_output(out_records)
-    return out_header, out_records
+    if accounting is None:
+        return program.run(header, records)
+    return run_wrapped_chain([program], header, records, accounting)[:2]

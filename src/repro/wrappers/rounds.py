@@ -22,9 +22,14 @@ from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.duplicates import pair_score
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
-from repro.cleaning.sort import SortSam, coordinate_key
+from repro.cleaning.sort import coordinate_key
 from repro.errors import MapReduceError, PipelineError
-from repro.formats.bam import BamLinearIndex, bam_bytes, read_bam
+from repro.formats.bam import (
+    BamLinearIndex,
+    bam_bytes,
+    decode_bam,
+    encode_bam,
+)
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamHeader, SamRecord
 from repro.formats.vcf import VariantRecord, sort_variants
@@ -54,7 +59,7 @@ from repro.wrappers.programs import (
     DataTransformAccounting,
     SamToBamExternal,
     pairs_to_interleaved_text,
-    run_wrapped,
+    run_wrapped_chain,
 )
 
 
@@ -73,6 +78,13 @@ def _records_by_pair(records: List[SamRecord]) -> List[Tuple[SamRecord, SamRecor
             f"{len(open_reads)} reads missing mates in a read-name partition"
         )
     return pairs
+
+
+def _identity_reducer(key, values, ctx) -> None:
+    """Rounds 2 and 4 shuffle to group and order; the round's work on a
+    whole partition happens in its ``reduce_output``."""
+    for value in values:
+        ctx.emit(key, value)
 
 
 class GesallRounds:
@@ -230,33 +242,26 @@ class GesallRounds:
         self, in_paths: List[str], out_dir: str = "/round2",
         num_reducers: int = 4,
     ) -> List[str]:
-        hdfs = self.hdfs
 
         def mapper(path, ctx):
             accounting = ctx.attachment("transform", DataTransformAccounting)
-            header, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
-            header, records = run_wrapped(
-                AddOrReplaceReadGroups(), header, records, accounting
+            header, records, size = self._read_split(path, ctx)
+            header, records, size = run_wrapped_chain(
+                [AddOrReplaceReadGroups(), CleanSam()],
+                header, records, accounting, size,
             )
-            header, records = run_wrapped(CleanSam(), header, records, accounting)
+            # What CleanSam handed back is exactly what is emitted.
+            ctx.set_output_bytes(size)
             for record in records:
                 ctx.emit(record.qname, record)
 
-        def reducer(qname, records, ctx):
-            del qname
-            accounting = ctx.attachment("transform", DataTransformAccounting)
-            header = SamHeader(sequences=self.reference.sam_sequences())
-            _, fixed = run_wrapped(
-                FixMateInformation(), header, list(records), accounting
-            )
-            for record in fixed:
-                ctx.emit(record.qname, record)
-
         spec = JobSpec(
-            name="round2-cleaning", mapper=mapper, reducer=reducer,
+            name="round2-cleaning", mapper=mapper,
+            reducer=_identity_reducer,
             num_reducers=num_reducers, shuffle=self.shuffle,
-            reduce_output=self._bam_writer(out_dir, "queryname"),
+            reduce_output=self._bam_writer(
+                out_dir, "queryname", program=FixMateInformation()
+            ),
         )
         splits = [InputSplit(path, path) for path in in_paths]
         result = self._run_round("round2", spec, splits)
@@ -268,11 +273,9 @@ class GesallRounds:
     # ------------------------------------------------------------------
     def round_bloom(self, in_paths: List[str],
                     num_bits: int = 1 << 16) -> BloomFilter:
-        hdfs = self.hdfs
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             local = BloomFilter(num_bits=num_bits)
             for end1, end2 in _records_by_pair(records):
                 mapped1 = not end1.flags.is_unmapped
@@ -305,29 +308,27 @@ class GesallRounds:
     ) -> List[str]:
         if mode == "opt" and bloom is None:
             bloom = self.round_bloom(in_paths)
-        hdfs = self.hdfs
 
         def mapper(path, ctx):
             accounting = ctx.attachment("transform", DataTransformAccounting)
             keying = MarkDupKeying(mode, bloom)
             keying.reset()
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
-            accounting.record_input(records)
+            _, records, size = self._read_split(path, ctx)
+            accounting.record_input(records, size)
             for end1, end2 in _records_by_pair(records):
                 for key, value in keying.keys_for_pair(end1, end2):
                     ctx.emit(key, value)
 
         def reducer(key, values, ctx):
-            accounting = ctx.attachment("transform", DataTransformAccounting)
             for record in _reduce_markdup_group(key, list(values)):
                 ctx.emit(record.qname, record)
-                accounting.record_output([record])
 
         spec = JobSpec(
             name=f"round3-markdup-{mode}", mapper=mapper, reducer=reducer,
             num_reducers=num_reducers, shuffle=self.shuffle,
-            reduce_output=self._bam_writer(out_dir, "coordinate"),
+            reduce_output=self._bam_writer(
+                out_dir, "coordinate", accounted=True
+            ),
         )
         result = self._run_round(
             "round3", spec, [InputSplit(p, p) for p in in_paths]
@@ -341,28 +342,22 @@ class GesallRounds:
     def round4_sort_index(
         self, in_paths: List[str], out_dir: str = "/round4"
     ) -> List[str]:
-        hdfs = self.hdfs
         header = SamHeader(sequences=self.reference.sam_sequences())
         ranger = RangePartitioner(header)
         contigs = header.sequence_names()
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             for record in records:
                 index = ranger.partition_of(record)
                 if index is not None:
                     ctx.emit(contigs[index], record)
 
-        def reducer(contig, records, ctx):
-            for record in records:
-                ctx.emit(contig, record)
-
         def partitioner(key, num_reducers):
             return contigs.index(key) % num_reducers
 
         spec = JobSpec(
-            name="round4-sort", mapper=mapper, reducer=reducer,
+            name="round4-sort", mapper=mapper, reducer=_identity_reducer,
             partitioner=partitioner, num_reducers=len(contigs),
             shuffle=self.shuffle,
             reduce_output=self._bam_writer(
@@ -382,12 +377,10 @@ class GesallRounds:
         in_paths: List[str],
         hc_config: Optional[HaplotypeCallerConfig] = None,
     ) -> List[VariantRecord]:
-        hdfs = self.hdfs
         reference = self.reference
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             caller = HaplotypeCallerLite(reference, hc_config)
             contig = records[0].rname if records else None
             interval = (
@@ -417,12 +410,10 @@ class GesallRounds:
         """
         from repro.variants.genotyper import UnifiedGenotyperLite
 
-        hdfs = self.hdfs
         reference = self.reference
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             caller = UnifiedGenotyperLite(reference, ug_config)
             for call in caller.call(records):
                 ctx.emit(call.site_key(), call)
@@ -455,14 +446,12 @@ class GesallRounds:
         hc_config = hc_config or HaplotypeCallerConfig()
         if overlap is None:
             overlap = required_overlap(hc_config)
-        hdfs = self.hdfs
         reference = self.reference
         header = SamHeader(sequences=reference.sam_sequences())
         ranger = OverlappingRangePartitioner(header, segment_length, overlap)
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             for record in records:
                 for index in ranger.partitions_of(record):
                     ctx.emit(index, record)
@@ -498,11 +487,9 @@ class GesallRounds:
         """
         from repro.variants.structural import GASVLite
 
-        hdfs = self.hdfs
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             caller = GASVLite(gasv_config)
             for call in caller.call(records):
                 ctx.emit((call.contig, call.start), call)
@@ -523,12 +510,10 @@ class GesallRounds:
         self, in_paths: List[str], known_sites=None
     ) -> RecalibrationTable:
         """Group partitioning by covariate: partial tables merged in reduce."""
-        hdfs = self.hdfs
         recalibrator = BaseRecalibrator(self.reference, known_sites)
 
         def mapper(path, ctx):
-            _, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            _, records, _ = self._read_split(path, ctx)
             partial = RecalibrationTable()
             for record in records:
                 recalibrator.add_record(partial, record)
@@ -558,12 +543,10 @@ class GesallRounds:
         out_dir: str = "/round_bqsr",
     ) -> List[str]:
         """Map-only quality rewrite with the broadcast table."""
-        hdfs = self.hdfs
         chunk_bytes = self.chunk_bytes
 
         def mapper(path, ctx):
-            header, records = read_bam(hdfs.get(path))
-            ctx.set_input_records(len(records))
+            header, records, _ = self._read_split(path, ctx)
             header, rewritten = PrintReads(table).run(header, records)
             out_path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
             ctx.write_file(
@@ -577,6 +560,15 @@ class GesallRounds:
         splits = [InputSplit(path, path) for path in in_paths]
         result = self._run_round("round_bqsr", spec, splits)
         return [key for key, _ in result.all_outputs()]
+
+    # -- shared input format ---------------------------------------------------
+    def _read_split(self, path: str, ctx):
+        """A mapper's split: fetch and decode one round BAM, report its
+        record count as the task's input; returns header, records and
+        the records' SAM-text size."""
+        header, records, size = decode_bam(self.hdfs.get(path))
+        ctx.set_input_records(len(records))
+        return header, records, size
 
     # -- shared accounting merge ----------------------------------------------
     def _merge_transform(self, result: JobResult) -> DataTransformAccounting:
@@ -593,32 +585,47 @@ class GesallRounds:
 
     # -- shared reduce-side output format ------------------------------------
     def _bam_writer(self, out_dir: str, sort_order: str,
-                    per_contig: bool = False):
+                    per_contig: bool = False, program=None,
+                    accounted: bool = False):
         """The ``reduce_output`` of rounds 2-4: the task writes its BAM.
 
-        Strips the shuffle keys, coordinate-sorts when that is the order
+        Strips the shuffle keys, hands the whole partition to ``program``
+        (round 2's FixMateInformation: one in-memory BAM per task, as
+        Gesall's wrapper does), coordinate-sorts when that is the order
         the header declares, renders and frames the partition with the
         round's header and hands the bytes to ``ctx.write_file`` — so
         the committer stages, promotes and fences them like round 1's —
         then emits ``(path, record count)``; no record returns to the
-        driver.  Round 4 (``per_contig``) names the file after its
-        contig, adds the ``.bai`` and writes nothing for an empty one.
+        driver.  With a ``program`` or ``accounted`` the size the writer
+        rendered is the task's "bytes from program".  Round 4
+        (``per_contig``) names the file after its contig, adds the
+        ``.bai`` and writes nothing for an empty one.
         """
         header = SamHeader(
             sequences=self.reference.sam_sequences(), sort_order=sort_order
         )
         key = coordinate_key(header)
         chunk_bytes = self.chunk_bytes
+        accounted = accounted or program is not None
 
         def write(pairs, ctx):
             records = [record for _, record in pairs]
             if per_contig and not records:
                 return
+            if accounted:
+                accounting = ctx.attachment(
+                    "transform", DataTransformAccounting
+                )
+            if program is not None:
+                accounting.record_input(records)
+                _, records = program.run(header, records)
             with ctx.span("encode", records=len(records)) as span:
                 if sort_order == "coordinate":
                     records.sort(key=key)
-                data = bam_bytes(header, records, chunk_bytes)
+                data, size = encode_bam(header, records, chunk_bytes)
                 span.set(bytes_out=len(data))
+            if accounted:
+                accounting.record_output(records, size)
             name = (
                 records[0].rname if per_contig
                 else f"part-{ctx.task_index:05d}"

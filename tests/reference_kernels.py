@@ -55,7 +55,7 @@ from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.bam import iter_frames
 from repro.formats.cigar import Cigar
-from repro.formats.sam import SamRecord
+from repro.formats.sam import SamRecord, decode_quals
 from repro.genome.regions import GenomicInterval
 from repro.recal.covariates import aligned_pairs
 from repro.shuffle.codec import Codec
@@ -600,6 +600,12 @@ def _default_value_size(value: Any) -> int:
     if isinstance(value, (list, tuple)):
         return sum(_default_value_size(item) for item in value)
     return len(repr(value))
+
+
+def sum_of_base_qualities(qual: str, minimum: int) -> int:
+    """Refactoring guard: ``SamRecord.sum_of_base_qualities`` as shipped
+    before it became one ``bytes.translate`` — decode, filter, add."""
+    return sum(q for q in decode_quals(qual) if q >= minimum)
 
 
 def bam_index_entries(data: bytes) -> List[Tuple[str, int, int]]:

@@ -8,8 +8,10 @@ jobs and then on the full five-round Gesall pipeline.
 """
 
 import dataclasses
+import gc
 import inspect
 import os
+import sys
 import time
 
 import pytest
@@ -35,6 +37,7 @@ from repro.mapreduce.executors import (
 )
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
+from repro.mapreduce import task as task_module
 from repro.mapreduce.task import run_map_task, run_reduce_task
 from repro.pipeline.parallel import GesallPipeline
 
@@ -348,6 +351,103 @@ class TestRetriesAndFaults:
             engine.run(job, make_splits(["x"]))
 
 
+class TestCollectorPausedForAnAttempt:
+    """An attempt body runs with the cyclic collector paused, and every
+    way out of it leaves the collector as the attempt found it."""
+
+    @staticmethod
+    def probe_job(fail_first=False):
+        calls = []
+
+        def mapper(line, ctx):
+            calls.append(line)
+            pause = task_module._collector_paused
+            ctx.emit(line, (gc.isenabled(), pause._depth >= 1,
+                            pause._was_enabled))
+            if fail_first and len(calls) == 1:
+                raise ValueError("first attempt fails")
+
+        return JobSpec("gc-probe", mapper)
+
+    @pytest.fixture(autouse=True)
+    def collector_enabled_before_and_after(self):
+        assert gc.isenabled()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=POLICY_IDS)
+    def test_paused_inside_every_task_and_restored_after_each(self, policy):
+        # Four tasks on at most three workers: some worker runs a second
+        # task, and finds the collector enabled again (``_was_enabled``)
+        # — in a forked pool worker too, whose state the driver never sees.
+        result = MapReduceEngine(nodes=["n1"], policy=policy).run(
+            self.probe_job(), make_splits(LINES * 2)
+        )
+        seen = [value for _, value in result.all_outputs()]
+        assert seen == [(False, True, True)] * (2 * len(LINES))
+        assert gc.isenabled()
+        assert task_module._collector_paused._depth == 0
+
+    def test_restored_after_a_raising_body_and_its_retry(self):
+        policy = ExecutionPolicy(task_retries=1, retry_backoff=0.0)
+        result = MapReduceEngine(nodes=["n1"], policy=policy).run(
+            self.probe_job(fail_first=True), make_splits(["only"])
+        )
+        assert result.history.total_attempts() == 2
+        assert result.all_outputs() == [("only", (False, True, True))]
+        assert gc.isenabled()
+
+    def test_restored_after_retries_are_exhausted(self):
+        def mapper(line, ctx):
+            assert not gc.isenabled()
+            raise ValueError("boom")
+
+        engine = MapReduceEngine(
+            nodes=["n1"],
+            policy=ExecutionPolicy(task_retries=1, retry_backoff=0.0),
+        )
+        with pytest.raises(MapReduceError, match="after 2 attempt"):
+            engine.run(JobSpec("doomed", mapper), make_splits(["x"]))
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            result = MapReduceEngine(nodes=["n1"]).run(
+                self.probe_job(), make_splits(LINES)
+            )
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert [value for _, value in result.all_outputs()] == \
+            [(False, True, False)] * len(LINES)
+
+    def test_overlapping_thread_attempts_leave_it_enabled(self):
+        """More workers than cores, a short switch interval: attempts
+        enter and leave the pause in every interleaving."""
+        def mapper(line, ctx):
+            assert not gc.isenabled()
+            ctx.emit(line, sum(range(200)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            engine = MapReduceEngine(
+                nodes=["n1"], policy=ExecutionPolicy.threads(max_workers=8)
+            )
+            for _ in range(5):
+                result = engine.run(
+                    JobSpec("gc-stress", mapper),
+                    make_splits([f"line{i}" for i in range(64)]),
+                )
+                assert len(result.all_outputs()) == 64
+                assert gc.isenabled()
+            engine.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert task_module._collector_paused._depth == 0
+
+
 class TestTaskProtocol:
     def test_worker_side_task_functions_take_context_and_call(self):
         """One task-call protocol: everything a task needs is on the
@@ -386,6 +486,24 @@ class TestRecordCounting:
             JobSpec("override", mapper), make_splits([["a", "b"], ["c"]])
         )
         assert result.counters.get(C.MAP_INPUT_RECORDS) == 3
+
+    def test_declared_output_bytes_replace_the_sum_over_values(self):
+        def mapper(payload, ctx, declare):
+            for word in payload:
+                ctx.emit(word, word)
+            if declare:
+                ctx.set_output_bytes(1000)
+
+        def run(declare):
+            spec = JobSpec(
+                "sized", lambda payload, ctx: mapper(payload, ctx, declare)
+            )
+            return MapReduceEngine(nodes=["n1"]).run(
+                spec, make_splits([["ab", "c"], ["def"]])
+            ).counters.get(C.MAP_OUTPUT_BYTES)
+
+        assert run(declare=False) == (3 + 2) + 4  # str: len + 1
+        assert run(declare=True) == 2000
 
 
 def _block_spec(policy, combiner=False):

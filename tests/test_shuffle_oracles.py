@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.plan import Enospc
+from repro.chaos.plan import Enospc, FaultPlan
 from repro.errors import PartitioningError, ShuffleError
 from repro.formats.sam import SamRecord
-from repro.io import FaultIO, IoPolicy
-from repro.mapreduce.job import _default_value_size
+from repro.io import FaultIO, IoPolicy, build_io
+from repro.mapreduce import ExecutionPolicy, MapReduceEngine
+from repro.mapreduce.job import JobSpec, _default_value_size, make_splits
 from repro.shuffle import (
     SpillBuffer,
     canonical_key_bytes,
@@ -268,6 +269,126 @@ class TestSpillBufferAgainstReference:
         assert stats.writes == expected_stats.writes == 4
         assert stats.bytes_written == expected_stats.bytes_written
         assert stats.unlinks == expected_stats.unlinks == 4
+
+
+class TestSingleRunTouchesTheDiskOnce:
+    """A map output that never filled its sort buffer is encoded from
+    memory; one that overflowed spills every run, the tail included."""
+
+    STREAM = record_stream(random.Random(21), count=240)
+    SIZES = (1, 30, len(STREAM), len(STREAM) + 1, 100_000)
+
+    @staticmethod
+    def _disk(root, *events):
+        dirs = (os.path.join(root, "primary"), os.path.join(root, "secondary"))
+        io = FaultIO(IoPolicy(), events=tuple(events))
+        return io, dict(spill_io=io, spill_dirs=dirs,
+                        spill_prefix="t-m-00000-e0")
+
+    @pytest.mark.parametrize("spill_records", SIZES)
+    def test_same_segments_as_the_reference_and_only_the_io_it_needs(
+        self, tmp_path, spill_records
+    ):
+        in_memory = _spill_outcome(
+            oracle.SpillBuffer, self.STREAM, _natural, spill_records
+        )
+        assert _spill_outcome(
+            SpillBuffer, self.STREAM, None, spill_records, bulk=True
+        ) == in_memory
+        ref_io, ref_disk = self._disk(str(tmp_path / "ref"))
+        assert _spill_outcome(
+            oracle.SpillBuffer, self.STREAM, _natural, spill_records,
+            **ref_disk,
+        ) == in_memory
+        io, disk = self._disk(str(tmp_path / "new"))
+        assert _spill_outcome(
+            SpillBuffer, self.STREAM, None, spill_records, bulk=True, **disk
+        ) == in_memory
+        stats = io.stats
+        if spill_records > len(self.STREAM):  # the tail is the only run
+            assert in_memory["spills"] == 1
+            assert (stats.writes, stats.fsyncs, stats.dir_fsyncs,
+                    stats.reads, stats.unlinks, stats.bytes_written) == \
+                (0, 0, 0, 0, 0, 0)
+            assert not os.path.exists(str(tmp_path / "new"))
+        else:  # every run, the tail included, goes out and comes back
+            runs = in_memory["spills"]
+            assert runs == -(-len(self.STREAM) // spill_records)
+            assert stats.writes == stats.reads == stats.unlinks == runs
+            assert stats.as_dict() == ref_io.stats.as_dict()
+            mapspill = str(tmp_path / "new" / "primary" / "mapspill")
+            assert os.listdir(mapspill) == []
+
+    def test_a_full_primary_dir_still_counts_fallback_spills(self, tmp_path):
+        root = str(tmp_path / "full-primary")
+        io, disk = self._disk(
+            root, Enospc(0, path_glob=os.path.join(root, "primary", "*"))
+        )
+        outcome = _spill_outcome(
+            SpillBuffer, self.STREAM, None, 30, bulk=True, **disk
+        )
+        assert outcome == _spill_outcome(
+            oracle.SpillBuffer, self.STREAM, _natural, 30
+        )
+        assert io.stats.fallback_spills == outcome["spills"] == 8
+
+    def test_all_dirs_full_still_completes_in_memory(self, tmp_path):
+        io, disk = self._disk(str(tmp_path / "all-full"), Enospc(0))
+        outcome = _spill_outcome(
+            SpillBuffer, self.STREAM, None, 30, bulk=True, **disk
+        )
+        assert outcome == _spill_outcome(
+            oracle.SpillBuffer, self.STREAM, _natural, 30
+        )
+        assert io.stats.enospc == 2 * outcome["spills"]
+        assert io.stats.writes == io.stats.reads == io.stats.unlinks == 0
+
+    def test_multi_run_disk_path_is_reachable_from_a_job(self, tmp_path):
+        """Quickstart-sized tasks fit their sort buffer now, so this job
+        is what exercises disk runs + ENOSPC fallback end to end."""
+        primary = str(tmp_path / "primary")
+        fallback = str(tmp_path / "fallback")
+        rng = random.Random(5)
+        lines = [" ".join(word for word, _ in wordcount_stream(rng, emits=25))
+                 for _ in range(12)]
+
+        def mapper(chunk, ctx):
+            for line in chunk:
+                for word in line.split():
+                    ctx.emit(word, 1)
+
+        def reducer(word, counts, ctx):
+            ctx.emit(word, sum(counts))
+
+        def run(policy):
+            io = build_io(policy)
+            engine = MapReduceEngine(nodes=["n0", "n1"], policy=policy, io=io)
+            try:
+                spec = JobSpec(
+                    name="wordcount", mapper=mapper, reducer=reducer,
+                    num_reducers=2, io_sort_records=30,
+                )
+                splits = make_splits([lines[:6], lines[6:]])
+                return engine.run(spec, splits), io
+            finally:
+                engine.close()
+
+        expected, _ = run(ExecutionPolicy.serial())
+        plan = FaultPlan(seed=0, events=(
+            Enospc(0, path_glob=os.path.join(primary, "*")),
+        ))
+        result, io = run(ExecutionPolicy.serial(
+            fault_plan=plan, io=IoPolicy(spill_dirs=(primary, fallback)),
+        ))
+        assert result.all_outputs() == expected.all_outputs()
+        spills = [task.spills for task in result.history.tasks
+                  if task.kind == "map"]
+        assert spills == [5, 5]  # 150 emits per task, 30 to a run
+        # Ten runs fell back past the full primary (the segments' own
+        # fallbacks are counted on top), and each was read back once.
+        assert io.stats.fallback_spills >= 10
+        assert io.stats.reads >= 10 and io.stats.unlinks >= 10
+        assert not any(files for _, _, files in os.walk(primary))
 
 
 # -- value sizes --------------------------------------------------------------
