@@ -68,18 +68,27 @@ def ungapped_alignment(
 
 
 def banded_local_alignment(
-    read: str, window: str, band: int = 12
+    read: str, window: str, band: int = 12, diagonal: Optional[int] = None
 ) -> Optional[LocalAlignment]:
     """Banded local alignment (Smith-Waterman, affine gaps).
 
-    The band is applied around the main diagonal of the read-vs-window
-    matrix, which is correct for seed-anchored candidates where the true
-    indel offset is small.  Unaligned read ends become soft clips.
+    The band follows the seed: with ``diagonal`` (the window offset at
+    which the seed places the read's first base) row ``i`` fills the
+    columns within ``band`` of that diagonal; without one it covers
+    every diagonal the window has room for.  Unaligned read ends become
+    soft clips.  ``GAP_OPEN`` pays for a gap's first base and
+    ``GAP_EXTEND`` for each further one, and ``score`` is exactly that
+    re-score of the returned CIGAR: the traceback settles open versus
+    extend by value, and where both explain a cell the shorter gap wins.
     """
     read_len = len(read)
     win_len = len(window)
     if read_len == 0 or win_len == 0:
         return None
+    if diagonal is None:
+        d_lo, d_hi = 0, max(0, win_len - read_len)
+    else:
+        d_lo = d_hi = diagonal
 
     match, mismatch, gap_open, gap_extend = MATCH, MISMATCH, GAP_OPEN, GAP_EXTEND
     neg_inf = -(10 ** 9)
@@ -91,17 +100,20 @@ def banded_local_alignment(
     prev_e = [neg_inf] * width
     best_score = 0
     best_i = best_j = 0
-    # Traceback: one bytearray of moves per read row; 1 = M, 2 = U,
-    # 3 = L, 0 where H is 0.
-    moves = [bytearray()] * (read_len + 1)
-    band_right = band + max(0, win_len - read_len)
+    # Traceback: per read row its H list and one bytearray of moves;
+    # 1 = M, 2 = U, 3 = L, 0 where H is 0.  Row 0 and rows the band
+    # never reaches share the all-zero ones.
+    rows = [prev_h] * (read_len + 1)
+    moves = [bytearray(width)] * (read_len + 1)
+    band_left = band - d_lo
+    band_right = band + d_hi
 
-    for i in range(1, read_len + 1):
-        j_lo = i - band if i - band > 1 else 1
+    for i in range(max(1, 1 - band_right), read_len + 1):
+        j_lo = i - band_left if i - band_left > 1 else 1
         j_hi = i + band_right if i + band_right < win_len else win_len
         if j_lo > j_hi:
             break  # the band has left the window: every later row is empty
-        cur_h = [0] * width
+        cur_h = rows[i] = [0] * width
         cur_e = [neg_inf] * width
         row = moves[i] = bytearray(width)
         read_base = read[i - 1]
@@ -143,12 +155,15 @@ def banded_local_alignment(
     if best_score <= 0:
         return None
 
-    # Traceback from the best-scoring cell back to a zero cell.
+    # Traceback from the best-scoring cell back to a zero cell.  A U or
+    # L move enters a gap whose score ``need`` is the cell's H; each
+    # step back along it either finds the H the gap opened from
+    # (H + GAP_OPEN == need) or gives one GAP_EXTEND back and goes on.
     ops: List[Tuple[int, str]] = []
     mismatches = 0
     i, j = best_i, best_j
     end_clip = read_len - i
-    while i > 0 and j > 0:
+    while True:
         move = moves[i][j]
         if move == 0:
             break
@@ -158,12 +173,18 @@ def banded_local_alignment(
             _push(ops, "M")
             i -= 1
             j -= 1
-        elif move == 2:  # up: read base vs gap (insertion)
-            _push(ops, "I")
-            i -= 1
-        else:  # left: gap vs window base (deletion)
-            _push(ops, "D")
-            j -= 1
+            continue
+        need = rows[i][j]
+        while True:
+            if move == 2:  # up: read base vs gap (insertion)
+                _push(ops, "I")
+                i -= 1
+            else:  # left: gap vs window base (deletion)
+                _push(ops, "D")
+                j -= 1
+            if rows[i][j] + gap_open == need:
+                break
+            need -= gap_extend
     start_clip = i
     ref_offset = j
 
@@ -191,9 +212,9 @@ def align_candidate(
     """Align a read at a seed-anchored candidate locus.
 
     Tries the cheap ungapped placement at ``expected_offset`` first and
-    falls back to the banded DP over the window.
+    falls back to the DP banded around that same diagonal.
     """
     result = ungapped_alignment(read, window, expected_offset, max_ungapped_mismatches)
     if result is not None:
         return result
-    return banded_local_alignment(read, window)
+    return banded_local_alignment(read, window, diagonal=expected_offset)

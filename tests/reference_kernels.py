@@ -1,12 +1,13 @@
 """Reference kernels: the pre-fast-path bodies, kept as test oracles.
 
-``banded_local_alignment`` (with ``_push``), ``build_pileup`` (with
-``_indel_after``) and ``call_over_full_pileup`` are verbatim copies of
-what ``repro.align.sw``, ``repro.variants.pileup`` and
+``build_pileup`` (with ``_indel_after``) and ``call_over_full_pileup``
+are verbatim copies of what ``repro.variants.pileup`` and
 ``HaplotypeCallerLite.call`` shipped before the kernel fast path.  They
 are slow on purpose and live in ``tests/`` only: the differential tests
 in ``test_kernel_oracles.py`` require the shipped kernels to return
-exactly what these return.
+exactly what these return.  (The Smith-Waterman body of that time is
+not here: its traceback was wrong, and ``test_kernel_oracles.py`` holds
+an independent full-matrix oracle for the kernel instead.)
 
 ``cigar_parse`` / ``cigar_str`` / ``sam_to_line`` / ``sam_from_line``
 are the bodies of ``Cigar.parse``, ``Cigar.__str__``,
@@ -44,13 +45,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.align.sw import (
-    GAP_EXTEND,
-    GAP_OPEN,
-    MATCH,
-    MISMATCH,
-    LocalAlignment,
-)
 from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.bam import iter_frames
@@ -68,103 +62,6 @@ from repro.variants.pileup import (
     PileupEntry,
     record_passes,
 )
-
-
-def banded_local_alignment(
-    read: str, window: str, band: int = 12
-) -> Optional[LocalAlignment]:
-    """Banded local alignment (Smith-Waterman, affine gaps).
-
-    The band is applied around the main diagonal of the read-vs-window
-    matrix, which is correct for seed-anchored candidates where the true
-    indel offset is small.  Unaligned read ends become soft clips.
-    """
-    read_len = len(read)
-    win_len = len(window)
-    if read_len == 0 or win_len == 0:
-        return None
-
-    neg_inf = -(10 ** 9)
-    # H: best score ending at (i, j); E: gap in read (deletion from ref
-    # consumed); F: gap in reference (insertion of read bases).
-    prev_h = [0] * (win_len + 1)
-    prev_e = [neg_inf] * (win_len + 1)
-    best_score = 0
-    best_cell = (0, 0)
-    # Traceback matrix: dict keyed by (i, j) -> move, kept sparse within
-    # the band to bound memory.
-    moves = {}
-
-    for i in range(1, read_len + 1):
-        cur_h = [0] * (win_len + 1)
-        cur_e = [neg_inf] * (win_len + 1)
-        f_score = neg_inf
-        j_lo = max(1, i - band)
-        j_hi = min(win_len, i + band + max(0, win_len - read_len))
-        read_base = read[i - 1]
-        for j in range(j_lo, j_hi + 1):
-            sub = MATCH if read_base == window[j - 1] else MISMATCH
-            diag = prev_h[j - 1] + sub
-            cur_e[j] = max(prev_e[j] + GAP_EXTEND, prev_h[j] + GAP_OPEN)
-            f_score = max(f_score + GAP_EXTEND, cur_h[j - 1] + GAP_OPEN)
-            score = max(0, diag, cur_e[j], f_score)
-            cur_h[j] = score
-            if score == 0:
-                continue
-            if score == diag:
-                moves[(i, j)] = "M"  # diagonal: read base vs window base
-            elif score == cur_e[j]:
-                moves[(i, j)] = "U"  # up: read base vs gap (insertion)
-            else:
-                moves[(i, j)] = "L"  # left: gap vs window base (deletion)
-            if score > best_score:
-                best_score = score
-                best_cell = (i, j)
-        prev_h, prev_e = cur_h, cur_e
-
-    if best_score <= 0:
-        return None
-
-    # Traceback from the best-scoring cell back to a zero cell.
-    ops: List[Tuple[int, str]] = []
-    mismatches = 0
-    i, j = best_cell
-    end_clip = read_len - i
-    while i > 0 and j > 0:
-        move = moves.get((i, j))
-        if move is None:
-            break
-        if move == "M":
-            if read[i - 1] != window[j - 1]:
-                mismatches += 1
-            _push(ops, "M")
-            i -= 1
-            j -= 1
-        elif move == "U":
-            _push(ops, "I")  # read base consumed, no window base
-            i -= 1
-        else:
-            _push(ops, "D")  # window base consumed, no read base
-            j -= 1
-    start_clip = i
-    ref_offset = j
-
-    ops.reverse()
-    cigar_ops: List[Tuple[int, str]] = []
-    if start_clip:
-        cigar_ops.append((start_clip, "S"))
-    cigar_ops.extend(ops)
-    if end_clip:
-        cigar_ops.append((end_clip, "S"))
-    return LocalAlignment(best_score, Cigar(cigar_ops), ref_offset, mismatches)
-
-
-def _push(ops: List[Tuple[int, str]], op: str) -> None:
-    """Append one op, run-length merging with the previous entry."""
-    if ops and ops[-1][1] == op:
-        ops[-1] = (ops[-1][0] + 1, op)
-    else:
-        ops.append((1, op))
 
 
 def _indel_after(record: SamRecord, read_offset: int, ref_pos: int,

@@ -1,11 +1,11 @@
 """Differential tests: the fast kernels against their scalar oracles.
 
 ``tests/reference_kernels.py`` holds the bodies the fast paths
-replaced.  Everything here asserts *identical* results — score, CIGAR,
-offset and mismatch count for Smith-Waterman; contig, position and
-every entry field in entry order for the pileup; calls in call order
-for the Haplotype Caller — because the pipeline's output bytes must not
-move.
+replaced.  Everything checked against them asserts *identical* results
+— contig, position and every entry field in entry order for the
+pileup; calls in call order for the Haplotype Caller — because the
+pipeline's output bytes must not move.  Smith-Waterman is checked
+against an oracle that is not its past: ``full_matrix_best`` below.
 """
 
 import copy
@@ -57,31 +57,115 @@ def sw_result(alignment):
             alignment.mismatches)
 
 
-def assert_same_alignment(read, window, band):
-    assert sw_result(banded_local_alignment(read, window, band)) == sw_result(
-        oracle.banded_local_alignment(read, window, band)
-    ), (read, window, band)
+def full_matrix_best(read, window, band, diagonal):
+    """``(score, i, j)`` of the best banded affine local alignment.
+
+    An independent oracle (nothing of ``repro``, scores spelled out):
+    plain H / E / F tables over every cell, H = 0 and E = F = -inf
+    outside the band, best = first strictly greater in row-major order.
+    """
+    n, m = len(read), len(window)
+    d_lo, d_hi = (0, max(0, m - n)) if diagonal is None else (diagonal, diagonal)
+    minus_inf = float("-inf")
+    H = [[0] * (m + 1) for _ in range(n + 1)]
+    E = [[minus_inf] * (m + 1) for _ in range(n + 1)]
+    F = [[minus_inf] * (m + 1) for _ in range(n + 1)]
+    best = (0, 0, 0)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if not d_lo - band <= j - i <= d_hi + band:
+                continue
+            E[i][j] = max(E[i - 1][j] - 1, H[i - 1][j] - 6)
+            F[i][j] = max(F[i][j - 1] - 1, H[i][j - 1] - 6)
+            diag = H[i - 1][j - 1] + (1 if read[i - 1] == window[j - 1] else -4)
+            H[i][j] = max(0, diag, E[i][j], F[i][j])
+            if H[i][j] > best[0]:
+                best = (H[i][j], i, j)
+    return best
+
+
+def walk_cigar(read, window, alignment):
+    """``(affine re-score, mismatches, read bases, window bases)`` of
+    the CIGAR: +1 / -4 per aligned pair, -6 for a gap's first base and
+    -1 for each further one."""
+    score = mismatches = 0
+    query, ref = 0, alignment.ref_offset
+    for length, op in alignment.cigar:
+        if op == "M":
+            differing = sum(
+                read[query + k] != window[ref + k] for k in range(length)
+            )
+            score += length - 5 * differing
+            mismatches += differing
+        elif op in "ID":
+            score -= 5 + length
+        else:
+            assert op == "S", op
+        query += length if op in "MIS" else 0
+        ref += length if op in "MD" else 0
+    return score, mismatches, query, ref - alignment.ref_offset
+
+
+def assert_alignment_is_optimal(read, window, band, diagonal):
+    """Everything the kernel promises, against the full-matrix oracle."""
+    case = (read, window, band, diagonal)
+    result = banded_local_alignment(read, window, band, diagonal)
+    if diagonal is None:  # the three-argument form is the same call
+        assert sw_result(banded_local_alignment(read, window, band)) == \
+            sw_result(result), case
+    best_score, best_i, best_j = full_matrix_best(read, window, band, diagonal)
+    if result is None:
+        assert best_score <= 0, case
+        return None
+    assert result.score == best_score > 0, case
+    score, mismatches, query, span = walk_cigar(read, window, result)
+    assert score == result.score, case
+    assert mismatches == result.mismatches, case
+    assert query == len(read), case
+    assert result.ref_offset + span <= len(window), case
+    aligned = [(length, op) for length, op in result.cigar if op != "S"]
+    assert aligned[0][1] == aligned[-1][1] == "M", case
+    end_clip = sum(length for length, op in list(result.cigar)[1:] if op == "S")
+    assert (len(read) - end_clip, result.ref_offset + span) == (best_i, best_j), case
+    return result
 
 
 def gapped_pair(rng):
-    """A read and a window derived from it by SNPs, indels and pads."""
-    read = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 110)))
-    body = []
-    for base in read:
-        draw = rng.random()
-        if draw < 0.03:
-            continue  # deleted from the window: an insertion in the read
-        if draw < 0.06:
-            body.append(rng.choice("ACGT"))  # extra window base: a deletion
-        body.append(rng.choice("ACGT") if draw < 0.10 else base)
+    """A read carrying 1-3 indels of 1-6 bases and 0-4 substitutions,
+    and the window it came from: 16 bases of padding either side,
+    sometimes clipped (a contig end) or overhung by the read."""
+    segment = [rng.choice("ACGT") for _ in range(rng.randint(30, 110))]
+    read = list(segment)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(5, max(6, len(read) - 6))
+        size = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            del read[at : at + size]
+        else:
+            read[at:at] = [rng.choice("ACGT") for _ in range(size)]
+    for _ in range(rng.randint(0, 4)):
+        at = rng.randrange(len(read))
+        read[at] = rng.choice("ACGT".replace(read[at], ""))
     left, right = (
-        "".join(rng.choice("ACGT") for _ in range(rng.randint(0, 16)))
-        for _ in range(2)
+        "".join(rng.choice("ACGT") for _ in range(16)) for _ in range(2)
     )
-    window = left + "".join(body) + right
-    if rng.random() < 0.1:  # a window shorter than the read, maybe empty
-        window = window[: rng.randint(0, len(read) - 1)]
-    return read, window
+    window = left + "".join(segment) + right
+    draw = rng.random()
+    if draw < 0.15:  # clipped on the left: the seed diagonal is below 16
+        window = window[rng.randint(1, 16) :]
+    elif draw < 0.30:
+        window = window[: -rng.randint(1, 16)]
+    elif draw < 0.35:  # the read overhangs the window
+        window = window[rng.randint(17, 40) :]
+    elif draw < 0.40:
+        window = window[: -rng.randint(17, 40)]
+    return "".join(read), window
+
+
+#: ``None`` is the three-argument form; 16 is the shipped window's
+#: seed diagonal; -40 and 500 leave the window part-way and entirely.
+DIAGONALS = (None, 0, 16, 32, -40, 500)
+SHAPES = [(band, diagonal) for band in BANDS for diagonal in DIAGONALS]
 
 
 class TestBandedLocalAgainstOracle:
@@ -90,9 +174,8 @@ class TestBandedLocalAgainstOracle:
         gapped = 0
         for index in range(3000):
             read, window = gapped_pair(rng)
-            band = BANDS[index % len(BANDS)]
-            assert_same_alignment(read, window, band)
-            result = banded_local_alignment(read, window, band)
+            band, diagonal = SHAPES[index % len(SHAPES)]
+            result = assert_alignment_is_optimal(read, window, band, diagonal)
             if result and any(op in "ID" for _, op in result.cigar):
                 gapped += 1
         assert gapped > 300  # the inputs do reach the gap states
@@ -102,7 +185,23 @@ class TestBandedLocalAgainstOracle:
         for read, window in [("", ""), ("", "ACGT"), ("ACGT", ""), ("A", "A"),
                              ("A", "C"), ("ACGT" * 20, "ACG"),
                              ("ACGT" * 20, "T" * 150)]:
-            assert_same_alignment(read, window, band)
+            for diagonal in DIAGONALS:
+                assert_alignment_is_optimal(read, window, band, diagonal)
+
+    def test_a_gap_is_traced_by_value(self):
+        # One move byte per cell cannot tell a gap's extension from its
+        # opening: the single-matrix traceback returned 7M1D1M1D9M2S
+        # here, reported 10 and re-scored 5.
+        result = assert_alignment_is_optimal(
+            "CTGGGATGCCTTCTGCGAA", "CTGGGATGGTCCTTCTGCGTGGAA", 12, None)
+        assert sw_result(result) == (10, "8M2D9M2S", 0, 0)
+
+    def test_the_shorter_gap_wins_a_tie(self):
+        # The cell the 1I opens from (H = 8) also continues a longer
+        # insertion at the same score.
+        result = assert_alignment_is_optimal(
+            "AAACACACACACAACCACCAAAACC", "AAACACACACACCACCAAAACC", 12, None)
+        assert sw_result(result) == (14, "4S8M1I12M", 2, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -115,10 +214,10 @@ class TestBandedLocalAgainstOracle:
         left=st.text(alphabet="ACGT", max_size=16),
         right=st.text(alphabet="ACGT", max_size=16),
         cut=st.one_of(st.none(), st.integers(0, 110)),
-        band=st.sampled_from(BANDS),
+        shape=st.sampled_from(SHAPES),
     )
     def test_property_identical_to_oracle(self, read, edits, left, right,
-                                          cut, band):
+                                          cut, shape):
         body = list(read)
         for position, kind, base in edits:
             if not body:
@@ -133,7 +232,7 @@ class TestBandedLocalAgainstOracle:
         window = left + "".join(body) + right
         if cut is not None:
             window = window[:cut]
-        assert_same_alignment(read, window, band)
+        assert_alignment_is_optimal(read, window, *shape)
 
 
 # -- pileup -----------------------------------------------------------------
@@ -667,13 +766,19 @@ class TestQuickstartAccountingPins:
     # Round 2's calls were 1678 (8 maps x 2 programs + 1662 read names)
     # while FixMateInformation ran per key; per reduce partition it is
     # 8 x 2 + 4 reducers.  Only that integer was re-pinned.
+    # PR 23 re-pinned every byte total: Smith-Waterman bands around the
+    # seed's diagonal and traces gaps by value, so 70 of the 3 324
+    # round-1 records changed (3D1M3D is now 6D; reads across a large
+    # rearrangement clip more) and two insertions that were called as
+    # three and two adjacent ones are one call each (round 5: 29 -> 26
+    # lines).  No count moved.
     TRANSFORM = {  # round -> (bytes_to_program, bytes_from_program, calls)
-        "round2": (2590452, 2676142, 20),
-        "round3": (929230, 929490, 4),
+        "round2": (2589789, 2675268, 20),
+        "round3": (928798, 929054, 4),
     }
     MAP_OUTPUT_BYTES = {
-        "round1": 24, "round2": 873456, "round_bloom": 220,
-        "round3": 945533, "round4": 910653, "round5": 1816,
+        "round1": 24, "round2": 873235, "round_bloom": 220,
+        "round3": 944506, "round4": 910217, "round5": 1633,
     }
 
     def test_totals_are_unchanged_to_the_byte(self):
