@@ -120,13 +120,12 @@ class BwaMemLite:
         first.
         """
         votes: Dict[Tuple[str, int], int] = {}
-        for offset, (contig, hit_pos) in self.index.seed_read(
-            read, self.config.seed_stride
-        ):
-            anchor = hit_pos - offset
-            if anchor < 1:
-                continue
-            votes[(contig, anchor)] = votes.get((contig, anchor), 0) + 1
+        for offset, hits in self.index.seed_hits(read, self.config.seed_stride):
+            for contig, hit_pos in hits:
+                anchor = hit_pos - offset
+                if anchor < 1:
+                    continue
+                votes[(contig, anchor)] = votes.get((contig, anchor), 0) + 1
         # Merge anchors within a small indel-sized fuzz onto the
         # best-voted representative.
         merged: Dict[Tuple[str, int], int] = {}

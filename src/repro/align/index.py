@@ -62,14 +62,22 @@ class ReferenceIndex:
     def is_repetitive(self, kmer: str) -> bool:
         return kmer in self._overflow
 
+    def seed_hits(self, read: str,
+                  stride: int = 7) -> List[Tuple[int, List[SeedHit]]]:
+        """``(read_offset, hits)`` for each seed sampled across the read
+        that the index places: one table lookup per k-mer."""
+        k = self.k
+        placed = []
+        for offset in range(0, len(read) - k + 1, stride):
+            hits = self._table.get(read[offset : offset + k])
+            if hits:
+                placed.append((offset, hits))
+        return placed
+
     def seed_read(self, read: str, stride: int = 7) -> Iterator[Tuple[int, SeedHit]]:
         """Yield ``(read_offset, hit)`` for seeds sampled across the read."""
-        k = self.k
-        for offset in range(0, max(1, len(read) - k + 1), stride):
-            kmer = read[offset : offset + k]
-            if len(kmer) < k:
-                break
-            for hit in self.lookup(kmer):
+        for offset, hits in self.seed_hits(read, stride):
+            for hit in hits:
                 yield offset, hit
 
     def size_in_entries(self) -> int:

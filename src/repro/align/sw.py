@@ -13,6 +13,7 @@ gap extend -1.
 
 from __future__ import annotations
 
+from operator import ne
 from typing import List, Optional, Tuple
 
 from repro.formats.cigar import Cigar
@@ -56,13 +57,10 @@ def ungapped_alignment(
     read_len = len(read)
     if offset < 0 or offset + read_len > len(window):
         return None
-    mismatches = 0
     segment = window[offset : offset + read_len]
-    for read_base, ref_base in zip(read, segment):
-        if read_base != ref_base:
-            mismatches += 1
-            if mismatches > max_mismatches:
-                return None
+    mismatches = 0 if read == segment else sum(map(ne, read, segment))
+    if mismatches > max_mismatches:
+        return None
     score = (read_len - mismatches) * MATCH + mismatches * MISMATCH
     return LocalAlignment(score, Cigar([(read_len, "M")]), offset, mismatches)
 

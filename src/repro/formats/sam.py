@@ -144,6 +144,10 @@ class SamRecord:
     def base_qualities(self) -> List[int]:
         return decode_quals(self.qual)
 
+    def qual_bytes(self) -> bytes:
+        """The scores of :meth:`base_qualities`, one per byte, no list built."""
+        return _qual_bytes(self.qual).translate(_DECODE_TABLE)
+
     def set_base_qualities(self, quals: Iterable[int]) -> None:
         self.qual = encode_quals(quals)
 

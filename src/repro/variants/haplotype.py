@@ -186,7 +186,6 @@ class HaplotypeCallerLite:
             recent.append(score)
             if len(recent) > config.trend_window:
                 recent.pop(0)
-            trend = sum(recent) / len(recent)
 
             if window_start is None:
                 if score >= config.activity_threshold:
@@ -199,8 +198,9 @@ class HaplotypeCallerLite:
                     if score >= config.activity_threshold:
                         window_start = pos
                 elif (
-                    trend < config.extension_threshold
-                    and window_len >= config.min_window
+                    window_len >= config.min_window
+                    # the recent trend, summed only where it is read
+                    and sum(recent) / len(recent) < config.extension_threshold
                 ):
                     close(pos)
             last_pos = pos

@@ -9,8 +9,11 @@ MarkDuplicates tie-breaking differences propagate into variant calls
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.errors import FormatError
 from repro.formats.sam import SamRecord
 from repro.genome.regions import GenomicInterval
 
@@ -110,17 +113,20 @@ def _passing_blocks(records: Iterable[SamRecord],
     """Walk each passing read's CIGAR once, one item per M/=/X block.
 
     Yields ``(record, quals, read_start, ref_start, lo, hi, length,
-    following)``: block bases ``lo <= k < hi`` survive clipping to
+    following)``: ``quals`` is the record's base qualities, one score
+    per byte; block bases ``lo <= k < hi`` survive clipping to
     ``interval`` and to the qualities present; ``following`` is the
     ``(length, op)`` after the block, if any — an indel can only anchor
-    at a block's last base (``k == length - 1``).
+    at a block's last base (``k == length - 1``).  A block that reaches
+    past the end of SEQ is a :class:`FormatError`.
     """
     for record in records:
         if not record_passes(record, config):
             continue
         if interval is not None and record.rname != interval.contig:
             continue
-        quals = record.base_qualities()
+        quals = record.qual_bytes()
+        seq_len = len(record.seq)
         ops = record.cigar.ops
         read_cursor = 0
         ref_cursor = record.pos
@@ -132,6 +138,11 @@ def _passing_blocks(records: Iterable[SamRecord],
                     lo = max(lo, interval.start - ref_cursor)
                     hi = min(hi, interval.end - ref_cursor)
                 if lo < hi:
+                    if read_cursor + hi > seq_len:
+                        raise FormatError(
+                            f"{record.qname}: SEQ is shorter than its "
+                            f"CIGAR and QUAL"
+                        )
                     following = ops[index + 1] if index + 1 < len(ops) else None
                     yield (record, quals, read_cursor, ref_cursor, lo, hi,
                            length, following)
@@ -199,6 +210,24 @@ def build_pileup(
             yield PileupColumn(contig, pos, contig_columns[pos])
 
 
+def _passing_runs(quals: bytes, start: int, stop: int,
+                  floor: int) -> Iterator[Tuple[int, int]]:
+    """Maximal runs ``[a, b)`` of ``quals[start:stop]`` at or above ``floor``."""
+    if min(quals[start:stop]) >= floor:
+        yield start, stop
+        return
+    run_start = None
+    for offset in range(start, stop):
+        if quals[offset] >= floor:
+            if run_start is None:
+                run_start = offset
+        elif run_start is not None:
+            yield run_start, offset
+            run_start = None
+    if run_start is not None:
+        yield run_start, stop
+
+
 def pileup_activity(
     records: Iterable[SamRecord],
     reference,
@@ -209,37 +238,50 @@ def pileup_activity(
 
     Same columns in the same order as :func:`build_pileup`, without
     building entries: ``disagreeing`` counts the entries whose base
-    differs from the reference or that anchor an indel.
+    differs from the reference or that anchor an indel.  Depth changes
+    only where a run of passing bases starts or ends, so a run costs
+    two edge updates plus one visit per mismatching base.
     """
     config = config or PileupConfig()
-    min_quality = config.min_base_quality
-    # contig (first-seen order) -> position -> [depth, disagreeing]
-    counts: Dict[str, Dict[int, List[int]]] = {}
+    floor = config.min_base_quality
+    # contig (first-seen order) -> ({pos: depth change}, {pos: disagreeing})
+    counts: Dict[str, Tuple[Dict[int, int], Dict[int, int]]] = {}
     for record, quals, read_start, ref_start, lo, hi, length, following in (
         _passing_blocks(records, interval, config)
     ):
         rname = record.rname
         seq = record.seq
         ref_seq = reference.fetch(rname, ref_start + lo, ref_start + hi)
-        contig_counts = counts.get(rname)
-        for k in range(lo, hi):
-            read_offset = read_start + k
-            if quals[read_offset] < min_quality:
-                continue
-            ref_pos = ref_start + k
-            if contig_counts is None:
-                contig_counts = counts[rname] = {}
-            count = contig_counts.get(ref_pos)
-            if count is None:
-                count = contig_counts[ref_pos] = [0, 0]
-            count[0] += 1
-            if seq[read_offset] != ref_seq[k - lo] or (
-                k == length - 1
-                and _indel_after(record, read_offset, ref_pos, following,
+        block_start = read_start + lo  # the read offset of ``ref_seq[0]``
+        shift = ref_start - read_start  # read offset -> reference position
+        for a, b in _passing_runs(quals, block_start, read_start + hi, floor):
+            if rname not in counts:
+                counts[rname] = ({}, {})
+            edges, disagreeing = counts[rname]
+            edges[a + shift] = edges.get(a + shift, 0) + 1
+            edges[b + shift] = edges.get(b + shift, 0) - 1
+            read_run = seq[a:b]
+            ref_run = ref_seq[a - block_start : b - block_start]
+            if read_run != ref_run:
+                for pos in compress(range(a + shift, b + shift),
+                                    map(ne, read_run, ref_run)):
+                    disagreeing[pos] = disagreeing.get(pos, 0) + 1
+            # An indel anchors at the block's last base, and is asked
+            # for only where that base did not already disagree.
+            last = b - 1
+            if (
+                last == read_start + length - 1
+                and read_run[-1] == ref_run[-1]
+                and _indel_after(record, last, last + shift, following,
                                  reference) is not None
             ):
-                count[1] += 1
-    for contig, contig_counts in counts.items():
-        for pos in sorted(contig_counts):
-            depth, disagreeing = contig_counts[pos]
-            yield contig, pos, depth, disagreeing
+                disagreeing[last + shift] = disagreeing.get(last + shift, 0) + 1
+    for contig, (edges, disagreeing) in counts.items():
+        depth = 0
+        run_start = None
+        for edge in sorted(edges):
+            if depth:
+                for pos in range(run_start, edge):
+                    yield contig, pos, depth, disagreeing.get(pos, 0)
+            depth += edges[edge]
+            run_start = edge

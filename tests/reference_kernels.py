@@ -21,6 +21,10 @@ engine and shuffle fast path.
 ``bam_index_entries`` is the body of ``BamLinearIndex.build`` from
 before it stopped decoding every record of every chunk.
 
+``pileup_activity`` (with ``_passing_blocks`` / ``_indel_after_block``),
+``seed_read``, ``vote`` and ``ungapped_alignment`` are the per-base /
+per-hit bodies from before the per-read paths.
+
 All of these are *refactoring guards* — the code's own past, pinned so
 a rewrite cannot move a byte — not independent oracles.
 """
@@ -45,6 +49,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.align.sw import MATCH, MISMATCH, LocalAlignment
 from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.bam import iter_frames
@@ -522,3 +527,169 @@ def bam_index_entries(data: bytes) -> List[Tuple[str, int, int]]:
         if records:
             entries.append((records[0].rname, records[0].pos, offset))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Per read, not per base: the bodies before the block-edge / one-lookup paths
+# ---------------------------------------------------------------------------
+# The parent's body — a refactoring guard, not an oracle: what
+# ``pileup_activity`` (with the ``_passing_blocks`` that handed it decoded
+# QUAL lists and the block-level ``_indel_after``, here
+# ``_indel_after_block``), ``ReferenceIndex.seed_read``,
+# ``BwaMemLite._vote`` and ``ungapped_alignment`` shipped before they
+# stopped working per base / per hit.  ``self`` is spelled ``index`` /
+# ``aligner``.  ``test_per_read_kernels.py`` requires the shipped code to
+# return exactly what these return.
+
+
+def _indel_after_block(record: SamRecord, end_read: int, end_ref: int,
+                       following: Optional[Tuple[int, str]],
+                       reference) -> Optional[Tuple[str, str]]:
+    """The I or D that starts right after a block's last base, if any."""
+    if following is None:
+        return None
+    next_len, next_op = following
+    if next_op == "I":
+        inserted = record.seq[end_read + 1 : end_read + 1 + next_len]
+        ref_base = reference.base_at(record.rname, end_ref)
+        return (ref_base, ref_base + inserted)
+    if next_op == "D" and end_ref + next_len <= reference.contig_length(record.rname):
+        ref_allele = reference.fetch(record.rname, end_ref, end_ref + next_len + 1)
+        return (ref_allele, ref_allele[0])
+    return None
+
+
+def _passing_blocks(records: Iterable[SamRecord],
+                    interval: Optional[GenomicInterval],
+                    config: PileupConfig) -> Iterator[tuple]:
+    """Walk each passing read's CIGAR once, one item per M/=/X block."""
+    for record in records:
+        if not record_passes(record, config):
+            continue
+        if interval is not None and record.rname != interval.contig:
+            continue
+        quals = record.base_qualities()
+        ops = record.cigar.ops
+        read_cursor = 0
+        ref_cursor = record.pos
+        for index, (length, op) in enumerate(ops):
+            if op in "M=X":
+                lo = 0
+                hi = min(length, len(quals) - read_cursor)
+                if interval is not None:
+                    lo = max(lo, interval.start - ref_cursor)
+                    hi = min(hi, interval.end - ref_cursor)
+                if lo < hi:
+                    following = ops[index + 1] if index + 1 < len(ops) else None
+                    yield (record, quals, read_cursor, ref_cursor, lo, hi,
+                           length, following)
+                read_cursor += length
+                ref_cursor += length
+            elif op in "IS":
+                read_cursor += length
+            elif op in "DN":
+                ref_cursor += length
+
+
+def pileup_activity(
+    records: Iterable[SamRecord],
+    reference,
+    interval: Optional[GenomicInterval] = None,
+    config: Optional[PileupConfig] = None,
+) -> Iterator[Tuple[str, int, int, int]]:
+    """Yield ``(contig, pos, depth, disagreeing)`` per pileup column."""
+    config = config or PileupConfig()
+    min_quality = config.min_base_quality
+    # contig (first-seen order) -> position -> [depth, disagreeing]
+    counts: Dict[str, Dict[int, List[int]]] = {}
+    for record, quals, read_start, ref_start, lo, hi, length, following in (
+        _passing_blocks(records, interval, config)
+    ):
+        rname = record.rname
+        seq = record.seq
+        ref_seq = reference.fetch(rname, ref_start + lo, ref_start + hi)
+        contig_counts = counts.get(rname)
+        for k in range(lo, hi):
+            read_offset = read_start + k
+            if quals[read_offset] < min_quality:
+                continue
+            ref_pos = ref_start + k
+            if contig_counts is None:
+                contig_counts = counts[rname] = {}
+            count = contig_counts.get(ref_pos)
+            if count is None:
+                count = contig_counts[ref_pos] = [0, 0]
+            count[0] += 1
+            if seq[read_offset] != ref_seq[k - lo] or (
+                k == length - 1
+                and _indel_after_block(record, read_offset, ref_pos, following,
+                                       reference) is not None
+            ):
+                count[1] += 1
+    for contig, contig_counts in counts.items():
+        for pos in sorted(contig_counts):
+            depth, disagreeing = contig_counts[pos]
+            yield contig, pos, depth, disagreeing
+
+
+def seed_read(index, read: str, stride: int = 7) -> Iterator[Tuple[int, Tuple[str, int]]]:
+    """Yield ``(read_offset, hit)`` for seeds sampled across the read."""
+    k = index.k
+    for offset in range(0, max(1, len(read) - k + 1), stride):
+        kmer = read[offset : offset + k]
+        if len(kmer) < k:
+            break
+        for hit in index.lookup(kmer):
+            yield offset, hit
+
+
+def vote(aligner, read: str) -> List[Tuple[str, int]]:
+    """Seed voting: cluster seed hits by (contig, diagonal)."""
+    votes: Dict[Tuple[str, int], int] = {}
+    for offset, (contig, hit_pos) in seed_read(
+        aligner.index, read, aligner.config.seed_stride
+    ):
+        anchor = hit_pos - offset
+        if anchor < 1:
+            continue
+        votes[(contig, anchor)] = votes.get((contig, anchor), 0) + 1
+    # Merge anchors within a small indel-sized fuzz onto the
+    # best-voted representative.
+    merged: Dict[Tuple[str, int], int] = {}
+    for (contig, anchor), count in sorted(
+        votes.items(), key=lambda item: (-item[1], item[0])
+    ):
+        placed = False
+        for (m_contig, m_anchor) in list(merged):
+            if m_contig == contig and abs(m_anchor - anchor) <= 8:
+                merged[(m_contig, m_anchor)] += count
+                placed = True
+                break
+        if not placed:
+            merged[(contig, anchor)] = count
+    ranked = [
+        key
+        for key, count in sorted(
+            merged.items(), key=lambda item: (-item[1], item[0])
+        )
+        if count >= aligner.config.min_seed_votes
+    ]
+    return ranked[: aligner.config.max_candidates * 2]
+
+
+def ungapped_alignment(
+    read: str, window: str, offset: int, max_mismatches: int
+) -> Optional[LocalAlignment]:
+    """Score ``read`` against ``window[offset:]`` without gaps."""
+    read_len = len(read)
+    if offset < 0 or offset + read_len > len(window):
+        return None
+    mismatches = 0
+    segment = window[offset : offset + read_len]
+    for read_base, ref_base in zip(read, segment):
+        if read_base != ref_base:
+            mismatches += 1
+            if mismatches > max_mismatches:
+                return None
+    score = (read_len - mismatches) * MATCH + mismatches * MISMATCH
+    return LocalAlignment(score, Cigar([(read_len, "M")]), offset, mismatches)

@@ -153,6 +153,19 @@ class TestSamRecord:
         record = make_record(qual=encode_quals([10, 20, 30, 30, 5, 15, 15, 15, 15, 15]))
         assert record.sum_of_base_qualities(minimum=15) == 20 + 30 + 30 + 15 * 5
 
+    @pytest.mark.parametrize("qual", ["*", "!", "!+5?I~", "IIIIIIIIII"])
+    def test_qual_bytes_are_the_scores_of_base_qualities(self, qual):
+        record = make_record(qual=qual)
+        assert list(record.qual_bytes()) == record.base_qualities()
+        assert isinstance(record.qual_bytes(), bytes)
+
+    @pytest.mark.parametrize("qual", ["IIéI", "II I"])
+    def test_qual_bytes_reject_what_base_qualities_reject(self, qual):
+        record = make_record(qual=qual)
+        for accessor in (record.base_qualities, record.qual_bytes):
+            with pytest.raises(FormatError):
+                accessor()
+
     def test_set_duplicate(self):
         record = make_record()
         record.set_duplicate(True)
