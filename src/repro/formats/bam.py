@@ -33,9 +33,14 @@ _FRAME_HEADER = struct.Struct("<4sII")
 #: Default target for uncompressed bytes per chunk (BGZF uses 64 KiB).
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
+#: Deflate level of a chunk frame.  A round's BAMs are read once by the
+#: next round, so frames are packed fast, not small (GATK4 made the same
+#: trade when it dropped its default from 5 to 2).
+FRAME_DEFLATE_LEVEL = 1
+
 
 def _compress_frame(payload: bytes) -> bytes:
-    compressed = zlib.compress(payload, 6)
+    compressed = zlib.compress(payload, FRAME_DEFLATE_LEVEL)
     return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload), len(compressed)) + compressed
 
 

@@ -272,21 +272,23 @@ class TestRecalRounds:
 #: on the shared dataset — 6 round-1 partitions, 3 reducers, 8 KiB chunks
 #: — captured on commit 1549ecf, where the *driver* sorted, rendered,
 #: framed, indexed and uploaded them.  The key order is the directory
-#: listing.  Re-captured once since, by PR 23, whose Smith-Waterman fix
-#: moved the round-1 CIGARs these files carry (``/round4/chr1.bam*``
-#: holds none of them and kept its bytes); ``ROUND_TRANSFORM``'s byte
-#: totals moved with them, no count did.
+#: listing.  Re-captured twice since, both by PR 23: its Smith-Waterman
+#: fix moved the round-1 CIGARs these files carry (``/round4/chr1.bam*``
+#: held none of them and kept its bytes; ``ROUND_TRANSFORM``'s byte
+#: totals moved with them, no count did), then its frames went from
+#: deflate level 6 to 1 (every file's bytes and ``.bai`` offsets, no
+#: record).
 ROUND_FILE_SHA1 = {
-    "/round2/part-00000.bam": "0b7f504274660564b756c233af44df1d86585ad8",
-    "/round2/part-00001.bam": "7ee6110f9c653860811bb35d20e9021e4ce158f3",
-    "/round2/part-00002.bam": "aa3b99932e5d0037fd8eeee2e6340fed3cbe814c",
-    "/round3/part-00000.bam": "7716b8c74b914b4ab4472f749a56e53dfd6b1c1c",
-    "/round3/part-00001.bam": "db552b1ee1a28765d9ab3c33a4c7577146b6cd5e",
-    "/round3/part-00002.bam": "2775324c3363e4f984bdc82fea4231c843b54b19",
-    "/round4/chr1.bam": "1206f82b3b65cf6be8236e4207a06ae5d154f96f",
-    "/round4/chr1.bam.bai": "62692e73a33258a3290654fea23b3a219e909006",
-    "/round4/chr2.bam": "6f868e28602e59eae46c434b670cb85ff844caef",
-    "/round4/chr2.bam.bai": "92d96048051e2dc8311e3fb94ea3ff732b673570",
+    "/round2/part-00000.bam": "e50921b681e959eea45bfd61b8eb926252a504e3",
+    "/round2/part-00001.bam": "73158a16caa3e62137d081742d6b7f3af45ff8ef",
+    "/round2/part-00002.bam": "429a6bfd393697be59c1b53d92950d5db7dc382a",
+    "/round3/part-00000.bam": "27caa48d376d28750d008e269634e18d586a5ed0",
+    "/round3/part-00001.bam": "5b017681d47cd32fa7b15004fbcca052c0b4b04a",
+    "/round3/part-00002.bam": "49231f65edf861e0e25386f8a7a1635e71d8e086",
+    "/round4/chr1.bam": "f866fc74eddc6b768694d0dff052c57339bf4858",
+    "/round4/chr1.bam.bai": "05974e4cddc76ecb86b583dd6f0866cd2f3e037b",
+    "/round4/chr2.bam": "2df11a52a71e7532cf1f73ba4ed9b14f5c851dd5",
+    "/round4/chr2.bam.bai": "68938415a8d199ced2d77cdf5b8bff7bc95be3a6",
 }
 #: Same capture: what each round method returned.
 ROUND_PATHS = {
