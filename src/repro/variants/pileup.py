@@ -9,7 +9,7 @@ MarkDuplicates tie-breaking differences propagate into variant calls
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, groupby
 from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -213,19 +213,15 @@ def build_pileup(
 def _passing_runs(quals: bytes, start: int, stop: int,
                   floor: int) -> Iterator[Tuple[int, int]]:
     """Maximal runs ``[a, b)`` of ``quals[start:stop]`` at or above ``floor``."""
-    if min(quals[start:stop]) >= floor:
+    block = quals[start:stop]
+    if min(block) >= floor:
         yield start, stop
         return
-    run_start = None
-    for offset in range(start, stop):
-        if quals[offset] >= floor:
-            if run_start is None:
-                run_start = offset
-        elif run_start is not None:
-            yield run_start, offset
-            run_start = None
-    if run_start is not None:
-        yield run_start, stop
+    for passing, run in groupby(block, floor.__le__):
+        stop = start + sum(1 for _ in run)
+        if passing:
+            yield start, stop
+        start = stop
 
 
 def pileup_activity(
