@@ -18,6 +18,24 @@ from repro.genome import (
     simulate_reads,
     simulate_reference,
 )
+from tests import pins
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--recapture", action="store_true",
+        help="rewrite tests/pins.json with what the selected tests "
+             "produce and print the diff (see tests/pins.py)",
+    )
+
+
+def pytest_configure(config):
+    pins.PINS.recapture = config.getoption("--recapture")
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.getoption("--recapture"):
+        terminalreporter.write(pins.PINS.write())
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
 from repro.mapreduce import task as task_module
 from repro.mapreduce.task import run_map_task, run_reduce_task
 from repro.pipeline.parallel import GesallPipeline
+from tests import pins
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -295,7 +296,9 @@ class TestEngineAcrossExecutors:
 class TestRetriesAndFaults:
     #: The attempt the parent's seeded rate draw (rate 0.2, seed 7)
     #: failed on this job, stated as the plan event it amounts to.
-    FAULTS = FaultPlan(events=(RaiseInTask("wordcount-m-00003"),))
+    FAULTS = FaultPlan(events=tuple(
+        RaiseInTask(task) for task in pins.get("wordcount_failed_attempts")
+    ))
 
     def run_with(self, policy):
         return MapReduceEngine(nodes=["n1"], policy=policy).run(
@@ -786,10 +789,9 @@ class TestCrossExecutorDeterminism:
         """Injected failures, absorbed by retries, change nothing.
         (The three attempts the parent's seeded rate draw — rate 0.2,
         seed 11 — failed on this pipeline.)"""
-        plan = FaultPlan(events=(
-            RaiseInTask("round2-cleaning-m-00001"),
-            RaiseInTask("round-bloom-m-00000"),
-            RaiseInTask("round3-markdup-opt-m-00002"),
+        plan = FaultPlan(events=tuple(
+            RaiseInTask(task)
+            for task in pins.get("pipeline_failed_attempts")
         ))
         faulty = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=4,

@@ -44,6 +44,7 @@ from repro.wrappers.programs import (
     run_wrapped_chain,
 )
 
+from tests import pins
 from tests import reference_kernels as oracle
 
 BANDS = (0, 1, 12)
@@ -772,14 +773,9 @@ class TestQuickstartAccountingPins:
     # rearrangement clip more) and two insertions that were called as
     # three and two adjacent ones are one call each (round 5: 29 -> 26
     # lines).  No count moved.
-    TRANSFORM = {  # round -> (bytes_to_program, bytes_from_program, calls)
-        "round2": (2589789, 2675268, 20),
-        "round3": (928798, 929054, 4),
-    }
-    MAP_OUTPUT_BYTES = {
-        "round1": 24, "round2": 873235, "round_bloom": 220,
-        "round3": 944506, "round4": 910217, "round5": 1633,
-    }
+    # ``quickstart_transform``: round -> (bytes_to_program,
+    # bytes_from_program, calls); ``quickstart_map_output_bytes``: round
+    # -> MAP_OUTPUT_BYTES.  Both in ``tests/pins.json``.
 
     def test_totals_are_unchanged_to_the_byte(self):
         reference = simulate_reference(ReferenceSimulationConfig(
@@ -792,11 +788,11 @@ class TestQuickstartAccountingPins:
             reference=reference, num_fastq_partitions=8, num_reducers=4,
         ), pairs)
         rounds = result.rounds
-        assert {
+        pins.check("quickstart_transform", {
             key: (acc.bytes_to_program, acc.bytes_from_program, acc.invocations)
             for key, acc in rounds.transform.items()
-        } == self.TRANSFORM
-        assert {
+        })
+        pins.check("quickstart_map_output_bytes", {
             key: job.counters.get(C.MAP_OUTPUT_BYTES)
             for key, job in rounds.results.items()
-        } == self.MAP_OUTPUT_BYTES
+        })

@@ -26,6 +26,7 @@ from repro.pipeline.hybrid import HybridPipeline
 from repro.pipeline.parallel import GesallPipeline
 from repro.pipeline.serial import SerialPipeline
 from repro.wrappers.rounds import GesallRounds
+from tests import pins
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +55,14 @@ def lines_sha1(items):
 
 
 # Golden bytes of the shared dataset (conftest seeds 101/102/103, aligner
-# seed 7), captured on the commit before the kernel fast path (PR 13).
-# A kernel change that is meant to keep the output must keep these; one
-# that is meant to move it (ROADMAP 3a) re-pins them deliberately.
-# PR 23 re-pinned the SAM (was 074051de...): Smith-Waterman bands around
-# the seed's diagonal and traces gaps by value, which moved the CIGAR of
-# a handful of gapped reads.  The VCF did not move.
-ROUND1_SAM_SHA1 = "a8528b1f546742e4ab127cb19bffbb3f1f92d583"
-ROUND5_VCF_SHA1 = "7d23204536f1463317e0f87bc9a6d3ebda51f104"
+# seed 7) live in ``tests/pins.json`` as ``round1_sam_sha1`` and
+# ``round5_vcf_sha1``, first captured on the commit before the kernel
+# fast path (PR 13).  A kernel change that is meant to keep the output
+# must keep them; one that is meant to move it re-pins them deliberately
+# (``--recapture``, see ``tests/pins.py``).  PR 23 re-pinned the SAM (was
+# 074051de...): Smith-Waterman bands around the seed's diagonal and
+# traces gaps by value, which moved the CIGAR of a handful of gapped
+# reads.  The VCF did not move.
 
 
 class TestRound1:
@@ -88,7 +89,7 @@ class TestRound1:
 
     def test_golden_sam_bytes(self, rounds_env):
         rounds, hdfs, paths = rounds_env
-        assert lines_sha1(read_all(hdfs, paths)) == ROUND1_SAM_SHA1
+        pins.check("round1_sam_sha1", lines_sha1(read_all(hdfs, paths)))
 
 
 class TestRound2:
@@ -226,7 +227,7 @@ class TestRounds45:
 
     def test_golden_vcf_bytes(self, round5):
         rounds, hdfs, r4, variants = round5
-        assert lines_sha1(variants) == ROUND5_VCF_SHA1
+        pins.check("round5_vcf_sha1", lines_sha1(variants))
 
 
 class TestRecalRounds:
@@ -267,29 +268,17 @@ class TestRecalRounds:
 # ---------------------------------------------------------------------------
 # Rounds 2-4 write their BAM in the reduce task: bytes pinned on the parent
 # ---------------------------------------------------------------------------
-#: Refactoring guard.  SHA-1 of the raw HDFS bytes (``hdfs.get(path)``,
-#: not decoded lines) of every file rounds 2, 3 (opt) and 4 leave behind
-#: on the shared dataset — 6 round-1 partitions, 3 reducers, 8 KiB chunks
-#: — captured on commit 1549ecf, where the *driver* sorted, rendered,
-#: framed, indexed and uploaded them.  The key order is the directory
-#: listing.  Re-captured twice since, both by PR 23: its Smith-Waterman
-#: fix moved the round-1 CIGARs these files carry (``/round4/chr1.bam*``
-#: held none of them and kept its bytes; ``ROUND_TRANSFORM``'s byte
-#: totals moved with them, no count did), then its frames went from
-#: deflate level 6 to 1 (every file's bytes and ``.bai`` offsets, no
-#: record).
-ROUND_FILE_SHA1 = {
-    "/round2/part-00000.bam": "e50921b681e959eea45bfd61b8eb926252a504e3",
-    "/round2/part-00001.bam": "73158a16caa3e62137d081742d6b7f3af45ff8ef",
-    "/round2/part-00002.bam": "429a6bfd393697be59c1b53d92950d5db7dc382a",
-    "/round3/part-00000.bam": "27caa48d376d28750d008e269634e18d586a5ed0",
-    "/round3/part-00001.bam": "5b017681d47cd32fa7b15004fbcca052c0b4b04a",
-    "/round3/part-00002.bam": "49231f65edf861e0e25386f8a7a1635e71d8e086",
-    "/round4/chr1.bam": "f866fc74eddc6b768694d0dff052c57339bf4858",
-    "/round4/chr1.bam.bai": "05974e4cddc76ecb86b583dd6f0866cd2f3e037b",
-    "/round4/chr2.bam": "2df11a52a71e7532cf1f73ba4ed9b14f5c851dd5",
-    "/round4/chr2.bam.bai": "68938415a8d199ced2d77cdf5b8bff7bc95be3a6",
-}
+#: Refactoring guard.  ``round_file_sha1`` in ``tests/pins.json``: SHA-1
+#: of the raw HDFS bytes (``hdfs.get(path)``, not decoded lines) of every
+#: file rounds 2, 3 (opt) and 4 leave behind on the shared dataset — 6
+#: round-1 partitions, 3 reducers, 8 KiB chunks — captured on commit
+#: 1549ecf, where the *driver* sorted, rendered, framed, indexed and
+#: uploaded them.  The key order is the directory listing.  Re-captured
+#: twice since, both by PR 23: its Smith-Waterman fix moved the round-1
+#: CIGARs these files carry (``/round4/chr1.bam*`` held none of them and
+#: kept its bytes; ``round_transform``'s byte totals moved with them, no
+#: count did), then its frames went from deflate level 6 to 1 (every
+#: file's bytes and ``.bai`` offsets, no record).
 #: Same capture: what each round method returned.
 ROUND_PATHS = {
     "round2": [f"/round2/part-{i:05d}.bam" for i in range(3)],
@@ -302,16 +291,13 @@ ROUND_COUNTERS = {
     "round3": (2020, 1023, 6),
     "round4": (1968, 1968, 5),
 }
-#: Same capture: merged DataTransformAccounting (bytes to the wrapped
-#: programs, bytes back, invocations).  Round 2's invocations were 1022
-#: (6 maps x 2 programs + one FixMateInformation call per read name)
-#: until FixMateInformation ran once per reduce partition: 6 x 2 + 3
-#: reducers.  The byte totals did not move then; PR 23's shorter CIGARs
-#: took 27 / 36 / 18 / 18 bytes off them.
-ROUND_TRANSFORM = {
-    "round2": (1571970, 1623866, 15),
-    "round3": (563766, 563896, 3),
-}
+#: Same capture, ``round_transform`` in ``tests/pins.json``: merged
+#: DataTransformAccounting (bytes to the wrapped programs, bytes back,
+#: invocations).  Round 2's invocations were 1022 (6 maps x 2 programs +
+#: one FixMateInformation call per read name) until FixMateInformation
+#: ran once per reduce partition: 6 x 2 + 3 reducers.  The byte totals
+#: did not move then; PR 23's shorter CIGARs took 27 / 36 / 18 / 18 bytes
+#: off them.
 
 ROUND_FILE_POLICIES = [
     pytest.param(ExecutionPolicy.serial(), id="serial"),
@@ -364,10 +350,9 @@ class TestRoundFilesWrittenInTheReduceTask:
         listing = [
             path for key in ROUND_PATHS for path in hdfs.list_dir(f"/{key}")
         ]
-        assert listing == list(ROUND_FILE_SHA1)
-        assert {
+        pins.check("round_file_sha1", {
             path: hashlib.sha1(hdfs.get(path)).hexdigest() for path in listing
-        } == ROUND_FILE_SHA1
+        })
         assert all(hdfs.get_file(path).logical_partition for path in listing)
         for key, expected in ROUND_COUNTERS.items():
             counters = rounds.results[key].counters
@@ -376,10 +361,10 @@ class TestRoundFilesWrittenInTheReduceTask:
                 counters.get(C.SHUFFLED_RECORDS),
                 counters.get(C.TASK_COMMITS),
             ) == expected, key
-        assert {
+        pins.check("round_transform", {
             key: (t.bytes_to_program, t.bytes_from_program, t.invocations)
             for key, t in rounds.transform.items()
-        } == ROUND_TRANSFORM
+        })
         # No SamRecord crosses back after the reduce wave: a reduce
         # task's output is the path it wrote and how many records.
         for key in ROUND_PATHS:
