@@ -80,9 +80,6 @@ class JobResult:
             return combined
         return [kv for task in self.map_outputs for kv in task]
 
-    def all_values(self) -> List[Any]:
-        return [value for _, value in self.all_outputs()]
-
     def __iter__(self):
         """Iterate over the job's output key/value pairs."""
         return iter(self.all_outputs())

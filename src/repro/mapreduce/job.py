@@ -218,11 +218,6 @@ class JobSpec:
         resolves to the built-in estimator.
     sort_key:
         Optional key-transform used when ordering reduce input.
-    record_counter:
-        Optional ``f(split_payload) -> int`` reporting how many input
-        records a split holds, so ``MAP_INPUT_RECORDS`` counts records
-        rather than splits.  Mappers reading opaque paths can instead
-        call ``context.set_input_records``.
     shuffle:
         :class:`~repro.shuffle.config.ShuffleConfig` for the job's
         shuffle byte plane (codec, fetch retries, skew thresholds);
@@ -250,7 +245,6 @@ class JobSpec:
     io_sort_records: int = 100_000
     value_size: Optional[Callable[[Any], int]] = None
     sort_key: Optional[Callable[[Any], Any]] = None
-    record_counter: Optional[Callable[[Any], int]] = None
     shuffle: Optional[ShuffleConfig] = None
     policy: Optional[ExecutionPolicy] = None
     nodes: Optional[Tuple[str, ...]] = None
@@ -295,10 +289,6 @@ class JobSpec:
             raise MapReduceError(f"job {self.name}: combiner is not callable")
         if not callable(self.partitioner):
             raise MapReduceError(f"job {self.name}: partitioner is not callable")
-        if self.record_counter is not None and not callable(self.record_counter):
-            raise MapReduceError(
-                f"job {self.name}: record_counter is not callable"
-            )
         if not isinstance(self.shuffle, ShuffleConfig):
             raise MapReduceError(
                 f"job {self.name}: shuffle must be a ShuffleConfig, "

@@ -364,8 +364,6 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.input_records = int(task.input_records)
         elif block_records is not None:
             outcome.input_records = len(block_records)
-        elif job.record_counter is not None:
-            outcome.input_records = int(job.record_counter(payload))
         else:
             outcome.input_records = 1
         if task.output_bytes is not None:

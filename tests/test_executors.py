@@ -466,8 +466,7 @@ class TestRecordCounting:
         """Regression: MAP_INPUT_RECORDS used to count one per split."""
         job = JobSpec(
             "counted",
-            lambda payload, ctx: None,
-            record_counter=len,
+            lambda payload, ctx: ctx.set_input_records(len(payload)),
         )
         result = MapReduceEngine(nodes=["n1"]).run(
             job, make_splits([["r1", "r2", "r3"], ["r4"]])
