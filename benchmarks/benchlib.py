@@ -75,15 +75,3 @@ def report_json(
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    """Load and validate one ``BENCH_*.json`` result.
-
-    Delegates to :func:`repro.obs.compare.load_bench` (benches run with
-    ``PYTHONPATH=src``), so the schema check lives in exactly one place
-    and ``repro-genomics compare`` accepts anything this writes.
-    """
-    from repro.obs.compare import load_bench as _load
-
-    return _load(path)

@@ -4,9 +4,9 @@ Subcommands::
 
     repro-genomics simulate   --out DIR [--length N] [--coverage X]
     repro-genomics run        --data DIR --mode serial|parallel [--vcf F]
-    repro-genomics trace      --data DIR [--trace-out F] [--jsonl F]
+    repro-genomics trace      --data DIR [--trace-out F] [--jsonl F] [--json F]
     repro-genomics report     --data DIR [--out F] [--sample-interval S]
-    repro-genomics compare    BASELINE.json CANDIDATE.json
+    repro-genomics compare    BASELINE CANDIDATE   (FILE or ROWS.jsonl@COMMIT)
     repro-genomics diagnose   --data DIR
     repro-genomics chaos      --data DIR [--<event> SPEC ...] (chaos --help)
     repro-genomics perf-study [--cluster A|B]
@@ -15,32 +15,18 @@ Subcommands::
     repro-genomics jobs       --socket PATH [--json]
     repro-genomics cancel     --socket PATH JOB_ID
 
-``simulate`` writes a reference FASTA, two FASTQ files and the truth
-VCF into a directory; ``run`` executes a pipeline over them; ``trace``
-runs the parallel pipeline under an enabled trace recorder and prints
-the per-round / per-phase breakdown (writing a Chrome-loadable
-``trace.json``); ``report`` runs it with the worker resource sampler
-on and renders a self-contained HTML performance report (timeline SVG,
-utilization strips, stragglers, resource sparklines); ``compare``
-diffs two ``BENCH_*.json`` results with noise-aware thresholds and
-exits non-zero on a regression; ``diagnose`` runs both pipelines and
-prints the Table 8 report; ``chaos`` runs the pipeline under a
-deterministic fault plan and gates on the chaos run's output being
-equivalent to a clean run (the Table 8 methodology as a
-fault-tolerance regression gate); ``perf-study`` prints the
-simulator's Table 6/7 numbers without touching any data.
-
-The last four subcommands are the multi-tenant job service
-(:mod:`repro.server`): ``serve`` runs the daemon over a durable state
-directory, and ``submit``/``jobs``/``cancel`` speak its NDJSON
-unix-socket protocol — an over-quota submission exits 3 with the typed
-admission reason on stderr.
+Each subcommand's ``--help`` says what it does; README "Quickstart",
+"Observability" and "Job service" show them in use.  Exit codes: 0 ok,
+1 a gate failed (``chaos``, ``crashfuzz``, a ``compare`` regression),
+2 a typed error, 3 an over-quota ``submit`` or an unresolved
+``compare`` cell.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 from typing import List, Optional
@@ -55,6 +41,12 @@ from repro.chaos.plan import (
     parse_event,
 )
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
+from repro.errors import (
+    AdmissionError,
+    DriverKilledError,
+    ReproError,
+    ServerError,
+)
 from repro.formats.fastq import read_sample, write_fastq
 from repro.formats.vcf import read_vcf, write_vcf
 from repro.genome.reference import write_fasta
@@ -65,8 +57,30 @@ from repro.genome.simulate import (
     simulate_reads,
     simulate_reference,
 )
+from repro.io.policy import IoPolicy
 from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
 from repro.metrics.accuracy import precision_sensitivity
+from repro.obs.analysis import tenant_summary
+from repro.obs.compare import (
+    compare_runs,
+    comparison_table,
+    load_contract,
+    load_run,
+)
+from repro.obs.export import render_timeline, write_chrome_trace, write_jsonl
+from repro.obs.recorder import ObsConfig
+from repro.obs.report import (
+    build_report,
+    chaos_tables,
+    diagnosis_table,
+    jobs_tables,
+    render_html,
+    render_text,
+    report_dict,
+    table_of,
+    tasks_table,
+    tenants_table,
+)
 from repro.shuffle.codec import CODEC_NAMES
 from repro.shuffle.config import ShuffleConfig
 
@@ -87,9 +101,7 @@ def _execution_parent() -> argparse.ArgumentParser:
     Every pipeline-running subcommand (run / trace / diagnose / chaos)
     inherits this parent parser, so the flag set cannot drift between
     subcommands; :func:`_spec_from_args` is the only reader, so every
-    flag is guaranteed to land in the :class:`PipelineSpec` (the old
-    per-subcommand plumbing let ``diagnose`` parse ``--shuffle-codec``
-    without ever applying it).
+    flag is guaranteed to land in the :class:`PipelineSpec`.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
@@ -121,15 +133,6 @@ def _execution_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _io_policy_from_args(args):
-    """The IoPolicy the execution flags describe, or None for defaults."""
-    from repro.io.policy import IoPolicy
-
-    if not getattr(args, "spill_dirs", None):
-        return None
-    return IoPolicy(spill_dirs=tuple(args.spill_dirs))
-
-
 def _spec_from_args(args, reference, **overrides) -> PipelineSpec:
     """Materialise the frozen pipeline spec the execution flags describe."""
     fields = dict(
@@ -141,7 +144,8 @@ def _spec_from_args(args, reference, **overrides) -> PipelineSpec:
             max_workers=args.max_workers,
             min_workers=args.min_workers,
             task_retries=args.task_retries,
-            io=_io_policy_from_args(args),
+            io=(IoPolicy(spill_dirs=tuple(args.spill_dirs))
+                if args.spill_dirs else None),
         ),
         shuffle=ShuffleConfig(codec=args.shuffle_codec),
     )
@@ -180,6 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Chrome trace path (default DATA/trace.json)")
     trace.add_argument("--jsonl", default=None,
                        help="also write a JSONL span dump to this path")
+    trace.add_argument("--json", dest="json_out", default=None,
+                       help="also write the report's tables as JSON here")
     trace.add_argument("--width", type=int, default=60,
                        help="terminal timeline width in samples")
     trace.add_argument("--sample-interval", type=float, default=0.0,
@@ -201,21 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser(
         "compare",
-        help="diff two BENCH_*.json results; exit 1 on regression",
+        help="judge two contract-benchmark runs by the benchmark's rule; "
+             "exit 1 on a regression, 3 on an unresolved cell",
     )
-    compare.add_argument("baseline", help="baseline BENCH_*.json")
-    compare.add_argument("candidate", help="candidate BENCH_*.json")
-    compare.add_argument("--threshold", type=float, default=None,
-                         help="relative regression threshold "
-                              "(default 0.15 = 15%%)")
-    compare.add_argument("--noise-floor", type=float, default=None,
-                         help="absolute seconds a timing metric must "
-                              "move to count (default 0.05)")
-    compare.add_argument("--strict-host", action="store_true",
-                         help="treat host-mismatched regressions as "
-                              "failures instead of advisories")
-    compare.add_argument("--show-ok", action="store_true",
-                         help="also list unchanged metrics")
+    compare.add_argument("baseline", help="a run.py --out record, or "
+                         "TRAJECTORY.jsonl@COMMIT")
+    compare.add_argument("candidate", help="likewise")
     compare.add_argument("--json", dest="json_out", default=None,
                          help="also write the comparison as JSON here")
 
@@ -402,262 +399,71 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _fmt_bytes(count) -> str:
-    count = float(count or 0)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if count < 1024 or unit == "GiB":
-            return f"{count:.0f} {unit}" if unit == "B" else f"{count:.1f} {unit}"
-        count /= 1024
-    return f"{count:.1f} GiB"
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs.export import (
-        render_timeline,
-        write_chrome_trace,
-        write_jsonl,
-    )
-    from repro.obs.recorder import ObsConfig
-
+def _traced_run(args):
+    """The one traced run ``trace`` and ``report`` render: the recorder
+    and the report model built from it."""
     reference, pairs = read_sample(args.data)
     spec = _spec_from_args(
         args, reference,
-        obs=ObsConfig(enabled=True,
-                      sample_interval=args.sample_interval),
+        obs=ObsConfig(enabled=True, sample_interval=args.sample_interval),
     )
     result = run_pipeline(spec, pairs)
-    recorder = result.recorder
-    spans = recorder.spans()
+    return result.recorder, build_report(
+        result.recorder, result.rounds.results,
+        {"executor": args.executor, "partitions": args.partitions,
+         "read pairs": len(pairs), "shuffle codec": args.shuffle_codec,
+         "sample interval s": args.sample_interval},
+    )
 
-    print(f"traced parallel pipeline: {len(pairs)} read pairs, "
-          f"executor={args.executor}, wall {recorder.horizon():.3f}s")
 
-    round_spans = [s for s in spans if s.category == "round"]
-    print()
-    print(f"{'round':<22s}{'wall':>10s}{'recs in':>10s}"
-          f"{'recs out':>10s}{'shuffled':>12s}")
-    for span in round_spans:
-        attrs = span.attrs
-        print(f"{span.name:<22s}{span.duration:>9.3f}s"
-              f"{attrs.get('records_in', 0):>10d}"
-              f"{attrs.get('records_out', 0):>10d}"
-              f"{_fmt_bytes(attrs.get('shuffled_bytes', 0)):>12s}")
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
 
-    phase_totals = recorder.phase_totals()
-    if phase_totals:
-        print()
-        print("task phase totals:")
-        for name, total in sorted(phase_totals.items(),
-                                  key=lambda item: -item[1]):
-            print(f"  {name:<10s}{total:>9.3f}s")
 
-    rounds = result.rounds
-    print()
-    print("per-round tasks:")
-    for key, job_result in rounds.results.items():
-        s = job_result.history.summary()
-        print(f"  {key:<18s}{s['maps']:>3d} maps {s['reduces']:>3d} reduces"
-              f"  retried {s['retried_tasks']}"
-              f"  queue {s['queued_seconds']:.3f}s"
-              f"  run {s['run_seconds']:.3f}s")
-
-    from repro.obs.analysis import analyze
-
-    histories = [(key, job_result.history)
-                 for key, job_result in rounds.results.items()]
-    analysis = analyze(recorder, histories)
-    cost = analysis["worker_cost"]
-    if cost["worker_count"]:
-        print()
-        print(f"worker cost: {cost['worker_count']} workers, "
-              f"busy {cost['busy_worker_seconds']:.3f}s / "
-              f"paid {cost['paid_worker_seconds']:.3f}s worker-seconds "
-              f"(utilization {cost['utilization']:.0%}, "
-              f"parallelism {cost['parallelism']:.2f}x)")
-    model = analysis["cost_model"]
-    if model["billed_worker_seconds"] > 0:
-        print()
-        print("cost model (worker-seconds vs wall clock):")
-        print(f"  wall clock        {model['wall_seconds']:>10.3f}s")
-        print(f"  busy              {model['busy_worker_seconds']:>10.3f}s")
-        print(f"  billed            {model['billed_worker_seconds']:>10.3f}s"
-              f"  (utilization {model['billed_utilization']:.0%})")
-        print(f"  static envelope   {model['static_envelope_seconds']:>10.3f}s"
-              f"  ({model['peak_workers']} workers x wall)")
-        scaling = (f"scale-ups {model['scale_ups']:.0f}, "
-                   f"scale-downs {model['scale_downs']:.0f}, "
-                   f"retired {model['workers_retired']:.0f}, "
-                   f"respawned {model['workers_respawned']:.0f}")
-        print(f"  scaling           {scaling}")
-        if model["cold_starts"] or model["preemptions"]:
-            print(f"  chaos             preemptions "
-                  f"{model['preemptions']:.0f}, cold starts "
-                  f"{model['cold_starts']:.0f} "
-                  f"({model['cold_start_seconds']:.3f}s charged)")
-        if model["backoff_charged_seconds"]:
-            print(f"  backoff charged   "
-                  f"{model['backoff_charged_seconds']:>10.3f}s")
-    stragglers = analysis["stragglers"]
-    print()
-    if stragglers:
-        print(f"stragglers (MAD score >= 3.5): {len(stragglers)}")
-        for entry in stragglers[:8]:
-            print(f"  {entry['round']:<18s}{entry['task_id']:<24s}"
-                  f"{entry['run_seconds']:>8.3f}s  score "
-                  f"{entry['score']:>5.1f}  (wave median "
-                  f"{entry['wave_median']:.3f}s)")
-    else:
-        print("stragglers: none detected (MAD score < 3.5 in every wave)")
-
-    sampled = recorder.metrics.all_timeseries()
-    if sampled:
-        points = sum(len(series) for series in sampled)
-        print(f"resource sampling: {len(sampled)} series, "
-              f"{points} points "
-              f"(interval {args.sample_interval:.3f}s)")
-
+def _cmd_trace(args) -> int:
+    recorder, tables = _traced_run(args)
+    print(render_text(tables))
     print()
     print(render_timeline(recorder, width=args.width))
-
-    counters = recorder.metrics.as_dict()["counters"]
-    hdfs_line = ", ".join(
-        f"{op} {counters.get(f'hdfs.{op}.calls', 0)} calls"
-        + (f" / {_fmt_bytes(counters[f'hdfs.{op}.bytes'])}"
-           if f"hdfs.{op}.bytes" in counters else "")
-        for op in ("put", "get", "read_from", "delete")
-        if counters.get(f"hdfs.{op}.calls")
-    )
-    if hdfs_line:
-        print()
-        print(f"hdfs: {hdfs_line}")
-
-    shuffled = counters.get("shuffle.bytes_shuffled", 0)
-    raw = counters.get("shuffle.raw_bytes", 0)
-    if counters.get("shuffle.segments"):
-        ratio = (raw / shuffled) if shuffled else 1.0
-        print()
-        print(f"shuffle ({args.shuffle_codec}): "
-              f"{counters['shuffle.segments']} segments, "
-              f"{_fmt_bytes(shuffled)} shuffled / {_fmt_bytes(raw)} raw "
-              f"({ratio:.2f}x), "
-              f"crc failures {counters.get('shuffle.crc_failures', 0)}, "
-              f"fetch retries {counters.get('shuffle.fetch_retries', 0)}")
-        for key, job_result in rounds.results.items():
-            skew = job_result.skew
-            if skew is not None and skew.partition_records:
-                hot = "  ** skewed" if skew.is_skewed else ""
-                print(f"  {key:<18s}imbalance {skew.imbalance:.2f} over "
-                      f"{len(skew.partition_records)} partition(s){hot}")
-
-    promoted = counters.get("commit.promoted", 0)
-    if promoted:
-        print()
-        print(f"commit protocol: {promoted} commits promoted, "
-              f"{counters.get('commit.fenced', 0)} fenced, "
-              f"leases expired {counters.get('lease.expired', 0)}, "
-              f"backups {counters.get('lease.backups_launched', 0)}, "
-              f"wal replays {counters.get('wal.tasks_skipped', 0)}")
-
-    if counters.get("io.writes") or counters.get("io.appends"):
-        print()
-        print(f"io: {counters.get('io.writes', 0):.0f} atomic writes "
-              f"({_fmt_bytes(counters.get('io.bytes_written', 0))}), "
-              f"{counters.get('io.appends', 0):.0f} durable appends, "
-              f"{counters.get('io.fsyncs', 0):.0f} fsyncs / "
-              f"{counters.get('io.dir_fsyncs', 0):.0f} dir fsyncs, "
-              f"retries {counters.get('io.retries', 0):.0f}, "
-              f"fallback spills "
-              f"{counters.get('io.fallback_spills', 0):.0f}, "
-              f"replicas shed {counters.get('io.replicas_shed', 0):.0f}")
-
     trace_path = args.trace_out or os.path.join(args.data, "trace.json")
     write_chrome_trace(recorder, trace_path)
     print()
-    print(f"wrote {trace_path} ({len(spans)} spans); load it in "
+    print(f"wrote {trace_path} ({len(recorder.spans())} spans); load it in "
           "chrome://tracing or https://ui.perfetto.dev")
     if args.jsonl:
         write_jsonl(recorder, args.jsonl)
         print(f"wrote {args.jsonl}")
+    if args.json_out:
+        _write_json(args.json_out, report_dict(tables))
     return 0
 
 
 def _cmd_report(args) -> int:
-    from repro.obs.recorder import ObsConfig
-    from repro.obs.report import write_html_report
-
-    reference, pairs = read_sample(args.data)
-    spec = _spec_from_args(
-        args, reference,
-        obs=ObsConfig(enabled=True,
-                      sample_interval=args.sample_interval),
-    )
-    result = run_pipeline(spec, pairs)
-    recorder = result.recorder
-    histories = [(key, job_result.history)
-                 for key, job_result in result.rounds.results.items()]
+    recorder, tables = _traced_run(args)
     out = args.out or os.path.join(args.data, "report.html")
     title = args.title or (
         f"repro performance report — {os.path.basename(args.data.rstrip('/'))}"
     )
-    write_html_report(
-        recorder, out,
-        histories=histories,
-        title=title,
-        extra_meta={
-            "executor": args.executor,
-            "partitions": args.partitions,
-            "read pairs": len(pairs),
-            "sample interval": f"{args.sample_interval:.3f}s",
-            "shuffle codec": args.shuffle_codec,
-        },
-    )
-    series = recorder.metrics.all_timeseries()
+    with open(out, "w") as handle:
+        handle.write(render_html(tables, title, recorder) + "\n")
     print(f"report: executor={args.executor}, "
           f"wall {recorder.horizon():.3f}s, {len(recorder.spans())} spans, "
-          f"{len(series)} resource series")
+          f"{len(recorder.metrics.all_timeseries())} resource series")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    import json as _json
-
-    from repro.obs.compare import (
-        DEFAULT_NOISE_FLOOR,
-        DEFAULT_THRESHOLD,
-        compare_benches,
-        format_comparison,
-        load_baseline,
-        load_bench,
-    )
-
-    try:
-        base, warning = load_baseline(args.baseline)
-        if warning is not None:
-            # A committed baseline that predates schema v2 is expected
-            # drift, not a broken gate: warn and pass.
-            print(f"warning: {warning}")
-            return 0
-        cand = load_bench(args.candidate)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_benches(
-        base, cand,
-        threshold=(args.threshold if args.threshold is not None
-                   else DEFAULT_THRESHOLD),
-        noise_floor=(args.noise_floor if args.noise_floor is not None
-                     else DEFAULT_NOISE_FLOOR),
-        strict_host=args.strict_host,
-    )
-    print(format_comparison(comparison, show_ok=args.show_ok))
+    contract = load_contract()
+    result = compare_runs(load_run(args.baseline, contract),
+                          load_run(args.candidate, contract), contract)
+    print(render_text([comparison_table(result)]))
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            _json.dump(comparison.as_dict(), handle, indent=2,
-                       sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json_out}")
-    return 1 if comparison.failed else 0
+        _write_json(args.json_out, result)
+    return result["exit"]
 
 
 def _cmd_diagnose(args) -> int:
@@ -666,11 +472,7 @@ def _cmd_diagnose(args) -> int:
     serial = run_serial_pipeline(spec, pairs)
     parallel = run_pipeline(spec, pairs)
     report = ErrorDiagnosisToolkit(reference).diagnose(serial, parallel)
-    print(f"{'stage':<18s}{'D_count':>10s}{'weighted':>10s}{'D_impact':>10s}")
-    for row in report.rows:
-        impact = row.d_impact if row.d_impact is not None else "-"
-        print(f"{row.stage:<18s}{row.d_count:>10.0f}"
-              f"{row.weighted_d_count:>10.2f}{impact:>10}")
+    print(render_text([diagnosis_table(report)]))
     return 0
 
 
@@ -685,12 +487,6 @@ def _cmd_chaos(args) -> int:
     absorbed by replication, retries and timeouts without changing a
     single call.
     """
-    import json
-
-    from repro.errors import DriverKilledError
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.recorder import ObsConfig
-
     reference, pairs = read_sample(args.data)
     nodes = [f"node{i:02d}" for i in range(4)]
 
@@ -708,12 +504,13 @@ def _cmd_chaos(args) -> int:
 
     base_spec = _spec_from_args(args, reference, nodes=tuple(nodes))
 
-    def build(policy, obs=None, checkpoint_dir=None):
+    def build(policy, traced=True, checkpoint_dir=None):
         return dataclasses.replace(
-            base_spec, policy=policy, obs=obs, checkpoint_dir=checkpoint_dir
+            base_spec, policy=policy, checkpoint_dir=checkpoint_dir,
+            obs=ObsConfig(enabled=True) if traced else None,
         )
 
-    clean = run_pipeline(build(ExecutionPolicy.serial()), pairs)
+    clean = run_pipeline(build(ExecutionPolicy.serial(), traced=False), pairs)
 
     chaos_policy = dataclasses.replace(
         base_spec.policy,
@@ -724,9 +521,8 @@ def _cmd_chaos(args) -> int:
         # reason to really sleep through them.
         sleep=lambda _seconds: None,
     )
-    kill_events = [e for e in plan.events if isinstance(e, KillDriver)]
-    resume_info = None
-    if kill_events:
+    checkpoint_dir = resume_info = None
+    if any(isinstance(e, KillDriver) for e in plan.events):
         # Crash-recovery drill: run with checkpoints + WAL until the
         # plan kills the driver, then resume (KillDriver stripped — the
         # new driver is not the plan's target) and replay journaled
@@ -734,134 +530,81 @@ def _cmd_chaos(args) -> int:
         checkpoint_dir = args.checkpoint_dir or os.path.join(
             args.data, "chaos-checkpoint"
         )
-        driver_kills = 0
+        resume_info = {"driver_kills": 0}
         try:
             run_pipeline(
-                build(
-                    chaos_policy, obs=ObsConfig(enabled=True),
-                    checkpoint_dir=checkpoint_dir,
-                ),
-                pairs,
+                build(chaos_policy, checkpoint_dir=checkpoint_dir), pairs
             )
         except DriverKilledError as exc:
-            driver_kills = 1
+            resume_info["driver_kills"] = 1
             print(f"driver killed: {exc}")
             print()
         surviving = tuple(
             e for e in plan.events if not isinstance(e, KillDriver)
         )
-        resume_policy = dataclasses.replace(
+        chaos_policy = dataclasses.replace(
             chaos_policy,
             fault_plan=(
                 FaultPlan(seed=plan.seed, events=surviving)
                 if surviving else None
             ),
         )
-        chaos_run = run_pipeline(
-            build(
-                resume_policy, obs=ObsConfig(enabled=True),
-                checkpoint_dir=checkpoint_dir,
-            ),
-            pairs, resume=True,
-        )
-        resume_info = {
-            "driver_kills": driver_kills,
-            "resumed_rounds": list(chaos_run.resumed_rounds),
-            "recovered_tasks": dict(chaos_run.recovered_tasks),
-        }
-    else:
-        chaos_run = run_pipeline(
-            build(chaos_policy, obs=ObsConfig(enabled=True)), pairs
+    chaos_run = run_pipeline(
+        build(chaos_policy, checkpoint_dir=checkpoint_dir), pairs,
+        resume=resume_info is not None,
+    )
+    if resume_info is not None:
+        resume_info.update(
+            resumed_rounds=list(chaos_run.resumed_rounds),
+            recovered_tasks=dict(chaos_run.recovered_tasks),
         )
 
     serial = run_serial_pipeline(base_spec, pairs)
     report = ErrorDiagnosisToolkit(reference).diagnose(serial, chaos_run)
-    print("Table 8 (serial program vs chaos run):")
-    print(f"{'stage':<18s}{'D_count':>10s}{'weighted':>10s}{'D_impact':>10s}")
-    for row in report.rows:
-        impact = row.d_impact if row.d_impact is not None else "-"
-        print(f"{row.stage:<18s}{row.d_count:>10.0f}"
-              f"{row.weighted_d_count:>10.2f}{impact:>10}")
-
     gate = ErrorDiagnosisToolkit.equivalence_gate(clean, chaos_run)
     clean_lines = [v.to_line() for v in clean.variants]
     chaos_lines = [v.to_line() for v in chaos_run.variants]
     ok = gate.weighted_d_count == 0 and clean_lines == chaos_lines
 
-    segment_events = [
+    results = chaos_run.rounds.results
+    events = list(chaos_run.chaos_events) + [
         {"round": key, **event}
-        for key, job_result in chaos_run.rounds.results.items()
+        for key, job_result in results.items()
         for event in job_result.history.events_of("segment_corrupted")
     ]
-    print()
-    print("chaos events applied:")
-    for event in list(chaos_run.chaos_events) + segment_events:
-        details = ", ".join(
-            f"{k}={v}" for k, v in event.items() if k != "kind"
-        )
-        print(f"  {event['kind']}: {details}")
-    print()
-    print("per-round fault absorption:")
-    for key, job_result in chaos_run.rounds.results.items():
-        summary = job_result.history.summary()
-        print(f"  {key:<18s}retried {summary['retried_tasks']}"
-              f"  timeouts {summary['timeouts']}"
-              f"  injected {summary['injected_faults']}"
-              f"  backups {summary['backups']}"
-              f"  fenced {summary['fenced_commits']}")
-
     counters = chaos_run.recorder.metrics.as_dict()["counters"]
-    fault_counters = {
-        name: value for name, value in sorted(counters.items())
-        if name.startswith((
-            "chaos.", "engine.", "hdfs.read.failovers",
-            "hdfs.read.corrupt_replicas", "hdfs.rereplicated.",
-            "hdfs.blocks.lost", "hdfs.datanodes.", "checkpoint.",
-            "shuffle.crc_failures", "shuffle.fetch_retries",
-            "commit.", "lease.", "wal.", "pool.", "io.",
-        ))
-    }
-    if fault_counters:
-        print()
-        print("fault counters:")
-        for name, value in fault_counters.items():
-            print(f"  {name:<32s}{value:>10.6g}")
-
     if resume_info is not None:
         resume_info["wal_tasks_skipped"] = counters.get(
             "wal.tasks_skipped", 0
         )
-        print()
         print(f"crash recovery: driver killed "
               f"{resume_info['driver_kills']} time(s); resumed rounds "
               f"{resume_info['resumed_rounds'] or ['(none)']}; replayed "
               f"{resume_info['wal_tasks_skipped']} journaled task "
               "commit(s) from the WAL")
-        for key, tasks in sorted(resume_info["recovered_tasks"].items()):
-            print(f"  {key:<18s}{len(tasks)} task(s): {', '.join(tasks)}")
+        print()
+    table8 = diagnosis_table(report, "Table 8 (serial program vs chaos run)")
+    absorption = tasks_table(results)
+    applied, fault_counters, *recovery = chaos_tables(
+        events, counters, resume_info and resume_info["recovered_tasks"]
+    )
+    print(render_text(
+        [table8, applied, absorption, fault_counters, *recovery]
+    ))
 
     if args.trace_out:
         write_chrome_trace(chaos_run.recorder, args.trace_out)
         print(f"\nwrote {args.trace_out}")
     if args.report_out:
-        payload = {
+        _write_json(args.report_out, {
             "plan": {"seed": plan.seed, "events": plan.as_dicts()},
             "executor": args.executor,
-            "chaos_events": list(chaos_run.chaos_events) + segment_events,
-            "fault_counters": fault_counters,
+            "chaos_events": events,
+            "fault_counters": dict(fault_counters.rows),
             "absorption": {
-                key: job_result.history.summary()
-                for key, job_result in chaos_run.rounds.results.items()
+                row["round"]: row for row in absorption.records()
             },
-            "table8": [
-                {
-                    "stage": row.stage,
-                    "d_count": row.d_count,
-                    "weighted_d_count": row.weighted_d_count,
-                    "d_impact": row.d_impact,
-                }
-                for row in report.rows
-            ],
+            "table8": table8.records(),
             "gate": {
                 "weighted_d_count": gate.weighted_d_count,
                 "variants_clean": len(clean_lines),
@@ -869,10 +612,7 @@ def _cmd_chaos(args) -> int:
                 "equivalent": ok,
             },
             "resume": resume_info,
-        }
-        with open(args.report_out, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote {args.report_out}")
+        })
 
     print()
     if ok:
@@ -930,8 +670,6 @@ def _cmd_perf_study(args) -> int:
 
 def _parse_tenant_flag(spec: str):
     """``NAME:WEIGHT[:MIN_SHARE]`` → the pieces, with typed errors."""
-    from repro.errors import ServerError
-
     parts = spec.split(":")
     if not parts[0] or len(parts) > 3:
         raise ServerError(
@@ -949,8 +687,6 @@ def _parse_tenant_flag(spec: str):
 
 
 def _cmd_serve(args) -> int:
-    from repro.obs.analysis import tenant_summary
-    from repro.obs.export import write_chrome_trace
     from repro.server import JobServer, ServerConfig, TenantPolicy
     from repro.server.daemon import JobServerDaemon
 
@@ -989,16 +725,9 @@ def _cmd_serve(args) -> int:
              if readmitted else ""),
           flush=True)
     daemon.serve_forever()
-    counters = server.counters()
-    summary = tenant_summary(counters)
+    summary = tenant_summary(server.counters())
     if summary:
-        print("per-tenant totals:")
-        for name, entry in summary.items():
-            print(f"  {name:<12s}admitted {entry['admitted']:.0f}  "
-                  f"rejected {entry['rejected']:.0f}  "
-                  f"completed {entry['completed']:.0f}  "
-                  f"charged {entry['charged_units']:.2f} units  "
-                  f"paid {entry['paid_worker_seconds']:.3f}s")
+        print(render_text([tenants_table(summary)]))
     if args.trace_out:
         write_chrome_trace(server.recorder, args.trace_out)
         print(f"wrote {args.trace_out}")
@@ -1014,7 +743,6 @@ def _wordcount_lines(args) -> List[str]:
 
 
 def _cmd_submit(args) -> int:
-    from repro.errors import AdmissionError
     from repro.server.client import JobClient
     from repro.server.protocol import wordcount_payload
 
@@ -1042,8 +770,6 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_jobs(args) -> int:
-    import json as _json
-
     from repro.server.client import JobClient
 
     client = JobClient(args.socket)
@@ -1056,31 +782,9 @@ def _cmd_jobs(args) -> int:
     if args.json_out:
         snapshot["tenant_stats"] = stats["tenants"]
         snapshot["counters"] = stats["counters"]
-        print(_json.dumps(snapshot, indent=1, sort_keys=True))
+        print(json.dumps(snapshot, indent=1, sort_keys=True))
     else:
-        print(f"{'job':<16s}{'tenant':<10s}{'state':<11s}"
-              f"{'start':>6s}{'cost':>7s}{'paid s':>9s}")
-        ordered = sorted(
-            snapshot["jobs"],
-            key=lambda j: (j["start_seq"] or 1 << 30, j["submit_seq"]),
-        )
-        for job in ordered:
-            start = job["start_seq"] or "-"
-            print(f"{job['job_id']:<16s}{job['tenant']:<10s}"
-                  f"{job['state']:<11s}{start:>6}"
-                  f"{job['cost']:>7.2f}{job['paid_seconds']:>9.3f}")
-        print()
-        print(f"{'tenant':<10s}{'weight':>7s}{'min':>5s}"
-              f"{'charged':>9s}{'running':>9s}{'admitted':>9s}"
-              f"{'rejected':>9s}")
-        for name, entry in snapshot["tenants"].items():
-            tstats = stats["tenants"].get(name, {})
-            print(f"{name:<10s}{entry['weight']:>7.1f}"
-                  f"{entry['min_share']:>5d}"
-                  f"{entry['charged_units']:>9.2f}"
-                  f"{entry['running_slots']:>9d}"
-                  f"{tstats.get('admitted', 0):>9.0f}"
-                  f"{tstats.get('rejected', 0):>9.0f}")
+        print(render_text(jobs_tables(snapshot, stats["tenants"])))
         counts = snapshot["counts"]
         slots = snapshot["slots"]
         print()
@@ -1104,7 +808,6 @@ def _cmd_cancel(args) -> int:
 def _cmd_crashfuzz(args) -> int:
     """Run the crash-consistency gate; exit 0 only when every durable
     component recovers convergently from every materialized kill."""
-    import json
     import tempfile
 
     from repro.io.crashfuzz import run_fuzz_gate
@@ -1122,25 +825,20 @@ def _cmd_crashfuzz(args) -> int:
         with tempfile.TemporaryDirectory(prefix="crashfuzz-") as base:
             reports = gate(base)
 
-    print(f"crash-consistency fuzz (seed {args.seed}):")
-    print(f"{'component':<12s}{'points':>8s}{'boundary':>10s}"
-          f"{'intra':>8s}  verdict")
-    failed = False
-    for name, report in reports.items():
-        verdict = "ok" if report.ok else f"{len(report.failures)} FAILED"
-        print(f"{name:<12s}{report.points:>8d}"
-              f"{report.boundary_points:>10d}"
-              f"{report.intra_points:>8d}  {verdict}")
-        if not report.ok:
-            failed = True
-            for failure in report.failures[:5]:
-                print(f"    {failure}")
+    print(render_text([table_of(
+        f"crash-consistency fuzz (seed {args.seed})",
+        "component|points:n|boundary:n=boundary_points"
+        "|intra:n=intra_points|verdict",
+        ({"component": name, **report.as_dict(),
+          "verdict": "ok" if report.ok
+          else f"{len(report.failures)} FAILED: "
+               + "; ".join(map(str, report.failures[:5]))}
+         for name, report in reports.items()),
+    )]))
+    failed = not all(report.ok for report in reports.values())
     if args.json_out:
-        payload = {name: report.as_dict()
-                   for name, report in reports.items()}
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote {args.json_out}")
+        _write_json(args.json_out, {name: report.as_dict()
+                                    for name, report in reports.items()})
     print()
     if failed:
         print("GATE FAILED: a durable component diverged after a "
@@ -1154,8 +852,6 @@ def _cmd_crashfuzz(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    from repro.errors import ReproError
-
     args = _build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,

@@ -628,7 +628,7 @@ class PooledProcessExecutor(TaskExecutor):
         The "paid" side of the cost model: what a cluster bill would
         charge for keeping these slots alive, whether or not they ran
         tasks.  Compare against the busy worker-seconds measured by
-        ``repro.obs.analysis.worker_cost_summary``.
+        ``repro.obs.analysis.worker_cost``.
         """
         now = time.perf_counter()
         live = sum(now - worker.started for worker in self._workers)

@@ -4,9 +4,9 @@ The real-execution counterpart of the cluster simulator's utilization
 traces — see DESIGN.md section "Observability".  Beyond span recording
 and scalar metrics this package carries the performance-study
 telemetry subsystem: a worker resource sampler (:mod:`.sampler`),
-straggler/utilization analytics (:mod:`.analysis`), a self-contained
-HTML report (:mod:`.report`), and a noise-aware bench-JSON differ
-(:mod:`.compare`).
+straggler/utilization analytics (:mod:`.analysis`), the report model
+with its text / HTML / JSON renderers (:mod:`.report`), and the
+contract benchmark's regression rule (:mod:`.compare`).
 """
 
 from repro.obs.analysis import (
@@ -17,15 +17,9 @@ from repro.obs.analysis import (
     mad_scores,
     phase_timeline,
     queue_run_decomposition,
-    worker_cost_summary,
+    worker_cost,
 )
-from repro.obs.compare import (
-    Comparison,
-    Delta,
-    compare_benches,
-    format_comparison,
-    load_bench,
-)
+from repro.obs.compare import compare_runs, load_run
 from repro.obs.export import (
     render_timeline,
     to_chrome_trace,
@@ -51,14 +45,21 @@ from repro.obs.recorder import (
     Span,
     TraceRecorder,
 )
-from repro.obs.report import render_html_report, write_html_report
+from repro.obs.report import (
+    Table,
+    build_report,
+    format_cell,
+    render_html,
+    render_html_report,
+    render_text,
+    report_dict,
+    write_html_report,
+)
 from repro.obs.sampler import ResourceSample, ResourceSampler, take_sample
 
 __all__ = [
-    "Comparison",
     "Counter",
     "DEFAULT_BUCKETS",
-    "Delta",
     "Gauge",
     "Histogram",
     "MAD_THRESHOLD",
@@ -73,22 +74,27 @@ __all__ = [
     "ResourceSampler",
     "Span",
     "Straggler",
+    "Table",
     "TimeSeries",
     "TraceRecorder",
     "analyze",
-    "compare_benches",
+    "build_report",
+    "compare_runs",
     "detect_stragglers",
-    "format_comparison",
-    "load_bench",
+    "format_cell",
+    "load_run",
     "mad_scores",
     "phase_timeline",
     "queue_run_decomposition",
+    "render_html",
     "render_html_report",
+    "render_text",
     "render_timeline",
+    "report_dict",
     "take_sample",
     "to_chrome_trace",
     "to_jsonl_lines",
-    "worker_cost_summary",
+    "worker_cost",
     "write_chrome_trace",
     "write_html_report",
     "write_jsonl",

@@ -1,29 +1,19 @@
 """Straggler & utilization analytics over recorded telemetry.
 
-Pure functions from :class:`~repro.mapreduce.history.JobHistory` /
-:class:`~repro.obs.recorder.TraceRecorder` state to the derived views
-the paper's performance study is built from:
-
-* **Straggler detection** — per-wave attempt-duration outliers using
-  the median absolute deviation (MAD), the robust spread estimate that
-  survives the very outliers it is hunting (a mean/stddev z-score gets
-  dragged toward a straggler and stops seeing it).
-* **Queue-wait vs run-time decomposition** — where a task's wall time
-  actually went, per wave kind (the paper's scheduling-overhead story).
-* **Per-phase utilization timelines** — how many map/spill/shuffle/
-  merge/reduce phases are simultaneously active over the run, the data
-  behind Fig 7's task progress and Fig 10's utilization strips.
-* **Worker-seconds cost summary** — busy time vs paid time per worker,
-  the quantity serverless cost models (PAPERS.md, FaaS variant
-  calling) price runs by.
-
-Everything here is read-only and allocation-light; nothing mutates the
-recorder or history.
+Pure, read-only functions from :class:`~repro.mapreduce.history.JobHistory`
+/ :class:`~repro.obs.recorder.TraceRecorder` state to the derived views
+the paper's performance study is built from — MAD straggler detection,
+the queue-wait vs run-time split, per-phase utilization timelines
+(Fig 7 / Fig 10), the worker-cost roll-up and the job server's
+per-tenant totals.  :func:`analyze` bundles them for the report model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from statistics import median
+from typing import Any, Dict, List, NamedTuple, Sequence
+
+from repro.obs.export import concurrency_samples
 
 #: Robust z-score above which an attempt counts as a straggler.  3.5 is
 #: the standard cut-off for the modified z-score (Iglewicz & Hoaglin).
@@ -32,17 +22,6 @@ MAD_THRESHOLD = 3.5
 #: Consistency constant making the MAD comparable to a standard
 #: deviation under normality (0.6745 = Φ⁻¹(0.75)).
 _MAD_SCALE = 0.6745
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    count = len(ordered)
-    if count == 0:
-        return 0.0
-    middle = count // 2
-    if count % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
 
 
 def mad_scores(values: Sequence[float]) -> List[float]:
@@ -56,47 +35,27 @@ def mad_scores(values: Sequence[float]) -> List[float]:
     """
     if not values:
         return []
-    center = _median(values)
-    mad = _median([abs(value - center) for value in values])
+    center = median(values)
+    mad = median([abs(value - center) for value in values])
     spread = max(mad, 1e-9)
     return [_MAD_SCALE * (value - center) / spread for value in values]
 
 
-class Straggler:
+class Straggler(NamedTuple):
     """One detected straggler attempt."""
 
-    __slots__ = ("task_id", "kind", "node", "run_seconds", "score",
-                 "wave_median")
-
-    def __init__(self, task_id: str, kind: str, node: str,
-                 run_seconds: float, score: float, wave_median: float):
-        self.task_id = task_id
-        self.kind = kind
-        self.node = node
-        self.run_seconds = run_seconds
-        self.score = score
-        self.wave_median = wave_median
+    task_id: str
+    kind: str
+    node: str
+    run_seconds: float
+    score: float
+    wave_median: float
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "node": self.node,
-            "run_seconds": round(self.run_seconds, 6),
-            "score": round(self.score, 3),
-            "wave_median": round(self.wave_median, 6),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"Straggler({self.task_id} on {self.node}, "
-            f"{self.run_seconds:.3f}s, score {self.score:.1f})"
-        )
+        return self._asdict()
 
 
-def detect_stragglers(
-    history, threshold: float = MAD_THRESHOLD
-) -> List[Straggler]:
+def detect_stragglers(history) -> List[Straggler]:
     """MAD outliers among one job's primary attempts, per wave.
 
     Maps and reduces are scored separately (they are different
@@ -115,12 +74,12 @@ def detect_stragglers(
             continue
         durations = [task.run_seconds for task in primaries]
         scores = mad_scores(durations)
-        median = _median(durations)
+        wave_median = median(durations)
         for task, score in zip(primaries, scores):
-            if score >= threshold:
+            if score >= MAD_THRESHOLD:
                 found.append(
                     Straggler(task.task_id, task.kind, task.node,
-                              task.run_seconds, score, median)
+                              task.run_seconds, score, wave_median)
                 )
     found.sort(key=lambda s: -s.score)
     return found
@@ -134,37 +93,24 @@ def queue_run_decomposition(history) -> Dict[str, Dict[str, float]]:
     time its winning attempt executed.  Keys: ``map`` / ``reduce`` /
     ``total``.
     """
-    out: Dict[str, Dict[str, float]] = {}
-    for kind, wave in (("map", history.maps()),
-                       ("reduce", history.reduces())):
-        primaries = [task for task in wave if not task.backup]
-        queued = sum(task.queued_seconds for task in primaries)
-        run = sum(task.run_seconds for task in primaries)
-        out[kind] = {
-            "tasks": len(primaries),
+    def split(tasks) -> Dict[str, float]:
+        queued = sum(task.queued_seconds for task in tasks)
+        run = sum(task.run_seconds for task in tasks)
+        return {
+            "tasks": len(tasks),
             "queued_seconds": queued,
             "run_seconds": run,
             "queue_fraction": queued / (queued + run)
             if (queued + run) > 0 else 0.0,
         }
-    out["total"] = {
-        "tasks": out["map"]["tasks"] + out["reduce"]["tasks"],
-        "queued_seconds": out["map"]["queued_seconds"]
-        + out["reduce"]["queued_seconds"],
-        "run_seconds": out["map"]["run_seconds"]
-        + out["reduce"]["run_seconds"],
-    }
-    total = (out["total"]["queued_seconds"] + out["total"]["run_seconds"])
-    out["total"]["queue_fraction"] = (
-        out["total"]["queued_seconds"] / total if total > 0 else 0.0
-    )
-    return out
+
+    maps = [task for task in history.maps() if not task.backup]
+    reduces = [task for task in history.reduces() if not task.backup]
+    return {"map": split(maps), "reduce": split(reduces),
+            "total": split(maps + reduces)}
 
 
-def phase_timeline(
-    recorder, samples: int = 60,
-    category: str = "phase",
-) -> Dict[str, Any]:
+def phase_timeline(recorder, samples: int = 60) -> Dict[str, Any]:
     """Per-phase concurrency over the run — the Fig 7/10 utilization view.
 
     Samples, at ``samples`` evenly spaced instants across the recorded
@@ -176,131 +122,76 @@ def phase_timeline(
          "phases": {name: [count, ...]},   # len N each
          "peak": {name: peak_concurrency}}
     """
-    spans = recorder.spans()
     horizon = recorder.horizon()
     epoch = recorder.epoch
     by_name: Dict[str, List[tuple]] = {}
-    for span in spans:
-        if span.category != category:
+    for span in recorder.spans():
+        if span.category != "phase":
             continue
         # Dead-worker spans never closed; count them to the horizon.
         end = span.end - epoch if span.end is not None else horizon
         by_name.setdefault(span.name, []).append(
             (span.start - epoch, end)
         )
-    if not by_name or horizon <= 0 or samples < 1:
-        return {"horizon": horizon, "samples": samples, "phases": {},
-                "peak": {}}
-    phases: Dict[str, List[int]] = {}
-    peak: Dict[str, int] = {}
-    for name, intervals in by_name.items():
-        counts = []
-        for index in range(samples):
-            t = horizon * (index + 0.5) / samples
-            counts.append(
-                sum(1 for start, end in intervals if start <= t < end)
-            )
-        phases[name] = counts
-        peak[name] = max(counts) if counts else 0
+    if horizon <= 0 or samples < 1:
+        by_name = {}
+    phases = {name: concurrency_samples(intervals, horizon, samples)
+              for name, intervals in by_name.items()}
     return {"horizon": horizon, "samples": samples, "phases": phases,
-            "peak": peak}
+            "peak": {name: max(counts) for name, counts in phases.items()}}
 
 
-def worker_cost_summary(recorder) -> Dict[str, Any]:
-    """Worker-seconds cost roll-up over the recorded task spans.
+def worker_cost(recorder) -> Dict[str, Any]:
+    """Worker-seconds against wall clock — the FaaS cost question.
 
-    ``busy_seconds`` sums task-span durations per worker track;
-    ``paid_seconds`` charges each worker from its first task start to
-    its last task end (the serverless billing window); utilization is
-    their ratio.  The quantities the FaaS cost model (PAPERS.md) needs
-    to price a run.
+    One roll-up of what a run's workers did and what they cost:
+
+    * ``workers`` — the peak number of ``*-task`` spans running at once.
+      Not the number of distinct tracks: the pool forks per job, so a
+      five-round run on two workers shows a dozen pids;
+    * ``busy_seconds`` — task execution actually performed;
+    * ``billed_seconds`` — what an elastic / preemptible cluster bill
+      charges: ``pool.paid_worker_seconds`` (full worker lifetimes plus
+      the charged cold-start latency) when a pool ran, else each
+      track's first-task-start to last-task-end window;
+    * ``utilization`` — busy over billed, the figure an autoscaler is
+      trying to raise; ``parallelism`` — busy over wall;
+    * ``static_envelope_seconds`` — what a fixed pool of ``workers``
+      would have paid over the same wall clock, the baseline the
+      scaling controller must beat;
+
+    The pool's scale decisions, respawns, preemptions, cold starts and
+    charged backoff are counters already; the report reads them there.
     """
-    per_worker: Dict[str, Dict[str, float]] = {}
+    windows: Dict[str, List[float]] = {}
+    edges: List[tuple] = []
+    busy = 0.0
     for span in recorder.spans():
         if not span.category.endswith("-task"):
             continue
         end = span.end if span.end is not None else span.start
-        entry = per_worker.setdefault(
-            span.track,
-            {"busy_seconds": 0.0, "tasks": 0,
-             "first": span.start, "last": end},
-        )
-        entry["busy_seconds"] += span.duration
-        entry["tasks"] += 1
-        entry["first"] = min(entry["first"], span.start)
-        entry["last"] = max(entry["last"], end)
-    workers = {}
-    busy_total = 0.0
-    paid_total = 0.0
-    for track, entry in sorted(per_worker.items()):
-        paid = entry["last"] - entry["first"]
-        busy = entry["busy_seconds"]
-        busy_total += busy
-        paid_total += paid
-        workers[track] = {
-            "tasks": int(entry["tasks"]),
-            "busy_seconds": busy,
-            "paid_seconds": paid,
-            "utilization": busy / paid if paid > 0 else 0.0,
-        }
+        busy += span.duration
+        edges += [(span.start, 1), (end, -1)]
+        window = windows.setdefault(span.track, [span.start, end])
+        window[0] = min(window[0], span.start)
+        window[1] = max(window[1], end)
+    workers = running = 0
+    for _, step in sorted(edges):  # an end sorts before a start at a tie
+        running += step
+        workers = max(workers, running)
+    counters = recorder.metrics.as_dict().get("counters", {})
+    billed = counters.get("pool.paid_worker_seconds", 0.0) or sum(
+        last - first for first, last in windows.values()
+    )
     wall = recorder.horizon()
     return {
         "workers": workers,
-        "worker_count": len(workers),
-        "busy_worker_seconds": busy_total,
-        "paid_worker_seconds": paid_total,
         "wall_seconds": wall,
-        "utilization": busy_total / paid_total if paid_total > 0 else 0.0,
-        "parallelism": busy_total / wall if wall > 0 else 0.0,
-    }
-
-
-def cost_model(recorder) -> Dict[str, Any]:
-    """Worker-seconds vs wall-clock cost model — the FaaS cost question.
-
-    Combines the span-derived busy/paid roll-up of
-    :func:`worker_cost_summary` with the pool executor's own billing
-    counters (``pool.paid_worker_seconds`` includes full worker
-    lifetimes plus the charged cold-start latency, not just the
-    first-task-to-last-task window spans can see):
-
-    * ``billed_worker_seconds`` — what an elastic/preemptible cluster
-      bill charges: full worker lifetimes + cold-start charge (falls
-      back to the span-window estimate when no pool ran);
-    * ``busy_worker_seconds`` — task execution actually performed;
-    * ``billed_utilization`` — busy over billed, the figure an
-      autoscaler is trying to raise;
-    * ``static_envelope_seconds`` — what a fixed pool of the observed
-      peak worker count would have paid over the same wall clock, the
-      baseline the elastic controller must beat;
-    * scaling/chaos context: scale decisions, respawns, preemptions,
-      cold starts and their charged seconds, charged retry backoff.
-    """
-    summary = worker_cost_summary(recorder)
-    counters = recorder.metrics.as_dict().get("counters", {})
-    billed = counters.get("pool.paid_worker_seconds", 0.0)
-    if billed <= 0.0:
-        billed = summary["paid_worker_seconds"]
-    busy = summary["busy_worker_seconds"]
-    wall = summary["wall_seconds"]
-    peak_workers = summary["worker_count"]
-    return {
-        "wall_seconds": wall,
-        "busy_worker_seconds": busy,
-        "billed_worker_seconds": billed,
-        "billed_utilization": busy / billed if billed > 0 else 0.0,
-        "static_envelope_seconds": peak_workers * wall,
-        "peak_workers": peak_workers,
-        "scale_ups": counters.get("pool.scale.ups", 0),
-        "scale_downs": counters.get("pool.scale.downs", 0),
-        "workers_retired": counters.get("pool.workers_retired", 0),
-        "workers_respawned": counters.get("pool.workers_respawned", 0),
-        "preemptions": counters.get("pool.preemptions", 0),
-        "cold_starts": counters.get("pool.cold_starts", 0),
-        "cold_start_seconds": counters.get("pool.cold_start_seconds", 0.0),
-        "backoff_charged_seconds": counters.get(
-            "engine.backoff_charged_seconds", 0.0
-        ),
+        "busy_seconds": busy,
+        "billed_seconds": billed,
+        "utilization": busy / billed if billed > 0 else 0.0,
+        "parallelism": busy / wall if wall > 0 else 0.0,
+        "static_envelope_seconds": workers * wall,
     }
 
 
@@ -336,41 +227,24 @@ def tenant_summary(counters: Dict[str, float]) -> Dict[str, Dict[str, float]]:
     return {tenant: tenants[tenant] for tenant in sorted(tenants)}
 
 
-def resource_series(recorder) -> Dict[str, List]:
-    """The sampler's time-series grouped by metric name.
-
-    Returns ``{name: [TimeSeries, ...]}`` for every ``proc.*`` series
-    in the registry, each list ordered by worker tag — the shape the
-    report's sparkline section iterates.
-    """
-    grouped: Dict[str, List] = {}
-    for series in recorder.metrics.all_timeseries():
-        if series.name.startswith("proc."):
-            grouped.setdefault(series.name, []).append(series)
-    return grouped
-
-
-def analyze(recorder, histories=None,
-            threshold: float = MAD_THRESHOLD) -> Dict[str, Any]:
-    """One-call bundle of every analytic view, for trace/report CLIs.
+def analyze(recorder, histories=()) -> Dict[str, Any]:
+    """Every analytic view of one run, for the report model.
 
     ``histories`` is an iterable of (label, JobHistory); straggler and
     queue/run views are computed per history and merged.
     """
-    stragglers: List[Dict[str, Any]] = []
-    decomposition: Dict[str, Any] = {}
-    for label, history in (histories or []):
-        for straggler in detect_stragglers(history, threshold):
-            entry = straggler.as_dict()
-            entry["round"] = label
-            stragglers.append(entry)
-        decomposition[label] = queue_run_decomposition(history)
+    histories = list(histories)
+    stragglers = [
+        dict(straggler.as_dict(), round=label)
+        for label, history in histories
+        for straggler in detect_stragglers(history)
+    ]
     return {
         "stragglers": sorted(stragglers, key=lambda s: -s["score"]),
-        "queue_run": decomposition,
+        "queue_run": {label: queue_run_decomposition(history)
+                      for label, history in histories},
         "phase_timeline": phase_timeline(recorder),
-        "worker_cost": worker_cost_summary(recorder),
-        "cost_model": cost_model(recorder),
+        "worker_cost": worker_cost(recorder),
         "tenants": tenant_summary(
             recorder.metrics.as_dict().get("counters", {})
         ),

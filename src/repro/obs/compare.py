@@ -1,291 +1,180 @@
-"""Noise-aware diffing of two ``BENCH_*.json`` results.
+"""One regression rule over the contract benchmark's own record.
 
-The cross-run half of the regression story: :mod:`benchmarks.benchlib`
-emits schema-v2 JSON (``{schema_version, name, host, params,
-wall_seconds, counters}``); this module loads two of them, compares
-every shared numeric metric, and classifies each delta so a CI gate can
-fail loudly on a real slowdown without flaking on scheduler noise.
+``repro-genomics compare BASELINE CANDIDATE`` reads two *runs* of
+``benchmarks/e2e/run.py`` — a record file written by ``run.py --out``
+(one workload), or a row of ``benchmarks/TRAJECTORY.jsonl`` addressed
+as ``PATH@COMMIT`` (every workload) — and judges each workload × end-
+to-end metric by the rule ``benchmarks/e2e/README.md`` states ("How to
+state a claim"), with the metrics, their direction and their bounds
+read from ``BENCHMARK.json``:
 
-Classification rules:
-
-* **Timing metrics** (``wall_seconds`` and any counter whose name
-  mentions ``seconds``): a *regression* needs both a relative exceedance
-  (candidate > baseline × (1 + threshold)) and an absolute one
-  (delta > noise floor) — sub-50 ms jitter on a sub-second bench is
-  noise, not a finding.  Mirror-image deltas are *improvements*.
-* **Other numeric counters** (bytes, record counts): reported as
-  *changed* when they move beyond the relative threshold, but they are
-  advisory — byte counts are deterministic here, and a changed count is
-  a behaviour diff for a human, not a perf gate.
-* **Host mismatch**: timing comparisons across different machines are
-  meaningless, so when the two files' ``host`` blocks disagree on CPU
-  count or platform every regression is downgraded to advisory unless
-  the caller insists (``strict_host``).
+* worse by more than the bound **and** by more than the baseline's
+  inter-quartile range: ``REGRESSION``; better likewise: ``IMPROVED``;
+* otherwise ``inside the bound``;
+* a spread (IQR over median, either side) wider than the bound,
+  quartiles from fewer than three samples, a metric one side lacks, or
+  hosts that differ: ``UNRESOLVED`` — never a silent pass;
+* a metric a run gives one value for and no samples (``peak_rss_mb`` in
+  a record file) is judged on its bound alone;
+* a run with ``failed > 0``, or a file that is not a run, is a typed
+  error: its timings are not measurements.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List, Optional
 
-#: Relative slowdown that counts as a regression (15% catches any real
-#: >=20% slowdown while riding above run-to-run jitter).
-DEFAULT_THRESHOLD = 0.15
+from repro.errors import FormatError
+from repro.obs.report import Table, table_of
 
-#: Absolute floor, in seconds, under which a timing delta is noise.
-DEFAULT_NOISE_FLOOR = 0.05
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    """Load and validate one schema-v2 bench JSON.
-
-    Raises ``ValueError`` on anything that is not a v2+ bench result —
-    a compare against a stale or truncated artifact should fail the
-    gate as *broken*, never silently pass.
-    """
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    version = data.get("schema_version")
-    if not isinstance(version, int) or version < 2:
-        raise ValueError(
-            f"{path}: schema_version {version!r} < 2; re-run the bench"
-        )
-    for field in ("name", "host", "wall_seconds", "counters"):
-        if field not in data:
-            raise ValueError(f"{path}: missing field {field!r}")
-    if not isinstance(data["counters"], dict):
-        raise ValueError(f"{path}: counters is not an object")
-    return data
+#: ``BENCHMARK.json`` sits at the root of the checkout this package is
+#: run from (``src/repro/obs`` is three levels below it).
+CONTRACT_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), *[os.pardir] * 3,
+    "BENCHMARK.json",
+)
 
 
-def load_baseline(path: str):
-    """Lenient baseline loading: ``(bench, None)`` or ``(None, warning)``.
-
-    A *candidate* that fails validation is a broken gate and should
-    error, but a committed *baseline* that merely predates schema v2
-    is expected drift — the right response is a warning and a skipped
-    comparison, not a crashed CI job.  Anything that is not
-    recognisably a stale bench result (unparsable JSON, a non-object,
-    a v2 file missing fields) still raises ``ValueError``.
-    """
+def load_contract(path: str = CONTRACT_PATH) -> Dict[str, Any]:
+    """The benchmark contract: workloads, end-to-end metrics, bounds."""
     try:
-        return load_bench(path), None
-    except ValueError:
         with open(path) as handle:
-            data = json.load(handle)
-        if isinstance(data, dict):
-            version = data.get("schema_version")
-            if not isinstance(version, int) or version < 2:
-                return None, (
-                    f"{path}: baseline predates bench schema v2 "
-                    f"(schema_version {version!r}); skipping comparison "
-                    "— re-run the baseline bench to restore the gate"
-                )
-        raise
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"no benchmark contract at {path}: {exc}") from exc
 
 
-def numeric_metrics(bench: Dict[str, Any]) -> Dict[str, float]:
-    """Every comparable number in one bench result, flattened."""
-    metrics: Dict[str, float] = {}
-    wall = bench.get("wall_seconds")
-    if isinstance(wall, (int, float)) and not isinstance(wall, bool):
-        metrics["wall_seconds"] = float(wall)
-    for name, value in bench.get("counters", {}).items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            metrics[name] = float(value)
-    return metrics
-
-
-def is_timing_metric(name: str) -> bool:
-    return name == "wall_seconds" or "seconds" in name
-
-
-class Delta:
-    """One metric's movement between baseline and candidate."""
-
-    __slots__ = ("metric", "base", "cand", "verdict", "advisory")
-
-    def __init__(self, metric: str, base: Optional[float],
-                 cand: Optional[float], verdict: str,
-                 advisory: bool = False):
-        self.metric = metric
-        self.base = base
-        self.cand = cand
-        #: "regression" | "improvement" | "changed" | "ok" |
-        #: "added" | "removed"
-        self.verdict = verdict
-        #: True when a regression was downgraded (host mismatch).
-        self.advisory = advisory
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.base and self.cand is not None:
-            return self.cand / self.base
-        return None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "base": self.base,
-            "candidate": self.cand,
-            "ratio": round(self.ratio, 4) if self.ratio else None,
-            "verdict": self.verdict,
-            "advisory": self.advisory,
-        }
-
-    def __repr__(self) -> str:
-        return f"Delta({self.metric}: {self.base} -> {self.cand}, " \
-               f"{self.verdict})"
-
-
-class Comparison:
-    """The full diff of two bench results."""
-
-    def __init__(self, base_name: str, cand_name: str,
-                 deltas: List[Delta], host_mismatch: bool):
-        self.base_name = base_name
-        self.cand_name = cand_name
-        self.deltas = deltas
-        self.host_mismatch = host_mismatch
-
-    @property
-    def regressions(self) -> List[Delta]:
-        return [d for d in self.deltas
-                if d.verdict == "regression" and not d.advisory]
-
-    @property
-    def advisories(self) -> List[Delta]:
-        return [d for d in self.deltas
-                if d.advisory or d.verdict == "changed"]
-
-    @property
-    def failed(self) -> bool:
-        """Whether a gate consuming this comparison should fail."""
-        return bool(self.regressions)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "base": self.base_name,
-            "candidate": self.cand_name,
-            "host_mismatch": self.host_mismatch,
-            "failed": self.failed,
-            "deltas": [d.as_dict() for d in self.deltas],
-        }
-
-
-def hosts_match(base: Dict[str, Any], cand: Dict[str, Any]) -> bool:
-    base_host = base.get("host") or {}
-    cand_host = cand.get("host") or {}
-    return (
-        base_host.get("cpu_count") == cand_host.get("cpu_count")
-        and base_host.get("platform") == cand_host.get("platform")
-    )
-
-
-def compare_benches(
-    base: Dict[str, Any],
-    cand: Dict[str, Any],
-    threshold: float = DEFAULT_THRESHOLD,
-    noise_floor: float = DEFAULT_NOISE_FLOOR,
-    strict_host: bool = False,
-) -> Comparison:
-    """Diff two loaded bench results (see module docstring for rules)."""
-    mismatch = not hosts_match(base, cand)
-    downgrade = mismatch and not strict_host
-    base_metrics = numeric_metrics(base)
-    cand_metrics = numeric_metrics(cand)
-    deltas: List[Delta] = []
-    for metric in sorted(set(base_metrics) | set(cand_metrics)):
-        base_value = base_metrics.get(metric)
-        cand_value = cand_metrics.get(metric)
-        if base_value is None:
-            deltas.append(Delta(metric, None, cand_value, "added"))
-            continue
-        if cand_value is None:
-            deltas.append(Delta(metric, base_value, None, "removed"))
-            continue
-        if is_timing_metric(metric):
-            worse = (
-                cand_value > base_value * (1 + threshold)
-                and (cand_value - base_value) > noise_floor
+def record_entry(record: Dict[str, Any],
+                 contract: Dict[str, Any]) -> Dict[str, Any]:
+    """One ``run.py --out`` record as a run's per-workload entry: each
+    end-to-end metric's ``summary`` (n / q1 / median / q3) where the
+    record sampled it, its bare value where it did not."""
+    try:
+        entry = {"attempted": record["attempted"], "failed": record["failed"]}
+        for metric in contract["end_to_end"]:
+            name = metric["name"]
+            summary = record["summary"].get(name)
+            entry[name] = (
+                {key: summary[key] for key in ("n", "q1", "median", "q3")}
+                if summary else record["values"][name]
             )
-            better = (
-                cand_value < base_value * (1 - threshold)
-                and (base_value - cand_value) > noise_floor
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(
+            f"{record.get('workload')}: not a run.py --out record "
+            f"(missing {exc})"
+        ) from exc
+    return entry
+
+
+def load_run(spec: str, contract: Dict[str, Any]) -> Dict[str, Any]:
+    """``FILE`` or ``TRAJECTORY.jsonl@COMMIT`` as ``{label, host,
+    workloads: {name: entry}}``; anything else is a :class:`FormatError`."""
+    path, _, commit = spec.partition("@")
+    try:
+        with open(path) as handle:
+            texts = handle.read().splitlines() if commit else [handle.read()]
+        rows = [json.loads(text) for text in texts if text.strip()]
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot read a run: {exc}") from exc
+    if commit:
+        rows = [row for row in rows if isinstance(row, dict)
+                and str(row.get("commit", "")).startswith(commit)]
+        if not rows:
+            raise FormatError(f"{path}: no row for commit {commit!r}")
+        run = dict(rows[-1], label=spec)  # the latest row wins
+    else:
+        record = rows[0]
+        if not isinstance(record, dict) or "workload" not in record:
+            raise FormatError(f"{path}: not a run.py --out record")
+        run = {"label": spec, "host": record.get("host"), "workloads": {
+            record["workload"]: record_entry(record, contract)}}
+    workloads = run.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
+        raise FormatError(f"{spec}: a run without workloads")
+    for name, entry in workloads.items():
+        if not isinstance(entry, dict) or entry.get("failed", 0):
+            raise FormatError(
+                f"{spec}: workload {name} reports failed operations; "
+                "its timings are not measurements"
             )
-            if worse:
-                deltas.append(
-                    Delta(metric, base_value, cand_value, "regression",
-                          advisory=downgrade)
-                )
-            elif better:
-                deltas.append(
-                    Delta(metric, base_value, cand_value, "improvement")
-                )
-            else:
-                deltas.append(Delta(metric, base_value, cand_value, "ok"))
-        else:
-            moved = (
-                base_value != cand_value
-                and (base_value == 0
-                     or abs(cand_value - base_value)
-                     > abs(base_value) * threshold)
-            )
-            deltas.append(
-                Delta(metric, base_value, cand_value,
-                      "changed" if moved else "ok")
-            )
-    return Comparison(
-        base.get("name", "?"), cand.get("name", "?"), deltas, mismatch
+    return run
+
+
+def _median(value: Any) -> Optional[float]:
+    return value.get("median") if isinstance(value, dict) else value
+
+
+def _unsteady(value: Any, bound: float) -> Optional[str]:
+    """Why a sampled metric cannot be judged, or ``None`` when it can."""
+    if not isinstance(value, dict):
+        return None  # one value, no samples: the bound alone decides
+    if "q1" not in value or "q3" not in value:
+        return "a median without quartiles"
+    if value.get("n", 0) < 3:
+        return f"quartiles from n={value.get('n', 0)} < 3"
+    if (value["q3"] - value["q1"]) > bound * abs(value["median"]):
+        return "spread wider than the bound"
+    return None
+
+
+def judge(base: Any, cand: Any, metric: Dict[str, Any]) -> Dict[str, Any]:
+    """One cell: baseline and candidate medians, how much worse the
+    candidate is (a fraction of the baseline; negative is better), and
+    the verdict with its reason."""
+    bound = metric["bound"]
+    cell = {"base": _median(base), "cand": _median(cand), "bound": bound,
+            "worse": None, "iqr": None}
+    reason = (
+        "metric missing" if cell["base"] is None or cell["cand"] is None
+        else "baseline is zero" if not cell["base"]
+        else _unsteady(base, bound) or _unsteady(cand, bound)
     )
+    if reason:
+        return dict(cell, verdict="UNRESOLVED", reason=reason)
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    delta = sign * (cell["cand"] - cell["base"])
+    cell["worse"] = delta / abs(cell["base"])
+    cell["iqr"] = base["q3"] - base["q1"] if isinstance(base, dict) else 0.0
+    if abs(cell["worse"]) > bound and abs(delta) > cell["iqr"]:
+        return dict(cell, verdict="REGRESSION" if delta > 0 else "IMPROVED",
+                    reason="beyond the bound" + (
+                        " and the baseline's IQR" if isinstance(base, dict)
+                        else " (one value a side)"))
+    return dict(cell, verdict="inside the bound", reason="")
 
 
-def _fmt_value(metric: str, value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if is_timing_metric(metric):
-        return f"{value:.3f}s"
-    if value == int(value):
-        return f"{int(value):,d}"
-    return f"{value:.4g}"
+def compare_runs(base: Dict[str, Any], cand: Dict[str, Any],
+                 contract: Dict[str, Any]) -> Dict[str, Any]:
+    """Every workload either run holds × every end-to-end metric."""
+    same_host = base.get("host") == cand.get("host") and base.get("host")
+    cells: List[Dict[str, Any]] = []
+    for workload in dict.fromkeys([*base["workloads"], *cand["workloads"]]):
+        for metric in contract["end_to_end"]:
+            name = metric["name"]
+            cell = judge(base["workloads"].get(workload, {}).get(name),
+                         cand["workloads"].get(workload, {}).get(name),
+                         metric)
+            if not same_host:
+                cell.update(verdict="UNRESOLVED", reason="hosts differ")
+            cells.append(dict(cell, workload=workload, metric=name))
+    verdicts = {cell["verdict"] for cell in cells}
+    return {
+        "baseline": base["label"], "candidate": cand["label"],
+        "cells": cells,
+        # 1 a regression, 3 nothing worse but something undecidable.
+        "exit": 1 if "REGRESSION" in verdicts
+        else 3 if "UNRESOLVED" in verdicts else 0,
+    }
 
 
-def format_comparison(comparison: Comparison,
-                      show_ok: bool = False) -> str:
-    """The human delta table a failing CI step prints."""
-    lines = [
-        f"baseline  {comparison.base_name}",
-        f"candidate {comparison.cand_name}",
-    ]
-    if comparison.host_mismatch:
-        lines.append(
-            "NOTE: host mismatch (cpu_count/platform differ) — timing "
-            "regressions are advisory, not gating"
-        )
-    lines.append(
-        f"{'metric':<40s}{'baseline':>12s}{'candidate':>12s}"
-        f"{'ratio':>8s}  verdict"
+def comparison_table(result: Dict[str, Any]) -> Table:
+    """The cells as one report table (``worse by`` reads negative when
+    the candidate is better)."""
+    return table_of(
+        f"{result['baseline']} -> {result['candidate']}",
+        "workload|metric|baseline=base|candidate=cand|worse by:%=worse"
+        "|bound:%|baseline IQR=iqr|verdict|why=reason",
+        result["cells"],
     )
-    interesting = 0
-    for delta in comparison.deltas:
-        if delta.verdict == "ok" and not show_ok:
-            continue
-        interesting += 1
-        ratio = f"{delta.ratio:.2f}x" if delta.ratio else "-"
-        verdict = delta.verdict + (" (advisory)" if delta.advisory else "")
-        lines.append(
-            f"{delta.metric:<40s}"
-            f"{_fmt_value(delta.metric, delta.base):>12s}"
-            f"{_fmt_value(delta.metric, delta.cand):>12s}"
-            f"{ratio:>8s}  {verdict}"
-        )
-    if not interesting:
-        lines.append(f"{'(all metrics within thresholds)':<40s}")
-    lines.append(
-        f"{len(comparison.regressions)} regression(s), "
-        f"{len(comparison.advisories)} advisory change(s), "
-        f"{len(comparison.deltas)} metric(s) compared"
-    )
-    return "\n".join(lines)

@@ -98,7 +98,7 @@ def write_jsonl(recorder, path: str) -> str:
     return path
 
 
-def _concurrency_samples(
+def concurrency_samples(
     intervals: Sequence[tuple], horizon: float, samples: int
 ) -> List[int]:
     """Active-interval count at ``samples`` evenly spaced instants."""
@@ -141,7 +141,7 @@ def render_timeline(
     ]
     for category in order:
         intervals = by_category[category]
-        counts = _concurrency_samples(intervals, horizon, width)
+        counts = concurrency_samples(intervals, horizon, width)
         peak = max(max(counts), 1)
         strip = render_ramp([count / peak for count in counts])
         total = sum(end - start for start, end in intervals)

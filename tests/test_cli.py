@@ -93,9 +93,9 @@ class TestTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "round:round1" in out and "round:round5" in out
-        assert "task phase totals" in out
-        assert "per-round tasks" in out
-        assert "hdfs: put" in out
+        assert "Phase totals:" in out
+        assert "Per-round tasks:" in out
+        assert "HDFS:" in out
         with open(trace_path) as handle:
             trace = json.load(handle)
         rounds = [
@@ -200,7 +200,7 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "GATE PASSED" in out
-        assert "fault counters:" in out
+        assert "Fault counters:" in out
         assert "pool.preemptions" in out
         assert "pool.cold_starts" in out
         with open(report_path) as handle:
@@ -218,18 +218,19 @@ class TestElasticTrace:
     @needs_fork
     def test_trace_prints_cost_model(self, sample_dir, capsys):
         code = main([
-            "trace", "--data", sample_dir, "--partitions", "3",
-            "--executor", "pool", "--max-workers", "2",
+            "trace", "--data", sample_dir, "--partitions", "6",
+            "--executor", "pool", "--max-workers", "4",
             "--min-workers", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cost model (worker-seconds vs wall clock):" in out
-        assert "billed" in out
-        assert "static envelope" in out
-        [scaling] = [line for line in out.splitlines()
-                     if line.lstrip().startswith("scaling")]
-        assert "scale-ups" in scaling and "retired" in scaling
+        assert "Worker cost:" in out
+        # Round 4 reduces into two contigs: the pool retires workers, so
+        # the scaling columns (shown only when non-zero) are there.
+        [header] = [line for line in out.splitlines()
+                    if line.lstrip().startswith("workers")]
+        assert "billed" in header and "static envelope" in header
+        assert "scale-ups" in header and "retired" in header
 
 
 class TestParser:

@@ -1,8 +1,9 @@
 """Tests for the performance-study telemetry subsystem.
 
 Covers the worker resource sampler, the straggler/utilization
-analytics, the cross-run bench comparator, the HTML report, and the
-``repro-genomics report`` / ``compare`` CLI surface — including the
+analytics, the HTML report, and the ``repro-genomics report`` /
+``compare`` CLI surface (the rule itself: ``tests/test_compare.py``;
+the report model: ``tests/test_report_model.py``) — including the
 acceptance scenario: a pool-executor five-round run whose report
 carries a per-phase utilization timeline, at least one resource
 time-series per worker, and a straggler section.
@@ -29,12 +30,7 @@ from repro.obs.analysis import (
     mad_scores,
     phase_timeline,
     queue_run_decomposition,
-    worker_cost_summary,
-)
-from repro.obs.compare import (
-    compare_benches,
-    format_comparison,
-    load_bench,
+    worker_cost,
 )
 from repro.obs.recorder import ObsConfig, Span, TraceRecorder
 from repro.obs.report import render_html_report
@@ -44,6 +40,7 @@ from repro.obs.sampler import (
     take_sample,
 )
 from repro.pipeline.parallel import GesallPipeline
+from tests.test_compare import contract_record, write_records
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -198,104 +195,25 @@ class TestTimelinesAndCost:
         assert timeline["phases"] == {} and timeline["peak"] == {}
 
     def test_worker_cost_summary(self):
-        cost = worker_cost_summary(self._recorder())
-        assert cost["worker_count"] == 2
-        assert cost["busy_worker_seconds"] == pytest.approx(6.0)
-        # w0 paid 4s (two tasks back to back), w1 paid 2s.
-        assert cost["paid_worker_seconds"] == pytest.approx(6.0)
+        cost = worker_cost(self._recorder())
+        assert cost["workers"] == 2
+        assert cost["busy_seconds"] == pytest.approx(6.0)
+        # No pool ran: w0 is billed 4s (two tasks back to back), w1 2s.
+        assert cost["billed_seconds"] == pytest.approx(6.0)
         assert cost["utilization"] == pytest.approx(1.0)
         assert cost["parallelism"] == pytest.approx(1.5)
-        assert cost["workers"]["w0"]["tasks"] == 2
+        assert cost["static_envelope_seconds"] == pytest.approx(8.0)
 
     def test_analyze_bundle(self):
         out = analyze(self._recorder(),
                       [("round1", _history_with_straggler())])
         assert out["stragglers"][0]["round"] == "round1"
         assert "round1" in out["queue_run"]
-        assert out["worker_cost"]["worker_count"] == 2
+        assert out["worker_cost"]["workers"] == 2
         assert out["phase_timeline"]["peak"]["map"] == 2
         # The whole bundle must survive JSON serialisation (reports,
         # CI artifacts).
         json.dumps(out)
-
-
-def _bench(wall, counters=None, cpu_count=8):
-    return {
-        "schema_version": 2,
-        "name": "demo",
-        "host": {"cpu_count": cpu_count, "platform": "linux",
-                 "python": "3.11"},
-        "params": {},
-        "wall_seconds": wall,
-        "counters": counters or {},
-    }
-
-
-class TestCompare:
-    def test_identical_passes(self):
-        comparison = compare_benches(_bench(1.0), _bench(1.0))
-        assert not comparison.failed
-        assert [d.verdict for d in comparison.deltas] == ["ok"]
-
-    def test_twenty_percent_regression_fails(self):
-        comparison = compare_benches(_bench(1.0), _bench(1.2))
-        assert comparison.failed
-        (delta,) = comparison.regressions
-        assert delta.metric == "wall_seconds"
-        assert delta.ratio == pytest.approx(1.2)
-
-    def test_noise_floor_suppresses_tiny_absolute_deltas(self):
-        # 50% relative but only 10 ms absolute: noise on this scale.
-        comparison = compare_benches(_bench(0.02), _bench(0.03))
-        assert not comparison.failed
-
-    def test_improvement_and_counter_changes(self):
-        base = _bench(2.0, {"shuffle.bytes": 1000, "gc_seconds": 0.5})
-        cand = _bench(1.0, {"shuffle.bytes": 5000, "gc_seconds": 0.5})
-        comparison = compare_benches(base, cand)
-        verdicts = {d.metric: d.verdict for d in comparison.deltas}
-        assert verdicts["wall_seconds"] == "improvement"
-        assert verdicts["shuffle.bytes"] == "changed"
-        assert verdicts["gc_seconds"] == "ok"
-        assert not comparison.failed  # changed counters are advisory
-
-    def test_added_and_removed_metrics(self):
-        base = _bench(1.0, {"old": 1})
-        cand = _bench(1.0, {"new": 2})
-        verdicts = {d.metric: d.verdict
-                    for d in compare_benches(base, cand).deltas}
-        assert verdicts["old"] == "removed"
-        assert verdicts["new"] == "added"
-
-    def test_host_mismatch_downgrades_to_advisory(self):
-        base = _bench(1.0)
-        cand = _bench(2.0, cpu_count=64)
-        comparison = compare_benches(base, cand)
-        assert comparison.host_mismatch
-        assert not comparison.failed
-        assert len(comparison.advisories) == 1
-        strict = compare_benches(base, cand, strict_host=True)
-        assert strict.failed
-
-    def test_format_comparison_mentions_regression(self):
-        text = format_comparison(compare_benches(_bench(1.0), _bench(1.5)))
-        assert "regression" in text
-        assert "wall_seconds" in text
-
-    def test_load_bench_validation(self, tmp_path):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(_bench(1.0)))
-        assert load_bench(str(good))["wall_seconds"] == 1.0
-        for bad_payload in (
-            [1, 2, 3],                                   # not an object
-            {"schema_version": 1, "name": "x"},          # too old
-            {"schema_version": 2, "name": "x"},          # missing fields
-            dict(_bench(1.0), counters=[]),              # bad counters
-        ):
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(bad_payload))
-            with pytest.raises(ValueError):
-                load_bench(str(bad))
 
 
 def _sampled_job():
@@ -416,55 +334,56 @@ class TestReportAcceptance:
 
 
 class TestCli:
-    def _write_benches(self, tmp_path, base_wall, cand_wall):
-        base = tmp_path / "base.json"
-        cand = tmp_path / "cand.json"
-        base.write_text(json.dumps(_bench(base_wall)))
-        cand.write_text(json.dumps(_bench(cand_wall)))
-        return str(base), str(cand)
+    def _write_benches(self, tmp_path, base_busy, cand_busy):
+        return write_records(tmp_path, contract_record(busy=base_busy),
+                             contract_record(busy=cand_busy))
 
     def test_compare_exits_nonzero_on_regression(self, tmp_path,
                                                  capsys):
-        base, cand = self._write_benches(tmp_path, 1.0, 1.25)
+        base, cand = self._write_benches(tmp_path, 1.0, 1.3)
         assert main(["compare", base, cand]) == 1
         out = capsys.readouterr().out
-        assert "regression" in out
+        assert "REGRESSION" in out
 
     def test_compare_passes_identical(self, tmp_path, capsys):
         base, cand = self._write_benches(tmp_path, 1.0, 1.0)
         assert main(["compare", base, cand]) == 0
+        assert capsys.readouterr().out.count("inside the bound") == 3
 
     def test_compare_json_output(self, tmp_path, capsys):
-        base, cand = self._write_benches(tmp_path, 1.0, 1.25)
+        base, cand = self._write_benches(tmp_path, 1.0, 1.3)
         out_path = tmp_path / "cmp.json"
         assert main(["compare", base, cand,
                      "--json", str(out_path)]) == 1
         payload = json.loads(out_path.read_text())
-        assert payload["failed"] is True
+        assert payload["exit"] == 1
+        assert {cell["verdict"] for cell in payload["cells"]} == {
+            "REGRESSION", "inside the bound"}
 
     def test_compare_threshold_flag(self, tmp_path, capsys):
-        base, cand = self._write_benches(tmp_path, 1.0, 1.25)
-        assert main(["compare", base, cand, "--threshold", "0.5"]) == 0
+        """Gone: the rule's bounds are BENCHMARK.json's, none is a flag."""
+        base, cand = self._write_benches(tmp_path, 1.0, 1.3)
+        for flag in (["--threshold", "0.5"], ["--noise-floor", "1"],
+                     ["--strict-host"], ["--show-ok"]):
+            with pytest.raises(SystemExit):
+                main(["compare", base, cand, *flag])
 
-    def test_compare_warns_on_pre_v2_baseline(self, tmp_path, capsys):
-        """A committed baseline that predates schema v2 must warn and
-        skip the comparison, never crash the gate."""
+    def test_compare_errors_on_legacy_bench_baseline(self, tmp_path,
+                                                     capsys):
+        """A committed ``BENCH_*.json`` of the legacy schema is not a
+        run of the contract benchmark: a typed error, never a pass."""
         stale = tmp_path / "stale.json"
         stale.write_text(json.dumps({"name": "old", "wall_seconds": 1.0}))
         _, cand = self._write_benches(tmp_path, 1.0, 1.0)
-        assert main(["compare", str(stale), cand]) == 0
-        out = capsys.readouterr().out
-        assert "predates bench schema v2" in out
-        assert "skipping comparison" in out
+        assert main(["compare", str(stale), cand]) == 2
+        assert "not a run.py --out record" in capsys.readouterr().err
 
     def test_compare_errors_on_pre_v2_candidate(self, tmp_path, capsys):
-        """Only the *baseline* gets leniency; a stale candidate means
-        the bench itself is broken."""
         base, _ = self._write_benches(tmp_path, 1.0, 1.0)
         stale = tmp_path / "stale.json"
         stale.write_text(json.dumps({"name": "old", "wall_seconds": 1.0}))
         assert main(["compare", base, str(stale)]) == 2
-        assert "schema_version" in capsys.readouterr().err
+        assert "not a run.py --out record" in capsys.readouterr().err
 
     def test_compare_errors_on_unparsable_baseline(self, tmp_path,
                                                    capsys):
