@@ -2,20 +2,18 @@
 """The perf trajectory, one row per measured commit, beside the frozen
 contract benchmark.
 
-    python3 benchmarks/trajectory.py [--seed N] [--seconds S] [--runs N]
+    python3 benchmarks/trajectory.py [--seed N] [--seconds S]
     python3 benchmarks/trajectory.py --smoke --dry-run
 
 Runs ``python3 benchmarks/e2e/run.py --workload W --seed S --seconds T
 --out DIR`` unmodified, once per workload of ``BENCHMARK.json`` (imports
 nothing from ``benchmarks/e2e`` and edits nothing there), and appends
 one row to the committed ``benchmarks/TRAJECTORY.jsonl``: commit, date,
-host, seed, seconds, runs and, per workload, ``attempted`` / ``failed``
-and every end-to-end metric — as the record's own ``summary`` quartiles
+host, seed, seconds and, per workload, ``attempted`` / ``failed`` and
+every end-to-end metric — as the record's own ``summary`` quartiles
 (n / q1 / median / q3 over the timed iterations) where the record
 sampled it (``busy_s``, ``setup_s``), as its bare value where it did
-not (``peak_rss_mb``).  With ``--runs N`` (N > 1) each workload runs N
-times and every metric holds the quartiles of the N runs' medians — the
-spread the benchmark's rule compares a change against.
+not (``peak_rss_mb``).
 
 ``repro-genomics compare benchmarks/TRAJECTORY.jsonl@<commit> ...``
 reads a row (the latest one of that commit) exactly as it reads a
@@ -24,9 +22,14 @@ Rows marked ``"source": "EXPERIMENTS.md"`` were back-filled from the
 tables written down before this file existed and hold medians only, so
 they compare as UNRESOLVED — the honest answer.
 
-``--smoke`` is the CI form: the first workload only, ``run.py --smoke``
-(quarter size), three runs so that the row's quartiles have n = 3;
-``--dry-run`` prints the row and appends nothing.
+``--smoke`` is the CI form: the first workload only and ``run.py
+--smoke`` (quarter size), which times two iterations — too few for
+quartiles — so the workload runs ``SMOKE_RUNS`` times and each metric
+holds the quartiles of the runs' medians.  Such a row says ``"runs":
+3`` (so do the two rows assembled from PR 24's ten alternating pairs,
+``"runs": 10``), and ``compare`` will not set a spread across runs
+beside a spread across one run's iterations: UNRESOLVED.  ``--dry-run``
+prints the row and appends nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ TRAJECTORY = os.path.join(HERE, "TRAJECTORY.jsonl")
 RUN_PY = os.path.join(HERE, "e2e", "run.py")
 #: Scratch for the records, inside the checkout like the benchmark's own.
 TMP_PARENT = os.path.join(ROOT, ".bench_tmp")
+#: ``run.py --smoke`` times two iterations; quartiles need three samples.
+SMOKE_RUNS = 3
 
 
 def quartiles(values: Sequence[float]) -> Dict[str, float]:
@@ -142,11 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="run.py --seconds (default: the contract's "
                              "run_seconds)")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="runs per workload; above 1 a metric holds "
-                             "the quartiles of the runs' medians")
     parser.add_argument("--smoke", action="store_true",
-                        help="first workload only, run.py --smoke, 3 runs")
+                        help="first workload only, run.py --smoke, "
+                             f"{SMOKE_RUNS} runs")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the row, append nothing")
     args = parser.parse_args(argv)
@@ -155,8 +158,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     seconds = (args.seconds if args.seconds is not None
                else contract["run_seconds"])
     if args.smoke:
-        workloads, args.runs = workloads[:1], max(args.runs, 3)
-    records = measure(workloads, args.seed, seconds, args.runs, args.smoke)
+        workloads = workloads[:1]
+    records = measure(workloads, args.seed, seconds,
+                      SMOKE_RUNS if args.smoke else 1, args.smoke)
     line = json.dumps(build_row(records, contract, head_commit()))
     print(line)
     if not args.dry_run:

@@ -207,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser(
         "compare",
-        help="judge two contract-benchmark runs by the benchmark's rule; "
-             "exit 1 on a regression, 3 on an unresolved cell",
+        help="judge two contract-benchmark runs by the rule and bounds of "
+             "this checkout's BENCHMARK.json; exit 1 regression, 3 unresolved",
     )
     compare.add_argument("baseline", help="a run.py --out record, or "
                          "TRAJECTORY.jsonl@COMMIT")
@@ -602,7 +602,7 @@ def _cmd_chaos(args) -> int:
             "chaos_events": events,
             "fault_counters": dict(fault_counters.rows),
             "absorption": {
-                row["round"]: row for row in absorption.records()
+                label: job.history.summary() for label, job in results.items()
             },
             "table8": table8.records(),
             "gate": {

@@ -12,8 +12,10 @@ read from ``BENCHMARK.json``:
   inter-quartile range: ``REGRESSION``; better likewise: ``IMPROVED``;
 * otherwise ``inside the bound``;
 * a spread (IQR over median, either side) wider than the bound,
-  quartiles from fewer than three samples, a metric one side lacks, or
-  hosts that differ: ``UNRESOLVED`` — never a silent pass;
+  quartiles from fewer than three samples, a metric one side lacks,
+  hosts that differ, or quartiles over several runs' medians (a row's
+  ``"runs"`` > 1) beside quartiles over one run's iterations:
+  ``UNRESOLVED`` — never a silent pass;
 * a metric a run gives one value for and no samples (``peak_rss_mb`` in
   a record file) is judged on its bound alone;
 * a run with ``failed > 0``, or a file that is not a run, is a typed
@@ -43,7 +45,8 @@ def load_contract(path: str = CONTRACT_PATH) -> Dict[str, Any]:
         with open(path) as handle:
             return json.load(handle)
     except (OSError, ValueError) as exc:
-        raise FormatError(f"no benchmark contract at {path}: {exc}") from exc
+        raise FormatError(f"no benchmark contract at {path} (compare runs "
+                          f"from a checkout): {exc}") from exc
 
 
 def record_entry(record: Dict[str, Any],
@@ -148,7 +151,11 @@ def judge(base: Any, cand: Any, metric: Dict[str, Any]) -> Dict[str, Any]:
 def compare_runs(base: Dict[str, Any], cand: Dict[str, Any],
                  contract: Dict[str, Any]) -> Dict[str, Any]:
     """Every workload either run holds × every end-to-end metric."""
-    same_host = base.get("host") == cand.get("host") and base.get("host")
+    unlike = None
+    if base.get("host") != cand.get("host") or not base.get("host"):
+        unlike = "hosts differ"
+    elif (base.get("runs", 1) > 1) != (cand.get("runs", 1) > 1):
+        unlike = "spread across runs beside spread across iterations"
     cells: List[Dict[str, Any]] = []
     for workload in dict.fromkeys([*base["workloads"], *cand["workloads"]]):
         for metric in contract["end_to_end"]:
@@ -156,8 +163,8 @@ def compare_runs(base: Dict[str, Any], cand: Dict[str, Any],
             cell = judge(base["workloads"].get(workload, {}).get(name),
                          cand["workloads"].get(workload, {}).get(name),
                          metric)
-            if not same_host:
-                cell.update(verdict="UNRESOLVED", reason="hosts differ")
+            if unlike:
+                cell.update(verdict="UNRESOLVED", reason=unlike)
             cells.append(dict(cell, workload=workload, metric=name))
     verdicts = {cell["verdict"] for cell in cells}
     return {

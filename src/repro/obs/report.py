@@ -159,7 +159,7 @@ def build_report(
         if recorder.wall_epoch else "(untraced)"
     )
     phases = recorder.phase_totals()
-    phase_sum = sum(phases.values())
+    phase_sum = sum(phases.values()) or 1.0  # all-zero spans: share 0
     cost = views["worker_cost"]
     cost_spec = "|".join([_COST] + [
         group for group in _COST_GROUPS

@@ -218,19 +218,19 @@ class TestElasticTrace:
     @needs_fork
     def test_trace_prints_cost_model(self, sample_dir, capsys):
         code = main([
-            "trace", "--data", sample_dir, "--partitions", "6",
-            "--executor", "pool", "--max-workers", "4",
+            "trace", "--data", sample_dir, "--partitions", "3",
+            "--executor", "pool", "--max-workers", "2",
             "--min-workers", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "Worker cost:" in out
-        # Round 4 reduces into two contigs: the pool retires workers, so
-        # the scaling columns (shown only when non-zero) are there.
+        # The scaling columns appear only when the pool scaled, which is
+        # up to the run's timing: tests/test_report_model.py pins them
+        # on synthetic counters.
         [header] = [line for line in out.splitlines()
                     if line.lstrip().startswith("workers")]
         assert "billed" in header and "static envelope" in header
-        assert "scale-ups" in header and "retired" in header
 
 
 class TestParser:

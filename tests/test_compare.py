@@ -245,3 +245,64 @@ class TestLoading:
         for row in rows:
             run = load_run(f"{path}@{row['commit']}", contract)
             assert set(run["workloads"]) <= names, row["commit"]
+
+
+class TestTrajectoryRows:
+    """``benchmarks/trajectory.py``: a row from one record per workload,
+    or — the smoke form — from several runs' medians."""
+
+    @pytest.fixture(scope="class")
+    def trajectory(self):
+        import importlib.util
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "trajectory.py")
+        spec = importlib.util.spec_from_file_location("trajectory", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_one_record_is_its_own_entry(self, trajectory, contract):
+        record = contract_record()
+        row = trajectory.build_row({"wgs-serial": [record]}, contract, "abc")
+        assert row["runs"] == 1 and row["commit"] == "abc"
+        assert row["workloads"]["wgs-serial"] == record_entry(record,
+                                                              contract)
+
+    def test_several_runs_merge_to_quartiles_of_their_medians(
+        self, trajectory, contract
+    ):
+        runs = [contract_record(busy=busy, rss=rss, n=2)
+                for busy, rss in ((0.6, 36.0), (0.4, 35.0), (0.5, 37.0))]
+        row = trajectory.build_row({"wgs-serial": runs}, contract, "abc")
+        entry = row["workloads"]["wgs-serial"]
+        assert row["runs"] == 3
+        assert (entry["attempted"], entry["failed"]) == (6, 0)
+        assert entry["busy_s"] == pytest.approx(
+            {"n": 3, "q1": 0.45, "median": 0.5, "q3": 0.55})
+        # A bare value per run becomes quartiles over the runs too.
+        assert entry["peak_rss_mb"] == pytest.approx(
+            {"n": 3, "q1": 35.5, "median": 36.0, "q3": 36.5})
+        assert entry["setup_s"]["q1"] == entry["setup_s"]["q3"] == 1.0
+
+    def test_a_row_across_runs_is_not_judged_against_one_run(
+        self, trajectory, tmp_path, contract
+    ):
+        runs = [contract_record(busy=busy) for busy in (0.4, 0.5, 0.6)]
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text("".join(json.dumps(row) + "\n" for row in (
+            trajectory.build_row({"wgs-serial": runs}, contract, "aaa1111"),
+            trajectory.build_row({"wgs-serial": runs[:1]}, contract,
+                                 "bbb2222"),
+        )))
+        across, single = (load_run(f"{rows}@{commit}", contract)
+                          for commit in ("aaa", "bbb"))
+        same = compare_runs(across, across, contract)
+        assert same["exit"] == 0
+        for base, cand in ((across, single), (single, across)):
+            mixed = compare_runs(base, cand, contract)
+            assert mixed["exit"] == 3
+            assert {(c["verdict"], c["reason"]) for c in mixed["cells"]} == {
+                ("UNRESOLVED",
+                 "spread across runs beside spread across iterations")}

@@ -22,7 +22,12 @@ from repro.mapreduce.executors import fork_available
 from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.analysis import worker_cost
-from repro.obs.recorder import NULL_RECORDER, ObsConfig, TraceRecorder
+from repro.obs.recorder import (
+    NULL_RECORDER,
+    ObsConfig,
+    Span,
+    TraceRecorder,
+)
 from repro.obs.report import (
     build_report,
     format_cell,
@@ -267,6 +272,66 @@ class TestWorkerCount:
         assert 1 <= cost["workers"] <= 4
 
 
+class TestSyntheticRecorder:
+    """The worker-cost section on spans and counters written by hand:
+    what a live pool does is up to timing, this is not."""
+
+    @staticmethod
+    def recorder(spans, counters=()):
+        recorder = TraceRecorder()
+        recorder.ingest(
+            Span(name, category, recorder.epoch + start,
+                 recorder.epoch + end, track=track)
+            for name, category, start, end, track in spans
+        )
+        for name, amount in counters:
+            recorder.metrics.counter(name).inc(amount)
+        return recorder
+
+    #: Three tasks on three pids, never more than two at once; the
+    #: second starts the instant the first ends (no overlap).
+    TASKS = (("m0", "map-task", 0.0, 1.0, "pid1"),
+             ("m1", "map-task", 1.0, 2.0, "pid2"),
+             ("m2", "map-task", 0.5, 1.5, "pid3"))
+
+    def test_workers_is_peak_overlap_not_tracks(self):
+        cost = worker_cost(self.recorder(self.TASKS))
+        assert cost["workers"] == 2
+        assert cost["busy_seconds"] == pytest.approx(3.0)
+        assert cost["static_envelope_seconds"] == pytest.approx(4.0)
+
+    def test_scaling_and_chaos_columns_appear_only_when_non_zero(self):
+        def cost_columns(counters):
+            tables = build_report(self.recorder(self.TASKS, counters))
+            [table] = [t for t in tables if t.title == "Worker cost"]
+            return table, [name for name, _ in table.columns]
+
+        _, fixed = cost_columns(())
+        assert fixed == ["workers", "wall", "busy", "billed", "utilization",
+                         "parallelism", "static envelope"]
+        table, scaled = cost_columns((("pool.scale.ups", 2),
+                                      ("pool.workers_retired", 1),
+                                      ("pool.paid_worker_seconds", 3.5)))
+        assert scaled == fixed + ["scale-ups", "scale-downs", "retired",
+                                  "respawned"]
+        [row] = table.records()
+        assert (row["scale-ups"], row["scale-downs"], row["retired"]) == \
+            (2, 0, 1)
+        assert row["billed"] == 3.5
+        _, chaos = cost_columns((("pool.preemptions", 1),))
+        assert chaos == fixed + ["preemptions", "cold starts",
+                                 "cold start charged", "backoff charged"]
+
+    def test_zero_length_phases_have_a_zero_share(self):
+        """A coarse clock can stamp every phase span with no duration."""
+        recorder = self.recorder((("map", "phase", 1.0, 1.0, "pid1"),
+                                  ("sort", "phase", 2.0, 2.0, "pid1")))
+        tables = build_report(recorder)
+        [phases] = [t for t in tables if t.title == "Phase totals"]
+        assert {row["share"] for row in phases.records()} == {0.0}
+        assert "0.0%" in render_text(tables)
+
+
 class TestCliSurfaces:
     def test_chaos_report_out_keeps_its_keys(self, tmp_path, capsys):
         """The JSON four CI drills assert on: same top-level keys, each
@@ -292,8 +357,15 @@ class TestCliSurfaces:
             "Bwa", "Mark Duplicates", "Haplotype Caller"}
         assert set(payload["table8"][0]) == {
             "stage", "d_count", "weighted_d_count", "d_impact"}
-        for name, row in payload["absorption"].items():
-            assert row["round"] == name and row["backups"] >= 0
+        # ``absorption`` is ``JobHistory.summary()`` per round, the data
+        # the printed "Per-round tasks" table is built from.
+        assert {"round1", "round2", "round3", "round4",
+                "round5"} <= set(payload["absorption"])
+        for row in payload["absorption"].values():
+            assert {"maps", "reduces", "retried_tasks", "injected_faults",
+                    "timeouts", "backups", "fenced_commits",
+                    "queued_seconds", "run_seconds",
+                    "total_attempts"} <= set(row)
         for name, value in payload["fault_counters"].items():
             assert format_cell(value) in text and name in text
 
