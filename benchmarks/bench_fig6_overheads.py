@@ -1,13 +1,11 @@
-"""Fig 6: overheads of shuffling-intensive jobs.
+"""Fig 6(a): overheads of shuffling-intensive jobs.
 
-* Fig 6(a): fraction of task time spent in data transformation between
-  Hadoop objects and in-memory BAM files, per map/reduce program stage
-  (paper: 12-49 %).  Measured *functionally* here: the wrapper layer
-  counts real bytes crossing the boundary on the synthetic dataset, and
-  the cost-model fractions are printed next to them.
-* Fig 6(b): ratio of summed-parallel program time to single-node
-  program time for each wrapped external program (paper: CleanSam
-  11 h 03 m / 7 h 33 m = 1.46 etc.).
+The fraction of task time spent in data transformation between Hadoop
+objects and in-memory BAM files, per map/reduce program stage (paper:
+12-49 %).  Measured *functionally* here: the wrapper layer counts real
+bytes crossing the boundary on the synthetic dataset, and the
+cost-model fractions are printed next to them.  Fig 6(b) is a simulator
+figure: ``repro-genomics perf-study fig6b_hadoop_vs_single``.
 """
 
 from benchlib import bench_seconds, report, report_json
@@ -17,14 +15,6 @@ from repro.cluster.costs import CostModel
 
 def fig6a_fractions(cost: CostModel):
     return dict(cost.transform_fraction)
-
-
-def fig6b_ratios(cost: CostModel):
-    return {
-        program: cost.hadoop_call_ratio[program]
-        for program in ("AddReplRG", "CleanSam", "FixMateInfo", "SortSam",
-                        "MarkDup")
-    }
 
 
 def test_fig6a_transform_fractions(benchmark, cost_model, accuracy_study):
@@ -59,22 +49,3 @@ def test_fig6a_transform_fractions(benchmark, cost_model, accuracy_study):
                    rounds.transform.items())},
         },
     )
-
-
-def test_fig6b_hadoop_vs_single_ratio(benchmark, cost_model):
-    ratios = benchmark(fig6b_ratios, cost_model)
-    lines = ["summed Hadoop time / single-node time per program:"]
-    for program, ratio in ratios.items():
-        lines.append(f"  {program:<14s}{ratio:>6.2f}")
-    report("fig6b_hadoop_vs_single", "\n".join(lines))
-    report_json(
-        "fig6b_hadoop_vs_single",
-        wall_seconds=bench_seconds(benchmark),
-        params={"programs": sorted(ratios)},
-        counters={f"ratio.{program}": round(ratio, 4)
-                  for program, ratio in ratios.items()},
-    )
-    # Every wrapped program costs more when called repeatedly (Fig 6b:
-    # all ratios > 1), and CleanSam's ratio survives in the paper text.
-    assert all(ratio > 1.0 for ratio in ratios.values())
-    assert abs(ratios["CleanSam"] - (11 + 3 / 60) / (7 + 33 / 60)) < 0.01

@@ -13,7 +13,7 @@ import pytest
 
 from repro.align import AlignerConfig, ReferenceIndex
 from repro.api import PipelineSpec
-from repro.cluster.costs import NA12878, CostModel
+from repro.cluster.costs import CostModel
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
 from repro.genome import (
     DonorSimulationConfig,
@@ -30,11 +30,6 @@ from repro.variants.haplotype import HaplotypeCallerConfig
 @pytest.fixture(scope="session")
 def cost_model():
     return CostModel()
-
-
-@pytest.fixture(scope="session")
-def workload():
-    return NA12878
 
 
 @pytest.fixture(scope="session")

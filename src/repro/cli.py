@@ -9,7 +9,7 @@ Subcommands::
     repro-genomics compare    BASELINE CANDIDATE   (FILE or ROWS.jsonl@COMMIT)
     repro-genomics diagnose   --data DIR
     repro-genomics chaos      --data DIR [--<event> SPEC ...] (chaos --help)
-    repro-genomics perf-study [--cluster A|B]
+    repro-genomics perf-study [FIGURE ...|all] [--out DIR]
     repro-genomics serve      --state-dir DIR --socket PATH [--tenant N:W]
     repro-genomics submit     --socket PATH --tenant T (--text S|--data DIR)
     repro-genomics jobs       --socket PATH [--json]
@@ -40,6 +40,7 @@ from repro.chaos.plan import (
     KillServer,
     parse_event,
 )
+from repro.cluster.figures import FIGURES, figure_record, run_figure
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
 from repro.errors import (
     AdmissionError,
@@ -70,6 +71,7 @@ from repro.obs.compare import (
 from repro.obs.export import render_timeline, write_chrome_trace, write_jsonl
 from repro.obs.recorder import ObsConfig
 from repro.obs.report import (
+    Table,
     build_report,
     chaos_tables,
     diagnosis_table,
@@ -243,9 +245,16 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--report-out", default=None,
                        help="write a JSON chaos report here")
 
-    perf = sub.add_parser("perf-study",
-                          help="print the simulated performance study")
-    perf.add_argument("--cluster", choices=("A", "B"), default="A")
+    perf = sub.add_parser(
+        "perf-study",
+        help="print the simulated paper figures and check their claims; "
+             "exit 1 if a claim fails",
+    )
+    perf.add_argument("figures", nargs="*", metavar="FIGURE",
+                      help="figures to print (default: all): "
+                           + ", ".join(FIGURES))
+    perf.add_argument("--out", default=None, metavar="DIR",
+                      help="also write each figure as DIR/BENCH_<name>.json")
 
     serve = sub.add_parser(
         "serve",
@@ -627,45 +636,22 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_perf_study(args) -> int:
-    from repro.cluster.costs import NA12878, CostModel
-    from repro.cluster.hardware import CLUSTER_A, CLUSTER_B
-    from repro.cluster.mrsim import ClusterModel, simulate_round
-    from repro.cluster.rounds_model import (
-        round1_spec,
-        round2_spec,
-        round3_spec,
-        round4_spec,
-        round5_spec,
-    )
-    from repro.metrics.perf import format_duration
-
-    cost = CostModel()
-    workload = NA12878
-    if args.cluster == "A":
-        spec, slots, mappers, threads, parts = CLUSTER_A, 6, 6, 4, 90
-    else:
-        spec, slots, mappers, threads, parts = CLUSTER_B, 16, 16, 1, 64
-    cluster = ClusterModel(spec)
-    rounds = [
-        ("Round 1 alignment",
-         round1_spec(cluster, cost, workload, parts, mappers, threads)),
-        ("Round 2 cleaning",
-         round2_spec(cluster, cost, workload, parts, slots, slots)),
-        ("Round 3 markdup(opt)",
-         round3_spec(cluster, cost, workload, "opt", parts, slots, slots)),
-        ("Round 4 sort+index",
-         round4_spec(cluster, cost, workload, parts, slots, slots)),
-        ("Round 5 haplotype caller",
-         round5_spec(cluster, cost, workload, slots)),
-    ]
-    total = 0.0
-    print(f"cluster {args.cluster} ({spec.data_nodes} nodes)")
-    for name, round_spec in rounds:
-        result = simulate_round(ClusterModel(spec), round_spec)
-        total += result.wall_seconds
-        print(f"  {name:<26s}{format_duration(result.wall_seconds):>24s}")
-    print(f"  {'TOTAL':<26s}{format_duration(total):>24s}")
-    return 0
+    failed = []
+    for name in [name for name in args.figures if name != "all"] or FIGURES:
+        tables, claims = run_figure(name)
+        print(f"=== {name} ===")
+        print(render_text(tables + [Table(
+            "Claims", (("claim", ""), ("holds", "")), list(claims.items()),
+            "" if claims else "(none: the figure is printed for reading)")]))
+        print()
+        failed += [f"{name}: {claim}" for claim, ok in claims.items() if not ok]
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            _write_json(os.path.join(args.out, f"BENCH_{name}.json"),
+                        figure_record(name, tables, claims))
+    for claim in failed:
+        print(f"CLAIM FAILED: {claim}")
+    return 1 if failed else 0
 
 
 def _parse_tenant_flag(spec: str):

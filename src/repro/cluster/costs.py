@@ -11,42 +11,29 @@ them by each cluster's clock rate.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.cluster.threading import BwaThreadModel
 
 GB = 1024 ** 3
 HOUR = 3600.0
 
 
-class Workload:
+class Workload(NamedTuple):
     """The NA12878 64x whole-genome sample (paper section 4.1)."""
 
-    def __init__(
-        self,
-        read_pairs: float = 1.24e9,
-        sam_records: float = 2.504895008e9,
-        fastq_bytes: float = 2 * 282 * GB,
-        compressed_input_bytes: float = 220 * GB,
-        bam_bytes: float = 150 * GB,
-        round2_shuffle_bytes: float = 390 * GB,
-        markdup_opt_shuffle_bytes: float = 375 * GB,
-        markdup_reg_shuffle_bytes: float = 785 * GB,
-        markdup_opt_record_ratio: float = 1.03,
-        markdup_reg_record_ratio: float = 1.92,
-        reference_index_bytes: float = 5 * GB,
-        chromosomes: int = 23,
-    ):
-        self.read_pairs = read_pairs
-        self.sam_records = sam_records
-        self.fastq_bytes = fastq_bytes
-        self.compressed_input_bytes = compressed_input_bytes
-        self.bam_bytes = bam_bytes
-        self.round2_shuffle_bytes = round2_shuffle_bytes
-        self.markdup_opt_shuffle_bytes = markdup_opt_shuffle_bytes
-        self.markdup_reg_shuffle_bytes = markdup_reg_shuffle_bytes
-        self.markdup_opt_record_ratio = markdup_opt_record_ratio
-        self.markdup_reg_record_ratio = markdup_reg_record_ratio
-        self.reference_index_bytes = reference_index_bytes
-        self.chromosomes = chromosomes
+    read_pairs: float = 1.24e9
+    sam_records: float = 2.504895008e9
+    fastq_bytes: float = 2 * 282 * GB
+    compressed_input_bytes: float = 220 * GB
+    bam_bytes: float = 150 * GB
+    round2_shuffle_bytes: float = 390 * GB
+    markdup_opt_shuffle_bytes: float = 375 * GB
+    markdup_reg_shuffle_bytes: float = 785 * GB
+    markdup_opt_record_ratio: float = 1.03
+    markdup_reg_record_ratio: float = 1.92
+    reference_index_bytes: float = 5 * GB
+    chromosomes: int = 23
 
 
 NA12878 = Workload()

@@ -10,12 +10,11 @@ plus Fig 7/10-style traces.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.fluid import FluidSimulator, Phase, Resource, SimTask
 from repro.cluster.hardware import ClusterSpec
 from repro.errors import SimulationError
-from repro.mapreduce.policy import ExecutionPolicy
 
 REFERENCE_GHZ = 2.4
 
@@ -45,48 +44,29 @@ class ClusterModel:
         return disks[index % len(disks)]
 
 
-class MapTaskSpec:
+class MapTaskSpec(NamedTuple):
     """Work of one map task."""
 
-    def __init__(
-        self,
-        input_bytes: float,
-        cpu_core_seconds: float,
-        threads: int = 1,
-        startup_core_seconds: float = 0.0,
-        transform_core_seconds: float = 0.0,
-        output_bytes: float = 0.0,
-        spills: int = 1,
-        preferred_node: Optional[str] = None,
-    ):
-        #: Node holding the task's logical partition (data locality).
-        self.preferred_node = preferred_node
-        self.input_bytes = input_bytes
-        self.cpu_core_seconds = cpu_core_seconds
-        self.threads = threads
-        self.startup_core_seconds = startup_core_seconds
-        self.transform_core_seconds = transform_core_seconds
-        self.output_bytes = output_bytes
-        #: Sorted runs spilled; >1 forces a map-side merge pass.
-        self.spills = spills
+    input_bytes: float
+    cpu_core_seconds: float
+    threads: int = 1
+    startup_core_seconds: float = 0.0
+    transform_core_seconds: float = 0.0
+    output_bytes: float = 0.0
+    #: Sorted runs spilled; >1 forces a map-side merge pass.
+    spills: int = 1
+    #: Node holding the task's logical partition (data locality).
+    preferred_node: Optional[str] = None
 
 
-class ReduceTaskSpec:
+class ReduceTaskSpec(NamedTuple):
     """Work of one reduce task."""
 
-    def __init__(
-        self,
-        shuffle_bytes: float,
-        merge_extra_bytes: float,
-        cpu_core_seconds: float,
-        transform_core_seconds: float = 0.0,
-        output_bytes: float = 0.0,
-    ):
-        self.shuffle_bytes = shuffle_bytes
-        self.merge_extra_bytes = merge_extra_bytes
-        self.cpu_core_seconds = cpu_core_seconds
-        self.transform_core_seconds = transform_core_seconds
-        self.output_bytes = output_bytes
+    shuffle_bytes: float
+    merge_extra_bytes: float
+    cpu_core_seconds: float
+    transform_core_seconds: float = 0.0
+    output_bytes: float = 0.0
 
 
 class RoundSpec:
@@ -111,15 +91,13 @@ class RoundSpec:
         self.slowstart = slowstart
 
 
-class SimulatedTaskReport:
+class SimulatedTaskReport(NamedTuple):
     """Timing of one task for the Fig 7 progress plot."""
 
-    def __init__(self, task_id: str, kind: str, node: str,
-                 phases: List[Tuple[str, float, float]]):
-        self.task_id = task_id
-        self.kind = kind
-        self.node = node
-        self.phases = phases
+    task_id: str
+    kind: str
+    node: str
+    phases: List[Tuple[str, float, float]]
 
     @property
     def start(self) -> float:
@@ -142,7 +120,6 @@ class RoundResult:
         self.tasks: List[SimulatedTaskReport] = []
         self.trace = None
         self.serial_slot_seconds = 0.0
-        self.maps_finished_at = 0.0
         #: Map tasks that ran on their preferred (data-local) node.
         self.data_local_maps = 0
 
@@ -175,41 +152,15 @@ class RoundResult:
         return f"RoundResult({self.name}, wall={self.wall_seconds:.0f}s)"
 
 
-def effective_slots(slots: int, policy: Optional[ExecutionPolicy]) -> int:
-    """Per-node task slots after an execution policy caps them.
-
-    The simulator mirrors the in-process engine: a serial policy runs
-    one task at a time per node, and a bounded worker pool caps the
-    configured Hadoop slots.  No policy leaves the spec untouched.
-    """
-    if policy is None or slots <= 0:
-        return slots
-    if policy.executor == "serial":
-        return 1
-    if policy.max_workers is not None:
-        return min(slots, policy.max_workers)
-    return slots
-
-
-def simulate_round(
-    cluster: ClusterModel,
-    spec: RoundSpec,
-    policy: Optional[ExecutionPolicy] = None,
-) -> RoundResult:
-    """Run one MapReduce round through the fluid simulator.
-
-    ``policy`` optionally caps the round's per-node slot counts the way
-    the matching :class:`ExecutionPolicy` would bound the in-process
-    engine's worker pool (see :func:`effective_slots`).
-    """
+def simulate_round(cluster: ClusterModel, spec: RoundSpec) -> RoundResult:
+    """Run one MapReduce round through the fluid simulator."""
     ghz = cluster.ghz_ratio
-    map_slots = effective_slots(spec.map_slots_per_node, policy)
-    reduce_slots = effective_slots(spec.reduce_slots_per_node, policy)
+    map_slots = spec.map_slots_per_node
+    reduce_slots = spec.reduce_slots_per_node
     state = {
         "map_queue": list(enumerate(spec.map_tasks)),
         "maps_running": {node: 0 for node in cluster.nodes},
         "maps_done": 0,
-        "maps_done_at": 0.0,
         "reduce_started": False,
         "reduces_running": {node: 0 for node in cluster.nodes},
         "reduce_queue": list(enumerate(spec.reduce_tasks)),
@@ -291,8 +242,6 @@ def simulate_round(
             if kind == "map":
                 state["maps_done"] += 1
                 state["maps_running"][node] -= 1
-                if state["maps_done"] == total_maps:
-                    state["maps_done_at"] = now
             elif kind == "reduce":
                 state["reduces_running"][node] -= 1
             elif kind == "shuffle":
@@ -327,7 +276,7 @@ def simulate_round(
             # First pass: place tasks on their preferred nodes.
             remaining = []
             for index, mspec in state["map_queue"]:
-                preferred = getattr(mspec, "preferred_node", None)
+                preferred = mspec.preferred_node
                 if (
                     preferred in state["maps_running"]
                     and state["maps_running"][preferred] < map_slots
@@ -375,7 +324,6 @@ def simulate_round(
     result = RoundResult(spec.name)
     result.wall_seconds = wall
     result.trace = sim.trace
-    result.maps_finished_at = state["maps_done_at"]
     result.data_local_maps = state["data_local"]
     for task in sim.completed:
         kind = "map" if "-m-" in task.task_id else "reduce"

@@ -13,11 +13,11 @@ maximises efficiency subject to a turnaround deadline.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cluster.costs import CostModel, Workload
 from repro.cluster.hardware import ClusterSpec
-from repro.cluster.mrsim import ClusterModel, simulate_round
+from repro.cluster.mrsim import ClusterModel, RoundResult, simulate_round
 from repro.cluster.rounds_model import (
     round1_spec,
     round2_spec,
@@ -28,38 +28,34 @@ from repro.cluster.rounds_model import (
 from repro.errors import SimulationError
 
 
-class PlanKnobs:
+class PlanKnobs(NamedTuple):
     """One candidate execution plan for the five-round pipeline."""
 
-    def __init__(self, align_mappers: int, align_threads: int,
-                 fastq_partitions: int, markdup_mode: str,
-                 reducers_per_node: int, slowstart: float):
-        self.align_mappers = align_mappers
-        self.align_threads = align_threads
-        self.fastq_partitions = fastq_partitions
-        self.markdup_mode = markdup_mode
-        self.reducers_per_node = reducers_per_node
-        self.slowstart = slowstart
+    align_mappers: int
+    align_threads: int
+    fastq_partitions: int
+    markdup_mode: str
+    reducers_per_node: int
+    slowstart: float
 
     def __repr__(self) -> str:
-        return (
-            f"PlanKnobs(align={self.align_mappers}x{self.align_threads}, "
-            f"parts={self.fastq_partitions}, markdup={self.markdup_mode}, "
-            f"reducers={self.reducers_per_node}, "
-            f"slowstart={self.slowstart:.2f})"
-        )
+        return (f"PlanKnobs(align={self.align_mappers}x{self.align_threads}, "
+                f"parts={self.fastq_partitions}, markdup={self.markdup_mode}, "
+                f"reducers={self.reducers_per_node}, slowstart={self.slowstart:.2f})")
 
 
 class PlanEvaluation:
-    """Simulated outcome of one plan."""
+    """Simulated outcome of one plan: its rounds, in pipeline order."""
 
-    def __init__(self, knobs: PlanKnobs, wall_seconds: float,
-                 slot_seconds: float, total_core_seconds_available: float):
+    def __init__(self, knobs: PlanKnobs, rounds: List[RoundResult],
+                 cluster: ClusterSpec):
         self.knobs = knobs
-        self.wall_seconds = wall_seconds
-        self.slot_seconds = slot_seconds
+        self.rounds = rounds
+        self.wall_seconds = sum(result.wall_seconds for result in rounds)
+        self.slot_seconds = sum(result.serial_slot_seconds for result in rounds)
         #: Cluster core-seconds available over the makespan.
-        self.capacity_seconds = total_core_seconds_available
+        self.capacity_seconds = (self.wall_seconds * cluster.data_nodes
+                                 * cluster.node.cores)
 
     @property
     def cluster_efficiency(self) -> float:
@@ -87,12 +83,11 @@ class PipelineOptimizer:
 
     # -- plan evaluation ---------------------------------------------------
     def evaluate(self, knobs: PlanKnobs) -> PlanEvaluation:
-        """Simulate the full five-round pipeline under one plan."""
+        """Simulate the full five-round pipeline under one plan — the one
+        place the plan is written out."""
         model = ClusterModel(self.cluster)
         slots = self.cluster.node.cores
-        wall = 0.0
-        slot_seconds = 0.0
-        rounds = [
+        specs = [
             round1_spec(model, self.cost, self.workload,
                         knobs.fastq_partitions, knobs.align_mappers,
                         knobs.align_threads),
@@ -113,13 +108,10 @@ class PipelineOptimizer:
             round5_spec(model, self.cost, self.workload,
                         min(slots, knobs.reducers_per_node)),
         ]
-        for spec in rounds:
-            model = ClusterModel(self.cluster)  # fresh traces per round
-            result = simulate_round(model, spec)
-            wall += result.wall_seconds
-            slot_seconds += result.serial_slot_seconds
-        capacity = wall * self.cluster.data_nodes * self.cluster.node.cores
-        return PlanEvaluation(knobs, wall, slot_seconds, capacity)
+        # A fresh model per round: each round gets its own traces.
+        rounds = [simulate_round(ClusterModel(self.cluster), spec)
+                  for spec in specs]
+        return PlanEvaluation(knobs, rounds, self.cluster)
 
     # -- plan enumeration ----------------------------------------------------
     def candidate_plans(self) -> List[PlanKnobs]:
@@ -146,41 +138,31 @@ class PipelineOptimizer:
         return plans
 
     # -- optimization objectives ------------------------------------------------
+    def _best(self, plans: Optional[List[PlanKnobs]], admissible, score,
+              failure: str) -> PlanEvaluation:
+        """The first highest-``score`` admissible evaluation of ``plans``
+        (default: every candidate plan)."""
+        evaluations = map(self.evaluate, plans or self.candidate_plans())
+        best = max(filter(admissible, evaluations), key=score, default=None)
+        if best is None:
+            raise SimulationError(failure)
+        return best
+
     def minimize_turnaround(
         self, min_efficiency: float = 0.0,
         plans: Optional[List[PlanKnobs]] = None,
     ) -> PlanEvaluation:
         """Fastest plan meeting the efficiency floor (clinic's view)."""
-        best: Optional[PlanEvaluation] = None
-        for knobs in plans or self.candidate_plans():
-            evaluation = self.evaluate(knobs)
-            if evaluation.cluster_efficiency < min_efficiency:
-                continue
-            if best is None or evaluation.wall_seconds < best.wall_seconds:
-                best = evaluation
-        if best is None:
-            raise SimulationError(
-                f"no plan reaches efficiency {min_efficiency:.2f}"
-            )
-        return best
+        return self._best(plans,
+                          lambda e: e.cluster_efficiency >= min_efficiency,
+                          lambda e: -e.wall_seconds,
+                          f"no plan reaches efficiency {min_efficiency:.2f}")
 
     def maximize_efficiency(
         self, deadline_seconds: float,
         plans: Optional[List[PlanKnobs]] = None,
     ) -> PlanEvaluation:
         """Most efficient plan meeting the deadline (center's view)."""
-        best: Optional[PlanEvaluation] = None
-        for knobs in plans or self.candidate_plans():
-            evaluation = self.evaluate(knobs)
-            if evaluation.wall_seconds > deadline_seconds:
-                continue
-            if (
-                best is None
-                or evaluation.cluster_efficiency > best.cluster_efficiency
-            ):
-                best = evaluation
-        if best is None:
-            raise SimulationError(
-                f"no plan meets the {deadline_seconds:.0f}s deadline"
-            )
-        return best
+        return self._best(plans, lambda e: e.wall_seconds <= deadline_seconds,
+                          lambda e: e.cluster_efficiency,
+                          f"no plan meets the {deadline_seconds:.0f}s deadline")

@@ -270,8 +270,7 @@ def round5_spec(
     """23 partitions, 90 slots: the degree-of-parallelism cliff."""
     hc_total = cost.haplotype_caller_core_seconds * 0.98  # parallel saves I/O
     maps = []
-    for name, fraction in chromosome_fractions().items():
-        del name
+    for fraction in chromosome_fractions().values():
         maps.append(
             MapTaskSpec(
                 input_bytes=workload.bam_bytes * fraction,

@@ -82,10 +82,6 @@ class BwaThreadModel:
         """Per-thread efficiency (speedup / threads)."""
         return self.speedup(threads) / threads
 
-    def curve(self, max_threads: int = 24):
-        """(threads, speedup) points for the Fig 5c plot."""
-        return [(n, self.speedup(n)) for n in range(1, max_threads + 1)]
-
     def __repr__(self) -> str:
         return (
             f"BwaThreadModel(readahead={self.readahead_bytes}B, "

@@ -22,12 +22,14 @@ from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.cluster.monitor import render_ramp
+from repro.metrics.perf import format_duration
 from repro.obs.analysis import MAD_THRESHOLD, analyze
 
 
 class Table(NamedTuple):
     """One report section: ``columns`` are ``(name, unit)`` pairs, the
-    unit one of ``s``, ``B``, ``%`` (a fraction), ``x``, ``n`` (a count),
+    unit one of ``s``, ``hms`` (seconds in the paper's hours / minutes /
+    seconds), ``B``, ``%`` (a fraction), ``x``, ``n`` (a count),
     ``series`` (a list of samples) or ``""`` (text or a raw number)."""
 
     title: str
@@ -85,6 +87,8 @@ def format_cell(value: Any, unit: str = "") -> str:
         return "-"
     if unit == "s":
         return format_seconds(value)
+    if unit == "hms":
+        return format_duration(value)
     if unit == "B":
         return format_bytes(value)
     if unit == "%":

@@ -128,7 +128,7 @@ class TestDiagnose:
 class TestPerfStudy:
     @pytest.mark.parametrize("cluster", ["A", "B"])
     def test_prints_rounds(self, cluster, capsys):
-        code = main(["perf-study", "--cluster", cluster])
+        code = main(["perf-study", f"pipeline_cluster_{cluster.lower()}"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Round 5" in out

@@ -1,8 +1,14 @@
-"""Tests for the fluid simulator, thread model, and MR round simulation."""
+"""Tests for the fluid simulator, thread model, MR round simulation and
+the paper figures declared on top of them."""
+
+import glob
+import json
+import os
 
 import pytest
 
 from repro.cluster.costs import GB, NA12878, CostModel
+from repro.cluster.figures import FIGURES, figure_record, run_figure
 from repro.cluster.fluid import FluidSimulator, Phase, Resource, SimTask
 from repro.cluster.hardware import CLUSTER_A, CLUSTER_B, SINGLE_SERVER
 from repro.cluster.mrsim import (
@@ -12,13 +18,7 @@ from repro.cluster.mrsim import (
     RoundSpec,
     simulate_round,
 )
-from repro.cluster.rounds_model import (
-    bwa_single_node_seconds,
-    chromosome_fractions,
-    round1_spec,
-    round3_spec,
-    round5_spec,
-)
+from repro.cluster.rounds_model import chromosome_fractions, round3_spec, round5_spec
 from repro.cluster.threading import (
     BwaThreadModel,
     node_throughput,
@@ -255,29 +255,6 @@ class TestMRSimulation:
             walls[mode] = simulate_round(cluster, spec).wall_seconds
         assert walls["reg"] > walls["opt"] * 1.5
 
-    def test_alignment_16x1_beats_4x4(self):
-        """Table 7: 16 single-threaded mappers beat 4x4 threads."""
-        cost = CostModel()
-        cluster = ClusterModel(CLUSTER_B)
-        narrow = simulate_round(
-            cluster, round1_spec(cluster, cost, NA12878, 64, 16, 1)
-        ).wall_seconds
-        wide = simulate_round(
-            cluster, round1_spec(cluster, cost, NA12878, 64, 4, 4)
-        ).wall_seconds
-        assert narrow < wide
-
-    def test_superlinear_speedup_vs_24_thread_baseline(self):
-        """The headline claim: Gesall's Round 1 on 15 nodes beats the
-        24-threaded Bwa baseline by more than 15x."""
-        cost = CostModel()
-        cluster = ClusterModel(CLUSTER_A)
-        parallel = simulate_round(
-            cluster, round1_spec(cluster, cost, NA12878, 90, 6, 4)
-        ).wall_seconds
-        baseline = bwa_single_node_seconds(cost, CLUSTER_A, threads=24)
-        assert baseline / parallel > CLUSTER_A.data_nodes
-
     def test_round5_underutilizes_cluster(self):
         """Section 4.4 item 4: 23 chromosome partitions cannot fill 90
         slots; the wall clock tracks the largest chromosome."""
@@ -307,3 +284,31 @@ class TestMRSimulation:
 
     def test_chromosome_fractions_sum_to_one(self):
         assert sum(chromosome_fractions().values()) == pytest.approx(1.0)
+
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                       "results")
+
+
+class TestPaperFigures:
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_every_claim_holds_and_the_record_is_committed(self, name):
+        """Each figure's claims are the paper's shapes; its committed
+        ``BENCH_<name>.json`` is what ``perf-study --out`` writes today."""
+        tables, claims = run_figure(name)
+        assert tables and all(table.rows for table in tables)
+        assert [claim for claim, holds in claims.items() if not holds] == []
+        with open(os.path.join(RESULTS, f"BENCH_{name}.json")) as handle:
+            committed = json.load(handle)
+        assert json.loads(json.dumps(figure_record(name, tables, claims))) \
+            == committed, f"regenerate: repro-genomics perf-study {name} " \
+                          "--out benchmarks/results"
+
+    def test_every_committed_record_is_versioned(self):
+        paths = glob.glob(os.path.join(RESULTS, "BENCH_*.json"))
+        assert len(paths) >= len(FIGURES)
+        for path in paths:
+            with open(path) as handle:
+                record = json.load(handle)
+            assert record.get("schema_version", 0) >= 2, path
+            assert "host" in record or "plane" in record, path

@@ -9,8 +9,10 @@ against an oracle that is not its past: ``full_matrix_best`` below.
 """
 
 import copy
+import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro import (
 )
 from repro.align.sw import banded_local_alignment
 from repro.cleaning import AddOrReplaceReadGroups, CleanSam, pair_score
+from repro.cleaning.duplicates import mark_duplicates_in_place
 from repro.errors import CigarError, FormatError
 from repro.formats import cigar as cigar_module
 from repro.formats import flags as F
@@ -35,9 +38,13 @@ from repro.formats.bam import bam_bytes, decode_bam, encode_bam, read_bam
 from repro.formats.sam import SamHeader, SamRecord, decode_quals, encode_quals
 from repro.genome.reference import ReferenceGenome
 from repro.genome.regions import GenomicInterval
+from repro.hdfs.bam_storage import upload_bam
+from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
+from repro.mapreduce.engine import MapReduceEngine
 from repro.variants.haplotype import HaplotypeCallerConfig, HaplotypeCallerLite
 from repro.variants.pileup import PileupConfig, build_pileup, pileup_activity
+from repro.wrappers.rounds import GesallRounds
 from repro.wrappers.programs import (
     DataTransformAccounting,
     run_wrapped,
@@ -758,6 +765,225 @@ class TestDuplicateScoreAgainstNaiveBody:
         with pytest.raises(FormatError) as raised:
             scored(bad).sum_of_base_qualities(minimum)
         assert str(raised.value) == str(expected.value)
+
+
+# -- MarkDuplicates: both criteria by brute force ------------------------------
+def markdup_key(row):
+    """``(contig, unclipped 5' end, reverse)`` of one ``(qname, flag, rname,
+    pos, cigar, qual)`` row, read off the CIGAR text alone."""
+    _, flag, rname, pos, cigar, _ = row
+    ops = [(int(length), op) for length, op in re.findall(r"(\d+)(\D)", cigar)]
+
+    def clipped(ops):
+        return sum(length for length, _ in
+                   itertools.takewhile(lambda item: item[1] in "SH", ops))
+
+    if flag & 0x10:
+        span = sum(length for length, op in ops if op in "MDN=X")
+        return rname, pos + span - 1 + clipped(ops[::-1]), True
+    return rname, pos - clipped(ops), False
+
+
+def markdup_score(row):
+    """Picard's duplicate score: the summed qualities of Q15+ bases."""
+    return sum(ord(c) - 33 for c in row[5] if ord(c) - 33 >= 15)
+
+
+def markdup_groups(rows):
+    """``(pairs, partials)``: row-index pairs of the primary mapped reads
+    whose mate is mapped and present, and every other primary mapped read
+    (mate unmapped, unpaired or absent)."""
+    live = [i for i, row in enumerate(rows) if not row[1] & 0x904]
+    mates = {}
+    for i in live:
+        if rows[i][1] & 0x1 and not rows[i][1] & 0x8:
+            mates.setdefault(rows[i][0], []).append(i)
+    pairs = [tuple(ends) for ends in mates.values() if len(ends) == 2]
+    paired = {i for pair in pairs for i in pair}
+    return pairs, [i for i in live if i not in paired]
+
+
+def markdup_oracle(rows, pair_order=min):
+    """Every row's duplicate flag, by brute force over all pairs (nothing
+    of ``repro``).
+
+    Criterion 1: a complete pair is a duplicate iff another pair has the
+    same sorted pair of keys and a higher summed score, or an equal one
+    earlier in input order, a pair's place being ``pair_order`` of its two
+    row indices (``min``: where it starts, Picard's read-1 index; ``max``:
+    where it completes).  Criterion 2: a partial is a duplicate iff a
+    complete-pair end shares its key, or another partial with that key
+    beats it by the same rule.
+    """
+    pairs, partials = markdup_groups(rows)
+
+    def beats(theirs, mine):  # (score, place)
+        return theirs[0] > mine[0] or (theirs[0] == mine[0] and theirs[1] < mine[1])
+
+    keys = {pair: sorted(markdup_key(rows[i]) for i in pair) for pair in pairs}
+    rank = {pair: (sum(markdup_score(rows[i]) for i in pair), pair_order(pair))
+            for pair in pairs}
+    dup = [False] * len(rows)
+    for pair in pairs:
+        if any(keys[other] == keys[pair] and beats(rank[other], rank[pair])
+               for other in pairs):
+            for i in pair:
+                dup[i] = True
+    ends = {markdup_key(rows[i]) for pair in pairs for i in pair}
+    for i in partials:
+        key, mine = markdup_key(rows[i]), (markdup_score(rows[i]), i)
+        dup[i] = key in ends or any(
+            markdup_key(rows[j]) == key and beats((markdup_score(rows[j]), j), mine)
+            for j in partials)
+    return dup
+
+
+def as_row(record):
+    return (record.qname, record.flags.value, record.rname, record.pos,
+            record.cigar.text, record.qual)
+
+
+#: 1200, 600 and 600: equal scores from different qualities.
+DUP_QUALS = ("I" * 30, "5" * 30, "I" * 15 + "#" * 15)
+DUP_CIGARS = ("30M", "5S25M", "25M5S", "2H30M", "10M2I18M", "12M3D18M")
+
+
+def colliding_sets(rng, count=40):
+    """Read-name groups piled onto a few 5' ends: complete pairs (often
+    across contigs), partials with their shadow (the unmapped mate placed
+    at the mapped end), clipped and gapped reads, tied scores, secondary
+    alignments and stale duplicate flags."""
+    def record(qname, bits, rname, pos, cigar):
+        return SamRecord(qname, F.SamFlags(bits | rng.choice((0, F.DUPLICATE))),
+                         rname, pos, 60, Cigar.parse(cigar), seq="A" * 30,
+                         qual=rng.choice(DUP_QUALS))
+
+    def mapped(qname, bits):
+        return record(qname, bits | rng.choice((0, F.REVERSE)),
+                      rng.choice(("chrA", "chrB")), rng.randint(100, 101),
+                      rng.choice(DUP_CIGARS))
+
+    groups = []
+    for index in range(count):
+        qname = f"q{index:03d}"
+        if rng.random() < 0.6:
+            group = [mapped(qname, F.PAIRED | F.FIRST_IN_PAIR),
+                     mapped(qname, F.PAIRED | F.SECOND_IN_PAIR)]
+        else:
+            end = mapped(qname, F.PAIRED | F.FIRST_IN_PAIR | F.MATE_UNMAPPED)
+            group = [end, record(qname, F.PAIRED | F.SECOND_IN_PAIR | F.UNMAPPED,
+                                 end.rname, end.pos, "*")]
+        if rng.random() < 0.1:
+            group.append(record(qname, F.PAIRED | F.SECONDARY, "chrA", 101, "30M"))
+        rng.shuffle(group)
+        groups.append(group)
+    return groups
+
+
+def marked(records):
+    copies = [record.copy() for record in records]
+    mark_duplicates_in_place(copies)
+    return [record.flags.is_duplicate for record in copies]
+
+
+def tied_pair_rows(rows):
+    """Rows of the complete pairs whose key group's best score is tied."""
+    pairs, _ = markdup_groups(rows)
+    groups = {}
+    for pair in pairs:
+        key = tuple(sorted(markdup_key(rows[i]) for i in pair))
+        groups.setdefault(key, []).append(pair)
+    tied = set()
+    for group in groups.values():
+        scores = [sum(markdup_score(rows[i]) for i in pair) for pair in group]
+        if scores.count(max(scores)) > 1:
+            tied.update(i for pair in group for i in pair)
+    return tied
+
+
+def read_round(hdfs, paths):
+    return [record for path in paths for record in read_bam(hdfs.get(path))[1]]
+
+
+class TestMarkDuplicatesAgainstOracle:
+    def test_the_sets_collide_tie_and_cross_contigs(self):
+        """The seeded sets exercise what they claim to."""
+        cross = tied = partial_on_pair_end = 0
+        for seed in range(30):
+            rows = [as_row(r) for g in colliding_sets(random.Random(seed)) for r in g]
+            pairs, partials = markdup_groups(rows)
+            cross += sum(rows[a][2] != rows[b][2] for a, b in pairs)
+            tied += len(tied_pair_rows(rows))
+            ends = {markdup_key(rows[i]) for pair in pairs for i in pair}
+            partial_on_pair_end += sum(markdup_key(rows[i]) in ends for i in partials)
+        assert min(cross, tied, partial_on_pair_end) > 20
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_read_name_grouped_sets_flag_for_flag(self, seed):
+        """Grouped by read name (how round 3's reducers and every mapper
+        see them) a pair starts and completes in the same order."""
+        records = [r for g in colliding_sets(random.Random(seed)) for r in g]
+        assert marked(records) == markdup_oracle([as_row(r) for r in records])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_any_order_breaks_pair_ties_where_the_pair_completes(self, seed):
+        """In any order (coordinate-sorted, as the serial pipeline feeds
+        it) a tie between pairs goes to the pair whose second end comes
+        first, not its first end (Picard's read-1 index); the two readings
+        differ only inside tied pair groups (EXPERIMENTS.md)."""
+        rng = random.Random(seed)
+        records = [r for g in colliding_sets(rng) for r in g]
+        rng.shuffle(records)
+        rows = [as_row(r) for r in records]
+        flags = marked(records)
+        assert flags == markdup_oracle(rows, pair_order=max)
+        differ = {i for i, (a, b) in enumerate(zip(flags, markdup_oracle(rows)))
+                  if a != b}
+        assert differ <= tied_pair_rows(rows)
+
+    @pytest.fixture(scope="class")
+    def round3(self, aligned, aligner, reference):
+        """Round 3 reg and opt over the shared dataset's round 2."""
+        hdfs = Hdfs(["n0", "n1", "n2", "n3"], replication=2, block_size=64 * 1024)
+        rounds = GesallRounds(hdfs, MapReduceEngine(nodes=hdfs.nodes), aligner,
+                              reference, chunk_bytes=8 * 1024)
+        step = len(aligned) // 8 * 2
+        paths = [f"/r1/part-{start:05d}.bam" for start in range(0, len(aligned), step)]
+        for path, start in zip(paths, range(0, len(aligned), step)):
+            upload_bam(hdfs, path, aligner.header(), aligned[start:start + step],
+                       logical_partition=True)
+        round2 = rounds.round2_cleaning(paths, num_reducers=3)
+        return {mode: read_round(hdfs, rounds.round3_mark_duplicates(
+            round2, mode=mode, out_dir=f"/r3{mode}", num_reducers=3))
+            for mode in ("reg", "opt")}
+
+    @pytest.mark.parametrize("mode", ["reg", "opt"])
+    def test_round3_keeps_one_best_read_per_key(self, round3, mode):
+        """Exactly one non-duplicate per key group, carrying the group's
+        maximal score (which of tied ones may differ: section 4.5.2)."""
+        rows = [as_row(r) for r in round3[mode]]
+        dup = [r.flags.is_duplicate for r in round3[mode]]
+        pairs, partials = markdup_groups(rows)
+        groups = {}
+        for pair in pairs:
+            assert dup[pair[0]] == dup[pair[1]]
+            key = tuple(sorted(markdup_key(rows[i]) for i in pair))
+            groups.setdefault(key, []).append(
+                (sum(markdup_score(rows[i]) for i in pair), dup[pair[0]]))
+        ends = {markdup_key(rows[i]) for pair in pairs for i in pair}
+        for i in partials:
+            groups.setdefault(markdup_key(rows[i]), []).append(
+                (markdup_score(rows[i]), dup[i]))
+        assert max(map(len, groups.values())) > 1
+        for key, group in groups.items():
+            kept = [score for score, is_dup in group if not is_dup]
+            if key in ends:  # partials on a complete pair's end
+                assert kept == [], key
+            else:
+                assert kept == [max(score for score, _ in group)], key
+        assert sum(dup) == sum(markdup_oracle(rows)) > 0
+        live = {i for pair in pairs for i in pair} | set(partials)
+        assert not any(dup[i] for i in range(len(rows)) if i not in live)
 
 
 class TestQuickstartAccountingPins:
