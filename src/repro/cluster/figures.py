@@ -23,7 +23,7 @@ from repro.cluster.rounds_model import (
 )
 from repro.cluster.threading import BwaThreadModel
 from repro.errors import SimulationError
-from repro.obs.report import Table, report_dict
+from repro.obs.report import Table, parse_columns, report_dict
 from repro.pipeline.stages import TABLE2_STAGES, total_pipeline_hours
 
 
@@ -44,10 +44,10 @@ def _figure(name: str, params: Dict[str, Any], *claims):
     return register
 
 
-def _table(title: str, columns: str, rows: List[tuple], note: str = "") -> Table:
-    """A table whose columns are ``name[:unit]`` joined by ``|``."""
-    return Table(title, tuple(tuple(column.partition(":")[::2])
-                              for column in columns.split("|")), rows, note)
+def _table(title: str, spec: str, rows: List[tuple], note: str = "") -> Table:
+    """A table of tuple rows, its columns declared as for ``table_of``."""
+    return Table(title, tuple((name, unit) for name, unit, _ in parse_columns(spec)),
+                 rows, note)
 
 
 def _col(rows: Dict[Any, Dict[str, Any]], name: str) -> List[Any]:

@@ -43,7 +43,7 @@ class Table(NamedTuple):
         return [dict(zip(names, row)) for row in self.rows]
 
 
-def _columns(spec: str) -> List[Tuple[str, str, str]]:
+def parse_columns(spec: str) -> List[Tuple[str, str, str]]:
     """``name[:unit][=key]`` columns separated by ``|`` as (name, unit,
     key) triples; the key a record is read by defaults to the name."""
     triples = []
@@ -57,9 +57,9 @@ def _columns(spec: str) -> List[Tuple[str, str, str]]:
 def table_of(title: str, spec: str, records: Iterable[Mapping[str, Any]],
              empty: str = "(none)", missing: Any = None) -> Table:
     """A table over dict records, its columns declared by ``spec`` (see
-    :func:`_columns`); ``empty`` is the note an empty table carries and
+    :func:`parse_columns`); ``empty`` is the note an empty table carries and
     ``missing`` the cell of a key a record lacks (0 for counters)."""
-    columns = _columns(spec)
+    columns = parse_columns(spec)
     rows = [tuple(record.get(key, missing) for _, _, key in columns)
             for record in records]
     return Table(title, tuple((name, unit) for name, unit, _ in columns),
@@ -167,7 +167,7 @@ def build_report(
     cost = views["worker_cost"]
     cost_spec = "|".join([_COST] + [
         group for group in _COST_GROUPS
-        if any(counters.get(key) for _, _, key in _columns(group))
+        if any(counters.get(key) for _, _, key in parse_columns(group))
     ])
     tables = [
         Table("Run",
@@ -221,7 +221,7 @@ def build_report(
     shuffled = counters.get("shuffle.bytes_shuffled", 0)
     ratio = counters.get("shuffle.raw_bytes", 0) / shuffled if shuffled else 1.0
     for title, spec in _COUNTER_SECTIONS:
-        if any(counters.get(key) for _, _, key in _columns(spec)):
+        if any(counters.get(key) for _, _, key in parse_columns(spec)):
             tables.append(table_of(title, spec, [{**counters, "ratio": ratio}],
                                    missing=0))
     skewed = [

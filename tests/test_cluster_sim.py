@@ -8,7 +8,8 @@ import os
 import pytest
 
 from repro.cluster.costs import GB, NA12878, CostModel
-from repro.cluster.figures import FIGURES, figure_record, run_figure
+from repro.cli import main
+from repro.cluster.figures import FIGURES, Figure, figure_record, run_figure
 from repro.cluster.fluid import FluidSimulator, Phase, Resource, SimTask
 from repro.cluster.hardware import CLUSTER_A, CLUSTER_B, SINGLE_SERVER
 from repro.cluster.mrsim import (
@@ -25,6 +26,7 @@ from repro.cluster.threading import (
     process_thread_configurations,
 )
 from repro.errors import SimulationError
+from repro.obs.report import Table
 
 KB, MB = 1024, 1024 * 1024
 
@@ -303,6 +305,20 @@ class TestPaperFigures:
         assert json.loads(json.dumps(figure_record(name, tables, claims))) \
             == committed, f"regenerate: repro-genomics perf-study {name} " \
                           "--out benchmarks/results"
+
+    def test_a_failed_claim_exits_1_and_an_unknown_name_2(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def build(cost, workload):
+            return [Table("t", (("k", ""),), [("x",)])]
+
+        monkeypatch.setitem(FIGURES, "broken",
+                            Figure(build, {}, (("never", lambda t: False),)))
+        assert main(["perf-study", "broken", "--out", str(tmp_path)]) == 1
+        assert "CLAIM FAILED: broken: never" in capsys.readouterr().out
+        with open(tmp_path / "BENCH_broken.json") as handle:
+            assert json.load(handle)["claims"] == {"never": False}
+        assert main(["perf-study", "nope"]) == 2
 
     def test_every_committed_record_is_versioned(self):
         paths = glob.glob(os.path.join(RESULTS, "BENCH_*.json"))
