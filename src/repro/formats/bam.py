@@ -5,7 +5,7 @@ writer takes a bounded amount of SAM text, converts the contained
 records, compresses them into one variable-length chunk, and appends the
 chunk to the file.  Chunks are self-contained (whole records), but when
 the byte stream is split into fixed-size HDFS blocks a chunk may span a
-block boundary — Gesall's custom RecordReader reassembles it.
+block boundary; each round reads a logical partition whole.
 
 Byte layout::
 

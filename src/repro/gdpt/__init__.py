@@ -11,10 +11,6 @@ from repro.gdpt.safety import (
     equal_record_counts,
 )
 from repro.gdpt.partitioner import (
-    PAIR_VALUE,
-    PARTIAL_VALUE,
-    PASSTHROUGH_VALUE,
-    SHADOW_VALUE,
     GroupPartitioner,
     MarkDupKeying,
     OverlappingRangePartitioner,
@@ -34,10 +30,6 @@ __all__ = [
     "SafetyVerdict",
     "equal_duplicate_counts",
     "equal_record_counts",
-    "PAIR_VALUE",
-    "PARTIAL_VALUE",
-    "PASSTHROUGH_VALUE",
-    "SHADOW_VALUE",
     "GroupPartitioner",
     "MarkDupKeying",
     "OverlappingRangePartitioner",

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import PartitioningError
-from repro.cleaning.duplicates import fragment_key, pair_key
+from repro.errors import PartitioningError, PipelineError
+from repro.cleaning.duplicates import fragment_key, pair_key, pair_score
 from repro.formats.sam import SamHeader, SamRecord
 from repro.gdpt.bloom import BloomFilter
 from repro.genome.regions import GenomicInterval, tile_contig
@@ -163,6 +163,69 @@ class MarkDupKeying:
                 (("F", fragment_key(mapped)), (PARTIAL_VALUE, mapped, unmapped))
             ]
         return [(("U", end1.qname), (PASSTHROUGH_VALUE, end1, end2))]
+
+
+def records_by_pair(
+    records: Iterable[SamRecord],
+) -> List[Tuple[SamRecord, SamRecord]]:
+    """Pair up a read-name-grouped record stream (a round-2 partition)."""
+    open_reads: Dict[str, SamRecord] = {}
+    pairs: List[Tuple[SamRecord, SamRecord]] = []
+    for record in records:
+        mate = open_reads.pop(record.qname, None)
+        if mate is None:
+            open_reads[record.qname] = record
+        else:
+            pairs.append((mate, record))
+    if open_reads:
+        raise PipelineError(
+            f"{len(open_reads)} reads missing mates in a read-name partition"
+        )
+    return pairs
+
+
+def mark_duplicate_group(key: Tuple, values: List[Tuple]) -> List[SamRecord]:
+    """Reduce side of :class:`MarkDupKeying`: duplicate decisions for
+    one shuffled group, on copies of its records."""
+    out: List[SamRecord] = []
+    if key[0] == "P":
+        pairs = [
+            (end1.copy(), end2.copy())
+            for tag, end1, end2 in values
+            if tag == PAIR_VALUE
+        ]
+        if pairs:
+            best = max(
+                range(len(pairs)), key=lambda i: pair_score(*pairs[i])
+            )
+            for index, (end1, end2) in enumerate(pairs):
+                end1.set_duplicate(index != best)
+                end2.set_duplicate(index != best)
+                out += (end1, end2)
+        return out
+    if key[0] == "F":
+        partials = [
+            (value[1].copy(), value[2].copy())
+            for value in values if value[0] == PARTIAL_VALUE
+        ]
+        if not partials:
+            return out  # only shadows arrived: nothing to emit
+        if any(value[0] == SHADOW_VALUE for value in values):
+            survivor = None  # a complete pair occupies this position
+        else:
+            survivor = max(
+                range(len(partials)),
+                key=lambda i: partials[i][0].sum_of_base_qualities(),
+            )
+        for index, (mapped, unmapped) in enumerate(partials):
+            mapped.set_duplicate(index != survivor)
+            out += (mapped, unmapped)
+        return out
+    # Passthrough: both-unmapped pairs.
+    for tag, end1, end2 in values:
+        if tag == PASSTHROUGH_VALUE:
+            out += (end1.copy(), end2.copy())
+    return out
 
 
 def build_partial_position_bloom(

@@ -1,12 +1,7 @@
 """In-memory HDFS with Gesall's storage substrate on top."""
 
 from repro.errors import BlockLostError
-from repro.hdfs.bam_storage import (
-    BamBlockRecordReader,
-    read_bam_header,
-    read_distributed_bam,
-    upload_bam,
-)
+from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.blocks import (
     DEFAULT_BLOCK_SIZE,
     Datanode,
@@ -19,9 +14,6 @@ from repro.hdfs.placement import BlockPlacementPolicy, LogicalBlockPlacementPoli
 
 __all__ = [
     "BlockLostError",
-    "BamBlockRecordReader",
-    "read_bam_header",
-    "read_distributed_bam",
     "upload_bam",
     "DEFAULT_BLOCK_SIZE",
     "Datanode",

@@ -2,9 +2,9 @@
 
 Functional stand-in for the storage layer of the paper's platform.
 Stores blocks in memory (our datasets are laptop-scale), tracks
-placement, and exposes the read paths Gesall's RecordReaders need:
-whole-file reads, per-block reads, and cross-block tail reads for BAM
-chunks spanning a boundary.
+placement, and serves whole-file reads (how every round reads a
+logical partition), per-block reads, and byte-range reads that cross
+block boundaries.
 
 Fault tolerance mirrors real HDFS (paper section 2): every read is
 served from a checksum-verified replica, failing over to the next
@@ -137,8 +137,7 @@ class Hdfs:
     def read_from(self, path: str, offset: int, length: int) -> bytes:
         """Read an arbitrary byte range, crossing block boundaries.
 
-        This is what lets a RecordReader finish a BAM chunk whose tail
-        lives in the next block.
+        A range may start in one block and end in the next.
         """
         data = self._read_file(self._file(path))
         if offset < 0 or offset > len(data):

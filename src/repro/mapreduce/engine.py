@@ -648,7 +648,8 @@ class MapReduceEngine:
             outcomes = self._settle_wave(
                 calls, outcomes, result, executor, committer, recovered,
             )
-        self._account_wave(job, calls, outcomes, submitted, result)
+        self._account_wave(job, calls, outcomes, submitted, result,
+                           sequential=executor.kind == "serial")
         return outcomes
 
     def _account_wave(
@@ -658,6 +659,7 @@ class MapReduceEngine:
         outcomes: List[TaskOutcome],
         submitted: float,
         result: JobResult,
+        sequential: bool,
     ) -> None:
         """Absorb one settled wave into counters, history and telemetry.
 
@@ -665,14 +667,19 @@ class MapReduceEngine:
         tables above.  It also feeds the per-node failure tallies that
         drive blacklisting — after the wave completes, so every executor
         observes the same blacklist state for a given wave regardless
-        of intra-wave scheduling order.
+        of intra-wave scheduling order.  A task's queue wait runs from
+        ``submitted`` (the wave submit) to its start; on a ``sequential``
+        (serial) executor, from when the task before it finished.
         """
         kind = calls[0].kind
+        ready = submitted
         for call, outcome in zip(calls, outcomes):
             task = attempt_from_outcome(
                 call.task_id, kind, outcome, call.candidates[0]
             )
-            ingest_task(self.recorder, task, outcome, submitted)
+            ingest_task(self.recorder, task, outcome, ready)
+            if sequential and outcome.finished_at is not None:
+                ready = max(ready, outcome.finished_at)
             for node, reason in outcome.failures:
                 if reason in ("WorkerCrashed", "LeaseExpired"):
                     # Charged at settle time (_charge_node_failure), so

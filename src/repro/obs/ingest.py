@@ -25,10 +25,10 @@ def ingest_task(recorder: Any, task: Any, outcome: Any,
     epoch-relative wall-clock phases on the ``TaskAttempt`` (the same
     ``phases`` dict the simulator fills with modelled times), emits
     task/phase spans on the worker's track, and feeds the queue-wait /
-    run-time histograms.  ``submitted`` is the driver's wave-submit
-    reading of the same system-wide clock.  A no-op for outcomes that
-    carry no stamps: untraced runs, and commits replayed from the WAL
-    (their stamps belong to a dead driver's clock).
+    run-time histograms.  ``submitted`` is the driver's reading, on the
+    same system-wide clock, of when the task became runnable.  A no-op
+    for outcomes that carry no stamps: untraced runs, and commits
+    replayed from the WAL (their stamps belong to a dead driver's clock).
     """
     if outcome.started_at is None or not recorder.enabled:
         return

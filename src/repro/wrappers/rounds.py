@@ -9,75 +9,68 @@ Round 4  full MR    range partition by chromosome, sort + BAM index
 Round 5  map-only   Haplotype Caller per sorted, indexed partition
 
 Optional extra rounds implement BaseRecalibrator (group partitioning by
-covariate) and PrintReads, matching Table 2 steps 7-8.
+covariate) and PrintReads, matching Table 2 steps 7-8.  Every round is
+one declared :class:`_Row`, run by :meth:`GesallRounds._run`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.align.pairing import PairedEndAligner
-from repro.api import JobSpec, make_block_splits, run_job
+from repro.api import (
+    ExecutionPolicy, InputSplit, JobResult, JobSpec, MapReduceEngine,
+    make_block_splits, run_job,
+)
 from repro.cleaning.clean_sam import CleanSam
-from repro.cleaning.duplicates import pair_score
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
 from repro.cleaning.sort import coordinate_key
-from repro.errors import MapReduceError, PipelineError
-from repro.formats.bam import (
-    BamLinearIndex,
-    bam_bytes,
-    decode_bam,
-    encode_bam,
-)
+from repro.errors import MapReduceError
+from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
 from repro.formats.fastq import ReadPair
-from repro.formats.sam import SamHeader, SamRecord
+from repro.formats.sam import SamHeader
 from repro.formats.vcf import VariantRecord, sort_variants
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
-    PAIR_VALUE,
-    PARTIAL_VALUE,
-    PASSTHROUGH_VALUE,
-    SHADOW_VALUE,
-    MarkDupKeying,
-    RangePartitioner,
+    MarkDupKeying, OverlappingRangePartitioner, RangePartitioner,
+    build_partial_position_bloom, mark_duplicate_group, records_by_pair,
 )
 from repro.genome.regions import GenomicInterval
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import RoundJournal
-from repro.mapreduce.engine import JobResult, MapReduceEngine
-from repro.mapreduce.job import InputSplit
-from repro.mapreduce.policy import ExecutionPolicy
 from repro.mapreduce.streaming import StreamingPipeline
 from repro.shuffle.config import ShuffleConfig
 from repro.recal.apply import PrintReads
 from repro.recal.recalibrator import BaseRecalibrator, RecalibrationTable
-from repro.variants.haplotype import HaplotypeCallerConfig, HaplotypeCallerLite
+from repro.variants.genotyper import UnifiedGenotyperLite
+from repro.variants.haplotype import (
+    HaplotypeCallerConfig, HaplotypeCallerLite, required_overlap,
+)
+from repro.variants.structural import GASVLite
 from repro.wrappers.programs import (
-    BwaExternal,
-    DataTransformAccounting,
-    SamToBamExternal,
-    pairs_to_interleaved_text,
-    run_wrapped_chain,
+    BwaExternal, DataTransformAccounting, SamToBamExternal,
+    pairs_to_interleaved_text, run_wrapped_chain,
 )
 
 
-def _records_by_pair(records: List[SamRecord]) -> List[Tuple[SamRecord, SamRecord]]:
-    """Group a read-name-grouped record stream into pairs."""
-    open_reads: Dict[str, SamRecord] = {}
-    pairs: List[Tuple[SamRecord, SamRecord]] = []
-    for record in records:
-        mate = open_reads.pop(record.qname, None)
-        if mate is None:
-            open_reads[record.qname] = record
-        else:
-            pairs.append((mate, record))
-    if open_reads:
-        raise PipelineError(
-            f"{len(open_reads)} reads missing mates in a read-name partition"
-        )
-    return pairs
+class _Row(NamedTuple):
+    """One round as the paper's wrapper declares it (§3.1): the wrapped
+    program(s) as ``body(header, records, text_size, ctx)`` over one
+    decoded round BAM (``body(pairs, ctx)`` over a sealed FASTQ block
+    for a ``fastq`` row), then a full round's keying, partition scheme
+    and reduce-side output format."""
+
+    key: str
+    name: str
+    body: Callable[..., None]
+    reducer: Optional[Callable[..., None]] = None
+    partitioner: Optional[Callable[[Any, int], int]] = None
+    num_reducers: int = 1
+    reduce_output: Optional[Callable[..., None]] = None
+    fastq: bool = False
 
 
 def _identity_reducer(key, values, ctx) -> None:
@@ -87,34 +80,28 @@ def _identity_reducer(key, values, ctx) -> None:
         ctx.emit(key, value)
 
 
+def _merged(parts: Iterable[Any], total: Any) -> Any:
+    """Merge partial tables / filters / accounting into ``total`` (in
+    task order, so the result is the same on every executor)."""
+    for part in parts:
+        total.merge(part)
+    return total
+
+
 class GesallRounds:
-    """Builds and runs the pipeline rounds over HDFS + the MR engine.
+    """Runs the pipeline rounds over HDFS on a ready ``engine`` (wired
+    to ``hdfs`` if it has no filesystem) or on one built from
+    ``policy`` over the HDFS nodes — not both."""
 
-    Pass either a ready ``engine`` or an :class:`ExecutionPolicy` (the
-    rounds then build their own engine over the HDFS nodes) — not both.
-    An engine without a filesystem is wired to ``hdfs`` so map-task
-    file writes land in the right namespace.
-    """
-
-    def __init__(
-        self,
-        hdfs: Hdfs,
-        engine: Optional[MapReduceEngine] = None,
-        aligner: Optional[PairedEndAligner] = None,
-        reference=None,
-        chunk_bytes: int = 16 * 1024,
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        shuffle: Optional[ShuffleConfig] = None,
-    ):
+    def __init__(self, hdfs: Hdfs, engine: Optional[MapReduceEngine] = None,
+                 aligner: Optional[PairedEndAligner] = None, reference=None,
+                 chunk_bytes: int = 16 * 1024, *,
+                 policy: Optional[ExecutionPolicy] = None,
+                 shuffle: Optional[ShuffleConfig] = None):
         if engine is not None and policy is not None:
-            raise MapReduceError(
-                "pass either an engine or an ExecutionPolicy, not both"
-            )
+            raise MapReduceError("pass either an engine or an ExecutionPolicy, not both")
         if engine is None:
-            engine = MapReduceEngine(
-                nodes=hdfs.nodes, policy=policy, filesystem=hdfs
-            )
+            engine = MapReduceEngine(nodes=hdfs.nodes, policy=policy, filesystem=hdfs)
         elif engine.filesystem is None:
             engine.filesystem = hdfs
         self.hdfs = hdfs
@@ -122,28 +109,18 @@ class GesallRounds:
         self.aligner = aligner
         self.reference = reference
         self.chunk_bytes = chunk_bytes
-        #: Shuffle configuration threaded into every round's JobSpec
-        #: (None -> the engine's uncompressed default).
-        self.shuffle = shuffle
-        #: The engine's trace recorder (the null recorder when off).
-        self.recorder = engine.recorder
-        #: Per-round accounting, keyed by round name.
+        self.shuffle = shuffle  # every round's; None -> uncompressed
+        #: Per-round job results and transform accounting, by round key.
         self.results: Dict[str, JobResult] = {}
         self.transform: Dict[str, DataTransformAccounting] = {}
         self.streaming_stats = None
-        #: Job WAL journaling each round's task commits (attach_wal).
         self._wal = None
-        #: Round-key -> recovered commits, consumed on that round's run.
         self._wal_recovery: Dict[str, Dict] = {}
 
     def attach_wal(self, wal, recovery: Optional[Dict[str, Dict]] = None) -> None:
-        """Journal every round's task commits into ``wal``.
-
-        ``recovery`` maps round keys to the commits recovered from an
-        interrupted run's log; each entry is consumed when its round
-        executes, so the engine replays those tasks instead of
-        re-running them.
-        """
+        """Journal every round's task commits into ``wal``; a round whose
+        key is in ``recovery`` replays those recovered commits instead
+        of re-running their tasks."""
         self._wal = wal
         self._wal_recovery = dict(recovery or {})
 
@@ -151,71 +128,74 @@ class GesallRounds:
         """Release the engine's executor (forked pool workers etc.)."""
         self.engine.close()
 
-    # -- traced round execution ----------------------------------------
-    def _run_round(
-        self, round_key: str, spec: JobSpec, splits: List[InputSplit]
-    ) -> JobResult:
-        """Run one round's job inside a round span with I/O accounting.
+    def _run(self, row: _Row, inputs: List[Any]) -> JobResult:
+        """Run one row over round-BAM paths (FASTQ partitions for a
+        ``fastq`` row) in a ``round`` span; records-in/out and shuffled
+        bytes land on it and in ``round.<key>.*`` counters (Fig 6)."""
+        if row.fastq:
+            mapper = row.body
+            splits = make_block_splits(
+                inputs, prefix="fastq", nodes=self.engine.nodes
+            )
+        else:
+            hdfs, body = self.hdfs, row.body
 
-        Every round records one ``category="round"`` span carrying
-        records-in/out and shuffled bytes (the Fig 6-style overhead
-        accounting), plus matching metrics counters.  Rounds describe
-        their jobs as frozen :class:`repro.api.JobSpec` values; this is
-        the only place a round's spec meets the engine.
-        """
+            def mapper(path, ctx):
+                # The one map-side reader of a round BAM.
+                with ctx.span("hdfs-read"):
+                    data = hdfs.get(path)
+                with ctx.span("decode"):
+                    header, records, size = decode_bam(data)
+                ctx.set_input_records(len(records))
+                body(header, records, size, ctx)
+
+            splits = [InputSplit(path, path) for path in inputs]
+        spec = JobSpec(
+            name=row.name, mapper=mapper, reducer=row.reducer,
+            partitioner=row.partitioner, num_reducers=row.num_reducers,
+            shuffle=self.shuffle, reduce_output=row.reduce_output,
+        )
         journal = None
         if self._wal is not None:
-            journal = RoundJournal(
-                self._wal, round_key,
-                recovered=self._wal_recovery.pop(round_key, {}),
-                plan=self.engine.policy.fault_plan,
-            )
-            self._wal.begin_round(round_key)
-        with self.recorder.span(
-            f"round:{round_key}", category="round", track="driver",
-            job=spec.name,
-        ) as span:
+            journal = RoundJournal(self._wal, row.key,
+                                   self._wal_recovery.pop(row.key, {}),
+                                   self.engine.policy.fault_plan)
+            self._wal.begin_round(row.key)
+        recorder = self.engine.recorder
+        with recorder.span(f"round:{row.key}", category="round",
+                           track="driver", job=spec.name) as span:
             result = run_job(spec, splits, engine=self.engine,
                              journal=journal)
-            records_in = result.counters.get(C.MAP_INPUT_RECORDS)
-            records_out = result.counters.get(
-                C.MAP_OUTPUT_RECORDS
-                if spec.reducer is None
-                else C.REDUCE_OUTPUT_RECORDS
+            counts = {name: result.counters.get(counter) for name, counter in (
+                ("records_in", C.MAP_INPUT_RECORDS),
+                ("records_out", C.REDUCE_OUTPUT_RECORDS if row.reducer
+                 else C.MAP_OUTPUT_RECORDS),
+                ("shuffled_bytes", C.SHUFFLED_BYTES),
+            )}
+            span.set(**counts)
+        for name, value in counts.items():
+            recorder.metrics.counter(f"round.{row.key}.{name}").inc(value)
+        if "transform" in result.attachments:
+            self.transform[row.key] = _merged(
+                result.attachments["transform"], DataTransformAccounting()
             )
-            shuffled = result.counters.get(C.SHUFFLED_BYTES)
-            span.set(
-                records_in=records_in, records_out=records_out,
-                shuffled_bytes=shuffled,
-            )
-        metrics = self.recorder.metrics
-        metrics.counter(f"round.{round_key}.records_in").inc(records_in)
-        metrics.counter(f"round.{round_key}.records_out").inc(records_out)
-        metrics.counter(f"round.{round_key}.shuffled_bytes").inc(shuffled)
-        self.results[round_key] = result
+        self.results[row.key] = result
         return result
 
-    # ------------------------------------------------------------------
-    # Round 1: map-only alignment via Hadoop Streaming
-    # ------------------------------------------------------------------
-    def round1_alignment(
-        self, partitions: List[List[ReadPair]], out_dir: str = "/round1"
-    ) -> List[str]:
-        """Each map task streams its FASTQ partition through Bwa+SamToBam.
+    def _keys(self, row: _Row, inputs: List[Any]) -> List[Any]:
+        return [key for key, _ in self._run(row, inputs).all_outputs()]
 
-        Partitions ship as sealed record blocks: the read pairs are
-        encoded once at split time and decoded once inside whichever
-        worker runs the task, so the payload crosses the fork boundary
-        as one CRC-framed blob instead of a live object graph.  The
-        mapper names its output after ``ctx.task_index`` — the split
-        no longer smuggles an index in its payload.
-        """
-        chunk_bytes = self.chunk_bytes
-        aligner = self.aligner
+    def _values(self, row: _Row, inputs: List[Any]) -> List[Any]:
+        return [value for _, value in self._run(row, inputs).all_outputs()]
 
-        def mapper(pairs, ctx):
+    def round1_alignment(self, partitions: List[List[ReadPair]],
+                         out_dir: str = "/round1") -> List[str]:
+        """Each map task streams its FASTQ partition (a sealed record
+        block, decoded once in its worker) through Bwa + SamToBam."""
+
+        def align(pairs, ctx):
             pipeline = StreamingPipeline(
-                [BwaExternal(aligner), SamToBamExternal(chunk_bytes)]
+                [BwaExternal(self.aligner), SamToBamExternal(self.chunk_bytes)]
             )
             fastq_bytes = pairs_to_interleaved_text(pairs).encode()
             with ctx.span("stream", stages=len(pipeline.programs)) as span:
@@ -226,26 +206,17 @@ class GesallRounds:
             ctx.write_file(path, bam_data, logical_partition=True)
             ctx.emit(path, len(pairs))
 
-        spec = JobSpec(name="round1-alignment", mapper=mapper)
-        splits = make_block_splits(
-            partitions, prefix="fastq", nodes=self.engine.nodes
+        paths = self._keys(
+            _Row("round1", "round1-alignment", align, fastq=True), partitions
         )
-        result = self._run_round("round1", spec, splits)
-        streaming = result.attachments.get("streaming")
+        streaming = self.results["round1"].attachments.get("streaming")
         self.streaming_stats = streaming[-1] if streaming else None
-        return [key for key, _ in result.all_outputs()]
+        return paths
 
-    # ------------------------------------------------------------------
-    # Round 2: cleaning (map) -> shuffle by read name -> FixMateInfo (reduce)
-    # ------------------------------------------------------------------
-    def round2_cleaning(
-        self, in_paths: List[str], out_dir: str = "/round2",
-        num_reducers: int = 4,
-    ) -> List[str]:
-
-        def mapper(path, ctx):
+    def round2_cleaning(self, in_paths: List[str], out_dir: str = "/round2",
+                        num_reducers: int = 4) -> List[str]:
+        def clean(header, records, size, ctx):
             accounting = ctx.attachment("transform", DataTransformAccounting)
-            header, records, size = self._read_split(path, ctx)
             header, records, size = run_wrapped_chain(
                 [AddOrReplaceReadGroups(), CleanSam()],
                 header, records, accounting, size,
@@ -255,367 +226,206 @@ class GesallRounds:
             for record in records:
                 ctx.emit(record.qname, record)
 
-        spec = JobSpec(
-            name="round2-cleaning", mapper=mapper,
-            reducer=_identity_reducer,
-            num_reducers=num_reducers, shuffle=self.shuffle,
-            reduce_output=self._bam_writer(
+        return self._keys(_Row(
+            "round2", "round2-cleaning", clean, _identity_reducer,
+            num_reducers=num_reducers, reduce_output=self._bam_writer(
                 out_dir, "queryname", program=FixMateInformation()
             ),
-        )
-        splits = [InputSplit(path, path) for path in in_paths]
-        result = self._run_round("round2", spec, splits)
-        self.transform["round2"] = self._merge_transform(result)
-        return [path for path, _ in result.all_outputs()]
+        ), in_paths)
 
-    # ------------------------------------------------------------------
-    # Round 2.5 (opt only): bloom filter over partial-match 5' positions
-    # ------------------------------------------------------------------
     def round_bloom(self, in_paths: List[str],
                     num_bits: int = 1 << 16) -> BloomFilter:
+        def bloom(header, records, size, ctx):
+            ctx.emit("bloom", build_partial_position_bloom(
+                records_by_pair(records), num_bits
+            ))
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
-            local = BloomFilter(num_bits=num_bits)
-            for end1, end2 in _records_by_pair(records):
-                mapped1 = not end1.flags.is_unmapped
-                mapped2 = not end2.flags.is_unmapped
-                if mapped1 == mapped2:
-                    continue
-                mapped = end1 if mapped1 else end2
-                local.add((mapped.rname, mapped.unclipped_five_prime))
-            ctx.emit("bloom", local)
-
-        spec = JobSpec(name="round-bloom", mapper=mapper)
-        result = self._run_round(
-            "round_bloom", spec, [InputSplit(p, p) for p in in_paths]
+        return _merged(
+            self._values(_Row("round_bloom", "round-bloom", bloom), in_paths),
+            BloomFilter(num_bits=num_bits),
         )
-        merged = BloomFilter(num_bits=num_bits)
-        for _, partial in result.all_outputs():
-            merged.merge(partial)
-        return merged
 
-    # ------------------------------------------------------------------
-    # Round 3: MarkDuplicates (reg or opt)
-    # ------------------------------------------------------------------
-    def round3_mark_duplicates(
-        self,
-        in_paths: List[str],
-        mode: str = "opt",
-        bloom: Optional[BloomFilter] = None,
-        out_dir: str = "/round3",
-        num_reducers: int = 4,
-    ) -> List[str]:
+    def round3_mark_duplicates(self, in_paths: List[str], mode: str = "opt",
+                               bloom: Optional[BloomFilter] = None,
+                               out_dir: str = "/round3",
+                               num_reducers: int = 4) -> List[str]:
         if mode == "opt" and bloom is None:
             bloom = self.round_bloom(in_paths)
 
-        def mapper(path, ctx):
-            accounting = ctx.attachment("transform", DataTransformAccounting)
+        def key_pairs(header, records, size, ctx):
+            ctx.attachment("transform", DataTransformAccounting).record_input(
+                records, size
+            )
             keying = MarkDupKeying(mode, bloom)
-            keying.reset()
-            _, records, size = self._read_split(path, ctx)
-            accounting.record_input(records, size)
-            for end1, end2 in _records_by_pair(records):
+            for end1, end2 in records_by_pair(records):
                 for key, value in keying.keys_for_pair(end1, end2):
                     ctx.emit(key, value)
 
-        def reducer(key, values, ctx):
-            for record in _reduce_markdup_group(key, list(values)):
+        def mark(key, values, ctx):
+            for record in mark_duplicate_group(key, list(values)):
                 ctx.emit(record.qname, record)
 
-        spec = JobSpec(
-            name=f"round3-markdup-{mode}", mapper=mapper, reducer=reducer,
-            num_reducers=num_reducers, shuffle=self.shuffle,
-            reduce_output=self._bam_writer(
-                out_dir, "coordinate", accounted=True
-            ),
-        )
-        result = self._run_round(
-            "round3", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        self.transform["round3"] = self._merge_transform(result)
-        return [path for path, _ in result.all_outputs()]
+        return self._keys(_Row(
+            "round3", f"round3-markdup-{mode}", key_pairs, mark,
+            num_reducers=num_reducers,
+            reduce_output=self._bam_writer(out_dir, "coordinate"),
+        ), in_paths)
 
-    # ------------------------------------------------------------------
-    # Round 4: range partition by chromosome, sort, index
-    # ------------------------------------------------------------------
-    def round4_sort_index(
-        self, in_paths: List[str], out_dir: str = "/round4"
-    ) -> List[str]:
-        header = SamHeader(sequences=self.reference.sam_sequences())
-        ranger = RangePartitioner(header)
-        contigs = header.sequence_names()
+    def round4_sort_index(self, in_paths: List[str],
+                          out_dir: str = "/round4") -> List[str]:
+        ranger = RangePartitioner(SamHeader(sequences=self.reference.sam_sequences()))
+        contigs = ranger.contigs
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
+        def by_contig(header, records, size, ctx):
             for record in records:
                 index = ranger.partition_of(record)
                 if index is not None:
                     ctx.emit(contigs[index], record)
 
-        def partitioner(key, num_reducers):
-            return contigs.index(key) % num_reducers
+        return self._keys(_Row(
+            "round4", "round4-sort", by_contig, _identity_reducer,
+            partitioner=lambda key, n: contigs.index(key) % n,
+            num_reducers=len(contigs),
+            reduce_output=self._bam_writer(out_dir, "coordinate", True),
+        ), in_paths)
 
-        spec = JobSpec(
-            name="round4-sort", mapper=mapper, reducer=_identity_reducer,
-            partitioner=partitioner, num_reducers=len(contigs),
-            shuffle=self.shuffle,
-            reduce_output=self._bam_writer(
-                out_dir, "coordinate", per_contig=True
-            ),
-        )
-        result = self._run_round(
-            "round4", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        return [path for path, _ in result.all_outputs()]
+    def _call_per_contig(self, key: str, name: str, in_paths: List[str],
+                         calls: Callable[[List[Any]], Iterable[Any]],
+                         site=VariantRecord.site_key) -> List[Any]:
+        """The map-only round-5 row: ``calls(records)`` runs a fresh caller
+        over one sorted contig partition, each call emitted at ``site``."""
 
-    # ------------------------------------------------------------------
-    # Round 5: map-only Haplotype Caller over chromosome partitions
-    # ------------------------------------------------------------------
+        def call_contig(header, records, size, ctx):
+            for call in calls(records):
+                ctx.emit(site(call), call)
+
+        return self._values(_Row(key, name, call_contig), in_paths)
+
     def round5_haplotype_caller(
-        self,
-        in_paths: List[str],
-        hc_config: Optional[HaplotypeCallerConfig] = None,
+        self, in_paths: List[str], hc_config: Optional[HaplotypeCallerConfig] = None,
     ) -> List[VariantRecord]:
         reference = self.reference
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
-            caller = HaplotypeCallerLite(reference, hc_config)
+        def calls(records):
             contig = records[0].rname if records else None
-            interval = (
-                GenomicInterval(contig, 1, reference.contig_length(contig) + 1)
-                if contig
-                else None
-            )
-            for call in caller.call(records, interval):
-                ctx.emit(call.site_key(), call)
+            interval = GenomicInterval(
+                contig, 1, reference.contig_length(contig) + 1
+            ) if contig else None
+            return HaplotypeCallerLite(reference, hc_config).call(
+                records, interval)
 
-        spec = JobSpec(name="round5-haplotypecaller", mapper=mapper)
-        result = self._run_round(
-            "round5", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        return sort_variants(v for _, v in result.all_outputs())
+        return sort_variants(self._call_per_contig(
+            "round5", "round5-haplotypecaller", in_paths, calls
+        ))
 
-    # ------------------------------------------------------------------
-    # Round 5 variants
-    # ------------------------------------------------------------------
-    def round5_unified_genotyper(
-        self, in_paths: List[str], ug_config=None
-    ) -> List[VariantRecord]:
-        """Table 2 step v1: Unified Genotyper per chromosome partition.
-
-        Same non-overlapping range partitioning as Haplotype Caller
-        (the scheme NYGC bioinformaticians accept, section 3.2).
-        """
-        from repro.variants.genotyper import UnifiedGenotyperLite
-
+    def round5_unified_genotyper(self, in_paths: List[str],
+                                 ug_config=None) -> List[VariantRecord]:
+        """Table 2 step v1: Unified Genotyper per chromosome partition,
+        the same non-overlapping scheme as Haplotype Caller (§3.2)."""
         reference = self.reference
+        return sort_variants(self._call_per_contig(
+            "round5_ug", "round5-unifiedgenotyper", in_paths,
+            lambda records: UnifiedGenotyperLite(reference, ug_config).call(records),
+        ))
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
-            caller = UnifiedGenotyperLite(reference, ug_config)
-            for call in caller.call(records):
-                ctx.emit(call.site_key(), call)
-
-        spec = JobSpec(name="round5-unifiedgenotyper", mapper=mapper)
-        result = self._run_round(
-            "round5_ug", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        return sort_variants(v for _, v in result.all_outputs())
+    def round5_structural_variants(self, in_paths: List[str],
+                                   gasv_config=None):
+        """Large structural variant detection (GASV, section 2.1): one
+        GASVLite instance per chromosome partition."""
+        site = attrgetter("contig", "start")
+        return sorted(self._call_per_contig(
+            "round5_sv", "round5-gasv", in_paths,
+            lambda records: GASVLite(gasv_config).call(records), site,
+        ), key=site)
 
     def round5_haplotype_caller_finegrained(
-        self,
-        in_paths: List[str],
-        segment_length: int,
-        hc_config: Optional[HaplotypeCallerConfig] = None,
-        overlap: Optional[int] = None,
+        self, in_paths: List[str], segment_length: int,
+        hc_config: Optional[HaplotypeCallerConfig] = None, overlap: Optional[int] = None,
     ) -> List[VariantRecord]:
-        """Fine-grained overlapping range partitioning for Round 5.
-
-        Splits every chromosome into ``segment_length`` cores padded by
-        ``overlap`` (default: the caller's safety bound from
-        :func:`repro.variants.haplotype.required_overlap`), replicating
-        boundary reads, and emits only calls inside each core — the
-        advanced scheme section 3.2 designs to recover the degree of
-        parallelism Round 5 loses with 23 chromosome partitions.
-        """
-        from repro.gdpt.partitioner import OverlappingRangePartitioner
-        from repro.variants.haplotype import required_overlap
-
+        """Fine-grained overlapping range partitioning (§3.2): cores of
+        ``segment_length`` padded by ``overlap`` (default
+        :func:`required_overlap`), boundary reads replicated, each
+        reducer emitting only its core's calls."""
         hc_config = hc_config or HaplotypeCallerConfig()
-        if overlap is None:
-            overlap = required_overlap(hc_config)
+        overlap = required_overlap(hc_config) if overlap is None else overlap
         reference = self.reference
-        header = SamHeader(sequences=reference.sam_sequences())
-        ranger = OverlappingRangePartitioner(header, segment_length, overlap)
+        ranger = OverlappingRangePartitioner(
+            SamHeader(sequences=reference.sam_sequences()), segment_length, overlap)
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
+        def by_segment(header, records, size, ctx):
             for record in records:
                 for index in ranger.partitions_of(record):
                     ctx.emit(index, record)
 
-        def reducer(index, records, ctx):
-            caller = HaplotypeCallerLite(reference, hc_config)
+        def call_segment(index, records, ctx):
             padded = ranger.padded[index]
-            core = ranger.cores[index]
-            clipped = GenomicInterval(
-                padded.contig,
-                padded.start,
-                min(padded.end, reference.contig_length(padded.contig) + 1),
+            end = min(padded.end, reference.contig_length(padded.contig) + 1)
+            calls = HaplotypeCallerLite(reference, hc_config).call(
+                records, GenomicInterval(padded.contig, padded.start, end),
+                emit_interval=ranger.cores[index],
             )
-            for call in caller.call(records, clipped, emit_interval=core):
+            for call in calls:
                 ctx.emit(call.site_key(), call)
 
-        spec = JobSpec(
-            name="round5-hc-finegrained", mapper=mapper, reducer=reducer,
-            partitioner=lambda key, n: key % n,
-            num_reducers=ranger.num_partitions, shuffle=self.shuffle,
-        )
-        result = self._run_round(
-            "round5_finegrained", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        return sort_variants(v for _, v in result.all_outputs())
+        return sort_variants(self._values(_Row(
+            "round5_finegrained", "round5-hc-finegrained", by_segment,
+            call_segment, partitioner=lambda key, n: key % n,
+            num_reducers=ranger.num_partitions,
+        ), in_paths))
 
-    def round5_structural_variants(self, in_paths: List[str],
-                                   gasv_config=None):
-        """Large structural variant detection (GASV, section 2.1).
-
-        Map-only over the sorted chromosome partitions, like the other
-        Round 5 variants — one GASVLite instance per chromosome.
-        """
-        from repro.variants.structural import GASVLite
-
-
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
-            caller = GASVLite(gasv_config)
-            for call in caller.call(records):
-                ctx.emit((call.contig, call.start), call)
-
-        spec = JobSpec(name="round5-gasv", mapper=mapper)
-        result = self._run_round(
-            "round5_sv", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        return sorted(
-            (v for _, v in result.all_outputs()),
-            key=lambda call: (call.contig, call.start),
-        )
-
-    # ------------------------------------------------------------------
-    # Optional rounds: BaseRecalibrator (group by covariate) + PrintReads
-    # ------------------------------------------------------------------
-    def round_recalibrate(
-        self, in_paths: List[str], known_sites=None
-    ) -> RecalibrationTable:
+    def round_recalibrate(self, in_paths: List[str],
+                          known_sites=None) -> RecalibrationTable:
         """Group partitioning by covariate: partial tables merged in reduce."""
         recalibrator = BaseRecalibrator(self.reference, known_sites)
 
-        def mapper(path, ctx):
-            _, records, _ = self._read_split(path, ctx)
+        def count(header, records, size, ctx):
             partial = RecalibrationTable()
             for record in records:
                 recalibrator.add_record(partial, record)
-            # Emit one partial table per read-group covariate partition.
             ctx.emit("table", partial)
 
-        def reducer(key, partials, ctx):
-            merged = RecalibrationTable()
-            for partial in partials:
-                merged.merge(partial)
-            ctx.emit(key, merged)
+        def merge(key, partials, ctx):
+            ctx.emit(key, _merged(partials, RecalibrationTable()))
 
-        spec = JobSpec(
-            name="round-recal", mapper=mapper, reducer=reducer,
-            num_reducers=1, shuffle=self.shuffle,
-        )
-        result = self._run_round(
-            "round_recal", spec, [InputSplit(p, p) for p in in_paths]
-        )
-        table = RecalibrationTable()
-        for _, merged in result.all_outputs():
-            table.merge(merged)
-        return table
+        return _merged(self._values(
+            _Row("round_recal", "round-recal", count, merge), in_paths
+        ), RecalibrationTable())
 
-    def round_print_reads(
-        self, in_paths: List[str], table: RecalibrationTable,
-        out_dir: str = "/round_bqsr",
-    ) -> List[str]:
+    def round_print_reads(self, in_paths: List[str], table: RecalibrationTable,
+                          out_dir: str = "/round_bqsr") -> List[str]:
         """Map-only quality rewrite with the broadcast table."""
-        chunk_bytes = self.chunk_bytes
 
-        def mapper(path, ctx):
-            header, records, _ = self._read_split(path, ctx)
+        def rewrite(header, records, size, ctx):
             header, rewritten = PrintReads(table).run(header, records)
-            out_path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
-            ctx.write_file(
-                out_path,
-                bam_bytes(header, rewritten, chunk_bytes),
-                logical_partition=True,
-            )
-            ctx.emit(out_path, len(rewritten))
+            path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
+            ctx.write_file(path, bam_bytes(header, rewritten, self.chunk_bytes),
+                           logical_partition=True)
+            ctx.emit(path, len(rewritten))
 
-        spec = JobSpec(name="round-printreads", mapper=mapper)
-        splits = [InputSplit(path, path) for path in in_paths]
-        result = self._run_round("round_bqsr", spec, splits)
-        return [key for key, _ in result.all_outputs()]
-
-    # -- shared input format ---------------------------------------------------
-    def _read_split(self, path: str, ctx):
-        """A mapper's split: fetch and decode one round BAM, report its
-        record count as the task's input; returns header, records and
-        the records' SAM-text size."""
-        header, records, size = decode_bam(self.hdfs.get(path))
-        ctx.set_input_records(len(records))
-        return header, records, size
-
-    # -- shared accounting merge ----------------------------------------------
-    def _merge_transform(self, result: JobResult) -> DataTransformAccounting:
-        """Fold per-task transform accounting into one round-level total.
-
-        Tasks buffer their accounting as attachments (so forked workers
-        can report it back); attachments arrive in task order, which
-        keeps the merged totals deterministic across executors.
-        """
-        merged = DataTransformAccounting()
-        for partial in result.attachments.get("transform", []):
-            merged.merge(partial)
-        return merged
-
-    # -- shared reduce-side output format ------------------------------------
-    def _bam_writer(self, out_dir: str, sort_order: str,
-                    per_contig: bool = False, program=None,
-                    accounted: bool = False):
-        """The ``reduce_output`` of rounds 2-4: the task writes its BAM.
-
-        Strips the shuffle keys, hands the whole partition to ``program``
-        (round 2's FixMateInformation: one in-memory BAM per task, as
-        Gesall's wrapper does), coordinate-sorts when that is the order
-        the header declares, renders and frames the partition with the
-        round's header and hands the bytes to ``ctx.write_file`` — so
-        the committer stages, promotes and fences them like round 1's —
-        then emits ``(path, record count)``; no record returns to the
-        driver.  With a ``program`` or ``accounted`` the size the writer
-        rendered is the task's "bytes from program".  Round 4
-        (``per_contig``) names the file after its contig, adds the
-        ``.bai`` and writes nothing for an empty one.
-        """
-        header = SamHeader(
-            sequences=self.reference.sam_sequences(), sort_order=sort_order
+        return self._keys(
+            _Row("round_bqsr", "round-printreads", rewrite), in_paths
         )
+
+    def _bam_writer(self, out_dir: str, sort_order: str,
+                    per_contig: bool = False, program=None):
+        """The ``reduce_output`` of rounds 2-4: run ``program`` (round 2's
+        FixMateInformation) over the partition, sort it if the header
+        says coordinate, ``write_file`` it, emit ``(path, records)``.
+        Rounds 2-3 account the rendered size as "bytes from program";
+        round 4 (``per_contig``) names the file after its contig, adds
+        the ``.bai`` and writes nothing for an empty partition."""
+        header = SamHeader(sequences=self.reference.sam_sequences(),
+                           sort_order=sort_order)
         key = coordinate_key(header)
         chunk_bytes = self.chunk_bytes
-        accounted = accounted or program is not None
 
         def write(pairs, ctx):
             records = [record for _, record in pairs]
             if per_contig and not records:
                 return
-            if accounted:
-                accounting = ctx.attachment(
-                    "transform", DataTransformAccounting
-                )
+            if not per_contig:
+                accounting = ctx.attachment("transform",
+                                            DataTransformAccounting)
             if program is not None:
                 accounting.record_input(records)
                 _, records = program.run(header, records)
@@ -624,71 +434,15 @@ class GesallRounds:
                     records.sort(key=key)
                 data, size = encode_bam(header, records, chunk_bytes)
                 span.set(bytes_out=len(data))
-            if accounted:
-                accounting.record_output(records, size)
-            name = (
-                records[0].rname if per_contig
-                else f"part-{ctx.task_index:05d}"
-            )
+            name = (records[0].rname if per_contig
+                    else f"part-{ctx.task_index:05d}")
             path = f"{out_dir}/{name}.bam"
             ctx.write_file(path, data, logical_partition=True)
             if per_contig:
-                ctx.write_file(
-                    path + ".bai", BamLinearIndex.build(data).to_bytes(),
-                    logical_partition=True,
-                )
+                ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
+                               logical_partition=True)
+            else:
+                accounting.record_output(records, size)
             ctx.emit(path, len(records))
 
         return write
-
-
-def _reduce_markdup_group(key, values) -> List[SamRecord]:
-    """Duplicate decisions for one shuffled MarkDuplicates group."""
-    kind = key[0]
-    out: List[SamRecord] = []
-    if kind == "P":
-        pairs = [
-            (end1.copy(), end2.copy())
-            for tag, end1, end2 in values
-            if tag == PAIR_VALUE
-        ]
-        if not pairs:
-            return out
-        best_index = max(
-            range(len(pairs)), key=lambda i: pair_score(pairs[i][0], pairs[i][1])
-        )
-        for index, (end1, end2) in enumerate(pairs):
-            is_dup = index != best_index and len(pairs) > 1
-            end1.set_duplicate(is_dup)
-            end2.set_duplicate(is_dup)
-            out.append(end1)
-            out.append(end2)
-        return out
-    if kind == "F":
-        shadows = [value for value in values if value[0] == SHADOW_VALUE]
-        partials = [
-            (mapped.copy(), unmapped.copy())
-            for tag, mapped, unmapped in (
-                value for value in values if value[0] == PARTIAL_VALUE
-            )
-        ]
-        if not partials:
-            return out  # only shadows arrived: nothing to emit
-        if shadows:
-            survivor = None  # a complete pair occupies this position
-        else:
-            survivor = max(
-                range(len(partials)),
-                key=lambda i: partials[i][0].sum_of_base_qualities(),
-            )
-        for index, (mapped, unmapped) in enumerate(partials):
-            mapped.set_duplicate(index != survivor)
-            out.append(mapped)
-            out.append(unmapped)
-        return out
-    # Passthrough: both-unmapped pairs.
-    for tag, end1, end2 in values:
-        if tag == PASSTHROUGH_VALUE:
-            out.append(end1.copy())
-            out.append(end2.copy())
-    return out

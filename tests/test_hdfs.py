@@ -4,17 +4,12 @@ import random
 
 import pytest
 
-from repro.errors import HdfsError
+from repro.errors import BamError, HdfsError
 from repro.formats import flags as F
-from repro.formats.bam import bam_bytes, read_bam
+from repro.formats.bam import bam_bytes, read_bam, read_header
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord
-from repro.hdfs.bam_storage import (
-    BamBlockRecordReader,
-    read_bam_header,
-    read_distributed_bam,
-    upload_bam,
-)
+from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.blocks import split_into_blocks
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.placement import BlockPlacementPolicy, LogicalBlockPlacementPolicy
@@ -135,42 +130,28 @@ class TestHdfs:
 
 class TestBamStorage:
     def test_distributed_roundtrip_small_blocks(self):
+        """A BAM whose chunks straddle many block edges reassembles
+        byte-exact from its blocks."""
         hdfs = make_hdfs(block_size=1500)
         header = SamHeader(sequences=[("chr1", 10000)])
         records = make_records(400)
         upload_bam(hdfs, "/data.bam", header, records, chunk_bytes=600)
-        got_header, got_records = read_distributed_bam(hdfs, "/data.bam")
+        assert len(hdfs.blocks_of("/data.bam")) > 1
+        got_header, got_records = read_bam(hdfs.get("/data.bam"))
         assert got_header == header
         assert got_records == records
-
-    def test_chunks_span_block_boundaries(self):
-        """The core claim of section 3.1: chunks crossing block edges
-        are read exactly once, by the block the chunk starts in."""
-        hdfs = make_hdfs(block_size=777)  # guaranteed misalignment
-        header = SamHeader(sequences=[("chr1", 10000)])
-        records = make_records(300)
-        upload_bam(hdfs, "/data.bam", header, records, chunk_bytes=500)
-        per_block_counts = []
-        collected = []
-        for block_index in range(len(hdfs.blocks_of("/data.bam"))):
-            reader = BamBlockRecordReader(hdfs, "/data.bam", block_index)
-            block_records = reader.records()
-            per_block_counts.append(len(block_records))
-            collected.extend(block_records)
-        assert collected == records
-        assert sum(per_block_counts) == len(records)
 
     def test_header_fetch(self):
         hdfs = make_hdfs()
         header = SamHeader(sequences=[("chr1", 10000)], sort_order="coordinate")
         upload_bam(hdfs, "/h.bam", header, make_records(10))
-        assert read_bam_header(hdfs, "/h.bam") == header
+        assert read_header(hdfs.get("/h.bam")) == header
 
     def test_header_fetch_rejects_non_bam(self):
         hdfs = make_hdfs()
         hdfs.put("/junk", b"this is not a bam" * 10)
-        with pytest.raises(Exception):
-            read_bam_header(hdfs, "/junk")
+        with pytest.raises(BamError):
+            read_header(hdfs.get("/junk"))
 
     def test_logical_partitions_colocated(self):
         hdfs = make_hdfs(block_size=800)
@@ -197,18 +178,11 @@ class TestBamStorage:
             loaded.extend(part)
         assert loaded == records
 
-    def test_invalid_block_index(self):
-        hdfs = make_hdfs()
-        header = SamHeader(sequences=[("chr1", 10000)])
-        upload_bam(hdfs, "/x.bam", header, make_records(5))
-        with pytest.raises(HdfsError):
-            BamBlockRecordReader(hdfs, "/x.bam", 99)
-
     @pytest.mark.parametrize("block_size", [300, 512, 1024, 4096, 100000])
     def test_roundtrip_any_block_size(self, block_size):
         hdfs = make_hdfs(block_size=block_size)
         header = SamHeader(sequences=[("chr1", 10000)])
         records = make_records(120)
         upload_bam(hdfs, "/t.bam", header, records, chunk_bytes=450)
-        _, got = read_distributed_bam(hdfs, "/t.bam")
+        _, got = read_bam(hdfs.get("/t.bam"))
         assert got == records

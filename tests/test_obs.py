@@ -562,3 +562,57 @@ class TestTracedPipelineAcceptance:
         result = pipeline.run(pairs[:40])
         assert result.recorder is NULL_RECORDER
         assert result.recorder.spans() == []
+
+
+class TestSerialTracedPipeline:
+    """The ``repro trace`` scenario on the serial executor: queue wait
+    that means waiting, and the map phase's first sub-spans."""
+
+    @pytest.fixture(scope="class")
+    def traced_run(self, reference, ref_index, pairs):
+        return GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=5,
+            num_reducers=2, obs=ObsConfig(enabled=True),
+        )).run(pairs)
+
+    def test_serial_round1_is_not_queued(self, traced_run):
+        """A serial task waits for nothing while the one before it runs,
+        so round 1's queue share is noise, not the earlier tasks' run
+        time (it read ~75 % when charged from the wave submit)."""
+        summary = traced_run.rounds.results["round1"].history.summary()
+        assert summary["run_seconds"] > 0.0
+        assert summary["queued_seconds"] <= 0.05 * summary["run_seconds"]
+
+    @pytest.mark.parametrize("job", [
+        "round2-cleaning", "round3-markdup-opt", "round4-sort",
+        "round5-haplotypecaller",
+    ])
+    def test_map_tasks_carry_read_and_decode_spans(self, traced_run, job):
+        spans = traced_run.recorder.spans()
+        tasks = [s for s in spans if s.category == "map-task"
+                 and s.name.startswith(f"{job}-m-")]
+        assert tasks
+        for task in tasks:
+            inside = [s.name for s in spans if s.category == "task"
+                      and s.track == task.track
+                      and task.start <= s.start and s.end <= task.end]
+            assert inside.count("hdfs-read") == 1, (task.name, inside)
+            assert inside.count("decode") == 1, (task.name, inside)
+
+    def test_untraced_reader_spans_are_the_null_span(
+        self, reference, ref_index, pairs, monkeypatch
+    ):
+        opened = []
+        span = TaskContext.span
+
+        def recording_span(self, name, *args, **kwargs):
+            opened.append((name, span(self, name, *args, **kwargs)))
+            return opened[-1][1]
+
+        monkeypatch.setattr(TaskContext, "span", recording_span)
+        GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=3,
+        )).run(pairs[:60])
+        names = {name for name, _ in opened}
+        assert {"hdfs-read", "decode"} <= names
+        assert all(result is NULL_SPAN for _, result in opened)

@@ -18,7 +18,6 @@ from repro.gdpt.partitioner import (
 )
 from repro.genome.reference import reverse_complement
 from repro.genome.regions import tile_contig
-from repro.hdfs.bam_storage import read_distributed_bam, upload_bam
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobSpec, make_splits
@@ -134,7 +133,8 @@ def test_bam_hdfs_roundtrip_any_geometry(n_records, chunk_bytes, block_size,
     assert read_bam(data)[1] == records
     hdfs = Hdfs(["n0", "n1"], replication=1, block_size=block_size)
     hdfs.put("/f.bam", data)
-    _, got = read_distributed_bam(hdfs, "/f.bam")
+    assert hdfs.get("/f.bam") == data
+    _, got = read_bam(hdfs.get("/f.bam"))
     assert got == records
 
 
