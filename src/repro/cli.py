@@ -40,7 +40,6 @@ from repro.chaos.plan import (
     KillServer,
     parse_event,
 )
-from repro.cluster.figures import FIGURES, figure_record, run_figure
 from repro.diagnostics.toolkit import ErrorDiagnosisToolkit
 from repro.errors import (
     AdmissionError,
@@ -69,6 +68,7 @@ from repro.obs.compare import (
     load_run,
 )
 from repro.obs.export import render_timeline, write_chrome_trace, write_jsonl
+from repro.obs.figures import FIGURES, figure_record, run_figure
 from repro.obs.recorder import ObsConfig
 from repro.obs.report import (
     Table,
@@ -247,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf-study",
-        help="print the simulated paper figures and check their claims; "
-             "exit 1 if a claim fails",
+        help="print the paper figures (simulated, functional, measured) "
+             "and check their claims; exit 1 if a claim fails",
     )
     perf.add_argument("figures", nargs="*", metavar="FIGURE",
                       help="figures to print (default: all): "

@@ -1,16 +1,9 @@
-"""Every deterministic simulator figure of the paper, declared once.
-
-:data:`FIGURES` maps a name to a function ``(cost, workload, **params)
--> [Table]`` (the tables of :mod:`repro.obs.report`), its params and its
-claims: named predicates over its rows, each a shape the paper reports.
-``repro-genomics perf-study`` prints them; one tier-1 test checks them.
-The five-round plan is :meth:`PipelineOptimizer.evaluate`'s.  A model
-depends on neither host nor clock, so a record carries neither.
+"""The simulated figures of :data:`repro.obs.figures.FIGURES`: each a
+``build(cost, workload, **params)`` run for NA12878, with its claims.  The
+five-round plan is :meth:`PipelineOptimizer.evaluate`'s.
 """
 
 from __future__ import annotations
-
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from repro.cluster.costs import NA12878, CostModel, Workload
 from repro.cluster.hardware import CLUSTER_A, CLUSTER_B
@@ -22,40 +15,16 @@ from repro.cluster.rounds_model import (
     markdup_single_node_seconds, round1_spec, round3_spec,
 )
 from repro.cluster.threading import BwaThreadModel
-from repro.errors import SimulationError
-from repro.obs.report import Table, parse_columns, report_dict
+from repro.obs.figures import column, figure, ordered, table
 from repro.pipeline.stages import TABLE2_STAGES, total_pipeline_hours
 
 
-class Figure(NamedTuple):
-    build: Callable[..., List[Table]]
-    params: Dict[str, Any]
-    #: (name, predicate over one ``{first cell: record}`` per table)
-    claims: Tuple[Tuple[str, Callable[[List[Dict]], bool]], ...]
-
-
-FIGURES: Dict[str, Figure] = {}
-
-
-def _figure(name: str, params: Dict[str, Any], *claims):
+def _figure(name: str, params, *claims):
     def register(build):
-        FIGURES[name] = Figure(build, params, claims)
+        figure("simulated", name, params, *claims)(
+            lambda **kwargs: build(CostModel(), NA12878, **kwargs))
         return build
     return register
-
-
-def _table(title: str, spec: str, rows: List[tuple], note: str = "") -> Table:
-    """A table of tuple rows, its columns declared as for ``table_of``."""
-    return Table(title, tuple((name, unit) for name, unit, _ in parse_columns(spec)),
-                 rows, note)
-
-
-def _col(rows: Dict[Any, Dict[str, Any]], name: str) -> List[Any]:
-    return [record[name] for record in rows.values()]
-
-
-def _ordered(values: List[float], falling: bool = False) -> bool:
-    return values == sorted(values, reverse=falling)
 
 
 #: The two five-round plans the paper runs (Tables 6 and 7's clusters).
@@ -73,10 +42,10 @@ def _pipeline(cost, workload, cluster):
     rows = [(f"Round {index}", result.name, result.wall_seconds,
              result.serial_slot_seconds)
             for index, result in enumerate(plan.rounds, 1)]
-    return [_table(f"Cluster {cluster} ({PLANS[cluster][0].data_nodes} nodes), "
-                   f"{plan.knobs}", "round|job|wall:hms|slot time:hms",
-                   rows + [("TOTAL", "", plan.wall_seconds, plan.slot_seconds)],
-                   f"cluster efficiency {plan.cluster_efficiency:.2f}")]
+    return [table(f"Cluster {cluster} ({PLANS[cluster][0].data_nodes} nodes), "
+                  f"{plan.knobs}", "round|job|wall:hms|slot time:hms",
+                  rows + [("TOTAL", "", plan.wall_seconds, plan.slot_seconds)],
+                  f"cluster efficiency {plan.cluster_efficiency:.2f}")]
 
 
 for _name in PLANS:
@@ -104,12 +73,12 @@ def _markdup_b(cost, workload, mode, disks):
           lambda t: t[0]["Mark Duplicates"]["hours"] == 14.45))
 def _table2(cost, workload):
     total = total_pipeline_hours()
-    return [_table("Table 2: single-server running times",
-                   "stage|step|hours|wall:hms|source",
-                   [(s.name, s.step, s.single_server_hours,
-                     s.single_server_hours * 3600, s.source) for s in TABLE2_STAGES]
-                   + [("TOTAL", "", total, total * 3600,
-                       f"{total / 24:.1f} days; paper: about two weeks")])]
+    return [table("Table 2: single-server running times",
+                  "stage|step|hours|wall:hms|source",
+                  [(s.name, s.step, s.single_server_hours,
+                    s.single_server_hours * 3600, s.source) for s in TABLE2_STAGES]
+                  + [("TOTAL", "", total, total * 3600,
+                      f"{total / 24:.1f} days; paper: about two weeks")])]
 
 
 @_figure("table4_partition_size",
@@ -122,11 +91,11 @@ def _table4(cost, workload, align_partitions, markdup_partitions):
     cluster, mb = ClusterModel(CLUSTER_A), 1024 ** 2
     columns = "partitions:n|avg size MB:n|wall:hms"
     return [
-        _table("Round 1: alignment, 15 nodes x 1 mapper x 6 threads", columns, [
+        table("Round 1: alignment, 15 nodes x 1 mapper x 6 threads", columns, [
             (parts, workload.fastq_bytes / parts / mb, simulate_round(
-                cluster, round1_spec(cluster, cost, workload, parts, 1, 6)
+               cluster, round1_spec(cluster, cost, workload, parts, 1, 6)
             ).wall_seconds) for parts in align_partitions]),
-        _table("Round 3: MarkDuplicates opt, 5 nodes x 6 tasks", columns, [
+        table("Round 3: MarkDuplicates opt, 5 nodes x 6 tasks", columns, [
             (parts, workload.bam_bytes / parts / mb,
              _markdup_a(cost, workload, 5, parts).wall_seconds)
             for parts in markdup_partitions]),
@@ -135,17 +104,17 @@ def _table4(cost, workload, align_partitions, markdup_partitions):
 
 @_figure("table5_scaleup", {"node_counts": (1, 5, 10, 15), "tasks_per_node": 6},
          ("more nodes must be faster",
-          lambda t: _ordered(_col(t[1], "wall"), True)
-          and _ordered(_col(t[2], "wall"), True)),
+          lambda t: ordered(column(t[1], "wall"), True)
+          and ordered(column(t[2], "wall"), True)),
          ("paper: resource efficiency is low (<50%)",
           lambda t: max(t[1][15]["efficiency"], t[2][15]["efficiency"]) < 0.5),
          ("reg is slower than opt at every scale",
           lambda t: all(reg > opt for opt, reg in
-                        zip(_col(t[1], "wall"), _col(t[2], "wall")))))
+                        zip(column(t[1], "wall"), column(t[2], "wall")))))
 def _table5(cost, workload, node_counts, tasks_per_node):
     baseline = markdup_single_node_seconds(cost)
-    tables = [_table("Gold standard: MarkDuplicates, 1 thread, 1 node",
-                     "program|wall:hms", [("MarkDuplicates", baseline)])]
+    tables = [table("Gold standard: MarkDuplicates, 1 thread, 1 node",
+                    "program|wall:hms", [("MarkDuplicates", baseline)])]
     for mode in ("opt", "reg"):
         rows = []
         for nodes in node_counts:
@@ -156,8 +125,8 @@ def _table5(cost, workload, node_counts, tasks_per_node):
                 tasks_per_node, tasks_per_node)).wall_seconds
             rows.append((nodes, tasks, wall, baseline / wall,
                          baseline / wall / tasks))
-        tables.append(_table(f"MarkDup_{mode} scale-up on Cluster A",
-                             "nodes:n|tasks:n|wall:hms|speedup:x|efficiency", rows))
+        tables.append(table(f"MarkDup_{mode} scale-up on Cluster A",
+                            "nodes:n|tasks:n|wall:hms|speedup:x|efficiency", rows))
     return tables
 
 
@@ -180,7 +149,7 @@ def _table6(cost, workload, cluster):
         cost, spec, threads=threads), None) for threads in (24, 1)]
     rows += [("Round 2", r2, cleaning_single_node_seconds(cost), tasks),
              ("Round 3", r3, markdup_single_node_seconds(cost), tasks)]
-    return [_table(
+    return [table(
         f"Rounds 1-3 (Bwa, cleaning, MarkDup opt) on Cluster {cluster}, "
         f"{spec.data_nodes} nodes, {tasks} tasks, vs one node",
         "round|wall:hms|single node:hms|speedup:x|efficiency|slot time:hms",
@@ -196,7 +165,7 @@ def _wall(t, label: str) -> float:
 @_figure("table7_production", {"reg_disks": (1, 2, 3, 6), "opt_disks": (1, 6)},
          ("16 single-threaded mappers must beat 4x4 threads",
           lambda t: _wall(t, "align 4x16x1") < _wall(t, "align 4x4x4")),
-         ("reg must improve with disks", lambda t: _ordered([
+         ("reg must improve with disks", lambda t: ordered([
              r["wall"] for k, r in t[0].items() if k.startswith("markdup_reg")], True)),
          ("opt on 1 disk beats half of reg on 1 disk",
           lambda t: _wall(t, "markdup_opt 1 disk")
@@ -230,17 +199,17 @@ def _table7(cost, workload, reg_disks, opt_disks):
         "markdup_reg 3 disks": (3, 7, 31), "markdup_reg 6 disks": (2, 55, 36),
         "markdup_opt 1 disk": (1, 27, 36), "markdup_opt 6 disks": (1, 22, 40),
     }.items()}  # the walls that survive in the paper's text
-    return [_table("Table 7: Cluster B (4 nodes x 16 cores); in-house MarkDup "
-                   "is single-threaded", "configuration|wall:hms|avg map:hms"
-                   "|avg shuffle+merge:hms|avg reduce:hms|paper wall:hms",
-                   [row + (paper.get(row[0]),) for row in rows])]
+    return [table("Table 7: Cluster B (4 nodes x 16 cores); in-house MarkDup "
+                  "is single-threaded", "configuration|wall:hms|avg map:hms"
+                  "|avg shuffle+merge:hms|avg reduce:hms|paper wall:hms",
+                  [row + (paper.get(row[0]),) for row in rows])]
 
 
 @_figure("fig5a_align_overheads", {"partition_counts": (15, 60, 240, 960, 4800)},
          ("cycles must grow with partitions",
-          lambda t: _ordered(_col(t[0], "cycles T"))),
+          lambda t: ordered(column(t[0], "cycles T"))),
          ("cache misses must grow with partitions",
-          lambda t: _ordered(_col(t[0], "misses G"))),
+          lambda t: ordered(column(t[0], "misses G"))),
          ("cache misses grow by more than 25 % from fewest to most partitions",
           lambda t: t[0][4800]["misses G"] > 1.25 * t[0][15]["misses G"]))
 def _fig5a(cost, workload, partition_counts):
@@ -252,8 +221,8 @@ def _fig5a(cost, workload, partition_counts):
         # Cycles at 2.4 GHz; 8x the cache misses while loading the index.
         rows.append((parts, (align + startup) * 2.4e9 / 1e12,
                      (align * 2.0e6 + startup * 1.6e7) / 1e9))
-    return [_table("Alignment CPU cycles and cache misses by partition count",
-                   "partitions:n|cycles T|misses G", rows)]
+    return [table("Alignment CPU cycles and cache misses by partition count",
+                  "partitions:n|cycles T|misses G", rows)]
 
 
 @_figure("fig5b_markdup_breakdown", {"partition_counts": (30, 510)},
@@ -263,7 +232,7 @@ def _fig5a(cost, workload, partition_counts):
           lambda t: t[0][510]["map merge"] == 0.0))
 def _fig5b(cost, workload, partition_counts):
     results = [(p, _markdup_a(cost, workload, 5, p)) for p in partition_counts]
-    return [_table(
+    return [table(
         "MarkDuplicates opt, 5 nodes: average task seconds by phase",
         "partitions:n|map+sort:s|map merge:s|shuffle+merge:s|reduce:s",
         [(parts, result.avg_phase_seconds(
@@ -282,22 +251,22 @@ def _fig5b(cost, workload, partition_counts):
           lambda t: t[0][24]["64MB"] > 15))
 def _fig5c(cost, workload, threads):
     small, large = BwaThreadModel(128 * 1024), BwaThreadModel(64 * 1024 ** 2)
-    return [_table("Single-node Bwa speedup by thread count and readahead",
-                   "threads:n|128KB:x|64MB:x|ideal:x",
-                   [(n, small.speedup(n), large.speedup(n), float(n))
-                    for n in threads])]
+    return [table("Single-node Bwa speedup by thread count and readahead",
+                  "threads:n|128KB:x|64MB:x|ideal:x",
+                  [(n, small.speedup(n), large.speedup(n), float(n))
+                   for n in threads])]
 
 
 @_figure("fig6b_hadoop_vs_single",
          {"programs": ("AddReplRG", "CleanSam", "FixMateInfo", "SortSam", "MarkDup")},
          ("every wrapped program costs more when called repeatedly (all > 1)",
-          lambda t: min(_col(t[0], "ratio")) > 1.0),
+          lambda t: min(column(t[0], "ratio")) > 1.0),
          ("CleanSam's ratio is the paper's 11 h 03 m / 7 h 33 m", lambda t: abs(
              t[0]["CleanSam"]["ratio"] - (11 + 3 / 60) / (7 + 33 / 60)) < 0.01))
 def _fig6b(cost, workload, programs):
-    return [_table("Summed Hadoop time / single-node time per program",
-                   "program|ratio:x",
-                   [(p, cost.hadoop_call_ratio[p]) for p in programs])]
+    return [table("Summed Hadoop time / single-node time per program",
+                  "program|ratio:x",
+                  [(p, cost.hadoop_call_ratio[p]) for p in programs])]
 
 
 def _progress_bar(task, wall: float, width: int = 60) -> str:
@@ -312,27 +281,27 @@ def _progress_bar(task, wall: float, width: int = 60) -> str:
 
 
 @_figure("fig7_task_progress", {"mode": "opt", "disks": 1},
-         ("reduce tasks ran", lambda t: _col(t[0], "reduce tasks")[0] > 0),
+         ("reduce tasks ran", lambda t: column(t[0], "reduce tasks")[0] > 0),
          ("reducer progress is even: no stragglers (end spread < 25 % of wall)",
-          lambda t: _col(t[0], "reducer end spread")[0] < 0.25),
+          lambda t: column(t[0], "reducer end spread")[0] < 0.25),
          ("shuffle overlaps the map phase (slowstart)",
-          lambda t: _col(t[0], "first shuffle")[0] < _col(t[0], "last map end")[0]))
+          lambda t: column(t[0], "first shuffle")[0] < column(t[0], "last map end")[0]))
 def _fig7(cost, workload, mode, disks):
     result = _markdup_b(cost, workload, mode, disks)[1]
     wall, maps, reduces = (result.wall_seconds, result.tasks_of("map"),
                            result.tasks_of("reduce"))
     ends = [task.end for task in reduces]
     return [
-        _table(f"MarkDup_{mode} on Cluster B, {disks} disk",
-               "job|wall:hms|reduce tasks:n|reducer end spread:%"
-               "|first shuffle:s|last map end:s",
-               [(result.name, wall, len(reduces),
-                 (max(ends, default=0.0) - min(ends, default=0.0)) / wall,
-                 min((task.start for task in reduces), default=float("inf")),
-                 max(task.end for task in maps))]),
-        _table("Task progress (m=map s=shuffle .=wait g=merge r=reduce -=I/O)",
-               "task|0 s to end of job", [(task.task_id, _progress_bar(task, wall))
-                                          for task in maps[:6] + reduces[:12]]),
+        table(f"MarkDup_{mode} on Cluster B, {disks} disk",
+              "job|wall:hms|reduce tasks:n|reducer end spread:%"
+              "|first shuffle:s|last map end:s",
+              [(result.name, wall, len(reduces),
+                (max(ends, default=0.0) - min(ends, default=0.0)) / wall,
+                min((task.start for task in reduces), default=float("inf")),
+                max(task.end for task in maps))]),
+        table("Task progress (m=map s=shuffle .=wait g=merge r=reduce -=I/O)",
+              "task|0 s to end of job", [(task.task_id, _progress_bar(task, wall))
+                                         for task in maps[:6] + reduces[:12]]),
     ]
 
 
@@ -358,10 +327,10 @@ def _fig10(cost, workload, scenarios):
         busiest.append((label, max(row[2] for row in rows),
                         max(row[3] for row in rows), wall))
         strips += rows
-    return [_table("Busiest disk of node 0", "scenario|mean:%|busy:%|wall:hms",
-                   busiest, "busy: share of the job above 95 % utilization"),
-            _table("Node 0 disk utilization over the job (sar-style)",
-                   "disk|utilization|mean:%|busy:%", strips)]
+    return [table("Busiest disk of node 0", "scenario|mean:%|busy:%|wall:hms",
+                  busiest, "busy: share of the job above 95 % utilization"),
+            table("Node 0 disk utilization over the job (sar-style)",
+                  "disk|utilization|mean:%|busy:%", strips)]
 
 
 @_figure("rounds45_varcall",
@@ -393,7 +362,7 @@ def _rounds45(cost, workload, cluster, segments_per_chromosome, overlap_fraction
     rows = [("Round 4", round4, 3600 + 60, None),
             ("Round 5", round5, 7 * 3600 + 14 * 60, floor),
             ("Round 5 fine", fine, None, None)]
-    return [_table(
+    return [table(
         f"Rounds 4 and 5 on Cluster {cluster}, "
         f"{spec.data_nodes * knobs.reducers_per_node} task slots; fine: "
         f"{segments_per_chromosome} segments per chromosome",
@@ -410,38 +379,14 @@ def _rounds45(cost, workload, cluster, segments_per_chromosome, overlap_fraction
 @_figure("ablation_slowstart",
          {"partitions": 450, "slowstarts": (0.05, 0.25, 0.50, 0.80, 0.95)},
          ("later slowstart monotonically reduces wasted reducer slot time",
-          lambda t: _ordered(_col(t[0], "slot time"), True)),
+          lambda t: ordered(column(t[0], "slot time"), True)),
          ("... without a large wall-clock penalty (within 25 %)",
-          lambda t: max(_col(t[0], "wall")) / min(_col(t[0], "wall")) < 1.25),
+          lambda t: max(column(t[0], "wall")) / min(column(t[0], "wall")) < 1.25),
          ("slowstart 0.80 wastes fewer slot-seconds than 0.05 (Table 5)",
           lambda t: t[0][0.8]["slot time"] <= t[0][0.05]["slot time"]))
 def _ablation_slowstart(cost, workload, partitions, slowstarts):
     results = [(s, _markdup_a(cost, workload, 15, partitions, s))
                for s in slowstarts]
-    return [_table(f"MarkDup_opt, 15 nodes, {partitions} partitions, by slowstart",
-                   "slowstart|wall:s|slot time:s",
-                   [(s, r.wall_seconds, r.serial_slot_seconds) for s, r in results])]
-
-
-def run_figure(name: str) -> Tuple[List[Table], Dict[str, bool]]:
-    """One figure's tables and ``{claim: holds}``, for NA12878."""
-    if name not in FIGURES:
-        raise SimulationError(f"unknown figure {name!r}; choose from "
-                              f"{', '.join(FIGURES)} or all")
-    figure = FIGURES[name]
-    tables = figure.build(CostModel(), NA12878, **figure.params)
-    rows = [{row[0]: record for row, record in zip(table.rows, table.records())}
-            for table in tables]
-    return tables, {claim: bool(check(rows)) for claim, check in figure.claims}
-
-
-def figure_record(name: str, tables: List[Table],
-                  claims: Dict[str, bool]) -> Dict[str, Any]:
-    """``BENCH_<name>.json``, floats at ten significant digits: Python 3.12's
-    compensated ``sum`` may move a value's last bit, never its tenth digit."""
-    tables = [table._replace(rows=[
-        tuple(float(f"{v:.10g}") if isinstance(v, float) else v for v in row)
-        for row in table.rows]) for table in tables]
-    return {"schema_version": 2, "name": name, "plane": "simulated",
-            "params": FIGURES[name].params, "tables": report_dict(tables),
-            "claims": claims}
+    return [table(f"MarkDup_opt, 15 nodes, {partitions} partitions, by slowstart",
+                  "slowstart|wall:s|slot time:s",
+                  [(s, r.wall_seconds, r.serial_slot_seconds) for s, r in results])]

@@ -255,8 +255,8 @@ class TestWorkerCount:
 
     @needs_fork
     def test_scaling_pool_reports_its_true_peak(self):
-        """``bench_elastic``'s skewed round: four maps, one a straggler,
-        on a pool that scales between one and four workers."""
+        """The skewed round of ``perf-study elastic``: four maps, one a
+        straggler, on a pool that scales between one and four workers."""
         def mapper(payload, ctx):
             time.sleep(0.15 if payload.endswith("-00") else 0.01)
             ctx.emit(payload, len(payload))
