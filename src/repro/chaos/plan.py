@@ -421,9 +421,6 @@ class FaultPlan:
         """Whether this attempt completes with its lease already lost."""
         return bool(self._of(ZombieAttempt, task_id=task_id, attempt=attempt))
 
-    def touches_tasks(self) -> bool:
-        return bool(self._of(TASK_EVENT_TYPES))
-
     def duplicate_commit_for(self, task_id: str) -> bool:
         """Whether the plan replays this task's commit after promotion."""
         return bool(self._of(DuplicateCommit, task_id=task_id))

@@ -325,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--json", dest="json_out", action="store_true",
                       help="print the full snapshot as JSON")
     jobs.add_argument("--start", action="store_true",
-                      help="release a --hold server's dispatcher first")
+                      help="release a --hold server's dispatcher and exit "
+                           "without listing (unless --wait / --shutdown)")
     jobs.add_argument("--wait", action="store_true",
                       help="block until the queue is idle before "
                            "printing")
@@ -760,7 +761,11 @@ def _cmd_jobs(args) -> int:
 
     client = JobClient(args.socket)
     if args.start:
+        # The server replies before it dispatches anything, so a chaos
+        # kill on that dispatch never races a listing request.
         client.start_dispatch()
+        if not (args.wait or args.shutdown):
+            return 0
     if args.wait:
         client.wait_idle()
     snapshot = client.jobs()

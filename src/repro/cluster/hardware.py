@@ -69,9 +69,6 @@ class ClusterSpec:
     def node_names(self) -> List[str]:
         return [f"{self.name}-n{i:02d}" for i in range(self.data_nodes)]
 
-    def total_cores(self) -> int:
-        return self.data_nodes * self.node.cores
-
     def total_memory(self) -> int:
         return self.data_nodes * self.node.memory_bytes
 

@@ -153,14 +153,6 @@ class Cigar:
             if op == "S"
         )
 
-    def trailing_soft_clip(self) -> int:
-        """Soft-clipped bases at the end (present in SEQ)."""
-        return sum(
-            length
-            for length, op in self._take_while_clipped(tuple(reversed(self._ops)))
-            if op == "S"
-        )
-
     @staticmethod
     def _take_while_clipped(ops) -> List[Tuple[int, str]]:
         taken = []

@@ -65,10 +65,6 @@ class SamFlags:
         return self.has(REVERSE)
 
     @property
-    def is_mate_reverse(self) -> bool:
-        return self.has(MATE_REVERSE)
-
-    @property
     def is_first_in_pair(self) -> bool:
         return self.has(FIRST_IN_PAIR)
 
@@ -77,16 +73,8 @@ class SamFlags:
         return self.has(SECOND_IN_PAIR)
 
     @property
-    def is_secondary(self) -> bool:
-        return self.has(SECONDARY)
-
-    @property
     def is_duplicate(self) -> bool:
         return self.has(DUPLICATE)
-
-    @property
-    def is_supplementary(self) -> bool:
-        return self.has(SUPPLEMENTARY)
 
     @property
     def is_primary(self) -> bool:

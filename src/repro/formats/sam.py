@@ -160,9 +160,6 @@ class SamRecord:
     def set_duplicate(self, on: bool = True) -> None:
         self.flags = self.flags.with_bit(F.DUPLICATE, on)
 
-    def set_proper_pair(self, on: bool = True) -> None:
-        self.flags = self.flags.with_bit(F.PROPER_PAIR, on)
-
     # -- (de)serialization -------------------------------------------------
     def to_line(self) -> str:
         """Serialize to one SAM text line (no trailing newline)."""

@@ -10,7 +10,7 @@ partition files are pinned to a single node (section 3.1).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.errors import HdfsError
 
@@ -115,12 +115,6 @@ class HdfsFile:
 
     def data(self) -> bytes:
         return b"".join(block.data for block in self.blocks)
-
-    def primary_node(self) -> Optional[str]:
-        """The node holding the primary replica of the first block."""
-        if not self.blocks or not self.blocks[0].replicas:
-            return None
-        return self.blocks[0].replicas[0]
 
     def __repr__(self) -> str:
         kind = "logical" if self.logical_partition else "physical"

@@ -30,11 +30,9 @@ from repro.mapreduce.job import (
     make_splits,
 )
 from repro.mapreduce.streaming import (
-    BytesOutputReader,
     ExternalProgram,
     PipeStats,
     StreamingPipeline,
-    TextInputWriter,
 )
 
 __all__ = [
@@ -66,9 +64,7 @@ __all__ = [
     "TaskContext",
     "default_partitioner",
     "make_splits",
-    "BytesOutputReader",
     "ExternalProgram",
     "PipeStats",
     "StreamingPipeline",
-    "TextInputWriter",
 ]

@@ -13,9 +13,8 @@ partition processing the GATK-Spark evaluation credits for its wins.
 
 The engine treats a block-payload split specially: the mapper receives
 the decoded record list, ``MAP_INPUT_RECORDS`` defaults to the block's
-record count, and the one-time decode cost is measured into the
-``map.block_decode_seconds`` metric so the bench can show where the
-time went.
+record count, and a traced run records the one-time decode as a
+``decode`` span inside the task's ``map`` phase.
 """
 
 from __future__ import annotations

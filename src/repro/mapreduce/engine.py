@@ -126,13 +126,6 @@ _WAVE_INCIDENTS = (
     (C.SHUFFLE_FETCH_RETRIES, "fetch_retries"),
 )
 
-#: Measured (or charged) seconds go straight to a recorder metric and
-#: stay out of the counters, which must compare equal across executors.
-_WAVE_SECONDS = (
-    ("map.block_decode_seconds", "block_decode_seconds"),
-    ("engine.backoff_charged_seconds", "backoff_seconds"),
-)
-
 #: The publish table: the one route from a recorded fact to a run-wide
 #: recorder metric.  An engine or committer site increments the counter
 #: (or adds the event) and nothing else; :meth:`MapReduceEngine._publish`
@@ -340,7 +333,6 @@ class MapReduceEngine:
                 executor.begin_job(JobContext(
                     job, self.policy, splits,
                     trace=recorder.enabled,
-                    trace_phases=recorder.enabled and recorder.trace_tasks,
                     sample_interval=(
                         recorder.sample_interval if recorder.enabled else 0.0
                     ),
@@ -702,10 +694,13 @@ class MapReduceEngine:
             happened = total(attr)
             if happened:
                 result.counters.inc(counter, happened)
-        for metric, attr in _WAVE_SECONDS:
-            seconds = total(attr)
-            if seconds > 0.0:
-                self.recorder.metrics.counter(metric).inc(round(seconds, 6))
+        # Charged seconds go straight to a recorder metric and stay out
+        # of the counters, which must compare equal across executors.
+        backoff = total("backoff_seconds")
+        if backoff > 0.0:
+            self.recorder.metrics.counter(
+                "engine.backoff_charged_seconds"
+            ).inc(round(backoff, 6))
 
     def _settle_wave(
         self,

@@ -65,22 +65,19 @@ class JobContext:
     only picklable call descriptors cross the pipes afterwards.
     """
 
-    __slots__ = ("job", "policy", "splits", "trace", "trace_phases",
-                 "sample_interval", "io")
+    __slots__ = ("job", "policy", "splits", "trace", "sample_interval",
+                 "io")
 
     def __init__(self, job, policy, splits, trace: bool = False,
-                 trace_phases: bool = False, sample_interval: float = 0.0,
-                 io: Any = None):
+                 sample_interval: float = 0.0, io: Any = None):
         self.job = job
         self.policy = policy
         #: The job's input splits; map task *i* reads ``splits[i]``.
         self.splits: Sequence[Any] = splits
-        #: When true, outcomes are stamped with run time and worker
-        #: identity (set by the engine when a recorder is enabled).
+        #: When true (the engine's recorder is enabled), outcomes are
+        #: stamped with run time and worker identity, and task contexts
+        #: buffer their spans: phases and the sections task code wraps.
         self.trace = trace
-        #: When true, tasks additionally measure their phase boundaries
-        #: and buffer context spans (the recorder's ``trace_tasks``).
-        self.trace_phases = trace_phases
         #: Resource-sampling interval in seconds (0 = off).  When > 0,
         #: every task attempt runs a worker-side ResourceSampler whose
         #: samples ride the outcome.

@@ -1,8 +1,9 @@
-"""Job history: the per-task record the paper's progress plots use.
+"""Job history: one record per settled task attempt.
 
-The functional engine records logical task attempts (counts, spills,
-node assignment); the cluster simulator later attaches wall-clock
-phases to the same structure to regenerate Fig 7's progress plot.
+The engine records each attempt's counts, spills, node assignment and
+retries; a traced run adds its measured queue wait and run time.  Where
+the time went inside an attempt is not kept here: its phases and
+sections are spans in the run's recorder (:mod:`repro.obs.ingest`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ class TaskAttempt:
         self.timeouts = 0
         #: True for a fenced backup attempt launched after a lost lease.
         self.backup = False
-        #: Wall-clock phases: filled with *modelled* times by the
-        #: cluster simulator, or with *measured* times by the engine
-        #: when it runs under an enabled trace recorder:
-        #: {"map": (start, end)} / {"shuffle": ..., "merge": ..., "reduce": ...}
-        self.phases: Dict[str, tuple] = {}
         #: Measured seconds spent waiting for a worker slot (traced runs).
         self.queued_seconds = 0.0
         #: Measured seconds the final attempt ran (traced runs).

@@ -14,53 +14,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.obs.recorder import NULL_SPAN, Span
+from repro.obs.recorder import NULL_SPAN, ActiveSpan, Span
 from repro.shuffle.config import DEFAULT_SHUFFLE, ShuffleConfig
 from repro.shuffle.keys import stable_hash_partition
 
 KeyValue = Tuple[Any, Any]
-
-
-class _BufferedSpan:
-    """A span recorded inside a task body, buffered on the context.
-
-    Task code may run in a forked worker, so the span cannot reach the
-    driver's recorder directly; it is appended to ``context.spans`` and
-    travels back inside the pickled task outcome, where the engine
-    stitches it into the recorder (the same side-effect discipline as
-    ``write_file``/``attach``).
-    """
-
-    __slots__ = ("_context", "name", "category", "attrs", "_start")
-
-    def __init__(self, context: "TaskContext", name: str, category: str,
-                 attrs: dict):
-        self._context = context
-        self.name = name
-        self.category = category
-        self.attrs = attrs
-        self._start = 0.0
-
-    def set(self, **attrs: Any) -> None:
-        self.attrs.update(attrs)
-
-    def __enter__(self) -> "_BufferedSpan":
-        self._context._depth += 1
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
-        context = self._context
-        context._depth -= 1
-        if exc_type is not None:
-            self.attrs.setdefault("error", exc_type.__name__)
-        context.spans.append(
-            Span(self.name, self.category, self._start, end,
-                 track=context.task_id, depth=context._depth,
-                 attrs=self.attrs)
-        )
-        return False
 
 
 class InputSplit:
@@ -127,7 +85,8 @@ class TaskContext:
         #: engine converts them to attempt-relative offsets and the
         #: driver's LeaseMonitor reads the gaps between them.
         self.heartbeats: List[float] = []
-        self._depth = 0
+        #: Spans open around the current one; untraced, no span opens.
+        self._open: Optional[List[ActiveSpan]] = [] if traced else None
 
     def emit(self, key: Any, value: Any) -> None:
         self.emitted.append((key, value))
@@ -153,12 +112,25 @@ class TaskContext:
     def span(self, name: str, category: str = "task", **attrs: Any):
         """Open a buffered span around a section of task work.
 
-        A no-op (shared null span, no allocation) unless the job runs
-        under an enabled recorder with task tracing on.
+        Task code may run in a forked worker, so the span cannot reach
+        the driver's recorder: it is buffered in ``spans`` and travels
+        back inside the task outcome (the side-effect discipline of
+        ``write_file``/``attach``).  The shared null span unless the
+        job runs under an enabled recorder.
         """
         if not self.traced:
             return NULL_SPAN
-        return _BufferedSpan(self, name, category, attrs)
+        return ActiveSpan(self, name, category, self.task_id, attrs)
+
+    # The owner side of ActiveSpan: a span records itself here.
+    def now(self) -> float:
+        return time.perf_counter()
+
+    def _open_stack(self) -> List[ActiveSpan]:
+        return self._open
+
+    def _append(self, span: Span) -> None:
+        self.spans.append(span)
 
     def heartbeat(self) -> None:
         """Stamp a progress heartbeat on the side-effect channel.

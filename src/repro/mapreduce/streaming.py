@@ -1,10 +1,9 @@
 """Hadoop Streaming emulation (paper section 3.3 / Appendix A.1, Fig 8).
 
 External programs coded in C (Bwa, SamToBam) run outside the JVM; data
-reaches them as text over pipes through ``TextInputWriter`` and returns
-through ``BytesOutputReader``.  We model the pipe stages explicitly so
-the bytes crossing each boundary — the data-transformation overhead of
-Fig 6(a) — are measurable.
+reaches them as text over pipes and returns as bytes.  We model the
+pipe stages explicitly so the bytes crossing each boundary — the
+data-transformation overhead of Fig 6(a) — are measurable.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ class PipeStats:
         self.bytes_out: List[int] = []
         self.programs: List[str] = []
 
-    def total_transferred(self) -> int:
-        return sum(self.bytes_in) + sum(self.bytes_out)
-
     def __repr__(self) -> str:
         stages = ", ".join(
             f"{name}({bin_}B->{bout}B)"
@@ -52,10 +48,8 @@ class StreamingPipeline:
     multi-threaded Bwa followed by single-threaded SamToBam (Fig 8).
     """
 
-    def __init__(self, programs: Sequence[ExternalProgram],
-                 pipe_buffer_bytes: int = 64 * 1024):
+    def __init__(self, programs: Sequence[ExternalProgram]):
         self.programs = list(programs)
-        self.pipe_buffer_bytes = pipe_buffer_bytes
         self.stats = PipeStats()
 
     def run(self, stdin: bytes) -> bytes:
@@ -69,23 +63,3 @@ class StreamingPipeline:
             stats.bytes_out.append(len(data))
         self.stats = stats
         return data
-
-    def pipe_flushes(self, byte_count: int) -> int:
-        """How many pipe-buffer flushes a transfer of this size causes."""
-        return -(-byte_count // self.pipe_buffer_bytes)
-
-
-class TextInputWriter:
-    """Hadoop-side encoder: key/value records -> text lines -> bytes."""
-
-    def encode(self, lines: Sequence[str]) -> bytes:
-        return ("\n".join(lines) + "\n").encode() if lines else b""
-
-
-class BytesOutputReader:
-    """Hadoop-side decoder: program stdout bytes -> text lines."""
-
-    def decode(self, stdout: bytes) -> List[str]:
-        if not stdout:
-            return []
-        return stdout.decode().rstrip("\n").split("\n")

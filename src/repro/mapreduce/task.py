@@ -21,7 +21,7 @@ import gc
 import threading
 import time
 from itertools import groupby
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import MapReduceError, TaskTimeoutError
 from repro.mapreduce.blocks import RecordBlock
@@ -44,12 +44,11 @@ class TaskOutcome:
         "shuffled_bytes", "shuffle_raw_bytes", "partition_records",
         "key_counts", "crc_failures", "fetch_retries",
         "attempts", "injected_faults", "file_writes",
-        "attachments", "phases", "spans", "samples", "started_at",
+        "attachments", "spans", "samples", "started_at",
         "finished_at",
         "worker", "node", "timeouts", "injected_delays", "failures",
         "heartbeats", "lease_charged", "zombie",
-        "block_decode_seconds", "combine_in", "combine_out",
-        "backoff_seconds",
+        "combine_in", "combine_out", "backoff_seconds",
     )
 
     def __init__(self):
@@ -89,9 +88,6 @@ class TaskOutcome:
         #: ``(node, exception_name)`` per failed attempt, for the
         #: engine's per-node blacklist accounting.
         self.failures: List[Tuple[str, str]] = []
-        #: Measured phase boundaries {name: (start, end)} when traced,
-        #: as raw perf_counter readings (system-wide monotonic clock).
-        self.phases: Optional[Dict[str, Tuple[float, float]]] = None
         #: Progress-heartbeat offsets relative to the attempt's start,
         #: read by the driver's LeaseMonitor.
         self.heartbeats: List[float] = []
@@ -101,13 +97,11 @@ class TaskOutcome:
         #: Chaos-marked zombie: the driver already considers this
         #: attempt's lease lost; its commit must be fenced.
         self.zombie = False
-        #: Seconds spent decoding a sealed RecordBlock split (0.0 for
-        #: plain payloads) — the one-time cost block encoding pays.
-        self.block_decode_seconds = 0.0
         #: Map-side combiner records in/out (cumulative over passes).
         self.combine_in = 0
         self.combine_out = 0
-        #: Spans buffered by the task context, stitched by the parent.
+        #: Spans buffered by the task context when traced — its phases
+        #: and the sections task code wrapped — stitched by the parent.
         self.spans: List[Span] = []
         #: Worker resource samples taken over the attempt (sampling
         #: runs only when the recorder asks for it; None otherwise).
@@ -316,56 +310,43 @@ def _seal(outcome: TaskOutcome, context: TaskContext, t_start: float) -> None:
     outcome.heartbeats = [
         max(0.0, stamp - t_start) for stamp in context.heartbeats
     ]
-    if context.traced:
-        outcome.spans = context.spans
+    outcome.spans = context.spans
 
 
 def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
-    """One complete map task: block decode, map, spill (sort + combine).
+    """One complete map task: the ``map`` phase, then ``spill``.
 
     A split whose payload is a sealed :class:`RecordBlock` is decoded
     exactly once, here, inside whatever worker the executor placed the
-    task on — the decode cost is measured into the outcome so the
-    driver can publish ``map.block_decode_seconds``.  The job's
+    task on, as a ``decode`` span in the ``map`` phase.  The job's
     combiner (if any) runs *inside* the :class:`SpillBuffer`, so
-    segments are sealed already pre-aggregated.
-
-    With ``context.trace_phases`` on, phase boundaries (map / spill)
-    are measured with ``perf_counter`` and returned in the outcome so
-    the parent can stitch real wall-clock phases into the job history —
-    the measured counterpart of the simulator's Fig 7 phases.
+    segments are sealed already pre-aggregated.  Phases are context
+    spans like any other (the measured counterpart of the simulator's
+    Fig 7 phases): recorded when the job is traced, the null span
+    otherwise.
     """
-    job, traced = context.job, context.trace_phases
+    job, traced = context.job, context.trace
     split = context.splits[call.index]
 
     def body(node: str) -> TaskOutcome:
-        clock = time.perf_counter
-        # Always measured (not only when traced): heartbeat stamps are
-        # converted to offsets from this origin for the lease monitor.
-        t_start = clock()
-        payload = split.payload
-        block_records = None
-        outcome = TaskOutcome()
-        if isinstance(payload, RecordBlock):
-            t_decode = clock()
-            block_records = payload.decode()
-            outcome.block_decode_seconds = clock() - t_decode
+        # Always read (traced or not): heartbeat stamps are converted
+        # to offsets from this origin for the lease monitor.
+        t_start = time.perf_counter()
         task = TaskContext(
             call.task_id, node, traced=traced, task_index=call.index
         )
-        job.mapper(
-            block_records if block_records is not None else payload, task
-        )
-        t_map_end = clock() if traced else 0.0
-        _seal(outcome, task, t_start)
-        if traced:
-            outcome.phases = {"map": (t_start, t_map_end)}
+        outcome = TaskOutcome()
+        payload = split.payload
+        block = isinstance(payload, RecordBlock)
+        with task.span("map", "phase"):
+            if block:
+                with task.span("decode"):
+                    payload = payload.decode()
+            job.mapper(payload, task)
         if task.input_records is not None:
             outcome.input_records = int(task.input_records)
-        elif block_records is not None:
-            outcome.input_records = len(block_records)
         else:
-            outcome.input_records = 1
+            outcome.input_records = len(payload) if block else 1
         if task.output_bytes is not None:
             outcome.output_bytes = int(task.output_bytes)
         else:
@@ -374,92 +355,88 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             )
         if job.is_map_only:
             outcome.emitted = task.emitted
-            return outcome
-        # Sort-spill-merge into one framed segment per reducer.  Runs go
-        # to disk, with ENOSPC fallback routing, when the job context
-        # carries an I/O layer (the policy configured spill directories).
-        buffer = SpillBuffer(
-            job.num_reducers, job.partitioner, job.sort_key,
-            job.io_sort_records, track_keys=job.shuffle.track_keys,
-            combiner=job.combiner,
-            spill_io=context.io,
-            spill_dirs=context.policy.resolved_io().spill_dirs,
-            spill_prefix=f"{call.task_id}-e{call.epoch}",
-        )
-        buffer.add_all(task.emitted)
-        spilled = buffer.finish(get_codec(job.shuffle.codec))
-        outcome.spills = spilled.spills
-        outcome.segments = [seg.blob for seg in spilled.segments]
-        outcome.partition_records = spilled.partition_records
-        outcome.key_counts = spilled.key_counts
-        outcome.combine_in = spilled.combine_in
-        outcome.combine_out = spilled.combine_out
-        if traced:
-            outcome.phases["spill"] = (t_map_end, clock())
+        else:
+            # Sort-spill-merge into one framed segment per reducer.  Runs
+            # go to disk, with ENOSPC fallback routing, when the job
+            # context carries an I/O layer (spill directories configured).
+            with task.span("spill", "phase"):
+                buffer = SpillBuffer(
+                    job.num_reducers, job.partitioner, job.sort_key,
+                    job.io_sort_records, track_keys=job.shuffle.track_keys,
+                    combiner=job.combiner,
+                    spill_io=context.io,
+                    spill_dirs=context.policy.resolved_io().spill_dirs,
+                    spill_prefix=f"{call.task_id}-e{call.epoch}",
+                )
+                buffer.add_all(task.emitted)
+                spilled = buffer.finish(get_codec(job.shuffle.codec))
+            outcome.spills = spilled.spills
+            outcome.segments = [seg.blob for seg in spilled.segments]
+            outcome.partition_records = spilled.partition_records
+            outcome.key_counts = spilled.key_counts
+            outcome.combine_in = spilled.combine_in
+            outcome.combine_out = spilled.combine_out
+        _seal(outcome, task, t_start)
         return outcome
 
     return run_attempts(body, context.policy, call)
 
 
 def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
-    """One complete reduce task: shuffle fetch, merge, group, reduce, output.
+    """One complete reduce task: ``shuffle``, ``merge``, ``reduce`` phases.
 
     Fetches this reducer's segment from every mapper in map-task order
     (which is why reduce-side value order differs from the serial
     program's input order).  Every fetch is CRC-verified end-to-end and
     refetched from another replica on corruption, up to the job's
     ``shuffle.fetch_retries``.  A job's ``reduce_output`` runs once per
-    attempt after the last group and replaces the emitted pairs as the
-    task's output; ``output_records`` still counts the pairs.  With
-    ``context.trace_phases`` on, the shuffle / merge / reduce phase
-    boundaries are measured and shipped back in the outcome.
+    attempt after the last group, inside the ``reduce`` phase, and
+    replaces the emitted pairs as the task's output; ``output_records``
+    still counts the pairs.
     """
-    job, traced = context.job, context.trace_phases
+    job, traced = context.job, context.trace
 
     def body(node: str) -> TaskOutcome:
-        clock = time.perf_counter
-        # Always measured: the heartbeat origin for the lease monitor.
-        t_start = clock()
-        outcome = TaskOutcome()
-        runs: List[List[KeyValue]] = []
-        for path in call.paths:
-            fetch = call.store.fetch(path, retries=job.shuffle.fetch_retries)
-            segment = fetch.segment
-            runs.append(segment.records)
-            outcome.shuffled_records += segment.record_count
-            outcome.shuffled_bytes += segment.blob_bytes
-            outcome.shuffle_raw_bytes += segment.raw_bytes
-            outcome.crc_failures += fetch.crc_failures
-            outcome.fetch_retries += fetch.refetches
-        t_fetch_end = clock() if traced else 0.0
-        # Merge: a stable sort over the concatenated pre-sorted segments
-        # keeps map-task arrival order within a key, like Hadoop's merge.
-        fetched = merge_sorted_runs_list(runs, key=record_key(job.sort_key))
-        t_merge_end = clock() if traced else 0.0
-
+        # Always read: the heartbeat origin for the lease monitor.
+        t_start = time.perf_counter()
         task = TaskContext(
             call.task_id, node, traced=traced, task_index=call.index
         )
-        for key, group in groupby(fetched, KEY_OF):
-            job.reducer(key, list(map(VALUE_OF, group)), task)
-            outcome.groups += 1
+        outcome = TaskOutcome()
+        runs: List[List[KeyValue]] = []
+        with task.span("shuffle", "phase"):
+            for path in call.paths:
+                fetch = call.store.fetch(
+                    path, retries=job.shuffle.fetch_retries
+                )
+                segment = fetch.segment
+                runs.append(segment.records)
+                outcome.shuffled_records += segment.record_count
+                outcome.shuffled_bytes += segment.blob_bytes
+                outcome.shuffle_raw_bytes += segment.raw_bytes
+                outcome.crc_failures += fetch.crc_failures
+                outcome.fetch_retries += fetch.refetches
+        # Merge: a stable sort over the concatenated pre-sorted segments
+        # keeps map-task arrival order within a key, like Hadoop's merge.
+        with task.span("merge", "phase"):
+            fetched = merge_sorted_runs_list(
+                runs, key=record_key(job.sort_key)
+            )
+        with task.span("reduce", "phase"):
+            for key, group in groupby(fetched, KEY_OF):
+                job.reducer(key, list(map(VALUE_OF, group)), task)
+                outcome.groups += 1
+            pairs = task.emitted
+            if job.reduce_output is not None:
+                # The job's output format sees the whole partition here,
+                # in the worker; what it emits (and writes) is the task's
+                # output, so the pairs never cross to the driver.
+                task.emitted = []
+                job.reduce_output(pairs, task)
         outcome.input_records = len(fetched)
-        pairs = task.emitted
-        if job.reduce_output is not None:
-            # The job's output format sees the whole partition here, in
-            # the worker; what it emits (and writes) is the task's
-            # output, so the pairs themselves never cross to the driver.
-            task.emitted = []
-            job.reduce_output(pairs, task)
         outcome.emitted = task.emitted
         _seal(outcome, task, t_start)
         outcome.output_records = len(pairs)
-        if traced:
-            outcome.phases = {
-                "shuffle": (t_start, t_fetch_end),
-                "merge": (t_fetch_end, t_merge_end),
-                "reduce": (t_merge_end, clock()),
-            }
         return outcome
 
     return run_attempts(body, context.policy, call)

@@ -14,6 +14,7 @@ from repro.obs.analysis import (
     Straggler,
     analyze,
     detect_stragglers,
+    ledger,
     mad_scores,
     phase_timeline,
     queue_run_decomposition,
@@ -82,6 +83,7 @@ __all__ = [
     "compare_runs",
     "detect_stragglers",
     "format_cell",
+    "ledger",
     "load_run",
     "mad_scores",
     "phase_timeline",

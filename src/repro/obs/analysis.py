@@ -3,9 +3,10 @@
 Pure, read-only functions from :class:`~repro.mapreduce.history.JobHistory`
 / :class:`~repro.obs.recorder.TraceRecorder` state to the derived views
 the paper's performance study is built from — MAD straggler detection,
-the queue-wait vs run-time split, per-phase utilization timelines
-(Fig 7 / Fig 10), the worker-cost roll-up and the job server's
-per-tenant totals.  :func:`analyze` bundles them for the report model.
+the queue-wait vs run-time split, the per-round time ledger (Fig 5b /
+6a), per-phase utilization timelines (Fig 7 / Fig 10), the worker-cost
+roll-up and the job server's per-tenant totals.  :func:`analyze`
+bundles them for the report model.
 """
 
 from __future__ import annotations
@@ -141,6 +142,83 @@ def phase_timeline(recorder, samples: int = 60) -> Dict[str, Any]:
             "peak": {name: max(counts) for name, counts in phases.items()}}
 
 
+def _holds(outer, inner) -> bool:
+    return outer.start <= inner.start and inner.end <= outer.end
+
+
+def _covered(intervals) -> float:
+    """Seconds covered by the union of ``(start, end)`` intervals."""
+    covered, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered
+
+
+def ledger(recorder) -> Dict[str, Any]:
+    """Where the wall time went: self seconds per layer and round.
+
+    A span's *self time* is its duration minus the union of the spans
+    nested directly in it: a driver span's children are the driver
+    spans one depth below it, a wave's (or a backup's) the task spans
+    it holds, a task's its phases, a phase's its sections.  Rows are
+    layers: phases and sections (category ``task``) by name, the rest
+    by category.  Columns are the round span holding a span (``None``
+    above the rounds).  ``unaccounted`` is the wall minus the union of
+    every span, so where spans nest (the serial executor) the rows plus
+    ``unaccounted`` are the wall.  A dead worker's unclosed span covers
+    nothing.  Returns ``{"wall": s, "rounds": [round, ...], "rows":
+    {layer: {round: s}}, "unaccounted": s}``.
+    """
+    # Outer before inner: a parent starts first, or ends last on a tie.
+    spans = sorted(
+        (span for span in recorder.spans() if span.end is not None),
+        key=lambda span: (span.start, -span.end, span.depth),
+    )
+    #: Per track, the latest span seen at each depth: the open chain.
+    levels: Dict[str, Dict[int, Any]] = {}
+    children: Dict[int, List[tuple]] = {}
+    round_of: Dict[int, Any] = {}
+    for span in spans:
+        if span.depth == 0 and span.category.endswith("-task"):
+            # On the worker's track; its parent is the innermost driver
+            # span holding it: its wave, or the backup that re-ran it.
+            holders = [outer for outer in levels.get("driver", {}).values()
+                       if _holds(outer, span)]
+            parent = max(holders, key=lambda outer: outer.depth, default=None)
+        else:
+            parent = levels.get(span.track, {}).get(span.depth - 1)
+            if parent is not None and not _holds(parent, span):
+                parent = None
+        levels.setdefault(span.track, {})[span.depth] = span
+        if parent is not None:
+            children.setdefault(id(parent), []).append((span.start, span.end))
+        round_of[id(span)] = (
+            span.name.split(":", 1)[-1] if span.category == "round"
+            else None if parent is None else round_of[id(parent)]
+        )
+    rows: Dict[str, Dict[Any, float]] = {}
+    for span in spans:
+        cells = rows.setdefault(
+            span.name if span.category in ("phase", "task") else span.category,
+            {},
+        )
+        key = round_of[id(span)]
+        cells[key] = cells.get(key, 0.0) + span.duration - _covered(
+            children.get(id(span), ())
+        )
+    wall = recorder.horizon()
+    return {
+        "wall": wall,
+        "rounds": list(dict.fromkeys(
+            round_of[id(span)] for span in spans if span.category == "round"
+        )),
+        "rows": rows,
+        "unaccounted": wall - _covered((s.start, s.end) for s in spans),
+    }
+
+
 def worker_cost(recorder) -> Dict[str, Any]:
     """Worker-seconds against wall clock — the FaaS cost question.
 
@@ -243,6 +321,7 @@ def analyze(recorder, histories=()) -> Dict[str, Any]:
         "stragglers": sorted(stragglers, key=lambda s: -s["score"]),
         "queue_run": {label: queue_run_decomposition(history)
                       for label, history in histories},
+        "ledger": ledger(recorder),
         "phase_timeline": phase_timeline(recorder),
         "worker_cost": worker_cost(recorder),
         "tenants": tenant_summary(

@@ -1,13 +1,13 @@
 """Stitching worker-side task telemetry into the driver's recorder.
 
 A task attempt measures itself wherever the executor ran it — run-time
-stamps, phase boundaries, buffered context spans, resource samples —
-and ships the raw ``perf_counter`` readings back inside its outcome
-(see :mod:`repro.mapreduce.task`).  The driver calls
-:func:`ingest_task` once per settled task to turn those readings into
-spans on the worker's track, epoch-relative phases on the job-history
-record, the queue-wait / run-time histograms and the per-worker
-``proc.*`` time series.
+stamps, buffered context spans (its phases and the sections task code
+wrapped), resource samples — and ships the raw ``perf_counter``
+readings back inside its outcome (see :mod:`repro.mapreduce.task`).
+The driver calls :func:`ingest_task` once per settled task to put the
+task span and its context spans on the worker's track, and to feed the
+queue-wait / run-time histograms and the per-worker ``proc.*`` time
+series.
 """
 
 from __future__ import annotations
@@ -21,52 +21,38 @@ def ingest_task(recorder: Any, task: Any, outcome: Any,
                 submitted: float) -> None:
     """Stitch one task's measured telemetry into the recorder.
 
-    Converts the outcome's raw perf_counter phase boundaries into
-    epoch-relative wall-clock phases on the ``TaskAttempt`` (the same
-    ``phases`` dict the simulator fills with modelled times), emits
-    task/phase spans on the worker's track, and feeds the queue-wait /
-    run-time histograms.  ``submitted`` is the driver's reading, on the
-    same system-wide clock, of when the task became runnable.  A no-op
-    for outcomes that carry no stamps: untraced runs, and commits
-    replayed from the WAL (their stamps belong to a dead driver's clock).
+    Emits the task span, re-homes the attempt's context spans on the
+    worker's track one level under it, stamps queue wait and run time
+    on the ``TaskAttempt`` and feeds their histograms.  ``submitted``
+    is the driver's reading, on the same system-wide clock, of when the
+    task became runnable.  A no-op for outcomes that carry no stamps:
+    untraced runs, and commits replayed from the WAL (their stamps
+    belong to a dead driver's clock).
     """
     if outcome.started_at is None or not recorder.enabled:
         return
-    epoch = recorder.epoch
     queue_wait = max(0.0, outcome.started_at - submitted)
     run_time = outcome.finished_at - outcome.started_at
     track = outcome.worker or task.task_id
-    spans = [
-        Span(
-            task.task_id, f"{task.kind}-task",
-            outcome.started_at, outcome.finished_at, track=track,
-            attrs={
-                "node": task.node,
-                "attempts": outcome.attempts,
-                "queue_wait_ms": round(queue_wait * 1e3, 3),
-                "input_records": outcome.input_records,
-                "output_records": outcome.output_records,
-            },
-        )
-    ]
+    task_span = Span(
+        task.task_id, f"{task.kind}-task",
+        outcome.started_at, outcome.finished_at, track=track,
+        attrs={
+            "node": task.node,
+            "attempts": outcome.attempts,
+            "queue_wait_ms": round(queue_wait * 1e3, 3),
+            "input_records": outcome.input_records,
+            "output_records": outcome.output_records,
+        },
+    )
     task.queued_seconds = queue_wait
     task.run_seconds = run_time
-    if outcome.phases:
-        task.phases = {
-            name: (start - epoch, end - epoch)
-            for name, (start, end) in outcome.phases.items()
-        }
-        for name, (start, end) in outcome.phases.items():
-            spans.append(
-                Span(name, "phase", start, end, track=track, depth=1,
-                     attrs={"task": task.task_id})
-            )
     for span in outcome.spans:
         # Context spans carry the task id as track; re-home them on
-        # the worker lane, nested under the task + phase spans.
+        # the worker lane, nested under the task span.
         span.track = track
-        span.depth += 2
-    recorder.ingest(spans + outcome.spans)
+        span.depth += 1
+    recorder.ingest([task_span] + outcome.spans)
     recorder.metrics.histogram("task.queue_wait_seconds").observe(queue_wait)
     recorder.metrics.histogram("task.run_seconds").observe(run_time)
     if outcome.samples:
@@ -86,15 +72,12 @@ def _ingest_samples(recorder: Any, task: Any, outcome: Any,
     """
     metrics = recorder.metrics
     epoch = recorder.epoch
-    boundaries = sorted(
-        (start, end, name)
-        for name, (start, end) in (outcome.phases or {}).items()
-    )
+    phases = [span for span in outcome.spans if span.category == "phase"]
 
     def phase_at(t: float) -> str:
-        for start, end, name in boundaries:
-            if start <= t < end:
-                return name
+        for span in phases:
+            if span.start <= t < span.end:
+                return span.name
         return ""
 
     cpu = metrics.timeseries("proc.cpu_percent", worker=track)

@@ -14,9 +14,9 @@ readings taken inside a forked worker are directly comparable with the
 parent's and exporters only need to subtract the recorder's ``epoch``.
 
 The disabled path is a shared :data:`NULL_RECORDER` whose ``span()``
-returns one preallocated no-op context manager — no per-call
-allocation, no clock reads — so instrumented code can stay in place
-unconditionally.
+returns one preallocated no-op context manager, as does an untraced
+task context's, so instrumented code can stay in place
+unconditionally: it records nothing and reads no clock.
 """
 
 from __future__ import annotations
@@ -92,14 +92,21 @@ class Span:
         )
 
 
-class _ActiveSpan:
-    """Context manager for one in-flight span."""
+class ActiveSpan:
+    """Context manager for one in-flight span.
 
-    __slots__ = ("_recorder", "name", "category", "track", "attrs", "start")
+    Its owner records it: a :class:`TraceRecorder`, or a task's
+    :class:`~repro.mapreduce.job.TaskContext`, which buffers it for the
+    driver.  An owner provides ``now()``, ``_open_stack()`` (the spans
+    open around this one, for its depth), ``_append(span)`` and, for a
+    span opened without a track, ``_default_track()``.
+    """
 
-    def __init__(self, recorder: "TraceRecorder", name: str, category: str,
+    __slots__ = ("_owner", "name", "category", "track", "attrs", "start")
+
+    def __init__(self, owner: Any, name: str, category: str,
                  track: Optional[str], attrs: Dict[str, Any]):
-        self._recorder = recorder
+        self._owner = owner
         self.name = name
         self.category = category
         self.track = track
@@ -110,24 +117,24 @@ class _ActiveSpan:
         """Attach attributes while the span is still open."""
         self.attrs.update(attrs)
 
-    def __enter__(self) -> "_ActiveSpan":
-        self._recorder._open_stack().append(self)
-        self.start = self._recorder.now()
+    def __enter__(self) -> "ActiveSpan":
+        self._owner._open_stack().append(self)
+        self.start = self._owner.now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        recorder = self._recorder
-        end = recorder.now()
-        stack = recorder._open_stack()
+        owner = self._owner
+        end = owner.now()
+        stack = owner._open_stack()
         depth = max(0, len(stack) - 1)
         if stack and stack[-1] is self:
             stack.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        recorder._append(
+        owner._append(
             Span(
                 self.name, self.category, self.start, end,
-                track=self.track or recorder._default_track(),
+                track=self.track or owner._default_track(),
                 depth=depth, attrs=self.attrs,
             )
         )
@@ -168,13 +175,10 @@ class TraceRecorder:
 
     enabled = True
 
-    def __init__(self, trace_tasks: bool = True,
-                 sample_interval: float = 0.0):
+    def __init__(self, sample_interval: float = 0.0):
         self.epoch = time.perf_counter()
         #: Wall-clock instant matching ``epoch``, for report headers.
         self.wall_epoch = time.time()
-        #: Whether the engine should measure per-task phase timings.
-        self.trace_tasks = trace_tasks
         #: Worker resource-sampling interval in seconds (0 = off); the
         #: engine forwards it to the executors, whose workers run a
         #: :class:`~repro.obs.sampler.ResourceSampler` per task attempt.
@@ -189,9 +193,9 @@ class TraceRecorder:
         return time.perf_counter()
 
     def span(self, name: str, category: str = "span",
-             track: Optional[str] = None, **attrs: Any) -> _ActiveSpan:
+             track: Optional[str] = None, **attrs: Any) -> ActiveSpan:
         """Open a nested span; use as a context manager."""
-        return _ActiveSpan(self, name, category, track, attrs)
+        return ActiveSpan(self, name, category, track, attrs)
 
     def ingest(self, spans: Iterable[Span]) -> None:
         """Stitch in spans recorded elsewhere (e.g. a forked worker)."""
@@ -228,24 +232,8 @@ class TraceRecorder:
                 for span in self._spans
             ) - self.epoch
 
-    def category_totals(self) -> Dict[str, float]:
-        """Summed span duration per category."""
-        totals: Dict[str, float] = {}
-        for span in self.spans():
-            totals[span.category] = totals.get(span.category, 0.0) + \
-                span.duration
-        return totals
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Summed duration of task-phase spans, keyed by phase name."""
-        totals: Dict[str, float] = {}
-        for span in self.spans():
-            if span.category == "phase":
-                totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        return totals
-
     # -- internals -----------------------------------------------------------
-    def _open_stack(self) -> List[_ActiveSpan]:
+    def _open_stack(self) -> List[ActiveSpan]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -268,7 +256,6 @@ class NullRecorder:
     """
 
     enabled = False
-    trace_tasks = False
     sample_interval = 0.0
     epoch = 0.0
     wall_epoch = 0.0
@@ -292,12 +279,6 @@ class NullRecorder:
     def horizon(self) -> float:
         return 0.0
 
-    def category_totals(self) -> Dict[str, float]:
-        return {}
-
-    def phase_totals(self) -> Dict[str, float]:
-        return {}
-
     def __repr__(self) -> str:
         return "NullRecorder()"
 
@@ -309,23 +290,18 @@ NULL_RECORDER = NullRecorder()
 class ObsConfig:
     """Frozen observability configuration, the ExecutionPolicy sibling.
 
-    ``enabled`` turns the whole layer on; ``trace_tasks`` additionally
-    measures per-task phase timings inside task bodies (the only
-    instrumentation that costs clock reads on the task hot path).
+    ``enabled`` turns the whole layer on: driver spans, and in every
+    task attempt its phases and the sections task code wraps.
     ``sample_interval`` > 0 additionally runs the worker resource
     sampler (:mod:`repro.obs.sampler`) at that many seconds per sample,
     yielding CPU/RSS/IO/ctx-switch time-series per worker.
     """
 
     enabled: bool = False
-    trace_tasks: bool = True
     sample_interval: float = 0.0
 
     def build_recorder(self):
         """A fresh recorder per run, or the shared null recorder."""
         if not self.enabled:
             return NULL_RECORDER
-        return TraceRecorder(
-            trace_tasks=self.trace_tasks,
-            sample_interval=self.sample_interval,
-        )
+        return TraceRecorder(sample_interval=self.sample_interval)

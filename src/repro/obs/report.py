@@ -162,8 +162,6 @@ def build_report(
         time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(recorder.wall_epoch))
         if recorder.wall_epoch else "(untraced)"
     )
-    phases = recorder.phase_totals()
-    phase_sum = sum(phases.values()) or 1.0  # all-zero spans: share 0
     cost = views["worker_cost"]
     cost_spec = "|".join([_COST] + [
         group for group in _COST_GROUPS
@@ -180,11 +178,7 @@ def build_report(
                  ({"name": span.name, "wall": span.duration, **span.attrs}
                   for span in spans if span.category == "round"),
                  "(no round spans recorded)"),
-        table_of("Phase totals", "phase|total:s|share:%",
-                 ({"phase": name, "total": total, "share": total / phase_sum}
-                  for name, total in sorted(phases.items(),
-                                            key=lambda item: -item[1])),
-                 "(no phase spans recorded)"),
+        ledger_table(views["ledger"]),
         table_of("Per-phase utilization", "phase|peak:n|active tasks:series",
                  ({"phase": name, "peak": max(counts), "active tasks": counts}
                   for name, counts
@@ -273,6 +267,29 @@ def _sampling_tables(recorder) -> List[Table]:
         "(sampler off - run with a sample interval, e.g. "
         "repro-genomics report --sample-interval 0.02)",
     )]
+
+
+def ledger_table(view: Mapping[str, Any]) -> Table:
+    """The time ledger (``analysis.ledger``): self seconds per layer
+    and round, ``—`` above the rounds, heaviest layer first, and last
+    the ``unaccounted`` time no span covers."""
+    rounds, wall = view["rounds"], view["wall"]
+
+    def row(layer: str, cells: Mapping[Any, float]) -> tuple:
+        total = sum(cells.values())
+        return (layer, *(cells.get(key) for key in rounds), cells.get(None),
+                total, total / wall if wall > 0 else 0.0)
+
+    rows = [row(layer, cells) for layer, cells in sorted(
+        view["rows"].items(), key=lambda item: -sum(item[1].values()))]
+    if rows:
+        rows.append(row("unaccounted", {None: view["unaccounted"]}))
+    return Table(
+        "Ledger",
+        (("layer", ""), *((key, "s") for key in rounds), ("—", "s"),
+         ("total", "s"), ("share", "%")),
+        rows, "" if rows else "(no spans recorded)",
+    )
 
 
 def tasks_table(results: Mapping[str, Any]) -> Table:

@@ -41,7 +41,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 4: a round-2/3/4 reduce outcome journals ``(path, count)`` pairs and
 #: its BAM bytes as ``file_writes``; a version-3 one journaled ``(qname,
 #: SamRecord)`` pairs, which replayed here would be read as paths.
-WAL_VERSION = 4
+#: 5: the journaled outcome lost its phase-boundary and block-decode slots.
+WAL_VERSION = 5
 
 _FRAME = struct.Struct(">II")
 

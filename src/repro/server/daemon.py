@@ -9,7 +9,7 @@ One JSON object per line in each direction.  Request ``op`` values:
 ``result``   ``{job_id}`` → ``{result}`` (done jobs only)
 ``cancel``   ``{job_id}`` → ``{state}``
 ``stats``    metrics counters + per-tenant summary
-``start``    release a ``--hold`` server's dispatcher
+``start``    release a ``--hold`` server's dispatcher (after the reply)
 ``shutdown`` clean stop: drain running work, write the trace, exit
 ========== ===========================================================
 
@@ -54,6 +54,7 @@ class _Handler(socketserver.StreamRequestHandler):
             line = line.strip()
             if not line:
                 continue
+            op = None
             try:
                 request = json.loads(line.decode("utf-8"))
                 if not isinstance(request, dict):
@@ -64,14 +65,20 @@ class _Handler(socketserver.StreamRequestHandler):
                               "message": f"bad request line: {exc}"}
                 }
             else:
+                op = request.get("op")
                 response = daemon.handle(request)
             self.wfile.write(
                 (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
             )
             self.wfile.flush()
-            if response.get("shutdown"):
+            if op == "shutdown":
                 daemon.request_shutdown()
                 return
+            if op == "start":
+                # Released only once the reply is on the wire: a
+                # KillServer that fires on the first dispatch cannot
+                # take the reply down with the process.
+                daemon.server.start_dispatch()
 
 
 class _SocketServer(socketserver.ThreadingMixIn,
@@ -128,8 +135,7 @@ class JobServerDaemon:
                     "tenants": tenant_summary(counters),
                 }
             if op == "start":
-                self.server.start_dispatch()
-                return {"ok": True}
+                return {"ok": True}  # the handler releases after replying
             if op == "shutdown":
                 return {"ok": True, "shutdown": True}
             return {"error": {"type": "ServerError",

@@ -85,7 +85,6 @@ class TestFaultPlan:
         assert plan.delay_for("t-m-00000", 2) == 0.0
         assert plan.raises_in("t-r-00001", 2)
         assert not plan.raises_in("t-r-00001", 1)
-        assert plan.touches_tasks()
 
     def test_plan_rides_inside_a_frozen_policy(self):
         plan = FaultPlan(events=(RaiseInTask("t", attempt=1),))

@@ -93,7 +93,7 @@ class TestTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "round:round1" in out and "round:round5" in out
-        assert "Phase totals:" in out
+        assert "Ledger:" in out and "unaccounted" in out
         assert "Per-round tasks:" in out
         assert "HDFS:" in out
         with open(trace_path) as handle:

@@ -10,6 +10,7 @@ dies mid-round, with outputs byte-identical to a clean run throughout.
 import base64
 import dataclasses
 import inspect
+import io
 import os
 import pickle
 import zlib
@@ -664,6 +665,20 @@ class TestDriverKillReplay:
 # ---------------------------------------------------------------------------
 
 
+class _ParentOutcome:
+    """Accepts every slot a parent version's journaled outcome had."""
+
+
+class _ParentUnpickler(pickle.Unpickler):
+    """Reads a parent version's WAL record to show what it journaled,
+    whatever slots this version's ``TaskOutcome`` has since dropped."""
+
+    def find_class(self, module, name):
+        if (module, name) == ("repro.mapreduce.task", "TaskOutcome"):
+            return _ParentOutcome
+        return super().find_class(module, name)
+
+
 def build_pipeline(reference, ref_index, **kwargs):
     return GesallPipeline(PipelineSpec(
         reference, index=ref_index, nodes=NODES,
@@ -841,11 +856,49 @@ class TestPipelineCrashRecovery:
             "version": 3, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 5
-        theirs = pickle.loads(old_frames[-1])
+        theirs = _ParentUnpickler(io.BytesIO(old_frames[-1])).load()
         assert theirs["task"] == "round2-cleaning-r-00000"
         assert theirs["outcome"].file_writes == []
         assert {type(value).__name__ for _, value in
                 theirs["outcome"].emitted} == {"SamRecord"}
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+    def test_version_4_wal_with_phase_slots_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-4 ``wal-round2.log`` journals outcomes that still
+        carry the ``phases`` / ``block_decode_seconds`` slots, which
+        this version's ``TaskOutcome`` no longer has: the version guard
+        turns the log away before any record is unpickled."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V4))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 4, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        with pytest.raises(AttributeError, match="phases"):
+            pickle.loads(old_frames[1])
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -1189,3 +1242,45 @@ class TestNewEventSpecs:
         assert plan.driver_kill("round3") is None
         kinds = [e["kind"] for e in plan.as_dicts()]
         assert kinds == ["zombie_attempt", "duplicate_commit", "kill_driver"]
+
+
+#: The same capture on commit 215929d (WAL_VERSION 4): the journaled map
+#: outcome still has ``phases`` and ``block_decode_seconds`` slots.
+#: zlib + base64 of the 3294 raw bytes.
+PARENT_WAL_ROUND2_V4 = (
+    "eNqVlktvG9cVxylXohhLdmU3gZGkuxaFE8CsKMci5/248yQhB3DYRRcGMRwONaz4wswwhg"
+    "MYcBDESIHZ5WbhL9F990WX/gBFsi7QTRfdN/2fO6QkRKnjzIiae8/cO3PP7/7PmVOr1byj"
+    "B6PfPN/5RqlVxzN+t9z9NMnyyWLOe9vl3ngyP02yZTaZF7xsJO3W8CMpHvFyJ1us5rjWxf"
+    "WIr5q12v5Xv/7u2y/xtGf7F0/bLqL8jJd3qnH34mkSzfHMe7N7h3TgSclyEae8Vyt3F6si"
+    "XswSXr6dJcts0ZxFyywZreKkWT1kr4/Lx+tBX/MPPucPxYKT2aQokhF/jCXmyeksmRc5On"
+    "ftfzRqNf8T12/RatBu/I1+d6K/p8+3v/lro1olBpb7n/zxYat5eLhe063q/eNFNouKvJlH"
+    "M17+apAl8SIbDcbZYjYYT5LpKMci7qZbvaTcjtOsxU/+chNubH3Iyy1t3Rn1rZ8+2ablv8"
+    "noqycvR10/7IZu6Id+N/Bczw+Z64Su63me73gMh2PZlmXbpm5bzNQNhqZlGqZu6ppqapau"
+    "K5qqGYqqKjhknJImdxRZlSX5vtTGIbf5M15ee+Tz8heP/BbPC/6Iv+A/QJdu300Pei8vAV"
+    "HL7dbh4QlPd9dEmP8zzj7rg0ofDTp8AKqsFsECOcZ8y/L9agiuYOmjCSJtqd05bnckSVEk"
+    "Re5IMhxUySFF01RZhbfAoGm6ZqCtG5aFqSYRMm3GbNNhnuO6LhP/mOf6bhAEXuAHgRP4wB"
+    "x20eYkv2sPT7DhcH0v3V/9CJSWgPJ+L95AebXbU9Pb4PFF4+TdrXLkkztMrJ1cYSQERi6R"
+    "MnzGKgDUxklWiwZhFKuaxABO4yZmCf8JFazUwyi6kkQCv9sNu77nMwjE85jnB+Rc4Di267"
+    "ikC9t2IBTDxuEYhqkZ0IVpWYamq4ppaIqiq6qu6CAq4wepdNROR+lIOOVOpyM9OAeS3nk9"
+    "jt/2vt7g+KKxxvFqt/vP/37/PRQiYoII0OrJI4sgECJiUjlHaEgAfSEFulUNA7q+UASBsQ"
+    "RFoY0+5qNDWMCqTwpR5OPOR1h5u9OWj6WOKikQiKySl5CHDp3omm6qpmVYBpq0S6bObAaZ"
+    "QCUIKBvScB3Hc4in5zqINoSc7zlhiBWEYdh9AyBHAsi9C3283OjDa5zc2iIcltA97Tl5KP"
+    "ZbGBkxYeQP2fr9aqTQ0v8TlfXjogIOrNf3gtAJ4AGk7jnwJXQRBY7jIokgNDwEiGMaUIhh"
+    "0nNNQ7d009QJmGoQL0SWThAVlTjC2tZkBKICbRzfl6TjSwHT4q8H0r5QiLdRyMvd7r+FQs"
+    "g1aIM8WztcOU+7bokIoAgBFPz6JAMiAUikJ+sN5QUk0PWxpJBCZOQQCflQkmWZhI9UookD"
+    "KBRNgVqQTwHEpjxiW4bLDIQSc11IBAiZA5WIdOyQVkKvixSNnB1030Qh9wUQ80Ihzs4ayO"
+    "36ydEWfWSEP0yIntKCyAiCgNh3JnaaeiR9i/5VI2kXmfBaYGT9Ko+KqzDQ00DOEgEThGEQ"
+    "IIF03cB3RA5xK+mLNMlYYCONOHigDQ4G0gg+MKbBTEM1DJ3+EFoakomsAZkm06dGI54dpJ"
+    "E28kfn+Lh9SSFH/PVAuhcKuV1fA3F2uq+EQsh3JqLAF65Q4hS5oi/i36KMYQkyFEQ0kOiJ"
+    "UBISoBDri3xBdymAROIQbCqdMF8o5IGE1NGBQhR8cDRFb9PHE9rXJIoAHVGhy0gjqm4haH"
+    "R8fukDg0+xaVNeQTxR9oVQQM6FRAKC2g2DMKB4DChnXyjEuwQkaXL2/nlxQ8cO/f4g/f5f"
+    "z7cf8yZPyhuT+XJVrOuWnPca5U2UWD8w7a9Nw6dFkvOTVqOs58vJdIqbW2X9FHXbMqfq7C"
+    "BPV+PxNBldTK6VN8+N1XSYbq1Ngyx6csm6jLJiUqCsPJ+OuqvX6NWS8vpZ8nQQoz6sqrar"
+    "9Vjv2pVvyBXTkTAlj+H2fpzFg3E0ma6y6uU3xkkRp3hxkU0qSyNCwThbFsLJX07mf0piFJ"
+    "CYtJoWYgAKX7jwJJvQ+lFX7mFCFKeb0rJ8q8iieU4FItW2olp8kkXLJUrnJjqnWTTLcceJ"
+    "iqi/GWnFwklUv1XxStt6IAgNisVgPYufvHdQ3q6sotI8tw8Pyr3J/NNFHBFGrPLaaviCR2"
+    "V9mUY5Vvmw3MmXeBUtbxcl63IqjNfzAujhXFSgRwX9JE833fqTRXaWZLys8XJ7vhih9q7T"
+    "hYrgRjGZJRCH4HHBaJRMo6cVxHPGeOP1NMFrhklU8bmBOj9PBnEaZaeozH2j/Z93fgd9lv"
+    "XPFrPhJOF/Lt8eThfxGZ4X44WDHJc5VOFv1Fxej2nkPBlM5mJHNl0sSaxoGMVni/H46szV"
+    "Cz5cNf8H84oBpw=="
+)

@@ -19,12 +19,7 @@ from repro.mapreduce.job import (
     make_splits,
 )
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.mapreduce.streaming import (
-    BytesOutputReader,
-    ExternalProgram,
-    StreamingPipeline,
-    TextInputWriter,
-)
+from repro.mapreduce.streaming import ExternalProgram, StreamingPipeline
 
 
 def word_mapper(payload, ctx):
@@ -279,15 +274,3 @@ class TestStreaming:
         assert pipeline.stats.programs == ["upper", "exclaim"]
         assert pipeline.stats.bytes_in == [4, 4]
         assert pipeline.stats.bytes_out == [4, 5]
-        assert pipeline.stats.total_transferred() == 17
-
-    def test_pipe_flush_count(self):
-        pipeline = StreamingPipeline([Upper()], pipe_buffer_bytes=10)
-        assert pipeline.pipe_flushes(25) == 3
-
-    def test_text_writer_reader_roundtrip(self):
-        writer, reader = TextInputWriter(), BytesOutputReader()
-        lines = ["one", "two", "three"]
-        assert reader.decode(writer.encode(lines)) == lines
-        assert reader.decode(b"") == []
-        assert writer.encode([]) == b""

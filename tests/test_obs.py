@@ -14,10 +14,16 @@ import pytest
 
 from repro.api import PipelineSpec
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.executors import fork_available
+from repro.mapreduce.executors import (
+    JobContext,
+    build_executor,
+    fork_available,
+)
 from repro.mapreduce.history import JobHistory, TaskAttempt
 from repro.mapreduce.job import JobSpec, TaskContext, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
+from repro.mapreduce.task import TaskCall
+from repro.obs.analysis import ledger
 from repro.obs.export import (
     render_timeline,
     to_chrome_trace,
@@ -198,10 +204,10 @@ class TestRecorder:
             Span("map", "phase", base + 1.0, base + 3.0, track="t2"),
             Span("spill", "phase", base + 3.0, base + 3.5, track="t2"),
         ])
-        assert recorder.phase_totals() == pytest.approx(
-            {"map": 3.0, "spill": 0.5}
-        )
-        assert recorder.category_totals()["phase"] == pytest.approx(3.5)
+        view = ledger(recorder)
+        assert {layer: cells[None] for layer, cells in view["rows"].items()
+                } == pytest.approx({"map": 3.0, "spill": 0.5})
+        assert view["unaccounted"] == pytest.approx(0.0)
         assert recorder.horizon() == pytest.approx(3.5)
 
     def test_null_recorder_is_allocation_free(self):
@@ -215,10 +221,9 @@ class TestRecorder:
     def test_obs_config_builds_recorders(self):
         assert ObsConfig().build_recorder() is NULL_RECORDER
         assert ObsConfig(enabled=False).build_recorder() is NULL_RECORDER
-        recorder = ObsConfig(enabled=True).build_recorder()
-        assert recorder.enabled and recorder.trace_tasks
-        off = ObsConfig(enabled=True, trace_tasks=False).build_recorder()
-        assert off.enabled and not off.trace_tasks
+        config = ObsConfig(enabled=True, sample_interval=0.5)
+        recorder = config.build_recorder()
+        assert recorder.enabled and recorder.sample_interval == 0.5
         with pytest.raises(Exception):
             ObsConfig().enabled = True  # frozen
 
@@ -329,7 +334,7 @@ class TestExport:
         # The endless span contributes zero duration and its start to
         # the horizon, rather than a TypeError.
         assert recorder.horizon() == pytest.approx(1.0)
-        assert recorder.phase_totals()["map"] == pytest.approx(1.0)
+        assert ledger(recorder)["rows"]["map"] == pytest.approx({None: 1.0})
 
     def test_dead_worker_span_timeline(self):
         out = render_timeline(self._dead_worker_recorder(), width=10)
@@ -357,6 +362,11 @@ def _run_traced(policy):
     splits = make_splits([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     result = engine.run(_traced_job(), splits)
     return recorder, result
+
+
+def _inside(span, outer) -> bool:
+    return (span.track == outer.track and span.depth == outer.depth + 1
+            and outer.start <= span.start and span.end <= outer.end)
 
 
 class TestEngineTracing:
@@ -388,12 +398,13 @@ class TestEngineTracing:
         for attempt in result.history.tasks:
             assert attempt.run_seconds > 0.0
             assert attempt.queued_seconds >= 0.0
-            assert attempt.phases, attempt.task_id
-            for start, end in attempt.phases.values():
-                assert 0.0 <= start <= end
-        task_spans = [
-            s for s in recorder.spans() if s.category.endswith("-task")
-        ]
+        spans = recorder.spans()
+        task_spans = [s for s in spans if s.category.endswith("-task")]
+        for task in task_spans:
+            phases = [s.name for s in spans
+                      if s.category == "phase" and _inside(s, task)]
+            assert phases == (["map", "spill"] if task.category == "map-task"
+                              else ["shuffle", "merge", "reduce"]), task
         assert all(s.attrs["queue_wait_ms"] >= 0.0 for s in task_spans)
         assert all(s.attrs["node"] in ("n0", "n1") for s in task_spans)
         hist = recorder.metrics.histogram("task.run_seconds")
@@ -429,7 +440,46 @@ class TestEngineTracing:
         assert engine.recorder is NULL_RECORDER
         assert engine.recorder.spans() == []
         for attempt in result.history.tasks:
-            assert attempt.run_seconds == 0.0 and not attempt.phases
+            assert attempt.run_seconds == 0.0
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.executor)
+    def test_phases_nest_in_tasks_and_sections_in_phases(
+        self, policy, reference, ref_index, pairs
+    ):
+        """One channel: a phase lies inside its task span on the same
+        track, every reader / program / writer section inside a phase,
+        and an untraced attempt ships no span at all."""
+        spans = GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=3,
+            policy=policy, obs=ObsConfig(enabled=True),
+        )).run(pairs[:60]).recorder.spans()
+        tasks = [s for s in spans if s.category.endswith("-task")]
+        phases = [s for s in spans if s.category == "phase"]
+        sections = [s for s in spans if s.name in
+                    ("hdfs-read", "decode", "stream", "encode")]
+        assert {s.name for s in sections} == {
+            "hdfs-read", "decode", "stream", "encode"}
+        for section in sections:
+            assert sum(_inside(section, phase) for phase in phases) == 1, \
+                section
+        assert phases
+        for phase in phases:
+            assert sum(_inside(phase, task) for task in tasks) == 1, phase
+            if phase.name == "map":  # a sealed block's or a round BAM's
+                assert [s.name for s in sections
+                        if _inside(s, phase)].count("decode") == 1, phase
+
+        executor = build_executor(policy)
+        job = _traced_job()
+        executor.begin_job(JobContext(
+            job, policy, make_splits([[1, 2, 3]]), trace=False,
+        ))
+        try:
+            (outcome,) = executor.run_calls([TaskCall("map", "t-m-00000",
+                                                      ["n0"])])
+        finally:
+            executor.close()
+        assert outcome.spans == [] and outcome.started_at is None
 
     def test_task_context_span_disabled_is_null(self):
         context = TaskContext("t-0", "n0")
@@ -501,9 +551,9 @@ class TestTracedPipelineAcceptance:
         assert pipeline_span.duration >= max(r.duration for r in rounds)
 
     def test_task_phase_spans_present(self, traced_run):
-        totals = traced_run.recorder.phase_totals()
-        assert "map" in totals and totals["map"] > 0.0
-        assert {"shuffle", "merge", "reduce"} <= set(totals)
+        rows = ledger(traced_run.recorder)["rows"]
+        assert sum(rows["map"].values()) > 0.0
+        assert {"shuffle", "merge", "reduce", "spill"} <= set(rows)
 
     def test_round_bam_encoding_is_on_the_reduce_tasks_track(self, traced_run):
         """Rounds 2-4 sort, render and frame their BAM in the reduce

@@ -21,7 +21,7 @@ from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.job import JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.obs.analysis import worker_cost
+from repro.obs.analysis import ledger, worker_cost
 from repro.obs.recorder import (
     NULL_RECORDER,
     ObsConfig,
@@ -96,7 +96,7 @@ class TestSameSectionsSameCells:
         headings = re.findall(r"<h2>(.*?)</h2>", html)
         assert [h for h in headings if h not in FIGURES] == titles
         assert list(report_dict(tables)) == titles
-        for core in ("Run", "Rounds", "Phase totals",
+        for core in ("Run", "Rounds", "Ledger",
                      "Per-phase utilization", "Per-round tasks",
                      "Queue wait vs run time", "Worker cost", "Stragglers",
                      "HDFS", "Shuffle", "Commit protocol", "Counters"):
@@ -194,7 +194,7 @@ class TestEmptyRecorders:
         by_title = {table.title: table for table in tables}
         for title, said in (
             ("Rounds", "(no round spans recorded)"),
-            ("Phase totals", "(no phase spans recorded)"),
+            ("Ledger", "(no spans recorded)"),
             ("Per-phase utilization", "(no phase spans recorded)"),
             ("Per-round tasks", "(no job histories supplied)"),
             ("Queue wait vs run time", "(no job histories supplied)"),
@@ -323,13 +323,93 @@ class TestSyntheticRecorder:
                                  "cold start charged", "backoff charged"]
 
     def test_zero_length_phases_have_a_zero_share(self):
-        """A coarse clock can stamp every phase span with no duration."""
-        recorder = self.recorder((("map", "phase", 1.0, 1.0, "pid1"),
-                                  ("sort", "phase", 2.0, 2.0, "pid1")))
+        """A coarse clock can stamp every span with no duration: the
+        wall is zero, and so is every share, ``unaccounted`` included."""
+        recorder = self.recorder((("map", "phase", 0.0, 0.0, "pid1"),
+                                  ("sort", "phase", 0.0, 0.0, "pid1")))
         tables = build_report(recorder)
-        [phases] = [t for t in tables if t.title == "Phase totals"]
-        assert {row["share"] for row in phases.records()} == {0.0}
+        [table] = [t for t in tables if t.title == "Ledger"]
+        rows = table.records()
+        assert [row["layer"] for row in rows][-1] == "unaccounted"
+        assert {row["share"] for row in rows} == {0.0}
         assert "0.0%" in render_text(tables)
+        assert "<td>0.0%</td>" in render_html(tables, "t")
+        assert {row["share"] for row in json.loads(json.dumps(
+            report_dict(tables)))["Ledger"]["rows"]} == {0.0}
+
+
+class TestLedger:
+    """Self time per layer and round, and what no span covers."""
+
+    @staticmethod
+    def recorder(spans):
+        recorder = TraceRecorder()
+        recorder.ingest(
+            Span(name, category, recorder.epoch + start, recorder.epoch + end,
+                 track=track, depth=depth)
+            for name, category, start, end, track, depth in spans
+        )
+        return recorder
+
+    def test_self_time_rule_on_nested_and_overlapping_spans(self):
+        # Serial: one round, one wave, two tasks back to back, phases
+        # and a section nested inside; the first second holds no span.
+        nested = self.recorder((
+            ("pipeline:p", "pipeline", 1.0, 9.0, "driver", 0),
+            ("round:r1", "round", 1.5, 8.5, "driver", 1),
+            ("job:j", "job", 2.0, 8.0, "driver", 2),
+            ("j:map-wave", "wave", 2.5, 7.5, "driver", 3),
+            ("j-m-00000", "map-task", 3.0, 5.0, "main", 0),
+            ("map", "phase", 3.25, 4.5, "main", 1),
+            ("decode", "task", 3.5, 4.0, "main", 2),
+            ("j-m-00001", "map-task", 5.0, 7.0, "main", 0),
+            ("map", "phase", 5.0, 7.0, "main", 1),
+        ))
+        view = ledger(nested)
+        assert view["rounds"] == ["r1"]
+        totals = {layer: sum(cells.values())
+                  for layer, cells in view["rows"].items()}
+        assert totals == pytest.approx({
+            "pipeline": 1.0, "round": 1.0, "job": 1.0, "wave": 1.0,
+            "map-task": 0.75, "map": 2.75, "decode": 0.5,
+        })
+        assert view["rows"]["pipeline"] == {None: pytest.approx(1.0)}
+        assert set(view["rows"]["decode"]) == {"r1"}
+        assert view["unaccounted"] == pytest.approx(1.0)
+        assert sum(totals.values()) + view["unaccounted"] == \
+            pytest.approx(view["wall"]) == pytest.approx(9.0)
+
+        # Pool-like: two tracks overlap inside one wave; the rows count
+        # both tasks in full, but unaccounted is still only the time no
+        # span covers (0-1 s and 3-4 s).
+        pooled = self.recorder((
+            ("j:map-wave", "wave", 1.0, 3.0, "driver", 0),
+            ("j-m-00000", "map-task", 1.0, 2.5, "pid1", 0),
+            ("j-m-00001", "map-task", 1.5, 3.0, "pid2", 0),
+            ("late", "chaos", 3.5, 4.0, "driver", 0),
+        ))
+        view = ledger(pooled)
+        assert view["rows"]["wave"] == {None: pytest.approx(0.0)}
+        assert view["rows"]["map-task"] == {None: pytest.approx(3.0)}
+        assert view["unaccounted"] == pytest.approx(1.5)
+        tables = build_report(pooled)
+        [table] = [t for t in tables if t.title == "Ledger"]
+        assert table.records()[-1]["layer"] == "unaccounted"
+        assert table.records()[-1]["share"] == pytest.approx(1.5 / 4.0)
+
+    def test_the_serial_ledger_closes_on_the_ci_sample(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "report.json"
+        assert main(["simulate", "--out", str(data), "--length", "9000",
+                     "--coverage", "8", "--seed", "3"]) == 0
+        assert main(["trace", "--data", str(data), "--partitions", "5",
+                     "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        wall = report["Run"]["rows"][0]["wall"]
+        rows = {row["layer"]: row for row in report["Ledger"]["rows"]}
+        assert {"stream", "map", "decode", "encode", "spill",
+                "map-task", "pipeline", "unaccounted"} <= set(rows)
+        assert abs(sum(row["total"] for row in rows.values()) - wall) <= 1e-6
+        assert 0.0 <= rows["unaccounted"]["total"] <= 0.05 * wall
 
 
 class TestCliSurfaces:

@@ -531,6 +531,43 @@ class TestDaemonRoundTrip:
         with pytest.raises(ServerError, match="unknown op"):
             client._request({"op": "bogus"})
 
+    def test_jobs_start_is_answered_before_the_kill_it_releases(
+        self, tmp_path, capsys
+    ):
+        """``serve --hold --kill-server 1``, one job, ``jobs --start``:
+        the daemon replies before it dispatches, so the dispatch that
+        kills it cannot eat the reply — the client exits 0 without
+        listing, the server exits 7."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.cli import main
+        from repro.server.daemon import KILLED_EXIT_CODE
+
+        socket_path = os.path.join(
+            tempfile.mkdtemp(prefix="repro-srv-"), "s.sock"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--state-dir", str(tmp_path / "state"), "--socket", socket_path,
+             "--hold", "--kill-server", "1"],
+            env=env, stdout=subprocess.DEVNULL,
+        )
+        try:
+            self._client(socket_path).submit("a", wordcount_payload(["x y"]))
+            capsys.readouterr()
+            assert main(["jobs", "--socket", socket_path, "--start"]) == 0
+            assert capsys.readouterr().out == ""
+            assert server.wait(timeout=30) == KILLED_EXIT_CODE
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+
 
 class TestConcurrentEngines:
     """Satellite: two engines in one process, interleaved in threads,
