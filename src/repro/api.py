@@ -6,7 +6,7 @@ specs:
 
 * :class:`JobSpec` (defined beside the engine in
   :mod:`repro.mapreduce.job`, re-exported here) describes one job —
-  mapper, reducer, combiner, partitioning, shuffle, execution policy —
+  mapper, reducer, partitioning, shuffle, execution policy —
   and is what the engine reads.  :func:`run_job` executes it.
 * :class:`PipelineSpec` describes a pipeline run (input partitioning,
   reducers, MarkDuplicates variant, policy/obs/shuffle/checkpointing).
@@ -31,6 +31,7 @@ import dataclasses
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError, PipelineError
+from repro.gdpt.partitioner import MARKDUP_MODES
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
@@ -137,6 +138,13 @@ class PipelineSpec:
     def __post_init__(self):
         if self.num_fastq_partitions < 1:
             raise PipelineError("need at least one FASTQ partition")
+        if self.num_reducers < 1:
+            raise PipelineError("need at least one reducer")
+        if self.markdup_mode not in MARKDUP_MODES:
+            raise PipelineError(
+                f"unknown markdup_mode {self.markdup_mode!r}; "
+                f"choose one of {', '.join(MARKDUP_MODES)}"
+            )
         for field, value in (
             ("nodes", tuple(self.nodes or
                             (f"node{i:02d}" for i in range(4)))),

@@ -15,11 +15,7 @@ from repro.cluster.hardware import (
     ClusterSpec,
     NodeSpec,
 )
-from repro.cluster.monitor import (
-    render_disk_report,
-    render_strip_chart,
-    sample_utilization,
-)
+from repro.cluster.monitor import render_strip_chart, sample_utilization
 from repro.cluster.optimizer import (
     PipelineOptimizer,
     PlanEvaluation,
@@ -56,7 +52,7 @@ __all__ = [
     "NA12878", "CostModel", "Workload",
     "FluidSimulator", "Phase", "Resource", "SimTask", "UtilizationTrace",
     "CLUSTER_A", "CLUSTER_B", "SINGLE_SERVER", "ClusterSpec", "NodeSpec",
-    "render_disk_report", "render_strip_chart", "sample_utilization",
+    "render_strip_chart", "sample_utilization",
     "PipelineOptimizer", "PlanEvaluation", "PlanKnobs",
     "ClusterModel", "MapTaskSpec", "ReduceTaskSpec", "RoundResult",
     "RoundSpec", "SimulatedTaskReport", "simulate_round",

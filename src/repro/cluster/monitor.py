@@ -55,19 +55,3 @@ def render_strip_chart(
     """One-line ASCII utilization strip: ' .:-=+*#%@' for 0-100%."""
     samples = sample_utilization(trace, resource_name, horizon, width)
     return render_ramp([value for _, value in samples])
-
-
-def render_disk_report(
-    trace: UtilizationTrace, disk_names: List[str], horizon: float,
-    width: int = 60,
-) -> str:
-    """Fig 10-style report: one strip chart per disk plus summaries."""
-    lines = [f"{'disk':<16s}|{'utilization over time':<{width}s}| mean  busy>95%"]
-    for name in disk_names:
-        strip = render_strip_chart(trace, name, horizon, width)
-        mean = trace.mean_utilization(name, horizon=horizon)
-        busy = trace.busy_fraction(name, horizon=horizon)
-        lines.append(
-            f"{name:<16s}|{strip}| {100 * mean:4.0f}%  {100 * busy:4.0f}%"
-        )
-    return "\n".join(lines)

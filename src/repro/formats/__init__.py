@@ -17,7 +17,6 @@ from repro.formats.fastq import (
     interleave,
     read_fastq,
     read_sample,
-    split_into_partitions,
     write_fastq,
 )
 from repro.formats.flags import SamFlags
@@ -26,17 +25,12 @@ from repro.formats.sam import (
     SamRecord,
     decode_quals,
     encode_quals,
-    read_sam,
-    write_sam,
 )
 from repro.formats.bam import (
-    BamChunkReader,
     BamLinearIndex,
     bam_bytes,
-    frame_boundaries,
     iter_frames,
     read_bam,
-    read_header,
 )
 from repro.formats.vcf import (
     VariantRecord,
@@ -55,22 +49,16 @@ __all__ = [
     "interleave",
     "read_fastq",
     "read_sample",
-    "split_into_partitions",
     "write_fastq",
     "SamFlags",
     "SamHeader",
     "SamRecord",
     "decode_quals",
     "encode_quals",
-    "read_sam",
-    "write_sam",
-    "BamChunkReader",
     "BamLinearIndex",
     "bam_bytes",
-    "frame_boundaries",
     "iter_frames",
     "read_bam",
-    "read_header",
     "VariantRecord",
     "read_vcf",
     "sort_variants",

@@ -44,13 +44,6 @@ def _compress_frame(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload), len(compressed)) + compressed
 
 
-def _decode_records(payload: bytes) -> List[SamRecord]:
-    text = payload.decode()
-    if not text:
-        return []
-    return [SamRecord.from_line(line) for line in text.split("\n")]
-
-
 def encode_bam(
     header: SamHeader,
     records: Iterable[SamRecord],
@@ -145,47 +138,6 @@ def decode_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord], int]:
 def read_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord]]:
     """:func:`decode_bam` without the size."""
     return decode_bam(data)[:2]
-
-
-def read_header(data: bytes) -> SamHeader:
-    """Fetch only the header (first frame) of a BAM byte stream."""
-    for _, payload in iter_frames(data):
-        return SamHeader.from_text(payload.decode())
-    raise BamError("BAM stream has no frames")
-
-
-class BamChunkReader:
-    """Iterate records from a list of raw chunk frames plus a header.
-
-    This is the "utility class" of section 3.1: it receives the bam
-    chunks that happen to live in one node's HDFS blocks, fetches the
-    header separately, and exposes a record iterator so single-node
-    programs switch from local disk to HDFS with a one-line change.
-    """
-
-    def __init__(self, header: SamHeader, frames: List[bytes]):
-        self.header = header
-        self._frames = frames
-
-    def __iter__(self) -> Iterator[SamRecord]:
-        for frame in self._frames:
-            for _, payload in iter_frames(frame):
-                if payload.startswith(b"@"):
-                    continue  # a header frame travelling with the chunks
-                yield from _decode_records(payload)
-
-    def records(self) -> List[SamRecord]:
-        return list(iter(self))
-
-
-def frame_boundaries(data: bytes) -> List[Tuple[int, int]]:
-    """Return ``(offset, byte_length)`` of every frame in the stream."""
-    boundaries = []
-    for offset, _ in iter_frames(data):
-        _, raw_len, comp_len = _FRAME_HEADER.unpack_from(data, offset)
-        del raw_len
-        boundaries.append((offset, _FRAME_HEADER.size + comp_len))
-    return boundaries
 
 
 class BamLinearIndex:

@@ -116,23 +116,3 @@ def _pair_key(name: str) -> str:
     if name.endswith("/1") or name.endswith("/2"):
         return name[:-2]
     return name
-
-
-def split_into_partitions(
-    pairs: Iterable[ReadPair], pairs_per_partition: int
-) -> Iterator[List[ReadPair]]:
-    """Split the interleaved stream into logical partitions of pairs.
-
-    Pairs are never split across partitions — the grouping guarantee the
-    Bwa wrapper requires (group partitioning by read name).
-    """
-    if pairs_per_partition <= 0:
-        raise FormatError("pairs_per_partition must be positive")
-    partition: List[ReadPair] = []
-    for pair in pairs:
-        partition.append(pair)
-        if len(partition) == pairs_per_partition:
-            yield partition
-            partition = []
-    if partition:
-        yield partition

@@ -297,17 +297,6 @@ class SamHeader:
                 return length
         raise FormatError(f"unknown reference sequence {name!r}")
 
-    def sequence_index(self, name: str) -> int:
-        for index, (seq_name, _) in enumerate(self.sequences):
-            if seq_name == name:
-                return index
-        raise FormatError(f"unknown reference sequence {name!r}")
-
-    def add_read_group(self, **fields: str) -> None:
-        if "ID" not in fields:
-            raise FormatError("read group requires an ID field")
-        self.read_groups.append(dict(fields))
-
     def add_program(self, **fields: str) -> None:
         if "ID" not in fields:
             raise FormatError("program record requires an ID field")
@@ -363,25 +352,3 @@ class SamHeader:
             f"SamHeader({len(self.sequences)} sequences, "
             f"{len(self.read_groups)} read groups, SO={self.sort_order})"
         )
-
-
-def write_sam(path: str, header: SamHeader, records: Iterable[SamRecord]) -> None:
-    """Write a complete SAM text file."""
-    with open(path, "w") as handle:
-        handle.write(header.to_text())
-        for record in records:
-            handle.write(record.to_line())
-            handle.write("\n")
-
-
-def read_sam(path: str) -> Tuple[SamHeader, List[SamRecord]]:
-    """Read a complete SAM text file."""
-    header_lines: List[str] = []
-    records: List[SamRecord] = []
-    with open(path) as handle:
-        for line in handle:
-            if line.startswith("@"):
-                header_lines.append(line)
-            elif line.strip():
-                records.append(SamRecord.from_line(line))
-    return SamHeader.from_text("".join(header_lines)), records

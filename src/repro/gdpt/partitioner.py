@@ -108,6 +108,9 @@ PARTIAL_VALUE = "partial"
 SHADOW_VALUE = "shadow"
 PASSTHROUGH_VALUE = "passthrough"
 
+#: The two MarkDuplicates keying variants of Table 5.
+MARKDUP_MODES = ("reg", "opt")
+
 
 class MarkDupKeying:
     """Map-side keying for parallel MarkDuplicates.
@@ -119,7 +122,7 @@ class MarkDupKeying:
     """
 
     def __init__(self, mode: str = "opt", bloom: Optional[BloomFilter] = None):
-        if mode not in ("reg", "opt"):
+        if mode not in MARKDUP_MODES:
             raise PartitioningError(f"unknown MarkDuplicates mode {mode!r}")
         if mode == "opt" and bloom is None:
             raise PartitioningError("opt mode requires a bloom filter")

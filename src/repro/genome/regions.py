@@ -8,7 +8,7 @@ foundation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.errors import ReproError
 
@@ -38,13 +38,6 @@ class GenomicInterval:
             self.contig == other.contig
             and self.start < other.end
             and other.start < self.end
-        )
-
-    def intersection(self, other: "GenomicInterval") -> Optional["GenomicInterval"]:
-        if not self.overlaps(other):
-            return None
-        return GenomicInterval(
-            self.contig, max(self.start, other.start), min(self.end, other.end)
         )
 
     def expanded(self, margin: int) -> "GenomicInterval":

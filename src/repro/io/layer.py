@@ -40,7 +40,7 @@ from typing import Dict, Optional
 
 from repro.errors import DurableIoError, StorageFullError
 
-from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
+from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy, charged_backoff
 
 #: errno values the retry loop treats as transient.
 TRANSIENT_ERRNOS = (errno.EIO, errno.EAGAIN, errno.EINTR)
@@ -232,9 +232,7 @@ class LocalIO:
                 attempt += 1
                 self.stats.retries += 1
                 self.stats.transient_errors += 1
-                self.stats.backoff_charged_seconds += (
-                    self.policy.backoff_delay(attempt)
-                )
+                self.stats.backoff_charged_seconds += charged_backoff(attempt)
 
     def _charge(self, mode: str, path: str) -> None:
         """Charge deterministic latency to one op (FaultIO hook)."""

@@ -5,11 +5,11 @@ one immutable value describing how the :mod:`repro.io` layer behaves
 under dirty disks, carried inside the execution policy so it crosses
 the fork boundary with the rest of the job configuration.
 
-* ``retries`` / ``retry_backoff`` / ``retry_backoff_cap`` — transient
-  errors (EIO, EAGAIN, EINTR, short reads) are retried with the same
-  capped-exponential *charged* backoff as task retries: the delay is
-  recorded in ``io.backoff_charged_seconds``, never slept, and depends
-  only on the attempt number so it is identical under every executor.
+* ``retries`` — transient errors (EIO, EAGAIN, EINTR, short reads) are
+  retried with the same capped-exponential *charged* backoff as task
+  retries (:func:`charged_backoff`): the delay is recorded in
+  ``io.backoff_charged_seconds``, never slept, and depends only on the
+  attempt number so it is identical under every executor.
 * ``op_timeout`` — ceiling on one operation's *charged* latency
   (injected slow-I/O seconds); an op charged past it raises
   :class:`~repro.errors.IoTimeoutError`.  Deterministic by
@@ -35,8 +35,14 @@ from typing import Tuple
 from repro.errors import DurableIoError
 
 
-def charged_backoff(backoff: float, cap: float, attempt: int) -> float:
-    """The one retry curve: ``min(cap, backoff * 2 ** (attempt - 1))``.
+#: The retry curve's first delay and its ceiling, in seconds.
+RETRY_BACKOFF = 0.005
+RETRY_BACKOFF_CAP = 0.1
+
+
+def charged_backoff(attempt: int) -> float:
+    """The one retry curve:
+    ``min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2 ** (attempt - 1))``.
 
     It depends only on the attempt number, so it is identical in any
     process, under any executor.  Task retries (``ExecutionPolicy``)
@@ -44,7 +50,7 @@ def charged_backoff(backoff: float, cap: float, attempt: int) -> float:
     record it, never sleep it — so backoff shapes the cost accounting
     without stalling the wall clock.
     """
-    return min(cap, backoff * 2 ** (attempt - 1))
+    return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2 ** (attempt - 1))
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,6 @@ class IoPolicy:
     """Frozen description of how durable I/O behaves under faults."""
 
     retries: int = 2
-    retry_backoff: float = 0.005
-    retry_backoff_cap: float = 0.1
     op_timeout: float = 0.0
     spill_dirs: Tuple[str, ...] = ()
     segment_replicas: int = 2
@@ -63,8 +67,6 @@ class IoPolicy:
     def __post_init__(self):
         if self.retries < 0:
             raise DurableIoError("retries must be >= 0")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise DurableIoError("retry backoff values must be >= 0")
         if self.op_timeout < 0:
             raise DurableIoError("op_timeout must be >= 0 (0 disables it)")
         if isinstance(self.spill_dirs, list):
@@ -78,12 +80,6 @@ class IoPolicy:
                 "min_replicas must be within [1, segment_replicas] "
                 f"({self.min_replicas} vs {self.segment_replicas})"
             )
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Charged backoff before one I/O retry (:func:`charged_backoff`)."""
-        return charged_backoff(
-            self.retry_backoff, self.retry_backoff_cap, attempt
-        )
 
 
 #: The default contract: durable, 2 transient retries, no spill dirs.

@@ -1,6 +1,6 @@
 """In-process MapReduce runtime with Hadoop shuffle semantics."""
 
-from repro.mapreduce.blocks import RecordBlock, encode_block
+from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.counters import Counters
 from repro.mapreduce import counters
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
@@ -37,7 +37,6 @@ from repro.mapreduce.streaming import (
 
 __all__ = [
     "RecordBlock",
-    "encode_block",
     "Counters",
     "counters",
     "LeaseMonitor",

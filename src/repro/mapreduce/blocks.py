@@ -22,7 +22,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ShuffleCorruptionError, ShuffleError
 
@@ -112,33 +112,3 @@ def _verify_header(blob: bytes):
     if magic != MAGIC:
         raise ShuffleError(f"bad record block magic {magic!r}")
     return count, raw_bytes
-
-
-def encode_block(records: Iterable[Any]) -> RecordBlock:
-    """Seal an iterable of records into one :class:`RecordBlock`."""
-    return RecordBlock(list(records))
-
-
-def write_block_file(io: Any, path: str, block: RecordBlock) -> None:
-    """Persist a sealed block through the durable-I/O layer.
-
-    The blob goes down as one atomic write (temp + fsync + rename +
-    directory fsync), so an on-disk block is either the complete sealed
-    frame or absent — a reader never sees a torn block, and the frame's
-    own CRC32 still guards against rot after the write.
-    """
-    io.write_atomic(path, block.blob)
-
-
-def read_block_file(io: Any, path: str) -> Optional[RecordBlock]:
-    """Load a persisted block; ``None`` when the file does not exist.
-
-    Frame verification (magic, counts, CRC32) happens in the
-    :class:`RecordBlock` constructor and again at :meth:`decode`, so a
-    rotten file raises :class:`~repro.errors.ShuffleCorruptionError`
-    instead of returning bad records.
-    """
-    blob = io.read_bytes(path)
-    if blob is None:
-        return None
-    return RecordBlock(blob=bytes(blob))

@@ -10,10 +10,6 @@ MAP_INPUT_RECORDS = "MAP_INPUT_RECORDS"
 MAP_OUTPUT_RECORDS = "MAP_OUTPUT_RECORDS"
 MAP_OUTPUT_BYTES = "MAP_OUTPUT_BYTES"
 SPILLED_RECORDS = "SPILLED_RECORDS"
-# Map-side combiner accounting (cumulative across combine passes,
-# matching Hadoop's COMBINE_INPUT/OUTPUT_RECORDS semantics).
-COMBINE_INPUT_RECORDS = "COMBINE_INPUT_RECORDS"
-COMBINE_OUTPUT_RECORDS = "COMBINE_OUTPUT_RECORDS"
 SHUFFLED_RECORDS = "SHUFFLED_RECORDS"
 SHUFFLED_BYTES = "SHUFFLED_BYTES"
 

@@ -120,8 +120,6 @@ _WAVE_INCIDENTS = (
     (C.INJECTED_FAULTS, "injected_faults"),
     (C.TASK_TIMEOUTS, "timeouts"),
     (C.INJECTED_DELAYS, "injected_delays"),
-    (C.COMBINE_INPUT_RECORDS, "combine_in"),
-    (C.COMBINE_OUTPUT_RECORDS, "combine_out"),
     (C.SHUFFLE_CRC_FAILURES, "crc_failures"),
     (C.SHUFFLE_FETCH_RETRIES, "fetch_retries"),
 )
@@ -134,8 +132,6 @@ _WAVE_INCIDENTS = (
 METRIC_OF_COUNTER = {
     C.TASK_TIMEOUTS: "engine.task_timeouts",
     C.INJECTED_DELAYS: "chaos.delays_injected",
-    C.COMBINE_INPUT_RECORDS: "combine.records_in",
-    C.COMBINE_OUTPUT_RECORDS: "combine.records_out",
     C.SHUFFLE_SEGMENTS: "shuffle.segments",
     C.SHUFFLED_BYTES: "shuffle.bytes_shuffled",
     C.SHUFFLE_RAW_BYTES: "shuffle.raw_bytes",
@@ -351,8 +347,6 @@ class MapReduceEngine:
                 result.skew = detect_skew(
                     [o.partition_records for o in map_outcomes],
                     [o.key_counts for o in map_outcomes],
-                    skew_factor=job.shuffle.skew_factor,
-                    track_keys=job.shuffle.track_keys,
                 )
                 if io_policy.spill_dirs:
                     # Real replica files on the configured spill

@@ -75,7 +75,7 @@ class TaskContext:
         #: Mapper-reported input record count (overrides the split count).
         self.input_records: Optional[int] = None
         #: Mapper-reported size of what it emitted (overrides re-summing
-        #: ``JobSpec.value_size`` over the emitted values).
+        #: the built-in estimator over the emitted values).
         self.output_bytes: Optional[int] = None
         #: Whether ``span()`` records (set by the engine from ObsConfig).
         self.traced = traced
@@ -172,11 +172,10 @@ class JobSpec:
         partitions.  Emits key/value pairs via ``context.emit``.
     reducer:
         Optional ``reducer(key, values, context)``.  Absent => map-only
-        job and the map outputs are the job outputs.
-    combiner:
-        Optional ``combiner(key, values, context)`` applied to each map
-        task's output before the shuffle (Hadoop's mini-reducer); must
-        be associative/commutative with the reducer.
+        job and the map outputs are the job outputs.  Reduce input
+        arrives in key order; to partition on one part of a key and
+        sort on the rest, emit a composite key and pass a partitioner
+        that reads its first field.
     partitioner:
         ``f(key, num_reducers) -> int``; ``None`` resolves to
         :func:`default_partitioner`.
@@ -185,14 +184,9 @@ class JobSpec:
     io_sort_records:
         Map-side sort buffer capacity in records; exceeding it spills
         a sorted run (mapreduce.task.io.sort.mb analogue).
-    value_size:
-        ``f(value) -> bytes`` used for shuffle byte accounting; ``None``
-        resolves to the built-in estimator.
-    sort_key:
-        Optional key-transform used when ordering reduce input.
     shuffle:
         :class:`~repro.shuffle.config.ShuffleConfig` for the job's
-        shuffle byte plane (codec, fetch retries, skew thresholds);
+        shuffle byte plane (codec, fetch retries);
         ``None`` resolves to the shared uncompressed config.
     policy, nodes:
         How and where the job runs when :func:`repro.api.run_job` has
@@ -211,12 +205,9 @@ class JobSpec:
     name: str
     mapper: Callable[[Any, TaskContext], None]
     reducer: Optional[Callable[[Any, List[Any], TaskContext], None]] = None
-    combiner: Optional[Callable[[Any, List[Any], TaskContext], None]] = None
     partitioner: Optional[Callable[[Any, int], int]] = None
     num_reducers: int = 1
     io_sort_records: int = 100_000
-    value_size: Optional[Callable[[Any], int]] = None
-    sort_key: Optional[Callable[[Any], Any]] = None
     shuffle: Optional[ShuffleConfig] = None
     policy: Optional[ExecutionPolicy] = None
     nodes: Optional[Tuple[str, ...]] = None
@@ -225,7 +216,6 @@ class JobSpec:
     def __post_init__(self):
         for field, default in (
             ("partitioner", default_partitioner),
-            ("value_size", _default_value_size),
             ("shuffle", DEFAULT_SHUFFLE),
         ):
             if getattr(self, field) is None:
@@ -257,8 +247,6 @@ class JobSpec:
                     f"job {self.name}: reduce_output supplied but no "
                     "reducer (a map-only mapper already sees its whole split)"
                 )
-        if self.combiner is not None and not callable(self.combiner):
-            raise MapReduceError(f"job {self.name}: combiner is not callable")
         if not callable(self.partitioner):
             raise MapReduceError(f"job {self.name}: partitioner is not callable")
         if not isinstance(self.shuffle, ShuffleConfig):

@@ -18,11 +18,12 @@ constructing engines ad hoc:
   ``max_workers``, the pool scales between waves — it grows toward the
   ceiling when queue-wait dominates and drains idle workers down to
   the floor when it doesn't.
-* ``task_retries`` / ``retry_backoff`` — per-task re-execution with
-  capped exponential backoff, Hadoop's ``mapreduce.map.maxattempts``.
-  The backoff is *charged* to the attempt (recorded, deterministic)
-  rather than slept, so retry storms under preemption neither hot-loop
-  in the accounting nor stall the wall clock.
+* ``task_retries`` — per-task re-execution with capped exponential
+  backoff (:func:`~repro.io.policy.charged_backoff`), Hadoop's
+  ``mapreduce.map.maxattempts``.  The backoff is *charged* to the
+  attempt (recorded, deterministic) rather than slept, so retry storms
+  under preemption neither hot-loop in the accounting nor stall the
+  wall clock.
 * ``task_timeout`` — hung-task detection: an attempt whose charged
   runtime (measured wall time plus any chaos-injected delay) exceeds
   the timeout is declared hung and retried, Hadoop's
@@ -66,7 +67,7 @@ from typing import Callable, Optional
 
 from repro.chaos.plan import POOL_EVENT_TYPES, FaultPlan
 from repro.errors import MapReduceError
-from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy, charged_backoff
+from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
 
 #: Executor kinds accepted by :class:`ExecutionPolicy`.
 EXECUTOR_KINDS = ("serial", "thread", "pool")
@@ -98,8 +99,6 @@ class ExecutionPolicy:
     max_workers: Optional[int] = None
     min_workers: Optional[int] = None
     task_retries: int = 0
-    retry_backoff: float = 0.005
-    retry_backoff_cap: float = 0.1
     task_timeout: Optional[float] = None
     blacklist_after: Optional[int] = None
     lease_seconds: Optional[float] = None
@@ -149,8 +148,6 @@ class ExecutionPolicy:
                     )
         if self.task_retries < 0:
             raise MapReduceError("task_retries must be >= 0")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise MapReduceError("retry backoff values must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise MapReduceError("task_timeout must be > 0")
         if self.blacklist_after is not None and self.blacklist_after < 1:
@@ -212,13 +209,3 @@ class ExecutionPolicy:
         if self.min_workers is not None:
             return min(self.min_workers, self.resolved_workers())
         return self.resolved_workers()
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Charged backoff before re-running one failed attempt.
-
-        :func:`~repro.io.policy.charged_backoff` of the attempt number
-        alone, so the charged delay is identical under every executor.
-        """
-        return charged_backoff(
-            self.retry_backoff, self.retry_backoff_cap, attempt
-        )

@@ -24,14 +24,16 @@ from itertools import groupby
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import MapReduceError, TaskTimeoutError
+from repro.io.policy import charged_backoff
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.history import TaskAttempt
-from repro.mapreduce.job import KeyValue, TaskContext
+from repro.mapreduce.job import KeyValue, TaskContext, _default_value_size
 from repro.mapreduce.policy import ExecutionPolicy, InjectedTaskFault
 from repro.obs.recorder import Span
 from repro.shuffle.codec import get_codec
-from repro.shuffle.keys import KEY_OF, VALUE_OF, record_key
+from repro.shuffle.keys import KEY_OF, VALUE_OF
 from repro.shuffle.merge import merge_sorted_runs_list
+from repro.shuffle.skew import TRACK_KEYS
 from repro.shuffle.spill import SpillBuffer
 
 
@@ -47,8 +49,7 @@ class TaskOutcome:
         "attachments", "spans", "samples", "started_at",
         "finished_at",
         "worker", "node", "timeouts", "injected_delays", "failures",
-        "heartbeats", "lease_charged", "zombie",
-        "combine_in", "combine_out", "backoff_seconds",
+        "heartbeats", "lease_charged", "zombie", "backoff_seconds",
     )
 
     def __init__(self):
@@ -83,7 +84,7 @@ class TaskOutcome:
         #: Chaos-plan delay injections charged to this task's attempts.
         self.injected_delays = 0
         #: Retry backoff charged (never slept) between failed attempts
-        #: — deterministic seconds from ``policy.backoff_delay``.
+        #: — deterministic seconds from ``charged_backoff``.
         self.backoff_seconds = 0.0
         #: ``(node, exception_name)`` per failed attempt, for the
         #: engine's per-node blacklist accounting.
@@ -97,9 +98,6 @@ class TaskOutcome:
         #: Chaos-marked zombie: the driver already considers this
         #: attempt's lease lost; its commit must be fenced.
         self.zombie = False
-        #: Map-side combiner records in/out (cumulative over passes).
-        self.combine_in = 0
-        self.combine_out = 0
         #: Spans buffered by the task context when traced — its phases
         #: and the sections task code wrapped — stitched by the parent.
         self.spans: List[Span] = []
@@ -239,7 +237,7 @@ def run_attempts(
     engines and under a fake clock.
 
     Retry backoff is *charged, never slept*: each failed attempt adds
-    ``policy.backoff_delay`` (the capped exponential curve) to the
+    ``charged_backoff`` (the capped exponential curve) to the
     outcome's ``backoff_seconds``, so a preemption storm of retries
     shapes the cost accounting without hot-looping the wall clock.
 
@@ -299,7 +297,7 @@ def run_attempts(
                 raise MapReduceError(
                     f"task {task_id} failed after {attempt} attempt(s): {exc}"
                 ) from exc
-            backoff += policy.backoff_delay(attempt)
+            backoff += charged_backoff(attempt)
 
 
 def _seal(outcome: TaskOutcome, context: TaskContext, t_start: float) -> None:
@@ -318,12 +316,10 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
 
     A split whose payload is a sealed :class:`RecordBlock` is decoded
     exactly once, here, inside whatever worker the executor placed the
-    task on, as a ``decode`` span in the ``map`` phase.  The job's
-    combiner (if any) runs *inside* the :class:`SpillBuffer`, so
-    segments are sealed already pre-aggregated.  Phases are context
-    spans like any other (the measured counterpart of the simulator's
-    Fig 7 phases): recorded when the job is traced, the null span
-    otherwise.
+    task on, as a ``decode`` span in the ``map`` phase.  Phases are
+    context spans like any other (the measured counterpart of the
+    simulator's Fig 7 phases): recorded when the job is traced, the null
+    span otherwise.
     """
     job, traced = context.job, context.trace
     split = context.splits[call.index]
@@ -351,7 +347,7 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.output_bytes = int(task.output_bytes)
         else:
             outcome.output_bytes = sum(
-                job.value_size(v) for _, v in task.emitted
+                _default_value_size(v) for _, v in task.emitted
             )
         if job.is_map_only:
             outcome.emitted = task.emitted
@@ -361,9 +357,8 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             # context carries an I/O layer (spill directories configured).
             with task.span("spill", "phase"):
                 buffer = SpillBuffer(
-                    job.num_reducers, job.partitioner, job.sort_key,
-                    job.io_sort_records, track_keys=job.shuffle.track_keys,
-                    combiner=job.combiner,
+                    job.num_reducers, job.partitioner, None,
+                    job.io_sort_records, track_keys=TRACK_KEYS,
                     spill_io=context.io,
                     spill_dirs=context.policy.resolved_io().spill_dirs,
                     spill_prefix=f"{call.task_id}-e{call.epoch}",
@@ -374,8 +369,6 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.segments = [seg.blob for seg in spilled.segments]
             outcome.partition_records = spilled.partition_records
             outcome.key_counts = spilled.key_counts
-            outcome.combine_in = spilled.combine_in
-            outcome.combine_out = spilled.combine_out
         _seal(outcome, task, t_start)
         return outcome
 
@@ -419,9 +412,7 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
         # Merge: a stable sort over the concatenated pre-sorted segments
         # keeps map-task arrival order within a key, like Hadoop's merge.
         with task.span("merge", "phase"):
-            fetched = merge_sorted_runs_list(
-                runs, key=record_key(job.sort_key)
-            )
+            fetched = merge_sorted_runs_list(runs, key=KEY_OF)
         with task.span("reduce", "phase"):
             for key, group in groupby(fetched, KEY_OF):
                 job.reducer(key, list(map(VALUE_OF, group)), task)

@@ -16,7 +16,6 @@ from repro.metrics.perf import (
     PerfRow,
     format_duration,
     resource_efficiency,
-    serial_slot_time,
     speedup,
 )
 from repro.metrics.quality import (
@@ -46,7 +45,6 @@ __all__ = [
     "PerfRow",
     "format_duration",
     "resource_efficiency",
-    "serial_slot_time",
     "speedup",
     "VariantSetSummary",
     "het_hom_ratio",

@@ -2,12 +2,13 @@
 
 (1) wall-clock time, (2) speedup vs the state-of-the-art single-node
 program, (3) resource efficiency = speedup / cores used, and
-(4) serial slot time = sum over tasks of wall-clock x cores requested.
+(4) serial slot time = sum over tasks of wall-clock x cores requested
+(accrued by the simulator, ``RoundResult.serial_slot_seconds``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List
 
 from repro.errors import SimulationError
 
@@ -24,11 +25,6 @@ def resource_efficiency(speedup_value: float, cores_used: int) -> float:
     if cores_used <= 0:
         raise SimulationError("cores_used must be positive")
     return speedup_value / cores_used
-
-
-def serial_slot_time(tasks: Iterable[Tuple[float, int]]) -> float:
-    """Sum of wall-clock x requested-cores over all tasks of a job."""
-    return sum(wall * cores for wall, cores in tasks)
 
 
 class PerfRow:

@@ -54,7 +54,6 @@ from repro.obs.report import (
     render_html_report,
     render_text,
     report_dict,
-    write_html_report,
 )
 from repro.obs.sampler import ResourceSample, ResourceSampler, take_sample
 
@@ -98,6 +97,5 @@ __all__ = [
     "to_jsonl_lines",
     "worker_cost",
     "write_chrome_trace",
-    "write_html_report",
     "write_jsonl",
 ]

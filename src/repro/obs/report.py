@@ -460,13 +460,6 @@ def render_html_report(
                        recorder)
 
 
-def write_html_report(recorder, path: str, **kwargs: Any) -> str:
-    """Render and write the report; returns the path."""
-    with open(path, "w") as handle:
-        handle.write(render_html_report(recorder, **kwargs) + "\n")
-    return path
-
-
 # -- HTML-only figures --------------------------------------------------------
 _CATEGORY_COLORS = {
     "job": "#4e79a7", "round": "#b07aa1", "wave": "#9c755f",

@@ -89,15 +89,6 @@ def _read_proc_io() -> Optional[Tuple[int, int]]:
         return None
 
 
-def probe_sources() -> dict:
-    """Which sampling sources this host offers (report metadata)."""
-    return {
-        "proc_statm": _read_proc_statm_rss() is not None,
-        "proc_io": _read_proc_io() is not None,
-        "getrusage": resource is not None,
-    }
-
-
 def take_sample(clock=time.perf_counter) -> ResourceSample:
     """One sample of the current process, cheapest sources available."""
     t = clock()

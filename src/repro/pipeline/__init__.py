@@ -12,7 +12,6 @@ from repro.pipeline.serial import SerialPipeline, SerialPipelineResult
 from repro.pipeline.stages import (
     TABLE2_STAGES,
     StageSpec,
-    stage_by_name,
     total_pipeline_hours,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "SerialPipelineResult",
     "TABLE2_STAGES",
     "StageSpec",
-    "stage_by_name",
     "total_pipeline_hours",
 ]

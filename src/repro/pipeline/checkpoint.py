@@ -180,35 +180,9 @@ class CheckpointStore:
             self._manifest["order"].append(key)
         self._write_manifest()
 
-    # -- cleanup ------------------------------------------------------------
-    def discard_round(self, key: str) -> None:
-        """Drop one round's checkpoint: manifest first, blobs after.
-
-        The manifest is rewritten (atomically) *before* the blobs are
-        unlinked, so a crash mid-discard leaves a manifest that no
-        longer references the round and some orphaned blobs — garbage,
-        not corruption.  Every unlink is idempotent, so re-running the
-        discard after such a crash (or discarding a round twice)
-        succeeds instead of wedging recovery on a missing file.
-        Unknown rounds are a no-op for the same reason.
-        """
-        entry = self._manifest["rounds"].pop(key, None)
-        if key in self._manifest["order"]:
-            self._manifest["order"].remove(key)
-        if entry is None:
-            return
-        self._write_manifest()
-        for item in entry["files"]:
-            self.backend.delete(item["blob"])
-        for item in entry["blobs"].values():
-            self.backend.delete(item["blob"])
-
     # -- restore ------------------------------------------------------------
     def has_round(self, key: str) -> bool:
         return key in self._manifest["rounds"]
-
-    def completed_rounds(self) -> List[str]:
-        return list(self._manifest["order"])
 
     def restore_round(
         self, key: str, hdfs: Any

@@ -68,10 +68,3 @@ TABLE2_STAGES: List[StageSpec] = [
 def total_pipeline_hours(stages: List[StageSpec] = TABLE2_STAGES) -> float:
     """Sum of stage hours (~2 weeks on the single server)."""
     return sum(stage.single_server_hours for stage in stages)
-
-
-def stage_by_name(name: str) -> StageSpec:
-    for stage in TABLE2_STAGES:
-        if stage.name == name:
-            return stage
-    raise KeyError(name)

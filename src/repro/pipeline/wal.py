@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: its BAM bytes as ``file_writes``; a version-3 one journaled ``(qname,
 #: SamRecord)`` pairs, which replayed here would be read as paths.
 #: 5: the journaled outcome lost its phase-boundary and block-decode slots.
-WAL_VERSION = 5
+#: 6: the journaled outcome lost its two map-side combine-count slots.
+WAL_VERSION = 6
 
 _FRAME = struct.Struct(">II")
 

@@ -30,12 +30,12 @@ from repro.errors import AdmissionError, ServerError
 
 #: Tenant names travel inside dotted metric names
 #: (``server.tenant.<t>.paid_worker_seconds``), so keep them flat.
-_TENANT_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
+_TENANT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def valid_tenant_name(name: str) -> bool:
     """Whether a tenant name is safe to embed in metric names."""
-    return bool(isinstance(name, str) and _TENANT_NAME.match(name))
+    return bool(isinstance(name, str) and _TENANT_NAME.fullmatch(name))
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class TenantPolicy:
     max_cost_units: Optional[float] = None
 
     def __post_init__(self):
-        if not _TENANT_NAME.match(self.name):
+        if not valid_tenant_name(self.name):
             raise ServerError(
                 f"bad tenant name {self.name!r}: must match "
                 "[A-Za-z0-9_-]+ (it is embedded in metric names)"
@@ -99,7 +99,7 @@ class AdmissionController:
         known = self.tenants.get(tenant)
         if known is not None:
             return known
-        if not _TENANT_NAME.match(tenant):
+        if not valid_tenant_name(tenant):
             raise AdmissionError(
                 tenant, "bad_tenant", "[A-Za-z0-9_-]+", tenant,
                 f"tenant name {tenant!r} rejected: must match "

@@ -155,6 +155,12 @@ class JobServer:
         with self._lock:
             if self._closed:
                 raise ServerError("server is closed")
+            # An explicit id names files under the state directory (a
+            # pipeline job's checkpoints), so it takes the tenant rule.
+            if job_id is not None and not valid_tenant_name(job_id):
+                raise ServerError(
+                    f"job id {job_id!r} must match [A-Za-z0-9_-]+"
+                )
             if demand < 1 or demand > self.config.total_slots:
                 raise ServerError(
                     f"job demand {demand} does not fit the server's "

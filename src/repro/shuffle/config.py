@@ -5,7 +5,7 @@ value object that rides inside a :class:`~repro.mapreduce.job.JobSpec`
 (and across the fork boundary) and fully determines how map output
 becomes reduce input.  The map-side run size stays on the job
 (``JobSpec.io_sort_records``, Hadoop's ``io.sort.mb`` analogue); this
-object owns the byte plane: codec, fetch retries, and skew thresholds.
+object owns the byte plane: codec and fetch retries.
 """
 
 from __future__ import annotations
@@ -29,18 +29,10 @@ class ShuffleConfig:
         Extra reducer-side fetch attempts when a segment fails its
         end-to-end CRC32 check.  Block-level replica failover happens
         below this layer in HDFS; this guards the read path itself.
-    skew_factor:
-        A reduce partition is flagged *hot* when its shuffled record
-        count exceeds ``skew_factor`` times the mean partition size.
-    track_keys:
-        How many of each partition's heaviest keys every map task
-        reports for the skew detector (0 disables key tracking).
     """
 
     codec: str = "raw"
     fetch_retries: int = 2
-    skew_factor: float = 2.0
-    track_keys: int = 3
 
     def __post_init__(self):
         if self.codec not in CODEC_NAMES:
@@ -50,10 +42,6 @@ class ShuffleConfig:
             )
         if self.fetch_retries < 0:
             raise ShuffleError("fetch_retries must be >= 0")
-        if self.skew_factor <= 1.0:
-            raise ShuffleError("skew_factor must be > 1")
-        if self.track_keys < 0:
-            raise ShuffleError("track_keys must be >= 0")
 
 
 #: Shared default so ``JobSpec`` need not allocate one per job.

@@ -5,13 +5,20 @@ skewed key distribution turns one reducer into the straggler that sets
 round wall-clock (§5's load-balance discussion).
 :class:`SkewReport` / :func:`detect_skew` are built from the per-task
 partition tallies every :class:`~repro.shuffle.spill.SpillBuffer`
-ships back: which partitions are *hot* (records > ``skew_factor`` ×
-the mean) and which keys make them hot.
+ships back: which partitions are *hot* (records > :data:`SKEW_FACTOR`
+× the mean) and which keys make them hot.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
+
+#: A reduce partition is *hot* when it holds more than this many times
+#: the mean partition's records.
+SKEW_FACTOR = 2.0
+
+#: How many of each partition's heaviest keys a map task reports.
+TRACK_KEYS = 3
 
 
 class SkewReport:
@@ -20,23 +27,21 @@ class SkewReport:
     def __init__(
         self,
         partition_records: List[int],
-        skew_factor: float,
         heavy_keys: Dict[int, List[Tuple[Any, int]]],
     ):
         #: Total shuffled records per reduce partition.
         self.partition_records = partition_records
-        self.skew_factor = skew_factor
         #: Per partition: heaviest keys as (key, count), heaviest first.
         self.heavy_keys = heavy_keys
         total = sum(partition_records)
         self.mean_records = (
             total / len(partition_records) if partition_records else 0.0
         )
-        #: Partitions holding more than ``skew_factor`` × the mean.
+        #: Partitions holding more than ``SKEW_FACTOR`` × the mean.
         self.hot_partitions = [
             index
             for index, count in enumerate(partition_records)
-            if total and count > skew_factor * self.mean_records
+            if total and count > SKEW_FACTOR * self.mean_records
         ]
 
     @property
@@ -68,7 +73,7 @@ class SkewReport:
             )
         if not self.hot_partitions:
             lines.append(
-                f"  no partition above {self.skew_factor:.1f}x the mean"
+                f"  no partition above {SKEW_FACTOR:.1f}x the mean"
             )
         return lines
 
@@ -76,8 +81,6 @@ class SkewReport:
 def detect_skew(
     task_partition_records: Sequence[Sequence[int]],
     task_key_counts: Sequence[Sequence[List[Tuple[Any, int]]]],
-    skew_factor: float,
-    track_keys: int = 3,
 ) -> SkewReport:
     """Fold per-map-task spill tallies into one :class:`SkewReport`.
 
@@ -85,7 +88,7 @@ def detect_skew(
     the key's repr so the report is identical across executors.
     """
     if not task_partition_records:
-        return SkewReport([], skew_factor, {})
+        return SkewReport([], {})
     num_partitions = len(task_partition_records[0])
     totals = [0] * num_partitions
     merged: List[Dict[Any, int]] = [{} for _ in range(num_partitions)]
@@ -103,5 +106,5 @@ def detect_skew(
             ranked = sorted(
                 tally.items(), key=lambda kc: (-kc[1], repr(kc[0]))
             )
-            heavy[partition] = ranked[:track_keys]
-    return SkewReport(totals, skew_factor, heavy)
+            heavy[partition] = ranked[:TRACK_KEYS]
+    return SkewReport(totals, heavy)

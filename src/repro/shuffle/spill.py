@@ -26,12 +26,11 @@ from __future__ import annotations
 import os
 import pickle
 from collections import Counter
-from itertools import groupby
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ShuffleError, StorageFullError
 from repro.shuffle.codec import Codec
-from repro.shuffle.keys import KEY_OF, VALUE_OF, record_key
+from repro.shuffle.keys import KEY_OF, record_key
 from repro.shuffle.merge import merge_sorted_runs_list
 from repro.shuffle.segment import EncodedSegment, KeyValue, encode_segment
 
@@ -48,29 +47,6 @@ class SpillResult(NamedTuple):
     #: Per partition: the task's heaviest keys as (key, count),
     #: heaviest first; empty when key tracking is off.
     key_counts: List[List[Tuple[Any, int]]]
-    #: Records fed into / produced by the map-side combiner across
-    #: every combine pass (cumulative, like Hadoop's
-    #: COMBINE_INPUT/OUTPUT_RECORDS); zero when no combiner ran.
-    combine_in: int = 0
-    combine_out: int = 0
-
-
-class _CombineContext:
-    """Minimal emit surface handed to the combiner inside the buffer.
-
-    Combiners are mini-reducers over *partial* data: the only sanctioned
-    side effect is re-emitting records (Hadoop gives combiners an
-    OutputCollector, not a task attempt context), so file writes and
-    attachments are deliberately absent here.
-    """
-
-    __slots__ = ("emitted",)
-
-    def __init__(self):
-        self.emitted: List[KeyValue] = []
-
-    def emit(self, key: Any, value: Any) -> None:
-        self.emitted.append((key, value))
 
 
 class SpillBuffer:
@@ -83,7 +59,6 @@ class SpillBuffer:
         sort_key: Optional[Callable[[Any], Any]],
         spill_records: int,
         track_keys: int = 0,
-        combiner: Optional[Callable[[Any, List[Any], Any], None]] = None,
         spill_io: Optional[Any] = None,
         spill_dirs: Tuple[str, ...] = (),
         spill_prefix: str = "run",
@@ -99,11 +74,6 @@ class SpillBuffer:
         self._record_key = record_key(sort_key)
         self._spill_records = spill_records
         self._track_keys = track_keys
-        #: Optional map-side combiner applied to each sorted slice as it
-        #: spills, and again across runs at merge time — so shuffle
-        #: segments are sealed already pre-aggregated.
-        self._combiner = combiner
-        self.combine_in = self.combine_out = 0
         #: Durable-I/O layer for real spill-to-disk; None keeps runs in
         #: memory (the original behaviour, still the default).
         self._spill_io = spill_io
@@ -161,8 +131,6 @@ class SpillBuffer:
             if self._track_keys:
                 self._tally(self._key_tallies[index], slice_)
             slice_.sort(key=self._record_key)  # stable
-            if self._combiner is not None and slice_:
-                run[index] = self._combine_sorted(slice_)
         path = None
         if to_disk and self._spill_io is not None:
             path = self._write_run_to_disk(len(self._runs), run)
@@ -220,24 +188,6 @@ class SpillBuffer:
             runs.append(run)
         return runs
 
-    def _combine_sorted(self, records: List[KeyValue]) -> List[KeyValue]:
-        """Pre-aggregate one sorted slice, keeping it sorted.
-
-        Equal keys are adjacent after the stable sort (the same
-        adjacency assumption the reduce-side grouper makes), so one
-        linear pass groups them.  The combiner's output is re-sorted
-        stably by the same key — a combiner may emit keys in any order —
-        so downstream merging sees the run invariant intact.
-        """
-        context = _CombineContext()
-        for key, group in groupby(records, KEY_OF):
-            self._combiner(key, list(map(VALUE_OF, group)), context)
-        combined = context.emitted
-        combined.sort(key=self._record_key)  # stable
-        self.combine_in += len(records)
-        self.combine_out += len(combined)
-        return combined
-
     def finish(self, codec: Codec) -> SpillResult:
         """Spill the tail, merge runs, and encode one segment/reducer."""
         if self._room < self._spill_records:
@@ -250,18 +200,11 @@ class SpillBuffer:
         # matching Hadoop's SPILLED file accounting.
         spills = max(1, len(self._runs))
         runs = self._materialized_runs()
-        multi_run = len(runs) > 1
         segments = []
         for partition in range(self._num_partitions):
             merged = merge_sorted_runs_list(
                 [run[partition] for run in runs], key=self._record_key
             )
-            # Merge-time combine pass: runs were combined as they
-            # spilled, but the same key may live in several runs; one
-            # more pass over the merged slice collapses those (only
-            # needed when there was more than one run).
-            if self._combiner is not None and multi_run and merged:
-                merged = self._combine_sorted(merged)
             segments.append(encode_segment(merged, codec))
         # Deterministic heaviest-first order: count desc, then the key's
         # repr (value-determined for canonical key types).
@@ -271,6 +214,5 @@ class SpillBuffer:
             for tally in self._key_tallies
         ]
         return SpillResult(
-            segments, spills, list(self.partition_records), key_counts,
-            combine_in=self.combine_in, combine_out=self.combine_out,
+            segments, spills, list(self.partition_records), key_counts
         )

@@ -59,7 +59,7 @@ from repro.genome.regions import GenomicInterval
 from repro.recal.covariates import aligned_pairs
 from repro.shuffle.codec import Codec
 from repro.shuffle.segment import KeyValue, encode_segment
-from repro.shuffle.spill import SpillResult, _CombineContext
+from repro.shuffle.spill import SpillResult
 from repro.variants.genotyper import call_column
 from repro.variants.pileup import (
     PileupColumn,
@@ -303,7 +303,6 @@ class SpillBuffer:
         sort_key: Callable[[Any], Any],
         spill_records: int,
         track_keys: int = 0,
-        combiner: Optional[Callable[[Any, List[Any], Any], None]] = None,
         spill_io: Optional[Any] = None,
         spill_dirs: Tuple[str, ...] = (),
         spill_prefix: str = "run",
@@ -317,12 +316,6 @@ class SpillBuffer:
         self._sort_key = sort_key
         self._spill_records = spill_records
         self._track_keys = track_keys
-        #: Optional map-side combiner applied to each sorted slice as it
-        #: spills, and again across runs at merge time — so shuffle
-        #: segments are sealed already pre-aggregated.
-        self._combiner = combiner
-        self.combine_in = 0
-        self.combine_out = 0
         #: Durable-I/O layer for real spill-to-disk; None keeps runs in
         #: memory (the original behaviour, still the default).
         self._spill_io = spill_io
@@ -364,10 +357,8 @@ class SpillBuffer:
         for partition, key, value in self._buffer:
             run[partition].append((key, value))
         sort_key = self._sort_key
-        for index, slice_ in enumerate(run):
+        for slice_ in run:
             slice_.sort(key=lambda kv: sort_key(kv[0]))  # stable
-            if self._combiner is not None and slice_:
-                run[index] = self._combine_sorted(slice_)
         if self._spill_io is not None:
             path = self._write_run_to_disk(len(self._runs), run)
             if path is not None:
@@ -422,33 +413,6 @@ class SpillBuffer:
             self._spill_io.unlink(path)
         return runs
 
-    def _combine_sorted(self, records: List[KeyValue]) -> List[KeyValue]:
-        """Pre-aggregate one sorted slice, keeping it sorted.
-
-        Equal keys are adjacent after the stable sort (the same
-        adjacency assumption the reduce-side grouper makes), so one
-        linear pass groups them.  The combiner's output is re-sorted
-        stably by the same key — a combiner may emit keys in any order —
-        so downstream merging sees the run invariant intact.
-        """
-        context = _CombineContext()
-        cursor = 0
-        total = len(records)
-        while cursor < total:
-            key = records[cursor][0]
-            values = [records[cursor][1]]
-            cursor += 1
-            while cursor < total and records[cursor][0] == key:
-                values.append(records[cursor][1])
-                cursor += 1
-            self._combiner(key, values, context)
-        combined = context.emitted
-        sort_key = self._sort_key
-        combined.sort(key=lambda kv: sort_key(kv[0]))  # stable
-        self.combine_in += total
-        self.combine_out += len(combined)
-        return combined
-
     def finish(self, codec: Codec) -> SpillResult:
         """Spill the tail, merge runs, and encode one segment/reducer."""
         if self._buffer:
@@ -458,19 +422,12 @@ class SpillBuffer:
         spills = max(1, len(self._runs))
         runs = self._materialized_runs()
         sort_key = self._sort_key
-        multi_run = len(runs) > 1
         segments = []
         for partition in range(self._num_partitions):
             merged = merge_sorted_runs_list(
                 [run[partition] for run in runs],
                 key=lambda kv: sort_key(kv[0]),
             )
-            # Merge-time combine pass: runs were combined as they
-            # spilled, but the same key may live in several runs; one
-            # more pass over the merged slice collapses those (only
-            # needed when there was more than one run).
-            if self._combiner is not None and multi_run and merged:
-                merged = self._combine_sorted(merged)
             segments.append(encode_segment(merged, codec))
         key_counts: List[List[Tuple[Any, int]]] = []
         for partition in range(self._num_partitions):
@@ -485,8 +442,7 @@ class SpillBuffer:
             )
             key_counts.append(ranked[: self._track_keys])
         return SpillResult(
-            segments, spills, list(self.partition_records), key_counts,
-            combine_in=self.combine_in, combine_out=self.combine_out,
+            segments, spills, list(self.partition_records), key_counts
         )
 
 

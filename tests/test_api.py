@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
-from repro.mapreduce.blocks import RecordBlock, encode_block
+from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.shuffle.config import ShuffleConfig
@@ -62,18 +62,15 @@ class TestJobSpec:
             spec.num_reducers = 4
 
     def test_defaults_resolve_at_construction(self):
-        from repro.mapreduce.job import _default_value_size
         from repro.shuffle.config import DEFAULT_SHUFFLE
 
         spec = _wordcount_spec()
-        assert spec.value_size is _default_value_size
         assert spec.shuffle is DEFAULT_SHUFFLE
         shuffle = ShuffleConfig(codec="zlib-1")
         explicit = _wordcount_spec(
-            partitioner=lambda key, n: 0, value_size=len, shuffle=shuffle,
+            partitioner=lambda key, n: 0, shuffle=shuffle,
         )
         assert explicit.partitioner("k", 2) == 0
-        assert explicit.value_size is len
         assert explicit.shuffle is shuffle
 
     def test_validates_at_construction(self):
@@ -180,6 +177,15 @@ class TestPipelineSpec:
         assert not spec.obs.enabled
         assert len(PipelineSpec(reference=object()).nodes) == 4
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_reducers", 0, "at least one reducer"),
+        ("markdup_mode", "bogus", "unknown markdup_mode 'bogus'"),
+    ], ids=["num_reducers", "markdup_mode"])
+    def test_a_bad_spec_fails_before_any_task_runs(self, field, value,
+                                                   message):
+        with pytest.raises(PipelineError, match=message):
+            PipelineSpec(reference=object(), **{field: value})
+
     def test_no_pipeline_constructor_relists_a_spec_field(self):
         """Both pipelines hold the spec; neither mirrors its fields, so
         a field cannot reach one pipeline and be dropped by the other."""
@@ -250,9 +256,6 @@ class TestRecordBlocks:
         assert block.decode() == ["r1", ("r2", 3), {"k": 4}]
         assert len(block) == 3
         assert block.count == 3
-
-    def test_encode_block_helper(self):
-        assert encode_block(iter("abc")).decode() == ["a", "b", "c"]
 
     def test_empty_block(self):
         assert RecordBlock([]).decode() == []

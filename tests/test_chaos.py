@@ -22,6 +22,7 @@ from repro.chaos.plan import ColdStart, PreemptWorker
 from repro.chaos.plan import parse_event
 from repro.cli import _build_parser, main
 from repro.errors import MapReduceError
+from repro.io.policy import RETRY_BACKOFF
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
@@ -290,7 +291,7 @@ class TestPolicyKnobs:
 
         sleeps = []
         policy = ExecutionPolicy(
-            task_retries=1, retry_backoff=0.125, retry_backoff_cap=0.125,
+            task_retries=1,
             fault_plan=FaultPlan(events=(RaiseInTask("wc-m-00000"),)),
             sleep=sleeps.append,
         )
@@ -301,7 +302,7 @@ class TestPolicyKnobs:
         assert sleeps == []  # charged, never slept
         counters = recorder.metrics.as_dict()["counters"]
         assert counters["engine.backoff_charged_seconds"] == \
-            pytest.approx(0.125)
+            pytest.approx(RETRY_BACKOFF)
 
 
 class TestHungTasks:
@@ -311,7 +312,7 @@ class TestHungTasks:
             DelayTask("wc-m-00000", seconds=30.0, attempt=1),
         ))
         policy = ExecutionPolicy(
-            task_retries=2, task_timeout=5.0, retry_backoff=0.0,
+            task_retries=2, task_timeout=5.0,
             fault_plan=plan, sleep=sleeps.append,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
@@ -335,7 +336,7 @@ class TestHungTasks:
             DelayTask("wc-m-00000", 30.0, attempt=2),
         ))
         policy = ExecutionPolicy(
-            task_retries=1, task_timeout=5.0, retry_backoff=0.0,
+            task_retries=1, task_timeout=5.0,
             fault_plan=plan, sleep=lambda _s: None,
         )
         with pytest.raises(MapReduceError, match="after 2 attempt"):
@@ -346,7 +347,7 @@ class TestHungTasks:
     def test_injected_raise_is_absorbed_by_retry(self):
         plan = FaultPlan(events=(RaiseInTask("wc-m-00001", attempt=1),))
         policy = ExecutionPolicy(
-            task_retries=2, retry_backoff=0.0, fault_plan=plan,
+            task_retries=2, fault_plan=plan,
             sleep=lambda _s: None,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
@@ -373,7 +374,7 @@ class TestHungTasks:
         )
         policy = ExecutionPolicy(
             executor=kind, max_workers=2, task_retries=3,
-            task_timeout=5.0, retry_backoff=0.0, fault_plan=plan,
+            task_timeout=5.0, fault_plan=plan,
             sleep=lambda _s: None,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
@@ -388,7 +389,7 @@ class TestBlacklist:
     def test_failing_node_is_blacklisted_and_avoided(self):
         plan = FaultPlan(events=(RaiseInTask("wc-m-00000", attempt=1),))
         policy = ExecutionPolicy(
-            task_retries=2, blacklist_after=1, retry_backoff=0.0,
+            task_retries=2, blacklist_after=1,
             fault_plan=plan, sleep=lambda _s: None,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
@@ -405,7 +406,7 @@ class TestBlacklist:
     def test_blacklist_persists_across_jobs_on_the_same_engine(self):
         plan = FaultPlan(events=(RaiseInTask("first-m-00000", attempt=1),))
         policy = ExecutionPolicy(
-            task_retries=2, blacklist_after=1, retry_backoff=0.0,
+            task_retries=2, blacklist_after=1,
             fault_plan=plan, sleep=lambda _s: None,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
@@ -420,7 +421,7 @@ class TestBlacklist:
         back to the full node list."""
         plan = FaultPlan(events=(RaiseInTask("wc-m-00000", attempt=1),))
         policy = ExecutionPolicy(
-            task_retries=2, blacklist_after=1, retry_backoff=0.0,
+            task_retries=2, blacklist_after=1,
             fault_plan=plan, sleep=lambda _s: None,
         )
         engine = MapReduceEngine(nodes=["n1"], policy=policy)
@@ -468,7 +469,7 @@ class TestChaosAcceptance:
         plan = FaultPlan.demo(seed=5, nodes=NODES)
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, task_retries=3,
-            task_timeout=30.0, retry_backoff=0.0, fault_plan=plan,
+            task_timeout=30.0, fault_plan=plan,
             sleep=lambda _s: None,
         )
         result, fingerprint = run_pipeline(

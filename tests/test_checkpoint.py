@@ -281,7 +281,7 @@ class TestPipelineResume:
             RaiseInTask("round4-sort-m-00000", attempt=1),
         ))
         crashing = ExecutionPolicy(
-            task_retries=0, retry_backoff=0.0, fault_plan=plan,
+            task_retries=0, fault_plan=plan,
             sleep=lambda _s: None,
         )
         with pytest.raises(MapReduceError, match="after 1 attempt"):

@@ -304,7 +304,7 @@ class TestZombieFencing:
     def run_with_plan(self, plan, kind="serial", max_workers=1, **knobs):
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, fault_plan=plan,
-            retry_backoff=0.0, sleep=lambda _s: None, **knobs,
+            sleep=lambda _s: None, **knobs,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
         return engine, engine.run(wordcount_job(), make_splits(LINES))
@@ -456,7 +456,7 @@ class TestReduceOutputHook:
         hdfs = Hdfs(list(NODES), replication=2)
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, fault_plan=plan,
-            retry_backoff=0.0, sleep=lambda _s: None, **knobs,
+            sleep=lambda _s: None, **knobs,
         )
         with MapReduceEngine(
             nodes=hdfs.nodes, policy=policy, filesystem=hdfs
@@ -909,6 +909,44 @@ class TestPipelineCrashRecovery:
         assert fingerprint_of(resumed) == fingerprint_of(clean)
 
 
+    def test_version_5_wal_with_combine_slots_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-5 ``wal-round2.log`` journals outcomes that still
+        carry the ``combine_in`` / ``combine_out`` slots, which this
+        version's ``TaskOutcome`` no longer has: the version guard turns
+        the log away before any record is unpickled."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V5))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 5, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        with pytest.raises(AttributeError, match="combine_"):
+            pickle.loads(old_frames[1])
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
 class TestStageTableConformance:
     """A stage's key is its one name: checkpoint entry, WAL log, HDFS
     directory, round span, ``rounds.results`` entry and chaos address.
@@ -1283,4 +1321,44 @@ PARENT_WAL_ROUND2_V4 = (
     "hYrgRjGZJRCH4HHBaJRMo6cVxHPGeOP1NMFrhklU8bmBOj9PBnEaZaeozH2j/Z93fgd9lv"
     "XPFrPhJOF/Lt8eThfxGZ4X44WDHJc5VOFv1Fxej2nkPBlM5mJHNl0sSaxoGMVni/H46szV"
     "Cz5cNf8H84oBpw=="
+)
+
+#: The same capture on commit 075d570 (WAL_VERSION 5): the journaled map
+#: outcome still has the ``combine_in`` / ``combine_out`` slots.
+#: zlib + base64 of the 3252 raw bytes.
+PARENT_WAL_ROUND2_V5 = (
+    "eNqVlk2P28YZx7Xuvqjetbt2Cxhtrj04Bays1rHE97fhq5R1AFs9FIErcClqxVpvICkbLhD"
+    "ARQADBXgpMjn4nFsOueSUe9Cj7+0XCJBLv0GT/zOUdhdx6rjD1XJmOEPO85v/88zTaDT8f3"
+    "z+weL5zmdqoy4f89vV3pM0L7LFnPd3qv1xNj9L82WezUteNdNu+/R9ORnxaidfrOa474r7M"
+    "V+1Go2DP7N/ffER3vbw4OJt22VcPObVrXrcnWSaxnO8887szhEVvCldLpIJ7zeqvcWqTBaz"
+    "lFe/ydNlvmjN4mWejlZJ2qpfsj/A7cP1oE/5u3/j98WC01lWlumIP8ISi/Rsls7LAo3bzr+"
+    "bjUbw0AvatBrUm9/Q71b8z8nz7c++btarxMDq4OGf7rdbR0frNd2ovz9e5LO4LFpFPOPVr4"
+    "d5mizy0XCcL2bDcZZORwUWcXuy1U+r7WSSt/nJl9dhxtYfeLWlrxujgf3zF9vUgrcZ/frFq"
+    "1EviHqRFwVR0At9zw8i5rmR5/m+H7g+Q3Ftx7YdxzIcm1mGyVC1LdMyLEPXLN02DFXXdFPV"
+    "NBVFwSXriqQqmiIrd+UuitLlH/PqyoOAV794ELR5UfIH/AX/EbrJ9u3JYf/lJSBatd0+Ojr"
+    "hk701ERb8H9eADUBlgAqVAIDqXptggRxjgW0HQT0Ed7AMUAWRrtyVOl1JllVVVhVJVmCgRg"
+    "apuq4pGqwFBl03dBN1w7RtTLWIkOUw5lgu813P85j4x3wv8MIw9MMgDN0wAOaohzon+V25f"
+    "4INh+n7k4PVT0BpCyjv9JMNlFd7fW1yEzw+aZ78dqsaBWQOE2snUxgJgZFJpIyAsRoA1XFR"
+    "r02DMIrVVWIAo/EQs4T9hAq91MIoupNEwqDXi3qBHzAIxPeZH4RkXOi6jud6pAvHcSEU00F"
+    "xTdPSTejCsm1TNzTVMnVVNTTNUA0QVfCDVCRNklRJxqVIkiTfOwcyufVmHL/vf7rB8Ulzje"
+    "PVXu/b/37/PRQifIII0OrJIpsgECJiUhtHaEgAAyEFelQPA7qBUASBsQVFoY0B5qNBWMBqQ"
+    "ApRlY70PlbelbpKR5Y0WYVAFI2shDwM6MTQDUuzbNM2UaVdsgzmMMgEKoFDOZCG57q+Szx9"
+    "z4W3weUC340irCCKot5bADkWQO5c6OPlRh9+8+TGFuGwhe5pz8lCsd+ikxETRvZQ32BQjxR"
+    "a+l+isn9aVMCB9QZ+GLkhLIDUfRe2RB68wHU9BBG4hg8HcS0TCjEteq9lGrZhWQYB00ziBc"
+    "8yCKKqEUf0dnUFjqhCG527sty55DBt/mYg3QuF+BuFvNzr/UcohEyDNsiytcG18bTrtvAA8"
+    "hBAwW9AMiASgER6st9SXkACXXdklRSiIIbIiIeyoigkfIQSXRSgUHUVakE8BRCH4ohjmx4z"
+    "4UrM8yARIGQuVCLCsUtaifweQjRidth7G4XcFUCsC4W4O2sgN3dPjrfokBH2MCF6CgsiIgg"
+    "CYt+Z2GlqkfRt+lePpF1kwmqBkQ3qOCruooPeBnK2cJgwisIQAaTnhYErYohXS1+EScZCB2"
+    "HExQsdcDARRnDAWCazTM00DfqDa+kIJooOZLpCR41OPCWEkS7ih9TpdC8p5Ji/GUjvQiE3d"
+    "9dA3J3eK6EQsp0JLwiEKRQ4RawYCP+3KWLYggw5EQ0kesKVhATIxQYiXtBTciAROASbWics"
+    "EAq5JyN0SFCIigNHV40uHZ7Qvi6TBxjwCkNBGNEMG05j4PilAwZHseVQXIE/UfSFUEDOg0R"
+    "CgtqLwigkfwwpZl8oxL8EJG1x9s55ckNlh35/lN/77vn2I97iaXUtmy9X5TpvKXi/WV1Hiv"
+    "WjroN11+mzMi34SbtZ7RbLbDrFw61q9wx527Kg7OywmKzG42k6upjcqK6fd9bT0XVj3TXM4"
+    "6eXepdxXmYl0srz6ci7+s1+I62uPk6fDRPkh3XW9no+1r/y2hnyWtex6EofweyDJE+G4zib"
+    "rvL649fGaZlM8OEyz+qeZoyEcbYshZG/yuZ/SRMkkJi0mpZiABJfmPA0z2j9yCv3MSFOJpv"
+    "UsvplmcfzghJEym1Ftvg0j5dLpM4tNM7yeFbgiRuX8WAz0k6Ekch+6+SVtvVQEBqWi+F6Fj"
+    "/53WF1s+4VmeZ5/+lhtZ/NnyySmDBilVdWpy94XO0US3yAFrWHRHU5xYLvV1eLEsBhUlyiR"
+    "Wl8Vkw2zd2ni/xxmvOqwavt+WKEjHuXbpT6NstslkISgsIFmVE6jZ/V6M7J4otXJyk+c5rG"
+    "NZVryO6LdJhM4vwM+Xhgdr7+qrAajWr3r4vZaZbyv1dXE6rN02E2F5w3TXxSfPE0Th4vxuN"
+    "hAZXMoZJgo+7VC366av0A83D1bg=="
 )

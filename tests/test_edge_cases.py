@@ -12,12 +12,13 @@ from repro.errors import (
     ReproError,
 )
 from repro.formats import flags as F
-from repro.formats.bam import bam_bytes, iter_frames, read_bam, read_header
+from repro.formats.bam import bam_bytes, iter_frames, read_bam
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
 from repro.formats.vcf import VariantRecord
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobSpec, _default_value_size, make_splits
+from repro.shuffle.keys import stable_hash_partition
 
 
 def rec(qname="r", pos=100, flag_bits=0, cigar="10M", rname="chr1"):
@@ -91,11 +92,6 @@ class TestTemplateLength:
 
 
 class TestBamEdges:
-    def test_read_header_skips_body(self):
-        header = SamHeader(sequences=[("chr1", 500)], sort_order="coordinate")
-        data = bam_bytes(header, [rec() for _ in range(20)], chunk_bytes=128)
-        assert read_header(data) == header
-
     def test_iter_frames_at_frame_offset(self):
         header = SamHeader(sequences=[("chr1", 500)])
         data = bam_bytes(header, [rec()], chunk_bytes=128)
@@ -147,22 +143,30 @@ class TestValueSize:
 
 
 class TestEngineEdges:
-    def test_sort_key_orders_reduce_input(self):
-        # Keys sorted by custom key (descending) change group order.
-        seen = []
-
+    def test_composite_key_partitions_on_its_first_field(self):
+        # Partition on the contig, sort on the coordinate: a composite
+        # key and a partitioner that reads its first field.
         def mapper(payload, ctx):
-            for item in payload:
-                ctx.emit(item, item)
+            for contig, pos in payload:
+                ctx.emit((contig, pos), pos)
 
         def reducer(key, values, ctx):
-            seen.append(key)
+            ctx.emit(*key)
 
-        engine = MapReduceEngine()
-        job = JobSpec("sorted", mapper, reducer, num_reducers=1,
-                      sort_key=lambda k: -k)
-        engine.run(job, make_splits([[3, 1, 2]]))
-        assert seen == [3, 2, 1]
+        job = JobSpec(
+            "by-contig", mapper, reducer, num_reducers=3,
+            partitioner=lambda key, n: stable_hash_partition(key[0], n),
+        )
+        items = [("chr2", 30), ("chr1", 20), ("chr2", 10), ("chr1", 5),
+                 ("chr3", 7), ("chr3", 2)]
+        result = MapReduceEngine().run(
+            job, make_splits([items[:3], items[3:]])
+        )
+        partitions = list(result.reduce_outputs.values())
+        assert all(pairs == sorted(pairs) for pairs in partitions)
+        contigs = [{contig for contig, _ in pairs} for pairs in partitions]
+        assert contigs == [{"chr1"}, {"chr3"}, {"chr2"}]
+        assert sorted(result.all_outputs()) == sorted(items)
 
     def test_reducer_emitting_nothing(self):
         engine = MapReduceEngine()

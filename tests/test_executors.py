@@ -22,6 +22,7 @@ from repro.api import PipelineSpec, make_block_splits, run_job
 from repro.chaos import FaultPlan, RaiseInTask
 from repro.errors import MapReduceError
 from repro.hdfs.filesystem import Hdfs
+from repro.io.policy import RETRY_BACKOFF, RETRY_BACKOFF_CAP, charged_backoff
 from repro.mapreduce import counters as C
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.counters import Counters
@@ -139,10 +140,10 @@ class TestExecutionPolicy:
         ).resolved_min_workers() == 2
 
     def test_backoff_is_capped(self):
-        policy = ExecutionPolicy(retry_backoff=0.01, retry_backoff_cap=0.05)
-        delays = [policy.backoff_delay(a) for a in range(1, 10)]
+        delays = [charged_backoff(a) for a in range(1, 10)]
         assert delays == sorted(delays)
-        assert max(delays) == 0.05
+        assert delays[0] == RETRY_BACKOFF
+        assert max(delays) == RETRY_BACKOFF_CAP
 
 
 class TestExecutors:
@@ -316,7 +317,7 @@ class TestRetriesAndFaults:
         faulty = self.run_with(
             ExecutionPolicy(
                 executor=executor_kind, max_workers=2,
-                fault_plan=self.FAULTS, task_retries=8, retry_backoff=0.0,
+                fault_plan=self.FAULTS, task_retries=8,
             )
         )
         assert faulty.all_outputs() == clean.all_outputs()
@@ -334,7 +335,7 @@ class TestRetriesAndFaults:
     def test_attempts_recorded_per_task_in_history(self):
         faulty = self.run_with(
             ExecutionPolicy(
-                fault_plan=self.FAULTS, task_retries=8, retry_backoff=0.0,
+                fault_plan=self.FAULTS, task_retries=8,
             )
         )
         by_counter = faulty.counters.get(C.MAP_TASK_ATTEMPTS) + \
@@ -348,7 +349,7 @@ class TestRetriesAndFaults:
         job = JobSpec("doomed", bad_mapper)
         engine = MapReduceEngine(
             nodes=["n1"],
-            policy=ExecutionPolicy(task_retries=2, retry_backoff=0.0),
+            policy=ExecutionPolicy(task_retries=2),
         )
         with pytest.raises(MapReduceError, match="after 3 attempt"):
             engine.run(job, make_splits(["x"]))
@@ -392,7 +393,7 @@ class TestCollectorPausedForAnAttempt:
         assert task_module._collector_paused._depth == 0
 
     def test_restored_after_a_raising_body_and_its_retry(self):
-        policy = ExecutionPolicy(task_retries=1, retry_backoff=0.0)
+        policy = ExecutionPolicy(task_retries=1)
         result = MapReduceEngine(nodes=["n1"], policy=policy).run(
             self.probe_job(fail_first=True), make_splits(["only"])
         )
@@ -407,7 +408,7 @@ class TestCollectorPausedForAnAttempt:
 
         engine = MapReduceEngine(
             nodes=["n1"],
-            policy=ExecutionPolicy(task_retries=1, retry_backoff=0.0),
+            policy=ExecutionPolicy(task_retries=1),
         )
         with pytest.raises(MapReduceError, match="after 2 attempt"):
             engine.run(JobSpec("doomed", mapper), make_splits(["x"]))
@@ -508,8 +509,8 @@ class TestRecordCounting:
         assert run(declare=True) == 2000
 
 
-def _block_spec(policy, combiner=False):
-    """Word count over block-encoded splits, optionally combined."""
+def _block_spec(policy):
+    """Word count over block-encoded splits."""
 
     def mapper(records, ctx):
         for line in records:
@@ -523,7 +524,6 @@ def _block_spec(policy, combiner=False):
         name="block-wordcount",
         mapper=mapper,
         reducer=fold,
-        combiner=fold if combiner else None,
         num_reducers=2,
         io_sort_records=4,  # force multiple spills per map task
         policy=policy,
@@ -563,38 +563,6 @@ class TestBlockSplitsAcrossExecutors:
         result = run_job(spec, make_block_splits([["a", "b"], ["c"]]))
         assert seen == [["a", "b"], ["c"]]
         assert result.all_outputs() == [(0, 2), (1, 1)]
-
-
-class TestCombinerAcrossExecutors:
-    """Combiner on vs off is byte-identical while shuffling less."""
-
-    @pytest.fixture(scope="class")
-    def uncombined(self):
-        return run_job(
-            _block_spec(ExecutionPolicy.serial(), combiner=False),
-            _block_splits(),
-        )
-
-    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=POLICY_IDS)
-    def test_combined_outputs_identical(self, policy, uncombined):
-        combined = run_job(
-            _block_spec(policy, combiner=True), _block_splits()
-        )
-        assert combined.all_outputs() == uncombined.all_outputs()
-        assert combined.reduce_outputs == uncombined.reduce_outputs
-
-    def test_combiner_reduces_shuffled_records(self, uncombined):
-        combined = run_job(
-            _block_spec(ExecutionPolicy.serial(), combiner=True),
-            _block_splits(),
-        )
-        assert combined.counters.get(C.SHUFFLED_RECORDS) < \
-            uncombined.counters.get(C.SHUFFLED_RECORDS)
-        assert combined.counters.get(C.SHUFFLE_RAW_BYTES) < \
-            uncombined.counters.get(C.SHUFFLE_RAW_BYTES)
-        assert combined.counters.get(C.COMBINE_OUTPUT_RECORDS) < \
-            combined.counters.get(C.COMBINE_INPUT_RECORDS)
-        assert C.COMBINE_INPUT_RECORDS not in uncombined.counters
 
 
 @needs_fork
@@ -797,7 +765,6 @@ class TestCrossExecutorDeterminism:
             num_reducers=3,
             policy=ExecutionPolicy.threads(
                 max_workers=2, fault_plan=plan, task_retries=10,
-                retry_backoff=0.0,
             ),
         )).run(pairs)
         assert fingerprint(faulty) == serial_run

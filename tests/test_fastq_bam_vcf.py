@@ -8,20 +8,16 @@ from repro.cleaning.sort import coordinate_key
 from repro.errors import BamError, FormatError
 from repro.formats import flags as F
 from repro.formats.bam import (
-    BamChunkReader,
     BamLinearIndex,
     bam_bytes,
-    frame_boundaries,
     iter_frames,
     read_bam,
-    read_header,
 )
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import (
     FastqRecord,
     interleave,
     read_fastq,
-    split_into_partitions,
     write_fastq,
 )
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
@@ -61,17 +57,6 @@ class TestFastq:
         with pytest.raises(FormatError):
             list(interleave([fastq("a/1"), fastq("b/1")], [fastq("a/2")]))
 
-    def test_split_preserves_pairs_and_order(self):
-        pairs = [(fastq(f"{i}/1"), fastq(f"{i}/2")) for i in range(10)]
-        parts = list(split_into_partitions(pairs, 3))
-        assert [len(p) for p in parts] == [3, 3, 3, 1]
-        flat = [pair for part in parts for pair in part]
-        assert flat == pairs
-
-    def test_split_rejects_bad_size(self):
-        with pytest.raises(FormatError):
-            list(split_into_partitions([], 0))
-
 
 def make_records(n, contig="chr1"):
     return [
@@ -101,14 +86,13 @@ class TestBam:
 
     def test_read_header_only(self):
         header = SamHeader(sequences=[("chr1", 100000)], sort_order="coordinate")
-        data = bam_bytes(header, make_records(50))
-        assert read_header(data) == header
+        data = bam_bytes(header, make_records(50), chunk_bytes=128)
+        assert read_bam(data)[0] == header
 
     def test_chunking_respects_target(self):
         header = SamHeader(sequences=[("chr1", 100000)])
         data = bam_bytes(header, make_records(300), chunk_bytes=400)
-        boundaries = frame_boundaries(data)
-        assert len(boundaries) > 5  # header + many data chunks
+        assert len(list(iter_frames(data))) > 5  # header + many chunks
 
     def test_missing_magic_rejected(self):
         with pytest.raises(BamError):
@@ -119,13 +103,6 @@ class TestBam:
         data = bam_bytes(header, make_records(10))
         with pytest.raises(BamError):
             list(iter_frames(data[:-3]))
-
-    def test_chunk_reader_matches_full_read(self):
-        header = SamHeader(sequences=[("chr1", 100000)])
-        records = make_records(100)
-        data = bam_bytes(header, records, chunk_bytes=300)
-        reader = BamChunkReader(header, [data])
-        assert reader.records() == records
 
     def test_zero_chunk_bytes_rejected(self):
         with pytest.raises(BamError):

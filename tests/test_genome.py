@@ -37,12 +37,6 @@ class TestIntervals:
         assert not a.overlaps(GenomicInterval("chr1", 20, 30))
         assert not a.overlaps(GenomicInterval("chr2", 10, 20))
 
-    def test_intersection(self):
-        a = GenomicInterval("chr1", 10, 20)
-        b = GenomicInterval("chr1", 15, 30)
-        assert a.intersection(b) == GenomicInterval("chr1", 15, 20)
-        assert a.intersection(GenomicInterval("chr1", 25, 30)) is None
-
     def test_expanded_floors_at_one(self):
         assert GenomicInterval("chr1", 3, 10).expanded(5).start == 1
 

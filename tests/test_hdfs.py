@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import BamError, HdfsError
 from repro.formats import flags as F
-from repro.formats.bam import bam_bytes, read_bam, read_header
+from repro.formats.bam import bam_bytes, read_bam
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord
 from repro.hdfs.bam_storage import upload_bam
@@ -145,13 +145,13 @@ class TestBamStorage:
         hdfs = make_hdfs()
         header = SamHeader(sequences=[("chr1", 10000)], sort_order="coordinate")
         upload_bam(hdfs, "/h.bam", header, make_records(10))
-        assert read_header(hdfs.get("/h.bam")) == header
+        assert read_bam(hdfs.get("/h.bam"))[0] == header
 
     def test_header_fetch_rejects_non_bam(self):
         hdfs = make_hdfs()
         hdfs.put("/junk", b"this is not a bam" * 10)
         with pytest.raises(BamError):
-            read_header(hdfs.get("/junk"))
+            read_bam(hdfs.get("/junk"))
 
     def test_logical_partitions_colocated(self):
         hdfs = make_hdfs(block_size=800)

@@ -9,7 +9,6 @@ from repro.cluster.hardware import CLUSTER_B
 from repro.cluster.fluid import UtilizationTrace
 from repro.cluster.monitor import (
     RAMP,
-    render_disk_report,
     render_ramp,
     render_strip_chart,
     sample_utilization,
@@ -98,12 +97,6 @@ class TestMonitorRendering:
         disk = cluster.disks[cluster.nodes[0]][0].name
         strip = render_strip_chart(result.trace, disk, result.wall_seconds, 40)
         assert len(strip) == 40
-
-    def test_disk_report_lists_all_disks(self, traced_round):
-        cluster, result = traced_round
-        names = [d.name for d in cluster.disks[cluster.nodes[0]]]
-        report = render_disk_report(result.trace, names, result.wall_seconds)
-        assert report.count("\n") == len(names)  # header + one line each
 
     def test_empty_horizon(self, traced_round):
         _, result = traced_round

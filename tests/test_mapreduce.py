@@ -209,8 +209,9 @@ class TestPublishTable:
     def test_retry_plane_publishes_the_parent_metrics(self):
         """Pinned on the parent commit (56f2c2a), where every one of
         these was a hand-written ``metrics.counter(...)`` beside its
-        counter or event: retries, a hung task, blacklisting and a
-        combiner on the thread executor."""
+        counter or event: retries, a hung task and blacklisting on the
+        thread executor.  The shuffle rows and the charged backoff are
+        those of this uncombined job on the one backoff curve."""
         from repro.obs.recorder import TraceRecorder
 
         plan = FaultPlan(events=(
@@ -219,12 +220,11 @@ class TestPublishTable:
             DelayTask("rp-r-00001", seconds=30.0, attempt=1),
         ))
         policy = ExecutionPolicy.threads(
-            2, task_retries=3, task_timeout=5.0, retry_backoff=0.25,
-            retry_backoff_cap=1.0, blacklist_after=1, fault_plan=plan,
-            sleep=lambda seconds: None,
+            2, task_retries=3, task_timeout=5.0, blacklist_after=1,
+            fault_plan=plan, sleep=lambda seconds: None,
         )
-        job = JobSpec("rp", word_mapper, sum_reducer, combiner=sum_reducer,
-                      num_reducers=2, io_sort_records=3)
+        job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,
+                      io_sort_records=3)
         recorder = TraceRecorder()
         MapReduceEngine(
             nodes=["n1", "n2", "n3"], policy=policy, recorder=recorder
@@ -234,16 +234,14 @@ class TestPublishTable:
         ]))
         assert recorder.metrics.as_dict()["counters"] == {
             "chaos.delays_injected": 1,
-            "combine.records_in": 24,
-            "combine.records_out": 23,
             "commit.promoted": 6,
             "commit.staged": 6,
-            "engine.backoff_charged_seconds": 1.0,
+            "engine.backoff_charged_seconds": 0.02,
             "engine.nodes_blacklisted": 3,
             "engine.task_timeouts": 1,
-            "shuffle.bytes_shuffled": 453,
-            "shuffle.raw_bytes": 277,
-            "shuffle.segment_bytes_stored": 453,
+            "shuffle.bytes_shuffled": 466,
+            "shuffle.raw_bytes": 290,
+            "shuffle.segment_bytes_stored": 466,
             "shuffle.segments": 8,
         }
 

@@ -19,7 +19,6 @@ from repro.metrics.perf import (
     PerfRow,
     format_duration,
     resource_efficiency,
-    serial_slot_time,
     speedup,
 )
 from repro.metrics.quality import (
@@ -55,9 +54,6 @@ class TestPerf:
         assert resource_efficiency(45.0, 90) == 0.5
         with pytest.raises(SimulationError):
             resource_efficiency(1.0, 0)
-
-    def test_serial_slot_time(self):
-        assert serial_slot_time([(100.0, 4), (50.0, 1)]) == 450.0
 
     def test_perf_row(self):
         row = PerfRow("r", wall_seconds=100, single_node_seconds=1000,

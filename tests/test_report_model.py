@@ -48,7 +48,7 @@ POLICIES = {
     "serial": ExecutionPolicy.serial(),
     "pool2": pytest.param(ExecutionPolicy.pooled(2), marks=needs_fork),
     "chaos": ExecutionPolicy.threads(
-        max_workers=2, task_retries=4, retry_backoff=0.0,
+        max_workers=2, task_retries=4,
         fault_plan=FaultPlan(events=(
             RaiseInTask("round2-cleaning-m-00001"),
             RaiseInTask("round4-sort-r-00000"),

@@ -11,8 +11,6 @@ from repro.formats.sam import (
     SamRecord,
     decode_quals,
     encode_quals,
-    read_sam,
-    write_sam,
 )
 
 
@@ -203,9 +201,9 @@ class TestSamHeader:
     def test_text_roundtrip(self):
         header = SamHeader(
             sequences=[("chr1", 9000), ("chr2", 7000)],
+            read_groups=[{"ID": "RG1", "SM": "S1"}],
             sort_order="coordinate",
         )
-        header.add_read_group(ID="RG1", SM="S1")
         header.add_program(ID="bwa", VN="1.0")
         parsed = SamHeader.from_text(header.to_text())
         assert parsed == header
@@ -213,17 +211,12 @@ class TestSamHeader:
     def test_sequence_lookup(self):
         header = SamHeader(sequences=[("chr1", 9000), ("chr2", 7000)])
         assert header.sequence_length("chr2") == 7000
-        assert header.sequence_index("chr2") == 1
+        assert header.sequence_names() == ["chr1", "chr2"]
 
     def test_unknown_sequence_raises(self):
         header = SamHeader(sequences=[("chr1", 9000)])
         with pytest.raises(FormatError):
             header.sequence_length("chrZ")
-
-    def test_read_group_requires_id(self):
-        header = SamHeader()
-        with pytest.raises(FormatError):
-            header.add_read_group(SM="S1")
 
     def test_copy_independent(self):
         header = SamHeader(sequences=[("chr1", 10)])
@@ -231,13 +224,3 @@ class TestSamHeader:
         dup.sequences.append(("chr2", 20))
         assert len(header.sequences) == 1
 
-
-class TestSamFileIO:
-    def test_file_roundtrip(self, tmp_path):
-        header = SamHeader(sequences=[("chr1", 9000)])
-        records = [make_record(qname=f"r{i}") for i in range(5)]
-        path = str(tmp_path / "test.sam")
-        write_sam(path, header, records)
-        got_header, got_records = read_sam(path)
-        assert got_header == header
-        assert got_records == records

@@ -363,6 +363,25 @@ class TestAdmissionInServer:
             server.submit("a", {"type": "pickled", "spec": "", "splits": ""})
         server.close()
 
+    @pytest.mark.parametrize(
+        "job_id", ["/../../../escape", 7, "a0\n"], ids=["traversal", "int", "newline"]
+    )
+    def test_job_id_outside_the_tenant_rule_rejected(self, tmp_path, job_id):
+        # A pipeline job checkpoints at <state_dir>/ckpt-<job_id>; this
+        # id would put that three levels up, at tmp_path/escape.
+        state_dir = tmp_path / "srv" / "state"
+        server = make_server(str(state_dir), hold=False)
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(ServerError, match="job id"):
+            server.submit("a", {"type": "pipeline", "data": str(tmp_path)},
+                          job_id=job_id)
+        server.close()
+        assert server.queue.jobs == {}
+        assert sorted(os.listdir(tmp_path)) == before
+        reopened = make_server(str(state_dir))
+        assert reopened.queue.jobs == {}
+        reopened.close()
+
     def test_demand_above_slots_rejected(self, tmp_path):
         server = make_server(str(tmp_path), slots=2)
         with pytest.raises(ServerError, match="slot budget"):

@@ -295,17 +295,15 @@ class TestShuffleConfig:
 
 class TestSkewDetection:
     def test_balanced_load_is_not_skewed(self):
-        report = detect_skew([[10, 11], [9, 10]], [None, None], 2.0)
+        report = detect_skew([[10, 11], [9, 10]], [None, None])
         assert not report.is_skewed
         assert report.hot_partitions == []
         assert report.imbalance < 1.1
 
     def test_hot_partition_detected_with_heavy_keys(self):
         report = detect_skew(
-            [[100, 5], [80, 6]],
-            [[[("dup", 90), ("x", 10)], []], [[("dup", 70)], []]],
-            skew_factor=1.5,
-            track_keys=2,
+            [[100, 5, 4], [80, 6, 5]],
+            [[[("dup", 90), ("x", 10)], [], []], [[("dup", 70)], [], []]],
         )
         assert report.is_skewed
         assert report.hot_partitions == [0]
@@ -314,7 +312,7 @@ class TestSkewDetection:
         assert any("hot partition 0" in line for line in report.describe())
 
     def test_empty_tallies(self):
-        report = detect_skew([], [], 2.0)
+        report = detect_skew([], [])
         assert not report.is_skewed
         assert report.imbalance == 1.0
 

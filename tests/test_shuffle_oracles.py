@@ -86,10 +86,6 @@ class TestMergeContract:
 
 
 # -- SpillBuffer --------------------------------------------------------------
-def _sum_combiner(key, values, context):
-    context.emit(key, sum(values))
-
-
 def _natural(key):
     return key
 
@@ -99,12 +95,12 @@ def _by_repr_reversed(key):
 
 
 def _spill_outcome(buffer_class, stream, sort_key, io_sort_records,
-                   combiner=None, track_keys=3, bulk=False,
+                   track_keys=3, bulk=False,
                    partitioner=stable_hash_partition, **disk):
     """Everything a buffer hands the task outcome, as plain values."""
     buffer = buffer_class(
         4, partitioner, sort_key, io_sort_records,
-        track_keys=track_keys, combiner=combiner, **disk,
+        track_keys=track_keys, **disk,
     )
     if bulk:
         buffer.add_all(stream)
@@ -118,7 +114,6 @@ def _spill_outcome(buffer_class, stream, sort_key, io_sort_records,
         "partition_records": result.partition_records,
         "key_counts": result.key_counts,
         "spills": result.spills,
-        "combine": (result.combine_in, result.combine_out),
     }
 
 
@@ -170,12 +165,15 @@ canonical_keys = st.recursive(
 
 class TestSpillBufferAgainstReference:
     @pytest.mark.parametrize("io_sort_records", SPILL_SIZES)
-    @pytest.mark.parametrize("combiner", (None, _sum_combiner))
+    # None is the engine's natural order; an explicit key function is
+    # what a direct caller passes.
+    @pytest.mark.parametrize("sort_key", (None, _natural))
     @pytest.mark.parametrize("track_keys", (0, 3))
-    def test_seeded_wordcount(self, io_sort_records, combiner, track_keys):
+    def test_seeded_wordcount(self, io_sort_records, sort_key, track_keys):
         stream = wordcount_stream(random.Random(io_sort_records))
-        assert_same_spill(stream, io_sort_records=io_sort_records,
-                          combiner=combiner, track_keys=track_keys)
+        assert_same_spill(stream, sort_key=sort_key,
+                          io_sort_records=io_sort_records,
+                          track_keys=track_keys)
 
     @pytest.mark.parametrize("io_sort_records", SPILL_SIZES)
     def test_seeded_records_custom_sort_key(self, io_sort_records):
@@ -190,27 +188,23 @@ class TestSpillBufferAgainstReference:
             st.tuples(st.integers(-4, 4), st.integers(0, 9)), max_size=40
         ),
         io_sort_records=st.sampled_from(SPILL_SIZES),
-        combiner=st.sampled_from((None, _sum_combiner)),
         track_keys=st.sampled_from((0, 2)),
     )
-    def test_generated_int_streams(self, stream, io_sort_records, combiner,
-                                   track_keys):
+    def test_generated_int_streams(self, stream, io_sort_records, track_keys):
         assert_same_spill(stream, io_sort_records=io_sort_records,
-                          combiner=combiner, track_keys=track_keys)
+                          track_keys=track_keys)
 
     @settings(max_examples=120, deadline=None)
     @given(
         stream=st.lists(st.tuples(canonical_keys, st.integers(0, 9)),
                         max_size=30),
         io_sort_records=st.sampled_from(SPILL_SIZES),
-        combiner=st.sampled_from((None, _sum_combiner)),
     )
-    def test_generated_mixed_canonical_keys(self, stream, io_sort_records,
-                                            combiner):
+    def test_generated_mixed_canonical_keys(self, stream, io_sort_records):
         # Mixed key types only order under a sort_key that maps them to
         # one type; True / 1 / 1.0 meet in one tally here.
         assert_same_spill(stream, sort_key=repr,
-                          io_sort_records=io_sort_records, combiner=combiner)
+                          io_sort_records=io_sort_records)
 
     @pytest.mark.parametrize("io_sort_records", SPILL_SIZES)
     def test_equal_but_distinct_keys_tally_under_the_first_emitted(
@@ -243,8 +237,7 @@ class TestSpillBufferAgainstReference:
         hashable = sum(1 for key, _ in stream if type(key) is bytes)
         assert 0 < tallied <= hashable < sum(outcome["partition_records"])
 
-    @pytest.mark.parametrize("combiner", (None, _sum_combiner))
-    def test_disk_spill_with_the_primary_dir_full(self, tmp_path, combiner):
+    def test_disk_spill_with_the_primary_dir_full(self, tmp_path):
         stream = wordcount_stream(random.Random(3), emits=200)
 
         def outcome(buffer_class, name, sort_key, **route):
@@ -254,7 +247,7 @@ class TestSpillBufferAgainstReference:
                 Enospc(0, path_glob=os.path.join(primary, "*")),
             ))
             result = _spill_outcome(
-                buffer_class, stream, sort_key, 64, combiner=combiner,
+                buffer_class, stream, sort_key, 64,
                 spill_io=io, spill_dirs=(primary, secondary),
                 spill_prefix="t-m-00000-e0", **route,
             )

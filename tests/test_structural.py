@@ -203,47 +203,3 @@ class TestEndToEndDetection:
             for c in calls
         )
 
-
-class TestCombiner:
-    """Combiner support added for the recalibration round."""
-
-    def test_combiner_reduces_shuffle(self):
-        from repro.mapreduce import counters as C
-        from repro.mapreduce.engine import MapReduceEngine
-        from repro.mapreduce.job import JobSpec, make_splits
-
-        def mapper(payload, ctx):
-            for word in payload.split():
-                ctx.emit(word, 1)
-
-        def reducer(key, values, ctx):
-            ctx.emit(key, sum(values))
-
-        engine = MapReduceEngine()
-        splits = make_splits(["a a a a b", "b a a"])
-        plain = engine.run(
-            JobSpec("plain", mapper, reducer, num_reducers=2), splits
-        )
-        combined = engine.run(
-            JobSpec("combined", mapper, reducer, combiner=reducer,
-                    num_reducers=2),
-            splits,
-        )
-        assert sorted(plain.all_outputs()) == sorted(combined.all_outputs())
-        assert combined.counters.get(C.SHUFFLED_RECORDS) < plain.counters.get(
-            C.SHUFFLED_RECORDS
-        )
-
-    def test_combiner_ignored_for_map_only(self):
-        from repro.mapreduce.engine import MapReduceEngine
-        from repro.mapreduce.job import JobSpec, make_splits
-
-        def mapper(payload, ctx):
-            ctx.emit(payload, 1)
-
-        engine = MapReduceEngine()
-        result = engine.run(
-            JobSpec("mo", mapper, combiner=lambda k, v, c: None),
-            make_splits(["x"]),
-        )
-        assert result.all_outputs() == [("x", 1)]

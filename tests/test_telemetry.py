@@ -34,11 +34,7 @@ from repro.obs.analysis import (
 )
 from repro.obs.recorder import ObsConfig, Span, TraceRecorder
 from repro.obs.report import render_html_report
-from repro.obs.sampler import (
-    ResourceSampler,
-    probe_sources,
-    take_sample,
-)
+from repro.obs.sampler import ResourceSampler, take_sample
 from repro.pipeline.parallel import GesallPipeline
 from tests.test_compare import contract_record, write_records
 
@@ -80,10 +76,6 @@ class TestSampler:
         # Cumulative counters never decrease.
         cpu = [sample.cpu_seconds for sample in sampler.samples]
         assert cpu == sorted(cpu)
-
-    def test_probe_sources_shape(self):
-        sources = probe_sources()
-        assert set(sources) == {"proc_statm", "proc_io", "getrusage"}
 
     def test_samples_pickle(self):
         import pickle

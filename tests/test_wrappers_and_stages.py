@@ -7,7 +7,7 @@ from repro.formats.bam import read_bam
 from repro.formats.fastq import FastqRecord
 from repro.formats.sam import SamHeader
 from repro.mapreduce.streaming import StreamingPipeline
-from repro.pipeline.stages import TABLE2_STAGES, stage_by_name, total_pipeline_hours
+from repro.pipeline.stages import TABLE2_STAGES, total_pipeline_hours
 from repro.wrappers.programs import (
     BwaExternal,
     DataTransformAccounting,
@@ -72,15 +72,6 @@ class TestStageCatalog:
             "1", "2", "3", "4", "5", "6", "7", "8", "v1", "v2"
         ]
 
-    def test_paper_text_anchors(self):
-        assert stage_by_name("Clean Sam").single_server_hours == 7.55
-        assert stage_by_name("Clean Sam").source == "paper-text"
-        assert stage_by_name("Mark Duplicates").single_server_hours == pytest.approx(14.45, abs=0.01)
-
     def test_total_about_two_weeks(self):
         total_days = total_pipeline_hours() / 24.0
         assert 10 <= total_days <= 16
-
-    def test_unknown_stage(self):
-        with pytest.raises(KeyError):
-            stage_by_name("Nope")
