@@ -16,7 +16,6 @@ from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.indexing import SamtoolsIndex
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
 from repro.cleaning.sort import (
-    ExternalMergeSorter,
     SortSam,
     coordinate_key,
     queryname_key,
@@ -37,7 +36,6 @@ __all__ = [
     "FixMateInformation",
     "SamtoolsIndex",
     "AddOrReplaceReadGroups",
-    "ExternalMergeSorter",
     "SortSam",
     "coordinate_key",
     "queryname_key",

@@ -1,21 +1,18 @@
-"""SortSam: coordinate and queryname sorting, with an external path.
+"""SortSam: coordinate and queryname sorting.
 
 Round 4 of the Gesall pipeline sorts each range partition before
 Haplotype Caller; PicardTools' SortSam is the serial equivalent.  The
-:class:`ExternalMergeSorter` spills bounded runs to disk and merges
-them, which is the access pattern whose disk behaviour the paper's
-multipass-merge analysis (Appendix B.1) models.
+bounded-memory sort-spill-merge is the MapReduce engine's
+``SpillBuffer``, whose disk behaviour the paper's multipass-merge
+analysis (Appendix B.1) models.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from repro.errors import PipelineError
 from repro.formats.sam import SamHeader, SamRecord
-from repro.shuffle.merge import merge_sorted_runs
 
 SortKey = Callable[[SamRecord], Tuple]
 
@@ -69,64 +66,3 @@ class SortSam:
         )
         out = sorted((record.copy() for record in records), key=key)
         return out_header, out
-
-
-class ExternalMergeSorter:
-    """Sort-merge with bounded memory: sorted runs spilled to disk.
-
-    Mirrors both NovoSort-style external sorting and Hadoop's map-side
-    sort/spill/merge.  ``max_records_in_ram`` bounds each run; runs are
-    written as SAM lines to a temp directory and k-way merged.
-    """
-
-    def __init__(self, key: SortKey, max_records_in_ram: int = 10_000,
-                 tmp_dir: Optional[str] = None):
-        if max_records_in_ram <= 0:
-            raise PipelineError("max_records_in_ram must be positive")
-        self.key = key
-        self.max_records_in_ram = max_records_in_ram
-        self.tmp_dir = tmp_dir
-        #: Number of runs spilled in the last :meth:`sort` call.
-        self.spill_count = 0
-
-    def sort(self, records: Iterable[SamRecord]) -> Iterator[SamRecord]:
-        """Yield records in key order using bounded memory."""
-        with tempfile.TemporaryDirectory(dir=self.tmp_dir) as scratch:
-            run_paths: List[str] = []
-            buffer: List[SamRecord] = []
-            for record in records:
-                buffer.append(record)
-                if len(buffer) >= self.max_records_in_ram:
-                    run_paths.append(self._spill(buffer, scratch, len(run_paths)))
-                    buffer = []
-            self.spill_count = len(run_paths) + (1 if buffer else 0)
-            if not run_paths:
-                yield from sorted(buffer, key=self.key)
-                return
-            if buffer:
-                run_paths.append(self._spill(buffer, scratch, len(run_paths)))
-            yield from self._merge(run_paths)
-
-    def _spill(self, buffer: List[SamRecord], scratch: str, index: int) -> str:
-        path = os.path.join(scratch, f"run-{index:05d}.sam")
-        buffer.sort(key=self.key)
-        with open(path, "w") as handle:
-            for record in buffer:
-                handle.write(record.to_line())
-                handle.write("\n")
-        return path
-
-    def _merge(self, run_paths: List[str]) -> Iterator[SamRecord]:
-        # The shuffle service's stable k-way merge, streamed over
-        # per-run file readers: memory stays O(runs), ordering is the
-        # same contract the reduce-side segment merge relies on.
-        return merge_sorted_runs(
-            [self._read_run(path) for path in run_paths], key=self.key
-        )
-
-    @staticmethod
-    def _read_run(path: str) -> Iterator[SamRecord]:
-        with open(path) as handle:
-            for line in handle:
-                if line.strip():
-                    yield SamRecord.from_line(line)

@@ -9,8 +9,15 @@ extra shuffling, never correctness.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import Iterable
+
+from repro.errors import FormatError
+
+#: ``to_bytes`` header: magic, num_bits, num_hashes, items_added.
+_HEADER = struct.Struct(">4sIIQ")
+_MAGIC = b"BLM1"
 
 
 class BloomFilter:
@@ -58,6 +65,29 @@ class BloomFilter:
         """Fraction of set bits (saturation diagnostic)."""
         set_bits = sum(bin(byte).count("1") for byte in self._bits)
         return set_bits / self.num_bits
+
+    def to_bytes(self) -> bytes:
+        return _HEADER.pack(_MAGIC, self.num_bits, self.num_hashes,
+                            self.items_added) + bytes(self._bits)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "BloomFilter":
+        try:
+            magic, num_bits, num_hashes, items = _HEADER.unpack_from(data)
+            if magic != _MAGIC:
+                raise ValueError(f"bad magic {magic!r}")
+            bloom = cls(num_bits, num_hashes)
+        except (struct.error, ValueError) as exc:
+            raise FormatError(f"malformed bloom filter: {exc}") from exc
+        bits = data[_HEADER.size:]
+        if len(bits) != len(bloom._bits):
+            raise FormatError(
+                f"malformed bloom filter: {len(bits)} bytes of bits for "
+                f"{num_bits} bits"
+            )
+        bloom._bits[:] = bits
+        bloom.items_added = items
+        return bloom
 
     def __repr__(self) -> str:
         return (

@@ -61,8 +61,6 @@ class Hdfs:
         self._ctr_put_bytes = metrics.counter("hdfs.put.bytes")
         self._ctr_get_calls = metrics.counter("hdfs.get.calls")
         self._ctr_get_bytes = metrics.counter("hdfs.get.bytes")
-        self._ctr_read_calls = metrics.counter("hdfs.read_from.calls")
-        self._ctr_read_bytes = metrics.counter("hdfs.read_from.bytes")
         self._ctr_delete_calls = metrics.counter("hdfs.delete.calls")
         self._ctr_read_failovers = metrics.counter("hdfs.read.failovers")
         self._ctr_corrupt_replicas = metrics.counter(
@@ -133,19 +131,6 @@ class Hdfs:
         if not prefix.endswith("/"):
             prefix += "/"
         return sorted(p for p in self._files if p.startswith(prefix))
-
-    def read_from(self, path: str, offset: int, length: int) -> bytes:
-        """Read an arbitrary byte range, crossing block boundaries.
-
-        A range may start in one block and end in the next.
-        """
-        data = self._read_file(self._file(path))
-        if offset < 0 or offset > len(data):
-            raise HdfsError(f"offset {offset} out of range for {path}")
-        chunk = data[offset : offset + length]
-        self._ctr_read_calls.inc()
-        self._ctr_read_bytes.inc(len(chunk))
-        return chunk
 
     def read_block(self, block: HdfsBlock) -> bytes:
         """Serve one block from a checksum-verified replica.

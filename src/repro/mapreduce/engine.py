@@ -548,22 +548,13 @@ class MapReduceEngine:
         """Between-wave scaling decision for the pool.
 
         Runs after the map wave settles and before the reduce wave is
-        built — the drain point where every pool worker is idle.  With
-        tracing on, the settled map wave's queue-wait share (the
-        queue/run split ``repro.obs.analysis.queue_run_decomposition``
-        reports) steers the controller; untraced runs fall back to the
-        executor's clock-free policy.  A fixed pool holds its size
-        whatever it is told.  Every decision lands in JobHistory
+        built — the drain point where every pool worker is idle.  The
+        decision reads only the coming wave's demand, never the trace,
+        so tracing cannot change how the pool scales.  A fixed pool
+        holds its size.  Every decision lands in JobHistory
         (``pool_scaled``) and the ``pool.scale.*`` metrics.
         """
-        queue_fraction = None
-        if self.recorder.enabled:
-            from repro.obs.analysis import queue_run_decomposition
-
-            wave = queue_run_decomposition(result.history)["map"]
-            if wave["queued_seconds"] + wave["run_seconds"] > 0:
-                queue_fraction = wave["queue_fraction"]
-        decision = executor.rebalance(job.num_reducers, queue_fraction)
+        decision = executor.rebalance(job.num_reducers)
         if decision is None:
             return
         result.history.add_event("pool_scaled", **decision)

@@ -349,16 +349,11 @@ class PooledProcessExecutor(TaskExecutor):
     formula below holds the pool at ``max_workers``.  With a lower
     floor the pool forks only what the first wave can use, and the
     engine calls :meth:`rebalance` between waves with the task count of
-    the coming wave and — when tracing is on — the settled wave's
-    observed queue-wait fraction (queue seconds over queue+run seconds,
-    per ``repro.obs.analysis.queue_run_decomposition``).  Queue-wait
-    dominating means tasks sat waiting for a slot: grow (doubling pace)
-    toward the ceiling.  Queue-wait vanishing means slots sat idle:
-    drain-then-retire (halving pace) toward the floor.  With tracing
-    off there is no clock to read, so a *clock-free* fallback steps
-    the pool toward the next wave's demand — every decision depends
-    only on its decision index, so the determinism audits that compare
-    executors byte-for-byte are unaffected by scaling.
+    the coming wave.  The rule reads no clock — traced or not, it steps
+    the pool toward that demand by a draw keyed on the decision index —
+    so a traced run scales exactly as the untraced run it measures, and
+    the determinism audits that compare executors byte-for-byte are
+    unaffected by scaling.
 
     Two structural rules keep the controller safe and honest:
 
@@ -373,11 +368,6 @@ class PooledProcessExecutor(TaskExecutor):
 
     kind = "pool"
     pooled = True
-
-    #: Queue-wait fraction of a settled wave above which the pool grows.
-    QUEUE_HIGH = 0.5
-    #: Queue-wait fraction below which idle workers are retired.
-    QUEUE_LOW = 0.1
 
     def __init__(self, max_workers: int, min_workers: Optional[int] = None):
         if min_workers is None:
@@ -536,41 +526,29 @@ class PooledProcessExecutor(TaskExecutor):
         return self._workers[-1]
 
     # -- scaling controller -------------------------------------------------
-    def rebalance(self, next_tasks: int,
-                  queue_fraction: Optional[float] = None,
-                  ) -> Optional[Dict[str, Any]]:
+    def rebalance(self, next_tasks: int) -> Optional[Dict[str, Any]]:
         """One between-wave scaling decision.
 
         Returns a record of what changed (for JobHistory events and
         ``pool.scale.*`` metrics) or ``None`` when the pool held its
-        size — always, for a fixed pool.  ``queue_fraction`` is the
-        settled wave's observed queue-wait share when tracing measured
-        one; ``None`` selects the clock-free fallback.
+        size — always, for a fixed pool.
         """
         if not self._workers:
             return None
         self._decisions += 1
         live = len(self._workers)
         demand = self._clamped(max(next_tasks, 1))
-        if queue_fraction is not None:
-            if queue_fraction >= self.QUEUE_HIGH:
-                target = live * 2
-            elif queue_fraction <= self.QUEUE_LOW:
-                target = (live + 1) // 2
-            else:
-                target = live
+        # Step toward the coming demand at a drawn pace of 1-2 workers
+        # per decision.  (The draw's key text is pinned: changing it
+        # reshuffles every scaling run.)
+        draw = zlib.crc32(f"elastic|0|{self._decisions}".encode())
+        step = 1 + draw % 2
+        if demand > live:
+            target = live + step
+        elif demand < live:
+            target = live - step
         else:
-            # Clock-free fallback: step toward the coming demand at a
-            # drawn pace of 1-2 workers per decision.  (The draw's key
-            # text is pinned: changing it reshuffles every untraced run.)
-            draw = zlib.crc32(f"elastic|0|{self._decisions}".encode())
-            step = 1 + draw % 2
-            if demand > live:
-                target = live + step
-            elif demand < live:
-                target = live - step
-            else:
-                target = live
+            target = live
         # Workers beyond the coming wave's demand are idle by
         # construction; never hold (or grow) past it.
         target = self._clamped(min(target, demand))
@@ -590,7 +568,6 @@ class PooledProcessExecutor(TaskExecutor):
             "from_workers": live,
             "to_workers": len(self._workers),
             "next_tasks": next_tasks,
-            "queue_fraction": queue_fraction,
             "decision": self._decisions,
         }
 

@@ -204,7 +204,7 @@ def build_report(
                  "wave)"),
         *_sampling_tables(recorder),
     ]
-    hdfs_ops = [op for op in ("put", "get", "read_from", "delete")
+    hdfs_ops = [op for op in ("put", "get", "delete")
                 if counters.get(f"hdfs.{op}.calls")]
     if hdfs_ops:
         tables.append(Table(

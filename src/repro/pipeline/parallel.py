@@ -25,7 +25,7 @@ from repro.align.aligner import AlignerConfig
 from repro.align.index import ReferenceIndex
 from repro.align.pairing import PairedEndAligner
 from repro.api import PipelineSpec
-from repro.chaos.plan import DecommissionDatanode, KillDatanode, KillDriver
+from repro.chaos.plan import DecommissionDatanode, KillDatanode
 from repro.errors import PipelineError
 from repro.formats.bam import read_bam
 from repro.formats.fastq import ReadPair
@@ -106,12 +106,12 @@ _CHECKPOINT_FORMS = {
     ),
 }
 
-#: Round 3's bloom-filter pre-pass (``markdup_mode="opt"``) is a job of
-#: its own inside the stage and journals commits under its own key.
-_BLOOM_KEY = "round_bloom"
-
 #: Round keys that may journal task commits into the job WAL.
-WAL_ROUND_KEYS = (_BLOOM_KEY,) + tuple(stage.key for stage in _STAGES)
+WAL_ROUND_KEYS = tuple(stage.key for stage in _STAGES)
+
+#: Seeds the checkpoint fingerprint.  v2: round 2 writes the bloom
+#: sidecars round 3 opt reads, which a v1 checkpoint does not hold.
+_FINGERPRINT_SALT = b"gesall-checkpoint-v2"
 
 
 class GesallPipelineResult:
@@ -220,9 +220,6 @@ class GesallPipeline:
         for event in plan.events if plan is not None else ():
             at_round = getattr(event, "at_round", None)
             if at_round is None or at_round in keys:
-                continue
-            if (isinstance(event, KillDriver) and at_round == _BLOOM_KEY
-                    and self.spec.markdup_mode == "opt"):
                 continue
             raise PipelineError(
                 f"chaos event {type(event).__name__} is addressed at round "
@@ -383,7 +380,7 @@ class GesallPipeline:
         differ from their defaults, so a default run's digest — and the
         checkpoints already written under it — is unchanged.
         """
-        digest = zlib.crc32(b"gesall-checkpoint-v1")
+        digest = zlib.crc32(_FINGERPRINT_SALT)
         for end1, end2 in pairs:
             for read in (end1, end2):
                 digest = zlib.crc32(read.to_text().encode(), digest)

@@ -22,6 +22,7 @@ Quota semantics (all optional, per :class:`TenantPolicy`):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
@@ -31,6 +32,11 @@ from repro.errors import AdmissionError, ServerError
 #: Tenant names travel inside dotted metric names
 #: (``server.tenant.<t>.paid_worker_seconds``), so keep them flat.
 _TENANT_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _positive(value) -> bool:
+    """Finite and > 0: NaN passes a ``value <= 0`` guard."""
+    return math.isfinite(value) and value > 0
 
 
 def valid_tenant_name(name: str) -> bool:
@@ -59,9 +65,10 @@ class TenantPolicy:
                 f"bad tenant name {self.name!r}: must match "
                 "[A-Za-z0-9_-]+ (it is embedded in metric names)"
             )
-        if self.weight <= 0:
+        if not _positive(self.weight):
             raise ServerError(
-                f"tenant {self.name!r}: weight must be > 0"
+                f"tenant {self.name!r}: weight must be > 0 and finite, "
+                f"got {self.weight}"
             )
         if self.min_share < 0:
             raise ServerError(
@@ -71,9 +78,11 @@ class TenantPolicy:
             raise ServerError(
                 f"tenant {self.name!r}: max_queued must be >= 1"
             )
-        if self.max_cost_units is not None and self.max_cost_units <= 0:
+        if (self.max_cost_units is not None
+                and not _positive(self.max_cost_units)):
             raise ServerError(
-                f"tenant {self.name!r}: max_cost_units must be > 0"
+                f"tenant {self.name!r}: max_cost_units must be > 0 and "
+                f"finite, got {self.max_cost_units}"
             )
 
 
@@ -129,10 +138,11 @@ class AdmissionController:
         pending+running jobs and lifetime committed cost units;
         ``total_live`` is the server-wide live-job count.
         """
-        if cost <= 0:
+        if not _positive(cost):
             raise AdmissionError(
                 tenant, "bad_cost", "> 0", cost,
-                f"tenant {tenant!r}: job cost must be > 0, got {cost}",
+                f"tenant {tenant!r}: job cost must be > 0 and finite, "
+                f"got {cost}",
             )
         policy = self.policy(tenant)
         if (

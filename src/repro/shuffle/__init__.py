@@ -18,7 +18,7 @@ from repro.shuffle.keys import (
     canonical_key_bytes,
     stable_hash_partition,
 )
-from repro.shuffle.merge import merge_sorted_runs, merge_sorted_runs_list
+from repro.shuffle.merge import merge_sorted_runs_list
 from repro.shuffle.segment import (
     EncodedSegment,
     decode_segment,
@@ -53,7 +53,6 @@ __all__ = [
     "detect_skew",
     "encode_segment",
     "get_codec",
-    "merge_sorted_runs",
     "merge_sorted_runs_list",
     "segment_path",
     "stable_hash_partition",

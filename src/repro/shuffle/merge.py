@@ -1,14 +1,11 @@
-"""Stable merge of pre-sorted runs: one ordering contract, two forms.
+"""Stable merge of pre-sorted runs.
 
-Given runs each already sorted by ``key``, both forms yield exactly
-``sorted(chain(*runs), key=key)`` — the same objects in the same order:
-ascending key, equal keys in run order, and within a run in input
-order.  :func:`merge_sorted_runs` is lazy (``heapq.merge``, stable in
-iterable order), for runs streamed from disk by
-:class:`repro.cleaning.sort.ExternalMergeSorter`;
-:func:`merge_sorted_runs_list` is eager, for the in-memory map-side
-spill merge and reduce-side segment merge, and *is* that stable sort:
-Timsort finds each presorted run and gallops through the merges in C.
+Given runs each already sorted by ``key``, :func:`merge_sorted_runs_list`
+returns exactly ``sorted(chain(*runs), key=key)`` — the same objects in
+the same order: ascending key, equal keys in run order, and within a
+run in input order.  It serves the map-side spill merge and the
+reduce-side segment merge, and *is* that stable sort: Timsort finds
+each presorted run and gallops through the merges in C.
 
 The tie-break is load-bearing: the MapReduce engine's determinism
 contract says a reducer sees equal-keyed values in map-task order, and
@@ -17,26 +14,17 @@ the engine hands over runs in exactly that order.
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, List, Sequence, TypeVar
+from typing import Any, Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-def merge_sorted_runs(
-    runs: Sequence[Iterable[T]],
-    key: Callable[[T], Any],
-) -> Iterator[T]:
-    """Lazily merge runs already sorted by ``key`` into one sorted stream."""
-    return heapq.merge(*runs, key=key)
 
 
 def merge_sorted_runs_list(
     runs: Sequence[List[T]],
     key: Callable[[T], Any],
 ) -> List[T]:
-    """Eagerly merge in-memory runs already sorted by ``key``; a single
+    """Merge in-memory runs already sorted by ``key``; a single
     non-empty run is returned as-is (the same list, not a copy)."""
     runs = [run for run in runs if run]
     if len(runs) == 1:

@@ -2,7 +2,7 @@
 
 Round 1  map-only   Bwa alignment + SamToBam via Hadoop Streaming
 Round 2  full MR    AddReplaceReadGroups + CleanSam (map), shuffle by
-                    read name, FixMateInformation (reduce)
+                    read name, FixMateInformation + bloom sidecar (reduce)
 Round 3  full MR    compound-key extraction (map), shuffle, SortSam +
                     MarkDuplicates (reduce); reg or opt (bloom) variant
 Round 4  full MR    range partition by chromosome, sort + BAM index
@@ -27,7 +27,7 @@ from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
 from repro.cleaning.sort import coordinate_key
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, PipelineError
 from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamHeader
@@ -81,7 +81,7 @@ def _identity_reducer(key, values, ctx) -> None:
 
 
 def _merged(parts: Iterable[Any], total: Any) -> Any:
-    """Merge partial tables / filters / accounting into ``total`` (in
+    """Merge partial tables / accounting into ``total`` (in
     task order, so the result is the same on every executor)."""
     for part in parts:
         total.merge(part)
@@ -233,24 +233,18 @@ class GesallRounds:
             ),
         ), in_paths)
 
-    def round_bloom(self, in_paths: List[str],
-                    num_bits: int = 1 << 16) -> BloomFilter:
-        def bloom(header, records, size, ctx):
-            ctx.emit("bloom", build_partial_position_bloom(
-                records_by_pair(records), num_bits
-            ))
-
-        return _merged(
-            self._values(_Row("round_bloom", "round-bloom", bloom), in_paths),
-            BloomFilter(num_bits=num_bits),
-        )
-
     def round3_mark_duplicates(self, in_paths: List[str], mode: str = "opt",
-                               bloom: Optional[BloomFilter] = None,
                                out_dir: str = "/round3",
                                num_reducers: int = 4) -> List[str]:
-        if mode == "opt" and bloom is None:
-            bloom = self.round_bloom(in_paths)
+        bloom = None
+        if mode == "opt":  # the union of the sidecars round 2 wrote
+            bloom = BloomFilter()
+            for path in in_paths:
+                sidecar = path[:-len(".bam")] + ".bloom"
+                if not self.hdfs.exists(sidecar):
+                    raise PipelineError(
+                        f"MarkDup_opt: no round-2 bloom sidecar beside {path}")
+                bloom.merge(BloomFilter.from_bytes(self.hdfs.get(sidecar)))
 
         def key_pairs(header, records, size, ctx):
             ctx.attachment("transform", DataTransformAccounting).record_input(
@@ -412,8 +406,9 @@ class GesallRounds:
         FixMateInformation) over the partition, sort it if the header
         says coordinate, ``write_file`` it, emit ``(path, records)``.
         Rounds 2-3 account the rendered size as "bytes from program";
-        round 4 (``per_contig``) names the file after its contig, adds
-        the ``.bai`` and writes nothing for an empty partition."""
+        round 2 adds the ``.bloom`` round 3 opt keys by; round 4
+        (``per_contig``) names the file after its contig, adds the
+        ``.bai`` and writes nothing for an empty partition."""
         header = SamHeader(sequences=self.reference.sam_sequences(),
                            sort_order=sort_order)
         key = coordinate_key(header)
@@ -438,6 +433,10 @@ class GesallRounds:
                     else f"part-{ctx.task_index:05d}")
             path = f"{out_dir}/{name}.bam"
             ctx.write_file(path, data, logical_partition=True)
+            if program is not None:
+                bloom = build_partial_position_bloom(records_by_pair(records))
+                ctx.write_file(f"{out_dir}/{name}.bloom", bloom.to_bytes(),
+                               logical_partition=True)
             if per_contig:
                 ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
                                logical_partition=True)

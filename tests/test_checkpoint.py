@@ -14,11 +14,12 @@ import pytest
 
 from repro.align import AlignerConfig, ReferenceIndex
 from repro.api import PipelineSpec
-from repro.chaos import FaultPlan, RaiseInTask
-from repro.errors import CheckpointError, MapReduceError
+from repro.chaos import FaultPlan, KillDriver, RaiseInTask
+from repro.errors import CheckpointError, DriverKilledError, MapReduceError
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig
+from repro.pipeline import parallel
 from repro.pipeline.checkpoint import CheckpointStore, LocalDirectoryBackend
 from repro.pipeline.parallel import _NOT_OUTPUT_SHAPING, GesallPipeline
 from repro.variants.genotyper import GenotyperConfig
@@ -217,7 +218,7 @@ class TestPipelineResume:
     ):
         """Spelling the defaults out is not a change, equal configs
         render equally (never through an address-bearing ``repr``), and
-        a default run's digest is the one the parent commit wrote."""
+        a default run's digest is pinned."""
         root, first = clean_ckpt
         resumed = build(
             reference, ref_index, checkpoint_dir=root,
@@ -231,7 +232,9 @@ class TestPipelineResume:
             return build(reference, ref_index, **kwargs)._fingerprint(
                 some_pairs[:4]
             )
-        assert digest() == "6d32c0ed"  # captured on f88c515
+        # Was 6d32c0ed (captured on f88c515) under the v1 salt; the v2
+        # salt refuses v1 checkpoints, whose round 2 has no bloom sidecars.
+        assert digest() == "e943be61"
         assert digest(hc_config=HaplotypeCallerConfig(seed=3)) == digest(
             hc_config=HaplotypeCallerConfig(seed=3)
         ) != digest()
@@ -307,3 +310,54 @@ class TestPipelineResume:
             (tmp_path / "ckpt" / "manifest.json").read_text()
         )
         assert manifest["order"] == ALL_ROUNDS
+
+
+class TestBloomSidecarCheckpoint:
+    """Round 2 writes MarkDup_opt's bloom as ``part-NNNNN.bloom`` beside
+    each BAM; the round-2 checkpoint carries it like any of its files."""
+
+    def test_kill_in_round3_resumes_from_the_checkpointed_sidecars(
+        self, reference, ref_index, some_pairs, clean_ckpt, tmp_path
+    ):
+        _, clean = clean_ckpt
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round3", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        resumed = build(reference, ref_index, checkpoint_dir=root).run(
+            some_pairs, resume=True
+        )
+        assert resumed.resumed_rounds == ["round1", "round2"]
+        assert list(resumed.recovered_tasks) == ["round3"]
+        sidecars = [p for p in resumed.hdfs.list_dir("/round2")
+                    if p.endswith(".bloom")]
+        assert len(sidecars) == 2  # one per reducer
+        for key in ("round2", "round3", "round4"):
+            paths = clean.hdfs.list_dir(f"/{key}")
+            assert paths and resumed.hdfs.list_dir(f"/{key}") == paths
+            for path in paths:
+                assert resumed.hdfs.get(path) == clean.hdfs.get(path), path
+        assert vcf_lines(resumed) == vcf_lines(clean)
+
+    def test_a_checkpoint_under_the_v1_salt_is_refused(
+        self, reference, ref_index, some_pairs, tmp_path, monkeypatch
+    ):
+        """A parent-commit checkpoint has no sidecars in round 2, so
+        round 3 opt could not resume from it: its digest must not match."""
+        pairs = some_pairs[:4]
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "_FINGERPRINT_SALT",
+                          b"gesall-checkpoint-v1")
+            parent = build(reference, ref_index)._fingerprint(pairs)
+        assert parent == "6d32c0ed"  # what the parent commit wrote
+        root = str(tmp_path / "ckpt")
+        store = CheckpointStore.local(root)
+        store.begin(parent, resume=False)
+        store.save_round("round1", [], extras={"paths": []})
+        with pytest.raises(CheckpointError, match="different run"):
+            build(reference, ref_index, checkpoint_dir=root).run(
+                pairs, resume=True
+            )

@@ -13,12 +13,7 @@ from repro.cleaning.duplicates import (
 )
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
-from repro.cleaning.sort import (
-    ExternalMergeSorter,
-    SortSam,
-    coordinate_key,
-    queryname_key,
-)
+from repro.cleaning.sort import SortSam
 from repro.errors import PipelineError
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
@@ -178,29 +173,6 @@ class TestSortSam:
     def test_invalid_order_rejected(self):
         with pytest.raises(PipelineError):
             SortSam("banana")
-
-
-class TestExternalMergeSorter:
-    def test_matches_in_memory_sort(self, aligned):
-        subset = [r.copy() for r in aligned[:500]]
-        key = coordinate_key(SamHeader(sequences=[("chr1", 9000), ("chr2", 7000)]))
-        sorter = ExternalMergeSorter(key, max_records_in_ram=64)
-        external = [r.to_line() for r in sorter.sort(iter(subset))]
-        in_memory = [r.to_line() for r in sorted(subset, key=key)]
-        assert external == in_memory
-        assert sorter.spill_count > 1
-
-    def test_small_input_no_spill(self):
-        key = queryname_key()
-        sorter = ExternalMergeSorter(key, max_records_in_ram=100)
-        records = [rec("b"), rec("a")]
-        out = list(sorter.sort(records))
-        assert [r.qname for r in out] == ["a", "b"]
-        assert sorter.spill_count == 1
-
-    def test_invalid_buffer_rejected(self):
-        with pytest.raises(PipelineError):
-            ExternalMergeSorter(queryname_key(), max_records_in_ram=0)
 
 
 class TestMarkDuplicatesKeys:

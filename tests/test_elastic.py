@@ -105,14 +105,16 @@ class TestScalingController:
             executor.close()
 
     def test_queue_pressure_grows_toward_demand(self):
+        """More tasks queued for the coming wave than live workers:
+        grow toward them, one or two workers per decision."""
         executor = PooledProcessExecutor(8, min_workers=2)
         try:
             executor.begin_job(_context(3))
-            decision = executor.rebalance(8, queue_fraction=0.9)
+            decision = executor.rebalance(8)
             assert decision["action"] == "scale_up"
             assert decision["from_workers"] == 3
-            assert decision["to_workers"] == 6  # doubling pace
-            assert len(executor._workers) == 6
+            assert decision["to_workers"] == 5  # decision 1 draws 2
+            assert len(executor._workers) == 5
             assert executor.scale_ups == 1
         finally:
             executor.close()
@@ -121,9 +123,9 @@ class TestScalingController:
         executor = PooledProcessExecutor(8, min_workers=2)
         try:
             executor.begin_job(_context(8))
-            decision = executor.rebalance(8, queue_fraction=0.0)
+            decision = executor.rebalance(4)
             assert decision["action"] == "scale_down"
-            assert decision["to_workers"] == 4  # halving pace
+            assert decision["to_workers"] == 4  # the coming demand
             assert executor.workers_retired == 4
             assert executor.scale_downs == 1
         finally:
@@ -132,11 +134,11 @@ class TestScalingController:
     def test_never_grows_past_next_wave_demand(self):
         executor = PooledProcessExecutor(8, min_workers=1)
         try:
-            executor.begin_job(_context(6))
-            decision = executor.rebalance(2, queue_fraction=0.9)
-            # Queue pressure says double, but the coming wave only has
-            # 2 tasks: paying for more slots could never help.
-            assert decision["to_workers"] == 2
+            executor.begin_job(_context(2))
+            decision = executor.rebalance(3)
+            # The drawn step says +2, but the coming wave only has 3
+            # tasks: paying for more slots could never help.
+            assert decision["to_workers"] == 3
         finally:
             executor.close()
 
@@ -145,15 +147,14 @@ class TestScalingController:
         try:
             executor.begin_job(_context(8))
             for _ in range(5):
-                executor.rebalance(1, queue_fraction=0.0)
+                executor.rebalance(1)
             assert len(executor._workers) == 3
         finally:
             executor.close()
 
     def test_clock_free_fallback_is_seeded_and_deterministic(self):
-        """With tracing off there is no queue clock; the fallback
-        steps toward demand by a decision-index draw, so two pools
-        make identical moves."""
+        """The controller reads no clock: it steps toward demand by a
+        decision-index draw, so two pools make identical moves."""
 
         def run_decisions():
             executor = PooledProcessExecutor(8, min_workers=1)
@@ -161,7 +162,7 @@ class TestScalingController:
             try:
                 executor.begin_job(_context(2))
                 for demand in (8, 8, 8, 1, 1, 6):
-                    executor.rebalance(demand, queue_fraction=None)
+                    executor.rebalance(demand)
                     sizes.append(len(executor._workers))
             finally:
                 executor.close()
@@ -188,6 +189,26 @@ class TestScalingController:
         assert events[0]["next_tasks"] == 2
         counters = recorder.metrics.as_dict()["counters"]
         assert counters.get("pool.scale.decisions", 0) >= 1
+
+    def test_tracing_does_not_change_how_the_pool_scales(self):
+        """A traced run measures the program the untraced run is: the
+        same ``pool_scaled`` decisions, job after job."""
+
+        def decisions(recorder):
+            with MapReduceEngine(
+                nodes=NODES,
+                policy=ExecutionPolicy.pooled(max_workers=4, min_workers=1),
+                recorder=recorder,
+            ) as engine:
+                return [
+                    engine.run(wordcount_job(f"wc{n}", n), make_splits(LINES))
+                    .history.events_of("pool_scaled")
+                    for n in (1, 4, 2, 3)
+                ]
+
+        untraced = decisions(None)
+        assert any(untraced)
+        assert decisions(TraceRecorder()) == untraced
 
 
 class TestPreemption:
@@ -450,9 +471,8 @@ class TestFoldEquivalence:
     def test_pool_with_floor_decides_as_the_elastic_executor_did(self):
         """``pooled(3, min_workers=1)`` == the old ``elastic(3, 1)``:
         same ``pool_scaled`` sequence, same scale counters, same job
-        output — untraced (seeded clock-free policy) and traced (the
-        shapes below force the queue-driven decision whatever the
-        measured fraction, so the pin is clock-independent)."""
+        output.  A traced run decides as the untraced one (the old
+        executor's traced queue-share rule is gone)."""
         policy = ExecutionPolicy.pooled(3, min_workers=1)
         jobs, _ = run_jobs(policy, [(6, 2), (4, 1), (2, 3)], traced=False)
         assert [job["scaled"] for job in jobs] == [
@@ -464,20 +484,14 @@ class TestFoldEquivalence:
             (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
         ] == [(3, 0, 1, 2), (6, 0, 2, 4), (9, 1, 2, 4)]
 
-        jobs, metrics = run_jobs(policy, [(6, 2), (4, 1)], traced=True)
-        assert [job["scaled"] for job in jobs] == [
-            [("scale_down", 1, 3, 2, 2)],
-            [("scale_down", 2, 3, 1, 1)],
-        ]
-        assert [
-            (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
-        ] == [(3, 0, 1, 1), (6, 0, 2, 3)]
+        traced, metrics = run_jobs(policy, [(6, 2), (4, 1)], traced=True)
+        assert traced == jobs[:2]
         assert metrics == {
             "pool.forks": 6,
             "pool.reuse_count": 2,
             "pool.scale.decisions": 2,
             "pool.scale.downs": 2,
-            "pool.workers_retired": 3,
+            "pool.workers_retired": 4,
         }
 
     @pytest.mark.parametrize("traced", [False, True])
@@ -574,12 +588,9 @@ class TestComposedExecutionPlaneDrill:
 
         # 3 initial forks + 2 respawns, each charged the cold start.
         assert sleeps == [0.25] * 5
-        # The seeded clock-free policy retires two workers, the
-        # queue-driven one (forced by next-wave demand) retires one.
+        # The seeded policy retires two workers, traced or not.
         [scaled] = result.history.events_of("pool_scaled")
-        assert (scaled["from_workers"], scaled["to_workers"]) == (
-            (3, 2) if traced else (3, 1)
-        )
+        assert (scaled["from_workers"], scaled["to_workers"]) == (3, 1)
         assert [e["kind"] for e in result.history.events] == [
             "cold_start_armed",
             "worker_preempted", "worker_crashed", "backup_launched",
@@ -591,7 +602,9 @@ class TestComposedExecutionPlaneDrill:
         if traced:
             # The full registry as the parent commit (56f2c2a) published
             # it, measured seconds aside: every metric the publish table
-            # derives equals what the hand-written sinks wrote.
+            # derives equals what the hand-written sinks wrote.  (Except
+            # ``pool.workers_retired``, 1 -> 2: traced runs no longer
+            # scale by the measured queue share.)
             counters = recorder.metrics.as_dict()["counters"]
             assert {
                 name: counters[name] for name in counters
@@ -620,7 +633,7 @@ class TestComposedExecutionPlaneDrill:
                 "pool.scale.downs": 1,
                 "pool.worker_crashes": 2,
                 "pool.workers_respawned": 2,
-                "pool.workers_retired": 1,
+                "pool.workers_retired": 2,
                 "shuffle.bytes_shuffled": 681,
                 "shuffle.crc_failures": 1,
                 "shuffle.fetch_retries": 1,

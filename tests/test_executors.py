@@ -754,8 +754,9 @@ class TestCrossExecutorDeterminism:
         self, reference, ref_index, pairs, serial_run
     ):
         """Injected failures, absorbed by retries, change nothing.
-        (The three attempts the parent's seeded rate draw — rate 0.2,
-        seed 11 — failed on this pipeline.)"""
+        (Attempts a seeded rate draw — rate 0.2, seed 11 — once failed
+        on this pipeline; its third, in the bloom pre-pass job, went
+        with that job when round 2 began writing the filter.)"""
         plan = FaultPlan(events=tuple(
             RaiseInTask(task)
             for task in pins.get("pipeline_failed_attempts")

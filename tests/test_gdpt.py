@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PartitioningError
+from repro.errors import FormatError, PartitioningError
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
@@ -75,6 +75,29 @@ class TestBloomFilter:
         assert bloom.estimated_fill() == 0.0
         bloom.add("x")
         assert bloom.estimated_fill() > 0.0
+
+    def test_bytes_roundtrip_keeps_geometry_bits_and_count(self):
+        bloom = BloomFilter(num_bits=1 << 10, num_hashes=4)
+        bloom.update(("chr2", i) for i in range(50))
+        back = BloomFilter.from_bytes(bloom.to_bytes())
+        assert (back.num_bits, back.num_hashes, back.items_added) == (
+            1 << 10, 4, 50)
+        assert back.to_bytes() == bloom.to_bytes()
+        assert all(("chr2", i) in back for i in range(50))
+
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"BLM1\x00",
+        b"NOPE" + BloomFilter().to_bytes()[4:],
+        BloomFilter().to_bytes()[:-1],
+        BloomFilter().to_bytes() + b"\x00",
+        BloomFilter(num_bits=64).to_bytes()[:8] + b"\x00" * 30,
+        b"BLM1" + b"\x00\x00\x00\x04" + BloomFilter().to_bytes()[8:],
+    ], ids=["empty", "short-header", "magic", "truncated", "trailing",
+            "num-hashes-0", "num-bits-4"])
+    def test_malformed_bytes_raise_a_format_error(self, blob):
+        with pytest.raises(FormatError, match="malformed bloom filter"):
+            BloomFilter.from_bytes(blob)
 
 
 class TestGroupPartitioning:

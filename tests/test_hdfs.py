@@ -108,12 +108,6 @@ class TestHdfs:
         assert not hdfs.exists("/f")
         assert all(v == 0 for v in hdfs.used_bytes_by_node().values())
 
-    def test_read_from_range(self):
-        hdfs = make_hdfs(block_size=100)
-        data = bytes(range(250))
-        hdfs.put("/f", data)
-        assert hdfs.read_from("/f", 95, 10) == data[95:105]  # crosses block
-
     def test_list_dir(self):
         hdfs = make_hdfs()
         hdfs.put("/d/a", b"1")

@@ -73,8 +73,8 @@ class TestParallelPipeline:
 
     def test_round_results_exposed(self, parallel_result):
         rounds = parallel_result.rounds
-        assert set(rounds.results) >= {
-            "round1", "round2", "round3", "round4", "round5", "round_bloom"
+        assert set(rounds.results) == {
+            "round1", "round2", "round3", "round4", "round5"
         }
 
     def test_round_records_decode_on_first_read_and_are_kept(

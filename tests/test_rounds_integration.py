@@ -13,9 +13,13 @@ import pytest
 from repro.align.pairing import PairedEndAligner
 from repro.cleaning.duplicates import MarkDuplicates, duplicate_count
 from repro.cleaning.sort import SortSam
+from repro.errors import PipelineError
 from repro.formats.bam import read_bam
 from repro.formats.sam import SamHeader
-from repro.gdpt.partitioner import split_pairs_contiguously
+from repro.gdpt.bloom import BloomFilter
+from repro.gdpt.partitioner import (
+    build_partial_position_bloom, records_by_pair, split_pairs_contiguously,
+)
 from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
@@ -375,6 +379,50 @@ class TestRoundFilesWrittenInTheReduceTask:
                 assert type(path) is str and type(count) is int
             assert sum(count for _, count in values) == ROUND_COUNTERS[key][0]
 
+    @pytest.mark.parametrize("policy", ROUND_FILE_POLICIES)
+    def test_round2_bloom_sidecars_are_the_prepass_filter(
+        self, reference, round1_files, policy
+    ):
+        """The ``.bloom`` files round 2's reducers write beside their
+        BAMs, merged, are the filter the removed pre-pass job computed
+        from the decoded BAMs: same geometry, bits and item count."""
+        rounds, hdfs, paths = run_cleaning_rounds(
+            reference, round1_files, policy
+        )
+        prepass = build_partial_position_bloom(
+            pair for path in paths["round2"]
+            for pair in records_by_pair(read_bam(hdfs.get(path))[1])
+        )
+        merged = BloomFilter()
+        for path in paths["round2"]:
+            merged.merge(BloomFilter.from_bytes(
+                hdfs.get(path[:-len(".bam")] + ".bloom")
+            ))
+        assert merged.items_added > 0
+        assert merged.to_bytes() == prepass.to_bytes()
+        assert set(rounds.results) == set(ROUND_PATHS)
+
+    def test_opt_refuses_a_bam_without_its_bloom_sidecar(
+        self, reference, aligned, sam_header
+    ):
+        by_name = {}
+        for record in aligned:
+            by_name.setdefault(record.qname, []).append(record.copy())
+        hdfs = Hdfs(["n0", "n1"], replication=2)
+        upload_bam(
+            hdfs, "/in/part-00000.bam", sam_header,
+            [r for mates in list(by_name.values())[:3] for r in mates],
+            logical_partition=True,
+        )
+        rounds = GesallRounds(hdfs, None, None, reference)
+        with pytest.raises(PipelineError, match="bloom sidecar"):
+            rounds.round3_mark_duplicates(["/in/part-00000.bam"], mode="opt")
+        assert rounds.results == {}
+        # MarkDup_reg keys without a filter, so it needs no sidecar.
+        assert rounds.round3_mark_duplicates(
+            ["/in/part-00000.bam"], mode="reg", num_reducers=1
+        ) == ["/round3/part-00000.bam"]
+
     def test_empty_reducers_leave_no_hole_and_round4_no_file(
         self, reference, aligned, sam_header
     ):
@@ -406,7 +454,11 @@ class TestRoundFilesWrittenInTheReduceTask:
             assert paths == [
                 f"{out_dir}/part-{i:05d}.bam" for i in range(reducers)
             ]
-            assert hdfs.list_dir(out_dir) == paths
+            # Round 2 writes a bloom sidecar beside every BAM, empty ones too.
+            sidecars = [path[:-len(".bam")] + ".bloom" for path in paths]
+            assert hdfs.list_dir(out_dir) == sorted(
+                paths + (sidecars if out_dir == "/round2" else [])
+            )
             sizes = [len(read_bam(hdfs.get(path))[1]) for path in paths]
             assert sum(sizes) == 6 and sizes.count(0) >= reducers - 3
             empty = SamHeader(

@@ -9,6 +9,7 @@ an uninterrupted run.
 """
 
 import base64
+import json
 import os
 import pickle
 import socket
@@ -353,6 +354,63 @@ class TestAdmissionInServer:
         assert server.counters()["server.rejected"] == 1
         assert server.counters()["server.tenant.a.rejected"] == 1
         assert len(server.jobs_snapshot()["jobs"]) == 3
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_cost_is_refused_and_the_budget_holds(
+        self, tmp_path, cost
+    ):
+        """A NaN cost passed ``cost <= 0`` and made the committed sum
+        NaN, so ``committed + cost > budget`` never tripped again, even
+        after a restart replayed the journal."""
+        tenants = (TenantPolicy("a", max_cost_units=3.0),)
+        server = make_server(str(tmp_path), tenants=tenants)
+        with pytest.raises(AdmissionError) as excinfo:
+            server.submit("a", wordcount_payload(LINES), cost=cost)
+        assert excinfo.value.reason == "bad_cost"
+        for _ in range(3):
+            server.submit("a", wordcount_payload(LINES))
+        server.close()
+        reopened = make_server(str(tmp_path), tenants=tenants)
+        with pytest.raises(AdmissionError) as excinfo:
+            reopened.submit("a", wordcount_payload(LINES))
+        reopened.close()
+        assert excinfo.value.reason == "cost_units"
+        assert len(reopened.jobs_snapshot()["jobs"]) == 3
+
+    @pytest.mark.parametrize("field", ["weight", "max_cost_units"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_policy_is_refused(self, field, value):
+        with pytest.raises(ServerError, match=f"{field} must be > 0"):
+            TenantPolicy("a", **{field: value})
+
+    def test_the_daemon_refuses_a_json_nan_cost(self, tmp_path):
+        from repro.server.daemon import JobServerDaemon
+
+        server = make_server(str(tmp_path))
+        daemon = JobServerDaemon(server, str(tmp_path / "unbound.sock"))
+        request = json.loads(
+            '{"op": "submit", "tenant": "a", "cost": NaN, "payload": '
+            + json.dumps(wordcount_payload(LINES)) + "}"
+        )
+        reply = daemon.handle(request)
+        server.close()
+        assert reply["error"]["type"] == "AdmissionError"
+        assert reply["error"]["reason"] == "bad_cost"
+        assert server.queue.jobs == {}
+
+    @pytest.mark.parametrize("flags", [
+        ["--tenant", "a:nan"], ["--tenant", "a:inf"],
+        ["--tenant-budget", "nan"],
+    ], ids=["weight-nan", "weight-inf", "budget-nan"])
+    def test_serve_refuses_a_non_finite_policy(self, tmp_path, capsys, flags):
+        from repro.cli import main
+
+        code = main(["serve", "--state-dir", str(tmp_path / "state"),
+                     "--socket", str(tmp_path / "s.sock"), *flags])
+        assert code == 2
+        assert "must be > 0 and finite" in capsys.readouterr().err
 
     def test_bad_payload_rejected_at_submit(self, tmp_path):
         server = make_server(str(tmp_path))

@@ -5,8 +5,8 @@ holds the ``SpillBuffer``, ``merge_sorted_runs`` and
 ``_default_value_size`` bodies from before the fast path, and the
 shipped code must produce the same segment bytes, tallies, counts and
 sizes on seeded and generated emit streams.  Beside them, two pins that
-need no past: the merge's ordering contract (lazy == eager ==
-``sorted(chain(*runs))``, by object identity) and partition-of-key
+need no past: the merge's ordering contract (``merge_sorted_runs_list``
+== ``sorted(chain(*runs))``, by object identity) and partition-of-key
 (``crc32`` of the canonical bytes, for every canonical key type).
 """
 
@@ -31,7 +31,6 @@ from repro.shuffle import (
     SpillBuffer,
     canonical_key_bytes,
     get_codec,
-    merge_sorted_runs,
     merge_sorted_runs_list,
     stable_hash_partition,
 )
@@ -39,7 +38,7 @@ from repro.shuffle import (
 from tests import reference_kernels as oracle
 
 
-# -- merge: one ordering contract, two forms ----------------------------------
+# -- merge: one ordering contract ---------------------------------------------
 def _item_key(item):
     return item[0]
 
@@ -64,21 +63,12 @@ class TestMergeContract:
     def test_lazy_eager_and_stable_sort_agree_by_identity(self, key_runs):
         runs = _runs_of_distinct_objects(key_runs)
         expected = _identities(sorted(chain(*runs), key=_item_key))
-        assert _identities(merge_sorted_runs(runs, _item_key)) == expected
         assert _identities(merge_sorted_runs_list(runs, _item_key)) == expected
         assert _identities(oracle.merge_sorted_runs(runs, _item_key)) == expected
 
     def test_zero_runs_and_empty_runs(self):
         assert merge_sorted_runs_list([], key=_item_key) == []
-        assert list(merge_sorted_runs([], key=_item_key)) == []
         assert merge_sorted_runs_list([[], []], key=_item_key) == []
-        assert list(merge_sorted_runs([[], []], key=_item_key)) == []
-
-    def test_lazy_form_streams_iterators(self):
-        runs = [iter([1, 4]), iter([2, 3]), iter([])]
-        merged = merge_sorted_runs(runs, key=lambda item: item)
-        assert next(merged) == 1
-        assert list(merged) == [2, 3, 4]
 
     def test_single_run_is_returned_as_is(self):
         run = [(1, "a"), (2, "b")]
