@@ -16,7 +16,7 @@ and **server** (the job server at dispatch time).
 
 Every keying scheme is independent of executor kind, scheduling
 order, and process identity, so a plan injects *identical* faults
-under the serial, threaded, and forked engines.  A plan is the one
+under the serial and forked engines.  A plan is the one
 way to make an attempt fail on purpose; its failures are absorbed by
 the engine's ordinary retry loop.
 

@@ -112,12 +112,8 @@ def _execution_parent() -> argparse.ArgumentParser:
                        help="how MR tasks run (default: serial; pool "
                             "forks once per job and reuses workers)")
     group.add_argument("--max-workers", type=int, default=None,
-                       help="worker slots for the thread/pool "
-                            "executors")
-    group.add_argument("--min-workers", type=int, default=None,
-                       help="pool floor: below --max-workers the pool "
-                            "scales between waves (default: fixed at "
-                            "--max-workers)")
+                       help="pool worker slots; each wave runs on "
+                            "min(slots, its tasks)")
     group.add_argument("--task-retries", type=int, default=0,
                        help="retries per failed task (default: 0)")
     group.add_argument("--shuffle-codec", choices=CODEC_NAMES,
@@ -144,7 +140,6 @@ def _spec_from_args(args, reference, **overrides) -> PipelineSpec:
         policy=ExecutionPolicy(
             executor=args.executor,
             max_workers=args.max_workers,
-            min_workers=args.min_workers,
             task_retries=args.task_retries,
             io=(IoPolicy(spill_dirs=tuple(args.spill_dirs))
                 if args.spill_dirs else None),

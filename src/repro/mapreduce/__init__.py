@@ -10,7 +10,6 @@ from repro.mapreduce.executors import (
     PooledProcessExecutor,
     SerialExecutor,
     TaskExecutor,
-    ThreadedExecutor,
     WorkerCrash,
     build_executor,
     fork_available,
@@ -50,7 +49,6 @@ __all__ = [
     "TaskTimeoutError",
     "TaskExecutor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "PooledProcessExecutor",
     "JobContext",
     "WorkerCrash",

@@ -51,8 +51,8 @@ class LeaseMonitor:
     The verdict reads only the outcome the executor shipped back —
     heartbeat offsets and the attempt's *charged* runtime (measured
     wall time plus injected delays, exactly like the ``task_timeout``
-    check) — so it is identical under the serial, threaded, and forked
-    engines.  ``clock`` timestamps lease-expiry events and is
+    check) — so it is identical under the serial and forked engines.
+    ``clock`` timestamps lease-expiry events and is
     injectable for deterministic tests.
     """
 

@@ -8,15 +8,15 @@ settlement and the fenced-backup recovery of lost attempts.  What runs
 describes each attempt as a :class:`~repro.mapreduce.task.TaskCall` and
 runs it against the job's context on a pluggable
 :class:`~repro.mapreduce.executors.TaskExecutor` chosen by the engine's
-:class:`~repro.mapreduce.policy.ExecutionPolicy` — serially, on a
-bounded thread pool, or on a persistent fork-based worker pool.
+:class:`~repro.mapreduce.policy.ExecutionPolicy` — serially, or on a
+persistent fork-based worker pool.
 
 Determinism is the engine's core contract (the paper's §3.2 argument,
 enforced here): every task is a pure function of its split plus the
 job spec, task outputs are collected by task index, shuffles merge in
 map-task order regardless of completion order, and side effects (file
 writes, attachments) are buffered in the task context and applied by
-the parent in task-index order.  The three executors therefore produce
+the parent in task-index order.  Both executors therefore produce
 byte-identical :class:`JobResult`\\ s.
 
 Every fact of a run is recorded once — a :class:`JobResult` counter or
@@ -321,8 +321,8 @@ class MapReduceEngine:
                 splits=len(splits), executor=self.policy.executor,
             ):
                 # The pool forks the job's workers here, with the whole
-                # context in the image; the in-process executors just
-                # keep the reference.  Map tasks spill runs to disk
+                # context in the image; the serial executor just keeps
+                # the reference.  Map tasks spill runs to disk
                 # through the shared I/O layer only when spill
                 # directories are configured; the in-memory path stays
                 # allocation-free.
@@ -511,12 +511,12 @@ class MapReduceEngine:
         snapshots: Optional[Dict[str, List[bytes]]] = None
         if executor.pooled:
             # The drain point between the waves: every pool worker is
-            # idle, so this is where the pool rescales.  Its workers
-            # forked before any segment existed, so the driver then
-            # snapshots every replica chain a worker-side fetch could
-            # read and ships the sealed blobs inside the calls.
-            # In-process executors fetch from the live store instead —
-            # nothing is copied.
+            # idle, so this is where the pool resizes for the reduce
+            # wave.  Its workers forked before any segment existed, so
+            # the driver then snapshots every replica chain a
+            # worker-side fetch could read and ships the sealed blobs
+            # inside the calls.  The serial executor fetches from the
+            # live store instead — nothing is copied.
             self._rebalance_pool(job, result, executor)
             attempts = job.shuffle.fetch_retries + 1
             snapshots = {
@@ -545,14 +545,14 @@ class MapReduceEngine:
     def _rebalance_pool(
         self, job: JobSpec, result: JobResult, executor: TaskExecutor
     ) -> None:
-        """Between-wave scaling decision for the pool.
+        """Size the pool for the reduce wave.
 
         Runs after the map wave settles and before the reduce wave is
         built — the drain point where every pool worker is idle.  The
-        decision reads only the coming wave's demand, never the trace,
-        so tracing cannot change how the pool scales.  A fixed pool
-        holds its size.  Every decision lands in JobHistory
-        (``pool_scaled``) and the ``pool.scale.*`` metrics.
+        size reads only the coming wave's task count, never the trace,
+        so tracing cannot change how the pool scales.  Every resize
+        lands in JobHistory (``pool_scaled``) and the ``pool.scale.*``
+        metrics.
         """
         decision = executor.rebalance(job.num_reducers)
         if decision is None:
@@ -626,7 +626,7 @@ class MapReduceEngine:
                 calls, outcomes, result, executor, committer, recovered,
             )
         self._account_wave(job, calls, outcomes, submitted, result,
-                           sequential=executor.kind == "serial")
+                           sequential=not executor.pooled)
         return outcomes
 
     def _account_wave(

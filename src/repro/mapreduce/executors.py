@@ -1,6 +1,6 @@
 """Pluggable task executors for the in-process MR engine.
 
-Three executors, one call protocol.  A task attempt reaches a worker
+Two executors, one call protocol.  A task attempt reaches a worker
 exactly one way: as a small *call descriptor* (``call.run(context)``)
 run against the job's :class:`JobContext`.  Every executor implements
 
@@ -14,10 +14,6 @@ map-task order, so every executor produces byte-identical job results.
 ``SerialExecutor``
     The reference implementation: one call at a time, in order, in the
     driver process.
-``ThreadedExecutor``
-    ``concurrent.futures.ThreadPoolExecutor``-backed.  Overlaps
-    blocking work (pipes, simulated I/O stalls); CPU-bound mappers stay
-    serialized by the GIL.
 ``PooledProcessExecutor``
     Real CPU parallelism: forks its workers **once per job** with the
     job context in memory — the unpicklable half of every task (the job
@@ -30,22 +26,19 @@ map-task order, so every executor produces byte-identical job results.
     outcomes coming back.  A worker that dies mid-task is detected by
     its broken pipe, reported to the engine as a :class:`WorkerCrash`
     marker, and replaced by a fresh fork; the engine routes the crash
-    through the same fenced-backup path a lost lease takes.  Sized by
-    a floor and a ceiling: equal (the default) the pool is fixed; with
-    a lower floor it rescales between waves (see the class docstring).
+    through the same fenced-backup path a lost lease takes.  Each wave
+    runs on ``min(max_workers, tasks in the wave)`` workers.
 """
 
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
 import multiprocessing
 import multiprocessing.connection
 import os
 import threading
 import time
 import weakref
-import zlib
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Set
@@ -188,29 +181,6 @@ class SerialExecutor(TaskExecutor):
         return [_run_call(call, context) for call in calls]
 
 
-class ThreadedExecutor(TaskExecutor):
-    """Bounded thread pool; overlaps blocking work within one process."""
-
-    kind = "thread"
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise MapReduceError("ThreadedExecutor needs max_workers >= 1")
-        self.max_workers = max_workers
-
-    def run_calls(self, calls: Sequence[Any]) -> List[Any]:
-        context = self._job_context()
-        if not calls:
-            return []
-        workers = min(self.max_workers, len(calls))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_call, call, context) for call in calls]
-            return [future.result() for future in futures]
-
-    def __repr__(self) -> str:
-        return f"ThreadedExecutor(max_workers={self.max_workers})"
-
-
 class WorkerCrash:
     """Marker result: the pool worker running this task died mid-flight.
 
@@ -251,15 +221,26 @@ class _PoolTaskError:
 _POOL_JOB_CONTEXT: Optional[JobContext] = None
 
 
+def _io_counts(context: Optional[JobContext]) -> Dict[str, float]:
+    """The job's I/O-layer counters as this process sees them."""
+    if context is None or context.io is None:
+        return {}
+    stats = context.io.stats
+    return {name: getattr(stats, name) for name in stats.FIELDS}
+
+
 def _pool_worker_main(conn) -> None:
     """Entry point of one persistent pool worker.
 
     Serves ``(seq, call)`` requests until told to stop (``None``) or
-    the driver goes away (EOF).  Every reply is ``(seq, ok, payload)``;
-    an unpicklable payload is downgraded to a picklable error rather
-    than killing the worker.
+    the driver goes away (EOF).  Every reply is ``(seq, ok, payload,
+    io)``; an unpicklable payload is downgraded to a picklable error
+    rather than killing the worker.  ``io`` is what the task added to
+    the I/O counters: spill runs go through the worker's copy of the
+    job's I/O layer, whose stats the driver cannot see otherwise.
     """
     context = _POOL_JOB_CONTEXT
+    io_seen = _io_counts(context)
     while True:
         try:
             message = conn.recv()
@@ -272,8 +253,12 @@ def _pool_worker_main(conn) -> None:
             reply = (seq, True, _run_call(call, context))
         except BaseException as exc:  # must answer, whatever happened
             reply = (seq, False, exc)
+        io_now = _io_counts(context)
+        io = {name: value - io_seen[name]
+              for name, value in io_now.items() if value != io_seen[name]}
+        io_seen = io_now
         try:
-            conn.send(reply)
+            conn.send(reply + (io,))
         except Exception:
             detail = (
                 "task outcome failed to pickle" if reply[1]
@@ -281,7 +266,7 @@ def _pool_worker_main(conn) -> None:
                      f"{type(reply[2]).__name__}: {reply[2]}"
             )
             try:
-                conn.send((seq, False, MapReduceError(detail)))
+                conn.send((seq, False, MapReduceError(detail), io))
             except Exception:
                 os._exit(1)
     try:
@@ -344,45 +329,30 @@ class PooledProcessExecutor(TaskExecutor):
     :class:`WorkerCrash` in its result slot and is replaced by a fresh
     fork; the engine fences and re-runs the lost task.
 
-    **Sizing.**  The pool lives between ``min_workers`` and
-    ``max_workers``.  With the floor at the ceiling (the default) every
-    formula below holds the pool at ``max_workers``.  With a lower
-    floor the pool forks only what the first wave can use, and the
-    engine calls :meth:`rebalance` between waves with the task count of
-    the coming wave.  The rule reads no clock — traced or not, it steps
-    the pool toward that demand by a draw keyed on the decision index —
-    so a traced run scales exactly as the untraced run it measures, and
-    the determinism audits that compare executors byte-for-byte are
-    unaffected by scaling.
-
-    Two structural rules keep the controller safe and honest:
-
-    * scale-down happens only between waves, when every worker is idle
-      by construction — a drain point — so no in-flight task is ever
-      lost to the controller itself;
-    * the pool never grows past the coming wave's demand, and every
-      fork pays the configured cold-start charge, so scale-up is
-      never free (the skew the cost model in the trace report makes
-      visible).
+    **Sizing.**  Every wave runs on ``min(max_workers, tasks in the
+    wave)`` workers: :meth:`begin_job` forks that many for the map wave,
+    and the engine calls :meth:`rebalance` with the reduce wave's task
+    count at the drain point between the waves, where every worker is
+    idle, so retiring one loses no work.  The rule reads no clock, so a
+    traced run scales exactly as the untraced run it measures.  Every
+    fork pays the configured cold-start charge, so growing is never
+    free.
     """
 
     kind = "pool"
     pooled = True
 
-    def __init__(self, max_workers: int, min_workers: Optional[int] = None):
-        if min_workers is None:
-            min_workers = max_workers
-        if not 1 <= min_workers <= max_workers:
+    def __init__(self, max_workers: int):
+        if max_workers < 1:
             raise MapReduceError(
-                "PooledProcessExecutor needs 1 <= min_workers <= max_workers"
+                "PooledProcessExecutor needs max_workers >= 1"
             )
         if not fork_available():
             raise MapReduceError(
                 "the pool executor requires the fork start method, "
-                "unavailable on this platform; use executor='thread'"
+                "unavailable on this platform; use executor='serial'"
             )
         self.max_workers = max_workers
-        self.min_workers = min_workers
         #: Mutated in place (never rebound) so the GC finalizer sees
         #: the live worker set.
         self._workers: List[_PoolWorker] = []
@@ -407,7 +377,6 @@ class PooledProcessExecutor(TaskExecutor):
         self.scale_ups = 0
         self.scale_downs = 0
         self.workers_retired = 0
-        self._decisions = 0
         self._paid_seconds = 0.0
         self._finalizer = weakref.finalize(
             self, _terminate_pool_processes, self._workers
@@ -415,15 +384,11 @@ class PooledProcessExecutor(TaskExecutor):
         _LIVE_POOLS.add(self)
 
     # -- lifecycle ----------------------------------------------------------
-    def _clamped(self, workers: int) -> int:
-        return max(self.min_workers, min(self.max_workers, workers))
+    def _sized(self, tasks: int) -> int:
+        return min(self.max_workers, max(tasks, 1))
 
     def begin_job(self, context: JobContext) -> None:
-        """Fork the job's workers with its context in memory.
-
-        Forks only what the first (map) wave can use, never fewer than
-        the floor — which is ``max_workers`` for a fixed pool.
-        """
+        """Fork the map wave's workers with the job's context in memory."""
         self._stop_workers()
         self._closed = False
         _LIVE_POOLS.add(self)
@@ -432,7 +397,7 @@ class PooledProcessExecutor(TaskExecutor):
         self.cold_start_seconds = (
             plan.cold_start_for(context.job.name) if plan is not None else 0.0
         )
-        self._spawn(self._clamped(max(len(context.splits), 1)))
+        self._spawn(self._sized(len(context.splits)))
         self._fresh = True
         self.jobs += 1
 
@@ -527,31 +492,16 @@ class PooledProcessExecutor(TaskExecutor):
 
     # -- scaling controller -------------------------------------------------
     def rebalance(self, next_tasks: int) -> Optional[Dict[str, Any]]:
-        """One between-wave scaling decision.
+        """Size the pool for the coming wave, in one step.
 
         Returns a record of what changed (for JobHistory events and
-        ``pool.scale.*`` metrics) or ``None`` when the pool held its
-        size — always, for a fixed pool.
+        ``pool.scale.*`` metrics) or ``None`` when the pool already
+        had the coming wave's size.
         """
         if not self._workers:
             return None
-        self._decisions += 1
         live = len(self._workers)
-        demand = self._clamped(max(next_tasks, 1))
-        # Step toward the coming demand at a drawn pace of 1-2 workers
-        # per decision.  (The draw's key text is pinned: changing it
-        # reshuffles every scaling run.)
-        draw = zlib.crc32(f"elastic|0|{self._decisions}".encode())
-        step = 1 + draw % 2
-        if demand > live:
-            target = live + step
-        elif demand < live:
-            target = live - step
-        else:
-            target = live
-        # Workers beyond the coming wave's demand are idle by
-        # construction; never hold (or grow) past it.
-        target = self._clamped(min(target, demand))
+        target = self._sized(next_tasks)
         if target == live:
             return None
         if target > live:
@@ -568,7 +518,6 @@ class PooledProcessExecutor(TaskExecutor):
             "from_workers": live,
             "to_workers": len(self._workers),
             "next_tasks": next_tasks,
-            "decision": self._decisions,
         }
 
     # -- cost accounting ----------------------------------------------------
@@ -678,7 +627,7 @@ class PooledProcessExecutor(TaskExecutor):
                 worker = by_conn[conn]
                 seq = busy.pop(worker)
                 try:
-                    got, ok, payload = conn.recv()
+                    got, ok, payload, io = conn.recv()
                 except (EOFError, OSError):
                     # Died mid-task: the task's result is a crash
                     # marker the engine settles with a fenced backup.
@@ -693,6 +642,10 @@ class PooledProcessExecutor(TaskExecutor):
                     raise MapReduceError(
                         f"pool worker answered task {got}, expected {seq}"
                     )
+                if io:
+                    stats = self._job_context().io.stats
+                    for name, value in io.items():
+                        setattr(stats, name, getattr(stats, name) + value)
                 results[seq] = payload if ok else _PoolTaskError(payload)
                 idle.append(worker)
                 completed += 1
@@ -707,7 +660,7 @@ class PooledProcessExecutor(TaskExecutor):
     def __repr__(self) -> str:
         return (
             f"PooledProcessExecutor(max_workers={self.max_workers}, "
-            f"min_workers={self.min_workers}, live={len(self._workers)})"
+            f"live={len(self._workers)})"
         )
 
 
@@ -715,10 +668,6 @@ def build_executor(policy: ExecutionPolicy) -> TaskExecutor:
     """Instantiate the executor an :class:`ExecutionPolicy` asks for."""
     if policy.executor == "serial":
         return SerialExecutor()
-    if policy.executor == "thread":
-        return ThreadedExecutor(policy.resolved_workers())
     if policy.executor == "pool":
-        return PooledProcessExecutor(
-            policy.resolved_workers(), policy.resolved_min_workers()
-        )
+        return PooledProcessExecutor(policy.resolved_workers())
     raise MapReduceError(f"unknown executor kind {policy.executor!r}")

@@ -6,18 +6,13 @@ value — the same knob the paper turns when it compares thread counts
 and slot counts per node (sections 4.2-4.4) — so callers stop
 constructing engines ad hoc:
 
-* ``executor`` — ``"serial"`` (reference), ``"thread"``
-  (ThreadPoolExecutor-backed; overlaps blocking work) or ``"pool"``
-  (persistent fork-based worker pool: real CPU parallelism, forks once
-  per job, reuses workers across waves and rounds, survives worker
-  crashes via fenced backups).
+* ``executor`` — ``"serial"`` (the reference: one task at a time in
+  the driver) or ``"pool"`` (persistent fork-based worker pool: real
+  CPU parallelism, forks once per job, reuses workers across waves,
+  survives worker crashes via fenced backups).
 * ``max_workers`` — bounded worker slots, the in-process analogue of
-  map/reduce slots per node.
-* ``min_workers`` — the pool's floor (pool only; rejected elsewhere).
-  Unset, the pool is fixed at ``max_workers``; set below
-  ``max_workers``, the pool scales between waves — it grows toward the
-  ceiling when queue-wait dominates and drains idle workers down to
-  the floor when it doesn't.
+  map/reduce slots per node.  The pool runs each wave on
+  ``min(max_workers, tasks in the wave)`` workers.
 * ``task_retries`` — per-task re-execution with capped exponential
   backoff (:func:`~repro.io.policy.charged_backoff`), Hadoop's
   ``mapreduce.map.maxattempts``.  The backoff is *charged* to the
@@ -70,7 +65,7 @@ from repro.errors import MapReduceError
 from repro.io.policy import DEFAULT_IO_POLICY, IoPolicy
 
 #: Executor kinds accepted by :class:`ExecutionPolicy`.
-EXECUTOR_KINDS = ("serial", "thread", "pool")
+EXECUTOR_KINDS = ("serial", "pool")
 
 
 def default_workers() -> int:
@@ -97,7 +92,6 @@ class ExecutionPolicy:
 
     executor: str = "serial"
     max_workers: Optional[int] = None
-    min_workers: Optional[int] = None
     task_retries: int = 0
     task_timeout: Optional[float] = None
     blacklist_after: Optional[int] = None
@@ -117,35 +111,6 @@ class ExecutionPolicy:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise MapReduceError("max_workers must be >= 1")
-        if self.min_workers is not None:
-            if self.executor != "pool":
-                raise MapReduceError(
-                    "min_workers is the pool executor's worker floor; "
-                    f"executor={self.executor!r} has no workers to scale"
-                )
-            if self.min_workers < 1:
-                raise MapReduceError("min_workers must be >= 1")
-            if (
-                self.max_workers is not None
-                and self.min_workers > self.max_workers
-            ):
-                raise MapReduceError(
-                    "min_workers must be <= max_workers "
-                    f"({self.min_workers} > {self.max_workers})"
-                )
-            if self.max_workers is None:
-                # Without an explicit ceiling the pool resolves
-                # max_workers to default_workers(); reject a floor
-                # above that at construction rather than clamping it
-                # silently at run time.
-                default_cap = default_workers()
-                if self.min_workers > default_cap:
-                    raise MapReduceError(
-                        f"min_workers ({self.min_workers}) must be <= "
-                        f"max_workers (default {default_cap} on this "
-                        "host); pass max_workers explicitly to raise "
-                        "the pool's ceiling"
-                    )
         if self.task_retries < 0:
             raise MapReduceError("task_retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -171,25 +136,11 @@ class ExecutionPolicy:
         return cls(executor="serial", **kwargs)
 
     @classmethod
-    def threads(cls, max_workers: Optional[int] = None, **kwargs) -> "ExecutionPolicy":
-        return cls(executor="thread", max_workers=max_workers, **kwargs)
-
-    @classmethod
     def pooled(
-        cls,
-        max_workers: Optional[int] = None,
-        min_workers: Optional[int] = None,
-        **kwargs,
+        cls, max_workers: Optional[int] = None, **kwargs
     ) -> "ExecutionPolicy":
-        """Persistent fork pool: fork once per job, reuse across waves.
-
-        Fixed at ``max_workers`` unless ``min_workers`` sets a lower
-        floor, in which case the pool scales between waves.
-        """
-        return cls(
-            executor="pool", max_workers=max_workers,
-            min_workers=min_workers, **kwargs,
-        )
+        """Persistent fork pool: fork once per job, reuse across waves."""
+        return cls(executor="pool", max_workers=max_workers, **kwargs)
 
     # -- derived values ----------------------------------------------------
     def resolved_workers(self) -> int:
@@ -203,9 +154,3 @@ class ExecutionPolicy:
     def resolved_io(self) -> IoPolicy:
         """The durable-I/O policy after applying the default contract."""
         return self.io if self.io is not None else DEFAULT_IO_POLICY
-
-    def resolved_min_workers(self) -> int:
-        """The pool's worker floor: the ceiling itself unless set lower."""
-        if self.min_workers is not None:
-            return min(self.min_workers, self.resolved_workers())
-        return self.resolved_workers()

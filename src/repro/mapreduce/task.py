@@ -1,8 +1,8 @@
 """What runs in a worker: one task attempt, from call to outcome.
 
 The driver (:mod:`repro.mapreduce.engine`) describes every task attempt
-as a :class:`TaskCall` and hands it to an executor; whichever thread or
-forked process the executor picks runs ``call.run(context)`` against the
+as a :class:`TaskCall` and hands it to an executor; the driver or the
+forked worker the executor picks runs ``call.run(context)`` against the
 job's :class:`~repro.mapreduce.executors.JobContext` and ships back a
 picklable :class:`TaskOutcome`.  Map and reduce share the descriptor,
 the attempt loop (:func:`run_attempts`: placement rotation, chaos-plan
@@ -187,9 +187,10 @@ class _CollectorPause:
 
     A task body builds 10^4-10^5 acyclic records that every generation
     sweep re-walks for nothing; reference counting frees them as before
-    and cycles wait for the collector to resume.  Attempts of the thread
-    executor overlap, so the first one in disables and the last one out
-    restores the state the first one found.
+    and cycles wait for the collector to resume.  The job server's slot
+    threads run serial jobs side by side, so attempts overlap: the first
+    one in disables and the last one out restores the state the first
+    one found.
     """
 
     def __init__(self):
@@ -233,8 +234,8 @@ def run_attempts(
     Hung-task detection charges any chaos-plan delay to the attempt's
     measured runtime (the delay itself is slept through the policy's
     injectable ``sleep`` hook), so a ``task_timeout`` trips — or
-    doesn't — identically under the serial, threaded, and forked
-    engines and under a fake clock.
+    doesn't — identically under the serial and forked engines and
+    under a fake clock.
 
     Retry backoff is *charged, never slept*: each failed attempt adds
     ``charged_backoff`` (the capped exponential curve) to the

@@ -6,8 +6,8 @@ boundary list (Prometheus-style cumulative-le semantics, but stored as
 per-bucket counts so the terminal report can print a distribution
 without a scrape pipeline).
 
-Thread safety: every mutation takes the instrument's lock, so spans
-recorded from the threaded executor's workers and driver-side updates
+Thread safety: every mutation takes the instrument's lock, so updates
+from jobs running side by side on the job server's slot threads
 interleave safely.  Instruments are driver-side state — task code
 running in a forked worker mutates a copy-on-write clone that is thrown
 away; task-side telemetry must travel back through the task outcome

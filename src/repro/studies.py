@@ -403,7 +403,7 @@ def _skewed_map(payload, ctx):
 
 
 def _pools(spec: JobSpec, payloads, policies):
-    """One row per policy: the job's wall, paid worker-seconds and scaling."""
+    """One row per policy: the job's wall, paid worker-seconds and sizing."""
     rows = []
     for name, policy in policies:
         recorder, start = TraceRecorder(), time.perf_counter()
@@ -413,39 +413,28 @@ def _pools(spec: JobSpec, payloads, policies):
         counters = recorder.metrics.as_dict()["counters"]
         rows.append((name, time.perf_counter() - start,
                      counters.get("pool.paid_worker_seconds", 0.0),
-                     counters.get("pool.scale.downs", 0),
+                     counters.get("pool.forks", 0),
                      counters.get("pool.workers_retired", 0), _digest(outputs)))
     return rows
 
 
-_FIXED, _SCALING = "pool@8", "pool@2..8"
+_POOL = "pool@8"
 
 
-@figure("measured", "elastic",
-        {"max_workers": 8, "min_workers": 2, "clean_tasks": 16, "skew_tasks": 4},
-        *((f"{scenario}: the {kind} pool's outputs match serial",
-           lambda t, i=i, pool=pool:
-           t[i][pool]["outputs"] == t[i]["serial"]["outputs"])
-          for i, scenario in enumerate(("clean", "skew"))
-          for kind, pool in (("fixed", _FIXED), ("scaling", _SCALING))),
-        ("clean: the scaling pool's wall is within 3x + 0.5 s of the fixed pool's",
-         lambda t: t[0][_SCALING]["wall"] <= 3.0 * t[0][_FIXED]["wall"] + 0.5),
-        ("clean: the scaling pool scales down for the reduce wave",
-         lambda t: t[0][_SCALING]["scale-downs"] >= 1),
-        ("clean: the scaling pool retires a worker",
-         lambda t: t[0][_SCALING]["retired"] >= 1),
-        ("skew: both pools pay worker-seconds",
-         lambda t: t[1][_FIXED]["paid"] > 0.0 and t[1][_SCALING]["paid"] > 0.0),
-        ("skew: the scaling pool pays no more worker-seconds than the fixed pool",
-         lambda t: t[1][_SCALING]["paid"] <= t[1][_FIXED]["paid"]))
-def _elastic(max_workers, min_workers, clean_tasks, skew_tasks):
+@figure("measured", "elastic", {"max_workers": 8, "clean_tasks": 16, "skew_tasks": 4},
+        *((f"{scenario}: the pool's outputs match serial",
+           lambda t, i=i: t[i][_POOL]["outputs"] == t[i]["serial"]["outputs"])
+          for i, scenario in enumerate(("clean", "skew"))),
+        ("clean: 4 workers retire for the 4-task reduce wave",
+         lambda t: t[0][_POOL]["retired"] == 4),
+        ("skew: the pool forks 4 workers, not 8",
+         lambda t: t[1][_POOL]["forks"] == 4))
+def _elastic(max_workers, clean_tasks, skew_tasks):
     policies = (("serial", ExecutionPolicy.serial()),
-                (_FIXED, ExecutionPolicy.pooled(max_workers=max_workers)),
-                (_SCALING, ExecutionPolicy.pooled(max_workers=max_workers,
-                                                  min_workers=min_workers)))
+                (_POOL, ExecutionPolicy.pooled(max_workers=max_workers)))
     clean = JobSpec("elastic-clean", _clean_map, _clean_reduce, num_reducers=4)
     skewed = JobSpec("elastic-skew", _skewed_map)
-    columns = "policy|wall:s|paid:s|scale-downs:n|retired:n|outputs"
+    columns = "policy|wall:s|paid:s|forks:n|retired:n|outputs"
     return [
         table(f"Clean round: {clean_tasks} x {CLEAN_STALL} s maps -> 4 reducers",
               columns, _pools(clean, [f"partition-{i:02d}" for i in range(clean_tasks)],

@@ -245,17 +245,16 @@ class TestEventTableConformance:
         assert event in plane
         # Pool-plane events inject nothing off the pool: still refused.
         plan = FaultPlan(events=(expected,))
-        for executor in ("serial", "thread"):
-            if event.plane == "pool":
-                with pytest.raises(MapReduceError, match="targets pool"):
-                    ExecutionPolicy(executor=executor, fault_plan=plan)
-            else:
-                ExecutionPolicy(executor=executor, fault_plan=plan)
+        if event.plane == "pool":
+            with pytest.raises(MapReduceError, match="targets pool"):
+                ExecutionPolicy(executor="serial", fault_plan=plan)
+        else:
+            ExecutionPolicy(executor="serial", fault_plan=plan)
 
     def test_chaos_takes_exactly_the_fifteen_event_flags(self):
         chaos = _subparser("chaos")
         execution = {
-            "--executor", "--max-workers", "--min-workers", "--task-retries",
+            "--executor", "--max-workers", "--task-retries",
             "--shuffle-codec", "--partitions", "--spill-dir",
         }
         own = {"-h", "--help", "--data", "--seed", "--task-timeout",
@@ -362,7 +361,7 @@ class TestHungTasks:
         assert task.injected_faults == 1
 
     @pytest.mark.parametrize(
-        "kind", ["serial", "thread", pytest.param("pool", marks=needs_fork)]
+        "kind", ["serial", pytest.param("pool", marks=needs_fork)]
     )
     def test_plan_faults_identical_across_executors(self, kind):
         plan = FaultPlan(events=(
@@ -459,7 +458,6 @@ class TestChaosAcceptance:
         "kind,max_workers",
         [
             ("serial", 1),
-            ("thread", 4),
             pytest.param("pool", 2, marks=needs_fork),
         ],
     )
@@ -499,7 +497,7 @@ def test_chaos_cli_gate_passes(tmp_path, capsys):
     report = tmp_path / "chaos-report.json"
     rc = main([
         "chaos", "--data", str(data), "--partitions", "2",
-        "--executor", "thread", "--max-workers", "2", "--seed", "5",
+        "--executor", "pool", "--max-workers", "2", "--seed", "5",
         "--trace-out", str(trace), "--report-out", str(report),
     ])
     out = capsys.readouterr().out

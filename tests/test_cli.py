@@ -109,7 +109,6 @@ class TestTrace:
     def test_default_trace_path(self, sample_dir, capsys):
         code = main([
             "trace", "--data", sample_dir, "--partitions", "3",
-            "--executor", "thread", "--max-workers", "2",
         ])
         assert code == 0
         assert os.path.exists(os.path.join(sample_dir, "trace.json"))
@@ -220,7 +219,6 @@ class TestElasticTrace:
         code = main([
             "trace", "--data", sample_dir, "--partitions", "3",
             "--executor", "pool", "--max-workers", "2",
-            "--min-workers", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -242,18 +240,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate"])
 
-    @pytest.mark.parametrize("kind", ["elastic", "process"])
+    @pytest.mark.parametrize("kind", ["elastic", "process", "thread"])
     def test_removed_executor_kinds_rejected(self, sample_dir, capsys, kind):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--data", sample_dir, "--executor", kind])
         assert exit_info.value.code == 2
-        assert "{serial,thread,pool}" in capsys.readouterr().err
+        assert "{serial,pool}" in capsys.readouterr().err
 
     def test_min_workers_above_max_rejected(self, sample_dir, capsys):
-        code = main([
-            "run", "--data", sample_dir, "--executor", "pool",
-            "--max-workers", "2", "--min-workers", "4",
-        ])
-        assert code == 2
-        assert "min_workers must be <= max_workers" in \
+        """There is no pool floor to set: the flag itself is refused."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "--data", sample_dir, "--executor", "pool",
+                "--max-workers", "2", "--min-workers", "4",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --min-workers" in \
             capsys.readouterr().err

@@ -55,7 +55,6 @@ needs_fork = pytest.mark.skipif(
 
 ALL_EXECUTORS = [
     ("serial", 1),
-    ("thread", 4),
     pytest.param("pool", 2, marks=needs_fork),
 ]
 

@@ -1,14 +1,12 @@
-"""Pool sizing and pool chaos: the between-wave scaling controller
-(``pooled(max, min_workers=floor)``), spot-style worker preemption and
-cold-start charging.
+"""Pool sizing and pool chaos: each wave on ``min(max_workers, its
+tasks)`` workers, spot-style worker preemption and cold-start charging.
 
-A pool with a floor below its ceiling keeps the fixed pool's contract:
-byte-identical outputs under every scaling decision and every
-preemption, with the controller's moves visible as history events and
-``pool.scale.*`` metrics rather than as output differences.  The two
-fold-equivalence pins at the bottom were captured on the commit that
-still had a separate ``elastic`` executor kind.
+Resizing keeps the pool's contract: byte-identical outputs under every
+resize and every preemption, with the resizes visible as history
+events and ``pool.scale.*`` metrics rather than as output differences.
 """
+
+import dataclasses
 
 import pytest
 
@@ -79,14 +77,10 @@ def _context(num_splits):
 class TestScalingController:
     def test_rejects_bad_bounds(self):
         with pytest.raises(MapReduceError):
-            PooledProcessExecutor(2, min_workers=3)
-        with pytest.raises(MapReduceError):
-            PooledProcessExecutor(2, min_workers=0)
-        with pytest.raises(MapReduceError):
             PooledProcessExecutor(0)
 
     def test_initial_fork_tracks_first_wave_demand(self):
-        executor = PooledProcessExecutor(8, min_workers=2)
+        executor = PooledProcessExecutor(8)
         try:
             executor.begin_job(_context(3))
             assert len(executor._workers) == 3  # demand, not max
@@ -94,110 +88,78 @@ class TestScalingController:
             executor.close()
 
     def test_initial_fork_respects_floor_and_ceiling(self):
-        executor = PooledProcessExecutor(4, min_workers=2)
+        """At least one worker, at most ``max_workers``."""
+        executor = PooledProcessExecutor(4)
         try:
-            executor.begin_job(_context(1))
-            assert len(executor._workers) == 2  # floor wins
+            executor.begin_job(_context(0))
+            assert len(executor._workers) == 1
             executor.end_job()
             executor.begin_job(_context(40))
-            assert len(executor._workers) == 4  # ceiling wins
+            assert len(executor._workers) == 4
         finally:
             executor.close()
 
     def test_queue_pressure_grows_toward_demand(self):
-        """More tasks queued for the coming wave than live workers:
-        grow toward them, one or two workers per decision."""
-        executor = PooledProcessExecutor(8, min_workers=2)
+        """More tasks in the coming wave than live workers: grow to
+        them in one step."""
+        executor = PooledProcessExecutor(8)
         try:
             executor.begin_job(_context(3))
-            decision = executor.rebalance(8)
-            assert decision["action"] == "scale_up"
-            assert decision["from_workers"] == 3
-            assert decision["to_workers"] == 5  # decision 1 draws 2
-            assert len(executor._workers) == 5
+            assert executor.rebalance(6) == {
+                "action": "scale_up", "from_workers": 3, "to_workers": 6,
+                "next_tasks": 6,
+            }
+            assert len(executor._workers) == 6
             assert executor.scale_ups == 1
         finally:
             executor.close()
 
     def test_idle_slots_are_drained_then_retired(self):
-        executor = PooledProcessExecutor(8, min_workers=2)
+        executor = PooledProcessExecutor(8)
         try:
             executor.begin_job(_context(8))
-            decision = executor.rebalance(4)
+            decision = executor.rebalance(1)
             assert decision["action"] == "scale_down"
-            assert decision["to_workers"] == 4  # the coming demand
-            assert executor.workers_retired == 4
+            assert decision["to_workers"] == 1  # the coming demand
+            assert executor.workers_retired == 7
             assert executor.scale_downs == 1
         finally:
             executor.close()
 
     def test_never_grows_past_next_wave_demand(self):
-        executor = PooledProcessExecutor(8, min_workers=1)
+        """Up to the coming wave's tasks, and never past the ceiling."""
+        executor = PooledProcessExecutor(4)
         try:
             executor.begin_job(_context(2))
-            decision = executor.rebalance(3)
-            # The drawn step says +2, but the coming wave only has 3
-            # tasks: paying for more slots could never help.
-            assert decision["to_workers"] == 3
+            assert executor.rebalance(3)["to_workers"] == 3
+            assert executor.rebalance(40)["to_workers"] == 4
+            assert executor.rebalance(40) is None
         finally:
             executor.close()
-
-    def test_never_retires_below_min_workers(self):
-        executor = PooledProcessExecutor(8, min_workers=3)
-        try:
-            executor.begin_job(_context(8))
-            for _ in range(5):
-                executor.rebalance(1)
-            assert len(executor._workers) == 3
-        finally:
-            executor.close()
-
-    def test_clock_free_fallback_is_seeded_and_deterministic(self):
-        """The controller reads no clock: it steps toward demand by a
-        decision-index draw, so two pools make identical moves."""
-
-        def run_decisions():
-            executor = PooledProcessExecutor(8, min_workers=1)
-            sizes = []
-            try:
-                executor.begin_job(_context(2))
-                for demand in (8, 8, 8, 1, 1, 6):
-                    executor.rebalance(demand)
-                    sizes.append(len(executor._workers))
-            finally:
-                executor.close()
-            return sizes
-
-        first = run_decisions()
-        assert first == run_decisions()
-        assert all(1 <= size <= 8 for size in first)
-        # The fallback converges on demand, never overshoots it.
-        assert first[-1] <= 6
 
     def test_engine_records_scaling_decisions(self):
         recorder = TraceRecorder()
         with MapReduceEngine(
             nodes=NODES,
-            policy=ExecutionPolicy.pooled(max_workers=4, min_workers=1),
+            policy=ExecutionPolicy.pooled(max_workers=4),
             recorder=recorder,
         ) as engine:
             result = engine.run(wordcount_job(), make_splits(LINES))
         assert result.all_outputs() == clean_outputs()
-        # 4 maps -> 2 reduces: the controller must have decided once.
-        events = result.history.events_of("pool_scaled")
-        assert events, "no pool_scaled event recorded"
-        assert events[0]["next_tasks"] == 2
+        # 4 maps -> 2 reduces: the pool shrank once.
+        [event] = result.history.events_of("pool_scaled")
+        assert event["next_tasks"] == 2
         counters = recorder.metrics.as_dict()["counters"]
-        assert counters.get("pool.scale.decisions", 0) >= 1
+        assert counters.get("pool.scale.decisions") == 1
 
     def test_tracing_does_not_change_how_the_pool_scales(self):
         """A traced run measures the program the untraced run is: the
-        same ``pool_scaled`` decisions, job after job."""
+        same ``pool_scaled`` events, job after job."""
 
         def decisions(recorder):
             with MapReduceEngine(
                 nodes=NODES,
-                policy=ExecutionPolicy.pooled(max_workers=4, min_workers=1),
+                policy=ExecutionPolicy.pooled(max_workers=4),
                 recorder=recorder,
             ) as engine:
                 return [
@@ -267,20 +229,20 @@ class TestPreemption:
         engine, result, recorder, respawned, preemptions = \
             self.run_preempted(
                 [PreemptWorker("wc", wave="map", task=1)],
-                policy_kwargs={"max_workers": 3, "min_workers": 1},
+                policy_kwargs={"max_workers": 3},
             )
         assert result.all_outputs() == clean_outputs()
         assert preemptions == 1
         assert respawned >= 1
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", ["serial"])
     @pytest.mark.parametrize(
         "event", [PreemptWorker("wc"), ColdStart(0.25)],
         ids=["preempt", "cold-start"],
     )
     def test_pool_only_chaos_rejected_off_the_pool(self, kind, event):
         """Regression: a plan aimed at pool workers used to be ignored
-        without a word under serial/thread — the chaos run "passed"
+        without a word off the pool — the chaos run "passed"
         having injected nothing.  Now it is a typed error naming the
         event and the executor."""
         with pytest.raises(MapReduceError) as raised:
@@ -426,7 +388,7 @@ SIX_LINES = LINES + ["a b c d e", "f g h"]
 
 def run_jobs(policy, shapes, traced):
     """Run wordcount jobs of the given (maps, reducers) shapes on one
-    engine; report, per job, what the pool decided and forked."""
+    engine; report, per job, how the pool resized and what it forked."""
     recorder = TraceRecorder() if traced else None
     jobs = []
     with MapReduceEngine(
@@ -442,8 +404,8 @@ def run_jobs(policy, shapes, traced):
             executor = engine._executor
             jobs.append({
                 "scaled": [
-                    (e["action"], e["decision"], e["from_workers"],
-                     e["to_workers"], e["next_tasks"])
+                    (e["action"], e["from_workers"], e["to_workers"],
+                     e["next_tasks"])
                     for e in result.history.events_of("pool_scaled")
                 ],
                 "events": [e["kind"] for e in result.history.events],
@@ -463,52 +425,76 @@ def run_jobs(policy, shapes, traced):
 
 
 class TestFoldEquivalence:
-    """Pins captured on the parent commit, where ``pool`` and
-    ``elastic`` were two executor classes: folding them changed
-    neither what a floor-below-ceiling pool decides nor what a fixed
-    pool does."""
-
-    def test_pool_with_floor_decides_as_the_elastic_executor_did(self):
-        """``pooled(3, min_workers=1)`` == the old ``elastic(3, 1)``:
-        same ``pool_scaled`` sequence, same scale counters, same job
-        output.  A traced run decides as the untraced one (the old
-        executor's traced queue-share rule is gone)."""
-        policy = ExecutionPolicy.pooled(3, min_workers=1)
-        jobs, _ = run_jobs(policy, [(6, 2), (4, 1), (2, 3)], traced=False)
-        assert [job["scaled"] for job in jobs] == [
-            [("scale_down", 1, 3, 1, 2)],
-            [("scale_down", 2, 3, 1, 1)],
-            [("scale_up", 3, 2, 3, 3)],
-        ]
-        assert [
-            (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
-        ] == [(3, 0, 1, 2), (6, 0, 2, 4), (9, 1, 2, 4)]
-
-        traced, metrics = run_jobs(policy, [(6, 2), (4, 1)], traced=True)
-        assert traced == jobs[:2]
-        assert metrics == {
-            "pool.forks": 6,
-            "pool.reuse_count": 2,
-            "pool.scale.decisions": 2,
-            "pool.scale.downs": 2,
-            "pool.workers_retired": 4,
-        }
+    """What the fixed pool did, kept: a pool whose every wave has at
+    least ``max_workers`` tasks (``wgs-pool2``'s shape) never resizes."""
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_fixed_pool_forks_n_per_job_and_never_scales(self, traced):
-        """``pooled(n)``: exactly ``n`` forks per job whatever the wave
-        sizes, no ``pool_scaled`` event, no ``pool.scale.*`` metric."""
+        """``pooled(2)``: exactly 2 forks per job, no ``pool_scaled``
+        event, no ``pool.scale.*`` metric."""
         jobs, metrics = run_jobs(
-            ExecutionPolicy.pooled(3), [(6, 2), (4, 1), (2, 3)], traced
+            ExecutionPolicy.pooled(2), [(6, 2), (4, 3), (2, 2)], traced
         )
-        assert [job["forks"] for job in jobs] == [3, 6, 9]
+        assert [job["forks"] for job in jobs] == [2, 4, 6]
         assert all(job["events"] == [] for job in jobs)
         assert all(
             (job["ups"], job["downs"], job["retired"]) == (0, 0, 0)
             for job in jobs
         )
         if traced:
-            assert metrics == {"pool.forks": 9, "pool.reuse_count": 3}
+            assert metrics == {"pool.forks": 6, "pool.reuse_count": 3}
+
+
+class TestWaveSizing:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_pool_sizes_each_wave_to_its_tasks(self, traced):
+        """``pooled(3)`` forks ``min(3, maps)`` workers per job and
+        moves to ``min(3, reducers)`` for the reduce wave, in one step,
+        traced or not."""
+        jobs, metrics = run_jobs(
+            ExecutionPolicy.pooled(3), [(6, 2), (4, 1), (2, 3)], traced
+        )
+        assert [job["scaled"] for job in jobs] == [
+            [("scale_down", 3, 2, 2)],
+            [("scale_down", 3, 1, 1)],
+            [("scale_up", 2, 3, 3)],
+        ]
+        assert [
+            (j["forks"], j["ups"], j["downs"], j["retired"]) for j in jobs
+        ] == [(3, 0, 1, 1), (6, 0, 2, 3), (9, 1, 2, 3)]
+        if traced:
+            assert metrics == {
+                "pool.forks": 9,
+                "pool.reuse_count": 3,
+                "pool.scale.decisions": 3,
+                "pool.scale.downs": 2,
+                "pool.scale.ups": 1,
+                "pool.workers_retired": 3,
+            }
+
+    def test_worker_io_reaches_the_job_stats(self, tmp_path):
+        """Spill runs are written through each worker's copy of the I/O
+        layer; each reply carries its task's counts, so the pool reports
+        the serial run's writes.  (Reads differ: the driver reads
+        replicas to ship them to the reducers.)"""
+        def io_stats(kind):
+            policy = ExecutionPolicy(
+                executor=kind, max_workers=3,
+                io=IoPolicy(spill_dirs=(str(tmp_path / kind),)),
+            )
+            with MapReduceEngine(nodes=NODES, policy=policy) as engine:
+                engine.run(
+                    dataclasses.replace(wordcount_job(), io_sort_records=3),
+                    make_splits(SIX_LINES),
+                )
+                stats = engine.io.stats.as_dict()
+            return {name: stats[f"io.{name}"] for name in (
+                "writes", "fsyncs", "dir_fsyncs", "unlinks", "bytes_written",
+            )}
+
+        serial = io_stats("serial")
+        assert serial["writes"] > 12  # spill runs, not just segments
+        assert io_stats("pool") == serial
 
 
 class TestComposedExecutionPlaneDrill:
@@ -563,7 +549,7 @@ class TestComposedExecutionPlaneDrill:
         sleeps = []
         result, files, recorder = self.run_drill(
             tmp_path / "pool", traced=traced, executor="pool",
-            max_workers=3, min_workers=1, fault_plan=self.PLAN,
+            max_workers=3, fault_plan=self.PLAN,
             sleep=sleeps.append,
         )
         assert result.all_outputs() == serial.all_outputs()
@@ -588,9 +574,9 @@ class TestComposedExecutionPlaneDrill:
 
         # 3 initial forks + 2 respawns, each charged the cold start.
         assert sleeps == [0.25] * 5
-        # The seeded policy retires two workers, traced or not.
+        # Three workers for six maps, two for two reducers.
         [scaled] = result.history.events_of("pool_scaled")
-        assert (scaled["from_workers"], scaled["to_workers"]) == (3, 1)
+        assert (scaled["from_workers"], scaled["to_workers"]) == (3, 2)
         assert [e["kind"] for e in result.history.events] == [
             "cold_start_armed",
             "worker_preempted", "worker_crashed", "backup_launched",
@@ -600,11 +586,10 @@ class TestComposedExecutionPlaneDrill:
             "backup_launched",
         ]
         if traced:
-            # The full registry as the parent commit (56f2c2a) published
-            # it, measured seconds aside: every metric the publish table
-            # derives equals what the hand-written sinks wrote.  (Except
-            # ``pool.workers_retired``, 1 -> 2: traced runs no longer
-            # scale by the measured queue share.)
+            # The full registry, measured seconds aside.  The ``io.*``
+            # rows include what the workers' spill runs wrote (each
+            # reply carries its task's I/O counts), and one worker
+            # retires for the two-task reduce wave.
             counters = recorder.metrics.as_dict()["counters"]
             assert {
                 name: counters[name] for name in counters
@@ -616,13 +601,13 @@ class TestComposedExecutionPlaneDrill:
                 "commit.fenced": 2,
                 "commit.promoted": 8,
                 "commit.staged": 9,
-                "io.bytes_read": 2090,
-                "io.bytes_written": 1409,
-                "io.dir_fsyncs": 25,
-                "io.fsyncs": 25,
-                "io.reads": 37,
-                "io.unlinks": 24,
-                "io.writes": 25,
+                "io.bytes_read": 2579,
+                "io.bytes_written": 1898,
+                "io.dir_fsyncs": 35,
+                "io.fsyncs": 35,
+                "io.reads": 47,
+                "io.unlinks": 34,
+                "io.writes": 35,
                 "lease.backups_launched": 3,
                 "lease.expired": 1,
                 "pool.cold_starts": 5,
@@ -633,7 +618,7 @@ class TestComposedExecutionPlaneDrill:
                 "pool.scale.downs": 1,
                 "pool.worker_crashes": 2,
                 "pool.workers_respawned": 2,
-                "pool.workers_retired": 2,
+                "pool.workers_retired": 1,
                 "shuffle.bytes_shuffled": 681,
                 "shuffle.crc_failures": 1,
                 "shuffle.fetch_retries": 1,

@@ -1,7 +1,7 @@
 """Execution plane tests: policies, executors, retries, determinism.
 
-The engine's contract is that the serial, threaded, and fork-pool
-executors produce byte-identical results for every job — and that
+The engine's contract is that the serial and fork-pool executors
+produce byte-identical results for every job — and that
 injected faults, absorbed by retries, change nothing but the attempt
 counters.  These tests pin that contract, first on small synthetic
 jobs and then on the full five-round Gesall pipeline.
@@ -12,11 +12,10 @@ import gc
 import inspect
 import os
 import sys
+import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import PipelineSpec, make_block_splits, run_job
 from repro.chaos import FaultPlan, RaiseInTask
@@ -31,7 +30,6 @@ from repro.mapreduce.executors import (
     JobContext,
     PooledProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     _reap_orphaned_pools,
     build_executor,
     fork_available,
@@ -49,15 +47,12 @@ needs_fork = pytest.mark.skipif(
 
 ALL_POLICIES = [
     ExecutionPolicy.serial(),
-    ExecutionPolicy.threads(max_workers=4),
     pytest.param(ExecutionPolicy.pooled(max_workers=2), marks=needs_fork),
-    pytest.param(
-        ExecutionPolicy.pooled(max_workers=3, min_workers=1),
-        marks=needs_fork,
-    ),
+    pytest.param(ExecutionPolicy.pooled(max_workers=3), marks=needs_fork),
 ]
-#: "elastic" is the pool sized with a floor below its ceiling.
-POLICY_IDS = ["serial", "thread", "pool", "elastic"]
+#: "elastic" is a pool that resizes between the waves: three workers
+#: for four maps, two for the two reducers.
+POLICY_IDS = ["serial", "pool", "elastic"]
 
 
 def wordcount_job():
@@ -84,60 +79,51 @@ class TestExecutionPolicy:
         with pytest.raises(MapReduceError, match="unknown executor"):
             ExecutionPolicy(executor="gpu")
 
-    @pytest.mark.parametrize("kind", ["process", "elastic"])
-    def test_removed_kinds_rejected_listing_the_three(self, kind):
-        assert EXECUTOR_KINDS == ("serial", "thread", "pool")
-        with pytest.raises(MapReduceError, match="serial, thread, pool"):
+    @pytest.mark.parametrize("kind", ["process", "elastic", "thread"])
+    def test_removed_kinds_rejected_listing_the_two(self, kind):
+        assert EXECUTOR_KINDS == ("serial", "pool")
+        with pytest.raises(MapReduceError, match="choose one of serial, pool$"):
             ExecutionPolicy(executor=kind)
-        assert not hasattr(ExecutionPolicy, "processes")
-        assert not hasattr(ExecutionPolicy, "elastic")
+        for constructor in ("processes", "elastic", "threads"):
+            assert not hasattr(ExecutionPolicy, constructor)
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", ["serial"])
     def test_min_workers_rejected_off_the_pool(self, kind):
-        """A floor on an executor with nothing to scale used to be
-        documented as "ignored"; now it is a typed error."""
-        with pytest.raises(MapReduceError, match="min_workers"):
+        with pytest.raises(TypeError, match="min_workers"):
             ExecutionPolicy(executor=kind, min_workers=1)
+
+    def test_the_pool_has_no_floor(self):
+        """Each wave sizes the pool, so there is no floor to set."""
+        assert len(dataclasses.fields(ExecutionPolicy)) == 10
+        with pytest.raises(TypeError, match="min_workers"):
+            ExecutionPolicy.pooled(4, min_workers=2)
 
     def test_rejects_bad_workers_and_retries(self):
         with pytest.raises(MapReduceError):
-            ExecutionPolicy(executor="thread", max_workers=0)
+            ExecutionPolicy(executor="pool", max_workers=0)
         with pytest.raises(MapReduceError):
             ExecutionPolicy(task_retries=-1)
 
     def test_frozen(self):
         policy = ExecutionPolicy.serial()
         with pytest.raises(Exception):
-            policy.executor = "thread"
+            policy.executor = "pool"
 
     def test_resolved_workers(self):
         assert ExecutionPolicy.serial().resolved_workers() == 1
-        assert ExecutionPolicy.threads(max_workers=7).resolved_workers() == 7
+        assert ExecutionPolicy.pooled(max_workers=7).resolved_workers() == 7
         assert ExecutionPolicy.pooled().resolved_workers() >= 1
 
     def test_default_size_follows_cpu_affinity_not_cpu_count(
         self, monkeypatch
     ):
         """A host pinned to two CPUs gets a two-worker default pool,
-        whatever ``os.cpu_count()`` says, and a floor above it is
-        refused with the usual message."""
+        whatever ``os.cpu_count()`` says."""
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
         )
         assert ExecutionPolicy.pooled().resolved_workers() == 2
-        assert ExecutionPolicy.threads().resolved_workers() == 2
-        with pytest.raises(
-            MapReduceError, match=r"min_workers \(3\) must be <= "
-                                  r"max_workers \(default 2 on this host\)"
-        ):
-            ExecutionPolicy.pooled(min_workers=3)
-
-    def test_pool_floor_defaults_to_its_ceiling(self):
-        assert ExecutionPolicy.pooled(4).resolved_min_workers() == 4
-        assert ExecutionPolicy.pooled(
-            4, min_workers=2
-        ).resolved_min_workers() == 2
 
     def test_backoff_is_capped(self):
         delays = [charged_backoff(a) for a in range(1, 10)]
@@ -151,28 +137,15 @@ class TestExecutors:
         assert isinstance(
             build_executor(ExecutionPolicy.serial()), SerialExecutor
         )
-        assert isinstance(
-            build_executor(ExecutionPolicy.threads(2)), ThreadedExecutor
-        )
 
     @needs_fork
     def test_build_executor_pool(self):
         executor = build_executor(ExecutionPolicy.pooled(2))
         assert isinstance(executor, PooledProcessExecutor)
-        assert (executor.min_workers, executor.max_workers) == (2, 2)
+        assert executor.max_workers == 2
         executor.close()
 
-    @needs_fork
-    def test_build_executor_elastic(self):
-        executor = build_executor(
-            ExecutionPolicy.pooled(max_workers=4, min_workers=2)
-        )
-        assert isinstance(executor, PooledProcessExecutor)
-        assert executor.max_workers == 4
-        assert executor.min_workers == 2
-        executor.close()
-
-    # -- call-protocol conformance: one contract, three executors -----------
+    # -- call-protocol conformance: one contract, two executors -------------
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_results_arrive_in_submission_order(self, kind):
         """Results come back by submission index, whatever finished
@@ -271,28 +244,6 @@ class TestEngineAcrossExecutors:
         assert result.all_outputs() == baseline.all_outputs()
         assert result.reduce_outputs == baseline.reduce_outputs
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        lines=st.lists(
-            st.text(
-                alphabet=st.sampled_from("ab cd"), min_size=0, max_size=30
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_property_serial_thread_equivalence(self, lines):
-        """Property: the threaded engine is indistinguishable from the
-        serial reference on arbitrary inputs."""
-        serial = MapReduceEngine(nodes=["n1"]).run(
-            wordcount_job(), make_splits(lines)
-        )
-        threaded = MapReduceEngine(
-            nodes=["n1"], policy=ExecutionPolicy.threads(max_workers=4)
-        ).run(wordcount_job(), make_splits(lines))
-        assert threaded.all_outputs() == serial.all_outputs()
-        assert threaded.counters.as_dict() == serial.counters.as_dict()
-
 
 class TestRetriesAndFaults:
     #: The attempt the parent's seeded rate draw (rate 0.2, seed 7)
@@ -308,7 +259,7 @@ class TestRetriesAndFaults:
 
     @pytest.mark.parametrize(
         "executor_kind",
-        ["serial", "thread", pytest.param("pool", marks=needs_fork)],
+        ["serial", pytest.param("pool", marks=needs_fork)],
     )
     def test_injected_faults_are_retried_to_identical_outputs(
         self, executor_kind
@@ -427,28 +378,39 @@ class TestCollectorPausedForAnAttempt:
             [(False, True, False)] * len(LINES)
 
     def test_overlapping_thread_attempts_leave_it_enabled(self):
-        """More workers than cores, a short switch interval: attempts
-        enter and leave the pause in every interleaving."""
+        """Serial jobs side by side on threads, as the job server's
+        slots run them; more threads than cores and a short switch
+        interval: attempts enter and leave the pause in every
+        interleaving."""
         def mapper(line, ctx):
             assert not gc.isenabled()
             ctx.emit(line, sum(range(200)))
 
+        def slot(errors):
+            try:
+                for _ in range(5):
+                    result = MapReduceEngine(nodes=["n1"]).run(
+                        JobSpec("gc-stress", mapper),
+                        make_splits([f"line{i}" for i in range(8)]),
+                    )
+                    assert len(result.all_outputs()) == 8
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        errors = []
+        slots = [threading.Thread(target=slot, args=(errors,))
+                 for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            engine = MapReduceEngine(
-                nodes=["n1"], policy=ExecutionPolicy.threads(max_workers=8)
-            )
-            for _ in range(5):
-                result = engine.run(
-                    JobSpec("gc-stress", mapper),
-                    make_splits([f"line{i}" for i in range(64)]),
-                )
-                assert len(result.all_outputs()) == 64
-                assert gc.isenabled()
-            engine.close()
+            for thread in slots:
+                thread.start()
+            for thread in slots:
+                thread.join()
         finally:
             sys.setswitchinterval(interval)
+        assert errors == []
+        assert gc.isenabled()
         assert task_module._collector_paused._depth == 0
 
 
@@ -719,15 +681,6 @@ class TestCrossExecutorDeterminism:
             reference, ref_index, pairs, ExecutionPolicy.serial()
         )
 
-    def test_thread_executor_matches_serial(
-        self, reference, ref_index, pairs, serial_run
-    ):
-        threaded = pipeline_fingerprint(
-            reference, ref_index, pairs,
-            ExecutionPolicy.threads(max_workers=4),
-        )
-        assert threaded == serial_run
-
     @needs_fork
     def test_pool_executor_matches_serial(
         self, reference, ref_index, pairs, serial_run
@@ -742,13 +695,17 @@ class TestCrossExecutorDeterminism:
     def test_elastic_executor_matches_serial(
         self, reference, ref_index, pairs, serial_run
     ):
-        """The pool with a floor below its ceiling, rescaling between
-        the waves of every round."""
-        elastic = pipeline_fingerprint(
-            reference, ref_index, pairs,
-            ExecutionPolicy.pooled(max_workers=3, min_workers=1),
+        """A pool of four, which shrinks to three workers for each
+        round's three reducers."""
+        elastic = GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=4,
+            num_reducers=3, policy=ExecutionPolicy.pooled(max_workers=4),
+        )).run(pairs)
+        assert fingerprint(elastic) == serial_run
+        assert any(
+            job.history.events_of("pool_scaled")
+            for job in elastic.rounds.results.values()
         )
-        assert elastic == serial_run
 
     def test_faulty_run_matches_serial(
         self, reference, ref_index, pairs, serial_run
@@ -764,7 +721,7 @@ class TestCrossExecutorDeterminism:
         faulty = GesallPipeline(PipelineSpec(
             reference, index=ref_index, num_fastq_partitions=4,
             num_reducers=3,
-            policy=ExecutionPolicy.threads(
+            policy=ExecutionPolicy.pooled(
                 max_workers=2, fault_plan=plan, task_retries=10,
             ),
         )).run(pairs)

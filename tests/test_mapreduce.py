@@ -209,9 +209,9 @@ class TestPublishTable:
     def test_retry_plane_publishes_the_parent_metrics(self):
         """Pinned on the parent commit (56f2c2a), where every one of
         these was a hand-written ``metrics.counter(...)`` beside its
-        counter or event: retries, a hung task and blacklisting on the
-        thread executor.  The shuffle rows and the charged backoff are
-        those of this uncombined job on the one backoff curve."""
+        counter or event: retries, a hung task and blacklisting.  The
+        shuffle rows and the charged backoff are those of this
+        uncombined job on the one backoff curve."""
         from repro.obs.recorder import TraceRecorder
 
         plan = FaultPlan(events=(
@@ -219,8 +219,8 @@ class TestPublishTable:
             RaiseInTask("rp-m-00000", attempt=2),
             DelayTask("rp-r-00001", seconds=30.0, attempt=1),
         ))
-        policy = ExecutionPolicy.threads(
-            2, task_retries=3, task_timeout=5.0, blacklist_after=1,
+        policy = ExecutionPolicy(
+            task_retries=3, task_timeout=5.0, blacklist_after=1,
             fault_plan=plan, sleep=lambda seconds: None,
         )
         job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,

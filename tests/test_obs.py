@@ -1,7 +1,7 @@
 """Tests for the observability layer: spans, metrics, exporters.
 
 Covers the recorder in isolation, the engine's task instrumentation
-under all three executors (spans from forked workers must stitch back
+under both executors (spans from forked workers must stitch back
 identically), and the full five-round traced pipeline the ``repro
 trace`` subcommand runs.
 """
@@ -50,7 +50,6 @@ needs_fork = pytest.mark.skipif(
 
 ALL_POLICIES = [
     ExecutionPolicy.serial(),
-    ExecutionPolicy.threads(max_workers=2),
     pytest.param(ExecutionPolicy.pooled(max_workers=2), marks=needs_fork),
 ]
 

@@ -47,8 +47,8 @@ FIGURES = {"Span timeline"}
 POLICIES = {
     "serial": ExecutionPolicy.serial(),
     "pool2": pytest.param(ExecutionPolicy.pooled(2), marks=needs_fork),
-    "chaos": ExecutionPolicy.threads(
-        max_workers=2, task_retries=4,
+    "chaos": ExecutionPolicy.serial(
+        task_retries=4,
         fault_plan=FaultPlan(events=(
             RaiseInTask("round2-cleaning-m-00001"),
             RaiseInTask("round4-sort-r-00000"),
@@ -256,13 +256,13 @@ class TestWorkerCount:
     @needs_fork
     def test_scaling_pool_reports_its_true_peak(self):
         """The skewed round of ``perf-study elastic``: four maps, one a
-        straggler, on a pool that scales between one and four workers."""
+        straggler, on a pool of four."""
         def mapper(payload, ctx):
             time.sleep(0.15 if payload.endswith("-00") else 0.01)
             ctx.emit(payload, len(payload))
 
         recorder = TraceRecorder()
-        policy = ExecutionPolicy.pooled(max_workers=4, min_workers=1)
+        policy = ExecutionPolicy.pooled(max_workers=4)
         with MapReduceEngine(nodes=["n0", "n1"], policy=policy,
                              recorder=recorder) as engine:
             engine.run(JobSpec("elastic-skew", mapper),
@@ -421,7 +421,7 @@ class TestCliSurfaces:
                      "--coverage", "6", "--seed", "3"]) == 0
         out = tmp_path / "chaos.json"
         assert main(["chaos", "--data", str(data), "--partitions", "2",
-                     "--executor", "thread", "--max-workers", "2",
+                     "--executor", "serial",
                      "--seed", "5", "--report-out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert set(payload) == {"plan", "executor", "chaos_events",

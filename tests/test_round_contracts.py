@@ -23,7 +23,6 @@ from tests import sam_contracts as oracle
 
 EXECUTORS = [
     ExecutionPolicy.serial(),
-    ExecutionPolicy.threads(max_workers=2),
     pytest.param(
         ExecutionPolicy.pooled(max_workers=2),
         marks=pytest.mark.skipif(not fork_available(),
@@ -33,7 +32,7 @@ EXECUTORS = [
 
 
 @pytest.fixture(scope="module", params=EXECUTORS,
-                ids=["serial", "thread", "pool"])
+                ids=["serial", "pool"])
 def round_files(request, reference, aligner, pairs):
     """Round key -> {path: bytes} of one rounds 1-4 run."""
     hdfs = Hdfs(["n0", "n1", "n2", "n3"], replication=2,

@@ -305,7 +305,6 @@ ROUND_COUNTERS = {
 
 ROUND_FILE_POLICIES = [
     pytest.param(ExecutionPolicy.serial(), id="serial"),
-    pytest.param(ExecutionPolicy.threads(max_workers=2), id="thread2"),
     pytest.param(
         ExecutionPolicy.pooled(2), id="pool2",
         marks=pytest.mark.skipif(

@@ -647,9 +647,9 @@ class TestDaemonRoundTrip:
 
 
 class TestConcurrentEngines:
-    """Satellite: two engines in one process, interleaved in threads,
-    must match their serial baselines byte for byte — the precondition
-    the shared-executor scheduler relies on."""
+    """Two serial engines in one process, interleaved on threads as the
+    job server's slots run them, must match their baselines byte for
+    byte."""
 
     def _spec_and_splits(self, name, lines):
         from repro.api import JobSpec, make_block_splits
@@ -658,7 +658,7 @@ class TestConcurrentEngines:
 
         spec = JobSpec(
             name=name, mapper=wordcount_map, reducer=wordcount_reduce,
-            num_reducers=2, policy=ExecutionPolicy.threads(max_workers=2),
+            num_reducers=2, policy=ExecutionPolicy.serial(),
         )
         splits = make_block_splits(
             [lines[::2], lines[1::2]], prefix=name
@@ -753,29 +753,9 @@ class TestTenantObservability:
 
 
 class TestElasticPolicyValidation:
-    """Satellite: min/max worker contradictions fail at construction."""
-
-    def test_explicit_pair_rejected_naming_both_fields(self):
-        from repro.mapreduce.policy import ExecutionPolicy
-
-        with pytest.raises(MapReduceError) as excinfo:
-            ExecutionPolicy.pooled(max_workers=2, min_workers=4)
-        message = str(excinfo.value)
-        assert "min_workers" in message and "max_workers" in message
-
-    def test_elastic_floor_above_default_cap_rejected(self):
-        from repro.mapreduce.policy import ExecutionPolicy
-
-        # The default ceiling is min(32, cpu_count), so a floor of 64
-        # can never be honoured on any host.
-        with pytest.raises(MapReduceError) as excinfo:
-            ExecutionPolicy.pooled(min_workers=64)
-        message = str(excinfo.value)
-        assert "min_workers" in message and "max_workers" in message
-        assert "explicitly" in message
-
     def test_explicit_ceiling_raises_the_cap(self):
+        """The default ceiling is min(32, CPUs); an explicit one may
+        exceed it."""
         from repro.mapreduce.policy import ExecutionPolicy
 
-        policy = ExecutionPolicy.pooled(max_workers=64, min_workers=64)
-        assert policy.resolved_min_workers() == 64
+        assert ExecutionPolicy.pooled(max_workers=64).resolved_workers() == 64

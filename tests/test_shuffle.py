@@ -348,7 +348,6 @@ class TestEngineShuffleIntegration:
     def test_outputs_identical_across_executors_and_codecs(self):
         policies = [
             ExecutionPolicy.serial(),
-            ExecutionPolicy.threads(max_workers=2),
             ExecutionPolicy.pooled(max_workers=2),
         ]
         baseline = _run_wordcount(

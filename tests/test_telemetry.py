@@ -224,7 +224,6 @@ def _sampled_job():
 
 SAMPLED_POLICIES = [
     ExecutionPolicy.serial(),
-    ExecutionPolicy.threads(max_workers=2),
     pytest.param(ExecutionPolicy.pooled(max_workers=2), marks=needs_fork),
 ]
 
