@@ -5,7 +5,7 @@ Subcommands::
     repro-genomics simulate   --out DIR [--length N] [--coverage X]
     repro-genomics run        --data DIR --mode serial|parallel [--vcf F]
     repro-genomics trace      --data DIR [--trace-out F] [--jsonl F] [--json F]
-    repro-genomics report     --data DIR [--out F] [--sample-interval S]
+                              [--sample-interval S]
     repro-genomics compare    BASELINE CANDIDATE   (FILE or ROWS.jsonl@COMMIT)
     repro-genomics diagnose   --data DIR
     repro-genomics chaos      --data DIR [--<event> SPEC ...] (chaos --help)
@@ -67,7 +67,7 @@ from repro.obs.compare import (
     load_contract,
     load_run,
 )
-from repro.obs.export import render_timeline, write_chrome_trace, write_jsonl
+from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.figures import FIGURES, figure_record, run_figure
 from repro.obs.recorder import ObsConfig
 from repro.obs.report import (
@@ -110,7 +110,8 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument("--executor", choices=EXECUTOR_KINDS,
                        default="serial",
                        help="how MR tasks run (default: serial; pool "
-                            "forks once per job and reuses workers)")
+                            "forks workers per job and resizes them "
+                            "between waves)")
     group.add_argument("--max-workers", type=int, default=None,
                        help="pool worker slots; each wave runs on "
                             "min(slots, its tasks)")
@@ -174,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace", parents=[execution],
-        help="run the parallel pipeline traced; report + trace.json",
+        help="run the parallel pipeline traced; print the report and "
+             "write DATA/report.html and trace.json",
     )
     trace.add_argument("--data", required=True, help="simulate output dir")
     trace.add_argument("--trace-out", default=None,
@@ -183,24 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write a JSONL span dump to this path")
     trace.add_argument("--json", dest="json_out", default=None,
                        help="also write the report's tables as JSON here")
-    trace.add_argument("--width", type=int, default=60,
-                       help="terminal timeline width in samples")
     trace.add_argument("--sample-interval", type=float, default=0.0,
                        help="worker resource sampling interval in "
                             "seconds (0 = off)")
-
-    report = sub.add_parser(
-        "report", parents=[execution],
-        help="traced + sampled run rendered as a standalone HTML report",
-    )
-    report.add_argument("--data", required=True, help="simulate output dir")
-    report.add_argument("--out", default=None,
-                        help="HTML output path (default DATA/report.html)")
-    report.add_argument("--sample-interval", type=float, default=0.02,
-                        help="worker resource sampling interval in "
-                             "seconds (default 0.02; 0 disables)")
-    report.add_argument("--title", default=None,
-                        help="report title (default derived from DATA)")
 
     compare = sub.add_parser(
         "compare",
@@ -361,18 +348,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     half = args.length // 2
-    reference = simulate_reference(
-        ReferenceSimulationConfig(
-            contig_lengths={"chr1": args.length - half, "chr2": half},
-            seed=args.seed,
-        )
+    reference_config = ReferenceSimulationConfig(
+        contig_lengths={"chr1": args.length - half, "chr2": half},
+        seed=args.seed,
     )
+    reads_config = ReadSimulationConfig(coverage=args.coverage,
+                                        seed=args.seed + 1)
+    os.makedirs(args.out, exist_ok=True)
+    reference = simulate_reference(reference_config)
     donor = simulate_donor(reference)
-    pairs, _ = simulate_reads(
-        donor, ReadSimulationConfig(coverage=args.coverage, seed=args.seed + 1)
-    )
+    pairs, _ = simulate_reads(donor, reads_config)
     write_fasta(os.path.join(args.out, "reference.fa"), reference)
     write_fastq(os.path.join(args.out, "reads_1.fastq"),
                 (fwd for fwd, _ in pairs))
@@ -404,23 +390,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _traced_run(args):
-    """The one traced run ``trace`` and ``report`` render: the recorder
-    and the report model built from it."""
-    reference, pairs = read_sample(args.data)
-    spec = _spec_from_args(
-        args, reference,
-        obs=ObsConfig(enabled=True, sample_interval=args.sample_interval),
-    )
-    result = run_pipeline(spec, pairs)
-    return result.recorder, build_report(
-        result.recorder, result.rounds.results,
-        {"executor": args.executor, "partitions": args.partitions,
-         "read pairs": len(pairs), "shuffle codec": args.shuffle_codec,
-         "sample interval s": args.sample_interval},
-    )
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
@@ -429,35 +398,35 @@ def _write_json(path: str, payload) -> None:
 
 
 def _cmd_trace(args) -> int:
-    recorder, tables = _traced_run(args)
+    """The one traced run: the report as text and as DATA/report.html,
+    the Chrome trace, and the JSONL / JSON dumps when asked."""
+    obs = ObsConfig(enabled=True, sample_interval=args.sample_interval)
+    reference, pairs = read_sample(args.data)
+    result = run_pipeline(_spec_from_args(args, reference, obs=obs), pairs)
+    recorder = result.recorder
+    tables = build_report(
+        recorder, result.rounds.results,
+        {"executor": args.executor, "partitions": args.partitions,
+         "read pairs": len(pairs), "shuffle codec": args.shuffle_codec,
+         "sample interval s": args.sample_interval},
+    )
     print(render_text(tables))
     print()
-    print(render_timeline(recorder, width=args.width))
     trace_path = args.trace_out or os.path.join(args.data, "trace.json")
     write_chrome_trace(recorder, trace_path)
-    print()
     print(f"wrote {trace_path} ({len(recorder.spans())} spans); load it in "
           "chrome://tracing or https://ui.perfetto.dev")
+    html_path = os.path.join(args.data, "report.html")
+    title = ("repro performance report — "
+             + os.path.basename(args.data.rstrip("/")))
+    with open(html_path, "w") as handle:
+        handle.write(render_html(tables, title, recorder) + "\n")
+    print(f"wrote {html_path}")
     if args.jsonl:
         write_jsonl(recorder, args.jsonl)
         print(f"wrote {args.jsonl}")
     if args.json_out:
         _write_json(args.json_out, report_dict(tables))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    recorder, tables = _traced_run(args)
-    out = args.out or os.path.join(args.data, "report.html")
-    title = args.title or (
-        f"repro performance report — {os.path.basename(args.data.rstrip('/'))}"
-    )
-    with open(out, "w") as handle:
-        handle.write(render_html(tables, title, recorder) + "\n")
-    print(f"report: executor={args.executor}, "
-          f"wall {recorder.horizon():.3f}s, {len(recorder.spans())} spans, "
-          f"{len(recorder.metrics.all_timeseries())} resource series")
-    print(f"wrote {out}")
     return 0
 
 
@@ -843,7 +812,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "simulate": _cmd_simulate,
         "run": _cmd_run,
         "trace": _cmd_trace,
-        "report": _cmd_report,
         "compare": _cmd_compare,
         "diagnose": _cmd_diagnose,
         "chaos": _cmd_chaos,

@@ -17,18 +17,24 @@ accuracy study depends on are present:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.formats.fastq import FastqRecord, ReadPair
 from repro.formats.vcf import VariantRecord
 from repro.genome.reference import BASES, ReferenceGenome, reverse_complement
 from repro.genome.regions import GenomicInterval, RegionSet
 
 
+#: The shortest centromere ``simulate_reference`` writes, in bp.
+CENTROMERE_MIN_LENGTH = 200
+
+
 class ReferenceSimulationConfig:
-    """Parameters for building a synthetic reference genome."""
+    """Parameters for building a synthetic reference genome; a contig
+    too short for its centromere or a blacklist run is refused."""
 
     def __init__(
         self,
@@ -53,6 +59,17 @@ class ReferenceSimulationConfig:
         self.blacklist_regions = blacklist_regions
         self.blacklist_length = blacklist_length
         self.seed = seed
+        for name, length in self.contig_lengths.items():
+            centromere = max(CENTROMERE_MIN_LENGTH,
+                             int(length * centromere_fraction))
+            if length < centromere:
+                raise SimulationError(
+                    f"contig {name} is {length} bp, shorter than its "
+                    f"{centromere} bp centromere")
+            if blacklist_regions and length <= blacklist_length:
+                raise SimulationError(
+                    f"contig {name} is {length} bp; a blacklist run of "
+                    f"{blacklist_length} bp needs more than that")
 
 
 def simulate_reference(config: Optional[ReferenceSimulationConfig] = None) -> ReferenceGenome:
@@ -68,7 +85,8 @@ def simulate_reference(config: Optional[ReferenceSimulationConfig] = None) -> Re
         bases = [rng.choice(BASES) for _ in range(length)]
 
         # Centromere: a tandem repeat of a short motif in the middle.
-        centro_len = max(200, int(length * config.centromere_fraction))
+        centro_len = max(CENTROMERE_MIN_LENGTH,
+                         int(length * config.centromere_fraction))
         motif = "".join(rng.choice(BASES) for _ in range(config.centromere_motif_length))
         centro_start = length // 2 - centro_len // 2
         for offset in range(centro_len):
@@ -260,7 +278,8 @@ def _apply_edits(
 
 
 class ReadSimulationConfig:
-    """Parameters of the paired-end sequencer model."""
+    """Parameters of the paired-end sequencer model; a negative or
+    non-finite ``coverage`` is a :class:`SimulationError`."""
 
     def __init__(
         self,
@@ -287,6 +306,9 @@ class ReadSimulationConfig:
         self.duplicate_fraction = duplicate_fraction
         self.seed = seed
         self.sample_name = sample_name
+        if not (math.isfinite(coverage) and coverage >= 0):
+            raise SimulationError(
+                f"coverage must be a finite number >= 0, got {coverage!r}")
 
 
 class SimulatedFragment:
@@ -310,11 +332,17 @@ def simulate_reads(
     """Sample paired-end reads with errors and PCR duplicates.
 
     Returns the read pairs (in name order, as a sequencer would emit
-    them) together with the ground-truth fragment list.
+    them) together with the ground-truth fragment list.  A contig must
+    fit the shortest fragment (two reads) with a base either side.
     """
     config = config or ReadSimulationConfig()
     rng = random.Random(config.seed)
     read_len = config.read_length
+    for contig, sequence in donor.reference.contigs.items():
+        if len(sequence) < 2 * read_len + 2:
+            raise SimulationError(
+                f"contig {contig} is {len(sequence)} bp, too short for a "
+                f"{2 * read_len} bp fragment of two {read_len} bp reads")
     pairs: List[ReadPair] = []
     fragments: List[SimulatedFragment] = []
     serial = 0

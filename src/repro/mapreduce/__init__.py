@@ -28,11 +28,6 @@ from repro.mapreduce.job import (
     default_partitioner,
     make_splits,
 )
-from repro.mapreduce.streaming import (
-    ExternalProgram,
-    PipeStats,
-    StreamingPipeline,
-)
 
 __all__ = [
     "RecordBlock",
@@ -61,7 +56,4 @@ __all__ = [
     "TaskContext",
     "default_partitioner",
     "make_splits",
-    "ExternalProgram",
-    "PipeStats",
-    "StreamingPipeline",
 ]

@@ -15,19 +15,19 @@ map-task order, so every executor produces byte-identical job results.
     The reference implementation: one call at a time, in order, in the
     driver process.
 ``PooledProcessExecutor``
-    Real CPU parallelism: forks its workers **once per job** with the
-    job context in memory — the unpicklable half of every task (the job
+    Real CPU parallelism: forks its workers per job with the job
+    context in memory — the unpicklable half of every task (the job
     spec's closures over HDFS handles and aligners, the input splits)
-    rides into the children inside the fork image — and reuses them
-    across every wave of the job (map wave, reduce wave, fenced backup
-    attempts); the executor object itself is reused across the rounds
-    of a pipeline.  Only the
-    picklable descriptors cross the pipes going in, and picklable
-    outcomes coming back.  A worker that dies mid-task is detected by
-    its broken pipe, reported to the engine as a :class:`WorkerCrash`
-    marker, and replaced by a fresh fork; the engine routes the crash
-    through the same fenced-backup path a lost lease takes.  Each wave
-    runs on ``min(max_workers, tasks in the wave)`` workers.
+    rides into the children inside the fork image.  Each wave runs on
+    ``min(max_workers, tasks in the wave)`` workers: ``begin_job`` forks
+    the map wave's and ``rebalance`` resizes the pool before the reduce
+    wave; the executor object is reused across the rounds of a
+    pipeline.  Only the picklable descriptors cross the pipes going in,
+    and picklable outcomes coming back.  A worker that dies mid-task is
+    detected by its broken pipe, reported to the engine as a
+    :class:`WorkerCrash` marker, and replaced by a fresh fork; the
+    engine routes the crash through the same fenced-backup path a lost
+    lease takes.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.obs.analysis import (
 )
 from repro.obs.compare import compare_runs, load_run
 from repro.obs.export import (
-    render_timeline,
     to_chrome_trace,
     to_jsonl_lines,
     write_chrome_trace,
@@ -51,7 +50,6 @@ from repro.obs.report import (
     build_report,
     format_cell,
     render_html,
-    render_html_report,
     render_text,
     report_dict,
 )
@@ -88,9 +86,7 @@ __all__ = [
     "phase_timeline",
     "queue_run_decomposition",
     "render_html",
-    "render_html_report",
     "render_text",
-    "render_timeline",
     "report_dict",
     "take_sample",
     "to_chrome_trace",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from statistics import median
 from typing import Any, Dict, List, NamedTuple, Sequence
 
-from repro.obs.export import concurrency_samples
 
 #: Robust z-score above which an attempt counts as a straggler.  3.5 is
 #: the standard cut-off for the modified z-score (Iglewicz & Hoaglin).
@@ -109,6 +108,17 @@ def queue_run_decomposition(history) -> Dict[str, Dict[str, float]]:
     reduces = [task for task in history.reduces() if not task.backup]
     return {"map": split(maps), "reduce": split(reduces),
             "total": split(maps + reduces)}
+
+
+def concurrency_samples(
+    intervals: Sequence[tuple], horizon: float, samples: int
+) -> List[int]:
+    """Active-interval count at ``samples`` evenly spaced instants."""
+    counts = []
+    for index in range(samples):
+        t = horizon * (index + 0.5) / samples
+        counts.append(sum(1 for start, end in intervals if start <= t < end))
+    return counts
 
 
 def phase_timeline(recorder, samples: int = 60) -> Dict[str, Any]:

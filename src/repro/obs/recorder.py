@@ -21,12 +21,14 @@ unconditionally: it records nothing and reads no clock.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.errors import MapReduceError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
@@ -294,11 +296,19 @@ class ObsConfig:
     task attempt its phases and the sections task code wraps.
     ``sample_interval`` > 0 additionally runs the worker resource
     sampler (:mod:`repro.obs.sampler`) at that many seconds per sample,
-    yielding CPU/RSS/IO/ctx-switch time-series per worker.
+    yielding CPU/RSS/IO/ctx-switch time-series per worker; a negative
+    or non-finite interval is refused.
     """
 
     enabled: bool = False
     sample_interval: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sample_interval)
+                and self.sample_interval >= 0):
+            raise MapReduceError(
+                "sample_interval must be a finite number of seconds "
+                f">= 0 (0 = off), got {self.sample_interval!r}")
 
     def build_recorder(self):
         """A fresh recorder per run, or the shared null recorder."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import html
 import time
-from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.cluster.monitor import render_ramp
@@ -265,7 +264,7 @@ def _sampling_tables(recorder) -> List[Table]:
     return tables or [Table(
         "Worker resource sampling", (), [],
         "(sampler off - run with a sample interval, e.g. "
-        "repro-genomics report --sample-interval 0.02)",
+        "repro-genomics trace --sample-interval 0.02)",
     )]
 
 
@@ -444,20 +443,6 @@ def render_html(tables: Iterable[Table], title: str, recorder=None) -> str:
             out.append(f"<p>{_esc(table.note)}</p>")
     out.append("</body></html>")
     return "\n".join(out)
-
-
-def render_html_report(
-    recorder,
-    histories: Optional[Iterable[Tuple[str, Any]]] = None,
-    title: str = "repro performance report",
-    extra_meta: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """:func:`build_report` rendered by :func:`render_html`, for callers
-    holding ``(label, history)`` pairs rather than job results."""
-    results = {label: SimpleNamespace(history=history, skew=None)
-               for label, history in (histories or [])}
-    return render_html(build_report(recorder, results, extra_meta), title,
-                       recorder)
 
 
 # -- HTML-only figures --------------------------------------------------------

@@ -1,9 +1,7 @@
 """Wrapper technology: run unmodified analysis programs on the MR engine."""
 
 from repro.wrappers.programs import (
-    BwaExternal,
     DataTransformAccounting,
-    SamToBamExternal,
     interleaved_text_to_pairs,
     pairs_to_interleaved_text,
     run_wrapped,
@@ -11,9 +9,7 @@ from repro.wrappers.programs import (
 from repro.wrappers.rounds import GesallRounds
 
 __all__ = [
-    "BwaExternal",
     "DataTransformAccounting",
-    "SamToBamExternal",
     "interleaved_text_to_pairs",
     "pairs_to_interleaved_text",
     "run_wrapped",

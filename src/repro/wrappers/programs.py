@@ -1,21 +1,19 @@
-"""External-program adapters for Hadoop Streaming (Fig 8).
+"""The data transformations around wrapped programs (Fig 6a).
 
-``BwaExternal`` and ``SamToBamExternal`` are the in-process stand-ins
-for the two C programs Round 1 pipes together inside one map task:
-interleaved FASTQ text goes in, BAM bytes come out, with every byte
-crossing a pipe accounted for.
+Round 1 hands its FASTQ partition to Bwa as interleaved FASTQ text and
+takes SAM text back for SamToBam (the Hadoop Streaming hand-off, Fig 8):
+the four text conversions here are those pipes.  Rounds 2 and 3 hand
+records to Java-style programs in memory and count the copied bytes in
+:class:`DataTransformAccounting`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.align.pairing import PairedEndAligner
-from repro.formats.bam import bam_bytes
 from repro.formats.fastq import FastqRecord, ReadPair
 from repro.formats.sam import SamHeader, SamRecord, decode_quals
 from repro.errors import FormatError
-from repro.mapreduce.streaming import ExternalProgram
 
 
 def pairs_to_interleaved_text(pairs: List[ReadPair]) -> str:
@@ -46,47 +44,25 @@ def _fastq_from_lines(lines: List[str]) -> FastqRecord:
     return FastqRecord(lines[0][1:], lines[1], decode_quals(lines[3]))
 
 
-class BwaExternal(ExternalProgram):
-    """The wrapped aligner: FASTQ text in, SAM text out.
-
-    One instance per map task, so each task gets its own batch
-    statistics — which is precisely how partitioning perturbs Bwa's
-    output in the paper.
-    """
-
-    name = "bwa-mem"
-
-    def __init__(self, aligner: PairedEndAligner):
-        self.aligner = aligner
-
-    def process(self, stdin: bytes) -> bytes:
-        pairs = interleaved_text_to_pairs(stdin.decode())
-        records = self.aligner.align_batch(pairs)
-        header_text = self.aligner.header().to_text()
-        body = "\n".join(record.to_line() for record in records)
-        return (header_text + body + "\n").encode()
+def records_to_sam_text(header: SamHeader, records: List[SamRecord]) -> str:
+    """Render a header and its records as SAM text (what Bwa writes)."""
+    body = "\n".join(record.to_line() for record in records)
+    return header.to_text() + body + "\n"
 
 
-class SamToBamExternal(ExternalProgram):
-    """Single-threaded SAM-to-BAM converter (second pipe stage)."""
-
-    name = "samtobam"
-
-    def __init__(self, chunk_bytes: int = 64 * 1024):
-        self.chunk_bytes = chunk_bytes
-
-    def process(self, stdin: bytes) -> bytes:
-        header_lines: List[str] = []
-        records: List[SamRecord] = []
-        for line in stdin.decode().split("\n"):
-            if not line:
-                continue
-            if line.startswith("@"):
-                header_lines.append(line)
-            else:
-                records.append(SamRecord.from_line(line))
-        header = SamHeader.from_text("\n".join(header_lines))
-        return bam_bytes(header, records, self.chunk_bytes)
+def sam_text_to_records(text: str) -> Tuple[SamHeader, List[SamRecord]]:
+    """Parse SAM text back into its header and records (what SamToBam
+    reads)."""
+    header_lines: List[str] = []
+    records: List[SamRecord] = []
+    for line in text.split("\n"):
+        if not line:
+            continue
+        if line.startswith("@"):
+            header_lines.append(line)
+        else:
+            records.append(SamRecord.from_line(line))
+    return SamHeader.from_text("\n".join(header_lines)), records
 
 
 def _text_size(records: List[SamRecord]) -> int:

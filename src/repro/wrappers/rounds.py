@@ -1,6 +1,6 @@
 """The five MapReduce rounds of the Gesall pipeline (Appendix A.2).
 
-Round 1  map-only   Bwa alignment + SamToBam via Hadoop Streaming
+Round 1  map-only   Bwa alignment + SamToBam over streamed text
 Round 2  full MR    AddReplaceReadGroups + CleanSam (map), shuffle by
                     read name, FixMateInformation + bloom sidecar (reduce)
 Round 3  full MR    compound-key extraction (map), shuffle, SortSam +
@@ -41,7 +41,6 @@ from repro.genome.regions import GenomicInterval
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import RoundJournal
-from repro.mapreduce.streaming import StreamingPipeline
 from repro.shuffle.config import ShuffleConfig
 from repro.recal.apply import PrintReads
 from repro.recal.recalibrator import BaseRecalibrator, RecalibrationTable
@@ -51,8 +50,9 @@ from repro.variants.haplotype import (
 )
 from repro.variants.structural import GASVLite
 from repro.wrappers.programs import (
-    BwaExternal, DataTransformAccounting, SamToBamExternal,
-    pairs_to_interleaved_text, run_wrapped_chain,
+    DataTransformAccounting, interleaved_text_to_pairs,
+    pairs_to_interleaved_text, records_to_sam_text, run_wrapped_chain,
+    sam_text_to_records,
 )
 
 
@@ -113,7 +113,6 @@ class GesallRounds:
         #: Per-round job results and transform accounting, by round key.
         self.results: Dict[str, JobResult] = {}
         self.transform: Dict[str, DataTransformAccounting] = {}
-        self.streaming_stats = None
         self._wal = None
         self._wal_recovery: Dict[str, Dict] = {}
 
@@ -190,28 +189,36 @@ class GesallRounds:
 
     def round1_alignment(self, partitions: List[List[ReadPair]],
                          out_dir: str = "/round1") -> List[str]:
-        """Each map task streams its FASTQ partition (a sealed record
-        block, decoded once in its worker) through Bwa + SamToBam."""
+        """Each map task hands its FASTQ partition (a sealed record block,
+        decoded once in its worker) to Bwa and SamToBam as the text Hadoop
+        Streaming pipes (Fig 8), each step a section of the map phase."""
+        aligner, chunk_bytes = self.aligner, self.chunk_bytes
 
         def align(pairs, ctx):
-            pipeline = StreamingPipeline(
-                [BwaExternal(self.aligner), SamToBamExternal(self.chunk_bytes)]
-            )
-            fastq_bytes = pairs_to_interleaved_text(pairs).encode()
-            with ctx.span("stream", stages=len(pipeline.programs)) as span:
-                bam_data = pipeline.run(fastq_bytes)
-                span.set(bytes_in=len(fastq_bytes), bytes_out=len(bam_data))
-            ctx.attach("streaming", pipeline.stats)
+            with ctx.span("transform", what="fastq-render") as span:
+                fastq = pairs_to_interleaved_text(pairs).encode()
+                span.set(bytes=len(fastq))
+            with ctx.span("transform", what="fastq-parse"):
+                pairs = interleaved_text_to_pairs(fastq.decode())
+            # One batch per task: its statistics are how partitioning
+            # perturbs Bwa's output in the paper.
+            with ctx.span("program", program="bwa-mem"):
+                records = aligner.align_batch(pairs)
+            with ctx.span("transform", what="sam-render") as span:
+                sam = records_to_sam_text(aligner.header(), records).encode()
+                span.set(bytes=len(sam))
+            with ctx.span("transform", what="sam-parse"):
+                header, records = sam_text_to_records(sam.decode())
+            with ctx.span("encode", records=len(records)) as span:
+                bam_data = bam_bytes(header, records, chunk_bytes)
+                span.set(bytes_out=len(bam_data))
             path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
             ctx.write_file(path, bam_data, logical_partition=True)
             ctx.emit(path, len(pairs))
 
-        paths = self._keys(
+        return self._keys(
             _Row("round1", "round1-alignment", align, fastq=True), partitions
         )
-        streaming = self.results["round1"].attachments.get("streaming")
-        self.streaming_stats = streaming[-1] if streaming else None
-        return paths
 
     def round2_cleaning(self, in_paths: List[str], out_dir: str = "/round2",
                         num_reducers: int = 4) -> List[str]:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ReferenceError_, ReproError
+from repro.cli import main
+from repro.errors import ReferenceError_, ReproError, SimulationError
 from repro.genome.reference import (
     ReferenceGenome,
     read_fasta,
@@ -153,6 +154,30 @@ class TestReferenceSimulation:
         interval = next(reference.centromeres.intervals())
         assert reference.in_hard_region(interval.contig, interval.start)
 
+    def test_a_contig_must_hold_its_centromere(self):
+        def config(length):
+            return ReferenceSimulationConfig(contig_lengths={"chr1": length},
+                                             blacklist_regions=0)
+
+        with pytest.raises(SimulationError, match="200 bp centromere"):
+            config(199)
+        assert len(simulate_reference(config(200)).contigs["chr1"]) == 200
+
+    def test_a_contig_must_hold_a_blacklist_run(self):
+        def config(length):
+            return ReferenceSimulationConfig(contig_lengths={"chr1": length})
+
+        with pytest.raises(SimulationError, match="blacklist run of 300"):
+            config(300)
+        assert len(simulate_reference(config(301)).blacklist) == 2
+
+    @pytest.mark.parametrize("length", ["100", "500", "600"])
+    def test_simulate_refuses_a_short_genome(self, length, tmp_path, capsys):
+        out = tmp_path / "sample"
+        assert main(["simulate", "--out", str(out), "--length", length]) == 2
+        assert "error: contig chr1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDonorSimulation:
     def test_truth_variants_applied_to_haplotypes(self, reference):
@@ -210,6 +235,30 @@ class TestReadSimulation:
         first = [p[0].qualities[0] for p in pairs[:200]]
         last = [p[0].qualities[-1] for p in pairs[:200]]
         assert sum(first) / len(first) > sum(last) / len(last)
+
+    @pytest.mark.parametrize("coverage", [-0.5, float("nan"), float("inf")])
+    def test_coverage_must_be_finite_and_not_negative(self, coverage):
+        with pytest.raises(SimulationError, match="coverage"):
+            ReadSimulationConfig(coverage=coverage)
+
+    def test_zero_coverage_yields_no_reads(self, donor):
+        assert simulate_reads(donor, ReadSimulationConfig(coverage=0.0)) == (
+            [], [])
+
+    def test_simulate_refuses_negative_coverage(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path / "sample"),
+                     "--coverage", "-3"]) == 2
+        assert "coverage" in capsys.readouterr().err
+
+    def test_a_contig_must_fit_the_shortest_fragment(self):
+        def donor(length):
+            return simulate_donor(simulate_reference(ReferenceSimulationConfig(
+                contig_lengths={"chr1": length}, blacklist_regions=0)))
+
+        config = ReadSimulationConfig(coverage=4.0)
+        with pytest.raises(SimulationError, match="200 bp fragment"):
+            simulate_reads(donor(201), config)
+        simulate_reads(donor(202), config)
 
     def test_deterministic(self, donor):
         config = ReadSimulationConfig(coverage=2.0, seed=77)

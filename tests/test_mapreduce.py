@@ -1,4 +1,4 @@
-"""Unit tests for the MapReduce engine and streaming emulation."""
+"""Unit tests for the MapReduce engine."""
 
 import pathlib
 import re
@@ -19,7 +19,6 @@ from repro.mapreduce.job import (
     make_splits,
 )
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.mapreduce.streaming import ExternalProgram, StreamingPipeline
 
 
 def word_mapper(payload, ctx):
@@ -244,31 +243,3 @@ class TestPublishTable:
             "shuffle.segment_bytes_stored": 466,
             "shuffle.segments": 8,
         }
-
-
-class Upper(ExternalProgram):
-    name = "upper"
-
-    def process(self, stdin: bytes) -> bytes:
-        return stdin.upper()
-
-
-class Exclaim(ExternalProgram):
-    name = "exclaim"
-
-    def process(self, stdin: bytes) -> bytes:
-        return stdin.replace(b"\n", b"!\n")
-
-
-class TestStreaming:
-    def test_pipeline_chains_programs(self):
-        pipeline = StreamingPipeline([Upper(), Exclaim()])
-        out = pipeline.run(b"hello\nworld\n")
-        assert out == b"HELLO!\nWORLD!\n"
-
-    def test_pipe_stats_recorded(self):
-        pipeline = StreamingPipeline([Upper(), Exclaim()])
-        pipeline.run(b"abc\n")
-        assert pipeline.stats.programs == ["upper", "exclaim"]
-        assert pipeline.stats.bytes_in == [4, 4]
-        assert pipeline.stats.bytes_out == [4, 5]

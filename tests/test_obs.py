@@ -13,6 +13,9 @@ import json
 import pytest
 
 from repro.api import PipelineSpec
+from repro.formats.bam import read_bam
+from repro.gdpt.partitioner import split_pairs_contiguously
+from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import (
     JobContext,
@@ -25,7 +28,6 @@ from repro.mapreduce.policy import ExecutionPolicy
 from repro.mapreduce.task import TaskCall
 from repro.obs.analysis import ledger
 from repro.obs.export import (
-    render_timeline,
     to_chrome_trace,
     to_jsonl_lines,
     write_chrome_trace,
@@ -43,6 +45,11 @@ from repro.obs.recorder import (
     TraceRecorder,
 )
 from repro.pipeline.parallel import GesallPipeline
+from repro.wrappers.programs import (
+    pairs_to_interleaved_text,
+    records_to_sam_text,
+)
+from repro.wrappers.rounds import GesallRounds
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -285,17 +292,6 @@ class TestExport:
         with open(path) as handle:
             assert "traceEvents" in json.load(handle)
 
-    def test_render_timeline(self):
-        out = render_timeline(self._recorder(), width=20)
-        lines = out.splitlines()
-        assert "round" in out and "phase" in out
-        # header + one strip per category + footer
-        assert len(lines) == 4
-
-    def test_render_timeline_empty(self):
-        assert render_timeline(TraceRecorder()) == "(no spans recorded)"
-        assert render_timeline(NULL_RECORDER) == "(no spans recorded)"
-
     def test_empty_recorder_exports(self):
         recorder = TraceRecorder()
         trace = to_chrome_trace(recorder)
@@ -334,10 +330,6 @@ class TestExport:
         # the horizon, rather than a TypeError.
         assert recorder.horizon() == pytest.approx(1.0)
         assert ledger(recorder)["rows"]["map"] == pytest.approx({None: 1.0})
-
-    def test_dead_worker_span_timeline(self):
-        out = render_timeline(self._dead_worker_recorder(), width=10)
-        assert "phase" in out and "(no spans recorded)" not in out
 
 
 def _traced_job():
@@ -454,10 +446,9 @@ class TestEngineTracing:
         )).run(pairs[:60]).recorder.spans()
         tasks = [s for s in spans if s.category.endswith("-task")]
         phases = [s for s in spans if s.category == "phase"]
-        sections = [s for s in spans if s.name in
-                    ("hdfs-read", "decode", "stream", "encode")]
-        assert {s.name for s in sections} == {
-            "hdfs-read", "decode", "stream", "encode"}
+        names = ("hdfs-read", "decode", "transform", "program", "encode")
+        sections = [s for s in spans if s.name in names]
+        assert {s.name for s in sections} == set(names)
         for section in sections:
             assert sum(_inside(section, phase) for phase in phases) == 1, \
                 section
@@ -479,6 +470,50 @@ class TestEngineTracing:
         finally:
             executor.close()
         assert outcome.spans == [] and outcome.started_at is None
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.executor)
+    def test_round1_sections_carry_the_bytes_they_hand_on(
+        self, policy, reference, aligner, pairs
+    ):
+        """Round 1's map phase is one Bwa ``program`` call between four
+        ``transform`` text conversions, then the ``encode`` of the BAM
+        the task writes; each byte count is that of what the step hands
+        on."""
+        hdfs = Hdfs(["n0", "n1"], replication=1)
+        recorder = TraceRecorder()
+        rounds = GesallRounds(hdfs, MapReduceEngine(
+            nodes=hdfs.nodes, policy=policy, recorder=recorder,
+        ), aligner, reference)
+        partitions = split_pairs_contiguously(list(pairs[:60]), 3)
+        try:
+            paths = rounds.round1_alignment(partitions)
+        finally:
+            rounds.close()
+        spans = recorder.spans()
+        tasks = sorted((s for s in spans if s.category == "map-task"),
+                       key=lambda s: s.name)
+        assert len(tasks) == len(partitions) == len(paths)
+        for index, (task, path) in enumerate(zip(tasks, paths)):
+            assert task.name.endswith(f"-m-{index:05d}")
+            (phase,) = [s for s in spans
+                        if s.category == "phase" and _inside(s, task)]
+            assert phase.name == "map"
+            sections = [s for s in spans if _inside(s, phase)]
+            names = [s.name for s in sections]
+            assert names.count("program") == 1
+            assert names.count("transform") == 4
+            text = {s.attrs["what"]: s.attrs.get("bytes")
+                    for s in sections if s.name == "transform"}
+            assert set(text) == {"fastq-render", "fastq-parse",
+                                 "sam-render", "sam-parse"}
+            assert text["fastq-render"] == len(
+                pairs_to_interleaved_text(partitions[index]).encode())
+            data = hdfs.get(path)
+            header, records = read_bam(data)
+            assert text["sam-render"] == len(
+                records_to_sam_text(header, records).encode())
+            (encode,) = [s for s in sections if s.name == "encode"]
+            assert encode.attrs["bytes_out"] == len(data)
 
     def test_task_context_span_disabled_is_null(self):
         context = TaskContext("t-0", "n0")
@@ -597,10 +632,6 @@ class TestTracedPipelineAcceptance:
             summary = job_result.history.summary()
             assert summary["tasks"] > 0, key
             assert summary["run_seconds"] > 0.0, key
-
-    def test_timeline_renders(self, traced_run):
-        out = render_timeline(traced_run.recorder, width=30)
-        assert "round" in out and "phase" in out
 
     def test_disabled_pipeline_records_nothing(self, reference, ref_index,
                                                pairs):

@@ -406,8 +406,11 @@ class TestLedger:
         report = json.loads(out.read_text())
         wall = report["Run"]["rows"][0]["wall"]
         rows = {row["layer"]: row for row in report["Ledger"]["rows"]}
-        assert {"stream", "map", "decode", "encode", "spill",
+        assert {"program", "transform", "map", "decode", "encode", "spill",
                 "map-task", "pipeline", "unaccounted"} <= set(rows)
+        assert "stream" not in rows
+        for layer in ("program", "transform", "encode"):
+            assert rows[layer]["round1"] > 0.0, layer
         assert abs(sum(row["total"] for row in rows.values()) - wall) <= 1e-6
         assert 0.0 <= rows["unaccounted"]["total"] <= 0.05 * wall
 

@@ -86,11 +86,6 @@ class TestRound1:
         for path in paths:
             assert hdfs.get_file(path).logical_partition
 
-    def test_streaming_stats_captured(self, rounds_env):
-        rounds, _, _ = rounds_env
-        assert rounds.streaming_stats is not None
-        assert rounds.streaming_stats.programs == ["bwa-mem", "samtobam"]
-
     def test_golden_sam_bytes(self, rounds_env):
         rounds, hdfs, paths = rounds_env
         pins.check("round1_sam_sha1", lines_sha1(read_all(hdfs, paths)))

@@ -730,13 +730,14 @@ class TestTenantObservability:
         assert summary["b"]["rejected"] == 1
 
     def test_report_grows_tenant_section(self, tmp_path):
-        from repro.obs.report import render_html_report
+        from repro.obs.report import build_report, render_html
 
         server = make_server(str(tmp_path), hold=False)
         server.submit("a", wordcount_payload(LINES))
         server.drain()
         server.close()
-        html = render_html_report(server.recorder)
+        html = render_html(build_report(server.recorder), "jobs",
+                           server.recorder)
         assert "<h2>Tenants</h2>" in html
         assert "<td>a</td>" in html
 

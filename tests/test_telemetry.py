@@ -1,7 +1,7 @@
 """Tests for the performance-study telemetry subsystem.
 
 Covers the worker resource sampler, the straggler/utilization
-analytics, the HTML report, and the ``repro-genomics report`` /
+analytics, the HTML report, and the ``repro-genomics trace`` /
 ``compare`` CLI surface (the rule itself: ``tests/test_compare.py``;
 the report model: ``tests/test_report_model.py``) — including the
 acceptance scenario: a pool-executor five-round run whose report
@@ -33,7 +33,7 @@ from repro.obs.analysis import (
     worker_cost,
 )
 from repro.obs.recorder import ObsConfig, Span, TraceRecorder
-from repro.obs.report import render_html_report
+from repro.obs.report import build_report, render_html
 from repro.obs.sampler import ResourceSampler, take_sample
 from repro.pipeline.parallel import GesallPipeline
 from tests.test_compare import contract_record, write_records
@@ -281,13 +281,10 @@ class TestReportAcceptance:
 
     @pytest.fixture(scope="class")
     def html(self, sampled_run):
-        histories = [(key, job_result.history) for key, job_result
-                     in sampled_run.rounds.results.items()]
-        return render_html_report(
-            sampled_run.recorder, histories=histories,
-            title="acceptance report",
-            extra_meta={"executor": "pool"},
-        )
+        return render_html(build_report(
+            sampled_run.recorder, sampled_run.rounds.results,
+            {"executor": "pool"},
+        ), "acceptance report", sampled_run.recorder)
 
     def test_report_is_self_contained_html(self, html):
         assert html.lstrip().startswith("<!DOCTYPE html>")
@@ -385,19 +382,29 @@ class TestCli:
         assert capsys.readouterr().err
 
     @needs_fork
-    def test_report_subcommand_writes_html(self, tmp_path, capsys):
+    def test_trace_writes_the_html_report(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["simulate", "--out", str(data),
                      "--length", "4000", "--coverage", "4",
                      "--seed", "5"]) == 0
-        out = tmp_path / "report.html"
-        assert main(["report", "--data", str(data),
-                     "--out", str(out),
+        assert main(["trace", "--data", str(data),
+                     "--trace-out", str(tmp_path / "trace.json"),
                      "--executor", "pool", "--max-workers", "2",
                      "--partitions", "3",
                      "--sample-interval", "0.01"]) == 0
-        html = out.read_text()
+        html = (data / "report.html").read_text()
         assert "Per-phase utilization" in html
         assert "proc.rss_bytes" in html
-        stdout = capsys.readouterr().out
-        assert "resource series" in stdout
+        assert f"wrote {data / 'report.html'}" in capsys.readouterr().out
+
+    def test_report_is_no_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--data", "anywhere"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("interval", ["nan", "-1"])
+    def test_trace_refuses_a_bad_sample_interval(self, interval, tmp_path,
+                                                 capsys):
+        assert main(["trace", "--data", str(tmp_path / "missing"),
+                     "--sample-interval", interval]) == 2
+        assert "sample_interval" in capsys.readouterr().err

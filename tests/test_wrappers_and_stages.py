@@ -3,18 +3,14 @@
 import pytest
 
 from repro.cleaning.clean_sam import CleanSam
-from repro.formats.bam import read_bam
-from repro.formats.fastq import FastqRecord
-from repro.formats.sam import SamHeader
-from repro.mapreduce.streaming import StreamingPipeline
 from repro.pipeline.stages import TABLE2_STAGES, total_pipeline_hours
 from repro.wrappers.programs import (
-    BwaExternal,
     DataTransformAccounting,
-    SamToBamExternal,
     interleaved_text_to_pairs,
     pairs_to_interleaved_text,
+    records_to_sam_text,
     run_wrapped,
+    sam_text_to_records,
 )
 
 
@@ -31,22 +27,13 @@ class TestInterleavedText:
             interleaved_text_to_pairs("@only_one_line\n")
 
 
-class TestBwaExternal:
-    def test_emits_header_and_records(self, aligner, pairs):
-        program = BwaExternal(aligner)
-        out = program.process(pairs_to_interleaved_text(pairs[:5]).encode())
-        lines = out.decode().rstrip("\n").split("\n")
-        header_lines = [l for l in lines if l.startswith("@")]
-        record_lines = [l for l in lines if not l.startswith("@")]
-        assert any(l.startswith("@SQ") for l in header_lines)
-        assert len(record_lines) == 10
-
-    def test_pipes_into_samtobam(self, aligner, pairs):
-        pipeline = StreamingPipeline([BwaExternal(aligner), SamToBamExternal()])
-        bam_data = pipeline.run(pairs_to_interleaved_text(pairs[:5]).encode())
-        header, records = read_bam(bam_data)
-        assert len(records) == 10
-        assert header.sequence_names()
+class TestSamText:
+    def test_roundtrip(self, sam_header, aligned):
+        text = records_to_sam_text(sam_header, aligned[:10])
+        header, records = sam_text_to_records(text)
+        assert header == sam_header
+        assert [r.to_line() for r in records] == [
+            r.to_line() for r in aligned[:10]]
 
 
 class TestTransformAccounting:
