@@ -21,16 +21,15 @@ way to make an attempt fail on purpose; its failures are absorbed by
 the engine's ordinary retry loop.
 
 Injected delays are *charged* to the attempt (added to its measured
-runtime before the ``task_timeout`` check) and slept through the
-policy's injectable ``sleep`` hook, so timeout tests are deterministic
-and need no real-time waits.
+runtime before the ``task_timeout`` check), never slept, so timeout
+drills are deterministic and need no real-time waits.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 import re
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import zlib
 
 from repro.errors import MapReduceError
@@ -124,9 +123,8 @@ class DelayTask:
     """Charge SECONDS of extra runtime to one attempt of TASK.
 
     With a ``task_timeout`` below ``seconds`` the attempt is declared
-    hung and retried; the delay is slept through the policy's ``sleep``
-    hook and charged deterministically, so the timeout trips under
-    every executor.
+    hung and retried; the delay is charged deterministically, never
+    slept, so the timeout trips under every executor.
     """
 
     task_id: str
@@ -209,10 +207,9 @@ class ColdStart:
 
     Models cold-start on elastic/preemptible capacity: each worker the
     pool forks for the named job (or for every job when ``job`` is
-    empty) is charged ``seconds`` of deterministic spawn delay — slept
-    through the policy's injectable ``sleep`` hook and accounted in
-    ``pool.cold_start_seconds`` — so autoscaling decisions pay a real
-    price for growing the pool.
+    empty) is charged ``seconds`` of deterministic spawn delay — never
+    slept, accounted in ``pool.cold_start_seconds`` — so autoscaling
+    decisions pay a price for growing the pool.
     """
 
     seconds: float
@@ -452,6 +449,29 @@ class FaultPlan:
 
     def touches_io(self) -> bool:
         return bool(self._of(IO_EVENT_TYPES))
+
+    def check_addresses(self, task_ids: Set[str], jobs: Set[str]) -> None:
+        """Refuse an event naming a task or job the run does not have.
+
+        Such an event would inject nothing and the drill would "pass".
+        ``task_ids`` and ``jobs`` come from a clean run of the same
+        configuration; an empty ``ColdStart`` job means every job.
+        """
+        for event in self.events:
+            for field, known in (("task_id", task_ids), ("job", jobs)):
+                name = getattr(event, field, None)
+                if name is None or name in known:
+                    continue
+                if isinstance(event, ColdStart) and not name:
+                    continue  # every job
+                from difflib import get_close_matches  # only on this error path
+
+                near = get_close_matches(name, sorted(known), n=3, cutoff=0)
+                raise MapReduceError(
+                    f"chaos event {type(event).__name__} names {field} "
+                    f"{name!r}, which this run does not have; it would "
+                    f"inject nothing (nearest: {', '.join(near)})"
+                )
 
     # -- reporting ----------------------------------------------------------
     def as_dicts(self) -> List[Dict[str, Any]]:

@@ -477,6 +477,12 @@ def _cmd_chaos(args) -> int:
     print()
 
     base_spec = _spec_from_args(args, reference, nodes=tuple(nodes))
+    chaos_policy = dataclasses.replace(
+        base_spec.policy,
+        task_retries=max(2, args.task_retries),
+        task_timeout=args.task_timeout,
+        fault_plan=plan,
+    )
 
     def build(policy, traced=True, checkpoint_dir=None):
         return dataclasses.replace(
@@ -485,15 +491,10 @@ def _cmd_chaos(args) -> int:
         )
 
     clean = run_pipeline(build(ExecutionPolicy.serial(), traced=False), pairs)
-
-    chaos_policy = dataclasses.replace(
-        base_spec.policy,
-        task_retries=max(2, args.task_retries),
-        task_timeout=args.task_timeout,
-        fault_plan=plan,
-        # Injected delays are *charged* to the attempt, so there is no
-        # reason to really sleep through them.
-        sleep=lambda _seconds: None,
+    jobs = clean.rounds.results.values()
+    plan.check_addresses(
+        {task.task_id for job in jobs for task in job.history.tasks},
+        {job.job_name for job in jobs},
     )
     checkpoint_dir = resume_info = None
     if any(isinstance(e, KillDriver) for e in plan.events):

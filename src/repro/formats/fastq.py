@@ -100,15 +100,22 @@ def read_sample(data_dir: str):
     """Load a simulated sample directory: ``(reference, read pairs)``.
 
     The layout ``repro-genomics simulate`` writes — ``reference.fa``
-    plus the per-strand ``reads_1.fastq`` / ``reads_2.fastq``.
+    plus the per-strand ``reads_1.fastq`` / ``reads_2.fastq``; a missing
+    file is a :class:`~repro.errors.FormatError`.
     """
     # Imported here: repro.genome.simulate imports this module.
     from repro.genome.reference import read_fasta
 
-    reference = read_fasta(os.path.join(data_dir, "reference.fa"))
-    forward = read_fastq(os.path.join(data_dir, "reads_1.fastq"))
-    reverse = read_fastq(os.path.join(data_dir, "reads_2.fastq"))
-    return reference, list(interleave(forward, reverse))
+    paths = [os.path.join(data_dir, name)
+             for name in ("reference.fa", "reads_1.fastq", "reads_2.fastq")]
+    for path in paths:
+        if not os.path.isfile(path):
+            raise FormatError(
+                f"no sample file {path}; write a sample there with "
+                f"`repro-genomics simulate --out {data_dir}`"
+            )
+    reference = read_fasta(paths[0])
+    return reference, list(interleave(read_fastq(paths[1]), read_fastq(paths[2])))
 
 
 def _pair_key(name: str) -> str:

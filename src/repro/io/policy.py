@@ -29,6 +29,7 @@ the fork boundary with the rest of the job configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -67,8 +68,11 @@ class IoPolicy:
     def __post_init__(self):
         if self.retries < 0:
             raise DurableIoError("retries must be >= 0")
-        if self.op_timeout < 0:
-            raise DurableIoError("op_timeout must be >= 0 (0 disables it)")
+        if not (math.isfinite(self.op_timeout) and self.op_timeout >= 0):
+            raise DurableIoError(
+                f"op_timeout must be finite and >= 0 (0 disables it), "
+                f"got {self.op_timeout!r}"
+            )
         if isinstance(self.spill_dirs, list):
             object.__setattr__(self, "spill_dirs", tuple(self.spill_dirs))
         if any(not d for d in self.spill_dirs):

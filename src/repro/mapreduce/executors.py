@@ -360,7 +360,7 @@ class PooledProcessExecutor(TaskExecutor):
         self._closed = False
         #: Cold-start chaos, read from the job's fault plan at
         #: :meth:`begin_job`: a charged spawn delay applied to every
-        #: fork, slept through the policy's injectable ``sleep``.
+        #: fork, never slept.
         self.cold_start_seconds = 0.0
         #: Wave-task sequence numbers armed for spot-style preemption:
         #: the worker dispatched the seq-th call is SIGKILLed right
@@ -425,7 +425,7 @@ class PooledProcessExecutor(TaskExecutor):
         mp = multiprocessing.get_context("fork")
         # Publish for the duration of the forks only; children carry
         # their inherited copy, the parent keeps none.
-        _POOL_JOB_CONTEXT = context = self._job_context()
+        _POOL_JOB_CONTEXT = self._job_context()
         try:
             for _ in range(count):
                 parent_conn, child_conn = mp.Pipe()
@@ -442,7 +442,6 @@ class PooledProcessExecutor(TaskExecutor):
                     # spawn delay, so scale-up is never free.
                     self.cold_starts += 1
                     self.cold_start_charged += self.cold_start_seconds
-                    context.policy.sleep(self.cold_start_seconds)
         finally:
             _POOL_JOB_CONTEXT = None
 

@@ -33,9 +33,6 @@ constructing engines ad hoc:
   place and the lost attempt's late commit is refused.
 * ``backup_attempts`` — how many fenced backup attempts the driver
   launches for a task whose lease expired before giving up.
-* ``sleep`` — clock hook used for retry backoff and injected delays;
-  defaults to ``time.sleep`` and is swapped for a fake in tests so
-  fault-injection suites run without real-time waits.
 * ``fault_plan`` — a frozen :class:`~repro.chaos.plan.FaultPlan` of
   targeted chaos events (kill node N at round R, delay task T, raise
   in task U) — the one way to make an attempt fail on purpose.  Events
@@ -55,10 +52,10 @@ task, in which order, or in which process.
 
 from __future__ import annotations
 
+import math
 import os
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.chaos.plan import POOL_EVENT_TYPES, FaultPlan
 from repro.errors import MapReduceError
@@ -82,6 +79,12 @@ def default_workers() -> int:
     return min(32, cpus)
 
 
+def _positive_or_none(seconds: Optional[float]) -> bool:
+    """``None`` or a finite number of seconds above 0: a NaN or infinite
+    limit is never exceeded, so it would switch detection off."""
+    return seconds is None or (math.isfinite(seconds) and seconds > 0)
+
+
 class InjectedTaskFault(MapReduceError):
     """A configured, deterministic task failure (fault injection)."""
 
@@ -99,9 +102,6 @@ class ExecutionPolicy:
     backup_attempts: int = 1
     fault_plan: Optional[FaultPlan] = None
     io: Optional[IoPolicy] = None
-    sleep: Callable[[float], None] = field(
-        default=time.sleep, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.executor not in EXECUTOR_KINDS:
@@ -113,12 +113,18 @@ class ExecutionPolicy:
             raise MapReduceError("max_workers must be >= 1")
         if self.task_retries < 0:
             raise MapReduceError("task_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise MapReduceError("task_timeout must be > 0")
+        if not _positive_or_none(self.task_timeout):
+            raise MapReduceError(
+                f"task_timeout must be None or finite and > 0, "
+                f"got {self.task_timeout!r}"
+            )
         if self.blacklist_after is not None and self.blacklist_after < 1:
             raise MapReduceError("blacklist_after must be >= 1")
-        if self.lease_seconds is not None and self.lease_seconds <= 0:
-            raise MapReduceError("lease_seconds must be > 0")
+        if not _positive_or_none(self.lease_seconds):
+            raise MapReduceError(
+                f"lease_seconds must be None or finite and > 0, "
+                f"got {self.lease_seconds!r}"
+            )
         if self.backup_attempts < 1:
             raise MapReduceError("backup_attempts must be >= 1")
         if self.fault_plan is not None and self.executor != "pool":

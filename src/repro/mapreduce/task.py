@@ -232,10 +232,9 @@ def run_attempts(
     submission, keeping placement deterministic across executors.
 
     Hung-task detection charges any chaos-plan delay to the attempt's
-    measured runtime (the delay itself is slept through the policy's
-    injectable ``sleep`` hook), so a ``task_timeout`` trips — or
-    doesn't — identically under the serial and forked engines and
-    under a fake clock.
+    measured runtime without sleeping through it, so a ``task_timeout``
+    trips — or doesn't — identically under the serial and forked
+    engines.
 
     Retry backoff is *charged, never slept*: each failed attempt adds
     ``charged_backoff`` (the capped exponential curve) to the
@@ -270,7 +269,6 @@ def run_attempts(
             charged = plan.delay_for(task_id, attempt) if plan else 0.0
             if charged > 0:
                 delays += 1
-                policy.sleep(charged)
             if (
                 policy.task_timeout is not None
                 and elapsed + charged > policy.task_timeout

@@ -114,7 +114,7 @@ class JobServerDaemon:
                     str(request.get("tenant", "")),
                     request.get("payload"),
                     cost=float(request.get("cost", 1.0)),
-                    demand=int(request.get("demand", 1)),
+                    demand=request.get("demand", 1),
                     job_id=request.get("job_id"),
                 )
                 return {"job_id": job.job_id, "state": job.state}

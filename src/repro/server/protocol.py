@@ -47,9 +47,22 @@ def wordcount_payload(lines: List[str], partitions: int = 2,
     return {
         "type": "wordcount",
         "lines": list(lines),
-        "partitions": int(partitions),
-        "reducers": int(reducers),
+        "partitions": partitions,
+        "reducers": reducers,
     }
+
+
+def is_count(value: Any) -> bool:
+    """An ``int`` (never a ``bool``) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _count(payload: Dict[str, Any], key: str, default: int) -> int:
+    value = payload.get(key, default)
+    if not is_count(value):
+        raise ServerError(f"{payload['type']} payload {key!r} must be an "
+                          f"integer >= 1, got {value!r}")
+    return value
 
 
 def build_runnable(job_id: str, payload: Dict[str, Any],
@@ -67,11 +80,12 @@ def build_runnable(job_id: str, payload: Dict[str, Any],
     kind = payload.get("type")
     if kind == "wordcount":
         lines = payload.get("lines")
-        if not isinstance(lines, list) or not lines:
+        if (not isinstance(lines, list) or not lines
+                or not all(isinstance(line, str) for line in lines)):
             raise ServerError("wordcount payload needs a non-empty "
-                              "'lines' list")
-        partitions = int(payload.get("partitions", 2))
-        reducers = int(payload.get("reducers", 2))
+                              "'lines' list of strings")
+        partitions = _count(payload, "partitions", 2)
+        reducers = _count(payload, "reducers", 2)
 
         def run_wordcount() -> Any:
             from repro.api import JobSpec, make_block_splits, run_job
@@ -98,8 +112,8 @@ def build_runnable(job_id: str, payload: Dict[str, Any],
                 f"pipeline payload needs a 'data' sample directory, "
                 f"got {data_dir!r}"
             )
-        partitions = int(payload.get("partitions", 4))
-        reducers = int(payload.get("reducers", 4))
+        partitions = _count(payload, "partitions", 4)
+        reducers = _count(payload, "reducers", 4)
 
         def run_pipeline_job() -> Any:
             from repro.api import PipelineSpec, run_pipeline

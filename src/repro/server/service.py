@@ -43,7 +43,7 @@ from repro.server.admission import (
     TenantPolicy,
     valid_tenant_name,
 )
-from repro.server.protocol import build_runnable
+from repro.server.protocol import build_runnable, is_count
 from repro.server.queue import DurableJobQueue, QueuedJob
 from repro.server.scheduler import FairShareScheduler
 
@@ -161,10 +161,10 @@ class JobServer:
                 raise ServerError(
                     f"job id {job_id!r} must match [A-Za-z0-9_-]+"
                 )
-            if demand < 1 or demand > self.config.total_slots:
+            if not is_count(demand) or demand > self.config.total_slots:
                 raise ServerError(
-                    f"job demand {demand} does not fit the server's "
-                    f"{self.config.total_slots} slot budget"
+                    f"job demand {demand!r} must be an integer slot count "
+                    f"within the server's {self.config.total_slots} slot budget"
                 )
             live: Dict[str, int] = {}
             committed: Dict[str, float] = {}

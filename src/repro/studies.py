@@ -4,17 +4,24 @@ Each is an entry of :data:`repro.obs.figures.FIGURES`.  A ``functional``
 one runs the real pipelines or kernels on a seeded synthetic sample, so
 its record is byte-reproducible and carries neither host nor timing;
 Table 8, Tables 9/10, Fig 11 and Fig 6a share one accuracy-study run.  A
-``measured`` one (``elastic``, ``server``) is timed on the running host;
-its claims are bounds meant to hold on any host.
+``measured`` one (``elastic``, ``server``, ``rounds_scale``) is timed on
+the running host; its claims are bounds meant to hold on any host.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import hashlib
+import multiprocessing
+import os
 import random
+import shutil
+import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 from repro.align import AlignerConfig, PairedEndAligner, ReferenceIndex
@@ -23,6 +30,7 @@ from repro.cluster.costs import CostModel
 from repro.diagnostics import (
     ErrorDiagnosisToolkit, attribute_regions, discordance_coverage, edge_enrichment,
     enrichment_in_hard_regions, filtered_discordance_fraction, insert_size_histogram)
+from repro.errors import ReproError
 from repro.formats import SamFlags, SamHeader, SamRecord, bam_bytes, encode_quals
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
@@ -499,3 +507,112 @@ def _server(jobs, partitions, reducers, repeats):
                   [(path, wall, wall - loop_wall, _digest(outputs))
                    for path, (wall, outputs) in runs],
                   "overhead: queue journal + scheduler + pool hop")]
+
+
+# -- rounds 2-4 by data volume: the contract workload, one interpreter per scale
+#: The source checkout this module runs from; the frozen benchmark harness
+#: lives under it, beside ``src/``.
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+HARNESS_DIR = os.path.join(CHECKOUT, "benchmarks", "e2e")
+SCALE_ROUNDS = ("round2", "round3", "round4")
+
+
+def scale_row(seed: int, scale: float, iterations: int) -> dict:
+    """One scale of ``rounds_scale``, run in a fresh interpreter.
+
+    ``CleanDurableWorkload.setup(seed, scale)``, one warm-up and
+    ``iterations`` timed durable ``iterate`` calls, every output checked
+    by the workload's own ``check``.  A round costs the process CPU
+    seconds spent inside its span divided by ``HostClock``'s pace over
+    it: busy seconds at nominal host speed, the contract benchmark's
+    unit.  Pins its process to one CPU, so it belongs in a child.
+    """
+    sys.path.insert(0, HARNESS_DIR)
+    from harness import HostClock, pin_to_one_cpu, summarize
+    from workloads import CleanDurableWorkload
+
+    workload, failures = CleanDurableWorkload(), []
+    busy = {key: [] for key in SCALE_ROUNDS}
+    scratch = os.path.join(CHECKOUT, ".bench_tmp")  # git-ignored
+    os.makedirs(scratch, exist_ok=True)
+    work_root = tempfile.mkdtemp(prefix="scale-", dir=scratch)
+    pin_to_one_cpu()  # before the clock threads exist: they inherit it
+    try:
+        with HostClock() as clock:
+            state = workload.setup(seed, scale)
+            for index in range(iterations + 1):  # the first one is a warm-up
+                spans = {}
+
+                @contextlib.contextmanager
+                def span(name):
+                    cpu, start = time.process_time(), time.perf_counter()
+                    yield
+                    spans[name] = (time.process_time() - cpu, start, time.perf_counter())
+
+                work_dir = os.path.join(work_root, str(index))
+                os.makedirs(work_dir)
+                gc.collect()
+                outcome = workload.iterate(state, work_dir, SimpleNamespace(span=span))
+                failures += workload.check(state, outcome)
+                shutil.rmtree(work_dir)
+                for key in SCALE_ROUNDS if index else ():
+                    cpu, start, end = spans[f"wrappers.clean_{key}"]
+                    busy[key].append(cpu / clock.pace(start, end))
+    finally:
+        shutil.rmtree(work_root, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.rmdir(scratch)  # unless another run is using it
+    with open("/proc/self/status") as status:  # pin_to_one_cpu is Linux-only too
+        peak_rss = next(int(line.split()[1]) * 1024 for line in status
+                        if line.startswith("VmHWM:"))
+    return {"scale": scale, "pairs": state.pairs, "records": state.expected["records"],
+            "check_failures": failures, "peak_rss": peak_rss,
+            "rounds": {key: summarize(values) for key, values in busy.items()}}
+
+
+def scale_row_in_child(seed: int, scale: float, iterations: int) -> dict:
+    """:func:`scale_row` in a spawned interpreter: peak RSS is a
+    high-water mark, and this process may have run other figures first."""
+    if not os.path.isdir(HARNESS_DIR):
+        raise ReproError(f"rounds_scale runs the benchmark workload in {HARNESS_DIR}, "
+                         "which is missing; run it from a source checkout")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as child:
+        return child.submit(scale_row, seed, scale, iterations).result()
+
+
+_STATS = ("n", "min", "q1", "median", "q3", "max")
+
+
+@figure("measured", "rounds_scale", {"seed": 7, "scales": (1, 4, 8), "iterations": 3},
+        ("every scale's outputs pass the workload's own check",
+         lambda t: not any(column(t[0], "check failures"))),
+        ("each scale holds more records than the one below it",
+         lambda t: all(low < high for low, high in zip(
+             column(t[0], "records"), column(t[0], "records")[1:]))),
+        ("every (scale, round) cell has q1 <= median <= q3",
+         lambda t: all(row["q1"] <= row["median"] <= row["q3"] for row in t[1].values())))
+def _rounds_scale(seed, scales, iterations):
+    rows = [scale_row_in_child(seed, scale, iterations) for scale in scales]
+
+    def cost(row, key):
+        return row["rounds"][key]["median"]
+
+    return [
+        table(f"clean-durable rounds 2-4 by scale, seed {seed}",
+              "scale:x|pairs:n|records:n|check failures:n|peak RSS:B",
+              [(row["scale"], row["pairs"], row["records"], len(row["check_failures"]),
+                row["peak_rss"]) for row in rows],
+              "one spawned interpreter per scale, pinned to one CPU; peak RSS is "
+              "its VmHWM (its ru_maxrss would start at the parent's RSS, which "
+              "Linux carries across exec)"),
+        table(f"Busy seconds per round, {iterations} iteration(s) after a warm-up",
+              "scale / round|n:n|min:s|q1:s|median:s|q3:s|max:s",
+              [(f"{row['scale']}x {key}", *(row["rounds"][key][stat] for stat in _STATS))
+               for row in rows for key in SCALE_ROUNDS],
+              "busy: process CPU seconds / HostClock pace, at nominal host speed"),
+        table("Cost ratio of each scale step (medians)",
+              "step|records ratio:x|" + "|".join(f"{key} cost:x" for key in SCALE_ROUNDS),
+              [(f"{low['scale']}x -> {high['scale']}x", high["records"] / low["records"],
+                *(cost(high, key) / cost(low, key) for key in SCALE_ROUNDS))
+               for low, high in zip(rows, rows[1:])]),
+    ]

@@ -4,6 +4,7 @@ change a single byte of the five-round pipeline's output.
 """
 
 import json
+import time
 
 import pytest
 
@@ -86,6 +87,22 @@ class TestFaultPlan:
         assert plan.delay_for("t-m-00000", 2) == 0.0
         assert plan.raises_in("t-r-00001", 2)
         assert not plan.raises_in("t-r-00001", 1)
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("delay", "t-m-00009:1"), ("fail", "t-r-0001"), ("zombie", "u-m-00000"),
+        ("duplicate-commit", "t-x-00000"), ("preempt", "u:map:0"),
+        ("cold-start", "0.1@u"), ("corrupt-segment", "u:0:0:0"),
+    ])
+    def test_an_event_aimed_at_no_task_or_job_is_refused(self, flag, spec):
+        task_ids, jobs = {"t-m-00000", "t-r-00001"}, {"t"}
+        plan = FaultPlan(events=(parse_event(spec, flag),))
+        with pytest.raises(MapReduceError, match="this run does not have"):
+            plan.check_addresses(task_ids, jobs)
+        FaultPlan(events=(
+            parse_event("t-m-00000:1", "delay"), parse_event("t:map:0", "preempt"),
+            parse_event("0.1", "cold-start"), parse_event("0.1@t", "cold-start"),
+            KillDatanode("n1", at_round="round9"),  # rounds: the pipeline's check
+        )).check_addresses(task_ids, jobs)
 
     def test_plan_rides_inside_a_frozen_policy(self):
         plan = FaultPlan(events=(RaiseInTask("t", attempt=1),))
@@ -282,23 +299,28 @@ class TestPolicyKnobs:
         with pytest.raises(MapReduceError):
             ExecutionPolicy(blacklist_after=0)
 
+    @pytest.mark.parametrize("field", ["task_timeout", "lease_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_limit_is_refused(self, field, value):
+        """A NaN or infinite limit is never exceeded: detection would be off."""
+        with pytest.raises(MapReduceError, match=f"{field} must be None or finite"):
+            ExecutionPolicy(**{field: value})
+        assert getattr(ExecutionPolicy(**{field: 1}), field) == 1
+
     def test_backoff_is_charged_not_slept(self):
-        """Retry backoff is recorded in the accounting but never goes
-        through the sleep hook — a retry storm cannot stall the wall
-        clock (injected delays still sleep; see TestHungTasks)."""
+        """Retry backoff is recorded in the accounting, never slept — a
+        retry storm cannot stall the wall clock."""
         from repro.obs.recorder import TraceRecorder
 
-        sleeps = []
         policy = ExecutionPolicy(
             task_retries=1,
             fault_plan=FaultPlan(events=(RaiseInTask("wc-m-00000"),)),
-            sleep=sleeps.append,
         )
         recorder = TraceRecorder()
         MapReduceEngine(
             nodes=["n1"], policy=policy, recorder=recorder
         ).run(wordcount_job(), make_splits(LINES))
-        assert sleeps == []  # charged, never slept
         counters = recorder.metrics.as_dict()["counters"]
         assert counters["engine.backoff_charged_seconds"] == \
             pytest.approx(RETRY_BACKOFF)
@@ -306,17 +328,19 @@ class TestPolicyKnobs:
 
 class TestHungTasks:
     def test_hung_task_times_out_and_retries_on_another_node(self):
-        sleeps = []
+        from repro.obs.recorder import TraceRecorder
+
         plan = FaultPlan(events=(
             DelayTask("wc-m-00000", seconds=30.0, attempt=1),
         ))
         policy = ExecutionPolicy(
-            task_retries=2, task_timeout=5.0,
-            fault_plan=plan, sleep=sleeps.append,
+            task_retries=2, task_timeout=5.0, fault_plan=plan,
         )
-        result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
-            wordcount_job(), make_splits(LINES)
-        )
+        recorder, started = TraceRecorder(), time.perf_counter()
+        result = MapReduceEngine(
+            nodes=["n1", "n2"], policy=policy, recorder=recorder
+        ).run(wordcount_job(), make_splits(LINES))
+        assert time.perf_counter() - started < 30.0  # charged, not slept
         clean = MapReduceEngine(nodes=["n1", "n2"]).run(
             wordcount_job(), make_splits(LINES)
         )
@@ -327,7 +351,8 @@ class TestHungTasks:
         assert task.attempts == 2
         assert task.timeouts == 1
         assert task.node == "n2"  # first attempt ran (and hung) on n1
-        assert 30.0 in sleeps  # the delay was slept through the hook
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters["chaos.delays_injected"] == 1
 
     def test_timeout_exhausts_retries(self):
         plan = FaultPlan(events=(
@@ -336,7 +361,7 @@ class TestHungTasks:
         ))
         policy = ExecutionPolicy(
             task_retries=1, task_timeout=5.0,
-            fault_plan=plan, sleep=lambda _s: None,
+            fault_plan=plan,
         )
         with pytest.raises(MapReduceError, match="after 2 attempt"):
             MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
@@ -347,7 +372,6 @@ class TestHungTasks:
         plan = FaultPlan(events=(RaiseInTask("wc-m-00001", attempt=1),))
         policy = ExecutionPolicy(
             task_retries=2, fault_plan=plan,
-            sleep=lambda _s: None,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
             wordcount_job(), make_splits(LINES)
@@ -374,7 +398,6 @@ class TestHungTasks:
         policy = ExecutionPolicy(
             executor=kind, max_workers=2, task_retries=3,
             task_timeout=5.0, fault_plan=plan,
-            sleep=lambda _s: None,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
             wordcount_job(), make_splits(LINES)
@@ -389,7 +412,7 @@ class TestBlacklist:
         plan = FaultPlan(events=(RaiseInTask("wc-m-00000", attempt=1),))
         policy = ExecutionPolicy(
             task_retries=2, blacklist_after=1,
-            fault_plan=plan, sleep=lambda _s: None,
+            fault_plan=plan,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
         result = engine.run(wordcount_job(), make_splits(LINES))
@@ -406,7 +429,7 @@ class TestBlacklist:
         plan = FaultPlan(events=(RaiseInTask("first-m-00000", attempt=1),))
         policy = ExecutionPolicy(
             task_retries=2, blacklist_after=1,
-            fault_plan=plan, sleep=lambda _s: None,
+            fault_plan=plan,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
         engine.run(wordcount_job("first"), make_splits(LINES))
@@ -421,7 +444,7 @@ class TestBlacklist:
         plan = FaultPlan(events=(RaiseInTask("wc-m-00000", attempt=1),))
         policy = ExecutionPolicy(
             task_retries=2, blacklist_after=1,
-            fault_plan=plan, sleep=lambda _s: None,
+            fault_plan=plan,
         )
         engine = MapReduceEngine(nodes=["n1"], policy=policy)
         engine.run(wordcount_job(), make_splits(LINES))
@@ -468,7 +491,6 @@ class TestChaosAcceptance:
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, task_retries=3,
             task_timeout=30.0, fault_plan=plan,
-            sleep=lambda _s: None,
         )
         result, fingerprint = run_pipeline(
             reference, ref_index, pairs, policy

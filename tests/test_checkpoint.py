@@ -285,7 +285,6 @@ class TestPipelineResume:
         ))
         crashing = ExecutionPolicy(
             task_retries=0, fault_plan=plan,
-            sleep=lambda _s: None,
         )
         with pytest.raises(MapReduceError, match="after 1 attempt"):
             build(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import shutil
 
 import pytest
 
@@ -179,6 +180,32 @@ class TestChaosCli:
         assert "'serial'" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("flags,event,name,near", [
+        (["--delay", "x:1"], "DelayTask", "x", "round"),
+        (["--executor", "pool", "--preempt", "nope:map:0"], "PreemptWorker",
+         "nope", "round"),
+        (["--zombie", "round4-sort-r-0000@1"], "ZombieAttempt",
+         "round4-sort-r-0000", "round4-sort-r-00000"),
+    ], ids=["delay", "preempt", "zombie"])
+    def test_an_event_aimed_at_no_task_or_job_exits_2(
+        self, sample_dir, capsys, flags, event, name, near
+    ):
+        """Regression: each of these injected nothing and still passed."""
+        code = main(["chaos", "--data", sample_dir, "--partitions", "4",
+                     *flags])
+        captured = capsys.readouterr()
+        assert code == 2, captured.out
+        assert f"error: chaos event {event} names" in captured.err
+        assert repr(name) in captured.err and near in captured.err
+        assert "GATE" not in captured.out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_task_timeout_exits_2(self, sample_dir, capsys, value):
+        """Regression: ``nan`` switched hung-task detection off and passed."""
+        code = main(["chaos", "--data", sample_dir, "--task-timeout", value])
+        assert code == 2
+        assert "task_timeout must be None or finite" in capsys.readouterr().err
+
     @needs_fork
     def test_preempt_and_cold_start_gate_passes(
         self, sample_dir, tmp_path, capsys
@@ -211,6 +238,30 @@ class TestChaosCli:
         assert counters["pool.cold_starts"] >= 1
         absorption = payload["absorption"]
         assert sum(s["backups"] for s in absorption.values()) >= 1
+
+
+class TestMissingSample:
+    @pytest.mark.parametrize("missing", ["reference.fa", "reads_1.fastq",
+                                         "reads_2.fastq"])
+    def test_a_sample_missing_a_file_exits_2(
+        self, sample_dir, tmp_path, capsys, missing
+    ):
+        for name in ("reference.fa", "reads_1.fastq", "reads_2.fastq"):
+            if name != missing:
+                shutil.copy(os.path.join(sample_dir, name), tmp_path)
+        code = main(["run", "--data", str(tmp_path), "--mode", "serial"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert os.path.join(str(tmp_path), missing) in err
+        assert "simulate --out" in err
+
+    @pytest.mark.parametrize("command", ["run", "trace", "diagnose", "chaos"])
+    def test_no_sample_directory_exits_2(self, tmp_path, capsys, command):
+        code = main([command, "--data", str(tmp_path / "nonexistent")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "reference.fa" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestElasticTrace:

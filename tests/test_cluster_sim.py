@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import studies
 from repro.cluster.costs import GB, NA12878, CostModel
 from repro.cli import main
 from repro.cluster.fluid import FluidSimulator, Phase, Resource, SimTask
@@ -299,7 +300,7 @@ PIPELINE_BACKED = {"table8_accuracy", "table9_10_quality", "fig11_error_diagnosi
 #: and their pinned records have none.
 UNCLAIMED = {"pipeline_cluster_a", "pipeline_cluster_b"}
 #: Committed records that scripts under ``benchmarks/`` write.
-SCRIPT_RECORDS = {"rounds_scale", "profile_wgs-serial", "profile_wgs-serial_parent"}
+SCRIPT_RECORDS = {"profile_wgs-serial", "profile_wgs-serial_parent"}
 
 
 def _committed(name):
@@ -343,6 +344,24 @@ class TestPaperFigures:
             assert bool(entry.claims) != (name in UNCLAIMED), name
             assert record["plane"] == entry.plane, name
             assert ("host" in record) == (entry.plane == "measured"), name
+
+    def test_a_rounds_scale_row_is_checked_and_ordered(self):
+        """One quarter-size scale, one iteration, in its own interpreter."""
+        row = studies.scale_row_in_child(seed=3, scale=0.25, iterations=1)
+        assert set(row) == {"scale", "pairs", "records", "check_failures",
+                            "peak_rss", "rounds"}
+        assert row["check_failures"] == [] and row["records"] > 0
+        assert set(row["rounds"]) == set(studies.SCALE_ROUNDS)
+        for stats in row["rounds"].values():
+            assert stats["n"] == 1
+            assert (stats["min"] <= stats["q1"] <= stats["median"] <= stats["q3"]
+                    <= stats["max"])
+
+    def test_rounds_scale_without_the_harness_exits_2(self, monkeypatch, tmp_path, capsys):
+        missing = str(tmp_path / "e2e")
+        monkeypatch.setattr(studies, "HARNESS_DIR", missing)
+        assert main(["perf-study", "rounds_scale"]) == 2
+        assert missing in capsys.readouterr().err
 
     def test_every_committed_record_is_versioned(self):
         paths = glob.glob(os.path.join(RESULTS, "BENCH_*.json"))

@@ -304,7 +304,7 @@ class TestZombieFencing:
     def run_with_plan(self, plan, kind="serial", max_workers=1, **knobs):
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, fault_plan=plan,
-            sleep=lambda _s: None, **knobs,
+            **knobs,
         )
         engine = MapReduceEngine(nodes=["n1", "n2"], policy=policy)
         return engine, engine.run(wordcount_job(), make_splits(LINES))
@@ -456,7 +456,7 @@ class TestReduceOutputHook:
         hdfs = Hdfs(list(NODES), replication=2)
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, fault_plan=plan,
-            sleep=lambda _s: None, **knobs,
+            **knobs,
         )
         with MapReduceEngine(
             nodes=hdfs.nodes, policy=policy, filesystem=hdfs

@@ -292,41 +292,41 @@ class TestPreemption:
 
 
 class TestColdStart:
-    def test_cold_start_is_charged_and_slept_through_the_hook(self):
-        sleeps = []
+    def test_cold_start_is_charged_per_fork_never_slept(self):
         plan = FaultPlan(events=(ColdStart(0.25, job="wc"),))
         recorder = TraceRecorder()
         with MapReduceEngine(
             nodes=NODES,
             policy=ExecutionPolicy(
                 executor="pool", max_workers=2, fault_plan=plan,
-                sleep=sleeps.append,
             ),
             recorder=recorder,
         ) as engine:
             result = engine.run(wordcount_job(), make_splits(LINES))
         assert result.all_outputs() == clean_outputs()
-        assert sleeps == [0.25, 0.25]  # one charge per forked worker
         [armed] = result.history.events_of("cold_start_armed")
         assert armed["seconds_per_fork"] == 0.25
         counters = recorder.metrics.as_dict()["counters"]
+        # One charge per forked worker.
         assert counters.get("pool.cold_starts") == 2
         assert counters.get("pool.cold_start_seconds") == \
             pytest.approx(0.5)
 
     def test_cold_start_for_other_job_does_not_fire(self):
-        sleeps = []
         plan = FaultPlan(events=(ColdStart(0.25, job="other-job"),))
+        recorder = TraceRecorder()
         with MapReduceEngine(
             nodes=NODES,
             policy=ExecutionPolicy(
                 executor="pool", max_workers=2, fault_plan=plan,
-                sleep=sleeps.append,
             ),
+            recorder=recorder,
         ) as engine:
             result = engine.run(wordcount_job(), make_splits(LINES))
         assert result.all_outputs() == clean_outputs()
-        assert sleeps == []
+        counters = recorder.metrics.as_dict()["counters"]
+        assert "pool.cold_starts" not in counters
+        assert not result.history.events_of("cold_start_armed")
 
     def test_jobless_cold_start_applies_to_every_job(self):
         plan = FaultPlan(events=(ColdStart(0.1),))
@@ -546,11 +546,9 @@ class TestComposedExecutionPlaneDrill:
         self, tmp_path, traced
     ):
         serial, serial_files, _ = self.run_drill(tmp_path / "serial")
-        sleeps = []
         result, files, recorder = self.run_drill(
             tmp_path / "pool", traced=traced, executor="pool",
             max_workers=3, fault_plan=self.PLAN,
-            sleep=sleeps.append,
         )
         assert result.all_outputs() == serial.all_outputs()
         assert result.reduce_outputs == serial.reduce_outputs
@@ -572,8 +570,6 @@ class TestComposedExecutionPlaneDrill:
         })
         assert result.counters.as_dict() == expected
 
-        # 3 initial forks + 2 respawns, each charged the cold start.
-        assert sleeps == [0.25] * 5
         # Three workers for six maps, two for two reducers.
         [scaled] = result.history.events_of("pool_scaled")
         assert (scaled["from_workers"], scaled["to_workers"]) == (3, 2)
@@ -591,6 +587,8 @@ class TestComposedExecutionPlaneDrill:
             # reply carries its task's I/O counts), and one worker
             # retires for the two-task reduce wave.
             counters = recorder.metrics.as_dict()["counters"]
+            # 3 initial forks + 2 respawns, each charged the cold start.
+            assert counters["pool.cold_start_seconds"] == pytest.approx(1.25)
             assert {
                 name: counters[name] for name in counters
                 if "seconds" not in name

@@ -94,7 +94,7 @@ class TestExecutionPolicy:
 
     def test_the_pool_has_no_floor(self):
         """Each wave sizes the pool, so there is no floor to set."""
-        assert len(dataclasses.fields(ExecutionPolicy)) == 10
+        assert len(dataclasses.fields(ExecutionPolicy)) == 9
         with pytest.raises(TypeError, match="min_workers"):
             ExecutionPolicy.pooled(4, min_workers=2)
 

@@ -66,6 +66,10 @@ class TestIoPolicy:
             IoPolicy(retries=-1)
         with pytest.raises(DurableIoError):
             IoPolicy(op_timeout=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DurableIoError, match="op_timeout must be finite"):
+                IoPolicy(op_timeout=value)
+        assert IoPolicy(op_timeout=0).op_timeout == 0  # 0: off
         with pytest.raises(DurableIoError):
             IoPolicy(segment_replicas=0)
         with pytest.raises(DurableIoError):

@@ -220,7 +220,7 @@ class TestPublishTable:
         ))
         policy = ExecutionPolicy(
             task_retries=3, task_timeout=5.0, blacklist_after=1,
-            fault_plan=plan, sleep=lambda seconds: None,
+            fault_plan=plan,
         )
         job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,
                       io_sort_records=3)

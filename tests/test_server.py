@@ -440,6 +440,66 @@ class TestAdmissionInServer:
         assert reopened.queue.jobs == {}
         reopened.close()
 
+    @pytest.mark.parametrize("kind", ["wordcount", "pipeline"])
+    @pytest.mark.parametrize("field", ["partitions", "reducers"])
+    @pytest.mark.parametrize("value", [0, -3, 2.7, True, "x"],
+                             ids=["zero", "negative", "float", "bool", "str"])
+    def test_a_count_that_is_no_positive_int_is_refused(
+        self, tmp_path, kind, field, value
+    ):
+        payload = {"type": kind, "lines": LINES, "data": str(tmp_path),
+                   field: value}
+        server = make_server(str(tmp_path / "state"))
+        with pytest.raises(ServerError, match=f"'{field}' must be an integer"):
+            server.submit("a", payload)
+        assert server.queue.jobs == {}
+        server.submit("a", {**payload, field: 1})
+        server.close()
+
+    @pytest.mark.parametrize("lines", [[1, 2], ["a", None], "a b"],
+                             ids=["ints", "none", "str"])
+    def test_wordcount_lines_must_be_strings(self, tmp_path, lines):
+        server = make_server(str(tmp_path))
+        with pytest.raises(ServerError, match="'lines' list of strings"):
+            server.submit("a", {"type": "wordcount", "lines": lines})
+        server.submit("a", {"type": "wordcount", "lines": ["a"]})
+        server.close()
+
+    @pytest.mark.parametrize("demand", [0, 1.5, True, "1"],
+                             ids=["zero", "float", "bool", "str"])
+    def test_a_demand_that_is_no_slot_count_is_refused(self, tmp_path, demand):
+        server = make_server(str(tmp_path), slots=2)
+        with pytest.raises(ServerError, match="slot budget"):
+            server.submit("a", wordcount_payload(LINES), demand=demand)
+        assert server.queue.jobs == {}
+        assert server.submit("a", wordcount_payload(LINES), demand=1).demand == 1
+        server.close()
+
+    @pytest.mark.parametrize("request_fields", [
+        {"demand": 1.5}, {"demand": True},
+        {"payload": {"type": "wordcount", "lines": ["a"], "partitions": 0}},
+        {"payload": {"type": "wordcount", "lines": ["a"], "reducers": 0}},
+        {"payload": {"type": "wordcount", "lines": [1, 2]}},
+        {"payload": {"type": "wordcount", "lines": ["a"], "partitions": "x"}},
+    ], ids=["demand-float", "demand-bool", "partitions-0", "reducers-0",
+            "lines-ints", "partitions-str"])
+    def test_the_daemon_refuses_a_job_it_could_never_run(
+        self, tmp_path, request_fields
+    ):
+        from repro.server.daemon import JobServerDaemon
+
+        server = make_server(str(tmp_path))
+        daemon = JobServerDaemon(server, str(tmp_path / "unbound.sock"))
+        request = {"op": "submit", "tenant": "a",
+                   "payload": wordcount_payload(["a"]), **request_fields}
+        reply = daemon.handle(request)
+        assert reply["error"]["type"] == "ServerError", reply
+        assert server.queue.jobs == {}
+        assert "job_id" in daemon.handle(
+            {"op": "submit", "tenant": "a", "demand": 1,
+             "payload": wordcount_payload(["a"], partitions=1, reducers=1)})
+        server.close()
+
     def test_demand_above_slots_rejected(self, tmp_path):
         server = make_server(str(tmp_path), slots=2)
         with pytest.raises(ServerError, match="slot budget"):
@@ -447,10 +507,11 @@ class TestAdmissionInServer:
         server.close()
 
     def test_failed_job_is_terminal_not_fatal(self, tmp_path):
-        server = make_server(str(tmp_path))
-        # Integer "lines" pass payload validation's list check but
-        # blow up inside the mapper — the job fails, the server lives.
-        server.submit("a", {"type": "wordcount", "lines": [1, 2]},
+        server = make_server(str(tmp_path / "state"))
+        # A directory passes payload validation, but holds no sample for
+        # the job to read — the job fails, the server lives.
+        os.mkdir(tmp_path / "empty")
+        server.submit("a", {"type": "pipeline", "data": str(tmp_path / "empty")},
                       job_id="bad")
         server.submit("a", wordcount_payload(LINES), job_id="good")
         server.start_dispatch()
@@ -601,6 +662,23 @@ class TestDaemonRoundTrip:
         with pytest.raises(AdmissionError) as excinfo:
             client.submit("a", wordcount_payload(["x"]), cost=-1.0)
         assert excinfo.value.reason == "bad_cost"
+
+    @pytest.mark.parametrize("flags", [
+        ["--partitions", "0"], ["--reducers", "0"], ["--demand", "0"],
+    ], ids=["partitions", "reducers", "demand"])
+    def test_submit_exits_2_for_a_job_it_could_never_run(
+        self, served, capsys, flags
+    ):
+        from repro.cli import main
+
+        server, socket_path = served
+        self._client(socket_path)
+        command = ["submit", "--socket", socket_path, "--tenant", "a",
+                   "--text", "x y"]
+        assert main(command + flags) == 2
+        assert "error:" in capsys.readouterr().err
+        assert server.queue.jobs == {}
+        assert main(command + [flags[0], "1"]) == 0
 
     def test_unknown_op_is_typed(self, served):
         _, socket_path = served
