@@ -450,15 +450,18 @@ class FaultPlan:
     def touches_io(self) -> bool:
         return bool(self._of(IO_EVENT_TYPES))
 
-    def check_addresses(self, task_ids: Set[str], jobs: Set[str]) -> None:
-        """Refuse an event naming a task or job the run does not have.
+    def check_addresses(self, task_ids: Set[str], jobs: Set[str],
+                        paths: Set[str]) -> None:
+        """Refuse an event naming a task, job or HDFS path the run does
+        not have.
 
         Such an event would inject nothing and the drill would "pass".
-        ``task_ids`` and ``jobs`` come from a clean run of the same
-        configuration; an empty ``ColdStart`` job means every job.
+        ``task_ids``, ``jobs`` and ``paths`` come from a clean run of the
+        same configuration; an empty ``ColdStart`` job means every job.
         """
         for event in self.events:
-            for field, known in (("task_id", task_ids), ("job", jobs)):
+            for field, known in (("task_id", task_ids), ("job", jobs),
+                                 ("path", paths)):
                 name = getattr(event, field, None)
                 if name is None or name in known:
                     continue

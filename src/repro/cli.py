@@ -450,6 +450,30 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+def _chaos_section(run, suffix: str, recovered=None):
+    """One chaos driver's tables and ``--report-out`` entries: the events
+    it applied (the storage plane's plus each job's corrupted segments),
+    how each round absorbed them, its fault counters and, after a
+    resume, the commits it replayed.  ``suffix`` ends every table title."""
+    results = run.rounds.results
+    events = list(run.chaos_events) + [
+        {"round": key, **event}
+        for key, job in results.items()
+        for event in job.history.events_of("segment_corrupted")
+    ]
+    applied, fault_counters, *recovery = chaos_tables(
+        events, run.recorder.metrics.as_dict()["counters"], recovered
+    )
+    tables = [applied, tasks_table(results), fault_counters, *recovery]
+    return [table._replace(title=table.title + suffix) for table in tables], {
+        "chaos_events": events,
+        "fault_counters": dict(fault_counters.rows),
+        "absorption": {
+            label: job.history.summary() for label, job in results.items()
+        },
+    }
+
+
 def _cmd_chaos(args) -> int:
     """Run the pipeline under a fault plan and gate output equivalence.
 
@@ -459,7 +483,9 @@ def _cmd_chaos(args) -> int:
     fault plan.  Exit code 0 only when the chaos run's variants are
     identical to the clean parallel run's: every injected failure was
     absorbed by replication, retries and timeouts without changing a
-    single call.
+    single call.  When the plan kills the driver, the chaos run is the
+    resumed one, and the killed driver's events, per-round tasks and
+    fault counters are reported in a section of their own.
     """
     reference, pairs = read_sample(args.data)
     nodes = [f"node{i:02d}" for i in range(4)]
@@ -495,8 +521,10 @@ def _cmd_chaos(args) -> int:
     plan.check_addresses(
         {task.task_id for job in jobs for task in job.history.tasks},
         {job.job_name for job in jobs},
+        set(clean.hdfs.list_dir("/")),
     )
-    checkpoint_dir = resume_info = None
+    checkpoint_dir = resume_info = killed_record = None
+    killed_tables: List[Table] = []
     if any(isinstance(e, KillDriver) for e in plan.events):
         # Crash-recovery drill: run with checkpoints + WAL until the
         # plan kills the driver, then resume (KillDriver stripped — the
@@ -512,6 +540,11 @@ def _cmd_chaos(args) -> int:
             )
         except DriverKilledError as exc:
             resume_info["driver_kills"] = 1
+            # What the killed driver absorbed before it died is reported
+            # in its own section: the resumed run never sees it.
+            killed_tables, killed_record = _chaos_section(
+                exc.result, " (killed driver)"
+            )
             print(f"driver killed: {exc}")
             print()
         surviving = tuple(
@@ -541,15 +574,11 @@ def _cmd_chaos(args) -> int:
     chaos_lines = [v.to_line() for v in chaos_run.variants]
     ok = gate.weighted_d_count == 0 and clean_lines == chaos_lines
 
-    results = chaos_run.rounds.results
-    events = list(chaos_run.chaos_events) + [
-        {"round": key, **event}
-        for key, job_result in results.items()
-        for event in job_result.history.events_of("segment_corrupted")
-    ]
-    counters = chaos_run.recorder.metrics.as_dict()["counters"]
+    tables, record = _chaos_section(
+        chaos_run, "", resume_info and resume_info["recovered_tasks"]
+    )
     if resume_info is not None:
-        resume_info["wal_tasks_skipped"] = counters.get(
+        resume_info["wal_tasks_skipped"] = record["fault_counters"].get(
             "wal.tasks_skipped", 0
         )
         print(f"crash recovery: driver killed "
@@ -559,12 +588,8 @@ def _cmd_chaos(args) -> int:
               "commit(s) from the WAL")
         print()
     table8 = diagnosis_table(report, "Table 8 (serial program vs chaos run)")
-    absorption = tasks_table(results)
-    applied, fault_counters, *recovery = chaos_tables(
-        events, counters, resume_info and resume_info["recovered_tasks"]
-    )
     print(render_text(
-        [table8, applied, absorption, fault_counters, *recovery]
+        [table8, *killed_tables, *tables]
     ))
 
     if args.trace_out:
@@ -574,11 +599,7 @@ def _cmd_chaos(args) -> int:
         _write_json(args.report_out, {
             "plan": {"seed": plan.seed, "events": plan.as_dicts()},
             "executor": args.executor,
-            "chaos_events": events,
-            "fault_counters": dict(fault_counters.rows),
-            "absorption": {
-                label: job.history.summary() for label, job in results.items()
-            },
+            **record,
             "table8": table8.records(),
             "gate": {
                 "weighted_d_count": gate.weighted_d_count,
@@ -587,6 +608,7 @@ def _cmd_chaos(args) -> int:
                 "equivalent": ok,
             },
             "resume": resume_info,
+            "killed_driver": killed_record,
         })
 
     print()

@@ -12,9 +12,9 @@ from typing import List, Sequence, Tuple
 
 from repro.cluster.fluid import UtilizationTrace
 
-#: Ten-level intensity ramp shared by every strip-chart renderer
-#: (simulated disk utilization here, real span timelines in
-#: :mod:`repro.obs.export`).
+#: Ten-level intensity ramp shared by every strip-chart renderer:
+#: :func:`render_strip_chart`'s simulated disk utilization here, and the
+#: text sparkline of a ``series`` cell in :func:`repro.obs.report.format_cell`.
 RAMP = " .:-=+*#%@"
 
 

@@ -73,7 +73,14 @@ class DriverKilledError(MapReduceError):
 
     Raised *after* the triggering commit was journaled, so a resumed
     run recovers every commit up to and including it from the WAL.
+    It carries what the dead driver recorded: ``job_result``, the
+    interrupted job's partial ``JobResult`` (set by the engine), and
+    ``result``, the partial ``GesallPipelineResult`` (set by
+    ``GesallPipeline.run``).
     """
+
+    job_result = None
+    result = None
 
 
 class ShuffleError(MapReduceError):

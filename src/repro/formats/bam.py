@@ -102,7 +102,12 @@ def iter_frames(data: bytes, offset: int = 0) -> Iterator[Tuple[int, bytes]]:
         start = position + _FRAME_HEADER.size
         if start + comp_len > end:
             raise BamError("truncated BAM frame payload")
-        payload = zlib.decompress(data[start : start + comp_len])
+        try:
+            payload = zlib.decompress(data[start : start + comp_len])
+        except zlib.error as exc:
+            raise BamError(
+                f"corrupt BAM frame at offset {position}: {exc}"
+            ) from exc
         if len(payload) != raw_len:
             raise BamError("frame length mismatch after decompression")
         yield position, payload
@@ -194,9 +199,11 @@ class BamLinearIndex:
     @classmethod
     def from_bytes(cls, data: bytes) -> "BamLinearIndex":
         entries = []
-        text = data.decode()
-        if text:
-            for line in text.split("\n"):
+        try:
+            text = data.decode()
+            for line in text.split("\n") if text else ():
                 rname, pos, offset = line.split("\t")
                 entries.append((rname, int(pos), int(offset)))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise BamError(f"malformed BAM index: {exc}") from exc
         return cls(entries)

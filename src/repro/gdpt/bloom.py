@@ -76,15 +76,16 @@ class BloomFilter:
             magic, num_bits, num_hashes, items = _HEADER.unpack_from(data)
             if magic != _MAGIC:
                 raise ValueError(f"bad magic {magic!r}")
+            # Checked before the filter is allocated: a damaged
+            # ``num_bits`` must not size a bytearray.
+            bits = data[_HEADER.size:]
+            if len(bits) != num_bits // 8 + 1:
+                raise ValueError(
+                    f"{len(bits)} bytes of bits for {num_bits} bits"
+                )
             bloom = cls(num_bits, num_hashes)
         except (struct.error, ValueError) as exc:
             raise FormatError(f"malformed bloom filter: {exc}") from exc
-        bits = data[_HEADER.size:]
-        if len(bits) != len(bloom._bits):
-            raise FormatError(
-                f"malformed bloom filter: {len(bits)} bytes of bits for "
-                f"{num_bits} bits"
-            )
         bloom._bits[:] = bits
         bloom.items_added = items
         return bloom

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import MapReduceError
+from repro.errors import DriverKilledError, MapReduceError
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
 from repro.mapreduce.counters import Counters
@@ -382,6 +382,11 @@ class MapReduceEngine:
                     # segment storage — including chaos-plan validation
                     # between the waves — not just reduce-wave crashes.
                     store.delete_all(stored)
+        except DriverKilledError as exc:
+            # The interrupted job's record rides the error out, so a
+            # report can show what the killed driver absorbed.
+            exc.job_result = result
+            raise
         finally:
             executor.end_job()
             # In the ``finally`` so a killed driver still publishes

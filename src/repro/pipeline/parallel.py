@@ -26,7 +26,7 @@ from repro.align.index import ReferenceIndex
 from repro.align.pairing import PairedEndAligner
 from repro.api import PipelineSpec
 from repro.chaos.plan import DecommissionDatanode, KillDatanode
-from repro.errors import PipelineError
+from repro.errors import DriverKilledError, PipelineError
 from repro.formats.bam import read_bam
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamRecord
@@ -203,6 +203,11 @@ class GesallPipeline:
             return self._run_rounds(
                 engine, hdfs, recorder, result, pairs, resume, stages
             )
+        except DriverKilledError as exc:
+            # The partial result rides the error out: its recorder and
+            # job histories hold what the killed driver absorbed.
+            exc.result = result
+            raise
         finally:
             # A pooled policy keeps forked workers alive across all
             # five rounds; release them (and flush the pool's lifetime

@@ -39,6 +39,12 @@ from repro.server.service import JobServer
 #: Exit code of a chaos-killed server process (CI asserts on it).
 KILLED_EXIT_CODE = 7
 
+#: Longest request line the daemon reads, newline included: far above
+#: any CLI payload, so a client that never sends a newline cannot make
+#: the daemon buffer without bound.  A longer line gets a typed error
+#: and its connection is closed.
+MAX_REQUEST_BYTES = 16 << 20
+
 
 def _check_af_unix() -> None:
     if not hasattr(socket, "AF_UNIX"):
@@ -50,7 +56,16 @@ def _check_af_unix() -> None:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         daemon = self.server.daemon  # type: ignore[attr-defined]
-        for line in self.rfile:
+        while True:
+            line = self.rfile.readline(MAX_REQUEST_BYTES)
+            if not line:
+                return
+            if len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                self._reply({"error": error_to_wire(ServerError(
+                    f"request line longer than {MAX_REQUEST_BYTES} bytes; "
+                    "closing the connection"
+                ))})
+                return
             line = line.strip()
             if not line:
                 continue
@@ -67,10 +82,7 @@ class _Handler(socketserver.StreamRequestHandler):
             else:
                 op = request.get("op")
                 response = daemon.handle(request)
-            self.wfile.write(
-                (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-            )
-            self.wfile.flush()
+            self._reply(response)
             if op == "shutdown":
                 daemon.request_shutdown()
                 return
@@ -79,6 +91,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 # KillServer that fires on the first dispatch cannot
                 # take the reply down with the process.
                 daemon.server.start_dispatch()
+
+    def _reply(self, response: Dict[str, Any]) -> None:
+        self.wfile.write(
+            (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+        )
+        self.wfile.flush()
 
 
 class _SocketServer(socketserver.ThreadingMixIn,

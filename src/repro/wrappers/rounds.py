@@ -27,7 +27,7 @@ from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
 from repro.cleaning.sort import coordinate_key
-from repro.errors import MapReduceError, PipelineError
+from repro.errors import DriverKilledError, MapReduceError, PipelineError
 from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamHeader
@@ -163,8 +163,12 @@ class GesallRounds:
         recorder = self.engine.recorder
         with recorder.span(f"round:{row.key}", category="round",
                            track="driver", job=spec.name) as span:
-            result = run_job(spec, splits, engine=self.engine,
-                             journal=journal)
+            try:
+                result = run_job(spec, splits, engine=self.engine,
+                                 journal=journal)
+            except DriverKilledError as exc:
+                self.results[row.key] = exc.job_result
+                raise
             counts = {name: result.counters.get(counter) for name, counter in (
                 ("records_in", C.MAP_INPUT_RECORDS),
                 ("records_out", C.REDUCE_OUTPUT_RECORDS if row.reducer

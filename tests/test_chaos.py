@@ -92,17 +92,21 @@ class TestFaultPlan:
         ("delay", "t-m-00009:1"), ("fail", "t-r-0001"), ("zombie", "u-m-00000"),
         ("duplicate-commit", "t-x-00000"), ("preempt", "u:map:0"),
         ("cold-start", "0.1@u"), ("corrupt-segment", "u:0:0:0"),
+        ("corrupt", "/round1/part-00000@round2"),
     ])
     def test_an_event_aimed_at_no_task_or_job_is_refused(self, flag, spec):
+        """Or at no HDFS path: ``--corrupt`` names a file."""
         task_ids, jobs = {"t-m-00000", "t-r-00001"}, {"t"}
+        paths = {"/round1/part-00000.bam", "/round1/part-00001.bam"}
         plan = FaultPlan(events=(parse_event(spec, flag),))
         with pytest.raises(MapReduceError, match="this run does not have"):
-            plan.check_addresses(task_ids, jobs)
+            plan.check_addresses(task_ids, jobs, paths)
         FaultPlan(events=(
             parse_event("t-m-00000:1", "delay"), parse_event("t:map:0", "preempt"),
             parse_event("0.1", "cold-start"), parse_event("0.1@t", "cold-start"),
+            parse_event("/round1/part-00000.bam@round2", "corrupt"),
             KillDatanode("n1", at_round="round9"),  # rounds: the pipeline's check
-        )).check_addresses(task_ids, jobs)
+        )).check_addresses(task_ids, jobs, paths)
 
     def test_plan_rides_inside_a_frozen_policy(self):
         plan = FaultPlan(events=(RaiseInTask("t", attempt=1),))

@@ -186,7 +186,9 @@ class TestChaosCli:
          "nope", "round"),
         (["--zombie", "round4-sort-r-0000@1"], "ZombieAttempt",
          "round4-sort-r-0000", "round4-sort-r-00000"),
-    ], ids=["delay", "preempt", "zombie"])
+        (["--corrupt", "/round1/part-00000@round2"], "CorruptReplica",
+         "/round1/part-00000", "/round1/part-00000.bam"),
+    ], ids=["delay", "preempt", "zombie", "corrupt"])
     def test_an_event_aimed_at_no_task_or_job_exits_2(
         self, sample_dir, capsys, flags, event, name, near
     ):
@@ -207,37 +209,61 @@ class TestChaosCli:
         assert "task_timeout must be None or finite" in capsys.readouterr().err
 
     @needs_fork
-    def test_preempt_and_cold_start_gate_passes(
+    def test_composed_drill_reports_what_the_killed_driver_absorbed(
         self, sample_dir, tmp_path, capsys
     ):
-        """The acceptance drill: preemption + cold-start chaos under
-        the pool executor must be absorbed — gate passes, workers
-        respawn, a fenced backup commits."""
+        """The acceptance drill: compute, pool, storage and commit faults
+        in one plan, the driver killed in round 2 and resumed.  The gate
+        passes, and each fault is read from the driver that absorbed it:
+        round 2's preemption respawned a worker and committed a backup
+        in the killed driver, round 4's cold start hit the resumed one."""
         import json
 
         report_path = str(tmp_path / "chaos.json")
         code = main([
             "chaos", "--data", sample_dir, "--partitions", "4",
             "--executor", "pool", "--max-workers", "2",
+            "--shuffle-codec", "zlib-1",
+            "--spill-dir", str(tmp_path / "spill-primary"),
+            "--spill-dir", str(tmp_path / "spill-fallback"),
+            "--checkpoint-dir", str(tmp_path / "checkpoint"),
+            "--kill", "node02@round3", "--delay", "round4-sort-m-00000:60@1",
+            "--corrupt-segment", "round2-cleaning:0:0:0",
             "--preempt", "round2-cleaning:map:0",
             "--cold-start", "0.2@round4-sort",
+            "--enospc", f"0@{tmp_path / 'spill-primary'}/*",
+            "--torn-write", "*seg-*@40", "--eio", "WRITE:3",
+            "--slow-io", "0.01@*seg-*",
+            "--kill-driver", "round2:6", "--zombie", "round4-sort-r-00000@1",
+            "--duplicate-commit", "round3-markdup-opt-r-00000",
             "--report-out", report_path,
         ])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "GATE PASSED" in out
+        dead_text = out.split("Fault counters (killed driver):")[1]
+        dead_text = dead_text.split("\n\n")[0].split()
+        assert dead_text[dead_text.index("pool.preemptions") + 1] == "1"
         assert "Fault counters:" in out
-        assert "pool.preemptions" in out
         assert "pool.cold_starts" in out
         with open(report_path) as handle:
             payload = json.load(handle)
         assert payload["gate"]["equivalent"] is True
+        assert payload["gate"]["weighted_d_count"] == 0
+        killed = payload["killed_driver"]
+        dead = killed["fault_counters"]
+        assert dead["pool.preemptions"] == 1
+        assert dead["pool.workers_respawned"] >= 1
+        assert sum(s["backups"] for s in killed["absorption"].values()) >= 1
         counters = payload["fault_counters"]
-        assert counters["pool.preemptions"] == 1
-        assert counters["pool.workers_respawned"] >= 1
+        assert "pool.preemptions" not in counters
         assert counters["pool.cold_starts"] >= 1
-        absorption = payload["absorption"]
-        assert sum(s["backups"] for s in absorption.values()) >= 1
+        assert counters["io.torn_writes"] == 1 and counters["io.eio"] == 1
+        assert counters["io.fallback_spills"] > 0
+        assert counters["lease.expired"] == 1
+        assert counters["commit.fenced"] >= 2
+        assert payload["resume"]["driver_kills"] == 1
+        assert payload["resume"]["recovered_tasks"]["round2"]
 
 
 class TestMissingSample:

@@ -1,5 +1,7 @@
 """Edge-case and error-path tests across modules."""
 
+import random
+
 import pytest
 
 from repro.cleaning.fix_mate import _template_length
@@ -12,10 +14,12 @@ from repro.errors import (
     ReproError,
 )
 from repro.formats import flags as F
-from repro.formats.bam import bam_bytes, iter_frames, read_bam
+from repro.formats.bam import BamLinearIndex, bam_bytes, iter_frames, read_bam
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamHeader, SamRecord, encode_quals
 from repro.formats.vcf import VariantRecord
+from repro.gdpt.bloom import BloomFilter
+from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobSpec, _default_value_size, make_splits
 from repro.shuffle.keys import stable_hash_partition
@@ -105,6 +109,44 @@ class TestBamEdges:
         record = rec()
         _, out = read_bam(bam_bytes(header, [record]))
         assert out == [record]
+
+
+def _frames():
+    """One of each on-disk frame the rounds exchange, with its decoder."""
+    header = SamHeader(sequences=[("chr1", 5000)], sort_order="coordinate")
+    records = [rec(qname=f"r{i:03d}", pos=10 * i + 1) for i in range(50)]
+    bam = bam_bytes(header, records, chunk_bytes=256)
+    bloom = BloomFilter(num_bits=512)
+    bloom.update(range(40))
+    return {
+        "bam": (bam, read_bam),
+        "bai": (BamLinearIndex.build(bam).to_bytes(),
+                BamLinearIndex.from_bytes),
+        "gblk1": (RecordBlock(records).blob,
+                  lambda blob: RecordBlock(blob=blob).decode()),
+        "blm1": (bloom.to_bytes(), BloomFilter.from_bytes),
+    }
+
+
+class TestFrameFuzz:
+    @pytest.mark.parametrize("name", ["bam", "bai", "gblk1", "blm1"])
+    def test_damaged_frames_raise_only_typed_errors(self, name):
+        """Seeded bit-flips and truncations: a damaged frame decodes or
+        raises a ``ReproError`` — never a bare ``zlib.error``,
+        ``ValueError`` or ``struct.error``."""
+        data, decode = _frames()[name]
+        rng = random.Random(f"frame-fuzz|{name}")
+        for _ in range(300):
+            damaged = bytearray(data)
+            if rng.random() < 0.5:
+                bit = rng.randrange(len(damaged) * 8)
+                damaged[bit >> 3] ^= 1 << (bit & 7)
+            else:
+                del damaged[rng.randrange(len(damaged)):]
+            try:
+                decode(bytes(damaged))
+            except ReproError:
+                pass
 
 
 class TestVcfEdges:

@@ -417,8 +417,9 @@ class TestLedger:
 
 class TestCliSurfaces:
     def test_chaos_report_out_keeps_its_keys(self, tmp_path, capsys):
-        """The JSON four CI drills assert on: same top-level keys, each
-        derived from the tables the run printed."""
+        """The JSON CI's composed drill asserts on: same top-level keys,
+        each derived from the tables the run printed; ``killed_driver``
+        is ``None`` when no driver was killed."""
         data = tmp_path / "data"
         assert main(["simulate", "--out", str(data), "--length", "3000",
                      "--coverage", "6", "--seed", "3"]) == 0
@@ -429,13 +430,14 @@ class TestCliSurfaces:
         payload = json.loads(out.read_text())
         assert set(payload) == {"plan", "executor", "chaos_events",
                                 "fault_counters", "absorption", "table8",
-                                "gate", "resume"}
+                                "gate", "resume", "killed_driver"}
         text = capsys.readouterr().out
         for title in ("Table 8 (serial program vs chaos run):",
                       "Chaos events applied:", "Per-round tasks:",
                       "Fault counters:"):
             assert title in text
         assert payload["resume"] is None
+        assert payload["killed_driver"] is None
         assert {row["stage"] for row in payload["table8"]} == {
             "Bwa", "Mark Duplicates", "Haplotype Caller"}
         assert set(payload["table8"][0]) == {

@@ -686,6 +686,26 @@ class TestDaemonRoundTrip:
         with pytest.raises(ServerError, match="unknown op"):
             client._request({"op": "bogus"})
 
+    def test_an_oversized_request_line_is_refused_and_the_daemon_lives(
+        self, served
+    ):
+        """A line with no newline is read only up to the bound: a typed
+        error comes back, that connection closes, the next one works."""
+        from repro.server.daemon import MAX_REQUEST_BYTES
+
+        _, socket_path = served
+        client = self._client(socket_path)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(socket_path)
+            sock.sendall(b"x" * MAX_REQUEST_BYTES)
+            reply = sock.makefile("rb").readline()
+            assert sock.recv(1) == b""  # closed by the daemon
+        error = json.loads(reply)["error"]
+        assert error["type"] == "ServerError"
+        assert "longer than" in error["message"]
+        assert client.ping()
+
     def test_jobs_start_is_answered_before_the_kill_it_releases(
         self, tmp_path, capsys
     ):
