@@ -50,11 +50,10 @@ class Hdfs:
             name: Datanode(name) for name in nodes
         }
         self._next_block = 0
-        #: Byte/call counters live in the recorder's metrics registry.
-        #: Counters are cached so the traced fast path stays two attribute
-        #: loads + one ``inc``.  Calls made inside forked task bodies
-        #: mutate a copy-on-write registry and are not visible here; task
-        #: side telemetry must travel through the TaskContext channel.
+        #: Byte/call counters live in the recorder's metrics registry,
+        #: cached so the traced fast path stays two attribute loads + one
+        #: ``inc``.  A pool worker counts into its fork's copy; its
+        #: replies ship each task's counts back to the driver's.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         metrics = self.recorder.metrics
         self._ctr_put_calls = metrics.counter("hdfs.put.calls")

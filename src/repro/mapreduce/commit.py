@@ -112,6 +112,8 @@ class OutputCommitter:
         self._epochs: Dict[str, int] = {}
         #: task_id -> epoch of the attempt that committed.
         self.committed: Dict[str, int] = {}
+        #: task_id -> the outcome of the attempt that committed.
+        self.promoted: Dict[str, Any] = {}
         #: Attempt-scoped staging area: (task_id, epoch) -> outcome.
         self._staged: Dict[Tuple[str, int], Any] = {}
 
@@ -163,6 +165,7 @@ class OutputCommitter:
         for name, value in outcome.attachments:
             self.result.attachments.setdefault(name, []).append(value)
         self.committed[task_id] = epoch
+        self.promoted[task_id] = outcome
         del self._staged[(task_id, epoch)]
         self.result.counters.inc(C.TASK_COMMITS)
         if self.journal is not None:

@@ -333,6 +333,7 @@ class MapReduceEngine:
                         recorder.sample_interval if recorder.enabled else 0.0
                     ),
                     io=self._io_layer() if io_policy.spill_dirs else None,
+                    metrics=recorder.metrics,
                 ))
                 map_outcomes = self._run_wave(job, [
                     TaskCall(
@@ -512,19 +513,29 @@ class MapReduceEngine:
         result: JobResult,
         executor: TaskExecutor,
     ) -> List[TaskCall]:
-        """The reduce wave's call descriptors, one per reducer."""
-        snapshots: Optional[Dict[str, List[bytes]]] = None
-        if executor.pooled:
-            # The drain point between the waves: every pool worker is
-            # idle, so this is where the pool resizes for the reduce
-            # wave.  Its workers forked before any segment existed, so
-            # the driver then snapshots every replica chain a
-            # worker-side fetch could read and ships the sealed blobs
-            # inside the calls.  The serial executor fetches from the
-            # live store instead — nothing is copied.
-            self._rebalance_pool(job, result, executor)
-            attempts = job.shuffle.fetch_retries + 1
-            snapshots = {
+        """The reduce wave's call descriptors, one per reducer.
+
+        Built at the drain point between the waves, where every pool
+        worker is idle, so a pool first resizes for the reduce wave.
+        The size reads only the wave's task count, never the trace, so
+        tracing cannot change how the pool scales; every resize lands
+        in JobHistory (``pool_scaled``) and the ``pool.scale.*``
+        metrics.  Then the driver reads each segment's replica chain up
+        to the first copy that verifies — the one read of the shuffle's
+        stored bytes — and every call carries its reducer's chains in a
+        read-only store, whichever executor runs it.
+        """
+        decision = executor.rebalance(job.num_reducers)
+        if decision is not None:
+            result.history.add_event("pool_scaled", **decision)
+            self.recorder.metrics.gauge("pool.scale.workers").set(
+                decision["to_workers"]
+            )
+        attempts = job.shuffle.fetch_retries + 1
+        with self.recorder.span(
+            f"{job.name}:segment-read", category="shuffle", track="driver",
+        ):
+            chains = {
                 path: store.snapshot(path, attempts)
                 for per_map in paths for path in per_map
             }
@@ -533,39 +544,15 @@ class MapReduceEngine:
             # Shuffle input: this reducer's segment from every mapper,
             # in map-task order.
             reducer_paths = [per_map[reducer_index] for per_map in paths]
-            task_store = store
-            if snapshots is not None:
-                task_store = SegmentStore(
-                    ShippedReplicaBackend(
-                        {p: snapshots[p] for p in reducer_paths}
-                    )
-                )
             calls.append(TaskCall(
                 "reduce", f"{job.name}-r-{reducer_index:05d}",
                 self._candidate_nodes(None, reducer_index),
-                store=task_store, paths=reducer_paths,
+                store=SegmentStore(ShippedReplicaBackend(
+                    {path: chains[path] for path in reducer_paths}
+                )),
+                paths=reducer_paths,
             ))
         return calls
-
-    def _rebalance_pool(
-        self, job: JobSpec, result: JobResult, executor: TaskExecutor
-    ) -> None:
-        """Size the pool for the reduce wave.
-
-        Runs after the map wave settles and before the reduce wave is
-        built — the drain point where every pool worker is idle.  The
-        size reads only the coming wave's task count, never the trace,
-        so tracing cannot change how the pool scales.  Every resize
-        lands in JobHistory (``pool_scaled``) and the ``pool.scale.*``
-        metrics.
-        """
-        decision = executor.rebalance(job.num_reducers)
-        if decision is None:
-            return
-        result.history.add_event("pool_scaled", **decision)
-        self.recorder.metrics.gauge("pool.scale.workers").set(
-            decision["to_workers"]
-        )
 
     # -- wave execution + commit settlement ---------------------------------------
     def _run_wave(
@@ -627,11 +614,22 @@ class MapReduceEngine:
             outcomes: List[Optional[TaskOutcome]] = [None] * len(calls)
             for index, outcome in zip(live, ran):
                 outcomes[index] = outcome
-            outcomes = self._settle_wave(
-                calls, outcomes, result, executor, committer, recovered,
-            )
+            killed = None
+            try:
+                self._settle_wave(
+                    calls, outcomes, result, executor, committer, recovered,
+                )
+            except DriverKilledError as exc:
+                # The driver dies mid-wave, after a journaled commit: the
+                # tasks it committed so far are part of its record, as
+                # they are of the resumed run that replays them.
+                killed = exc
+                calls = [c for c in calls if c.task_id in committer.promoted]
+        outcomes = [committer.promoted[call.task_id] for call in calls]
         self._account_wave(job, calls, outcomes, submitted, result,
                            sequential=not executor.pooled)
+        if killed is not None:
+            raise killed
         return outcomes
 
     def _account_wave(
@@ -700,7 +698,7 @@ class MapReduceEngine:
         executor: TaskExecutor,
         committer: OutputCommitter,
         recovered: Dict[str, Tuple[int, TaskOutcome]],
-    ) -> List[TaskOutcome]:
+    ) -> None:
         """Stage and promote one attempt per task, in task-index order.
 
         The exactly-once gate: attempts whose lease held are promoted
@@ -709,11 +707,11 @@ class MapReduceEngine:
         off the fence); chaos-plan duplicate-commit events re-present
         an already-committed attempt and must be refused.  Replays
         recovered commits instead of anything else for tasks the WAL
-        already settled.
+        already settled.  Each task's settled outcome is the one
+        ``committer.promoted`` holds.
         """
         plan = self.policy.fault_plan
-        final: List[TaskOutcome] = list(outcomes)
-        for index, call in enumerate(calls):
+        for call, outcome in zip(calls, outcomes):
             task_id = call.task_id
             if task_id in recovered:
                 epoch, outcome = recovered[task_id]
@@ -722,11 +720,9 @@ class MapReduceEngine:
                 outcome.started_at = None
                 outcome.finished_at = None
                 committer.replay(task_id, epoch, outcome)
-                final[index] = outcome
                 continue
-            outcome = outcomes[index]
             if isinstance(outcome, WorkerCrash):
-                final[index] = self._settle_worker_crash(
+                self._settle_worker_crash(
                     call, outcome, result, executor, committer,
                 )
             else:
@@ -735,7 +731,7 @@ class MapReduceEngine:
                 if verdict is None:
                     committer.promote(task_id, 0, outcome)
                 else:
-                    final[index] = self._run_backup(
+                    self._run_backup(
                         call, outcome, result, executor, committer, verdict,
                     )
             if plan is not None and plan.duplicate_commit_for(task_id):
@@ -743,9 +739,9 @@ class MapReduceEngine:
                 # its (already-spent) token again and must be refused.
                 self.recorder.metrics.counter("chaos.duplicate_commit").inc()
                 committer.promote(
-                    task_id, committer.committed[task_id], final[index]
+                    task_id, committer.committed[task_id],
+                    committer.promoted[task_id],
                 )
-        return final
 
     def _record_worker_crash(
         self, result: JobResult, task_id: str, node: str, crash: WorkerCrash
@@ -768,7 +764,7 @@ class MapReduceEngine:
         result: JobResult,
         executor: TaskExecutor,
         committer: OutputCommitter,
-    ) -> TaskOutcome:
+    ) -> None:
         """Recover a task whose pool worker died mid-flight.
 
         The crashed attempt produced no outcome and can never commit
@@ -782,7 +778,7 @@ class MapReduceEngine:
         zombie.node = node
         zombie.attempts = 1
         zombie.failures = [(node, "WorkerCrashed")]
-        return self._run_backup(
+        self._run_backup(
             call, zombie, result, executor, committer, "worker_crashed",
             crashed=True,
         )
@@ -796,7 +792,7 @@ class MapReduceEngine:
         committer: OutputCommitter,
         reason: str,
         crashed: bool = False,
-    ) -> TaskOutcome:
+    ) -> None:
         """Re-execute a lost task under a fresh fencing token.
 
         Up to ``policy.backup_attempts`` fenced re-executions; the
@@ -871,7 +867,7 @@ class MapReduceEngine:
                     # token; the fence refuses it (counted, never
                     # applied).
                     committer.promote(task_id, 0, zombie)
-                return backup
+                return
             predecessor = backup
         if crashed:
             raise MapReduceError(

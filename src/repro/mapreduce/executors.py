@@ -41,10 +41,11 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
+from repro.obs.metrics import NULL_METRICS
 
 
 class JobContext:
@@ -59,10 +60,11 @@ class JobContext:
     """
 
     __slots__ = ("job", "policy", "splits", "trace", "sample_interval",
-                 "io")
+                 "io", "metrics")
 
     def __init__(self, job, policy, splits, trace: bool = False,
-                 sample_interval: float = 0.0, io: Any = None):
+                 sample_interval: float = 0.0, io: Any = None,
+                 metrics: Any = NULL_METRICS):
         self.job = job
         self.policy = policy
         #: The job's input splits; map task *i* reads ``splits[i]``.
@@ -78,6 +80,9 @@ class JobContext:
         #: Durable-I/O layer map tasks spill runs through; ``None``
         #: (no spill directories configured) keeps runs in memory.
         self.io = io
+        #: The recorder's metrics registry, whose counters task code
+        #: bumps (HDFS reads of a round's input, for one).
+        self.metrics = metrics
 
 
 def _run_call(call: Any, context: JobContext) -> Any:
@@ -130,8 +135,8 @@ class TaskExecutor(ABC):
 
     #: Matches ``ExecutionPolicy.executor``.
     kind: str = "abstract"
-    #: True when tasks run in other processes: reduce inputs must be
-    #: shipped, pool chaos applies and ``pool.*`` stats exist.
+    #: True when tasks run in other processes: pool chaos applies and
+    #: ``pool.*`` stats exist.
     pooled: bool = False
     _context: Optional[JobContext] = None
 
@@ -150,6 +155,10 @@ class TaskExecutor(ABC):
     def stats(self) -> Dict[str, float]:
         """Lifetime accounting by metric name (the pool has some)."""
         return {}
+
+    def rebalance(self, next_tasks: int) -> Optional[Dict[str, Any]]:
+        """Size the workers for the coming wave; ``None``: nothing changed."""
+        return None
 
     def _job_context(self) -> JobContext:
         if self._context is None:
@@ -221,12 +230,17 @@ class _PoolTaskError:
 _POOL_JOB_CONTEXT: Optional[JobContext] = None
 
 
-def _io_counts(context: Optional[JobContext]) -> Dict[str, float]:
-    """The job's I/O-layer counters as this process sees them."""
-    if context is None or context.io is None:
-        return {}
-    stats = context.io.stats
-    return {name: getattr(stats, name) for name in stats.FIELDS}
+def _worker_counts(context: JobContext) -> Tuple[Dict, Dict]:
+    """What this process has counted so far: the job's I/O-layer stats
+    and the recorder's counters."""
+    stats = context.io.stats if context.io is not None else None
+    io = {name: getattr(stats, name) for name in stats.FIELDS} if stats else {}
+    return io, context.metrics.counter_values()
+
+
+def _deltas(now: Dict[str, float], seen: Dict[str, float]) -> Dict:
+    return {name: value - seen.get(name, 0)
+            for name, value in now.items() if value != seen.get(name, 0)}
 
 
 def _pool_worker_main(conn) -> None:
@@ -234,13 +248,15 @@ def _pool_worker_main(conn) -> None:
 
     Serves ``(seq, call)`` requests until told to stop (``None``) or
     the driver goes away (EOF).  Every reply is ``(seq, ok, payload,
-    io)``; an unpicklable payload is downgraded to a picklable error
-    rather than killing the worker.  ``io`` is what the task added to
-    the I/O counters: spill runs go through the worker's copy of the
-    job's I/O layer, whose stats the driver cannot see otherwise.
+    io, counters)``; an unpicklable payload is downgraded to a
+    picklable error rather than killing the worker.  ``io`` and
+    ``counters`` are what the task added to the job's I/O stats and to
+    the recorder's counters: spill runs go through the worker's copy
+    of the I/O layer and task code reads HDFS through the worker's copy
+    of the recorder, neither of which the driver can see otherwise.
     """
     context = _POOL_JOB_CONTEXT
-    io_seen = _io_counts(context)
+    seen = _worker_counts(context)
     while True:
         try:
             message = conn.recv()
@@ -253,12 +269,11 @@ def _pool_worker_main(conn) -> None:
             reply = (seq, True, _run_call(call, context))
         except BaseException as exc:  # must answer, whatever happened
             reply = (seq, False, exc)
-        io_now = _io_counts(context)
-        io = {name: value - io_seen[name]
-              for name, value in io_now.items() if value != io_seen[name]}
-        io_seen = io_now
+        now = _worker_counts(context)
+        counts = tuple(map(_deltas, now, seen))
+        seen = now
         try:
-            conn.send(reply + (io,))
+            conn.send(reply + counts)
         except Exception:
             detail = (
                 "task outcome failed to pickle" if reply[1]
@@ -266,7 +281,7 @@ def _pool_worker_main(conn) -> None:
                      f"{type(reply[2]).__name__}: {reply[2]}"
             )
             try:
-                conn.send((seq, False, MapReduceError(detail), io))
+                conn.send((seq, False, MapReduceError(detail)) + counts)
             except Exception:
                 os._exit(1)
     try:
@@ -626,7 +641,7 @@ class PooledProcessExecutor(TaskExecutor):
                 worker = by_conn[conn]
                 seq = busy.pop(worker)
                 try:
-                    got, ok, payload, io = conn.recv()
+                    got, ok, payload, io, counters = conn.recv()
                 except (EOFError, OSError):
                     # Died mid-task: the task's result is a crash
                     # marker the engine settles with a fenced backup.
@@ -641,10 +656,12 @@ class PooledProcessExecutor(TaskExecutor):
                     raise MapReduceError(
                         f"pool worker answered task {got}, expected {seq}"
                     )
-                if io:
-                    stats = self._job_context().io.stats
-                    for name, value in io.items():
-                        setattr(stats, name, getattr(stats, name) + value)
+                context = self._job_context()
+                for name, value in io.items():
+                    stats = context.io.stats
+                    setattr(stats, name, getattr(stats, name) + value)
+                for name, value in counters.items():
+                    context.metrics.counter(name).inc(value)
                 results[seq] = payload if ok else _PoolTaskError(payload)
                 idle.append(worker)
                 completed += 1

@@ -141,13 +141,11 @@ class TaskCall:
 
     A reduce call additionally names where the attempt fetches its
     segments: ``paths`` is this reducer's segment from every mapper, in
-    map-task order, and ``store`` the :class:`SegmentStore` serving
-    them.  In-process executors get the driver's live store — nothing
-    is copied.  Pooled workers forked before any segment existed, so
-    for them the driver snapshots each segment's replica chain into a
-    read-only store that pickles with the call; the worker runs the
-    ordinary reduce task against it — same CRC verification, same
-    replica failover, same counters, byte-identical output.
+    map-task order, and ``store`` the read-only :class:`SegmentStore`
+    holding the replica chains the driver read for them.  It pickles
+    with the call, so the task runs the same way on every executor —
+    same CRC verification, same replica failover, same counters,
+    byte-identical output.
     """
 
     __slots__ = ("kind", "task_id", "candidates", "epoch", "store", "paths")

@@ -235,6 +235,12 @@ class MetricsRegistry:
             series = dict(self._timeseries)
         return [series[key] for key in sorted(series)]
 
+    def counter_values(self) -> Dict[str, float]:
+        """Every counter's current value, by name."""
+        with self._lock:
+            counters = dict(self._counters)
+        return {name: counter.value for name, counter in counters.items()}
+
     def as_dict(self) -> Dict[str, Any]:
         """Snapshot of every instrument, sorted by name.
 
@@ -337,6 +343,9 @@ class NullMetrics:
 
     def all_timeseries(self) -> List:
         return []
+
+    def counter_values(self) -> Dict[str, float]:
+        return {}
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -43,7 +43,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: SamRecord)`` pairs, which replayed here would be read as paths.
 #: 5: the journaled outcome lost its phase-boundary and block-decode slots.
 #: 6: the journaled outcome lost its two map-side combine-count slots.
-WAL_VERSION = 6
+#: 7: a journaled map outcome's segments are ``GSEG2`` frames, whose CRC
+#: covers the header; a version-6 log's ``GSEG1`` ones would not decode.
+WAL_VERSION = 7
 
 _FRAME = struct.Struct(">II")
 

@@ -1,17 +1,21 @@
-"""Framed, checksummed shuffle segments — the wire format.
+"""Framed, checksummed record lists — the one sealed-list format.
 
-A *segment* is one map task's sorted output for one reduce partition,
-serialized to real bytes: a fixed header (magic, codec id, record
-count, pre/post-compression payload sizes, CRC32) followed by the
-compressed pickle of the key/value list.  Framing gives the shuffle an
-end-to-end integrity check that composes with — but does not rely on —
-the HDFS block-level replica checksums: a segment read back through any
-path is verified against the CRC the mapper computed when it wrote it.
+A frame is a record list serialized to real bytes: a fixed header
+(magic, codec id, record count, pre/post-compression payload sizes,
+CRC32) and the compressed pickle of the list.  The CRC covers the
+header before it and the payload, so one checksum pass judges a stored
+copy without decoding it (:func:`verify_segment`).  Every sealed record
+list is this frame: a shuffle *segment* (one map task's sorted output
+for one reducer), a map task's spill *run* on disk
+(:mod:`repro.shuffle.spill`) and a
+:class:`~repro.mapreduce.blocks.RecordBlock` (a split's records, sealed
+on the driver and decoded once in the worker).
 
-Byte accounting falls out of the frame for free: ``raw_bytes`` is the
-pre-compression payload size and ``len(blob)`` the bytes that actually
-cross the (simulated) network, which is what ``SHUFFLED_BYTES`` now
-measures.
+A frame read back through any path is verified against the CRC its
+writer computed — an end-to-end check that composes with, but does not
+rely on, the storage layer's own checksums.  ``raw_bytes`` is the
+pre-compression payload size and ``len(blob)`` the bytes that cross
+the (simulated) network, which ``SHUFFLED_BYTES`` measures.
 """
 
 from __future__ import annotations
@@ -19,95 +23,104 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Any, List, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
 from repro.errors import ShuffleCorruptionError, ShuffleError
 from repro.shuffle.codec import Codec, codec_for_id, CODEC_IDS
 
 KeyValue = Tuple[Any, Any]
 
-#: Frame magic: Gesall SEGment, format version 1.
-MAGIC = b"GSEG1"
+#: Frame magic: Gesall SEGment, format version 2 (the CRC covers the
+#: header; version 1's covered only the payload).
+MAGIC = b"GSEG2"
 _HEADER = struct.Struct(">5sBIIII")
 HEADER_BYTES = _HEADER.size
+#: The CRC is the header's last field; it covers every byte before it
+#: and the payload after it.
+_CRC_OFFSET = HEADER_BYTES - 4
 
 #: Pickle protocol pinned for cross-version byte stability.
 PICKLE_PROTOCOL = 4
 
 
-class EncodedSegment:
-    """One encoded segment plus its accounting."""
+class EncodedSegment(NamedTuple):
+    """One encoded frame plus its accounting."""
 
-    __slots__ = ("blob", "records", "raw_bytes")
-
-    def __init__(self, blob: bytes, records: int, raw_bytes: int):
-        #: The full frame (header + compressed payload).
-        self.blob = blob
-        self.records = records
-        #: Pre-compression payload size.
-        self.raw_bytes = raw_bytes
-
-    def __repr__(self) -> str:
-        return (
-            f"EncodedSegment({self.records} records, "
-            f"{self.raw_bytes}B -> {len(self.blob)}B)"
-        )
+    #: The full frame (header + compressed payload).
+    blob: bytes
+    records: int
+    #: Pre-compression payload size.
+    raw_bytes: int
 
 
-def encode_segment(records: List[KeyValue], codec: Codec) -> EncodedSegment:
-    """Frame one sorted run of key/value pairs for one reducer."""
+def encode_segment(records: List[Any], codec: Codec) -> EncodedSegment:
+    """Frame one sorted record list (one reducer's run of pairs)."""
     payload = pickle.dumps(records, protocol=PICKLE_PROTOCOL)
     packed = codec.compress(payload)
-    header = _HEADER.pack(
+    head = _HEADER.pack(
         MAGIC, CODEC_IDS[codec.name], len(records), len(payload),
-        len(packed), zlib.crc32(packed),
+        len(packed), 0,
+    )[:_CRC_OFFSET]
+    crc = zlib.crc32(packed, zlib.crc32(head))
+    return EncodedSegment(
+        head + crc.to_bytes(4, "big") + packed, len(records), len(payload)
     )
-    return EncodedSegment(header + packed, len(records), len(payload))
 
 
-class DecodedSegment:
+class DecodedSegment(NamedTuple):
     """The records and accounting recovered from one verified frame."""
 
-    __slots__ = ("records", "record_count", "raw_bytes", "blob_bytes",
-                 "codec_name")
-
-    def __init__(self, records, record_count, raw_bytes, blob_bytes,
-                 codec_name):
-        self.records: List[KeyValue] = records
-        self.record_count = record_count
-        self.raw_bytes = raw_bytes
-        self.blob_bytes = blob_bytes
-        self.codec_name = codec_name
+    records: List[Any]
+    record_count: int
+    raw_bytes: int
+    blob_bytes: int
+    codec_name: str
 
 
-def decode_segment(blob: bytes) -> DecodedSegment:
-    """Verify and decode one segment frame.
+def segment_header(blob: bytes) -> Tuple[int, int, int, int, int]:
+    """``(codec_id, count, raw_len, packed_len, crc)`` of a frame.
 
-    Raises :class:`ShuffleCorruptionError` when the frame is truncated
-    or its payload fails the CRC32 check, and :class:`ShuffleError`
-    for a malformed header — corruption is retryable (another replica
-    may be clean), malformation is not.
+    Reads the header only: raises :class:`ShuffleCorruptionError` when
+    the blob is shorter than a header and :class:`ShuffleError` for a
+    wrong magic.  Nothing here is verified yet.
     """
     if len(blob) < HEADER_BYTES:
         raise ShuffleCorruptionError(
             f"segment truncated: {len(blob)} bytes < {HEADER_BYTES}-byte "
             "header"
         )
-    magic, codec_id, count, raw_len, packed_len, crc = _HEADER.unpack(
-        blob[:HEADER_BYTES]
-    )
+    magic, *fields = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise ShuffleError(f"bad segment magic {magic!r}")
-    packed = blob[HEADER_BYTES:]
+    return tuple(fields)
+
+
+def verify_segment(blob: bytes) -> Tuple[int, int, int, memoryview]:
+    """Check a frame's length and CRC without decoding it.
+
+    Returns ``(codec_id, count, raw_len, payload)``, the payload a view
+    into ``blob`` (never copied).  Raises
+    :class:`ShuffleCorruptionError` when the frame is truncated or
+    fails the CRC32 check, and :class:`ShuffleError` for a wrong magic
+    — corruption is retryable (another replica may be clean),
+    malformation is not.
+    """
+    codec_id, count, raw_len, packed_len, crc = segment_header(blob)
+    view = memoryview(blob)
+    packed = view[HEADER_BYTES:]
     if len(packed) != packed_len:
         raise ShuffleCorruptionError(
             f"segment payload is {len(packed)} bytes, header says "
             f"{packed_len}"
         )
-    if zlib.crc32(packed) != crc:
-        raise ShuffleCorruptionError(
-            "segment payload failed its CRC32 check"
-        )
+    if zlib.crc32(packed, zlib.crc32(view[:_CRC_OFFSET])) != crc:
+        raise ShuffleCorruptionError("segment failed its CRC32 check")
+    return codec_id, count, raw_len, packed
+
+
+def decode_segment(blob: bytes) -> DecodedSegment:
+    """Verify and decode one frame (errors as :func:`verify_segment`)."""
+    codec_id, count, raw_len, packed = verify_segment(blob)
     codec = codec_for_id(codec_id)
     payload = codec.decompress(packed)
     if len(payload) != raw_len:

@@ -8,7 +8,10 @@ each partition's list is stably sorted by the job's record key and
 frozen as one run.  ``finish`` spills the remainder and merges every
 run's slice of each partition into one sorted, framed, compressed
 segment per reducer; an output that never filled the buffer is one run,
-sorted and encoded straight from memory.
+sorted and encoded straight from memory.  A run spilled to disk is a
+segment frame too (``raw`` codec): a damaged run file fails the task
+with :class:`~repro.errors.ShuffleCorruptionError`, never feeds it
+wrong records.
 
 Ordering contract (the one :mod:`repro.shuffle.merge` states): runs are
 spilled in emit order and merging them is a stable sort over their
@@ -24,15 +27,22 @@ shipping the totals back in the task outcome.
 from __future__ import annotations
 
 import os
-import pickle
 from collections import Counter
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ShuffleError, StorageFullError
-from repro.shuffle.codec import Codec
+from repro.errors import ShuffleCorruptionError, ShuffleError, StorageFullError
+from repro.shuffle.codec import Codec, get_codec
 from repro.shuffle.keys import KEY_OF, record_key
 from repro.shuffle.merge import merge_sorted_runs_list
-from repro.shuffle.segment import EncodedSegment, KeyValue, encode_segment
+from repro.shuffle.segment import (
+    EncodedSegment,
+    KeyValue,
+    decode_segment,
+    encode_segment,
+)
+
+#: Spill runs are framed uncompressed: they never leave the map task.
+_RUN_CODEC = get_codec("raw")
 
 
 class SpillResult(NamedTuple):
@@ -160,7 +170,7 @@ class SpillBuffer:
         completes — rather than failing the map task over intermediate
         data that has an in-memory home anyway.
         """
-        payload = pickle.dumps(run, protocol=4)
+        payload = encode_segment(run, _RUN_CODEC).blob
         name = os.path.join(
             "mapspill", f"{self._spill_prefix}-run{run_index:03d}.spill"
         )
@@ -184,7 +194,13 @@ class SpillBuffer:
                 if data is None:
                     raise ShuffleError(f"spilled run missing: {run}")
                 self._spill_io.unlink(run)
-                run = pickle.loads(data)
+                try:
+                    run = decode_segment(data).records
+                except ShuffleError as exc:
+                    # This task wrote the frame: any damage is rot.
+                    raise ShuffleCorruptionError(
+                        f"spilled run {run} is damaged: {exc}"
+                    ) from None
             runs.append(run)
         return runs
 

@@ -21,12 +21,16 @@ Three backends share the contract:
   degraded-mode routing: ENOSPC on the primary spill directory falls
   back to the next one, and when every directory is full, replicas are
   shed down to ``IoPolicy.min_replicas`` before the job fails.
+
+A reduce task reads none of them directly: the driver snapshots the
+replica chains its fetches would read into a read-only
+:class:`ShippedReplicaBackend` that travels with the task's call.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple
 
 from repro.errors import (
     HdfsError,
@@ -34,21 +38,21 @@ from repro.errors import (
     ShuffleError,
     StorageFullError,
 )
-from repro.shuffle.segment import DecodedSegment, decode_segment
+from repro.shuffle.segment import (
+    DecodedSegment,
+    decode_segment,
+    verify_segment,
+)
 
 
-class FetchResult:
+class FetchResult(NamedTuple):
     """One verified segment plus the work it took to get it."""
 
-    __slots__ = ("segment", "crc_failures", "refetches")
-
-    def __init__(self, segment: DecodedSegment, crc_failures: int,
-                 refetches: int):
-        self.segment = segment
-        #: Fetch attempts that served bytes failing the segment CRC.
-        self.crc_failures = crc_failures
-        #: Extra fetch attempts beyond the first.
-        self.refetches = refetches
+    segment: DecodedSegment
+    #: Fetch attempts that served bytes failing the segment CRC.
+    crc_failures: int
+    #: Extra fetch attempts beyond the first.
+    refetches: int
 
 
 class LocalSegmentBackend:
@@ -93,28 +97,21 @@ class LocalSegmentBackend:
 
 
 class ShippedReplicaBackend:
-    """Read-only replica chains snapshotted for shipment to a worker.
+    """Read-only replica chains snapshotted for a reduce task.
 
-    The persistent pool executor cannot hand workers a live
-    :class:`SegmentStore` — its backend wraps driver-side state (the
-    simulated HDFS, or a local dict) created *after* the workers
-    forked.  Instead the driver snapshots each segment's replica chain
-    (:meth:`SegmentStore.snapshot`) and ships the blobs inside the
-    picklable reduce call; the worker rebuilds a store over this
-    backend and fetches through the identical CRC-verify/failover path,
-    so corruption handling — and every fetch counter — stays
-    byte-identical to the driver-side read.
-
-    Consecutive identical replicas are collapsed to one shared ``bytes``
-    object at snapshot time, so pickling the call ships each clean
-    segment's bytes once, not once per replica.
+    A reduce task never reads the live store: the driver snapshots each
+    of its segments' replica chains (:meth:`SegmentStore.snapshot`) and
+    ships the blobs inside the reduce call, on every executor — a
+    forked pool worker could not reach the live backend anyway (it
+    wraps driver-side state created after the fork).  The task fetches
+    from a store over this backend through the identical
+    CRC-verify/failover path, so corruption handling — and every fetch
+    counter — is what a read of the live store would give.  It only
+    reads: nothing writes, rots or deletes a shipped chain.
     """
 
     def __init__(self, replicas: Dict[str, List[bytes]]):
         self._replicas = replicas
-
-    def put(self, path: str, blob: bytes) -> None:
-        raise ShuffleError("shipped replica snapshots are read-only")
 
     def read(self, path: str, replica_choice: int) -> bytes:
         try:
@@ -122,15 +119,6 @@ class ShippedReplicaBackend:
         except KeyError:
             raise ShuffleError(f"no such segment: {path}") from None
         return chain[replica_choice % len(chain)]
-
-    def corrupt(self, path: str, replica_index: int = 0) -> str:
-        raise ShuffleError("shipped replica snapshots are read-only")
-
-    def delete(self, path: str) -> None:
-        raise ShuffleError("shipped replica snapshots are read-only")
-
-    def paths(self) -> List[str]:
-        return sorted(self._replicas)
 
 
 class HdfsSegmentBackend:
@@ -315,40 +303,38 @@ class SegmentStore:
         When every allowed attempt serves damaged bytes the fetch
         raises :class:`ShuffleCorruptionError` — the map output is gone.
         """
-        crc_failures = 0
-        attempt = 0
-        while True:
+        for attempt in range(retries + 1):
             blob = self.backend.read(path, attempt)
             try:
                 segment = decode_segment(blob)
             except ShuffleError:
-                crc_failures += 1
-                if attempt >= retries:
-                    raise ShuffleCorruptionError(
-                        f"segment {path} failed verification on "
-                        f"{crc_failures} fetch attempt(s); no clean "
-                        "replica within the configured fetch_retries"
-                    ) from None
-                attempt += 1
                 continue
-            return FetchResult(segment, crc_failures, attempt)
+            # Every attempt before this one served damaged bytes.
+            return FetchResult(segment, attempt, attempt)
+        raise ShuffleCorruptionError(
+            f"segment {path} failed verification on {retries + 1} fetch "
+            "attempt(s); no clean replica within the configured "
+            "fetch_retries"
+        )
 
     def snapshot(self, path: str, attempts: int) -> List[bytes]:
-        """Snapshot the replica chain a fetch with this budget could read.
+        """The replica chain a fetch with this budget would read.
 
-        Fetch attempt *k* reads replica chain ``k``, so shipping the
-        first ``attempts`` unverified reads reproduces every byte a
-        worker-side :meth:`fetch` could observe — including corrupt
-        replicas, which the worker then fails over exactly as the
-        driver would.  Identical consecutive blobs are collapsed to one
-        object so the shipped pickle carries clean segments once.
+        Fetch attempt *k* reads replica chain ``k``, and a fetch stops
+        at the first chain that verifies; so does the snapshot.  Every
+        chain is judged by its frame CRC alone (:func:`verify_segment`,
+        no decode), each read exactly once, and a fetch over the
+        shipped chains sees the same bytes, failovers and counters as
+        a fetch over this store.
         """
         chain: List[bytes] = []
         for attempt in range(max(1, attempts)):
-            blob = self.backend.read(path, attempt)
-            if chain and blob == chain[-1]:
-                blob = chain[-1]
-            chain.append(blob)
+            chain.append(self.backend.read(path, attempt))
+            try:
+                verify_segment(chain[-1])
+            except ShuffleError:
+                continue
+            break
         return chain
 
     def corrupt(self, path: str, replica_index: int = 0) -> str:

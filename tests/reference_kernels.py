@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import re
 from collections import Counter
 from typing import (
@@ -57,8 +56,8 @@ from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord, decode_quals
 from repro.genome.regions import GenomicInterval
 from repro.recal.covariates import aligned_pairs
-from repro.shuffle.codec import Codec
-from repro.shuffle.segment import KeyValue, encode_segment
+from repro.shuffle.codec import Codec, get_codec
+from repro.shuffle.segment import KeyValue, decode_segment, encode_segment
 from repro.shuffle.spill import SpillResult
 from repro.variants.genotyper import call_column
 from repro.variants.pileup import (
@@ -384,7 +383,8 @@ class SpillBuffer:
         completes — rather than failing the map task over intermediate
         data that has an in-memory home anyway.
         """
-        payload = pickle.dumps(run, protocol=4)
+        # Runs are segment frames (raw codec) since spill runs got a CRC.
+        payload = encode_segment(run, get_codec("raw")).blob
         name = os.path.join(
             "mapspill", f"{self._spill_prefix}-run{run_index:03d}.spill"
         )
@@ -409,7 +409,7 @@ class SpillBuffer:
             data = self._spill_io.read_bytes(path)
             if data is None:
                 raise ShuffleError(f"spilled run missing: {path}")
-            runs.append(pickle.loads(data))
+            runs.append(decode_segment(data).records)
             self._spill_io.unlink(path)
         return runs
 

@@ -216,7 +216,9 @@ class TestChaosCli:
         in one plan, the driver killed in round 2 and resumed.  The gate
         passes, and each fault is read from the driver that absorbed it:
         round 2's preemption respawned a worker and committed a backup
-        in the killed driver, round 4's cold start hit the resumed one."""
+        in the killed driver, round 4's cold start hit the resumed one.
+        The killed driver's record keeps the two reducers it committed
+        before it died, and the segment rot reducer 0 refetched past."""
         import json
 
         report_path = str(tmp_path / "chaos.json")
@@ -255,6 +257,8 @@ class TestChaosCli:
         assert dead["pool.preemptions"] == 1
         assert dead["pool.workers_respawned"] >= 1
         assert sum(s["backups"] for s in killed["absorption"].values()) >= 1
+        assert killed["absorption"]["round2"]["reduces"] == 2
+        assert dead["shuffle.crc_failures"] == 1
         counters = payload["fault_counters"]
         assert "pool.preemptions" not in counters
         assert counters["pool.cold_starts"] >= 1

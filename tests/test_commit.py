@@ -34,6 +34,7 @@ from repro.errors import (
     DriverKilledError,
     MapReduceError,
     PipelineError,
+    ShuffleError,
 )
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
@@ -48,6 +49,7 @@ from repro.pipeline import parallel
 from repro.pipeline.checkpoint import LocalDirectoryBackend
 from repro.pipeline.parallel import _STAGES, WAL_ROUND_KEYS, GesallPipeline
 from repro.pipeline.wal import FrameLog, JobWal, _read_frames
+from repro.shuffle.segment import decode_segment
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -616,10 +618,10 @@ class TestDriverKillReplay:
         self, tmp_path
     ):
         """The recorder's counters after a driver kill in the reduce
-        wave, and after the resume on the same recorder, as the parent
-        commit (56f2c2a) published them from its hand-written sinks: a
-        killed driver still publishes what it had recorded (the commits
-        and stored segments — not the unfinished wave's volumes)."""
+        wave, and after the resume on the same recorder: a killed driver
+        still publishes what it had recorded — the commits, the stored
+        segments and the volumes of the one reducer it committed, which
+        the resumed run replays and counts again."""
         wal = JobWal(LocalDirectoryBackend(str(tmp_path)), "fp")
         plan = FaultPlan(events=(KillDriver("r1", after_commits=5),))
         recorder = TraceRecorder()
@@ -640,6 +642,8 @@ class TestDriverKillReplay:
         assert counters() == {
             "commit.promoted": 5,
             "commit.staged": 5,
+            "shuffle.bytes_shuffled": 228,
+            "shuffle.raw_bytes": 140,
             "shuffle.segment_bytes_stored": 466,
             "shuffle.segments": 8,
         }
@@ -652,8 +656,8 @@ class TestDriverKillReplay:
         assert counters() == {
             "commit.promoted": 11,
             "commit.staged": 11,
-            "shuffle.bytes_shuffled": 466,
-            "shuffle.raw_bytes": 290,
+            "shuffle.bytes_shuffled": 694,
+            "shuffle.raw_bytes": 430,
             "shuffle.segment_bytes_stored": 932,
             "shuffle.segments": 16,
             "wal.tasks_skipped": 5,
@@ -952,6 +956,47 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == 2
         with pytest.raises(AttributeError, match="combine_"):
             pickle.loads(old_frames[1])
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_6_wal_with_gseg1_segments_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-6 ``wal-round2.log`` journals a map outcome whose
+        segments are ``GSEG1`` frames, which this version's frame reader
+        rejects by magic: the version guard turns the log away and the
+        round re-runs, byte-identical to a clean run."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V6))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 6, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        outcome = pickle.loads(old_frames[1])["outcome"]
+        assert outcome.segments and outcome.segments[0][:5] == b"GSEG1"
+        with pytest.raises(ShuffleError, match="magic"):
+            decode_segment(outcome.segments[0])
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -1376,4 +1421,44 @@ PARENT_WAL_ROUND2_V5 = (
     "Wl8Vkw2zd2ni/xxmvOqwavt+WKEjHuXbpT6NstslkISgsIFmVE6jZ/V6M7J4otXJyk+c5rG"
     "NZVryO6LdJhM4vwM+Xhgdr7+qrAajWr3r4vZaZbyv1dXE6rN02E2F5w3TXxSfPE0Th4vxuN"
     "hAZXMoZJgo+7VC366av0A83D1bg=="
+)
+
+#: The same capture on commit e0f9751 (WAL_VERSION 6): the journaled map
+#: outcome's segments are ``GSEG1`` frames, whose CRC skipped the header.
+#: zlib + base64 of the 3221 raw bytes.
+PARENT_WAL_ROUND2_V6 = (
+    "eNqVlktv3NYVx0eONJpYsiM7AYw0XXbhFvBEI9ua4ftx+R5IBZzJIgtjQHE44sTzAsmJ4Q"
+    "ABHAQwUIC73Cz8CbrLPtug6NIfoF+gQDfdd9H0fy5nJCFOHYfUiJeH95L3/O7/nHsajYb3"
+    "fXb0n+c73ymN+viK3612v0jzYrKY836z2htP5udpvswn85JXrbTbOXsgJSNe7eSL1RzXpr"
+    "ge8VW70dg3/vr7h0d424P9y7dtl3HxhFd36n73kmkaz/HOe7N7h3TgTelykWS836h2F6sy"
+    "WcxSXn2Qp8t80Z7FyzwdrZK0Xb9kb4DLn9edvuV//Jqfigmns0lZpiP+GFMs0vNZOi8L3N"
+    "y1/9FqNPxPXL9Ds0G79Tf63Yn/nj3f/u6HVj1LdKz2P/nstNM+PFzP6Vb9/fEin8Vl0S7i"
+    "Ga/eH+ZpsshHw3G+mA3Hk3Q6KjCJu9lWP622kyzv8JPvb8KNrT/xaktb34wG1q+fbNPy36"
+    "b36yevRpEfRqEb+qEfBZ7r+SFzndB1Pc/zHY/hcCzbsmzb1G2LmbrB0LRMw9RNXVNNzdJ1"
+    "RVM1Q1FVBYeMU9LkniKrsiTfl7o45C7/ilfXHvm8eueR3+FFyR/xF/xn6LLtu9lB/+UVIG"
+    "q13Tk8POHZ7poI83/DOWADUBmgQYcPQLXVIlggx5hvWb5fd8EVLH00QaQrdXvH3Z4kKYqk"
+    "yD1JhoMqOaRomiqr8BYYNE3XDLR1w7Iw1CRCps2YbTrMc1zXZeIf81zfDYLAC/wgcAIfmM"
+    "MIbU7yu3Z6ggWH63vZ/uoXoHQElI/6yQbKq92+mt0Gj29aJx9uVSOf3GFi7uQKIyEwcomU"
+    "4TNWA6A2TrJa1Am9WN0kBnAaDzFK+E+oYKU79KIrSSTwoyiMfM9nEIjnMc8PyLnAcWzXcU"
+    "kXtu1AKIaNwzEMUzOgC9OyDE1XFdPQFEVXVV3RQVTGD1Lpqb2e0pNwyr1eT3p4ASS782Yc"
+    "f+h/u8HxTWuN49Vu9M///vQTFCJiggjQ7MkjiyAQImJSO0doSAADIQV6VHcDuoFQBIGxBE"
+    "WhjQHG44awgNWAFKLIx70HmHm315WPpZ4qKRCIrJKXkIcOneiabqqmZVgGmrRKps5sBplA"
+    "JQgoG9JwHcdziKfnOog2hJzvOWGIGYRhGL0FkCMB5N6lPl5u9OG1Tm5tEQ5L6J7WnDwU6y"
+    "2MjJgw8odsg0HdU2jp/4nK+mVRAQfm63tB6ATwAFL3HPgSuogCx3GRRBAaHgLEMQ0oxDDp"
+    "vaahW7pp6gRMNYgXIksniIpKHGHtajICUYE2ju9L0vGVgOnwNwPpXirE2yjk5W70b6EQcg"
+    "3aIM/WDtfO06pbIgIoQgAFvwHJgEgAEunJekt5AQl0fSwppBAZOURCPpRkWSbhI5Vo4gAK"
+    "RVOgFuRTALEpj9iW4TIDocRcFxIBQuZAJSIdO6SV0IuQopGzg+htFHJfADEvFeLsrIHcbp"
+    "4cbdEmI/xhQvSUFkRGEATEujOx0nRH0rfoX92TVpEJrwVGNqjzqLgKA70N5CwRMEEYBgES"
+    "SOQGviNyiFtLX6RJxgIbacTBC21wMJBGsMGYBjMN1TB0+kNoaUgmsgZkmkxbjUY8e0gjXe"
+    "SP3vFx94pCjvibgUSXCrndXANxdqJXQiHkOxNR4AtXKHGKXDEQ8W9RxrAEGQoi6kj0RCgJ"
+    "CVCIDUS+oKcUQCJxCDa1TpgvFPJQQuroQSEKNhxN0bu0eUL7mkQRoCMqdBlpRNUtBI2O7Z"
+    "c2GGzFpk15BfFE2RdCATkXEgkIahQGYUDxGFDOvlSIdwVI2ubso4viho4d+n0qffyv59uP"
+    "eZun1Y3JfLkq13VLwfut6iZKrJ+Z9tems2dlWvCTTqtqFsvJdIqHW1XzHHXbsqDq7KDIVu"
+    "PxNB1dDm5UNy+M9XCYbq1Nwzx+esW6jPNyUqKsvBiOuqvf6jfS6vqT9NkwQX1YV22v12P9"
+    "a6/tIa+ZjoQpfQy395M8GY7jyXSV1x+/MU7LJMOHy3xSW1oxCsbZshROvjeZf54mKCAxaD"
+    "UtRQcUvnDhaT6h+aOu3MOAOMk2pWX1bpnH84IKRKptRbX4NI+XS5TObdyc5/GswBMnLuPB"
+    "pqeVCCdR/dbFKy3rgSA0LBfD9Sh+8ruD6nZtFZXmhf3soNqbzL9YJDFhxCyvrc5e8LjaKZ"
+    "b4AE1qF4XqcooJn1bXixLA4VJc4o7K+EmRbW6bTxf5kzTnVYNX2/PFCBV3ky5U+rbKySyF"
+    "JASFSzKjdBo/q9FdkMUXr2cpPnOWxjWVG6jui3SYZHF+jnrcN04//zGCKqvml4vZ2STlf6"
+    "neO4uTJ4vxeFhABnPIwN/Id/WCn63a/wPa5ehq"
 )

@@ -22,7 +22,10 @@ from repro.gdpt.bloom import BloomFilter
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobSpec, _default_value_size, make_splits
+from repro.shuffle.codec import get_codec
 from repro.shuffle.keys import stable_hash_partition
+from repro.shuffle.segment import decode_segment, encode_segment
+from repro.shuffle.spill import SpillBuffer
 
 
 def rec(qname="r", pos=100, flag_bits=0, cigar="10M", rname="chr1"):
@@ -111,6 +114,36 @@ class TestBamEdges:
         assert out == [record]
 
 
+class _MemoryIO:
+    """The slice of the I/O layer a ``SpillBuffer`` uses, in memory."""
+
+    def __init__(self):
+        self.files = {}
+
+    def write_atomic(self, path, data):
+        self.files[path] = bytes(data)
+
+    def read_bytes(self, path):
+        return self.files.get(path)
+
+    def unlink(self, path):
+        self.files.pop(path, None)
+
+
+def _spill_run(damaged=None):
+    """A map task's one spilled run; with ``damaged``, that run file is
+    overwritten before the task reads it back."""
+    io = _MemoryIO()
+    buffer = SpillBuffer(2, stable_hash_partition, None, 4, spill_io=io,
+                         spill_dirs=("spill",))
+    buffer.add_all((f"k{i % 5}", i) for i in range(6))
+    [path] = io.files
+    if damaged is None:
+        return io.files[path]
+    io.files[path] = damaged
+    buffer.finish(get_codec("raw"))
+
+
 def _frames():
     """One of each on-disk frame the rounds exchange, with its decoder."""
     header = SamHeader(sequences=[("chr1", 5000)], sort_order="coordinate")
@@ -122,14 +155,19 @@ def _frames():
         "bam": (bam, read_bam),
         "bai": (BamLinearIndex.build(bam).to_bytes(),
                 BamLinearIndex.from_bytes),
-        "gblk1": (RecordBlock(records).blob,
-                  lambda blob: RecordBlock(blob=blob).decode()),
+        "gseg2": (encode_segment([(r.qname, r) for r in records],
+                                 get_codec("zlib-1")).blob, decode_segment),
+        "record_block": (RecordBlock(records).blob,
+                         lambda blob: RecordBlock(blob=blob).decode()),
+        "spill_run": (_spill_run(), _spill_run),
         "blm1": (bloom.to_bytes(), BloomFilter.from_bytes),
     }
 
 
 class TestFrameFuzz:
-    @pytest.mark.parametrize("name", ["bam", "bai", "gblk1", "blm1"])
+    @pytest.mark.parametrize(
+        "name", ["bam", "bai", "gseg2", "record_block", "spill_run", "blm1"]
+    )
     def test_damaged_frames_raise_only_typed_errors(self, name):
         """Seeded bit-flips and truncations: a damaged frame decodes or
         raises a ``ReproError`` — never a bare ``zlib.error``,

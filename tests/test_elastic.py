@@ -31,7 +31,7 @@ from repro.mapreduce.executors import (
 )
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import ObsConfig, TraceRecorder
 from repro.pipeline.parallel import GesallPipeline
 
 needs_fork = pytest.mark.skipif(
@@ -475,8 +475,8 @@ class TestWaveSizing:
     def test_worker_io_reaches_the_job_stats(self, tmp_path):
         """Spill runs are written through each worker's copy of the I/O
         layer; each reply carries its task's counts, so the pool reports
-        the serial run's writes.  (Reads differ: the driver reads
-        replicas to ship them to the reducers.)"""
+        the serial run's writes.  Segment replicas are read once, by
+        the driver, on both executors, so the reads agree too."""
         def io_stats(kind):
             policy = ExecutionPolicy(
                 executor=kind, max_workers=3,
@@ -490,11 +490,39 @@ class TestWaveSizing:
                 stats = engine.io.stats.as_dict()
             return {name: stats[f"io.{name}"] for name in (
                 "writes", "fsyncs", "dir_fsyncs", "unlinks", "bytes_written",
+                "reads", "bytes_read",
             )}
 
         serial = io_stats("serial")
         assert serial["writes"] > 12  # spill runs, not just segments
         assert io_stats("pool") == serial
+
+
+    def test_a_traced_pipeline_reads_the_same_on_both_executors(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """Map tasks read their round's input from HDFS inside the pool's
+        workers, and each reply carries the recorder counters its task
+        bumped; segment replicas are read once, by the driver, on both
+        executors.  So the pool reports the serial run's reads."""
+        def reads(executor):
+            result = GesallPipeline(PipelineSpec(
+                reference, index=ref_index, num_fastq_partitions=2,
+                num_reducers=2, obs=ObsConfig(enabled=True),
+                policy=ExecutionPolicy(
+                    executor=executor, max_workers=2,
+                    io=IoPolicy(spill_dirs=(str(tmp_path / executor),)),
+                ),
+            )).run(pairs[:60])
+            counters = result.recorder.metrics.as_dict()["counters"]
+            return {name: counters[name] for name in (
+                "hdfs.get.calls", "hdfs.get.bytes", "io.reads",
+                "io.bytes_read",
+            )}
+
+        serial = reads("serial")
+        assert serial["hdfs.get.calls"] > 0 and serial["io.reads"] > 0
+        assert reads("pool") == serial
 
 
 class TestComposedExecutionPlaneDrill:
@@ -599,11 +627,11 @@ class TestComposedExecutionPlaneDrill:
                 "commit.fenced": 2,
                 "commit.promoted": 8,
                 "commit.staged": 9,
-                "io.bytes_read": 2579,
-                "io.bytes_written": 1898,
+                "io.bytes_read": 1484,
+                "io.bytes_written": 2118,
                 "io.dir_fsyncs": 35,
                 "io.fsyncs": 35,
-                "io.reads": 47,
+                "io.reads": 24,
                 "io.unlinks": 34,
                 "io.writes": 35,
                 "lease.backups_launched": 3,

@@ -397,6 +397,31 @@ class TestLedger:
         assert table.records()[-1]["layer"] == "unaccounted"
         assert table.records()[-1]["share"] == pytest.approx(1.5 / 4.0)
 
+    def test_the_driver_files_its_segment_read_in_the_shuffle_row(self):
+        """Between the waves the driver reads every stored segment once,
+        under a ``shuffle`` driver span, on the serial executor too; the
+        ledger files its self time in the ``shuffle`` row, beside the
+        reduce tasks' ``shuffle`` phases."""
+        def mapper(line, ctx):
+            for word in line.split():
+                ctx.emit(word, 1)
+
+        def reducer(word, counts, ctx):
+            ctx.emit(word, sum(counts))
+
+        recorder = TraceRecorder()
+        MapReduceEngine(nodes=["n0"], recorder=recorder).run(
+            JobSpec("wc", mapper, reducer, num_reducers=2),
+            make_splits(["a b", "b c"]),
+        )
+        [read] = [span for span in recorder.spans()
+                  if span.track == "driver" and span.category == "shuffle"]
+        assert read.name == "wc:segment-read"
+        phases = sum(span.duration for span in recorder.spans()
+                     if span.category == "phase" and span.name == "shuffle")
+        assert ledger(recorder)["rows"]["shuffle"][None] == \
+            pytest.approx(read.duration + phases)
+
     def test_the_serial_ledger_closes_on_the_ci_sample(self, tmp_path):
         data, out = tmp_path / "data", tmp_path / "report.json"
         assert main(["simulate", "--out", str(data), "--length", "9000",

@@ -8,6 +8,8 @@ codec combination, real post-compression byte accounting, and the chaos
 gate for injected segment corruption.
 """
 
+import random
+
 import pytest
 
 from repro.chaos.plan import CorruptSegment, FaultPlan, parse_event
@@ -18,6 +20,8 @@ from repro.errors import (
     ShuffleError,
 )
 from repro.hdfs.filesystem import Hdfs
+from repro.io.layer import LocalIO
+from repro.io.policy import IoPolicy
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import JobSpec, make_splits
@@ -31,6 +35,7 @@ from repro.shuffle.segment import (
     decode_segment,
     encode_segment,
     segment_path,
+    verify_segment,
 )
 from repro.shuffle.skew import detect_skew
 from repro.shuffle.spill import SpillBuffer
@@ -135,6 +140,19 @@ class TestSegmentFormat:
         with pytest.raises(ShuffleError):
             decode_segment(bytes(blob))
 
+    def test_the_crc_covers_the_header(self):
+        """Every header byte past the magic is checked: a flip in the
+        codec id, count or sizes is corruption, found without decoding."""
+        blob = encode_segment(self.RECORDS, get_codec("zlib-1")).blob
+        for offset in range(5, HEADER_BYTES):
+            rotted = bytearray(blob)
+            rotted[offset] ^= 0x01
+            with pytest.raises(ShuffleCorruptionError):
+                verify_segment(bytes(rotted))
+        assert verify_segment(blob)[:3] == (
+            CODEC_NAMES.index("zlib-1"), 3, decode_segment(blob).raw_bytes
+        )
+
     def test_segment_paths_are_canonical(self):
         assert segment_path("round2-cleaning", 3, 11) == (
             "/shuffle/round2-cleaning/map-00003/seg-00011.bin"
@@ -220,6 +238,30 @@ class TestSpillBuffer:
         assert spilled.key_counts[0] == [("hot", 5), ("warm", 2)]
 
 
+class TestSpillRunIntegrity:
+    """A run spilled to disk is a segment frame: rot in the run file
+    fails the map task with a typed error, never a wrong segment."""
+
+    def test_bit_flips_in_a_spill_run_raise_only_corruption(self, tmp_path):
+        rng = random.Random("spill-run-flips")
+        for trial in range(200):
+            buffer = SpillBuffer(
+                2, stable_hash_partition, None, 4,
+                spill_io=LocalIO(IoPolicy(fsync=False)),
+                spill_dirs=(str(tmp_path / f"t{trial}"),),
+            )
+            buffer.add_all((f"k{i % 5}", i) for i in range(6))
+            [path] = [run for run in buffer._runs if isinstance(run, str)]
+            with open(path, "rb") as handle:
+                data = bytearray(handle.read())
+            bit = rng.randrange(len(data) * 8)
+            data[bit >> 3] ^= 1 << (bit & 7)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with pytest.raises(ShuffleCorruptionError):
+                buffer.finish(get_codec("raw"))
+
+
 class TestSegmentStore:
     RECORDS = [("k1", "v1"), ("k2", "v2")]
 
@@ -269,6 +311,17 @@ class TestSegmentStore:
         assert fetch.crc_failures == 1
         store.delete(path)
         assert not fs.exists(path)
+
+    def test_snapshot_stops_at_the_first_verified_replica(self):
+        store, path = self._store_with_segment()
+        clean = store.snapshot(path, attempts=3)
+        assert len(clean) == 1
+        store.corrupt(path, replica_index=0)
+        chain = store.snapshot(path, attempts=3)
+        assert len(chain) == 2 and chain[1] == clean[0]
+        store.corrupt(path, replica_index=1)
+        store.corrupt(path, replica_index=2)
+        assert len(store.snapshot(path, attempts=3)) == 3
 
     def test_for_filesystem_falls_back_to_local(self):
         store = SegmentStore.for_filesystem(None)
@@ -439,6 +492,63 @@ class TestEngineShuffleIntegration:
         )
         with pytest.raises(MapReduceError):
             _run_wordcount(policy, DEFAULT_SHUFFLE, filesystem=fs)
+
+
+class TestSegmentRotSweep:
+    """Rot anywhere in a stored segment's first replica, header bytes
+    included, is caught by the frame CRC and absorbed by one refetch —
+    the same outputs and counters on both executors."""
+
+    JOB = JobSpec("sweep", _kv_mapper, _count_reducer, num_reducers=1)
+    #: Every map task stores the same segment; map *i*'s gets byte *i*
+    #: of its first replica flipped, so one job sweeps every offset.
+    SIZE = len(encode_segment([("dog", 1), ("the", 1)], get_codec("raw")).blob)
+    SPLITS = make_splits(["the dog"] * SIZE)
+
+    @staticmethod
+    def _policy(executor, events):
+        return ExecutionPolicy(
+            executor=executor, max_workers=2,
+            fault_plan=FaultPlan(seed=0, events=tuple(events)),
+        )
+
+    @staticmethod
+    def _flip_byte_of_the_map_index(backend, path, replica_index=0):
+        offset = int(path.split("/map-")[1].split("/")[0])
+        copies = backend._copies[path]
+        rotted = bytearray(copies[replica_index])
+        rotted[offset] ^= 0xFF
+        copies[replica_index] = bytes(rotted)
+        return f"copy-{replica_index}"
+
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    def test_every_byte_flip_of_the_first_replica_is_absorbed(
+        self, executor, monkeypatch
+    ):
+        clean = MapReduceEngine(nodes=["n0"]).run(self.JOB, self.SPLITS)
+        monkeypatch.setattr(LocalSegmentBackend, "corrupt",
+                            self._flip_byte_of_the_map_index)
+        policy = self._policy(executor, [
+            CorruptSegment("sweep", map_index=m, reducer=0, replica_index=0)
+            for m in range(self.SIZE)
+        ])
+        with MapReduceEngine(nodes=["n0"], policy=policy) as engine:
+            result = engine.run(self.JOB, self.SPLITS)
+        assert result.all_outputs() == clean.all_outputs()
+        assert result.counters.as_dict() == dict(clean.counters.as_dict(), **{
+            C.SHUFFLE_CRC_FAILURES: self.SIZE,
+            C.SHUFFLE_FETCH_RETRIES: self.SIZE,
+        })
+
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    def test_every_replica_rotten_fails_the_job(self, executor):
+        policy = self._policy(executor, [
+            CorruptSegment("sweep", map_index=0, reducer=0, replica_index=r)
+            for r in range(3)
+        ])
+        with pytest.raises(MapReduceError, match="no clean replica"):
+            with MapReduceEngine(nodes=["n0"], policy=policy) as engine:
+                engine.run(self.JOB, self.SPLITS)
 
 
 class TestChaosPlanParsing:
