@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
+from repro.cleaning.sort import coordinate_key
 from repro.errors import PipelineError
 from repro.formats.bam import BamLinearIndex, bam_bytes
 from repro.formats.sam import SamHeader, SamRecord
@@ -36,15 +37,12 @@ class SamtoolsIndex:
 
     @staticmethod
     def _check_sorted(header: SamHeader, records: List[SamRecord]) -> None:
-        order = {name: i for i, name in enumerate(header.sequence_names())}
-        last = None
-        for record in records:
-            if record.flags.is_unmapped and record.rname == "*":
-                continue
-            key = (order.get(record.rname, len(order)), record.pos)
-            if last is not None and key < last:
+        key = coordinate_key(header)
+        placed = [r for r in records
+                  if not (r.flags.is_unmapped and r.rname == "*")]
+        for before, record in zip(placed, placed[1:]):
+            if key(record)[:2] < key(before)[:2]:
                 raise PipelineError(
                     "SamtoolsIndex requires coordinate-sorted input "
                     f"(violated at {record.rname}:{record.pos})"
                 )
-            last = key

@@ -12,27 +12,45 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Tuple
 
 from repro.errors import PipelineError
+from repro.formats.flags import REVERSE, UNMAPPED
 from repro.formats.sam import SamHeader, SamRecord
 
 SortKey = Callable[[SamRecord], Tuple]
 
 
+def _coordinate_rule(header: SamHeader) -> Callable[[str, int, int, str], Tuple]:
+    """The one coordinate order: (RNAME, POS, FLAG, QNAME) -> (contig
+    index as round 4 partitions, position, strand, name); unplaced reads
+    and unknown contigs sort last, as in samtools/Picard."""
+    from repro.gdpt.partitioner import RangePartitioner  # gdpt imports us
+
+    ranger = RangePartitioner(header)
+    contig_index, unplaced = ranger.contig_index, ranger.num_partitions
+
+    def key(rname: str, pos: int, flag: int, qname: str) -> Tuple:
+        if flag & UNMAPPED and rname == "*":
+            return (unplaced, 0, 0, qname)
+        index = contig_index(rname)
+        return (unplaced if index is None else index, pos,
+                1 if flag & REVERSE else 0, qname)
+
+    return key
+
+
 def coordinate_key(header: SamHeader) -> SortKey:
-    """Sort key: (contig index, position, strand, name).
+    """Sort key: (contig index, position, strand, name)."""
+    rule = _coordinate_rule(header)
+    return lambda r: rule(r.rname, r.pos, r.flags.value, r.qname)
 
-    Unmapped reads sort to the end, as in samtools/Picard.
-    """
-    order = {name: i for i, name in enumerate(header.sequence_names())}
 
-    def key(record: SamRecord) -> Tuple:
-        if record.flags.is_unmapped and record.rname == "*":
-            return (len(order), 0, 0, record.qname)
-        return (
-            order.get(record.rname, len(order)),
-            record.pos,
-            1 if record.flags.is_reverse else 0,
-            record.qname,
-        )
+def coordinate_line_key(header: SamHeader) -> Callable[[str], Tuple]:
+    """:func:`coordinate_key` of a SAM line's record, read from its
+    first four fields without building the record."""
+    rule = _coordinate_rule(header)
+
+    def key(line: str) -> Tuple:
+        qname, flag, rname, pos, _ = line.split("\t", 4)
+        return rule(rname, int(pos), int(flag), qname)
 
     return key
 

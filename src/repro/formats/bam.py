@@ -44,34 +44,36 @@ def _compress_frame(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload), len(compressed)) + compressed
 
 
-def encode_bam(
+def encode_bam_lines(
     header: SamHeader,
-    records: Iterable[SamRecord],
+    lines: Iterable[str],
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Tuple[bytes, int]:
-    """Serialize a header and records into a complete BAM byte stream.
-
-    Also returns the SAM-text size of the records it rendered — each
-    line's characters plus its newline, ``SamRecord.line_bytes()``'s
-    unit — so a caller accounting those bytes need not re-sum them.
-    """
+    """Frame a header and SAM record lines into a complete BAM byte
+    stream; also returns the lines' SAM-text size (``len(line) + 1``
+    each, ``SamRecord.line_bytes()``'s unit), so no caller re-sums it."""
     if chunk_bytes <= 0:
         raise BamError("chunk_bytes must be positive")
     parts = [MAGIC, _compress_frame(header.to_text().encode())]
-    lines: List[str] = []
+    batch: List[str] = []
     batch_size = text_size = 0
-    for record in records:
-        line = record.to_line()
-        lines.append(line)
+    for line in lines:
+        batch.append(line)
         batch_size += len(line) + 1
         if batch_size >= chunk_bytes:
-            parts.append(_compress_frame("\n".join(lines).encode()))
+            parts.append(_compress_frame("\n".join(batch).encode()))
             text_size += batch_size
-            lines = []
+            batch = []
             batch_size = 0
-    if lines:
-        parts.append(_compress_frame("\n".join(lines).encode()))
+    if batch:
+        parts.append(_compress_frame("\n".join(batch).encode()))
     return b"".join(parts), text_size + batch_size
+
+
+def encode_bam(header: SamHeader, records: Iterable[SamRecord],
+               chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Tuple[bytes, int]:
+    """:func:`encode_bam_lines` over each record's ``to_line``."""
+    return encode_bam_lines(header, map(SamRecord.to_line, records), chunk_bytes)
 
 
 def bam_bytes(
@@ -114,30 +116,32 @@ def iter_frames(data: bytes, offset: int = 0) -> Iterator[Tuple[int, bytes]]:
         position = start + comp_len
 
 
-def decode_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord], int]:
-    """Parse a complete BAM byte stream into header, records and the
-    records' SAM-text size.
-
-    The size is what the frames already state: a record frame's text is
-    its lines joined by newlines, so ``len(text) + 1`` is the sum of
-    ``len(line) + 1`` — in characters, not encoded bytes, which is the
-    unit of ``SamRecord.line_bytes()`` (they differ on a non-ASCII QNAME).
-    """
+def decode_bam_lines(data: bytes) -> Tuple[SamHeader, List[str], int]:
+    """Parse a complete BAM byte stream into header, SAM record lines
+    and their SAM-text size, which the frames state: a frame's text is
+    its lines joined by newlines, so ``len(text) + 1`` sums ``len(line)
+    + 1`` — characters, ``SamRecord.line_bytes()``'s unit, not bytes."""
     if data[: len(MAGIC)] != MAGIC:
         raise BamError("missing BAM magic")
     header: Optional[SamHeader] = None
-    records: List[SamRecord] = []
+    lines: List[str] = []
     text_size = 0
     for _, payload in iter_frames(data):
         if header is None:
             header = SamHeader.from_text(payload.decode())
         elif payload:
             text = payload.decode()
-            records.extend(map(SamRecord.from_line, text.split("\n")))
+            lines.extend(text.split("\n"))
             text_size += len(text) + 1
     if header is None:
         raise BamError("BAM stream has no header frame")
-    return header, records, text_size
+    return header, lines, text_size
+
+
+def decode_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord], int]:
+    """:func:`decode_bam_lines` with each line parsed into a record."""
+    header, lines, text_size = decode_bam_lines(data)
+    return header, list(map(SamRecord.from_line, lines)), text_size
 
 
 def read_bam(data: bytes) -> Tuple[SamHeader, List[SamRecord]]:

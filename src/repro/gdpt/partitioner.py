@@ -262,7 +262,8 @@ class RangePartitioner:
 
     def __init__(self, header: SamHeader):
         self.contigs = header.sequence_names()
-        self._index = {name: i for i, name in enumerate(self.contigs)}
+        #: RNAME -> its contig's header index; None outside the header.
+        self.contig_index = {n: i for i, n in enumerate(self.contigs)}.get
 
     @property
     def num_partitions(self) -> int:
@@ -270,7 +271,7 @@ class RangePartitioner:
 
     def partition_of(self, record: SamRecord) -> Optional[int]:
         """Partition index, or None for unplaced (unmapped) records."""
-        return self._index.get(record.rname)
+        return self.contig_index(record.rname)
 
     def split(self, records: Iterable[SamRecord]) -> List[List[SamRecord]]:
         partitions: List[List[SamRecord]] = [[] for _ in self.contigs]

@@ -35,8 +35,9 @@ _TENANT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _positive(value) -> bool:
-    """Finite and > 0: NaN passes a ``value <= 0`` guard."""
-    return math.isfinite(value) and value > 0
+    """A finite number > 0: NaN passes a ``value <= 0`` guard, and a
+    bool or a numeric string is no number."""
+    return type(value) in (int, float) and math.isfinite(value) and value > 0
 
 
 def valid_tenant_name(name: str) -> bool:

@@ -57,7 +57,10 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         daemon = self.server.daemon  # type: ignore[attr-defined]
         while True:
-            line = self.rfile.readline(MAX_REQUEST_BYTES)
+            try:
+                line = self.rfile.readline(MAX_REQUEST_BYTES)
+            except ConnectionResetError:  # gone with a reply unread
+                return
             if not line:
                 return
             if len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n"):
@@ -82,7 +85,7 @@ class _Handler(socketserver.StreamRequestHandler):
             else:
                 op = request.get("op")
                 response = daemon.handle(request)
-            self._reply(response)
+            sent = self._reply(response)
             if op == "shutdown":
                 daemon.request_shutdown()
                 return
@@ -91,12 +94,18 @@ class _Handler(socketserver.StreamRequestHandler):
                 # KillServer that fires on the first dispatch cannot
                 # take the reply down with the process.
                 daemon.server.start_dispatch()
+            if not sent:
+                return
 
-    def _reply(self, response: Dict[str, Any]) -> None:
-        self.wfile.write(
-            (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-        )
-        self.wfile.flush()
+    def _reply(self, response: Dict[str, Any]) -> bool:
+        """Write one reply line; False if the client has gone away."""
+        line = (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+        try:
+            self.wfile.write(line)
+            self.wfile.flush()
+        except (BrokenPipeError, ConnectionResetError):
+            return False
+        return True
 
 
 class _SocketServer(socketserver.ThreadingMixIn,
@@ -131,7 +140,7 @@ class JobServerDaemon:
                 job = self.server.submit(
                     str(request.get("tenant", "")),
                     request.get("payload"),
-                    cost=float(request.get("cost", 1.0)),
+                    cost=request.get("cost", 1.0),
                     demand=request.get("demand", 1),
                     job_id=request.get("job_id"),
                 )

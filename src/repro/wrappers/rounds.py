@@ -5,7 +5,8 @@ Round 2  full MR    AddReplaceReadGroups + CleanSam (map), shuffle by
                     read name, FixMateInformation + bloom sidecar (reduce)
 Round 3  full MR    compound-key extraction (map), shuffle, SortSam +
                     MarkDuplicates (reduce); reg or opt (bloom) variant
-Round 4  full MR    range partition by chromosome, sort + BAM index
+Round 4  full MR    SAM lines keyed by coordinate, range partition by
+                    chromosome, the merged lines framed + BAM index
 Round 5  map-only   Haplotype Caller per sorted, indexed partition
 
 Optional extra rounds implement BaseRecalibrator (group partitioning by
@@ -26,15 +27,16 @@ from repro.api import (
 from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
-from repro.cleaning.sort import coordinate_key
+from repro.cleaning.sort import coordinate_key, coordinate_line_key
 from repro.errors import DriverKilledError, MapReduceError, PipelineError
 from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
+from repro.formats.bam import decode_bam_lines, encode_bam_lines
 from repro.formats.fastq import ReadPair
 from repro.formats.sam import SamHeader
 from repro.formats.vcf import VariantRecord, sort_variants
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
-    MarkDupKeying, OverlappingRangePartitioner, RangePartitioner,
+    MarkDupKeying, OverlappingRangePartitioner,
     build_partial_position_bloom, mark_duplicate_group, records_by_pair,
 )
 from repro.genome.regions import GenomicInterval
@@ -59,9 +61,10 @@ from repro.wrappers.programs import (
 class _Row(NamedTuple):
     """One round as the paper's wrapper declares it (§3.1): the wrapped
     program(s) as ``body(header, records, text_size, ctx)`` over one
-    decoded round BAM (``body(pairs, ctx)`` over a sealed FASTQ block
-    for a ``fastq`` row), then a full round's keying, partition scheme
-    and reduce-side output format."""
+    round BAM as ``decode`` reads it (``decode_bam_lines`` hands it SAM
+    lines; ``body(pairs, ctx)`` over a sealed FASTQ block for a ``fastq``
+    row), then a full round's keying, partition scheme and reduce-side
+    output format."""
 
     key: str
     name: str
@@ -71,6 +74,7 @@ class _Row(NamedTuple):
     num_reducers: int = 1
     reduce_output: Optional[Callable[..., None]] = None
     fastq: bool = False
+    decode: Callable[[bytes], Any] = decode_bam
 
 
 def _identity_reducer(key, values, ctx) -> None:
@@ -137,14 +141,14 @@ class GesallRounds:
                 inputs, prefix="fastq", nodes=self.engine.nodes
             )
         else:
-            hdfs, body = self.hdfs, row.body
+            hdfs, body, decode = self.hdfs, row.body, row.decode
 
             def mapper(path, ctx):
                 # The one map-side reader of a round BAM.
                 with ctx.span("hdfs-read"):
                     data = hdfs.get(path)
                 with ctx.span("decode"):
-                    header, records, size = decode_bam(data)
+                    header, records, size = decode(data)
                 ctx.set_input_records(len(records))
                 body(header, records, size, ctx)
 
@@ -278,20 +282,38 @@ class GesallRounds:
 
     def round4_sort_index(self, in_paths: List[str],
                           out_dir: str = "/round4") -> List[str]:
-        ranger = RangePartitioner(SamHeader(sequences=self.reference.sam_sequences()))
-        contigs = ranger.contigs
+        """Moves SAM lines, no records: the shuffle's stable sort and
+        merge by each placed line's coordinate key (ties in map-task,
+        then emission order) is the sort, and the reducer frames them."""
+        header = SamHeader(sequences=self.reference.sam_sequences(),
+                           sort_order="coordinate")
+        contigs, chunk_bytes = header.sequence_names(), self.chunk_bytes
+        line_key, placed = coordinate_line_key(header), len(contigs)
 
-        def by_contig(header, records, size, ctx):
-            for record in records:
-                index = ranger.partition_of(record)
-                if index is not None:
-                    ctx.emit(contigs[index], record)
+        def by_coordinate(_header, lines, _size, ctx):
+            for line in lines:
+                key = line_key(line)
+                if key[0] < placed:  # on a contig of the header
+                    ctx.emit(key, line)
+
+        def write(pairs, ctx):
+            if not pairs:
+                return
+            with ctx.span("encode", records=len(pairs)) as span:
+                data, _ = encode_bam_lines(
+                    header, [line for _, line in pairs], chunk_bytes)
+                span.set(bytes_out=len(data))
+            path = f"{out_dir}/{contigs[pairs[0][0][0]]}.bam"
+            ctx.write_file(path, data, logical_partition=True)
+            ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
+                           logical_partition=True)
+            ctx.emit(path, len(pairs))
 
         return self._keys(_Row(
-            "round4", "round4-sort", by_contig, _identity_reducer,
-            partitioner=lambda key, n: contigs.index(key) % n,
-            num_reducers=len(contigs),
-            reduce_output=self._bam_writer(out_dir, "coordinate", True),
+            "round4", "round4-sort", by_coordinate, _identity_reducer,
+            partitioner=lambda key, n: key[0] % n,
+            num_reducers=len(contigs), reduce_output=write,
+            decode=decode_bam_lines,
         ), in_paths)
 
     def _call_per_contig(self, key: str, name: str, in_paths: List[str],
@@ -411,15 +433,12 @@ class GesallRounds:
             _Row("round_bqsr", "round-printreads", rewrite), in_paths
         )
 
-    def _bam_writer(self, out_dir: str, sort_order: str,
-                    per_contig: bool = False, program=None):
-        """The ``reduce_output`` of rounds 2-4: run ``program`` (round 2's
+    def _bam_writer(self, out_dir: str, sort_order: str, program=None):
+        """The ``reduce_output`` of rounds 2-3: run ``program`` (round 2's
         FixMateInformation) over the partition, sort it if the header
         says coordinate, ``write_file`` it, emit ``(path, records)``.
-        Rounds 2-3 account the rendered size as "bytes from program";
-        round 2 adds the ``.bloom`` round 3 opt keys by; round 4
-        (``per_contig``) names the file after its contig, adds the
-        ``.bai`` and writes nothing for an empty partition."""
+        The rendered size is accounted as "bytes from program"; round 2
+        adds the ``.bloom`` round 3 opt keys by."""
         header = SamHeader(sequences=self.reference.sam_sequences(),
                            sort_order=sort_order)
         key = coordinate_key(header)
@@ -427,11 +446,7 @@ class GesallRounds:
 
         def write(pairs, ctx):
             records = [record for _, record in pairs]
-            if per_contig and not records:
-                return
-            if not per_contig:
-                accounting = ctx.attachment("transform",
-                                            DataTransformAccounting)
+            accounting = ctx.attachment("transform", DataTransformAccounting)
             if program is not None:
                 accounting.record_input(records)
                 _, records = program.run(header, records)
@@ -440,19 +455,13 @@ class GesallRounds:
                     records.sort(key=key)
                 data, size = encode_bam(header, records, chunk_bytes)
                 span.set(bytes_out=len(data))
-            name = (records[0].rname if per_contig
-                    else f"part-{ctx.task_index:05d}")
-            path = f"{out_dir}/{name}.bam"
-            ctx.write_file(path, data, logical_partition=True)
+            name = f"{out_dir}/part-{ctx.task_index:05d}"
+            ctx.write_file(name + ".bam", data, logical_partition=True)
             if program is not None:
                 bloom = build_partial_position_bloom(records_by_pair(records))
-                ctx.write_file(f"{out_dir}/{name}.bloom", bloom.to_bytes(),
+                ctx.write_file(name + ".bloom", bloom.to_bytes(),
                                logical_partition=True)
-            if per_contig:
-                ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
-                               logical_partition=True)
-            else:
-                accounting.record_output(records, size)
-            ctx.emit(path, len(records))
+            accounting.record_output(records, size)
+            ctx.emit(name + ".bam", len(records))
 
         return write

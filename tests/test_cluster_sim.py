@@ -300,7 +300,8 @@ PIPELINE_BACKED = {"table8_accuracy", "table9_10_quality", "fig11_error_diagnosi
 #: and their pinned records have none.
 UNCLAIMED = {"pipeline_cluster_a", "pipeline_cluster_b"}
 #: Committed records that scripts under ``benchmarks/`` write.
-SCRIPT_RECORDS = {"profile_wgs-serial", "profile_wgs-serial_parent"}
+SCRIPT_RECORDS = {"profile_wgs-serial", "profile_wgs-serial_parent",
+                  "profile_clean-durable", "profile_clean-durable_parent"}
 
 
 def _committed(name):

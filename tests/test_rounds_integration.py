@@ -12,10 +12,12 @@ import pytest
 
 from repro.align.pairing import PairedEndAligner
 from repro.cleaning.duplicates import MarkDuplicates, duplicate_count
-from repro.cleaning.sort import SortSam
+from repro.cleaning.sort import SortSam, coordinate_key, coordinate_line_key
 from repro.errors import PipelineError
-from repro.formats.bam import read_bam
-from repro.formats.sam import SamHeader
+from repro.formats.bam import (
+    BamLinearIndex, bam_bytes, decode_bam_lines, read_bam,
+)
+from repro.formats.sam import SamHeader, SamRecord
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
     build_partial_position_bloom, records_by_pair, split_pairs_contiguously,
@@ -468,3 +470,116 @@ class TestRoundFilesWrittenInTheReduceTask:
         assert rounds.results["round4"].reduce_outputs == {
             0: [("/round4/chr1.bam", 6)], 1: [],
         }
+
+
+# ---------------------------------------------------------------------------
+# Round 4 moves SAM lines: its shuffle key is the coordinate rule itself
+# ---------------------------------------------------------------------------
+def _line(qname, flag, rname, pos, seq="ACGTACGT"):
+    return (f"{qname}\t{flag}\t{rname}\t{pos}\t60\t"
+            f"{'*' if flag & 0x4 else f'{len(seq)}M'}\t=\t{pos}\t0\t"
+            f"{seq}\t{'I' * len(seq)}")
+
+
+#: Hand-built lines the line key must order as ``coordinate_key`` does.
+HAND_BUILT_LINES = [
+    _line("rev", 0x10 | 0x1 | 0x40, "chr1", 100),
+    # Equal positions, two names; the ordering test puts them in two
+    # map tasks, the later name in the earlier task.
+    _line("qB", 0x1 | 0x20 | 0x40, "chr1", 200),
+    _line("qA", 0x1 | 0x20 | 0x80, "chr1", 200),
+    # A pair with one end unmapped, placed at its mate's position.
+    _line("mu", 0x1 | 0x8 | 0x40, "chr2", 300),
+    _line("mu", 0x1 | 0x4 | 0x80, "chr2", 300),
+    # Unplaced, and outside the header.
+    _line("un", 0x1 | 0x4 | 0x8 | 0x40, "*", 0),
+    _line("alt", 0, "chrUn", 7),
+    # FLAG bits above 0xFFF: the record masks them, the line key reads
+    # the strand and unmapped bits from the raw integer.
+    _line("hi", 0x1000 | 0x10, "chr1", 100),
+    _line("hi4", 0x4000 | 0x4, "*", 0),
+]
+
+
+class TestRound4MovesLines:
+    @pytest.fixture(scope="class")
+    def pinned_round3(self, rounds_env, reference):
+        """The round-3 BAMs of the pinned rounds 2-4 run."""
+        _, source, round1_paths = rounds_env
+        _, hdfs, paths = run_cleaning_rounds(
+            reference, [(path, source.get(path)) for path in round1_paths],
+            ExecutionPolicy.serial(),
+        )
+        return [hdfs.get(path) for path in paths["round3"]]
+
+    @staticmethod
+    def _keys(reference):
+        header = SamHeader(sequences=reference.sam_sequences())
+        return coordinate_line_key(header), coordinate_key(header)
+
+    def test_line_key_is_coordinate_key_on_every_round3_record(
+        self, reference, pinned_round3
+    ):
+        line_key, record_key = self._keys(reference)
+        lines = [line for data in pinned_round3
+                 for line in decode_bam_lines(data)[1]]
+        assert len(lines) == ROUND_COUNTERS["round3"][0]
+        for line in lines:
+            assert line_key(line) == record_key(SamRecord.from_line(line))
+
+    def test_line_key_is_coordinate_key_on_hand_built_lines(self, reference):
+        line_key, record_key = self._keys(reference)
+        for line in HAND_BUILT_LINES:
+            assert line_key(line) == record_key(SamRecord.from_line(line)), line
+        keys = {line.split("\t", 1)[0]: line_key(line)
+                for line in HAND_BUILT_LINES}
+        assert keys["rev"] == (0, 100, 1, "rev")
+        assert keys["hi"] == (0, 100, 1, "hi")
+        assert keys["qA"] < keys["qB"]
+        assert keys["mu"] == (1, 300, 0, "mu")
+        assert keys["un"] == (2, 0, 0, "un")
+        assert keys["alt"] == (2, 7, 0, "alt")
+        assert keys["hi4"] == (2, 0, 0, "hi4")
+
+    @pytest.mark.parametrize("policy", ROUND_FILE_POLICIES)
+    def test_two_map_tasks_with_tied_positions_write_what_sortsam_writes(
+        self, reference, policy
+    ):
+        """Ties on the whole key (one read's primary and secondary line
+        in two tasks) keep map-task order, as SortSam's stable sort keeps
+        input order; distinct names at one position sort by name."""
+        records = [SamRecord.from_line(line) for line in HAND_BUILT_LINES]
+        secondary = SamRecord.from_line(_line("rev", 0x10 | 0x100, "chr1", 100))
+        tasks = [
+            [records[1], records[0], records[3], records[5], records[6]],
+            [records[2], secondary, records[7], records[4], records[0]],
+        ]
+        hdfs = Hdfs(["n0", "n1"], replication=1)
+        header = SamHeader(sequences=reference.sam_sequences())
+        inputs = []
+        for index, task in enumerate(tasks):
+            inputs.append(f"/in/part-{index:05d}.bam")
+            upload_bam(hdfs, inputs[-1], header, task, logical_partition=True)
+        rounds = GesallRounds(hdfs, None, None, reference, chunk_bytes=128,
+                              policy=policy)
+        try:
+            paths = rounds.round4_sort_index(inputs)
+        finally:
+            rounds.close()
+        assert paths == ["/round4/chr1.bam", "/round4/chr2.bam"]
+        placed = [r for task in tasks for r in task if r.rname != "*"
+                  and r.rname in header.sequence_names()]
+        out_header, ordered = SortSam("coordinate").run(header, placed)
+        for path in paths:
+            contig = path[len("/round4/"):-len(".bam")]
+            expected = bam_bytes(
+                out_header, [r for r in ordered if r.rname == contig], 128)
+            assert hdfs.get(path) == expected, path
+            assert hdfs.get(path + ".bai") == (
+                BamLinearIndex.build(expected).to_bytes())
+        chr1 = read_bam(hdfs.get(paths[0]))[1]
+        assert [(r.qname, r.flags.value) for r in chr1[:5]] == [
+            ("hi", 0x10), ("rev", 0x51), ("rev", 0x110), ("rev", 0x51),
+            ("qA", 0xA1),
+        ]
+        assert len(chr1) == 6

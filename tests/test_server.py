@@ -12,9 +12,11 @@ import base64
 import json
 import os
 import pickle
+import select
 import socket
 import tempfile
 import threading
+import time
 import zlib
 
 import pytest
@@ -704,6 +706,163 @@ class TestDaemonRoundTrip:
         error = json.loads(reply)["error"]
         assert error["type"] == "ServerError"
         assert "longer than" in error["message"]
+        assert client.ping()
+
+    @staticmethod
+    def _exchange(socket_path, lines):
+        """Send raw request lines on one connection, then half-close;
+        returns the parsed reply lines."""
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(socket_path)
+            sock.sendall(b"".join(line + b"\n" for line in lines))
+            sock.shutdown(socket.SHUT_WR)
+            replies = sock.makefile("rb").read().splitlines()
+        return [json.loads(reply) for reply in replies]
+
+    @staticmethod
+    def _journal(server):
+        from repro.server.queue import QUEUE_FINGERPRINT
+
+        return FrameLog(LocalDirectoryBackend(server.config.state_dir),
+                        "queue.log", QUEUE_FINGERPRINT).replay()
+
+    @staticmethod
+    def _handlers_done(timeout=10.0):
+        """Wait for every connection handler thread to return."""
+        deadline = time.monotonic() + timeout
+        while any("process_request" in thread.name
+                  for thread in threading.enumerate()):
+            assert time.monotonic() < deadline, "a handler never returned"
+            time.sleep(0.01)
+
+    def test_seeded_malformed_lines_get_typed_errors_only(
+        self, served, capfd
+    ):
+        """Truncated JSON, non-objects, invalid UTF-8, NUL bytes and
+        wrong-typed submit fields, 120 seeded lines on one connection:
+        each gets one typed error line, nothing is journaled, and the
+        next connection's ping and submit work."""
+        import random
+
+        server, socket_path = served
+        client = self._client(socket_path)
+        rng = random.Random(3803)
+        submit = {"op": "submit", "tenant": "a",
+                  "payload": wordcount_payload(["x y"])}
+        valid = json.dumps(submit).encode()
+
+        def spliced(junk):
+            at = rng.randrange(len(valid) + 1)
+            return valid[:at] + junk + valid[at:]
+
+        makers = [
+            lambda: valid[:rng.randrange(1, len(valid))],
+            lambda: rng.choice([b"[]", b"1", b'"ping"', b"null", b"true",
+                                b'[{"op": "ping"}]']),
+            lambda: spliced(rng.choice([b"\xff", b"\xc3", b"\x80",
+                                        b"\xed\xa0\x80"])),
+            lambda: spliced(b"\x00"),
+            lambda: json.dumps(dict(submit, cost=rng.choice(
+                ["1", "abc", [1], {"n": 1}, True, None]))).encode(),
+            lambda: json.dumps(dict(submit, job_id=rng.choice(
+                [123, ["a"], {"id": "a"}, True, 1.5, ""]))).encode(),
+            lambda: json.dumps(dict(submit, demand=rng.choice(
+                ["1", 1.5, True, [1], None, 0]))).encode(),
+        ]
+        lines = [rng.choice(makers)() for _ in range(120)]
+        replies = self._exchange(socket_path, lines)
+        assert len(replies) == len(lines)
+        for line, reply in zip(lines, replies):
+            assert set(reply) == {"error"}, line
+            assert reply["error"]["type"] in ("ServerError",
+                                              "AdmissionError"), line
+        assert server.queue.jobs == {}
+        assert not any(r["kind"] == "submit" for r in self._journal(server))
+        assert client.ping()
+        job_id = client.submit("a", wordcount_payload(["x y"]))
+        assert list(server.queue.jobs) == [job_id]
+        self._handlers_done()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_vanished_clients_end_only_their_connection(self, served, capfd):
+        """A client that disconnects mid-line, and ones that close before
+        reading their replies, cost the daemon nothing: no traceback, and
+        a fresh connection's ping and submit work."""
+        server, socket_path = served
+        client = self._client(socket_path)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(socket_path)
+            sock.sendall(b'{"op": "submit", "tenant": "a", "payl')
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(socket_path)
+            sock.sendall(b'{"op": "ping"}\n' * 2000)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(socket_path)
+            sock.sendall(b'{"op": "ping"}\n')
+            # The reply has arrived; closing unread resets the daemon's
+            # next read.
+            select.select([sock], [], [], 10.0)
+        self._handlers_done()
+        assert client.ping()
+        job_id = client.submit("a", wordcount_payload(["x y"]))
+        assert list(server.queue.jobs) == [job_id]
+        self._handlers_done()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_concurrent_submit_and_cancel_journal_each_job_once(
+        self, served
+    ):
+        """Two connections race one id at a time: one submits while the
+        other cancels, then the other way round.  The first submit wins,
+        the late one is a typed duplicate error, a cancel that beats the
+        submit is a typed not-found, and the journal holds one submit
+        record per id."""
+        from repro.server.client import JobClient
+
+        server, socket_path = served
+        self._client(socket_path)
+        ids = [f"race-{index}" for index in range(4)]
+        barrier = threading.Barrier(2, timeout=10.0)
+        replies = {}
+
+        def race(side):
+            mine = JobClient(socket_path, timeout=10.0)
+            for job_id in ids:
+                for op in (("submit", "cancel"), ("cancel", "submit"))[side]:
+                    barrier.wait()
+                    try:
+                        if op == "submit":
+                            mine.submit("a", wordcount_payload(["x"]),
+                                        job_id=job_id)
+                            reply = "ok"
+                        else:
+                            reply = mine.cancel(job_id)
+                    except Exception as exc:  # noqa: BLE001 — typed below
+                        reply = type(exc).__name__
+                    replies[side, job_id, op] = reply
+
+        threads = [threading.Thread(target=race, args=(side,))
+                   for side in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(replies) == 2 * 2 * len(ids)
+        for job_id in ids:
+            assert replies[0, job_id, "submit"] == "ok"
+            assert replies[1, job_id, "submit"] == "ServerError"
+            assert replies[1, job_id, "cancel"] in (
+                "JobNotFoundError", "cancelled", "running", "done"), job_id
+            assert replies[0, job_id, "cancel"] in (
+                "cancelled", "running", "done"), job_id
+        journal = self._journal(server)
+        for job_id in ids:
+            kinds = [r["kind"] for r in journal if r["job_id"] == job_id]
+            assert kinds.count("submit") == 1, (job_id, kinds)
+            assert kinds.count("cancel") <= 1, (job_id, kinds)
+        client = self._client(socket_path)
+        client.wait_idle()
         assert client.ping()
 
     def test_jobs_start_is_answered_before_the_kill_it_releases(
