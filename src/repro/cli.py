@@ -5,7 +5,6 @@ Subcommands::
     repro-genomics simulate   --out DIR [--length N] [--coverage X]
     repro-genomics run        --data DIR --mode serial|parallel [--vcf F]
     repro-genomics trace      --data DIR [--trace-out F] [--jsonl F] [--json F]
-                              [--sample-interval S]
     repro-genomics compare    BASELINE CANDIDATE   (FILE or ROWS.jsonl@COMMIT)
     repro-genomics diagnose   --data DIR
     repro-genomics chaos      --data DIR [--<event> SPEC ...] (chaos --help)
@@ -185,9 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write a JSONL span dump to this path")
     trace.add_argument("--json", dest="json_out", default=None,
                        help="also write the report's tables as JSON here")
-    trace.add_argument("--sample-interval", type=float, default=0.0,
-                       help="worker resource sampling interval in "
-                            "seconds (0 = off)")
 
     compare = sub.add_parser(
         "compare",
@@ -400,15 +396,14 @@ def _write_json(path: str, payload) -> None:
 def _cmd_trace(args) -> int:
     """The one traced run: the report as text and as DATA/report.html,
     the Chrome trace, and the JSONL / JSON dumps when asked."""
-    obs = ObsConfig(enabled=True, sample_interval=args.sample_interval)
+    obs = ObsConfig(enabled=True)
     reference, pairs = read_sample(args.data)
     result = run_pipeline(_spec_from_args(args, reference, obs=obs), pairs)
     recorder = result.recorder
     tables = build_report(
         recorder, result.rounds.results,
         {"executor": args.executor, "partitions": args.partitions,
-         "read pairs": len(pairs), "shuffle codec": args.shuffle_codec,
-         "sample interval s": args.sample_interval},
+         "read pairs": len(pairs), "shuffle codec": args.shuffle_codec},
     )
     print(render_text(tables))
     print()

@@ -329,9 +329,6 @@ class MapReduceEngine:
                 executor.begin_job(JobContext(
                     job, self.policy, splits,
                     trace=recorder.enabled,
-                    sample_interval=(
-                        recorder.sample_interval if recorder.enabled else 0.0
-                    ),
                     io=self._io_layer() if io_policy.spill_dirs else None,
                     metrics=recorder.metrics,
                 ))
@@ -365,6 +362,11 @@ class MapReduceEngine:
                     paths = self._store_segments(
                         job, map_outcomes, store, result, stored
                     )
+                    # The store (and the WAL, journaled at promotion)
+                    # holds them now; the committer and the journal share
+                    # these outcomes, so no second copy outlives storage.
+                    for outcome in map_outcomes:
+                        outcome.segments = None
                     self._apply_segment_events(job, store, paths, result)
                     reduce_outcomes = self._run_wave(
                         job,

@@ -52,31 +52,27 @@ class JobContext:
     """Everything a call descriptor needs to run one task of a job.
 
     In-process executors hand it to ``call.run`` directly.  The pool
-    publishes it in :data:`_POOL_JOB_CONTEXT` immediately before it
-    forks the job's workers, so what cannot pickle (the job spec's
-    closures over HDFS handles and aligners, the input splits, the
-    spill I/O layer) rides into the children inside the fork image and
-    only picklable call descriptors cross the pipes afterwards.
+    hands it to each worker it forks as a process argument, which the
+    ``fork`` start method inherits rather than pickles, so what cannot
+    pickle (the job spec's closures over HDFS handles and aligners, the
+    input splits, the spill I/O layer) rides into the children inside
+    the fork image and only picklable call descriptors cross the pipes
+    afterwards.
     """
 
-    __slots__ = ("job", "policy", "splits", "trace", "sample_interval",
-                 "io", "metrics")
+    __slots__ = ("job", "policy", "splits", "trace", "io", "metrics")
 
     def __init__(self, job, policy, splits, trace: bool = False,
-                 sample_interval: float = 0.0, io: Any = None,
-                 metrics: Any = NULL_METRICS):
+                 io: Any = None, metrics: Any = NULL_METRICS):
         self.job = job
         self.policy = policy
         #: The job's input splits; map task *i* reads ``splits[i]``.
         self.splits: Sequence[Any] = splits
         #: When true (the engine's recorder is enabled), outcomes are
         #: stamped with run time and worker identity, and task contexts
-        #: buffer their spans: phases and the sections task code wraps.
+        #: buffer their spans: phases, with their resource readings,
+        #: and the sections task code wraps.
         self.trace = trace
-        #: Resource-sampling interval in seconds (0 = off).  When > 0,
-        #: every task attempt runs a worker-side ResourceSampler whose
-        #: samples ride the outcome.
-        self.sample_interval = sample_interval
         #: Durable-I/O layer map tasks spill runs through; ``None``
         #: (no spill directories configured) keeps runs in memory.
         self.io = io
@@ -93,26 +89,11 @@ def _run_call(call: Any, context: JobContext) -> Any:
     ``time.perf_counter`` is a system-wide monotonic clock, so
     worker-side readings compare directly against the driver's
     wave-submit timestamp (queue wait = started - submitted).
-
-    With ``context.sample_interval`` > 0 the attempt additionally runs
-    a :class:`~repro.obs.sampler.ResourceSampler` for its duration; the
-    CPU/RSS/IO samples ride back in ``outcome.samples`` next to the
-    stamps, and the driver tags them by (worker, task, phase) as it
-    stitches them into the metrics registry's time-series store.
     """
-    if not context.trace and context.sample_interval <= 0:
+    if not context.trace:
         return call.run(context)
-    sampler = None
-    if context.sample_interval > 0:
-        from repro.obs.sampler import ResourceSampler
-
-        sampler = ResourceSampler(context.sample_interval).start()
     started = time.perf_counter()
-    try:
-        outcome = call.run(context)
-    finally:
-        if sampler is not None:
-            sampler.stop()
+    outcome = call.run(context)
     finished = time.perf_counter()
     if hasattr(outcome, "started_at"):
         outcome.started_at = started
@@ -120,8 +101,6 @@ def _run_call(call: Any, context: JobContext) -> Any:
         outcome.worker = (
             f"pid{os.getpid()}/{threading.current_thread().name}"
         )
-        if sampler is not None:
-            outcome.samples = sampler.samples
     return outcome
 
 
@@ -224,12 +203,6 @@ class _PoolTaskError:
         self.error = error
 
 
-#: Job context of the pool currently forking workers (parent side the
-#: value lives only for the duration of the forks; children keep their
-#: inherited copy for the whole job).
-_POOL_JOB_CONTEXT: Optional[JobContext] = None
-
-
 def _worker_counts(context: JobContext) -> Tuple[Dict, Dict]:
     """What this process has counted so far: the job's I/O-layer stats
     and the recorder's counters."""
@@ -243,8 +216,9 @@ def _deltas(now: Dict[str, float], seen: Dict[str, float]) -> Dict:
             for name, value in now.items() if value != seen.get(name, 0)}
 
 
-def _pool_worker_main(conn) -> None:
-    """Entry point of one persistent pool worker.
+def _pool_worker_main(conn, context: JobContext) -> None:
+    """Entry point of one persistent pool worker, forked with the job's
+    context.
 
     Serves ``(seq, call)`` requests until told to stop (``None``) or
     the driver goes away (EOF).  Every reply is ``(seq, ok, payload,
@@ -255,7 +229,6 @@ def _pool_worker_main(conn) -> None:
     of the I/O layer and task code reads HDFS through the worker's copy
     of the recorder, neither of which the driver can see otherwise.
     """
-    context = _POOL_JOB_CONTEXT
     seen = _worker_counts(context)
     while True:
         try:
@@ -436,29 +409,25 @@ class PooledProcessExecutor(TaskExecutor):
         return self._closed
 
     def _spawn(self, count: int) -> None:
-        global _POOL_JOB_CONTEXT
         mp = multiprocessing.get_context("fork")
-        # Publish for the duration of the forks only; children carry
-        # their inherited copy, the parent keeps none.
-        _POOL_JOB_CONTEXT = self._job_context()
-        try:
-            for _ in range(count):
-                parent_conn, child_conn = mp.Pipe()
-                process = mp.Process(
-                    target=_pool_worker_main, args=(child_conn,),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._workers.append(_PoolWorker(process, parent_conn))
-                self.forks += 1
-                if self.cold_start_seconds > 0:
-                    # Spot-style cold start: every fork pays a charged
-                    # spawn delay, so scale-up is never free.
-                    self.cold_starts += 1
-                    self.cold_start_charged += self.cold_start_seconds
-        finally:
-            _POOL_JOB_CONTEXT = None
+        context = self._job_context()
+        for _ in range(count):
+            parent_conn, child_conn = mp.Pipe()
+            # ``start`` drops the process's reference to its arguments
+            # after the fork; the child keeps its inherited copy.
+            process = mp.Process(
+                target=_pool_worker_main, args=(child_conn, context),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            self._workers.append(_PoolWorker(process, parent_conn))
+            self.forks += 1
+            if self.cold_start_seconds > 0:
+                # Spot-style cold start: every fork pays a charged
+                # spawn delay, so scale-up is never free.
+                self.cold_starts += 1
+                self.cold_start_charged += self.cold_start_seconds
 
     def _reap(self, worker: _PoolWorker, kill: bool = False) -> None:
         """Tear one worker down and bank its paid lifetime.

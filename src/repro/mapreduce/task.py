@@ -46,7 +46,7 @@ class TaskOutcome:
         "shuffled_bytes", "shuffle_raw_bytes", "partition_records",
         "key_counts", "crc_failures", "fetch_retries",
         "attempts", "injected_faults", "file_writes",
-        "attachments", "spans", "samples", "started_at",
+        "attachments", "spans", "started_at",
         "finished_at",
         "worker", "node", "timeouts", "injected_delays", "failures",
         "heartbeats", "lease_charged", "zombie", "backoff_seconds",
@@ -98,12 +98,10 @@ class TaskOutcome:
         #: Chaos-marked zombie: the driver already considers this
         #: attempt's lease lost; its commit must be fenced.
         self.zombie = False
-        #: Spans buffered by the task context when traced — its phases
-        #: and the sections task code wrapped — stitched by the parent.
+        #: Spans buffered by the task context when traced — its phases,
+        #: with their resource readings, and the sections task code
+        #: wrapped — stitched by the parent.
         self.spans: List[Span] = []
-        #: Worker resource samples taken over the attempt (sampling
-        #: runs only when the recorder asks for it; None otherwise).
-        self.samples: Optional[List[Any]] = None
         #: Run-time stamps set by the executor's tracing wrapper.
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None

@@ -1,10 +1,11 @@
-"""Observability: spans, metrics, sampling, analytics, and reporters.
+"""Observability: spans, metrics, resource readings, analytics, reporters.
 
 The real-execution counterpart of the cluster simulator's utilization
 traces — see DESIGN.md section "Observability".  Beyond span recording
 and scalar metrics this package carries the performance-study
-telemetry subsystem: a worker resource sampler (:mod:`.sampler`),
-straggler/utilization analytics (:mod:`.analysis`), the report model
+telemetry subsystem: the resource readings traced phase spans carry
+(:mod:`.sampler`), straggler/utilization/memory analytics
+(:mod:`.analysis`), the report model
 with its text / HTML / JSON renderers (:mod:`.report`), and the
 contract benchmark's regression rule (:mod:`.compare`).
 """
@@ -16,6 +17,7 @@ from repro.obs.analysis import (
     detect_stragglers,
     ledger,
     mad_scores,
+    memory,
     phase_timeline,
     queue_run_decomposition,
     worker_cost,
@@ -35,7 +37,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-    TimeSeries,
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -53,7 +54,7 @@ from repro.obs.report import (
     render_text,
     report_dict,
 )
-from repro.obs.sampler import ResourceSample, ResourceSampler, take_sample
+from repro.obs.sampler import ResourceSample, phase_readings, take_sample
 
 __all__ = [
     "Counter",
@@ -69,11 +70,9 @@ __all__ = [
     "NullRecorder",
     "ObsConfig",
     "ResourceSample",
-    "ResourceSampler",
     "Span",
     "Straggler",
     "Table",
-    "TimeSeries",
     "TraceRecorder",
     "analyze",
     "build_report",
@@ -83,6 +82,8 @@ __all__ = [
     "ledger",
     "load_run",
     "mad_scores",
+    "memory",
+    "phase_readings",
     "phase_timeline",
     "queue_run_decomposition",
     "render_html",

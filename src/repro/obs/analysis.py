@@ -4,8 +4,9 @@ Pure, read-only functions from :class:`~repro.mapreduce.history.JobHistory`
 / :class:`~repro.obs.recorder.TraceRecorder` state to the derived views
 the paper's performance study is built from — MAD straggler detection,
 the queue-wait vs run-time split, the per-round time ledger (Fig 5b /
-6a), per-phase utilization timelines (Fig 7 / Fig 10), the worker-cost
-roll-up and the job server's per-tenant totals.  :func:`analyze`
+6a), per-phase utilization timelines (Fig 7 / Fig 10), the memory view
+over the phases' resource readings, the worker-cost roll-up and the
+job server's per-tenant totals.  :func:`analyze`
 bundles them for the report model.
 """
 
@@ -229,6 +230,46 @@ def ledger(recorder) -> Dict[str, Any]:
     }
 
 
+def memory(recorder) -> List[Dict[str, Any]]:
+    """What held the memory: one row per round and phase name.
+
+    Reads the resource readings closed ``phase`` spans carry
+    (:func:`repro.obs.sampler.phase_readings`); a dead worker's unclosed
+    span, or one without readings, is skipped.  Each row has ``tasks``
+    (phase spans read), ``growth`` (the largest RSS growth), ``peak``
+    (the largest peak) with ``bound`` saying whether that peak is
+    ``exact`` or a ``lower bound``, and ``driver``: the driver's RSS at
+    the start of the wave holding the phase (the largest, when the
+    round ran that wave more than once).  A phase's round is the round
+    span holding it (``None`` outside the rounds); rows come in the
+    order their first phase started.
+    """
+    spans = [span for span in recorder.spans() if span.end is not None]
+    rounds = [span for span in spans if span.category == "round"]
+    waves = [span for span in spans
+             if span.category == "wave" and "rss" in span.attrs]
+    rows: Dict[tuple, Dict[str, Any]] = {}
+    for span in spans:
+        if span.category != "phase" or "peak" not in span.attrs:
+            continue
+        label = next((r.name.split(":", 1)[-1] for r in rounds
+                      if _holds(r, span)), None)
+        row = rows.setdefault((label, span.name), {
+            "round": label, "phase": span.name, "tasks": 0, "growth": 0,
+            "peak": 0, "bound": "lower bound", "driver": None,
+        })
+        row["tasks"] += 1
+        row["growth"] = max(row["growth"], span.attrs["rss_growth"])
+        if span.attrs["peak"] > row["peak"]:
+            row["peak"] = span.attrs["peak"]
+            row["bound"] = ("exact" if span.attrs["peak_exact"]
+                            else "lower bound")
+        for wave in waves:
+            if _holds(wave, span):
+                row["driver"] = max(row["driver"] or 0, wave.attrs["rss"])
+    return list(rows.values())
+
+
 def worker_cost(recorder) -> Dict[str, Any]:
     """Worker-seconds against wall clock — the FaaS cost question.
 
@@ -247,18 +288,22 @@ def worker_cost(recorder) -> Dict[str, Any]:
     * ``static_envelope_seconds`` — what a fixed pool of ``workers``
       would have paid over the same wall clock, the baseline the
       scaling controller must beat;
+    * ``gb_seconds`` — the FaaS bill's memory × time: each task span's
+      duration times its largest phase ``peak`` RSS, in GiB, summed
+      (0 for tasks whose phases took no readings);
 
     The pool's scale decisions, respawns, preemptions, cold starts and
     charged backoff are counters already; the report reads them there.
     """
     windows: Dict[str, List[float]] = {}
     edges: List[tuple] = []
-    busy = 0.0
+    busy = gb_seconds = 0.0
     for span in recorder.spans():
         if not span.category.endswith("-task"):
             continue
         end = span.end if span.end is not None else span.start
         busy += span.duration
+        gb_seconds += span.duration * span.attrs.get("peak", 0) / 2 ** 30
         edges += [(span.start, 1), (end, -1)]
         window = windows.setdefault(span.track, [span.start, end])
         window[0] = min(window[0], span.start)
@@ -280,6 +325,7 @@ def worker_cost(recorder) -> Dict[str, Any]:
         "utilization": busy / billed if billed > 0 else 0.0,
         "parallelism": busy / wall if wall > 0 else 0.0,
         "static_envelope_seconds": workers * wall,
+        "gb_seconds": gb_seconds,
     }
 
 
@@ -333,6 +379,7 @@ def analyze(recorder, histories=()) -> Dict[str, Any]:
                       for label, history in histories},
         "ledger": ledger(recorder),
         "phase_timeline": phase_timeline(recorder),
+        "memory": memory(recorder),
         "worker_cost": worker_cost(recorder),
         "tenants": tenant_summary(
             recorder.metrics.as_dict().get("counters", {})

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: Default histogram boundaries, in seconds: micro-task to whole-round.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -118,73 +118,6 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:g})"
 
 
-class TimeSeries:
-    """An append-only sequence of ``(t, value, tags)`` points.
-
-    The store behind the worker resource sampler: one series per
-    ``(name, identity tags)`` pair — e.g. ``proc.rss_bytes`` tagged by
-    worker — whose points each additionally carry per-point tags (the
-    task and phase active at sample time).  ``t`` is epoch-relative
-    seconds so points plot directly against span timelines.
-
-    Like the other instruments, all mutation happens under the lock;
-    ``points()`` snapshots, so readers never race an appending sampler.
-    """
-
-    __slots__ = ("name", "tags", "_points", "_lock")
-
-    def __init__(self, name: str, tags: Optional[Dict[str, str]] = None):
-        self.name = name
-        #: Identity tags, fixed at creation (part of the registry key).
-        self.tags: Dict[str, str] = dict(tags or {})
-        self._points: List[Tuple[float, float, Optional[Dict[str, Any]]]] = []
-        self._lock = threading.Lock()
-
-    def append(self, t: float, value: float,
-               tags: Optional[Dict[str, Any]] = None) -> None:
-        with self._lock:
-            self._points.append((t, value, tags))
-
-    def extend(
-        self,
-        points: Sequence[Tuple[float, float, Optional[Dict[str, Any]]]],
-    ) -> None:
-        with self._lock:
-            self._points.extend(points)
-
-    def points(self) -> List[Tuple[float, float, Optional[Dict[str, Any]]]]:
-        """Snapshot of the points, ordered by timestamp."""
-        with self._lock:
-            points = list(self._points)
-        points.sort(key=lambda point: point[0])
-        return points
-
-    def values(self) -> List[float]:
-        return [value for _, value, _ in self.points()]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "tags": dict(self.tags),
-            "points": [
-                {"t": round(t, 6), "value": value,
-                 **({"tags": tags} if tags else {})}
-                for t, value, tags in self.points()
-            ],
-        }
-
-    def __repr__(self) -> str:
-        return f"TimeSeries({self.name}, tags={self.tags}, n={len(self)})"
-
-
-def _series_key(name: str, tags: Dict[str, str]) -> Tuple:
-    return (name,) + tuple(sorted(tags.items()))
-
-
 class MetricsRegistry:
     """Named instruments, created on first use."""
 
@@ -193,7 +126,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._timeseries: Dict[Tuple, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -220,21 +152,6 @@ class MetricsRegistry:
                 )
             return instrument
 
-    def timeseries(self, name: str, **tags: str) -> TimeSeries:
-        """The series for ``(name, tags)``, created on first use."""
-        key = _series_key(name, tags)
-        with self._lock:
-            series = self._timeseries.get(key)
-            if series is None:
-                series = self._timeseries[key] = TimeSeries(name, tags)
-            return series
-
-    def all_timeseries(self) -> List[TimeSeries]:
-        """Every series, ordered by (name, tags)."""
-        with self._lock:
-            series = dict(self._timeseries)
-        return [series[key] for key in sorted(series)]
-
     def counter_values(self) -> Dict[str, float]:
         """Every counter's current value, by name."""
         with self._lock:
@@ -246,8 +163,8 @@ class MetricsRegistry:
 
         Counter/gauge ``.value`` reads are single attribute loads of a
         value only ever rebound under the instrument lock, so reading
-        them without it cannot observe a torn update; histogram and
-        time-series snapshots take their own locks.
+        them without it cannot observe a torn update; histogram
+        snapshots take their own locks.
         """
         with self._lock:
             counters = dict(self._counters)
@@ -262,22 +179,18 @@ class MetricsRegistry:
                 name: histograms[name].snapshot()
                 for name in sorted(histograms)
             },
-            "timeseries": [
-                series.snapshot() for series in self.all_timeseries()
-            ],
         }
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry({len(self._counters)} counters, "
             f"{len(self._gauges)} gauges, "
-            f"{len(self._histograms)} histograms, "
-            f"{len(self._timeseries)} timeseries)"
+            f"{len(self._histograms)} histograms)"
         )
 
 
 class _NullInstrument:
-    """Shared no-op counter/gauge/histogram/series for the disabled path."""
+    """Shared no-op counter/gauge/histogram for the disabled path."""
 
     __slots__ = ()
     name = ""
@@ -285,7 +198,6 @@ class _NullInstrument:
     total = 0.0
     count = 0
     mean = 0.0
-    tags: Dict[str, str] = {}
 
     def inc(self, amount: float = 1) -> None:
         pass
@@ -298,25 +210,6 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         pass
-
-    def append(self, t: float, value: float,
-               tags: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def extend(self, points: Sequence) -> None:
-        pass
-
-    def points(self) -> List:
-        return []
-
-    def values(self) -> List[float]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -338,20 +231,11 @@ class NullMetrics:
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def timeseries(self, name: str, **tags: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def all_timeseries(self) -> List:
-        return []
-
     def counter_values(self) -> Dict[str, float]:
         return {}
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": {}, "gauges": {}, "histograms": {},
-            "timeseries": [],
-        }
+        return {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 NULL_METRICS = NullMetrics()

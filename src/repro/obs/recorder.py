@@ -13,23 +13,27 @@ we support, ``perf_counter`` is a system-wide monotonic clock, so
 readings taken inside a forked worker are directly comparable with the
 parent's and exporters only need to subtract the recorder's ``epoch``.
 
+A ``phase`` span also records the resource readings of
+:mod:`repro.obs.sampler` (CPU, RSS, peak, I/O over the phase) and a
+``wave`` span the driver's RSS at entry.
+
 The disabled path is a shared :data:`NULL_RECORDER` whose ``span()``
 returns one preallocated no-op context manager, as does an untraced
 task context's, so instrumented code can stay in place
-unconditionally: it records nothing and reads no clock.
+unconditionally: it records nothing, reads no clock and takes no
+resource reading.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.errors import MapReduceError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.sampler import phase_readings, take_sample
 
 
 class Span:
@@ -102,9 +106,14 @@ class ActiveSpan:
     driver.  An owner provides ``now()``, ``_open_stack()`` (the spans
     open around this one, for its depth), ``_append(span)`` and, for a
     span opened without a track, ``_default_track()``.
+
+    A ``phase`` span samples its process inside its bounds at entry and
+    at exit and records :func:`~repro.obs.sampler.phase_readings`; a
+    ``wave`` span records its process's RSS at entry as ``rss``.
     """
 
-    __slots__ = ("_owner", "name", "category", "track", "attrs", "start")
+    __slots__ = ("_owner", "name", "category", "track", "attrs", "start",
+                 "_entry")
 
     def __init__(self, owner: Any, name: str, category: str,
                  track: Optional[str], attrs: Dict[str, Any]):
@@ -114,6 +123,7 @@ class ActiveSpan:
         self.track = track
         self.attrs = attrs
         self.start = 0.0
+        self._entry = None
 
     def set(self, **attrs: Any) -> None:
         """Attach attributes while the span is still open."""
@@ -122,9 +132,15 @@ class ActiveSpan:
     def __enter__(self) -> "ActiveSpan":
         self._owner._open_stack().append(self)
         self.start = self._owner.now()
+        if self.category == "phase":
+            self._entry = take_sample()
+        elif self.category == "wave":
+            self.attrs["rss"] = take_sample().rss_bytes
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._entry is not None:
+            self.attrs.update(phase_readings(self._entry, take_sample()))
         owner = self._owner
         end = owner.now()
         stack = owner._open_stack()
@@ -177,14 +193,10 @@ class TraceRecorder:
 
     enabled = True
 
-    def __init__(self, sample_interval: float = 0.0):
+    def __init__(self):
         self.epoch = time.perf_counter()
         #: Wall-clock instant matching ``epoch``, for report headers.
         self.wall_epoch = time.time()
-        #: Worker resource-sampling interval in seconds (0 = off); the
-        #: engine forwards it to the executors, whose workers run a
-        #: :class:`~repro.obs.sampler.ResourceSampler` per task attempt.
-        self.sample_interval = sample_interval
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._spans: List[Span] = []
@@ -258,7 +270,6 @@ class NullRecorder:
     """
 
     enabled = False
-    sample_interval = 0.0
     epoch = 0.0
     wall_epoch = 0.0
     metrics = NULL_METRICS
@@ -293,25 +304,14 @@ class ObsConfig:
     """Frozen observability configuration, the ExecutionPolicy sibling.
 
     ``enabled`` turns the whole layer on: driver spans, and in every
-    task attempt its phases and the sections task code wraps.
-    ``sample_interval`` > 0 additionally runs the worker resource
-    sampler (:mod:`repro.obs.sampler`) at that many seconds per sample,
-    yielding CPU/RSS/IO/ctx-switch time-series per worker; a negative
-    or non-finite interval is refused.
+    task attempt its phases, with their resource readings, and the
+    sections task code wraps.
     """
 
     enabled: bool = False
-    sample_interval: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sample_interval)
-                and self.sample_interval >= 0):
-            raise MapReduceError(
-                "sample_interval must be a finite number of seconds "
-                f">= 0 (0 = off), got {self.sample_interval!r}")
 
     def build_recorder(self):
         """A fresh recorder per run, or the shared null recorder."""
         if not self.enabled:
             return NULL_RECORDER
-        return TraceRecorder(sample_interval=self.sample_interval)
+        return TraceRecorder()

@@ -1,7 +1,7 @@
 """One report model behind ``trace`` / ``report`` / ``chaos``.
 
-A report is data: :func:`build_report` turns one traced run — spans,
-task histories, counters, the resource sampler's series — into a list
+A report is data: :func:`build_report` turns one traced run — spans
+with their resource readings, task histories, counters — into a list
 of :class:`Table` (title, named columns with a unit each, rows of plain
 values, a note), and every section is built there exactly once.  Three
 generic walks render it through one :func:`format_cell`:
@@ -109,7 +109,7 @@ def format_cell(value: Any, unit: str = "") -> str:
 # -- the model ---------------------------------------------------------------
 _COST = ("workers:n|wall:s=wall_seconds|busy:s=busy_seconds"
          "|billed:s=billed_seconds|utilization:%|parallelism:x"
-         "|static envelope:s=static_envelope_seconds")
+         "|static envelope:s=static_envelope_seconds|GB·s=gb_seconds")
 #: Worker-cost columns shown only when one of the group is non-zero.
 _COST_GROUPS = (
     "scale-ups:n=pool.scale.ups|scale-downs:n=pool.scale.downs"
@@ -192,6 +192,7 @@ def build_report(
                   for kind, wave in split.items()
                   if kind != "total" and wave["tasks"]),
                  "(no job histories supplied)"),
+        memory_table(views["memory"]),
         table_of("Worker cost", cost_spec,
                  [{**counters, **cost}] if cost["workers"] else [],
                  "(no task spans recorded)", missing=0),
@@ -201,7 +202,6 @@ def build_report(
                  views["stragglers"],
                  f"none detected (MAD score < {MAD_THRESHOLD:g} in every "
                  "wave)"),
-        *_sampling_tables(recorder),
     ]
     hdfs_ops = [op for op in ("put", "get", "delete")
                 if counters.get(f"hdfs.{op}.calls")]
@@ -236,38 +236,6 @@ def build_report(
     return tables
 
 
-def _sampling_tables(recorder) -> List[Table]:
-    """One table per sampled ``proc.*`` metric (the metric's name decides
-    the unit min / max read in), or one saying the sampler was off."""
-    tables = []
-    grouped: Dict[str, List] = {}
-    for series in recorder.metrics.all_timeseries():
-        if series.name.startswith("proc."):
-            grouped.setdefault(series.name, []).append(series)
-    for name, series_list in sorted(grouped.items()):
-        unit, scale = "", 1.0
-        if "bytes" in name and "per_s" not in name:
-            unit = "B"
-        elif "percent" in name:
-            unit, scale = "%", 0.01
-        rows = []
-        for series in series_list:
-            values = [value * scale for value in series.values()]
-            rows.append((series.tags.get("worker", "?"), len(values),
-                         min(values, default=0.0), max(values, default=0.0),
-                         values))
-        tables.append(Table(
-            f"Worker resource sampling: {name}",
-            (("worker", ""), ("samples", "n"), ("min", unit), ("max", unit),
-             ("series", "series")), rows,
-        ))
-    return tables or [Table(
-        "Worker resource sampling", (), [],
-        "(sampler off - run with a sample interval, e.g. "
-        "repro-genomics trace --sample-interval 0.02)",
-    )]
-
-
 def ledger_table(view: Mapping[str, Any]) -> Table:
     """The time ledger (``analysis.ledger``): self seconds per layer
     and round, ``—`` above the rounds, heaviest layer first, and last
@@ -289,6 +257,20 @@ def ledger_table(view: Mapping[str, Any]) -> Table:
          ("total", "s"), ("share", "%")),
         rows, "" if rows else "(no spans recorded)",
     )
+
+
+def memory_table(rows: List[Mapping[str, Any]]) -> Table:
+    """What held the memory (``analysis.memory``), round × phase."""
+    table = table_of(
+        "Memory",
+        "round|phase|tasks:n|max RSS growth:B=growth|max peak:B=peak"
+        "|peak is=bound|driver RSS at wave start:B=driver",
+        rows, "(no phase readings recorded)",
+    )
+    return table._replace(note=table.note or (
+        "growth: a phase's peak above its RSS at entry; a peak is exact "
+        "when the phase raised its process's high-water mark, else "
+        "max(RSS in, RSS out), a lower bound"))
 
 
 def tasks_table(results: Mapping[str, Any]) -> Table:

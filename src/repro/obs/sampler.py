@@ -1,43 +1,37 @@
-"""Worker resource sampler: the continuous-observation half of obs.
+"""Resource readings: what a traced phase span records beside its time.
 
-The paper's methodology is not just end-to-end timings — its Fig 7/10
-arguments rest on *watching* CPU and disk behaviour over a run.  This
-module is the measured counterpart: a low-overhead sampler that runs
-inside whatever worker the executor placed a task on (the serial
-driver, a pool thread, a forked process) and records CPU%, RSS,
-read/write bytes, and context switches on a configurable interval.
+The paper's methodology is not just end-to-end timings — its partition
+size argument (Table 4, Appendix B.1) is about task buffers that spill
+when memory runs out.  Every traced ``phase`` span therefore takes one
+:func:`take_sample` at entry and one at exit, and records what
+:func:`phase_readings` derives from the pair as span attributes; each
+driver ``wave`` span records the driver's RSS at entry.  The readings
+ride back in task outcomes with the spans, so there is no second
+channel.  Untraced runs open no span and take no reading.
 
 Sources, best first:
 
 * ``/proc/self/statm`` / ``/proc/self/io`` — Linux, free to read, give
   RSS and real storage-side byte counts.
-* ``resource.getrusage(RUSAGE_SELF)`` — portable fallback; ``ru_maxrss``
-  stands in for RSS and ``ru_inblock``/``ru_oublock`` (512-byte units)
-  for IO bytes.  CPU time and context switches always come from
-  ``getrusage`` — they are exact counters, not sampled estimates.
+* ``resource.getrusage(RUSAGE_SELF)`` — CPU time and the process
+  high-water mark ``ru_maxrss``; ``ru_maxrss`` also stands in for RSS
+  and ``ru_inblock``/``ru_oublock`` (512-byte units) for I/O bytes
+  where ``/proc`` is absent.
 
-Samples are tiny named tuples, so a task's whole series pickles cheaply
-inside its outcome and crosses the executor's pipe exactly like spans
-do.  The sampling thread is a daemon that takes one sample immediately,
-one per interval, and one final sample at stop — every task yields at
-least two points, so per-worker sparklines exist even for tasks far
-shorter than the interval.
-
-Timestamps are raw ``time.perf_counter()`` readings (the system-wide
-monotonic clock shared with :mod:`repro.obs.recorder`), so driver-side
-ingestion only subtracts the recorder epoch.
+Nothing here writes ``/proc/self/clear_refs``: the high-water mark is
+never reset, so a phase's peak is exact only when the phase raised it.
+A forked pool worker starts with its high-water mark at its RSS at
+fork, so its phases raise it far more often than the driver's do.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 try:
     import resource
-except ImportError:  # non-POSIX: degrade to zero-cost stubs
+except ImportError:  # non-POSIX: degrade to zero readings
     resource = None
 
 #: Kernel block-accounting unit behind ``ru_inblock``/``ru_oublock``.
@@ -52,19 +46,19 @@ if hasattr(os, "sysconf"):
 
 
 class ResourceSample(NamedTuple):
-    """One instant of a worker's resource state (monotonic raw counters).
+    """One instant of the current process's resource state.
 
-    ``cpu_seconds`` / ``read_bytes`` / ``write_bytes`` / ``ctx_switches``
-    are cumulative process totals; consumers difference consecutive
-    samples to get rates.  ``rss_bytes`` is instantaneous.
+    ``cpu_seconds`` / ``read_bytes`` / ``write_bytes`` are cumulative
+    process totals and ``hwm_bytes`` the process's RSS high-water mark
+    so far; consumers difference two samples.  ``rss_bytes`` is
+    instantaneous.
     """
 
-    t: float
     cpu_seconds: float
     rss_bytes: int
+    hwm_bytes: int
     read_bytes: int
     write_bytes: int
-    ctx_switches: int
 
 
 def _read_proc_statm_rss() -> Optional[int]:
@@ -89,81 +83,47 @@ def _read_proc_io() -> Optional[Tuple[int, int]]:
         return None
 
 
-def take_sample(clock=time.perf_counter) -> ResourceSample:
+def take_sample() -> ResourceSample:
     """One sample of the current process, cheapest sources available."""
-    t = clock()
     cpu_seconds = 0.0
-    ctx_switches = 0
-    rusage_rss = 0
+    hwm = 0
     rusage_read = 0
     rusage_write = 0
     if resource is not None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         cpu_seconds = usage.ru_utime + usage.ru_stime
-        ctx_switches = usage.ru_nvcsw + usage.ru_nivcsw
-        # ru_maxrss is KiB on Linux; a high-water mark, not the current
-        # RSS, but the best portable stand-in when /proc is absent.
-        rusage_rss = usage.ru_maxrss * 1024
+        # ru_maxrss is KiB on Linux.
+        hwm = usage.ru_maxrss * 1024
         rusage_read = usage.ru_inblock * _RUSAGE_BLOCK_BYTES
         rusage_write = usage.ru_oublock * _RUSAGE_BLOCK_BYTES
     rss = _read_proc_statm_rss()
     if rss is None:
-        rss = rusage_rss
+        rss = hwm
     io = _read_proc_io()
     if io is None:
         io = (rusage_read, rusage_write)
-    return ResourceSample(t, cpu_seconds, rss, io[0], io[1], ctx_switches)
+    return ResourceSample(cpu_seconds, rss, hwm, io[0], io[1])
 
 
-class ResourceSampler:
-    """Samples the current process on an interval until stopped.
+def phase_readings(before: ResourceSample,
+                   after: ResourceSample) -> Dict[str, Any]:
+    """The span attributes of a phase bracketed by two samples.
 
-    Designed for one task attempt: ``start()`` takes an immediate
-    sample and launches a daemon thread; ``stop()`` joins it and takes
-    a guaranteed final sample.  Use as a context manager::
-
-        with ResourceSampler(0.05) as sampler:
-            run_the_task()
-        outcome.samples = sampler.samples
-
-    The overhead budget is two clock reads plus one ``getrusage`` and
-    two small ``/proc`` reads per interval — microseconds against the
-    millisecond-scale intervals anyone configures.
+    ``peak`` is the phase's highest RSS: exact (``peak_exact``) when the
+    phase raised the process high-water mark, which it then reached
+    inside the phase; otherwise ``max(RSS in, RSS out)``, a lower bound.
+    ``rss_growth`` is the peak above the RSS at entry, so never negative.
     """
-
-    def __init__(self, interval: float, clock=time.perf_counter):
-        if interval <= 0:
-            raise ValueError(f"sampler interval must be > 0, got {interval}")
-        self.interval = interval
-        self.clock = clock
-        self.samples: List[ResourceSample] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "ResourceSampler":
-        self.samples.append(take_sample(self.clock))
-        self._thread = threading.Thread(
-            target=self._run, name="obs-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.samples.append(take_sample(self.clock))
-
-    def stop(self) -> List[ResourceSample]:
-        """Stop sampling; returns the samples with a final reading."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.samples.append(take_sample(self.clock))
-        return self.samples
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
+    exact = after.hwm_bytes > before.hwm_bytes
+    peak = max(before.rss_bytes, after.rss_bytes,
+               after.hwm_bytes if exact else 0)
+    return {
+        "cpu_s": after.cpu_seconds - before.cpu_seconds,
+        "rss": after.rss_bytes,
+        "rss_growth": peak - before.rss_bytes,
+        "peak": peak,
+        "peak_exact": exact,
+        "hwm": after.hwm_bytes,
+        "read_bytes": after.read_bytes - before.read_bytes,
+        "write_bytes": after.write_bytes - before.write_bytes,
+    }

@@ -45,7 +45,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 6: the journaled outcome lost its two map-side combine-count slots.
 #: 7: a journaled map outcome's segments are ``GSEG2`` frames, whose CRC
 #: covers the header; a version-6 log's ``GSEG1`` ones would not decode.
-WAL_VERSION = 7
+#: 8: the journaled outcome lost its resource-sample slot.
+WAL_VERSION = 8
 
 _FRAME = struct.Struct(">II")
 

@@ -48,7 +48,7 @@ from repro.obs.recorder import ObsConfig, TraceRecorder
 from repro.pipeline import parallel
 from repro.pipeline.checkpoint import LocalDirectoryBackend
 from repro.pipeline.parallel import _STAGES, WAL_ROUND_KEYS, GesallPipeline
-from repro.pipeline.wal import FrameLog, JobWal, _read_frames
+from repro.pipeline.wal import FrameLog, JobWal, _frame, _read_frames
 from repro.shuffle.segment import decode_segment
 
 needs_fork = pytest.mark.skipif(
@@ -954,8 +954,10 @@ class TestPipelineCrashRecovery:
             "version": 5, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
-        with pytest.raises(AttributeError, match="combine_"):
+        with pytest.raises(AttributeError):
             pickle.loads(old_frames[1])
+        theirs = _ParentUnpickler(io.BytesIO(old_frames[1])).load()
+        assert {"combine_in", "combine_out"} <= set(vars(theirs["outcome"]))
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -993,10 +995,56 @@ class TestPipelineCrashRecovery:
             "version": 6, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
-        outcome = pickle.loads(old_frames[1])["outcome"]
+        outcome = _ParentUnpickler(io.BytesIO(old_frames[1])).load()["outcome"]
         assert outcome.segments and outcome.segments[0][:5] == b"GSEG1"
         with pytest.raises(ShuffleError, match="magic"):
             decode_segment(outcome.segments[0])
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_7_wal_with_a_samples_slot_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-7 ``wal-round2.log`` journals outcomes that still
+        carry the ``samples`` slot, which this version's ``TaskOutcome``
+        no longer has: the version guard turns the log away before any
+        record is unpickled, and the round re-runs byte-identical."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V7))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 7, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        with pytest.raises(AttributeError, match="samples"):
+            pickle.loads(old_frames[1])
+        # Unloadable records end a replay too, so the guard is checked
+        # on its own: the version-7 header over a record this version
+        # journaled and can load.
+        ours = _read_frames(backend.read("wal-round2.log"))
+        backend.write("wal-round2.log",
+                      _frame(old_frames[0]) + _frame(ours[1]))
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -1461,4 +1509,45 @@ PARENT_WAL_ROUND2_V6 = (
     "b4AE1qF4XqcooJn1bXixLA4VJc4o7K+EmRbW6bTxf5kzTnVYNX2/PFCBV3ky5U+rbKySyF"
     "JASFSzKjdBo/q9FdkMUXr2cpPnOWxjWVG6jui3SYZHF+jnrcN04//zGCKqvml4vZ2STlf6"
     "neO4uTJ4vxeFhABnPIwN/Id/WCn63a/wPa5ehq"
+)
+
+
+#: The same capture on commit dbb67cb (WAL_VERSION 7): the journaled map
+#: outcome still has the ``samples`` slot.
+#: zlib + base64 of the 3221 raw bytes.
+PARENT_WAL_ROUND2_V7 = (
+    "eNqVlkuP21QUxzNlHqEzLdOChChbFgWp0cy0JH6/rp8JU6Q2GxZV5HGcSWhesp1WRUIqQq"
+    "qE5BXcLrpljVgisYYdUj8AO1Ys+QYt/3OdzIxaKMWejK+P77Xv+d3/OffUajX/wrMrPz3c"
+    "eKzWquNLfrXcupdm+Wg25Z2tcnswmh6n2TwbTQte1tPW/tENOenzciObLaa4borrAV80ar"
+    "Ud85ODZwO87cbO6dvWizi/y8t3q37XknEaT/HOa5Nre3TgTel8lgx5p1ZuzRZFMpukvHwn"
+    "S+fZrDGJ51naXyRpo3rJdheXT5edvuMffsVvigmnk1FRpH1+B1PM0+NJOi1y3Fx1fq/Xas"
+    "FtLzig2aBd/5V+zV/uXXm4/vjnejVLdCx3bn92c7+xt7ec06Xq+4NZNomLvJHHE16+3cvS"
+    "ZJb1e4NsNukNRum4n2MSV4drnbRcT4bZPj/88SLcWPuIl2v68qbftf/7ZKtW8Dq9Xz552W"
+    "8HUTvyoiAK2qHv+UHEPDfyPN/3A9dnOFzbsW3HsQzHZpZhMjRty7QMy9A1S7cNQ9U13VQ1"
+    "TcWh4JR1RVIVTZGV63ILh9LiX/Ly3K2Al2/cCvZ5XvBb/BF/Ad1w/epwt/PkDBCtXN/f2z"
+    "vkw60lERb8j7PLuqDSRYOOAIAqq02wQI6xwLaDoOqCK1gGaIJIS25JzZYky6oqq4okK3BQ"
+    "I4dUXdcUDd4Cg64buom2Ydo2hlpEyHIYcyyX+a7neUz8Y74XeGEY+mEQhm4YAHPURpuT/M"
+    "7dPMSCw/Xt4c7iH6DsCyjvd5IVlKdbHW14GTy+rh++t1b2A3KHibmTK4yEwMglUkbAWAWA"
+    "2jjJalMn9GJVkxjAaTzEKOE/oYKV7tCLriSRMGi3o3bgBwwC8X3mByE5F7qu47ke6cJxXA"
+    "jFdHC4pmnpJnRh2bapG5pqmbqqGppmqAaIKvhBKpImSaok41QkSZI/PgEyfPfVOD7ofLfC"
+    "8XV9iePpVvvPZ8+fQyEiJogAzZ48sgkCISImlXOEhgTQFVKgR1U3oOsKRRAYW1AU2uhiPG"
+    "4IC1h1SSGq0pRuYOYtqaU0ZUmTVQhE0chLyMOATgzdsDTLNm0TTVoly2AOg0ygEgSUA2l4"
+    "ruu7xNP3XEQbQi7w3SjCDKIoar8GkAMB5NqpPp6s9OHXDy+tEQ5b6J7WnDwU6y2MjJgw8o"
+    "ds3W7VU2jp30Rl/7OogAPzDfwwckN4AKn7LnyJPESB63pIIggNHwHiWiYUYlr0Xss0bMOy"
+    "DAKmmcQLkWUQRFUjjrC2dAWBqEIbzeuy3DwTMPv81UBapwrxVwp5stX+SyiEXIM2yLOlw5"
+    "XztOq2iACKEEDBr0syIBKARHqyX1NeQAJdN2WVFKIgh8jIh7KiKCR8pBJdHECh6irUgnwK"
+    "IA7lEcc2PWYilJjnQSJAyFyoRKRjl7QS+W2kaOTssP06CrkugFinCnE3lkAubx4erNEmI/"
+    "xhQvSUFkRGEATEujOx0nRH0rfpX9WTVpEJrwVG1q3yqLgKA70N5GwRMGEUhSESSNsLA1fk"
+    "EK+SvkiTjIUO0oiLFzrgYCKNYIOxTGaZmmka9IfQ0pFMFB3IdIW2Gp14SkgjLeQPqdlsnV"
+    "HIAX81kPapQi5vLoG4G+2nQiHkOxNREAhXKHGKXNEV8W9TxrAFGQoi6kj0RCgJCVCIdUW+"
+    "oKcUQCJxCDaVTlggFPKxjNQhQSEqNhxdNVq0eUL7ukwRYCAqDAVpRDNsBI2B7Zc2GGzFlk"
+    "N5BfFE2RdCATkPEgkJajsKo5DiMaScfaoQ/wyQtMHZ+yfFDR0b9Pv2j/73D9fv8AZPywuj"
+    "6XxRLOuWnHfq5UWUWC+YdpamowdFmvPD/Xq5mc9H4zEerpWbx6jb5jlVZ7v5cDEYjNP+6e"
+    "BaefHEWA2H6dLS1Mvi+2es8zgrRgXKypPhqLs69U4tLc/fTR/0EtSHVdX2cj3WOffSHvKS"
+    "6UCY0jtweyfJkt4gHo0XWfXxC4O0SIb4cJGNKks9RsE4mRfCybdG08/TBAUkBi3GheiAwh"
+    "cu3M9GNH/UldsYECfDVWlZvllk8TSnApFqW1Et3s/i+RylcwM3x1k8yfHEjYu4u+ppJ8JJ"
+    "VL9V8UrLuisI9YpZbzmKH17ZLS9XVlFpntiPdsvt0fTeLIkJI2Z5bnH0iMflRj7HB2hSWy"
+    "hU52NM+GZ5Pi8AHC7FBe6ojB/lw9Xt5v1ZdjfNeFnj5fp01kfFvUkXKn3rxWiSQhKCwimZ"
+    "fjqOH1ToTsjii+eHKT5zlMYVlQuo7vO0lwzj7Bj1eGC6/IffoMpy84vZ5GiU8m/Kt47i5O"
+    "5sMOjlkMEUMghW8l084keLxt/BWun+"
 )

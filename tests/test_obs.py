@@ -108,10 +108,8 @@ class TestMetrics:
         assert NULL_METRICS.counter("x") is NULL_METRICS.counter("y")
         assert NULL_METRICS.counter("x") is NULL_METRICS.histogram("z")
         NULL_METRICS.counter("x").inc(100)
-        assert NULL_METRICS.as_dict()["counters"] == {}
-        assert NULL_METRICS.timeseries("t") is NULL_METRICS.counter("x")
-        assert NULL_METRICS.all_timeseries() == []
-        assert NULL_METRICS.as_dict()["timeseries"] == []
+        assert NULL_METRICS.as_dict() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
 
     def test_gauge_add_is_thread_safe(self):
         import threading
@@ -133,44 +131,6 @@ class TestMetrics:
         # Lost updates under a racy read-modify-write would land short.
         assert gauge.value == 20_000.0
         assert counter.value == 20_000
-
-    def test_timeseries_append_and_snapshot(self):
-        registry = MetricsRegistry()
-        series = registry.timeseries("proc.rss_bytes", worker="w0")
-        assert registry.timeseries("proc.rss_bytes", worker="w0") is series
-        assert registry.timeseries("proc.rss_bytes", worker="w1") is not series
-        series.append(1.0, 100.0)
-        series.append(0.5, 50.0, tags={"phase": "map"})
-        assert len(series) == 2
-        # points() returns a time-ordered snapshot regardless of
-        # append order.
-        points = series.points()
-        assert [point[0] for point in points] == [0.5, 1.0]
-        assert series.values() == [50.0, 100.0]
-        snap = series.snapshot()
-        assert snap["name"] == "proc.rss_bytes"
-        assert snap["tags"] == {"worker": "w0"}
-        assert snap["points"][0]["tags"] == {"phase": "map"}
-        assert len(registry.all_timeseries()) == 2
-        assert len(registry.as_dict()["timeseries"]) == 2
-
-    def test_timeseries_concurrent_appends(self):
-        import threading
-
-        registry = MetricsRegistry()
-        series = registry.timeseries("proc.cpu_percent", worker="w0")
-
-        def feed(offset):
-            for index in range(2_000):
-                series.append(offset + index, float(index))
-
-        threads = [threading.Thread(target=feed, args=(i * 10_000,))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(series) == 8_000
 
 
 class TestRecorder:
@@ -227,9 +187,9 @@ class TestRecorder:
     def test_obs_config_builds_recorders(self):
         assert ObsConfig().build_recorder() is NULL_RECORDER
         assert ObsConfig(enabled=False).build_recorder() is NULL_RECORDER
-        config = ObsConfig(enabled=True, sample_interval=0.5)
-        recorder = config.build_recorder()
-        assert recorder.enabled and recorder.sample_interval == 0.5
+        recorder = ObsConfig(enabled=True).build_recorder()
+        assert recorder.enabled and recorder is not NULL_RECORDER
+        assert ObsConfig(enabled=True).build_recorder() is not recorder
         with pytest.raises(Exception):
             ObsConfig().enabled = True  # frozen
 
@@ -284,7 +244,7 @@ class TestExport:
         assert {s["name"] for s in spans} == {"outer", "inner"}
         assert records[-1]["type"] == "metrics"
         assert set(records[-1]["metrics"]) == {
-            "counters", "gauges", "histograms", "timeseries",
+            "counters", "gauges", "histograms",
         }
 
     def test_write_chrome_trace(self, tmp_path):

@@ -57,19 +57,17 @@ POLICIES = {
 }
 
 
-def traced_run(reference, ref_index, pairs, policy, sample_interval=0.0):
+def traced_run(reference, ref_index, pairs, policy):
     return GesallPipeline(PipelineSpec(
         reference, index=ref_index, num_fastq_partitions=5, num_reducers=2,
-        policy=policy,
-        obs=ObsConfig(enabled=True, sample_interval=sample_interval),
+        policy=policy, obs=ObsConfig(enabled=True),
     )).run(pairs)
 
 
 @pytest.fixture(scope="module", params=list(POLICIES.values()),
                 ids=list(POLICIES))
 def run_and_tables(request, reference, ref_index, pairs):
-    sampled = 0.01 if request.param.executor == "pool" else 0.0
-    result = traced_run(reference, ref_index, pairs, request.param, sampled)
+    result = traced_run(reference, ref_index, pairs, request.param)
     tables = build_report(result.recorder, result.rounds.results,
                           {"executor": request.param.executor})
     return result, tables, request.param
@@ -98,10 +96,34 @@ class TestSameSectionsSameCells:
         assert list(report_dict(tables)) == titles
         for core in ("Run", "Rounds", "Ledger",
                      "Per-phase utilization", "Per-round tasks",
-                     "Queue wait vs run time", "Worker cost", "Stragglers",
-                     "HDFS", "Shuffle", "Commit protocol", "Counters"):
+                     "Queue wait vs run time", "Memory", "Worker cost",
+                     "Stragglers", "HDFS", "Shuffle", "Commit protocol",
+                     "Counters"):
             assert core in titles
-        assert any(t.startswith("Worker resource sampling") for t in titles)
+
+    def test_memory_rows_and_the_gb_seconds_cell_reach_all_three(
+        self, run_and_tables
+    ):
+        result, tables, _ = run_and_tables
+        payload = json.loads(json.dumps(report_dict(tables)))
+        memory = payload["Memory"]
+        assert {row["round"] for row in memory["rows"]} == {
+            "round1", "round2", "round3", "round4", "round5"}
+        assert "lower bound" in memory["note"]
+        text = render_text(tables)
+        html = render_html(tables, "t", result.recorder)
+        for row in memory["rows"]:
+            assert row["max RSS growth"] >= 0
+            assert row["max peak"] > 0 and row["driver RSS at wave start"] > 0
+            assert row["peak is"] in ("exact", "lower bound")
+            cells = [format_cell(row[name], unit)
+                     for name, unit in memory["units"].items()]
+            assert " ".join(cells) in re.sub(r" +", " ", text)
+            assert "".join(f"<td>{cell}</td>" for cell in cells) in html
+        cost = payload["Worker cost"]["rows"][0]
+        assert cost["GB·s"] > 0
+        assert format_cell(cost["GB·s"]) in text
+        assert f"<td>{format_cell(cost['GB·s'])}</td>" in html
 
     def test_every_numeric_cell_appears_formatted_in_both(
         self, run_and_tables
@@ -145,8 +167,8 @@ class TestSameSectionsSameCells:
         assert html.lstrip().startswith("<!DOCTYPE html>")
         assert "<script" not in html
         assert 'href="http' not in html and 'src="http' not in html
-        for needle in ("Per-phase utilization", "Stragglers",
-                       "Worker resource sampling", "<svg"):
+        for needle in ("Per-phase utilization", "Stragglers", "Memory",
+                       "<svg"):
             assert needle in html
 
 
@@ -200,7 +222,7 @@ class TestEmptyRecorders:
             ("Queue wait vs run time", "(no job histories supplied)"),
             ("Worker cost", "(no task spans recorded)"),
             ("Stragglers", "none detected"),
-            ("Worker resource sampling", "sampler off"),
+            ("Memory", "(no phase readings recorded)"),
         ):
             assert by_title[title].rows == []
             assert said in by_title[title].note
@@ -308,7 +330,7 @@ class TestSyntheticRecorder:
 
         _, fixed = cost_columns(())
         assert fixed == ["workers", "wall", "busy", "billed", "utilization",
-                         "parallelism", "static envelope"]
+                         "parallelism", "static envelope", "GB·s"]
         table, scaled = cost_columns((("pool.scale.ups", 2),
                                       ("pool.workers_retired", 1),
                                       ("pool.paid_worker_seconds", 3.5)))

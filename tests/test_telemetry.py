@@ -1,12 +1,13 @@
 """Tests for the performance-study telemetry subsystem.
 
-Covers the worker resource sampler, the straggler/utilization
-analytics, the HTML report, and the ``repro-genomics trace`` /
-``compare`` CLI surface (the rule itself: ``tests/test_compare.py``;
-the report model: ``tests/test_report_model.py``) — including the
-acceptance scenario: a pool-executor five-round run whose report
-carries a per-phase utilization timeline, at least one resource
-time-series per worker, and a straggler section.
+Covers the resource readings phase spans carry, the straggler,
+utilization and memory analytics, the HTML report, and the
+``repro-genomics trace`` / ``compare`` CLI surface (the rule itself:
+``tests/test_compare.py``; the report model:
+``tests/test_report_model.py``) — including the acceptance scenario: a
+pool-executor five-round run whose report carries a per-phase
+utilization timeline, a Memory table over every round, and a
+straggler section.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from repro.obs.analysis import (
     analyze,
     detect_stragglers,
     mad_scores,
+    memory,
     phase_timeline,
     queue_run_decomposition,
     worker_cost,
 )
 from repro.obs.recorder import ObsConfig, Span, TraceRecorder
 from repro.obs.report import build_report, render_html
-from repro.obs.sampler import ResourceSampler, take_sample
+from repro.obs import recorder as recorder_module
+from repro.obs.sampler import ResourceSample, phase_readings, take_sample
 from repro.pipeline.parallel import GesallPipeline
 from tests.test_compare import contract_record, write_records
 
@@ -44,44 +47,41 @@ needs_fork = pytest.mark.skipif(
 
 
 class TestSampler:
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ResourceSampler(0.0)
-        with pytest.raises(ValueError):
-            ResourceSampler(-1.0)
-
     def test_take_sample_fields(self):
         sample = take_sample()
-        assert sample.t > 0.0
         assert sample.cpu_seconds >= 0.0
         assert sample.rss_bytes > 0
+        assert sample.hwm_bytes > 0
         assert sample.read_bytes >= 0
         assert sample.write_bytes >= 0
-        assert sample.ctx_switches >= 0
-
-    def test_at_least_two_samples_even_for_instant_tasks(self):
-        # Interval far longer than the task: the immediate start sample
-        # and the guaranteed stop sample must still both exist.
-        sampler = ResourceSampler(60.0).start()
-        samples = sampler.stop()
-        assert len(samples) >= 2
-        assert samples[-1].t >= samples[0].t
-
-    def test_samples_accumulate_over_interval(self):
-        with ResourceSampler(0.005) as sampler:
-            time.sleep(0.04)
-        assert len(sampler.samples) >= 4
-        times = [sample.t for sample in sampler.samples]
-        assert times == sorted(times)
-        # Cumulative counters never decrease.
-        cpu = [sample.cpu_seconds for sample in sampler.samples]
-        assert cpu == sorted(cpu)
 
     def test_samples_pickle(self):
         import pickle
 
         sample = take_sample()
         assert pickle.loads(pickle.dumps(sample)) == sample
+
+    def test_the_peak_is_exact_only_when_the_phase_raised_the_mark(self):
+        mib = 1 << 20
+        before = ResourceSample(1.0, 40 * mib, 90 * mib, 100, 200)
+        # Under the old high-water mark: max(RSS in, RSS out), a bound.
+        shrank = phase_readings(before, ResourceSample(
+            1.5, 30 * mib, 90 * mib, 150, 260))
+        assert shrank == {
+            "cpu_s": 0.5, "rss": 30 * mib, "rss_growth": 0,
+            "peak": 40 * mib, "peak_exact": False, "hwm": 90 * mib,
+            "read_bytes": 50, "write_bytes": 60,
+        }
+        grew = phase_readings(before, ResourceSample(
+            1.5, 50 * mib, 90 * mib, 100, 200))
+        assert (grew["peak"], grew["rss_growth"]) == (50 * mib, 10 * mib)
+        assert not grew["peak_exact"]
+        # The phase raised the mark, so it reached it: exact.
+        raised = phase_readings(before, ResourceSample(
+            1.5, 45 * mib, 120 * mib, 100, 200))
+        assert raised["peak_exact"]
+        assert (raised["peak"], raised["rss_growth"]) == (
+            120 * mib, 80 * mib)
 
 
 class TestMadScores:
@@ -196,6 +196,54 @@ class TestTimelinesAndCost:
         assert cost["parallelism"] == pytest.approx(1.5)
         assert cost["static_envelope_seconds"] == pytest.approx(8.0)
 
+    def test_worker_cost_bills_each_task_by_its_largest_phase_peak(self):
+        recorder = self._recorder()
+        base = recorder.epoch
+        recorder.ingest([Span("m-2", "map-task", base, base + 3.0,
+                              track="w2", attrs={"peak": 2 << 30})])
+        assert worker_cost(recorder)["gb_seconds"] == pytest.approx(6.0)
+        assert worker_cost(self._recorder())["gb_seconds"] == 0.0
+
+    def test_memory_view_per_round_and_phase(self):
+        recorder = TraceRecorder()
+        base = recorder.epoch
+        mib = 1 << 20
+
+        def phase(name, start, end, growth, peak, exact, track="w0"):
+            return Span(name, "phase", base + start,
+                        None if end is None else base + end, track=track,
+                        attrs={"rss_growth": growth * mib,
+                               "peak": peak * mib, "peak_exact": exact})
+
+        recorder.ingest([
+            Span("round:round2", "round", base, base + 10.0,
+                 track="driver"),
+            Span("round2:map-wave", "wave", base + 0.5, base + 4.0,
+                 track="driver", depth=2, attrs={"rss": 30 * mib}),
+            Span("round2:reduce-wave", "wave", base + 4.5, base + 9.0,
+                 track="driver", depth=2, attrs={"rss": 33 * mib}),
+            phase("map", 1.0, 2.0, 3, 25, False),
+            phase("map", 1.0, 3.0, 1, 28, True, track="w1"),
+            phase("reduce", 5.0, 6.0, 7, 26, True),
+            # A dead worker's phase never closed: skipped.
+            phase("reduce", 5.0, None, 500, 900, True, track="w1"),
+            # A phase without readings (not taken by this build): skipped.
+            Span("reduce", "phase", base + 5.0, base + 7.0, track="w2"),
+            # Outside every round.
+            phase("map", 11.0, 12.0, 2, 20, False),
+        ])
+        assert memory(recorder) == [
+            {"round": "round2", "phase": "map", "tasks": 2,
+             "growth": 3 * mib, "peak": 28 * mib, "bound": "exact",
+             "driver": 30 * mib},
+            {"round": "round2", "phase": "reduce", "tasks": 1,
+             "growth": 7 * mib, "peak": 26 * mib, "bound": "exact",
+             "driver": 33 * mib},
+            {"round": None, "phase": "map", "tasks": 1, "growth": 2 * mib,
+             "peak": 20 * mib, "bound": "lower bound", "driver": None},
+        ]
+        assert memory(TraceRecorder()) == []
+
     def test_analyze_bundle(self):
         out = analyze(self._recorder(),
                       [("round1", _history_with_straggler())])
@@ -228,41 +276,81 @@ SAMPLED_POLICIES = [
 ]
 
 
+#: The readings every closed, traced phase span carries.
+READINGS = {"cpu_s", "rss", "rss_growth", "peak", "peak_exact", "hwm",
+            "read_bytes", "write_bytes"}
+
+
 class TestEngineSampleIngestion:
     @pytest.mark.parametrize("policy", SAMPLED_POLICIES,
                              ids=lambda p: p.executor)
-    def test_samples_become_timeseries(self, policy):
-        recorder = ObsConfig(
-            enabled=True, sample_interval=0.01
-        ).build_recorder()
+    def test_phase_spans_carry_readings(self, policy):
+        recorder = ObsConfig(enabled=True).build_recorder()
         engine = MapReduceEngine(nodes=["n0", "n1"], policy=policy,
                                  recorder=recorder)
         splits = make_splits([[1, 2, 3], [4, 5, 6]])
         result = engine.run(_sampled_job(), splits)
         assert sorted(result.all_outputs()) == [(0, 12), (1, 9)]
-        series = recorder.metrics.all_timeseries()
-        names = {s.name for s in series}
-        assert "proc.rss_bytes" in names
-        assert "proc.cpu_percent" in names
-        rss = [s for s in series if s.name == "proc.rss_bytes"]
-        assert all(s.tags.get("worker") for s in rss)
-        assert any(len(s) >= 2 for s in rss)
-        for s in rss:
-            for t, value, tags in s.points():
-                assert value > 0
-                assert "task" in tags and "phase" in tags
-                # Ingestion rebases onto the recorder epoch.
-                assert -1.0 < t < recorder.horizon() + 1.0
-        assert recorder.metrics.counter("obs.samples_ingested").value > 0
+        spans = recorder.spans()
+        phases = [s for s in spans if s.category == "phase"]
+        assert {s.name for s in phases} == {
+            "map", "spill", "shuffle", "merge", "reduce"}
+        for span in phases:
+            assert READINGS <= set(span.attrs), span
+            attrs = span.attrs
+            assert attrs["rss"] > 0 and attrs["hwm"] > 0
+            assert attrs["rss_growth"] >= 0 and attrs["cpu_s"] >= 0.0
+            assert attrs["peak"] >= attrs["rss"]
+            assert attrs["read_bytes"] >= 0 and attrs["write_bytes"] >= 0
+        # The maps busy-wait 50 ms: their CPU is read, wherever they ran.
+        assert all(s.attrs["cpu_s"] > 0.01 for s in phases
+                   if s.name == "map")
+        waves = [s for s in spans if s.category == "wave"]
+        assert len(waves) == 2 and all(s.attrs["rss"] > 0 for s in waves)
+        for task in (s for s in spans if s.category.endswith("-task")):
+            assert task.attrs["peak"] == max(
+                p.attrs["peak"] for p in phases
+                if p.track == task.track and task.start <= p.start
+                and p.end <= task.end)
+        rows = memory(recorder)
+        assert [row["phase"] for row in rows] == [
+            "map", "spill", "shuffle", "merge", "reduce"]
+        assert all(row["driver"] > 0 for row in rows)
 
-    def test_untraced_run_collects_no_samples(self):
-        recorder = ObsConfig(enabled=True).build_recorder()  # interval 0
-        engine = MapReduceEngine(
-            nodes=["n0"], policy=ExecutionPolicy.serial(),
-            recorder=recorder,
-        )
+    def test_untraced_run_collects_no_samples(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return take_sample()
+
+        monkeypatch.setattr(recorder_module, "take_sample", counted)
+        engine = MapReduceEngine(nodes=["n0"],
+                                 policy=ExecutionPolicy.serial())
         engine.run(_sampled_job(), make_splits([[1, 2]]))
-        assert recorder.metrics.all_timeseries() == []
+        assert calls == []
+        # The counter is live: a traced run of the same job reads.
+        MapReduceEngine(
+            nodes=["n0"], policy=ExecutionPolicy.serial(),
+            recorder=ObsConfig(enabled=True).build_recorder(),
+        ).run(_sampled_job(), make_splits([[1, 2]]))
+        # Two per phase (one map task's two, two reducers' three each),
+        # one per wave.
+        assert len(calls) == 2 * (2 + 2 * 3) + 2
+
+    @needs_fork
+    def test_untraced_pool_workers_take_no_reading(self, monkeypatch):
+        """A reading in a forked worker cannot bump a driver counter, so
+        the worker's copy raises instead: the untraced run must not."""
+        def refused():
+            raise AssertionError("untraced run took a resource reading")
+
+        monkeypatch.setattr(recorder_module, "take_sample", refused)
+        engine = MapReduceEngine(nodes=["n0", "n1"],
+                                 policy=ExecutionPolicy.pooled(2))
+        result = engine.run(_sampled_job(),
+                            make_splits([[1, 2, 3], [4, 5, 6]]))
+        assert sorted(result.all_outputs()) == [(0, 12), (1, 9)]
 
 
 @needs_fork
@@ -275,7 +363,7 @@ class TestReportAcceptance:
             reference, index=ref_index, num_fastq_partitions=5,
             num_reducers=2,
             policy=ExecutionPolicy.pooled(max_workers=2),
-            obs=ObsConfig(enabled=True, sample_interval=0.01),
+            obs=ObsConfig(enabled=True),
         ))
         return pipeline.run(pairs)
 
@@ -299,17 +387,12 @@ class TestReportAcceptance:
         for name in timeline["phases"]:
             assert name in html
 
-    def test_report_has_resource_series_per_worker(self, sampled_run,
-                                                   html):
-        series = sampled_run.recorder.metrics.all_timeseries()
-        workers = {s.tags.get("worker") for s in series
-                   if s.name == "proc.rss_bytes"}
-        # Every pool worker that ran a task long enough to sample shows
-        # up; the driver-side serial phases add more.
-        assert len(workers) >= 2
-        assert "Worker resource sampling" in html
-        assert "proc.rss_bytes" in html and "proc.cpu_percent" in html
-        assert html.count("<polyline") >= len(workers)
+    def test_report_has_memory_for_every_round(self, sampled_run, html):
+        rows = memory(sampled_run.recorder)
+        assert {row["round"] for row in rows} == {
+            "round1", "round2", "round3", "round4", "round5"}
+        assert all(row["growth"] >= 0 and row["peak"] > 0 for row in rows)
+        assert "<h2>Memory</h2>" in html and "GB·s" in html
 
     def test_report_has_straggler_section(self, html):
         assert "Stragglers" in html
@@ -390,11 +473,10 @@ class TestCli:
         assert main(["trace", "--data", str(data),
                      "--trace-out", str(tmp_path / "trace.json"),
                      "--executor", "pool", "--max-workers", "2",
-                     "--partitions", "3",
-                     "--sample-interval", "0.01"]) == 0
+                     "--partitions", "3"]) == 0
         html = (data / "report.html").read_text()
         assert "Per-phase utilization" in html
-        assert "proc.rss_bytes" in html
+        assert "<h2>Memory</h2>" in html
         assert f"wrote {data / 'report.html'}" in capsys.readouterr().out
 
     def test_report_is_no_subcommand(self, capsys):
@@ -405,6 +487,10 @@ class TestCli:
     @pytest.mark.parametrize("interval", ["nan", "-1"])
     def test_trace_refuses_a_bad_sample_interval(self, interval, tmp_path,
                                                  capsys):
-        assert main(["trace", "--data", str(tmp_path / "missing"),
-                     "--sample-interval", interval]) == 2
-        assert "sample_interval" in capsys.readouterr().err
+        """The flag is gone: resources ride the phase spans of every
+        traced run, so any --sample-interval is refused."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--data", str(tmp_path / "missing"),
+                  "--sample-interval", interval])
+        assert exit_info.value.code == 2
+        assert "--sample-interval" in capsys.readouterr().err
