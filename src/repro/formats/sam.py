@@ -47,6 +47,10 @@ def encode_quals(quals: Iterable[int]) -> str:
     return raw.translate(_ENCODE_TABLE).decode("ascii")
 
 
+#: The bytes below '!': ``_qual_bytes`` deletes them to find one.
+_BELOW_OFFSET = bytes(range(QUAL_OFFSET))
+
+
 def _qual_bytes(text: str) -> bytes:
     """The validated ASCII bytes of a QUAL string (``"*"`` holds none)."""
     if text == "*":
@@ -55,7 +59,7 @@ def _qual_bytes(text: str) -> bytes:
         raw = text.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError(f"QUAL text is not ASCII: {text!r}") from None
-    if raw and min(raw) < QUAL_OFFSET:
+    if len(raw.translate(None, _BELOW_OFFSET)) != len(raw):
         raise FormatError(f"QUAL text has a character below '!': {text!r}")
     return raw
 

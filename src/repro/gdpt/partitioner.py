@@ -17,8 +17,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitioningError, PipelineError
-from repro.cleaning.duplicates import fragment_key, pair_key, pair_score
+from repro.cleaning.duplicates import fragment_key, pair_key
+from repro.formats.flags import DUPLICATE, SamFlags
 from repro.formats.sam import SamHeader, SamRecord
+from repro.formats.sam import _DEFAULT_SCORE_TABLE, _qual_bytes
 from repro.gdpt.bloom import BloomFilter
 from repro.genome.regions import GenomicInterval, tile_contig
 from repro.shuffle.keys import stable_hash_partition
@@ -187,48 +189,41 @@ def records_by_pair(
     return pairs
 
 
-def mark_duplicate_group(key: Tuple, values: List[Tuple]) -> List[SamRecord]:
-    """Reduce side of :class:`MarkDupKeying`: duplicate decisions for
-    one shuffled group, on copies of its records."""
-    out: List[SamRecord] = []
+def _line_score(line: str) -> int:
+    """The line's record's ``sum_of_base_qualities()``, from QUAL alone."""
+    return sum(_qual_bytes(line.split("\t", 11)[10]).translate(_DEFAULT_SCORE_TABLE))
+
+
+def _with_duplicate(line: str, on: bool) -> str:
+    """The line with FLAG (field 1) rewritten as ``SamFlags.with_bit(
+    DUPLICATE, on)`` would."""
+    qname, flag, rest = line.split("\t", 2)
+    flag = int(flag)
+    flag = SamFlags(flag | DUPLICATE if on else flag & ~DUPLICATE).value
+    return f"{qname}\t{flag}\t{rest}"
+
+
+def mark_duplicate_lines(key: Tuple, values: List[Tuple]) -> List[str]:
+    """Reduce side of :class:`MarkDupKeying` over the SAM lines round 3
+    ships: one decision per group, from QUAL sums, written into FLAG; no
+    record is built.  Each line is its record's ``to_line()`` wherever
+    ``from_line(line).to_line() == line``, as on every round-2 line."""
+    if key[0] == "U":  # both-unmapped pairs pass through
+        return [line for tag, *lines in values
+                if tag == PASSTHROUGH_VALUE for line in lines]
     if key[0] == "P":
-        pairs = [
-            (end1.copy(), end2.copy())
-            for tag, end1, end2 in values
-            if tag == PAIR_VALUE
-        ]
-        if pairs:
-            best = max(
-                range(len(pairs)), key=lambda i: pair_score(*pairs[i])
-            )
-            for index, (end1, end2) in enumerate(pairs):
-                end1.set_duplicate(index != best)
-                end2.set_duplicate(index != best)
-                out += (end1, end2)
-        return out
-    if key[0] == "F":
-        partials = [
-            (value[1].copy(), value[2].copy())
-            for value in values if value[0] == PARTIAL_VALUE
-        ]
-        if not partials:
-            return out  # only shadows arrived: nothing to emit
-        if any(value[0] == SHADOW_VALUE for value in values):
-            survivor = None  # a complete pair occupies this position
-        else:
-            survivor = max(
-                range(len(partials)),
-                key=lambda i: partials[i][0].sum_of_base_qualities(),
-            )
-        for index, (mapped, unmapped) in enumerate(partials):
-            mapped.set_duplicate(index != survivor)
-            out += (mapped, unmapped)
-        return out
-    # Passthrough: both-unmapped pairs.
-    for tag, end1, end2 in values:
-        if tag == PASSTHROUGH_VALUE:
-            out += (end1.copy(), end2.copy())
-    return out
+        pairs = [value[1:] for value in values if value[0] == PAIR_VALUE]
+        best = max(range(len(pairs)), default=None, key=lambda i: (
+            _line_score(pairs[i][0]) + _line_score(pairs[i][1])))
+        return [_with_duplicate(line, index != best)
+                for index, pair in enumerate(pairs) for line in pair]
+    partials = [value[1:] for value in values if value[0] == PARTIAL_VALUE]
+    survivor = None  # a complete pair's shadow occupies this position
+    if not any(value[0] == SHADOW_VALUE for value in values):
+        survivor = max(range(len(partials)), default=None,
+                       key=lambda i: _line_score(partials[i][0]))
+    return [line for index, (mapped, unmapped) in enumerate(partials)
+            for line in (_with_duplicate(mapped, index != survivor), unmapped)]
 
 
 def build_partial_position_bloom(

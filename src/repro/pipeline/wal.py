@@ -46,7 +46,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 7: a journaled map outcome's segments are ``GSEG2`` frames, whose CRC
 #: covers the header; a version-6 log's ``GSEG1`` ones would not decode.
 #: 8: the journaled outcome lost its resource-sample slot.
-WAL_VERSION = 8
+#: 9: a journaled round-3 map outcome's segments hold SAM lines, not records.
+WAL_VERSION = 9
 
 _FRAME = struct.Struct(">II")
 

@@ -3,8 +3,9 @@
 Round 1  map-only   Bwa alignment + SamToBam over streamed text
 Round 2  full MR    AddReplaceReadGroups + CleanSam (map), shuffle by
                     read name, FixMateInformation + bloom sidecar (reduce)
-Round 3  full MR    compound-key extraction (map), shuffle, SortSam +
-                    MarkDuplicates (reduce); reg or opt (bloom) variant
+Round 3  full MR    compound-key extraction (map), SAM lines shuffled,
+                    MarkDuplicates' FLAG rewrite + coordinate sort of the
+                    lines (reduce); reg or opt (bloom) variant
 Round 4  full MR    SAM lines keyed by coordinate, range partition by
                     chromosome, the merged lines framed + BAM index
 Round 5  map-only   Haplotype Caller per sorted, indexed partition
@@ -27,17 +28,17 @@ from repro.api import (
 from repro.cleaning.clean_sam import CleanSam
 from repro.cleaning.fix_mate import FixMateInformation
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
-from repro.cleaning.sort import coordinate_key, coordinate_line_key
+from repro.cleaning.sort import coordinate_line_key
 from repro.errors import DriverKilledError, MapReduceError, PipelineError
 from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
 from repro.formats.bam import decode_bam_lines, encode_bam_lines
 from repro.formats.fastq import ReadPair
-from repro.formats.sam import SamHeader
+from repro.formats.sam import SamHeader, SamRecord
 from repro.formats.vcf import VariantRecord, sort_variants
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
     MarkDupKeying, OverlappingRangePartitioner,
-    build_partial_position_bloom, mark_duplicate_group, records_by_pair,
+    build_partial_position_bloom, mark_duplicate_lines, records_by_pair,
 )
 from repro.genome.regions import GenomicInterval
 from repro.hdfs.filesystem import Hdfs
@@ -61,7 +62,7 @@ from repro.wrappers.programs import (
 class _Row(NamedTuple):
     """One round as the paper's wrapper declares it (§3.1): the wrapped
     program(s) as ``body(header, records, text_size, ctx)`` over one
-    round BAM as ``decode`` reads it (``decode_bam_lines`` hands it SAM
+    round BAM as ``decode`` reads it (SAM lines, or records beside their
     lines; ``body(pairs, ctx)`` over a sealed FASTQ block for a ``fastq``
     row), then a full round's keying, partition scheme and reduce-side
     output format."""
@@ -75,6 +76,27 @@ class _Row(NamedTuple):
     reduce_output: Optional[Callable[..., None]] = None
     fastq: bool = False
     decode: Callable[[bytes], Any] = decode_bam
+
+
+def _decode_beside_lines(data: bytes):
+    """Round 3's reader: each record beside the SAM line it was parsed
+    from, so the map side keys by records and ships the lines."""
+    header, lines, size = decode_bam_lines(data)
+    return header, [(SamRecord.from_line(line), line) for line in lines], size
+
+
+def _write_lines(ctx, path: str, header: SamHeader, lines: List[str],
+                 chunk_bytes: int, sort_key=None):
+    """Rounds 3-4's line writer: sort by ``sort_key`` if given (round 4's
+    lines arrive merged), frame in the ``encode`` span, ``write_file``;
+    returns the BAM bytes and the lines' SAM-text size."""
+    with ctx.span("encode", records=len(lines)) as span:
+        if sort_key is not None:
+            lines.sort(key=sort_key)
+        data, size = encode_bam_lines(header, lines, chunk_bytes)
+        span.set(bytes_out=len(data))
+    ctx.write_file(path, data, logical_partition=True)
+    return data, size
 
 
 def _identity_reducer(key, values, ctx) -> None:
@@ -243,9 +265,7 @@ class GesallRounds:
 
         return self._keys(_Row(
             "round2", "round2-cleaning", clean, _identity_reducer,
-            num_reducers=num_reducers, reduce_output=self._bam_writer(
-                out_dir, "queryname", program=FixMateInformation()
-            ),
+            num_reducers=num_reducers, reduce_output=self._bam_writer(out_dir),
         ), in_paths)
 
     def round3_mark_duplicates(self, in_paths: List[str], mode: str = "opt",
@@ -261,23 +281,36 @@ class GesallRounds:
                         f"MarkDup_opt: no round-2 bloom sidecar beside {path}")
                 bloom.merge(BloomFilter.from_bytes(self.hdfs.get(sidecar)))
 
-        def key_pairs(header, records, size, ctx):
-            ctx.attachment("transform", DataTransformAccounting).record_input(
-                records, size
-            )
+        header = SamHeader(sequences=self.reference.sam_sequences(),
+                           sort_order="coordinate")
+        line_key, chunk_bytes = coordinate_line_key(header), self.chunk_bytes
+
+        def key_pairs(_header, parsed, size, ctx):
+            records = [record for record, _ in parsed]
+            accounting = ctx.attachment("transform", DataTransformAccounting)
+            accounting.record_input(records, size)
+            line_of = {id(record): line for record, line in parsed}
             keying = MarkDupKeying(mode, bloom)
             for end1, end2 in records_by_pair(records):
-                for key, value in keying.keys_for_pair(end1, end2):
-                    ctx.emit(key, value)
+                for key, (tag, *ends) in keying.keys_for_pair(end1, end2):
+                    ctx.emit(key, (tag, *[line_of[id(end)] for end in ends]))
 
         def mark(key, values, ctx):
-            for record in mark_duplicate_group(key, list(values)):
-                ctx.emit(record.qname, record)
+            for line in mark_duplicate_lines(key, values):
+                ctx.emit(key, line)
+
+        def write(pairs, ctx):
+            path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
+            _, size = _write_lines(ctx, path, header, [line for _, line in pairs],
+                                   chunk_bytes, line_key)
+            ctx.attachment("transform", DataTransformAccounting).record_output(
+                (), size)
+            ctx.emit(path, len(pairs))
 
         return self._keys(_Row(
             "round3", f"round3-markdup-{mode}", key_pairs, mark,
-            num_reducers=num_reducers,
-            reduce_output=self._bam_writer(out_dir, "coordinate"),
+            num_reducers=num_reducers, reduce_output=write,
+            decode=_decode_beside_lines,
         ), in_paths)
 
     def round4_sort_index(self, in_paths: List[str],
@@ -299,12 +332,9 @@ class GesallRounds:
         def write(pairs, ctx):
             if not pairs:
                 return
-            with ctx.span("encode", records=len(pairs)) as span:
-                data, _ = encode_bam_lines(
-                    header, [line for _, line in pairs], chunk_bytes)
-                span.set(bytes_out=len(data))
             path = f"{out_dir}/{contigs[pairs[0][0][0]]}.bam"
-            ctx.write_file(path, data, logical_partition=True)
+            data, _ = _write_lines(ctx, path, header,
+                                   [line for _, line in pairs], chunk_bytes)
             ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
                            logical_partition=True)
             ctx.emit(path, len(pairs))
@@ -433,34 +463,28 @@ class GesallRounds:
             _Row("round_bqsr", "round-printreads", rewrite), in_paths
         )
 
-    def _bam_writer(self, out_dir: str, sort_order: str, program=None):
-        """The ``reduce_output`` of rounds 2-3: run ``program`` (round 2's
-        FixMateInformation) over the partition, sort it if the header
-        says coordinate, ``write_file`` it, emit ``(path, records)``.
-        The rendered size is accounted as "bytes from program"; round 2
-        adds the ``.bloom`` round 3 opt keys by."""
+    def _bam_writer(self, out_dir: str):
+        """Round 2's ``reduce_output``: run FixMateInformation once over
+        the partition, ``write_file`` it with its ``.bloom`` sidecar (the
+        5' positions round 3 opt keys by), emit ``(path, records)``.  The
+        rendered size is accounted as "bytes from program"."""
         header = SamHeader(sequences=self.reference.sam_sequences(),
-                           sort_order=sort_order)
-        key = coordinate_key(header)
-        chunk_bytes = self.chunk_bytes
+                           sort_order="queryname")
+        program, chunk_bytes = FixMateInformation(), self.chunk_bytes
 
         def write(pairs, ctx):
             records = [record for _, record in pairs]
             accounting = ctx.attachment("transform", DataTransformAccounting)
-            if program is not None:
-                accounting.record_input(records)
-                _, records = program.run(header, records)
+            accounting.record_input(records)
+            _, records = program.run(header, records)
             with ctx.span("encode", records=len(records)) as span:
-                if sort_order == "coordinate":
-                    records.sort(key=key)
                 data, size = encode_bam(header, records, chunk_bytes)
                 span.set(bytes_out=len(data))
             name = f"{out_dir}/part-{ctx.task_index:05d}"
             ctx.write_file(name + ".bam", data, logical_partition=True)
-            if program is not None:
-                bloom = build_partial_position_bloom(records_by_pair(records))
-                ctx.write_file(name + ".bloom", bloom.to_bytes(),
-                               logical_partition=True)
+            bloom = build_partial_position_bloom(records_by_pair(records))
+            ctx.write_file(name + ".bloom", bloom.to_bytes(),
+                           logical_partition=True)
             accounting.record_output(records, size)
             ctx.emit(name + ".bam", len(records))
 

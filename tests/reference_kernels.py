@@ -21,6 +21,9 @@ engine and shuffle fast path.
 ``bam_index_entries`` is the body of ``BamLinearIndex.build`` from
 before it stopped decoding every record of every chunk.
 
+``mark_duplicate_group`` is round 3's reduce side from before it moved
+SAM lines: the duplicate decisions on copies of the shuffled records.
+
 ``pileup_activity`` (with ``_passing_blocks`` / ``_indel_after_block``),
 ``seed_read``, ``vote`` and ``ungapped_alignment`` are the per-base /
 per-hit bodies from before the per-read paths.
@@ -49,11 +52,18 @@ from typing import (
 )
 
 from repro.align.sw import MATCH, MISMATCH, LocalAlignment
+from repro.cleaning.duplicates import pair_score
 from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.bam import iter_frames
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord, decode_quals
+from repro.gdpt.partitioner import (
+    PAIR_VALUE,
+    PARTIAL_VALUE,
+    PASSTHROUGH_VALUE,
+    SHADOW_VALUE,
+)
 from repro.genome.regions import GenomicInterval
 from repro.recal.covariates import aligned_pairs
 from repro.shuffle.codec import Codec, get_codec
@@ -464,6 +474,50 @@ def sum_of_base_qualities(qual: str, minimum: int) -> int:
     """Refactoring guard: ``SamRecord.sum_of_base_qualities`` as shipped
     before it became one ``bytes.translate`` — decode, filter, add."""
     return sum(q for q in decode_quals(qual) if q >= minimum)
+
+
+def mark_duplicate_group(key: Tuple, values: List[Tuple]) -> List[SamRecord]:
+    """Reduce side of :class:`MarkDupKeying`: duplicate decisions for
+    one shuffled group, on copies of its records."""
+    out: List[SamRecord] = []
+    if key[0] == "P":
+        pairs = [
+            (end1.copy(), end2.copy())
+            for tag, end1, end2 in values
+            if tag == PAIR_VALUE
+        ]
+        if pairs:
+            best = max(
+                range(len(pairs)), key=lambda i: pair_score(*pairs[i])
+            )
+            for index, (end1, end2) in enumerate(pairs):
+                end1.set_duplicate(index != best)
+                end2.set_duplicate(index != best)
+                out += (end1, end2)
+        return out
+    if key[0] == "F":
+        partials = [
+            (value[1].copy(), value[2].copy())
+            for value in values if value[0] == PARTIAL_VALUE
+        ]
+        if not partials:
+            return out  # only shadows arrived: nothing to emit
+        if any(value[0] == SHADOW_VALUE for value in values):
+            survivor = None  # a complete pair occupies this position
+        else:
+            survivor = max(
+                range(len(partials)),
+                key=lambda i: partials[i][0].sum_of_base_qualities(),
+            )
+        for index, (mapped, unmapped) in enumerate(partials):
+            mapped.set_duplicate(index != survivor)
+            out += (mapped, unmapped)
+        return out
+    # Passthrough: both-unmapped pairs.
+    for tag, end1, end2 in values:
+        if tag == PASSTHROUGH_VALUE:
+            out += (end1.copy(), end2.copy())
+    return out
 
 
 def bam_index_entries(data: bytes) -> List[Tuple[str, int, int]]:

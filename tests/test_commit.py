@@ -703,6 +703,18 @@ def v1_salt(monkeypatch):
     monkeypatch.setattr(parallel, "_FINGERPRINT_SALT", b"gesall-checkpoint-v1")
 
 
+def assert_header_alone_refuses(backend, fingerprint, old_header, key):
+    """Unloadable records end a replay too, so the version guard is
+    checked on its own: ``old_header`` (a parent version's header frame)
+    over a record this version journaled and can load recovers nothing.
+    Call it while ``backend`` still holds this version's log of ``key``."""
+    name = f"wal-{key}.log"
+    ours = _read_frames(backend.read(name))
+    assert JobWal(backend, fingerprint).recover_round(key)
+    backend.write(name, _frame(old_header) + _frame(ours[1]))
+    assert JobWal(backend, fingerprint).recover_round(key) == {}
+
+
 class TestPipelineCrashRecovery:
     def test_kill_driver_then_resume_is_byte_identical(
         self, reference, ref_index, pairs, tmp_path
@@ -782,6 +794,8 @@ class TestPipelineCrashRecovery:
             "version": 1, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert log.replay() == []
         resumed = build_pipeline(
@@ -823,6 +837,8 @@ class TestPipelineCrashRecovery:
         # cannot be loaded by this version.
         with pytest.raises((AttributeError, ModuleNotFoundError)):
             pickle.loads(old_frames[1])
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert FrameLog(
             backend, "wal-round2.log", fingerprint
@@ -878,6 +894,8 @@ class TestPipelineCrashRecovery:
         assert theirs["outcome"].file_writes == []
         assert {type(value).__name__ for _, value in
                 theirs["outcome"].emitted} == {"SamRecord"}
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -917,6 +935,8 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == 2
         with pytest.raises(AttributeError, match="phases"):
             pickle.loads(old_frames[1])
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -958,6 +978,8 @@ class TestPipelineCrashRecovery:
             pickle.loads(old_frames[1])
         theirs = _ParentUnpickler(io.BytesIO(old_frames[1])).load()
         assert {"combine_in", "combine_out"} <= set(vars(theirs["outcome"]))
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -999,6 +1021,8 @@ class TestPipelineCrashRecovery:
         assert outcome.segments and outcome.segments[0][:5] == b"GSEG1"
         with pytest.raises(ShuffleError, match="magic"):
             decode_segment(outcome.segments[0])
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
@@ -1038,19 +1062,63 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == 2
         with pytest.raises(AttributeError, match="samples"):
             pickle.loads(old_frames[1])
-        # Unloadable records end a replay too, so the guard is checked
-        # on its own: the version-7 header over a record this version
-        # journaled and can load.
-        ours = _read_frames(backend.read("wal-round2.log"))
-        backend.write("wal-round2.log",
-                      _frame(old_frames[0]) + _frame(ours[1]))
-        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
         backend.write("wal-round2.log", old)
         assert JobWal(backend, fingerprint).recover_round("round2") == {}
         resumed = build_pipeline(
             reference, ref_index, checkpoint_dir=root
         ).run(some_pairs, resume=True)
         assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_8_wal_with_record_valued_round3_segments_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-8 ``wal-round3.log`` journals map outcomes whose
+        segments hold ``SamRecord``s.  This version loads them, but its
+        line reducer would be handed records where it reads ``str``s:
+        the version guard turns the log away, and the round re-runs
+        byte-identical."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round3", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        ours = _read_frames(backend.read("wal-round3.log"))
+        fingerprint = pickle.loads(ours[0])["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND3_V8))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 8, "fingerprint": fingerprint, "round": "round3",
+        }
+        assert len(old_frames) == len(ours) == 2
+
+        def shipped(frame):
+            outcome = pickle.loads(frame)["outcome"]
+            return {type(end).__name__ for segment in outcome.segments
+                    for _, (_, *ends) in decode_segment(segment).records
+                    for end in ends}
+
+        # Both records load; what their segments ship differs.
+        assert shipped(old_frames[1]) == {"SamRecord"}
+        assert shipped(ours[1]) == {"str"}
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round3")
+        backend.write("wal-round3.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round3") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1", "round2"]
         assert resumed.recovered_tasks == {}
         assert fingerprint_of(resumed) == fingerprint_of(clean)
 
@@ -1550,4 +1618,57 @@ PARENT_WAL_ROUND2_V7 = (
     "hU52NM+GZ5Pi8AHC7FBe6ojB/lw9Xt5v1ZdjfNeFnj5fp01kfFvUkXKn3rxWiSQhKCwimZ"
     "fjqOH1ToTsjii+eHKT5zlMYVlQuo7vO0lwzj7Bj1eGC6/IffoMpy84vZ5GiU8m/Kt47i5O"
     "5sMOjlkMEUMghW8l084keLxt/BWun+"
+)
+
+
+#: ``wal-round3.log`` as commit 1cc0636 (WAL_VERSION 8) left it after
+#: ``KillDriver("round3", after_commits=1)`` on the same run: one map
+#: outcome whose segments hold ``(tag, SamRecord, ...)`` values.
+#: zlib + base64 of the 4925 raw bytes.
+PARENT_WAL_ROUND3_V8 = (
+    "eNqtWEtvG9cZpWy9askvtYCTAt0UaOEWsSDJNsl5z53XHZKV0zgDFFkEwogciqzEB4bDCC"
+    "5QIEVQNwam6CI3C+27MQp02UX/QHded9FdgQRdZdVFN03Pdy9py7Zi2W2H5DzufPO4555z"
+    "vu+yUqlE09//a+Pjpc+Nilp+KW6WKx9l+aQ/GorWarnW7Q8Psnyc94eFKFez2vb+Ha3dEe"
+    "VSPpoOsV2W29tiulmpbHz53l/dJdztbxvP7rZYpJNDUX5Xxd0apPlhZzq+NRoXtwa3tmjB"
+    "zbLxqN0TrUq5MpoW7dEgE+V38mycjzYH6TjPOtN2tqnus5Zg8+4s6DPxo1+Je/Kds0G/KL"
+    "KO+BBvOckOBtmwmODgpve7lUqFvx/yHXqhi5XKygP6PfrL4z99vPj5cEW9KALLhUiUi+1e"
+    "vi12/3H10W/EQ1GujNO86KdHoryu3qY7ygdpMdmcpANRfnsvz9qjvLPXzUeDvW4/O+pM8E"
+    "o3y/X3P7i3vSn7tlUXrUbvAu7YMsvF7a2tXVEuWPQEdLaTsMRn3Pex9n2eJAljOOT4JXTA"
+    "OZ3DScZmIQyfhOEaBFO8nyCEJYj3KZRRBHYpmNE9ECnKTiNuNKNGHHMeRjxq8jDkPA7CKP"
+    "SD0I+x8QI8w/eZ57rMMT1m265n46nMtZllW4ZtOZahY0c3Tcc0NNOoaZpWrRu1mqHXazWt"
+    "VhM0ChfuUfe2RXnhPp578T7fFtNC3Be91ZdA+fUzrIHEwo9Fb20GCrqJLjGJCm34m25e4z"
+    "oCpdFsNOJmFPG4wQN8IyxhEAShG/p+wLzQ8zwWMt9zmO8yZnue7TqOawET07YsB2vd1G3T"
+    "MoEHVnVNq9fxxa96p4ad6gyUXTxuNvQXdt/Dqrr1EkKSbgs/fcrAYAkMnB9Mlz+l84hYHK"
+    "f9/CU4b4tWu/dDXNMye5eA48by7s4CsUsSBXSQFJuzA6zAPrVxogkdJZxRC0uSGRkZnaAL"
+    "EuJFQu2JJKVqoLtx4kcCIGPAGDfBqzDmAREsCqNAbkAvQBl7QegFuKHneMxxPM91XNfxXc"
+    "d0HJu+puSXrVsGPrppGFjrOgA06zXAWa++GkjJuZ1zOQeQPuvdBDYzkIKl5pN/f/01YAIC"
+    "PgGDH3WPSV3RBuChl9iQKqXAFIKEKJ2SGuNzufpSn1xqke7EFa6SdYCprt3VqkSPmm5otT"
+    "pEhR3dMA3T0tBp0wanbGjMNm3muJCgx1zXw0h4rgdVMha4gRcGfhgCTWg3jAnoJrQd80aD"
+    "Q93N5jkw9apn0a73gznPTm6cIt1Xb81I13vnRSg14lsT4TMoy7d2fwa+oa8KH/IrACFNK5"
+    "GS88nNFJ0IWEVHTqzjhKsMoBYZRpGScnR+Rkw5IGiQwgXjoNwm/AwwkIAZGOaHASGDPR6w"
+    "gLm+50HFWAhOUM6xLABqS5wNfIG8Dh0bpmbommHV63pNA+m0Ozr87Fy+bZ3LN4349hNgMw"
+    "Pp5EbzseQb9Z8RKpxAkobFyMx96cG0JgwYWTvByJQeJSYyV0hmkWwlcFLDEmq6Bal9zjf4"
+    "cu0unLlm1My6jr6ho7pOnmWaMCyozLKZa0GSFgDy8XOZC3Uyl4gN6oUcCGKJvCjgfsCjOI"
+    "gaIQffmo2wSct5fPvgLL5lm8L77YtJ+Zh+f/h7dYCkfHR2Ur5+9dP/V1LeEq0TJOU/Xnk+"
+    "KeOY8g9/gw8RlyfKG6VhMNXK5JAy6QlkCspBaUTJZSj/IGkiQyBpGAYGpq7pyCFESWwtDJ"
+    "FlItGAs7BG7NsOMQIjg/HByPieG/gR+C4tFh4bhTyM4ziK4QMBdNHgDcgjPpWUzycsQMnm"
+    "WEskVFJWoCTs/I8/3+OvE/3yB6A08d6NEG/Pm6hLIt6Aqhuk8Qj5mcSBvMwIBLijD3x8yV"
+    "fHtV3bMsFl2waKlmOYlEUM8lfN0uuEqqbfJi3U9P8hKZ+snPLHx6uvTso7KimfrMz0H63u"
+    "XodJkpSVjhOpcZk0ZKPMG77MK+R8iYqUFiA91ZfsURmGdM+5Al15wtwI6EoASSkhihtBTP"
+    "aIVYDSr4G8jAInBJSAMAKbAtcJoH8SPFC0mQ2DNGzYgwOTBO10m1zSMHVKUKZZs+CRNQMV"
+    "TvU2yr9zTfL8QnBHJeVodW6SK82vlElSsUIpWVok9V0BQuJhbJ5eKRNTLlFeKktYaYBsXi"
+    "Or9EMmm5A1qnSczGofmZTrVc2oo4bVKQ2AKRqVHmAPWaRcAA/M0rRsMA0geSRE1DGh7wQ+"
+    "ZWMvJCWSUcpkFAVU+zSiJsgLNsfnm+S1VyflJ6dJ98XqNyblbZWUn8z59snq7tvg2zdRJz"
+    "mbOglF+RI4tSv5mXCZvbkqkRR+dETwculmTSo/0OGI+7IE9EE7cqY4oKIlJLV6mGWAbaiq"
+    "vYDqaIemGYyh8jMNZGeDiAf2wQ51g6YYBuq/uoER0jA+4NzdNwbyDIgoJX8yZ9uTleaXkm"
+    "2vSRhCz5eVCBWA0ufkBIzLqRoF0aWJhDhR6VhylPAjUWKyVK3fIbaBb6gFUXpAXtAWeg65"
+    "keZQ/7kmlXsOdmnkXNv3MP0g24f1gWxwxEDV15itQN1UAEUB5A7Xx5zmv2IbUnJWXu4Px9"
+    "Nilj4norVeXsFk/Lmm5XJ91rT/oMgmYvfty+XyZNw/OsLJhXL5AJP88YTm8dcmvWm3e5R1"
+    "nl1cKa88bVSXo+n6rGkvT49PtcoUX/RHw6eXoxhoXWxdzMpLh9mDvfZoOpvfnz1zby28zn"
+    "SKonrff3X1SzEZHtL73gt1yAsXn5kano85W8nyAVm53s7be920fzTNFQaXu1nR7qH/Rd5X"
+    "LatpUWSDcSGxvtof/jxrF8Cym06PChmw1u0DyeO8TzB+KMo1XJC2e/P/QspvFXk6nFC5JM"
+    "obqnY6ztPxOMsnmzg4yNPBBGeCtEiTeSRrS6z7wwP1bwvR65ocqL1itDe7Suz+c73cUK2y"
+    "7pq300v1hx+N2ikNJr34dP+hSMulyRj3p3e6NCkw1uhGWoh78u+m/qQ3P1w+HuWHWS7KCn"
+    "AbjjqZKJdpQ/8ZrRb9QQY2yp4/Q6OTHaUPFFxP0aTH9DI8Zj9LFRKXj7J0ku21e2l+kHUE"
+    "dyIj+jNKznL5F6PBfj8Tj8qr+2n7cNTt7k3AwCEYyGd/kVWmD8X+dPM/5dUNrQ=="
 )

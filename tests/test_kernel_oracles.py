@@ -36,6 +36,9 @@ from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.bam import bam_bytes, decode_bam, encode_bam, read_bam
 from repro.formats.sam import SamHeader, SamRecord, decode_quals, encode_quals
+from repro.gdpt.partitioner import (
+    MarkDupKeying, build_partial_position_bloom, mark_duplicate_lines,
+)
 from repro.genome.reference import ReferenceGenome
 from repro.genome.regions import GenomicInterval
 from repro.hdfs.bam_storage import upload_bam
@@ -984,6 +987,108 @@ class TestMarkDuplicatesAgainstOracle:
         assert sum(dup) == sum(markdup_oracle(rows)) > 0
         live = {i for pair in pairs for i in pair} | set(partials)
         assert not any(dup[i] for i in range(len(rows)) if i not in live)
+
+
+# -- round 3's line reducer against the record oracle -------------------------
+def line_reducer_pairs(rng, count=40):
+    """Read pairs in name order: ``colliding_sets``' complete pairs and
+    partials on a few 5' ends (tied scores, stale duplicate bits, shadows
+    on most partials' keys), then partials alone at their own positions,
+    three to a key with two qualities (F groups with no shadow, tied and
+    not), complete pairs three to a key with equal scores (P ties), and
+    both-unmapped pairs (U passthroughs)."""
+    pairs = []
+    for group in colliding_sets(rng, count):
+        ends = sorted((r for r in group if r.flags.is_primary),
+                      key=lambda r: r.flags.is_second_in_pair)
+        pairs.append(tuple(ends))
+
+    def record(qname, bits, rname, pos, cigar, qual):
+        return SamRecord(qname, F.SamFlags(bits | rng.choice((0, F.DUPLICATE))),
+                         rname, pos, 60, Cigar.parse(cigar), seq="A" * 30,
+                         qual=qual)
+
+    for index in range(12):
+        qname, pos = f"lone{index:02d}", 5000 + 100 * (index // 3)
+        qual = DUP_QUALS[rng.randrange(2)]
+        pairs.append((
+            record(qname, F.PAIRED | F.FIRST_IN_PAIR | F.MATE_UNMAPPED,
+                   "chrA", pos, "30M", qual),
+            record(qname, F.PAIRED | F.SECOND_IN_PAIR | F.UNMAPPED,
+                   "chrA", pos, "*", rng.choice(DUP_QUALS)),
+        ))
+    for index in range(6):  # three pairs a key, scores tied (600 each)
+        qname, pos = f"tie{index:02d}", 7000 + 500 * (index // 3)
+        pairs.append((
+            record(qname, F.PAIRED | F.FIRST_IN_PAIR, "chrB", pos, "30M",
+                   rng.choice(DUP_QUALS[1:])),
+            record(qname, F.PAIRED | F.SECOND_IN_PAIR | F.REVERSE, "chrB",
+                   pos + 200, "30M", rng.choice(DUP_QUALS[1:])),
+        ))
+    for index in range(6):
+        qname, unmapped = f"none{index:02d}", F.PAIRED | F.UNMAPPED | F.MATE_UNMAPPED
+        pairs.append((
+            record(qname, unmapped | F.FIRST_IN_PAIR, "*", 0, "*", DUP_QUALS[0]),
+            record(qname, unmapped | F.SECOND_IN_PAIR, "*", 0, "*", DUP_QUALS[1]),
+        ))
+    return pairs
+
+
+def shuffled_groups(pairs, keying):
+    """What round 3's reducers receive: every key's values, in map order."""
+    groups = {}
+    for end1, end2 in pairs:
+        for key, value in keying.keys_for_pair(end1, end2):
+            groups.setdefault(key, []).append(value)
+    return groups
+
+
+class TestMarkDuplicateLinesAgainstRecordOracle:
+    """``mark_duplicate_lines`` over shipped lines writes what the record
+    reducer it replaced (``reference_kernels.mark_duplicate_group``)
+    renders, group for group, in both keying modes."""
+
+    @staticmethod
+    def keyings(pairs):
+        return {"reg": MarkDupKeying("reg"),
+                "opt": MarkDupKeying("opt", build_partial_position_bloom(pairs))}
+
+    @pytest.mark.parametrize("mode", ["reg", "opt"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_group_for_group(self, seed, mode):
+        pairs = line_reducer_pairs(random.Random(seed))
+        groups = shuffled_groups(pairs, self.keyings(pairs)[mode])
+        for key, values in groups.items():
+            expected = [r.to_line() for r in oracle.mark_duplicate_group(key, values)]
+            shipped = [(tag, *[end.to_line() for end in ends])
+                       for tag, *ends in values]
+            assert mark_duplicate_lines(key, shipped) == expected, key
+
+    def test_the_groups_hold_what_the_rule_must_get_right(self):
+        """Across the seeds: P groups with tied best scores and with
+        stale duplicate bits, F groups with and without shadows, F groups
+        whose partials tie, U passthroughs."""
+        seen = dict.fromkeys(("P tie", "P stale bit", "F shadow",
+                              "F alone", "F tie", "U"), 0)
+        for seed in range(12):
+            pairs = line_reducer_pairs(random.Random(seed))
+            for keying in self.keyings(pairs).values():
+                for key, values in shuffled_groups(pairs, keying).items():
+                    tags = [value[0] for value in values]
+                    if key[0] == "P":
+                        scores = [pair_score(*value[1:]) for value in values]
+                        seen["P tie"] += scores.count(max(scores)) > 1
+                        seen["P stale bit"] += any(
+                            end.flags.is_duplicate
+                            for value in values for end in value[1:])
+                    elif key[0] == "F" and "partial" in tags:
+                        scores = [value[1].sum_of_base_qualities()
+                                  for value in values if value[0] == "partial"]
+                        seen["F shadow" if "shadow" in tags else "F alone"] += 1
+                        seen["F tie"] += scores.count(max(scores)) > 1
+                    elif key[0] == "U":
+                        seen["U"] += 1
+        assert min(seen.values()) > 20, seen
 
 
 class TestQuickstartAccountingPins:

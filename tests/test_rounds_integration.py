@@ -6,6 +6,7 @@ rounds, duplicate-count equivalence with the serial gold standard, and
 the characteristic small discordances of parallel execution.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -17,6 +18,7 @@ from repro.errors import PipelineError
 from repro.formats.bam import (
     BamLinearIndex, bam_bytes, decode_bam_lines, read_bam,
 )
+from repro.formats import sam as sam_module
 from repro.formats.sam import SamHeader, SamRecord
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
@@ -25,6 +27,7 @@ from repro.gdpt.partitioner import (
 from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
+from repro.mapreduce import task as task_module
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.policy import ExecutionPolicy
@@ -501,15 +504,22 @@ HAND_BUILT_LINES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def pinned_cleaning(rounds_env, reference):
+    """``(hdfs, paths)`` of the pinned rounds 2-4 run, serial."""
+    _, source, round1_paths = rounds_env
+    _, hdfs, paths = run_cleaning_rounds(
+        reference, [(path, source.get(path)) for path in round1_paths],
+        ExecutionPolicy.serial(),
+    )
+    return hdfs, paths
+
+
 class TestRound4MovesLines:
     @pytest.fixture(scope="class")
-    def pinned_round3(self, rounds_env, reference):
+    def pinned_round3(self, pinned_cleaning):
         """The round-3 BAMs of the pinned rounds 2-4 run."""
-        _, source, round1_paths = rounds_env
-        _, hdfs, paths = run_cleaning_rounds(
-            reference, [(path, source.get(path)) for path in round1_paths],
-            ExecutionPolicy.serial(),
-        )
+        hdfs, paths = pinned_cleaning
         return [hdfs.get(path) for path in paths["round3"]]
 
     @staticmethod
@@ -583,3 +593,67 @@ class TestRound4MovesLines:
             ("qA", 0xA1),
         ]
         assert len(chr1) == 6
+
+
+# ---------------------------------------------------------------------------
+# Round 3 moves SAM lines: its reducer reads QUAL and rewrites FLAG
+# ---------------------------------------------------------------------------
+class TestRound3MovesLines:
+    def test_every_round2_line_is_its_records_line(self, pinned_cleaning):
+        """What the line reducer relies on: a line round 2 writes renders
+        back from its record unchanged, so rewriting FLAG alone is the
+        record path's output."""
+        hdfs, paths = pinned_cleaning
+        lines = [line for path in paths["round2"]
+                 for line in decode_bam_lines(hdfs.get(path))[1]]
+        assert len(lines) == ROUND_COUNTERS["round2"][0]
+        for line in lines:
+            assert SamRecord.from_line(line).to_line() == line
+
+    @pytest.mark.parametrize("policy", ROUND_FILE_POLICIES)
+    def test_round3_reduce_tasks_build_no_record(
+        self, rounds_env, reference, policy, monkeypatch, tmp_path
+    ):
+        """Every record a reduce task builds (decoding its shuffle
+        segments, reducing, writing) is counted through the record's two
+        constructors, ``SamRecord.__init__`` and ``_record_from_fields``
+        (``from_line``, ``copy`` and unpickling), and appended to a file,
+        which forked pool workers share: round 3's reducers build none,
+        round 2's build their partition's records."""
+        built, log = [0], tmp_path / "built.txt"
+
+        def counting(build):
+            @functools.wraps(build)  # pickles by the same name
+            def counted(*args, **kwargs):
+                built[0] += 1
+                return build(*args, **kwargs)
+            return counted
+
+        run_reduce = task_module._TASKS["reduce"]
+
+        def counted(context, call):
+            before = built[0]
+            outcome = run_reduce(context, call)
+            with open(log, "a") as handle:
+                handle.write(f"{call.task_id} {built[0] - before}\n")
+            return outcome
+
+        monkeypatch.setattr(SamRecord, "__init__", counting(SamRecord.__init__))
+        monkeypatch.setattr(sam_module, "_record_from_fields",
+                            counting(sam_module._record_from_fields))
+        monkeypatch.setitem(task_module._TASKS, "reduce", counted)
+        _, source, round1_paths = rounds_env
+        rounds, hdfs, paths = run_cleaning_rounds(
+            reference, [(path, source.get(path)) for path in round1_paths],
+            policy,
+        )
+        counts = dict(line.split() for line in log.read_text().splitlines())
+        by_round = {key: [int(n) for task, n in counts.items()
+                          if task.startswith(f"{key}-")]
+                    for key in ROUND_PATHS}
+        assert by_round["round3"] == [0, 0, 0]
+        assert sum(by_round["round2"]) >= ROUND_COUNTERS["round2"][0]
+        pins.check("round_file_sha1", {
+            path: hashlib.sha1(hdfs.get(path)).hexdigest()
+            for key in ROUND_PATHS for path in hdfs.list_dir(f"/{key}")
+        })
