@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from repro.formats.cigar import Cigar
+from repro.formats.cigar import Cigar, reference_end
+from repro.formats.flags import UNMAPPED
 from repro.formats.sam import MAPQ_UNAVAILABLE, SamHeader, SamRecord
+from repro.formats.sam import join_fields, split_line
 
 
 class CleanSamStats:
@@ -68,3 +70,30 @@ class CleanSam:
             stats.records_out += 1
         self.stats = stats
         return header.copy(), out
+
+
+def clean_lines(header: SamHeader, lines: Iterable[str],
+                read_group: str) -> Tuple[List[str], int]:
+    """AddOrReplaceReadGroups (``RG:Z:read_group``) then CleanSam over
+    split SAM lines: the lines they output and the first one's SAM-text
+    size."""
+    lengths = dict(reversed(header.sequences))  # sequence_length's: first wins
+    out, staged = [], 0
+    for line in lines:
+        fields = split_line(line)
+        fields[11]["RG"] = read_group
+        text = join_fields(fields)
+        staged += len(text) + 1
+        _, flag, rname, pos, mapq, cigar = fields[:6]
+        if flag & UNMAPPED:  # no alignment information on unmapped reads
+            if mapq or len(cigar):
+                fields[4], fields[5] = 0, Cigar([])
+                text = join_fields(fields)
+        elif (rname not in lengths or pos < 1
+              or reference_end(pos, cigar) > lengths[rname]):
+            continue  # hangs over its contig's end: dropped
+        elif mapq == MAPQ_UNAVAILABLE:
+            fields[4] = 0
+            text = join_fields(fields)
+        out.append(text)
+    return out, staged

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BamError
-from repro.formats.sam import SamHeader, SamRecord
+from repro.formats.sam import SamHeader, SamRecord, split_line
 
 MAGIC = b"RBAM1\n"
 FRAME_MAGIC = b"CHNK"
@@ -48,32 +48,45 @@ def encode_bam_lines(
     header: SamHeader,
     lines: Iterable[str],
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> Tuple[bytes, int]:
+) -> Tuple[bytes, int, List[Tuple[int, str]]]:
     """Frame a header and SAM record lines into a complete BAM byte
     stream; also returns the lines' SAM-text size (``len(line) + 1``
-    each, ``SamRecord.line_bytes()``'s unit), so no caller re-sums it."""
+    each, ``SamRecord.line_bytes()``'s unit) and each non-empty data
+    frame's ``(offset, first line)``, so no caller re-reads either."""
     if chunk_bytes <= 0:
         raise BamError("chunk_bytes must be positive")
     parts = [MAGIC, _compress_frame(header.to_text().encode())]
+    offset = len(parts[0]) + len(parts[1])
+    heads: List[Tuple[int, str]] = []
     batch: List[str] = []
     batch_size = text_size = 0
+
+    def frame() -> None:
+        nonlocal offset
+        text = "\n".join(batch)
+        if text:
+            heads.append((offset, batch[0]))
+        parts.append(_compress_frame(text.encode()))
+        offset += len(parts[-1])
+
     for line in lines:
         batch.append(line)
         batch_size += len(line) + 1
         if batch_size >= chunk_bytes:
-            parts.append(_compress_frame("\n".join(batch).encode()))
+            frame()
             text_size += batch_size
             batch = []
             batch_size = 0
     if batch:
-        parts.append(_compress_frame("\n".join(batch).encode()))
-    return b"".join(parts), text_size + batch_size
+        frame()
+    return b"".join(parts), text_size + batch_size, heads
 
 
 def encode_bam(header: SamHeader, records: Iterable[SamRecord],
                chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Tuple[bytes, int]:
-    """:func:`encode_bam_lines` over each record's ``to_line``."""
-    return encode_bam_lines(header, map(SamRecord.to_line, records), chunk_bytes)
+    """:func:`encode_bam_lines` over ``to_line``s, without the heads."""
+    return encode_bam_lines(header, map(SamRecord.to_line, records),
+                            chunk_bytes)[:2]
 
 
 def bam_bytes(
@@ -163,16 +176,19 @@ class BamLinearIndex:
 
     @classmethod
     def build(cls, data: bytes) -> "BamLinearIndex":
-        entries: List[Tuple[str, int, int]] = []
         # Past the header frame, only each chunk's leftmost record is
         # indexed: parse one line per chunk, not every record.
-        for offset, payload in islice(iter_frames(data), 1, None):
-            if payload:
-                head = SamRecord.from_line(
-                    payload.partition(b"\n")[0].decode()
-                )
-                entries.append((head.rname, head.pos, offset))
-        return cls(entries)
+        return cls.of_heads(
+            (offset, payload.partition(b"\n")[0].decode())
+            for offset, payload in islice(iter_frames(data), 1, None)
+            if payload
+        )
+
+    @classmethod
+    def of_heads(cls, heads: Iterable[Tuple[int, str]]) -> "BamLinearIndex":
+        """The index of ``(offset, first line)`` frame heads, as
+        :func:`encode_bam_lines` returns them."""
+        return cls([(*split_line(line)[2:4], offset) for offset, line in heads])
 
     def first_chunk_at_or_after(self, rname: str, pos: int) -> Optional[int]:
         """Offset of the last chunk whose first record is <= (rname, pos).

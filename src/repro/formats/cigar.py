@@ -11,6 +11,7 @@ end* used by MarkDuplicates (paper section 3.2).
 from __future__ import annotations
 
 import re
+from itertools import takewhile
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import CigarError
@@ -147,20 +148,8 @@ class Cigar:
 
     def leading_soft_clip(self) -> int:
         """Soft-clipped bases at the start (present in SEQ)."""
-        return sum(
-            length
-            for length, op in self._take_while_clipped(self._ops)
-            if op == "S"
-        )
-
-    @staticmethod
-    def _take_while_clipped(ops) -> List[Tuple[int, str]]:
-        taken = []
-        for length, op in ops:
-            if op not in CLIP_OPS:
-                break
-            taken.append((length, op))
-        return taken
+        clipped = takewhile(lambda item: item[1] in CLIP_OPS, self._ops)
+        return sum(length for length, op in clipped if op == "S")
 
     def is_fully_clipped(self) -> bool:
         """True when no operation consumes the reference (unaligned)."""

@@ -167,15 +167,11 @@ class SamRecord:
     # -- (de)serialization -------------------------------------------------
     def to_line(self) -> str:
         """Serialize to one SAM text line (no trailing newline)."""
-        line = (
-            f"{self.qname}\t{self.flags.value}\t{self.rname}\t{self.pos}\t"
-            f"{self.mapq}\t{self.cigar.text}\t{self.rnext}\t{self.pnext}\t"
-            f"{self.tlen}\t{self.seq}\t{self.qual}"
-        )
-        tags = self.tags
-        if tags:
-            line += "".join(f"\t{key}:Z:{tags[key]}" for key in sorted(tags))
-        return line
+        return join_fields([
+            self.qname, self.flags.value, self.rname, self.pos, self.mapq,
+            self.cigar, self.rnext, self.pnext, self.tlen, self.seq,
+            self.qual, self.tags,
+        ])
 
     def line_bytes(self) -> int:
         """``len(self.to_line()) + 1`` — the line plus its newline —
@@ -191,28 +187,7 @@ class SamRecord:
     @classmethod
     def from_line(cls, line: str) -> "SamRecord":
         """Parse one SAM text line."""
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 11:
-            raise FormatError(f"SAM line has {len(fields)} fields, expected >= 11")
-        tags: Dict[str, str] = {}
-        for raw in fields[11:]:
-            parts = raw.split(":", 2)
-            if len(parts) != 3:
-                raise FormatError(f"malformed SAM tag {raw!r}")
-            tags[parts[0]] = parts[2]
-        ints: List[int] = []
-        try:
-            for name, index in _INTEGER_FIELDS:
-                ints.append(int(fields[index]))
-        except ValueError:
-            raise FormatError(
-                f"SAM {name} is not an integer: {fields[index]!r}"
-            ) from None
-        flag, pos, mapq, pnext, tlen = ints
-        return _record_from_fields(
-            fields[0], flag, fields[2], pos, mapq, fields[5],
-            fields[6], pnext, tlen, fields[9], fields[10], tags,
-        )
+        return _record_from_fields(*split_line(line))
 
     def __reduce__(self):
         # The flat wire form: eleven SAM fields as primitives + the tag
@@ -246,6 +221,43 @@ class SamRecord:
         )
 
 
+def split_line(line: str) -> list:
+    """A SAM line's eleven fields as a record holds them (FLAG masked,
+    integers as ``int``, the interned ``Cigar``) plus its tag dict, with
+    ``from_line``'s checks and errors; no record is built."""
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) < 11:
+        raise FormatError(f"SAM line has {len(fields)} fields, expected >= 11")
+    tags: Dict[str, str] = {}
+    for raw in fields[11:]:
+        parts = raw.split(":", 2)
+        if len(parts) != 3:
+            raise FormatError(f"malformed SAM tag {raw!r}")
+        tags[parts[0]] = parts[2]
+    del fields[11:]
+    try:
+        for name, index in _INTEGER_FIELDS:
+            fields[index] = int(fields[index])
+    except ValueError:
+        raise FormatError(
+            f"SAM {name} is not an integer: {fields[index]!r}"
+        ) from None
+    fields[1] &= F._ALL
+    fields[5] = Cigar.parse(fields[5])
+    fields.append(tags)
+    return fields
+
+
+def join_fields(f: list) -> str:
+    """:func:`split_line` fields as one SAM line (``to_line``'s renderer)."""
+    line = (f"{f[0]}\t{f[1]}\t{f[2]}\t{f[3]}\t{f[4]}\t{f[5].text}\t{f[6]}\t"
+            f"{f[7]}\t{f[8]}\t{f[9]}\t{f[10]}")
+    tags = f[11]
+    if tags:
+        line += "".join(f"\t{key}:Z:{tags[key]}" for key in sorted(tags))
+    return line
+
+
 def _record_from_fields(
     qname: str, flag: int, rname: str, pos: int, mapq: int,
     cigar: Union[str, Cigar], rnext: str, pnext: int, tlen: int,
@@ -255,7 +267,8 @@ def _record_from_fields(
     as text, or an already-built ``Cigar`` to share) and a tag dict the
     record takes ownership of.
 
-    The one body behind ``from_line``, ``copy`` and unpickling.
+    The one body behind ``from_line`` (over :func:`split_line`),
+    ``copy`` and unpickling.
     """
     record = SamRecord.__new__(SamRecord)
     record.qname = qname

@@ -14,11 +14,15 @@ The three scheme families of paper section 3.2:
 
 from __future__ import annotations
 
+import struct
+import zlib
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitioningError, PipelineError
-from repro.cleaning.duplicates import fragment_key, pair_key
-from repro.formats.flags import DUPLICATE, SamFlags
+from repro.cleaning.duplicates import fragment_key
+from repro.formats.cigar import unclipped_five_prime
+from repro.formats.flags import DUPLICATE, REVERSE, UNMAPPED, SamFlags
 from repro.formats.sam import SamHeader, SamRecord
 from repro.formats.sam import _DEFAULT_SCORE_TABLE, _qual_bytes
 from repro.gdpt.bloom import BloomFilter
@@ -146,14 +150,25 @@ class MarkDupKeying:
         grouped by read name, which is why Round 3 consumes Round 2's
         logically partitioned output.
         """
-        mapped1 = not end1.flags.is_unmapped
-        mapped2 = not end2.flags.is_unmapped
-        if mapped1 and mapped2:
+        return self._keys(end1, end2, _record_fragment(end1),
+                          _record_fragment(end2), end1.qname)
+
+    def keys_for_lines(self, end1: Tuple[list, str],
+                       end2: Tuple[list, str]) -> List[Tuple[Tuple, Tuple]]:
+        """:meth:`keys_for_pair` of ``(split_line(line), line)`` ends;
+        values carry the lines."""
+        (fields1, line1), (fields2, line2) = end1, end2
+        return self._keys(line1, line2, fields_fragment(fields1),
+                          fields_fragment(fields2), fields1[0])
+
+    def _keys(self, end1, end2, key1, key2, qname):
+        """A pair's emissions from its ends' fragment keys (None: unmapped)."""
+        if key1 is not None and key2 is not None:
+            low, high = sorted([key1, key2])  # pair_key's order
             emissions: List[Tuple[Tuple, Tuple]] = [
-                (("P", pair_key(end1, end2)), (PAIR_VALUE, end1, end2))
+                (("P", (low, high)), (PAIR_VALUE, end1, end2))
             ]
-            for end in (end1, end2):
-                fkey = fragment_key(end)
+            for end, fkey in ((end1, key1), (end2, key2)):
                 if self.mode == "opt" and (fkey[0], fkey[1]) not in self.bloom:
                     continue
                 if fkey in self._shadow_sent:
@@ -161,25 +176,73 @@ class MarkDupKeying:
                 self._shadow_sent.add(fkey)
                 emissions.append((("F", fkey), (SHADOW_VALUE, end)))
             return emissions
-        if mapped1 or mapped2:
-            mapped = end1 if mapped1 else end2
-            unmapped = end2 if mapped1 else end1
-            return [
-                (("F", fragment_key(mapped)), (PARTIAL_VALUE, mapped, unmapped))
-            ]
-        return [(("U", end1.qname), (PASSTHROUGH_VALUE, end1, end2))]
+        if key1 is not None:
+            return [(("F", key1), (PARTIAL_VALUE, end1, end2))]
+        if key2 is not None:
+            return [(("F", key2), (PARTIAL_VALUE, end2, end1))]
+        return [(("U", qname), (PASSTHROUGH_VALUE, end1, end2))]
+
+
+def _record_fragment(record: SamRecord) -> Optional[Tuple[str, int, bool]]:
+    return None if record.flags.is_unmapped else fragment_key(record)
+
+
+def fields_fragment(fields: list) -> Optional[Tuple[str, int, bool]]:
+    """``_record_fragment`` of a :func:`split_line` read."""
+    reverse = bool(fields[1] & REVERSE)
+    return None if fields[1] & UNMAPPED else (
+        fields[2], unclipped_five_prime(fields[3], fields[5], reverse), reverse)
+
+
+#: ``canonical_key_bytes`` pieces of :class:`MarkDupKeying`'s keys.
+_U32 = struct.Struct(">I").pack
+_TUPLE2, _TUPLE3 = b"t:" + _U32(2), b"t:" + _U32(3)
+_STRAND_BYTES = {False: _U32(3) + b"b:0", True: _U32(3) + b"b:1"}
+_KIND_HEADS = {kind: _TUPLE2 + _U32(3) + b"s:" + kind.encode() for kind in "PF"}
+_FRAGMENT_TYPES = [str, int, bool]
+
+
+def _fragment_bytes(fragment: Any) -> Optional[bytes]:
+    """``canonical_key_bytes`` of a ``(str, int, bool)`` tuple, or None."""
+    if type(fragment) is tuple and [*map(type, fragment)] == _FRAGMENT_TYPES:
+        name, position = fragment[0].encode(), b"i:%d" % fragment[1]
+        return b"".join((_TUPLE3, _U32(len(name) + 2), b"s:", name, _U32(
+            len(position)), position, _STRAND_BYTES[fragment[2]]))
+    return None
+
+
+def markdup_partition(key: Any, num_partitions: int) -> int:
+    """:func:`stable_hash_partition` of a MarkDuplicates key: the same
+    ``crc32`` of the same canonical bytes, built flat for the
+    ``("P", (fragment, fragment))`` and ``("F", fragment)`` shapes."""
+    body = None
+    if type(key) is tuple and len(key) == 2 and key[0] in ("P", "F"):
+        kind, value = key
+        if kind == "F":
+            body = _fragment_bytes(value)
+        elif type(value) is tuple and len(value) == 2:
+            first, second = map(_fragment_bytes, value)
+            if first is not None and second is not None:
+                body = b"".join((_TUPLE2, _U32(len(first)), first,
+                                 _U32(len(second)), second))
+    if body is None:
+        return stable_hash_partition(key, num_partitions)
+    return zlib.crc32(b"".join((_KIND_HEADS[kind], _U32(len(body)), body))
+                      ) % num_partitions
 
 
 def records_by_pair(
-    records: Iterable[SamRecord],
-) -> List[Tuple[SamRecord, SamRecord]]:
-    """Pair up a read-name-grouped record stream (a round-2 partition)."""
-    open_reads: Dict[str, SamRecord] = {}
-    pairs: List[Tuple[SamRecord, SamRecord]] = []
+    records: Iterable[Any], name: Callable[[Any], str] = attrgetter("qname"),
+) -> List[Tuple[Any, Any]]:
+    """Pair up a read-name-grouped stream (a round-2 partition) of
+    records, or of anything ``name`` reads a read name from."""
+    open_reads: Dict[str, Any] = {}
+    pairs: List[Tuple[Any, Any]] = []
     for record in records:
-        mate = open_reads.pop(record.qname, None)
+        qname = name(record)
+        mate = open_reads.pop(qname, None)
         if mate is None:
-            open_reads[record.qname] = record
+            open_reads[qname] = record
         else:
             pairs.append((mate, record))
     if open_reads:
@@ -227,18 +290,19 @@ def mark_duplicate_lines(key: Tuple, values: List[Tuple]) -> List[str]:
 
 
 def build_partial_position_bloom(
-    pairs: Iterable[Tuple[SamRecord, SamRecord]],
+    pairs: Iterable[Tuple[Any, Any]],
     num_bits: int = 1 << 16,
+    *, fragment: Callable[[Any], Optional[Tuple]] = _record_fragment,
 ) -> BloomFilter:
-    """The MarkDup_opt pre-pass: record 5' positions of partial matches."""
+    """The MarkDup_opt pre-pass: record 5' positions of partial matches
+    (pairs of records, or of whatever ``fragment`` keys, such as
+    :func:`fields_fragment`)."""
     bloom = BloomFilter(num_bits=num_bits)
     for end1, end2 in pairs:
-        mapped1 = not end1.flags.is_unmapped
-        mapped2 = not end2.flags.is_unmapped
-        if mapped1 == mapped2:
-            continue
-        mapped = end1 if mapped1 else end2
-        bloom.add((mapped.rname, mapped.unclipped_five_prime))
+        key1, key2 = fragment(end1), fragment(end2)
+        if (key1 is None) != (key2 is None):
+            rname, five_prime, _ = key1 or key2
+            bloom.add((rname, five_prime))
     return bloom
 
 

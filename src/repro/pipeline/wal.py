@@ -47,7 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: covers the header; a version-6 log's ``GSEG1`` ones would not decode.
 #: 8: the journaled outcome lost its resource-sample slot.
 #: 9: a journaled round-3 map outcome's segments hold SAM lines, not records.
-WAL_VERSION = 9
+#: 10: so do a journaled round-2 map outcome's.
+WAL_VERSION = 10
 
 _FRAME = struct.Struct(">II")
 

@@ -2,9 +2,9 @@
 
 Round 1 hands its FASTQ partition to Bwa as interleaved FASTQ text and
 takes SAM text back for SamToBam (the Hadoop Streaming hand-off, Fig 8):
-the four text conversions here are those pipes.  Rounds 2 and 3 hand
-records to Java-style programs in memory and count the copied bytes in
-:class:`DataTransformAccounting`.
+the four text conversions here are those pipes.  Rounds 2 and 3 run
+field kernels in place of the Java-style programs and count, in
+:class:`DataTransformAccounting`, the bytes the programs are handed.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The five MapReduce rounds of the Gesall pipeline (Appendix A.2).
 
 Round 1  map-only   Bwa alignment + SamToBam over streamed text
-Round 2  full MR    AddReplaceReadGroups + CleanSam (map), shuffle by
-                    read name, FixMateInformation + bloom sidecar (reduce)
+Round 2  full MR    AddReplaceReadGroups + CleanSam (map), SAM lines
+                    shuffled by read name, FixMateInformation + bloom
+                    sidecar (reduce), all as field kernels over lines
 Round 3  full MR    compound-key extraction (map), SAM lines shuffled,
                     MarkDuplicates' FLAG rewrite + coordinate sort of the
                     lines (reduce); reg or opt (bloom) variant
@@ -17,7 +18,7 @@ one declared :class:`_Row`, run by :meth:`GesallRounds._run`.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.align.pairing import PairedEndAligner
@@ -25,20 +26,20 @@ from repro.api import (
     ExecutionPolicy, InputSplit, JobResult, JobSpec, MapReduceEngine,
     make_block_splits, run_job,
 )
-from repro.cleaning.clean_sam import CleanSam
-from repro.cleaning.fix_mate import FixMateInformation
+from repro.cleaning.clean_sam import clean_lines
+from repro.cleaning.fix_mate import fix_mate_fields
 from repro.cleaning.read_groups import AddOrReplaceReadGroups
 from repro.cleaning.sort import coordinate_line_key
 from repro.errors import DriverKilledError, MapReduceError, PipelineError
-from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam, encode_bam
+from repro.formats.bam import BamLinearIndex, bam_bytes, decode_bam
 from repro.formats.bam import decode_bam_lines, encode_bam_lines
 from repro.formats.fastq import ReadPair
-from repro.formats.sam import SamHeader, SamRecord
+from repro.formats.sam import SamHeader, join_fields, split_line
 from repro.formats.vcf import VariantRecord, sort_variants
 from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
-    MarkDupKeying, OverlappingRangePartitioner,
-    build_partial_position_bloom, mark_duplicate_lines, records_by_pair,
+    MarkDupKeying, OverlappingRangePartitioner, build_partial_position_bloom,
+    fields_fragment, mark_duplicate_lines, markdup_partition, records_by_pair,
 )
 from repro.genome.regions import GenomicInterval
 from repro.hdfs.filesystem import Hdfs
@@ -54,16 +55,15 @@ from repro.variants.haplotype import (
 from repro.variants.structural import GASVLite
 from repro.wrappers.programs import (
     DataTransformAccounting, interleaved_text_to_pairs,
-    pairs_to_interleaved_text, records_to_sam_text, run_wrapped_chain,
-    sam_text_to_records,
+    pairs_to_interleaved_text, records_to_sam_text, sam_text_to_records,
 )
 
 
 class _Row(NamedTuple):
     """One round as the paper's wrapper declares it (§3.1): the wrapped
     program(s) as ``body(header, records, text_size, ctx)`` over one
-    round BAM as ``decode`` reads it (SAM lines, or records beside their
-    lines; ``body(pairs, ctx)`` over a sealed FASTQ block for a ``fastq``
+    round BAM as ``decode`` reads it (SAM lines or records;
+    ``body(pairs, ctx)`` over a sealed FASTQ block for a ``fastq``
     row), then a full round's keying, partition scheme and reduce-side
     output format."""
 
@@ -78,25 +78,18 @@ class _Row(NamedTuple):
     decode: Callable[[bytes], Any] = decode_bam
 
 
-def _decode_beside_lines(data: bytes):
-    """Round 3's reader: each record beside the SAM line it was parsed
-    from, so the map side keys by records and ships the lines."""
-    header, lines, size = decode_bam_lines(data)
-    return header, [(SamRecord.from_line(line), line) for line in lines], size
-
-
 def _write_lines(ctx, path: str, header: SamHeader, lines: List[str],
                  chunk_bytes: int, sort_key=None):
-    """Rounds 3-4's line writer: sort by ``sort_key`` if given (round 4's
-    lines arrive merged), frame in the ``encode`` span, ``write_file``;
-    returns the BAM bytes and the lines' SAM-text size."""
+    """Rounds 2-4's line writer: sort by ``sort_key`` if given, frame in
+    the ``encode`` span, ``write_file``; returns the lines' SAM-text
+    size and the frames' ``(offset, first line)``."""
     with ctx.span("encode", records=len(lines)) as span:
         if sort_key is not None:
             lines.sort(key=sort_key)
-        data, size = encode_bam_lines(header, lines, chunk_bytes)
+        data, size, heads = encode_bam_lines(header, lines, chunk_bytes)
         span.set(bytes_out=len(data))
     ctx.write_file(path, data, logical_partition=True)
-    return data, size
+    return size, heads
 
 
 def _identity_reducer(key, values, ctx) -> None:
@@ -252,20 +245,46 @@ class GesallRounds:
 
     def round2_cleaning(self, in_paths: List[str], out_dir: str = "/round2",
                         num_reducers: int = 4) -> List[str]:
-        def clean(header, records, size, ctx):
+        """Moves SAM lines through field kernels, no records; the
+        reducer writes a ``.bloom`` sidecar (round 3 opt's 5' positions)."""
+        read_group = AddOrReplaceReadGroups().group_id
+        header = SamHeader(sequences=self.reference.sam_sequences(),
+                           sort_order="queryname")
+        chunk_bytes = self.chunk_bytes
+
+        def clean(in_header, lines, size, ctx):
             accounting = ctx.attachment("transform", DataTransformAccounting)
-            header, records, size = run_wrapped_chain(
-                [AddOrReplaceReadGroups(), CleanSam()],
-                header, records, accounting, size,
-            )
+            lines, staged = clean_lines(in_header, lines, read_group)
+            cleaned = sum(map(len, lines)) + len(lines)  # SAM-text size
+            # Decoded -> AddOrReplaceReadGroups -> CleanSam, one call each.
+            for handed, back in ((size, staged), (staged, cleaned)):
+                accounting.record_input((), handed)
+                accounting.record_output((), back)
             # What CleanSam handed back is exactly what is emitted.
-            ctx.set_output_bytes(size)
-            for record in records:
-                ctx.emit(record.qname, record)
+            ctx.set_output_bytes(cleaned)
+            for line in lines:
+                ctx.emit(line[:line.index("\t")], line)
+
+        def write(pairs, ctx):
+            lines = [line for _, line in pairs]
+            accounting = ctx.attachment("transform", DataTransformAccounting)
+            accounting.record_input((), sum(map(len, lines)) + len(lines))
+            fixed = fix_mate_fields(lines)
+            name = f"{out_dir}/part-{ctx.task_index:05d}"
+            size, _ = _write_lines(ctx, name + ".bam", header,
+                                   list(map(join_fields, fixed)), chunk_bytes)
+            bloom = build_partial_position_bloom(
+                records_by_pair(fixed, name=itemgetter(0)),
+                fragment=fields_fragment)
+            ctx.write_file(name + ".bloom", bloom.to_bytes(),
+                           logical_partition=True)
+            accounting.record_output((), size)
+            ctx.emit(name + ".bam", len(fixed))
 
         return self._keys(_Row(
             "round2", "round2-cleaning", clean, _identity_reducer,
-            num_reducers=num_reducers, reduce_output=self._bam_writer(out_dir),
+            num_reducers=num_reducers, reduce_output=write,
+            decode=decode_bam_lines,
         ), in_paths)
 
     def round3_mark_duplicates(self, in_paths: List[str], mode: str = "opt",
@@ -285,15 +304,14 @@ class GesallRounds:
                            sort_order="coordinate")
         line_key, chunk_bytes = coordinate_line_key(header), self.chunk_bytes
 
-        def key_pairs(_header, parsed, size, ctx):
-            records = [record for record, _ in parsed]
-            accounting = ctx.attachment("transform", DataTransformAccounting)
-            accounting.record_input(records, size)
-            line_of = {id(record): line for record, line in parsed}
+        def key_pairs(_header, lines, size, ctx):
+            ctx.attachment("transform", DataTransformAccounting).record_input(
+                (), size)
             keying = MarkDupKeying(mode, bloom)
-            for end1, end2 in records_by_pair(records):
-                for key, (tag, *ends) in keying.keys_for_pair(end1, end2):
-                    ctx.emit(key, (tag, *[line_of[id(end)] for end in ends]))
+            ends = [(split_line(line), line) for line in lines]
+            for end1, end2 in records_by_pair(ends, name=lambda end: end[0][0]):
+                for key, value in keying.keys_for_lines(end1, end2):
+                    ctx.emit(key, value)
 
         def mark(key, values, ctx):
             for line in mark_duplicate_lines(key, values):
@@ -301,7 +319,7 @@ class GesallRounds:
 
         def write(pairs, ctx):
             path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
-            _, size = _write_lines(ctx, path, header, [line for _, line in pairs],
+            size, _ = _write_lines(ctx, path, header, [line for _, line in pairs],
                                    chunk_bytes, line_key)
             ctx.attachment("transform", DataTransformAccounting).record_output(
                 (), size)
@@ -309,8 +327,8 @@ class GesallRounds:
 
         return self._keys(_Row(
             "round3", f"round3-markdup-{mode}", key_pairs, mark,
-            num_reducers=num_reducers, reduce_output=write,
-            decode=_decode_beside_lines,
+            partitioner=markdup_partition, num_reducers=num_reducers,
+            reduce_output=write, decode=decode_bam_lines,
         ), in_paths)
 
     def round4_sort_index(self, in_paths: List[str],
@@ -333,9 +351,10 @@ class GesallRounds:
             if not pairs:
                 return
             path = f"{out_dir}/{contigs[pairs[0][0][0]]}.bam"
-            data, _ = _write_lines(ctx, path, header,
-                                   [line for _, line in pairs], chunk_bytes)
-            ctx.write_file(path + ".bai", BamLinearIndex.build(data).to_bytes(),
+            _, heads = _write_lines(ctx, path, header,
+                                    [line for _, line in pairs], chunk_bytes)
+            ctx.write_file(path + ".bai",
+                           BamLinearIndex.of_heads(heads).to_bytes(),
                            logical_partition=True)
             ctx.emit(path, len(pairs))
 
@@ -462,30 +481,3 @@ class GesallRounds:
         return self._keys(
             _Row("round_bqsr", "round-printreads", rewrite), in_paths
         )
-
-    def _bam_writer(self, out_dir: str):
-        """Round 2's ``reduce_output``: run FixMateInformation once over
-        the partition, ``write_file`` it with its ``.bloom`` sidecar (the
-        5' positions round 3 opt keys by), emit ``(path, records)``.  The
-        rendered size is accounted as "bytes from program"."""
-        header = SamHeader(sequences=self.reference.sam_sequences(),
-                           sort_order="queryname")
-        program, chunk_bytes = FixMateInformation(), self.chunk_bytes
-
-        def write(pairs, ctx):
-            records = [record for _, record in pairs]
-            accounting = ctx.attachment("transform", DataTransformAccounting)
-            accounting.record_input(records)
-            _, records = program.run(header, records)
-            with ctx.span("encode", records=len(records)) as span:
-                data, size = encode_bam(header, records, chunk_bytes)
-                span.set(bytes_out=len(data))
-            name = f"{out_dir}/part-{ctx.task_index:05d}"
-            ctx.write_file(name + ".bam", data, logical_partition=True)
-            bloom = build_partial_position_bloom(records_by_pair(records))
-            ctx.write_file(name + ".bloom", bloom.to_bytes(),
-                           logical_partition=True)
-            accounting.record_output(records, size)
-            ctx.emit(name + ".bam", len(records))
-
-        return write

@@ -23,6 +23,9 @@ before it stopped decoding every record of every chunk.
 
 ``mark_duplicate_group`` is round 3's reduce side from before it moved
 SAM lines: the duplicate decisions on copies of the shuffled records.
+``markdup_keys_for_pair`` and ``build_partial_position_bloom`` are the
+record keying and bloom bodies from before they shared one body with
+rounds 2 and 3's line forms.
 
 ``pileup_activity`` (with ``_passing_blocks`` / ``_indel_after_block``),
 ``seed_read``, ``vote`` and ``ungapped_alignment`` are the per-base /
@@ -52,12 +55,13 @@ from typing import (
 )
 
 from repro.align.sw import MATCH, MISMATCH, LocalAlignment
-from repro.cleaning.duplicates import pair_score
+from repro.cleaning.duplicates import fragment_key, pair_key, pair_score
 from repro.errors import CigarError, FormatError, ShuffleError, StorageFullError
 from repro.formats import flags as F
 from repro.formats.bam import iter_frames
 from repro.formats.cigar import Cigar
 from repro.formats.sam import SamRecord, decode_quals
+from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
     PAIR_VALUE,
     PARTIAL_VALUE,
@@ -518,6 +522,51 @@ def mark_duplicate_group(key: Tuple, values: List[Tuple]) -> List[SamRecord]:
         if tag == PASSTHROUGH_VALUE:
             out += (end1.copy(), end2.copy())
     return out
+
+
+def markdup_keys_for_pair(keying, end1: SamRecord, end2: SamRecord
+                          ) -> List[Tuple[Tuple, Tuple]]:
+    """``MarkDupKeying.keys_for_pair`` (``self`` spelled ``keying``) as
+    shipped before it shared one body with the line form."""
+    mapped1 = not end1.flags.is_unmapped
+    mapped2 = not end2.flags.is_unmapped
+    if mapped1 and mapped2:
+        emissions: List[Tuple[Tuple, Tuple]] = [
+            (("P", pair_key(end1, end2)), (PAIR_VALUE, end1, end2))
+        ]
+        for end in (end1, end2):
+            fkey = fragment_key(end)
+            if keying.mode == "opt" and (fkey[0], fkey[1]) not in keying.bloom:
+                continue
+            if fkey in keying._shadow_sent:
+                continue
+            keying._shadow_sent.add(fkey)
+            emissions.append((("F", fkey), (SHADOW_VALUE, end)))
+        return emissions
+    if mapped1 or mapped2:
+        mapped = end1 if mapped1 else end2
+        unmapped = end2 if mapped1 else end1
+        return [
+            (("F", fragment_key(mapped)), (PARTIAL_VALUE, mapped, unmapped))
+        ]
+    return [(("U", end1.qname), (PASSTHROUGH_VALUE, end1, end2))]
+
+
+def build_partial_position_bloom(
+    pairs: Iterable[Tuple[SamRecord, SamRecord]],
+    num_bits: int = 1 << 16,
+) -> BloomFilter:
+    """The MarkDup_opt pre-pass as shipped before it took a ``fragment``
+    function: record 5' positions of partial matches."""
+    bloom = BloomFilter(num_bits=num_bits)
+    for end1, end2 in pairs:
+        mapped1 = not end1.flags.is_unmapped
+        mapped2 = not end2.flags.is_unmapped
+        if mapped1 == mapped2:
+            continue
+        mapped = end1 if mapped1 else end2
+        bloom.add((mapped.rname, mapped.unclipped_five_prime))
+    return bloom
 
 
 def bam_index_entries(data: bytes) -> List[Tuple[str, int, int]]:

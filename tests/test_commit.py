@@ -1123,6 +1123,54 @@ class TestPipelineCrashRecovery:
         assert fingerprint_of(resumed) == fingerprint_of(clean)
 
 
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_9_wal_with_record_valued_round2_segments_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-9 ``wal-round2.log`` journals map outcomes whose
+        segments hold ``(qname, SamRecord)`` pairs.  This version loads
+        them, but its FixMateInformation kernel splits ``str`` lines:
+        the version guard turns the log away, and the round re-runs
+        byte-identical."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        ours = _read_frames(backend.read("wal-round2.log"))
+        fingerprint = pickle.loads(ours[0])["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V9))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 9, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == len(ours) == 2
+
+        def shipped(frame):
+            outcome = pickle.loads(frame)["outcome"]
+            return {type(value).__name__ for segment in outcome.segments
+                    for _, value in decode_segment(segment).records}
+
+        # Both records load; what their segments ship differs.
+        assert shipped(old_frames[1]) == {"SamRecord"}
+        assert shipped(ours[1]) == {"str"}
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+
 class TestStageTableConformance:
     """A stage's key is its one name: checkpoint entry, WAL log, HDFS
     directory, round span, ``rounds.results`` entry and chaos address.
@@ -1671,4 +1719,46 @@ PARENT_WAL_ROUND3_V8 = (
     "7pq300v1hx+N2ikNJr34dP+hSMulyRj3p3e6NCkw1uhGWoh78u+m/qQ3P1w+HuWHWS7KCn"
     "AbjjqZKJdpQ/8ZrRb9QQY2yp4/Q6OTHaUPFFxP0aTH9DI8Zj9LFRKXj7J0ku21e2l+kHUE"
     "dyIj+jNKznL5F6PBfj8Tj8qr+2n7cNTt7k3AwCEYyGd/kVWmD8X+dPM/5dUNrQ=="
+)
+
+
+#: ``wal-round2.log`` as commit 4b5365e (WAL_VERSION 9) left it after
+#: ``KillDriver("round2", after_commits=1)`` on the same run: one map
+#: outcome whose segments hold ``(qname, SamRecord)`` values.
+#: zlib + base64 of the 3210 raw bytes.
+PARENT_WAL_ROUND2_V9 = (
+    "eNqVlktvG1UUx52Sh2nSkhakCtiySBG1krTY837dedpKkYo3LCprMh7HpvFDM+NWRapUVK"
+    "kS0ogFXBbd8gEQKyR2SLDuB2DHBlaIb0D5nzt2ElEoZSbO3Dlz78w9v/s/555areZPPv9O"
+    "fbj2lVqrjgd8p9y4m2b5aDrhnVfLzcFocpRms2w0KXhZT1t7hzfkpM/LtWw6n+C6Lq77fN"
+    "6o1bZufOv+/ivednXr9G2rRZzf4eWVqt+15DiNJ3jntfG1XTrwpnQ2TYa8Uys3pvMimY5T"
+    "Xr6RpbNs2hjHsyztz5O0Ub1ks4vLB4tOX/Krn/KbYsLpeFQUaZ/fxhTz9GicToocNzvOz/"
+    "VaLfjQC/ZpNmjXf6Jf88e7bz1c/er7ejVLdCy3Pvzo5l5jd3cxp0vV9wfTbBwXeSOPx7x8"
+    "vZelyTTr9wbZdNwbjNLjfo5J7AxXOmm5mgyzPX7wzUW4sfIuL1f0xU2/a//3yZat4GV6P3"
+    "/yst8OonbkRUEUtEPf84OIeW7keb7vB67PcLi2Y9uOYxmOzSzDZGjalmkZlqFrlm4bhqpr"
+    "uqlqmopDwSnriqQqmiIr1+UWDqXFH/Dy3K2Al6/cCvZ4XvBb/DH/G7rh6s5wu/PkDBCtXN"
+    "3b3T3gw40FERb8j7PLuqDSRYOOAIAqq02wQI6xwLaDoOqCK1gGaIJIS25JzZYky6oqq4ok"
+    "K3BQI4dUXdcUDd4Cg64buom2Ydo2hlpEyHIYcyyX+a7neUz8Y74XeGEY+mEQhm4YAHPURp"
+    "uT/M7dPMCCw/XN4db8H6DsCShvd5IllKcbHW14GTwe1Q/eXCn7AbnDxNzJFUZCYOQSKSNg"
+    "rAJAbZxktakTerGqSQzgNB5ilPCfUMFKd+hFV5JIGLTbUTvwAwaB+D7zg5CcC13X8VyPdO"
+    "E4LoRiOjhc07R0E7qwbNvUDU21TF1VDU0zVANEFfwgFUmTJFWScSqSJMnvnwAZXnkxjnc6"
+    "Xy5xPKovcDzdaP/257NnUIiICSJAsyePbIJAiIhJ5RyhIQF0hRToUdUN6LpCEQTGFhSFNr"
+    "oYjxvCAlZdUoiqNKUbmHlLailNWdJkFQJRNPIS8jCgE0M3LM2yTdtEk1bJMpjDIBOoBAHl"
+    "QBqe6/ou8fQ9F9GGkAt8N4owgyiK2i8BZF8AuXaqjydLffj1g0srhMMWuqc1Jw/FegsjIy"
+    "aM/CFbt1v1FFr6N1HZ/ywq4MB8Az+M3BAeQOq+C18iD1Hguh6SCELDR4C4lgmFmBa91zIN"
+    "27Asg4BpJvFCZBkEUdWII6wtXUEgqtBG87osN88EzB5/MZDWqUL8pUKebLT/EAoh16AN8m"
+    "zhcOU8rbotIoAiBFDw65IMiAQgkZ7sl5QXkEDXTVklhSjIITLyoawoCgkfqUQXB1Cougq1"
+    "IJ8CiEN5xLFNj5kIJeZ5kAgQMhcqEenYJa1EfhspGjk7bL+MQq4LINapQty1BZDL6wf7K7"
+    "TJCH+YED2lBZERBAGx7kysNN2R9G36V/WkVWTCa4GRdas8Kq7CQG8DOVsETBhFYYgE0vbC"
+    "wBU5xKukL9IkY6GDNOLihQ44mEgj2GAsk1mmZpoG/SG0dCQTRQcyXaGtRieeEtJIC/lDaj"
+    "ZbZxSyz18MpH2qkMvrCyDuWvupUAj5zkQUBMIVSpwiV3RF/NuUMWxBhoKIOhI9EUpCAhRi"
+    "XZEv6CkFkEgcgk2lExYIhbwvI3VIUIiKDUdXjRZtntC+LlMEGIgKQ0Ea0QwbQWNg+6UNBl"
+    "ux5VBeQTxR9oVQQM6DREKC2o7CKKR4DClnnyrEPwMkbXD29klxQ8ca/b74pf/1w9XbvMHT"
+    "8sJoMpsXi7ol5516eREl1t9MWwvT4f0izfnBXr1cz2ej42M8XCnXj1C3zXKqzrbz4XwwOE"
+    "77p4Nr5cUTYzUcpksLUy+L752xzuKsGBUoK0+Go+7q1Du1tDx/J73fS1AfVlXb8/VY59xz"
+    "e8hzpn1hSm/D7a0kS3qDeHQ8z6qPXxikRTLEh4tsVFnqMQrG8awQTr42mnycJiggMWh+XI"
+    "gOKHzhwr1sRPNHXbmJAXEyXJaW5atFFk9yKhCpthXV4r0sns1QOjdwc5TF4xxP3LiIu8ue"
+    "diKcRPVbFa+0rNuCUK+Y9haj+MFb2+XlyioqzRP74Xa5OZrcnSYxYcQsz80PH/O4XMtn+A"
+    "BN6nxegDL8iAt+U9Tuo3y4vF2/N83upBkva7xcnUz7KLPX6UL1br0YjVPoQLh+iqOfHsf3"
+    "K14nOOkzwxSfOUzjCsUFlPR52kuGcXaEIjww7ds77/1Qq5Xrn0zHh6OUf1a+dhgnd6aDQS"
+    "/H2k+w9sFSs/PH/HDe+AtW2+Xa"
 )

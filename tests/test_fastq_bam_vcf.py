@@ -10,6 +10,8 @@ from repro.formats import flags as F
 from repro.formats.bam import (
     BamLinearIndex,
     bam_bytes,
+    encode_bam,
+    encode_bam_lines,
     iter_frames,
     read_bam,
 )
@@ -163,6 +165,27 @@ class TestBamLinearIndex:
             # count 0 is the header-only file, count 1 a one-record chunk
             assert index.chunk_count() == len(list(iter_frames(data))) - 1
             assert index.chunk_count() >= min(count, 1)
+
+    @pytest.mark.parametrize("chunk_bytes", [200, 8 * 1024, 64 * 1024])
+    def test_the_encoders_frame_heads_index_what_build_reads(self, chunk_bytes):
+        """``of_heads`` over the ``(offset, first line)`` pairs
+        ``encode_bam_lines`` returns is ``build`` over its bytes, which
+        is the full-decode body's index."""
+        header = SamHeader(sequences=[("chr1", 100000), ("chr2", 50000)])
+        rng = random.Random(7 + chunk_bytes)
+        for count in (0, 1, 2, 37, 400):
+            records = make_records(count)
+            for record in records:
+                record.rname = rng.choice(["chr1", "chr2"])
+                record.pos = rng.randrange(1, 50000)
+            lines = [record.to_line() for record in records]
+            data, size, heads = encode_bam_lines(header, lines, chunk_bytes)
+            assert (data, size) == encode_bam(header, records, chunk_bytes)
+            assert [offset for offset, _ in heads] == [
+                offset for offset, _ in iter_frames(data)][1:]
+            assert BamLinearIndex.of_heads(heads).entries == \
+                BamLinearIndex.build(data).entries == \
+                oracle.bam_index_entries(data)
 
 
 class TestVcf:

@@ -13,6 +13,7 @@ import itertools
 import pickle
 import random
 import re
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -29,15 +30,21 @@ from repro import (
 )
 from repro.align.sw import banded_local_alignment
 from repro.cleaning import AddOrReplaceReadGroups, CleanSam, pair_score
+from repro.cleaning.clean_sam import clean_lines
+from repro.cleaning.fix_mate import FixMateInformation, fix_mate_fields
 from repro.cleaning.duplicates import mark_duplicates_in_place
 from repro.errors import CigarError, FormatError
 from repro.formats import cigar as cigar_module
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar
 from repro.formats.bam import bam_bytes, decode_bam, encode_bam, read_bam
-from repro.formats.sam import SamHeader, SamRecord, decode_quals, encode_quals
+from repro.formats.sam import (
+    SamHeader, SamRecord, decode_quals, encode_quals, join_fields, split_line,
+)
+from repro.gdpt.bloom import BloomFilter
 from repro.gdpt.partitioner import (
-    MarkDupKeying, build_partial_position_bloom, mark_duplicate_lines,
+    MarkDupKeying, build_partial_position_bloom, fields_fragment,
+    mark_duplicate_lines, markdup_partition, records_by_pair,
 )
 from repro.genome.reference import ReferenceGenome
 from repro.genome.regions import GenomicInterval
@@ -45,6 +52,7 @@ from repro.hdfs.bam_storage import upload_bam
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
 from repro.mapreduce.engine import MapReduceEngine
+from repro.shuffle.keys import canonical_key_bytes, stable_hash_partition
 from repro.variants.haplotype import HaplotypeCallerConfig, HaplotypeCallerLite
 from repro.variants.pileup import PileupConfig, build_pileup, pileup_activity
 from repro.wrappers.rounds import GesallRounds
@@ -1089,6 +1097,250 @@ class TestMarkDuplicateLinesAgainstRecordOracle:
                     elif key[0] == "U":
                         seen["U"] += 1
         assert min(seen.values()) > 20, seen
+
+
+# -- rounds 2 and 3 on fields against the record programs --------------------
+def outcome(run):
+    """What a call returns, or its typed error."""
+    try:
+        return run()
+    except Exception as error:  # compared, never swallowed
+        return type(error), str(error)
+
+
+def noncanonical(rng, line):
+    """``line`` as a record reads it but would not write it: integers
+    signed, zero-padded or spaced, FLAG bits outside the known twelve, a
+    zero-padded CIGAR or an empty one, tags shuffled, typed ``i`` /
+    ``A`` and repeated (the last one wins)."""
+    fields = line.split("\t")
+    for index in (1, 3, 4, 7, 8):
+        if rng.random() < 0.3:
+            value = int(fields[index])
+            sign = "-" if value < 0 else rng.choice(["", "+"])
+            fields[index] = rng.choice(["{}{}", "{}0{}", " {}{}", "{}{} "]).format(
+                sign, abs(value))
+    if rng.random() < 0.3:
+        fields[1] = str(int(fields[1]) | rng.choice([0x1000, 0x8000, 0x40000]))
+    if rng.random() < 0.3:
+        fields[5] = "" if fields[5] == "*" else "0" + fields[5]
+    tags = fields[11:]
+    for _ in range(rng.randint(0, 2)):
+        key = rng.choice(["RG", "MC", "MQ", "NM", "XA"])
+        tags.append(f"{key}:{rng.choice('iAZ')}:{rng.choice(['7', 'x:y', ''])}")
+    rng.shuffle(tags)
+    return "\t".join(fields[:11] + tags)
+
+
+def name_grouped_lines(rng, count=50):
+    """Read pairs in name order, as round 2's reducers and round 3's map
+    tasks see them: random FLAG bits (unmapped, reverse, stale mate and
+    duplicate bits), ends on one contig, across two or unplaced, some
+    ending at or past chr2's last base, a tenth
+    of the pairs unpaired reads that share a name; most lines written
+    non-canonically."""
+    lines = []
+    for index in range(count):
+        paired = F.PAIRED if rng.random() < 0.9 else 0
+        for bit in (F.FIRST_IN_PAIR, F.SECOND_IN_PAIR):
+            end = seeded_record(rng)
+            end.qname = f"pair{index:03d}"
+            end.flags = F.SamFlags(
+                rng.getrandbits(12) & ~(F.PAIRED | F.FIRST_IN_PAIR | F.SECOND_IN_PAIR)
+                | paired | bit)
+            if rng.random() < 0.2:  # ends at chr2's last base, or one past
+                end.rname = "chr2"
+                end.pos = 500 - end.cigar.reference_length() + rng.randint(0, 2)
+            line = end.to_line()
+            lines.append(noncanonical(rng, line) if rng.random() < 0.7 else line)
+    return lines
+
+
+def round2_map_by_records(lines):
+    """Round 2's map body before it moved lines: records through the
+    wrapped AddOrReplaceReadGroups + CleanSam chain; the output lines
+    (rendered by the pre-fast-path ``to_line``), the size staged between
+    the programs and the cleaned size."""
+    records = [SamRecord.from_line(line) for line in lines]
+    size = sum(len(line) + 1 for line in lines)
+    accounting = DataTransformAccounting()
+    _, out, out_size = run_wrapped_chain(
+        [AddOrReplaceReadGroups(), CleanSam()], SIZING_HEADER, records,
+        accounting, size)
+    staged = accounting.bytes_to_program - size
+    return [oracle.sam_to_line(r) for r in out], staged, out_size
+
+
+def round2_map_by_fields(lines):
+    out, staged = clean_lines(SIZING_HEADER, lines, "RG1")
+    return out, staged, sum(len(line) + 1 for line in out)
+
+
+def round2_reduce_by_records(lines):
+    _, out = FixMateInformation().run(
+        SIZING_HEADER, [SamRecord.from_line(line) for line in lines])
+    bloom = oracle.build_partial_position_bloom(records_by_pair(out))
+    assert build_partial_position_bloom(records_by_pair(out)).to_bytes() == \
+        bloom.to_bytes()
+    return [oracle.sam_to_line(r) for r in out], bloom.to_bytes()
+
+
+def round2_reduce_by_fields(lines):
+    fixed = fix_mate_fields(lines)
+    bloom = build_partial_position_bloom(
+        records_by_pair(fixed, name=lambda fields: fields[0]),
+        fragment=fields_fragment)
+    return [join_fields(fields) for fields in fixed], bloom.to_bytes()
+
+
+def round3_keys_by_records(lines, mode, bloom):
+    records = [SamRecord.from_line(line) for line in lines]
+    line_of = {id(record): line for record, line in zip(records, lines)}
+    keying, past = MarkDupKeying(mode, bloom), MarkDupKeying(mode, bloom)
+    emissions = []
+    for end1, end2 in records_by_pair(records):
+        emitted = keying.keys_for_pair(end1, end2)
+        assert repr(emitted) == repr(
+            oracle.markdup_keys_for_pair(past, end1, end2))
+        emissions += [(key, (tag, *[line_of[id(end)] for end in ends]))
+                      for key, (tag, *ends) in emitted]
+    return repr(emissions)
+
+
+def round3_keys_by_fields(lines, mode, bloom):
+    keying = MarkDupKeying(mode, bloom)
+    ends = [(split_line(line), line) for line in lines]
+    # ``repr``: a key's strand must stay a bool, and True == 1.
+    return repr([emission for end1, end2 in records_by_pair(
+        ends, name=lambda end: end[0][0]) for emission in keying.keys_for_lines(end1, end2)])
+
+
+def assert_field_kernels_agree(lines):
+    """Each field kernel, and each error it raises, is what the record
+    program it replaced makes of ``lines``."""
+    assert outcome(lambda: round2_map_by_fields(lines)) == outcome(
+        lambda: round2_map_by_records(lines))
+    assert outcome(lambda: round2_reduce_by_fields(lines)) == outcome(
+        lambda: round2_reduce_by_records(lines))
+    bloom = outcome(lambda: oracle.build_partial_position_bloom(
+        records_by_pair(map(SamRecord.from_line, lines))))
+    for mode, bloom in (("reg", None), ("opt", bloom)):
+        if isinstance(bloom, tuple):  # the lines do not pair or parse
+            bloom = BloomFilter()
+        assert outcome(lambda: round3_keys_by_fields(lines, mode, bloom)) == \
+            outcome(lambda: round3_keys_by_records(lines, mode, bloom))
+
+
+class TestFieldKernelsAgainstRecordPrograms:
+    """Rounds 2 and 3 split SAM lines instead of building records: the
+    AddOrReplaceReadGroups + CleanSam kernel, FixMateInformation over
+    fields with the ``.bloom`` built from them, and round 3's keys from
+    fields equal what the record programs render, on canonical lines and
+    on lines a record would rewrite, and raise what ``from_line``
+    raises on malformed ones."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_name_grouped_partitions(self, seed):
+        assert_field_kernels_agree(name_grouped_lines(random.Random(4100 + seed)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(sam_records, sam_records), max_size=8),
+           st.booleans(), st.integers(0, 2 ** 32))
+    def test_hypothesis_pairs(self, pairs, paired, seed):
+        rng, lines = random.Random(seed), []
+        for index, ends in enumerate(pairs):
+            for end in ends:
+                end.qname = f"q{index}"
+                if paired:
+                    end.flags = end.flags.with_bit(F.PAIRED)
+                lines.append(noncanonical(rng, end.to_line()))
+        assert_field_kernels_agree(lines)
+
+    def test_the_partitions_hold_what_the_kernels_must_get_right(self):
+        """Across the seeds: overhangs dropped, unmapped reads' MAPQ and
+        CIGAR cleared, MAPQ 255 reset, lines a record rewrites, mates'
+        fields rewritten both ways, partial matchings in the bloom, and
+        every key kind with shadows."""
+        seen = dict.fromkeys(("dropped", "rewritten", "MC", "bloom", "P", "F",
+                              "U", "shadow"), 0)
+        for seed in range(8):
+            lines = name_grouped_lines(random.Random(4100 + seed))
+            out, _, _ = round2_map_by_fields(lines)
+            seen["dropped"] += len(lines) - len(out)
+            seen["rewritten"] += sum(
+                SamRecord.from_line(line).to_line() != line for line in lines)
+            fixed, bloom = round2_reduce_by_fields(lines)
+            seen["MC"] += sum("\tMC:Z:" in line for line in fixed)
+            seen["bloom"] += bloom != BloomFilter().to_bytes()
+            keys = round3_keys_by_fields(lines, "reg", None)
+            for kind in "PFU":
+                seen[kind] += keys.count(f"(('{kind}', ")
+            seen["shadow"] += keys.count("('shadow', ")
+        assert min(seen.values()) > 5, seen
+
+    def test_malformed_lines_raise_what_from_line_raises(self):
+        rng = random.Random(78)
+        hostile = ["", "*", "x", "-", "10M5", "0M", "3Q", "٣", "1 ", "a:b"]
+        for _ in range(12):
+            good = name_grouped_lines(rng, 1)
+            fields = good[0].split("\t")
+            for index in range(len(fields)):
+                for text in hostile:
+                    bad = "\t".join(fields[:index] + [text] + fields[index + 1:])
+                    assert_field_kernels_agree([bad, good[1]])
+            assert_field_kernels_agree(["\t".join(fields[:rng.randint(0, 10)]),
+                                        good[1]])
+
+    def test_a_mate_missing_is_the_programs_error(self):
+        lines = name_grouped_lines(random.Random(5), 3)
+        assert_field_kernels_agree(lines[:-1])
+
+
+markdup_fragments = st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    | st.sampled_from(["chr1", "chrä", "染色体1", "𝔸"]),
+    st.integers(-10 ** 12, 10 ** 12), st.booleans())
+markdup_keys = st.one_of(
+    st.tuples(st.just("P"), st.tuples(markdup_fragments, markdup_fragments)),
+    st.tuples(st.just("F"), markdup_fragments),
+    # Shapes the flat step must hand to ``stable_hash_partition``.
+    st.tuples(st.just("U"), st.text(max_size=6)),
+    st.tuples(st.sampled_from(["F", "P"]), st.tuples(
+        st.text(max_size=3), st.booleans(), st.booleans())),
+    st.tuples(st.just("P"), st.tuples(markdup_fragments)),
+    st.tuples(st.just("P"), st.tuples(markdup_fragments, st.text(max_size=3))),
+    st.tuples(st.just("F"), st.tuples(st.text(max_size=3), st.integers())),
+    st.tuples(st.just("F"), st.tuples(st.text(max_size=3), st.integers(),
+                                      st.integers(0, 1))),
+    st.just(("F",)), st.just("P"), st.integers(), st.none(),
+)
+
+
+class TestFlatMarkDupPartition:
+    """Round 3's partitioner places every key where the default
+    ``stable_hash_partition`` does: the canonical bytes of P and F keys
+    built flat, anything else handed over."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(markdup_keys, st.integers(1, 97))
+    def test_same_partition_as_the_canonical_hash(self, key, partitions):
+        assert outcome(lambda: markdup_partition(key, partitions)) == outcome(
+            lambda: stable_hash_partition(key, partitions))
+
+    def test_every_key_of_a_seeded_partition(self):
+        lines = name_grouped_lines(random.Random(9), 200)
+        keying = MarkDupKeying("reg")
+        records = [SamRecord.from_line(line) for line in lines]
+        keys = [key for end1, end2 in records_by_pair(records)
+                for key, _ in keying.keys_for_pair(end1, end2)]
+        assert {key[0] for key in keys} == {"P", "F", "U"}
+        assert any(key[1][1] < 0 for key in keys if key[0] == "F")
+        for key in keys:
+            assert markdup_partition(key, 2 ** 32) == zlib.crc32(
+                canonical_key_bytes(key))
+            for partitions in (1, 3, 4, 7):
+                assert markdup_partition(key, partitions) == \
+                    stable_hash_partition(key, partitions)
 
 
 class TestQuickstartAccountingPins:

@@ -614,12 +614,14 @@ class TestRound3MovesLines:
     def test_round3_reduce_tasks_build_no_record(
         self, rounds_env, reference, policy, monkeypatch, tmp_path
     ):
-        """Every record a reduce task builds (decoding its shuffle
-        segments, reducing, writing) is counted through the record's two
-        constructors, ``SamRecord.__init__`` and ``_record_from_fields``
-        (``from_line``, ``copy`` and unpickling), and appended to a file,
-        which forked pool workers share: round 3's reducers build none,
-        round 2's build their partition's records."""
+        """Every record a map or reduce task builds (decoding its input
+        or shuffle segments, running its kernels, writing) is counted
+        through the record's two constructors, ``SamRecord.__init__``
+        and ``_record_from_fields`` (``from_line``, ``copy`` and
+        unpickling), and appended to a file, which forked pool workers
+        share: rounds 2 and 3 move SAM lines and build none in any task;
+        round 5, which still decodes records, builds one per read of
+        round 4's output (the control that the count counts)."""
         built, log = [0], tmp_path / "built.txt"
 
         def counting(build):
@@ -629,30 +631,42 @@ class TestRound3MovesLines:
                 return build(*args, **kwargs)
             return counted
 
-        run_reduce = task_module._TASKS["reduce"]
-
-        def counted(context, call):
-            before = built[0]
-            outcome = run_reduce(context, call)
-            with open(log, "a") as handle:
-                handle.write(f"{call.task_id} {built[0] - before}\n")
-            return outcome
+        def logging(run_task):
+            def counted(context, call):
+                before = built[0]
+                outcome = run_task(context, call)
+                with open(log, "a") as handle:
+                    handle.write(f"{call.task_id} {built[0] - before}\n")
+                return outcome
+            return counted
 
         monkeypatch.setattr(SamRecord, "__init__", counting(SamRecord.__init__))
         monkeypatch.setattr(sam_module, "_record_from_fields",
                             counting(sam_module._record_from_fields))
-        monkeypatch.setitem(task_module._TASKS, "reduce", counted)
+        for kind in ("map", "reduce"):
+            monkeypatch.setitem(task_module._TASKS, kind,
+                                logging(task_module._TASKS[kind]))
         _, source, round1_paths = rounds_env
         rounds, hdfs, paths = run_cleaning_rounds(
             reference, [(path, source.get(path)) for path in round1_paths],
             policy,
         )
+        round5 = GesallRounds(hdfs, None, None, reference, policy=policy)
+        try:
+            round5.round5_haplotype_caller(paths["round4"])
+        finally:
+            round5.close()
         counts = dict(line.split() for line in log.read_text().splitlines())
-        by_round = {key: [int(n) for task, n in counts.items()
-                          if task.startswith(f"{key}-")]
-                    for key in ROUND_PATHS}
-        assert by_round["round3"] == [0, 0, 0]
-        assert sum(by_round["round2"]) >= ROUND_COUNTERS["round2"][0]
+        by_task = {(key, kind): [int(n) for task, n in counts.items()
+                                 if task.startswith(f"{key}-")
+                                 and f"-{kind}-" in task]
+                   for key in ("round2", "round3", "round5")
+                   for kind in ("m", "r")}
+        assert by_task[("round2", "m")] == [0] * len(round1_paths)
+        assert by_task[("round3", "m")] == [0, 0, 0]
+        assert by_task[("round2", "r")] == by_task[("round3", "r")] == [0, 0, 0]
+        assert len(by_task[("round5", "m")]) == 2
+        assert sum(by_task[("round5", "m")]) >= ROUND_COUNTERS["round4"][0]
         pins.check("round_file_sha1", {
             path: hashlib.sha1(hdfs.get(path)).hexdigest()
             for key in ROUND_PATHS for path in hdfs.list_dir(f"/{key}")
