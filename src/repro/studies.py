@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 from repro.align import AlignerConfig, PairedEndAligner, ReferenceIndex
-from repro.api import JobSpec, PipelineSpec, make_block_splits, run_job
+from repro.api import JobSpec, PipelineSpec
 from repro.cluster.costs import CostModel
 from repro.diagnostics import (
     ErrorDiagnosisToolkit, attribute_regions, discordance_coverage, edge_enrichment,
@@ -46,7 +46,7 @@ from repro.obs import ObsConfig, TraceRecorder
 from repro.obs.figures import column, figure, ordered, table
 from repro.pipeline import GesallPipeline, SerialPipeline
 from repro.server import JobServer, ServerConfig, TenantPolicy
-from repro.server.protocol import wordcount_map, wordcount_payload, wordcount_reduce
+from repro.server.protocol import build_runnable, wordcount_payload
 from repro.shuffle import CODEC_NAMES, ShuffleConfig
 from repro.variants import HaplotypeCallerConfig, MutectLite
 
@@ -459,16 +459,14 @@ _LINES = [" ".join(f"w{(i + j) % 19:02d}" for j in range(24)) for i in range(300
 
 
 def _loop_once(jobs, partitions, reducers):
-    """The jobs as a sequential ``run_job`` loop: no queue, no journal."""
-    start, outputs = time.perf_counter(), []
-    for index in range(jobs):
-        spec = JobSpec(name=f"loop-{index}", mapper=wordcount_map,
-                       reducer=wordcount_reduce, num_reducers=reducers,
-                       policy=ExecutionPolicy.serial())
-        splits = make_block_splits([_LINES[i::partitions] for i in range(partitions)],
-                                   prefix=f"loop-{index}")
-        outputs.append(sorted(run_job(spec, splits).all_outputs()))
-    return time.perf_counter() - start, outputs
+    """The server's own job bodies, called in a loop: no queue, no journal."""
+    with tempfile.TemporaryDirectory() as root:
+        start, outputs = time.perf_counter(), []
+        for index in range(jobs):
+            payload = wordcount_payload(_LINES, partitions=partitions,
+                                        reducers=reducers)
+            outputs.append(build_runnable(f"job-{index:03d}", payload, root)())
+        return time.perf_counter() - start, outputs
 
 
 def _server_once(jobs, partitions, reducers):

@@ -18,8 +18,11 @@ import tempfile
 import threading
 import time
 import zlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.plan import FaultPlan, KillServer, parse_event
 from repro.errors import (
@@ -39,7 +42,11 @@ from repro.server import (
     ServerConfig,
     TenantPolicy,
 )
-from repro.server.protocol import wordcount_payload
+from repro.server.protocol import (
+    build_runnable,
+    wordcount_payload,
+    wordcount_reduce,
+)
 from repro.server.queue import QueuedJob
 
 needs_af_unix = pytest.mark.skipif(
@@ -966,6 +973,92 @@ class TestConcurrentEngines:
             thread.join(timeout=30)
         assert not errors
         assert outputs == baselines
+
+
+def per_occurrence_map(records, ctx):
+    """The textbook mapper: one ``(word, 1)`` per occurrence."""
+    for line in records:
+        for word in line.split():
+            ctx.emit(word, 1)
+
+
+_WORDS = st.sampled_from(["the", "dog", "a", "x1", "Straße", "naïve", "日本語"])
+_SEPARATORS = st.sampled_from(["", " ", "\t", "  ", " \t "])
+
+
+@st.composite
+def wordcount_lines(draw):
+    """Lines of repeated words: leading, trailing and doubled blanks and
+    tabs, empty and whitespace-only lines (a word with no separator
+    after it runs into the next one)."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        words = draw(st.lists(_WORDS, max_size=8))
+        blanks = draw(st.lists(_SEPARATORS, min_size=len(words) + 1,
+                               max_size=len(words) + 1))
+        lines.append(blanks[0] + "".join(
+            word + blank for word, blank in zip(words, blanks[1:])
+        ))
+    return lines
+
+
+class TestBuiltinWordcount:
+    """The builtin job counts in its mapper: same result as counting
+    every occurrence, one shuffled record per distinct word of a split."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=wordcount_lines(), partitions=st.integers(1, 4),
+           reducers=st.integers(1, 4))
+    def test_result_equals_counter_and_per_occurrence_job(
+            self, lines, partitions, reducers):
+        from repro.api import JobSpec, make_block_splits, run_job
+        from repro.mapreduce.policy import ExecutionPolicy
+
+        result = build_runnable("wc", wordcount_payload(
+            lines, partitions=partitions, reducers=reducers,
+        ), tempfile.gettempdir())()
+        words = [word for line in lines for word in line.split()]
+        assert result == sorted(Counter(words).items())
+        spec = JobSpec(
+            name="occurrences", mapper=per_occurrence_map,
+            reducer=wordcount_reduce, num_reducers=reducers,
+            policy=ExecutionPolicy.serial(),
+        )
+        splits = make_block_splits(
+            [lines[i::partitions] for i in range(partitions)],
+            prefix="occurrences",
+        )
+        assert result == sorted(run_job(spec, splits).all_outputs())
+
+    def test_map_output_records_are_distinct_words_per_split(
+            self, tmp_path, monkeypatch):
+        import repro.api
+
+        run_job, results = repro.api.run_job, []
+
+        def recording_run_job(spec, splits, **kwargs):
+            results.append(run_job(spec, splits, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repro.api, "run_job", recording_run_job)
+        lines = LINES * 4 + ["the the the", "dog\tdog", "", "  "]
+        served = build_runnable("wc", wordcount_payload(
+            lines, partitions=3, reducers=2,
+        ), str(tmp_path))()
+        assert dict(served)["the"] == 4 * 3 + 3
+
+        (result,) = results
+        chunk = -(-len(lines) // 3)
+        splits = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
+        distinct = [len({word for line in split for word in line.split()})
+                    for split in splits]
+        assert [(task.input_records, task.output_records)
+                for task in result.history.maps()] == [
+            (len(split), count) for split, count in zip(splits, distinct)
+        ]
+        assert result.counters["MAP_OUTPUT_RECORDS"] == sum(distinct)
+        assert result.counters["SHUFFLED_RECORDS"] == sum(distinct)
+        assert sum(distinct) < sum(len(line.split()) for line in lines)
 
 
 class TestTenantObservability:
