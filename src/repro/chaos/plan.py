@@ -20,9 +20,9 @@ under the serial and forked engines.  A plan is the one
 way to make an attempt fail on purpose; its failures are absorbed by
 the engine's ordinary retry loop.
 
-Injected delays are *charged* to the attempt (added to its measured
-runtime before the ``task_timeout`` check), never slept, so timeout
-drills are deterministic and need no real-time waits.
+Injected delays are *charged* to the attempt (added to the measured
+runtime the driver holds against ``lease_seconds``), never slept, so
+hung-task drills are deterministic and need no real-time waits.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ class CorruptSegment:
 class DelayTask:
     """Charge SECONDS of extra runtime to one attempt of TASK.
 
-    With a ``task_timeout`` below ``seconds`` the attempt is declared
-    hung and retried; the delay is charged deterministically, never
-    slept, so the timeout trips under every executor.
+    With a ``lease_seconds`` below ``seconds`` the attempt's lease is
+    lost: the driver fences it and a backup on another node commits.
+    The delay is charged deterministically, never slept, so the lease
+    trips under every executor.
     """
 
     task_id: str
@@ -150,7 +151,7 @@ class ZombieAttempt:
     Models the classic zombie worker: the task finishes and tries to
     commit, but the driver stopped hearing from it and already launched
     a fenced backup.  The attempt's outcome is marked, the driver's
-    ``LeaseMonitor`` declares it lost, and its late commit must be
+    ``lease_lost`` declares it lost, and its late commit must be
     refused by the stale fencing token (counted in ``commit.fenced``).
     Only addresses the primary lineage (epoch 0) — a backup attempt is
     a fresh worker the plan does not target.
@@ -503,8 +504,9 @@ class FaultPlan:
 
         The victim datanode is drawn deterministically from ``seed``,
         so two runs with the same seed (in any process, under any
-        executor) kill the same node during ``kill_round`` and time out
-        the same ``delay_task`` attempt.
+        executor) kill the same node during ``kill_round`` and expire
+        the lease of the same ``delay_task`` attempt (given a
+        ``lease_seconds`` below ``delay_seconds``).
         """
         if not nodes:
             raise MapReduceError("FaultPlan.demo needs at least one node")

@@ -208,9 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault plan seed (picks the demo victim node)")
     chaos.add_argument("--task-timeout", type=float, default=30.0,
-                       help="hung-task timeout in charged seconds (the "
-                            "demo plan's 60s delay trips it; real tasks "
-                            "on laptop-scale samples never do)")
+                       help="hung-task lease in charged seconds: a longer "
+                            "attempt is fenced and backed up on another "
+                            "node (the demo plan's 60s delay trips it; "
+                            "real tasks on laptop-scale samples never do)")
     for event in _CHAOS_FLAG_EVENTS:
         chaos.add_argument(f"--{event.flag}", action="append", default=[],
                            metavar=event.grammar,
@@ -477,7 +478,7 @@ def _cmd_chaos(args) -> int:
     faults — the equivalence baseline), and the chaos run under the
     fault plan.  Exit code 0 only when the chaos run's variants are
     identical to the clean parallel run's: every injected failure was
-    absorbed by replication, retries and timeouts without changing a
+    absorbed by replication, retries and fenced backups without changing a
     single call.  When the plan kills the driver, the chaos run is the
     resumed one, and the killed driver's events, per-round tasks and
     fault counters are reported in a section of their own.
@@ -501,7 +502,7 @@ def _cmd_chaos(args) -> int:
     chaos_policy = dataclasses.replace(
         base_spec.policy,
         task_retries=max(2, args.task_retries),
-        task_timeout=args.task_timeout,
+        lease_seconds=args.task_timeout,
         fault_plan=plan,
     )
 

@@ -51,14 +51,6 @@ class MapReduceError(ReproError):
     """The MapReduce engine was misconfigured or a task failed."""
 
 
-class TaskTimeoutError(MapReduceError):
-    """A task attempt exceeded the policy's ``task_timeout``.
-
-    The attempt is treated as hung: its outcome is discarded and the
-    task is retried (on a different node when one is available).
-    """
-
-
 class CommitError(MapReduceError):
     """The exactly-once commit protocol was violated or misused.
 

@@ -3,7 +3,7 @@
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.counters import Counters
 from repro.mapreduce import counters
-from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
+from repro.mapreduce.commit import OutputCommitter, RoundJournal
 from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.executors import (
     JobContext,
@@ -14,7 +14,6 @@ from repro.mapreduce.executors import (
     build_executor,
     fork_available,
 )
-from repro.errors import TaskTimeoutError
 from repro.mapreduce.history import JobHistory, TaskAttempt
 from repro.mapreduce.policy import (
     EXECUTOR_KINDS,
@@ -33,7 +32,6 @@ __all__ = [
     "RecordBlock",
     "Counters",
     "counters",
-    "LeaseMonitor",
     "OutputCommitter",
     "RoundJournal",
     "JobResult",
@@ -41,7 +39,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "ExecutionPolicy",
     "InjectedTaskFault",
-    "TaskTimeoutError",
     "TaskExecutor",
     "SerialExecutor",
     "PooledProcessExecutor",

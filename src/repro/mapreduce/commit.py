@@ -20,14 +20,13 @@ guarantees it:
   half-applied output (the failure mode the old ``_absorb_effects``
   path could not exclude).
 
-Liveness is lease-based: attempts stamp progress heartbeats through
-the task context, and the driver-side :class:`LeaseMonitor` — with an
-injectable clock, in the same charged-time style as ``task_timeout`` —
-declares an attempt lost when its longest heartbeat silence exceeds
-the policy's ``lease_seconds`` (or when a chaos ``ZombieAttempt``
-marked it).  The engine then launches a fenced backup attempt and
-charges the lost attempt's node a failure, feeding the same per-node
-blacklist as crashed attempts.
+Liveness is lease-based, Hadoop's one hung-task rule
+(``mapreduce.task.timeout``): :func:`lease_lost` declares an attempt
+lost when its *charged* runtime (measured wall time plus chaos-injected
+delays, never slept) exceeds the policy's ``lease_seconds``, or when a
+chaos ``ZombieAttempt`` marked it.  The engine then launches a fenced
+backup attempt and charges the lost attempt's node a failure, feeding
+the same per-node blacklist as crashed attempts.
 
 :class:`RoundJournal` binds one engine run to the pipeline's job WAL
 (:mod:`repro.pipeline.wal`): every promotion is journaled, and a
@@ -37,47 +36,26 @@ instead of re-executing their tasks.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import CommitError, DriverKilledError, MapReduceError
 from repro.mapreduce import counters as C
 from repro.obs.recorder import NULL_RECORDER
 
 
-class LeaseMonitor:
-    """Driver-side liveness: declares attempts lost from their telemetry.
+def lease_lost(policy: Any, outcome: Any) -> Optional[str]:
+    """Why this attempt's lease is lost, or ``None`` if it held.
 
-    The verdict reads only the outcome the executor shipped back —
-    heartbeat offsets and the attempt's *charged* runtime (measured
-    wall time plus injected delays, exactly like the ``task_timeout``
-    check) — so it is identical under the serial and forked engines.
-    ``clock`` timestamps lease-expiry events and is
-    injectable for deterministic tests.
+    Reads only what the executor shipped back — the zombie mark and
+    the charged runtime — so the verdict is identical under the serial
+    and forked engines.  A runtime equal to the lease holds.
     """
-
-    def __init__(
-        self, policy: Any, clock: Callable[[], float] = time.monotonic
-    ):
-        self.policy = policy
-        self.clock = clock
-
-    def verdict(self, outcome: Any) -> Optional[str]:
-        """Why this attempt's lease is lost, or ``None`` if it held."""
-        if getattr(outcome, "zombie", False):
-            return "zombie"
-        lease = self.policy.lease_seconds
-        if lease is not None and self.max_silence(outcome) > lease:
-            return "heartbeat_gap"
-        return None
-
-    @staticmethod
-    def max_silence(outcome: Any) -> float:
-        """Longest heartbeat gap over the attempt's charged runtime."""
-        total = outcome.lease_charged
-        stamps = sorted(s for s in outcome.heartbeats if 0.0 <= s <= total)
-        points = [0.0] + stamps + [total]
-        return max(b - a for a, b in zip(points, points[1:]))
+    if outcome.zombie:
+        return "zombie"
+    lease = policy.lease_seconds
+    if lease is not None and outcome.lease_charged > lease:
+        return "timeout"
+    return None
 
 
 class OutputCommitter:

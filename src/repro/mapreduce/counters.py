@@ -29,7 +29,6 @@ REDUCE_OUTPUT_RECORDS = "REDUCE_OUTPUT_RECORDS"
 MAP_TASK_ATTEMPTS = "MAP_TASK_ATTEMPTS"
 REDUCE_TASK_ATTEMPTS = "REDUCE_TASK_ATTEMPTS"
 INJECTED_FAULTS = "INJECTED_FAULTS"
-TASK_TIMEOUTS = "TASK_TIMEOUTS"
 INJECTED_DELAYS = "INJECTED_DELAYS"
 
 # Commit-protocol counters (exactly-once task commits).  TASK_COMMITS

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import DriverKilledError, MapReduceError
 from repro.mapreduce import counters as C
-from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
+from repro.mapreduce.commit import OutputCommitter, RoundJournal, lease_lost
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.executors import (
     JobContext,
@@ -118,7 +118,6 @@ _SHUFFLE_MAP_VOLUMES = ((C.SPILLED_RECORDS, "output_records"),)
 #: names), whichever wave the task belongs to.
 _WAVE_INCIDENTS = (
     (C.INJECTED_FAULTS, "injected_faults"),
-    (C.TASK_TIMEOUTS, "timeouts"),
     (C.INJECTED_DELAYS, "injected_delays"),
     (C.SHUFFLE_CRC_FAILURES, "crc_failures"),
     (C.SHUFFLE_FETCH_RETRIES, "fetch_retries"),
@@ -130,7 +129,6 @@ _WAVE_INCIDENTS = (
 #: derives the metric when the run ends, so each count has a single
 #: definition.  A counter that is absent from a result publishes nothing.
 METRIC_OF_COUNTER = {
-    C.TASK_TIMEOUTS: "engine.task_timeouts",
     C.INJECTED_DELAYS: "chaos.delays_injected",
     C.SHUFFLE_SEGMENTS: "shuffle.segments",
     C.SHUFFLED_BYTES: "shuffle.bytes_shuffled",
@@ -174,11 +172,6 @@ class MapReduceEngine:
         :class:`~repro.obs.recorder.TraceRecorder` receiving job, wave
         and per-task phase spans.  Defaults to the shared null recorder
         (tracing off, no allocations on the task hot path).
-    lease_monitor:
-        :class:`~repro.mapreduce.commit.LeaseMonitor` deciding when a
-        task attempt's liveness lease is lost.  Defaults to a monitor
-        over this engine's policy with the real monotonic clock; tests
-        inject one with a fake clock.
     """
 
     def __init__(
@@ -188,14 +181,12 @@ class MapReduceEngine:
         policy: Optional[ExecutionPolicy] = None,
         filesystem: Optional[Any] = None,
         recorder: Optional[Any] = None,
-        lease_monitor: Optional[LeaseMonitor] = None,
         io: Optional[Any] = None,
     ):
         self.nodes = list(nodes) if nodes else ["localhost"]
         self.policy = policy or ExecutionPolicy()
         self.filesystem = filesystem
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.lease = lease_monitor or LeaseMonitor(self.policy)
         #: Failed task attempts per node, accumulated across jobs (the
         #: engine outlives a single round in the Gesall pipeline).
         self._node_failures: Dict[str, int] = {}
@@ -729,12 +720,13 @@ class MapReduceEngine:
                 )
             else:
                 committer.stage(task_id, 0, outcome)
-                verdict = self.lease.verdict(outcome)
-                if verdict is None:
+                reason = lease_lost(self.policy, outcome)
+                if reason is None:
                     committer.promote(task_id, 0, outcome)
                 else:
+                    self._expire_lease(result, task_id, outcome, reason)
                     self._run_backup(
-                        call, outcome, result, executor, committer, verdict,
+                        call, outcome, result, executor, committer,
                     )
             if plan is not None and plan.duplicate_commit_for(task_id):
                 # A duplicated commit RPC: the winning attempt presents
@@ -781,9 +773,25 @@ class MapReduceEngine:
         zombie.attempts = 1
         zombie.failures = [(node, "WorkerCrashed")]
         self._run_backup(
-            call, zombie, result, executor, committer, "worker_crashed",
-            crashed=True,
+            call, zombie, result, executor, committer, crashed=True,
         )
+
+    def _expire_lease(
+        self, result: JobResult, task_id: str, lost: TaskOutcome,
+        reason: str,
+    ) -> None:
+        """Count, record and charge one lineage whose lease was lost.
+
+        A lost lease charges its node like a crash, so repeat offenders
+        cross the same blacklist threshold; the ``LeaseExpired`` entry
+        tells the wave bookkeeping it is already charged.
+        """
+        result.counters.inc(C.LEASE_EXPIRATIONS)
+        result.history.add_event(
+            "lease_expired", task=task_id, node=lost.node, reason=reason,
+        )
+        lost.failures = list(lost.failures) + [(lost.node, "LeaseExpired")]
+        self._charge_node_failure(result, lost.node, "LeaseExpired")
 
     def _run_backup(
         self,
@@ -792,7 +800,6 @@ class MapReduceEngine:
         result: JobResult,
         executor: TaskExecutor,
         committer: OutputCommitter,
-        reason: str,
         crashed: bool = False,
     ) -> None:
         """Re-execute a lost task under a fresh fencing token.
@@ -800,28 +807,17 @@ class MapReduceEngine:
         Up to ``policy.backup_attempts`` fenced re-executions; the
         first whose lease holds commits, after which the original
         zombie's late commit is presented and refused (a crashed worker
-        presents nothing — it is dead).  Each backup epoch re-resolves
-        its placement candidates against the *current* blacklist (the
-        wave's own lists predate any mid-job blacklisting), so a
-        twice-preempted node is never chosen again once it crosses
-        ``blacklist_after``.  The abandoned lineage's telemetry is
+        presents nothing — it is dead).  A backup that loses its lease
+        goes through :meth:`_expire_lease`, as the primary did before
+        this call.  Each backup epoch re-resolves its placement
+        candidates against the *current* blacklist (the wave's own
+        lists predate any mid-job blacklisting), so a twice-preempted
+        node is never chosen again once it crosses ``blacklist_after``.  The abandoned lineage's telemetry is
         folded into the winning outcome so wave bookkeeping (attempt
         counters, node blacklist) still sees every attempt that
         actually ran.
         """
         task_id = call.task_id
-        if not crashed:
-            result.counters.inc(C.LEASE_EXPIRATIONS)
-            result.history.add_event(
-                "lease_expired", task=task_id, node=zombie.node,
-                reason=reason, at=round(self.lease.clock(), 6),
-            )
-            # A lost lease charges the node like a crash, so repeat
-            # offenders cross the same blacklist threshold.
-            zombie.failures = list(zombie.failures) + [
-                (zombie.node, "LeaseExpired")
-            ]
-            self._charge_node_failure(result, zombie.node, "LeaseExpired")
         predecessor = zombie
         for _ in range(self.policy.backup_attempts):
             epoch = committer.fence(task_id)
@@ -855,14 +851,14 @@ class MapReduceEngine:
             # the wave bookkeeping counts every attempt exactly once.
             backup.attempts += predecessor.attempts
             backup.injected_faults += predecessor.injected_faults
-            backup.timeouts += predecessor.timeouts
             backup.injected_delays += predecessor.injected_delays
             backup.backoff_seconds += predecessor.backoff_seconds
             backup.failures = list(predecessor.failures) + list(
                 backup.failures
             )
             committer.stage(task_id, epoch, backup)
-            if self.lease.verdict(backup) is None:
+            reason = lease_lost(self.policy, backup)
+            if reason is None:
                 committer.promote(task_id, epoch, backup)
                 if not crashed:
                     # The zombie finishes late and presents its stale
@@ -870,6 +866,7 @@ class MapReduceEngine:
                     # applied).
                     committer.promote(task_id, 0, zombie)
                 return
+            self._expire_lease(result, task_id, backup, reason)
             predecessor = backup
         if crashed:
             raise MapReduceError(

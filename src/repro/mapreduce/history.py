@@ -25,8 +25,6 @@ class TaskAttempt:
         self.attempts = 1
         #: Injected faults absorbed by retries before the task succeeded.
         self.injected_faults = 0
-        #: Attempts discarded because they exceeded the task timeout.
-        self.timeouts = 0
         #: True for a fenced backup attempt launched after a lost lease.
         self.backup = False
         #: Measured seconds spent waiting for a worker slot (traced runs).
@@ -111,7 +109,6 @@ class JobHistory:
             "total_attempts": self.total_attempts(),
             "retried_tasks": len(self.retried_tasks()),
             "injected_faults": sum(t.injected_faults for t in primaries),
-            "timeouts": sum(t.timeouts for t in primaries),
             "events": len(self.events),
             "backups": len(self.backup_tasks()),
             "fenced_commits": len(self.events_of("commit_fenced")),

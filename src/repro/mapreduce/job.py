@@ -81,10 +81,6 @@ class TaskContext:
         self.traced = traced
         #: Buffered spans, stitched into the driver recorder on success.
         self.spans: List[Span] = []
-        #: Progress heartbeat stamps (raw perf_counter readings); the
-        #: engine converts them to attempt-relative offsets and the
-        #: driver's LeaseMonitor reads the gaps between them.
-        self.heartbeats: List[float] = []
         #: Spans open around the current one; untraced, no span opens.
         self._open: Optional[List[ActiveSpan]] = [] if traced else None
 
@@ -131,16 +127,6 @@ class TaskContext:
 
     def _append(self, span: Span) -> None:
         self.spans.append(span)
-
-    def heartbeat(self) -> None:
-        """Stamp a progress heartbeat on the side-effect channel.
-
-        Long-running task bodies call this between units of work; the
-        driver's :class:`~repro.mapreduce.commit.LeaseMonitor` measures
-        the gaps and declares the attempt lost when a silence exceeds
-        the policy's ``lease_seconds``.
-        """
-        self.heartbeats.append(time.perf_counter())
 
     def set_input_records(self, count: int) -> None:
         """Report how many records this task's split actually held."""

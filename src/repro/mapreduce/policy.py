@@ -19,18 +19,16 @@ constructing engines ad hoc:
   attempt (recorded, deterministic) rather than slept, so retry storms
   under preemption neither hot-loop in the accounting nor stall the
   wall clock.
-* ``task_timeout`` — hung-task detection: an attempt whose charged
-  runtime (measured wall time plus any chaos-injected delay) exceeds
-  the timeout is declared hung and retried, Hadoop's
-  ``mapreduce.task.timeout``.
 * ``blacklist_after`` — per-node failure-count blacklist: a node that
   accumulates this many task-attempt failures stops receiving new
   tasks (``yarn.nodemanager`` health blacklisting).
-* ``lease_seconds`` — liveness lease: an attempt whose longest
-  progress-heartbeat gap (charged the same way ``task_timeout``
-  charges injected delays) exceeds the lease is declared *lost* by the
-  driver's ``LeaseMonitor``; a fenced backup attempt commits in its
-  place and the lost attempt's late commit is refused.
+* ``lease_seconds`` — hung-task detection, Hadoop's
+  ``mapreduce.task.timeout``: an attempt whose charged runtime
+  (measured wall time plus any chaos-injected delay, never slept)
+  exceeds the lease is declared *lost* by the driver
+  (:func:`~repro.mapreduce.commit.lease_lost`); a fenced backup
+  attempt on another node commits in its place and the lost attempt's
+  late commit is refused.
 * ``backup_attempts`` — how many fenced backup attempts the driver
   launches for a task whose lease expired before giving up.
 * ``fault_plan`` — a frozen :class:`~repro.chaos.plan.FaultPlan` of
@@ -79,12 +77,6 @@ def default_workers() -> int:
     return min(32, cpus)
 
 
-def _positive_or_none(seconds: Optional[float]) -> bool:
-    """``None`` or a finite number of seconds above 0: a NaN or infinite
-    limit is never exceeded, so it would switch detection off."""
-    return seconds is None or (math.isfinite(seconds) and seconds > 0)
-
-
 class InjectedTaskFault(MapReduceError):
     """A configured, deterministic task failure (fault injection)."""
 
@@ -96,7 +88,6 @@ class ExecutionPolicy:
     executor: str = "serial"
     max_workers: Optional[int] = None
     task_retries: int = 0
-    task_timeout: Optional[float] = None
     blacklist_after: Optional[int] = None
     lease_seconds: Optional[float] = None
     backup_attempts: int = 1
@@ -113,17 +104,14 @@ class ExecutionPolicy:
             raise MapReduceError("max_workers must be >= 1")
         if self.task_retries < 0:
             raise MapReduceError("task_retries must be >= 0")
-        if not _positive_or_none(self.task_timeout):
-            raise MapReduceError(
-                f"task_timeout must be None or finite and > 0, "
-                f"got {self.task_timeout!r}"
-            )
         if self.blacklist_after is not None and self.blacklist_after < 1:
             raise MapReduceError("blacklist_after must be >= 1")
-        if not _positive_or_none(self.lease_seconds):
+        lease = self.lease_seconds
+        # A NaN or infinite lease is never exceeded: detection would be off.
+        if lease is not None and not (math.isfinite(lease) and lease > 0):
             raise MapReduceError(
                 f"lease_seconds must be None or finite and > 0, "
-                f"got {self.lease_seconds!r}"
+                f"got {lease!r}"
             )
         if self.backup_attempts < 1:
             raise MapReduceError("backup_attempts must be >= 1")

@@ -6,7 +6,7 @@ forked worker the executor picks runs ``call.run(context)`` against the
 job's :class:`~repro.mapreduce.executors.JobContext` and ships back a
 picklable :class:`TaskOutcome`.  Map and reduce share the descriptor,
 the attempt loop (:func:`run_attempts`: placement rotation, chaos-plan
-faults, hung-task detection, charged backoff) and the outcome; they
+faults, charged delays, charged backoff) and the outcome; they
 differ only in the task function the call's ``kind`` selects.
 
 Nothing here touches driver state: a task is a pure function of its
@@ -23,7 +23,7 @@ import time
 from itertools import groupby
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import MapReduceError, TaskTimeoutError
+from repro.errors import MapReduceError
 from repro.io.policy import charged_backoff
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.history import TaskAttempt
@@ -48,8 +48,8 @@ class TaskOutcome:
         "attempts", "injected_faults", "file_writes",
         "attachments", "spans", "started_at",
         "finished_at",
-        "worker", "node", "timeouts", "injected_delays", "failures",
-        "heartbeats", "lease_charged", "zombie", "backoff_seconds",
+        "worker", "node", "injected_delays", "failures",
+        "lease_charged", "zombie", "backoff_seconds",
     )
 
     def __init__(self):
@@ -79,8 +79,6 @@ class TaskOutcome:
         self.attachments: List[Tuple[str, Any]] = []
         #: Node that ran the successful attempt (retries may move).
         self.node = ""
-        #: Attempts discarded as hung by the policy's ``task_timeout``.
-        self.timeouts = 0
         #: Chaos-plan delay injections charged to this task's attempts.
         self.injected_delays = 0
         #: Retry backoff charged (never slept) between failed attempts
@@ -89,11 +87,8 @@ class TaskOutcome:
         #: ``(node, exception_name)`` per failed attempt, for the
         #: engine's per-node blacklist accounting.
         self.failures: List[Tuple[str, str]] = []
-        #: Progress-heartbeat offsets relative to the attempt's start,
-        #: read by the driver's LeaseMonitor.
-        self.heartbeats: List[float] = []
         #: Charged runtime the lease covers: measured wall time plus
-        #: injected delays, mirroring the ``task_timeout`` charge.
+        #: injected delays (charged, never slept).
         self.lease_charged = 0.0
         #: Chaos-marked zombie: the driver already considers this
         #: attempt's lease lost; its commit must be fenced.
@@ -123,7 +118,6 @@ def attempt_from_outcome(
     task.output_records = outcome.output_records
     task.attempts = outcome.attempts
     task.injected_faults = outcome.injected_faults
-    task.timeouts = outcome.timeouts
     task.spills = outcome.spills
     return task
 
@@ -227,10 +221,10 @@ def run_attempts(
     one exists.  The candidate list is fixed by the parent before
     submission, keeping placement deterministic across executors.
 
-    Hung-task detection charges any chaos-plan delay to the attempt's
-    measured runtime without sleeping through it, so a ``task_timeout``
-    trips — or doesn't — identically under the serial and forked
-    engines.
+    Any chaos-plan delay is charged to the attempt's measured runtime
+    (``lease_charged``) without sleeping through it, so the driver's
+    lease check trips — or doesn't — identically under the serial and
+    forked engines.
 
     Retry backoff is *charged, never slept*: each failed attempt adds
     ``charged_backoff`` (the capped exponential curve) to the
@@ -244,7 +238,6 @@ def run_attempts(
     task_id, candidates = call.task_id, call.candidates
     attempt = 0
     faults = 0
-    timeouts = 0
     delays = 0
     backoff = 0.0
     failures: List[Tuple[str, str]] = []
@@ -265,19 +258,8 @@ def run_attempts(
             charged = plan.delay_for(task_id, attempt) if plan else 0.0
             if charged > 0:
                 delays += 1
-            if (
-                policy.task_timeout is not None
-                and elapsed + charged > policy.task_timeout
-            ):
-                timeouts += 1
-                raise TaskTimeoutError(
-                    f"task {task_id} attempt {attempt} hung on {node}: "
-                    f"{elapsed + charged:.3f}s charged > "
-                    f"{policy.task_timeout}s timeout"
-                )
             outcome.attempts = attempt
             outcome.injected_faults = faults
-            outcome.timeouts = timeouts
             outcome.injected_delays = delays
             outcome.backoff_seconds = backoff
             outcome.node = node
@@ -295,14 +277,11 @@ def run_attempts(
             backoff += charged_backoff(attempt)
 
 
-def _seal(outcome: TaskOutcome, context: TaskContext, t_start: float) -> None:
+def _seal(outcome: TaskOutcome, context: TaskContext) -> None:
     """Move the context's buffered effects and telemetry into the outcome."""
     outcome.output_records = len(context.emitted)
     outcome.file_writes = context.files
     outcome.attachments = context.attachments
-    outcome.heartbeats = [
-        max(0.0, stamp - t_start) for stamp in context.heartbeats
-    ]
     outcome.spans = context.spans
 
 
@@ -320,9 +299,6 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
     split = context.splits[call.index]
 
     def body(node: str) -> TaskOutcome:
-        # Always read (traced or not): heartbeat stamps are converted
-        # to offsets from this origin for the lease monitor.
-        t_start = time.perf_counter()
         task = TaskContext(
             call.task_id, node, traced=traced, task_index=call.index
         )
@@ -364,7 +340,7 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
             outcome.segments = [seg.blob for seg in spilled.segments]
             outcome.partition_records = spilled.partition_records
             outcome.key_counts = spilled.key_counts
-        _seal(outcome, task, t_start)
+        _seal(outcome, task)
         return outcome
 
     return run_attempts(body, context.policy, call)
@@ -385,8 +361,6 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
     job, traced = context.job, context.trace
 
     def body(node: str) -> TaskOutcome:
-        # Always read: the heartbeat origin for the lease monitor.
-        t_start = time.perf_counter()
         task = TaskContext(
             call.task_id, node, traced=traced, task_index=call.index
         )
@@ -421,7 +395,7 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
                 job.reduce_output(pairs, task)
         outcome.input_records = len(fetched)
         outcome.emitted = task.emitted
-        _seal(outcome, task, t_start)
+        _seal(outcome, task)
         outcome.output_records = len(pairs)
         return outcome
 

@@ -278,7 +278,7 @@ def tasks_table(results: Mapping[str, Any]) -> Table:
     time went and ``chaos`` for how each round absorbed its faults."""
     return table_of(
         "Per-round tasks",
-        "round|maps:n|reduces:n|retried:n=retried_tasks|timeouts:n"
+        "round|maps:n|reduces:n|retried:n=retried_tasks"
         "|injected:n=injected_faults|backups:n|fenced:n=fenced_commits"
         "|queue:s=queued_seconds|run:s=run_seconds",
         ({"round": label, **job.history.summary()}

@@ -48,7 +48,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 8: the journaled outcome lost its resource-sample slot.
 #: 9: a journaled round-3 map outcome's segments hold SAM lines, not records.
 #: 10: so do a journaled round-2 map outcome's.
-WAL_VERSION = 10
+#: 11: the journaled outcome lost its hung-task count and progress-stamp slots.
+WAL_VERSION = 11
 
 _FRAME = struct.Struct(">II")
 

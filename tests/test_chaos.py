@@ -297,13 +297,13 @@ class TestEventTableConformance:
 class TestPolicyKnobs:
     def test_rejects_bad_timeout_and_blacklist(self):
         with pytest.raises(MapReduceError):
-            ExecutionPolicy(task_timeout=0)
+            ExecutionPolicy(lease_seconds=0)
         with pytest.raises(MapReduceError):
-            ExecutionPolicy(task_timeout=-1.0)
+            ExecutionPolicy(lease_seconds=-1.0)
         with pytest.raises(MapReduceError):
             ExecutionPolicy(blacklist_after=0)
 
-    @pytest.mark.parametrize("field", ["task_timeout", "lease_seconds"])
+    @pytest.mark.parametrize("field", ["lease_seconds"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")],
                              ids=["nan", "inf"])
     def test_a_non_finite_limit_is_refused(self, field, value):
@@ -332,14 +332,14 @@ class TestPolicyKnobs:
 
 class TestHungTasks:
     def test_hung_task_times_out_and_retries_on_another_node(self):
+        """A hung attempt loses its lease: the driver fences it and a
+        backup on the other node commits in its place."""
         from repro.obs.recorder import TraceRecorder
 
         plan = FaultPlan(events=(
             DelayTask("wc-m-00000", seconds=30.0, attempt=1),
         ))
-        policy = ExecutionPolicy(
-            task_retries=2, task_timeout=5.0, fault_plan=plan,
-        )
+        policy = ExecutionPolicy(lease_seconds=5.0, fault_plan=plan)
         recorder, started = TraceRecorder(), time.perf_counter()
         result = MapReduceEngine(
             nodes=["n1", "n2"], policy=policy, recorder=recorder
@@ -349,28 +349,17 @@ class TestHungTasks:
             wordcount_job(), make_splits(LINES)
         )
         assert result.all_outputs() == clean.all_outputs()
-        assert result.counters.get(C.TASK_TIMEOUTS) == 1
+        assert result.counters.get(C.LEASE_EXPIRATIONS) == 1
+        assert result.counters.get(C.BACKUP_ATTEMPTS) == 1
         assert result.counters.get(C.INJECTED_DELAYS) == 1
+        [expired] = result.history.events_of("lease_expired")
+        assert (expired["node"], expired["reason"]) == ("n1", "timeout")
         task = result.history.find("wc-m-00000")
         assert task.attempts == 2
-        assert task.timeouts == 1
         assert task.node == "n2"  # first attempt ran (and hung) on n1
+        assert result.history.find("wc-m-00000-backup-e1").node == "n2"
         counters = recorder.metrics.as_dict()["counters"]
         assert counters["chaos.delays_injected"] == 1
-
-    def test_timeout_exhausts_retries(self):
-        plan = FaultPlan(events=(
-            DelayTask("wc-m-00000", 30.0, attempt=1),
-            DelayTask("wc-m-00000", 30.0, attempt=2),
-        ))
-        policy = ExecutionPolicy(
-            task_retries=1, task_timeout=5.0,
-            fault_plan=plan,
-        )
-        with pytest.raises(MapReduceError, match="after 2 attempt"):
-            MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
-                wordcount_job(), make_splits(LINES)
-            )
 
     def test_injected_raise_is_absorbed_by_retry(self):
         plan = FaultPlan(events=(RaiseInTask("wc-m-00001", attempt=1),))
@@ -401,13 +390,13 @@ class TestHungTasks:
         )
         policy = ExecutionPolicy(
             executor=kind, max_workers=2, task_retries=3,
-            task_timeout=5.0, fault_plan=plan,
+            lease_seconds=5.0, fault_plan=plan,
         )
         result = MapReduceEngine(nodes=["n1", "n2"], policy=policy).run(
             wordcount_job(), make_splits(LINES)
         )
         assert result.all_outputs() == clean.all_outputs()
-        assert result.counters.get(C.TASK_TIMEOUTS) == 1
+        assert result.counters.get(C.LEASE_EXPIRATIONS) == 1
         assert result.counters.get(C.INJECTED_FAULTS) == 1
 
 
@@ -470,7 +459,7 @@ def run_pipeline(reference, ref_index, pairs, policy):
 
 class TestChaosAcceptance:
     """The ISSUE's acceptance scenario: kill a datanode when round 3
-    starts and hang one round-4 task past its timeout — the pipeline
+    starts and hang one round-4 task past its lease — the pipeline
     must finish with output identical to a clean run, under every
     executor."""
 
@@ -494,7 +483,7 @@ class TestChaosAcceptance:
         plan = FaultPlan.demo(seed=5, nodes=NODES)
         policy = ExecutionPolicy(
             executor=kind, max_workers=max_workers, task_retries=3,
-            task_timeout=30.0, fault_plan=plan,
+            lease_seconds=30.0, fault_plan=plan,
         )
         result, fingerprint = run_pipeline(
             reference, ref_index, pairs, policy
@@ -507,9 +496,13 @@ class TestChaosAcceptance:
         assert len(kills) == 1
         assert kills[0]["round"] == "round3"
         assert kills[0]["lost"] == 0
-        # The hung round-4 task timed out once and was retried.
-        summary = result.rounds.results["round4"].history.summary()
-        assert summary["timeouts"] == 1
+        # The hung round-4 task lost its lease once; a fenced backup
+        # took its commit and the late one was refused.
+        round4 = result.rounds.results["round4"]
+        assert round4.counters.get(C.LEASE_EXPIRATIONS) == 1
+        summary = round4.history.summary()
+        assert summary["backups"] == 1
+        assert summary["fenced_commits"] == 1
         assert summary["retried_tasks"] == 1
 
 

@@ -203,10 +203,11 @@ class TestChaosCli:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_a_non_finite_task_timeout_exits_2(self, sample_dir, capsys, value):
-        """Regression: ``nan`` switched hung-task detection off and passed."""
+        """Regression: ``nan`` switched hung-task detection off and passed.
+        The flag keeps Hadoop's name and sets the policy's lease."""
         code = main(["chaos", "--data", sample_dir, "--task-timeout", value])
         assert code == 2
-        assert "task_timeout must be None or finite" in capsys.readouterr().err
+        assert "lease_seconds must be None or finite" in capsys.readouterr().err
 
     @needs_fork
     def test_composed_drill_reports_what_the_killed_driver_absorbed(
@@ -264,8 +265,11 @@ class TestChaosCli:
         assert counters["pool.cold_starts"] >= 1
         assert counters["io.torn_writes"] == 1 and counters["io.eio"] == 1
         assert counters["io.fallback_spills"] > 0
-        assert counters["lease.expired"] == 1
-        assert counters["commit.fenced"] >= 2
+        # Round 4's hung map and zombie reducer each lose their lease.
+        assert counters["lease.expired"] == 2
+        assert counters["lease.backups_launched"] == 2
+        assert counters["commit.fenced"] >= 3
+        assert "engine.task_timeouts" not in counters
         assert payload["resume"]["driver_kills"] == 1
         assert payload["resume"]["recovered_tasks"]["round2"]
 

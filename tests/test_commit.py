@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce import counters as C
-from repro.mapreduce.commit import LeaseMonitor, OutputCommitter, RoundJournal
+from repro.mapreduce.commit import OutputCommitter, RoundJournal, lease_lost
 from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.executors import fork_available
 from repro.mapreduce.job import JobSpec, make_splits
@@ -198,40 +198,29 @@ class TestOutputCommitter:
 
 
 # ---------------------------------------------------------------------------
-# LeaseMonitor unit tests
+# The driver's lease monitor: lease_lost unit tests
 # ---------------------------------------------------------------------------
 
 
 class TestLeaseMonitor:
     def test_no_lease_configured_never_expires(self):
-        monitor = LeaseMonitor(ExecutionPolicy())
-        assert monitor.verdict(
-            outcome(lease_charged=1e9, heartbeats=[])
+        assert lease_lost(
+            ExecutionPolicy(), outcome(lease_charged=1e9)
         ) is None
 
-    def test_zombie_flag_wins_over_heartbeats(self):
-        monitor = LeaseMonitor(ExecutionPolicy(lease_seconds=100.0))
-        out = outcome(lease_charged=1.0, heartbeats=[0.5], zombie=True)
-        assert monitor.verdict(out) == "zombie"
+    def test_zombie_flag_wins_over_a_held_lease(self):
+        policy = ExecutionPolicy(lease_seconds=100.0)
+        out = outcome(lease_charged=1.0, zombie=True)
+        assert lease_lost(policy, out) == "zombie"
 
-    def test_heartbeat_gap_expires_the_lease(self):
-        monitor = LeaseMonitor(ExecutionPolicy(lease_seconds=5.0))
-        assert monitor.verdict(
-            outcome(lease_charged=12.0, heartbeats=[2.0, 6.0, 10.0])
-        ) is None  # max gap 4s: held
-        assert monitor.verdict(
-            outcome(lease_charged=12.0, heartbeats=[2.0])
-        ) == "heartbeat_gap"  # silent from 2s to 12s
-
-    def test_max_silence_ignores_out_of_range_stamps(self):
-        out = outcome(
-            lease_charged=10.0, heartbeats=[-3.0, 2.0, 6.0, 99.0]
-        )
-        assert LeaseMonitor.max_silence(out) == 4.0
-
-    def test_clock_is_injectable(self):
-        monitor = LeaseMonitor(ExecutionPolicy(), clock=lambda: 42.0)
-        assert monitor.clock() == 42.0
+    def test_charged_runtime_past_the_lease_expires_it(self):
+        policy = ExecutionPolicy(lease_seconds=5.0)
+        assert lease_lost(policy, outcome(lease_charged=4.0)) is None
+        # The boundary: a runtime equal to the lease holds.
+        assert lease_lost(policy, outcome(lease_charged=5.0)) is None
+        assert lease_lost(
+            policy, outcome(lease_charged=5.000001)
+        ) == "timeout"
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +331,10 @@ class TestZombieFencing:
         [expired] = result.history.events_of("lease_expired")
         assert expired["node"] in engine.blacklisted_nodes
 
-    def test_heartbeat_silence_expires_a_real_lease(self):
-        # A 60s injected delay with no heartbeats is 60s of silence;
-        # the 30s lease expires and a fenced backup (epoch 1 sees no
-        # chaos events, so it runs clean) takes the commit.
+    def test_charged_delay_expires_a_real_lease(self):
+        # A 60s injected delay is 60s of charged runtime; the 30s lease
+        # expires and a fenced backup (epoch 1 sees no chaos events, so
+        # it runs clean) takes the commit.
         plan = FaultPlan(events=(
             DelayTask("wc-m-00001", seconds=60.0, attempt=1),
         ))
@@ -353,14 +342,28 @@ class TestZombieFencing:
         assert result.all_outputs() == clean_outputs()
         assert result.counters.get(C.LEASE_EXPIRATIONS) == 1
         [expired] = result.history.events_of("lease_expired")
-        assert expired["reason"] == "heartbeat_gap"
+        assert expired["reason"] == "timeout"
+        assert set(expired) == {"kind", "task", "node", "reason"}
 
     def test_exhausted_backups_fail_the_job(self):
-        # A lease shorter than any measurable runtime expires every
-        # lineage, backups included.
+        """A lease shorter than any measurable runtime expires every
+        lineage, backups included: the zombie primary and both backups
+        each count an expiration and charge their own node once — the
+        primary's n1 and the backups' n2 and n3."""
         plan = FaultPlan(events=(ZombieAttempt("wc-m-00000", attempt=1),))
+        policy = ExecutionPolicy(
+            fault_plan=plan, lease_seconds=1e-12, backup_attempts=2,
+        )
+        recorder = TraceRecorder()
+        engine = MapReduceEngine(
+            nodes=["n1", "n2", "n3"], policy=policy, recorder=recorder,
+        )
         with pytest.raises(MapReduceError, match="lost its lease"):
-            self.run_with_plan(plan, lease_seconds=1e-12, backup_attempts=2)
+            engine.run(wordcount_job(), make_splits(LINES))
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters["lease.expired"] == 3
+        assert counters["lease.backups_launched"] == 2
+        assert engine._node_failures == {"n1": 1, "n2": 1, "n3": 1}
 
     @needs_fork
     def test_killed_pool_worker_is_fenced_and_backup_commits(self, tmp_path):
@@ -414,14 +417,21 @@ class TestZombieFencing:
         self, kind, max_workers, task_id
     ):
         """S3 property: expiring any one attempt's lease at any task
-        index, under every executor, changes nothing — outputs stay
-        byte-identical and exactly one attempt commits per task."""
-        plan = FaultPlan(events=(ZombieAttempt(task_id, attempt=1),))
-        _, result = self.run_with_plan(plan, kind, max_workers)
-        assert result.all_outputs() == clean_outputs()
-        assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
-        assert result.counters.get(C.FENCED_COMMITS) == 1
-        assert result.counters.get(C.BACKUP_ATTEMPTS) == 1
+        index, under every executor — as a zombie, or as a hung task
+        whose charged delay outlives the lease — changes nothing:
+        outputs stay byte-identical and exactly one attempt commits per
+        task."""
+        for event in (ZombieAttempt(task_id, attempt=1),
+                      DelayTask(task_id, 60.0)):
+            _, result = self.run_with_plan(
+                FaultPlan(events=(event,)), kind, max_workers,
+                lease_seconds=30.0,
+            )
+            assert result.all_outputs() == clean_outputs()
+            assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
+            assert result.counters.get(C.FENCED_COMMITS) == 1
+            assert result.counters.get(C.LEASE_EXPIRATIONS) == 1
+            assert result.counters.get(C.BACKUP_ATTEMPTS) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +723,28 @@ def assert_header_alone_refuses(backend, fingerprint, old_header, key):
     assert JobWal(backend, fingerprint).recover_round(key)
     backend.write(name, _frame(old_header) + _frame(ours[1]))
     assert JobWal(backend, fingerprint).recover_round(key) == {}
+
+
+class _AnyOutcome:
+    """Stand-in for a journaled ``TaskOutcome`` of any version: it takes
+    whatever slots the pickle carries, so a parent version's outcome
+    loads for inspection after this version's class lost a slot."""
+
+    def __setstate__(self, state):
+        for part in state if isinstance(state, tuple) else (state,):
+            self.__dict__.update(part or {})
+
+
+class _PermissiveUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if name == "TaskOutcome":
+            return _AnyOutcome
+        return super().find_class(module, name)
+
+
+def load_any_record(frame):
+    """One journaled record, its outcome loaded as :class:`_AnyOutcome`."""
+    return _PermissiveUnpickler(io.BytesIO(frame)).load()
 
 
 class TestPipelineCrashRecovery:
@@ -1103,7 +1135,7 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == len(ours) == 2
 
         def shipped(frame):
-            outcome = pickle.loads(frame)["outcome"]
+            outcome = load_any_record(frame)["outcome"]
             return {type(end).__name__ for segment in outcome.segments
                     for _, (_, *ends) in decode_segment(segment).records
                     for end in ends}
@@ -1152,7 +1184,7 @@ class TestPipelineCrashRecovery:
         assert len(old_frames) == len(ours) == 2
 
         def shipped(frame):
-            outcome = pickle.loads(frame)["outcome"]
+            outcome = load_any_record(frame)["outcome"]
             return {type(value).__name__ for segment in outcome.segments
                     for _, value in decode_segment(segment).records}
 
@@ -1170,6 +1202,47 @@ class TestPipelineCrashRecovery:
         assert resumed.recovered_tasks == {}
         assert fingerprint_of(resumed) == fingerprint_of(clean)
 
+
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_10_wal_with_timeout_slots_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-10 ``wal-round2.log`` journals outcomes that still
+        carry the ``timeouts`` and ``heartbeats`` slots, which this
+        version's ``TaskOutcome`` no longer has: the version guard turns
+        the log away before any record is unpickled, and the round
+        re-runs byte-identical."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V10))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 10, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        with pytest.raises(AttributeError, match="timeouts|heartbeats"):
+            pickle.loads(old_frames[1])
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
 
 class TestStageTableConformance:
     """A stage's key is its one name: checkpoint entry, WAL log, HDFS
@@ -1761,4 +1834,45 @@ PARENT_WAL_ROUND2_V9 = (
     "BN6nxegDL8iAt+U9Tuo3y4vF2/N83upBkva7xcnUz7KLPX6UL1br0YjVPoQLh+iqOfHsf3"
     "K14nOOkzwxSfOUzjCsUFlPR52kuGcXaEIjww7ds77/1Qq5Xrn0zHh6OUf1a+dhgnd6aDQS"
     "/H2k+w9sFSs/PH/HDe+AtW2+Xa"
+)
+
+
+#: ``wal-round2.log`` as commit 4d79c5f (WAL_VERSION 10) left it after
+#: ``KillDriver("round2", after_commits=1)`` on the same run: one map
+#: outcome that still carries the ``timeouts`` and ``heartbeats`` slots.
+#: zlib + base64 of the 3252 raw bytes.
+PARENT_WAL_ROUND2_V10 = (
+    "eNqVlktv3FQUx6dVEsZN2gaEhAQLtgUpUWYmGb+f18+JUkTrRUEqI8fxJEMyD3k8jYqEVD"
+    "YVSF6Bu0d8ANZs2fE1EHs+ABIS/3Odd/riemZ8fXyvfc9v/ufc02g0/M+9P359tvhCbdTt"
+    "2+pe+c6TLJ8NJ+Nq+1a5PBiO97N8mg/HRVU2M7G1uymne1W5mE/mY5yX+LldzdcbjZWvKk"
+    "24i6c9XDl/2kKRzA6r8oN63Fp6lCVjPHNttLZBDU/KppP0oNpulO9M5kU6GWVV+X6eTfPJ"
+    "+iiZ5tnePM3W64csxzh9djLop+qT76r7fMHZaFgU2V71GEucZfujbFzMcHHPWRAajeChF7"
+    "RpNU18/qbvv7///PGzhRd/NetVYmC58vCL+631jY2TNf1z8VJobbSE9CBvCR1xSxI2hE8F"
+    "/bQb228+2GkveJvR1w+hF0S9yIuCKOiFvucHEfPcyPN83w9cn6G5tmPbjmMZjs0sw2To2p"
+    "ZpGZaha5ZuG4aqa7qpapqKpuCQdUVSFU2RlY4soimi8CBQvlQeBK3qeXWFxqPFG43GZSBb"
+    "nQtAukRoY+ccCgv+xxGzGGBidKgFYFRbbeIFeIwFth0E9RCcgTNAVxBlUeqKkiyrqqwqkq"
+    "zAR418UnVdUzQ4DBK6bugm+oZp25hoESTLYcyxXOa7nucx/sN8L/DCMPTDIAzdMADpqIe+"
+    "cH8HUDZeyaZVPVq6zKYlyHKNpiXLF9G0W6IstKWWEJBrjPtBbjHSBSP3SCgBYzUM6uMgq0"
+    "2DMIrVXeIBALiJWZwFYYOVrjCKzgIW3+tFvcAPGPTi+8wPQnI0dF3Hcz2SieO40I3poLmm"
+    "aekmZGLZtqkbmmqZuqoammaoBugq+EI5kiZJqiTjUCRJkrfeAk7zKpzWpljT4TjO6XBYa4"
+    "SH8YAhHuQL+WcTEgJGhGpXCRRJI+YioVv1MICMuVYIk82ZctXEmI8LggRysSCqSlfahB+i"
+    "JCpdWdJkFdJRNPIZwjGgIEM3LM2yTdtEl/4xy2AOg4CgH0SbA9F4ruu7RNf3XIQi4jHw3S"
+    "jC+6Mo6r0JT/uadtoXtLO5dUk7LUloix2BJBNzkcBzxlHYATcyIsTIO7LFcT2S6+xVgrNf"
+    "LjgBqw/8MHJD+IOQ8F14FnmIFtf1kG8QQj4CybVMqMe06KmWadiGZRmETzOJHiLQIKSqRl"
+    "RhFXUFAatCN92OLHdrOK3XwWlehXNBOy3pknYAa43wkJtQDXl54nwNgvRg80ihSAIgfGMS"
+    "CFEBMFKa/ZbCE6D/rqySdhTkHRlpVFYUhQIE6UfnDVhUXYWOkIYBx6Hc49imx0yEHPM8iA"
+    "c4mQv98Czukooiv4fMjlQf9t6onc417XTOtdPZvERna2tT6Gx0hRPvGA8OSiY8j3AeXBGM"
+    "a4CuKERs+qlH0j/MOAMOlcV1JuZnbqCngSNiUQijKAyRdnpeGLg883h1iPBEy1joIPm4eJ"
+    "wDKiaSD3Ypy2SWqZmmQR+EoI4UpOgAqCu0X+lEV0LyEZF1pG5XrOG0XweneRXOmXY4jgt0"
+    "CNYaxxPXKaPOqORMzDMu35ICyjO0DRElCjUaSCR5wHFxUCDGPMfQXQoznmw4p1pBLIB2tm"
+    "SkGwnaUbF96aoh0m6MCNFlihMDsWMoSD2aYSO0DOzntF1hb7ccykWIOsrfkBAoehBPSIB7"
+    "URiFFLUhZf2X4MnWK/bRWRlEbZG+P/6598uzhcfVepWVt4fj6bzo51k6yfdm1XazvINi7I"
+    "pp5cS0+7TIZtVOq1kuzabDoyPcvFEu7aPCm86ojludHcwHg6Ns73xyo7xzZqynw/Tuiamf"
+    "J8cXrNMkL4YFCtCz6ajQtpvbjay8dZg97aeoJOv67nrltn3z2i50zdTmpuwx3F5J87Q/SI"
+    "ZH87x++e1BVqQHeHGRD2tLM0FpOZoW3Mm7w/HXWYpSE5PmRwUfgBIZLhznQ1o/KtBlTEjS"
+    "g9MitBSKPBnPBpN8RFUwr2uP82Q6RZG9jov9PBnNcMdNiiQ+HWmn3EnUyXWZS1XuKifULy"
+    "b9k1nVzoer5Xu1dZBPRuf23dVyeTh+MkkTwohV3pzvPq+ScnE2xQtoUbdmBSjDj6So7vMq"
+    "fzg7OL1cOp7kh1lelY2qXBhP9lCQL9GJKuNmMRxl0AF3/RzHXnaUPK15neGk1xxkeM1ult"
+    "QobqP4n2X99CDJ91GuB6b/253vIcVy6ZvJaHeYVT+Ud3eT9HAyGPRn+O/H+O+DU83On1e7"
+    "8/X/AKHInvM="
 )

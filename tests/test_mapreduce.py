@@ -210,7 +210,16 @@ class TestPublishTable:
         these was a hand-written ``metrics.counter(...)`` beside its
         counter or event: retries, a hung task and blacklisting.  The
         shuffle rows and the charged backoff are those of this
-        uncombined job on the one backoff curve."""
+        uncombined job on the one backoff curve.
+
+        The hung reducer now loses its lease instead of being retried
+        in place: one ``lease.expired`` and one backup launched; the
+        backup's commit is staged beside the hung attempt's (7 staged,
+        6 promoted) and the hung attempt's late commit is fenced.  The
+        backoff is the map task's two retries only (0.005 + 0.010 s):
+        a lost lease is backed up, not retried, so it charges none.
+        The lease loss charges the reducer's node (n3), as the timeout
+        did, so three nodes are still blacklisted."""
         from repro.obs.recorder import TraceRecorder
 
         plan = FaultPlan(events=(
@@ -219,7 +228,7 @@ class TestPublishTable:
             DelayTask("rp-r-00001", seconds=30.0, attempt=1),
         ))
         policy = ExecutionPolicy(
-            task_retries=3, task_timeout=5.0, blacklist_after=1,
+            task_retries=3, lease_seconds=5.0, blacklist_after=1,
             fault_plan=plan,
         )
         job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,
@@ -233,11 +242,13 @@ class TestPublishTable:
         ]))
         assert recorder.metrics.as_dict()["counters"] == {
             "chaos.delays_injected": 1,
+            "commit.fenced": 1,
             "commit.promoted": 6,
-            "commit.staged": 6,
-            "engine.backoff_charged_seconds": 0.02,
+            "commit.staged": 7,
+            "engine.backoff_charged_seconds": 0.015,
             "engine.nodes_blacklisted": 3,
-            "engine.task_timeouts": 1,
+            "lease.backups_launched": 1,
+            "lease.expired": 1,
             "shuffle.bytes_shuffled": 466,
             "shuffle.raw_bytes": 290,
             "shuffle.segment_bytes_stored": 466,

@@ -495,9 +495,10 @@ class TestCliSurfaces:
                 "round5"} <= set(payload["absorption"])
         for row in payload["absorption"].values():
             assert {"maps", "reduces", "retried_tasks", "injected_faults",
-                    "timeouts", "backups", "fenced_commits",
+                    "backups", "fenced_commits",
                     "queued_seconds", "run_seconds",
                     "total_attempts"} <= set(row)
+            assert "timeouts" not in row
         for name, value in payload["fault_counters"].items():
             assert format_cell(value) in text and name in text
 
