@@ -204,13 +204,13 @@ class PreemptWorker:
 
 @_event("cold-start", "SECONDS[@JOB]", "pool")
 class ColdStart:
-    """Charge SECONDS of spawn latency to every pool fork (of JOB, or all).
+    """Put JOB (or every job) on fresh pool forks, each charged SECONDS.
 
-    Models cold-start on elastic/preemptible capacity: each worker the
-    pool forks for the named job (or for every job when ``job`` is
-    empty) is charged ``seconds`` of deterministic spawn delay — never
-    slept, accounted in ``pool.cold_start_seconds`` — so autoscaling
-    decisions pay a price for growing the pool.
+    Models cold-start on elastic/preemptible capacity: the named job (or
+    every job when ``job`` is empty) lands on newly forked workers, and
+    each worker the pool forks for it is charged ``seconds`` of
+    deterministic spawn delay — never slept, accounted in
+    ``pool.cold_start_seconds`` — so growing the pool has a price.
     """
 
     seconds: float

@@ -109,7 +109,7 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument("--executor", choices=EXECUTOR_KINDS,
                        default="serial",
                        help="how MR tasks run (default: serial; pool "
-                            "forks workers per job and resizes them "
+                            "forks workers once and resizes them "
                             "between waves)")
     group.add_argument("--max-workers", type=int, default=None,
                        help="pool worker slots; each wave runs on "

@@ -29,7 +29,57 @@ from repro.hdfs.blocks import (
     split_into_blocks,
 )
 from repro.hdfs.placement import BlockPlacementPolicy, LogicalBlockPlacementPolicy
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.recorder import NULL_RECORDER
+
+
+def _serve(block: HdfsBlock, alive, metrics, drop=None) -> bytes:
+    """``block``'s first replica on an ``alive`` datanode that passes the
+    checksum; failovers, corrupt replicas (each told to ``drop``) and a
+    lost block count into ``metrics``."""
+    served: Optional[bytes] = None
+    corrupt: List[str] = []
+    for position, node in enumerate(block.replicas):
+        if node not in alive:
+            continue
+        if not block.replica_is_healthy(node):
+            corrupt.append(node)
+            metrics.counter("hdfs.read.corrupt_replicas").inc()
+            continue
+        if position > 0:
+            metrics.counter("hdfs.read.failovers").inc()
+        served = block.replica_bytes(node)
+        break
+    for node in corrupt if drop is not None else ():
+        drop(block, node)
+    if served is None:
+        metrics.counter("hdfs.blocks.lost").inc()
+        raise BlockLostError(
+            f"all replicas of {block.block_id} are gone or corrupt"
+        )
+    return served
+
+
+class FileRead:
+    """One file's read as :meth:`Hdfs.open` resolves it: its blocks,
+    replica bytes included, so a map split holding one pickles with its
+    data.  :meth:`read` is ``Hdfs.get``'s read, counted into the
+    reader's registry; only the namenode's ``drop`` edits the namespace,
+    so a corrupt replica a task passes over stays listed."""
+
+    __slots__ = ("blocks", "alive")
+
+    def __init__(self, blocks: List[HdfsBlock], alive):
+        self.blocks = blocks
+        self.alive = alive
+
+    def read(self, metrics=NULL_METRICS, drop=None) -> bytes:
+        data = b"".join(
+            _serve(block, self.alive, metrics, drop) for block in self.blocks
+        )
+        metrics.counter("hdfs.get.calls").inc()
+        metrics.counter("hdfs.get.bytes").inc(len(data))
+        return data
 
 
 class Hdfs:
@@ -61,10 +111,6 @@ class Hdfs:
         self._ctr_get_calls = metrics.counter("hdfs.get.calls")
         self._ctr_get_bytes = metrics.counter("hdfs.get.bytes")
         self._ctr_delete_calls = metrics.counter("hdfs.delete.calls")
-        self._ctr_read_failovers = metrics.counter("hdfs.read.failovers")
-        self._ctr_corrupt_replicas = metrics.counter(
-            "hdfs.read.corrupt_replicas"
-        )
         self._ctr_rereplicated = metrics.counter("hdfs.rereplicated.replicas")
         self._ctr_blocks_lost = metrics.counter("hdfs.blocks.lost")
         self._ctr_nodes_killed = metrics.counter("hdfs.datanodes.killed")
@@ -118,21 +164,7 @@ class Hdfs:
         return path in self._files
 
     def get(self, path: str) -> bytes:
-        data = self._read_file(self._file(path))
-        self._ctr_get_calls.inc()
-        self._ctr_get_bytes.inc(len(data))
-        return data
-
-    def get_file(self, path: str) -> HdfsFile:
-        return self._file(path)
-
-    def list_dir(self, prefix: str) -> List[str]:
-        if not prefix.endswith("/"):
-            prefix += "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
-
-    def read_block(self, block: HdfsBlock) -> bytes:
-        """Serve one block from a checksum-verified replica.
+        """Serve a file, each block from a checksum-verified replica.
 
         Replicas are tried in placement order.  A replica on a dead
         datanode is skipped; a corrupt one (CRC32 mismatch) is counted,
@@ -142,31 +174,24 @@ class Hdfs:
         block's data is unrecoverable and :class:`BlockLostError`
         propagates.
         """
-        corrupt: List[str] = []
-        served: Optional[bytes] = None
-        for position, node in enumerate(block.replicas):
-            if not self._datanodes[node].alive:
-                continue
-            if not block.replica_is_healthy(node):
-                corrupt.append(node)
-                self._ctr_corrupt_replicas.inc()
-                continue
-            if position > 0:
-                self._ctr_read_failovers.inc()
-            served = block.replica_bytes(node)
-            break
-        for node in corrupt:
-            block.drop_replica(node)
-            self._datanodes[node].block_ids.discard(block.block_id)
-        if served is None:
-            self._ctr_blocks_lost.inc()
-            raise BlockLostError(
-                f"all replicas of {block.block_id} are gone or corrupt"
-            )
-        return served
+        return self.open(path).read(self.recorder.metrics, self._drop_corrupt)
 
-    def _read_file(self, hdfs_file: HdfsFile) -> bytes:
-        return b"".join(self.read_block(block) for block in hdfs_file.blocks)
+    def get_file(self, path: str) -> HdfsFile:
+        return self._file(path)
+
+    def list_dir(self, prefix: str) -> List[str]:
+        if not prefix.endswith("/"):
+            prefix += "/"
+        return sorted(p for p in self._files if p.startswith(prefix))
+
+    def open(self, path: str) -> "FileRead":
+        """``path``'s blocks and the datanodes alive now, for a task."""
+        alive = {name for name, node in self._datanodes.items() if node.alive}
+        return FileRead(self._file(path).blocks, alive)
+
+    def _drop_corrupt(self, block: HdfsBlock, node: str) -> None:
+        block.drop_replica(node)
+        self._datanodes[node].block_ids.discard(block.block_id)
 
     def read_unverified(self, path: str, replica_choice: int = 0) -> bytes:
         """Short-circuit read: one replica chain, no checksum check.

@@ -120,8 +120,11 @@ class OutputCommitter:
         instead of re-running the task.
         """
         if task_id in self.committed or epoch != self.expected_epoch(task_id):
+            # A stale token is a zombie's whether or not a backup has
+            # committed since; only the current token can be a duplicate.
             reason = (
-                "duplicate" if task_id in self.committed else "stale_epoch"
+                "stale_epoch" if epoch != self.expected_epoch(task_id)
+                else "duplicate"
             )
             self.result.counters.inc(C.FENCED_COMMITS)
             self.result.history.add_event(

@@ -213,10 +213,11 @@ class MapReduceEngine:
         executor = self._executor
         self._executor = None
         if executor is not None:
-            # The next executor's lifetime stats restart from zero.
+            executor.close()
+            # Bill workers' lifetimes to here; the next restarts at 0.
+            self._publish_stats(executor.stats())
             for name in executor.stats():
                 self._stats_seen.pop(name, None)
-            executor.close()
 
     def __enter__(self) -> "MapReduceEngine":
         return self
@@ -311,18 +312,18 @@ class MapReduceEngine:
                 f"job:{job.name}", category="job", track="driver",
                 splits=len(splits), executor=self.policy.executor,
             ):
-                # The pool forks the job's workers here, with the whole
-                # context in the image; the serial executor just keeps
-                # the reference.  Map tasks spill runs to disk
-                # through the shared I/O layer only when spill
-                # directories are configured; the in-memory path stays
-                # allocation-free.
-                executor.begin_job(JobContext(
+                # The pool hands the job to its live workers (or forks
+                # them with the context in the image); the serial
+                # executor just keeps the reference.  Map tasks spill
+                # runs to disk through the shared I/O layer only when
+                # spill directories are configured; the in-memory path
+                # stays allocation-free.
+                self._record_resize(result, executor.begin_job(JobContext(
                     job, self.policy, splits,
                     trace=recorder.enabled,
                     io=self._io_layer() if io_policy.spill_dirs else None,
                     metrics=recorder.metrics,
-                ))
+                )))
                 map_outcomes = self._run_wave(job, [
                     TaskCall(
                         "map", f"{job.name}-m-{index:05d}",
@@ -423,10 +424,16 @@ class MapReduceEngine:
         stats = executor.stats()
         if self.io is not None:
             stats.update(self.io.stats.as_dict())
+        self._publish_stats(stats)
+
+    def _publish_stats(self, stats: Dict[str, float]) -> None:
+        """Publish what lifetime stats gained since the last call."""
+        if not self.recorder.enabled:
+            return
         for name, value in stats.items():
             delta = value - self._stats_seen.get(name, 0)
             if delta > 0:
-                metrics.counter(name).inc(delta)
+                self.recorder.metrics.counter(name).inc(delta)
         self._stats_seen.update(stats)
 
     # -- shuffle segment plane ----------------------------------------------
@@ -498,6 +505,14 @@ class MapReduceEngine:
                 "segment_corrupted", path=path, replica=victim,
             )
 
+    def _record_resize(self, result: JobResult, decision) -> None:
+        """Record one pool resize (``None``: the pool kept its size)."""
+        if decision is not None:
+            result.history.add_event("pool_scaled", **decision)
+            self.recorder.metrics.gauge("pool.scale.workers").set(
+                decision["to_workers"]
+            )
+
     def _reduce_calls(
         self,
         job: JobSpec,
@@ -518,12 +533,7 @@ class MapReduceEngine:
         stored bytes — and every call carries its reducer's chains in a
         read-only store, whichever executor runs it.
         """
-        decision = executor.rebalance(job.num_reducers)
-        if decision is not None:
-            result.history.add_event("pool_scaled", **decision)
-            self.recorder.metrics.gauge("pool.scale.workers").set(
-                decision["to_workers"]
-            )
+        self._record_resize(result, executor.rebalance(job.num_reducers))
         attempts = job.shuffle.fetch_retries + 1
         with self.recorder.span(
             f"{job.name}:segment-read", category="shuffle", track="driver",

@@ -15,19 +15,15 @@ map-task order, so every executor produces byte-identical job results.
     The reference implementation: one call at a time, in order, in the
     driver process.
 ``PooledProcessExecutor``
-    Real CPU parallelism: forks its workers per job with the job
-    context in memory — the unpicklable half of every task (the job
-    spec's closures over HDFS handles and aligners, the input splits)
-    rides into the children inside the fork image.  Each wave runs on
-    ``min(max_workers, tasks in the wave)`` workers: ``begin_job`` forks
-    the map wave's and ``rebalance`` resizes the pool before the reduce
-    wave; the executor object is reused across the rounds of a
-    pipeline.  Only the picklable descriptors cross the pipes going in,
-    and picklable outcomes coming back.  A worker that dies mid-task is
-    detected by its broken pipe, reported to the engine as a
-    :class:`WorkerCrash` marker, and replaced by a fresh fork; the
-    engine routes the crash through the same fenced-backup path a lost
-    lease takes.
+    Real CPU parallelism on workers forked once, at the pool's first
+    job, that live until ``close()``; a later job reaches them as its
+    pickled :class:`JobContext` (see the class).  Each wave runs on
+    ``min(max_workers, tasks in the wave)`` workers.  Only picklable
+    descriptors cross the pipes going in, and picklable outcomes coming
+    back.  A worker that dies mid-task is detected by its broken pipe,
+    reported to the engine as a :class:`WorkerCrash` marker, and
+    replaced by a fresh fork; the engine routes the crash through the
+    same fenced-backup path a lost lease takes.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ import atexit
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import threading
 import time
 import weakref
@@ -52,12 +49,10 @@ class JobContext:
     """Everything a call descriptor needs to run one task of a job.
 
     In-process executors hand it to ``call.run`` directly.  The pool
-    hands it to each worker it forks as a process argument, which the
-    ``fork`` start method inherits rather than pickles, so what cannot
-    pickle (the job spec's closures over HDFS handles and aligners, the
-    input splits, the spill I/O layer) rides into the children inside
-    the fork image and only picklable call descriptors cross the pipes
-    afterwards.
+    hands it to the workers it forks as a process argument, which the
+    ``fork`` start method inherits rather than pickles, and sends it
+    pickled to live workers: the job, policy, splits and trace flag; a
+    worker keeps its fork's I/O layer and registry, the engine's.
     """
 
     __slots__ = ("job", "policy", "splits", "trace", "io", "metrics")
@@ -79,6 +74,17 @@ class JobContext:
         #: The recorder's metrics registry, whose counters task code
         #: bumps (HDFS reads of a round's input, for one).
         self.metrics = metrics
+
+    def __reduce__(self):
+        return JobContext, (self.job, self.policy, self.splits, self.trace)
+
+
+def _description(context: JobContext) -> Optional[bytes]:
+    """The job as one message, or ``None`` if it does not pickle."""
+    try:
+        return pickle.dumps(context, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
 
 
 def _run_call(call: Any, context: JobContext) -> Any:
@@ -119,9 +125,11 @@ class TaskExecutor(ABC):
     pooled: bool = False
     _context: Optional[JobContext] = None
 
-    def begin_job(self, context: JobContext) -> None:
-        """Bind the job every subsequent :meth:`run_calls` runs against."""
+    def begin_job(self, context: JobContext) -> Optional[Dict[str, Any]]:
+        """Bind the job every subsequent :meth:`run_calls` runs against;
+        returns how the workers were resized for its map wave, if they were."""
         self._context = context
+        return None
 
     def end_job(self) -> None:
         """Release the job (idempotent)."""
@@ -217,17 +225,17 @@ def _deltas(now: Dict[str, float], seen: Dict[str, float]) -> Dict:
 
 
 def _pool_worker_main(conn, context: JobContext) -> None:
-    """Entry point of one persistent pool worker, forked with the job's
-    context.
+    """Entry point of one persistent pool worker, forked with the
+    current job's context.
 
     Serves ``(seq, call)`` requests until told to stop (``None``) or
-    the driver goes away (EOF).  Every reply is ``(seq, ok, payload,
-    io, counters)``; an unpicklable payload is downgraded to a
-    picklable error rather than killing the worker.  ``io`` and
-    ``counters`` are what the task added to the job's I/O stats and to
-    the recorder's counters: spill runs go through the worker's copy
-    of the I/O layer and task code reads HDFS through the worker's copy
-    of the recorder, neither of which the driver can see otherwise.
+    the driver goes away (EOF); a :class:`JobContext` switches it to the
+    next job.  Every reply is ``(seq, ok, payload, io, counters)``; an
+    unpicklable payload is downgraded to a picklable error rather than
+    killing the worker.  ``io`` and ``counters`` are what the task added
+    to the I/O stats and to the recorder's counters (spill runs, HDFS
+    reads), which the worker's copies of the I/O layer and registry hold
+    and the driver cannot see otherwise.
     """
     seen = _worker_counts(context)
     while True:
@@ -237,6 +245,10 @@ def _pool_worker_main(conn, context: JobContext) -> None:
             break
         if message is None:
             break
+        if isinstance(message, JobContext):
+            message.io, message.metrics = context.io, context.metrics
+            context = message
+            continue
         seq, call = message
         try:
             reply = (seq, True, _run_call(call, context))
@@ -306,25 +318,26 @@ atexit.register(_reap_orphaned_pools)
 
 
 class PooledProcessExecutor(TaskExecutor):
-    """Persistent fork-based worker pool — forks once per job.
+    """Persistent fork-based worker pool — forks once per engine.
 
-    Workers fork at :meth:`begin_job` with the job context in memory
-    and are fed every subsequent task of the job — both waves and each
-    fenced backup — over per-worker pipes.  The
-    executor object itself is cached by the engine, so a multi-round
-    pipeline reuses one pool across rounds (one fork set per round, not
-    per wave).  A worker that dies mid-task surfaces as a
-    :class:`WorkerCrash` in its result slot and is replaced by a fresh
-    fork; the engine fences and re-runs the lost task.
+    Workers fork at the first :meth:`begin_job` with that job's context
+    in memory, are fed every task — both waves and each fenced backup —
+    over per-worker pipes, and live until :meth:`close`; the engine
+    caches the executor, so a pipeline runs all its rounds on one fork
+    set.  A later job reaches them as its pickled :class:`JobContext`.
+    A fresh fork set replaces them only for a job whose context does not
+    pickle, or one the fault plan cold-starts (it lands on new workers).
+    A worker that dies mid-task surfaces as a :class:`WorkerCrash` in
+    its result slot and is replaced by a fresh fork; the engine fences
+    and re-runs the lost task.
 
     **Sizing.**  Every wave runs on ``min(max_workers, tasks in the
-    wave)`` workers: :meth:`begin_job` forks that many for the map wave,
-    and the engine calls :meth:`rebalance` with the reduce wave's task
-    count at the drain point between the waves, where every worker is
-    idle, so retiring one loses no work.  The rule reads no clock, so a
-    traced run scales exactly as the untraced run it measures.  Every
-    fork pays the configured cold-start charge, so growing is never
-    free.
+    wave)`` workers: :meth:`begin_job` forks or rebalances to that many
+    for the map wave, and the engine calls :meth:`rebalance` with the
+    reduce wave's task count at the drain point between the waves,
+    where every worker is idle, so retiring one loses no work.  The rule
+    reads no clock, so a traced run scales exactly as the untraced run
+    it measures.
     """
 
     kind = "pool"
@@ -345,6 +358,8 @@ class PooledProcessExecutor(TaskExecutor):
         #: the live worker set.
         self._workers: List[_PoolWorker] = []
         self._fresh = False
+        #: A wave's calls are out (still, if it raised): fork afresh.
+        self._in_flight = False
         self._closed = False
         #: Cold-start chaos, read from the job's fault plan at
         #: :meth:`begin_job`: a charged spawn delay applied to every
@@ -375,23 +390,36 @@ class PooledProcessExecutor(TaskExecutor):
     def _sized(self, tasks: int) -> int:
         return min(self.max_workers, max(tasks, 1))
 
-    def begin_job(self, context: JobContext) -> None:
-        """Fork the map wave's workers with the job's context in memory."""
-        self._stop_workers()
+    def begin_job(self, context: JobContext) -> Optional[Dict[str, Any]]:
+        """Send the job to the live workers and :meth:`rebalance` them to
+        its map wave — or, when none are live, the job does not pickle or
+        the fault plan cold-starts it, fork the wave's workers afresh."""
         self._closed = False
         _LIVE_POOLS.add(self)
         self._context = context
+        self.jobs += 1
         plan = context.policy.fault_plan
         self.cold_start_seconds = (
             plan.cold_start_for(context.job.name) if plan is not None else 0.0
         )
-        self._spawn(self._sized(len(context.splits)))
-        self._fresh = True
-        self.jobs += 1
+        message = None
+        if self._workers and not (self.cold_start_seconds or self._in_flight):
+            message = _description(context)
+        self._fresh = message is None
+        if self._fresh:
+            self._retire(len(self._workers))
+            self._in_flight = False
+            self._spawn(self._sized(len(context.splits)))
+            return None
+        for worker in list(self._workers):
+            try:
+                worker.conn.send_bytes(message)
+            except OSError:
+                self._replace(worker)  # died while idle: no task lost
+        return self.rebalance(len(context.splits))
 
     def end_job(self) -> None:
-        """Retire the job's workers (their fork image is now stale)."""
-        self._stop_workers()
+        """Release the job; its workers stay for the next one."""
         self._context = None
         self._pending_preemptions.clear()
 
@@ -401,6 +429,7 @@ class PooledProcessExecutor(TaskExecutor):
         if self._closed:
             return
         self._closed = True
+        self._retire(len(self._workers))
         self.end_job()
         _LIVE_POOLS.discard(self)
 
@@ -450,8 +479,8 @@ class PooledProcessExecutor(TaskExecutor):
     def _retire(self, count: int) -> None:
         """Ask the newest ``count`` workers to stop, then reap them.
 
-        Only called with no call in flight (between waves, or at job
-        end), so every worker is idle and stopping them loses no work.
+        Called between waves, before fresh forks and at close: idle
+        workers lose no work; one a cut-short wave left busy finishes.
         """
         retiring = [self._workers.pop() for _ in range(count)]
         for worker in retiring:
@@ -462,11 +491,8 @@ class PooledProcessExecutor(TaskExecutor):
         for worker in retiring:
             self._reap(worker)
 
-    def _stop_workers(self) -> None:
-        self._retire(len(self._workers))
-
     def _replace(self, worker: _PoolWorker) -> _PoolWorker:
-        """Swap a dead worker for a fresh fork of the same job image."""
+        """Swap a dead worker for a fresh fork of the current job."""
         self._workers.remove(worker)
         self._reap(worker, kill=True)
         self._spawn(1)
@@ -562,10 +588,7 @@ class PooledProcessExecutor(TaskExecutor):
         re-raises after the wave drains (the first-failure-propagates
         contract without abandoning sibling results).
         """
-        if not self._workers:
-            raise MapReduceError(
-                "pool executor has no live workers; begin_job() first"
-            )
+        context = self._job_context()
         if not calls:
             return []
         if self._fresh:
@@ -577,6 +600,7 @@ class PooledProcessExecutor(TaskExecutor):
         idle = list(self._workers)
         busy: Dict[_PoolWorker, int] = {}
         completed = 0
+        self._in_flight = True
         while completed < len(calls):
             while idle and pending:
                 seq, call = pending.popleft()
@@ -625,7 +649,6 @@ class PooledProcessExecutor(TaskExecutor):
                     raise MapReduceError(
                         f"pool worker answered task {got}, expected {seq}"
                     )
-                context = self._job_context()
                 for name, value in io.items():
                     stats = context.io.stats
                     setattr(stats, name, getattr(stats, name) + value)
@@ -634,6 +657,7 @@ class PooledProcessExecutor(TaskExecutor):
                 results[seq] = payload if ok else _PoolTaskError(payload)
                 idle.append(worker)
                 completed += 1
+        self._in_flight = False
         # Preemptions armed beyond this wave's task count must not
         # leak into the next wave (or into backup attempts).
         self._pending_preemptions.clear()

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.policy import ExecutionPolicy
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.recorder import NULL_SPAN, ActiveSpan, Span
 from repro.shuffle.config import DEFAULT_SHUFFLE, ShuffleConfig
 from repro.shuffle.keys import stable_hash_partition
@@ -60,9 +61,12 @@ class TaskContext:
     """
 
     def __init__(self, task_id: str, node: str, traced: bool = False,
-                 task_index: int = -1):
+                 task_index: int = -1, metrics: Any = NULL_METRICS):
         self.task_id = task_id
         self.node = node
+        #: The job's metrics registry, for counters task code bumps
+        #: (HDFS reads of a round's input); pool replies carry them.
+        self.metrics = metrics
         #: This task's index within its wave (map index or reducer
         #: index), so mappers over sealed record blocks can name their
         #: outputs without the split smuggling an index in its payload.

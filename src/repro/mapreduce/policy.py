@@ -8,7 +8,7 @@ constructing engines ad hoc:
 
 * ``executor`` — ``"serial"`` (the reference: one task at a time in
   the driver) or ``"pool"`` (persistent fork-based worker pool: real
-  CPU parallelism, forks once per job, reuses workers across waves,
+  CPU parallelism, forks once per engine, reuses workers across jobs,
   survives worker crashes via fenced backups).
 * ``max_workers`` — bounded worker slots, the in-process analogue of
   map/reduce slots per node.  The pool runs each wave on
@@ -133,7 +133,7 @@ class ExecutionPolicy:
     def pooled(
         cls, max_workers: Optional[int] = None, **kwargs
     ) -> "ExecutionPolicy":
-        """Persistent fork pool: fork once per job, reuse across waves."""
+        """Persistent fork pool: fork once per engine, reuse across jobs."""
         return cls(executor="pool", max_workers=max_workers, **kwargs)
 
     # -- derived values ----------------------------------------------------

@@ -125,11 +125,11 @@ def attempt_from_outcome(
 class TaskCall:
     """Call descriptor for one task attempt, map or reduce.
 
-    The unpicklable half of a task — the job spec's closures, the input
-    splits, the spill I/O layer — lives in the ``JobContext`` pooled
-    workers inherit through their fork image, so a map call is the same
-    few bytes (task id, placement candidates, fencing epoch) whether it
-    runs in-process or crosses a pipe.
+    The job's half of a task — its spec, its input splits, the spill
+    I/O layer — lives in the ``JobContext`` a pooled worker holds (from
+    its fork image, or sent once per job), so a map call is the same few
+    bytes (task id, placement candidates, fencing epoch) whether it runs
+    in-process or crosses a pipe.
 
     A reduce call additionally names where the attempt fetches its
     segments: ``paths`` is this reducer's segment from every mapper, in
@@ -299,9 +299,8 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
     split = context.splits[call.index]
 
     def body(node: str) -> TaskOutcome:
-        task = TaskContext(
-            call.task_id, node, traced=traced, task_index=call.index
-        )
+        task = TaskContext(call.task_id, node, traced=traced,
+                           task_index=call.index, metrics=context.metrics)
         outcome = TaskOutcome()
         payload = split.payload
         block = isinstance(payload, RecordBlock)
@@ -361,9 +360,8 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
     job, traced = context.job, context.trace
 
     def body(node: str) -> TaskOutcome:
-        task = TaskContext(
-            call.task_id, node, traced=traced, task_index=call.index
-        )
+        task = TaskContext(call.task_id, node, traced=traced,
+                           task_index=call.index, metrics=context.metrics)
         outcome = TaskOutcome()
         runs: List[List[KeyValue]] = []
         with task.span("shuffle", "phase"):

@@ -276,8 +276,8 @@ def worker_cost(recorder) -> Dict[str, Any]:
     One roll-up of what a run's workers did and what they cost:
 
     * ``workers`` — the peak number of ``*-task`` spans running at once.
-      Not the number of distinct tracks: the pool forks per job, so a
-      five-round run on two workers shows a dozen pids;
+      Not the number of distinct tracks: respawns, scale-ups and jobs
+      put on fresh forks add pids that never all run at once;
     * ``busy_seconds`` — task execution actually performed;
     * ``billed_seconds`` — what an elastic / preemptible cluster bill
       charges: ``pool.paid_worker_seconds`` (full worker lifetimes plus

@@ -13,11 +13,13 @@ Round 5  map-only   Haplotype Caller per sorted, indexed partition
 
 Optional extra rounds implement BaseRecalibrator (group partitioning by
 covariate) and PrintReads, matching Table 2 steps 7-8.  Every round is
-one declared :class:`_Row`, run by :meth:`GesallRounds._run`.
+one declared :class:`_Row` of module-level functions bound to picklable
+parameters (a pool's live workers get it pickled), run by ``_run``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
@@ -92,6 +94,183 @@ def _write_lines(ctx, path: str, header: SamHeader, lines: List[str],
     return size, heads
 
 
+def _read_round_bam(body, decode, split, ctx) -> None:
+    """The one map-side reader of a round BAM, then the row's body."""
+    with ctx.span("hdfs-read"):
+        data = split.read(ctx.metrics)
+    with ctx.span("decode"):
+        header, records, size = decode(data)
+    ctx.set_input_records(len(records))
+    body(header, records, size, ctx)
+
+
+def _align(aligner, chunk_bytes, out_dir, pairs, ctx) -> None:
+    """Round 1: the FASTQ block to Bwa and SamToBam as the text Hadoop
+    Streaming pipes (Fig 8), each step a section of the map phase."""
+    with ctx.span("transform", what="fastq-render") as span:
+        fastq = pairs_to_interleaved_text(pairs).encode()
+        span.set(bytes=len(fastq))
+    with ctx.span("transform", what="fastq-parse"):
+        pairs = interleaved_text_to_pairs(fastq.decode())
+    # One batch per task: its statistics are how partitioning
+    # perturbs Bwa's output in the paper.
+    with ctx.span("program", program="bwa-mem"):
+        records = aligner.align_batch(pairs)
+    with ctx.span("transform", what="sam-render") as span:
+        sam = records_to_sam_text(aligner.header(), records).encode()
+        span.set(bytes=len(sam))
+    with ctx.span("transform", what="sam-parse"):
+        header, records = sam_text_to_records(sam.decode())
+    with ctx.span("encode", records=len(records)) as span:
+        bam_data = bam_bytes(header, records, chunk_bytes)
+        span.set(bytes_out=len(bam_data))
+    path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
+    ctx.write_file(path, bam_data, logical_partition=True)
+    ctx.emit(path, len(pairs))
+
+
+def _clean(read_group, in_header, lines, size, ctx) -> None:
+    """Round 2's map: AddOrReplaceReadGroups + CleanSam over lines."""
+    accounting = ctx.attachment("transform", DataTransformAccounting)
+    lines, staged = clean_lines(in_header, lines, read_group)
+    cleaned = sum(map(len, lines)) + len(lines)  # SAM-text size
+    # Decoded -> AddOrReplaceReadGroups -> CleanSam, one call each.
+    for handed, back in ((size, staged), (staged, cleaned)):
+        accounting.record_input((), handed)
+        accounting.record_output((), back)
+    # What CleanSam handed back is exactly what is emitted.
+    ctx.set_output_bytes(cleaned)
+    for line in lines:
+        ctx.emit(line[:line.index("\t")], line)
+
+
+def _write_cleaned(out_dir, header, chunk_bytes, pairs, ctx) -> None:
+    """Round 2's output: FixMateInformation, the BAM and its bloom."""
+    lines = [line for _, line in pairs]
+    accounting = ctx.attachment("transform", DataTransformAccounting)
+    accounting.record_input((), sum(map(len, lines)) + len(lines))
+    fixed = fix_mate_fields(lines)
+    name = f"{out_dir}/part-{ctx.task_index:05d}"
+    size, _ = _write_lines(ctx, name + ".bam", header,
+                           list(map(join_fields, fixed)), chunk_bytes)
+    bloom = build_partial_position_bloom(
+        records_by_pair(fixed, name=itemgetter(0)),
+        fragment=fields_fragment)
+    ctx.write_file(name + ".bloom", bloom.to_bytes(),
+                   logical_partition=True)
+    accounting.record_output((), size)
+    ctx.emit(name + ".bam", len(fixed))
+
+
+def _key_pairs(mode, bloom, _header, lines, size, ctx) -> None:
+    """Round 3's map: MarkDuplicates' keys from split fields."""
+    ctx.attachment("transform", DataTransformAccounting).record_input(
+        (), size)
+    keying = MarkDupKeying(mode, bloom)
+    ends = [(split_line(line), line) for line in lines]
+    for end1, end2 in records_by_pair(ends, name=lambda end: end[0][0]):
+        for key, value in keying.keys_for_lines(end1, end2):
+            ctx.emit(key, value)
+
+
+def _mark(key, values, ctx) -> None:
+    for line in mark_duplicate_lines(key, values):
+        ctx.emit(key, line)
+
+
+def _write_deduped(out_dir, header, chunk_bytes, pairs, ctx) -> None:
+    """Round 3's output: the lines coordinate-sorted and framed."""
+    path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
+    size, _ = _write_lines(ctx, path, header, [line for _, line in pairs],
+                           chunk_bytes, coordinate_line_key(header))
+    ctx.attachment("transform", DataTransformAccounting).record_output(
+        (), size)
+    ctx.emit(path, len(pairs))
+
+
+def _by_coordinate(header, _header, lines, _size, ctx) -> None:
+    """Round 4's map: the lines placed on a contig, by coordinate."""
+    line_key, placed = coordinate_line_key(header), len(header.sequences)
+    for line in lines:
+        key = line_key(line)
+        if key[0] < placed:
+            ctx.emit(key, line)
+
+
+def _by_contig(key, num_reducers: int) -> int:
+    return key[0] % num_reducers
+
+
+def _write_sorted(out_dir, header, chunk_bytes, pairs, ctx) -> None:
+    """Round 4's output: one contig's merged lines framed, its .bai."""
+    if not pairs:
+        return
+    path = f"{out_dir}/{header.sequence_names()[pairs[0][0][0]]}.bam"
+    _, heads = _write_lines(ctx, path, header, [line for _, line in pairs],
+                            chunk_bytes)
+    ctx.write_file(path + ".bai", BamLinearIndex.of_heads(heads).to_bytes(),
+                   logical_partition=True)
+    ctx.emit(path, len(pairs))
+
+
+def _call_contig(calls, site, header, records, size, ctx) -> None:
+    for call in calls(records):
+        ctx.emit(site(call), call)
+
+
+def _haplotype_calls(reference, hc_config, records):
+    contig = records[0].rname if records else None
+    interval = GenomicInterval(
+        contig, 1, reference.contig_length(contig) + 1
+    ) if contig else None
+    return HaplotypeCallerLite(reference, hc_config).call(records, interval)
+
+
+def _caller_calls(caller, args, records):
+    return caller(*args).call(records)
+
+
+def _by_segment(ranger, header, records, size, ctx) -> None:
+    for record in records:
+        for index in ranger.partitions_of(record):
+            ctx.emit(index, record)
+
+
+def _by_index(key, num_reducers: int) -> int:
+    return key % num_reducers
+
+
+def _call_segment(ranger, reference, hc_config, index, records, ctx) -> None:
+    padded = ranger.padded[index]
+    end = min(padded.end, reference.contig_length(padded.contig) + 1)
+    calls = HaplotypeCallerLite(reference, hc_config).call(
+        records, GenomicInterval(padded.contig, padded.start, end),
+        emit_interval=ranger.cores[index],
+    )
+    for call in calls:
+        ctx.emit(call.site_key(), call)
+
+
+def _count_covariates(recalibrator, header, records, size, ctx) -> None:
+    partial_table = RecalibrationTable()
+    for record in records:
+        recalibrator.add_record(partial_table, record)
+    ctx.emit("table", partial_table)
+
+
+def _merge_tables(key, partials, ctx) -> None:
+    ctx.emit(key, _merged(partials, RecalibrationTable()))
+
+
+def _rewrite_qualities(table, out_dir, chunk_bytes, header, records, size,
+                       ctx) -> None:
+    header, rewritten = PrintReads(table).run(header, records)
+    path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
+    ctx.write_file(path, bam_bytes(header, rewritten, chunk_bytes),
+                   logical_partition=True)
+    ctx.emit(path, len(rewritten))
+
+
 def _identity_reducer(key, values, ctx) -> None:
     """Rounds 2 and 4 shuffle to group and order; the round's work on a
     whole partition happens in its ``reduce_output``."""
@@ -156,18 +335,9 @@ class GesallRounds:
                 inputs, prefix="fastq", nodes=self.engine.nodes
             )
         else:
-            hdfs, body, decode = self.hdfs, row.body, row.decode
-
-            def mapper(path, ctx):
-                # The one map-side reader of a round BAM.
-                with ctx.span("hdfs-read"):
-                    data = hdfs.get(path)
-                with ctx.span("decode"):
-                    header, records, size = decode(data)
-                ctx.set_input_records(len(records))
-                body(header, records, size, ctx)
-
-            splits = [InputSplit(path, path) for path in inputs]
+            mapper = partial(_read_round_bam, row.body, row.decode)
+            splits = [InputSplit(path, self.hdfs.open(path))
+                      for path in inputs]
         spec = JobSpec(
             name=row.name, mapper=mapper, reducer=row.reducer,
             partitioner=row.partitioner, num_reducers=row.num_reducers,
@@ -212,78 +382,25 @@ class GesallRounds:
 
     def round1_alignment(self, partitions: List[List[ReadPair]],
                          out_dir: str = "/round1") -> List[str]:
-        """Each map task hands its FASTQ partition (a sealed record block,
-        decoded once in its worker) to Bwa and SamToBam as the text Hadoop
-        Streaming pipes (Fig 8), each step a section of the map phase."""
-        aligner, chunk_bytes = self.aligner, self.chunk_bytes
-
-        def align(pairs, ctx):
-            with ctx.span("transform", what="fastq-render") as span:
-                fastq = pairs_to_interleaved_text(pairs).encode()
-                span.set(bytes=len(fastq))
-            with ctx.span("transform", what="fastq-parse"):
-                pairs = interleaved_text_to_pairs(fastq.decode())
-            # One batch per task: its statistics are how partitioning
-            # perturbs Bwa's output in the paper.
-            with ctx.span("program", program="bwa-mem"):
-                records = aligner.align_batch(pairs)
-            with ctx.span("transform", what="sam-render") as span:
-                sam = records_to_sam_text(aligner.header(), records).encode()
-                span.set(bytes=len(sam))
-            with ctx.span("transform", what="sam-parse"):
-                header, records = sam_text_to_records(sam.decode())
-            with ctx.span("encode", records=len(records)) as span:
-                bam_data = bam_bytes(header, records, chunk_bytes)
-                span.set(bytes_out=len(bam_data))
-            path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
-            ctx.write_file(path, bam_data, logical_partition=True)
-            ctx.emit(path, len(pairs))
-
-        return self._keys(
-            _Row("round1", "round1-alignment", align, fastq=True), partitions
-        )
+        """Round 1 (:func:`_align`) over sealed FASTQ record blocks."""
+        return self._keys(_Row(
+            "round1", "round1-alignment",
+            partial(_align, self.aligner, self.chunk_bytes, out_dir),
+            fastq=True,
+        ), partitions)
 
     def round2_cleaning(self, in_paths: List[str], out_dir: str = "/round2",
                         num_reducers: int = 4) -> List[str]:
         """Moves SAM lines through field kernels, no records; the
         reducer writes a ``.bloom`` sidecar (round 3 opt's 5' positions)."""
-        read_group = AddOrReplaceReadGroups().group_id
         header = SamHeader(sequences=self.reference.sam_sequences(),
                            sort_order="queryname")
-        chunk_bytes = self.chunk_bytes
-
-        def clean(in_header, lines, size, ctx):
-            accounting = ctx.attachment("transform", DataTransformAccounting)
-            lines, staged = clean_lines(in_header, lines, read_group)
-            cleaned = sum(map(len, lines)) + len(lines)  # SAM-text size
-            # Decoded -> AddOrReplaceReadGroups -> CleanSam, one call each.
-            for handed, back in ((size, staged), (staged, cleaned)):
-                accounting.record_input((), handed)
-                accounting.record_output((), back)
-            # What CleanSam handed back is exactly what is emitted.
-            ctx.set_output_bytes(cleaned)
-            for line in lines:
-                ctx.emit(line[:line.index("\t")], line)
-
-        def write(pairs, ctx):
-            lines = [line for _, line in pairs]
-            accounting = ctx.attachment("transform", DataTransformAccounting)
-            accounting.record_input((), sum(map(len, lines)) + len(lines))
-            fixed = fix_mate_fields(lines)
-            name = f"{out_dir}/part-{ctx.task_index:05d}"
-            size, _ = _write_lines(ctx, name + ".bam", header,
-                                   list(map(join_fields, fixed)), chunk_bytes)
-            bloom = build_partial_position_bloom(
-                records_by_pair(fixed, name=itemgetter(0)),
-                fragment=fields_fragment)
-            ctx.write_file(name + ".bloom", bloom.to_bytes(),
-                           logical_partition=True)
-            accounting.record_output((), size)
-            ctx.emit(name + ".bam", len(fixed))
-
         return self._keys(_Row(
-            "round2", "round2-cleaning", clean, _identity_reducer,
-            num_reducers=num_reducers, reduce_output=write,
+            "round2", "round2-cleaning",
+            partial(_clean, AddOrReplaceReadGroups().group_id),
+            _identity_reducer, num_reducers=num_reducers,
+            reduce_output=partial(_write_cleaned, out_dir, header,
+                                  self.chunk_bytes),
             decode=decode_bam_lines,
         ), in_paths)
 
@@ -302,33 +419,12 @@ class GesallRounds:
 
         header = SamHeader(sequences=self.reference.sam_sequences(),
                            sort_order="coordinate")
-        line_key, chunk_bytes = coordinate_line_key(header), self.chunk_bytes
-
-        def key_pairs(_header, lines, size, ctx):
-            ctx.attachment("transform", DataTransformAccounting).record_input(
-                (), size)
-            keying = MarkDupKeying(mode, bloom)
-            ends = [(split_line(line), line) for line in lines]
-            for end1, end2 in records_by_pair(ends, name=lambda end: end[0][0]):
-                for key, value in keying.keys_for_lines(end1, end2):
-                    ctx.emit(key, value)
-
-        def mark(key, values, ctx):
-            for line in mark_duplicate_lines(key, values):
-                ctx.emit(key, line)
-
-        def write(pairs, ctx):
-            path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
-            size, _ = _write_lines(ctx, path, header, [line for _, line in pairs],
-                                   chunk_bytes, line_key)
-            ctx.attachment("transform", DataTransformAccounting).record_output(
-                (), size)
-            ctx.emit(path, len(pairs))
-
         return self._keys(_Row(
-            "round3", f"round3-markdup-{mode}", key_pairs, mark,
-            partitioner=markdup_partition, num_reducers=num_reducers,
-            reduce_output=write, decode=decode_bam_lines,
+            "round3", f"round3-markdup-{mode}", partial(_key_pairs, mode, bloom),
+            _mark, partitioner=markdup_partition, num_reducers=num_reducers,
+            reduce_output=partial(_write_deduped, out_dir, header,
+                                  self.chunk_bytes),
+            decode=decode_bam_lines,
         ), in_paths)
 
     def round4_sort_index(self, in_paths: List[str],
@@ -338,70 +434,39 @@ class GesallRounds:
         then emission order) is the sort, and the reducer frames them."""
         header = SamHeader(sequences=self.reference.sam_sequences(),
                            sort_order="coordinate")
-        contigs, chunk_bytes = header.sequence_names(), self.chunk_bytes
-        line_key, placed = coordinate_line_key(header), len(contigs)
-
-        def by_coordinate(_header, lines, _size, ctx):
-            for line in lines:
-                key = line_key(line)
-                if key[0] < placed:  # on a contig of the header
-                    ctx.emit(key, line)
-
-        def write(pairs, ctx):
-            if not pairs:
-                return
-            path = f"{out_dir}/{contigs[pairs[0][0][0]]}.bam"
-            _, heads = _write_lines(ctx, path, header,
-                                    [line for _, line in pairs], chunk_bytes)
-            ctx.write_file(path + ".bai",
-                           BamLinearIndex.of_heads(heads).to_bytes(),
-                           logical_partition=True)
-            ctx.emit(path, len(pairs))
-
         return self._keys(_Row(
-            "round4", "round4-sort", by_coordinate, _identity_reducer,
-            partitioner=lambda key, n: key[0] % n,
-            num_reducers=len(contigs), reduce_output=write,
+            "round4", "round4-sort", partial(_by_coordinate, header),
+            _identity_reducer, partitioner=_by_contig,
+            num_reducers=len(header.sequences),
+            reduce_output=partial(_write_sorted, out_dir, header,
+                                  self.chunk_bytes),
             decode=decode_bam_lines,
         ), in_paths)
 
     def _call_per_contig(self, key: str, name: str, in_paths: List[str],
                          calls: Callable[[List[Any]], Iterable[Any]],
                          site=VariantRecord.site_key) -> List[Any]:
-        """The map-only round-5 row: ``calls(records)`` runs a fresh caller
-        over one sorted contig partition, each call emitted at ``site``."""
-
-        def call_contig(header, records, size, ctx):
-            for call in calls(records):
-                ctx.emit(site(call), call)
-
-        return self._values(_Row(key, name, call_contig), in_paths)
+        """Round 5: ``calls(records)`` per sorted contig BAM, at ``site``."""
+        return self._values(
+            _Row(key, name, partial(_call_contig, calls, site)), in_paths
+        )
 
     def round5_haplotype_caller(
         self, in_paths: List[str], hc_config: Optional[HaplotypeCallerConfig] = None,
     ) -> List[VariantRecord]:
-        reference = self.reference
-
-        def calls(records):
-            contig = records[0].rname if records else None
-            interval = GenomicInterval(
-                contig, 1, reference.contig_length(contig) + 1
-            ) if contig else None
-            return HaplotypeCallerLite(reference, hc_config).call(
-                records, interval)
-
         return sort_variants(self._call_per_contig(
-            "round5", "round5-haplotypecaller", in_paths, calls
+            "round5", "round5-haplotypecaller", in_paths,
+            partial(_haplotype_calls, self.reference, hc_config),
         ))
 
     def round5_unified_genotyper(self, in_paths: List[str],
                                  ug_config=None) -> List[VariantRecord]:
         """Table 2 step v1: Unified Genotyper per chromosome partition,
         the same non-overlapping scheme as Haplotype Caller (§3.2)."""
-        reference = self.reference
         return sort_variants(self._call_per_contig(
             "round5_ug", "round5-unifiedgenotyper", in_paths,
-            lambda records: UnifiedGenotyperLite(reference, ug_config).call(records),
+            partial(_caller_calls, UnifiedGenotyperLite,
+                    (self.reference, ug_config)),
         ))
 
     def round5_structural_variants(self, in_paths: List[str],
@@ -411,7 +476,7 @@ class GesallRounds:
         site = attrgetter("contig", "start")
         return sorted(self._call_per_contig(
             "round5_sv", "round5-gasv", in_paths,
-            lambda records: GASVLite(gasv_config).call(records), site,
+            partial(_caller_calls, GASVLite, (gasv_config,)), site,
         ), key=site)
 
     def round5_haplotype_caller_finegrained(
@@ -428,56 +493,26 @@ class GesallRounds:
         ranger = OverlappingRangePartitioner(
             SamHeader(sequences=reference.sam_sequences()), segment_length, overlap)
 
-        def by_segment(header, records, size, ctx):
-            for record in records:
-                for index in ranger.partitions_of(record):
-                    ctx.emit(index, record)
-
-        def call_segment(index, records, ctx):
-            padded = ranger.padded[index]
-            end = min(padded.end, reference.contig_length(padded.contig) + 1)
-            calls = HaplotypeCallerLite(reference, hc_config).call(
-                records, GenomicInterval(padded.contig, padded.start, end),
-                emit_interval=ranger.cores[index],
-            )
-            for call in calls:
-                ctx.emit(call.site_key(), call)
-
         return sort_variants(self._values(_Row(
-            "round5_finegrained", "round5-hc-finegrained", by_segment,
-            call_segment, partitioner=lambda key, n: key % n,
-            num_reducers=ranger.num_partitions,
+            "round5_finegrained", "round5-hc-finegrained",
+            partial(_by_segment, ranger),
+            partial(_call_segment, ranger, reference, hc_config),
+            partitioner=_by_index, num_reducers=ranger.num_partitions,
         ), in_paths))
 
     def round_recalibrate(self, in_paths: List[str],
                           known_sites=None) -> RecalibrationTable:
         """Group partitioning by covariate: partial tables merged in reduce."""
         recalibrator = BaseRecalibrator(self.reference, known_sites)
-
-        def count(header, records, size, ctx):
-            partial = RecalibrationTable()
-            for record in records:
-                recalibrator.add_record(partial, record)
-            ctx.emit("table", partial)
-
-        def merge(key, partials, ctx):
-            ctx.emit(key, _merged(partials, RecalibrationTable()))
-
-        return _merged(self._values(
-            _Row("round_recal", "round-recal", count, merge), in_paths
-        ), RecalibrationTable())
+        return _merged(self._values(_Row(
+            "round_recal", "round-recal",
+            partial(_count_covariates, recalibrator), _merge_tables,
+        ), in_paths), RecalibrationTable())
 
     def round_print_reads(self, in_paths: List[str], table: RecalibrationTable,
                           out_dir: str = "/round_bqsr") -> List[str]:
         """Map-only quality rewrite with the broadcast table."""
-
-        def rewrite(header, records, size, ctx):
-            header, rewritten = PrintReads(table).run(header, records)
-            path = f"{out_dir}/part-{ctx.task_index:05d}.bam"
-            ctx.write_file(path, bam_bytes(header, rewritten, self.chunk_bytes),
-                           logical_partition=True)
-            ctx.emit(path, len(rewritten))
-
-        return self._keys(
-            _Row("round_bqsr", "round-printreads", rewrite), in_paths
-        )
+        return self._keys(_Row(
+            "round_bqsr", "round-printreads",
+            partial(_rewrite_qualities, table, out_dir, self.chunk_bytes),
+        ), in_paths)

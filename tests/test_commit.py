@@ -148,7 +148,7 @@ class TestOutputCommitter:
         assert not committer.promote("t-m-00000", 0, zombie)
         assert result.attachments == {"table": [b"fresh"]}
         [refused] = result.history.events_of("commit_fenced")
-        assert refused["reason"] == "duplicate"  # backup already won
+        assert refused["reason"] == "stale_epoch"  # a zombie, not a dup
 
     def test_fence_before_any_commit_refuses_the_old_lineage(self):
         committer, result = self.committer()

@@ -7,10 +7,12 @@ events and ``pool.scale.*`` metrics rather than as output differences.
 """
 
 import dataclasses
+import multiprocessing
+import time
 
 import pytest
 
-from repro.api import PipelineSpec
+from repro.api import PipelineSpec, make_block_splits
 from repro.chaos.plan import (
     ColdStart,
     CorruptSegment,
@@ -32,7 +34,9 @@ from repro.mapreduce.executors import (
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import ExecutionPolicy
 from repro.obs.recorder import ObsConfig, TraceRecorder
+from repro.obs.report import build_report, report_dict
 from repro.pipeline.parallel import GesallPipeline
+from repro.server.protocol import wordcount_map, wordcount_reduce
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -443,6 +447,104 @@ class TestFoldEquivalence:
         )
         if traced:
             assert metrics == {"pool.forks": 6, "pool.reuse_count": 3}
+
+
+class TestForkOnce:
+    """Workers fork at an engine's first job and serve every later job
+    whose spec pickles; closures and cold starts take fresh forks."""
+
+    @staticmethod
+    def wordcount_spec(name):
+        return JobSpec(name, wordcount_map, wordcount_reduce, num_reducers=2)
+
+    def run_module_jobs(self, names, plan=None):
+        splits = make_block_splits([LINES[:2], LINES[2:]])
+        forks, results = [], []
+        with MapReduceEngine(
+            nodes=NODES,
+            policy=ExecutionPolicy(executor="pool", max_workers=2,
+                                   fault_plan=plan),
+        ) as engine:
+            for name in names:
+                results.append(engine.run(self.wordcount_spec(name), splits))
+                forks.append(engine._executor.forks)
+                cold_starts = engine._executor.cold_starts
+        for name, result in zip(names, results):
+            serial = MapReduceEngine(nodes=NODES).run(
+                self.wordcount_spec(name), splits
+            )
+            assert result.all_outputs() == serial.all_outputs()
+            assert result.counters.as_dict() == serial.counters.as_dict()
+        return forks, cold_starts
+
+    def test_module_level_jobs_run_on_the_first_jobs_workers(self):
+        assert self.run_module_jobs(["wc0", "wc1", "wc2"]) == ([2, 2, 2], 0)
+
+    def test_a_cold_started_job_lands_on_fresh_workers(self):
+        plan = FaultPlan(events=(ColdStart(0.25, job="wc1"),))
+        assert self.run_module_jobs(["wc0", "wc1", "wc2"], plan) == (
+            [2, 4, 4], 2
+        )
+
+    def test_the_bill_runs_to_close(self):
+        """Workers outlive their last job, so the engine publishes their
+        lifetimes once more when it closes the pool."""
+        recorder = TraceRecorder()
+        engine = MapReduceEngine(nodes=NODES, policy=ExecutionPolicy.pooled(2),
+                                 recorder=recorder)
+        engine.run(self.wordcount_spec("wc"), make_block_splits([LINES]))
+        executor = engine._executor
+        time.sleep(0.05)
+        engine.close()
+        counters = recorder.metrics.as_dict()["counters"]
+        assert counters["pool.paid_worker_seconds"] == pytest.approx(
+            executor.paid_worker_seconds(), abs=1e-5)
+        assert executor.paid_worker_seconds() > 0.05
+
+    @pytest.fixture(scope="class")
+    def runs(self, reference, ref_index, pairs):
+        """``wgs-pool2``'s shape: 8 FASTQ partitions, 4 reducers."""
+        def run(policy):
+            return GesallPipeline(PipelineSpec(
+                reference, index=ref_index, num_fastq_partitions=8,
+                num_reducers=4, policy=policy, obs=ObsConfig(enabled=True),
+            )).run(pairs)
+        return run(ExecutionPolicy.serial()), run(ExecutionPolicy.pooled(2))
+
+    def test_five_rounds_fork_two_workers_not_ten(self, runs):
+        serial, pooled = runs
+        counters = pooled.recorder.metrics.as_dict()["counters"]
+        assert counters["pool.forks"] == 2
+        assert counters["pool.reuse_count"] == 7  # every wave after round 1's
+        assert [v.to_line() for v in pooled.variants] == [
+            v.to_line() for v in serial.variants
+        ]
+        assert [v.to_line() for v in serial.variants]
+
+    def test_no_worker_outlives_close(self, reference, ref_index, pairs):
+        """A preempted worker is respawned and a third retires for a
+        two-task reduce wave; none is left once the pipeline closes its
+        engine, and the bill covers their lifetimes to the close."""
+        result = GesallPipeline(PipelineSpec(
+            reference, index=ref_index, num_fastq_partitions=3,
+            num_reducers=2, obs=ObsConfig(enabled=True),
+            policy=ExecutionPolicy(
+                executor="pool", max_workers=3, fault_plan=FaultPlan(
+                    events=(PreemptWorker("round2-cleaning", "map", 0),)
+                ),
+            ),
+        )).run(pairs[:60])
+        assert multiprocessing.active_children() == []
+        counters = result.recorder.metrics.as_dict()["counters"]
+        assert counters["pool.preemptions"] == 1
+        assert counters["pool.workers_respawned"] == 1
+        assert counters["pool.scale.downs"] >= 1
+        assert counters["pool.forks"] == 3 + 1 + counters.get(
+            "pool.scale.ups", 0)
+        [row] = report_dict(build_report(
+            result.recorder, result.rounds.results
+        ))["Worker cost"]["rows"]
+        assert row["billed"] == counters["pool.paid_worker_seconds"]
 
 
 class TestWaveSizing:

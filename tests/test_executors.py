@@ -10,6 +10,7 @@ jobs and then on the full five-round Gesall pipeline.
 import dataclasses
 import gc
 import inspect
+import multiprocessing.connection
 import os
 import sys
 import threading
@@ -546,6 +547,29 @@ class TestPooledExecutorLifecycle:
             wordcount_job(), make_splits(LINES)
         )
         assert result.all_outputs() == baseline.all_outputs()
+
+    def test_a_wave_cut_short_leaves_no_reply_for_the_next_job(
+        self, monkeypatch
+    ):
+        """A wave that raises with a call in flight (interrupted here)
+        leaves a worker whose late reply no later job may read as its
+        own: the next job lands on a fresh fork and gets its answer."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        executor = PooledProcessExecutor(2)
+        try:
+            executor.begin_job(_conformance_context())
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing.connection, "wait", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    executor.run_calls([_SquareCall(3, delay=0.2)])
+            executor.end_job()
+            executor.begin_job(_conformance_context())
+            assert executor.forks == 2
+            assert executor.run_calls([_SquareCall(5)]) == [25]
+        finally:
+            executor.close()
 
     def test_engine_close_is_idempotent_and_reusable(self):
         engine = MapReduceEngine(

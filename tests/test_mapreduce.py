@@ -254,3 +254,25 @@ class TestPublishTable:
             "shuffle.segment_bytes_stored": 466,
             "shuffle.segments": 8,
         }
+
+    def test_the_hung_reducers_late_commit_is_fenced_as_stale(self):
+        """The retry-plane run above: the hung reducer's backup commits
+        under epoch 1, then the hung attempt presents its epoch-0 token.
+        That is a zombie's stale token, whatever committed in between."""
+        plan = FaultPlan(events=(
+            RaiseInTask("rp-m-00000"),
+            RaiseInTask("rp-m-00000", attempt=2),
+            DelayTask("rp-r-00001", seconds=30.0, attempt=1),
+        ))
+        policy = ExecutionPolicy(
+            task_retries=3, lease_seconds=5.0, blacklist_after=1,
+            fault_plan=plan,
+        )
+        job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,
+                      io_sort_records=3)
+        result = MapReduceEngine(nodes=["n1", "n2", "n3"], policy=policy).run(
+            job, make_splits(["the quick brown fox", "the dog barks"])
+        )
+        [refused] = result.history.events_of("commit_fenced")
+        assert (refused["task"], refused["epoch"], refused["expected"],
+                refused["reason"]) == ("rp-r-00001", 0, 1, "stale_epoch")

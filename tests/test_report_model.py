@@ -237,7 +237,8 @@ class TestEmptyRecorders:
 
 class TestWorkerCount:
     """The defect this model was built around: both old roll-ups
-    counted distinct worker *pids*, and the pool forks per job."""
+    counted distinct worker *pids*, and the pool forked per job.  It
+    now forks once per engine, so a clean run's pids are its workers."""
 
     @needs_fork
     def test_pooled_two_reports_two_workers(self, reference, ref_index,
@@ -248,7 +249,7 @@ class TestWorkerCount:
         cost = worker_cost(recorder)
         tracks = {s.track for s in recorder.spans()
                   if s.category.endswith("-task")}
-        assert len(tracks) > 2  # what the parent reported as "workers"
+        assert len(tracks) == 2  # one fork set serves every round
         assert cost["workers"] == 2
         assert cost["static_envelope_seconds"] == \
             pytest.approx(2 * recorder.horizon())
