@@ -6,8 +6,8 @@ flag takes, the ``plane`` that applies it, and its own validation — and
 :data:`EVENT_TYPES` is the table everything else is derived from.  The
 planes, in the order a run meets them: **storage** (the driver, when
 the stage named by ``at_round`` is about to start), **segment**
-(between a job's map and reduce waves), **task** (inside the engine's
-attempt loop, keyed purely on ``(task_id, attempt)``), **commit** (the
+(between a job's map and reduce waves), **task** (inside one task
+attempt, keyed purely on ``(task_id, attempt)``), **commit** (the
 driver at commit time: a duplicated commit must bounce off the
 committer's fencing check, a killed driver must resume from the job
 WAL), **pool** (the execution plane: a SIGKILLed worker, a charged
@@ -17,8 +17,11 @@ and **server** (the job server at dispatch time).
 Every keying scheme is independent of executor kind, scheduling
 order, and process identity, so a plan injects *identical* faults
 under the serial and forked engines.  A plan is the one
-way to make an attempt fail on purpose; its failures are absorbed by
-the engine's ordinary retry loop.
+way to make an attempt fail on purpose.  An attempt is an epoch: the
+driver issues attempt ``epoch + 1`` under each fencing epoch, the first
+at epoch 0 and each re-execution of a lost one under a fresh epoch, so
+a task event addresses any attempt, re-executions included, and its
+failures are absorbed by the engine's one re-execution loop.
 
 Injected delays are *charged* to the attempt (added to the measured
 runtime the driver holds against ``lease_seconds``), never slept, so
@@ -123,7 +126,7 @@ class DelayTask:
     """Charge SECONDS of extra runtime to one attempt of TASK.
 
     With a ``lease_seconds`` below ``seconds`` the attempt's lease is
-    lost: the driver fences it and a backup on another node commits.
+    lost: the driver fences it and re-executes the task on another node.
     The delay is charged deterministically, never slept, so the lease
     trips under every executor.
     """
@@ -153,8 +156,8 @@ class ZombieAttempt:
     a fenced backup.  The attempt's outcome is marked, the driver's
     ``lease_lost`` declares it lost, and its late commit must be
     refused by the stale fencing token (counted in ``commit.fenced``).
-    Only addresses the primary lineage (epoch 0) — a backup attempt is
-    a fresh worker the plan does not target.
+    Attempt K runs at epoch K - 1, so the plan can zombify a
+    re-execution too; each zombie's late commit is fenced.
     """
 
     task_id: str
@@ -181,8 +184,8 @@ class PreemptWorker:
     job's ``wave`` (``"map"`` or ``"reduce"``): the worker that picks
     up the wave's ``task``-th call is killed right after dispatch, so
     the driver observes an EOF'd pipe mid-wave.  The crash is absorbed
-    by the exactly-once path — fence the epoch, launch a fenced backup
-    attempt, respawn the worker slot — and the preempted node is
+    by the exactly-once path — respawn the worker slot, fence the epoch,
+    re-execute the task — and the preempted node is
     charged a failure toward ``blacklist_after``.  Keying on
     ``(job, wave, task)`` is executor-order independent, so the same
     plan preempts the same logical work under every schedule.
@@ -351,7 +354,7 @@ def _plane(name: str) -> Tuple[type, ...]:
 STORAGE_EVENT_TYPES = _plane("storage")
 #: Events applied by the engine between a job's map and reduce waves.
 SEGMENT_EVENT_TYPES = _plane("segment")
-#: Events applied inside the engine's task-attempt loop.
+#: Events applied inside one task attempt.
 TASK_EVENT_TYPES = _plane("task")
 #: Events applied by the driver at task-commit time.
 COMMIT_EVENT_TYPES = _plane("commit")

@@ -114,8 +114,10 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument("--max-workers", type=int, default=None,
                        help="pool worker slots; each wave runs on "
                             "min(slots, its tasks)")
-    group.add_argument("--task-retries", type=int, default=0,
-                       help="retries per failed task (default: 0)")
+    group.add_argument("--task-retries", type=int,
+                       default=ExecutionPolicy.task_retries,
+                       help="re-executions of a task whose attempt is "
+                            "lost (default: %(default)s)")
     group.add_argument("--shuffle-codec", choices=CODEC_NAMES,
                        default="raw",
                        help="segment compression for the shuffle byte "

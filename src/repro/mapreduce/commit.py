@@ -24,9 +24,9 @@ Liveness is lease-based, Hadoop's one hung-task rule
 (``mapreduce.task.timeout``): :func:`lease_lost` declares an attempt
 lost when its *charged* runtime (measured wall time plus chaos-injected
 delays, never slept) exceeds the policy's ``lease_seconds``, or when a
-chaos ``ZombieAttempt`` marked it.  The engine then launches a fenced
-backup attempt and charges the lost attempt's node a failure, feeding
-the same per-node blacklist as crashed attempts.
+chaos ``ZombieAttempt`` marked it.  The engine then settles it like
+any lost attempt: it charges the node a failure and re-issues the task
+under a fresh fencing epoch.
 
 :class:`RoundJournal` binds one engine run to the pipeline's job WAL
 (:mod:`repro.pipeline.wal`): every promotion is journaled, and a
@@ -71,8 +71,8 @@ class OutputCommitter:
        presents the task's current fencing token.  A stale token
        (zombie) or an already-committed task (duplicate) is refused
        and counted instead.
-    3. ``fence(task)`` — bumps the token before launching a backup
-       attempt, so the abandoned lineage can never commit later.
+    3. ``fence(task)`` — bumps the token before the driver re-issues
+       the task, so the abandoned attempt can never commit later.
     """
 
     def __init__(

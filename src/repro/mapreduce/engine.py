@@ -3,10 +3,11 @@
 Executes a :class:`~repro.mapreduce.job.JobSpec` over input splits with
 full sort-spill-merge shuffle semantics.  This module owns the job
 lifecycle — placement and the node blacklist, the two waves, commit
-settlement and the fenced-backup recovery of lost attempts.  What runs
-*inside* a task attempt lives in :mod:`repro.mapreduce.task`: the driver
-describes each attempt as a :class:`~repro.mapreduce.task.TaskCall` and
-runs it against the job's context on a pluggable
+settlement and the re-execution of lost attempts, each under a fresh
+fencing epoch.  What runs *inside* a task attempt lives in
+:mod:`repro.mapreduce.task`: the driver describes each attempt as a
+:class:`~repro.mapreduce.task.TaskCall` and runs it against the job's
+context on a pluggable
 :class:`~repro.mapreduce.executors.TaskExecutor` chosen by the engine's
 :class:`~repro.mapreduce.policy.ExecutionPolicy` — serially, or on a
 persistent fork-based worker pool.
@@ -28,9 +29,10 @@ from those when the run ends, through the one publish table below
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DriverKilledError, MapReduceError
+from repro.io.policy import charged_backoff
 from repro.mapreduce import counters as C
 from repro.mapreduce.commit import OutputCommitter, RoundJournal, lease_lost
 from repro.mapreduce.counters import Counters
@@ -43,7 +45,12 @@ from repro.mapreduce.executors import (
 from repro.mapreduce.history import JobHistory
 from repro.mapreduce.job import InputSplit, JobSpec, KeyValue
 from repro.mapreduce.policy import ExecutionPolicy
-from repro.mapreduce.task import TaskCall, TaskOutcome, attempt_from_outcome
+from repro.mapreduce.task import (
+    AttemptFailed,
+    TaskCall,
+    TaskOutcome,
+    attempt_from_outcome,
+)
 from repro.obs.ingest import ingest_task
 from repro.obs.recorder import NULL_RECORDER
 from repro.shuffle.segment import segment_path
@@ -98,7 +105,6 @@ _WAVE_VOLUMES = {
         (C.MAP_INPUT_RECORDS, "input_records"),
         (C.MAP_OUTPUT_RECORDS, "output_records"),
         (C.MAP_OUTPUT_BYTES, "output_bytes"),
-        (C.MAP_TASK_ATTEMPTS, "attempts"),
     ),
     "reduce": (
         (C.SHUFFLED_RECORDS, "shuffled_records"),
@@ -107,17 +113,19 @@ _WAVE_VOLUMES = {
         (C.REDUCE_INPUT_GROUPS, "groups"),
         (C.REDUCE_INPUT_RECORDS, "input_records"),
         (C.REDUCE_OUTPUT_RECORDS, "output_records"),
-        (C.REDUCE_TASK_ATTEMPTS, "attempts"),
     ),
 }
+
+#: Attempts per wave kind: each task's committed epoch + 1, summed.
+_WAVE_ATTEMPTS = {"map": C.MAP_TASK_ATTEMPTS, "reduce": C.REDUCE_TASK_ATTEMPTS}
 
 #: A map wave that feeds a shuffle also counts its output as spilled.
 _SHUFFLE_MAP_VOLUMES = ((C.SPILLED_RECORDS, "output_records"),)
 
 #: Counted only when they happened (a clean run carries none of these
-#: names), whichever wave the task belongs to.
+#: names), whichever wave the task belongs to.  A lost attempt's delay
+#: is counted when it is settled.
 _WAVE_INCIDENTS = (
-    (C.INJECTED_FAULTS, "injected_faults"),
     (C.INJECTED_DELAYS, "injected_delays"),
     (C.SHUFFLE_CRC_FAILURES, "crc_failures"),
     (C.SHUFFLE_FETCH_RETRIES, "fetch_retries"),
@@ -237,32 +245,26 @@ class MapReduceEngine:
         nodes = [n for n in self.nodes if n not in self.blacklisted_nodes]
         return nodes or list(self.nodes)
 
-    def _candidate_nodes(self, preferred: Optional[str], index: int) -> List[str]:
-        """Placement candidates for one task, primary first.
-
-        Retries walk this list, so attempt 2 lands on a different node
-        whenever more than one is schedulable.
-        """
-        schedulable = self._schedulable_nodes()
+    def _place(self, preferred: Optional[str], index: int) -> str:
+        """The node for one attempt: its split's preferred node unless
+        that is blacklisted, else the ``index``-th schedulable node (a
+        re-execution rotates ``index`` by its epoch, so it lands off the
+        node that just failed whenever another is schedulable)."""
         if preferred and preferred not in self.blacklisted_nodes:
-            primary = preferred
-        else:
-            primary = schedulable[index % len(schedulable)]
-        return [primary] + [n for n in schedulable if n != primary]
+            return preferred
+        schedulable = self._schedulable_nodes()
+        return schedulable[index % len(schedulable)]
 
     def _charge_node_failure(
         self, result: JobResult, node: str, reason: str
     ) -> None:
-        """Charge one failed attempt to a node and blacklist on threshold.
+        """Charge one lost attempt to a node and blacklist on threshold.
 
-        Crash and lease failures are charged the moment the driver
-        settles them — *before* the fenced backup resolves its
-        placement — so a node whose pool worker keeps getting preempted
-        crosses ``blacklist_after`` mid-job and the respawned worker's
-        backup attempts stop landing on it.
+        Charged the moment the driver settles the attempt — *before*
+        the re-execution is placed — so a node whose attempts keep
+        getting lost crosses ``blacklist_after`` mid-job and the task's
+        next attempt stops landing on it.
         """
-        if not node:
-            return
         count = self._node_failures.get(node, 0) + 1
         self._node_failures[node] = count
         threshold = self.policy.blacklist_after
@@ -327,7 +329,7 @@ class MapReduceEngine:
                 map_outcomes = self._run_wave(job, [
                     TaskCall(
                         "map", f"{job.name}-m-{index:05d}",
-                        self._candidate_nodes(split.preferred_node, index),
+                        self._place(split.preferred_node, index),
                     )
                     for index, split in enumerate(splits)
                 ], result, executor, committer, recovered)
@@ -549,7 +551,7 @@ class MapReduceEngine:
             reducer_paths = [per_map[reducer_index] for per_map in paths]
             calls.append(TaskCall(
                 "reduce", f"{job.name}-r-{reducer_index:05d}",
-                self._candidate_nodes(None, reducer_index),
+                self._place(None, reducer_index),
                 store=SegmentStore(ShippedReplicaBackend(
                     {path: chains[path] for path in reducer_paths}
                 )),
@@ -569,8 +571,8 @@ class MapReduceEngine:
     ) -> List[TaskOutcome]:
         """Run one wave of tasks, settle every commit, do the accounting.
 
-        ``calls[i]`` is task *i*'s call descriptor at epoch 0, the
-        primary attempt; fenced backups rebind it to a higher epoch via
+        ``calls[i]`` is task *i*'s first attempt, at epoch 0; a lost
+        attempt's re-execution rebinds it to a higher epoch via
         ``with_epoch``.  Tasks whose commits were recovered from the
         WAL are not re-executed — their journaled outcomes are replayed
         through the committer and merged back in at their task index,
@@ -585,6 +587,8 @@ class MapReduceEngine:
             i for i, call in enumerate(calls)
             if call.task_id not in recovered
         ]
+        # Injected faults each task's lost attempts absorbed.
+        faults: Dict[str, int] = {}
         with self.recorder.span(
             f"{job.name}:{kind}-wave", category="wave", track="driver",
             tasks=len(calls), recovered=len(calls) - len(live),
@@ -613,14 +617,12 @@ class MapReduceEngine:
                             wave=kind,
                         )
             submitted = time.perf_counter()
-            ran = executor.run_calls([calls[i] for i in live])
-            outcomes: List[Optional[TaskOutcome]] = [None] * len(calls)
-            for index, outcome in zip(live, ran):
-                outcomes[index] = outcome
+            ran = iter(executor.run_calls([calls[i] for i in live]))
             killed = None
             try:
                 self._settle_wave(
-                    calls, outcomes, result, executor, committer, recovered,
+                    calls, ran, faults, result, executor, committer,
+                    recovered,
                 )
             except DriverKilledError as exc:
                 # The driver dies mid-wave, after a journaled commit: the
@@ -628,18 +630,18 @@ class MapReduceEngine:
                 # they are of the resumed run that replays them.
                 killed = exc
                 calls = [c for c in calls if c.task_id in committer.promoted]
-        outcomes = [committer.promoted[call.task_id] for call in calls]
-        self._account_wave(job, calls, outcomes, submitted, result,
+        self._account_wave(job, calls, committer, faults, submitted, result,
                            sequential=not executor.pooled)
         if killed is not None:
             raise killed
-        return outcomes
+        return [committer.promoted[call.task_id] for call in calls]
 
     def _account_wave(
         self,
         job: JobSpec,
         calls: List[TaskCall],
-        outcomes: List[TaskOutcome],
+        committer: OutputCommitter,
+        faults: Dict[str, int],
         submitted: float,
         result: JobResult,
         sequential: bool,
@@ -647,31 +649,28 @@ class MapReduceEngine:
         """Absorb one settled wave into counters, history and telemetry.
 
         The one post-wave bookkeeping routine, driven by the per-kind
-        tables above.  It also feeds the per-node failure tallies that
-        drive blacklisting — after the wave completes, so every executor
-        observes the same blacklist state for a given wave regardless
-        of intra-wave scheduling order.  A task's queue wait runs from
-        ``submitted`` (the wave submit) to its start; on a ``sequential``
-        (serial) executor, from when the task before it finished.
+        tables above, over each task's committed outcome; a task's
+        attempts are its committed epoch + 1.  A task's queue wait runs
+        from ``submitted`` (the wave submit) to its start; on a
+        ``sequential`` (serial) executor, from when the task before it
+        finished.
         """
         kind = calls[0].kind
+        outcomes = [committer.promoted[call.task_id] for call in calls]
+        attempts = 0
         ready = submitted
         for call, outcome in zip(calls, outcomes):
             task = attempt_from_outcome(
-                call.task_id, kind, outcome, call.candidates[0]
+                call.task_id, kind, outcome,
+                committer.committed[call.task_id] + 1,
             )
+            task.injected_faults = faults.get(call.task_id, 0)
+            attempts += task.attempts
             ingest_task(self.recorder, task, outcome, ready)
             if sequential and outcome.finished_at is not None:
                 ready = max(ready, outcome.finished_at)
-            for node, reason in outcome.failures:
-                if reason in ("WorkerCrashed", "LeaseExpired"):
-                    # Charged at settle time (_charge_node_failure), so
-                    # the blacklist is already current when the fenced
-                    # backup picked its node; counting here again would
-                    # double-charge.
-                    continue
-                self._charge_node_failure(result, node, reason)
             result.history.add(task)
+        result.counters.inc(_WAVE_ATTEMPTS[kind], attempts)
 
         def total(attr: str):
             return sum(getattr(outcome, attr) for outcome in outcomes)
@@ -685,36 +684,28 @@ class MapReduceEngine:
             happened = total(attr)
             if happened:
                 result.counters.inc(counter, happened)
-        # Charged seconds go straight to a recorder metric and stay out
-        # of the counters, which must compare equal across executors.
-        backoff = total("backoff_seconds")
-        if backoff > 0.0:
-            self.recorder.metrics.counter(
-                "engine.backoff_charged_seconds"
-            ).inc(round(backoff, 6))
 
     def _settle_wave(
         self,
         calls: List[TaskCall],
-        outcomes: List[Optional[TaskOutcome]],
+        ran: Iterator[Any],
+        faults: Dict[str, int],
         result: JobResult,
         executor: TaskExecutor,
         committer: OutputCommitter,
         recovered: Dict[str, Tuple[int, TaskOutcome]],
     ) -> None:
-        """Stage and promote one attempt per task, in task-index order.
+        """Commit exactly one attempt per task, in task-index order.
 
-        The exactly-once gate: attempts whose lease held are promoted
-        directly; lost leases — and pool workers that died mid-task —
-        get fenced backup attempts (the zombie's late commit bounces
-        off the fence); chaos-plan duplicate-commit events re-present
-        an already-committed attempt and must be refused.  Replays
-        recovered commits instead of anything else for tasks the WAL
-        already settled.  Each task's settled outcome is the one
-        ``committer.promoted`` holds.
+        Replays recovered commits instead of anything else for tasks
+        the WAL already settled; settles every other task's first
+        attempt, the next of ``ran``, through :meth:`_settle_task`.
+        Chaos-plan duplicate-commit events then re-present the committed
+        attempt, which must be refused.  Each task's settled outcome is
+        the one ``committer.promoted`` holds.
         """
         plan = self.policy.fault_plan
-        for call, outcome in zip(calls, outcomes):
+        for call in calls:
             task_id = call.task_id
             if task_id in recovered:
                 epoch, outcome = recovered[task_id]
@@ -724,20 +715,9 @@ class MapReduceEngine:
                 outcome.finished_at = None
                 committer.replay(task_id, epoch, outcome)
                 continue
-            if isinstance(outcome, WorkerCrash):
-                self._settle_worker_crash(
-                    call, outcome, result, executor, committer,
-                )
-            else:
-                committer.stage(task_id, 0, outcome)
-                reason = lease_lost(self.policy, outcome)
-                if reason is None:
-                    committer.promote(task_id, 0, outcome)
-                else:
-                    self._expire_lease(result, task_id, outcome, reason)
-                    self._run_backup(
-                        call, outcome, result, executor, committer,
-                    )
+            self._settle_task(
+                call, next(ran), faults, result, executor, committer,
+            )
             if plan is not None and plan.duplicate_commit_for(task_id):
                 # A duplicated commit RPC: the winning attempt presents
                 # its (already-spent) token again and must be refused.
@@ -747,145 +727,110 @@ class MapReduceEngine:
                     committer.promoted[task_id],
                 )
 
-    def _record_worker_crash(
-        self, result: JobResult, task_id: str, node: str, crash: WorkerCrash
-    ) -> None:
-        """Count one dead pool worker and charge its node *now* —
-        before any backup resolves its candidates — so a node whose
-        workers keep getting preempted is blacklisted in time for the
-        respawned pool to stop choosing it."""
-        result.counters.inc(C.WORKER_CRASHES)
-        result.history.add_event(
-            "worker_crashed", task=task_id, node=node, pid=crash.pid,
-            exitcode=crash.exitcode,
-        )
-        self._charge_node_failure(result, node, "WorkerCrashed")
-
-    def _settle_worker_crash(
+    def _settle_task(
         self,
         call: TaskCall,
-        crash: WorkerCrash,
+        attempt: Any,
+        faults: Dict[str, int],
         result: JobResult,
         executor: TaskExecutor,
         committer: OutputCommitter,
     ) -> None:
-        """Recover a task whose pool worker died mid-flight.
+        """Commit one task, re-executing each lost attempt.
 
-        The crashed attempt produced no outcome and can never commit
-        (the process is gone), so nothing is staged for epoch 0; a
-        synthesized zombie carries the crash into the normal
-        fenced-backup path.
-        """
-        node = call.candidates[0]
-        self._record_worker_crash(result, call.task_id, node, crash)
-        zombie = TaskOutcome()
-        zombie.node = node
-        zombie.attempts = 1
-        zombie.failures = [(node, "WorkerCrashed")]
-        self._run_backup(
-            call, zombie, result, executor, committer, crashed=True,
-        )
-
-    def _expire_lease(
-        self, result: JobResult, task_id: str, lost: TaskOutcome,
-        reason: str,
-    ) -> None:
-        """Count, record and charge one lineage whose lease was lost.
-
-        A lost lease charges its node like a crash, so repeat offenders
-        cross the same blacklist threshold; the ``LeaseExpired`` entry
-        tells the wave bookkeeping it is already charged.
-        """
-        result.counters.inc(C.LEASE_EXPIRATIONS)
-        result.history.add_event(
-            "lease_expired", task=task_id, node=lost.node, reason=reason,
-        )
-        lost.failures = list(lost.failures) + [(lost.node, "LeaseExpired")]
-        self._charge_node_failure(result, lost.node, "LeaseExpired")
-
-    def _run_backup(
-        self,
-        call: TaskCall,
-        zombie: TaskOutcome,
-        result: JobResult,
-        executor: TaskExecutor,
-        committer: OutputCommitter,
-        crashed: bool = False,
-    ) -> None:
-        """Re-execute a lost task under a fresh fencing token.
-
-        Up to ``policy.backup_attempts`` fenced re-executions; the
-        first whose lease holds commits, after which the original
-        zombie's late commit is presented and refused (a crashed worker
-        presents nothing — it is dead).  A backup that loses its lease
-        goes through :meth:`_expire_lease`, as the primary did before
-        this call.  Each backup epoch re-resolves its placement
-        candidates against the *current* blacklist (the wave's own
-        lists predate any mid-job blacklisting), so a twice-preempted
-        node is never chosen again once it crosses ``blacklist_after``.  The abandoned lineage's telemetry is
-        folded into the winning outcome so wave bookkeeping (attempt
-        counters, node blacklist) still sees every attempt that
-        actually ran.
+        The one re-execution loop.  An attempt is lost when it raised,
+        its pool worker died or its lease was lost; :meth:`_lost` counts
+        it under its reason and charges its node.  The driver then
+        fences the task and issues attempt ``epoch + 1`` on a node
+        placed against the *current* blacklist, charging one
+        ``charged_backoff`` (recorded, never slept), until an attempt
+        commits or ``policy.task_retries`` re-executions are spent.
+        Every lease-lost attempt is a zombie still running: once the
+        task commits, each presents its late commit, which the fence
+        refuses.
         """
         task_id = call.task_id
-        predecessor = zombie
-        for _ in range(self.policy.backup_attempts):
+        zombies: List[Tuple[int, TaskOutcome]] = []
+        while True:
+            if isinstance(attempt, TaskOutcome):
+                committer.stage(task_id, call.epoch, attempt)
+            cause = self._lost(result, call, attempt, faults)
+            if cause is None:
+                committer.promote(task_id, call.epoch, attempt)
+                for epoch, zombie in zombies:
+                    committer.promote(task_id, epoch, zombie)
+                return
+            if isinstance(attempt, TaskOutcome):
+                zombies.append((call.epoch, attempt))
+            if call.epoch >= self.policy.task_retries:
+                error = MapReduceError(
+                    f"task {task_id} failed after {call.epoch + 1} "
+                    f"attempt(s): attempt {call.epoch + 1} {cause}"
+                )
+                if isinstance(attempt, AttemptFailed):
+                    # The attempt's own traceback, wherever it ran.
+                    raise error from MapReduceError(attempt.traceback)
+                raise error
             epoch = committer.fence(task_id)
             result.counters.inc(C.BACKUP_ATTEMPTS)
             result.history.add_event(
                 "backup_launched", task=task_id, epoch=epoch,
             )
-            # Fresh, blacklist-aware placement for this epoch; rotating
-            # the index by the epoch keeps repeated backups off the
-            # node that just failed even before it is blacklisted.
-            candidates = self._candidate_nodes(None, call.index + epoch)
+            self.recorder.metrics.counter(
+                "engine.backoff_charged_seconds"
+            ).inc(charged_backoff(epoch))
+            call = call.with_epoch(
+                epoch, self._place(None, call.index + epoch)
+            )
             with self.recorder.span(
                 f"{task_id}-backup", category="backup", track="driver",
                 kind=call.kind, epoch=epoch,
             ):
-                backup = executor.run_calls(
-                    [call.with_epoch(epoch, candidates)]
-                )[0]
-            if isinstance(backup, WorkerCrash):
-                # The backup's worker died too; fence again and retry
-                # until the attempt budget runs out.
-                self._record_worker_crash(
-                    result, task_id, candidates[0], backup
-                )
-                continue
-            result.history.add(attempt_from_outcome(
-                f"{task_id}-backup-e{epoch}", call.kind, backup,
-                backup=True,
-            ))
-            # Fold the abandoned lineage's telemetry into the backup so
-            # the wave bookkeeping counts every attempt exactly once.
-            backup.attempts += predecessor.attempts
-            backup.injected_faults += predecessor.injected_faults
-            backup.injected_delays += predecessor.injected_delays
-            backup.backoff_seconds += predecessor.backoff_seconds
-            backup.failures = list(predecessor.failures) + list(
-                backup.failures
+                attempt = executor.run_calls([call])[0]
+            if isinstance(attempt, TaskOutcome):
+                result.history.add(attempt_from_outcome(
+                    f"{task_id}-backup-e{epoch}", call.kind, attempt,
+                    backup=True,
+                ))
+
+    def _lost(
+        self,
+        result: JobResult,
+        call: TaskCall,
+        attempt: Any,
+        faults: Dict[str, int],
+    ) -> Optional[str]:
+        """Why this attempt is lost, or ``None`` if it may commit.
+
+        A lost attempt is counted under its reason — a dead worker in
+        ``WORKER_CRASHES``, a chaos-plan raise in ``INJECTED_FAULTS``, a
+        lost lease in ``LEASE_EXPIRATIONS`` — and charged to its node.
+        """
+        task_id, node = call.task_id, call.node
+        if isinstance(attempt, WorkerCrash):
+            result.counters.inc(C.WORKER_CRASHES)
+            result.history.add_event(
+                "worker_crashed", task=task_id, node=node, pid=attempt.pid,
+                exitcode=attempt.exitcode,
             )
-            committer.stage(task_id, epoch, backup)
-            reason = lease_lost(self.policy, backup)
-            if reason is None:
-                committer.promote(task_id, epoch, backup)
-                if not crashed:
-                    # The zombie finishes late and presents its stale
-                    # token; the fence refuses it (counted, never
-                    # applied).
-                    committer.promote(task_id, 0, zombie)
-                return
-            self._expire_lease(result, task_id, backup, reason)
-            predecessor = backup
-        if crashed:
-            raise MapReduceError(
-                f"task {task_id} lost its worker and all "
-                f"{self.policy.backup_attempts} backup attempt(s) were "
-                "lost too"
+            reason = "WorkerCrashed"
+            cause = f"lost its worker (exit code {attempt.exitcode})"
+        elif isinstance(attempt, AttemptFailed):
+            if attempt.injected:
+                result.counters.inc(C.INJECTED_FAULTS)
+                faults[task_id] = faults.get(task_id, 0) + 1
+            reason = attempt.reason
+            cause = f"raised {reason}: {attempt.error}"
+        else:
+            why = lease_lost(self.policy, attempt)
+            if why is None:
+                return None
+            result.counters.inc(C.LEASE_EXPIRATIONS)
+            if attempt.injected_delays:
+                result.counters.inc(C.INJECTED_DELAYS)
+            result.history.add_event(
+                "lease_expired", task=task_id, node=node, reason=why,
             )
-        raise MapReduceError(
-            f"task {task_id} lost its lease and all "
-            f"{self.policy.backup_attempts} backup attempt(s) lost "
-            "theirs too"
-        )
+            reason, cause = "LeaseExpired", f"lost its lease ({why})"
+        self._charge_node_failure(result, node, reason)
+        return cause

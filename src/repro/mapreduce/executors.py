@@ -22,8 +22,8 @@ map-task order, so every executor produces byte-identical job results.
     descriptors cross the pipes going in, and picklable outcomes coming
     back.  A worker that dies mid-task is detected by its broken pipe,
     reported to the engine as a :class:`WorkerCrash` marker, and
-    replaced by a fresh fork; the engine routes the crash through the
-    same fenced-backup path a lost lease takes.
+    replaced by a fresh fork; the engine re-executes the task as it
+    does any lost attempt.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class TaskExecutor(ABC):
         """Run one wave of calls; return results by submission index.
 
         A call that raises propagates to the caller once nothing from
-        the wave is still running (after the engine-level retry loop
-        inside the call is exhausted).
+        the wave is still running.  A task call does not raise: its
+        failure comes back as an ``AttemptFailed`` marker.
         """
 
     def __repr__(self) -> str:
@@ -181,9 +181,8 @@ class WorkerCrash:
     """Marker result: the pool worker running this task died mid-flight.
 
     Not an exception — the engine receives it in the task's result slot
-    and settles it through the fenced-backup path (the same machinery a
-    lost lease uses), so a SIGKILLed worker costs one backup attempt,
-    not the job.
+    and settles it like any lost attempt, so a SIGKILLed worker costs
+    one re-execution, not the job.
     """
 
     __slots__ = ("task_index", "exitcode", "pid")
@@ -321,7 +320,7 @@ class PooledProcessExecutor(TaskExecutor):
     """Persistent fork-based worker pool — forks once per engine.
 
     Workers fork at the first :meth:`begin_job` with that job's context
-    in memory, are fed every task — both waves and each fenced backup —
+    in memory, are fed every task — both waves and each re-execution —
     over per-worker pipes, and live until :meth:`close`; the engine
     caches the executor, so a pipeline runs all its rounds on one fork
     set.  A later job reaches them as its pickled :class:`JobContext`.
@@ -572,10 +571,10 @@ class PooledProcessExecutor(TaskExecutor):
 
         The worker that is dispatched the wave's ``seq``-th call is
         SIGKILLed immediately after the send — the driver then observes
-        an EOF'd pipe mid-task and settles the slot through the
-        fence→backup→respawn path.  One-shot: the armed seq is consumed
-        by the kill and any leftovers are cleared when the wave drains,
-        so backup attempts are not re-preempted.
+        an EOF'd pipe mid-task, respawns the slot and the engine
+        re-executes the task.  One-shot: the armed seq is consumed by
+        the kill and any leftovers are cleared when the wave drains, so
+        re-executions are not re-preempted.
         """
         self._pending_preemptions.add(seq)
 
@@ -584,9 +583,10 @@ class PooledProcessExecutor(TaskExecutor):
         """Run one wave of call descriptors on the persistent workers.
 
         Results come back by submission index.  A slot whose worker
-        died holds a :class:`WorkerCrash`; a slot whose task raised
-        re-raises after the wave drains (the first-failure-propagates
-        contract without abandoning sibling results).
+        died holds a :class:`WorkerCrash`; a slot whose call raised, or
+        did not pickle, re-raises after the wave drains (the
+        first-failure-propagates contract without abandoning sibling
+        results).
         """
         context = self._job_context()
         if not calls:
@@ -621,14 +621,29 @@ class PooledProcessExecutor(TaskExecutor):
                         pass
                 try:
                     worker.conn.send((seq, call))
-                except Exception:
+                except OSError:
                     if not preempted:
                         # Died while idle: replace silently and
                         # re-queue — no task was lost.
                         idle.append(self._replace(worker))
                         pending.appendleft((seq, call))
                         continue
+                except (pickle.PicklingError, AttributeError,
+                        TypeError) as exc:
+                    # ``send`` pickles before it writes: the call does
+                    # not pickle, and the worker and its pipe are as
+                    # they were.
+                    name = getattr(call, "task_id", f"call {seq}")
+                    results[seq] = _PoolTaskError(MapReduceError(
+                        f"task {name} cannot be sent to a pool worker: "
+                        f"{type(exc).__name__}: {exc}"
+                    ))
+                    idle.append(worker)
+                    completed += 1
+                    continue
                 busy[worker] = seq
+            if not busy:
+                continue  # every call left was refused unsent
             by_conn = {worker.conn: worker for worker in busy}
             for conn in multiprocessing.connection.wait(list(by_conn)):
                 worker = by_conn[conn]
@@ -637,7 +652,7 @@ class PooledProcessExecutor(TaskExecutor):
                     got, ok, payload, io, counters = conn.recv()
                 except (EOFError, OSError):
                     # Died mid-task: the task's result is a crash
-                    # marker the engine settles with a fenced backup.
+                    # marker the engine settles by re-executing it.
                     worker.process.join(timeout=5)
                     results[seq] = WorkerCrash(
                         seq, worker.process.exitcode, worker.process.pid
@@ -659,7 +674,7 @@ class PooledProcessExecutor(TaskExecutor):
                 completed += 1
         self._in_flight = False
         # Preemptions armed beyond this wave's task count must not
-        # leak into the next wave (or into backup attempts).
+        # leak into the next wave (or into re-executions).
         self._pending_preemptions.clear()
         for value in results:
             if isinstance(value, _PoolTaskError):

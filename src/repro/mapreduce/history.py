@@ -21,11 +21,12 @@ class TaskAttempt:
         self.input_records = 0
         self.output_records = 0
         self.spills = 0
-        #: Execution attempts this task needed (1 = succeeded first try).
+        #: Execution attempts this task needed (1 = succeeded first
+        #: try): its committed epoch + 1.
         self.attempts = 1
-        #: Injected faults absorbed by retries before the task succeeded.
+        #: Injected faults its lost attempts absorbed.
         self.injected_faults = 0
-        #: True for a fenced backup attempt launched after a lost lease.
+        #: True for a re-execution's record, under a fenced epoch.
         self.backup = False
         #: Measured seconds spent waiting for a worker slot (traced runs).
         self.queued_seconds = 0.0
@@ -79,8 +80,9 @@ class JobHistory:
         return grouped
 
     def total_attempts(self) -> int:
-        """Execution attempts across every task (retries included)."""
-        return sum(task.attempts for task in self.tasks)
+        """Execution attempts across every task (re-executions included,
+        once: a backup record is one of its task's attempts)."""
+        return sum(task.attempts for task in self.tasks if not task.backup)
 
     def retried_tasks(self) -> List[TaskAttempt]:
         """Tasks that needed more than one attempt."""
@@ -90,7 +92,7 @@ class JobHistory:
         return self._by_id.get(task_id)
 
     def backup_tasks(self) -> List[TaskAttempt]:
-        """Fenced backup attempts launched after lost leases."""
+        """The records of re-executions, one per fenced epoch that ran."""
         return [task for task in self.tasks if task.backup]
 
     def summary(self) -> Dict[str, Any]:

@@ -9,16 +9,19 @@ constructing engines ad hoc:
 * ``executor`` — ``"serial"`` (the reference: one task at a time in
   the driver) or ``"pool"`` (persistent fork-based worker pool: real
   CPU parallelism, forks once per engine, reuses workers across jobs,
-  survives worker crashes via fenced backups).
+  survives worker crashes by re-executing their tasks).
 * ``max_workers`` — bounded worker slots, the in-process analogue of
   map/reduce slots per node.  The pool runs each wave on
   ``min(max_workers, tasks in the wave)`` workers.
-* ``task_retries`` — per-task re-execution with capped exponential
-  backoff (:func:`~repro.io.policy.charged_backoff`), Hadoop's
-  ``mapreduce.map.maxattempts``.  The backoff is *charged* to the
-  attempt (recorded, deterministic) rather than slept, so retry storms
-  under preemption neither hot-loop in the accounting nor stall the
-  wall clock.
+* ``task_retries`` — the one re-execution budget, Hadoop's
+  ``mapreduce.map.maxattempts`` less one.  An attempt is an epoch: one
+  that raised, lost its pool worker or lost its lease is fenced by the
+  driver and re-issued as attempt ``epoch + 1`` on another node, at
+  most ``task_retries`` times (default 1).  Each re-execution charges
+  the capped exponential backoff
+  (:func:`~repro.io.policy.charged_backoff`) — recorded,
+  deterministic, never slept — so retry storms under preemption
+  neither hot-loop in the accounting nor stall the wall clock.
 * ``blacklist_after`` — per-node failure-count blacklist: a node that
   accumulates this many task-attempt failures stops receiving new
   tasks (``yarn.nodemanager`` health blacklisting).
@@ -26,16 +29,14 @@ constructing engines ad hoc:
   ``mapreduce.task.timeout``: an attempt whose charged runtime
   (measured wall time plus any chaos-injected delay, never slept)
   exceeds the lease is declared *lost* by the driver
-  (:func:`~repro.mapreduce.commit.lease_lost`); a fenced backup
-  attempt on another node commits in its place and the lost attempt's
-  late commit is refused.
-* ``backup_attempts`` — how many fenced backup attempts the driver
-  launches for a task whose lease expired before giving up.
+  (:func:`~repro.mapreduce.commit.lease_lost`) and re-executed like
+  any lost attempt; the lost attempt's late commit is refused.
 * ``fault_plan`` — a frozen :class:`~repro.chaos.plan.FaultPlan` of
   targeted chaos events (kill node N at round R, delay task T, raise
-  in task U) — the one way to make an attempt fail on purpose.  Events
-  aimed at pool workers (preemption, cold start) are rejected on
-  executors that have none rather than silently injecting nothing.
+  in attempt K of task U) — the one way to make an attempt fail on
+  purpose.  Events aimed at pool workers (preemption, cold start) are
+  rejected on executors that have none rather than silently injecting
+  nothing.
 * ``io`` — a frozen :class:`~repro.io.policy.IoPolicy` configuring the
   durable-I/O layer (transient-retry budget, per-op timeout, spill
   directories with ENOSPC fallback, replica shedding); ``None`` means
@@ -87,10 +88,9 @@ class ExecutionPolicy:
 
     executor: str = "serial"
     max_workers: Optional[int] = None
-    task_retries: int = 0
+    task_retries: int = 1
     blacklist_after: Optional[int] = None
     lease_seconds: Optional[float] = None
-    backup_attempts: int = 1
     fault_plan: Optional[FaultPlan] = None
     io: Optional[IoPolicy] = None
 
@@ -113,8 +113,6 @@ class ExecutionPolicy:
                 f"lease_seconds must be None or finite and > 0, "
                 f"got {lease!r}"
             )
-        if self.backup_attempts < 1:
-            raise MapReduceError("backup_attempts must be >= 1")
         if self.fault_plan is not None and self.executor != "pool":
             for event in self.fault_plan.events:
                 if isinstance(event, POOL_EVENT_TYPES):

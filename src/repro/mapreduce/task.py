@@ -4,10 +4,12 @@ The driver (:mod:`repro.mapreduce.engine`) describes every task attempt
 as a :class:`TaskCall` and hands it to an executor; the driver or the
 forked worker the executor picks runs ``call.run(context)`` against the
 job's :class:`~repro.mapreduce.executors.JobContext` and ships back a
-picklable :class:`TaskOutcome`.  Map and reduce share the descriptor,
-the attempt loop (:func:`run_attempts`: placement rotation, chaos-plan
-faults, charged delays, charged backoff) and the outcome; they
-differ only in the task function the call's ``kind`` selects.
+picklable :class:`TaskOutcome`, or an :class:`AttemptFailed` marker when
+the attempt raised.  A call is exactly one attempt, number
+``epoch + 1``: re-running a task is the driver's job, under a fresh
+fencing epoch.  Map and reduce share the descriptor, the attempt's
+chaos-plan checks and the outcome; they differ only in the task
+function the call's ``kind`` selects.
 
 Nothing here touches driver state: a task is a pure function of its
 split (or fetched segments) plus the job spec, and everything it wants
@@ -20,15 +22,14 @@ from __future__ import annotations
 import gc
 import threading
 import time
+import traceback
 from itertools import groupby
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.errors import MapReduceError
-from repro.io.policy import charged_backoff
 from repro.mapreduce.blocks import RecordBlock
 from repro.mapreduce.history import TaskAttempt
 from repro.mapreduce.job import KeyValue, TaskContext, _default_value_size
-from repro.mapreduce.policy import ExecutionPolicy, InjectedTaskFault
+from repro.mapreduce.policy import InjectedTaskFault
 from repro.obs.recorder import Span
 from repro.shuffle.codec import get_codec
 from repro.shuffle.keys import KEY_OF, VALUE_OF
@@ -38,18 +39,15 @@ from repro.shuffle.spill import SpillBuffer
 
 
 class TaskOutcome:
-    """Picklable result of one task (crosses the fork boundary intact)."""
+    """Picklable result of one attempt (crosses the fork boundary intact)."""
 
     __slots__ = (
         "emitted", "segments", "input_records", "output_records",
         "output_bytes", "spills", "groups", "shuffled_records",
         "shuffled_bytes", "shuffle_raw_bytes", "partition_records",
-        "key_counts", "crc_failures", "fetch_retries",
-        "attempts", "injected_faults", "file_writes",
-        "attachments", "spans", "started_at",
-        "finished_at",
-        "worker", "node", "injected_delays", "failures",
-        "lease_charged", "zombie", "backoff_seconds",
+        "key_counts", "crc_failures", "fetch_retries", "file_writes",
+        "attachments", "spans", "started_at", "finished_at",
+        "worker", "node", "injected_delays", "lease_charged", "zombie",
     )
 
     def __init__(self):
@@ -73,20 +71,12 @@ class TaskOutcome:
         self.crc_failures = 0
         #: Reduce tasks: extra fetch attempts past the first.
         self.fetch_retries = 0
-        self.attempts = 1
-        self.injected_faults = 0
         self.file_writes: List[Tuple[str, bytes, bool]] = []
         self.attachments: List[Tuple[str, Any]] = []
-        #: Node that ran the successful attempt (retries may move).
+        #: Node that ran this attempt.
         self.node = ""
-        #: Chaos-plan delay injections charged to this task's attempts.
+        #: 1 when the chaos plan charged this attempt a delay.
         self.injected_delays = 0
-        #: Retry backoff charged (never slept) between failed attempts
-        #: — deterministic seconds from ``charged_backoff``.
-        self.backoff_seconds = 0.0
-        #: ``(node, exception_name)`` per failed attempt, for the
-        #: engine's per-node blacklist accounting.
-        self.failures: List[Tuple[str, str]] = []
         #: Charged runtime the lease covers: measured wall time plus
         #: injected delays (charged, never slept).
         self.lease_charged = 0.0
@@ -103,21 +93,43 @@ class TaskOutcome:
         self.worker = ""
 
 
+class AttemptFailed:
+    """Marker result: the attempt raised.
+
+    Not an exception — it comes back in the task's result slot, as a
+    dead pool worker's ``WorkerCrash`` does, and the driver settles it
+    like every other lost attempt.  The error and its traceback travel
+    as text, so the marker crosses the fork boundary whether or not the
+    exception pickles.
+    """
+
+    __slots__ = ("reason", "error", "traceback", "injected")
+
+    def __init__(self, exc: Exception):
+        #: The exception's class name, the node's blacklist reason.
+        self.reason = type(exc).__name__
+        self.error = str(exc)
+        self.traceback = "".join(traceback.format_exception(
+            type(exc), exc, exc.__traceback__
+        ))
+        #: A chaos-plan fault (counted in ``INJECTED_FAULTS``).
+        self.injected = isinstance(exc, InjectedTaskFault)
+
+    def __repr__(self) -> str:
+        return f"AttemptFailed({self.reason}: {self.error})"
+
+
 def attempt_from_outcome(
-    task_id: str, kind: str, outcome: TaskOutcome, node: str = "",
+    task_id: str, kind: str, outcome: TaskOutcome, attempts: int = 1,
     backup: bool = False,
 ) -> TaskAttempt:
-    """The job-history record of one settled attempt, primary or backup.
-
-    ``node`` is the placement fallback for an outcome that never ran
-    (a crashed worker's synthesized zombie carries no node of its own).
-    """
-    task = TaskAttempt(task_id, kind, outcome.node or node)
+    """The job-history record of one settled attempt, primary or backup;
+    a primary's ``attempts`` is its committed epoch + 1."""
+    task = TaskAttempt(task_id, kind, outcome.node)
     task.backup = backup
     task.input_records = outcome.input_records
     task.output_records = outcome.output_records
-    task.attempts = outcome.attempts
-    task.injected_faults = outcome.injected_faults
+    task.attempts = attempts
     task.spills = outcome.spills
     return task
 
@@ -128,8 +140,10 @@ class TaskCall:
     The job's half of a task — its spec, its input splits, the spill
     I/O layer — lives in the ``JobContext`` a pooled worker holds (from
     its fork image, or sent once per job), so a map call is the same few
-    bytes (task id, placement candidates, fencing epoch) whether it runs
-    in-process or crosses a pipe.
+    bytes (task id, node, fencing epoch) whether it runs in-process or
+    crosses a pipe.  ``node`` is where the driver placed this attempt
+    and ``epoch`` the fencing token it presents; it is attempt
+    ``epoch + 1``, the number the chaos plan's task events address.
 
     A reduce call additionally names where the attempt fetches its
     segments: ``paths`` is this reducer's segment from every mapper, in
@@ -140,16 +154,14 @@ class TaskCall:
     byte-identical output.
     """
 
-    __slots__ = ("kind", "task_id", "candidates", "epoch", "store", "paths")
+    __slots__ = ("kind", "task_id", "node", "epoch", "store", "paths")
 
-    def __init__(self, kind: str, task_id: str, candidates: List[str],
+    def __init__(self, kind: str, task_id: str, node: str,
                  epoch: int = 0, store: Any = None,
                  paths: Optional[List[str]] = None):
         self.kind = kind  # "map" | "reduce"
         self.task_id = task_id
-        #: Placement candidates, primary first; retries rotate through.
-        self.candidates = candidates
-        #: Commit fencing token the attempt will present.
+        self.node = node
         self.epoch = epoch
         self.store = store
         self.paths = paths
@@ -159,17 +171,43 @@ class TaskCall:
         """The task's index within its wave (split or reducer index)."""
         return int(self.task_id.rsplit("-", 1)[-1])
 
-    def with_epoch(self, epoch: int, candidates: List[str]) -> "TaskCall":
-        """The same task as a fenced backup: a fresh token, and fresh
-        placement resolved against the *current* blacklist (the wave's
-        own lists predate any mid-job blacklisting)."""
+    def with_epoch(self, epoch: int, node: str) -> "TaskCall":
+        """The same task's next attempt: a fresh token, and a node the
+        driver placed against the *current* blacklist."""
         return TaskCall(
-            self.kind, self.task_id, candidates, epoch, self.store,
-            self.paths,
+            self.kind, self.task_id, node, epoch, self.store, self.paths,
         )
 
-    def run(self, context: Any) -> TaskOutcome:
-        return _TASKS[self.kind](context, self)
+    def run(self, context: Any) -> Any:
+        """Run this one attempt; a :class:`TaskOutcome`, or
+        :class:`AttemptFailed` if it raised.
+
+        The chaos plan's raise, delay and zombie events for attempt
+        ``epoch + 1`` apply here.  A delay is charged to the measured
+        runtime (``lease_charged``) without sleeping through it, so the
+        driver's lease check trips — or doesn't — identically under
+        the serial and forked engines.
+        """
+        task_id, attempt = self.task_id, self.epoch + 1
+        plan = context.policy.fault_plan
+        try:
+            if plan is not None and plan.raises_in(task_id, attempt):
+                raise InjectedTaskFault(
+                    f"chaos plan fault: {task_id} attempt {attempt}"
+                )
+            started = time.perf_counter()
+            with _collector_paused:
+                outcome = _TASKS[self.kind](context, self)
+            outcome.lease_charged = time.perf_counter() - started
+        except Exception as exc:
+            return AttemptFailed(exc)
+        outcome.node = self.node
+        if plan is not None:
+            charged = plan.delay_for(task_id, attempt)
+            outcome.injected_delays = int(charged > 0)
+            outcome.lease_charged += charged
+            outcome.zombie = plan.zombie_in(task_id, attempt)
+        return outcome
 
 
 class _CollectorPause:
@@ -205,78 +243,6 @@ class _CollectorPause:
 _collector_paused = _CollectorPause()
 
 
-def run_attempts(
-    body: Callable[[str], TaskOutcome],
-    policy: ExecutionPolicy,
-    call: TaskCall,
-) -> TaskOutcome:
-    """Execute a task body with fault injection, retry, and backoff.
-
-    Runs wherever the executor put the task (possibly a forked worker);
-    the attempt/fault tallies travel back inside the outcome.
-
-    Attempt *k* runs on ``candidates[(k-1) % len(candidates)]``: the
-    preferred node first, then a rotation through the remaining
-    schedulable nodes, so a retry lands on a different node whenever
-    one exists.  The candidate list is fixed by the parent before
-    submission, keeping placement deterministic across executors.
-
-    Any chaos-plan delay is charged to the attempt's measured runtime
-    (``lease_charged``) without sleeping through it, so the driver's
-    lease check trips — or doesn't — identically under the serial and
-    forked engines.
-
-    Retry backoff is *charged, never slept*: each failed attempt adds
-    ``charged_backoff`` (the capped exponential curve) to the
-    outcome's ``backoff_seconds``, so a preemption storm of retries
-    shapes the cost accounting without hot-looping the wall clock.
-
-    Chaos-plan task events target only epoch 0: a fenced backup models
-    a fresh worker the plan never aimed at, so a zombified task cannot
-    re-zombie its own backup forever.
-    """
-    task_id, candidates = call.task_id, call.candidates
-    attempt = 0
-    faults = 0
-    delays = 0
-    backoff = 0.0
-    failures: List[Tuple[str, str]] = []
-    plan = policy.fault_plan if call.epoch == 0 else None
-    while True:
-        attempt += 1
-        node = candidates[(attempt - 1) % len(candidates)]
-        try:
-            if plan is not None and plan.raises_in(task_id, attempt):
-                faults += 1
-                raise InjectedTaskFault(
-                    f"chaos plan fault: {task_id} attempt {attempt}"
-                )
-            started = time.perf_counter()
-            with _collector_paused:
-                outcome = body(node)
-            elapsed = time.perf_counter() - started
-            charged = plan.delay_for(task_id, attempt) if plan else 0.0
-            if charged > 0:
-                delays += 1
-            outcome.attempts = attempt
-            outcome.injected_faults = faults
-            outcome.injected_delays = delays
-            outcome.backoff_seconds = backoff
-            outcome.node = node
-            outcome.failures = failures
-            outcome.lease_charged = elapsed + charged
-            if plan is not None and plan.zombie_in(task_id, attempt):
-                outcome.zombie = True
-            return outcome
-        except Exception as exc:
-            failures.append((node, type(exc).__name__))
-            if attempt > policy.task_retries:
-                raise MapReduceError(
-                    f"task {task_id} failed after {attempt} attempt(s): {exc}"
-                ) from exc
-            backoff += charged_backoff(attempt)
-
-
 def _seal(outcome: TaskOutcome, context: TaskContext) -> None:
     """Move the context's buffered effects and telemetry into the outcome."""
     outcome.output_records = len(context.emitted)
@@ -295,54 +261,49 @@ def run_map_task(context: Any, call: TaskCall) -> TaskOutcome:
     simulator's Fig 7 phases): recorded when the job is traced, the null
     span otherwise.
     """
-    job, traced = context.job, context.trace
-    split = context.splits[call.index]
-
-    def body(node: str) -> TaskOutcome:
-        task = TaskContext(call.task_id, node, traced=traced,
-                           task_index=call.index, metrics=context.metrics)
-        outcome = TaskOutcome()
-        payload = split.payload
-        block = isinstance(payload, RecordBlock)
-        with task.span("map", "phase"):
-            if block:
-                with task.span("decode"):
-                    payload = payload.decode()
-            job.mapper(payload, task)
-        if task.input_records is not None:
-            outcome.input_records = int(task.input_records)
-        else:
-            outcome.input_records = len(payload) if block else 1
-        if task.output_bytes is not None:
-            outcome.output_bytes = int(task.output_bytes)
-        else:
-            outcome.output_bytes = sum(
-                _default_value_size(v) for _, v in task.emitted
+    job = context.job
+    task = TaskContext(call.task_id, call.node, traced=context.trace,
+                       task_index=call.index, metrics=context.metrics)
+    outcome = TaskOutcome()
+    payload = context.splits[call.index].payload
+    block = isinstance(payload, RecordBlock)
+    with task.span("map", "phase"):
+        if block:
+            with task.span("decode"):
+                payload = payload.decode()
+        job.mapper(payload, task)
+    if task.input_records is not None:
+        outcome.input_records = int(task.input_records)
+    else:
+        outcome.input_records = len(payload) if block else 1
+    if task.output_bytes is not None:
+        outcome.output_bytes = int(task.output_bytes)
+    else:
+        outcome.output_bytes = sum(
+            _default_value_size(v) for _, v in task.emitted
+        )
+    if job.is_map_only:
+        outcome.emitted = task.emitted
+    else:
+        # Sort-spill-merge into one framed segment per reducer.  Runs
+        # go to disk, with ENOSPC fallback routing, when the job
+        # context carries an I/O layer (spill directories configured).
+        with task.span("spill", "phase"):
+            buffer = SpillBuffer(
+                job.num_reducers, job.partitioner, None,
+                job.io_sort_records, track_keys=TRACK_KEYS,
+                spill_io=context.io,
+                spill_dirs=context.policy.resolved_io().spill_dirs,
+                spill_prefix=f"{call.task_id}-e{call.epoch}",
             )
-        if job.is_map_only:
-            outcome.emitted = task.emitted
-        else:
-            # Sort-spill-merge into one framed segment per reducer.  Runs
-            # go to disk, with ENOSPC fallback routing, when the job
-            # context carries an I/O layer (spill directories configured).
-            with task.span("spill", "phase"):
-                buffer = SpillBuffer(
-                    job.num_reducers, job.partitioner, None,
-                    job.io_sort_records, track_keys=TRACK_KEYS,
-                    spill_io=context.io,
-                    spill_dirs=context.policy.resolved_io().spill_dirs,
-                    spill_prefix=f"{call.task_id}-e{call.epoch}",
-                )
-                buffer.add_all(task.emitted)
-                spilled = buffer.finish(get_codec(job.shuffle.codec))
-            outcome.spills = spilled.spills
-            outcome.segments = [seg.blob for seg in spilled.segments]
-            outcome.partition_records = spilled.partition_records
-            outcome.key_counts = spilled.key_counts
-        _seal(outcome, task)
-        return outcome
-
-    return run_attempts(body, context.policy, call)
+            buffer.add_all(task.emitted)
+            spilled = buffer.finish(get_codec(job.shuffle.codec))
+        outcome.spills = spilled.spills
+        outcome.segments = [seg.blob for seg in spilled.segments]
+        outcome.partition_records = spilled.partition_records
+        outcome.key_counts = spilled.key_counts
+    _seal(outcome, task)
+    return outcome
 
 
 def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
@@ -357,47 +318,43 @@ def run_reduce_task(context: Any, call: TaskCall) -> TaskOutcome:
     replaces the emitted pairs as the task's output; ``output_records``
     still counts the pairs.
     """
-    job, traced = context.job, context.trace
-
-    def body(node: str) -> TaskOutcome:
-        task = TaskContext(call.task_id, node, traced=traced,
-                           task_index=call.index, metrics=context.metrics)
-        outcome = TaskOutcome()
-        runs: List[List[KeyValue]] = []
-        with task.span("shuffle", "phase"):
-            for path in call.paths:
-                fetch = call.store.fetch(
-                    path, retries=job.shuffle.fetch_retries
-                )
-                segment = fetch.segment
-                runs.append(segment.records)
-                outcome.shuffled_records += segment.record_count
-                outcome.shuffled_bytes += segment.blob_bytes
-                outcome.shuffle_raw_bytes += segment.raw_bytes
-                outcome.crc_failures += fetch.crc_failures
-                outcome.fetch_retries += fetch.refetches
-        # Merge: a stable sort over the concatenated pre-sorted segments
-        # keeps map-task arrival order within a key, like Hadoop's merge.
-        with task.span("merge", "phase"):
-            fetched = merge_sorted_runs_list(runs, key=KEY_OF)
-        with task.span("reduce", "phase"):
-            for key, group in groupby(fetched, KEY_OF):
-                job.reducer(key, list(map(VALUE_OF, group)), task)
-                outcome.groups += 1
-            pairs = task.emitted
-            if job.reduce_output is not None:
-                # The job's output format sees the whole partition here,
-                # in the worker; what it emits (and writes) is the task's
-                # output, so the pairs never cross to the driver.
-                task.emitted = []
-                job.reduce_output(pairs, task)
-        outcome.input_records = len(fetched)
-        outcome.emitted = task.emitted
-        _seal(outcome, task)
-        outcome.output_records = len(pairs)
-        return outcome
-
-    return run_attempts(body, context.policy, call)
+    job = context.job
+    task = TaskContext(call.task_id, call.node, traced=context.trace,
+                       task_index=call.index, metrics=context.metrics)
+    outcome = TaskOutcome()
+    runs: List[List[KeyValue]] = []
+    with task.span("shuffle", "phase"):
+        for path in call.paths:
+            fetch = call.store.fetch(
+                path, retries=job.shuffle.fetch_retries
+            )
+            segment = fetch.segment
+            runs.append(segment.records)
+            outcome.shuffled_records += segment.record_count
+            outcome.shuffled_bytes += segment.blob_bytes
+            outcome.shuffle_raw_bytes += segment.raw_bytes
+            outcome.crc_failures += fetch.crc_failures
+            outcome.fetch_retries += fetch.refetches
+    # Merge: a stable sort over the concatenated pre-sorted segments
+    # keeps map-task arrival order within a key, like Hadoop's merge.
+    with task.span("merge", "phase"):
+        fetched = merge_sorted_runs_list(runs, key=KEY_OF)
+    with task.span("reduce", "phase"):
+        for key, group in groupby(fetched, KEY_OF):
+            job.reducer(key, list(map(VALUE_OF, group)), task)
+            outcome.groups += 1
+        pairs = task.emitted
+        if job.reduce_output is not None:
+            # The job's output format sees the whole partition here,
+            # in the worker; what it emits (and writes) is the task's
+            # output, so the pairs never cross to the driver.
+            task.emitted = []
+            job.reduce_output(pairs, task)
+    outcome.input_records = len(fetched)
+    outcome.emitted = task.emitted
+    _seal(outcome, task)
+    outcome.output_records = len(pairs)
+    return outcome
 
 
 _TASKS = {"map": run_map_task, "reduce": run_reduce_task}

@@ -39,7 +39,7 @@ def ingest_task(recorder: Any, task: Any, outcome: Any,
         outcome.started_at, outcome.finished_at, track=track,
         attrs={
             "node": task.node,
-            "attempts": outcome.attempts,
+            "attempts": task.attempts,
             "queue_wait_ms": round(queue_wait * 1e3, 3),
             "input_records": outcome.input_records,
             "output_records": outcome.output_records,

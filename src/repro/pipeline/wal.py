@@ -49,7 +49,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 9: a journaled round-3 map outcome's segments hold SAM lines, not records.
 #: 10: so do a journaled round-2 map outcome's.
 #: 11: the journaled outcome lost its hung-task count and progress-stamp slots.
-WAL_VERSION = 11
+#: 12: the journaled outcome lost the in-worker retry loop's tally slots;
+#: a task's attempts are its committed epoch + 1.
+WAL_VERSION = 12
 
 _FRAME = struct.Struct(">II")
 

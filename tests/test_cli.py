@@ -219,7 +219,9 @@ class TestChaosCli:
         round 2's preemption respawned a worker and committed a backup
         in the killed driver, round 4's cold start hit the resumed one.
         The killed driver's record keeps the two reducers it committed
-        before it died, and the segment rot reducer 0 refetched past."""
+        before it died, and the segment rot reducer 0 refetched past.
+        Round 3's raised map attempt is re-executed once, the same way
+        round 4's two lost leases are."""
         import json
 
         report_path = str(tmp_path / "chaos.json")
@@ -239,6 +241,7 @@ class TestChaosCli:
             "--slow-io", "0.01@*seg-*",
             "--kill-driver", "round2:6", "--zombie", "round4-sort-r-00000@1",
             "--duplicate-commit", "round3-markdup-opt-r-00000",
+            "--fail", "round3-markdup-opt-m-00001@1",
             "--report-out", report_path,
         ])
         out = capsys.readouterr().out
@@ -265,9 +268,13 @@ class TestChaosCli:
         assert counters["pool.cold_starts"] >= 1
         assert counters["io.torn_writes"] == 1 and counters["io.eio"] == 1
         assert counters["io.fallback_spills"] > 0
-        # Round 4's hung map and zombie reducer each lose their lease.
+        # Round 4's hung map and zombie reducer each lose their lease;
+        # they and round 3's raised attempt are re-executed once each.
         assert counters["lease.expired"] == 2
-        assert counters["lease.backups_launched"] == 2
+        assert counters["lease.backups_launched"] == 3
+        round3 = payload["absorption"]["round3"]
+        assert (round3["injected_faults"], round3["retried_tasks"],
+                round3["backups"]) == (1, 1, 1), round3
         assert counters["commit.fenced"] >= 3
         assert "engine.task_timeouts" not in counters
         assert payload["resume"]["driver_kills"] == 1

@@ -25,6 +25,7 @@ from repro.chaos import (
     FaultPlan,
     KillDatanode,
     KillDriver,
+    PreemptWorker,
     RaiseInTask,
     ZombieAttempt,
 )
@@ -347,18 +348,22 @@ class TestZombieFencing:
 
     def test_exhausted_backups_fail_the_job(self):
         """A lease shorter than any measurable runtime expires every
-        lineage, backups included: the zombie primary and both backups
-        each count an expiration and charge their own node once — the
-        primary's n1 and the backups' n2 and n3."""
+        attempt, re-executions included: the zombie first attempt and
+        both re-executions each count an expiration and charge their own
+        node once — the first attempt's n1 and the re-executions' n2 and
+        n3 — and the third loss spends the ``task_retries`` budget."""
         plan = FaultPlan(events=(ZombieAttempt("wc-m-00000", attempt=1),))
         policy = ExecutionPolicy(
-            fault_plan=plan, lease_seconds=1e-12, backup_attempts=2,
+            fault_plan=plan, lease_seconds=1e-12, task_retries=2,
         )
         recorder = TraceRecorder()
         engine = MapReduceEngine(
             nodes=["n1", "n2", "n3"], policy=policy, recorder=recorder,
         )
-        with pytest.raises(MapReduceError, match="lost its lease"):
+        with pytest.raises(MapReduceError, match=(
+            r"task wc-m-00000 failed after 3 attempt\(s\): attempt 3 "
+            r"lost its lease \(timeout\)"
+        )):
             engine.run(wordcount_job(), make_splits(LINES))
         counters = recorder.metrics.as_dict()["counters"]
         assert counters["lease.expired"] == 3
@@ -416,22 +421,56 @@ class TestZombieFencing:
     def test_any_lease_expiry_is_byte_identical(
         self, kind, max_workers, task_id
     ):
-        """S3 property: expiring any one attempt's lease at any task
-        index, under every executor — as a zombie, or as a hung task
-        whose charged delay outlives the lease — changes nothing:
-        outputs stay byte-identical and exactly one attempt commits per
-        task."""
-        for event in (ZombieAttempt(task_id, attempt=1),
-                      DelayTask(task_id, 60.0)):
+        """S3 property: losing any one attempt at any task index, under
+        every executor — as a zombie, as a hung task whose charged delay
+        outlives the lease, as an attempt that raised or (pool only) as
+        a preempted worker — changes nothing: outputs stay
+        byte-identical, exactly one attempt commits per task and the one
+        re-execution is counted under the loss's reason.  Only a lost
+        lease leaves a zombie whose late commit is fenced."""
+        job, wave, index = task_id.split("-")
+        wave = {"m": "map", "r": "reduce"}[wave]
+        attempts = {"map": C.MAP_TASK_ATTEMPTS,
+                    "reduce": C.REDUCE_TASK_ATTEMPTS}[wave]
+        lease = {C.LEASE_EXPIRATIONS: 1, C.FENCED_COMMITS: 1}
+        losses = [(ZombieAttempt(task_id, attempt=1), lease),
+                  (DelayTask(task_id, 60.0), {**lease, C.INJECTED_DELAYS: 1}),
+                  (RaiseInTask(task_id), {C.INJECTED_FAULTS: 1})]
+        if kind == "pool":
+            losses.append((PreemptWorker(job, wave, int(index)),
+                           {C.WORKER_CRASHES: 1}))
+        clean = self.run_with_plan(None, kind, max_workers)[1].counters
+        for event, counted in losses:
             _, result = self.run_with_plan(
                 FaultPlan(events=(event,)), kind, max_workers,
                 lease_seconds=30.0,
             )
             assert result.all_outputs() == clean_outputs()
-            assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
-            assert result.counters.get(C.FENCED_COMMITS) == 1
-            assert result.counters.get(C.LEASE_EXPIRATIONS) == 1
-            assert result.counters.get(C.BACKUP_ATTEMPTS) == 1
+            assert result.counters.as_dict() == {
+                **clean.as_dict(), **counted, C.BACKUP_ATTEMPTS: 1,
+                attempts: clean.get(attempts) + 1,
+            }, event
+
+    def test_an_attempt_is_an_epoch_the_plan_addresses(self):
+        """Every attempt is a fenced epoch the chaos plan can address:
+        the zombie first attempt is re-issued as attempt 2, which the
+        plan zombifies too, and attempt 3 commits at epoch 2.  Both
+        zombies present their late commits, and both are fenced as
+        stale."""
+        task_id = "wc-m-00001"
+        _, result = self.run_with_plan(FaultPlan(events=(
+            ZombieAttempt(task_id, attempt=1),
+            ZombieAttempt(task_id, attempt=2),
+        )), task_retries=2)
+        assert result.all_outputs() == clean_outputs()
+        assert result.counters.get(C.TASK_COMMITS) == len(ALL_TASK_IDS)
+        assert result.counters.get(C.LEASE_EXPIRATIONS) == 2
+        assert result.counters.get(C.BACKUP_ATTEMPTS) == 2
+        assert result.history.find(task_id).attempts == 3
+        assert [(e["epoch"], e["expected"], e["reason"])
+                for e in result.history.events_of("commit_fenced")] == [
+            (0, 2, "stale_epoch"), (1, 2, "stale_epoch"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +786,16 @@ def load_any_record(frame):
     return _PermissiveUnpickler(io.BytesIO(frame)).load()
 
 
+def assert_record_unloadable(frame, *slots):
+    """A parent version's journaled record cannot be loaded by this one:
+    its outcome carries ``slots``, which this ``TaskOutcome`` lacks."""
+    carried = vars(load_any_record(frame)["outcome"])
+    assert set(slots) <= set(carried), sorted(carried)
+    assert not set(slots) & set(TaskOutcome.__slots__)
+    with pytest.raises(AttributeError, match="TaskOutcome"):
+        pickle.loads(frame)
+
+
 class TestPipelineCrashRecovery:
     def test_kill_driver_then_resume_is_byte_identical(
         self, reference, ref_index, pairs, tmp_path
@@ -965,8 +1014,7 @@ class TestPipelineCrashRecovery:
             "version": 4, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
-        with pytest.raises(AttributeError, match="phases"):
-            pickle.loads(old_frames[1])
+        assert_record_unloadable(old_frames[1], "phases")
         assert_header_alone_refuses(backend, fingerprint, old_frames[0],
                                     "round2")
         backend.write("wal-round2.log", old)
@@ -1092,8 +1140,7 @@ class TestPipelineCrashRecovery:
             "version": 7, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
-        with pytest.raises(AttributeError, match="samples"):
-            pickle.loads(old_frames[1])
+        assert_record_unloadable(old_frames[1], "samples")
         assert_header_alone_refuses(backend, fingerprint, old_frames[0],
                                     "round2")
         backend.write("wal-round2.log", old)
@@ -1231,8 +1278,7 @@ class TestPipelineCrashRecovery:
             "version": 10, "fingerprint": fingerprint, "round": "round2",
         }
         assert len(old_frames) == 2
-        with pytest.raises(AttributeError, match="timeouts|heartbeats"):
-            pickle.loads(old_frames[1])
+        assert_record_unloadable(old_frames[1], "timeouts", "heartbeats")
         assert_header_alone_refuses(backend, fingerprint, old_frames[0],
                                     "round2")
         backend.write("wal-round2.log", old)
@@ -1243,6 +1289,51 @@ class TestPipelineCrashRecovery:
         assert resumed.resumed_rounds == ["round1"]
         assert resumed.recovered_tasks == {}
         assert fingerprint_of(resumed) == fingerprint_of(clean)
+
+    @pytest.mark.usefixtures("v1_salt")
+    def test_version_11_wal_with_attempt_loop_slots_is_refused(
+        self, reference, ref_index, pairs, tmp_path
+    ):
+        """A version-11 ``wal-round2.log`` journals outcomes that still
+        carry the in-worker retry loop's tallies (``attempts``,
+        ``injected_faults``, ``failures``, ``backoff_seconds``), which
+        this version's ``TaskOutcome`` no longer has — a task's attempts
+        are its committed epoch + 1: the version guard turns the log
+        away before any record is unpickled, and the round re-runs
+        byte-identical."""
+        some_pairs = pairs[:12]
+        clean = build_pipeline(reference, ref_index).run(some_pairs)
+        root = str(tmp_path / "ckpt")
+        plan = FaultPlan(events=(KillDriver("round2", after_commits=1),))
+        with pytest.raises(DriverKilledError):
+            build_pipeline(
+                reference, ref_index, checkpoint_dir=root,
+                policy=ExecutionPolicy(fault_plan=plan),
+            ).run(some_pairs)
+        backend = LocalDirectoryBackend(root)
+        fingerprint = pickle.loads(
+            _read_frames(backend.read("wal-round2.log"))[0]
+        )["fingerprint"]
+        old = zlib.decompress(base64.b64decode(PARENT_WAL_ROUND2_V11))
+        old_frames = _read_frames(old)
+        assert pickle.loads(old_frames[0]) == {
+            "version": 11, "fingerprint": fingerprint, "round": "round2",
+        }
+        assert len(old_frames) == 2
+        assert_record_unloadable(old_frames[1], "attempts",
+                                 "injected_faults", "failures",
+                                 "backoff_seconds")
+        assert_header_alone_refuses(backend, fingerprint, old_frames[0],
+                                    "round2")
+        backend.write("wal-round2.log", old)
+        assert JobWal(backend, fingerprint).recover_round("round2") == {}
+        resumed = build_pipeline(
+            reference, ref_index, checkpoint_dir=root
+        ).run(some_pairs, resume=True)
+        assert resumed.resumed_rounds == ["round1"]
+        assert resumed.recovered_tasks == {}
+        assert fingerprint_of(resumed) == fingerprint_of(clean)
+
 
 class TestStageTableConformance:
     """A stage's key is its one name: checkpoint entry, WAL log, HDFS
@@ -1875,4 +1966,45 @@ PARENT_WAL_ROUND2_V10 = (
     "fzg7OL1cOp7kh1lelY2qXBhP9lCQL9GJKuNmMRxl0AF3/RzHXnaUPK15neGk1xxkeM1ult"
     "QobqP4n2X99CDJ91GuB6b/253vIcVy6ZvJaHeYVT+Ud3eT9HAyGPRn+O/H+O+DU83On1e7"
     "8/X/AKHInvM="
+)
+
+
+#: ``wal-round2.log`` as commit be75a7e (WAL_VERSION 11) left it after
+#: ``KillDriver("round2", after_commits=1)`` on the same run: one map
+#: outcome that still carries the in-worker retry loop's ``attempts``,
+#: ``injected_faults``, ``failures`` and ``backoff_seconds`` slots.
+#: zlib + base64 of the 3224 raw bytes.
+PARENT_WAL_ROUND2_V11 = (
+    "eNqVlklv20YUx5XAdsTYWVoUKNAeek0L2LAkW9zX4SrDKZDwkBQIDJqmbNXWAoqKkQIF3E"
+    "vQAjy1zL3IN+ln6Km3LvceemuBAv2/oXdn69Ayh48zo3k//d+b12g0/L9+/vX3o/kXaqNu"
+    "X1f3yhtPs3w6GI+qjcVysT8Y7Wb5JB+MiqpsZmJre01Od6pyPh/PRrgv8Hu7mq00GkvOLy"
+    "///hariUtnq80VyXS/Kj+sxy2nB1kywprLw+VValgpm4zTvWqjUd4Yz4p0PMyq8oM8m+Tj"
+    "lWEyybOdWZqt1Issxrh9fjzoh+rTb6r7fMPZcFAU2U71BFucZrvDbFRM8XDPmRMajeChF7"
+    "RpN038/Umff3/68ZOjuRd/NOtdYmC59PDx/dbK6urxnv45/yi0VltCupe3hI64LgmrwmeC"
+    "ftKN7bdf7KQXvMvoq5fQC6Je5EVBFPRC3/ODiHlu5Hm+7weuz9Bc27Ftx7EMx2aWYTJ0bc"
+    "u0DMvQNUu3DUPVNd1UNU1FU3DJuiKpiqbISkcW0RRReBAoXygPglb1vLpE49H8tUbjIpD1"
+    "zjkgXSK0unkGhQX/44pZDDAxOtQCMKqtNvECPMYC2w6CegjuwBmgK4iyKHVFSZZVVVYVSV"
+    "bgo0Y+qbquKRocBgldN3QTfcO0bUy0CJLlMOZYLvNdz/MY/8d8L/DCMPTDIAzdMADpqIe+"
+    "cH8TUFZfy6ZVPVq4yKYlyHKNpiXL59G0W6IstKWWEJBrjPtBbjHSBSP3SCgBYzUM6uMiq0"
+    "2DMIrVXeIBAHiJWZwFYYOVnjCK7gI23+tFvcAPGPTi+8wPQnI0dF3Hcz2SieO40I3poLmm"
+    "aekmZGLZtqkbmmqZuqoammaoBugq+EA5kiZJqiTjUiRJktffAU7zMpzWmljT4TjO6HBYy4"
+    "SH8YAhHuQL+WcTEgJGhGpXCRRJI+YioVf1MICMuVYIk82ZctXEmI8HggRysSCqSldagx+i"
+    "JCpdWdJkFdJRNPIZwjGgIEM3LM2yTdtEl34xy2AOg4CgH0SbA9F4ruu7RNf3XIQi4jHw3S"
+    "jC90dR1HsbnvYV7bTPaWdt/YJ2WpLQFjsCSSbmIoHnjKOwA25kRIiRd2SL43ok19nrBGe/"
+    "WnACdh/4YeSG8Ach4bvwLPIQLa7rId8ghHwEkmuZUI9p0aqWadiGZRmETzOJHiLQIKSqRl"
+    "RhFXUFAatCN92OLHdrOK03wWlehnNOOy3pgnYAa5nwkJtQDXl57HwNgvRg80ihSAIgfGIS"
+    "CFEBMFKa/Y7CE6D/rqySdhTkHRlpVFYUhQIE6UfnDVhUXYWOkIYBx6Hc49imx0yEHPM8iA"
+    "c4mQv98Czukooiv4fMjlQf9t6qnc4V7XTOtNNZu0BnfX1N6Kx2hWPvGA8OSiY8j3AeXBGM"
+    "a4CeKERs+lePpF+YcQYcKovrTMzv3ECrgSNiUQijKAyRdnpeGLg883h1iPBEy1joIPm4WM"
+    "4BFRPJB6eUZTLL1EzToD+EoI4UpOgAqCt0XulEV0LyEZF1pG5XrOG03wSneRnOqXY4jnN0"
+    "CNYyxxPXKaPOqORMzDMuP5ICyjN0DBElCjUaSCR5wHFxUCDGPMfQWwoznmw4p1pBLIB21m"
+    "WkGwnaUXF86aoh0mmMCNFlihMDsWMoSD2aYSO0DJzndFzhbLccykWIOsrfkBAoehBPSIB7"
+    "URiFFLUhZf1X4MlWKvbxaRlEbZ4+3/+28/Jo7km1UmXlrcFoMiu28iwd5zvTaqNZ3kYxds"
+    "m0dGzaflZk02qz1SwXppPBwQFeXisXdlHhTaZUx92d7s36/YNs52xyo7x9aqynw/TesWkr"
+    "Tw7PWSdJXgwKFKCn01GhbTQ3Gll5cz97tpWikqzru6uV28b1K6fQFVObm7IncHspzdOtfj"
+    "I4mOX1l9/qZ0W6hy8u8kFtaSYoLYeTgjt5ZzD6MktRamLS7KDgA1Aiw4XDfED7RwW6iAlJ"
+    "undShJZCkSejaX+cD6kK5nXtYZ5MJiiyV/CwmyfDKd64SZHEJyPtlDuJOrkuc6nKvcsJbR"
+    "XjreNZ1eZHd8v3a2s/Hw/P7Nt3y8XB6Ok4TQgjdnl9tv28Ssr56QRfQJu6OS1AGX4kRXWf"
+    "V/mD6d7J48LhON/P8qpsVOXcaLyDgnyBblQZnxHYyQ6SZzWiU4JY+RYK/Gm2le4l+S5K8s"
+    "BcO3o8gdzKha/Gw+1BVn1X3tlO0v1xv781xe87wu8bnOhy9rzanq38B+Frlwk="
 )

@@ -38,7 +38,7 @@ from repro.mapreduce.executors import (
 from repro.mapreduce.job import InputSplit, JobSpec, make_splits
 from repro.mapreduce.policy import EXECUTOR_KINDS, ExecutionPolicy
 from repro.mapreduce import task as task_module
-from repro.mapreduce.task import run_map_task, run_reduce_task
+from repro.mapreduce.task import TaskCall, run_map_task, run_reduce_task
 from repro.pipeline.parallel import GesallPipeline
 from tests import pins
 
@@ -95,7 +95,7 @@ class TestExecutionPolicy:
 
     def test_the_pool_has_no_floor(self):
         """Each wave sizes the pool, so there is no floor to set."""
-        assert len(dataclasses.fields(ExecutionPolicy)) == 8
+        assert len(dataclasses.fields(ExecutionPolicy)) == 7
         with pytest.raises(TypeError, match="min_workers"):
             ExecutionPolicy.pooled(4, min_workers=2)
 
@@ -274,7 +274,7 @@ class TestRetriesAndFaults:
         )
         assert faulty.all_outputs() == clean.all_outputs()
         assert faulty.counters.get(C.INJECTED_FAULTS) == 1
-        total_tasks = len(faulty.history.tasks)
+        total_tasks = faulty.counters.get(C.TASK_COMMITS)
         assert faulty.history.total_attempts() > total_tasks
         assert faulty.history.retried_tasks()
 
@@ -567,6 +567,39 @@ class TestPooledExecutorLifecycle:
             executor.end_job()
             executor.begin_job(_conformance_context())
             assert executor.forks == 2
+            assert executor.run_calls([_SquareCall(5)]) == [25]
+        finally:
+            executor.close()
+
+    def test_a_call_that_does_not_pickle_raises_and_spares_the_worker(
+        self, monkeypatch
+    ):
+        """A call the pool cannot pickle is the call's fault, not its
+        worker's: ``send`` pickles before it writes, so the pipe is as it
+        was.  The wave raises a ``MapReduceError`` naming the task, no
+        worker is respawned and the next call runs.  ``_replace`` is
+        bounded, so a pool that took the failure for a dead worker fails
+        here instead of forking without end."""
+        replaced = []
+        replace = PooledProcessExecutor._replace
+
+        def bounded(self, worker):
+            replaced.append(worker)
+            if len(replaced) > 3:
+                raise RuntimeError("a live worker was respawned 3 times")
+            return replace(self, worker)
+
+        monkeypatch.setattr(PooledProcessExecutor, "_replace", bounded)
+        executor = PooledProcessExecutor(1)
+        try:
+            executor.begin_job(_conformance_context())
+            unpicklable = TaskCall("map", "t-m-00007", "n0",
+                                   store=threading.Lock())
+            with pytest.raises(MapReduceError, match=(
+                "task t-m-00007 cannot be sent to a pool worker"
+            )):
+                executor.run_calls([unpicklable])
+            assert executor.workers_respawned == 0
             assert executor.run_calls([_SquareCall(5)]) == [25]
         finally:
             executor.close()

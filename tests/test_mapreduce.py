@@ -194,7 +194,7 @@ class TestPublishTable:
                          engine_module._SHUFFLE_MAP_VOLUMES,
                          engine_module._WAVE_INCIDENTS)
             for counter, _ in rows
-        }
+        } | set(engine_module._WAVE_ATTEMPTS.values())
         assert incremented == self.COUNTERS
 
     def test_every_publish_row_names_an_existing_fact(self):
@@ -212,14 +212,15 @@ class TestPublishTable:
         shuffle rows and the charged backoff are those of this
         uncombined job on the one backoff curve.
 
-        The hung reducer now loses its lease instead of being retried
-        in place: one ``lease.expired`` and one backup launched; the
-        backup's commit is staged beside the hung attempt's (7 staged,
-        6 promoted) and the hung attempt's late commit is fenced.  The
-        backoff is the map task's two retries only (0.005 + 0.010 s):
-        a lost lease is backed up, not retried, so it charges none.
-        The lease loss charges the reducer's node (n3), as the timeout
-        did, so three nodes are still blacklisted."""
+        The hung reducer loses its lease: one ``lease.expired``; its
+        re-execution's commit is staged beside the hung attempt's (7
+        staged, 6 promoted) and the hung attempt's late commit is
+        fenced.  Every lost attempt is re-executed the one way, under a
+        fresh epoch: the map task's two raised attempts and the hung
+        reducer launch three re-executions, each charging the backoff
+        of its epoch (0.005 + 0.010 + 0.005 s).  Each lost attempt
+        charges its node as it is settled — the map task's n1 and n3,
+        the reducer's n2 — so three nodes are blacklisted."""
         from repro.obs.recorder import TraceRecorder
 
         plan = FaultPlan(events=(
@@ -245,9 +246,9 @@ class TestPublishTable:
             "commit.fenced": 1,
             "commit.promoted": 6,
             "commit.staged": 7,
-            "engine.backoff_charged_seconds": 0.015,
+            "engine.backoff_charged_seconds": 0.02,
             "engine.nodes_blacklisted": 3,
-            "lease.backups_launched": 1,
+            "lease.backups_launched": 3,
             "lease.expired": 1,
             "shuffle.bytes_shuffled": 466,
             "shuffle.raw_bytes": 290,
