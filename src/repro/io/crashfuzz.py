@@ -550,10 +550,11 @@ def _ckpt_recover(io: Any, root: str) -> None:
             store.save_round(key, files, extras=extras, blobs=blobs)
 
 
-_SEGMENTS = [
-    ("/shuffle/job-f00d/map-000/seg-0.bin", b"segment-zero" * 16),
-    ("/shuffle/job-f00d/map-000/seg-1.bin", b"segment-one" * 12),
-    ("/shuffle/job-f00d/map-001/seg-0.bin", b"segment-two" * 20),
+#: Three map tasks' outputs, each stored as one map file per replica.
+_MAP_OUTPUTS = [
+    ([f"/shuffle/job-f00d/map-00{m}/seg-{r}.bin" for r in range(2)],
+     [f"segment-{m}-{r}".encode() * (9 + 5 * m - 3 * r) for r in range(2)])
+    for m in range(3)
 ]
 
 
@@ -566,20 +567,19 @@ def _segments_backend(io: Any, root: str) -> Any:
 
 def _segments_workload(io: Any, root: str) -> None:
     backend = _segments_backend(io, root)
-    for path, blob in _SEGMENTS:
-        backend.put(path, blob)
+    for paths, blobs in _MAP_OUTPUTS:
+        backend.put_map(paths, blobs)
 
 
 def _segments_recover(io: Any, root: str) -> None:
-    """Shuffle recovery: re-put every segment (idempotent, same bytes).
+    """Shuffle recovery: re-put every map task's output (idempotent,
+    same bytes).
 
-    Atomic replica writes mean a crashed put left each replica file
-    either complete or absent — never torn — so the re-put converges
-    on the uninterrupted layout byte for byte.
+    Atomic replica writes mean a crashed put left each map file either
+    complete or absent — never torn — so the re-put converges on the
+    uninterrupted layout byte for byte.
     """
-    backend = _segments_backend(io, root)
-    for path, blob in _SEGMENTS:
-        backend.put(path, blob)
+    _segments_workload(io, root)
 
 
 def _targets() -> Dict[str, FuzzTarget]:

@@ -72,7 +72,8 @@ class OutputCommitter:
        (zombie) or an already-committed task (duplicate) is refused
        and counted instead.
     3. ``fence(task)`` — bumps the token before the driver re-issues
-       the task, so the abandoned attempt can never commit later.
+       the task, so the abandoned attempt can never commit later, and
+       drops the abandoned attempt's staged effects.
     """
 
     def __init__(
@@ -104,8 +105,10 @@ class OutputCommitter:
         self.recorder.metrics.counter("commit.staged").inc()
 
     def fence(self, task_id: str) -> int:
-        """Invalidate the task's current lineage; returns the new epoch."""
+        """Invalidate the task's current lineage and drop what it
+        staged; returns the new epoch."""
         epoch = self.expected_epoch(task_id) + 1
+        self._staged.pop((task_id, epoch - 1), None)
         self._epochs[task_id] = epoch
         return epoch
 
@@ -131,6 +134,7 @@ class OutputCommitter:
                 "commit_fenced", task=task_id, epoch=epoch,
                 expected=self.expected_epoch(task_id), reason=reason,
             )
+            self._staged.pop((task_id, epoch), None)
             return False
         if (task_id, epoch) not in self._staged:
             raise CommitError(

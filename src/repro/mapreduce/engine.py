@@ -447,25 +447,26 @@ class MapReduceEngine:
         result: JobResult,
         stored: List[str],
     ) -> List[List[str]]:
-        """Persist every map task's segments, in task-index order.
+        """Persist every map task's segments, one store call per task,
+        in task-index order.
 
         Returns the segment path matrix indexed ``[map][reducer]``.
         Writes happen driver-side after the map wave (the task-side
         blobs crossed the executor boundary inside the outcomes), so
         placement and replication are deterministic across executors.
-        Every stored path is appended to ``stored`` as it lands, so the
-        caller's cleanup covers partial storage too.
+        A task's paths join ``stored`` before its put, so the caller's
+        cleanup covers a put that landed only part of its replicas.
         """
         paths: List[List[str]] = []
         stored_bytes = 0
         for map_index, outcome in enumerate(outcomes):
-            per_map: List[str] = []
-            for reducer, blob in enumerate(outcome.segments):
-                path = segment_path(job.name, map_index, reducer)
-                store.put(path, blob)
-                stored.append(path)
-                stored_bytes += len(blob)
-                per_map.append(path)
+            per_map = [
+                segment_path(job.name, map_index, reducer)
+                for reducer in range(len(outcome.segments))
+            ]
+            stored.extend(per_map)
+            store.put_map(per_map, outcome.segments)
+            stored_bytes += sum(map(len, outcome.segments))
             paths.append(per_map)
         result.counters.inc(
             C.SHUFFLE_SEGMENTS, sum(len(per_map) for per_map in paths)
@@ -532,18 +533,18 @@ class MapReduceEngine:
         in JobHistory (``pool_scaled``) and the ``pool.scale.*``
         metrics.  Then the driver reads each segment's replica chain up
         to the first copy that verifies — the one read of the shuffle's
-        stored bytes — and every call carries its reducer's chains in a
-        read-only store, whichever executor runs it.
+        stored bytes, one map task per store call — and every call
+        carries its reducer's chains in a read-only store, whichever
+        executor runs it.
         """
         self._record_resize(result, executor.rebalance(job.num_reducers))
         attempts = job.shuffle.fetch_retries + 1
         with self.recorder.span(
             f"{job.name}:segment-read", category="shuffle", track="driver",
         ):
-            chains = {
-                path: store.snapshot(path, attempts)
-                for per_map in paths for path in per_map
-            }
+            chains: Dict[str, List[bytes]] = {}
+            for per_map in paths:
+                chains.update(store.snapshot(per_map, attempts))
         calls: List[TaskCall] = []
         for reducer_index in range(job.num_reducers):
             # Shuffle input: this reducer's segment from every mapper,

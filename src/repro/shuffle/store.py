@@ -8,7 +8,9 @@ reads deliberately take an unverified fast path to one replica, and
 the segment's own end-to-end CRC32 (checked by :meth:`fetch`) is what
 catches rot, failing over to the next replica on a refetch.
 
-Three backends share the contract:
+Three backends share the contract, which stores and snapshots one map
+task's segments per call (:meth:`SegmentStore.put_map`,
+:meth:`SegmentStore.snapshot`):
 
 * :class:`HdfsSegmentBackend` keeps segments on the simulated HDFS
   (``Hdfs.read_unverified`` is the short-circuit read), so segment
@@ -16,8 +18,9 @@ Three backends share the contract:
   replica rot and re-replication all apply to shuffle data too.
 * :class:`LocalSegmentBackend` is a dict of replicated byte copies for
   engines with no filesystem attached (unit-test word counts).
-* :class:`DiskSegmentBackend` puts real replica files on real spill
-  directories through the :mod:`repro.io` durability contract, with
+* :class:`DiskSegmentBackend` puts one real replica file per map task
+  (Hadoop's ``file.out``) on real spill directories through the
+  :mod:`repro.io` durability contract, with
   degraded-mode routing: ENOSPC on the primary spill directory falls
   back to the next one, and when every directory is full, replicas are
   shed down to ``IoPolicy.min_replicas`` before the job fails.
@@ -30,7 +33,8 @@ replica chains its fetches would read into a read-only
 from __future__ import annotations
 
 import os
-from typing import Dict, List, NamedTuple
+import posixpath
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import (
     HdfsError,
@@ -55,7 +59,19 @@ class FetchResult(NamedTuple):
     refetches: int
 
 
-class LocalSegmentBackend:
+class _ObjectPerSegment:
+    """A backend with no per-file cost keeps one object per segment
+    behind the per-map-task calls."""
+
+    def put_map(self, paths: List[str], blobs: List[bytes]) -> None:
+        for path, blob in zip(paths, blobs):
+            self._put(path, blob)
+
+    def read_map(self, paths: List[str], replica_choice: int) -> List[bytes]:
+        return [self.read(path, replica_choice) for path in paths]
+
+
+class LocalSegmentBackend(_ObjectPerSegment):
     """Replicated in-memory copies, for engines without a filesystem."""
 
     def __init__(self, replicas: int = 3):
@@ -64,7 +80,7 @@ class LocalSegmentBackend:
         self.replicas = replicas
         self._copies: Dict[str, List[bytes]] = {}
 
-    def put(self, path: str, blob: bytes) -> None:
+    def _put(self, path: str, blob: bytes) -> None:
         if path in self._copies:
             raise ShuffleError(f"segment exists: {path}")
         self._copies[path] = [blob] * self.replicas
@@ -121,13 +137,13 @@ class ShippedReplicaBackend:
         return chain[replica_choice % len(chain)]
 
 
-class HdfsSegmentBackend:
+class HdfsSegmentBackend(_ObjectPerSegment):
     """Segments as (small) replicated files on the simulated HDFS."""
 
     def __init__(self, fs):
         self._fs = fs
 
-    def put(self, path: str, blob: bytes) -> None:
+    def _put(self, path: str, blob: bytes) -> None:
         self._fs.put(path, blob)
 
     def read(self, path: str, replica_choice: int) -> bytes:
@@ -149,11 +165,12 @@ class HdfsSegmentBackend:
 
 
 class DiskSegmentBackend:
-    """Replica files on spill directories, via the durable-I/O layer.
+    """Map files on spill directories, via the durable-I/O layer.
 
-    Replica ``k`` of logical path ``/shuffle/job/map-i/seg-r.bin``
-    lands at ``<dir>/shuffle/job/map-i/seg-r.bin.r<k>`` in the first
-    spill directory with room: every write walks ``spill_dirs`` in
+    Like Hadoop's ``file.out``, one file holds a map task's frames for
+    every reducer, back to back: replica ``k`` of ``/shuffle/job/map-i``
+    lands at ``<dir>/shuffle/job/map-i/seg-file.out.r<k>`` in the first
+    spill directory with room.  Every write walks ``spill_dirs`` in
     order, so an ENOSPC on the primary degrades the replica to a
     secondary (``io.fallback_spills``) instead of failing the task.
     When no directory can take a replica, the remaining copies are
@@ -161,12 +178,18 @@ class DiskSegmentBackend:
     landed; below that the put raises
     :class:`~repro.errors.StorageFullError` and the job fails.
 
-    Writes are atomic (temp + fsync + rename through the I/O layer),
-    so a reader observes a replica file either complete or not at all —
-    a crashed put never leaves a torn replica for a fetch to trip on —
-    and deletes are idempotent, so cleanup after a crash between the
-    delete and the journal update simply succeeds again.
+    In place of ``file.out.index``, a segment is the map file plus the
+    offset and length its writer recorded in memory: no offset comes
+    from stored bytes, so a rotten length field fails only its own
+    frame's CRC.  A read slices one frame out of one replica; the map
+    file is unlinked once its last segment is deleted.  Writes are
+    atomic (temp + fsync + rename), so a crashed put never leaves a
+    torn replica for a fetch to trip on, and deletes are idempotent.
     """
+
+    #: A map file's name in its task's directory (the ``file.out``
+    #: analogue; ``seg-`` lets fault globs address shuffle writes).
+    MAP_FILE = "seg-file.out"
 
     def __init__(self, io, spill_dirs, replicas: int = 2,
                  min_replicas: int = 1):
@@ -183,6 +206,12 @@ class DiskSegmentBackend:
         self.spill_dirs = [str(d) for d in spill_dirs]
         self.replicas = replicas
         self.min_replicas = min_replicas
+        #: segment path -> (map file, offset, length), as written.
+        self._frames: Dict[str, Tuple[str, int, int]] = {}
+        #: map file -> how many of its segments are not yet deleted.
+        self._live: Dict[str, int] = {}
+        #: map file -> the replica files that landed, in replica order.
+        self._landed: Dict[str, List[str]] = {}
 
     @classmethod
     def from_policy(cls, io, io_policy) -> "DiskSegmentBackend":
@@ -196,34 +225,33 @@ class DiskSegmentBackend:
         rel = path.lstrip("/").replace("/", os.sep)
         return os.path.join(root, f"{rel}.r{replica}")
 
-    def _existing_replicas(self, path: str) -> List[str]:
-        """Replica files present on disk, in (replica, dir) order."""
-        found = []
-        for replica in range(self.replicas):
-            for root in self.spill_dirs:
-                candidate = self._replica_file(root, path, replica)
-                if self.io.exists(candidate):
-                    found.append(candidate)
-                    break
-        return found
+    def put_map(self, paths: List[str], blobs: List[bytes]) -> None:
+        """Write one map task's segments as one map file per replica.
 
-    def put(self, path: str, blob: bytes) -> None:
-        placed = 0
+        The segments are indexed before any replica lands, so a delete
+        of every path cleans up a put that raised part-way.
+        """
+        map_file = posixpath.join(posixpath.dirname(paths[0]), self.MAP_FILE)
+        offset = 0
+        for path, blob in zip(paths, blobs):
+            self._frames[path] = (map_file, offset, len(blob))
+            offset += len(blob)
+        self._live[map_file] = len(paths)
+        landed = self._landed[map_file] = []
+        data = b"".join(blobs)
         for replica in range(self.replicas):
-            landed = False
             for dir_index, root in enumerate(self.spill_dirs):
-                target = self._replica_file(root, path, replica)
+                target = self._replica_file(root, map_file, replica)
                 try:
-                    self.io.write_atomic(target, blob)
+                    self.io.write_atomic(target, data)
                 except StorageFullError:
                     continue
                 if dir_index > 0:
                     self.io.stats.fallback_spills += 1
-                placed += 1
-                landed = True
+                landed.append(target)
                 break
-            if not landed:
-                if placed >= self.min_replicas:
+            else:
+                if len(landed) >= self.min_replicas:
                     # Degraded mode: every directory is full but the
                     # minimum copy count already landed — shed the rest
                     # rather than failing the job.
@@ -231,36 +259,65 @@ class DiskSegmentBackend:
                     return
                 raise StorageFullError(
                     f"no spill directory could take replica {replica} of "
-                    f"{path} ({placed} < min_replicas "
+                    f"{map_file} ({len(landed)} < min_replicas "
                     f"{self.min_replicas}); dirs: {self.spill_dirs}"
                 )
 
-    def read(self, path: str, replica_choice: int) -> bytes:
-        available = self._existing_replicas(path)
-        if not available:
+    def _locate(self, path: str, replica_choice: int) -> Tuple[str, int, int]:
+        """``(replica file, offset, length)`` of one segment's frame."""
+        try:
+            map_file, offset, length = self._frames[path]
+        except KeyError:
+            raise ShuffleError(f"no such segment: {path}") from None
+        landed = self._landed[map_file]
+        if not landed:
             raise ShuffleError(f"no such segment: {path}")
-        target = available[replica_choice % len(available)]
+        return landed[replica_choice % len(landed)], offset, length
+
+    def _read_file(self, target: str, path: str) -> bytes:
         data = self.io.read_bytes(target)
         if data is None:
             raise ShuffleError(f"no such segment: {path}")
         return data
 
+    def read_map(self, paths: List[str], replica_choice: int) -> List[bytes]:
+        """Each segment's frame from replica chain ``replica_choice``,
+        reading every map file once."""
+        files: Dict[str, bytes] = {}
+        frames = []
+        for path in paths:
+            target, offset, length = self._locate(path, replica_choice)
+            if target not in files:
+                files[target] = self._read_file(target, path)
+            frames.append(files[target][offset:offset + length])
+        return frames
+
+    def read(self, path: str, replica_choice: int) -> bytes:
+        return self.read_map([path], replica_choice)[0]
+
     def corrupt(self, path: str, replica_index: int = 0) -> str:
-        available = self._existing_replicas(path)
-        if not available:
-            raise ShuffleError(f"no such segment: {path}")
-        target = available[replica_index % len(available)]
-        blob = self.io.read_bytes(target) or b"\xff"
-        rotten = bytes([blob[0] ^ 0xFF]) + blob[1:] if blob else b"\xff"
-        self.io.write_atomic(target, rotten)
-        return os.path.basename(target)
+        """Flip the first byte of this segment's frame in one replica."""
+        target, offset, _ = self._locate(path, replica_index)
+        rotten = bytearray(self._read_file(target, path))
+        rotten[offset] ^= 0xFF
+        self.io.write_atomic(target, bytes(rotten))
+        return f"{os.path.basename(target)}@{offset}"
 
     def delete(self, path: str) -> None:
+        entry = self._frames.pop(path, None)
+        if entry is None:
+            return
+        map_file = entry[0]
+        self._live[map_file] -= 1
+        if self._live[map_file]:
+            return
+        del self._live[map_file], self._landed[map_file]
         for replica in range(self.replicas):
             for root in self.spill_dirs:
-                self.io.unlink(self._replica_file(root, path, replica))
+                self.io.unlink(self._replica_file(root, map_file, replica))
 
     def paths(self) -> List[str]:
+        """Logical paths of the map files on disk (leak checks)."""
         logical = set()
         for root in self.spill_dirs:
             if not os.path.isdir(root):
@@ -290,8 +347,9 @@ class SegmentStore:
             return cls(HdfsSegmentBackend(fs))
         return cls()
 
-    def put(self, path: str, blob: bytes) -> None:
-        self.backend.put(path, blob)
+    def put_map(self, paths: List[str], blobs: List[bytes]) -> None:
+        """Store one map task's segments (``paths[r]`` holds ``blobs[r]``)."""
+        self.backend.put_map(paths, blobs)
 
     def fetch(self, path: str, retries: int = 0) -> FetchResult:
         """Fetch one segment, refetching past corrupt replicas.
@@ -317,25 +375,32 @@ class SegmentStore:
             "fetch_retries"
         )
 
-    def snapshot(self, path: str, attempts: int) -> List[bytes]:
-        """The replica chain a fetch with this budget would read.
+    def snapshot(self, paths: List[str], attempts: int) -> Dict[str, List[bytes]]:
+        """The replica chains fetches with this budget would read, for
+        one map task's segments.
 
         Fetch attempt *k* reads replica chain ``k``, and a fetch stops
         at the first chain that verifies; so does the snapshot.  Every
         chain is judged by its frame CRC alone (:func:`verify_segment`,
-        no decode), each read exactly once, and a fetch over the
-        shipped chains sees the same bytes, failovers and counters as
-        a fetch over this store.
+        no decode), each read exactly once — attempt *k* reads the
+        segments still unverified in one backend call, one read of the
+        map file on disk — and a fetch over the shipped chains sees the
+        same bytes, failovers and counters as a fetch over this store.
         """
-        chain: List[bytes] = []
+        chains: Dict[str, List[bytes]] = {path: [] for path in paths}
+        pending = list(paths)
         for attempt in range(max(1, attempts)):
-            chain.append(self.backend.read(path, attempt))
-            try:
-                verify_segment(chain[-1])
-            except ShuffleError:
-                continue
-            break
-        return chain
+            unverified = []
+            for path, frame in zip(
+                pending, self.backend.read_map(pending, attempt)
+            ):
+                chains[path].append(frame)
+                try:
+                    verify_segment(frame)
+                except ShuffleError:
+                    unverified.append(path)
+            pending = unverified
+        return chains
 
     def corrupt(self, path: str, replica_index: int = 0) -> str:
         return self.backend.corrupt(path, replica_index)

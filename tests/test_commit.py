@@ -156,7 +156,13 @@ class TestOutputCommitter:
         zombie = outcome()
         committer.stage("t-m-00000", 0, zombie)
         committer.fence("t-m-00000")
+        # The fence drops what the fenced lineage staged.
+        assert committer._staged == {}
+        # An attempt of that lineage staging after the fence is dropped
+        # when its commit is refused.
+        committer.stage("t-m-00000", 0, zombie)
         assert not committer.promote("t-m-00000", 0, zombie)
+        assert committer._staged == {}
         [refused] = result.history.events_of("commit_fenced")
         assert refused["reason"] == "stale_epoch"
         assert refused["expected"] == 1

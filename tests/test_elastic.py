@@ -715,7 +715,12 @@ class TestComposedExecutionPlaneDrill:
             # The full registry, measured seconds aside.  The ``io.*``
             # rows include what the workers' spill runs wrote (each
             # reply carries its task's I/O counts), and one worker
-            # retires for the two-task reduce wave.
+            # retires for the two-task reduce wave.  Each map task's two
+            # segments share one map file per replica: 6 x 2 replica
+            # writes, the rot's rewrite and 10 spill runs; six map-file
+            # reads, the refetch, the rot's read and the spill runs.
+            # The rot's read, its rewrite and the refetch move the
+            # whole map file (two frames), not one segment.
             counters = recorder.metrics.as_dict()["counters"]
             # 3 initial forks + 2 respawns, each charged the cold start.
             assert counters["pool.cold_start_seconds"] == pytest.approx(1.25)
@@ -729,13 +734,13 @@ class TestComposedExecutionPlaneDrill:
                 "commit.fenced": 2,
                 "commit.promoted": 8,
                 "commit.staged": 9,
-                "io.bytes_read": 1484,
-                "io.bytes_written": 2118,
-                "io.dir_fsyncs": 35,
-                "io.fsyncs": 35,
-                "io.reads": 24,
-                "io.unlinks": 34,
-                "io.writes": 35,
+                "io.bytes_read": 1604,
+                "io.bytes_written": 2178,
+                "io.dir_fsyncs": 23,
+                "io.fsyncs": 23,
+                "io.reads": 18,
+                "io.unlinks": 22,
+                "io.writes": 23,
                 "lease.backups_launched": 3,
                 "lease.expired": 1,
                 "pool.cold_starts": 5,

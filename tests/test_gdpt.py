@@ -1,5 +1,7 @@
 """Unit tests for the Genome Data Parallel Toolkit."""
 
+import random
+
 import pytest
 
 from repro.errors import FormatError, PartitioningError
@@ -69,6 +71,25 @@ class TestBloomFilter:
     def test_merge_geometry_mismatch(self):
         with pytest.raises(ValueError):
             BloomFilter(num_bits=1 << 10).merge(BloomFilter(num_bits=1 << 11))
+        with pytest.raises(ValueError, match="geometries differ"):
+            BloomFilter(num_hashes=3).merge(BloomFilter(num_hashes=4))
+
+    @pytest.mark.parametrize("num_bits", [8, 13, 1 << 10, 1 << 16])
+    def test_merge_equals_the_bytewise_or(self, num_bits):
+        rng = random.Random(num_bits)
+        for trial in range(5):
+            a, b = BloomFilter(num_bits), BloomFilter(num_bits)
+            a.update(rng.randrange(10**6) for _ in range(rng.randrange(300)))
+            b.update(rng.randrange(10**6) for _ in range(rng.randrange(300)))
+            header = len(a.to_bytes()) - len(a._bits)
+            expected = (
+                a.to_bytes()[:header - 8]
+                + (a.items_added + b.items_added).to_bytes(8, "big")
+                + bytes(x | y for x, y in zip(a._bits, b._bits))
+            )
+            a.merge(b)
+            assert a.to_bytes() == expected
+            assert len(a._bits) == num_bits // 8 + 1
 
     def test_fill_estimate(self):
         bloom = BloomFilter(num_bits=1 << 10)

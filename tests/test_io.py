@@ -507,8 +507,10 @@ class TestIdempotentCleanup:
             io, [str(tmp_path / "d0")], replicas=2, min_replicas=1
         )
         store = SegmentStore(backend)
-        store.put("/shuffle/j/m0/seg-0.bin", b"zero")
-        store.put("/shuffle/j/m0/seg-1.bin", b"one")
+        store.put_map(
+            ["/shuffle/j/m0/seg-0.bin", "/shuffle/j/m0/seg-1.bin"],
+            [b"zero", b"one"],
+        )
         store.delete("/shuffle/j/m0/seg-0.bin")
         # Re-running cleanup over already-deleted paths must succeed.
         store.delete_all(
@@ -545,7 +547,7 @@ class TestDegradedSpillRouting:
         backend = DiskSegmentBackend(
             io, [primary, secondary], replicas=2, min_replicas=1
         )
-        backend.put("/shuffle/j/m0/seg-0.bin", b"payload")
+        backend.put_map(["/shuffle/j/m0/seg-0.bin"], [b"payload"])
         assert io.stats.fallback_spills == 2  # both replicas degraded
         assert backend.read("/shuffle/j/m0/seg-0.bin", 0) == b"payload"
         # makedirs may have carved the tree, but no bytes landed there.
@@ -560,7 +562,7 @@ class TestDegradedSpillRouting:
         backend = DiskSegmentBackend(
             io, [primary], replicas=3, min_replicas=1
         )
-        backend.put("/shuffle/j/m0/seg-0.bin", b"12345678")
+        backend.put_map(["/shuffle/j/m0/seg-0.bin"], [b"12345678"])
         assert io.stats.replicas_shed == 2
         assert backend.read("/shuffle/j/m0/seg-0.bin", 0) == b"12345678"
 
@@ -573,7 +575,7 @@ class TestDegradedSpillRouting:
             io, [primary], replicas=2, min_replicas=1
         )
         with pytest.raises(StorageFullError):
-            backend.put("/shuffle/j/m0/seg-0.bin", b"payload")
+            backend.put_map(["/shuffle/j/m0/seg-0.bin"], [b"payload"])
 
     def test_spill_buffer_writes_runs_to_disk(self, tmp_path):
         from repro.shuffle.codec import get_codec

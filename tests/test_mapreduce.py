@@ -256,6 +256,50 @@ class TestPublishTable:
             "shuffle.segments": 8,
         }
 
+    def test_a_fenced_zombie_leaves_nothing_staged(self, monkeypatch):
+        """The retry-plane run: fencing the hung reducer drops its
+        staged outcome at once, so the committer ends the job holding
+        none of the seven outcomes it staged."""
+        staged_after_fence = []
+        committers = []
+
+        class Watched(engine_module.OutputCommitter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                committers.append(self)
+
+            def fence(self, task_id):
+                epoch = super().fence(task_id)
+                staged_after_fence.append(
+                    (task_id, epoch, sorted(self._staged))
+                )
+                return epoch
+
+        monkeypatch.setattr(engine_module, "OutputCommitter", Watched)
+        plan = FaultPlan(events=(
+            RaiseInTask("rp-m-00000"),
+            RaiseInTask("rp-m-00000", attempt=2),
+            DelayTask("rp-r-00001", seconds=30.0, attempt=1),
+        ))
+        policy = ExecutionPolicy(
+            task_retries=3, lease_seconds=5.0, blacklist_after=1,
+            fault_plan=plan,
+        )
+        job = JobSpec("rp", word_mapper, sum_reducer, num_reducers=2,
+                      io_sort_records=3)
+        result = MapReduceEngine(nodes=["n1", "n2", "n3"], policy=policy).run(
+            job, make_splits([
+                "the quick brown fox", "jumps over the lazy dog",
+                "the dog barks", "quick quick slow",
+            ])
+        )
+        zombie = [s for s in staged_after_fence if s[0] == "rp-r-00001"]
+        assert zombie == [("rp-r-00001", 1, [])]
+        [committer] = committers
+        assert committer._staged == {}
+        assert len(committer.promoted) == 6
+        assert result.counters.get(C.FENCED_COMMITS) == 1
+
     def test_the_hung_reducers_late_commit_is_fenced_as_stale(self):
         """The retry-plane run above: the hung reducer's backup commits
         under epoch 1, then the hung attempt presents its epoch-0 token.

@@ -12,14 +12,16 @@ import random
 
 import pytest
 
-from repro.chaos.plan import CorruptSegment, FaultPlan, parse_event
+from repro.chaos.plan import CorruptSegment, Enospc, FaultPlan, parse_event
 from repro.errors import (
     MapReduceError,
     PartitioningError,
     ShuffleCorruptionError,
     ShuffleError,
+    StorageFullError,
 )
 from repro.hdfs.filesystem import Hdfs
+from repro.io.faults import FaultIO
 from repro.io.layer import LocalIO
 from repro.io.policy import IoPolicy
 from repro.mapreduce import counters as C
@@ -39,7 +41,12 @@ from repro.shuffle.segment import (
 )
 from repro.shuffle.skew import detect_skew
 from repro.shuffle.spill import SpillBuffer
-from repro.shuffle.store import LocalSegmentBackend, SegmentStore
+from repro.shuffle.store import (
+    DiskSegmentBackend,
+    LocalSegmentBackend,
+    SegmentStore,
+    ShippedReplicaBackend,
+)
 
 
 class TestCanonicalKeys:
@@ -268,7 +275,7 @@ class TestSegmentStore:
     def _store_with_segment(self, replicas=3):
         store = SegmentStore(LocalSegmentBackend(replicas=replicas))
         blob = encode_segment(self.RECORDS, get_codec("zlib-1")).blob
-        store.put("/shuffle/j/map-00000/seg-00000.bin", blob)
+        store.put_map(["/shuffle/j/map-00000/seg-00000.bin"], [blob])
         return store, "/shuffle/j/map-00000/seg-00000.bin"
 
     def test_clean_fetch(self):
@@ -304,7 +311,7 @@ class TestSegmentStore:
         store = SegmentStore.for_filesystem(fs)
         blob = encode_segment(self.RECORDS, get_codec("raw")).blob
         path = segment_path("job", 0, 0)
-        store.put(path, blob)
+        store.put_map([path], [blob])
         store.corrupt(path, replica_index=0)
         fetch = store.fetch(path, retries=2)
         assert fetch.segment.records == self.RECORDS
@@ -314,18 +321,174 @@ class TestSegmentStore:
 
     def test_snapshot_stops_at_the_first_verified_replica(self):
         store, path = self._store_with_segment()
-        clean = store.snapshot(path, attempts=3)
+        clean = store.snapshot([path], attempts=3)[path]
         assert len(clean) == 1
         store.corrupt(path, replica_index=0)
-        chain = store.snapshot(path, attempts=3)
+        chain = store.snapshot([path], attempts=3)[path]
         assert len(chain) == 2 and chain[1] == clean[0]
         store.corrupt(path, replica_index=1)
         store.corrupt(path, replica_index=2)
-        assert len(store.snapshot(path, attempts=3)) == 3
+        assert len(store.snapshot([path], attempts=3)[path]) == 3
 
     def test_for_filesystem_falls_back_to_local(self):
         store = SegmentStore.for_filesystem(None)
         assert isinstance(store.backend, LocalSegmentBackend)
+
+
+class TestDiskMapFile:
+    """One map task's segments live in one replica file per replica."""
+
+    RECORDS = [[("k%d" % r, r)] * (r + 1) for r in range(3)]
+    PATHS = [segment_path("j", 0, r) for r in range(3)]
+    MAP_FILE = "/shuffle/j/map-00000/seg-file.out"
+
+    def _blobs(self):
+        return [
+            encode_segment(records, get_codec("zlib-1")).blob
+            for records in self.RECORDS
+        ]
+
+    def _store(self, tmp_path, io=None, dirs=("d0",), **kwargs):
+        backend = DiskSegmentBackend(
+            io or LocalIO(), [str(tmp_path / d) for d in dirs], **kwargs
+        )
+        store = SegmentStore(backend)
+        store.put_map(self.PATHS, self._blobs())
+        return store
+
+    def test_one_replica_file_per_map_task_holds_every_frame(self, tmp_path):
+        store = self._store(tmp_path)
+        io = store.backend.io
+        assert io.stats.writes == 2
+        assert store.paths() == [self.MAP_FILE]
+        replica = tmp_path / "d0" / "shuffle/j/map-00000/seg-file.out.r1"
+        assert replica.read_bytes() == b"".join(self._blobs())
+        chains = store.snapshot(self.PATHS, attempts=2)
+        assert io.stats.reads == 1
+        assert [chains[path] for path in self.PATHS] == \
+            [[blob] for blob in self._blobs()]
+
+    def test_one_rotten_frame_fails_over_only_its_reducer(self, tmp_path):
+        store = self._store(tmp_path)
+        victim = store.corrupt(self.PATHS[1], replica_index=0)
+        assert victim == f"seg-file.out.r0@{len(self._blobs()[0])}"
+        io = store.backend.io
+        reads = io.stats.reads
+        chains = store.snapshot(self.PATHS, attempts=2)
+        # Once per replica attempt: replica 0 whole, then replica 1 for
+        # the one frame that failed its CRC.
+        assert io.stats.reads - reads == 2
+        assert [len(chains[path]) for path in self.PATHS] == [1, 2, 1]
+        shipped = SegmentStore(ShippedReplicaBackend(chains))
+        fetches = [shipped.fetch(path, retries=1) for path in self.PATHS]
+        assert [f.segment.records for f in fetches] == self.RECORDS
+        assert [(f.crc_failures, f.refetches) for f in fetches] == \
+            [(0, 0), (1, 1), (0, 0)]
+
+    def test_a_rotten_length_field_spares_sibling_frames(self, tmp_path):
+        store = self._store(tmp_path)
+        replica = tmp_path / "d0" / "shuffle/j/map-00000/seg-file.out.r0"
+        rotten = bytearray(replica.read_bytes())
+        # Frame 0's packed-length field (header bytes 14-17).
+        rotten[14] ^= 0xFF
+        replica.write_bytes(bytes(rotten))
+        chains = store.snapshot(self.PATHS, attempts=2)
+        assert [len(chains[path]) for path in self.PATHS] == [2, 1, 1]
+
+    def test_one_corrupt_frame_in_a_job_fails_over_one_reducer(
+        self, tmp_path
+    ):
+        clean = _run_wordcount(ExecutionPolicy.serial(), DEFAULT_SHUFFLE)
+        spill = str(tmp_path / "spill")
+        policy = ExecutionPolicy(
+            io=IoPolicy(spill_dirs=(spill,)),
+            fault_plan=FaultPlan(seed=0, events=(CorruptSegment(
+                "wordcount", map_index=1, reducer=2, replica_index=0,
+            ),)),
+        )
+        chaos = _run_wordcount(policy, DEFAULT_SHUFFLE)
+        assert chaos.all_outputs() == clean.all_outputs()
+        assert chaos.counters.get(C.SHUFFLE_CRC_FAILURES) == 1
+        assert chaos.counters.get(C.SHUFFLE_FETCH_RETRIES) == 1
+        [event] = chaos.history.events_of("segment_corrupted")
+        assert event["path"] == segment_path("wordcount", 1, 2)
+        assert event["replica"].startswith("seg-file.out.r0@")
+        assert DiskSegmentBackend(LocalIO(), [spill]).paths() == []
+
+    def test_enospc_falls_back_per_map_file(self, tmp_path):
+        primary = str(tmp_path / "primary")
+        io = FaultIO(
+            IoPolicy(), events=(Enospc(0, path_glob=primary + "/*"),)
+        )
+        store = self._store(tmp_path, io, dirs=("primary", "secondary"))
+        # Both replicas of the one map file degraded, not one per frame.
+        assert (io.stats.fallback_spills, io.stats.writes) == (2, 2)
+        assert store.snapshot(self.PATHS, attempts=1)[self.PATHS[2]] == \
+            [self._blobs()[2]]
+
+    def test_replicas_shed_per_map_file(self, tmp_path):
+        size = sum(map(len, self._blobs()))
+        io = FaultIO(IoPolicy(), events=(
+            Enospc(size, path_glob=str(tmp_path / "d0") + "/*"),
+        ))
+        store = self._store(tmp_path, io, replicas=3, min_replicas=1)
+        assert (io.stats.replicas_shed, io.stats.writes) == (2, 1)
+        assert store.backend.read(self.PATHS[1], 2) == self._blobs()[1]
+
+    def test_a_put_below_min_replicas_is_cleaned_up(self, tmp_path):
+        size = sum(map(len, self._blobs()))
+        io = FaultIO(IoPolicy(), events=(
+            Enospc(size, path_glob=str(tmp_path / "d0") + "/*"),
+        ))
+        store = SegmentStore(DiskSegmentBackend(
+            io, [str(tmp_path / "d0")], replicas=2, min_replicas=2
+        ))
+        with pytest.raises(StorageFullError):
+            store.put_map(self.PATHS, self._blobs())
+        # Replica 0 landed before the disk filled; the engine's cleanup
+        # (every path of the task) still finds it.
+        assert store.paths() == [self.MAP_FILE]
+        store.delete_all(self.PATHS)
+        assert store.paths() == []
+
+    def test_the_map_file_goes_with_its_last_segment(self, tmp_path):
+        store = self._store(tmp_path, dirs=("d0", "d1"))
+        io = store.backend.io
+        store.delete_all(self.PATHS[:2])
+        assert io.stats.unlinks == 0
+        assert store.paths() == [self.MAP_FILE]
+        assert store.fetch(self.PATHS[2]).segment.records == self.RECORDS[2]
+        with pytest.raises(ShuffleError, match="no such segment"):
+            store.fetch(self.PATHS[0])
+        store.delete_all(self.PATHS)
+        # Every (replica, directory) candidate, once.
+        assert io.stats.unlinks == 2 * 2
+        assert store.paths() == []
+
+    def test_no_map_file_outlives_any_job(self, tmp_path):
+        spill = str(tmp_path / "spill")
+        leftover = DiskSegmentBackend(LocalIO(), [spill])
+        for events, fails in [
+            ((), None),
+            ((CorruptSegment("wordcount", 0, 0, 0),), None),
+            (tuple(CorruptSegment("wordcount", 0, 0, r) for r in range(2)),
+             MapReduceError),
+            ((CorruptSegment("wordcount", 9, 0, 0),), MapReduceError),
+            # Replica 0 of map 0 lands, replica 1 cannot: below
+            # min_replicas, the put raises with one file on disk.
+            ((Enospc(0, path_glob="*.r1"),), StorageFullError),
+        ]:
+            policy = ExecutionPolicy(
+                io=IoPolicy(spill_dirs=(spill,), min_replicas=2),
+                fault_plan=FaultPlan(seed=0, events=events),
+            )
+            shuffle = ShuffleConfig(fetch_retries=1)
+            if fails:
+                with pytest.raises(fails):
+                    _run_wordcount(policy, shuffle)
+            else:
+                _run_wordcount(policy, shuffle)
+            assert leftover.paths() == [], events
 
 
 class TestShuffleConfig:
